@@ -119,8 +119,9 @@ def to_json(obj) -> str:
 # analysis pipeline
 
 def analyze_mesh(mesh: Triangulation, tol: Tolerances,
-                 skip_solver: bool = False) -> dict:
-    """Full classify -> trees -> solver pipeline as a JSON-ready dict."""
+                 skip_solver: bool = False) -> tuple[dict, list]:
+    """Full classify -> trees -> solver pipeline: the JSON-ready report
+    and the spurious modes (raw pressure coefficient vectors)."""
     topology = build_topology(mesh)
     reports, summary = classify_mesh(topology, tol)
     cover = build_tree_cover(topology, reports, tol)
@@ -157,23 +158,20 @@ def analyze_mesh(mesh: Triangulation, tol: Tolerances,
         },
     }
     if skip_solver:
-        return report
+        return report, []
 
-    dofmap = solver.number_dofs(topology)
-    B = solver.assemble_divergence(topology, dofmap)
-    A, M = solver.assemble_norms(topology, dofmap)
-    rank = solver.divergence_rank(B, topology, summary["sigma"], tol)
-    N = solver.constrained_basis(topology, reports)
-    beta, eigenvalues = solver.infsup_constant(A, B, M, N)
-    modes = solver.spurious_modes(B, M, N, tol)
+    cert = solver.certify(topology, reports)
+    rank = solver.divergence_rank(cert, topology, summary["sigma"], tol)
+    beta, _ = solver.infsup_constant(cert)
+    modes = solver.spurious_modes(cert, rank)
     dims = solver.strang_dimensions(topology, summary["sigma"],
                                     summary["sigma_i"], summary["sigma_b"],
                                     rank.K)
     nullity = solver.nullity_crosscheck(rank, topology, summary["sigma"])
     report["divergence"] = {
         "skipped": False,
-        "velocity_dofs": dofmap.n_velocity,
-        "pressure_dofs": dofmap.n_pressure,
+        "velocity_dofs": cert.shape[1],
+        "pressure_dofs": 6 * topology.T,
         "rank": rank.rank,
         "nullity": rank.nullity,
         "expected_dim": rank.expected_dim,
@@ -187,11 +185,11 @@ def analyze_mesh(mesh: Triangulation, tol: Tolerances,
         "nullity_crosscheck": nullity,
     }
     report["spline"] = {"skipped": False, **dataclasses.asdict(dims)}
-    report["_modes"] = modes   # internal, stripped before serialization
-    return report
+    return report, modes
 
 
-def render_svg(mesh: Triangulation, report: dict, width: int = 640) -> str:
+def render_svg(mesh: Triangulation, report: dict, modes,
+               width: int = 640) -> str:
     """Mesh rendering with vertex-class markers and, when present, the
     first spurious pressure mode as signed triangle fills."""
     pts = mesh.vertices
@@ -207,7 +205,6 @@ def render_svg(mesh: Triangulation, report: dict, width: int = 640) -> str:
 
     lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
              f'height="{width}" viewBox="0 0 {width} {width}">']
-    modes = report.get("_modes") or []
     if modes:
         mode = modes[0]
         mscale = max(float(np.abs(mode).max()), 1e-30)
@@ -319,11 +316,10 @@ def cmd_gen(args) -> int:
 def cmd_analyze(args) -> int:
     mesh = _load(args.mesh)
     tol = _tolerances(args)
-    report = analyze_mesh(mesh, tol, skip_solver=args.skip_solver)
+    report, modes = analyze_mesh(mesh, tol, skip_solver=args.skip_solver)
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(render_svg(mesh, report))
-    report.pop("_modes", None)
+            fh.write(render_svg(mesh, report, modes))
     _write_out(to_json(report), args.out)
     return EXIT_OK
 
@@ -342,16 +338,14 @@ def cmd_infsup(args) -> int:
     tol = _tolerances(args)
     topology = build_topology(mesh)
     reports, summary = classify_mesh(topology, tol)
-    dofmap = solver.number_dofs(topology)
-    B = solver.assemble_divergence(topology, dofmap)
-    A, M = solver.assemble_norms(topology, dofmap, seminorm=args.seminorm)
-    N = solver.constrained_basis(topology, reports)
-    beta, eigenvalues = solver.infsup_constant(A, B, M, N)
+    cert = solver.certify(topology, reports, seminorm=args.seminorm,
+                          modes=False)
+    beta, eigenvalues = solver.infsup_constant(cert)
     out = {
         "beta": beta,
-        "smallest_eigenvalues": sorted(eigenvalues)[:8],
-        "constrained_dim": int(N.shape[1]),
-        "velocity_dofs": dofmap.n_velocity,
+        "smallest_eigenvalues": eigenvalues[:8],
+        "constrained_dim": cert.shape[0],
+        "velocity_dofs": cert.shape[1],
         "seminorm": bool(args.seminorm),
         "meta": {"version": __version__,
                  "tolerances": dataclasses.asdict(tol)},
@@ -365,9 +359,8 @@ def cmd_spline_dim(args) -> int:
     tol = _tolerances(args)
     topology = build_topology(mesh)
     reports, summary = classify_mesh(topology, tol)
-    dofmap = solver.number_dofs(topology)
-    B = solver.assemble_divergence(topology, dofmap)
-    rank = solver.divergence_rank(B, topology, summary["sigma"], tol)
+    cert = solver.certify(topology, reports, modes=False)
+    rank = solver.divergence_rank(cert, topology, summary["sigma"], tol)
     dims = solver.strang_dimensions(topology, summary["sigma"],
                                     summary["sigma_i"], summary["sigma_b"],
                                     rank.K)

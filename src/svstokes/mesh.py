@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +45,8 @@ class Triangulation:
             raise MeshError("triangles must be a (T, 3) array")
         if t.size and (t.min() < 0 or t.max() >= len(v)):
             raise MeshError("triangle vertex index out of range")
+        if not np.isfinite(v).all():
+            raise MeshError("vertex coordinates must be finite")
         seen = set()
         diam = 0.0
         if len(v) > 1:
@@ -161,9 +164,13 @@ def load_mesh(text: str) -> Triangulation:
         if len(fields) != 2:
             raise MeshFormatError("expected 'x y'", lineno)
         try:
-            verts[i] = [float(fields[0]), float(fields[1])]
+            x, y = float(fields[0]), float(fields[1])
         except ValueError:
             raise MeshFormatError("bad coordinate", lineno) from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise MeshFormatError("coordinate is not a finite number",
+                                  lineno)
+        verts[i] = x, y
 
     lineno, fields = take("'triangles M'")
     if len(fields) != 2 or fields[0] != "triangles":

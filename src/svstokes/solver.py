@@ -194,7 +194,9 @@ def assemble_norms(topology: MeshTopology, dofmap: DofMap,
 def pressure_constraints(topology: MeshTopology, reports) -> np.ndarray:
     """Rows of the constraint matrix cutting the raw 6T-dimensional
     pressure space down to the constrained space: global mean zero plus
-    one alternating-sum condition per singular vertex."""
+    one alternating-sum condition per singular vertex.  Each row has unit
+    2-norm, so the rank decision on them does not depend on the length
+    scale (the mean row scales with area, the alternating rows do not)."""
     mesh = topology.mesh
     rows = [np.concatenate([_tri_area(topology, t) * _IV2
                             for t in range(topology.T)])]
@@ -207,14 +209,15 @@ def pressure_constraints(topology: MeshTopology, reports) -> np.ndarray:
             slot = int(np.where(mesh.triangles[t] == r.vertex)[0][0])
             row[6 * t + slot] = (-1.0) ** j
         rows.append(row)
-    return np.vstack(rows)
+    C = np.vstack(rows)
+    return C / np.linalg.norm(C, axis=1, keepdims=True)
 
 
-def constrained_basis(topology: MeshTopology, reports) -> np.ndarray:
-    """Orthonormal basis (columns) of the constrained pressure space."""
-    C = pressure_constraints(topology, reports)
+def constrained_basis(C: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (columns) of the pressures satisfying the
+    constraint rows C (see ``pressure_constraints``)."""
     N = scipy.linalg.null_space(C)
-    expect = 6 * topology.T - C.shape[0]
+    expect = C.shape[1] - C.shape[0]
     if N.shape[1] != expect:
         raise SolverError(
             f"constrained pressure dimension {N.shape[1]} != 6T - 1 - sigma "
@@ -223,7 +226,105 @@ def constrained_basis(topology: MeshTopology, reports) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# rank / K / inf-sup
+# the certificate: one weighted SVD gives K, beta and the spurious modes
+
+# Relative size of C M^-1 B, the constraints applied to the divergences,
+# above which the constrained space does not contain the range of B.
+RANGE_RTOL = 1e6 * np.finfo(float).eps
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """Spectrum of the weighted divergence pairing
+
+        W = L_G^-1 N^T B L_A^-T,   A = L_A L_A^T,   N^T M N = L_G L_G^T,
+
+    with N an orthonormal basis of the constrained pressures.  The squared
+    singular values of W are the eigenvalues of the pressure Schur
+    complement in the mass inner product: the number of zero singular
+    values is K, the smallest nonzero one is beta, and the nonzero ones
+    lie in [beta, sqrt(2)].  ``left`` holds all p left singular vectors
+    of W as columns; those past the rank, mapped through N L_G^-T, are
+    M-orthonormal spurious modes.  A spectrum alone (no ``left``)
+    certifies K and beta but no modes.
+    """
+
+    singular_values: np.ndarray     # descending, min(p, n) of them
+    shape: tuple                    # (p, n): constrained pressures, velocities
+    left: np.ndarray | None = None      # (p, p)
+    basis: np.ndarray | None = None     # N, (6T, p)
+    chol: np.ndarray | None = None      # L_G, (p, p) lower triangular
+    divergence: np.ndarray | None = None    # B, (6T, n)
+
+
+def _check_range_inclusion(B, blocks, C):
+    """Every divergence, as a pressure (M^-1 B with M's (T, 6, 6) diagonal
+    blocks), satisfies the constraints.
+    The weighted SVD only sees the part of B inside the constrained space,
+    so a range outside it would go unnoticed there."""
+    T, n = blocks.shape[0], B.shape[1]
+    P = np.matmul(np.linalg.inv(blocks), B.reshape(T, 6, n)).reshape(6 * T, n)
+    dev = float(np.linalg.norm(C @ P))
+    scale = float(np.linalg.norm(P))
+    if dev > RANGE_RTOL * scale:
+        raise SolverError(
+            f"divergences violate the pressure constraints at {dev:.3e} "
+            f"relative to {scale:.3e}; range inclusion violated")
+
+
+def certify(topology: MeshTopology, reports, seminorm: bool = False,
+            modes: bool = True) -> Certificate:
+    """Assemble the pairing and its norms, check that the constrained
+    pressures contain every divergence, and take the one SVD of W; with
+    ``modes=False`` only its singular values, which is all K and beta
+    need."""
+    dofmap = number_dofs(topology)
+    B = assemble_divergence(topology, dofmap)
+    A, M = assemble_norms(topology, dofmap, seminorm=seminorm)
+    T = topology.T
+    blocks = M.reshape(T, 6, T, 6)[np.arange(T), :, np.arange(T), :]
+    del M       # block diagonal: the (T, 6, 6) blocks are all of it
+    C = pressure_constraints(topology, reports)
+    _check_range_inclusion(B, blocks, C)
+    N = constrained_basis(C)
+    p, n = N.shape[1], B.shape[1]
+    try:
+        # A is symmetric and only one triangle is read, so its transpose
+        # is the column-major operand LAPACK factors in place.
+        L_A = scipy.linalg.cholesky(A.T, lower=True, overwrite_a=True,
+                                    check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise SolverError(f"velocity Gram matrix is not SPD: {exc}") from exc
+    del A
+    # N^T M N = Y^T Y with Y = blockdiag(L_t^T) N, M_t = L_t L_t^T; like A
+    # it is factored in place through its transpose.
+    Y = np.matmul(np.linalg.cholesky(blocks).transpose(0, 2, 1),
+                  N.reshape(-1, 6, p)).reshape(-1, p)
+    try:
+        L_G = scipy.linalg.cholesky((Y.T @ Y).T, lower=True, overwrite_a=True,
+                                    check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise SolverError(f"pressure mass matrix is not SPD: {exc}") from exc
+    del Y
+    # W = L_G^-1 (N^T B) L_A^-T.  With X = L_A^-1 B^T N = Q R (Q has
+    # orthonormal columns), W = (L_G^-1 R^T) Q^T: the SVD of the small
+    # factor L_G^-1 R^T gives the singular values and left vectors of W.
+    X = scipy.linalg.solve_triangular(L_A, (N.T @ B).T, lower=True,
+                                      overwrite_b=True, check_finite=False)
+    del L_A
+    _, R = scipy.linalg.qr(X, mode="raw", overwrite_a=True,
+                           check_finite=False)
+    del X, _
+    W = scipy.linalg.solve_triangular(L_G, R.T, lower=True, overwrite_b=True,
+                                      check_finite=False)
+    if not modes:
+        s = scipy.linalg.svd(W, compute_uv=False, overwrite_a=True,
+                             check_finite=False)
+        return Certificate(singular_values=s, shape=(p, n))
+    left, s, _ = scipy.linalg.svd(W, overwrite_a=True, check_finite=False)
+    return Certificate(singular_values=s, shape=(p, n), left=left, basis=N,
+                       chol=L_G, divergence=B)
+
 
 @dataclass(frozen=True)
 class RankResult:
@@ -236,18 +337,21 @@ class RankResult:
     singular_values: np.ndarray
 
 
-def divergence_rank(B: np.ndarray, topology: MeshTopology, sigma: int,
+def divergence_rank(cert: Certificate, topology: MeshTopology, sigma: int,
                     tol: Tolerances = Tolerances()) -> RankResult:
-    sv = scipy.linalg.svdvals(B)
+    """Rank of the pairing and the deficiency K, with the gap test: the
+    accepted singular values must clear the rejected ones by 10x."""
+    sv = cert.singular_values
     smax = sv[0] if len(sv) else 0.0
     thr = tol.rank * smax
     accepted = sv[sv > thr]
     rejected = sv[sv <= thr]
     gap = float("inf")
     # A rejected value below roundoff level is noise whose size depends on
-    # the LAPACK kernel; the gap measures against the roundoff floor then.
-    floor = np.finfo(float).eps * max(B.shape) * smax
-    largest_rejected = max(rejected[0], floor) if len(rejected) else 0.0
+    # the LAPACK kernel; the gap measures against the roundoff floor then,
+    # and also when nothing is rejected.
+    floor = np.finfo(float).eps * max(cert.shape) * smax
+    largest_rejected = max(rejected[0], floor) if len(rejected) else floor
     if largest_rejected > 0.0:
         gap = (float(accepted[-1] / largest_rejected) if len(accepted)
                else 0.0)
@@ -263,50 +367,35 @@ def divergence_rank(B: np.ndarray, topology: MeshTopology, sigma: int,
         raise SolverError(
             f"rank {rank} exceeds the constrained pressure dimension "
             f"{expected}; range inclusion violated")
-    return RankResult(rank=rank, nullity=B.shape[1] - rank, K=K,
+    return RankResult(rank=rank, nullity=cert.shape[1] - rank, K=K,
                       expected_dim=expected, gap=gap, singular_values=sv)
 
 
-def infsup_constant(A: np.ndarray, B: np.ndarray, M: np.ndarray,
-                    N: np.ndarray, zero_tol: float = 1e-10):
-    """(beta, eigenvalues): beta is the square root of the smallest
-    nonzero eigenvalue of the pressure Schur complement restricted to
-    the constrained space, in the pressure mass inner product."""
-    BtN = B.T @ N                      # pairing of constrained pressures
-    try:
-        X = scipy.linalg.solve(A, BtN, assume_a="pos")
-    except scipy.linalg.LinAlgError as exc:
-        raise SolverError(f"velocity Gram matrix is not SPD: {exc}") from exc
-    S = BtN.T @ X
-    G = N.T @ M @ N
-    eig = scipy.linalg.eigh(S, G, eigvals_only=True)
-    eig = np.clip(eig, 0.0, None)
+def infsup_constant(cert: Certificate, zero_tol: float = 1e-10):
+    """(beta, eigenvalues): the eigenvalues of the pressure Schur complement
+    on the constrained space in the mass inner product, ascending, those
+    below zero_tol times the largest reported as exactly 0; beta is the
+    square root of the smallest nonzero one."""
+    s = cert.singular_values
+    eig = np.zeros(cert.shape[0])
+    eig[len(eig) - len(s):] = s[::-1] ** 2
     scale = eig[-1] if len(eig) and eig[-1] > 0 else 1.0
-    nonzero = eig[eig > zero_tol * scale]
-    beta = float(np.sqrt(nonzero[0])) if len(nonzero) else 0.0
+    eig[eig <= zero_tol * scale] = 0.0
+    nonzero = s[s ** 2 > zero_tol * scale]
+    beta = float(nonzero[-1]) if len(nonzero) else 0.0
     return beta, eig
 
 
-def spurious_modes(B: np.ndarray, M: np.ndarray, N: np.ndarray,
-                   tol: Tolerances = Tolerances()):
+def spurious_modes(cert: Certificate, rank: RankResult):
     """M-orthonormal basis of the constrained pressures with zero pairing
     against every velocity, returned as raw coefficient vectors."""
-    BtN = B.T @ N
-    if BtN.size == 0:
-        null = np.eye(N.shape[1])
-    else:
-        sv = scipy.linalg.svdvals(BtN)
-        smax = sv[0] if len(sv) else 0.0
-        rank = int(np.sum(sv > tol.rank * max(smax, 1.0)))
-        _, _, Vt = scipy.linalg.svd(BtN, full_matrices=True)
-        null = Vt[rank:].T
-    if null.shape[1] == 0:
+    null = cert.left[:, rank.rank:]
+    if not null.shape[1]:
         return []
-    Q = N @ null                       # (6T, K)
-    G = Q.T @ M @ Q                    # M-orthonormalize
-    w, U = scipy.linalg.eigh(G)
-    Q = Q @ U / np.sqrt(w)
-    scale = float(np.abs(Q.T @ B).max()) if Q.size else 0.0
+    Q = cert.basis @ scipy.linalg.solve_triangular(
+        cert.chol, null, lower=True, trans="T", check_finite=False)
+    B = cert.divergence
+    scale = float(np.abs(Q.T @ B).max())
     bscale = max(float(np.abs(B).max()), 1.0)
     if scale > 1e-8 * bscale:
         raise SolverError(f"extracted modes pair with velocities at {scale:.3e}")

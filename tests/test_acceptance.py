@@ -191,26 +191,21 @@ def test_A5_ontoness_oracle():
         reports, summary = classify_mesh(topo)
         dm = solver.number_dofs(topo)
         assert dm.n_velocity <= 3000
-        B = solver.assemble_divergence(topo, dm)
-        rr = solver.divergence_rank(B, topo, summary["sigma"], TOL)
+        cert = solver.certify(topo, reports)
+        rr = solver.divergence_rank(cert, topo, summary["sigma"], TOL)
         assert rr.K == 0
         assert rr.gap > 10.0
-        A, M = solver.assemble_norms(topo, dm)
-        N = solver.constrained_basis(topo, reports)
-        beta, _ = solver.infsup_constant(A, B, M, N)
+        beta, _ = solver.infsup_constant(cert)
         assert beta > 0.0
         assert time.perf_counter() - start < 60.0
     for n in (2, 3):
         start = time.perf_counter()
         topo = build_topology(type1_diagonal(n))
         reports, summary = classify_mesh(topo)
-        dm = solver.number_dofs(topo)
-        B = solver.assemble_divergence(topo, dm)
-        rr = solver.divergence_rank(B, topo, summary["sigma"], TOL)
+        cert = solver.certify(topo, reports)
+        rr = solver.divergence_rank(cert, topo, summary["sigma"], TOL)
         assert rr.K >= 1
-        A, M = solver.assemble_norms(topo, dm)
-        N = solver.constrained_basis(topo, reports)
-        modes = solver.spurious_modes(B, M, N, TOL)
+        modes = solver.spurious_modes(cert, rr)
         assert len(modes) == rr.K
         assert any(solver.checkerboard_signature(topo, m) for m in modes)
         assert time.perf_counter() - start < 60.0
@@ -228,9 +223,8 @@ def test_A6_dimension_identities():
     for mesh in meshes:
         topo = build_topology(mesh)
         reports, summary = classify_mesh(topo)
-        dm = solver.number_dofs(topo)
-        B = solver.assemble_divergence(topo, dm)
-        rr = solver.divergence_rank(B, topo, summary["sigma"], TOL)
+        cert = solver.certify(topo, reports)
+        rr = solver.divergence_rank(cert, topo, summary["sigma"], TOL)
         solver.nullity_crosscheck(rr, topo, summary["sigma"])   # hard assert
         sd = solver.strang_dimensions(topo, summary["sigma"],
                                       summary["sigma_i"], summary["sigma_b"],
@@ -240,9 +234,8 @@ def test_A6_dimension_identities():
     # the 2-triangle clamp case
     topo = build_topology(meshes[-2])
     reports, summary = classify_mesh(topo)
-    dm = solver.number_dofs(topo)
-    B = solver.assemble_divergence(topo, dm)
-    rr = solver.divergence_rank(B, topo, summary["sigma"], TOL)
+    cert = solver.certify(topo, reports)
+    rr = solver.divergence_rank(cert, topo, summary["sigma"], TOL)
     sd = solver.strang_dimensions(topo, summary["sigma"], summary["sigma_i"],
                                   summary["sigma_b"], rr.K)
     assert sd.dim_s4 == 0
@@ -319,9 +312,8 @@ def test_A7_tree_machinery():
             for slot, v in enumerate(topo.mesh.triangles[t]):
                 got = f.div_at(t, int(v)) if t in f.support else 0.0
                 assert abs(got - p[t, slot]) < RTOL * scale
-        dm = solver.number_dofs(topo)
-        B = solver.assemble_divergence(topo, dm)
-        rr = solver.divergence_rank(B, topo, summary["sigma"], TOL)
+        cert = solver.certify(topo, reports)
+        rr = solver.divergence_rank(cert, topo, summary["sigma"], TOL)
         assert rr.K == 0
     _report(7, "path spill closed form, interpolant round-trip, "
                "complete cover => K = 0")
@@ -334,14 +326,11 @@ def test_A8_invariance_under_similarity():
     topo0 = build_topology(base)
     reports0, summary0 = classify_mesh(topo0)
     cover0 = build_tree_cover(topo0, reports0, TOL)
-    dm0 = solver.number_dofs(topo0)
-    B0 = solver.assemble_divergence(topo0, dm0)
-    rr0 = solver.divergence_rank(B0, topo0, summary0["sigma"], TOL)
-    A0, M0 = solver.assemble_norms(topo0, dm0)
-    N0 = solver.constrained_basis(topo0, reports0)
-    beta0, _ = solver.infsup_constant(A0, B0, M0, N0)
-    A0s, _ = solver.assemble_norms(topo0, dm0, seminorm=True)
-    beta0s, _ = solver.infsup_constant(A0s, B0, M0, N0)
+    cert0 = solver.certify(topo0, reports0)
+    rr0 = solver.divergence_rank(cert0, topo0, summary0["sigma"], TOL)
+    beta0, _ = solver.infsup_constant(cert0)
+    beta0s, _ = solver.infsup_constant(
+        solver.certify(topo0, reports0, seminorm=True))
 
     cases = [("rotation", dict(angle=0.7, shift=(3.0, -2.0), scale=1.0)),
              ("shrink", dict(angle=0.0, shift=(0.0, 0.0), scale=0.5)),
@@ -363,20 +352,17 @@ def test_A8_invariance_under_similarity():
         weights1 = edge_weights(topo1)
         for key, w0 in weights0.items():
             assert abs(weights1[key] - w0) < 1e-8 * max(abs(w0), 1.0)
-        dm1 = solver.number_dofs(topo1)
-        B1 = solver.assemble_divergence(topo1, dm1)
-        rr1 = solver.divergence_rank(B1, topo1, summary1["sigma"], TOL)
+        cert1 = solver.certify(topo1, reports1)
+        rr1 = solver.divergence_rank(cert1, topo1, summary1["sigma"], TOL)
         assert rr1.K == rr0.K and rr1.rank == rr0.rank
-        A1, M1 = solver.assemble_norms(topo1, dm1)
-        N1 = solver.constrained_basis(topo1, reports1)
-        beta1, _ = solver.infsup_constant(A1, B1, M1, N1)
+        beta1, _ = solver.infsup_constant(cert1)
         if rigid:
             assert abs(beta1 - beta0) < 1e-8 * beta0
         else:
             # the full-H1 constant is not dimensionless; the seminorm
             # variant is exactly scale invariant
-            A1s, _ = solver.assemble_norms(topo1, dm1, seminorm=True)
-            beta1s, _ = solver.infsup_constant(A1s, B1, M1, N1)
+            beta1s, _ = solver.infsup_constant(
+                solver.certify(topo1, reports1, seminorm=True))
             assert abs(beta1s - beta0s) < 1e-8 * beta0s
         # dimensionless decision quantities under pure scaling
         if not rigid and motion["angle"] == 0.0:

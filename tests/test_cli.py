@@ -81,6 +81,44 @@ def test_analyze_degenerate_mesh_is_input_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("spelling", ["nan", "inf", "1e400"])
+def test_analyze_non_finite_coordinate_is_input_error(tmp_path, capsys,
+                                                      spelling):
+    bad = tmp_path / "nonfinite.mesh"
+    bad.write_text(f"vertices 3\n0 0\n1 {spelling}\n0 1\n"
+                   "triangles 1\n0 1 2\n")
+    assert main(["analyze", "--mesh", str(bad)]) == EXIT_INPUT
+    assert "line 3: coordinate is not a finite number" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("preset,extra,scale", [
+    ("crossed", ["--n", "2"], "1e-7"),
+    ("perturbed-grid", ["--n", "3", "--seed", "1"], "3e7")])
+def test_analyze_scaled_mesh_keeps_the_unscaled_integers(tmp_path, preset,
+                                                         extra, scale):
+    reports = []
+    for L in ("1", scale):
+        mesh_path = _gen(tmp_path, preset, *extra, "--L", L)
+        out = tmp_path / f"r{L}.json"
+        assert main(["analyze", "--mesh", str(mesh_path),
+                     "--out", str(out)]) == EXIT_OK
+        reports.append(json.loads(out.read_text()))
+    keys = ("K", "rank", "nullity", "spurious_mode_count")
+    assert [{k: r["divergence"][k] for k in keys} for r in reports] == \
+        [{k: reports[0]["divergence"][k] for k in keys}] * 2
+    assert reports[1]["vertices"]["summary"] == \
+        reports[0]["vertices"]["summary"]
+
+
+def test_analyze_svg_draws_the_spurious_mode(tmp_path):
+    mesh_path = _gen(tmp_path, "type1", "--n", "2")
+    svg = tmp_path / "overlay.svg"
+    assert main(["analyze", "--mesh", str(mesh_path), "--out",
+                 str(tmp_path / "r.json"), "--svg", str(svg)]) == EXIT_OK
+    assert svg.read_text().count("<polygon") == 8
+
+
 def test_analyze_svg_is_pure_presentation(tmp_path):
     mesh_path = _gen(tmp_path, "crossed", "--n", "1")
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -125,6 +163,21 @@ def test_infsup_command(tmp_path):
     assert report["beta"] == pytest.approx(0.4115428141731681, rel=1e-8)
     assert report["velocity_dofs"] == 122
     assert report["seminorm"] is False
+
+
+def test_infsup_reports_the_deficiency_as_exact_zeros(tmp_path):
+    # type1-3 has K = 1: one eigenvalue is zero analytically and comes
+    # out as roundoff whose size depends on the BLAS kernel
+    mesh_path = _gen(tmp_path, "type1", "--n", "3")
+    out = tmp_path / "infsup.json"
+    assert main(["infsup", "--mesh", str(mesh_path),
+                 "--out", str(out)]) == EXIT_OK
+    report = json.loads(out.read_text())
+    eig = report["smallest_eigenvalues"]
+    assert eig[0] == 0.0 and eig[1] > 0.0
+    assert eig == sorted(eig)
+    assert report["beta"] == pytest.approx(eig[1] ** 0.5, rel=1e-9)
+    assert report["beta"] == pytest.approx(0.09099515790841745, rel=1e-8)
 
 
 def test_infsup_seminorm_flag(tmp_path):

@@ -56,6 +56,17 @@ def test_degenerate_triangle_rejected():
         load_mesh("vertices 3\n0 0\n1 1\n2 2\ntriangles 1\n0 1 2\n")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_coordinates_rejected(bad):
+    with pytest.raises(MeshError, match="finite"):
+        Triangulation([[0.0, 0.0], [1.0, bad], [0.0, 1.0]], [[0, 1, 2]])
+
+
+def test_generator_rejects_infinite_length_scale():
+    with pytest.raises(MeshError, match="finite"):
+        generate("crossed", n=1, L=np.inf)
+
+
 def test_clockwise_triangles_reoriented():
     mesh = load_mesh("vertices 3\n0 0\n1 0\n0 1\ntriangles 1\n0 2 1\n")
     p = mesh.vertices[mesh.triangles[0]]

@@ -5,6 +5,7 @@ from math import factorial
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import rigid_motion
 from svstokes import poly, solver
@@ -13,9 +14,9 @@ from svstokes.fields import local_interpolant, w_field
 from svstokes.mesh import (Triangulation, build_topology, crossed,
                            perturbed_grid, type1_diagonal)
 from svstokes.solver import (P2_BASIS, P2_NODES, P3_BASIS, P3_NODES,
-                             RankIndeterminateError, RankResult, SolverError,
-                             assemble_divergence, assemble_norms,
-                             checkerboard_signature, constrained_basis,
+                             Certificate, RankIndeterminateError, RankResult,
+                             SolverError, assemble_divergence, assemble_norms,
+                             certify, checkerboard_signature,
                              divergence_moments, divergence_rank,
                              export_matrix, infsup_constant, number_dofs,
                              nullity_crosscheck, pressure_constraints,
@@ -36,6 +37,18 @@ def _setup(mesh):
     dm = number_dofs(topo)
     B = assemble_divergence(topo, dm)
     return topo, reports, summary, dm, B
+
+
+def _rank(mesh):
+    topo = build_topology(mesh)
+    reports, summary = classify_mesh(topo)
+    cert = certify(topo, reports)
+    return topo, summary, divergence_rank(cert, topo, summary["sigma"], TOL)
+
+
+def _spectrum(B):
+    """A certificate holding only the singular values of a synthetic B."""
+    return Certificate(singular_values=scipy.linalg.svdvals(B), shape=B.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -151,35 +164,32 @@ def test_export_matrix_matrixmarket_header():
 def test_crossed_grid_is_stable():
     topo, reports, summary, dm, B = _setup(crossed(2))
     assert dm.n_velocity == 122
-    rr = divergence_rank(B, topo, summary["sigma"], TOL)
+    cert = certify(topo, reports)
+    rr = divergence_rank(cert, topo, summary["sigma"], TOL)
     assert (rr.rank, rr.K) == (91, 0)
     assert rr.gap > 10.0
-    A, M = assemble_norms(topo, dm)
-    N = constrained_basis(topo, reports)
-    beta, _ = infsup_constant(A, B, M, N)
+    beta, _ = infsup_constant(cert)
     assert beta == pytest.approx(0.4115428141731681, rel=1e-8)
-    assert spurious_modes(B, M, N, TOL) == []
+    assert spurious_modes(cert, rr) == []
     nullity_crosscheck(rr, topo, summary["sigma"])
 
 
 def test_type1_grid_is_deficient_with_checkerboard():
     topo, reports, summary, dm, B = _setup(type1_diagonal(3))
     assert dm.n_velocity == 128
-    rr = divergence_rank(B, topo, summary["sigma"], TOL)
+    cert = certify(topo, reports)
+    rr = divergence_rank(cert, topo, summary["sigma"], TOL)
     assert (rr.rank, rr.K) == (104, 1)
-    A, M = assemble_norms(topo, dm)
-    N = constrained_basis(topo, reports)
-    beta, _ = infsup_constant(A, B, M, N)
+    beta, _ = infsup_constant(cert)
     assert beta == pytest.approx(0.09099515790841745, rel=1e-8)
-    modes = spurious_modes(B, M, N, TOL)
+    modes = spurious_modes(cert, rr)
     assert len(modes) == 1
     assert checkerboard_signature(topo, modes[0])
     nullity_crosscheck(rr, topo, summary["sigma"])
 
 
 def test_two_triangle_square_is_deficient():
-    topo, reports, summary, dm, B = _setup(_two_triangle_square())
-    rr = divergence_rank(B, topo, summary["sigma"], TOL)
+    topo, summary, rr = _rank(_two_triangle_square())
     assert rr.K == 1
     sd = strang_dimensions(topo, summary["sigma"], summary["sigma_i"],
                            summary["sigma_b"], rr.K)
@@ -200,11 +210,7 @@ def test_seminorm_infsup_is_scale_invariant():
     for lam in (0.5, 1.0, 2.0):
         topo = build_topology(rigid_motion(base, scale=lam))
         reports, summary = classify_mesh(topo)
-        dm = number_dofs(topo)
-        B = assemble_divergence(topo, dm)
-        A, M = assemble_norms(topo, dm, seminorm=True)
-        N = constrained_basis(topo, reports)
-        beta, _ = infsup_constant(A, B, M, N)
+        beta, _ = infsup_constant(certify(topo, reports, seminorm=True))
         betas.append(beta)
     assert betas[0] == pytest.approx(betas[1], rel=1e-9)
     assert betas[2] == pytest.approx(betas[1], rel=1e-9)
@@ -217,7 +223,7 @@ def test_rank_indeterminate_on_straddling_spectrum():
     B = np.zeros((12, 8))
     B[0, 0], B[1, 1], B[2, 2] = 1.0, 2e-9, 9e-10
     with pytest.raises(RankIndeterminateError):
-        divergence_rank(B, topo, sigma=0, tol=TOL)
+        divergence_rank(_spectrum(B), topo, sigma=0, tol=TOL)
 
 
 def test_gap_measures_against_the_roundoff_floor():
@@ -229,12 +235,12 @@ def test_gap_measures_against_the_roundoff_floor():
     # its size (it is noise that moves with the LAPACK kernel)
     for noise in (1e-17, 1e-16, 0.0):
         B[2, 2] = noise
-        rr = divergence_rank(B, topo, sigma=0, tol=TOL)
+        rr = divergence_rank(_spectrum(B), topo, sigma=0, tol=TOL)
         assert rr.rank == 2
         assert rr.gap == pytest.approx(1e-3 / floor, rel=1e-12)
     # above the floor, the rejected value itself sets the gap
     B[2, 2] = 1e-12
-    assert divergence_rank(B, topo, sigma=0, tol=TOL).gap == \
+    assert divergence_rank(_spectrum(B), topo, sigma=0, tol=TOL).gap == \
         pytest.approx(1e9, rel=1e-12)
 
 
@@ -243,7 +249,7 @@ def test_rank_exceeding_constrained_dimension_raises():
     B = np.eye(12, 8)
     with pytest.raises(SolverError):
         # sigma chosen so the expected dimension is below the actual rank
-        divergence_rank(B, topo, sigma=6 * topo.T - 1, tol=TOL)
+        divergence_rank(_spectrum(B), topo, sigma=6 * topo.T - 1, tol=TOL)
 
 
 def test_nullity_crosscheck_mismatch_raises():
@@ -259,8 +265,7 @@ def test_nullity_crosscheck_mismatch_raises():
 
 def test_strang_identity_on_stable_meshes():
     for mesh in (crossed(1), crossed(2), perturbed_grid(3, seed=1)):
-        topo, reports, summary, dm, B = _setup(mesh)
-        rr = divergence_rank(B, topo, summary["sigma"], TOL)
+        topo, summary, rr = _rank(mesh)
         sd = strang_dimensions(topo, summary["sigma"], summary["sigma_i"],
                                summary["sigma_b"], rr.K)
         if rr.K == 0:
@@ -269,8 +274,7 @@ def test_strang_identity_on_stable_meshes():
 
 
 def test_crossed_two_spline_dimensions():
-    topo, reports, summary, dm, B = _setup(crossed(2))
-    rr = divergence_rank(B, topo, summary["sigma"], TOL)
+    topo, summary, rr = _rank(crossed(2))
     sd = strang_dimensions(topo, summary["sigma"], summary["sigma_i"],
                            summary["sigma_b"], rr.K)
     assert sd.dim_s4 == 31
