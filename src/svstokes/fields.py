@@ -32,13 +32,12 @@ class UnacceptableEdgeError(FieldError):
 
 
 def _tri_slots(mesh, t, *verts):
-    tri = mesh.triangles[t]
+    tri = mesh.triangles[t].tolist()
     out = []
     for v in verts:
-        w = np.where(tri == v)[0]
-        if len(w) == 0:
+        if v not in tri:
             raise FieldError(f"vertex {v} not in triangle {t}")
-        out.append(int(w[0]))
+        out.append(tri.index(v))
     return out
 
 
@@ -47,13 +46,17 @@ def _hat_monomial(exponents):
     return poly.bary_poly([(1.0, tuple(exponents))])
 
 
-def _hat_grads(mesh, t):
-    return poly.hat_gradients(*mesh.vertices[mesh.triangles[t]])
+# The divergence's degree-2 coefficients as one contraction with the
+# stacked DIFF: div = sum_s DIFF[s] @ (g @ c)[s] = _DIV @ (g @ c).ravel().
+_DIV = poly.DIFF.transpose(1, 0, 2).reshape(len(poly.MONO2), -1)    # (6, 30)
 
 
-def _tri_area(mesh, t):
-    p = mesh.vertices[mesh.triangles[t]]
-    return abs(poly.signed_area(p[0], p[1], p[2]))
+def _div_coeffs(grads, coeffs):
+    """Degree-2 divergence coefficients, shape (..., 6), of vector cubics
+    with coefficients (..., 2, 10) on triangles with hat gradients
+    (..., 3, 2)."""
+    gc = grads @ coeffs                                  # (..., 3, 10)
+    return gc.reshape(gc.shape[:-2] + _DIV.shape[1:]) @ _DIV.T
 
 
 def _edge_lambda(mesh, t, va, vb, s):
@@ -86,16 +89,13 @@ class ScalarPatchField:
         return poly.eval3(self.coeffs[t], lam)
 
     def gradient_at_vertex(self, t, v):
-        mesh = self.topology.mesh
-        (slot,) = _tri_slots(mesh, t, v)
-        lam = np.zeros(3)
-        lam[slot] = 1.0
-        g = _hat_grads(mesh, t)
+        (slot,) = _tri_slots(self.topology.mesh, t, v)
         c = self.coeffs.get(t)
         if c is None:
             return np.zeros(2)
-        parts = [poly.eval2(poly.DIFF[s] @ c, lam) for s in range(3)]
-        return sum(parts[s] * g[s] for s in range(3))
+        # d/dl_s at vertex `slot`, for s = 0, 1, 2, then the chain rule
+        partials = poly.DIFF[:, poly.VERTEX2[slot]] @ c
+        return partials @ self.topology.hat_grads[t]
 
     def edge_integral(self, t, va, vb):
         """Integral of the trace along the straight edge from va to vb."""
@@ -153,47 +153,37 @@ class PatchField:
     def eval(self, t, lam):
         if t not in self.coeffs:
             return np.zeros(np.shape(np.asarray(lam))[:-1] + (2,))
-        c = self.coeffs[t]
-        return np.stack([poly.eval3(c[0], lam), poly.eval3(c[1], lam)], axis=-1)
+        return poly.eval3(self.coeffs[t], lam)
 
     def div_coeffs(self, t):
         """Degree-2 coefficient vector of the divergence on triangle t."""
         c = self.coeffs.get(t)
         if c is None:
             return np.zeros(len(poly.MONO2))
-        g = _hat_grads(self.topology.mesh, t)
-        out = np.zeros(len(poly.MONO2))
-        for s in range(3):
-            out += g[s, 0] * (poly.DIFF[s] @ c[0]) + g[s, 1] * (poly.DIFF[s] @ c[1])
-        return out
+        return _div_coeffs(self.topology.hat_grads[t], c)
 
     def div_at(self, t, v):
         """Divergence restricted to triangle t, evaluated at vertex v."""
         (slot,) = _tri_slots(self.topology.mesh, t, v)
-        lam = np.zeros(3)
-        lam[slot] = 1.0
-        return float(poly.eval2(self.div_coeffs(t), lam))
+        return float(self.div_coeffs(t)[poly.VERTEX2[slot]])
 
     def div_mean(self, t):
         """Mean of the divergence over triangle t (integral / area)."""
         return float(poly.INT2_UNIT @ self.div_coeffs(t))
 
     def div_integral(self, t):
-        return _tri_area(self.topology.mesh, t) * self.div_mean(t)
+        return float(self.topology.area[t]) * self.div_mean(t)
 
     def vertex_divergences(self, skip_zero=True, tol=0.0):
         """Map (triangle, vertex) -> divergence value over the support."""
         out = {}
         mesh = self.topology.mesh
         for t in sorted(self.coeffs):
-            dc = self.div_coeffs(t)
-            for slot, v in enumerate(mesh.triangles[t]):
-                lam = np.zeros(3)
-                lam[slot] = 1.0
-                val = float(poly.eval2(dc, lam))
+            vals = self.div_coeffs(t)[poly.VERTEX2].tolist()
+            for v, val in zip(mesh.triangles[t].tolist(), vals):
                 if skip_zero and abs(val) <= tol:
                     continue
-                out[(t, int(v))] = val
+                out[(t, v)] = val
         return out
 
 
@@ -637,6 +627,21 @@ class FieldReport:
 _TRACE_S = np.array([0.2, 0.4, 0.6, 0.8])
 
 
+def _trace_lambdas():
+    """Barycentric coordinates of the trace points on local edge k (slots
+    k and k+1) in both directions: [k, 0] runs from slot k to slot k+1,
+    [k, 1] back, each at the fractions _TRACE_S."""
+    lam = np.zeros((3, 2, len(_TRACE_S), 3))
+    for k in range(3):
+        for d, (a, b) in enumerate(((k, (k + 1) % 3), ((k + 1) % 3, k))):
+            lam[k, d, :, a] = 1.0 - _TRACE_S
+            lam[k, d, :, b] = _TRACE_S
+    return lam
+
+
+_TRACE_LAM = _trace_lambdas()
+
+
 def verify_field(f: PatchField, vertex_divs=None, mean_zero=True,
                  support=None, rtol=1e-9) -> FieldReport:
     """Check a constructed field against its expected properties.
@@ -645,12 +650,23 @@ def verify_field(f: PatchField, vertex_divs=None, mean_zero=True,
     value; every support (triangle, vertex) pair not listed is expected to
     give zero.  Continuity across internal support edges and a vanishing
     trace on the support-region boundary are always checked.
+
+    The traces and the divergence coefficients of all support triangles
+    are computed once, each by one stacked product; every check reads them.
     """
     topo = f.topology
-    mesh = topo.mesh
+    tris = topo.mesh.triangles
+    ts = sorted(f.support)
+    row = {t: i for i, t in enumerate(ts)}
+    coeffs = np.array([f.coeffs[t] for t in ts]).reshape(
+        len(ts), 2, len(poly.MONO3))
+    divs = _div_coeffs(topo.hat_grads[ts], coeffs)              # (n, 6)
+    # traces[i, k, d] is the (4, 2) trace of ts[i] on local edge k, direction d
+    values = poly.eval3(coeffs.reshape(-1, len(poly.MONO3)), _TRACE_LAM)
+    traces = values.reshape(values.shape[:-1] + (len(ts), 2))
+    traces = traces.transpose(3, 0, 1, 2, 4)
     checks = []
-    dscale = max((float(np.abs(f.div_coeffs(t)).max()) for t in f.support),
-                 default=0.0)
+    dscale = float(np.abs(divs).max()) if len(ts) else 0.0
     dtol = rtol * max(dscale, 1.0)
     cscale = max(f.max_coeff(), 1.0)
 
@@ -661,15 +677,19 @@ def verify_field(f: PatchField, vertex_divs=None, mean_zero=True,
 
     # trace continuity / zero boundary trace
     worst_cont, worst_trace = 0.0, 0.0
-    for t in sorted(f.support):
-        tri = mesh.triangles[t]
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+    for i, t in enumerate(ts):
+        tri = tris[t].tolist()
+        for k in range(3):
+            a, b = tri[k], tri[(k + 1) % 3]
+            here = traces[i, k, 0]
             e = topo.edge_index[(min(a, b), max(a, b))]
             others = [s for s in topo.edge_tris[e] if s != t]
-            here = f.eval(t, _edge_lambda(mesh, t, int(a), int(b), _TRACE_S))
-            if others and others[0] in f.support:
-                s2 = others[0]
-                there = f.eval(s2, _edge_lambda(mesh, s2, int(a), int(b), _TRACE_S))
+            if others and others[0] in row:
+                # the same points, from a to b, in the neighbour's slots
+                other = tris[others[0]].tolist()
+                sa, sb = other.index(a), other.index(b)
+                k2, d2 = (sa, 0) if sb == (sa + 1) % 3 else (sb, 1)
+                there = traces[row[others[0]], k2, d2]
                 worst_cont = max(worst_cont, float(np.abs(here - there).max()))
             else:
                 worst_trace = max(worst_trace, float(np.abs(here).max()))
@@ -680,13 +700,12 @@ def verify_field(f: PatchField, vertex_divs=None, mean_zero=True,
     expected = dict(vertex_divs or {})
     worst_div = 0.0
     worst_key = None
-    for t in sorted(f.support):
-        for v in mesh.triangles[t]:
-            got = f.div_at(t, int(v))
-            want = expected.pop((t, int(v)), 0.0)
+    for t, vals in zip(ts, divs[:, poly.VERTEX2].tolist()):
+        for v, got in zip(tris[t].tolist(), vals):
+            want = expected.pop((t, v), 0.0)
             dev = abs(got - want)
             if dev > worst_div:
-                worst_div, worst_key = dev, (t, int(v))
+                worst_div, worst_key = dev, (t, v)
     # Entries left in ``expected`` refer to triangles outside the support,
     # where the field (hence its divergence) is identically zero.
     missing = {k: v for k, v in expected.items() if abs(v) > dtol}
@@ -699,7 +718,8 @@ def verify_field(f: PatchField, vertex_divs=None, mean_zero=True,
     checks.append(FieldCheck("vertex_divergences", ok, worst_div, detail))
 
     if mean_zero:
-        worst_mean = max((abs(f.div_mean(t)) for t in f.support), default=0.0)
+        means = divs @ poly.INT2_UNIT
+        worst_mean = float(np.abs(means).max()) if len(ts) else 0.0
         checks.append(FieldCheck("zero_triangle_means", worst_mean <= dtol,
                                  worst_mean))
     return FieldReport(checks)

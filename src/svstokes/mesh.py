@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .poly import signed_area
+from .poly import hat_gradients, signed_area
 
 DEGENERACY_RATIO = 1e-14
 
@@ -206,7 +206,8 @@ def dump_mesh(mesh: Triangulation) -> str:
 
 @dataclass(frozen=True)
 class MeshTopology:
-    """Derived connectivity of a Triangulation."""
+    """Derived connectivity of a Triangulation, and its per-triangle
+    geometry table (computed once; read-only)."""
 
     mesh: Triangulation
     edges: np.ndarray            # (E, 2) sorted vertex pairs
@@ -216,6 +217,9 @@ class MeshTopology:
     boundary_edge: np.ndarray    # (E,) bool
     boundary_vertex: np.ndarray  # (V,) bool
     euler_ok: bool
+    area: np.ndarray             # (T,) triangle areas
+    hat_grads: np.ndarray        # (T, 3, 2) barycentric gradients, row s
+                                 # for the triangle's vertex slot s
 
     @property
     def T(self):
@@ -248,7 +252,8 @@ class MeshTopology:
 
 
 def build_topology(mesh: Triangulation) -> MeshTopology:
-    """Derive edges, boundary flags, and incidence from a Triangulation."""
+    """Derive edges, boundary flags, incidence, and the triangle areas and
+    hat gradients (one batched computation) from a Triangulation."""
     edge_index = {}
     edge_tris = []
     for i, tri in enumerate(mesh.triangles):
@@ -283,6 +288,11 @@ def build_topology(mesh: Triangulation) -> MeshTopology:
     for i, tri in enumerate(mesh.triangles):
         for v in tri:
             vtris[v].append(i)
+    pts = mesh.vertices[mesh.triangles]
+    area = np.abs(signed_area(pts[:, 0], pts[:, 1], pts[:, 2]))
+    hat_grads = hat_gradients(pts[:, 0], pts[:, 1], pts[:, 2])
+    area.setflags(write=False)
+    hat_grads.setflags(write=False)
     topo = MeshTopology(
         mesh=mesh,
         edges=edges,
@@ -292,6 +302,8 @@ def build_topology(mesh: Triangulation) -> MeshTopology:
         boundary_edge=boundary_edge,
         boundary_vertex=boundary_vertex,
         euler_ok=(mesh.num_triangles - len(edges) + mesh.num_vertices == 1),
+        area=area,
+        hat_grads=hat_grads,
     )
     return topo
 

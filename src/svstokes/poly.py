@@ -24,6 +24,10 @@ MONO2: tuple[tuple[int, int, int], ...] = tuple(
 )
 _IDX3 = {m: i for i, m in enumerate(MONO3)}
 _IDX2 = {m: i for i, m in enumerate(MONO2)}
+# Per monomial table, the position of each factor l_k**e_k in the powers
+# l_k**0 .. l_k**3 laid out as a flat (3, 4) table: 4 k + e_k, one row per k.
+_POWER_INDEX = {monos: (np.array(monos) + 4 * np.arange(3)).T
+                for monos in (MONO3, MONO2)}
 
 
 def bary_poly(terms) -> np.ndarray:
@@ -48,18 +52,25 @@ def bary_poly(terms) -> np.ndarray:
 
 
 def _eval_table(monos, lam: np.ndarray) -> np.ndarray:
-    """Monomial values at barycentric points lam of shape (..., 3)."""
+    """Monomial values at barycentric points lam of shape (..., 3), in
+    shape (..., len(monos)).
+
+    Each power l_k**e (e <= 3) is computed once; every monomial is then
+    the product l0**a * l1**b * l2**c of three gathered powers, multiplied
+    in that order.
+    """
     lam = np.asarray(lam, dtype=float)
-    cols = [
-        lam[..., 0] ** a * lam[..., 1] ** b * lam[..., 2] ** c
-        for a, b, c in monos
-    ]
-    return np.stack(cols, axis=-1)
+    powers = np.stack([np.ones_like(lam), lam, lam ** 2, lam ** 3], axis=-1)
+    powers = powers.reshape(lam.shape[:-1] + (12,))
+    i0, i1, i2 = _POWER_INDEX[monos]
+    return (np.take(powers, i0, axis=-1) * np.take(powers, i1, axis=-1)
+            * np.take(powers, i2, axis=-1))
 
 
 def eval3(coeffs: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Evaluate a degree-3 coefficient vector at barycentric points."""
-    return _eval_table(MONO3, lam) @ np.asarray(coeffs)
+    """Evaluate a degree-3 coefficient vector at barycentric points; k
+    stacked vectors, shape (k, 10), give values of shape (..., k)."""
+    return _eval_table(MONO3, lam) @ np.asarray(coeffs).T
 
 
 def eval2(coeffs: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -80,7 +91,14 @@ def _diff_matrix(slot: int) -> np.ndarray:
 
 
 # DIFF[s] maps degree-3 coefficients to the degree-2 coefficients of d/dl_s.
-DIFF: tuple[np.ndarray, ...] = tuple(_diff_matrix(s) for s in range(3))
+DIFF: np.ndarray = np.stack([_diff_matrix(s) for s in range(3)])   # (3, 6, 10)
+DIFF.setflags(write=False)
+
+# VERTEX2[s] is the index in MONO2 of l_s**2, the one degree-2 monomial
+# that does not vanish at vertex s (where it is 1): the value of a
+# homogeneous quadratic at vertex s is this coefficient.
+VERTEX2 = np.array([_IDX2[(2, 0, 0)], _IDX2[(0, 2, 0)], _IDX2[(0, 0, 2)]])
+VERTEX2.setflags(write=False)
 
 # Exact integral of each degree-3 monomial over a triangle, per unit area:
 # int_T l0^a l1^b l2^c dx = 2|T| a! b! c! / (a+b+c+2)!
@@ -133,18 +151,22 @@ def hat_gradients(p0, p1, p2) -> np.ndarray:
     """Gradients of the three barycentric coordinates, shape (3, 2).
 
     Vertices must be in counter-clockwise order (positive signed area).
+    Points of shape (..., 2) give a stack of triangles and gradients of
+    shape (..., 3, 2); each triangle's values are those of a single call.
     """
     p0, p1, p2 = (np.asarray(p, dtype=float) for p in (p0, p1, p2))
-    jac = np.column_stack([p1 - p0, p2 - p0])
+    jac = np.stack([p1 - p0, p2 - p0], axis=-1)
     det = np.linalg.det(jac)
-    if det == 0.0:
+    if np.any(det == 0.0):
         raise ValueError("degenerate triangle")
     inv = np.linalg.inv(jac)
-    g = np.vstack([-inv.sum(axis=0), inv])
-    return g
+    return np.concatenate([-inv.sum(axis=-2, keepdims=True), inv], axis=-2)
 
 
-def signed_area(p0, p1, p2) -> float:
+def signed_area(p0, p1, p2):
+    """Signed area (positive when counter-clockwise); points of shape
+    (..., 2) give an array of areas."""
     p0, p1, p2 = (np.asarray(p, dtype=float) for p in (p0, p1, p2))
     u, v = p1 - p0, p2 - p0
-    return 0.5 * float(u[0] * v[1] - u[1] * v[0])
+    area = 0.5 * (u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0])
+    return float(area) if area.ndim == 0 else area

@@ -139,16 +139,6 @@ def number_dofs(topology: MeshTopology) -> DofMap:
     return dofmap
 
 
-def _tri_area(topology, t):
-    p = topology.mesh.vertices[topology.mesh.triangles[t]]
-    return abs(poly.signed_area(*p))
-
-
-def _hat_grads(topology, t):
-    p = topology.mesh.vertices[topology.mesh.triangles[t]]
-    return poly.hat_gradients(*p)
-
-
 # ---------------------------------------------------------------------------
 # assembly
 
@@ -157,8 +147,8 @@ def assemble_divergence(topology: MeshTopology, dofmap: DofMap) -> np.ndarray:
     basis v); pressure DOF of triangle t, local node q is 6t + q."""
     B = np.zeros((dofmap.n_pressure, dofmap.n_velocity))
     for t in range(topology.T):
-        area = _tri_area(topology, t)
-        g = _hat_grads(topology, t)                       # (3, 2)
+        area = topology.area[t]
+        g = topology.hat_grads[t]                         # (3, 2)
         local = dofmap.local_nodes(topology, t)
         div_qa = np.einsum("sc,qsa->qca", g, _PD)          # (6, 2, 10)
         for a, node in enumerate(local):
@@ -172,12 +162,12 @@ def assemble_divergence(topology: MeshTopology, dofmap: DofMap) -> np.ndarray:
 def assemble_norms(topology: MeshTopology, dofmap: DofMap,
                    seminorm: bool = False):
     """(A, M): velocity H1 Gram matrix (seminorm-only if requested) and
-    the block-diagonal pressure mass matrix."""
+    the pressure mass matrix, which is block diagonal: M[t] is the 6x6
+    block of triangle t, shape (T, 6, 6)."""
     A = np.zeros((dofmap.n_velocity, dofmap.n_velocity))
-    M = np.zeros((dofmap.n_pressure, dofmap.n_pressure))
     for t in range(topology.T):
-        area = _tri_area(topology, t)
-        g = _hat_grads(topology, t)
+        area = topology.area[t]
+        g = topology.hat_grads[t]
         local = dofmap.local_nodes(topology, t)
         K = np.einsum("sc,tc,stab->ab", g, g, _GG) * area  # (10, 10)
         if not seminorm:
@@ -187,8 +177,7 @@ def assemble_norms(topology: MeshTopology, dofmap: DofMap,
             for b, nb in idx:
                 for c in (0, 1):
                     A[2 * na + c, 2 * nb + c] += K[a, b]
-        M[6 * t:6 * t + 6, 6 * t:6 * t + 6] = area * _MM2
-    return A, M
+    return A, topology.area[:, None, None] * _MM2
 
 
 def pressure_constraints(topology: MeshTopology, reports) -> np.ndarray:
@@ -198,8 +187,7 @@ def pressure_constraints(topology: MeshTopology, reports) -> np.ndarray:
     2-norm, so the rank decision on them does not depend on the length
     scale (the mean row scales with area, the alternating rows do not)."""
     mesh = topology.mesh
-    rows = [np.concatenate([_tri_area(topology, t) * _IV2
-                            for t in range(topology.T)])]
+    rows = [(topology.area[:, None] * _IV2).ravel()]
     for r in reports:
         if not r.singular:
             continue
@@ -280,10 +268,7 @@ def certify(topology: MeshTopology, reports, seminorm: bool = False,
     need."""
     dofmap = number_dofs(topology)
     B = assemble_divergence(topology, dofmap)
-    A, M = assemble_norms(topology, dofmap, seminorm=seminorm)
-    T = topology.T
-    blocks = M.reshape(T, 6, T, 6)[np.arange(T), :, np.arange(T), :]
-    del M       # block diagonal: the (T, 6, 6) blocks are all of it
+    A, blocks = assemble_norms(topology, dofmap, seminorm=seminorm)
     C = pressure_constraints(topology, reports)
     _check_range_inclusion(B, blocks, C)
     N = constrained_basis(C)
@@ -502,7 +487,7 @@ def divergence_moments(topology: MeshTopology, field) -> np.ndarray:
     """Moment vector (pressure-DOF layout) of a field's divergence."""
     out = np.zeros(6 * topology.T)
     for t in field.support:
-        area = _tri_area(topology, t)
+        area = topology.area[t]
         dc = field.div_coeffs(t)
         vals = poly.eval2(dc, _QP)
         out[6 * t:6 * t + 6] = area * (_P2_AT_QP * vals) @ _QW
@@ -514,7 +499,7 @@ def pressure_from_moments(topology: MeshTopology,
     """Recover per-triangle P2 nodal values from a moment vector."""
     out = np.zeros((topology.T, 6))
     for t in range(topology.T):
-        area = _tri_area(topology, t)
+        area = topology.area[t]
         out[t] = scipy.linalg.solve(area * _MM2, moments[6 * t:6 * t + 6],
                                     assume_a="pos")
     return out

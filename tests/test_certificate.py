@@ -42,7 +42,8 @@ def _oracle(topo, reports, sigma, seminorm):
     eigenproblem S x = lambda G x of the Schur complement on N."""
     dm = solver.number_dofs(topo)
     B = solver.assemble_divergence(topo, dm)
-    A, M = solver.assemble_norms(topo, dm, seminorm=seminorm)
+    A, blocks = solver.assemble_norms(topo, dm, seminorm=seminorm)
+    M = scipy.linalg.block_diag(*blocks)
     sv = scipy.linalg.svdvals(B)
     rank = int(np.sum(sv > TOL.rank * sv[0]))
     N = scipy.linalg.null_space(solver.pressure_constraints(topo, reports))
@@ -85,7 +86,8 @@ def test_modes_are_mass_orthonormal_and_pair_with_no_velocity(name):
     assert Q.shape == (6 * topo.T, rr.K) and rr.K >= 1
     dm = solver.number_dofs(topo)
     B = solver.assemble_divergence(topo, dm)
-    _, M = solver.assemble_norms(topo, dm)
+    _, blocks = solver.assemble_norms(topo, dm)
+    M = scipy.linalg.block_diag(*blocks)
     assert np.abs(Q.T @ M @ Q - np.eye(rr.K)).max() < 1e-10
     assert np.abs(Q.T @ B).max() < 1e-12 * np.abs(B).max()
     C = solver.pressure_constraints(topo, reports)

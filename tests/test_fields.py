@@ -9,7 +9,7 @@ from svstokes import poly
 from svstokes.classify import (EVEN, ODD, SINGULAR, Tolerances,
                                classify_mesh, classify_vertex,
                                compute_dcoefficients)
-from svstokes.fields import (FieldError, UnacceptableEdgeError,
+from svstokes.fields import (FieldError, PatchField, UnacceptableEdgeError,
                              basis_chi, basis_chi_sum, basis_kappa,
                              basis_w, basis_xi, boundary_interpolant,
                              edge_transfer, kappa_field, local_interpolant,
@@ -311,3 +311,111 @@ def test_verify_field_catches_corruption(rng):
     divs = {(tt, 0): 0.0 for tt in patch.tris}
     report = verify_field(f, vertex_divs=divs, mean_zero=True)
     assert not report.ok
+
+
+def _valid_field(kind, rng):
+    """A verified interpolant on a perturbed grid, with the vertex
+    divergences it must have: a local interpolant at a non-singular
+    interior vertex, or a boundary interpolant with its side effects."""
+    topo = build_topology(perturbed_grid(4, seed=3))
+    reports, _ = classify_mesh(topo)
+    if kind == "local":
+        r = next(r for r in reports if not r.boundary and not r.singular
+                 and r.local_interpolating)
+    else:
+        r = next(r for r in reports if r.boundary and not r.singular)
+    patch = enumerate_patch(topo, r.vertex)
+    target = rng.standard_normal(patch.N)
+    divs = {(t, patch.z): target[j] for j, t in enumerate(patch.tris)}
+    if kind == "local":
+        f = local_interpolant(patch, target, topo, TOL)
+    else:
+        result = boundary_interpolant(patch, target, topo, TOL)
+        f = result.field
+        divs.update(result.side_effects)
+    report = verify_field(f, vertex_divs=divs, mean_zero=True)
+    assert report.ok, report.failed()
+    return f, divs
+
+
+def _checks(report):
+    return {c.name: c.ok for c in report.checks}
+
+
+def _edge_bump(topo, t, a, b):
+    """One coefficient on triangle t: 1e-6 l_a^2 l_b in the first
+    component, nonzero on the edge {a, b} only."""
+    expo = [0, 0, 0]
+    tri = topo.mesh.triangles[t].tolist()
+    expo[tri.index(a)], expo[tri.index(b)] = 2, 1
+    c = np.zeros((2, len(poly.MONO3)))
+    c[0, poly.MONO3.index(tuple(expo))] = 1e-6
+    return PatchField(topo, {t: c})
+
+
+@pytest.mark.parametrize("kind", ["local", "boundary"])
+def test_verify_field_catches_a_discontinuity(kind, rng):
+    f, divs = _valid_field(kind, rng)
+    topo = f.topology
+    # a support triangle t and a triangle s outside the support that share
+    # the edge {a, b}
+    t, s, a, b = next(
+        (t, s, a, b) for t in sorted(f.support)
+        for a, b in zip(topo.mesh.triangles[t].tolist(),
+                        np.roll(topo.mesh.triangles[t], -1).tolist())
+        for s in topo.edge_tris[topo.edge_index[(min(a, b), max(a, b))]]
+        if s not in f.support)
+    checks = _checks(verify_field(f + _edge_bump(topo, s, a, b),
+                                  vertex_divs=divs, mean_zero=True))
+    assert not checks["continuity"]
+    assert checks["zero_boundary_trace"]
+    # the same coefficient on the support side leaves a trace on the
+    # boundary of the support
+    checks = _checks(verify_field(f + _edge_bump(topo, t, a, b),
+                                  vertex_divs=divs, mean_zero=True))
+    assert not checks["zero_boundary_trace"]
+    assert checks["continuity"]
+
+
+@pytest.mark.parametrize("kind", ["local", "boundary"])
+def test_verify_field_catches_a_moved_target(kind, rng):
+    f, divs = _valid_field(kind, rng)
+    moved = dict(divs)
+    key = next(iter(moved))
+    moved[key] += 1e-6
+    checks = _checks(verify_field(f, vertex_divs=moved, mean_zero=True))
+    assert not checks["vertex_divergences"]
+    assert checks["continuity"] and checks["zero_triangle_means"]
+
+
+@pytest.mark.parametrize("kind", ["local", "boundary"])
+def test_verify_field_catches_a_triangle_mean(kind, rng):
+    f, divs = _valid_field(kind, rng)
+    topo = f.topology
+    # chi moves divergence integral between two triangles: it is continuous,
+    # has zero trace on the boundary of its support, and carries means
+    z = next(v for v in range(topo.V) if not topo.boundary_vertex[v])
+    chi = 1e-6 * basis_chi(enumerate_patch(topo, z), topo, 0)
+    expect = dict(divs)
+    for key, val in chi.vertex_divergences(skip_zero=False).items():
+        expect[key] = expect.get(key, 0.0) + val
+    checks = _checks(verify_field(f + chi, vertex_divs=expect, mean_zero=True))
+    assert not checks["zero_triangle_means"]
+    assert checks["continuity"] and checks["zero_boundary_trace"]
+    assert checks["vertex_divergences"]
+
+
+def test_divergence_kernels_match_their_definitions(rng):
+    topo = build_topology(perturbed_grid(3, seed=2))
+    f = PatchField(topo, {t: rng.standard_normal((2, len(poly.MONO3)))
+                          for t in range(topo.T)})
+    for t in range(topo.T):
+        dc = f.div_coeffs(t)
+        g, c = topo.hat_grads[t], f.coeffs[t]
+        ref = sum(g[s, 0] * (poly.DIFF[s] @ c[0]) + g[s, 1] * (poly.DIFF[s] @ c[1])
+                  for s in range(3))
+        assert np.allclose(dc, ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
+        for slot, v in enumerate(topo.mesh.triangles[t].tolist()):
+            lam = np.zeros(3)
+            lam[slot] = 1.0
+            assert f.div_at(t, v) == poly.eval2(dc, lam)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from svstokes import poly
 from svstokes.mesh import (MeshError, MeshFormatError, Triangulation,
                            build_topology, crossed, dump_mesh,
                            enumerate_patch, generate, load_mesh, ngon_patch,
@@ -98,6 +99,25 @@ def test_two_triangle_topology_counts():
     topo = build_topology(load_mesh(TWO_TRI))
     assert (topo.T, topo.E, topo.E0, topo.V, topo.V0) == (2, 5, 1, 4, 0)
     assert topo.euler_ok
+
+
+@pytest.mark.parametrize("make", [
+    lambda: crossed(2), lambda: type1_diagonal(3), lambda: three_lines(2),
+    lambda: perturbed_grid(3, seed=1), lambda: perturbed_grid(6, seed=11)],
+    ids=["crossed-2", "type1-3", "three-lines-2", "perturbed-3-s1",
+         "perturbed-6-s11"])
+def test_geometry_table_matches_the_per_triangle_formulas(make):
+    mesh = make()
+    topo = build_topology(mesh)
+    assert topo.area.shape == (topo.T,)
+    assert topo.hat_grads.shape == (topo.T, 3, 2)
+    assert not topo.area.flags.writeable and not topo.hat_grads.flags.writeable
+    for t in range(topo.T):
+        p = mesh.vertices[mesh.triangles[t]]
+        # bit for bit: the table is what a per-triangle call computes
+        assert topo.hat_grads[t].tobytes() == poly.hat_gradients(*p).tobytes()
+        assert topo.area[t].tobytes() == \
+            np.float64(abs(poly.signed_area(*p))).tobytes()
 
 
 def test_crossed_counts():

@@ -63,6 +63,19 @@ def test_bary_poly_matches_raw_product():
         assert poly.eval3(coeffs, lam) == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("monos", [poly.MONO3, poly.MONO2],
+                         ids=["MONO3", "MONO2"])
+def test_eval_table_matches_per_monomial_products(monos):
+    rng = np.random.default_rng(3)
+    for lam in (rng.dirichlet((1.0, 1.0, 1.0), size=(50, 4)),
+                rng.dirichlet((1.0, 1.0, 1.0))):
+        table = poly._eval_table(monos, lam)
+        assert table.shape == lam.shape[:-1] + (len(monos),)
+        for i, (a, b, c) in enumerate(monos):
+            ref = lam[..., 0] ** a * lam[..., 1] ** b * lam[..., 2] ** c
+            assert np.all(np.abs(table[..., i] - ref) <= np.spacing(ref))
+
+
 def test_diff_matrices_against_finite_differences():
     rng = np.random.default_rng(1)
     c = rng.standard_normal(len(poly.MONO3))
