@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import edge_pair_geometry, triangle_geometry
-from .mesh import MeshError, MeshTopology, VertexPatch, enumerate_patch
+from .mesh import MeshError, MeshTopology, VertexPatch
 
 # (x, y)^perp = (-y, x): rotation by 90 degrees counter-clockwise.
 _E_PERP = (np.array([0.0, 1.0]), np.array([-1.0, 0.0]))
@@ -100,10 +100,7 @@ def compute_dcoefficients(patch: VertexPatch, topology: MeshTopology) -> DCoeffi
     y = mesh.vertices[np.array(patch.spokes)]        # y_{j+1} = y[j]
     elen = patch.edge_len                            # |e_{j+1}| = elen[j]
     cot = np.cos(patch.theta) / np.sin(patch.theta)  # cot theta_{j+1} = cot[j]
-    areas = np.array([abs(np.linalg.det(np.column_stack(
-        [mesh.vertices[tri[1]] - mesh.vertices[tri[0]],
-         mesh.vertices[tri[2]] - mesh.vertices[tri[0]]]))) / 2.0
-        for tri in mesh.triangles[np.array(patch.tris)]])
+    areas = topology.area[list(patch.tris)]           # |T_{j+1}| = areas[j]
 
     b = np.empty((n, 2))
     for j in range(n):
@@ -193,11 +190,10 @@ def classify_vertex(patch: VertexPatch, topology: MeshTopology,
 
 
 def classify_mesh(topology: MeshTopology, tol: Tolerances = Tolerances()):
-    """Classify every vertex; returns (reports, summary)."""
-    reports = []
-    for z in range(topology.V):
-        patch = enumerate_patch(topology, z)
-        reports.append(classify_vertex(patch, topology, tol))
+    """Classify every vertex; returns (reports, summary).  The one place a
+    vertex class is decided: later stages read ``reports[z]``."""
+    reports = [classify_vertex(patch, topology, tol)
+               for patch in topology.patches]
     counts = {}
     for r in reports:
         counts[r.status] = counts.get(r.status, 0) + 1

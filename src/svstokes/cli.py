@@ -21,8 +21,7 @@ from .classify import Tolerances, classify_mesh
 from .fields import (FieldError, boundary_interpolant, local_interpolant,
                      verify_field)
 from .mesh import (MeshError, MeshFormatError, PRESETS, Triangulation,
-                   build_topology, dump_mesh, enumerate_patch, generate,
-                   load_mesh)
+                   build_topology, dump_mesh, generate, load_mesh)
 from .trees import build_tree_cover, check_hypotheses, tree_stats
 
 EXIT_OK = 0
@@ -249,7 +248,7 @@ def run_field_suites(mesh: Triangulation, tol: Tolerances, samples: int,
     lines = []
     all_ok = True
     for r in reports:
-        patch = enumerate_patch(topology, r.vertex)
+        patch = topology.patches[r.vertex]
         kind = r.status
         n_fail = 0
         for _ in range(samples):
@@ -261,15 +260,14 @@ def run_field_suites(mesh: Triangulation, tol: Tolerances, samples: int,
                 target[:] = 0.0
             try:
                 if r.boundary:
-                    result = boundary_interpolant(patch, target, topology,
-                                                  tol)
+                    result = boundary_interpolant(patch, target, topology, r)
                     divs = {(t, patch.z): target[j]
                             for j, t in enumerate(patch.tris)}
                     divs.update(result.side_effects)
                     check = verify_field(result.field, vertex_divs=divs,
                                          mean_zero=True)
                 elif r.local_interpolating:
-                    field = local_interpolant(patch, target, topology, tol)
+                    field = local_interpolant(patch, target, topology, r)
                     divs = {(t, patch.z): target[j]
                             for j, t in enumerate(patch.tris)}
                     check = verify_field(field, vertex_divs=divs,

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import poly
-from .classify import SINGULAR, Tolerances, classify_vertex
-from .geometry import edge_pair_geometry
-from .mesh import MeshError, MeshTopology, VertexPatch, enumerate_patch
+from .classify import (SINGULAR, Tolerances, VertexReport,
+                       compute_dcoefficients)
+from .mesh import MeshTopology, VertexPatch
 
 
 class FieldError(ValueError):
@@ -301,7 +301,6 @@ def basis_xi(patch: VertexPatch, topology: MeshTopology, i: int):
         raise FieldError("xi fields are defined on interior patches")
     if i not in (1, 2):
         raise FieldError("direction index must be 1 or 2")
-    from .classify import compute_dcoefficients
     mesh = topology.mesh
     direction = np.zeros(2)
     direction[i - 1] = 1.0
@@ -367,19 +366,26 @@ def _chain_signs(patch, seed_pos):
 # Local interpolants
 
 
+def _check_report(patch: VertexPatch, report: VertexReport):
+    if report.vertex != patch.z:
+        raise FieldError(f"report of vertex {report.vertex} given for the "
+                         f"patch of vertex {patch.z}")
+
+
 def local_interpolant(patch: VertexPatch, target, topology: MeshTopology,
-                      tol: Tolerances = Tolerances()) -> PatchField:
+                      report: VertexReport) -> PatchField:
     """Patch field matching per-triangle vertex-divergence targets at the
     patch center, with zero triangle means and no pollution elsewhere.
 
-    Dispatches on the vertex class: telescoping over edge fields at a
-    singular vertex, the alternating-sum seed for odd valence, and the
-    determinant-normalized corrector seed for certified even valence.
+    Dispatches on the vertex class in ``report`` (from ``classify_mesh``):
+    telescoping over edge fields at a singular vertex, the alternating-sum
+    seed for odd valence, and the determinant-normalized corrector seed
+    for certified even valence.
     """
+    _check_report(patch, report)
     a = np.asarray(target, dtype=float)
     if len(a) != patch.N:
         raise FieldError(f"expected {patch.N} target values, got {len(a)}")
-    report = classify_vertex(patch, topology, tol)
     if not report.local_interpolating:
         raise FieldError(
             f"vertex {patch.z} is not local interpolating ({report.status})")
@@ -405,7 +411,6 @@ def local_interpolant(patch: VertexPatch, target, topology: MeshTopology,
         for j in range(patch.N):
             seed = seed + (0.5 * (-1.0) ** j) * _patch_w(patch, topology, j)
     else:
-        from .classify import compute_dcoefficients
         dco = compute_dcoefficients(patch, topology)
         i = report.even_index
         if i == 0:
@@ -443,22 +448,24 @@ class BoundaryResult:
 
 
 def boundary_interpolant(patch: VertexPatch, p_values, topology: MeshTopology,
-                         tol: Tolerances = Tolerances()) -> BoundaryResult:
+                         report: VertexReport) -> BoundaryResult:
     """Match vertex-divergence targets at a boundary vertex.
 
-    Singular boundary vertices route through local_interpolant (no side
-    effects).  Otherwise the seed uses the zero-edge-mean scalar on the
-    straightest interior edge, which pollutes that edge's far endpoint;
-    the residual divergences left at interior vertices are returned.
+    Singular boundary vertices (by ``report``, from ``classify_mesh``)
+    route through local_interpolant (no side effects).  Otherwise the seed
+    uses the zero-edge-mean scalar on the straightest interior edge, which
+    pollutes that edge's far endpoint; the residual divergences left at
+    interior vertices are returned.
     """
+    _check_report(patch, report)
     if not patch.boundary:
         raise FieldError("patch center is not a boundary vertex")
     a = np.asarray(p_values, dtype=float)
     if len(a) != patch.N:
         raise FieldError(f"expected {patch.N} values, got {len(a)}")
-    report = classify_vertex(patch, topology, tol)
     if report.singular:
-        return BoundaryResult(local_interpolant(patch, a, topology, tol), {})
+        return BoundaryResult(local_interpolant(patch, a, topology, report),
+                              {})
     if patch.N < 2:
         raise FieldError("non-singular boundary patch needs >= 2 triangles")
 
@@ -513,11 +520,12 @@ def edge_transfer(topology: MeshTopology, z: int, y: int, target,
                   tol: Tolerances = Tolerances()):
     """Match targets at z while polluting only the far endpoint y.
 
-    ``target`` is indexed by the patch triangle order at z (enumerate_patch).
+    ``target`` is indexed by the patch triangle order at z
+    (``topology.patches[z].tris``).
     Returns (field, TransferInfo); the spill at y scales with the
     chain-signed alternating sum of the targets divided by the edge weight.
     """
-    patch = enumerate_patch(topology, z)
+    patch = topology.patches[z]
     a = np.asarray(target, dtype=float)
     if len(a) != patch.N:
         raise FieldError(f"expected {patch.N} targets, got {len(a)}")
@@ -584,14 +592,14 @@ def path_interpolant(topology: MeshTopology, vertices, target,
     infos = [info]
     for ell in range(1, len(verts) - 1):
         z, ynext = verts[ell], verts[ell + 1]
-        patch = enumerate_patch(topology, z)
+        patch = topology.patches[z]
         residual = np.array([acc.div_at(t, z) if t in acc.support else 0.0
                              for t in patch.tris])
         f, info = edge_transfer(topology, z, ynext, -residual, tol)
         acc = acc + f
         infos.append(info)
     end = verts[-1]
-    end_patch = enumerate_patch(topology, end)
+    end_patch = topology.patches[end]
     end_spill = {}
     for t in end_patch.tris:
         val = acc.div_at(t, end) if t in acc.support else 0.0

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import MeshError, MeshTopology, enumerate_patch
+from .mesh import MeshError, MeshTopology
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ def edge_pair_geometry(topology: MeshTopology, e: int, z: int):
         y = int(a)
     else:
         raise MeshError(f"vertex {z} is not an endpoint of edge {e}")
-    patch = enumerate_patch(topology, z)
+    patch = topology.patches[z]
     slot = None
     for k in range(patch.n_interior_edges):
         if patch.spokes[patch.edge_spoke(k)] == y:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -206,8 +206,8 @@ def dump_mesh(mesh: Triangulation) -> str:
 
 @dataclass(frozen=True)
 class MeshTopology:
-    """Derived connectivity of a Triangulation, and its per-triangle
-    geometry table (computed once; read-only)."""
+    """Derived connectivity of a Triangulation, its per-triangle geometry
+    table and its per-vertex patch table (computed once; read-only)."""
 
     mesh: Triangulation
     edges: np.ndarray            # (E, 2) sorted vertex pairs
@@ -220,6 +220,7 @@ class MeshTopology:
     area: np.ndarray             # (T,) triangle areas
     hat_grads: np.ndarray        # (T, 3, 2) barycentric gradients, row s
                                  # for the triangle's vertex slot s
+    patches: tuple               # (V,) VertexPatch of each vertex
 
     @property
     def T(self):
@@ -252,8 +253,13 @@ class MeshTopology:
 
 
 def build_topology(mesh: Triangulation) -> MeshTopology:
-    """Derive edges, boundary flags, incidence, and the triangle areas and
-    hat gradients (one batched computation) from a Triangulation."""
+    """Derive edges, boundary flags, incidence, the triangle areas and hat
+    gradients (one batched computation) and the vertex patches (one
+    ``enumerate_patch`` per vertex) from a Triangulation.
+
+    Raises MeshError when a vertex has no triangles or a non-manifold
+    (pinched) patch.
+    """
     edge_index = {}
     edge_tris = []
     for i, tri in enumerate(mesh.triangles):
@@ -304,8 +310,10 @@ def build_topology(mesh: Triangulation) -> MeshTopology:
         euler_ok=(mesh.num_triangles - len(edges) + mesh.num_vertices == 1),
         area=area,
         hat_grads=hat_grads,
+        patches=(),
     )
-    return topo
+    patches = tuple(enumerate_patch(topo, z) for z in range(mesh.num_vertices))
+    return replace(topo, patches=patches)
 
 
 @dataclass(frozen=True)
@@ -324,6 +332,7 @@ class VertexPatch:
     z: int
     center: np.ndarray
     tris: tuple
+    slots: tuple            # slot of z in each of tris
     spokes: tuple
     boundary: bool
     theta: np.ndarray       # (N,) angle of each triangle at z
@@ -363,6 +372,9 @@ def enumerate_patch(topology: MeshTopology, z: int) -> VertexPatch:
     smallest global index; for a boundary vertex it starts at the triangle
     carrying the clockwise-most boundary edge, so that the fan sweeps
     counter-clockwise and ends on the other boundary edge.
+
+    ``build_topology`` calls this once per vertex and stores the result in
+    ``topology.patches``; everything else reads the table.
     """
     mesh = topology.mesh
     incident = topology.vertex_tris[z]
@@ -371,9 +383,11 @@ def enumerate_patch(topology: MeshTopology, z: int) -> VertexPatch:
     # Per triangle, the CCW (incoming, outgoing) far endpoints of the two
     # center edges: for CCW triangle (z, a, b), the angle at z sweeps a -> b.
     inout = {}
+    slot_of = {}
     for t in incident:
         tri = mesh.triangles[t]
         s = int(np.where(tri == z)[0][0])
+        slot_of[t] = s
         inout[t] = (tri[(s + 1) % 3], tri[(s + 2) % 3])
     by_incoming = {}
     for t, (a, b) in inout.items():
@@ -443,13 +457,14 @@ def enumerate_patch(topology: MeshTopology, z: int) -> VertexPatch:
         normals[k] = np.array([-tvec[1], tvec[0]])
 
     allpts = np.vstack([pts, center[None, :]])
-    h_z = max(
-        float(np.hypot(*(p - q))) for i, p in enumerate(allpts)
-        for q in allpts[i + 1:]
-    )
+    diff = allpts[:, None, :] - allpts[None, :, :]
+    h_z = float(np.hypot(diff[..., 0], diff[..., 1]).max())
 
+    for a in (theta, edge_len, tangents, normals, opp_normals, opp_dist):
+        a.setflags(write=False)
     return VertexPatch(
-        z=z, center=center, tris=tuple(order), spokes=tuple(spokes),
+        z=z, center=center, tris=tuple(order),
+        slots=tuple(slot_of[t] for t in order), spokes=tuple(spokes),
         boundary=boundary, theta=theta, edge_len=edge_len,
         tangents=tangents, normals=normals, opp_normals=opp_normals,
         opp_dist=opp_dist, h_z=h_z,

@@ -9,7 +9,6 @@ modes, and the integer spline-dimension identities.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,7 @@ import scipy.linalg
 
 from . import poly
 from .classify import Tolerances
-from .mesh import MeshError, MeshTopology, enumerate_patch
+from .mesh import MeshError, MeshTopology
 
 
 class SolverError(Exception):
@@ -186,15 +185,13 @@ def pressure_constraints(topology: MeshTopology, reports) -> np.ndarray:
     one alternating-sum condition per singular vertex.  Each row has unit
     2-norm, so the rank decision on them does not depend on the length
     scale (the mean row scales with area, the alternating rows do not)."""
-    mesh = topology.mesh
     rows = [(topology.area[:, None] * _IV2).ravel()]
     for r in reports:
         if not r.singular:
             continue
-        patch = enumerate_patch(topology, r.vertex)
+        patch = topology.patches[r.vertex]
         row = np.zeros(6 * topology.T)
-        for j, t in enumerate(patch.tris):
-            slot = int(np.where(mesh.triangles[t] == r.vertex)[0][0])
+        for j, (t, slot) in enumerate(zip(patch.tris, patch.slots)):
             row[6 * t + slot] = (-1.0) ** j
         rows.append(row)
     C = np.vstack(rows)
@@ -395,16 +392,10 @@ def checkerboard_signature(topology: MeshTopology, mode,
     scale = float(np.abs(mode).max())
     if scale == 0.0:
         return False
-    mesh = topology.mesh
-    for z in range(topology.V):
-        if topology.boundary_vertex[z]:
+    for patch in topology.patches:
+        if patch.boundary:
             continue
-        patch = enumerate_patch(topology, z)
-        vals = []
-        for t in patch.tris:
-            slot = int(np.where(mesh.triangles[t] == z)[0][0])
-            vals.append(mode[6 * t + slot])
-        vals = np.array(vals)
+        vals = mode[6 * np.array(patch.tris) + patch.slots]
         local = np.abs(vals).max()
         if local < 1e-8 * scale:
             continue
@@ -503,15 +494,3 @@ def pressure_from_moments(topology: MeshTopology,
         out[t] = scipy.linalg.solve(area * _MM2, moments[6 * t:6 * t + 6],
                                     assume_a="pos")
     return out
-
-
-def export_matrix(mat: np.ndarray, name: str = "matrix") -> str:
-    """MatrixMarket coordinate text for external verification."""
-    buf = io.StringIO()
-    buf.write("%%MatrixMarket matrix coordinate real general\n")
-    buf.write(f"% {name}\n")
-    rows, cols = np.nonzero(mat)
-    buf.write(f"{mat.shape[0]} {mat.shape[1]} {len(rows)}\n")
-    for r, c in zip(rows, cols):
-        buf.write(f"{r + 1} {c + 1} {mat[r, c]:.17g}\n")
-    return buf.getvalue()

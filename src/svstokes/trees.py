@@ -12,7 +12,7 @@ from .classify import Tolerances
 from .fields import (FieldError, PatchField, boundary_interpolant,
                      local_interpolant, path_interpolant)
 from .geometry import triangle_geometry
-from .mesh import MeshError, MeshTopology, enumerate_patch
+from .mesh import MeshError, MeshTopology
 
 
 def edge_weights(topology: MeshTopology):
@@ -244,28 +244,27 @@ def check_hypotheses(topology: MeshTopology, reports, cover: TreeCover):
         f"interpolating vertex (e.g. {missing[:8]})")
 
 
-def tree_interpolant(topology: MeshTopology, cover: TreeCover, p,
+def tree_interpolant(topology: MeshTopology, cover: TreeCover, p, reports,
                      tol: Tolerances = Tolerances()) -> PatchField:
     """Global field whose divergence matches p at every vertex of every
     triangle, with zero divergence mean on every triangle.
 
     ``p`` is a (T, 3) array of per-triangle vertex values (slot-aligned
-    with the triangle's vertex list).  Boundary vertices are matched
-    first; interior residuals are then transferred along the cover's
-    trees to their roots and resolved there.
+    with the triangle's vertex list), and ``reports`` the vertex reports
+    of ``classify_mesh``.  Boundary vertices are matched first; interior
+    residuals are then transferred along the cover's trees to their roots
+    and resolved there.
     """
     if not cover.complete:
         raise FieldError("tree cover is incomplete; cannot interpolate")
     p = np.asarray(p, dtype=float)
-    mesh = topology.mesh
     if p.shape != (topology.T, 3):
         raise FieldError(f"expected ({topology.T}, 3) vertex values")
     pscale = max(float(np.abs(p).max()), 1e-30)
 
     def residual(acc, z, patch):
         out = np.empty(patch.N)
-        for j, t in enumerate(patch.tris):
-            slot = int(np.where(mesh.triangles[t] == z)[0][0])
+        for j, (t, slot) in enumerate(zip(patch.tris, patch.slots)):
             want = p[t, slot]
             have = acc.div_at(t, z) if t in acc.support else 0.0
             out[j] = want - have
@@ -276,13 +275,14 @@ def tree_interpolant(topology: MeshTopology, cover: TreeCover, p,
     # boundary pass
     boundary = [z for z in range(topology.V) if topology.boundary_vertex[z]]
     for z in boundary:
-        patch = enumerate_patch(topology, z)
+        patch = topology.patches[z]
         a = residual(acc, z, patch)
         if np.abs(a).max() <= 1e-13 * pscale:
             continue
-        acc = acc + boundary_interpolant(patch, a, topology, tol).field
+        acc = acc + boundary_interpolant(patch, a, topology,
+                                         reports[z]).field
     for z in boundary:
-        patch = enumerate_patch(topology, z)
+        patch = topology.patches[z]
         a = residual(acc, z, patch)
         if np.abs(a).max() > 1e-9 * pscale:
             raise FieldError(
@@ -292,15 +292,15 @@ def tree_interpolant(topology: MeshTopology, cover: TreeCover, p,
     # interior transfers, tree by tree
     for tree in cover.trees:
         for z in sorted(tree.parents):
-            patch = enumerate_patch(topology, z)
+            patch = topology.patches[z]
             a = residual(acc, z, patch)
             if np.abs(a).max() <= 1e-13 * pscale:
                 continue
             acc = acc + path_interpolant(topology, tree.path_to_root(z), a,
                                          tol).field
         r = tree.root
-        patch = enumerate_patch(topology, r)
+        patch = topology.patches[r]
         a = residual(acc, r, patch)
         if np.abs(a).max() > 1e-13 * pscale:
-            acc = acc + local_interpolant(patch, a, topology, tol)
+            acc = acc + local_interpolant(patch, a, topology, reports[r])
     return acc

@@ -8,6 +8,12 @@ from svstokes.mesh import (Triangulation, build_topology, enumerate_patch,
                            ngon_patch)
 
 
+# Vertex 0 is pinched: its triangles form two fans that share no edge.
+PINCHED = ("vertices 9\n0 0\n1 -1\n1 1\n-1 1\n-1 -1\n3 0\n3 3\n-3 3\n"
+           "-3 0\ntriangles 8\n0 1 2\n0 3 4\n1 5 2\n2 5 6\n2 6 7\n"
+           "2 7 3\n3 7 8\n3 8 4\n")
+
+
 def random_interior_patch(rng, N=None):
     """Single-interior-vertex mesh with randomized spoke angles/lengths,
     kept shape-regular (bounded angle distortion)."""

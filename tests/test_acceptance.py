@@ -102,7 +102,8 @@ def test_A2_local_interpolant_suite():
     rng = np.random.default_rng(202)
 
     def run(patch, topo, target):
-        f = local_interpolant(patch, target, topo, TOL)
+        f = local_interpolant(patch, target, topo,
+                              classify_vertex(patch, topo, TOL))
         divs = {(t, patch.z): target[j] for j, t in enumerate(patch.tris)}
         rep = verify_field(f, vertex_divs=divs, mean_zero=True,
                            support=patch.tris, rtol=RTOL)
@@ -306,7 +307,7 @@ def test_A7_tree_machinery():
         cover = build_tree_cover(topo, reports, TOL)
         assert cover.complete
         p = admissible_target(topo, reports, rng)
-        f = tree_interpolant(topo, cover, p, TOL)
+        f = tree_interpolant(topo, cover, p, reports, TOL)
         scale = max(np.abs(p).max(), 1.0)
         for t in range(topo.T):
             for slot, v in enumerate(topo.mesh.triangles[t]):

@@ -13,8 +13,8 @@ from svstokes.classify import (BOUNDARY, EVEN, NOT_LI, ODD, SINGULAR,
                                compute_dcoefficients, edge_weight,
                                is_singular, perp, theta)
 from svstokes.mesh import (Triangulation, build_topology, crossed,
-                           enumerate_patch, ngon_patch, three_lines,
-                           type1_diagonal)
+                           enumerate_patch, ngon_patch, perturbed_grid,
+                           three_lines, type1_diagonal)
 
 
 def test_perp_rotates_ccw():
@@ -194,6 +194,42 @@ def test_decision_values_invariant_under_scaling(seed, scale):
     for i in range(3):
         assert d2.decision(i) == pytest.approx(d1.decision(i), rel=1e-8,
                                                abs=1e-12)
+
+
+def _det_areas(mesh, tris):
+    """Patch triangle areas by a per-triangle determinant of the edge
+    vectors, the formula ``compute_dcoefficients`` used before it read
+    ``topology.area``."""
+    v = mesh.vertices
+    return np.array([abs(np.linalg.det(np.column_stack(
+        [v[tri[1]] - v[tri[0]], v[tri[2]] - v[tri[0]]]))) / 2.0
+        for tri in mesh.triangles[list(tris)]])
+
+
+@pytest.mark.parametrize("n,seed", [(3, 1), (4, 7), (5, 2), (6, 11)])
+def test_dcoefficients_agree_with_determinant_areas(n, seed):
+    """D read from the geometry table's areas matches D computed with the
+    determinant areas to 1e-12 relative (the two area formulas round
+    differently in the last bits)."""
+    topo = build_topology(perturbed_grid(n, seed=seed, amplitude=0.3))
+    checked = 0
+    for patch in topo.patches:
+        if patch.boundary:
+            continue
+        dco = compute_dcoefficients(patch, topo)
+        areas = _det_areas(topo.mesh, patch.tris)
+        assert np.allclose(topo.area[list(patch.tris)], areas,
+                           rtol=1e-15, atol=0.0)
+        cot = np.cos(patch.theta) / np.sin(patch.theta)
+        elen2 = patch.edge_len ** 2
+        d = (3.0 * dco.b / areas[:, None]
+             - 12.0 * cot[:, None] * (dco.c / elen2[:, None]
+                                      - np.roll(dco.c, 1, axis=0)
+                                      / np.roll(elen2, 1)[:, None]))
+        signs = np.array([(-1.0) ** (j + 1) for j in range(patch.N)])
+        assert np.allclose(dco.D[1:], signs @ d, rtol=1e-12, atol=0.0)
+        checked += 1
+    assert checked
 
 
 def test_edge_weight_zero_on_supplementary_angles():

@@ -1,13 +1,18 @@
 """Command-line interface: subcommands, JSON schema, exit codes,
 determinism, and the SVG rendering."""
 
+import importlib
 import json
 
 import pytest
 
-from svstokes.cli import (EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main,
-                          to_json)
-from svstokes.mesh import dump_mesh, load_mesh, type1_diagonal
+from conftest import PINCHED
+from svstokes import classify, mesh
+from svstokes.classify import Tolerances
+from svstokes.cli import (EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, analyze_mesh,
+                          main, run_field_suites, to_json)
+from svstokes.mesh import (crossed, dump_mesh, load_mesh, perturbed_grid,
+                           type1_diagonal)
 
 
 def _gen(tmp_path, preset, *extra):
@@ -130,6 +135,50 @@ def test_analyze_svg_is_pure_presentation(tmp_path):
     assert out1.read_text() == out2.read_text()
     text = svg.read_text()
     assert text.startswith("<svg") and "circle" in text
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify-fields", "infsup",
+                                     "spline-dim"])
+def test_pinched_vertex_is_input_error(tmp_path, capsys, command):
+    bad = tmp_path / "pinched.mesh"
+    bad.write_text(PINCHED)
+    assert main([command, "--mesh", str(bad)]) == EXIT_INPUT
+    assert "non-manifold (pinched) patch at vertex 0" in capsys.readouterr().err
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count the calls of ``module.name`` through every svstokes module
+    that binds it; returns the list that collects one entry per call."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for short in ("mesh", "poly", "geometry", "classify", "fields", "trees",
+                  "solver", "cli"):
+        mod = importlib.import_module(f"svstokes.{short}")
+        if getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("run", [
+    lambda m: analyze_mesh(m, Tolerances()),
+    lambda m: run_field_suites(m, Tolerances(), 2, 7)],
+    ids=["analyze", "verify-fields"])
+@pytest.mark.parametrize("make", [
+    lambda: type1_diagonal(3), lambda: crossed(2),
+    lambda: perturbed_grid(5, seed=3)],
+    ids=["type1-3", "crossed-2", "perturbed-5-s3"])
+def test_each_vertex_patched_and_classified_once(monkeypatch, run, make):
+    m = make()
+    patched = _count_calls(monkeypatch, mesh, "enumerate_patch")
+    classified = _count_calls(monkeypatch, classify, "classify_vertex")
+    run(m)
+    assert len(patched) == m.num_vertices
+    assert len(classified) == m.num_vertices
 
 
 def test_verify_fields_deterministic_and_passing(tmp_path):

@@ -112,7 +112,8 @@ def test_basis_kappa_matches_kappa_field(rng):
 # local interpolants
 
 def _check_local(patch, topo, target, rng):
-    f = local_interpolant(patch, target, topo, TOL)
+    f = local_interpolant(patch, target, topo,
+                          classify_vertex(patch, topo, TOL))
     divs = {(t, patch.z): target[j] for j, t in enumerate(patch.tris)}
     report = verify_field(f, vertex_divs=divs, mean_zero=True,
                           support=patch.tris)
@@ -136,7 +137,8 @@ def test_singular_interpolant_rejects_inadmissible_target(rng):
     center = [v for v in range(topo.V) if not topo.boundary_vertex[v]][0]
     patch = enumerate_patch(topo, center)
     with pytest.raises(FieldError):
-        local_interpolant(patch, [1.0, 0.0, 0.0, 0.0], topo, TOL)
+        local_interpolant(patch, [1.0, 0.0, 0.0, 0.0], topo,
+                          classify_vertex(patch, topo, TOL))
 
 
 @pytest.mark.parametrize("N", [3, 5, 7])
@@ -170,6 +172,21 @@ def test_even_interpolant_random_patches(rng):
         done += 1
 
 
+def test_interpolants_reject_another_vertex_report():
+    topo = build_topology(perturbed_grid(3, seed=1))
+    reports, _ = classify_mesh(topo)
+    inner = next(r.vertex for r in reports if r.local_interpolating
+                 and not r.boundary)
+    outer = next(r.vertex for r in reports if r.boundary)
+    for z, other in ((inner, outer), (outer, inner)):
+        patch = topo.patches[z]
+        target = np.zeros(patch.N)
+        interpolant = boundary_interpolant if patch.boundary \
+            else local_interpolant
+        with pytest.raises(FieldError, match="report of vertex"):
+            interpolant(patch, target, topo, reports[other])
+
+
 # ---------------------------------------------------------------------------
 # boundary interpolants
 
@@ -188,7 +205,7 @@ def test_boundary_interpolant_perturbed_grids(seed, rng):
             else:
                 signs = np.array([(-1.0) ** j for j in range(patch.N)])
                 target -= signs * (signs @ target) / patch.N
-        result = boundary_interpolant(patch, target, topo, TOL)
+        result = boundary_interpolant(patch, target, topo, r)
         divs = {(t, patch.z): target[j] for j, t in enumerate(patch.tris)}
         divs.update(result.side_effects)
         report = verify_field(result.field, vertex_divs=divs, mean_zero=True)
@@ -305,7 +322,8 @@ def test_path_interpolant_rejects_repeated_vertices():
 
 def test_verify_field_catches_corruption(rng):
     mesh, topo, patch = random_interior_patch(rng, N=5)
-    f = local_interpolant(patch, rng.standard_normal(5), topo, TOL)
+    f = local_interpolant(patch, rng.standard_normal(5), topo,
+                          classify_vertex(patch, topo, TOL))
     t = sorted(f.support)[0]
     f.coeffs[t][0, 3] += 0.37          # break continuity / divergences
     divs = {(tt, 0): 0.0 for tt in patch.tris}
@@ -328,9 +346,9 @@ def _valid_field(kind, rng):
     target = rng.standard_normal(patch.N)
     divs = {(t, patch.z): target[j] for j, t in enumerate(patch.tris)}
     if kind == "local":
-        f = local_interpolant(patch, target, topo, TOL)
+        f = local_interpolant(patch, target, topo, r)
     else:
-        result = boundary_interpolant(patch, target, topo, TOL)
+        result = boundary_interpolant(patch, target, topo, r)
         f = result.field
         divs.update(result.side_effects)
     report = verify_field(f, vertex_divs=divs, mean_zero=True)

@@ -1,14 +1,17 @@
 """Mesh format, validation, topology derivation, patch enumeration, and
 the preset generators."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import PINCHED
 from svstokes import poly
 from svstokes.mesh import (MeshError, MeshFormatError, Triangulation,
-                           build_topology, crossed, dump_mesh,
+                           VertexPatch, build_topology, crossed, dump_mesh,
                            enumerate_patch, generate, load_mesh, ngon_patch,
                            perturbed_grid, three_lines, type1_diagonal)
 
@@ -118,6 +121,39 @@ def test_geometry_table_matches_the_per_triangle_formulas(make):
         assert topo.hat_grads[t].tobytes() == poly.hat_gradients(*p).tobytes()
         assert topo.area[t].tobytes() == \
             np.float64(abs(poly.signed_area(*p))).tobytes()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: crossed(2), lambda: type1_diagonal(3), lambda: three_lines(2),
+    lambda: perturbed_grid(3, seed=1)],
+    ids=["crossed-2", "type1-3", "three-lines-2", "perturbed-3-s1"])
+def test_patch_table_matches_enumerate_patch(make):
+    topo = build_topology(make())
+    assert len(topo.patches) == topo.V
+    for z, patch in enumerate(topo.patches):
+        fresh = enumerate_patch(topo, z)
+        for f in dataclasses.fields(VertexPatch):
+            a, b = getattr(patch, f.name), getattr(fresh, f.name)
+            if isinstance(a, np.ndarray):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), \
+                    (z, f.name)
+                assert not a.flags.writeable, (z, f.name)
+            else:
+                assert a == b, (z, f.name)
+        assert patch.z == z and len(patch.slots) == patch.N
+        for t, s in zip(patch.tris, patch.slots):
+            assert topo.mesh.triangles[t][s] == z
+        # the patch diameter equals the pairwise loop over its points
+        pts = list(topo.mesh.vertices[list(patch.spokes)]) + [patch.center]
+        assert patch.h_z == max(float(np.hypot(*(p - q)))
+                                for i, p in enumerate(pts)
+                                for q in pts[i + 1:])
+
+
+def test_pinched_vertex_rejected_by_build_topology():
+    mesh = load_mesh(PINCHED)
+    with pytest.raises(MeshError, match="pinched\\) patch at vertex 0"):
+        build_topology(mesh)
 
 
 def test_crossed_counts():

@@ -18,7 +18,7 @@ from svstokes.solver import (P2_BASIS, P2_NODES, P3_BASIS, P3_NODES,
                              SolverError, assemble_divergence, assemble_norms,
                              certify, checkerboard_signature,
                              divergence_moments, divergence_rank,
-                             export_matrix, infsup_constant, number_dofs,
+                             infsup_constant, number_dofs,
                              nullity_crosscheck, pressure_constraints,
                              pressure_from_moments, spurious_modes,
                              strang_dimensions, velocity_coefficients)
@@ -129,7 +129,7 @@ def test_injection_oracle_field_to_matrix():
     for r in interior[:3]:
         from svstokes.mesh import enumerate_patch
         patch = enumerate_patch(topo, r.vertex)
-        f = local_interpolant(patch, rng.standard_normal(patch.N), topo, TOL)
+        f = local_interpolant(patch, rng.standard_normal(patch.N), topo, r)
         u = velocity_coefficients(topo, dm, f)
         expect = divergence_moments(topo, f)
         assert np.abs(B @ u - expect).max() < 1e-10 * max(
@@ -148,14 +148,6 @@ def test_norm_matrices_scaling_laws():
         # H1 seminorm Gram is scale invariant in 2D; mass scales with area
         assert np.allclose(A1s, A0s, atol=1e-10 * np.abs(A0s).max())
         assert np.allclose(M1, lam ** 2 * M0, atol=1e-12 * np.abs(M0).max())
-
-
-def test_export_matrix_matrixmarket_header():
-    text = export_matrix(np.array([[0.0, 1.5], [0.0, 0.0]]), "demo")
-    lines = text.strip().splitlines()
-    assert lines[0].startswith("%%MatrixMarket")
-    assert lines[2] == "2 2 1"
-    assert lines[3].split()[:2] == ["1", "2"]
 
 
 # ---------------------------------------------------------------------------

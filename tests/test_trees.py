@@ -180,14 +180,14 @@ def test_type1_has_no_cover():
     verdict, note = check_hypotheses(topo, reports, cover)
     assert verdict == VERDICT_NONE
     with pytest.raises(FieldError):
-        tree_interpolant(topo, cover, np.zeros((topo.T, 3)), TOL)
+        tree_interpolant(topo, cover, np.zeros((topo.T, 3)), reports, TOL)
 
 
 # ---------------------------------------------------------------------------
 # the global interpolant
 
-def _check_roundtrip(topo, cover, p):
-    f = tree_interpolant(topo, cover, p, TOL)
+def _check_roundtrip(topo, cover, p, reports):
+    f = tree_interpolant(topo, cover, p, reports, TOL)
     scale = max(np.abs(p).max(), 1.0)
     for t in range(topo.T):
         for slot, v in enumerate(topo.mesh.triangles[t]):
@@ -204,7 +204,8 @@ def test_tree_interpolant_roundtrip(mesh, rng):
     reports, _ = classify_mesh(topo)
     cover = build_tree_cover(topo, reports, TOL)
     assert cover.complete
-    _check_roundtrip(topo, cover, admissible_target(topo, reports, rng))
+    _check_roundtrip(topo, cover, admissible_target(topo, reports, rng),
+                     reports)
 
 
 def test_tree_interpolant_with_forced_multihop(rng):
@@ -258,4 +259,5 @@ def test_tree_interpolant_with_forced_multihop(rng):
     assert len(assignment) == topo.V
     cover = TreeCover(trees=trees, assignment=assignment, uncovered=set())
     assert max(t.depth for t in cover.trees) >= 2
-    _check_roundtrip(topo, cover, admissible_target(topo, reports, rng))
+    _check_roundtrip(topo, cover, admissible_target(topo, reports, rng),
+                     reports)
