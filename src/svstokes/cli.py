@@ -336,8 +336,7 @@ def cmd_infsup(args) -> int:
     tol = _tolerances(args)
     topology = build_topology(mesh)
     reports, summary = classify_mesh(topology, tol)
-    cert = solver.certify(topology, reports, seminorm=args.seminorm,
-                          modes=False)
+    cert = solver.certify(topology, reports, seminorm=args.seminorm)
     beta, eigenvalues = solver.infsup_constant(cert)
     out = {
         "beta": beta,
@@ -357,7 +356,7 @@ def cmd_spline_dim(args) -> int:
     tol = _tolerances(args)
     topology = build_topology(mesh)
     reports, summary = classify_mesh(topology, tol)
-    cert = solver.certify(topology, reports, modes=False)
+    cert = solver.certify(topology, reports)
     rank = solver.divergence_rank(cert, topology, summary["sigma"], tol)
     dims = solver.strang_dimensions(topology, summary["sigma"],
                                     summary["sigma_i"], summary["sigma_b"],

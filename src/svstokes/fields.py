@@ -41,9 +41,20 @@ def _tri_slots(mesh, t, *verts):
     return out
 
 
+# Degree-3 coefficients of every product of hat functions of degree <= 3
+# (homogenized), expanded once: the fields only ever ask for these few.
+_HAT_MONOMIALS = {
+    (a, b, c): poly.bary_poly([(1.0, (a, b, c))])
+    for a in range(4) for b in range(4 - a) for c in range(4 - a - b)
+}
+for _coeffs in _HAT_MONOMIALS.values():
+    _coeffs.setflags(write=False)
+
+
 def _hat_monomial(exponents):
-    """Degree-3 coefficients of a product of hat functions (homogenized)."""
-    return poly.bary_poly([(1.0, tuple(exponents))])
+    """Degree-3 coefficients of a product of hat functions (homogenized),
+    read-only."""
+    return _HAT_MONOMIALS[tuple(exponents)]
 
 
 # The divergence's degree-2 coefficients as one contraction with the
@@ -242,7 +253,7 @@ def kappa_field(topology: MeshTopology, z: int, y: int) -> ScalarPatchField:
         quad = [0, 0, 0]
         quad[sz] = 1
         quad[sy] = 1
-        coeffs[t] = _hat_monomial(cubic) - 0.5 * poly.bary_poly([(1.0, tuple(quad))])
+        coeffs[t] = _hat_monomial(cubic) - 0.5 * _hat_monomial(quad)
     return ScalarPatchField(topology, coeffs)
 
 
@@ -309,7 +320,7 @@ def basis_xi(patch: VertexPatch, topology: MeshTopology, i: int):
         (sz,) = _tri_slots(mesh, t, patch.z)
         expo = [0, 0, 0]
         expo[sz] = 2
-        coeffs[t] = np.outer(direction, poly.bary_poly([(1.0, tuple(expo))]))
+        coeffs[t] = np.outer(direction, _hat_monomial(expo))
     xi_tilde = PatchField(topology, coeffs)
     dco = compute_dcoefficients(patch, topology)
     xi = xi_tilde

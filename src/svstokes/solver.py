@@ -198,22 +198,56 @@ def pressure_constraints(topology: MeshTopology, reports) -> np.ndarray:
     return C / np.linalg.norm(C, axis=1, keepdims=True)
 
 
-def constrained_basis(C: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of the pressures satisfying the
-    constraint rows C (see ``pressure_constraints``)."""
-    N = scipy.linalg.null_space(C)
-    expect = C.shape[1] - C.shape[0]
-    if N.shape[1] != expect:
+def _block_apply(F: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """F X for a block-diagonal F stored as its (T, 6, 6) blocks; X has
+    6T rows."""
+    T, k = F.shape[0], X.shape[1]
+    return np.matmul(F, X.reshape(T, 6, k)).reshape(6 * T, k)
+
+
+def _apply_q(reflectors: np.ndarray, tau: np.ndarray, X: np.ndarray,
+             trans: str) -> np.ndarray:
+    """Q X (trans "N") or Q^T X (trans "T"), with Q the full orthogonal
+    factor of a Householder QR held as (reflectors, tau); X may be
+    overwritten."""
+    lapack = scipy.linalg.lapack
+    work = lapack.dormqr("L", trans, reflectors, tau, X, -1)[1]
+    out, _, info = lapack.dormqr("L", trans, reflectors, tau, X,
+                                 int(work[0]), overwrite_c=1)
+    if info != 0:
+        raise SolverError(f"dormqr failed with info {info}")
+    return out
+
+
+def constrained_basis(C: np.ndarray, L_M_inv: np.ndarray):
+    """Householder QR ``(reflectors, tau)`` of Z = L_M^-1 C^T, where C
+    holds the constraint rows (see ``pressure_constraints``) and L_M_inv
+    the (T, 6, 6) inverses of the Cholesky factors of the mass blocks,
+    M = L_M L_M^T.  In the M-weighted coordinates u = L_M^T q the
+    constrained pressures are the u orthogonal to Z, so the trailing
+    6T - len(C) columns of the orthogonal factor Q are an orthonormal
+    basis of them; Q is never formed."""
+    Z = _block_apply(L_M_inv, C.T)
+    lengths = np.linalg.norm(Z, axis=0)
+    (reflectors, tau), R = scipy.linalg.qr(Z, mode="raw", overwrite_a=True,
+                                           check_finite=False)
+    # A row in the span of the others leaves a diagonal entry of R at
+    # roundoff size relative to its own column.
+    independent = int(np.sum(np.abs(np.diag(R))
+                             > max(Z.shape) * np.finfo(float).eps * lengths))
+    if independent != C.shape[0]:
         raise SolverError(
-            f"constrained pressure dimension {N.shape[1]} != 6T - 1 - sigma "
-            f"= {expect}; constraint rows are linearly dependent")
-    return N
+            f"constrained pressure dimension {C.shape[1] - independent} != "
+            f"6T - 1 - sigma = {C.shape[1] - C.shape[0]}; constraint rows "
+            f"are linearly dependent")
+    return reflectors, tau
 
 
 # ---------------------------------------------------------------------------
-# the certificate: one weighted SVD gives K, beta and the spurious modes
+# the certificate: one values-only SVD gives K and beta; the spurious modes
+# come from the same triangular factor
 
-# Relative size of C M^-1 B, the constraints applied to the divergences,
+# Relative size of the constraints applied to the divergences, C M^-1 B,
 # above which the constrained space does not contain the range of B.
 RANGE_RTOL = 1e6 * np.finfo(float).eps
 
@@ -222,54 +256,64 @@ RANGE_RTOL = 1e6 * np.finfo(float).eps
 class Certificate:
     """Spectrum of the weighted divergence pairing
 
-        W = L_G^-1 N^T B L_A^-T,   A = L_A L_A^T,   N^T M N = L_G L_G^T,
+        W = Q_2^T L_M^-1 B L_A^-T,   A = L_A L_A^T,   M = L_M L_M^T,
 
-    with N an orthonormal basis of the constrained pressures.  The squared
-    singular values of W are the eigenvalues of the pressure Schur
-    complement in the mass inner product: the number of zero singular
-    values is K, the smallest nonzero one is beta, and the nonzero ones
-    lie in [beta, sqrt(2)].  ``left`` holds all p left singular vectors
-    of W as columns; those past the rank, mapped through N L_G^-T, are
-    M-orthonormal spurious modes.  A spectrum alone (no ``left``)
-    certifies K and beta but no modes.
+    with Q_2 the trailing columns of the orthogonal factor of
+    ``constrained_basis``: an orthonormal basis of the constrained
+    pressures in M-weighted coordinates.  The squared singular values of
+    W are the eigenvalues of the pressure Schur complement in the mass
+    inner product: the number of zero singular values is K, the smallest
+    nonzero one is beta, and the nonzero ones lie in [beta, sqrt(2)].
+    With W^T = Q_X R (Q_X has orthonormal columns), ``factor`` is R: W
+    has the singular values of R, and its left null vectors are the null
+    vectors of R, which ``spurious_modes`` maps back through the
+    reflectors and L_M^-T.  A spectrum alone (no factor) certifies K and
+    beta but no modes.
     """
 
     singular_values: np.ndarray     # descending, min(p, n) of them
     shape: tuple                    # (p, n): constrained pressures, velocities
-    left: np.ndarray | None = None      # (p, p)
-    basis: np.ndarray | None = None     # N, (6T, p)
-    chol: np.ndarray | None = None      # L_G, (p, p) lower triangular
+    factor: np.ndarray | None = None        # R, (min(p, n), p), upper
+    reflectors: np.ndarray | None = None    # QR of Z, (6T, 1 + sigma)
+    tau: np.ndarray | None = None           # its scalars, (1 + sigma,)
+    mass_factor_inv: np.ndarray | None = None   # L_M^-1, (T, 6, 6)
     divergence: np.ndarray | None = None    # B, (6T, n)
 
 
-def _check_range_inclusion(B, blocks, C):
-    """Every divergence, as a pressure (M^-1 B with M's (T, 6, 6) diagonal
-    blocks), satisfies the constraints.
-    The weighted SVD only sees the part of B inside the constrained space,
-    so a range outside it would go unnoticed there."""
-    T, n = blocks.shape[0], B.shape[1]
-    P = np.matmul(np.linalg.inv(blocks), B.reshape(T, 6, n)).reshape(6 * T, n)
-    dev = float(np.linalg.norm(C @ P))
-    scale = float(np.linalg.norm(P))
+def _check_range_inclusion(G: np.ndarray, k: int):
+    """Every divergence, as a pressure M^-1 B, satisfies the k constraint
+    rows.  With G = Q^T L_M^-1 B, C M^-1 B is R_Z^T G[:k] for the
+    invertible triangular factor R_Z of Z, so it vanishes exactly when the
+    first k rows of G do.  The SVD only sees the remaining rows, so a
+    range outside the constrained space would go unnoticed there."""
+    dev = float(np.linalg.norm(G[:k]))
+    scale = float(np.linalg.norm(G))
     if dev > RANGE_RTOL * scale:
         raise SolverError(
             f"divergences violate the pressure constraints at {dev:.3e} "
             f"relative to {scale:.3e}; range inclusion violated")
 
 
-def certify(topology: MeshTopology, reports, seminorm: bool = False,
-            modes: bool = True) -> Certificate:
+def certify(topology: MeshTopology, reports,
+            seminorm: bool = False) -> Certificate:
     """Assemble the pairing and its norms, check that the constrained
-    pressures contain every divergence, and take the one SVD of W; with
-    ``modes=False`` only its singular values, which is all K and beta
-    need."""
+    pressures contain every divergence, and take the singular values of
+    the square factor of W; every command builds this same certificate."""
     dofmap = number_dofs(topology)
     B = assemble_divergence(topology, dofmap)
     A, blocks = assemble_norms(topology, dofmap, seminorm=seminorm)
     C = pressure_constraints(topology, reports)
-    _check_range_inclusion(B, blocks, C)
-    N = constrained_basis(C)
-    p, n = N.shape[1], B.shape[1]
+    try:
+        # 6 x 6 triangular blocks: inverting them once makes every
+        # application of L_M^-1 or L_M^-T one batched product.
+        L_M_inv = np.linalg.inv(np.linalg.cholesky(blocks))
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"pressure mass matrix is not SPD: {exc}") from exc
+    reflectors, tau = constrained_basis(C, L_M_inv)
+    k = C.shape[0]
+    G = _apply_q(reflectors, tau, _block_apply(L_M_inv, B), "T")
+    _check_range_inclusion(G, k)
+    p, n = G.shape[0] - k, G.shape[1]
     try:
         # A is symmetric and only one triangle is read, so its transpose
         # is the column-major operand LAPACK factors in place.
@@ -278,34 +322,18 @@ def certify(topology: MeshTopology, reports, seminorm: bool = False,
     except scipy.linalg.LinAlgError as exc:
         raise SolverError(f"velocity Gram matrix is not SPD: {exc}") from exc
     del A
-    # N^T M N = Y^T Y with Y = blockdiag(L_t^T) N, M_t = L_t L_t^T; like A
-    # it is factored in place through its transpose.
-    Y = np.matmul(np.linalg.cholesky(blocks).transpose(0, 2, 1),
-                  N.reshape(-1, 6, p)).reshape(-1, p)
-    try:
-        L_G = scipy.linalg.cholesky((Y.T @ Y).T, lower=True, overwrite_a=True,
-                                    check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise SolverError(f"pressure mass matrix is not SPD: {exc}") from exc
-    del Y
-    # W = L_G^-1 (N^T B) L_A^-T.  With X = L_A^-1 B^T N = Q R (Q has
-    # orthonormal columns), W = (L_G^-1 R^T) Q^T: the SVD of the small
-    # factor L_G^-1 R^T gives the singular values and left vectors of W.
-    X = scipy.linalg.solve_triangular(L_A, (N.T @ B).T, lower=True,
+    # W = G[k:] L_A^-T.  With X = W^T = Q_X R (Q_X has orthonormal
+    # columns), W = R^T Q_X^T has the singular values of R.
+    X = scipy.linalg.solve_triangular(L_A, G[k:].T, lower=True,
                                       overwrite_b=True, check_finite=False)
-    del L_A
+    del L_A, G
     _, R = scipy.linalg.qr(X, mode="raw", overwrite_a=True,
                            check_finite=False)
     del X, _
-    W = scipy.linalg.solve_triangular(L_G, R.T, lower=True, overwrite_b=True,
-                                      check_finite=False)
-    if not modes:
-        s = scipy.linalg.svd(W, compute_uv=False, overwrite_a=True,
-                             check_finite=False)
-        return Certificate(singular_values=s, shape=(p, n))
-    left, s, _ = scipy.linalg.svd(W, overwrite_a=True, check_finite=False)
-    return Certificate(singular_values=s, shape=(p, n), left=left, basis=N,
-                       chol=L_G, divergence=B)
+    s = scipy.linalg.svd(R, compute_uv=False, check_finite=False)
+    return Certificate(singular_values=s, shape=(p, n), factor=R,
+                       reflectors=reflectors, tau=tau,
+                       mass_factor_inv=L_M_inv, divergence=B)
 
 
 @dataclass(frozen=True)
@@ -370,12 +398,36 @@ def infsup_constant(cert: Certificate, zero_tol: float = 1e-10):
 
 def spurious_modes(cert: Certificate, rank: RankResult):
     """M-orthonormal basis of the constrained pressures with zero pairing
-    against every velocity, returned as raw coefficient vectors."""
-    null = cert.left[:, rank.rank:]
-    if not null.shape[1]:
+    against every velocity, returned as raw coefficient vectors.
+
+    The null vectors of the square factor R come from block inverse
+    iteration on R^T R from a fixed-seed start.  R is zero-padded to
+    square when there are fewer velocities than constrained pressures,
+    and its diagonal entries below eps * p * max|r_ii| are raised to that
+    floor: exact zero pivots occur, and the floor perturbs R only at
+    roundoff level.  The vectors are mapped back through the reflectors
+    and L_M^-T, and accepted only if they pair with no velocity."""
+    p = cert.shape[0]
+    K = p - rank.rank
+    if not K:
         return []
-    Q = cert.basis @ scipy.linalg.solve_triangular(
-        cert.chol, null, lower=True, trans="T", check_finite=False)
+    R = np.zeros((p, p))
+    R[:cert.factor.shape[0]] = cert.factor
+    diag = np.diagonal(R)
+    floor = np.finfo(float).eps * p * np.abs(diag).max()
+    low = np.flatnonzero(np.abs(diag) < floor)
+    R[low, low] = np.copysign(floor, diag[low])
+    V = np.random.default_rng(0).standard_normal((p, K))
+    # Each step shrinks the other directions by (s_null / s_K+1)^2,
+    # roundoff over beta squared, so the second step only polishes.
+    for _ in range(2):
+        V = scipy.linalg.solve_triangular(R, V, trans="T", check_finite=False)
+        V = scipy.linalg.solve_triangular(R, V, check_finite=False)
+        V, _ = np.linalg.qr(V)
+    U = np.zeros((cert.reflectors.shape[0], K))
+    U[-p:] = V
+    Q = _block_apply(cert.mass_factor_inv.transpose(0, 2, 1),
+                     _apply_q(cert.reflectors, cert.tau, U, "N"))
     B = cert.divergence
     scale = float(np.abs(Q.T @ B).max())
     bscale = max(float(np.abs(B).max()), 1.0)

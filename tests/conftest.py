@@ -4,8 +4,7 @@ pressure targets."""
 import numpy as np
 import pytest
 
-from svstokes.mesh import (Triangulation, build_topology, enumerate_patch,
-                           ngon_patch)
+from svstokes.mesh import Triangulation, build_topology, ngon_patch
 
 
 # Vertex 0 is pinched: its triangles form two fans that share no edge.
@@ -25,7 +24,7 @@ def random_interior_patch(rng, N=None):
     scale = rng.uniform(0.7, 1.3, size=N)
     mesh = ngon_patch(N, radius=1.0, length_scale=scale, angle_shift=shift)
     topo = build_topology(mesh)
-    return mesh, topo, enumerate_patch(topo, 0)
+    return mesh, topo, topo.patches[0]
 
 
 def rigid_motion(mesh, angle=0.0, shift=(0.0, 0.0), scale=1.0):
@@ -39,14 +38,12 @@ def admissible_target(topology, reports, rng):
     """Random per-triangle vertex values satisfying the alternating-sum
     constraint at every singular vertex (the discrete pressure space's
     pointwise conditions)."""
-    mesh = topology.mesh
     p = rng.standard_normal((topology.T, 3))
     for r in reports:
         if not r.singular:
             continue
-        patch = enumerate_patch(topology, r.vertex)
-        slots = [(t, int(np.where(mesh.triangles[t] == r.vertex)[0][0]))
-                 for t in patch.tris]
+        patch = topology.patches[r.vertex]
+        slots = list(zip(patch.tris, patch.slots))
         if patch.N == 1:
             t, s = slots[0]
             p[t, s] = 0.0
