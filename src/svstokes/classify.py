@@ -1,10 +1,10 @@
 """Vertex-level scalar criteria and the vertex taxonomy.
 
-Every decision quantity lives here: the straight-line detector Theta(z),
-the alternating functional at singular vertices, the patch coefficients
-b_ji / c_ji / d_ji, the determinants D_0, D_1, D_2 certifying even-valence
-interior vertices, the edge weight M_e^z, and the resulting per-vertex
-classification.
+Every vertex decision quantity lives here: the straight-line detector
+Theta(z), the alternating functional at singular vertices, the patch
+coefficients b_ji / c_ji / d_ji, the determinants D_0, D_1, D_2
+certifying even-valence interior vertices, and the resulting per-vertex
+classification.  The edge weights M_e^z are ``trees.edge_weights``.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import edge_pair_geometry, triangle_geometry
 from .mesh import MeshError, MeshTopology, VertexPatch
 
 # (x, y)^perp = (-y, x): rotation by 90 degrees counter-clockwise.
@@ -143,12 +142,6 @@ def compute_dcoefficients(patch: VertexPatch, topology: MeshTopology) -> DCoeffi
 
     return DCoefficients(b=b, c=c, d0=d0, d=d, D=D, D0_simple=D0_simple,
                          D_closed=D_closed, h_z=patch.h_z)
-
-
-def edge_weight(topology: MeshTopology, e: int, z: int) -> float:
-    """Transfer weight of interior edge e at endpoint z: cot(phi_1)+cot(phi_2)."""
-    phi1, phi2, _, _ = edge_pair_geometry(topology, e, z)
-    return float(1.0 / np.tan(phi1) + 1.0 / np.tan(phi2))
 
 
 @dataclass(frozen=True)

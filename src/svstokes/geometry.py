@@ -57,13 +57,6 @@ def triangle_geometry(p0, p1, p2) -> TriangleGeom:
                         normals=normals, heights=heights)
 
 
-def hat_gradient(geom: TriangleGeom, vertex_slot: int) -> np.ndarray:
-    """Gradient of the hat function of one vertex: -n/h for the opposite edge."""
-    if vertex_slot not in (0, 1, 2):
-        raise ValueError("vertex_slot must be 0, 1 or 2")
-    return -geom.normals[vertex_slot] / geom.heights[vertex_slot]
-
-
 def edge_pair_geometry(topology: MeshTopology, e: int, z: int):
     """Angles of the two triangles sharing interior edge e = {z, y}.
 

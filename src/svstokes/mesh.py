@@ -79,10 +79,6 @@ class Triangulation:
     def num_triangles(self):
         return len(self.triangles)
 
-    def tri_points(self, t):
-        """Coordinates of triangle t, shape (3, 2)."""
-        return self.vertices[self.triangles[t]]
-
     def _validate_conformity(self):
         edge_count = {}
         for tri in self.triangles:
@@ -92,21 +88,24 @@ class Triangulation:
         for (a, b), n in edge_count.items():
             if n > 2:
                 raise MeshError(f"edge ({a}, {b}) shared by {n} triangles")
-        # T-junction check: no vertex may lie strictly inside a boundary edge.
+        # T-junction check: no vertex may lie strictly inside a boundary edge
+        # (projection parameter s in (0, 1), cross product at roundoff).
         boundary = [e for e, n in edge_count.items() if n == 1]
         used = np.unique(self.triangles)
+        r_all = self.vertices[used]
         for a, b in boundary:
             pa, pb = self.vertices[a], self.vertices[b]
             d = pb - pa
             L2 = d @ d
-            for w in used:
-                if w == a or w == b:
-                    continue
-                r = self.vertices[w] - pa
-                s = (r @ d) / L2
-                if 0 < s < 1 and abs(d[0] * r[1] - d[1] * r[0]) < 1e-12 * L2:
-                    raise MeshError(
-                        f"hanging vertex {w} on boundary edge ({a}, {b})")
+            r = r_all - pa
+            s = (r[:, 0] * d[0] + r[:, 1] * d[1]) / L2
+            cross = d[0] * r[:, 1] - d[1] * r[:, 0]
+            hanging = ((s > 0) & (s < 1) & (np.abs(cross) < 1e-12 * L2)
+                       & (used != a) & (used != b))
+            if hanging.any():
+                w = used[np.argmax(hanging)]
+                raise MeshError(
+                    f"hanging vertex {w} on boundary edge ({a}, {b})")
         # Connectivity across shared edges.
         if self.num_triangles:
             adj = {}
@@ -213,6 +212,8 @@ class MeshTopology:
     edges: np.ndarray            # (E, 2) sorted vertex pairs
     edge_tris: tuple             # per edge, tuple of incident triangle indices
     edge_index: dict             # (a, b) sorted pair -> edge index
+    tri_edges: np.ndarray        # (T, 3) edge index of each triangle side,
+                                 # side s joining vertex slots s and s + 1
     vertex_tris: tuple           # per vertex, tuple of incident triangles
     boundary_edge: np.ndarray    # (E,) bool
     boundary_vertex: np.ndarray  # (V,) bool
@@ -242,19 +243,15 @@ class MeshTopology:
     def V0(self):
         return int(np.count_nonzero(~self.boundary_vertex))
 
-    def vertex_edges(self, z):
-        """Interior edges incident to vertex z."""
-        return [i for i, (a, b) in enumerate(self.edges)
-                if (a == z or b == z) and not self.boundary_edge[i]]
-
     def counts(self):
         return {"T": self.T, "E": self.E, "E0": self.E0,
                 "V": self.V, "V0": self.V0}
 
 
 def build_topology(mesh: Triangulation) -> MeshTopology:
-    """Derive edges, boundary flags, incidence, the triangle areas and hat
-    gradients (one batched computation) and the vertex patches (one
+    """Derive edges, boundary flags, incidence (with the edge of each
+    triangle side, ``tri_edges``), the triangle areas and hat gradients
+    (one batched computation) and the vertex patches (one
     ``enumerate_patch`` per vertex) from a Triangulation.
 
     Raises MeshError when a vertex has no triangles or a non-manifold
@@ -277,9 +274,12 @@ def build_topology(mesh: Triangulation) -> MeshTopology:
     # re-key after sorting edges deterministically
     edge_index = {tuple(e): i for i, e in enumerate(edges)}
     tris_of = [None] * len(edges)
+    tri_edges = np.empty((mesh.num_triangles, 3), dtype=np.int64)
     for i, tri in enumerate(mesh.triangles):
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+        for side, (a, b) in enumerate(
+                ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0]))):
             j = edge_index[(min(a, b), max(a, b))]
+            tri_edges[i, side] = j
             if tris_of[j] is None:
                 tris_of[j] = []
             if i not in tris_of[j]:
@@ -297,13 +297,14 @@ def build_topology(mesh: Triangulation) -> MeshTopology:
     pts = mesh.vertices[mesh.triangles]
     area = np.abs(signed_area(pts[:, 0], pts[:, 1], pts[:, 2]))
     hat_grads = hat_gradients(pts[:, 0], pts[:, 1], pts[:, 2])
-    area.setflags(write=False)
-    hat_grads.setflags(write=False)
+    for a in (tri_edges, area, hat_grads):
+        a.setflags(write=False)
     topo = MeshTopology(
         mesh=mesh,
         edges=edges,
         edge_tris=edge_tris,
         edge_index=edge_index,
+        tri_edges=tri_edges,
         vertex_tris=tuple(tuple(ts) for ts in vtris),
         boundary_edge=boundary_edge,
         boundary_vertex=boundary_vertex,

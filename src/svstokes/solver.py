@@ -82,101 +82,81 @@ _IV2 = _P2_AT_QP @ _QW                                              # (6,)
 # ---------------------------------------------------------------------------
 # DOF numbering
 
-@dataclass(frozen=True)
-class DofMap:
-    """Scalar interior Lagrange nodes of the cubic space, shared by both
-    velocity components: velocity DOF of node g, component c is 2g + c."""
+def number_dofs(topology: MeshTopology) -> np.ndarray:
+    """Global node of each of the 10 local cubic nodes of every triangle,
+    shape (T, 10) in P3_NODES order, -1 at boundary nodes (read-only).
 
-    vertex_node: dict       # interior vertex -> node
-    edge_node: dict         # (interior edge, k in {0,1}) -> node; k=0 is the
-                            # node closer to the smaller-indexed endpoint
-    tri_node: dict          # triangle -> node
-    n_nodes: int
-    n_pressure: int
-
-    @property
-    def n_velocity(self) -> int:
-        return 2 * self.n_nodes
-
-    def local_nodes(self, topology: MeshTopology, t: int):
-        """Global node (or None, for boundary nodes) of each of the 10
-        local cubic nodes of triangle t, in P3_NODES order."""
-        tri = topology.mesh.triangles[t]
-        out = [self.vertex_node.get(int(v)) for v in tri]
-        for (i, j) in P3_EDGE_SLOTS:
-            a, b = int(tri[i]), int(tri[j])
-            e = topology.edge_index[(min(a, b), max(a, b))]
-            for frac_near_i in (True, False):
-                near = a if frac_near_i else b
-                k = 0 if near == min(a, b) else 1
-                out.append(self.edge_node.get((e, k)))
-        out.append(self.tri_node[t])
-        return out
-
-
-def number_dofs(topology: MeshTopology) -> DofMap:
-    """Deterministic numbering: interior vertices, interior edges, cells."""
-    n = 0
-    vertex_node = {}
-    for v in range(topology.V):
-        if not topology.boundary_vertex[v]:
-            vertex_node[v] = n
-            n += 1
-    edge_node = {}
-    for e in range(topology.E):
-        if not topology.boundary_edge[e]:
-            edge_node[(e, 0)] = n
-            edge_node[(e, 1)] = n + 1
-            n += 2
-    tri_node = {t: n + t for t in range(topology.T)}
-    n += topology.T
-    dofmap = DofMap(vertex_node=vertex_node, edge_node=edge_node,
-                    tri_node=tri_node, n_nodes=n, n_pressure=6 * topology.T)
-    expect = topology.T + 2 * topology.E0 + topology.V0
+    Numbering: interior vertices, then each interior edge's pair of nodes
+    (the one nearer the smaller-indexed endpoint first), then the cells.
+    Both velocity components share the scalar nodes: velocity DOF of node
+    g, component c is 2g + c."""
+    T = topology.T
+    V0, E0 = topology.V0, topology.E0
+    vertex_node = np.full(topology.V, -1, dtype=np.int64)
+    vertex_node[~topology.boundary_vertex] = np.arange(V0)
+    edge_node = np.full((topology.E, 2), -1, dtype=np.int64)
+    edge_node[~topology.boundary_edge] = V0 + np.arange(2 * E0).reshape(E0, 2)
+    tris = topology.mesh.triangles
+    # Side s runs from slot s to slot s + 1; its node nearer slot s is edge
+    # node k = 0 when that slot holds the smaller endpoint.
+    k = (tris > np.roll(tris, -1, axis=1)).astype(np.int64)
+    near = edge_node[topology.tri_edges, k]
+    far = edge_node[topology.tri_edges, 1 - k]
+    nodes = np.concatenate([
+        vertex_node[tris],
+        np.stack([near, far], axis=2).reshape(T, 6),
+        (V0 + 2 * E0 + np.arange(T))[:, None],
+    ], axis=1)
+    expect = T + 2 * E0 + V0
+    n = np.unique(nodes[nodes >= 0]).size
     if n != expect:
         raise SolverError(f"node count {n} != T + 2 E0 + V0 = {expect}")
-    return dofmap
+    nodes.setflags(write=False)
+    return nodes
+
+
+def _n_nodes(nodes: np.ndarray) -> int:
+    return int(nodes.max(initial=-1)) + 1
 
 
 # ---------------------------------------------------------------------------
 # assembly
 
-def assemble_divergence(topology: MeshTopology, dofmap: DofMap) -> np.ndarray:
+def assemble_divergence(topology: MeshTopology, nodes: np.ndarray) -> np.ndarray:
     """B[q-dof, v-dof] = integral of (pressure basis q) * div(velocity
-    basis v); pressure DOF of triangle t, local node q is 6t + q."""
-    B = np.zeros((dofmap.n_pressure, dofmap.n_velocity))
-    for t in range(topology.T):
-        area = topology.area[t]
-        g = topology.hat_grads[t]                         # (3, 2)
-        local = dofmap.local_nodes(topology, t)
-        div_qa = np.einsum("sc,qsa->qca", g, _PD)          # (6, 2, 10)
-        for a, node in enumerate(local):
-            if node is None:
-                continue
-            for c in (0, 1):
-                B[6 * t:6 * t + 6, 2 * node + c] += area * div_qa[:, c, a]
+    basis v); pressure DOF of triangle t, local node q is 6t + q.  Each
+    entry comes from exactly one triangle."""
+    T = topology.T
+    n = _n_nodes(nodes)
+    div = (topology.area[:, None, None, None]                   # (T, 6, 2, 10)
+           * np.einsum("tsc,qsa->tqca", topology.hat_grads, _PD))
+    B = np.zeros((6 * T, 2 * n))
+    t, a = np.nonzero(nodes >= 0)
+    B.reshape(T, 6, n, 2)[t, :, nodes[t, a], :] = div[t, :, :, a]
     return B
 
 
-def assemble_norms(topology: MeshTopology, dofmap: DofMap,
+def assemble_norms(topology: MeshTopology, nodes: np.ndarray,
                    seminorm: bool = False):
     """(A, M): velocity H1 Gram matrix (seminorm-only if requested) and
     the pressure mass matrix, which is block diagonal: M[t] is the 6x6
     block of triangle t, shape (T, 6, 6)."""
-    A = np.zeros((dofmap.n_velocity, dofmap.n_velocity))
-    for t in range(topology.T):
-        area = topology.area[t]
-        g = topology.hat_grads[t]
-        local = dofmap.local_nodes(topology, t)
-        K = np.einsum("sc,tc,stab->ab", g, g, _GG) * area  # (10, 10)
-        if not seminorm:
-            K = K + area * _MM3
-        idx = [(a, node) for a, node in enumerate(local) if node is not None]
-        for a, na in idx:
-            for b, nb in idx:
-                for c in (0, 1):
-                    A[2 * na + c, 2 * nb + c] += K[a, b]
-    return A, topology.area[:, None, None] * _MM2
+    area = topology.area
+    g = topology.hat_grads
+    K = np.einsum("tsc,tuc,suab->tab", g, g, _GG) * area[:, None, None]
+    if not seminorm:
+        K = K + area[:, None, None] * _MM3                  # (T, 10, 10)
+    n = _n_nodes(nodes)
+    interior = nodes >= 0
+    t, a, b = np.nonzero(interior[:, :, None] & interior[:, None, :])
+    A = np.zeros((2 * n, 2 * n))
+    # np.add.at adds in index order, which is triangle order here: every
+    # entry sums its contributions triangle by triangle.
+    c = np.arange(2)
+    np.add.at(A.reshape(n, 2, n, 2),
+              (nodes[t, a][:, None], c, nodes[t, b][:, None], c),
+              K[t, a, b][:, None])
+    return A, area[:, None, None] * _MM2
 
 
 def pressure_constraints(topology: MeshTopology, reports) -> np.ndarray:
@@ -299,9 +279,9 @@ def certify(topology: MeshTopology, reports,
     """Assemble the pairing and its norms, check that the constrained
     pressures contain every divergence, and take the singular values of
     the square factor of W; every command builds this same certificate."""
-    dofmap = number_dofs(topology)
-    B = assemble_divergence(topology, dofmap)
-    A, blocks = assemble_norms(topology, dofmap, seminorm=seminorm)
+    nodes = number_dofs(topology)
+    B = assemble_divergence(topology, nodes)
+    A, blocks = assemble_norms(topology, nodes, seminorm=seminorm)
     C = pressure_constraints(topology, reports)
     try:
         # 6 x 6 triangular blocks: inverting them once makes every
@@ -511,19 +491,24 @@ def nullity_crosscheck(result: RankResult, topology: MeshTopology,
 # ---------------------------------------------------------------------------
 # helpers for cross-module oracles and export
 
-def velocity_coefficients(topology: MeshTopology, dofmap: DofMap,
+def velocity_coefficients(topology: MeshTopology, nodes: np.ndarray,
                           field) -> np.ndarray:
-    """Nodal coefficient vector of a piecewise-cubic field that vanishes
-    on the boundary (values sampled at the interior Lagrange nodes)."""
-    out = np.zeros(dofmap.n_velocity)
-    for t in range(topology.T):
-        vals = field.eval(t, np.array(P3_NODES))          # (10, 2)
-        for a, node in enumerate(dofmap.local_nodes(topology, t)):
-            if node is None:
-                continue
-            out[2 * node] = vals[a, 0]
-            out[2 * node + 1] = vals[a, 1]
-    return out
+    """Nodal coefficient vector of a piecewise-cubic ``PatchField`` that
+    vanishes on the boundary (values sampled at the interior Lagrange
+    nodes).  A node shared by several triangles takes its value from the
+    highest-numbered one; triangles outside the support give zeros."""
+    n = _n_nodes(nodes)
+    support = np.array(sorted(field.support), dtype=np.int64)
+    vals = np.zeros((topology.T, 10, 2))
+    if len(support):
+        coeffs = np.stack([field.coeffs[t] for t in support])   # (S, 2, 10)
+        at_nodes = poly.eval3(coeffs.reshape(-1, 10), np.array(P3_NODES))
+        vals[support] = at_nodes.reshape(10, -1, 2).transpose(1, 0, 2)
+    flat = nodes.ravel()
+    interior = np.flatnonzero(flat >= 0)
+    last = np.full(n, -1, dtype=np.int64)
+    np.maximum.at(last, flat[interior], interior)
+    return vals.reshape(-1, 2)[last].ravel()
 
 
 def divergence_moments(topology: MeshTopology, field) -> np.ndarray:

@@ -41,9 +41,9 @@ def _schur_pencil(topo, reports, seminorm=False):
     """B, an orthonormal basis N of the constrained pressures, and the
     pencil (S, G) of the pressure Schur complement on N in the mass inner
     product: S = N^T B A^-1 B^T N, G = N^T M N."""
-    dm = solver.number_dofs(topo)
-    B = solver.assemble_divergence(topo, dm)
-    A, blocks = solver.assemble_norms(topo, dm, seminorm=seminorm)
+    nodes = solver.number_dofs(topo)
+    B = solver.assemble_divergence(topo, nodes)
+    A, blocks = solver.assemble_norms(topo, nodes, seminorm=seminorm)
     M = scipy.linalg.block_diag(*blocks)
     N = scipy.linalg.null_space(solver.pressure_constraints(topo, reports))
     BtN = B.T @ N
@@ -104,9 +104,9 @@ def test_modes_are_mass_orthonormal_and_pair_with_no_velocity(name):
     rr = solver.divergence_rank(cert, topo, summary["sigma"], TOL)
     Q = np.column_stack(solver.spurious_modes(cert, rr))
     assert Q.shape == (6 * topo.T, rr.K) and rr.K >= 1
-    dm = solver.number_dofs(topo)
-    B = solver.assemble_divergence(topo, dm)
-    _, blocks = solver.assemble_norms(topo, dm)
+    nodes = solver.number_dofs(topo)
+    B = solver.assemble_divergence(topo, nodes)
+    _, blocks = solver.assemble_norms(topo, nodes)
     M = scipy.linalg.block_diag(*blocks)
     assert np.abs(Q.T @ M @ Q - np.eye(rr.K)).max() < 1e-10
     assert np.abs(Q.T @ B).max() < 1e-12 * np.abs(B).max()

@@ -10,11 +10,12 @@ from conftest import random_interior_patch, rigid_motion
 from svstokes.classify import (BOUNDARY, EVEN, NOT_LI, ODD, SINGULAR,
                                Tolerances, alternating_functional,
                                classify_mesh, classify_vertex,
-                               compute_dcoefficients, edge_weight,
-                               is_singular, perp, theta)
+                               compute_dcoefficients, is_singular, perp,
+                               theta)
 from svstokes.mesh import (Triangulation, build_topology, crossed,
                            enumerate_patch, ngon_patch, perturbed_grid,
                            three_lines, type1_diagonal)
+from svstokes.trees import edge_weights
 
 
 def test_perp_rotates_ccw():
@@ -239,9 +240,10 @@ def test_edge_weight_zero_on_supplementary_angles():
                          [[0, 1, 2], [0, 2, 3]])
     topo = build_topology(mesh)
     e = topo.edge_index[(0, 2)]
-    assert edge_weight(topo, e, 0) == pytest.approx(0.0, abs=1e-14)
+    weights = edge_weights(topo)
+    assert weights[(e, 0)] == pytest.approx(0.0, abs=1e-14)
     # at the far endpoint the flanking angles are both 45 degrees
-    assert edge_weight(topo, e, 2) == pytest.approx(2.0, rel=1e-12)
+    assert weights[(e, 2)] == pytest.approx(2.0, rel=1e-12)
 
 
 def test_tolerances_defaults():

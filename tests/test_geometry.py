@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svstokes import poly
-from svstokes.geometry import (edge_pair_geometry, hat_gradient,
-                               triangle_geometry)
+from svstokes.geometry import edge_pair_geometry, triangle_geometry
 from svstokes.mesh import (build_topology, crossed, enumerate_patch,
                            perturbed_grid)
 
@@ -66,7 +65,6 @@ def test_hat_gradient_matches_poly_layer():
     geom = triangle_geometry(*pts)
     grads = poly.hat_gradients(*pts)
     for s in range(3):
-        assert np.allclose(hat_gradient(geom, s), grads[s])
         # gradient magnitude is 1 / height, direction inward
         assert np.hypot(*grads[s]) == pytest.approx(1.0 / geom.heights[s])
         assert np.allclose(grads[s], -geom.normals[s] / geom.heights[s])

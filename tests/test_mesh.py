@@ -96,12 +96,33 @@ def test_hanging_vertex_rejected():
             "triangles 3\n0 1 2\n0 4 3\n4 1 3\n")
     with pytest.raises(MeshError):
         build_topology(load_mesh(text))
+    # vertex 3 lies on the line of boundary edge (0, 1), but beyond it
+    text = ("vertices 4\n0 0\n1 0\n0 1\n2 0\n"
+            "triangles 2\n0 1 2\n1 3 2\n")
+    assert build_topology(load_mesh(text)).T == 2
+    # vertices 4 and 3 both sit inside edge (0, 1); the smaller index is named
+    text = ("vertices 6\n0 0\n3 0\n1.5 2\n2 0\n1 0\n1.5 -2\n"
+            "triangles 4\n0 1 2\n0 4 5\n4 3 5\n3 1 5\n")
+    with pytest.raises(MeshError,
+                       match=r"hanging vertex 3 on boundary edge \(0, 1\)"):
+        load_mesh(text)
 
 
 def test_two_triangle_topology_counts():
     topo = build_topology(load_mesh(TWO_TRI))
     assert (topo.T, topo.E, topo.E0, topo.V, topo.V0) == (2, 5, 1, 4, 0)
     assert topo.euler_ok
+
+
+def test_tri_edges_name_each_side():
+    for mesh in (crossed(2), perturbed_grid(3, seed=1)):
+        topo = build_topology(mesh)
+        # side s joins vertex slots s and s + 1
+        tris = mesh.triangles
+        sides = np.sort(np.stack([tris, np.roll(tris, -1, axis=1)], axis=2),
+                        axis=2)
+        assert np.array_equal(topo.edges[topo.tri_edges], sides)
+        assert not topo.tri_edges.flags.writeable
 
 
 @pytest.mark.parametrize("make", [

@@ -1,6 +1,7 @@
 """Global linear algebra: assembly, rank / deficiency, inf-sup constants,
 spurious modes, and the integer dimension identities."""
 
+import itertools
 from math import factorial
 
 import numpy as np
@@ -10,7 +11,7 @@ import scipy.linalg
 from conftest import rigid_motion
 from svstokes import poly, solver
 from svstokes.classify import Tolerances, classify_mesh
-from svstokes.fields import local_interpolant, w_field
+from svstokes.fields import PatchField, local_interpolant, w_field
 from svstokes.mesh import (Triangulation, build_topology, crossed,
                            perturbed_grid, type1_diagonal)
 from svstokes.solver import (P2_BASIS, P2_NODES, P3_BASIS, P3_NODES,
@@ -34,9 +35,13 @@ def _two_triangle_square():
 def _setup(mesh):
     topo = build_topology(mesh)
     reports, summary = classify_mesh(topo)
-    dm = number_dofs(topo)
-    B = assemble_divergence(topo, dm)
-    return topo, reports, summary, dm, B
+    nodes = number_dofs(topo)
+    B = assemble_divergence(topo, nodes)
+    return topo, reports, summary, nodes, B
+
+
+def _n_velocity(nodes):
+    return 2 * (int(nodes.max()) + 1)
 
 
 def _rank(mesh):
@@ -76,29 +81,120 @@ def test_p2_mass_matrix_against_factorial_formula():
 
 def test_dof_counts():
     topo = build_topology(_two_triangle_square())
-    assert number_dofs(topo).n_velocity == 8          # T=2, E0=1, V0=0
+    assert _n_velocity(number_dofs(topo)) == 8        # T=2, E0=1, V0=0
     topo = build_topology(crossed(1))
-    assert number_dofs(topo).n_velocity == 26         # T=4, E0=4, V0=1
+    assert _n_velocity(number_dofs(topo)) == 26       # T=4, E0=4, V0=1
     topo = build_topology(Triangulation([[0, 0], [1, 0], [0, 1]],
                                         [[0, 1, 2]]))
-    assert number_dofs(topo).n_velocity == 2          # only the cell node
+    assert _n_velocity(number_dofs(topo)) == 2        # only the cell node
 
 
-def test_local_nodes_share_edge_dofs():
-    topo = build_topology(_two_triangle_square())
-    dm = number_dofs(topo)
-    l0 = dm.local_nodes(topo, 0)
-    l1 = dm.local_nodes(topo, 1)
-    shared0 = {n for n in l0 if n is not None} - {dm.tri_node[0]}
-    shared1 = {n for n in l1 if n is not None} - {dm.tri_node[1]}
-    assert shared0 == shared1 and len(shared0) == 2   # the diagonal's 2 nodes
+NODE_MESHES = {"crossed-2": lambda: crossed(2),
+               "type1-3": lambda: type1_diagonal(3),
+               "perturbed-3": lambda: perturbed_grid(3, seed=1)}
+
+
+@pytest.mark.parametrize("name", sorted(NODE_MESHES))
+def test_node_array_invariants(name):
+    topo = build_topology(NODE_MESHES[name]())
+    nodes = number_dofs(topo)
+    tris = topo.mesh.triangles
+    assert nodes.shape == (topo.T, 10) and nodes.dtype == np.int64
+    assert not nodes.flags.writeable
+    # every id 0 .. n-1 occurs
+    n = topo.T + 2 * topo.E0 + topo.V0
+    assert np.array_equal(np.unique(nodes[nodes >= 0]), np.arange(n))
+    # -1 exactly at the boundary vertex and boundary edge nodes
+    boundary = np.concatenate([
+        topo.boundary_vertex[tris],
+        np.repeat(topo.boundary_edge[topo.tri_edges], 2, axis=1),
+        np.zeros((topo.T, 1), dtype=bool)], axis=1)
+    assert np.array_equal(nodes == -1, boundary)
+    # the two triangles of an interior edge list its nodes in opposite order
+    for e, ts in enumerate(topo.edge_tris):
+        if topo.boundary_edge[e]:
+            continue
+        pairs = []
+        for t in ts:
+            (side,) = np.flatnonzero(topo.tri_edges[t] == e)
+            pairs.append(nodes[t, 3 + 2 * side:5 + 2 * side])
+        assert np.array_equal(pairs[0], pairs[1][::-1])
+    # a vertex node is the same in every incident triangle
+    for patch in topo.patches:
+        assert len(set(nodes[patch.tris, patch.slots].tolist())) == 1
+
+
+# The per-triangle assembly the node array replaced, kept as the oracle:
+# dicts of interior vertex, interior edge and cell nodes, and a scatter of
+# each triangle's local matrices one entry at a time.
+
+def _oracle_local_nodes(topo):
+    vertex_node, edge_node, n = {}, {}, 0
+    for v in range(topo.V):
+        if not topo.boundary_vertex[v]:
+            vertex_node[v] = n
+            n += 1
+    for e in range(topo.E):
+        if not topo.boundary_edge[e]:
+            edge_node[(e, 0)], edge_node[(e, 1)] = n, n + 1
+            n += 2
+    local = []
+    for t in range(topo.T):
+        tri = topo.mesh.triangles[t]
+        out = [vertex_node.get(int(v)) for v in tri]
+        for (i, j) in solver.P3_EDGE_SLOTS:
+            a, b = int(tri[i]), int(tri[j])
+            e = topo.edge_index[(min(a, b), max(a, b))]
+            for near in (a, b):
+                out.append(edge_node.get((e, 0 if near == min(a, b) else 1)))
+        out.append(n + t)
+        local.append(out)
+    return local, n + topo.T
+
+
+def _oracle_assembly(topo, field):
+    local, n = _oracle_local_nodes(topo)
+    B = np.zeros((6 * topo.T, 2 * n))
+    A = {semi: np.zeros((2 * n, 2 * n)) for semi in (False, True)}
+    u = np.zeros(2 * n)
+    for t in range(topo.T):
+        area, g = topo.area[t], topo.hat_grads[t]
+        div_qa = np.einsum("sc,qsa->qca", g, solver._PD)
+        semi = np.einsum("sc,tc,stab->ab", g, g, solver._GG) * area
+        K = {True: semi, False: semi + area * solver._MM3}
+        vals = field.eval(t, np.array(P3_NODES))
+        idx = [(a, node) for a, node in enumerate(local[t]) if node is not None]
+        for a, na in idx:
+            for c in (0, 1):
+                B[6 * t:6 * t + 6, 2 * na + c] += area * div_qa[:, c, a]
+                u[2 * na + c] = vals[a, c]
+            for b, nb in idx:
+                for c, semi in itertools.product((0, 1), (False, True)):
+                    A[semi][2 * na + c, 2 * nb + c] += K[semi][a, b]
+    return B, A, u
+
+
+@pytest.mark.parametrize("name", sorted(NODE_MESHES))
+def test_assembly_matches_the_per_triangle_oracle(name):
+    topo = build_topology(NODE_MESHES[name]())
+    nodes = number_dofs(topo)
+    # A discontinuous field on every other triangle: shared nodes take the
+    # value of the last triangle that writes them, zeros off the support.
+    rng = np.random.default_rng(3)
+    field = PatchField(topo, {t: rng.standard_normal((2, 10))
+                              for t in range(0, topo.T, 2)})
+    B, A, u = _oracle_assembly(topo, field)
+    assert np.array_equal(assemble_divergence(topo, nodes), B)
+    for semi in (False, True):
+        assert np.array_equal(assemble_norms(topo, nodes, semi)[0], A[semi])
+    assert np.array_equal(velocity_coefficients(topo, nodes, field), u)
 
 
 # ---------------------------------------------------------------------------
 # assembly identities
 
 def test_divergence_columns_have_zero_total_integral():
-    topo, reports, summary, dm, B = _setup(crossed(2))
+    topo, reports, summary, nodes, B = _setup(crossed(2))
     # the Lagrange pressure basis is a partition of unity, so in the moment
     # layout the total-integral functional is the all-ones row; zero-trace
     # fields have divergence with zero integral over the domain
@@ -110,7 +206,7 @@ def test_divergence_range_satisfies_constraints():
     # every column of B is the moment vector of an actual divergence; the
     # recovered pressure must be mean-zero and alternate-sum-zero at
     # singular vertices
-    topo, reports, summary, dm, B = _setup(crossed(2))
+    topo, reports, summary, nodes, B = _setup(crossed(2))
     C = pressure_constraints(topo, reports)
     rng = np.random.default_rng(5)
     for _ in range(5):
@@ -123,14 +219,14 @@ def test_divergence_range_satisfies_constraints():
 def test_injection_oracle_field_to_matrix():
     # sampling a locally constructed field into the DOF vector and applying
     # B must reproduce the field's divergence moments exactly
-    topo, reports, summary, dm, B = _setup(perturbed_grid(3, seed=4))
+    topo, reports, summary, nodes, B = _setup(perturbed_grid(3, seed=4))
     rng = np.random.default_rng(8)
     interior = [r for r in reports if not r.boundary]
     for r in interior[:3]:
         from svstokes.mesh import enumerate_patch
         patch = enumerate_patch(topo, r.vertex)
         f = local_interpolant(patch, rng.standard_normal(patch.N), topo, r)
-        u = velocity_coefficients(topo, dm, f)
+        u = velocity_coefficients(topo, nodes, f)
         expect = divergence_moments(topo, f)
         assert np.abs(B @ u - expect).max() < 1e-10 * max(
             np.abs(expect).max(), 1.0)
@@ -139,12 +235,10 @@ def test_injection_oracle_field_to_matrix():
 def test_norm_matrices_scaling_laws():
     base = perturbed_grid(2, seed=6)
     topo0 = build_topology(base)
-    dm0 = number_dofs(topo0)
-    A0s, M0 = assemble_norms(topo0, dm0, seminorm=True)
+    A0s, M0 = assemble_norms(topo0, number_dofs(topo0), seminorm=True)
     for lam in (0.5, 2.0):
         topo1 = build_topology(rigid_motion(base, scale=lam))
-        dm1 = number_dofs(topo1)
-        A1s, M1 = assemble_norms(topo1, dm1, seminorm=True)
+        A1s, M1 = assemble_norms(topo1, number_dofs(topo1), seminorm=True)
         # H1 seminorm Gram is scale invariant in 2D; mass scales with area
         assert np.allclose(A1s, A0s, atol=1e-10 * np.abs(A0s).max())
         assert np.allclose(M1, lam ** 2 * M0, atol=1e-12 * np.abs(M0).max())
@@ -154,8 +248,8 @@ def test_norm_matrices_scaling_laws():
 # rank, deficiency, inf-sup
 
 def test_crossed_grid_is_stable():
-    topo, reports, summary, dm, B = _setup(crossed(2))
-    assert dm.n_velocity == 122
+    topo, reports, summary, nodes, B = _setup(crossed(2))
+    assert _n_velocity(nodes) == 122
     cert = certify(topo, reports)
     rr = divergence_rank(cert, topo, summary["sigma"], TOL)
     assert (rr.rank, rr.K) == (91, 0)
@@ -167,8 +261,8 @@ def test_crossed_grid_is_stable():
 
 
 def test_type1_grid_is_deficient_with_checkerboard():
-    topo, reports, summary, dm, B = _setup(type1_diagonal(3))
-    assert dm.n_velocity == 128
+    topo, reports, summary, nodes, B = _setup(type1_diagonal(3))
+    assert _n_velocity(nodes) == 128
     cert = certify(topo, reports)
     rr = divergence_rank(cert, topo, summary["sigma"], TOL)
     assert (rr.rank, rr.K) == (104, 1)
