@@ -162,31 +162,39 @@ class VertexReport:
 
 
 def classify_vertex(patch: VertexPatch, topology: MeshTopology,
-                    tol: Tolerances = Tolerances()) -> VertexReport:
+                    tol: Tolerances = Tolerances()):
+    """The vertex's report and, for an even-valence interior vertex that
+    is not singular, the d-coefficients its decision was taken on (None
+    otherwise): the even local interpolant is built from the same ones."""
     th = theta(patch)
     base = dict(vertex=patch.z, valence=patch.N, boundary=patch.boundary,
                 theta_value=th, singular=th <= tol.singular)
     if th <= tol.singular:
-        return VertexReport(status=SINGULAR, conditioning=1.0, **base)
+        return VertexReport(status=SINGULAR, conditioning=1.0, **base), None
     if patch.boundary:
-        return VertexReport(status=BOUNDARY, **base)
+        return VertexReport(status=BOUNDARY, **base), None
     if patch.N % 2 == 1:
-        return VertexReport(status=ODD, conditioning=1.0, **base)
+        return VertexReport(status=ODD, conditioning=1.0, **base), None
     coeffs = compute_dcoefficients(patch, topology)
     decisions = [coeffs.decision(i) for i in range(3)]
     best = int(np.argmax(decisions))
     if decisions[best] > tol.decision:
         return VertexReport(status=EVEN, even_index=best,
                             decision_value=decisions[best],
-                            conditioning=1.0 + 1.0 / decisions[best], **base)
-    return VertexReport(status=NOT_LI, decision_value=decisions[best], **base)
+                            conditioning=1.0 + 1.0 / decisions[best],
+                            **base), coeffs
+    return VertexReport(status=NOT_LI, decision_value=decisions[best],
+                        **base), coeffs
 
 
 def classify_mesh(topology: MeshTopology, tol: Tolerances = Tolerances()):
-    """Classify every vertex; returns (reports, summary).  The one place a
-    vertex class is decided: later stages read ``reports[z]``."""
-    reports = [classify_vertex(patch, topology, tol)
-               for patch in topology.patches]
+    """Classify every vertex; returns (reports, summary, dcoefficients).
+    The one place a vertex class is decided: later stages read
+    ``reports[z]``, and the even interpolant at z reads
+    ``dcoefficients[z]`` (None where ``classify_vertex`` computed none)."""
+    reports, dcoefficients = zip(*(classify_vertex(patch, topology, tol)
+                                   for patch in topology.patches))
+    reports = list(reports)
     counts = {}
     for r in reports:
         counts[r.status] = counts.get(r.status, 0) + 1
@@ -199,4 +207,4 @@ def classify_mesh(topology: MeshTopology, tol: Tolerances = Tolerances()):
         "sigma_b": sigma_b,
         "n_local_interpolating": sum(1 for r in reports if r.local_interpolating),
     }
-    return reports, summary
+    return reports, summary, dcoefficients

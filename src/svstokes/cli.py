@@ -122,7 +122,7 @@ def analyze_mesh(mesh: Triangulation, tol: Tolerances,
     """Full classify -> trees -> solver pipeline: the JSON-ready report
     and the spurious modes (raw pressure coefficient vectors)."""
     topology = build_topology(mesh)
-    reports, summary = classify_mesh(topology, tol)
+    reports, summary, _ = classify_mesh(topology, tol)
     cover = build_tree_cover(topology, reports, tol)
     verdict, narrative = check_hypotheses(topology, reports, cover)
 
@@ -243,7 +243,7 @@ def run_field_suites(mesh: Triangulation, tol: Tolerances, samples: int,
                      seed: int) -> tuple[list, bool]:
     """Random-target interpolation property suite; deterministic per seed."""
     topology = build_topology(mesh)
-    reports, _ = classify_mesh(topology, tol)
+    reports, _, dcoefficients = classify_mesh(topology, tol)
     rng = np.random.default_rng(seed)
     lines = []
     all_ok = True
@@ -267,7 +267,8 @@ def run_field_suites(mesh: Triangulation, tol: Tolerances, samples: int,
                     check = verify_field(result.field, vertex_divs=divs,
                                          mean_zero=True)
                 elif r.local_interpolating:
-                    field = local_interpolant(patch, target, topology, r)
+                    field = local_interpolant(patch, target, topology, r,
+                                              dcoefficients[r.vertex])
                     divs = {(t, patch.z): target[j]
                             for j, t in enumerate(patch.tris)}
                     check = verify_field(field, vertex_divs=divs,
@@ -335,7 +336,7 @@ def cmd_infsup(args) -> int:
     mesh = _load(args.mesh)
     tol = _tolerances(args)
     topology = build_topology(mesh)
-    reports, summary = classify_mesh(topology, tol)
+    reports, _, _ = classify_mesh(topology, tol)
     cert = solver.certify(topology, reports, seminorm=args.seminorm)
     beta, eigenvalues = solver.infsup_constant(cert)
     out = {
@@ -355,7 +356,7 @@ def cmd_spline_dim(args) -> int:
     mesh = _load(args.mesh)
     tol = _tolerances(args)
     topology = build_topology(mesh)
-    reports, summary = classify_mesh(topology, tol)
+    reports, summary, _ = classify_mesh(topology, tol)
     cert = solver.certify(topology, reports)
     rank = solver.divergence_rank(cert, topology, summary["sigma"], tol)
     dims = solver.strang_dimensions(topology, summary["sigma"],

@@ -10,12 +10,13 @@ vertex-divergence targets along acceptable mesh edges.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from math import prod
 
 import numpy as np
 
 from . import poly
-from .classify import (SINGULAR, Tolerances, VertexReport,
-                       compute_dcoefficients)
+from .classify import SINGULAR, DCoefficients, Tolerances, VertexReport
 from .mesh import MeshTopology, VertexPatch
 
 
@@ -39,22 +40,6 @@ def _tri_slots(mesh, t, *verts):
             raise FieldError(f"vertex {v} not in triangle {t}")
         out.append(tri.index(v))
     return out
-
-
-# Degree-3 coefficients of every product of hat functions of degree <= 3
-# (homogenized), expanded once: the fields only ever ask for these few.
-_HAT_MONOMIALS = {
-    (a, b, c): poly.bary_poly([(1.0, (a, b, c))])
-    for a in range(4) for b in range(4 - a) for c in range(4 - a - b)
-}
-for _coeffs in _HAT_MONOMIALS.values():
-    _coeffs.setflags(write=False)
-
-
-def _hat_monomial(exponents):
-    """Degree-3 coefficients of a product of hat functions (homogenized),
-    read-only."""
-    return _HAT_MONOMIALS[tuple(exponents)]
 
 
 # The divergence's degree-2 coefficients as one contraction with the
@@ -209,7 +194,103 @@ def triangle_mean_divergence(f: PatchField, t: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Elementary fields
+# The per-patch edge-field table
+
+# _SQUARE[a, b] holds the degree-3 coefficients of l_a^2 l_b (l_a^3 when
+# a == b): a single monomial each.  _KAPPA[a, b] (a != b) is the
+# zero-edge-mean scalar l_a^2 l_b - l_a l_b / 2 of the edge from slot a to
+# slot b, homogenized.  Every field of a patch is gathered from these two.
+_SQUARE = np.zeros((3, 3, len(poly.MONO3)))
+_KAPPA = np.zeros((3, 3, len(poly.MONO3)))
+for _a in range(3):
+    for _b in range(3):
+        _cubic, _quad = [0, 0, 0], [0, 0, 0]
+        _cubic[_a] += 2
+        _cubic[_b] += 1
+        _quad[_a] += 1
+        _quad[_b] += 1
+        _SQUARE[_a, _b] = poly.bary_poly([(1.0, _cubic)])
+        if _a != _b:
+            _KAPPA[_a, _b] = poly.bary_poly([(1.0, _cubic), (-0.5, _quad)])
+# _L_Z2[s] is l_s^2, homogenized: the sum of the l_s^2 l_b.
+_L_Z2 = _SQUARE.sum(axis=1)
+for _table in (_SQUARE, _KAPPA, _L_Z2):
+    _table.setflags(write=False)
+
+
+_PAIR = np.array([0, 1])          # an edge's triangles: tris[k], tris[k+1]
+_SPOKE_SLOT = np.array([2, 1])    # the spoke's slot after z's in each
+
+
+def _frozen(a):
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True)
+class EdgeTable:
+    """The interior-edge fields of one vertex patch, over ``patch.tris``.
+
+    Row k belongs to interior edge k, shared by tris[k] and tris[k+1]
+    (cyclically on an interior patch), and is zero off those two
+    triangles: ``w[k]`` is its edge field (unit vertex divergence at z),
+    ``chi[k]`` its normal corrector (interior patches only, else None) and
+    ``kappa[k]`` its zero-edge-mean scalar.  ``l_z2[j]`` is l_z^2 on
+    tris[j], the profile of the directional correctors.
+    """
+
+    patch: VertexPatch
+    w: np.ndarray               # (n_int, N, 2, 10)
+    chi: np.ndarray | None      # (N, N, 2, 10)
+    kappa: np.ndarray           # (n_int, N, 10)
+    l_z2: np.ndarray            # (N, 10)
+
+
+def edge_table(patch: VertexPatch, topology: MeshTopology) -> EdgeTable:
+    """Gather every edge field of the patch from _SQUARE and _KAPPA by the
+    slot of z and the slot of the spoke in each edge triangle."""
+    n, m = patch.N, patch.n_interior_edges
+    slots = np.asarray(patch.slots)
+    k = np.arange(m)
+    pos = (k[:, None] + _PAIR) % n                    # (m, 2) edge triangles
+    sz = slots[pos]
+    # the edge's spoke is the outgoing one of tris[k], the incoming one of
+    # tris[k+1]: slots z + 2 and z + 1 of a counter-clockwise triangle
+    sy = (sz + _SPOKE_SLOT) % 3
+    eta = np.zeros((m, n, len(poly.MONO3)))          # l_z^2 l_y
+    kappa = np.zeros((m, n, len(poly.MONO3)))
+    eta[k[:, None], pos] = _SQUARE[sz, sy]
+    kappa[k[:, None], pos] = _KAPPA[sz, sy]
+    vec = topology.mesh.vertices[_edge_spokes(patch)] - patch.center  # y - z
+    w = vec[:, None, :, None] * eta[:, :, None, :]
+    chi = None
+    if not patch.boundary:
+        normal = (12.0 / patch.edge_len)[:, None] * patch.normals
+        chi = normal[:, None, :, None] * eta[:, :, None, :]
+    return EdgeTable(patch=patch, w=w, chi=chi, kappa=kappa,
+                     l_z2=_L_Z2[slots])
+
+
+def _edge_spokes(patch: VertexPatch) -> np.ndarray:
+    """The far endpoint of each interior edge of the patch."""
+    return np.asarray(patch.spokes)[np.arange(patch.n_interior_edges)
+                                    + int(patch.boundary)]
+
+
+def _patch_field(topology, patch, coeffs) -> PatchField:
+    """PatchField of (N, 2, 10) coefficients over patch.tris, without the
+    triangles where they vanish."""
+    return PatchField(topology, {t: c for t, c in zip(patch.tris, coeffs)
+                                 if c.any()})
+
+
+def _edge_slot(patch: VertexPatch, y: int) -> int:
+    """Interior edge slot of the edge {z, y} of the patch."""
+    k = np.flatnonzero(_edge_spokes(patch) == y)
+    if not len(k):
+        raise FieldError(f"{{{patch.z}, {y}}} is not an interior edge at "
+                         f"{patch.z}")
+    return int(k[0])
 
 
 def _interior_edge_index(topology, z, y):
@@ -222,47 +303,38 @@ def _interior_edge_index(topology, z, y):
     return e
 
 
+def _edge_row(topology, z, y):
+    """(patch of z, table, slot of the interior edge {z, y})."""
+    _interior_edge_index(topology, z, y)
+    patch = topology.patches[z]
+    return patch, edge_table(patch, topology), _edge_slot(patch, y)
+
+
+# ---------------------------------------------------------------------------
+# Elementary fields: views of the table
+
+
 def w_field(topology: MeshTopology, z: int, y: int) -> PatchField:
     """Two-triangle edge field: unit vertex divergence at z on both
     triangles sharing the interior edge {z, y}, zero everywhere else."""
-    e = _interior_edge_index(topology, z, y)
-    mesh = topology.mesh
-    vec = mesh.vertices[y] - mesh.vertices[z]
-    coeffs = {}
-    for t in topology.edge_tris[e]:
-        sz, sy = _tri_slots(mesh, t, z, y)
-        expo = [0, 0, 0]
-        expo[sz] = 2
-        expo[sy] = 1
-        eta = _hat_monomial(expo)
-        coeffs[t] = np.outer(vec, eta)
-    return PatchField(topology, coeffs)
+    patch, table, k = _edge_row(topology, z, y)
+    return _patch_field(topology, patch, table.w[k])
 
 
 def kappa_field(topology: MeshTopology, z: int, y: int) -> ScalarPatchField:
     """Scalar cubic on the two triangles of interior edge {z, y} with zero
     edge mean and gradient at z equal to half the hat gradient of y."""
-    e = _interior_edge_index(topology, z, y)
-    mesh = topology.mesh
-    coeffs = {}
-    for t in topology.edge_tris[e]:
-        sz, sy = _tri_slots(mesh, t, z, y)
-        cubic = [0, 0, 0]
-        cubic[sz] = 2
-        cubic[sy] = 1
-        quad = [0, 0, 0]
-        quad[sz] = 1
-        quad[sy] = 1
-        coeffs[t] = _hat_monomial(cubic) - 0.5 * _hat_monomial(quad)
-    return ScalarPatchField(topology, coeffs)
+    patch, table, k = _edge_row(topology, z, y)
+    return ScalarPatchField(topology, {t: c for t, c in
+                                       zip(patch.tris, table.kappa[k])
+                                       if c.any()})
 
 
 def basis_w(patch: VertexPatch, topology: MeshTopology, k: int) -> PatchField:
     """The edge field of the k-th interior edge of a vertex patch."""
     if not 0 <= k < patch.n_interior_edges:
         raise FieldError(f"no interior edge slot {k} in this patch")
-    y = patch.spokes[patch.edge_spoke(k)]
-    return w_field(topology, patch.z, y)
+    return _patch_field(topology, patch, edge_table(patch, topology).w[k])
 
 
 def basis_kappa(topology: MeshTopology, e: int, z: int) -> ScalarPatchField:
@@ -275,102 +347,103 @@ def basis_kappa(topology: MeshTopology, e: int, z: int) -> ScalarPatchField:
     return kappa_field(topology, z, y)
 
 
+def _interior_table(patch, topology) -> EdgeTable:
+    if patch.boundary:
+        raise FieldError("chi and xi fields are defined on interior patches")
+    return edge_table(patch, topology)
+
+
 def basis_chi(patch: VertexPatch, topology: MeshTopology, k: int) -> PatchField:
     """Normal corrector of interior edge k: moves one unit of divergence
     integral from tris[k] to tris[k+1] without touching spoke vertices."""
-    if patch.boundary:
-        raise FieldError("chi fields are defined on interior patches")
+    table = _interior_table(patch, topology)
     if not 0 <= k < patch.N:
         raise FieldError(f"edge slot {k} out of range")
-    y = patch.spokes[k]
-    e = _interior_edge_index(topology, patch.z, y)
-    scale = 12.0 / patch.edge_len[k]
-    n = patch.normals[k]
-    mesh = topology.mesh
-    coeffs = {}
-    for t in topology.edge_tris[e]:
-        sz, sy = _tri_slots(mesh, t, patch.z, y)
-        expo = [0, 0, 0]
-        expo[sz] = 2
-        expo[sy] = 1
-        eta = _hat_monomial(expo)
-        coeffs[t] = scale * np.outer(n, eta)
-    return PatchField(topology, coeffs)
+    return _patch_field(topology, patch, table.chi[k])
 
 
 def basis_chi_sum(patch: VertexPatch, topology: MeshTopology) -> PatchField:
-    out = PatchField(topology)
-    for k in range(patch.N):
-        out = out + basis_chi(patch, topology, k)
-    return out
+    table = _interior_table(patch, topology)
+    return _patch_field(topology, patch, table.chi.sum(axis=0))
 
 
-def basis_xi(patch: VertexPatch, topology: MeshTopology, i: int):
+def _xi(table: EdgeTable, i: int, dco: DCoefficients):
+    """(uncorrected, mean-zero corrected) directional corrector of
+    direction i in {1, 2}, each (N, 2, 10)."""
+    n, n_mono = table.l_z2.shape
+    tilde = np.zeros((n, 2, n_mono))
+    tilde[:, i - 1] = table.l_z2
+    # c_{N,i} = 0: the last corrector drops out
+    return tilde, tilde - _combine(dco.c[:-1, i - 1], table.chi[:-1])
+
+
+def basis_xi(patch: VertexPatch, topology: MeshTopology, i: int,
+             dco: DCoefficients):
     """Directional corrector pair (uncorrected, mean-zero corrected) for
-    Cartesian direction i in {1, 2}."""
-    if patch.boundary:
-        raise FieldError("xi fields are defined on interior patches")
+    Cartesian direction i in {1, 2}; ``dco`` holds the patch's
+    d-coefficients."""
+    table = _interior_table(patch, topology)
     if i not in (1, 2):
         raise FieldError("direction index must be 1 or 2")
-    mesh = topology.mesh
-    direction = np.zeros(2)
-    direction[i - 1] = 1.0
-    coeffs = {}
-    for t in patch.tris:
-        (sz,) = _tri_slots(mesh, t, patch.z)
-        expo = [0, 0, 0]
-        expo[sz] = 2
-        coeffs[t] = np.outer(direction, _hat_monomial(expo))
-    xi_tilde = PatchField(topology, coeffs)
-    dco = compute_dcoefficients(patch, topology)
-    xi = xi_tilde
-    for k in range(patch.N - 1):   # c_{N,i} = 0: the last corrector drops out
-        xi = xi - dco.c[k, i - 1] * basis_chi(patch, topology, k)
-    return xi_tilde, xi
+    return tuple(_patch_field(topology, patch, x) for x in _xi(table, i, dco))
 
 
 # ---------------------------------------------------------------------------
-# Kronecker bases by seed-and-chain
+# Kronecker bases in closed form
+#
+# A chain basis v_0..v_{N-1} with div v_p|tris[q](z) = delta_pq starts from
+# a seed with a Kronecker vertex divergence at tris[s] and steps along the
+# fan: each next field is the edge field of the edge joining consecutive
+# triangles minus the previous field.  So every v_p is a signed sum of
+# edge fields plus (-1)^(steps from s) times the seed, and an interpolant
+# sum_p a_p v_p is one contraction of the table with signed sums of a.
 
 
-def _patch_w(patch, topology, edge_slot):
-    return w_field(topology, patch.z, patch.spokes[patch.edge_spoke(edge_slot)])
+def _combine(c, rows):
+    """sum_q c[q] rows[q]."""
+    return (c @ rows.reshape(len(rows), prod(rows.shape[1:]))).reshape(
+        rows.shape[1:])
 
 
-def _chain_basis(patch, topology, seed, seed_pos):
-    """Extend a seed field with a Kronecker vertex divergence at
-    tris[seed_pos] into a full basis v_0..v_{N-1}, div v_p|tris[q](z) = d_pq.
+@lru_cache(maxsize=None)
+def _signed_prefix(n):
+    """P[p, q] = (-1)^(q - p) for p <= q: (a @ P)[q] = a_q - a_{q-1} + ..."""
+    p, q = np.arange(n)[:, None], np.arange(n)
+    return _frozen(np.where(p <= q, (-1.0) ** (q - p), 0.0))
 
-    Each step subtracts the previous field from the edge field of the edge
-    joining consecutive triangles, so any pollution the seed leaves at
-    another vertex alternates in sign along the chain.
+
+@lru_cache(maxsize=None)
+def _chain(n: int, boundary: bool, seed_pos: int):
+    """(S, sign): the chain basis of a patch of n triangles seeded at
+    tris[seed_pos] is v_p = sum_q S[p, q] w_q + sign[p] seed.
+
+    On an interior patch the chain runs once round the cycle; on a
+    boundary patch it runs forward and backward from the seed, so the
+    sign of the pollution a seed leaves elsewhere alternates with the
+    distance from the seed.
     """
-    n = patch.N
-    fields = [None] * n
-    fields[seed_pos] = seed
-    if patch.boundary:
-        for p in range(seed_pos + 1, n):
-            fields[p] = _patch_w(patch, topology, p - 1) - fields[p - 1]
-        for p in range(seed_pos - 1, -1, -1):
-            fields[p] = _patch_w(patch, topology, p) - fields[p + 1]
+    p, q = np.arange(n)[:, None], np.arange(n - int(boundary))
+    if boundary:
+        forward = (seed_pos <= q) & (q < p)
+        backward = (p <= q) & (q < seed_pos)
+        steps = np.where(forward, p - 1 - q, q - p)
+        on_chain = forward | backward
+        dist = np.abs(np.arange(n) - seed_pos)
     else:
-        for step in range(1, n):
-            p = (seed_pos + step) % n
-            fields[p] = _patch_w(patch, topology, (p - 1) % n) - fields[(p - 1) % n]
-    return fields
+        rp, rq = (p - seed_pos) % n, (q - seed_pos) % n
+        steps = rp - 1 - rq
+        on_chain = rq < rp
+        dist = rp[:, 0]
+    return (_frozen(np.where(on_chain, (-1.0) ** steps, 0.0)),
+            _frozen((-1.0) ** dist))
 
 
-def _chain_signs(patch, seed_pos):
-    """Sign (-1)^distance of each position from the seed along the chain."""
-    n = patch.N
-    signs = np.empty(n)
-    if patch.boundary:
-        for p in range(n):
-            signs[p] = (-1.0) ** abs(p - seed_pos)
-    else:
-        for p in range(n):
-            signs[p] = (-1.0) ** ((p - seed_pos) % n)
-    return signs
+def _contract(table: EdgeTable, a, seed, seed_pos):
+    """Coefficients (N, 2, 10) of sum_p a_p v_p for the chain basis of
+    ``seed`` at ``seed_pos``, and the chain signs."""
+    patch = table.patch
+    S, sign = _chain(patch.N, patch.boundary, seed_pos)
+    return _combine(a @ S, table.w) + (sign @ a) * seed, sign
 
 
 # ---------------------------------------------------------------------------
@@ -383,15 +456,33 @@ def _check_report(patch: VertexPatch, report: VertexReport):
                          f"patch of vertex {patch.z}")
 
 
+def _even_seed(table: EdgeTable, i: int, dco: DCoefficients):
+    """Determinant-normalized corrector seed of an even interior vertex
+    for direction index i in {0, 1, 2}."""
+    if i == 0:
+        xi = table.chi.sum(axis=0)
+        dvals, det = 12.0 * dco.d0, 12.0 * dco.D[0]
+    else:
+        xi = _xi(table, i, dco)[1]
+        dvals, det = dco.d[:, i - 1], dco.D[i]
+    # telescoping weights s_0 = 0, s_j = d_j - s_{j-1}; the weight of
+    # triangle j multiplies the edge field of the edge joining triangles
+    # j and j+1 (cyclic slot j)
+    s = dvals[1:] @ _signed_prefix(len(dvals) - 1)
+    return (-1.0 / det) * (xi - _combine(s, table.w[1:]))
+
+
 def local_interpolant(patch: VertexPatch, target, topology: MeshTopology,
-                      report: VertexReport) -> PatchField:
+                      report: VertexReport,
+                      dco: DCoefficients | None = None) -> PatchField:
     """Patch field matching per-triangle vertex-divergence targets at the
     patch center, with zero triangle means and no pollution elsewhere.
 
     Dispatches on the vertex class in ``report`` (from ``classify_mesh``):
     telescoping over edge fields at a singular vertex, the alternating-sum
     seed for odd valence, and the determinant-normalized corrector seed
-    for certified even valence.
+    for certified even valence, which reads the vertex's d-coefficients
+    ``dco`` (the ``classify_mesh`` ones).
     """
     _check_report(patch, report)
     a = np.asarray(target, dtype=float)
@@ -400,6 +491,7 @@ def local_interpolant(patch: VertexPatch, target, topology: MeshTopology,
     if not report.local_interpolating:
         raise FieldError(
             f"vertex {patch.z} is not local interpolating ({report.status})")
+    table = edge_table(patch, topology)
 
     if report.status == SINGULAR:
         alt = sum((-1.0) ** j * a[j] for j in range(patch.N))
@@ -408,48 +500,19 @@ def local_interpolant(patch: VertexPatch, target, topology: MeshTopology,
             raise FieldError(
                 "target violates the alternating-sum constraint at a "
                 f"singular vertex (residual {alt:.3e})")
-        v = PatchField(topology)
-        b = 0.0
-        n_edges = patch.N - 1 if not patch.boundary else patch.n_interior_edges
-        for j in range(n_edges):
-            b = a[j] - b
-            if b != 0.0:
-                v = v + b * _patch_w(patch, topology, j)
-        return v
+        # weights b_j = a_j - b_{j-1} on the edges 0 .. N-2
+        b = a @ _signed_prefix(patch.N)[:, :-1]
+        return _patch_field(topology, patch,
+                            _combine(b, table.w[:patch.N - 1]))
 
     if patch.N % 2 == 1:
-        seed = PatchField(topology)
-        for j in range(patch.N):
-            seed = seed + (0.5 * (-1.0) ** j) * _patch_w(patch, topology, j)
+        seed = _combine(0.5 * _chain(patch.N, False, 0)[1], table.w)
     else:
-        dco = compute_dcoefficients(patch, topology)
-        i = report.even_index
-        if i == 0:
-            xi = basis_chi_sum(patch, topology)
-            dvals = 12.0 * dco.d0
-            det = 12.0 * dco.D[0]
-        else:
-            _, xi = basis_xi(patch, topology, i)
-            dvals = dco.d[:, i - 1]
-            det = dco.D[i]
-        # telescoping weights: s_1 = 0, s_j = d_j - s_{j-1}
-        s = np.zeros(patch.N)
-        for j in range(1, patch.N):
-            s[j] = dvals[j] - s[j - 1]
-        seed = xi
-        for j in range(1, patch.N):
-            if s[j] != 0.0:
-                # the weight for triangle j multiplies the edge field of the
-                # edge joining triangles j and j+1 (cyclic slot j)
-                seed = seed - s[j] * _patch_w(patch, topology, j)
-        seed = (-1.0 / det) * seed
-
-    basis = _chain_basis(patch, topology, seed, 0)
-    v = PatchField(topology)
-    for j in range(patch.N):
-        if a[j] != 0.0:
-            v = v + a[j] * basis[j]
-    return v
+        if dco is None:
+            raise FieldError(f"vertex {patch.z} is {report.status}: its "
+                             "d-coefficients from classify_mesh are needed")
+        seed = _even_seed(table, report.even_index, dco)
+    return _patch_field(topology, patch, _contract(table, a, seed, 0)[0])
 
 
 @dataclass
@@ -486,8 +549,7 @@ def boundary_interpolant(patch: VertexPatch, p_values, topology: MeshTopology,
     # pair whose far endpoint is an interior vertex (the pollution is then
     # absorbed by the interior interpolation passes); fall back to the
     # overall straightest pair otherwise.
-    interior_far = np.array([not topology.boundary_vertex[patch.spokes[j + 1]]
-                             for j in range(patch.N - 1)])
+    interior_far = ~topology.boundary_vertex[np.asarray(patch.spokes[1:-1])]
     usable = interior_far & (sines > 1e-8)
     if usable.any():
         masked = np.where(usable, sines, -1.0)
@@ -495,18 +557,12 @@ def boundary_interpolant(patch: VertexPatch, p_values, topology: MeshTopology,
     else:
         s = int(np.argmax(sines))
     sin_pair = np.sin(sums[s])
-    y = patch.spokes[s + 1]
     coef = 2.0 * patch.edge_len[s + 1] * np.sin(patch.theta[s]) / sin_pair
     tvec = patch.tangents[s + 2]
-    kappa = kappa_field(topology, patch.z, y)
-    seed = PatchField(topology,
-                      {t: np.outer(coef * tvec, c) for t, c in kappa.coeffs.items()})
+    table = edge_table(patch, topology)
+    seed = (coef * tvec)[:, None] * table.kappa[s][:, None, :]
 
-    basis = _chain_basis(patch, topology, seed, s)
-    v = PatchField(topology)
-    for j in range(patch.N):
-        if a[j] != 0.0:
-            v = v + a[j] * basis[j]
+    v = _patch_field(topology, patch, _contract(table, a, seed, s)[0])
     side = {key: val for key, val in v.vertex_divergences(tol=1e-12 * max(
         v.max_coeff(), 1e-30)).items() if key[1] != patch.z}
     return BoundaryResult(v, side)
@@ -540,19 +596,9 @@ def edge_transfer(topology: MeshTopology, z: int, y: int, target,
     a = np.asarray(target, dtype=float)
     if len(a) != patch.N:
         raise FieldError(f"expected {patch.N} targets, got {len(a)}")
-    k = None
-    for slot in range(patch.n_interior_edges):
-        if patch.spokes[patch.edge_spoke(slot)] == y:
-            k = slot
-            break
-    if k is None:
-        raise FieldError(f"{{{z}, {y}}} is not an interior edge at {z}")
+    k = _edge_slot(patch, y)
     tA, tB = patch.edge_tri_pair(k)
-    posA = k            # position of tA in patch.tris
-    if patch.boundary:
-        thA, thB = patch.theta[k], patch.theta[k + 1]
-    else:
-        thA, thB = patch.theta[k], patch.theta[(k + 1) % patch.N]
+    thA, thB = patch.theta[k], patch.theta[(k + 1) % patch.N]
     cotA, cotB = 1.0 / np.tan(thA), 1.0 / np.tan(thB)
     M = cotA + cotB
     if abs(M) <= tol.accept:
@@ -560,21 +606,15 @@ def edge_transfer(topology: MeshTopology, z: int, y: int, target,
             f"edge ({z}, {y}) has weight {M:.3e} below tolerance")
 
     elen = patch.edge_len[patch.edge_spoke(k)]
-    kappa = kappa_field(topology, z, y)
-    n1 = patch.normals[k]
-    r = PatchField(topology,
-                   {t: np.outer(2.0 * elen * n1, c) for t, c in kappa.coeffs.items()})
-    seed = (1.0 / M) * (r + cotB * w_field(topology, z, y))
+    table = edge_table(patch, topology)
+    r = (2.0 * elen * patch.normals[k])[:, None] * table.kappa[k][:, None, :]
+    seed = (1.0 / M) * (r + cotB * table.w[k])
 
-    basis = _chain_basis(patch, topology, seed, posA)
-    signs = _chain_signs(patch, posA)
-    v = PatchField(topology)
-    for j in range(patch.N):
-        if a[j] != 0.0:
-            v = v + a[j] * basis[j]
+    coeffs, signs = _contract(table, a, seed, k)
+    v = _patch_field(topology, patch, coeffs)
     s_a = float(signs @ a)
     spill = {(tA, y): v.div_at(tA, y), (tB, y): v.div_at(tB, y)}
-    info = TransferInfo(z=z, y=y, order=patch.tris, edge_pos=posA,
+    info = TransferInfo(z=z, y=y, order=patch.tris, edge_pos=k,
                         M_z=M, s_a=s_a, spill=spill)
     return v, info
 

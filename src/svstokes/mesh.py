@@ -383,24 +383,25 @@ def enumerate_patch(topology: MeshTopology, z: int) -> VertexPatch:
         raise MeshError(f"vertex {z} has no incident triangles")
     # Per triangle, the CCW (incoming, outgoing) far endpoints of the two
     # center edges: for CCW triangle (z, a, b), the angle at z sweeps a -> b.
-    inout = {}
-    slot_of = {}
-    for t in incident:
-        tri = mesh.triangles[t]
-        s = int(np.where(tri == z)[0][0])
-        slot_of[t] = s
-        inout[t] = (tri[(s + 1) % 3], tri[(s + 2) % 3])
+    fan = np.asarray(incident)
+    corners = mesh.triangles[fan]
+    slot = np.argmax(corners == z, axis=1)
+    rows = np.arange(len(fan))
+    incoming = corners[rows, (slot + 1) % 3]
+    outgoing = corners[rows, (slot + 2) % 3]
     by_incoming = {}
-    for t, (a, b) in inout.items():
+    for i, a in enumerate(incoming.tolist()):
         if a in by_incoming:
             raise MeshError(f"non-manifold patch at vertex {z}")
-        by_incoming[a] = t
+        by_incoming[a] = i
 
-    outgoing_set = {b for _, b in inout.values()}
-    starts = [t for t, (a, b) in inout.items() if a not in outgoing_set]
+    outgoing_list = outgoing.tolist()
+    outgoing_set = set(outgoing_list)
+    starts = [i for i, a in enumerate(incoming.tolist())
+              if a not in outgoing_set]
     if not starts:
         boundary = False
-        start = min(incident)
+        start = int(np.argmin(fan))
     elif len(starts) == 1:
         boundary = True
         start = starts[0]
@@ -409,53 +410,47 @@ def enumerate_patch(topology: MeshTopology, z: int) -> VertexPatch:
 
     order = [start]
     while True:
-        nxt = by_incoming.get(inout[order[-1]][1])
+        nxt = by_incoming.get(outgoing_list[order[-1]])
         if nxt is None or nxt == start:
             break
         if nxt in order:
             raise MeshError(f"non-manifold patch at vertex {z}")
         order.append(nxt)
-    if len(order) != len(incident):
+    if len(order) != len(fan):
         raise MeshError(f"non-manifold (pinched) patch at vertex {z}")
 
     center = mesh.vertices[z]
-    if boundary:
-        spokes = [inout[order[0]][0]] + [inout[t][1] for t in order]
-    else:
-        spokes = [inout[t][1] for t in order]
+    a_idx, b_idx = incoming[order], outgoing[order]
+    spokes = np.concatenate([a_idx[:1], b_idx]) if boundary else b_idx
 
-    pts = mesh.vertices[np.array(spokes)]
+    pts = mesh.vertices[spokes]
     vecs = pts - center
     edge_len = np.hypot(vecs[:, 0], vecs[:, 1])
     tangents = vecs / edge_len[:, None]
 
-    n = len(order)
-    theta = np.empty(n)
-    opp_normals = np.empty((n, 2))
-    opp_dist = np.empty(n)
-    for j, t in enumerate(order):
-        a, b = inout[t]
-        va = mesh.vertices[a] - center
-        vb = mesh.vertices[b] - center
-        theta[j] = np.arctan2(va[0] * vb[1] - va[1] * vb[0],
-                              va @ vb) % (2 * np.pi)
-        f = mesh.vertices[b] - mesh.vertices[a]
-        m = np.array([f[1], -f[0]])
-        # m must point away from z
-        if m @ (mesh.vertices[a] - center) < 0:
-            m = -m
-        opp_normals[j] = m / np.hypot(*m)
-        fa = center - mesh.vertices[a]
-        opp_dist[j] = abs(f[0] * fa[1] - f[1] * fa[0]) / np.hypot(*f)
+    # the angle at z of each fan triangle, the outward unit normal of its
+    # far edge and the distance from z to that edge, all triangles at once
+    va = mesh.vertices[a_idx] - center
+    vb = mesh.vertices[b_idx] - center
+    # Stacked 1 x 2 by 2 x 1 products take the BLAS dot of a 1-D
+    # ``va @ vb`` (which a kernel may fuse into a multiply-add), so each
+    # angle is bit for bit that of its triangle computed alone.
+    dots = (va[:, None, :] @ vb[:, :, None])[:, 0, 0]
+    theta = np.arctan2(va[:, 0] * vb[:, 1] - va[:, 1] * vb[:, 0],
+                       dots) % (2 * np.pi)
+    f = mesh.vertices[b_idx] - mesh.vertices[a_idx]
+    m = f[:, ::-1] * np.array([1.0, -1.0])                 # (f1, -f0)
+    # m must point away from z
+    m[(m * va).sum(axis=1) < 0] *= -1.0
+    opp_normals = m / np.hypot(m[:, 0], m[:, 1])[:, None]
+    opp_dist = (np.abs(f[:, 0] * va[:, 1] - f[:, 1] * va[:, 0])
+                / np.hypot(f[:, 0], f[:, 1]))
 
-    n_int = n if not boundary else n - 1
-    normals = np.empty((n_int, 2))
-    for k in range(n_int):
-        s = k if not boundary else k + 1
-        tvec = tangents[s]
-        # for a CCW fan, the normal out of tris[k] is the CCW rotation
-        # of the spoke tangent (it points towards tris[k+1])
-        normals[k] = np.array([-tvec[1], tvec[0]])
+    # for a CCW fan, the normal out of tris[k] is the CCW rotation of the
+    # spoke tangent of interior edge k (it points towards tris[k+1])
+    n_int = len(order) - int(boundary)
+    edge_tangents = tangents[int(boundary):int(boundary) + n_int]
+    normals = edge_tangents[:, ::-1] * np.array([-1.0, 1.0])
 
     allpts = np.vstack([pts, center[None, :]])
     diff = allpts[:, None, :] - allpts[None, :, :]
@@ -464,8 +459,8 @@ def enumerate_patch(topology: MeshTopology, z: int) -> VertexPatch:
     for a in (theta, edge_len, tangents, normals, opp_normals, opp_dist):
         a.setflags(write=False)
     return VertexPatch(
-        z=z, center=center, tris=tuple(order),
-        slots=tuple(slot_of[t] for t in order), spokes=tuple(spokes),
+        z=z, center=center, tris=tuple(fan[order].tolist()),
+        slots=tuple(slot[order].tolist()), spokes=tuple(spokes),
         boundary=boundary, theta=theta, edge_len=edge_len,
         tangents=tangents, normals=normals, opp_normals=opp_normals,
         opp_dist=opp_dist, h_z=h_z,

@@ -138,9 +138,11 @@ def assemble_divergence(topology: MeshTopology, nodes: np.ndarray) -> np.ndarray
 
 def assemble_norms(topology: MeshTopology, nodes: np.ndarray,
                    seminorm: bool = False):
-    """(A, M): velocity H1 Gram matrix (seminorm-only if requested) and
-    the pressure mass matrix, which is block diagonal: M[t] is the 6x6
-    block of triangle t, shape (T, 6, 6)."""
+    """(A_s, M): the scalar H1 Gram matrix of the cubic nodes (seminorm
+    only if requested) and the pressure mass matrix, which is block
+    diagonal: M[t] is the 6x6 block of triangle t, shape (T, 6, 6).  Both
+    velocity components share every block, so the velocity Gram matrix is
+    A = A_s (x) I_2 in the DOF order 2g + c; it is never formed."""
     area = topology.area
     g = topology.hat_grads
     K = np.einsum("tsc,tuc,suab->tab", g, g, _GG) * area[:, None, None]
@@ -149,14 +151,11 @@ def assemble_norms(topology: MeshTopology, nodes: np.ndarray,
     n = _n_nodes(nodes)
     interior = nodes >= 0
     t, a, b = np.nonzero(interior[:, :, None] & interior[:, None, :])
-    A = np.zeros((2 * n, 2 * n))
+    A_s = np.zeros((n, n))
     # np.add.at adds in index order, which is triangle order here: every
     # entry sums its contributions triangle by triangle.
-    c = np.arange(2)
-    np.add.at(A.reshape(n, 2, n, 2),
-              (nodes[t, a][:, None], c, nodes[t, b][:, None], c),
-              K[t, a, b][:, None])
-    return A, area[:, None, None] * _MM2
+    np.add.at(A_s, (nodes[t, a], nodes[t, b]), K[t, a, b])
+    return A_s, area[:, None, None] * _MM2
 
 
 def pressure_constraints(topology: MeshTopology, reports) -> np.ndarray:
@@ -281,7 +280,7 @@ def certify(topology: MeshTopology, reports,
     the square factor of W; every command builds this same certificate."""
     nodes = number_dofs(topology)
     B = assemble_divergence(topology, nodes)
-    A, blocks = assemble_norms(topology, nodes, seminorm=seminorm)
+    A_s, blocks = assemble_norms(topology, nodes, seminorm=seminorm)
     C = pressure_constraints(topology, reports)
     try:
         # 6 x 6 triangular blocks: inverting them once makes every
@@ -295,20 +294,29 @@ def certify(topology: MeshTopology, reports,
     _check_range_inclusion(G, k)
     p, n = G.shape[0] - k, G.shape[1]
     try:
-        # A is symmetric and only one triangle is read, so its transpose
+        # A_s is symmetric and only one triangle is read, so its transpose
         # is the column-major operand LAPACK factors in place.
-        L_A = scipy.linalg.cholesky(A.T, lower=True, overwrite_a=True,
+        L_s = scipy.linalg.cholesky(A_s.T, lower=True, overwrite_a=True,
                                     check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise SolverError(f"velocity Gram matrix is not SPD: {exc}") from exc
-    del A
-    # W = G[k:] L_A^-T.  With X = W^T = Q_X R (Q_X has orthonormal
-    # columns), W = R^T Q_X^T has the singular values of R.
-    X = scipy.linalg.solve_triangular(L_A, G[k:].T, lower=True,
-                                      overwrite_b=True, check_finite=False)
-    del L_A, G
-    _, R = scipy.linalg.qr(X, mode="raw", overwrite_a=True,
-                           check_finite=False)
+    del A_s
+    # W = G[k:] L_A^-T with L_A = L_s (x) I_2.  With X = W^T = Q_X R (Q_X
+    # has orthonormal columns), W = R^T Q_X^T has the singular values of
+    # R.  The rows of X for component c are L_s^-1 G[k:, c::2]^T: one
+    # solve with 2p right-hand sides, column 2j + c for row j of G[k:] and
+    # component c.  Column-major, that result is the stacked (n, p) matrix
+    # [x-rows; y-rows], a row permutation of X: its QR has the same R up
+    # to row signs.  The right-hand side is the one copy of G[k:].
+    m = n // 2
+    rhs = np.ascontiguousarray(G[k:].reshape(p, m, 2).transpose(0, 2, 1))
+    del G
+    X = scipy.linalg.solve_triangular(L_s, rhs.reshape(2 * p, m).T,
+                                      lower=True, overwrite_b=True,
+                                      check_finite=False)
+    del L_s, rhs
+    _, R = scipy.linalg.qr(X.reshape(n, p, order="F"), mode="raw",
+                           overwrite_a=True, check_finite=False)
     del X, _
     s = scipy.linalg.svd(R, compute_uv=False, check_finite=False)
     return Certificate(singular_values=s, shape=(p, n), factor=R,

@@ -245,13 +245,14 @@ def check_hypotheses(topology: MeshTopology, reports, cover: TreeCover):
 
 
 def tree_interpolant(topology: MeshTopology, cover: TreeCover, p, reports,
-                     tol: Tolerances = Tolerances()) -> PatchField:
+                     dcoefficients, tol: Tolerances = Tolerances()) -> PatchField:
     """Global field whose divergence matches p at every vertex of every
     triangle, with zero divergence mean on every triangle.
 
     ``p`` is a (T, 3) array of per-triangle vertex values (slot-aligned
-    with the triangle's vertex list), and ``reports`` the vertex reports
-    of ``classify_mesh``.  Boundary vertices are matched first; interior
+    with the triangle's vertex list), and ``reports`` and
+    ``dcoefficients`` the vertex reports and d-coefficients of
+    ``classify_mesh``.  Boundary vertices are matched first; interior
     residuals are then transferred along the cover's trees to their roots
     and resolved there.
     """
@@ -302,5 +303,6 @@ def tree_interpolant(topology: MeshTopology, cover: TreeCover, p, reports,
         patch = topology.patches[r]
         a = residual(acc, r, patch)
         if np.abs(a).max() > 1e-13 * pscale:
-            acc = acc + local_interpolant(patch, a, topology, reports[r])
+            acc = acc + local_interpolant(patch, a, topology, reports[r],
+                                          dcoefficients[r])
     return acc

@@ -1,10 +1,51 @@
-"""Shared test helpers: random shape-regular patches and admissible
-pressure targets."""
+"""Shared test helpers: random shape-regular patches, admissible
+pressure targets, and the golden and benchmark meshes."""
+
+import importlib.util
+import pathlib
+import sys
 
 import numpy as np
 import pytest
 
-from svstokes.mesh import Triangulation, build_topology, ngon_patch
+from svstokes.mesh import (Triangulation, build_topology, crossed, load_mesh,
+                           ngon_patch, perturbed_grid, three_lines,
+                           type1_diagonal)
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# The meshes of the reports under docs/golden/.
+GOLDEN_MESHES = {
+    "crossed-2": lambda: crossed(2),
+    "type1-3": lambda: type1_diagonal(3),
+    "three-lines-2": lambda: three_lines(2),
+    "perturbed-3-s1": lambda: perturbed_grid(3, seed=1),
+}
+
+
+def _bench_meshes():
+    """bench/meshes.py, which generates the benchmark's mesh files."""
+    spec = importlib.util.spec_from_file_location(
+        "svstokes_bench_meshes", ROOT / "bench" / "meshes.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH_MESHES = _bench_meshes()
+
+
+def bench_pool(workload, perturbed_only=False):
+    """Keys of every mesh a benchmark workload can draw."""
+    return [k for k in BENCH_MESHES.pool_keys(workload)
+            if not perturbed_only or k.startswith("perturbed")]
+
+
+def bench_mesh(key):
+    """A benchmark mesh, read back from the file text the benchmark
+    writes."""
+    return load_mesh(BENCH_MESHES.mesh_text(*BENCH_MESHES.build(key)))
 
 
 # Vertex 0 is pinched: its triangles form two fans that share no edge.

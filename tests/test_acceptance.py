@@ -72,7 +72,7 @@ def test_A1_field_lemma_suite():
         # directional correctors: raw divergence values/integrals and the
         # mean-zero corrected divergence values
         for i in (1, 2):
-            xi_tilde, xi = basis_xi(patch, topo, i)
+            xi_tilde, xi = basis_xi(patch, topo, i, dco)
             bs = max(np.abs(dco.b[:, i - 1]).max(), 1.0)
             ds = max(np.abs(dco.d[:, i - 1]).max(), 1.0)
             for j, t in enumerate(patch.tris):
@@ -103,7 +103,7 @@ def test_A2_local_interpolant_suite():
 
     def run(patch, topo, target):
         f = local_interpolant(patch, target, topo,
-                              classify_vertex(patch, topo, TOL))
+                              *classify_vertex(patch, topo, TOL))
         divs = {(t, patch.z): target[j] for j, t in enumerate(patch.tris)}
         rep = verify_field(f, vertex_divs=divs, mean_zero=True,
                            support=patch.tris, rtol=RTOL)
@@ -113,7 +113,7 @@ def test_A2_local_interpolant_suite():
     topo = build_topology(crossed(1))
     center = [v for v in range(topo.V) if not topo.boundary_vertex[v]][0]
     patch = enumerate_patch(topo, center)
-    assert classify_vertex(patch, topo).status == SINGULAR
+    assert classify_vertex(patch, topo)[0].status == SINGULAR
     for _ in range(50):
         raw = rng.standard_normal(4)
         signs = np.array([1.0, -1.0, 1.0, -1.0])
@@ -121,12 +121,12 @@ def test_A2_local_interpolant_suite():
     # odd valences
     for N in (3, 5, 7):
         mesh, topo, patch = random_interior_patch(rng, N=N)
-        assert classify_vertex(patch, topo).status == ODD
+        assert classify_vertex(patch, topo)[0].status == ODD
         for _ in range(50):
             run(patch, topo, rng.standard_normal(N))
     # even: the 8-valent grid crossings of the crossed mesh
     topo = build_topology(crossed(2))
-    reports, _ = classify_mesh(topo)
+    reports, _, _ = classify_mesh(topo)
     even = [r.vertex for r in reports if r.status == EVEN]
     assert even
     patch = enumerate_patch(topo, even[0])
@@ -189,7 +189,7 @@ def test_A5_ontoness_oracle():
     for n in (1, 2, 3):
         start = time.perf_counter()
         topo = build_topology(crossed(n))
-        reports, summary = classify_mesh(topo)
+        reports, summary, _ = classify_mesh(topo)
         nodes = solver.number_dofs(topo)
         assert 2 * (nodes.max() + 1) <= 3000
         cert = solver.certify(topo, reports)
@@ -202,7 +202,7 @@ def test_A5_ontoness_oracle():
     for n in (2, 3):
         start = time.perf_counter()
         topo = build_topology(type1_diagonal(n))
-        reports, summary = classify_mesh(topo)
+        reports, summary, _ = classify_mesh(topo)
         cert = solver.certify(topo, reports)
         rr = solver.divergence_rank(cert, topo, summary["sigma"], TOL)
         assert rr.K >= 1
@@ -223,7 +223,7 @@ def test_A6_dimension_identities():
               Triangulation([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])]
     for mesh in meshes:
         topo = build_topology(mesh)
-        reports, summary = classify_mesh(topo)
+        reports, summary, _ = classify_mesh(topo)
         cert = solver.certify(topo, reports)
         rr = solver.divergence_rank(cert, topo, summary["sigma"], TOL)
         solver.nullity_crosscheck(rr, topo, summary["sigma"])   # hard assert
@@ -234,7 +234,7 @@ def test_A6_dimension_identities():
             assert sd.identity_ok is True
     # the 2-triangle clamp case
     topo = build_topology(meshes[-2])
-    reports, summary = classify_mesh(topo)
+    reports, summary, _ = classify_mesh(topo)
     cert = solver.certify(topo, reports)
     rr = solver.divergence_rank(cert, topo, summary["sigma"], TOL)
     sd = solver.strang_dimensions(topo, summary["sigma"], summary["sigma_i"],
@@ -303,11 +303,11 @@ def test_A7_tree_machinery():
     # global round-trip and the cover => K = 0 consistency
     for mesh in (crossed(2), perturbed_grid(3, seed=2)):
         topo = build_topology(mesh)
-        reports, summary = classify_mesh(topo)
+        reports, summary, dcoefficients = classify_mesh(topo)
         cover = build_tree_cover(topo, reports, TOL)
         assert cover.complete
         p = admissible_target(topo, reports, rng)
-        f = tree_interpolant(topo, cover, p, reports, TOL)
+        f = tree_interpolant(topo, cover, p, reports, dcoefficients, TOL)
         scale = max(np.abs(p).max(), 1.0)
         for t in range(topo.T):
             for slot, v in enumerate(topo.mesh.triangles[t]):
@@ -325,7 +325,7 @@ def test_A8_invariance_under_similarity():
     under rigid motions; dimensionless quantities also under scaling."""
     base = perturbed_grid(3, seed=13)
     topo0 = build_topology(base)
-    reports0, summary0 = classify_mesh(topo0)
+    reports0, summary0, _ = classify_mesh(topo0)
     cover0 = build_tree_cover(topo0, reports0, TOL)
     cert0 = solver.certify(topo0, reports0)
     rr0 = solver.divergence_rank(cert0, topo0, summary0["sigma"], TOL)
@@ -339,7 +339,7 @@ def test_A8_invariance_under_similarity():
     for name, motion in cases:
         rigid = motion["scale"] == 1.0
         topo1 = build_topology(rigid_motion(base, **motion))
-        reports1, summary1 = classify_mesh(topo1)
+        reports1, summary1, _ = classify_mesh(topo1)
         for r0, r1 in zip(reports0, reports1):
             assert r0.status == r1.status and r0.singular == r1.singular
         assert summary1["sigma"] == summary0["sigma"]

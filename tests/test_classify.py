@@ -57,7 +57,7 @@ def test_single_triangle_boundary_corner_is_singular_by_convention():
 def test_straight_boundary_vertex_is_singular():
     # boundary vertex with two collinear incident boundary edges
     topo = build_topology(type1_diagonal(2))
-    reports, summary = classify_mesh(topo)
+    reports, summary, _ = classify_mesh(topo)
     # mid-edge boundary vertices of the square grid lie on straight lines;
     # with the diagonal entering, only those where consecutive angles sum
     # to pi are singular.  At least the two corners cut by diagonals:
@@ -134,7 +134,7 @@ def test_degenerate_families_have_zero_decisions(mesh):
 
 def test_classification_statuses():
     topo = build_topology(crossed(2))
-    reports, summary = classify_mesh(topo)
+    reports, summary, _ = classify_mesh(topo)
     by_status = {}
     for r in reports:
         by_status.setdefault(r.status, []).append(r)
@@ -145,7 +145,7 @@ def test_classification_statuses():
     assert summary["n_local_interpolating"] >= 5
 
     topo = build_topology(type1_diagonal(3))
-    reports, summary = classify_mesh(topo)
+    reports, summary, _ = classify_mesh(topo)
     interior = [r for r in reports if not r.boundary]
     assert interior and all(r.status == NOT_LI for r in interior)
 
@@ -166,13 +166,11 @@ def test_classification_invariant_under_similarity(seed, angle, scale):
     mesh, topo, patch = random_interior_patch(rng)
     moved = rigid_motion(mesh, angle=angle, shift=(3.7, -1.2), scale=scale)
     topo2 = build_topology(moved)
-    r1 = classify_vertex(patch, topo)
-    r2 = classify_vertex(enumerate_patch(topo2, 0), topo2)
+    r1, d1 = classify_vertex(patch, topo)
+    r2, d2 = classify_vertex(enumerate_patch(topo2, 0), topo2)
     assert r1.status == r2.status
     assert r1.singular == r2.singular
     if patch.N % 2 == 0 and not r1.singular:
-        d1 = compute_dcoefficients(patch, topo)
-        d2 = compute_dcoefficients(enumerate_patch(topo2, 0), topo2)
         # D_0 h^2 is invariant under the whole similarity group; D_1, D_2
         # rotate as a vector, so only their norm (times h) is preserved
         assert d2.decision(0) == pytest.approx(d1.decision(0), rel=1e-8,

@@ -6,13 +6,13 @@ import json
 
 import pytest
 
-from conftest import PINCHED
+from conftest import PINCHED, bench_mesh
 from svstokes import classify, mesh
 from svstokes.classify import Tolerances
 from svstokes.cli import (EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, analyze_mesh,
                           main, run_field_suites, to_json)
-from svstokes.mesh import (crossed, dump_mesh, load_mesh, perturbed_grid,
-                           type1_diagonal)
+from svstokes.mesh import (build_topology, crossed, dump_mesh, load_mesh,
+                           perturbed_grid, type1_diagonal)
 
 
 def _gen(tmp_path, preset, *extra):
@@ -179,6 +179,28 @@ def test_each_vertex_patched_and_classified_once(monkeypatch, run, make):
     run(m)
     assert len(patched) == m.num_vertices
     assert len(classified) == m.num_vertices
+
+
+@pytest.mark.parametrize("run", [
+    lambda m: analyze_mesh(m, Tolerances()),
+    lambda m: run_field_suites(m, Tolerances(), 2, 7)],
+    ids=["analyze", "verify-fields"])
+@pytest.mark.parametrize("make", [
+    lambda: crossed(2), lambda: perturbed_grid(5, seed=3),
+    lambda: bench_mesh("perturbed-5-p0")],
+    ids=["crossed-2", "perturbed-5-s3", "perturbed-5-p0"])
+def test_dcoefficients_computed_once_per_even_interior_vertex(
+        monkeypatch, run, make):
+    """Classification computes the d-coefficients of each non-singular
+    even-valence interior vertex once; the even interpolants read those."""
+    m = make()
+    even = sorted(p.z for p in build_topology(m).patches
+                  if not p.boundary and p.N % 2 == 0
+                  and classify.theta(p) > Tolerances().singular)
+    computed = _count_calls(monkeypatch, classify, "compute_dcoefficients")
+    run(m)
+    assert even
+    assert sorted(args[0].z for args in computed) == even
 
 
 def test_verify_fields_deterministic_and_passing(tmp_path):

@@ -1,12 +1,15 @@
 """Local velocity fields: basis constructions, patch interpolants,
 boundary interpolants, edge transfers, and path transfers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from conftest import random_interior_patch
+from conftest import (GOLDEN_MESHES, bench_mesh, bench_pool,
+                      random_interior_patch)
 from svstokes import poly
-from svstokes.classify import (EVEN, ODD, SINGULAR, Tolerances,
+from svstokes.classify import (BOUNDARY, EVEN, ODD, SINGULAR, Tolerances,
                                classify_mesh, classify_vertex,
                                compute_dcoefficients)
 from svstokes.fields import (FieldError, PatchField, UnacceptableEdgeError,
@@ -16,7 +19,7 @@ from svstokes.fields import (FieldError, PatchField, UnacceptableEdgeError,
                              path_interpolant, verify_field, w_field)
 from svstokes.mesh import (Triangulation, build_topology, crossed,
                            enumerate_patch, ngon_patch, perturbed_grid)
-from svstokes.trees import path_stats
+from svstokes.trees import edge_weights, path_stats
 
 TOL = Tolerances()
 
@@ -66,7 +69,7 @@ def test_xi_fields(rng):
         mesh, topo, patch = random_interior_patch(rng)
         dco = compute_dcoefficients(patch, topo)
         for i in (1, 2):
-            xi_tilde, xi = basis_xi(patch, topo, i)
+            xi_tilde, xi = basis_xi(patch, topo, i, dco)
             for j, t in enumerate(patch.tris):
                 area = _tri_area(topo, t)
                 assert xi_tilde.div_at(t, 0) == pytest.approx(
@@ -113,7 +116,7 @@ def test_basis_kappa_matches_kappa_field(rng):
 
 def _check_local(patch, topo, target, rng):
     f = local_interpolant(patch, target, topo,
-                          classify_vertex(patch, topo, TOL))
+                          *classify_vertex(patch, topo, TOL))
     divs = {(t, patch.z): target[j] for j, t in enumerate(patch.tris)}
     report = verify_field(f, vertex_divs=divs, mean_zero=True,
                           support=patch.tris)
@@ -124,7 +127,7 @@ def test_singular_interpolant_crossed_center(rng):
     topo = build_topology(crossed(1))
     center = [v for v in range(topo.V) if not topo.boundary_vertex[v]][0]
     patch = enumerate_patch(topo, center)
-    assert classify_vertex(patch, topo).status == SINGULAR
+    assert classify_vertex(patch, topo)[0].status == SINGULAR
     for _ in range(20):
         raw = rng.standard_normal(patch.N)
         signs = np.array([(-1.0) ** j for j in range(patch.N)])
@@ -138,20 +141,20 @@ def test_singular_interpolant_rejects_inadmissible_target(rng):
     patch = enumerate_patch(topo, center)
     with pytest.raises(FieldError):
         local_interpolant(patch, [1.0, 0.0, 0.0, 0.0], topo,
-                          classify_vertex(patch, topo, TOL))
+                          *classify_vertex(patch, topo, TOL))
 
 
 @pytest.mark.parametrize("N", [3, 5, 7])
 def test_odd_interpolant(N, rng):
     for _ in range(8):
         mesh, topo, patch = random_interior_patch(rng, N=N)
-        assert classify_vertex(patch, topo).status == ODD
+        assert classify_vertex(patch, topo)[0].status == ODD
         _check_local(patch, topo, rng.standard_normal(N), rng)
 
 
 def test_even_interpolant_crossed_eight_valent(rng):
     topo = build_topology(crossed(2))
-    reports, _ = classify_mesh(topo)
+    reports, _, _ = classify_mesh(topo)
     eights = [r.vertex for r in reports if r.status == EVEN]
     assert eights
     for v in eights:
@@ -165,7 +168,7 @@ def test_even_interpolant_random_patches(rng):
     while done < 8:
         mesh, topo, patch = random_interior_patch(
             rng, N=int(rng.choice([4, 6, 8])))
-        r = classify_vertex(patch, topo)
+        r, _ = classify_vertex(patch, topo)
         if r.status != EVEN:
             continue
         _check_local(patch, topo, rng.standard_normal(patch.N), rng)
@@ -174,7 +177,7 @@ def test_even_interpolant_random_patches(rng):
 
 def test_interpolants_reject_another_vertex_report():
     topo = build_topology(perturbed_grid(3, seed=1))
-    reports, _ = classify_mesh(topo)
+    reports, _, _ = classify_mesh(topo)
     inner = next(r.vertex for r in reports if r.local_interpolating
                  and not r.boundary)
     outer = next(r.vertex for r in reports if r.boundary)
@@ -193,7 +196,7 @@ def test_interpolants_reject_another_vertex_report():
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_boundary_interpolant_perturbed_grids(seed, rng):
     topo = build_topology(perturbed_grid(3, seed=seed))
-    reports, _ = classify_mesh(topo)
+    reports, _, _ = classify_mesh(topo)
     for r in reports:
         if not r.boundary:
             continue
@@ -220,7 +223,7 @@ def test_boundary_interpolant_perturbed_grids(seed, rng):
 
 def test_edge_transfer_matches_targets_and_spill(rng):
     topo = build_topology(perturbed_grid(3, seed=7))
-    reports, _ = classify_mesh(topo)
+    reports, _, _ = classify_mesh(topo)
     interior = [r.vertex for r in reports if not r.boundary]
     for z in interior:
         patch = enumerate_patch(topo, z)
@@ -323,7 +326,7 @@ def test_path_interpolant_rejects_repeated_vertices():
 def test_verify_field_catches_corruption(rng):
     mesh, topo, patch = random_interior_patch(rng, N=5)
     f = local_interpolant(patch, rng.standard_normal(5), topo,
-                          classify_vertex(patch, topo, TOL))
+                          *classify_vertex(patch, topo, TOL))
     t = sorted(f.support)[0]
     f.coeffs[t][0, 3] += 0.37          # break continuity / divergences
     divs = {(tt, 0): 0.0 for tt in patch.tris}
@@ -336,7 +339,7 @@ def _valid_field(kind, rng):
     divergences it must have: a local interpolant at a non-singular
     interior vertex, or a boundary interpolant with its side effects."""
     topo = build_topology(perturbed_grid(4, seed=3))
-    reports, _ = classify_mesh(topo)
+    reports, _, dcoefficients = classify_mesh(topo)
     if kind == "local":
         r = next(r for r in reports if not r.boundary and not r.singular
                  and r.local_interpolating)
@@ -346,7 +349,8 @@ def _valid_field(kind, rng):
     target = rng.standard_normal(patch.N)
     divs = {(t, patch.z): target[j] for j, t in enumerate(patch.tris)}
     if kind == "local":
-        f = local_interpolant(patch, target, topo, r)
+        f = local_interpolant(patch, target, topo, r,
+                              dcoefficients[r.vertex])
     else:
         result = boundary_interpolant(patch, target, topo, r)
         f = result.field
@@ -437,3 +441,355 @@ def test_divergence_kernels_match_their_definitions(rng):
             lam = np.zeros(3)
             lam[slot] = 1.0
             assert f.div_at(t, v) == poly.eval2(dc, lam)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the constructions the per-patch table replaced, field by field
+# with PatchField arithmetic and the chain basis by recursion
+
+def _oracle_monomial(expo):
+    return poly.bary_poly([(1.0, tuple(expo))])
+
+
+def _oracle_edge(topo, z, y, profile):
+    """{t: profile(slot of z, slot of y)} over the two triangles of the
+    interior edge {z, y}."""
+    e = topo.edge_index[(min(z, y), max(z, y))]
+    out = {}
+    for t in topo.edge_tris[e]:
+        tri = topo.mesh.triangles[t].tolist()
+        out[t] = profile(tri.index(z), tri.index(y))
+    return out
+
+
+def _oracle_eta(sz, sy):
+    expo = [0, 0, 0]
+    expo[sz], expo[sy] = 2, 1
+    return _oracle_monomial(expo)
+
+
+def _oracle_kappa_profile(sz, sy):
+    quad = [0, 0, 0]
+    quad[sz] = quad[sy] = 1
+    return _oracle_eta(sz, sy) - 0.5 * _oracle_monomial(quad)
+
+
+def _oracle_w(topo, z, y):
+    vec = topo.mesh.vertices[y] - topo.mesh.vertices[z]
+    return PatchField(topo, {t: np.outer(vec, eta) for t, eta in
+                             _oracle_edge(topo, z, y, _oracle_eta).items()})
+
+
+def _oracle_kappa(topo, z, y):
+    return _oracle_edge(topo, z, y, _oracle_kappa_profile)
+
+
+def _oracle_patch_w(patch, topo, k):
+    return _oracle_w(topo, patch.z, patch.spokes[patch.edge_spoke(k)])
+
+
+def _oracle_chi(patch, topo, k):
+    n = (12.0 / patch.edge_len[k]) * patch.normals[k]
+    return PatchField(topo, {t: np.outer(n, eta) for t, eta in _oracle_edge(
+        topo, patch.z, patch.spokes[k], _oracle_eta).items()})
+
+
+def _oracle_chi_sum(patch, topo):
+    out = PatchField(topo)
+    for k in range(patch.N):
+        out = out + _oracle_chi(patch, topo, k)
+    return out
+
+
+def _oracle_xi(patch, topo, i, dco):
+    direction = np.eye(2)[i - 1]
+    coeffs = {}
+    for t in patch.tris:
+        expo = [0, 0, 0]
+        expo[topo.mesh.triangles[t].tolist().index(patch.z)] = 2
+        coeffs[t] = np.outer(direction, _oracle_monomial(expo))
+    xi_tilde = PatchField(topo, coeffs)
+    xi = xi_tilde
+    for k in range(patch.N - 1):
+        xi = xi - dco.c[k, i - 1] * _oracle_chi(patch, topo, k)
+    return xi_tilde, xi
+
+
+def _oracle_chain_basis(patch, topo, seed, seed_pos):
+    n = patch.N
+    fields = [None] * n
+    fields[seed_pos] = seed
+    if patch.boundary:
+        for p in range(seed_pos + 1, n):
+            fields[p] = _oracle_patch_w(patch, topo, p - 1) - fields[p - 1]
+        for p in range(seed_pos - 1, -1, -1):
+            fields[p] = _oracle_patch_w(patch, topo, p) - fields[p + 1]
+    else:
+        for step in range(1, n):
+            p = (seed_pos + step) % n
+            fields[p] = (_oracle_patch_w(patch, topo, (p - 1) % n)
+                         - fields[(p - 1) % n])
+    return fields
+
+
+def _oracle_combine(topo, a, basis):
+    v = PatchField(topo)
+    for j in range(len(a)):
+        if a[j] != 0.0:
+            v = v + a[j] * basis[j]
+    return v
+
+
+def _oracle_local(patch, a, topo, status, i=None, dco=None):
+    if status == SINGULAR:
+        v, b = PatchField(topo), 0.0
+        for j in range(patch.N - 1):
+            b = a[j] - b
+            if b != 0.0:
+                v = v + b * _oracle_patch_w(patch, topo, j)
+        return v
+    if patch.N % 2 == 1:
+        seed = PatchField(topo)
+        for j in range(patch.N):
+            seed = seed + (0.5 * (-1.0) ** j) * _oracle_patch_w(patch, topo, j)
+    else:
+        if i == 0:
+            xi = _oracle_chi_sum(patch, topo)
+            dvals, det = 12.0 * dco.d0, 12.0 * dco.D[0]
+        else:
+            xi = _oracle_xi(patch, topo, i, dco)[1]
+            dvals, det = dco.d[:, i - 1], dco.D[i]
+        s = np.zeros(patch.N)
+        for j in range(1, patch.N):
+            s[j] = dvals[j] - s[j - 1]
+        seed = xi
+        for j in range(1, patch.N):
+            if s[j] != 0.0:
+                seed = seed - s[j] * _oracle_patch_w(patch, topo, j)
+        seed = (-1.0 / det) * seed
+    return _oracle_combine(topo, a, _oracle_chain_basis(patch, topo, seed, 0))
+
+
+def _oracle_boundary(patch, a, topo):
+    """Non-singular boundary interpolant: (field, side effects)."""
+    sums = patch.theta[:-1] + patch.theta[1:]
+    sines = np.abs(np.sin(sums))
+    interior_far = np.array([not topo.boundary_vertex[patch.spokes[j + 1]]
+                             for j in range(patch.N - 1)])
+    usable = interior_far & (sines > 1e-8)
+    s = int(np.argmax(np.where(usable, sines, -1.0) if usable.any()
+                      else sines))
+    y = patch.spokes[s + 1]
+    coef = (2.0 * patch.edge_len[s + 1] * np.sin(patch.theta[s])
+            / np.sin(sums[s]))
+    seed = PatchField(topo, {t: np.outer(coef * patch.tangents[s + 2], c)
+                             for t, c in _oracle_kappa(topo, patch.z, y).items()})
+    v = _oracle_combine(topo, a, _oracle_chain_basis(patch, topo, seed, s))
+    side = {key: val for key, val in v.vertex_divergences(tol=1e-12 * max(
+        v.max_coeff(), 1e-30)).items() if key[1] != patch.z}
+    return v, side
+
+
+def _oracle_edge_transfer(topo, z, y, a):
+    """(field, spill, chain-signed sum of a) of the transfer over {z, y}."""
+    patch = topo.patches[z]
+    k = next(k for k in range(patch.n_interior_edges)
+             if patch.spokes[patch.edge_spoke(k)] == y)
+    tA, tB = patch.edge_tri_pair(k)
+    cotA = 1.0 / np.tan(patch.theta[k])
+    cotB = 1.0 / np.tan(patch.theta[(k + 1) % patch.N])
+    M = cotA + cotB
+    n1 = 2.0 * patch.edge_len[patch.edge_spoke(k)] * patch.normals[k]
+    r = PatchField(topo, {t: np.outer(n1, c)
+                          for t, c in _oracle_kappa(topo, z, y).items()})
+    seed = (1.0 / M) * (r + cotB * _oracle_w(topo, z, y))
+    v = _oracle_combine(topo, a, _oracle_chain_basis(patch, topo, seed, k))
+    if patch.boundary:
+        signs = np.array([(-1.0) ** abs(p - k) for p in range(patch.N)])
+    else:
+        signs = np.array([(-1.0) ** ((p - k) % patch.N)
+                          for p in range(patch.N)])
+    return v, {(tA, y): v.div_at(tA, y), (tB, y): v.div_at(tB, y)}, signs @ a
+
+
+def _assert_same_field(got, want, rtol=1e-12):
+    """Equal coefficients to rtol relative to the largest one; a triangle
+    missing from one support counts as zero there."""
+    scale = max(want.max_coeff(), got.max_coeff())
+    for t in got.support | want.support:
+        g = got.coeffs.get(t, np.zeros((2, len(poly.MONO3))))
+        w = want.coeffs.get(t, np.zeros((2, len(poly.MONO3))))
+        assert np.abs(g - w).max() <= rtol * scale, t
+
+
+def _assert_same_values(got, want, rtol=1e-12):
+    assert got.keys() == want.keys()
+    scale = max([abs(v) for v in want.values()] + [1e-300])
+    for key in want:
+        assert abs(got[key] - want[key]) <= rtol * scale, key
+
+
+ORACLE_MESHES = ([("golden", name) for name in sorted(GOLDEN_MESHES)]
+                 + [("bench", key) for key in
+                    bench_pool("verify-fields", perturbed_only=True)])
+
+
+def _oracle_mesh(source, name):
+    return (GOLDEN_MESHES[name]() if source == "golden"
+            else bench_mesh(name))
+
+
+def _target(rng, patch, singular):
+    a = rng.standard_normal(patch.N)
+    if singular:
+        signs = (-1.0) ** np.arange(patch.N)
+        a = a - signs * (signs @ a) / patch.N
+    return a
+
+
+@pytest.mark.parametrize("source,name", ORACLE_MESHES,
+                         ids=[n for _, n in ORACLE_MESHES])
+def test_table_views_equal_the_oracle_fields(source, name):
+    """w, kappa, chi and the uncorrected xi are gathered bit for bit; the
+    sums of correctors agree to roundoff."""
+    topo = build_topology(_oracle_mesh(source, name))
+    _, _, dcoefficients = classify_mesh(topo)
+    for patch in topo.patches:
+        for k in range(patch.n_interior_edges):
+            y = patch.spokes[patch.edge_spoke(k)]
+            for got, want in ((w_field(topo, patch.z, y),
+                               _oracle_w(topo, patch.z, y)),
+                              (basis_w(patch, topo, k),
+                               _oracle_patch_w(patch, topo, k))):
+                assert got.coeffs.keys() == want.coeffs.keys()
+                for t in want.coeffs:
+                    assert np.array_equal(got.coeffs[t], want.coeffs[t])
+            kappa = kappa_field(topo, patch.z, y).coeffs
+            want = _oracle_kappa(topo, patch.z, y)
+            assert kappa.keys() == want.keys()
+            for t in want:
+                assert np.array_equal(kappa[t], want[t])
+        if patch.boundary:
+            continue
+        for k in range(patch.N):
+            got, want = basis_chi(patch, topo, k), _oracle_chi(patch, topo, k)
+            assert got.coeffs.keys() == want.coeffs.keys()
+            for t in want.coeffs:
+                assert np.array_equal(got.coeffs[t], want.coeffs[t])
+        _assert_same_field(basis_chi_sum(patch, topo),
+                           _oracle_chi_sum(patch, topo))
+        dco = dcoefficients[patch.z]
+        if dco is None:
+            continue
+        for i in (1, 2):
+            (tilde, xi), (want_tilde, want_xi) = (
+                basis_xi(patch, topo, i, dco), _oracle_xi(patch, topo, i, dco))
+            for t in want_tilde.coeffs:
+                assert np.array_equal(tilde.coeffs[t], want_tilde.coeffs[t])
+            _assert_same_field(xi, want_xi)
+
+
+@pytest.mark.parametrize("source,name", ORACLE_MESHES,
+                         ids=[n for _, n in ORACLE_MESHES])
+def test_interpolants_equal_the_oracle(source, name):
+    """Every interpolating and boundary vertex: the singular, odd and
+    boundary interpolants, the even one with each direction index whose
+    determinant is certified, and an edge transfer on every interior
+    vertex, all to 1e-12 of the largest coefficient."""
+    topo = build_topology(_oracle_mesh(source, name))
+    reports, _, dcoefficients = classify_mesh(topo)
+    rng = np.random.default_rng(sum(map(ord, name)))
+    transfers = 0
+    for r in reports:
+        patch = topo.patches[r.vertex]
+        a = _target(rng, patch, r.singular)
+        if r.boundary and not r.singular:
+            result = boundary_interpolant(patch, a, topo, r)
+            want, side = _oracle_boundary(patch, a, topo)
+            _assert_same_field(result.field, want)
+            _assert_same_values(result.side_effects, side)
+        elif r.boundary:
+            _assert_same_field(boundary_interpolant(patch, a, topo, r).field,
+                               _oracle_local(patch, a, topo, SINGULAR))
+        elif r.status == EVEN:
+            dco = dcoefficients[r.vertex]
+            for i in range(3):
+                if dco.decision(i) <= TOL.decision:
+                    continue
+                forced = dataclasses.replace(r, even_index=i)
+                _assert_same_field(
+                    local_interpolant(patch, a, topo, forced, dco),
+                    _oracle_local(patch, a, topo, EVEN, i, dco))
+        elif r.local_interpolating:
+            _assert_same_field(local_interpolant(patch, a, topo, r),
+                               _oracle_local(patch, a, topo, r.status))
+        if r.boundary:
+            continue
+        k = r.vertex % patch.N
+        y = patch.spokes[k]
+        try:
+            field, info = edge_transfer(topo, r.vertex, y, a, TOL)
+        except UnacceptableEdgeError:
+            continue
+        want, spill, s_a = _oracle_edge_transfer(topo, r.vertex, y, a)
+        _assert_same_field(field, want)
+        _assert_same_values(info.spill, spill)
+        assert info.s_a == pytest.approx(s_a, rel=1e-12, abs=1e-12)
+        transfers += 1
+    assert transfers
+
+
+def test_oracle_meshes_cover_every_interpolant_branch():
+    kinds = set()
+    for source, name in ORACLE_MESHES:
+        topo = build_topology(_oracle_mesh(source, name))
+        reports, _, dcoefficients = classify_mesh(topo)
+        for r in reports:
+            kinds.add((r.status, r.boundary))
+            if r.status == EVEN:
+                kinds |= {f"even {i}" for i in range(3) if
+                          dcoefficients[r.vertex].decision(i) > TOL.decision}
+    assert kinds >= {(SINGULAR, False), (ODD, False), (SINGULAR, True),
+                     (BOUNDARY, True), "even 0", "even 1", "even 2"}
+
+
+def _oracle_path(topo, path, a):
+    acc, _, _ = _oracle_edge_transfer(topo, path[0], path[1], a)
+    for z, ynext in zip(path[1:-1], path[2:]):
+        patch = topo.patches[z]
+        residual = np.array([acc.div_at(t, z) if t in acc.support else 0.0
+                             for t in patch.tris])
+        acc = acc + _oracle_edge_transfer(topo, z, ynext, -residual)[0]
+    return acc
+
+
+# crossed-2 and three-lines-2 have no interior two-hop path
+PATH_MESHES = [("golden", "type1-3"), ("golden", "perturbed-3-s1")] \
+    + ORACLE_MESHES[4::4]
+
+
+@pytest.mark.parametrize("source,name", PATH_MESHES,
+                         ids=[n for _, n in PATH_MESHES])
+def test_path_interpolant_equals_the_oracle(source, name, rng):
+    topo = build_topology(_oracle_mesh(source, name))
+    weights = edge_weights(topo)
+    interior = [z for z in range(topo.V) if not topo.boundary_vertex[z]]
+
+    def step(z, avoid):
+        return next((y for y in topo.patches[z].spokes
+                     if y not in avoid and not topo.boundary_vertex[y]
+                     and abs(weights[(topo.edge_index[(min(z, y), max(z, y))],
+                                      z)]) > 0.1), None)
+    paths = 0
+    for z in interior:
+        y = step(z, {z})
+        w = step(y, {z, y}) if y is not None else None
+        if w is None:
+            continue
+        path = [z, y, w]
+        a = rng.standard_normal(topo.patches[z].N)
+        result = path_interpolant(topo, path, a, TOL)
+        want = _oracle_path(topo, path, a)
+        _assert_same_field(result.field, want)
+        paths += 1
+    assert paths, "no interior path with acceptable weights"

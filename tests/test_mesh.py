@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PINCHED
+from conftest import (GOLDEN_MESHES, PINCHED, bench_mesh, bench_pool)
 from svstokes import poly
 from svstokes.mesh import (MeshError, MeshFormatError, Triangulation,
                            VertexPatch, build_topology, crossed, dump_mesh,
@@ -280,3 +280,128 @@ def test_triangulation_arrays_read_only():
     mesh = load_mesh(TWO_TRI)
     with pytest.raises(ValueError):
         mesh.vertices[0, 0] = 5.0
+
+
+# ---------------------------------------------------------------------------
+# enumerate_patch against its per-triangle loop
+
+def _loop_enumerate_patch(topology, z):
+    """enumerate_patch as a loop over the fan triangles, one at a time."""
+    mesh = topology.mesh
+    incident = topology.vertex_tris[z]
+    if not incident:
+        raise MeshError(f"vertex {z} has no incident triangles")
+    # Per triangle, the CCW (incoming, outgoing) far endpoints of the two
+    # center edges: for CCW triangle (z, a, b), the angle at z sweeps a -> b.
+    inout = {}
+    slot_of = {}
+    for t in incident:
+        tri = mesh.triangles[t]
+        s = int(np.where(tri == z)[0][0])
+        slot_of[t] = s
+        inout[t] = (tri[(s + 1) % 3], tri[(s + 2) % 3])
+    by_incoming = {}
+    for t, (a, b) in inout.items():
+        if a in by_incoming:
+            raise MeshError(f"non-manifold patch at vertex {z}")
+        by_incoming[a] = t
+
+    outgoing_set = {b for _, b in inout.values()}
+    starts = [t for t, (a, b) in inout.items() if a not in outgoing_set]
+    if not starts:
+        boundary = False
+        start = min(incident)
+    elif len(starts) == 1:
+        boundary = True
+        start = starts[0]
+    else:
+        raise MeshError(f"non-manifold (pinched) patch at vertex {z}")
+
+    order = [start]
+    while True:
+        nxt = by_incoming.get(inout[order[-1]][1])
+        if nxt is None or nxt == start:
+            break
+        if nxt in order:
+            raise MeshError(f"non-manifold patch at vertex {z}")
+        order.append(nxt)
+    if len(order) != len(incident):
+        raise MeshError(f"non-manifold (pinched) patch at vertex {z}")
+
+    center = mesh.vertices[z]
+    if boundary:
+        spokes = [inout[order[0]][0]] + [inout[t][1] for t in order]
+    else:
+        spokes = [inout[t][1] for t in order]
+
+    pts = mesh.vertices[np.array(spokes)]
+    vecs = pts - center
+    edge_len = np.hypot(vecs[:, 0], vecs[:, 1])
+    tangents = vecs / edge_len[:, None]
+
+    n = len(order)
+    theta = np.empty(n)
+    opp_normals = np.empty((n, 2))
+    opp_dist = np.empty(n)
+    for j, t in enumerate(order):
+        a, b = inout[t]
+        va = mesh.vertices[a] - center
+        vb = mesh.vertices[b] - center
+        theta[j] = np.arctan2(va[0] * vb[1] - va[1] * vb[0],
+                              va @ vb) % (2 * np.pi)
+        f = mesh.vertices[b] - mesh.vertices[a]
+        m = np.array([f[1], -f[0]])
+        # m must point away from z
+        if m @ (mesh.vertices[a] - center) < 0:
+            m = -m
+        opp_normals[j] = m / np.hypot(*m)
+        fa = center - mesh.vertices[a]
+        opp_dist[j] = abs(f[0] * fa[1] - f[1] * fa[0]) / np.hypot(*f)
+
+    n_int = n if not boundary else n - 1
+    normals = np.empty((n_int, 2))
+    for k in range(n_int):
+        s = k if not boundary else k + 1
+        tvec = tangents[s]
+        # for a CCW fan, the normal out of tris[k] is the CCW rotation
+        # of the spoke tangent (it points towards tris[k+1])
+        normals[k] = np.array([-tvec[1], tvec[0]])
+
+    allpts = np.vstack([pts, center[None, :]])
+    diff = allpts[:, None, :] - allpts[None, :, :]
+    h_z = float(np.hypot(diff[..., 0], diff[..., 1]).max())
+
+    for a in (theta, edge_len, tangents, normals, opp_normals, opp_dist):
+        a.setflags(write=False)
+    return VertexPatch(
+        z=z, center=center, tris=tuple(order),
+        slots=tuple(slot_of[t] for t in order), spokes=tuple(spokes),
+        boundary=boundary, theta=theta, edge_len=edge_len,
+        tangents=tangents, normals=normals, opp_normals=opp_normals,
+        opp_dist=opp_dist, h_z=h_z,
+    )
+
+
+PATCH_MESHES = ([("golden", name) for name in sorted(GOLDEN_MESHES)]
+                + [("bench", key) for key in
+                   bench_pool("certify-dense") + bench_pool("verify-fields")])
+
+
+@pytest.mark.parametrize("source,name", PATCH_MESHES,
+                         ids=[n for _, n in PATCH_MESHES])
+def test_enumerate_patch_equals_its_per_triangle_loop(source, name):
+    """The fan arrays are bit-identical to one-triangle-at-a-time numpy on
+    every golden and benchmark mesh, the angles included."""
+    mesh = GOLDEN_MESHES[name]() if source == "golden" else bench_mesh(name)
+    topo = build_topology(mesh)
+    for z, patch in enumerate(topo.patches):
+        want = _loop_enumerate_patch(topo, z)
+        for f in dataclasses.fields(VertexPatch):
+            got, ref = getattr(patch, f.name), getattr(want, f.name)
+            if isinstance(ref, np.ndarray):
+                assert got.dtype == ref.dtype and got.shape == ref.shape
+                assert np.array_equal(got, ref), (z, f.name)
+            else:
+                assert got == ref, (z, f.name)
+                assert [type(x) for x in np.atleast_1d(got)] == \
+                    [type(x) for x in np.atleast_1d(ref)], (z, f.name)

@@ -10,7 +10,7 @@ import scipy.linalg
 
 from conftest import rigid_motion
 from svstokes import poly, solver
-from svstokes.classify import Tolerances, classify_mesh
+from svstokes.classify import Tolerances, classify_mesh, classify_vertex
 from svstokes.fields import PatchField, local_interpolant, w_field
 from svstokes.mesh import (Triangulation, build_topology, crossed,
                            perturbed_grid, type1_diagonal)
@@ -34,7 +34,7 @@ def _two_triangle_square():
 
 def _setup(mesh):
     topo = build_topology(mesh)
-    reports, summary = classify_mesh(topo)
+    reports, summary, _ = classify_mesh(topo)
     nodes = number_dofs(topo)
     B = assemble_divergence(topo, nodes)
     return topo, reports, summary, nodes, B
@@ -46,7 +46,7 @@ def _n_velocity(nodes):
 
 def _rank(mesh):
     topo = build_topology(mesh)
-    reports, summary = classify_mesh(topo)
+    reports, summary, _ = classify_mesh(topo)
     cert = certify(topo, reports)
     return topo, summary, divergence_rank(cert, topo, summary["sigma"], TOL)
 
@@ -186,7 +186,9 @@ def test_assembly_matches_the_per_triangle_oracle(name):
     B, A, u = _oracle_assembly(topo, field)
     assert np.array_equal(assemble_divergence(topo, nodes), B)
     for semi in (False, True):
-        assert np.array_equal(assemble_norms(topo, nodes, semi)[0], A[semi])
+        # both velocity components share the scalar Gram matrix
+        A_s = assemble_norms(topo, nodes, semi)[0]
+        assert np.array_equal(np.kron(A_s, np.eye(2)), A[semi])
     assert np.array_equal(velocity_coefficients(topo, nodes, field), u)
 
 
@@ -225,7 +227,8 @@ def test_injection_oracle_field_to_matrix():
     for r in interior[:3]:
         from svstokes.mesh import enumerate_patch
         patch = enumerate_patch(topo, r.vertex)
-        f = local_interpolant(patch, rng.standard_normal(patch.N), topo, r)
+        f = local_interpolant(patch, rng.standard_normal(patch.N), topo,
+                              *classify_vertex(patch, topo))
         u = velocity_coefficients(topo, nodes, f)
         expect = divergence_moments(topo, f)
         assert np.abs(B @ u - expect).max() < 1e-10 * max(
@@ -295,7 +298,7 @@ def test_seminorm_infsup_is_scale_invariant():
     betas = []
     for lam in (0.5, 1.0, 2.0):
         topo = build_topology(rigid_motion(base, scale=lam))
-        reports, summary = classify_mesh(topo)
+        reports, summary, _ = classify_mesh(topo)
         beta, _ = infsup_constant(certify(topo, reports, seminorm=True))
         betas.append(beta)
     assert betas[0] == pytest.approx(betas[1], rel=1e-9)

@@ -131,7 +131,7 @@ def test_chain_tree_upsilon():
 
 def test_cover_on_crossed_grid():
     topo = build_topology(crossed(2))
-    reports, _ = classify_mesh(topo)
+    reports, _, _ = classify_mesh(topo)
     cover = build_tree_cover(topo, reports, TOL)
     assert cover.complete
     assert cover.rho_bar >= 1.0
@@ -145,7 +145,7 @@ def test_cover_on_crossed_grid():
 
 def test_cover_respects_rho_recurrence():
     topo = build_topology(perturbed_grid(4, seed=9))
-    reports, _ = classify_mesh(topo)
+    reports, _, _ = classify_mesh(topo)
     cover = build_tree_cover(topo, reports, TOL)
     assert cover.complete
     weights = edge_weights(topo)
@@ -160,7 +160,7 @@ def test_cover_respects_rho_recurrence():
 
 def test_cover_trees_are_disjoint():
     topo = build_topology(perturbed_grid(4, seed=9))
-    reports, _ = classify_mesh(topo)
+    reports, _, _ = classify_mesh(topo)
     cover = build_tree_cover(topo, reports, TOL)
     seen = {}
     for i, tree in enumerate(cover.trees):
@@ -172,7 +172,7 @@ def test_cover_trees_are_disjoint():
 
 def test_type1_has_no_cover():
     topo = build_topology(type1_diagonal(3))
-    reports, _ = classify_mesh(topo)
+    reports, _, dcoefficients = classify_mesh(topo)
     cover = build_tree_cover(topo, reports, TOL)
     assert not cover.complete
     interior = {r.vertex for r in reports if not r.boundary}
@@ -180,14 +180,15 @@ def test_type1_has_no_cover():
     verdict, note = check_hypotheses(topo, reports, cover)
     assert verdict == VERDICT_NONE
     with pytest.raises(FieldError):
-        tree_interpolant(topo, cover, np.zeros((topo.T, 3)), reports, TOL)
+        tree_interpolant(topo, cover, np.zeros((topo.T, 3)), reports,
+                         dcoefficients, TOL)
 
 
 # ---------------------------------------------------------------------------
 # the global interpolant
 
-def _check_roundtrip(topo, cover, p, reports):
-    f = tree_interpolant(topo, cover, p, reports, TOL)
+def _check_roundtrip(topo, cover, p, reports, dcoefficients):
+    f = tree_interpolant(topo, cover, p, reports, dcoefficients, TOL)
     scale = max(np.abs(p).max(), 1.0)
     for t in range(topo.T):
         for slot, v in enumerate(topo.mesh.triangles[t]):
@@ -201,18 +202,18 @@ def _check_roundtrip(topo, cover, p, reports):
                          ids=["crossed", "perturbed"])
 def test_tree_interpolant_roundtrip(mesh, rng):
     topo = build_topology(mesh)
-    reports, _ = classify_mesh(topo)
+    reports, _, dcoefficients = classify_mesh(topo)
     cover = build_tree_cover(topo, reports, TOL)
     assert cover.complete
     _check_roundtrip(topo, cover, admissible_target(topo, reports, rng),
-                     reports)
+                     reports, dcoefficients)
 
 
 def test_tree_interpolant_with_forced_multihop(rng):
     """A hand-built cover routes one chain of interior vertices through a
     two-hop path to its root; the interpolant must still round-trip."""
     topo = build_topology(perturbed_grid(3, seed=2))
-    reports, _ = classify_mesh(topo)
+    reports, _, dcoefficients = classify_mesh(topo)
     chain = _some_interior_path(topo, 2)
     r, u, w = chain
     weights = edge_weights(topo)
@@ -260,4 +261,4 @@ def test_tree_interpolant_with_forced_multihop(rng):
     cover = TreeCover(trees=trees, assignment=assignment, uncovered=set())
     assert max(t.depth for t in cover.trees) >= 2
     _check_roundtrip(topo, cover, admissible_target(topo, reports, rng),
-                     reports)
+                     reports, dcoefficients)
