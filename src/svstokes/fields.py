@@ -715,9 +715,8 @@ def verify_field(f: PatchField, vertex_divs=None, mean_zero=True,
     """
     topo = f.topology
     tris = topo.mesh.triangles
-    ts = sorted(f.support)
-    row = {t: i for i, t in enumerate(ts)}
-    coeffs = np.array([f.coeffs[t] for t in ts]).reshape(
+    ts = np.array(sorted(f.support), dtype=np.int64)
+    coeffs = np.array([f.coeffs[t] for t in ts.tolist()]).reshape(
         len(ts), 2, len(poly.MONO3))
     divs = _div_coeffs(topo.hat_grads[ts], coeffs)              # (n, 6)
     # traces[i, k, d] is the (4, 2) trace of ts[i] on local edge k, direction d
@@ -734,24 +733,17 @@ def verify_field(f: PatchField, vertex_divs=None, mean_zero=True,
         checks.append(FieldCheck("support", ok, 0.0,
                                  "" if ok else f"extra triangles {sorted(f.support - set(support))}"))
 
-    # trace continuity / zero boundary trace
-    worst_cont, worst_trace = 0.0, 0.0
-    for i, t in enumerate(ts):
-        tri = tris[t].tolist()
-        for k in range(3):
-            a, b = tri[k], tri[(k + 1) % 3]
-            here = traces[i, k, 0]
-            e = topo.edge_index[(min(a, b), max(a, b))]
-            others = [s for s in topo.edge_tris[e] if s != t]
-            if others and others[0] in row:
-                # the same points, from a to b, in the neighbour's slots
-                other = tris[others[0]].tolist()
-                sa, sb = other.index(a), other.index(b)
-                k2, d2 = (sa, 0) if sb == (sa + 1) % 3 else (sb, 1)
-                there = traces[row[others[0]], k2, d2]
-                worst_cont = max(worst_cont, float(np.abs(here - there).max()))
-            else:
-                worst_trace = max(worst_trace, float(np.abs(here).max()))
+    # trace continuity / zero boundary trace: the twin side of a support
+    # side runs the other way, so its reversed trace meets the same points
+    row_of = np.full(topo.T, -1)
+    row_of[ts] = np.arange(len(ts))
+    twin = topo.twin[ts]                                         # (n, 3)
+    # the neighbour's row in ``traces``, -1 off the support or the mesh
+    row = np.where(twin >= 0, row_of[twin // 3], -1)
+    inside = row >= 0
+    jump = np.abs(traces[:, :, 0] - traces[row, twin % 3, 1])    # (n, 3, 4, 2)
+    worst_cont = float(jump[inside].max(initial=0.0))
+    worst_trace = float(np.abs(traces[:, :, 0][~inside]).max(initial=0.0))
     checks.append(FieldCheck("continuity", worst_cont <= rtol * cscale, worst_cont))
     checks.append(FieldCheck("zero_boundary_trace", worst_trace <= rtol * cscale,
                              worst_trace))
@@ -759,7 +751,7 @@ def verify_field(f: PatchField, vertex_divs=None, mean_zero=True,
     expected = dict(vertex_divs or {})
     worst_div = 0.0
     worst_key = None
-    for t, vals in zip(ts, divs[:, poly.VERTEX2].tolist()):
+    for t, vals in zip(ts.tolist(), divs[:, poly.VERTEX2].tolist()):
         for v, got in zip(tris[t].tolist(), vals):
             want = expected.pop((t, v), 0.0)
             dev = abs(got - want)

@@ -33,12 +33,13 @@ class Triangulation:
     ----------
     vertices : (V, 2) array of vertex coordinates.
     triangles : (T, 3) array of vertex indices.  Triangles listed clockwise
-        are silently reoriented to counter-clockwise.
+        are silently reoriented to counter-clockwise.  ``sides`` holds
+        the side table of the reoriented triangles.
     """
 
     def __init__(self, vertices, triangles):
         v = np.asarray(vertices, dtype=float)
-        t = np.asarray(triangles, dtype=np.int64)
+        t = np.array(triangles, dtype=np.int64)
         if v.ndim != 2 or v.shape[1] != 2:
             raise MeshError("vertices must be an (V, 2) array")
         if t.ndim != 2 or t.shape[1] != 3:
@@ -47,28 +48,30 @@ class Triangulation:
             raise MeshError("triangle vertex index out of range")
         if not np.isfinite(v).all():
             raise MeshError("vertex coordinates must be finite")
-        seen = set()
-        diam = 0.0
-        if len(v) > 1:
-            lo, hi = v.min(axis=0), v.max(axis=0)
-            diam = float(np.hypot(*(hi - lo)))
-        for i, tri in enumerate(t):
-            if len(set(tri)) != 3:
-                raise MeshError(f"triangle {i} has repeated vertices")
-            key = tuple(sorted(tri))
-            if key in seen:
-                raise MeshError(f"duplicate triangle {i}")
-            seen.add(key)
-            area = signed_area(v[tri[0]], v[tri[1]], v[tri[2]])
-            if area < 0:
-                t[i] = tri[[0, 2, 1]]
-                area = -area
-            if area < DEGENERACY_RATIO * diam * diam:
-                raise MeshError(f"triangle {i} is degenerate")
+        diam = float(np.hypot(*np.ptp(v, axis=0))) if len(v) > 1 else 0.0
+        key = np.sort(t, axis=1)
+        _, first, inverse = np.unique(key, axis=0, return_index=True,
+                                      return_inverse=True)
+        area = signed_area(*v[t].transpose(1, 0, 2))
+        # per triangle, the three checks in the order they are reported
+        bad = np.stack([
+            (key[:, 0] == key[:, 1]) | (key[:, 1] == key[:, 2]),
+            first[inverse.reshape(-1)] != np.arange(len(t)),
+            np.abs(area) < DEGENERACY_RATIO * diam * diam,
+        ], axis=1)
+        if bad.any():
+            i = int(np.argmax(bad.any(axis=1)))
+            raise MeshError(("triangle {} has repeated vertices",
+                             "duplicate triangle {}", "triangle {} is degenerate")
+                            [int(np.argmax(bad[i]))].format(i))
+        flip = area < 0
+        if flip.any():
+            t[flip] = t[flip][:, [0, 2, 1]]
         self.vertices = v
         self.triangles = t
         self.vertices.setflags(write=False)
         self.triangles.setflags(write=False)
+        self.sides = side_table(t, len(v))
         self._validate_conformity()
 
     @property
@@ -80,50 +83,82 @@ class Triangulation:
         return len(self.triangles)
 
     def _validate_conformity(self):
-        edge_count = {}
-        for tri in self.triangles:
-            for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                key = (min(a, b), max(a, b))
-                edge_count[key] = edge_count.get(key, 0) + 1
-        for (a, b), n in edge_count.items():
-            if n > 2:
-                raise MeshError(f"edge ({a}, {b}) shared by {n} triangles")
+        sides = self.sides
+        # Each check names the first offending edge in the order the
+        # triangle sides first reach it.
+        order = np.argsort(sides.first)
+        count = sides.count[order]
+        shared = order[count > 2]
+        if len(shared):
+            (a, b), n = sides.edges[shared[0]], sides.count[shared[0]]
+            raise MeshError(f"edge ({a}, {b}) shared by {n} triangles")
         # T-junction check: no vertex may lie strictly inside a boundary edge
         # (projection parameter s in (0, 1), cross product at roundoff).
-        boundary = [e for e, n in edge_count.items() if n == 1]
+        boundary = order[count == 1]
         used = np.unique(self.triangles)
         r_all = self.vertices[used]
-        for a, b in boundary:
-            pa, pb = self.vertices[a], self.vertices[b]
-            d = pb - pa
-            L2 = d @ d
-            r = r_all - pa
-            s = (r[:, 0] * d[0] + r[:, 1] * d[1]) / L2
-            cross = d[0] * r[:, 1] - d[1] * r[:, 0]
+        step = max(1, (1 << 18) // max(len(used), 1))  # ~2**18 pairs a block
+        for lo in range(0, len(boundary), step):
+            a, b = sides.edges[boundary[lo:lo + step]].T
+            pa, d = self.vertices[a], self.vertices[b] - self.vertices[a]
+            L2 = (d[:, None, :] @ d[:, :, None])[:, 0]  # the BLAS dot d @ d
+            r = r_all - pa[:, None]
+            s = (r[..., 0] * d[:, :1] + r[..., 1] * d[:, 1:]) / L2
+            cross = d[:, :1] * r[..., 1] - d[:, 1:] * r[..., 0]
             hanging = ((s > 0) & (s < 1) & (np.abs(cross) < 1e-12 * L2)
-                       & (used != a) & (used != b))
+                       & (used != a[:, None]) & (used != b[:, None]))
             if hanging.any():
-                w = used[np.argmax(hanging)]
+                j = int(np.argmax(hanging.any(axis=1)))
+                w = used[np.argmax(hanging[j])]
                 raise MeshError(
-                    f"hanging vertex {w} on boundary edge ({a}, {b})")
-        # Connectivity across shared edges.
-        if self.num_triangles:
-            adj = {}
-            for i, tri in enumerate(self.triangles):
-                for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                    adj.setdefault((min(a, b), max(a, b)), []).append(i)
-            reached = {0}
-            stack = [0]
-            while stack:
-                i = stack.pop()
-                tri = self.triangles[i]
-                for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                    for j in adj[(min(a, b), max(a, b))]:
-                        if j not in reached:
-                            reached.add(j)
-                            stack.append(j)
-            if len(reached) != self.num_triangles:
-                raise MeshError("triangulation is not edge-connected")
+                    f"hanging vertex {w} on boundary edge ({a[j]}, {b[j]})")
+        # Connectivity across shared edges: every triangle takes the
+        # smallest label among itself and its neighbours, then its label's
+        # label, until nothing changes; connected iff all labels reach 0.
+        label, old = np.arange(self.num_triangles), None
+        across = np.where(sides.twin >= 0, sides.twin // 3, label[:, None])
+        while not np.array_equal(label, old):
+            old, low = label, np.minimum(label, label[across].min(axis=1))
+            label = low[low]
+        if label.any():
+            raise MeshError("triangulation is not edge-connected")
+
+
+@dataclass(frozen=True)
+class SideTable:
+    """The edges of a triangulation, derived from its 3T triangle sides:
+    side ``s`` of triangle ``t`` joins vertex slots ``s`` and ``s + 1`` and
+    has the flat index ``3 t + s``.  All arrays are read-only."""
+
+    edges: np.ndarray      # (E, 2) sorted vertex pairs, lexicographic order
+    tri_edges: np.ndarray  # (T, 3) edge of each side
+    count: np.ndarray      # (E,) number of sides on each edge
+    first: np.ndarray      # (E,) flat index of the first side on each edge
+    twin: np.ndarray       # (T, 3) flat index 3 u + k of the other side on
+                           # the same edge, -1 unless the edge has two sides
+
+
+def side_table(triangles, num_vertices) -> SideTable:
+    """Derive the edges, the edge of each side, the edge multiplicities and
+    the half-edge twins with one ``np.unique`` over the side keys
+    ``min(a, b) V + max(a, b)``."""
+    tris = np.asarray(triangles, dtype=np.int64)
+    a, b = tris.ravel(), np.roll(tris, -1, axis=1).ravel()
+    keys = np.minimum(a, b) * num_vertices + np.maximum(a, b)
+    uniq, first, inverse, count = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True)
+    # the two sides of an edge: each one is their index sum minus itself
+    side = np.arange(len(keys))
+    pair_sum = np.zeros(len(uniq), dtype=np.int64)
+    np.add.at(pair_sum, inverse, side)
+    twin = np.where(count[inverse] == 2, pair_sum[inverse] - side, -1)
+    table = SideTable(
+        edges=np.stack([uniq // num_vertices, uniq % num_vertices], axis=1),
+        tri_edges=inverse.reshape(tris.shape), count=count, first=first,
+        twin=twin.reshape(tris.shape))
+    for arr in vars(table).values():
+        arr.setflags(write=False)
+    return table
 
 
 def load_mesh(text: str) -> Triangulation:
@@ -214,6 +249,8 @@ class MeshTopology:
     edge_index: dict             # (a, b) sorted pair -> edge index
     tri_edges: np.ndarray        # (T, 3) edge index of each triangle side,
                                  # side s joining vertex slots s and s + 1
+    twin: np.ndarray             # (T, 3) side 3 u + k of the neighbour u
+                                 # across each side, -1 on the boundary
     vertex_tris: tuple           # per vertex, tuple of incident triangles
     boundary_edge: np.ndarray    # (E,) bool
     boundary_vertex: np.ndarray  # (V,) bool
@@ -249,63 +286,43 @@ class MeshTopology:
 
 
 def build_topology(mesh: Triangulation) -> MeshTopology:
-    """Derive edges, boundary flags, incidence (with the edge of each
-    triangle side, ``tri_edges``), the triangle areas and hat gradients
-    (one batched computation) and the vertex patches (one
-    ``enumerate_patch`` per vertex) from a Triangulation.
+    """Read the edges, the edge of each triangle side (``tri_edges``) and
+    the half-edge twins from the mesh's side table, and derive from it the
+    boundary flags and the incidence tuples, the triangle areas and hat
+    gradients (one batched computation) and the vertex patches (one
+    ``enumerate_patch`` per vertex).
 
     Raises MeshError when a vertex has no triangles or a non-manifold
     (pinched) patch.
     """
-    edge_index = {}
-    edge_tris = []
-    for i, tri in enumerate(mesh.triangles):
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (min(a, b), max(a, b))
-            j = edge_index.get(key)
-            if j is None:
-                edge_index[key] = len(edge_tris)
-                edge_tris.append([i])
-            else:
-                if len(edge_tris[j]) >= 2:
-                    raise MeshError(f"edge {key} shared by >2 triangles")
-                edge_tris[j].append(i)
-    edges = np.array(sorted(edge_index), dtype=np.int64).reshape(-1, 2)
-    # re-key after sorting edges deterministically
-    edge_index = {tuple(e): i for i, e in enumerate(edges)}
-    tris_of = [None] * len(edges)
-    tri_edges = np.empty((mesh.num_triangles, 3), dtype=np.int64)
-    for i, tri in enumerate(mesh.triangles):
-        for side, (a, b) in enumerate(
-                ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0]))):
-            j = edge_index[(min(a, b), max(a, b))]
-            tri_edges[i, side] = j
-            if tris_of[j] is None:
-                tris_of[j] = []
-            if i not in tris_of[j]:
-                tris_of[j].append(i)
-    edge_tris = tuple(tuple(ts) for ts in tris_of)
-    boundary_edge = np.array([len(ts) == 1 for ts in edge_tris])
+    sides = mesh.sides
+    edges = sides.edges
+    boundary_edge = sides.count == 1
     boundary_vertex = np.zeros(mesh.num_vertices, dtype=bool)
-    for (a, b), is_b in zip(edges, boundary_edge):
-        if is_b:
-            boundary_vertex[a] = boundary_vertex[b] = True
-    vtris = [[] for _ in range(mesh.num_vertices)]
-    for i, tri in enumerate(mesh.triangles):
-        for v in tri:
-            vtris[v].append(i)
+    boundary_vertex[edges[boundary_edge]] = True
+    # an edge's triangles in ascending order: its first side's, then its twin's
+    lower = (sides.first // 3).tolist()
+    upper = (sides.twin.ravel()[sides.first] // 3).tolist()
+    edge_tris = tuple((t,) if u < 0 else (t, u) for t, u in zip(lower, upper))
+    # each vertex's triangles in ascending order, by one stable sort of slots
+    flat = mesh.triangles.ravel()
+    by_vertex = (np.argsort(flat, kind="stable") // 3).tolist()
+    ends = np.cumsum(np.bincount(flat, minlength=mesh.num_vertices)).tolist()
+    vertex_tris = tuple(tuple(by_vertex[lo:hi])
+                        for lo, hi in zip([0] + ends[:-1], ends))
     pts = mesh.vertices[mesh.triangles]
     area = np.abs(signed_area(pts[:, 0], pts[:, 1], pts[:, 2]))
     hat_grads = hat_gradients(pts[:, 0], pts[:, 1], pts[:, 2])
-    for a in (tri_edges, area, hat_grads):
+    for a in (area, hat_grads):
         a.setflags(write=False)
     topo = MeshTopology(
         mesh=mesh,
         edges=edges,
         edge_tris=edge_tris,
-        edge_index=edge_index,
-        tri_edges=tri_edges,
-        vertex_tris=tuple(tuple(ts) for ts in vtris),
+        edge_index=dict(zip(map(tuple, edges.tolist()), range(len(edges)))),
+        tri_edges=sides.tri_edges,
+        twin=sides.twin,
+        vertex_tris=vertex_tris,
         boundary_edge=boundary_edge,
         boundary_vertex=boundary_vertex,
         euler_ok=(mesh.num_triangles - len(edges) + mesh.num_vertices == 1),
@@ -471,32 +488,25 @@ def enumerate_patch(topology: MeshTopology, z: int) -> VertexPatch:
 # Generators
 
 
-def _grid_points(n, L):
-    return {(i, j): (i * L, j * L) for i in range(n + 1) for j in range(n + 1)}
+def _squares(n):
+    """The n x n squares of the lattice whose point (i, j) has the index
+    i (n + 1) + j: each as (i, j, its corners counter-clockwise from (i, j))."""
+    for i in range(n):
+        for j in range(n):
+            v00 = i * (n + 1) + j
+            yield i, j, (v00, v00 + n + 1, v00 + n + 2, v00 + 1)
 
 
 def crossed(n: int, L: float = 1.0) -> Triangulation:
     """n x n squares of side L, each split by both diagonals (4 triangles)."""
     if n < 1 or L <= 0:
         raise MeshError("crossed requires n >= 1 and L > 0")
-    verts = []
-    index = {}
-    for i in range(n + 1):
-        for j in range(n + 1):
-            index[(i, j)] = len(verts)
-            verts.append((i * L, j * L))
-    centers = {}
-    for i in range(n):
-        for j in range(n):
-            centers[(i, j)] = len(verts)
-            verts.append(((i + 0.5) * L, (j + 0.5) * L))
+    verts = [(i * L, j * L) for i in range(n + 1) for j in range(n + 1)]
+    verts += [((i + 0.5) * L, (j + 0.5) * L) for i in range(n) for j in range(n)]
     tris = []
-    for i in range(n):
-        for j in range(n):
-            c = centers[(i, j)]
-            v00, v10 = index[(i, j)], index[(i + 1, j)]
-            v11, v01 = index[(i + 1, j + 1)], index[(i, j + 1)]
-            tris += [(v00, v10, c), (v10, v11, c), (v11, v01, c), (v01, v00, c)]
+    for i, j, (v00, v10, v11, v01) in _squares(n):
+        c = (n + 1) ** 2 + i * n + j
+        tris += [(v00, v10, c), (v10, v11, c), (v11, v01, c), (v01, v00, c)]
     return Triangulation(np.array(verts), np.array(tris))
 
 
@@ -504,18 +514,10 @@ def type1_diagonal(n: int, L: float = 1.0) -> Triangulation:
     """n x n squares of side L, each split by the lower-left diagonal."""
     if n < 1 or L <= 0:
         raise MeshError("type1_diagonal requires n >= 1 and L > 0")
-    index = {}
-    verts = []
-    for i in range(n + 1):
-        for j in range(n + 1):
-            index[(i, j)] = len(verts)
-            verts.append((i * L, j * L))
+    verts = [(i * L, j * L) for i in range(n + 1) for j in range(n + 1)]
     tris = []
-    for i in range(n):
-        for j in range(n):
-            v00, v10 = index[(i, j)], index[(i + 1, j)]
-            v11, v01 = index[(i + 1, j + 1)], index[(i, j + 1)]
-            tris += [(v00, v10, v11), (v00, v11, v01)]
+    for _, _, (v00, v10, v11, v01) in _squares(n):
+        tris += [(v00, v10, v11), (v00, v11, v01)]
     return Triangulation(np.array(verts), np.array(tris))
 
 
@@ -526,18 +528,10 @@ def three_lines(n: int, L: float = 1.0) -> Triangulation:
         raise MeshError("three_lines requires n >= 1 and L > 0")
     e1 = np.array([1.0, 0.0]) * L
     e2 = np.array([0.5, np.sqrt(3) / 2]) * L
-    index = {}
-    verts = []
-    for i in range(n + 1):
-        for j in range(n + 1):
-            index[(i, j)] = len(verts)
-            verts.append(i * e1 + j * e2)
+    verts = [i * e1 + j * e2 for i in range(n + 1) for j in range(n + 1)]
     tris = []
-    for i in range(n):
-        for j in range(n):
-            a, b = index[(i, j)], index[(i + 1, j)]
-            c, d = index[(i, j + 1)], index[(i + 1, j + 1)]
-            tris += [(a, b, c), (b, d, c)]
+    for _, _, (a, b, d, c) in _squares(n):
+        tris += [(a, b, c), (b, d, c)]
     return Triangulation(np.array(verts), np.array(tris))
 
 
@@ -576,25 +570,20 @@ def perturbed_grid(n: int, seed: int = 0, amplitude: float = 0.15,
     if not 0 <= amplitude < 0.5:
         raise MeshError("amplitude must lie in [0, 0.5)")
     rng = np.random.default_rng(seed)
-    index = {}
     verts = []
     for i in range(n + 1):
         for j in range(n + 1):
-            index[(i, j)] = len(verts)
             x, y = i * L, j * L
             if 0 < i < n and 0 < j < n:
                 x += rng.uniform(-amplitude, amplitude) * L
                 y += rng.uniform(-amplitude, amplitude) * L
             verts.append((x, y))
     tris = []
-    for i in range(n):
-        for j in range(n):
-            v00, v10 = index[(i, j)], index[(i + 1, j)]
-            v11, v01 = index[(i + 1, j + 1)], index[(i, j + 1)]
-            if rng.integers(2):
-                tris += [(v00, v10, v11), (v00, v11, v01)]
-            else:
-                tris += [(v00, v10, v01), (v10, v11, v01)]
+    for _, _, (v00, v10, v11, v01) in _squares(n):
+        if rng.integers(2):
+            tris += [(v00, v10, v11), (v00, v11, v01)]
+        else:
+            tris += [(v00, v10, v01), (v10, v11, v01)]
     try:
         return Triangulation(np.array(verts), np.array(tris))
     except MeshError as exc:

@@ -21,16 +21,17 @@ def edge_weights(topology: MeshTopology):
     cots = np.empty((topology.T, 3))
     for t in range(topology.T):
         cots[t] = triangle_geometry(*mesh.vertices[mesh.triangles[t]]).cotangents
-    out = {}
-    for e, (ts, bd) in enumerate(zip(topology.edge_tris, topology.boundary_edge)):
-        if bd:
-            continue
-        t1, t2 = ts
-        for z in topology.edges[e]:
-            s1 = int(np.where(mesh.triangles[t1] == z)[0][0])
-            s2 = int(np.where(mesh.triangles[t2] == z)[0][0])
-            out[(e, int(z))] = float(cots[t1, s1] + cots[t2, s2])
-    return out
+    # side s of t runs from slot s to slot s + 1, its twin runs back; each
+    # interior edge once, by its side in the lower triangle
+    tris, nxt = mesh.triangles, [1, 2, 0]
+    twin = topology.twin.ravel()
+    side = np.flatnonzero(twin > np.arange(len(twin)))
+    ends = np.stack([tris.ravel(), tris[:, nxt].ravel()], axis=1)[side]
+    at_ends = np.stack([cots.ravel(), cots[:, nxt].ravel()], axis=1)
+    weight = at_ends[side] + at_ends[twin[side], ::-1]
+    edge = np.repeat(topology.tri_edges.ravel()[side], 2)
+    return dict(zip(zip(edge.tolist(), ends.ravel().tolist()),
+                    weight.ravel().tolist()))
 
 
 @dataclass(frozen=True)
@@ -162,10 +163,8 @@ def build_tree_cover(topology: MeshTopology, reports,
     """
     weights = edge_weights(topology)
     neighbors = {}
-    for e, bd in enumerate(topology.boundary_edge):
-        if bd:
-            continue
-        a, b = (int(v) for v in topology.edges[e])
+    interior = np.flatnonzero(~topology.boundary_edge)
+    for e, (a, b) in zip(interior.tolist(), topology.edges[interior].tolist()):
         neighbors.setdefault(a, []).append((b, e))
         neighbors.setdefault(b, []).append((a, e))
 

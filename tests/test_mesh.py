@@ -78,6 +78,15 @@ def test_clockwise_triangles_reoriented():
     assert u[0] * v[1] - u[1] * v[0] > 0
 
 
+def test_mirrored_mesh_reoriented_without_touching_the_input():
+    mesh = crossed(2)
+    mirrored = Triangulation(mesh.vertices * [-1.0, 1.0], mesh.triangles)
+    assert np.array_equal(mirrored.triangles, mesh.triangles[:, [0, 2, 1]])
+    tris = np.array(mesh.triangles)
+    Triangulation(mesh.vertices, tris)
+    assert tris.flags.writeable
+
+
 def test_nonmanifold_edge_rejected():
     text = ("vertices 5\n0 0\n1 0\n0 1\n1 1\n0.5 -1\n"
             "triangles 3\n0 1 2\n1 3 2\n0 4 1\n")
@@ -123,6 +132,142 @@ def test_tri_edges_name_each_side():
                         axis=2)
         assert np.array_equal(topo.edges[topo.tri_edges], sides)
         assert not topo.tri_edges.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# Validation messages: each case has two offenders, and the message names
+# the first in triangle order, or the first boundary edge in the order the
+# triangle sides first reach it (not the lexicographic order).
+
+_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
+# edge (0, 1) lies in triangles on both sides and in one more
+_FAN = [(0, 0), (2, 0), (1, 1), (1, -1), (1, 2), (1, -2)]
+# vertex 4 sits inside boundary edge (0, 1)
+_T_JOINT = [(0, 0), (2, 0), (1, 2), (1, -2), (1, 0)]
+
+
+def _moved(points, dx=10):
+    return [(x + dx, y) for x, y in points]
+
+
+MESSAGE_CASES = {
+    "repeated": (_SQUARE, [(0, 1, 2), (0, 2, 2), (1, 1, 3)],
+                 "triangle 1 has repeated vertices"),
+    "duplicate": (_SQUARE, [(0, 1, 2), (0, 2, 3), (2, 0, 1), (3, 2, 0)],
+                  "duplicate triangle 2"),
+    "degenerate": (_SQUARE + [(2, 2), (0.5, 0)],
+                   [(0, 1, 2), (0, 2, 4), (0, 1, 5)],
+                   "triangle 1 is degenerate"),
+    # triangle 1 is also degenerate: within a triangle, repeats come first
+    "repeated-before-degenerate": (_SQUARE, [(0, 1, 2), (0, 0, 3), (1, 2, 3)],
+                                   "triangle 1 has repeated vertices"),
+    # across triangles, the earlier triangle comes first
+    "triangle-order-before-check-order": (
+        _SQUARE + [(2, 2)], [(0, 1, 2), (0, 2, 4), (3, 3, 1)],
+        "triangle 1 is degenerate"),
+    "shared": (_FAN + _moved(_FAN),
+               [(6, 7, 8), (6, 9, 7), (6, 7, 10), (6, 11, 7),
+                (0, 1, 2), (0, 3, 1), (0, 1, 4)],
+               "edge (6, 7) shared by 4 triangles"),
+    "hanging": (_T_JOINT + _moved(_T_JOINT),
+                [(5, 6, 7), (5, 9, 8), (9, 6, 8),
+                 (0, 1, 2), (0, 4, 3), (4, 1, 3)],
+                "hanging vertex 9 on boundary edge (5, 6)"),
+    "shared-before-hanging": (_FAN + _moved(_T_JOINT),
+                              [(6, 7, 8), (6, 10, 9), (10, 7, 9),
+                               (0, 1, 2), (0, 3, 1), (0, 1, 4)],
+                              "edge (0, 1) shared by 3 triangles"),
+    # two triangles meeting at vertex 0 only, and a third apart
+    "disconnected": ([(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1),
+                      (5, 5), (6, 5), (5, 6)],
+                     [(0, 1, 2), (0, 3, 4), (5, 6, 7)],
+                     "triangulation is not edge-connected"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MESSAGE_CASES))
+def test_validation_message_names_the_first_offender(name):
+    vertices, triangles, message = MESSAGE_CASES[name]
+    with pytest.raises(MeshError) as info:
+        Triangulation(np.array(vertices, dtype=float), np.array(triangles))
+    assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# The topology against a dict pass over the triangle sides
+
+def _dict_topology(mesh):
+    """Edges and incidences derived one triangle side at a time."""
+    edge_index = {}
+    for tri in mesh.triangles.tolist():
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            edge_index.setdefault((min(a, b), max(a, b)), len(edge_index))
+    edges = np.array(sorted(edge_index), dtype=np.int64).reshape(-1, 2)
+    # re-key after sorting edges deterministically
+    edge_index = {tuple(e): i for i, e in enumerate(edges.tolist())}
+    tris_of = [[] for _ in edge_index]
+    tri_edges = np.empty((mesh.num_triangles, 3), dtype=np.int64)
+    for i, tri in enumerate(mesh.triangles.tolist()):
+        for side, (a, b) in enumerate(
+                ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0]))):
+            j = edge_index[(min(a, b), max(a, b))]
+            tri_edges[i, side] = j
+            if i not in tris_of[j]:
+                tris_of[j].append(i)
+    edge_tris = tuple(tuple(ts) for ts in tris_of)
+    boundary_edge = np.array([len(ts) == 1 for ts in edge_tris])
+    boundary_vertex = np.zeros(mesh.num_vertices, dtype=bool)
+    for (a, b), is_b in zip(edges, boundary_edge):
+        if is_b:
+            boundary_vertex[a] = boundary_vertex[b] = True
+    vtris = [[] for _ in range(mesh.num_vertices)]
+    for i, tri in enumerate(mesh.triangles.tolist()):
+        for v in tri:
+            vtris[v].append(i)
+    return dict(edges=edges, edge_index=edge_index, edge_tris=edge_tris,
+                tri_edges=tri_edges, boundary_edge=boundary_edge,
+                boundary_vertex=boundary_vertex,
+                vertex_tris=tuple(tuple(ts) for ts in vtris))
+
+
+def _assert_topology_matches_dict_pass(mesh):
+    topo = build_topology(mesh)
+    want = _dict_topology(mesh)
+    for name, ref in want.items():
+        got = getattr(topo, name)
+        if isinstance(ref, np.ndarray):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+        else:
+            assert got == ref, name
+            flat = [x for item in ref for x in
+                    (item if isinstance(item, tuple) else (item,))]
+            assert all(type(x) is int for x in flat), name
+    # twin sides: paired, on one edge, run in opposite directions, and
+    # missing exactly on the boundary
+    twin, tri_edges = topo.twin.ravel(), topo.tri_edges.ravel()
+    assert not topo.twin.flags.writeable
+    assert np.array_equal(twin < 0, topo.boundary_edge[tri_edges])
+    side = np.flatnonzero(twin >= 0)
+    other = twin[side]
+    assert np.array_equal(twin[other], side)
+    assert np.array_equal(tri_edges[other], tri_edges[side])
+    tris = mesh.triangles
+    start = tris[side // 3, side % 3]
+    end = tris[side // 3, (side % 3 + 1) % 3]
+    assert np.array_equal(tris[other // 3, other % 3], end)
+    assert np.array_equal(tris[other // 3, (other % 3 + 1) % 3], start)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MESHES) + ["crossed-32"])
+def test_topology_matches_dict_pass(name):
+    mesh = crossed(32) if name == "crossed-32" else GOLDEN_MESHES[name]()
+    _assert_topology_matches_dict_pass(mesh)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 7))
+def test_perturbed_topology_matches_dict_pass(seed, n):
+    _assert_topology_matches_dict_pass(perturbed_grid(n, seed=seed))
 
 
 @pytest.mark.parametrize("make", [
