@@ -9,7 +9,7 @@ vertex-divergence targets along acceptable mesh edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 
@@ -277,11 +277,16 @@ def _edge_spokes(patch: VertexPatch) -> np.ndarray:
                                     + int(patch.boundary)]
 
 
-def _patch_field(topology, patch, coeffs) -> PatchField:
+def _patch_field(topology, patch, coeffs):
     """PatchField of (N, 2, 10) coefficients over patch.tris, without the
-    triangles where they vanish."""
-    return PatchField(topology, {t: c for t, c in zip(patch.tris, coeffs)
-                                 if c.any()})
+    triangles where they vanish; (S, N, 2, 10) coefficients give the list
+    of the S fields of their rows."""
+    rows = coeffs.reshape((-1,) + coeffs.shape[-3:])
+    nonzero = rows.any(axis=(2, 3)).tolist()
+    fields = [PatchField(topology, {t: c for t, c, keep in
+                                    zip(patch.tris, row, row_nonzero) if keep})
+              for row, row_nonzero in zip(rows, nonzero)]
+    return fields if coeffs.ndim == 4 else fields[0]
 
 
 def _edge_slot(patch: VertexPatch, y: int) -> int:
@@ -400,9 +405,14 @@ def basis_xi(patch: VertexPatch, topology: MeshTopology, i: int,
 
 
 def _combine(c, rows):
-    """sum_q c[q] rows[q]."""
-    return (c @ rows.reshape(len(rows), prod(rows.shape[1:]))).reshape(
-        rows.shape[1:])
+    """sum_q c[..., q] rows[q] for one weight vector or a block of them.
+
+    The terms are added in q order, so a row of a block gets the very bits
+    of its own call (a BLAS product would sum a block and a vector in
+    different orders)."""
+    c = np.asarray(c)
+    terms = c[..., :, None] * rows.reshape(len(rows), prod(rows.shape[1:]))
+    return terms.sum(axis=-2).reshape(c.shape[:-1] + rows.shape[1:])
 
 
 @lru_cache(maxsize=None)
@@ -440,10 +450,12 @@ def _chain(n: int, boundary: bool, seed_pos: int):
 
 def _contract(table: EdgeTable, a, seed, seed_pos):
     """Coefficients (N, 2, 10) of sum_p a_p v_p for the chain basis of
-    ``seed`` at ``seed_pos``, and the chain signs."""
+    ``seed`` at ``seed_pos``, and the chain signs; a block of targets
+    (S, N) gives (S, N, 2, 10)."""
     patch = table.patch
     S, sign = _chain(patch.N, patch.boundary, seed_pos)
-    return _combine(a @ S, table.w) + (sign @ a) * seed, sign
+    return (_combine(_combine(a, S), table.w)
+            + _combine(a, sign)[..., None, None, None] * seed), sign
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +484,18 @@ def _even_seed(table: EdgeTable, i: int, dco: DCoefficients):
     return (-1.0 / det) * (xi - _combine(s, table.w[1:]))
 
 
+def _targets(patch: VertexPatch, target, what: str):
+    """A target vector (N,) or block (S, N) as floats."""
+    a = np.asarray(target, dtype=float)
+    if a.ndim not in (1, 2) or a.shape[-1] != patch.N:
+        raise FieldError(f"expected {patch.N} {what}, got "
+                         f"{a.shape[-1] if a.ndim else a.size}")
+    return a
+
+
 def local_interpolant(patch: VertexPatch, target, topology: MeshTopology,
                       report: VertexReport,
-                      dco: DCoefficients | None = None) -> PatchField:
+                      dco: DCoefficients | None = None):
     """Patch field matching per-triangle vertex-divergence targets at the
     patch center, with zero triangle means and no pollution elsewhere.
 
@@ -483,25 +504,28 @@ def local_interpolant(patch: VertexPatch, target, topology: MeshTopology,
     seed for odd valence, and the determinant-normalized corrector seed
     for certified even valence, which reads the vertex's d-coefficients
     ``dco`` (the ``classify_mesh`` ones).
+
+    ``target`` is one target vector (N,), giving one ``PatchField``, or a
+    block (S, N) of them, giving a list of S fields from one edge table
+    and one contraction.
     """
     _check_report(patch, report)
-    a = np.asarray(target, dtype=float)
-    if len(a) != patch.N:
-        raise FieldError(f"expected {patch.N} target values, got {len(a)}")
+    a = _targets(patch, target, "target values")
     if not report.local_interpolating:
         raise FieldError(
             f"vertex {patch.z} is not local interpolating ({report.status})")
     table = edge_table(patch, topology)
 
     if report.status == SINGULAR:
-        alt = sum((-1.0) ** j * a[j] for j in range(patch.N))
-        scale = max(np.abs(a).max(), 1e-30)
-        if abs(alt) > 1e-9 * scale:
-            raise FieldError(
-                "target violates the alternating-sum constraint at a "
-                f"singular vertex (residual {alt:.3e})")
+        for row in a.reshape(-1, patch.N):
+            alt = sum((-1.0) ** j * row[j] for j in range(patch.N))
+            scale = max(np.abs(row).max(), 1e-30)
+            if abs(alt) > 1e-9 * scale:
+                raise FieldError(
+                    "target violates the alternating-sum constraint at a "
+                    f"singular vertex (residual {alt:.3e})")
         # weights b_j = a_j - b_{j-1} on the edges 0 .. N-2
-        b = a @ _signed_prefix(patch.N)[:, :-1]
+        b = _combine(a, _signed_prefix(patch.N)[:, :-1])
         return _patch_field(topology, patch,
                             _combine(b, table.w[:patch.N - 1]))
 
@@ -522,7 +546,7 @@ class BoundaryResult:
 
 
 def boundary_interpolant(patch: VertexPatch, p_values, topology: MeshTopology,
-                         report: VertexReport) -> BoundaryResult:
+                         report: VertexReport):
     """Match vertex-divergence targets at a boundary vertex.
 
     Singular boundary vertices (by ``report``, from ``classify_mesh``)
@@ -530,16 +554,19 @@ def boundary_interpolant(patch: VertexPatch, p_values, topology: MeshTopology,
     uses the zero-edge-mean scalar on the straightest interior edge, which
     pollutes that edge's far endpoint; the residual divergences left at
     interior vertices are returned.
+
+    ``p_values`` is one target vector (N,), giving one ``BoundaryResult``,
+    or a block (S, N), giving a list of S.
     """
     _check_report(patch, report)
     if not patch.boundary:
         raise FieldError("patch center is not a boundary vertex")
-    a = np.asarray(p_values, dtype=float)
-    if len(a) != patch.N:
-        raise FieldError(f"expected {patch.N} values, got {len(a)}")
+    a = _targets(patch, p_values, "values")
     if report.singular:
-        return BoundaryResult(local_interpolant(patch, a, topology, report),
-                              {})
+        fields = local_interpolant(patch, a, topology, report)
+        if a.ndim == 1:
+            return BoundaryResult(fields, {})
+        return [BoundaryResult(f, {}) for f in fields]
     if patch.N < 2:
         raise FieldError("non-singular boundary patch needs >= 2 triangles")
 
@@ -562,10 +589,32 @@ def boundary_interpolant(patch: VertexPatch, p_values, topology: MeshTopology,
     table = edge_table(patch, topology)
     seed = (coef * tvec)[:, None] * table.kappa[s][:, None, :]
 
-    v = _patch_field(topology, patch, _contract(table, a, seed, s)[0])
-    side = {key: val for key, val in v.vertex_divergences(tol=1e-12 * max(
-        v.max_coeff(), 1e-30)).items() if key[1] != patch.z}
-    return BoundaryResult(v, side)
+    coeffs = _contract(table, a, seed, s)[0].reshape(-1, patch.N, 2,
+                                                     len(poly.MONO3))
+    results = [BoundaryResult(f, side) for f, side in zip(
+        _patch_field(topology, patch, coeffs),
+        _side_effects(topology, patch, coeffs))]
+    return results[0] if a.ndim == 1 else results
+
+
+def _side_effects(topology, patch, coeffs):
+    """For each row of (S, N, 2, 10) patch coefficients, the dict
+    (triangle, vertex) -> divergence of its non-negligible vertex
+    divergences away from the patch center, in triangle then slot order."""
+    order = np.argsort(patch.tris)
+    tris = np.asarray(patch.tris)[order]
+    verts = topology.mesh.triangles[tris]                        # (N, 3)
+    vals = _div_coeffs(topology.hat_grads[tris],
+                       coeffs[:, order])[..., poly.VERTEX2]      # (S, N, 3)
+    tol = 1e-12 * np.maximum(np.abs(coeffs).max(axis=(1, 2, 3),
+                                                initial=0.0), 1e-30)
+    keep = ~(np.abs(vals) <= tol[:, None, None]) & (verts != patch.z)
+    row, j, slot = np.nonzero(keep)
+    out = [{} for _ in range(len(coeffs))]
+    for r, t, v, val in zip(row.tolist(), tris[j].tolist(),
+                            verts[j, slot].tolist(), vals[keep].tolist()):
+        out[r][(t, v)] = val
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -669,6 +718,7 @@ class FieldCheck:
     ok: bool
     deviation: float
     detail: str = ""
+    field: int = 0          # index of the checked field in a stacked call
 
 
 @dataclass
@@ -681,6 +731,10 @@ class FieldReport:
 
     def failed(self):
         return [c for c in self.checks if not c.ok]
+
+    def failed_fields(self):
+        """Indices of the fields with a failing check, ascending."""
+        return sorted({c.field for c in self.checks if not c.ok})
 
 
 _TRACE_S = np.array([0.2, 0.4, 0.6, 0.8])
@@ -701,76 +755,161 @@ def _trace_lambdas():
 _TRACE_LAM = _trace_lambdas()
 
 
-def verify_field(f: PatchField, vertex_divs=None, mean_zero=True,
-                 support=None, rtol=1e-9) -> FieldReport:
-    """Check a constructed field against its expected properties.
+def verify_field(f, vertex_divs=None, mean_zero=True, support=None,
+                 rtol=1e-9) -> FieldReport:
+    """Check constructed fields against their expected properties.
 
+    ``f`` is one PatchField, or a sequence of fields on one topology; then
+    ``vertex_divs`` (and ``support``, when given) is a matching sequence.
     ``vertex_divs`` maps (triangle, vertex) to the expected divergence
     value; every support (triangle, vertex) pair not listed is expected to
     give zero.  Continuity across internal support edges and a vanishing
     trace on the support-region boundary are always checked.
 
-    The traces and the divergence coefficients of all support triangles
-    are computed once, each by one stacked product; every check reads them.
+    The support triangles of all fields are stacked into one block of rows
+    sorted by (field, triangle), and every check is one array program over
+    the block reduced to per-field maxima.  Each FieldCheck carries the
+    index of its field; a field's checks are those of a call on it alone.
     """
-    topo = f.topology
+    if isinstance(f, PatchField):
+        fields, expected = [f], [vertex_divs]
+        supports = None if support is None else [support]
+    else:
+        fields = list(f)
+        expected = ([None] * len(fields) if vertex_divs is None
+                    else list(vertex_divs))
+        supports = None if support is None else list(support)
+    if len(expected) != len(fields) or (supports is not None
+                                        and len(supports) != len(fields)):
+        raise FieldError("vertex_divs and support need one entry per field")
+    if not fields:
+        return FieldReport([])
+    topo = fields[0].topology
+    T, F = topo.T, len(fields)
     tris = topo.mesh.triangles
-    ts = np.array(sorted(f.support), dtype=np.int64)
-    coeffs = np.array([f.coeffs[t] for t in ts.tolist()]).reshape(
-        len(ts), 2, len(poly.MONO3))
-    divs = _div_coeffs(topo.hat_grads[ts], coeffs)              # (n, 6)
-    # traces[i, k, d] is the (4, 2) trace of ts[i] on local edge k, direction d
+
+    # the block: every support triangle of every field, sorted by (field,
+    # triangle), and every expected vertex divergence, by field
+    tri_list, count, blocks = [], [], []
+    exp_keys, exp_vals, exp_count = [], [], []
+    for g, d in zip(fields, expected):
+        if g.topology is not topo:
+            raise FieldError("fields live on different topologies")
+        ts = sorted(g.coeffs)
+        tri_list += ts
+        count.append(len(ts))
+        blocks += map(g.coeffs.__getitem__, ts)
+        d = d or {}
+        exp_keys += d
+        exp_vals += d.values()
+        exp_count.append(len(d))
+    owner = np.repeat(np.arange(F), count)
+    ts = np.array(tri_list, dtype=np.int64)
+    coeffs = np.array(blocks).reshape(len(ts), 2, len(poly.MONO3))
+    key = owner * T + ts
+    # a sentinel after the last row, which no (field, triangle) key matches
+    keyed = np.append(key, -1)
+
+    def row_of(query):
+        """Row of each (field, triangle) key, and whether it is in the block."""
+        pos = np.searchsorted(key, query)
+        return pos, keyed[pos] == query
+
+    def per_field(row_max, at=np.maximum.at):
+        out = np.zeros(F)
+        at(out, owner, row_max)
+        return out
+
+    divs = _div_coeffs(topo.hat_grads[ts], coeffs)              # (R, 6)
+    # traces[i, k, d] is the (4, 2) trace of row i on local edge k, direction d
     values = poly.eval3(coeffs.reshape(-1, len(poly.MONO3)), _TRACE_LAM)
     traces = values.reshape(values.shape[:-1] + (len(ts), 2))
     traces = traces.transpose(3, 0, 1, 2, 4)
-    checks = []
-    dscale = float(np.abs(divs).max()) if len(ts) else 0.0
-    dtol = rtol * max(dscale, 1.0)
-    cscale = max(f.max_coeff(), 1.0)
-
-    if support is not None:
-        ok = f.support <= frozenset(support)
-        checks.append(FieldCheck("support", ok, 0.0,
-                                 "" if ok else f"extra triangles {sorted(f.support - set(support))}"))
+    dtol = rtol * np.maximum(per_field(np.abs(divs).max(axis=1)), 1.0)
+    cscale = np.maximum(per_field(np.abs(coeffs).max(axis=(1, 2))), 1.0)
 
     # trace continuity / zero boundary trace: the twin side of a support
     # side runs the other way, so its reversed trace meets the same points
-    row_of = np.full(topo.T, -1)
-    row_of[ts] = np.arange(len(ts))
-    twin = topo.twin[ts]                                         # (n, 3)
-    # the neighbour's row in ``traces``, -1 off the support or the mesh
-    row = np.where(twin >= 0, row_of[twin // 3], -1)
-    inside = row >= 0
-    jump = np.abs(traces[:, :, 0] - traces[row, twin % 3, 1])    # (n, 3, 4, 2)
-    worst_cont = float(jump[inside].max(initial=0.0))
-    worst_trace = float(np.abs(traces[:, :, 0][~inside]).max(initial=0.0))
-    checks.append(FieldCheck("continuity", worst_cont <= rtol * cscale, worst_cont))
-    checks.append(FieldCheck("zero_boundary_trace", worst_trace <= rtol * cscale,
-                             worst_trace))
+    twin = topo.twin[ts]                                         # (R, 3)
+    row, inside = row_of(owner[:, None] * T + twin // 3)
+    inside &= twin >= 0
+    row = np.where(inside, row, 0)
+    fwd = traces[:, :, 0]                                        # (R, 3, 4, 2)
+    jump = np.abs(fwd - traces[row, twin % 3, 1]).max(axis=(2, 3))
+    worst_cont = per_field(np.where(inside, jump, 0.0).max(axis=1))
+    worst_trace = per_field(np.where(inside, 0.0, np.abs(fwd).max(
+        axis=(2, 3))).max(axis=1))
 
-    expected = dict(vertex_divs or {})
-    worst_div = 0.0
-    worst_key = None
-    for t, vals in zip(ts.tolist(), divs[:, poly.VERTEX2].tolist()):
-        for v, got in zip(tris[t].tolist(), vals):
-            want = expected.pop((t, v), 0.0)
-            dev = abs(got - want)
-            if dev > worst_div:
-                worst_div, worst_key = dev, (t, v)
-    # Entries left in ``expected`` refer to triangles outside the support,
-    # where the field (hence its divergence) is identically zero.
-    missing = {k: v for k, v in expected.items() if abs(v) > dtol}
-    for k, v in expected.items():
-        if abs(v) > worst_div:
-            worst_div, worst_key = abs(v), k
-    ok = worst_div <= dtol and not missing
-    detail = "" if ok else (f"worst at {worst_key}" if not missing
-                            else f"expected values outside support: {sorted(missing)}")
-    checks.append(FieldCheck("vertex_divergences", ok, worst_div, detail))
+    # expected vertex divergences: those on a support (triangle, vertex)
+    # pair are compared with it; the others lie outside the support, where
+    # the field (hence its divergence) is identically zero.  A NaN
+    # deviation is passed over, as by a running maximum.
+    e_owner = np.repeat(np.arange(F), exp_count)
+    e_val = np.array(exp_vals, dtype=float)
+    kt, kv = np.array(exp_keys, dtype=np.int64).reshape(-1, 2).T
+    on_mesh = (kt >= 0) & (kt < T)
+    kt = np.where(on_mesh, kt, 0)
+    e_row, found = row_of(e_owner * T + kt)
+    slot = tris[kt] == kv[:, None]                               # (n, 3)
+    matched = on_mesh & found & slot.any(axis=1)
+    want = np.zeros((len(ts), 3))
+    want[e_row[matched], slot[matched].argmax(axis=1)] = e_val[matched]
+    dev = np.abs(divs[:, poly.VERTEX2] - want)                   # (R, 3)
+    left = ~matched
+    worst_div = per_field(np.fmax.reduce(dev, axis=1), at=np.fmax.at)
+    np.fmax.at(worst_div, e_owner[left], np.abs(e_val[left]))
+    outside = left & (np.abs(e_val) > dtol[e_owner])
+    missing = np.bincount(e_owner[outside], minlength=F) > 0
+    ok_div = (worst_div <= dtol) & ~missing
 
+    columns = []
+    if supports is not None:
+        allowed = np.array([i * T + t for i, s in enumerate(supports)
+                            for t in s if 0 <= t < T], dtype=np.int64)
+        extra = ~np.isin(key, allowed)
+        columns.append(("support", np.bincount(owner[extra], minlength=F) == 0,
+                        np.zeros(F)))
+    columns += [
+        ("continuity", worst_cont <= rtol * cscale, worst_cont),
+        ("zero_boundary_trace", worst_trace <= rtol * cscale, worst_trace),
+        ("vertex_divergences", ok_div, worst_div)]
     if mean_zero:
-        means = divs @ poly.INT2_UNIT
-        worst_mean = float(np.abs(means).max()) if len(ts) else 0.0
-        checks.append(FieldCheck("zero_triangle_means", worst_mean <= dtol,
-                                 worst_mean))
-    return FieldReport(checks)
+        worst_mean = per_field(np.abs(divs @ poly.INT2_UNIT))
+        columns.append(("zero_triangle_means", worst_mean <= dtol, worst_mean))
+
+    # details name the offenders of the failing checks only
+    details = {}
+    if supports is not None:
+        for i in np.flatnonzero(~columns[0][1]).tolist():
+            extra_tris = sorted(fields[i].support - set(supports[i]))
+            details[i, "support"] = f"extra triangles {extra_tris}"
+    for i in np.flatnonzero(~ok_div).tolist():
+        mine = e_owner == i
+        if missing[i]:
+            keys = sorted(exp_keys[j] for j in np.flatnonzero(outside & mine))
+            details[i, "vertex_divergences"] = (
+                f"expected values outside support: {keys}")
+            continue
+        # the first largest deviation: support pairs in (triangle, slot)
+        # order, then the unmatched entries in the order given
+        rows = np.flatnonzero(owner == i)
+        rest = np.flatnonzero(left & mine)
+        devs = np.concatenate([dev[rows].ravel(), np.abs(e_val[rest])])
+        devs = np.where(np.isnan(devs), -1.0, devs)
+        j = int(np.argmax(devs)) if len(devs) else 0
+        worst_key = None
+        if len(devs) and devs[j] > 0.0:
+            if j < 3 * len(rows):
+                t = int(ts[rows[j // 3]])
+                worst_key = (t, int(tris[t, j % 3]))
+            else:
+                worst_key = exp_keys[rest[j - 3 * len(rows)]]
+        details[i, "vertex_divergences"] = f"worst at {worst_key}"
+
+    names = [name for name, _, _ in columns]
+    oks = np.stack([ok for _, ok, _ in columns], axis=1).tolist()
+    devs = np.stack([d for _, _, d in columns], axis=1).tolist()
+    return FieldReport([
+        FieldCheck(name, ok, d, details.get((i, name), ""), i)
+        for i, (ok_row, dev_row) in enumerate(zip(oks, devs))
+        for name, ok, d in zip(names, ok_row, dev_row)])

@@ -245,7 +245,6 @@ class MeshTopology:
 
     mesh: Triangulation
     edges: np.ndarray            # (E, 2) sorted vertex pairs
-    edge_tris: tuple             # per edge, tuple of incident triangle indices
     edge_index: dict             # (a, b) sorted pair -> edge index
     tri_edges: np.ndarray        # (T, 3) edge index of each triangle side,
                                  # side s joining vertex slots s and s + 1
@@ -288,7 +287,7 @@ class MeshTopology:
 def build_topology(mesh: Triangulation) -> MeshTopology:
     """Read the edges, the edge of each triangle side (``tri_edges``) and
     the half-edge twins from the mesh's side table, and derive from it the
-    boundary flags and the incidence tuples, the triangle areas and hat
+    boundary flags and each vertex's triangles, the triangle areas and hat
     gradients (one batched computation) and the vertex patches (one
     ``enumerate_patch`` per vertex).
 
@@ -300,10 +299,6 @@ def build_topology(mesh: Triangulation) -> MeshTopology:
     boundary_edge = sides.count == 1
     boundary_vertex = np.zeros(mesh.num_vertices, dtype=bool)
     boundary_vertex[edges[boundary_edge]] = True
-    # an edge's triangles in ascending order: its first side's, then its twin's
-    lower = (sides.first // 3).tolist()
-    upper = (sides.twin.ravel()[sides.first] // 3).tolist()
-    edge_tris = tuple((t,) if u < 0 else (t, u) for t, u in zip(lower, upper))
     # each vertex's triangles in ascending order, by one stable sort of slots
     flat = mesh.triangles.ravel()
     by_vertex = (np.argsort(flat, kind="stable") // 3).tolist()
@@ -318,7 +313,6 @@ def build_topology(mesh: Triangulation) -> MeshTopology:
     topo = MeshTopology(
         mesh=mesh,
         edges=edges,
-        edge_tris=edge_tris,
         edge_index=dict(zip(map(tuple, edges.tolist()), range(len(edges)))),
         tri_edges=sides.tri_edges,
         twin=sides.twin,

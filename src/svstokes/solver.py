@@ -517,25 +517,3 @@ def velocity_coefficients(topology: MeshTopology, nodes: np.ndarray,
     last = np.full(n, -1, dtype=np.int64)
     np.maximum.at(last, flat[interior], interior)
     return vals.reshape(-1, 2)[last].ravel()
-
-
-def divergence_moments(topology: MeshTopology, field) -> np.ndarray:
-    """Moment vector (pressure-DOF layout) of a field's divergence."""
-    out = np.zeros(6 * topology.T)
-    for t in field.support:
-        area = topology.area[t]
-        dc = field.div_coeffs(t)
-        vals = poly.eval2(dc, _QP)
-        out[6 * t:6 * t + 6] = area * (_P2_AT_QP * vals) @ _QW
-    return out
-
-
-def pressure_from_moments(topology: MeshTopology,
-                          moments: np.ndarray) -> np.ndarray:
-    """Recover per-triangle P2 nodal values from a moment vector."""
-    out = np.zeros((topology.T, 6))
-    for t in range(topology.T):
-        area = topology.area[t]
-        out[t] = scipy.linalg.solve(area * _MM2, moments[6 * t:6 * t + 6],
-                                    assume_a="pos")
-    return out

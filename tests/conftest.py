@@ -48,6 +48,14 @@ def bench_mesh(key):
     return load_mesh(BENCH_MESHES.mesh_text(*BENCH_MESHES.build(key)))
 
 
+def edge_tris(topo, e):
+    """The triangles of edge e in ascending order: the triangle of one of
+    its sides and, on an interior edge, that of the side's twin."""
+    side = int(np.flatnonzero(topo.tri_edges.ravel() == e)[0])
+    twin = int(topo.twin.ravel()[side])
+    return tuple(sorted({side // 3} | ({twin // 3} if twin >= 0 else set())))
+
+
 # Vertex 0 is pinched: its triangles form two fans that share no edge.
 PINCHED = ("vertices 9\n0 0\n1 -1\n1 1\n-1 1\n-1 -1\n3 0\n3 3\n-3 3\n"
            "-3 0\ntriangles 8\n0 1 2\n0 3 4\n1 5 2\n2 5 6\n2 6 7\n"

@@ -11,7 +11,8 @@ from math import factorial
 import numpy as np
 import pytest
 
-from conftest import admissible_target, random_interior_patch, rigid_motion
+from conftest import (admissible_target, edge_tris, random_interior_patch,
+                      rigid_motion)
 from svstokes import poly, solver
 from svstokes.classify import (EVEN, ODD, SINGULAR, Tolerances,
                                classify_mesh, classify_vertex,
@@ -53,7 +54,7 @@ def test_A1_field_lemma_suite():
         y = int(patch.spokes[int(rng.integers(patch.N))])
         f = w_field(topo, 0, y)
         e = topo.edge_index[(0, y)]
-        t1, t2 = topo.edge_tris[e]
+        t1, t2 = edge_tris(topo, e)
         assert f.support == {t1, t2}
         for t in (t1, t2):
             assert abs(f.div_at(t, 0) - 1.0) < RTOL

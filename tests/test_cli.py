@@ -6,8 +6,8 @@ import json
 
 import pytest
 
-from conftest import PINCHED, bench_mesh
-from svstokes import classify, mesh
+from conftest import PINCHED, bench_mesh, bench_pool
+from svstokes import classify, cli, fields, mesh
 from svstokes.classify import Tolerances
 from svstokes.cli import (EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, analyze_mesh,
                           main, run_field_suites, to_json)
@@ -203,6 +203,34 @@ def test_dcoefficients_computed_once_per_even_interior_vertex(
     assert sorted(args[0].z for args in computed) == even
 
 
+@pytest.mark.parametrize("key", bench_pool("verify-fields"))
+def test_field_suite_builds_one_table_per_vertex_and_verifies_once(
+        monkeypatch, key):
+    """Each verified vertex builds its edge table once for all its
+    samples, and one verify_field call checks every field of the mesh."""
+    tables = _count_calls(monkeypatch, fields, "edge_table")
+    verified = _count_calls(monkeypatch, fields, "verify_field")
+    lines, ok = run_field_suites(bench_mesh(key), Tolerances(), 2, 7)
+    assert ok
+    assert sorted(args[0].z for args in tables) == [
+        int(line.split()[1]) for line in lines]
+    assert len(verified) == 1
+
+
+def test_field_suite_batches_give_the_same_report(monkeypatch):
+    m = bench_mesh("perturbed-5-p0")
+    want = run_field_suites(m, Tolerances(), 3, 11)
+    monkeypatch.setattr(cli, "FIELD_BATCH", 7)
+    verified = _count_calls(monkeypatch, fields, "verify_field")
+    assert run_field_suites(m, Tolerances(), 3, 11) == want
+    # 36 vertices of 3 samples: a call once 7 or more fields are pending
+    assert [len(args[0]) for args in verified] == [9] * 12
+    # no samples: no fields, every verified vertex passes
+    lines, ok = run_field_suites(m, Tolerances(), 0, 11)
+    assert ok and len(lines) == len(want[0])
+    assert all(line.endswith("pass") for line in lines)
+
+
 def test_verify_fields_deterministic_and_passing(tmp_path):
     mesh_path = _gen(tmp_path, "perturbed-grid", "--n", "2", "--seed", "5")
     out1, out2 = tmp_path / "v1.txt", tmp_path / "v2.txt"
@@ -321,6 +349,21 @@ def test_golden_reports(tmp_path, name):
     assert main(["analyze", "--mesh", str(mesh_path),
                  "--out", str(out)]) == EXIT_OK
     assert out.read_text() == golden.read_text()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_field_suites(tmp_path, name):
+    """``verify-fields --samples 4 --seed 7`` reproduces the committed
+    suite output byte for byte."""
+    import pathlib
+    golden = (pathlib.Path(__file__).resolve().parent.parent / "docs"
+              / "golden" / name.replace(".json", ".fields.txt"))
+    preset, extra = GOLDEN[name]
+    mesh_path = _gen(tmp_path, preset, *extra)
+    out = tmp_path / "fields.txt"
+    assert main(["verify-fields", "--mesh", str(mesh_path), "--samples", "4",
+                 "--seed", "7", "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == golden.read_bytes()
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

@@ -6,9 +6,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import (GOLDEN_MESHES, bench_mesh, bench_pool,
+from conftest import (GOLDEN_MESHES, bench_mesh, bench_pool, edge_tris,
                       random_interior_patch)
-from svstokes import poly
+from svstokes import cli, poly
 from svstokes.classify import (BOUNDARY, EVEN, ODD, SINGULAR, Tolerances,
                                classify_mesh, classify_vertex,
                                compute_dcoefficients)
@@ -18,7 +18,8 @@ from svstokes.fields import (FieldError, PatchField, UnacceptableEdgeError,
                              edge_transfer, kappa_field, local_interpolant,
                              path_interpolant, verify_field, w_field)
 from svstokes.mesh import (Triangulation, build_topology, crossed,
-                           enumerate_patch, ngon_patch, perturbed_grid)
+                           enumerate_patch, ngon_patch, perturbed_grid,
+                           three_lines, type1_diagonal)
 from svstokes.trees import edge_weights, path_stats
 
 TOL = Tolerances()
@@ -37,7 +38,7 @@ def test_w_field_properties(rng):
         k = int(rng.integers(patch.n_interior_edges))
         y = patch.spokes[patch.edge_spoke(k)]
         f = w_field(topo, 0, int(y))
-        t1, t2 = topo.edge_tris[topo.edge_index[(0, int(y))]]
+        t1, t2 = edge_tris(topo, topo.edge_index[(0, int(y))])
         assert f.support == {t1, t2}
         for t in (t1, t2):
             assert f.div_at(t, 0) == pytest.approx(1.0, rel=1e-12)
@@ -88,7 +89,7 @@ def test_kappa_field_properties(rng):
         y = int(patch.spokes[patch.edge_spoke(k)])
         kap = kappa_field(topo, 0, y)
         e = topo.edge_index[(0, y)]
-        for t in topo.edge_tris[e]:
+        for t in edge_tris(topo, e):
             # zero mean along the shared edge
             assert kap.edge_integral(t, 0, y) == pytest.approx(0.0,
                                                                abs=1e-12)
@@ -385,7 +386,7 @@ def test_verify_field_catches_a_discontinuity(kind, rng):
         (t, s, a, b) for t in sorted(f.support)
         for a, b in zip(topo.mesh.triangles[t].tolist(),
                         np.roll(topo.mesh.triangles[t], -1).tolist())
-        for s in topo.edge_tris[topo.edge_index[(min(a, b), max(a, b))]]
+        for s in edge_tris(topo, topo.edge_index[(min(a, b), max(a, b))])
         if s not in f.support)
     checks = _checks(verify_field(f + _edge_bump(topo, s, a, b),
                                   vertex_divs=divs, mean_zero=True))
@@ -456,7 +457,7 @@ def _oracle_edge(topo, z, y, profile):
     interior edge {z, y}."""
     e = topo.edge_index[(min(z, y), max(z, y))]
     out = {}
-    for t in topo.edge_tris[e]:
+    for t in edge_tris(topo, e):
         tri = topo.mesh.triangles[t].tolist()
         out[t] = profile(tri.index(z), tri.index(y))
     return out
@@ -793,3 +794,230 @@ def test_path_interpolant_equals_the_oracle(source, name, rng):
         _assert_same_field(result.field, want)
         paths += 1
     assert paths, "no interior path with acceptable weights"
+
+
+# ---------------------------------------------------------------------------
+# target blocks and the stacked verifier
+
+# The meshes of the CI field-suite step: together they reach every
+# interpolant branch.
+CI_MESHES = {
+    "crossed-3": lambda: crossed(3),
+    "type1-4": lambda: type1_diagonal(4),
+    "three-lines-4": lambda: three_lines(4),
+    "perturbed-5-s3": lambda: perturbed_grid(5, seed=3),
+    "perturbed-6-s11": lambda: perturbed_grid(6, seed=11),
+}
+
+
+def _interpolant_cases(topo, reports, dcoefficients):
+    """(branch, interpolant, report and d-coefficient arguments) of every
+    interpolating and boundary vertex, the even ones once per certified
+    direction index."""
+    for r in reports:
+        if r.boundary:
+            branch = "boundary singular" if r.singular else "boundary"
+            yield branch, boundary_interpolant, (r,)
+        elif r.status == EVEN:
+            dco = dcoefficients[r.vertex]
+            for i in range(3):
+                if dco.decision(i) > TOL.decision:
+                    yield (f"even {i}", local_interpolant,
+                           (dataclasses.replace(r, even_index=i), dco))
+        elif r.local_interpolating:
+            yield r.status, local_interpolant, (r, None)
+
+
+def _block_targets(rng, patch, singular, samples):
+    a = rng.standard_normal((samples, patch.N))
+    if singular:
+        signs = (-1.0) ** np.arange(patch.N)
+        a -= signs * (a @ signs)[:, None] / patch.N
+    return a
+
+
+def test_block_interpolants_equal_the_row_by_row_calls():
+    """A target block (S, N) gives, row for row, the field and side
+    effects of the single-target call to 1e-15 of their largest entry."""
+    branches = set()
+    for name, make in CI_MESHES.items():
+        topo = build_topology(make())
+        reports, _, dcoefficients = classify_mesh(topo)
+        rng = np.random.default_rng(sum(map(ord, name)))
+        for branch, interpolant, args in _interpolant_cases(topo, reports,
+                                                            dcoefficients):
+            patch = topo.patches[args[0].vertex]
+            a = _block_targets(rng, patch, args[0].singular, 3)
+            block = interpolant(patch, a, topo, *args)
+            assert isinstance(block, list) and len(block) == len(a)
+            for row, got in zip(a, block):
+                want = interpolant(patch, row, topo, *args)
+                if patch.boundary:
+                    _assert_same_values(got.side_effects, want.side_effects,
+                                        rtol=1e-15)
+                    got, want = got.field, want.field
+                assert isinstance(want, PatchField)
+                assert got.coeffs.keys() == want.coeffs.keys()
+                _assert_same_field(got, want, rtol=1e-15)
+            branches.add(branch)
+    assert branches == {SINGULAR, ODD, "even 0", "even 1", "even 2",
+                        "boundary", "boundary singular"}
+
+
+def test_block_interpolant_checks_every_row():
+    topo = build_topology(crossed(2))
+    reports, _, _ = classify_mesh(topo)
+    r = next(r for r in reports if r.singular and not r.boundary)
+    patch = topo.patches[r.vertex]
+    a = _block_targets(np.random.default_rng(3), patch, True, 3)
+    a[2, 0] += 1.0
+    with pytest.raises(FieldError, match="alternating-sum"):
+        local_interpolant(patch, a, topo, r)
+    with pytest.raises(FieldError, match=f"expected {patch.N} target values"):
+        local_interpolant(patch, a[:, 1:], topo, r)
+    assert local_interpolant(patch, a[:0], topo, r) == []
+
+
+def _field_cases(topo, reports, dcoefficients, rng):
+    """Verified interpolants with their expected vertex divergences, and
+    corrupted copies: a continuity jump, a boundary trace, a moved
+    target, a triangle mean, an expected value outside the support and
+    an empty field with and without expectations."""
+    fields, divs = [], []
+    for _, interpolant, args in _interpolant_cases(topo, reports,
+                                                   dcoefficients):
+        patch = topo.patches[args[0].vertex]
+        a = _block_targets(rng, patch, args[0].singular, 1)[0]
+        got = interpolant(patch, a, topo, *args)
+        expected = {(t, patch.z): v for t, v in zip(patch.tris, a.tolist())}
+        if patch.boundary:
+            expected.update(got.side_effects)
+            got = got.field
+        fields.append(got)
+        divs.append(expected)
+    # a field, a support triangle t and a triangle s outside the support
+    # that share the edge {a, b}
+    f, d, t, s, a, b = next(
+        (f, d, t, s, a, b) for f, d in zip(fields, divs)
+        for t in sorted(f.support)
+        for a, b in zip(topo.mesh.triangles[t].tolist(),
+                        np.roll(topo.mesh.triangles[t], -1).tolist())
+        for s in edge_tris(topo, topo.edge_index[(min(a, b), max(a, b))])
+        if s not in f.support)
+    z = next(v for v in range(topo.V) if not topo.boundary_vertex[v])
+    chi = 1e-6 * basis_chi(topo.patches[z], topo, 0)
+    with_chi = dict(d)
+    for key, val in chi.vertex_divergences(skip_zero=False).items():
+        with_chi[key] = with_chi.get(key, 0.0) + val
+    moved = dict(d)
+    moved[next(iter(moved))] += 1e-6
+    outside = next(u for u in range(topo.T) if u not in f.support)
+    beyond = dict(d)
+    beyond[(outside, int(topo.mesh.triangles[outside][0]))] = 1.0
+    empty = PatchField(topo)
+    corrupted = [(f + _edge_bump(topo, s, a, b), d),
+                 (f + _edge_bump(topo, t, a, b), d),
+                 (f, moved), (f + chi, with_chi), (f, beyond),
+                 (empty, {}), (empty, {(outside, int(
+                     topo.mesh.triangles[outside][1])): 0.5})]
+    for g, e in corrupted:
+        fields.insert(len(fields) // 2, g)
+        divs.insert(len(divs) // 2, e)
+    return fields, divs
+
+
+@pytest.mark.parametrize("name", sorted(CI_MESHES))
+def test_stacked_verify_field_equals_the_per_field_calls(name):
+    topo = build_topology(CI_MESHES[name]())
+    reports, _, dcoefficients = classify_mesh(topo)
+    rng = np.random.default_rng(sum(map(ord, name)))
+    fields, divs = _field_cases(topo, reports, dcoefficients, rng)
+    # the first verified field with a support misses its first triangle
+    j = next(i for i, f in enumerate(fields) if f.support)
+    supports = [f.support | {0} for f in fields]
+    supports[j] = set(sorted(fields[j].support)[1:])
+    for support in (None, supports):
+        stacked = verify_field(fields, vertex_divs=divs, mean_zero=True,
+                               support=support)
+        want, failing = [], []
+        for i, (f, d) in enumerate(zip(fields, divs)):
+            single = verify_field(f, vertex_divs=d, mean_zero=True,
+                                  support=None if support is None
+                                  else support[i])
+            want += [(c.name, c.ok, c.deviation, c.detail, i)
+                     for c in single.checks]
+            if not single.ok:
+                failing.append(i)
+        assert [(c.name, c.ok, c.deviation, c.detail, c.field)
+                for c in stacked.checks] == want
+        assert stacked.failed_fields() == failing
+        # six of the seven corrupted fields fail (an empty field expected
+        # to be zero passes), and field j by its support
+        assert len(failing) == 6 + (support is not None)
+    checks = {c.name for c in stacked.checks if not c.ok}
+    assert checks == {"continuity", "zero_boundary_trace",
+                      "vertex_divergences", "zero_triangle_means",
+                      "support"}
+
+
+def test_single_field_report_names_its_field_zero():
+    topo = build_topology(perturbed_grid(4, seed=3))
+    report = verify_field(PatchField(topo), vertex_divs={(0, 99): 1.0})
+    assert [(c.name, c.ok, c.field) for c in report.checks] == [
+        ("continuity", True, 0), ("zero_boundary_trace", True, 0),
+        ("vertex_divergences", False, 0), ("zero_triangle_means", True, 0)]
+    assert report.checks[2].detail == \
+        "expected values outside support: [(0, 99)]"
+    assert report.failed_fields() == [0]
+    assert verify_field([]).checks == []
+    with pytest.raises(FieldError, match="one entry per field"):
+        verify_field([PatchField(topo)], vertex_divs=[])
+    other = build_topology(perturbed_grid(4, seed=3))
+    with pytest.raises(FieldError, match="different topologies"):
+        verify_field([PatchField(topo), PatchField(other)])
+
+
+@pytest.mark.parametrize("kind", ["local", "boundary"])
+def test_suite_reports_one_corrupted_sample(monkeypatch, kind):
+    """One corrupted sample's field fails its vertex as FAIL (1/2) and no
+    other vertex."""
+    mesh = perturbed_grid(5, seed=3)
+    topo = build_topology(mesh)
+    reports, _, _ = classify_mesh(topo)
+    victim = next(r.vertex for r in reports if not r.singular and (
+        r.boundary if kind == "boundary"
+        else r.local_interpolating and not r.boundary))
+    name = f"{kind}_interpolant"
+    original = getattr(cli, name)
+
+    def corrupting(patch, targets, *args):
+        out = original(patch, targets, *args)
+        if patch.z == victim:
+            field = out[1].field if kind == "boundary" else out[1]
+            t = min(field.coeffs)
+            field.coeffs[t][0, 3] += 0.37
+        return out
+
+    monkeypatch.setattr(cli, name, corrupting)
+    lines, ok = cli.run_field_suites(mesh, TOL, 2, 7)
+    assert not ok
+    failed = [ln for ln in lines if "FAIL" in ln]
+    assert failed == [f"vertex {victim:4d} [{reports[victim].status}]: "
+                      "FAIL (1/2)"]
+    assert all(ln.endswith("pass") for ln in lines if ln not in failed)
+
+
+def test_suite_fields_isolate_a_failing_row():
+    """A block whose construction raises is retried row by row: only the
+    offending target counts as failed."""
+    topo = build_topology(crossed(2))
+    reports, _, dcoefficients = classify_mesh(topo)
+    r = next(r for r in reports if r.singular and not r.boundary)
+    patch = topo.patches[r.vertex]
+    a = _block_targets(np.random.default_rng(4), patch, True, 3)
+    a[1, 0] += 1.0
+    built = cli._suite_fields(patch, a, topo, r, dcoefficients[r.vertex])
+    assert [b is None for b in built] == [False, True, False]
+    field, divs = built[2]
+    assert verify_field(field, vertex_divs=divs).ok
+    assert divs == {(t, patch.z): v for t, v in zip(patch.tris, a[2].tolist())}

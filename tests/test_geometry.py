@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import edge_tris
 from svstokes import poly
 from svstokes.geometry import edge_pair_geometry, triangle_geometry
 from svstokes.mesh import (build_topology, crossed, enumerate_patch,
@@ -94,7 +95,7 @@ def test_edge_pair_geometry_matches_patch_angles(mesh):
                 {round(a, 12) for a in pair}
             # phi angles are the far-endpoint angles; all four angles of the
             # two triangles at this edge sum to 2 pi minus the apex angles
-            tri_pair = topo.edge_tris[e]
+            tri_pair = edge_tris(topo, e)
             total = 0.0
             for t in tri_pair:
                 pts = topo.mesh.vertices[topo.mesh.triangles[t]]

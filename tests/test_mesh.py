@@ -233,6 +233,14 @@ def _dict_topology(mesh):
 def _assert_topology_matches_dict_pass(mesh):
     topo = build_topology(mesh)
     want = _dict_topology(mesh)
+    # the topology keeps no per-edge triangle tuple: each edge's triangles
+    # are those of its sides and of their twins
+    got_tris = [set() for _ in range(topo.E)]
+    for s, (e, u) in enumerate(zip(topo.tri_edges.ravel().tolist(),
+                                   topo.twin.ravel().tolist())):
+        got_tris[e] |= {s // 3} | ({u // 3} if u >= 0 else set())
+    assert [tuple(sorted(ts)) for ts in got_tris] == list(
+        want.pop("edge_tris"))
     for name, ref in want.items():
         got = getattr(topo, name)
         if isinstance(ref, np.ndarray):

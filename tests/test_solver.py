@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import rigid_motion
+from conftest import edge_tris, rigid_motion
 from svstokes import poly, solver
 from svstokes.classify import Tolerances, classify_mesh, classify_vertex
 from svstokes.fields import PatchField, local_interpolant, w_field
@@ -18,13 +18,35 @@ from svstokes.solver import (P2_BASIS, P2_NODES, P3_BASIS, P3_NODES,
                              Certificate, RankIndeterminateError, RankResult,
                              SolverError, assemble_divergence, assemble_norms,
                              certify, checkerboard_signature,
-                             divergence_moments, divergence_rank,
-                             infsup_constant, number_dofs,
+                             divergence_rank, infsup_constant, number_dofs,
                              nullity_crosscheck, pressure_constraints,
-                             pressure_from_moments, spurious_modes,
-                             strang_dimensions, velocity_coefficients)
+                             spurious_modes, strang_dimensions,
+                             velocity_coefficients)
 
 TOL = Tolerances()
+
+
+# Per-triangle oracles of the pressure-moment layout: the moments of a
+# field's divergence by quadrature, and nodal P2 values back from moments
+# by one mass-matrix solve per triangle.
+
+def _divergence_moments(topology, field):
+    """Moment vector (pressure-DOF layout) of a field's divergence."""
+    out = np.zeros(6 * topology.T)
+    for t in field.support:
+        vals = poly.eval2(field.div_coeffs(t), solver._QP)
+        out[6 * t:6 * t + 6] = topology.area[t] * (
+            solver._P2_AT_QP * vals) @ solver._QW
+    return out
+
+
+def _pressure_from_moments(topology, moments):
+    """Per-triangle P2 nodal values of a moment vector."""
+    out = np.zeros((topology.T, 6))
+    for t in range(topology.T):
+        out[t] = scipy.linalg.solve(topology.area[t] * solver._MM2,
+                                    moments[6 * t:6 * t + 6], assume_a="pos")
+    return out
 
 
 def _two_triangle_square():
@@ -111,11 +133,11 @@ def test_node_array_invariants(name):
         np.zeros((topo.T, 1), dtype=bool)], axis=1)
     assert np.array_equal(nodes == -1, boundary)
     # the two triangles of an interior edge list its nodes in opposite order
-    for e, ts in enumerate(topo.edge_tris):
+    for e in range(topo.E):
         if topo.boundary_edge[e]:
             continue
         pairs = []
-        for t in ts:
+        for t in edge_tris(topo, e):
             (side,) = np.flatnonzero(topo.tri_edges[t] == e)
             pairs.append(nodes[t, 3 + 2 * side:5 + 2 * side])
         assert np.array_equal(pairs[0], pairs[1][::-1])
@@ -213,7 +235,7 @@ def test_divergence_range_satisfies_constraints():
     rng = np.random.default_rng(5)
     for _ in range(5):
         m = B @ rng.standard_normal(B.shape[1])
-        pvals = pressure_from_moments(topo, m).reshape(-1)
+        pvals = _pressure_from_moments(topo, m).reshape(-1)
         dev = np.abs(C @ pvals).max()
         assert dev < 1e-9 * max(np.abs(pvals).max(), 1.0)
 
@@ -230,7 +252,7 @@ def test_injection_oracle_field_to_matrix():
         f = local_interpolant(patch, rng.standard_normal(patch.N), topo,
                               *classify_vertex(patch, topo))
         u = velocity_coefficients(topo, nodes, f)
-        expect = divergence_moments(topo, f)
+        expect = _divergence_moments(topo, f)
         assert np.abs(B @ u - expect).max() < 1e-10 * max(
             np.abs(expect).max(), 1.0)
 
