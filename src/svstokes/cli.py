@@ -18,8 +18,8 @@ import numpy as np
 
 from . import __version__, solver
 from .classify import Tolerances, classify_mesh
-from .fields import (FieldError, boundary_interpolant, local_interpolant,
-                     verify_field)
+from .fields import (FieldError, VertexValues, boundary_interpolant,
+                     local_interpolant, stack_fields, verify_field)
 from .mesh import (MeshError, MeshFormatError, PRESETS, Triangulation,
                    build_topology, dump_mesh, generate, load_mesh)
 from .trees import build_tree_cover, check_hypotheses, tree_stats
@@ -240,38 +240,28 @@ def render_svg(mesh: Triangulation, report: dict, modes,
 # field verification suites
 
 def _suite_fields(patch, targets, topology, report, dco):
-    """(field, expected vertex divergences) for each row of a target block
-    (S, N), or None for a row whose construction raises FieldError."""
+    """(FieldBlock, expected VertexValues) pairs of the rows of a target
+    block (S, N) that construct: when the block raises FieldError its rows
+    are retried one by one, and those that raise again are left out."""
     try:
         if report.boundary:
-            results = boundary_interpolant(patch, targets, topology, report)
-            fields = [res.field for res in results]
-            sides = [res.side_effects for res in results]
+            block, side = boundary_interpolant(patch, targets, topology,
+                                               report)
         else:
-            fields = local_interpolant(patch, targets, topology, report, dco)
-            sides = [{}] * len(fields)
+            block = local_interpolant(patch, targets, topology, report, dco)
+            side = None
     except FieldError:
         if len(targets) == 1:
-            return [None]
-        # find the failing rows one by one
-        return [out for row in targets
-                for out in _suite_fields(patch, row[None], topology, report,
-                                         dco)]
-    keys = [(t, patch.z) for t in patch.tris]
-    out = []
-    for field, side, target in zip(fields, sides, targets.tolist()):
-        divs = dict(zip(keys, target))
-        divs.update(side)
-        out.append((field, divs))
-    return out
-
-
-# Fields per verify_field call.  A call holds its fields, their expected
-# values and its check arrays at once, about 1.4 KB per support triangle:
-# every benchmark mesh (at most 98 fields) takes one call, and crossed(32)
-# at two samples (4226 fields) nine, where a single call would add half
-# the run's peak RSS.
-FIELD_BATCH = 512
+            return []
+        return [part for row in targets
+                for part in _suite_fields(patch, row[None], topology, report,
+                                          dco)]
+    field, j = np.divmod(np.arange(targets.size), patch.N)
+    expected = VertexValues(field, np.asarray(patch.tris)[j],
+                            np.full(targets.size, patch.z), targets.ravel())
+    if side is not None:
+        expected = VertexValues(*map(np.concatenate, zip(expected, side)))
+    return [(block, expected)]
 
 
 def run_field_suites(mesh: Triangulation, tol: Tolerances, samples: int,
@@ -279,27 +269,19 @@ def run_field_suites(mesh: Triangulation, tol: Tolerances, samples: int,
     """Random-target interpolation property suite; deterministic per seed.
 
     Each vertex's targets are drawn as one (samples, N) block, the same
-    stream as one draw per sample, and interpolated by one call; the
-    fields are checked by stacked ``verify_field`` calls of up to
-    FIELD_BATCH fields."""
+    stream as one draw per sample, and interpolated by one call; one
+    ``verify_field`` call checks the fields of every vertex."""
+    if samples < 1:
+        raise _InputError(f"--samples must be at least 1, got {samples}")
     topology = build_topology(mesh)
     reports, _, dcoefficients = classify_mesh(topology, tol)
     rng = np.random.default_rng(seed)
     verified = []                  # reports of the verified vertices
-    n_fail = []                    # failed samples of each verified vertex
-    pending = []                   # (verified index, field, vertex_divs)
-
-    def verify_pending():
-        check = verify_field([f for _, f, _ in pending],
-                             vertex_divs=[d for _, _, d in pending],
-                             mean_zero=True)
-        for i in check.failed_fields():
-            n_fail[pending[i][0]] += 1
-        pending.clear()
-
+    built = []                     # fields built for each verified vertex
+    parts = []                     # their (FieldBlock, VertexValues) pairs
     for r in reports:
         patch = topology.patches[r.vertex]
-        targets = rng.standard_normal((max(samples, 0), patch.N))
+        targets = rng.standard_normal((samples, patch.N))
         if r.singular and patch.N > 1:
             signs = (-1.0) ** np.arange(patch.N)
             targets -= signs * (targets @ signs)[:, None] / patch.N
@@ -307,18 +289,20 @@ def run_field_suites(mesh: Triangulation, tol: Tolerances, samples: int,
             targets[:] = 0.0
         if not (r.boundary or r.local_interpolating):
             continue
-        built = _suite_fields(patch, targets, topology, r,
-                              dcoefficients[r.vertex])
-        n_fail.append(built.count(None))
-        pending += [(len(verified), f, d) for f, d in filter(None, built)]
+        got = _suite_fields(patch, targets, topology, r,
+                            dcoefficients[r.vertex])
+        parts += got
+        built.append(sum(block.F for block, _ in got))
         verified.append(r)
-        if len(pending) >= FIELD_BATCH:
-            verify_pending()
-    if pending:
-        verify_pending()
+    block, expected = stack_fields(topology, parts)
+    parts.clear()                  # the stacked copy replaces them
+    failed = verify_field(block, expected).failed_fields()
+    owner = np.repeat(np.arange(len(verified)), built)
+    n_fail = samples - np.array(built, dtype=np.int64)     # not constructed
+    np.add.at(n_fail, owner[failed], 1)
     lines = [f"vertex {r.vertex:4d} [{r.status}]: "
              f"{'pass' if not n else f'FAIL ({n}/{samples})'}"
-             for r, n in zip(verified, n_fail)]
+             for r, n in zip(verified, n_fail.tolist())]
     return lines, not any(n_fail)
 
 

@@ -1,10 +1,11 @@
 """Local velocity fields as per-triangle cubic vector polynomials.
 
-All constructions live on small vertex patches: the edge fields w, the
-normal correctors chi, the directional correctors xi, the zero-edge-mean
-scalar kappa, the local interpolants (singular / odd / even vertex cases),
-the boundary interpolant, and the edge/path transfer machinery that moves
-vertex-divergence targets along acceptable mesh edges.
+All constructions live on small vertex patches: the per-patch table of
+edge fields, normal correctors and zero-edge-mean scalars, the local
+interpolants (singular / odd / even vertex cases), the boundary
+interpolant, and the edge/path transfer machinery that moves
+vertex-divergence targets along acceptable mesh edges.  Each returns its
+fields as one FieldBlock of support rows, which verify_field checks.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,17 +31,7 @@ class UnacceptableEdgeError(FieldError):
 
 
 # ---------------------------------------------------------------------------
-# Polynomial containers
-
-
-def _tri_slots(mesh, t, *verts):
-    tri = mesh.triangles[t].tolist()
-    out = []
-    for v in verts:
-        if v not in tri:
-            raise FieldError(f"vertex {v} not in triangle {t}")
-        out.append(tri.index(v))
-    return out
+# Field blocks
 
 
 # The divergence's degree-2 coefficients as one contraction with the
@@ -55,142 +47,93 @@ def _div_coeffs(grads, coeffs):
     return gc.reshape(gc.shape[:-2] + _DIV.shape[1:]) @ _DIV.T
 
 
-def _edge_lambda(mesh, t, va, vb, s):
-    """Barycentric coords in triangle t of the point (1-s) va + s vb."""
-    sa, sb = _tri_slots(mesh, t, va, vb)
-    lam = np.zeros(np.shape(s) + (3,)) if np.ndim(s) else np.zeros(3)
-    if np.ndim(s):
-        lam[..., sa] = 1.0 - np.asarray(s)
-        lam[..., sb] = np.asarray(s)
-    else:
-        lam[sa], lam[sb] = 1.0 - s, s
-    return lam
+def _frozen(a):
+    a.setflags(write=False)
+    return a
 
 
-class ScalarPatchField:
-    """Piecewise cubic scalar with local support, one coefficient vector
-    (length 10, barycentric monomial basis) per support triangle."""
+@dataclass(frozen=True, eq=False)
+class FieldBlock:
+    """F piecewise cubic vector fields with local support, as one block of
+    rows.
 
-    def __init__(self, topology: MeshTopology, coeffs=None):
-        self.topology = topology
-        self.coeffs = {} if coeffs is None else dict(coeffs)
-
-    @property
-    def support(self):
-        return frozenset(self.coeffs)
-
-    def eval(self, t, lam):
-        if t not in self.coeffs:
-            return np.zeros(np.shape(np.asarray(lam))[:-1])
-        return poly.eval3(self.coeffs[t], lam)
-
-    def gradient_at_vertex(self, t, v):
-        (slot,) = _tri_slots(self.topology.mesh, t, v)
-        c = self.coeffs.get(t)
-        if c is None:
-            return np.zeros(2)
-        # d/dl_s at vertex `slot`, for s = 0, 1, 2, then the chain rule
-        partials = poly.DIFF[:, poly.VERTEX2[slot]] @ c
-        return partials @ self.topology.hat_grads[t]
-
-    def edge_integral(self, t, va, vb):
-        """Integral of the trace along the straight edge from va to vb."""
-        mesh = self.topology.mesh
-        lam = _edge_lambda(mesh, t, va, vb, poly.EDGE_QP)
-        vals = self.eval(t, lam)
-        length = float(np.hypot(*(mesh.vertices[vb] - mesh.vertices[va])))
-        return length * float(poly.EDGE_QW @ vals)
-
-
-class PatchField:
-    """Piecewise cubic vector field with local support.
-
-    ``coeffs[t]`` is a (2, 10) array: one barycentric-monomial coefficient
-    vector per Cartesian component, in triangle t's own vertex order.
+    Row i holds ``coeffs[i]`` (2, 10), the coefficients of field
+    ``field[i]`` on triangle ``tri[i]``: one barycentric-monomial vector per
+    Cartesian component, in the triangle's own vertex order.  The rows are
+    sorted by (field, tri), one per pair, and none is all zero: a field
+    vanishes on every triangle without a row.  The arrays are read-only;
+    ``field_block`` builds the block of dense coefficients.
     """
 
-    def __init__(self, topology: MeshTopology, coeffs=None):
-        self.topology = topology
-        self.coeffs = {} if coeffs is None else {t: np.array(c) for t, c in coeffs.items()}
-
-    @property
-    def support(self):
-        return frozenset(self.coeffs)
-
-    def copy(self):
-        return PatchField(self.topology, self.coeffs)
-
-    def __add__(self, other):
-        if other.topology is not self.topology:
-            raise FieldError("fields live on different topologies")
-        out = {t: c.copy() for t, c in self.coeffs.items()}
-        for t, c in other.coeffs.items():
-            if t in out:
-                out[t] = out[t] + c
-            else:
-                out[t] = c.copy()
-        return PatchField(self.topology, out)
-
-    def __sub__(self, other):
-        return self + (-1.0) * other
-
-    def __rmul__(self, a):
-        return PatchField(self.topology,
-                          {t: float(a) * c for t, c in self.coeffs.items()})
-
-    def __mul__(self, a):
-        return self.__rmul__(a)
-
-    def max_coeff(self):
-        if not self.coeffs:
-            return 0.0
-        return max(float(np.abs(c).max()) for c in self.coeffs.values())
-
-    def eval(self, t, lam):
-        if t not in self.coeffs:
-            return np.zeros(np.shape(np.asarray(lam))[:-1] + (2,))
-        return poly.eval3(self.coeffs[t], lam)
-
-    def div_coeffs(self, t):
-        """Degree-2 coefficient vector of the divergence on triangle t."""
-        c = self.coeffs.get(t)
-        if c is None:
-            return np.zeros(len(poly.MONO2))
-        return _div_coeffs(self.topology.hat_grads[t], c)
-
-    def div_at(self, t, v):
-        """Divergence restricted to triangle t, evaluated at vertex v."""
-        (slot,) = _tri_slots(self.topology.mesh, t, v)
-        return float(self.div_coeffs(t)[poly.VERTEX2[slot]])
-
-    def div_mean(self, t):
-        """Mean of the divergence over triangle t (integral / area)."""
-        return float(poly.INT2_UNIT @ self.div_coeffs(t))
-
-    def div_integral(self, t):
-        return float(self.topology.area[t]) * self.div_mean(t)
-
-    def vertex_divergences(self, skip_zero=True, tol=0.0):
-        """Map (triangle, vertex) -> divergence value over the support."""
-        out = {}
-        mesh = self.topology.mesh
-        for t in sorted(self.coeffs):
-            vals = self.div_coeffs(t)[poly.VERTEX2].tolist()
-            for v, val in zip(mesh.triangles[t].tolist(), vals):
-                if skip_zero and abs(val) <= tol:
-                    continue
-                out[(t, v)] = val
-        return out
+    topology: MeshTopology
+    F: int
+    field: np.ndarray       # (R,)
+    tri: np.ndarray         # (R,)
+    coeffs: np.ndarray      # (R, 2, 10)
 
 
-def eval_divergence_at_vertex(f: PatchField, t: int, v: int) -> float:
-    if t not in f.support:
-        raise FieldError(f"triangle {t} is outside the field's support")
-    return f.div_at(t, v)
+def _rows_block(topology, tris, coeffs):
+    """FieldBlock of coefficients (N, 2, 10) over the ascending triangles
+    ``tris``, one field, or of the F fields of (F, N, 2, 10) ones."""
+    rows = coeffs.reshape((-1,) + coeffs.shape[-3:])
+    F, N = rows.shape[:2]
+    rows = rows.reshape(F * N, 2, len(poly.MONO3))
+    keep = np.flatnonzero(rows.any(axis=(1, 2)))
+    return FieldBlock(topology, F, _frozen(keep // N),
+                      _frozen(np.asarray(tris)[keep % N]), _frozen(rows[keep]))
 
 
-def triangle_mean_divergence(f: PatchField, t: int) -> float:
-    return f.div_mean(t)
+def field_block(topology: MeshTopology, coeffs) -> FieldBlock:
+    """The block of dense coefficients (T, 2, 10), one field, or of the F
+    fields of (F, T, 2, 10) ones."""
+    return _rows_block(topology, np.arange(topology.T), np.asarray(coeffs))
+
+
+class VertexValues(NamedTuple):
+    """Vertex divergences of the fields of a block: entry i is the
+    divergence of field ``field[i]`` on triangle ``tri[i]`` at its vertex
+    ``vertex[i]``."""
+
+    field: np.ndarray
+    tri: np.ndarray
+    vertex: np.ndarray
+    value: np.ndarray
+
+
+_NO_VALUES = VertexValues(*(_frozen(np.zeros(0, dtype=np.int64))
+                            for _ in range(3)), _frozen(np.zeros(0)))
+
+
+def stack_fields(topology: MeshTopology, parts):
+    """One (FieldBlock, VertexValues) pair of a sequence of them on
+    ``topology``, the fields of each part numbered after those of the
+    parts before it."""
+    parts = list(parts)
+    if any(block.topology is not topology for block, _ in parts):
+        raise FieldError("fields live on different topologies")
+    blocks, values = [b for b, _ in parts], [v for _, v in parts]
+    offset = np.cumsum([0] + [b.F for b in blocks])
+    none = (np.zeros(0, dtype=np.int64),)
+
+    def numbered(groups):
+        return (np.concatenate(none + tuple(g.field for g in groups))
+                + np.repeat(offset[:-1], [len(g.field) for g in groups]))
+
+    block = FieldBlock(
+        topology, int(offset[-1]), _frozen(numbered(blocks)),
+        _frozen(np.concatenate(none + tuple(b.tri for b in blocks))),
+        _frozen(np.concatenate([np.zeros((0, 2, len(poly.MONO3)))]
+                               + [b.coeffs for b in blocks])))
+    return block, VertexValues(numbered(values), *(
+        np.concatenate(none + tuple(v[i] for v in values)) for i in (1, 2, 3)))
+
+
+def center_divergences(topology: MeshTopology, coeffs, patch: VertexPatch):
+    """Divergence at the patch center on each of ``patch.tris`` of the
+    field with dense coefficients ``coeffs`` (T, 2, 10)."""
+    tris = np.asarray(patch.tris)
+    div = _div_coeffs(topology.hat_grads[tris], coeffs[tris])
+    return div[np.arange(patch.N), poly.VERTEX2[np.asarray(patch.slots)]]
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +163,6 @@ for _table in (_SQUARE, _KAPPA, _L_Z2):
 
 _PAIR = np.array([0, 1])          # an edge's triangles: tris[k], tris[k+1]
 _SPOKE_SLOT = np.array([2, 1])    # the spoke's slot after z's in each
-
-
-def _frozen(a):
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -277,16 +215,12 @@ def _edge_spokes(patch: VertexPatch) -> np.ndarray:
                                     + int(patch.boundary)]
 
 
-def _patch_field(topology, patch, coeffs):
-    """PatchField of (N, 2, 10) coefficients over patch.tris, without the
-    triangles where they vanish; (S, N, 2, 10) coefficients give the list
-    of the S fields of their rows."""
-    rows = coeffs.reshape((-1,) + coeffs.shape[-3:])
-    nonzero = rows.any(axis=(2, 3)).tolist()
-    fields = [PatchField(topology, {t: c for t, c, keep in
-                                    zip(patch.tris, row, row_nonzero) if keep})
-              for row, row_nonzero in zip(rows, nonzero)]
-    return fields if coeffs.ndim == 4 else fields[0]
+def _patch_block(topology, patch, coeffs):
+    """FieldBlock of (N, 2, 10) coefficients over patch.tris, or of the S
+    fields of (S, N, 2, 10) ones."""
+    order = np.argsort(patch.tris)
+    return _rows_block(topology, np.asarray(patch.tris)[order],
+                       coeffs[..., order, :, :])
 
 
 def _edge_slot(patch: VertexPatch, y: int) -> int:
@@ -298,80 +232,6 @@ def _edge_slot(patch: VertexPatch, y: int) -> int:
     return int(k[0])
 
 
-def _interior_edge_index(topology, z, y):
-    key = (min(z, y), max(z, y))
-    e = topology.edge_index.get(key)
-    if e is None:
-        raise FieldError(f"{key} is not a mesh edge")
-    if topology.boundary_edge[e]:
-        raise FieldError(f"edge {key} is a boundary edge")
-    return e
-
-
-def _edge_row(topology, z, y):
-    """(patch of z, table, slot of the interior edge {z, y})."""
-    _interior_edge_index(topology, z, y)
-    patch = topology.patches[z]
-    return patch, edge_table(patch, topology), _edge_slot(patch, y)
-
-
-# ---------------------------------------------------------------------------
-# Elementary fields: views of the table
-
-
-def w_field(topology: MeshTopology, z: int, y: int) -> PatchField:
-    """Two-triangle edge field: unit vertex divergence at z on both
-    triangles sharing the interior edge {z, y}, zero everywhere else."""
-    patch, table, k = _edge_row(topology, z, y)
-    return _patch_field(topology, patch, table.w[k])
-
-
-def kappa_field(topology: MeshTopology, z: int, y: int) -> ScalarPatchField:
-    """Scalar cubic on the two triangles of interior edge {z, y} with zero
-    edge mean and gradient at z equal to half the hat gradient of y."""
-    patch, table, k = _edge_row(topology, z, y)
-    return ScalarPatchField(topology, {t: c for t, c in
-                                       zip(patch.tris, table.kappa[k])
-                                       if c.any()})
-
-
-def basis_w(patch: VertexPatch, topology: MeshTopology, k: int) -> PatchField:
-    """The edge field of the k-th interior edge of a vertex patch."""
-    if not 0 <= k < patch.n_interior_edges:
-        raise FieldError(f"no interior edge slot {k} in this patch")
-    return _patch_field(topology, patch, edge_table(patch, topology).w[k])
-
-
-def basis_kappa(topology: MeshTopology, e: int, z: int) -> ScalarPatchField:
-    if topology.boundary_edge[e]:
-        raise FieldError(f"edge {e} is a boundary edge")
-    a, b = topology.edges[e]
-    y = int(b) if z == a else int(a) if z == b else None
-    if y is None:
-        raise FieldError(f"vertex {z} is not an endpoint of edge {e}")
-    return kappa_field(topology, z, y)
-
-
-def _interior_table(patch, topology) -> EdgeTable:
-    if patch.boundary:
-        raise FieldError("chi and xi fields are defined on interior patches")
-    return edge_table(patch, topology)
-
-
-def basis_chi(patch: VertexPatch, topology: MeshTopology, k: int) -> PatchField:
-    """Normal corrector of interior edge k: moves one unit of divergence
-    integral from tris[k] to tris[k+1] without touching spoke vertices."""
-    table = _interior_table(patch, topology)
-    if not 0 <= k < patch.N:
-        raise FieldError(f"edge slot {k} out of range")
-    return _patch_field(topology, patch, table.chi[k])
-
-
-def basis_chi_sum(patch: VertexPatch, topology: MeshTopology) -> PatchField:
-    table = _interior_table(patch, topology)
-    return _patch_field(topology, patch, table.chi.sum(axis=0))
-
-
 def _xi(table: EdgeTable, i: int, dco: DCoefficients):
     """(uncorrected, mean-zero corrected) directional corrector of
     direction i in {1, 2}, each (N, 2, 10)."""
@@ -380,17 +240,6 @@ def _xi(table: EdgeTable, i: int, dco: DCoefficients):
     tilde[:, i - 1] = table.l_z2
     # c_{N,i} = 0: the last corrector drops out
     return tilde, tilde - _combine(dco.c[:-1, i - 1], table.chi[:-1])
-
-
-def basis_xi(patch: VertexPatch, topology: MeshTopology, i: int,
-             dco: DCoefficients):
-    """Directional corrector pair (uncorrected, mean-zero corrected) for
-    Cartesian direction i in {1, 2}; ``dco`` holds the patch's
-    d-coefficients."""
-    table = _interior_table(patch, topology)
-    if i not in (1, 2):
-        raise FieldError("direction index must be 1 or 2")
-    return tuple(_patch_field(topology, patch, x) for x in _xi(table, i, dco))
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +344,7 @@ def _targets(patch: VertexPatch, target, what: str):
 
 def local_interpolant(patch: VertexPatch, target, topology: MeshTopology,
                       report: VertexReport,
-                      dco: DCoefficients | None = None):
+                      dco: DCoefficients | None = None) -> FieldBlock:
     """Patch field matching per-triangle vertex-divergence targets at the
     patch center, with zero triangle means and no pollution elsewhere.
 
@@ -505,9 +354,9 @@ def local_interpolant(patch: VertexPatch, target, topology: MeshTopology,
     for certified even valence, which reads the vertex's d-coefficients
     ``dco`` (the ``classify_mesh`` ones).
 
-    ``target`` is one target vector (N,), giving one ``PatchField``, or a
-    block (S, N) of them, giving a list of S fields from one edge table
-    and one contraction.
+    ``target`` is one target vector (N,), giving a block of one field, or
+    a block (S, N) of them, giving the S fields of one edge table and one
+    contraction.
     """
     _check_report(patch, report)
     a = _targets(patch, target, "target values")
@@ -526,7 +375,7 @@ def local_interpolant(patch: VertexPatch, target, topology: MeshTopology,
                     f"singular vertex (residual {alt:.3e})")
         # weights b_j = a_j - b_{j-1} on the edges 0 .. N-2
         b = _combine(a, _signed_prefix(patch.N)[:, :-1])
-        return _patch_field(topology, patch,
+        return _patch_block(topology, patch,
                             _combine(b, table.w[:patch.N - 1]))
 
     if patch.N % 2 == 1:
@@ -536,13 +385,7 @@ def local_interpolant(patch: VertexPatch, target, topology: MeshTopology,
             raise FieldError(f"vertex {patch.z} is {report.status}: its "
                              "d-coefficients from classify_mesh are needed")
         seed = _even_seed(table, report.even_index, dco)
-    return _patch_field(topology, patch, _contract(table, a, seed, 0)[0])
-
-
-@dataclass
-class BoundaryResult:
-    field: PatchField
-    side_effects: dict  # (triangle, interior vertex) -> divergence value
+    return _patch_block(topology, patch, _contract(table, a, seed, 0)[0])
 
 
 def boundary_interpolant(patch: VertexPatch, p_values, topology: MeshTopology,
@@ -552,21 +395,18 @@ def boundary_interpolant(patch: VertexPatch, p_values, topology: MeshTopology,
     Singular boundary vertices (by ``report``, from ``classify_mesh``)
     route through local_interpolant (no side effects).  Otherwise the seed
     uses the zero-edge-mean scalar on the straightest interior edge, which
-    pollutes that edge's far endpoint; the residual divergences left at
-    interior vertices are returned.
+    pollutes that edge's far endpoint.
 
-    ``p_values`` is one target vector (N,), giving one ``BoundaryResult``,
-    or a block (S, N), giving a list of S.
+    ``p_values`` is one target vector (N,) or a block (S, N) of them.
+    Returns the FieldBlock of their fields and, as VertexValues, the
+    residual divergences they leave at interior vertices.
     """
     _check_report(patch, report)
     if not patch.boundary:
         raise FieldError("patch center is not a boundary vertex")
     a = _targets(patch, p_values, "values")
     if report.singular:
-        fields = local_interpolant(patch, a, topology, report)
-        if a.ndim == 1:
-            return BoundaryResult(fields, {})
-        return [BoundaryResult(f, {}) for f in fields]
+        return local_interpolant(patch, a, topology, report), _NO_VALUES
     if patch.N < 2:
         raise FieldError("non-singular boundary patch needs >= 2 triangles")
 
@@ -591,16 +431,14 @@ def boundary_interpolant(patch: VertexPatch, p_values, topology: MeshTopology,
 
     coeffs = _contract(table, a, seed, s)[0].reshape(-1, patch.N, 2,
                                                      len(poly.MONO3))
-    results = [BoundaryResult(f, side) for f, side in zip(
-        _patch_field(topology, patch, coeffs),
-        _side_effects(topology, patch, coeffs))]
-    return results[0] if a.ndim == 1 else results
+    return (_patch_block(topology, patch, coeffs),
+            _side_effects(topology, patch, coeffs))
 
 
 def _side_effects(topology, patch, coeffs):
-    """For each row of (S, N, 2, 10) patch coefficients, the dict
-    (triangle, vertex) -> divergence of its non-negligible vertex
-    divergences away from the patch center, in triangle then slot order."""
+    """The non-negligible vertex divergences away from the patch center of
+    the fields of (S, N, 2, 10) patch coefficients, in (field, triangle,
+    slot) order."""
     order = np.argsort(patch.tris)
     tris = np.asarray(patch.tris)[order]
     verts = topology.mesh.triangles[tris]                        # (N, 3)
@@ -609,12 +447,8 @@ def _side_effects(topology, patch, coeffs):
     tol = 1e-12 * np.maximum(np.abs(coeffs).max(axis=(1, 2, 3),
                                                 initial=0.0), 1e-30)
     keep = ~(np.abs(vals) <= tol[:, None, None]) & (verts != patch.z)
-    row, j, slot = np.nonzero(keep)
-    out = [{} for _ in range(len(coeffs))]
-    for r, t, v, val in zip(row.tolist(), tris[j].tolist(),
-                            verts[j, slot].tolist(), vals[keep].tolist()):
-        out[r][(t, v)] = val
-    return out
+    field, j, slot = np.nonzero(keep)
+    return VertexValues(field, tris[j], verts[j, slot], vals[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -628,25 +462,23 @@ class TransferInfo:
     order: tuple          # patch triangle order at z (targets are indexed by it)
     edge_pos: int         # position in `order` of the first edge triangle
     M_z: float            # edge weight at z
-    s_a: float            # chain-signed alternating sum of the targets
-    spill: dict           # (triangle, y) -> divergence value left at y
+    s_a: float            # chain-signed alternating sum of the targets,
+                          # one per row of a target block
+    spill: VertexValues   # the divergences left at y
 
 
 def edge_transfer(topology: MeshTopology, z: int, y: int, target,
                   tol: Tolerances = Tolerances()):
     """Match targets at z while polluting only the far endpoint y.
 
-    ``target`` is indexed by the patch triangle order at z
-    (``topology.patches[z].tris``).
-    Returns (field, TransferInfo); the spill at y scales with the
+    ``target`` is one target vector (N,), or a block (S, N) of them,
+    indexed by the patch triangle order at z (``topology.patches[z].tris``).
+    Returns (FieldBlock, TransferInfo); the spill at y scales with the
     chain-signed alternating sum of the targets divided by the edge weight.
     """
     patch = topology.patches[z]
-    a = np.asarray(target, dtype=float)
-    if len(a) != patch.N:
-        raise FieldError(f"expected {patch.N} targets, got {len(a)}")
+    a = _targets(patch, target, "targets")
     k = _edge_slot(patch, y)
-    tA, tB = patch.edge_tri_pair(k)
     thA, thB = patch.theta[k], patch.theta[(k + 1) % patch.N]
     cotA, cotB = 1.0 / np.tan(thA), 1.0 / np.tan(thB)
     M = cotA + cotB
@@ -660,65 +492,71 @@ def edge_transfer(topology: MeshTopology, z: int, y: int, target,
     seed = (1.0 / M) * (r + cotB * table.w[k])
 
     coeffs, signs = _contract(table, a, seed, k)
-    v = _patch_field(topology, patch, coeffs)
-    s_a = float(signs @ a)
-    spill = {(tA, y): v.div_at(tA, y), (tB, y): v.div_at(tB, y)}
+    rows = coeffs.reshape(-1, patch.N, 2, len(poly.MONO3))
+    pos = (k + _PAIR) % patch.N                      # the two edge triangles
+    pair = np.asarray(patch.tris)[pos]
+    slot_y = (topology.mesh.triangles[pair] == y).argmax(axis=1)
+    div = _div_coeffs(topology.hat_grads[pair], rows[:, pos])    # (S, 2, 6)
+    at_y = div[:, _PAIR, poly.VERTEX2[slot_y]]                   # (S, 2)
+    S = len(rows)
+    spill = VertexValues(np.repeat(np.arange(S), 2), np.tile(pair, S),
+                         np.full(2 * S, y), at_y.ravel())
     info = TransferInfo(z=z, y=y, order=patch.tris, edge_pos=k,
-                        M_z=M, s_a=s_a, spill=spill)
-    return v, info
+                        M_z=M, s_a=a @ signs, spill=spill)
+    return _patch_block(topology, patch, coeffs), info
 
 
 @dataclass
 class PathResult:
-    field: PatchField
-    infos: list            # per-hop TransferInfo
-    end_spill: dict        # (triangle, end vertex) -> divergence value
+    field: FieldBlock
+    infos: list              # per-hop TransferInfo
+    end_spill: VertexValues  # the divergences left at the end vertex
 
 
 def path_interpolant(topology: MeshTopology, vertices, target,
                      tol: Tolerances = Tolerances()) -> PathResult:
     """Transfer vertex-divergence targets from the path start to its end.
 
-    Matches the targets at vertices[0], leaves zero vertex divergence at
-    every intermediate vertex, and pollutes only the two triangles at the
-    far end.  Every traversed edge must have weight above tolerance.
+    Matches the targets (N,) at vertices[0], leaves zero vertex divergence
+    at every intermediate vertex, and pollutes only the two triangles at
+    the far end.  Every traversed edge must have weight above tolerance.
     """
     verts = [int(v) for v in vertices]
     if len(verts) < 2:
         raise FieldError("a path needs at least two vertices")
     if len(set(verts)) != len(verts):
         raise FieldError("path vertices must be distinct")
-    acc, info = edge_transfer(topology, verts[0], verts[1], target, tol)
-    infos = [info]
-    for ell in range(1, len(verts) - 1):
-        z, ynext = verts[ell], verts[ell + 1]
-        patch = topology.patches[z]
-        residual = np.array([acc.div_at(t, z) if t in acc.support else 0.0
-                             for t in patch.tris])
-        f, info = edge_transfer(topology, z, ynext, -residual, tol)
-        acc = acc + f
+    if np.ndim(target) != 1:
+        raise FieldError("a path transfers one target vector")
+    acc = np.zeros((topology.T, 2, len(poly.MONO3)))
+    infos, a = [], target
+    for z, ynext in zip(verts[:-1], verts[1:]):
+        block, info = edge_transfer(topology, z, ynext, a, tol)
+        acc[block.tri] += block.coeffs
         infos.append(info)
-    end = verts[-1]
-    end_patch = topology.patches[end]
-    end_spill = {}
-    for t in end_patch.tris:
-        val = acc.div_at(t, end) if t in acc.support else 0.0
-        if val != 0.0:
-            end_spill[(t, end)] = val
-    return PathResult(field=acc, infos=infos, end_spill=end_spill)
+        # what the next hop removes; at the end vertex, the spill
+        vals = center_divergences(topology, acc, topology.patches[ynext])
+        a = -vals
+    end = topology.patches[verts[-1]]
+    hit = np.flatnonzero(vals != 0.0)
+    end_spill = VertexValues(np.zeros(len(hit), dtype=np.int64),
+                             np.asarray(end.tris)[hit],
+                             np.full(len(hit), end.z), vals[hit])
+    return PathResult(field=field_block(topology, acc),
+                      infos=infos, end_spill=end_spill)
 
 
 # ---------------------------------------------------------------------------
 # Verifier
 
 
-@dataclass
+@dataclass(slots=True)
 class FieldCheck:
     name: str
     ok: bool
     deviation: float
     detail: str = ""
-    field: int = 0          # index of the checked field in a stacked call
+    field: int = 0          # index of the checked field in its block
 
 
 @dataclass
@@ -754,58 +592,59 @@ def _trace_lambdas():
 
 _TRACE_LAM = _trace_lambdas()
 
+# Relative tolerance of every check, against the field's largest
+# coefficient or divergence coefficient (at least 1).
+RTOL = 1e-9
 
-def verify_field(f, vertex_divs=None, mean_zero=True, support=None,
-                 rtol=1e-9) -> FieldReport:
-    """Check constructed fields against their expected properties.
+# Fields per pass of verify_field.  A pass holds the check arrays of its
+# rows, about 1.4 KB per support triangle: every benchmark mesh (at most
+# 98 fields) takes one pass, and crossed(32) at two samples (4226 fields)
+# 34: one pass over all of them raised that run's peak RSS from 82 to
+# 102 MiB, and passes of 512 left it 0 to 2 MiB above passes of 128.
+VERIFY_FIELDS = 128
 
-    ``f`` is one PatchField, or a sequence of fields on one topology; then
-    ``vertex_divs`` (and ``support``, when given) is a matching sequence.
-    ``vertex_divs`` maps (triangle, vertex) to the expected divergence
-    value; every support (triangle, vertex) pair not listed is expected to
-    give zero.  Continuity across internal support edges and a vanishing
-    trace on the support-region boundary are always checked.
 
-    The support triangles of all fields are stacked into one block of rows
-    sorted by (field, triangle), and every check is one array program over
-    the block reduced to per-field maxima.  Each FieldCheck carries the
-    index of its field; a field's checks are those of a call on it alone.
+def verify_field(block: FieldBlock,
+                 expected: VertexValues = _NO_VALUES) -> FieldReport:
+    """Check the fields of a block against their expected properties.
+
+    ``expected`` lists expected vertex divergences, at most one entry per
+    (field, triangle, vertex); every support (triangle, vertex) pair of a
+    field not listed for it is expected to give zero.  Continuity across
+    internal support edges, a vanishing trace on the support-region
+    boundary and zero triangle means are always checked.
+
+    The block is walked in ranges of VERIFY_FIELDS fields, and the checks
+    of a range are one array program over its rows reduced to per-field
+    maxima, so a field's checks are those of a call on it alone.  Each
+    FieldCheck carries the index of its field.
     """
-    if isinstance(f, PatchField):
-        fields, expected = [f], [vertex_divs]
-        supports = None if support is None else [support]
-    else:
-        fields = list(f)
-        expected = ([None] * len(fields) if vertex_divs is None
-                    else list(vertex_divs))
-        supports = None if support is None else list(support)
-    if len(expected) != len(fields) or (supports is not None
-                                        and len(supports) != len(fields)):
-        raise FieldError("vertex_divs and support need one entry per field")
-    if not fields:
-        return FieldReport([])
-    topo = fields[0].topology
-    T, F = topo.T, len(fields)
-    tris = topo.mesh.triangles
+    e_field = np.asarray(expected.field, dtype=np.int64)
+    if len(e_field) and (e_field.min() < 0 or e_field.max() >= block.F):
+        raise FieldError(f"expected values name a field outside "
+                         f"0 .. {block.F - 1}")
+    # by field, and within a field in the order given
+    order = np.argsort(e_field, kind="stable")
+    e_field, e_tri, e_vertex = (np.asarray(a, dtype=np.int64)[order] for a in
+                                (e_field, expected.tri, expected.vertex))
+    e_value = np.asarray(expected.value, dtype=float)[order]
+    checks = []
+    for lo in range(0, block.F, VERIFY_FIELDS):
+        hi = min(lo + VERIFY_FIELDS, block.F)
+        r = slice(*np.searchsorted(block.field, [lo, hi]))
+        e = slice(*np.searchsorted(e_field, [lo, hi]))
+        checks += _verify_range(
+            block.topology, lo, hi - lo, block.field[r] - lo, block.tri[r],
+            block.coeffs[r], VertexValues(e_field[e] - lo, e_tri[e],
+                                          e_vertex[e], e_value[e]))
+    return FieldReport(checks)
 
-    # the block: every support triangle of every field, sorted by (field,
-    # triangle), and every expected vertex divergence, by field
-    tri_list, count, blocks = [], [], []
-    exp_keys, exp_vals, exp_count = [], [], []
-    for g, d in zip(fields, expected):
-        if g.topology is not topo:
-            raise FieldError("fields live on different topologies")
-        ts = sorted(g.coeffs)
-        tri_list += ts
-        count.append(len(ts))
-        blocks += map(g.coeffs.__getitem__, ts)
-        d = d or {}
-        exp_keys += d
-        exp_vals += d.values()
-        exp_count.append(len(d))
-    owner = np.repeat(np.arange(F), count)
-    ts = np.array(tri_list, dtype=np.int64)
-    coeffs = np.array(blocks).reshape(len(ts), 2, len(poly.MONO3))
+
+def _verify_range(topo, first, F, owner, ts, coeffs, expected):
+    """The checks of the F fields first .. first + F - 1, whose rows are
+    numbered from 0 in ``owner`` and ``expected.field``."""
+    T = topo.T
+    tris = topo.mesh.triangles
     key = owner * T + ts
     # a sentinel after the last row, which no (field, triangle) key matches
     keyed = np.append(key, -1)
@@ -825,7 +664,7 @@ def verify_field(f, vertex_divs=None, mean_zero=True, support=None,
     values = poly.eval3(coeffs.reshape(-1, len(poly.MONO3)), _TRACE_LAM)
     traces = values.reshape(values.shape[:-1] + (len(ts), 2))
     traces = traces.transpose(3, 0, 1, 2, 4)
-    dtol = rtol * np.maximum(per_field(np.abs(divs).max(axis=1)), 1.0)
+    dtol = RTOL * np.maximum(per_field(np.abs(divs).max(axis=1)), 1.0)
     cscale = np.maximum(per_field(np.abs(coeffs).max(axis=(1, 2))), 1.0)
 
     # trace continuity / zero boundary trace: the twin side of a support
@@ -839,18 +678,17 @@ def verify_field(f, vertex_divs=None, mean_zero=True, support=None,
     worst_cont = per_field(np.where(inside, jump, 0.0).max(axis=1))
     worst_trace = per_field(np.where(inside, 0.0, np.abs(fwd).max(
         axis=(2, 3))).max(axis=1))
+    worst_mean = per_field(np.abs(divs @ poly.INT2_UNIT))
 
     # expected vertex divergences: those on a support (triangle, vertex)
     # pair are compared with it; the others lie outside the support, where
     # the field (hence its divergence) is identically zero.  A NaN
     # deviation is passed over, as by a running maximum.
-    e_owner = np.repeat(np.arange(F), exp_count)
-    e_val = np.array(exp_vals, dtype=float)
-    kt, kv = np.array(exp_keys, dtype=np.int64).reshape(-1, 2).T
-    on_mesh = (kt >= 0) & (kt < T)
-    kt = np.where(on_mesh, kt, 0)
+    e_owner, e_tri, e_vertex, e_val = expected
+    on_mesh = (e_tri >= 0) & (e_tri < T)
+    kt = np.where(on_mesh, e_tri, 0)
     e_row, found = row_of(e_owner * T + kt)
-    slot = tris[kt] == kv[:, None]                               # (n, 3)
+    slot = tris[kt] == e_vertex[:, None]                         # (n, 3)
     matched = on_mesh & found & slot.any(axis=1)
     want = np.zeros((len(ts), 3))
     want[e_row[matched], slot[matched].argmax(axis=1)] = e_val[matched]
@@ -862,31 +700,13 @@ def verify_field(f, vertex_divs=None, mean_zero=True, support=None,
     missing = np.bincount(e_owner[outside], minlength=F) > 0
     ok_div = (worst_div <= dtol) & ~missing
 
-    columns = []
-    if supports is not None:
-        allowed = np.array([i * T + t for i, s in enumerate(supports)
-                            for t in s if 0 <= t < T], dtype=np.int64)
-        extra = ~np.isin(key, allowed)
-        columns.append(("support", np.bincount(owner[extra], minlength=F) == 0,
-                        np.zeros(F)))
-    columns += [
-        ("continuity", worst_cont <= rtol * cscale, worst_cont),
-        ("zero_boundary_trace", worst_trace <= rtol * cscale, worst_trace),
-        ("vertex_divergences", ok_div, worst_div)]
-    if mean_zero:
-        worst_mean = per_field(np.abs(divs @ poly.INT2_UNIT))
-        columns.append(("zero_triangle_means", worst_mean <= dtol, worst_mean))
-
-    # details name the offenders of the failing checks only
+    # the details name the offenders of a failing vertex_divergences check
     details = {}
-    if supports is not None:
-        for i in np.flatnonzero(~columns[0][1]).tolist():
-            extra_tris = sorted(fields[i].support - set(supports[i]))
-            details[i, "support"] = f"extra triangles {extra_tris}"
     for i in np.flatnonzero(~ok_div).tolist():
         mine = e_owner == i
         if missing[i]:
-            keys = sorted(exp_keys[j] for j in np.flatnonzero(outside & mine))
+            keys = sorted(zip(e_tri[outside & mine].tolist(),
+                              e_vertex[outside & mine].tolist()))
             details[i, "vertex_divergences"] = (
                 f"expected values outside support: {keys}")
             continue
@@ -903,13 +723,18 @@ def verify_field(f, vertex_divs=None, mean_zero=True, support=None,
                 t = int(ts[rows[j // 3]])
                 worst_key = (t, int(tris[t, j % 3]))
             else:
-                worst_key = exp_keys[rest[j - 3 * len(rows)]]
+                k = rest[j - 3 * len(rows)]
+                worst_key = (int(e_tri[k]), int(e_vertex[k]))
         details[i, "vertex_divergences"] = f"worst at {worst_key}"
 
+    columns = [
+        ("continuity", worst_cont <= RTOL * cscale, worst_cont),
+        ("zero_boundary_trace", worst_trace <= RTOL * cscale, worst_trace),
+        ("vertex_divergences", ok_div, worst_div),
+        ("zero_triangle_means", worst_mean <= dtol, worst_mean)]
     names = [name for name, _, _ in columns]
     oks = np.stack([ok for _, ok, _ in columns], axis=1).tolist()
     devs = np.stack([d for _, _, d in columns], axis=1).tolist()
-    return FieldReport([
-        FieldCheck(name, ok, d, details.get((i, name), ""), i)
-        for i, (ok_row, dev_row) in enumerate(zip(oks, devs))
-        for name, ok, d in zip(names, ok_row, dev_row)])
+    return [FieldCheck(name, ok, d, details.get((i, name), ""), first + i)
+            for i, (ok_row, dev_row) in enumerate(zip(oks, devs))
+            for name, ok, d in zip(names, ok_row, dev_row)]

@@ -500,20 +500,22 @@ def nullity_crosscheck(result: RankResult, topology: MeshTopology,
 # helpers for cross-module oracles and export
 
 def velocity_coefficients(topology: MeshTopology, nodes: np.ndarray,
-                          field) -> np.ndarray:
-    """Nodal coefficient vector of a piecewise-cubic ``PatchField`` that
-    vanishes on the boundary (values sampled at the interior Lagrange
-    nodes).  A node shared by several triangles takes its value from the
-    highest-numbered one; triangles outside the support give zeros."""
+                          block) -> np.ndarray:
+    """Nodal coefficients (velocity DOFs, F) of the piecewise-cubic fields
+    of a ``FieldBlock`` that vanish on the boundary (values sampled at the
+    interior Lagrange nodes), one column per field.  A node shared by
+    several triangles takes its value from the highest-numbered one;
+    triangles outside a field's support give zeros."""
     n = _n_nodes(nodes)
-    support = np.array(sorted(field.support), dtype=np.int64)
-    vals = np.zeros((topology.T, 10, 2))
-    if len(support):
-        coeffs = np.stack([field.coeffs[t] for t in support])   # (S, 2, 10)
-        at_nodes = poly.eval3(coeffs.reshape(-1, 10), np.array(P3_NODES))
-        vals[support] = at_nodes.reshape(10, -1, 2).transpose(1, 0, 2)
     flat = nodes.ravel()
     interior = np.flatnonzero(flat >= 0)
     last = np.full(n, -1, dtype=np.int64)
     np.maximum.at(last, flat[interior], interior)
-    return vals.reshape(-1, 2)[last].ravel()
+    owns = np.zeros(flat.shape, dtype=bool)         # the node's last slot
+    owns[last] = True
+    row, j = np.nonzero(owns.reshape(nodes.shape)[block.tri])
+    at_nodes = poly.eval3(block.coeffs.reshape(-1, 10),
+                          np.array(P3_NODES)).reshape(10, -1, 2)   # (10, R, 2)
+    out = np.zeros((n, 2, block.F))
+    out[nodes[block.tri[row], j], :, block.field[row]] = at_nodes[j, row]
+    return out.reshape(2 * n, block.F)

@@ -8,9 +8,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import poly
 from .classify import Tolerances
-from .fields import (FieldError, PatchField, boundary_interpolant,
-                     local_interpolant, path_interpolant)
+from .fields import (FieldBlock, FieldError, boundary_interpolant,
+                     center_divergences, field_block, local_interpolant,
+                     path_interpolant)
 from .geometry import triangle_geometry
 from .mesh import MeshError, MeshTopology
 
@@ -244,7 +246,7 @@ def check_hypotheses(topology: MeshTopology, reports, cover: TreeCover):
 
 
 def tree_interpolant(topology: MeshTopology, cover: TreeCover, p, reports,
-                     dcoefficients, tol: Tolerances = Tolerances()) -> PatchField:
+                     dcoefficients, tol: Tolerances = Tolerances()) -> FieldBlock:
     """Global field whose divergence matches p at every vertex of every
     triangle, with zero divergence mean on every triangle.
 
@@ -253,7 +255,8 @@ def tree_interpolant(topology: MeshTopology, cover: TreeCover, p, reports,
     ``dcoefficients`` the vertex reports and d-coefficients of
     ``classify_mesh``.  Boundary vertices are matched first; interior
     residuals are then transferred along the cover's trees to their roots
-    and resolved there.
+    and resolved there.  The field is accumulated densely, (T, 2, 10), and
+    returned as a block of one field.
     """
     if not cover.complete:
         raise FieldError("tree cover is incomplete; cannot interpolate")
@@ -261,29 +264,25 @@ def tree_interpolant(topology: MeshTopology, cover: TreeCover, p, reports,
     if p.shape != (topology.T, 3):
         raise FieldError(f"expected ({topology.T}, 3) vertex values")
     pscale = max(float(np.abs(p).max()), 1e-30)
+    acc = np.zeros((topology.T, 2, len(poly.MONO3)))
 
-    def residual(acc, z, patch):
-        out = np.empty(patch.N)
-        for j, (t, slot) in enumerate(zip(patch.tris, patch.slots)):
-            want = p[t, slot]
-            have = acc.div_at(t, z) if t in acc.support else 0.0
-            out[j] = want - have
-        return out
+    def residual(patch):
+        return (p[patch.tris, patch.slots]
+                - center_divergences(topology, acc, patch))
 
-    acc = PatchField(topology)
+    def add(block):
+        acc[block.tri] += block.coeffs
 
     # boundary pass
     boundary = [z for z in range(topology.V) if topology.boundary_vertex[z]]
     for z in boundary:
         patch = topology.patches[z]
-        a = residual(acc, z, patch)
+        a = residual(patch)
         if np.abs(a).max() <= 1e-13 * pscale:
             continue
-        acc = acc + boundary_interpolant(patch, a, topology,
-                                         reports[z]).field
+        add(boundary_interpolant(patch, a, topology, reports[z])[0])
     for z in boundary:
-        patch = topology.patches[z]
-        a = residual(acc, z, patch)
+        a = residual(topology.patches[z])
         if np.abs(a).max() > 1e-9 * pscale:
             raise FieldError(
                 f"boundary pass left residual {np.abs(a).max():.3e} at vertex "
@@ -292,16 +291,15 @@ def tree_interpolant(topology: MeshTopology, cover: TreeCover, p, reports,
     # interior transfers, tree by tree
     for tree in cover.trees:
         for z in sorted(tree.parents):
-            patch = topology.patches[z]
-            a = residual(acc, z, patch)
+            a = residual(topology.patches[z])
             if np.abs(a).max() <= 1e-13 * pscale:
                 continue
-            acc = acc + path_interpolant(topology, tree.path_to_root(z), a,
-                                         tol).field
+            add(path_interpolant(topology, tree.path_to_root(z), a,
+                                 tol).field)
         r = tree.root
         patch = topology.patches[r]
-        a = residual(acc, r, patch)
+        a = residual(patch)
         if np.abs(a).max() > 1e-13 * pscale:
-            acc = acc + local_interpolant(patch, a, topology, reports[r],
-                                          dcoefficients[r])
-    return acc
+            add(local_interpolant(patch, a, topology, reports[r],
+                                  dcoefficients[r]))
+    return field_block(topology, acc)

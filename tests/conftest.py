@@ -1,5 +1,6 @@
 """Shared test helpers: random shape-regular patches, admissible
-pressure targets, and the golden and benchmark meshes."""
+pressure targets, the golden and benchmark meshes, and dense views of
+field blocks."""
 
 import importlib.util
 import pathlib
@@ -8,6 +9,8 @@ import sys
 import numpy as np
 import pytest
 
+from svstokes import fields, poly
+from svstokes.fields import VertexValues
 from svstokes.mesh import (Triangulation, build_topology, crossed, load_mesh,
                            ngon_patch, perturbed_grid, three_lines,
                            type1_diagonal)
@@ -54,6 +57,83 @@ def edge_tris(topo, e):
     side = int(np.flatnonzero(topo.tri_edges.ravel() == e)[0])
     twin = int(topo.twin.ravel()[side])
     return tuple(sorted({side // 3} | ({twin // 3} if twin >= 0 else set())))
+
+
+def dense(block):
+    """The fields of a FieldBlock as dense coefficients (F, T, 2, 10)."""
+    out = np.zeros((block.F, block.topology.T, 2, len(poly.MONO3)))
+    out[block.field, block.tri] = block.coeffs
+    return out
+
+
+def on_patch(topo, patch, rows):
+    """Dense coefficients (T, ...) of rows (N, ...) over patch.tris."""
+    out = np.zeros((topo.T,) + rows.shape[1:])
+    out[list(patch.tris)] = rows
+    return out
+
+
+def support(c):
+    """The triangles where the dense field c (T, 2, 10) is nonzero."""
+    return set(np.flatnonzero(c.any(axis=(1, 2))).tolist())
+
+
+def _div(topo, c, t):
+    return fields._div_coeffs(topo.hat_grads[t], c[t])
+
+
+def div_at(topo, c, t, v):
+    """Divergence of the dense field c (T, 2, 10) on triangle t at its
+    vertex v."""
+    slot = topo.mesh.triangles[t].tolist().index(v)
+    return float(_div(topo, c, t)[poly.VERTEX2[slot]])
+
+
+def div_mean(topo, c, t):
+    """Mean of the divergence of the dense field c over triangle t."""
+    return float(poly.INT2_UNIT @ _div(topo, c, t))
+
+
+def div_integral(topo, c, t):
+    return float(topo.area[t]) * div_mean(topo, c, t)
+
+
+def corner_divergences(topo, c):
+    """{(triangle, vertex): divergence} of the dense field c at every
+    vertex of every triangle of its support."""
+    return {(t, int(v)): div_at(topo, c, t, int(v)) for t in sorted(support(c))
+            for v in topo.mesh.triangles[t]}
+
+
+def scalar_edge_integral(topo, t, c, va, vb):
+    """Integral of the scalar cubic c (10,) on triangle t along its edge
+    from va to vb."""
+    tri = topo.mesh.triangles[t].tolist()
+    lam = np.zeros((len(poly.EDGE_QP), 3))
+    lam[:, tri.index(va)] = 1.0 - poly.EDGE_QP
+    lam[:, tri.index(vb)] = poly.EDGE_QP
+    length = float(np.hypot(*(topo.mesh.vertices[vb] - topo.mesh.vertices[va])))
+    return length * float(poly.EDGE_QW @ poly.eval3(c, lam))
+
+
+def scalar_gradient_at_vertex(topo, t, c, v):
+    """Gradient of the scalar cubic c (10,) on triangle t at its vertex v."""
+    slot = topo.mesh.triangles[t].tolist().index(v)
+    return (poly.DIFF[:, poly.VERTEX2[slot]] @ c) @ topo.hat_grads[t]
+
+
+def values(*divs):
+    """VertexValues of one {(triangle, vertex): value} dict per field."""
+    rows = [(i, t, v, x) for i, d in enumerate(divs) for (t, v), x in d.items()]
+    cols = list(zip(*rows)) or [()] * 4
+    return VertexValues(*(np.array(c, dtype=d) for c, d in
+                          zip(cols, [np.int64] * 3 + [float])))
+
+
+def as_dict(vals, field=0):
+    """{(triangle, vertex): value} of one field's VertexValues entries."""
+    return {(t, v): x for f, t, v, x in zip(*(a.tolist() for a in vals))
+            if f == field}
 
 
 # Vertex 0 is pinched: its triangles form two fans that share no edge.

@@ -11,15 +11,16 @@ from math import factorial
 import numpy as np
 import pytest
 
-from conftest import (admissible_target, edge_tris, random_interior_patch,
-                      rigid_motion)
-from svstokes import poly, solver
+from conftest import (admissible_target, dense, div_at, div_integral,
+                      div_mean, edge_tris, on_patch, random_interior_patch,
+                      rigid_motion, scalar_edge_integral,
+                      scalar_gradient_at_vertex, support, values)
+from svstokes import fields, poly, solver
 from svstokes.classify import (EVEN, ODD, SINGULAR, Tolerances,
                                classify_mesh, classify_vertex,
                                compute_dcoefficients, is_singular)
-from svstokes.fields import (basis_chi, basis_chi_sum, basis_xi, kappa_field,
-                             local_interpolant, path_interpolant,
-                             verify_field, w_field)
+from svstokes.fields import (edge_table, local_interpolant, path_interpolant,
+                             verify_field)
 from svstokes.geometry import edge_pair_geometry
 from svstokes.mesh import (Triangulation, build_topology, crossed,
                            enumerate_patch, ngon_patch, perturbed_grid,
@@ -51,47 +52,55 @@ def test_A1_field_lemma_suite():
         dco = compute_dcoefficients(patch, topo)
         # edge fields: support, unit divergence at the center, zero at the
         # far endpoint, zero triangle means
-        y = int(patch.spokes[int(rng.integers(patch.N))])
-        f = w_field(topo, 0, y)
+        table = edge_table(patch, topo)
+        k = int(rng.integers(patch.N))
+        y = int(patch.spokes[k])
+        f = on_patch(topo, patch, table.w[k])
         e = topo.edge_index[(0, y)]
         t1, t2 = edge_tris(topo, e)
-        assert f.support == {t1, t2}
+        assert support(f) == {t1, t2}
         for t in (t1, t2):
-            assert abs(f.div_at(t, 0) - 1.0) < RTOL
-            assert abs(f.div_at(t, y)) < RTOL
-            assert abs(f.div_mean(t)) < RTOL
+            assert abs(div_at(topo, f, t, 0) - 1.0) < RTOL
+            assert abs(div_at(topo, f, t, y)) < RTOL
+            assert abs(div_mean(topo, f, t)) < RTOL
         # normal correctors: unit +/- divergence integrals and the summed
         # vertex-divergence identity against the patch coefficients
-        for k in range(patch.N):
-            chi = basis_chi(patch, topo, k)
-            ints = sorted(chi.div_integral(t) for t in patch.edge_tri_pair(k))
+        for j in range(patch.N):
+            chi = on_patch(topo, patch, table.chi[j])
+            ints = sorted(div_integral(topo, chi, t)
+                          for t in patch.edge_tri_pair(j))
             assert abs(ints[0] + 1.0) < RTOL and abs(ints[1] - 1.0) < RTOL
-        total = basis_chi_sum(patch, topo)
+        total = on_patch(topo, patch, table.chi.sum(axis=0))
         scale = max(np.abs(dco.d0).max(), 1.0)
         for j, t in enumerate(patch.tris):
-            assert abs(total.div_at(t, 0) - 12.0 * dco.d0[j]) < RTOL * 12 * scale
+            assert abs(div_at(topo, total, t, 0) - 12.0 * dco.d0[j]) \
+                < RTOL * 12 * scale
         # directional correctors: raw divergence values/integrals and the
         # mean-zero corrected divergence values
         for i in (1, 2):
-            xi_tilde, xi = basis_xi(patch, topo, i, dco)
+            xi_tilde, xi = (on_patch(topo, patch, x)
+                            for x in fields._xi(table, i, dco))
             bs = max(np.abs(dco.b[:, i - 1]).max(), 1.0)
             ds = max(np.abs(dco.d[:, i - 1]).max(), 1.0)
             for j, t in enumerate(patch.tris):
                 area = _tri_area(topo, t)
-                assert abs(xi_tilde.div_at(t, 0) - 3.0 * dco.b[j, i - 1] / area) \
+                assert abs(div_at(topo, xi_tilde, t, 0)
+                           - 3.0 * dco.b[j, i - 1] / area) \
                     < RTOL * 3 * bs / area
-                assert abs(xi_tilde.div_integral(t) - dco.b[j, i - 1]) < RTOL * bs
-                assert abs(xi.div_at(t, 0) - dco.d[j, i - 1]) < 10 * RTOL * ds
-                assert abs(xi.div_mean(t)) < 10 * RTOL * ds
+                assert abs(div_integral(topo, xi_tilde, t)
+                           - dco.b[j, i - 1]) < RTOL * bs
+                assert abs(div_at(topo, xi, t, 0) - dco.d[j, i - 1]) \
+                    < 10 * RTOL * ds
+                assert abs(div_mean(topo, xi, t)) < 10 * RTOL * ds
         # zero-edge-mean scalar: edge mean and the two gradient identities
-        kap = kappa_field(topo, 0, y)
+        kap = on_patch(topo, patch, table.kappa[k])
         for t in (t1, t2):
-            assert abs(kap.edge_integral(t, 0, y)) < RTOL
+            assert abs(scalar_edge_integral(topo, t, kap[t], 0, y)) < RTOL
             g = poly.hat_gradients(*topo.mesh.vertices[topo.mesh.triangles[t]])
             tri = list(topo.mesh.triangles[t])
-            assert np.abs(kap.gradient_at_vertex(t, 0)
+            assert np.abs(scalar_gradient_at_vertex(topo, t, kap[t], 0)
                           - 0.5 * g[tri.index(y)]).max() < RTOL * np.abs(g).max()
-            assert np.abs(kap.gradient_at_vertex(t, y)
+            assert np.abs(scalar_gradient_at_vertex(topo, t, kap[t], y)
                           + 0.5 * g[tri.index(0)]).max() < RTOL * np.abs(g).max()
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"field-lemma suite took {elapsed:.1f}s"
@@ -105,9 +114,9 @@ def test_A2_local_interpolant_suite():
     def run(patch, topo, target):
         f = local_interpolant(patch, target, topo,
                               *classify_vertex(patch, topo, TOL))
+        assert set(f.tri.tolist()) <= set(patch.tris)
         divs = {(t, patch.z): target[j] for j, t in enumerate(patch.tris)}
-        rep = verify_field(f, vertex_divs=divs, mean_zero=True,
-                           support=patch.tris, rtol=RTOL)
+        rep = verify_field(f, values(divs))
         assert rep.ok, rep.failed()
 
     # singular, valence 4
@@ -296,7 +305,7 @@ def test_A7_tree_machinery():
         M_last = abs(stats.M_fwd[-1])
         predicted = sorted(amplification * abs(np.cos(t) / np.sin(t)) / M_last
                            for t in (th1, th2))
-        got = sorted(abs(v) for v in result.end_spill.values())
+        got = sorted(np.abs(result.end_spill.value).tolist())
         assert len(got) == 2
         for p, g in zip(predicted, got):
             assert abs(g - p) < RTOL * max(p, 1.0)
@@ -308,11 +317,12 @@ def test_A7_tree_machinery():
         cover = build_tree_cover(topo, reports, TOL)
         assert cover.complete
         p = admissible_target(topo, reports, rng)
-        f = tree_interpolant(topo, cover, p, reports, dcoefficients, TOL)
+        f = dense(tree_interpolant(topo, cover, p, reports, dcoefficients,
+                                   TOL))[0]
         scale = max(np.abs(p).max(), 1.0)
         for t in range(topo.T):
             for slot, v in enumerate(topo.mesh.triangles[t]):
-                got = f.div_at(t, int(v)) if t in f.support else 0.0
+                got = div_at(topo, f, t, int(v))
                 assert abs(got - p[t, slot]) < RTOL * scale
         cert = solver.certify(topo, reports)
         rr = solver.divergence_rank(cert, topo, summary["sigma"], TOL)

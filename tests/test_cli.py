@@ -218,17 +218,31 @@ def test_field_suite_builds_one_table_per_vertex_and_verifies_once(
 
 
 def test_field_suite_batches_give_the_same_report(monkeypatch):
+    """The one verify_field call walks the suite's fields in passes of
+    fields.VERIFY_FIELDS; the pass size does not change the report."""
     m = bench_mesh("perturbed-5-p0")
     want = run_field_suites(m, Tolerances(), 3, 11)
-    monkeypatch.setattr(cli, "FIELD_BATCH", 7)
+    monkeypatch.setattr(fields, "VERIFY_FIELDS", 7)
     verified = _count_calls(monkeypatch, fields, "verify_field")
+    passes = _count_calls(monkeypatch, fields, "_verify_range")
     assert run_field_suites(m, Tolerances(), 3, 11) == want
-    # 36 vertices of 3 samples: a call once 7 or more fields are pending
-    assert [len(args[0]) for args in verified] == [9] * 12
-    # no samples: no fields, every verified vertex passes
-    lines, ok = run_field_suites(m, Tolerances(), 0, 11)
-    assert ok and len(lines) == len(want[0])
-    assert all(line.endswith("pass") for line in lines)
+    # 36 vertices of 3 samples: 108 fields in passes of 7
+    assert [args[0].F for args in verified] == [108]
+    assert [args[2] for args in passes] == [7] * 15 + [3]
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_field_suite_rejects_samples_below_one(tmp_path, capsys, samples):
+    """No field would be built or checked: an input error, not a pass."""
+    with pytest.raises(cli._InputError, match="at least 1"):
+        run_field_suites(crossed(2), Tolerances(), samples, 11)
+    mesh_path = _gen(tmp_path, "crossed", "--n", "3")
+    out = tmp_path / "fields.txt"
+    assert main(["verify-fields", "--mesh", str(mesh_path), "--samples",
+                 str(samples), "--out", str(out)]) == EXIT_INPUT
+    assert f"--samples must be at least 1, got {samples}" in \
+        capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_fields_deterministic_and_passing(tmp_path):

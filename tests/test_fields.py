@@ -1,26 +1,30 @@
-"""Local velocity fields: basis constructions, patch interpolants,
-boundary interpolants, edge transfers, and path transfers."""
+"""Local velocity fields: the per-patch table, patch interpolants,
+boundary interpolants, edge transfers, path transfers, field blocks and
+the verifier."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from conftest import (GOLDEN_MESHES, bench_mesh, bench_pool, edge_tris,
-                      random_interior_patch)
-from svstokes import cli, poly
+from conftest import (GOLDEN_MESHES, admissible_target, as_dict, bench_mesh,
+                      bench_pool, corner_divergences, dense, div_at,
+                      div_integral, div_mean, edge_tris, on_patch,
+                      random_interior_patch, scalar_edge_integral,
+                      scalar_gradient_at_vertex, support, values)
+from svstokes import cli, fields, poly
 from svstokes.classify import (BOUNDARY, EVEN, ODD, SINGULAR, Tolerances,
                                classify_mesh, classify_vertex,
                                compute_dcoefficients)
-from svstokes.fields import (FieldError, PatchField, UnacceptableEdgeError,
-                             basis_chi, basis_chi_sum, basis_kappa,
-                             basis_w, basis_xi, boundary_interpolant,
-                             edge_transfer, kappa_field, local_interpolant,
-                             path_interpolant, verify_field, w_field)
-from svstokes.mesh import (Triangulation, build_topology, crossed,
-                           enumerate_patch, ngon_patch, perturbed_grid,
-                           three_lines, type1_diagonal)
-from svstokes.trees import edge_weights, path_stats
+from svstokes.fields import (FieldBlock, FieldError, UnacceptableEdgeError,
+                             boundary_interpolant, center_divergences,
+                             edge_table, edge_transfer, field_block,
+                             local_interpolant, path_interpolant,
+                             stack_fields, verify_field)
+from svstokes.mesh import (build_topology, crossed, enumerate_patch,
+                           perturbed_grid, three_lines, type1_diagonal)
+from svstokes.trees import (build_tree_cover, edge_weights, path_stats,
+                            tree_interpolant)
 
 TOL = Tolerances()
 
@@ -29,39 +33,59 @@ def _tri_area(topo, t):
     return abs(poly.signed_area(*topo.mesh.vertices[topo.mesh.triangles[t]]))
 
 
+def _field(block):
+    """The dense coefficients (T, 2, 10) of a block of one field."""
+    assert isinstance(block, FieldBlock) and block.F == 1
+    return dense(block)[0]
+
+
+def _zero(topo, F=None):
+    """A block of one field, or of F fields, that vanish everywhere."""
+    shape = (topo.T, 2, len(poly.MONO3))
+    return field_block(topo, np.zeros(shape if F is None else (F,) + shape))
+
+
+def _add(block, c):
+    """The block of one field plus the dense coefficients c (T, 2, 10)."""
+    return field_block(block.topology, _field(block) + c)
+
+
 # ---------------------------------------------------------------------------
-# basis fields
+# the per-patch table
 
 def test_w_field_properties(rng):
     for _ in range(10):
         mesh, topo, patch = random_interior_patch(rng)
         k = int(rng.integers(patch.n_interior_edges))
-        y = patch.spokes[patch.edge_spoke(k)]
-        f = w_field(topo, 0, int(y))
-        t1, t2 = edge_tris(topo, topo.edge_index[(0, int(y))])
-        assert f.support == {t1, t2}
+        y = int(patch.spokes[patch.edge_spoke(k)])
+        row = edge_table(patch, topo).w[k]
+        w = on_patch(topo, patch, row)
+        t1, t2 = edge_tris(topo, topo.edge_index[(0, y)])
+        assert support(w) == {t1, t2}
         for t in (t1, t2):
-            assert f.div_at(t, 0) == pytest.approx(1.0, rel=1e-12)
-            assert f.div_at(t, int(y)) == pytest.approx(0.0, abs=1e-12)
-            assert f.div_mean(t) == pytest.approx(0.0, abs=1e-12)
-        report = verify_field(f, vertex_divs={(t1, 0): 1.0, (t2, 0): 1.0})
-        assert report.ok, report.failed
+            assert div_at(topo, w, t, 0) == pytest.approx(1.0, rel=1e-12)
+            assert div_at(topo, w, t, y) == pytest.approx(0.0, abs=1e-12)
+            assert div_mean(topo, w, t) == pytest.approx(0.0, abs=1e-12)
+        report = verify_field(field_block(topo, w),
+                              values({(t1, 0): 1.0, (t2, 0): 1.0}))
+        assert report.ok, report.failed()
 
 
 def test_chi_fields_and_their_sum(rng):
     for _ in range(10):
         mesh, topo, patch = random_interior_patch(rng)
         dco = compute_dcoefficients(patch, topo)
+        table = edge_table(patch, topo)
         for k in range(patch.N):
-            chi = basis_chi(patch, topo, k)
+            chi = on_patch(topo, patch, table.chi[k])
             t1, t2 = patch.edge_tri_pair(k)
-            assert chi.support == {t1, t2}
-            ints = sorted(chi.div_integral(t) for t in (t1, t2))
+            assert support(chi) == {t1, t2}
+            ints = sorted(div_integral(topo, chi, t) for t in (t1, t2))
             assert ints[0] == pytest.approx(-1.0, rel=1e-10)
             assert ints[1] == pytest.approx(1.0, rel=1e-10)
-        total = basis_chi_sum(patch, topo)
+        total = on_patch(topo, patch, table.chi.sum(axis=0))
         for j, t in enumerate(patch.tris):
-            assert total.div_at(t, 0) == pytest.approx(
+            assert div_at(topo, total, t, 0) == pytest.approx(
                 12.0 * dco.d0[j], rel=1e-10, abs=1e-10)
 
 
@@ -69,17 +93,19 @@ def test_xi_fields(rng):
     for _ in range(10):
         mesh, topo, patch = random_interior_patch(rng)
         dco = compute_dcoefficients(patch, topo)
+        table = edge_table(patch, topo)
         for i in (1, 2):
-            xi_tilde, xi = basis_xi(patch, topo, i, dco)
+            xi_tilde, xi = (on_patch(topo, patch, x)
+                            for x in fields._xi(table, i, dco))
             for j, t in enumerate(patch.tris):
                 area = _tri_area(topo, t)
-                assert xi_tilde.div_at(t, 0) == pytest.approx(
+                assert div_at(topo, xi_tilde, t, 0) == pytest.approx(
                     3.0 * dco.b[j, i - 1] / area, rel=1e-10, abs=1e-12)
-                assert xi_tilde.div_integral(t) == pytest.approx(
+                assert div_integral(topo, xi_tilde, t) == pytest.approx(
                     dco.b[j, i - 1], rel=1e-10, abs=1e-12)
-                assert xi.div_at(t, 0) == pytest.approx(
+                assert div_at(topo, xi, t, 0) == pytest.approx(
                     dco.d[j, i - 1], rel=1e-9, abs=1e-9)
-                assert xi.div_mean(t) == pytest.approx(0.0, abs=1e-11)
+                assert div_mean(topo, xi, t) == pytest.approx(0.0, abs=1e-11)
 
 
 def test_kappa_field_properties(rng):
@@ -87,41 +113,30 @@ def test_kappa_field_properties(rng):
         mesh, topo, patch = random_interior_patch(rng)
         k = int(rng.integers(patch.n_interior_edges))
         y = int(patch.spokes[patch.edge_spoke(k)])
-        kap = kappa_field(topo, 0, y)
+        kap = on_patch(topo, patch, edge_table(patch, topo).kappa[k])
         e = topo.edge_index[(0, y)]
         for t in edge_tris(topo, e):
             # zero mean along the shared edge
-            assert kap.edge_integral(t, 0, y) == pytest.approx(0.0,
-                                                               abs=1e-12)
+            assert scalar_edge_integral(topo, t, kap[t], 0, y) == \
+                pytest.approx(0.0, abs=1e-12)
             g = poly.hat_gradients(*topo.mesh.vertices[topo.mesh.triangles[t]])
             tri = list(topo.mesh.triangles[t])
-            gz = kap.gradient_at_vertex(t, 0)
-            gy = kap.gradient_at_vertex(t, y)
+            gz = scalar_gradient_at_vertex(topo, t, kap[t], 0)
+            gy = scalar_gradient_at_vertex(topo, t, kap[t], y)
             assert np.allclose(gz, 0.5 * g[tri.index(y)], atol=1e-12)
             assert np.allclose(gy, -0.5 * g[tri.index(0)], atol=1e-12)
-
-
-def test_basis_kappa_matches_kappa_field(rng):
-    mesh, topo, patch = random_interior_patch(rng)
-    y = int(patch.spokes[0])
-    e = topo.edge_index[(0, y)]
-    a = basis_kappa(topo, e, 0)
-    b = kappa_field(topo, 0, y)
-    for t in a.support:
-        lam = np.array([[0.2, 0.5, 0.3], [0.7, 0.1, 0.2]])
-        assert np.allclose(a.eval(t, lam), b.eval(t, lam))
 
 
 # ---------------------------------------------------------------------------
 # local interpolants
 
 def _check_local(patch, topo, target, rng):
-    f = local_interpolant(patch, target, topo,
-                          *classify_vertex(patch, topo, TOL))
+    block = local_interpolant(patch, target, topo,
+                              *classify_vertex(patch, topo, TOL))
+    assert set(block.tri.tolist()) <= set(patch.tris)
     divs = {(t, patch.z): target[j] for j, t in enumerate(patch.tris)}
-    report = verify_field(f, vertex_divs=divs, mean_zero=True,
-                          support=patch.tris)
-    assert report.ok, report.failed
+    report = verify_field(block, values(divs))
+    assert report.ok, report.failed()
 
 
 def test_singular_interpolant_crossed_center(rng):
@@ -209,13 +224,13 @@ def test_boundary_interpolant_perturbed_grids(seed, rng):
             else:
                 signs = np.array([(-1.0) ** j for j in range(patch.N)])
                 target -= signs * (signs @ target) / patch.N
-        result = boundary_interpolant(patch, target, topo, r)
+        block, side = boundary_interpolant(patch, target, topo, r)
         divs = {(t, patch.z): target[j] for j, t in enumerate(patch.tris)}
-        divs.update(result.side_effects)
-        report = verify_field(result.field, vertex_divs=divs, mean_zero=True)
-        assert report.ok, (r.vertex, report.failed)
+        divs.update(as_dict(side))
+        report = verify_field(block, values(divs))
+        assert report.ok, (r.vertex, report.failed())
         # declared side effects only hit interior vertices
-        for (t, v) in result.side_effects:
+        for v in side.vertex.tolist():
             assert not topo.boundary_vertex[v]
 
 
@@ -234,11 +249,11 @@ def test_edge_transfer_matches_targets_and_spill(rng):
             continue
         y = neighbors[0]
         target = rng.standard_normal(patch.N)
-        field, info = edge_transfer(topo, z, y, target, TOL)
+        block, info = edge_transfer(topo, z, y, target, TOL)
         divs = {(t, z): target[j] for j, t in enumerate(patch.tris)}
-        divs.update(info.spill)
-        report = verify_field(field, vertex_divs=divs, mean_zero=True)
-        assert report.ok, (z, y, report.failed)
+        divs.update(as_dict(info.spill))
+        report = verify_field(block, values(divs))
+        assert report.ok, (z, y, report.failed())
 
 
 def test_edge_transfer_rejects_zero_weight_edge():
@@ -255,7 +270,6 @@ def _three_hop_path(topo):
     """An interior 4-vertex path with acceptable traversal weights whose
     intermediate vertices have even valence (so the alternating-sum
     amplification telescopes with a consistent sign)."""
-    from svstokes.trees import edge_weights
     weights = edge_weights(topo)
     interior = [v for v in range(topo.V) if not topo.boundary_vertex[v]]
     even = {v for v in interior if enumerate_patch(topo, v).N % 2 == 0}
@@ -293,9 +307,9 @@ def test_path_interpolant_three_hops(rng):
     target[int(rng.integers(patch.N))] = 1.0
     result = path_interpolant(topo, path, target, TOL)
     divs = {(t, z): target[j] for j, t in enumerate(patch.tris)}
-    divs.update(result.end_spill)
-    report = verify_field(result.field, vertex_divs=divs, mean_zero=True)
-    assert report.ok, report.failed
+    divs.update(as_dict(result.end_spill))
+    report = verify_field(result.field, values(divs))
+    assert report.ok, report.failed()
 
     stats = path_stats(topo, path, TOL)
     assert stats.acceptable
@@ -306,7 +320,7 @@ def test_path_interpolant_three_hops(rng):
     M_last = abs(stats.M_fwd[-1])
     predicted = sorted(amplification * abs(np.cos(th) / np.sin(th)) / M_last
                        for th in (th1, th2))
-    got = sorted(abs(v) for v in result.end_spill.values())
+    got = sorted(np.abs(result.end_spill.value).tolist())
     assert len(got) == 2
     for p, g in zip(predicted, got):
         assert g == pytest.approx(p, rel=1e-9, abs=1e-12)
@@ -326,12 +340,12 @@ def test_path_interpolant_rejects_repeated_vertices():
 
 def test_verify_field_catches_corruption(rng):
     mesh, topo, patch = random_interior_patch(rng, N=5)
-    f = local_interpolant(patch, rng.standard_normal(5), topo,
-                          *classify_vertex(patch, topo, TOL))
-    t = sorted(f.support)[0]
-    f.coeffs[t][0, 3] += 0.37          # break continuity / divergences
+    block = local_interpolant(patch, rng.standard_normal(5), topo,
+                              *classify_vertex(patch, topo, TOL))
+    c = _field(block)
+    c[block.tri[0], 0, 3] += 0.37      # break continuity / divergences
     divs = {(tt, 0): 0.0 for tt in patch.tris}
-    report = verify_field(f, vertex_divs=divs, mean_zero=True)
+    report = verify_field(field_block(topo, c), values(divs))
     assert not report.ok
 
 
@@ -350,15 +364,14 @@ def _valid_field(kind, rng):
     target = rng.standard_normal(patch.N)
     divs = {(t, patch.z): target[j] for j, t in enumerate(patch.tris)}
     if kind == "local":
-        f = local_interpolant(patch, target, topo, r,
-                              dcoefficients[r.vertex])
+        block = local_interpolant(patch, target, topo, r,
+                                  dcoefficients[r.vertex])
     else:
-        result = boundary_interpolant(patch, target, topo, r)
-        f = result.field
-        divs.update(result.side_effects)
-    report = verify_field(f, vertex_divs=divs, mean_zero=True)
+        block, side = boundary_interpolant(patch, target, topo, r)
+        divs.update(as_dict(side))
+    report = verify_field(block, values(divs))
     assert report.ok, report.failed()
-    return f, divs
+    return block, divs
 
 
 def _checks(report):
@@ -371,58 +384,68 @@ def _edge_bump(topo, t, a, b):
     expo = [0, 0, 0]
     tri = topo.mesh.triangles[t].tolist()
     expo[tri.index(a)], expo[tri.index(b)] = 2, 1
-    c = np.zeros((2, len(poly.MONO3)))
-    c[0, poly.MONO3.index(tuple(expo))] = 1e-6
-    return PatchField(topo, {t: c})
+    c = np.zeros((topo.T, 2, len(poly.MONO3)))
+    c[t, 0, poly.MONO3.index(tuple(expo))] = 1e-6
+    return c
+
+
+def _edge_off_support(topo, block):
+    """A support triangle t and a triangle s outside the support of a
+    one-field block that share the edge {a, b}: (t, s, a, b)."""
+    inside = set(block.tri.tolist())
+    return next(
+        (t, s, a, b) for t in sorted(inside)
+        for a, b in zip(topo.mesh.triangles[t].tolist(),
+                        np.roll(topo.mesh.triangles[t], -1).tolist())
+        for s in edge_tris(topo, topo.edge_index[(min(a, b), max(a, b))])
+        if s not in inside)
+
+
+def _chi(topo, scale=1e-6):
+    """scale times a normal corrector of the first interior vertex: it
+    moves divergence integral between two triangles, is continuous, has
+    zero trace on the boundary of its support, and carries means."""
+    z = next(v for v in range(topo.V) if not topo.boundary_vertex[v])
+    patch = topo.patches[z]
+    return scale * on_patch(topo, patch, edge_table(patch, topo).chi[0])
 
 
 @pytest.mark.parametrize("kind", ["local", "boundary"])
 def test_verify_field_catches_a_discontinuity(kind, rng):
-    f, divs = _valid_field(kind, rng)
-    topo = f.topology
-    # a support triangle t and a triangle s outside the support that share
-    # the edge {a, b}
-    t, s, a, b = next(
-        (t, s, a, b) for t in sorted(f.support)
-        for a, b in zip(topo.mesh.triangles[t].tolist(),
-                        np.roll(topo.mesh.triangles[t], -1).tolist())
-        for s in edge_tris(topo, topo.edge_index[(min(a, b), max(a, b))])
-        if s not in f.support)
-    checks = _checks(verify_field(f + _edge_bump(topo, s, a, b),
-                                  vertex_divs=divs, mean_zero=True))
+    block, divs = _valid_field(kind, rng)
+    topo = block.topology
+    t, s, a, b = _edge_off_support(topo, block)
+    checks = _checks(verify_field(_add(block, _edge_bump(topo, s, a, b)),
+                                  values(divs)))
     assert not checks["continuity"]
     assert checks["zero_boundary_trace"]
     # the same coefficient on the support side leaves a trace on the
     # boundary of the support
-    checks = _checks(verify_field(f + _edge_bump(topo, t, a, b),
-                                  vertex_divs=divs, mean_zero=True))
+    checks = _checks(verify_field(_add(block, _edge_bump(topo, t, a, b)),
+                                  values(divs)))
     assert not checks["zero_boundary_trace"]
     assert checks["continuity"]
 
 
 @pytest.mark.parametrize("kind", ["local", "boundary"])
 def test_verify_field_catches_a_moved_target(kind, rng):
-    f, divs = _valid_field(kind, rng)
+    block, divs = _valid_field(kind, rng)
     moved = dict(divs)
     key = next(iter(moved))
     moved[key] += 1e-6
-    checks = _checks(verify_field(f, vertex_divs=moved, mean_zero=True))
+    checks = _checks(verify_field(block, values(moved)))
     assert not checks["vertex_divergences"]
     assert checks["continuity"] and checks["zero_triangle_means"]
 
 
 @pytest.mark.parametrize("kind", ["local", "boundary"])
 def test_verify_field_catches_a_triangle_mean(kind, rng):
-    f, divs = _valid_field(kind, rng)
-    topo = f.topology
-    # chi moves divergence integral between two triangles: it is continuous,
-    # has zero trace on the boundary of its support, and carries means
-    z = next(v for v in range(topo.V) if not topo.boundary_vertex[v])
-    chi = 1e-6 * basis_chi(enumerate_patch(topo, z), topo, 0)
+    block, divs = _valid_field(kind, rng)
+    chi = _chi(block.topology)
     expect = dict(divs)
-    for key, val in chi.vertex_divergences(skip_zero=False).items():
+    for key, val in corner_divergences(block.topology, chi).items():
         expect[key] = expect.get(key, 0.0) + val
-    checks = _checks(verify_field(f + chi, vertex_divs=expect, mean_zero=True))
+    checks = _checks(verify_field(_add(block, chi), values(expect)))
     assert not checks["zero_triangle_means"]
     assert checks["continuity"] and checks["zero_boundary_trace"]
     assert checks["vertex_divergences"]
@@ -430,37 +453,46 @@ def test_verify_field_catches_a_triangle_mean(kind, rng):
 
 def test_divergence_kernels_match_their_definitions(rng):
     topo = build_topology(perturbed_grid(3, seed=2))
-    f = PatchField(topo, {t: rng.standard_normal((2, len(poly.MONO3)))
-                          for t in range(topo.T)})
+    c = rng.standard_normal((topo.T, 2, len(poly.MONO3)))
     for t in range(topo.T):
-        dc = f.div_coeffs(t)
-        g, c = topo.hat_grads[t], f.coeffs[t]
-        ref = sum(g[s, 0] * (poly.DIFF[s] @ c[0]) + g[s, 1] * (poly.DIFF[s] @ c[1])
-                  for s in range(3))
+        dc = fields._div_coeffs(topo.hat_grads[t], c[t])
+        g = topo.hat_grads[t]
+        ref = sum(g[s, 0] * (poly.DIFF[s] @ c[t, 0])
+                  + g[s, 1] * (poly.DIFF[s] @ c[t, 1]) for s in range(3))
         assert np.allclose(dc, ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
         for slot, v in enumerate(topo.mesh.triangles[t].tolist()):
             lam = np.zeros(3)
             lam[slot] = 1.0
-            assert f.div_at(t, v) == poly.eval2(dc, lam)
+            assert div_at(topo, c, t, v) == poly.eval2(dc, lam)
+    # the gathered center divergences are those of each triangle
+    for patch in topo.patches:
+        want = [div_at(topo, c, t, patch.z) for t in patch.tris]
+        assert np.allclose(center_divergences(topo, c, patch), want,
+                           rtol=1e-14, atol=1e-14 * np.abs(want).max())
 
 
 # ---------------------------------------------------------------------------
 # oracle: the constructions the per-patch table replaced, field by field
-# with PatchField arithmetic and the chain basis by recursion
+# on dense (T, 2, 10) coefficients and the chain basis by recursion
 
 def _oracle_monomial(expo):
     return poly.bary_poly([(1.0, tuple(expo))])
 
 
 def _oracle_edge(topo, z, y, profile):
-    """{t: profile(slot of z, slot of y)} over the two triangles of the
-    interior edge {z, y}."""
+    """Dense (T, 10): profile(slot of z, slot of y) on the two triangles of
+    the interior edge {z, y}, zero elsewhere."""
     e = topo.edge_index[(min(z, y), max(z, y))]
-    out = {}
+    out = np.zeros((topo.T, len(poly.MONO3)))
     for t in edge_tris(topo, e):
         tri = topo.mesh.triangles[t].tolist()
         out[t] = profile(tri.index(z), tri.index(y))
     return out
+
+
+def _oracle_vector(direction, scalar):
+    """The vector field direction (2,) times the dense scalar (T, 10)."""
+    return direction[:, None] * scalar[:, None, :]
 
 
 def _oracle_eta(sz, sy):
@@ -477,8 +509,7 @@ def _oracle_kappa_profile(sz, sy):
 
 def _oracle_w(topo, z, y):
     vec = topo.mesh.vertices[y] - topo.mesh.vertices[z]
-    return PatchField(topo, {t: np.outer(vec, eta) for t, eta in
-                             _oracle_edge(topo, z, y, _oracle_eta).items()})
+    return _oracle_vector(vec, _oracle_edge(topo, z, y, _oracle_eta))
 
 
 def _oracle_kappa(topo, z, y):
@@ -491,12 +522,12 @@ def _oracle_patch_w(patch, topo, k):
 
 def _oracle_chi(patch, topo, k):
     n = (12.0 / patch.edge_len[k]) * patch.normals[k]
-    return PatchField(topo, {t: np.outer(n, eta) for t, eta in _oracle_edge(
-        topo, patch.z, patch.spokes[k], _oracle_eta).items()})
+    return _oracle_vector(n, _oracle_edge(topo, patch.z, patch.spokes[k],
+                                          _oracle_eta))
 
 
 def _oracle_chi_sum(patch, topo):
-    out = PatchField(topo)
+    out = np.zeros((topo.T, 2, len(poly.MONO3)))
     for k in range(patch.N):
         out = out + _oracle_chi(patch, topo, k)
     return out
@@ -504,12 +535,11 @@ def _oracle_chi_sum(patch, topo):
 
 def _oracle_xi(patch, topo, i, dco):
     direction = np.eye(2)[i - 1]
-    coeffs = {}
+    xi_tilde = np.zeros((topo.T, 2, len(poly.MONO3)))
     for t in patch.tris:
         expo = [0, 0, 0]
         expo[topo.mesh.triangles[t].tolist().index(patch.z)] = 2
-        coeffs[t] = np.outer(direction, _oracle_monomial(expo))
-    xi_tilde = PatchField(topo, coeffs)
+        xi_tilde[t] = np.outer(direction, _oracle_monomial(expo))
     xi = xi_tilde
     for k in range(patch.N - 1):
         xi = xi - dco.c[k, i - 1] * _oracle_chi(patch, topo, k)
@@ -518,23 +548,23 @@ def _oracle_xi(patch, topo, i, dco):
 
 def _oracle_chain_basis(patch, topo, seed, seed_pos):
     n = patch.N
-    fields = [None] * n
-    fields[seed_pos] = seed
+    basis = [None] * n
+    basis[seed_pos] = seed
     if patch.boundary:
         for p in range(seed_pos + 1, n):
-            fields[p] = _oracle_patch_w(patch, topo, p - 1) - fields[p - 1]
+            basis[p] = _oracle_patch_w(patch, topo, p - 1) - basis[p - 1]
         for p in range(seed_pos - 1, -1, -1):
-            fields[p] = _oracle_patch_w(patch, topo, p) - fields[p + 1]
+            basis[p] = _oracle_patch_w(patch, topo, p) - basis[p + 1]
     else:
         for step in range(1, n):
             p = (seed_pos + step) % n
-            fields[p] = (_oracle_patch_w(patch, topo, (p - 1) % n)
-                         - fields[(p - 1) % n])
-    return fields
+            basis[p] = (_oracle_patch_w(patch, topo, (p - 1) % n)
+                        - basis[(p - 1) % n])
+    return basis
 
 
 def _oracle_combine(topo, a, basis):
-    v = PatchField(topo)
+    v = np.zeros((topo.T, 2, len(poly.MONO3)))
     for j in range(len(a)):
         if a[j] != 0.0:
             v = v + a[j] * basis[j]
@@ -543,14 +573,14 @@ def _oracle_combine(topo, a, basis):
 
 def _oracle_local(patch, a, topo, status, i=None, dco=None):
     if status == SINGULAR:
-        v, b = PatchField(topo), 0.0
+        v, b = np.zeros((topo.T, 2, len(poly.MONO3))), 0.0
         for j in range(patch.N - 1):
             b = a[j] - b
             if b != 0.0:
                 v = v + b * _oracle_patch_w(patch, topo, j)
         return v
     if patch.N % 2 == 1:
-        seed = PatchField(topo)
+        seed = np.zeros((topo.T, 2, len(poly.MONO3)))
         for j in range(patch.N):
             seed = seed + (0.5 * (-1.0) ** j) * _oracle_patch_w(patch, topo, j)
     else:
@@ -583,11 +613,12 @@ def _oracle_boundary(patch, a, topo):
     y = patch.spokes[s + 1]
     coef = (2.0 * patch.edge_len[s + 1] * np.sin(patch.theta[s])
             / np.sin(sums[s]))
-    seed = PatchField(topo, {t: np.outer(coef * patch.tangents[s + 2], c)
-                             for t, c in _oracle_kappa(topo, patch.z, y).items()})
+    seed = _oracle_vector(coef * patch.tangents[s + 2],
+                          _oracle_kappa(topo, patch.z, y))
     v = _oracle_combine(topo, a, _oracle_chain_basis(patch, topo, seed, s))
-    side = {key: val for key, val in v.vertex_divergences(tol=1e-12 * max(
-        v.max_coeff(), 1e-30)).items() if key[1] != patch.z}
+    tol = 1e-12 * max(np.abs(v).max(), 1e-30)
+    side = {key: val for key, val in corner_divergences(topo, v).items()
+            if key[1] != patch.z and not abs(val) <= tol}
     return v, side
 
 
@@ -601,8 +632,7 @@ def _oracle_edge_transfer(topo, z, y, a):
     cotB = 1.0 / np.tan(patch.theta[(k + 1) % patch.N])
     M = cotA + cotB
     n1 = 2.0 * patch.edge_len[patch.edge_spoke(k)] * patch.normals[k]
-    r = PatchField(topo, {t: np.outer(n1, c)
-                          for t, c in _oracle_kappa(topo, z, y).items()})
+    r = _oracle_vector(n1, _oracle_kappa(topo, z, y))
     seed = (1.0 / M) * (r + cotB * _oracle_w(topo, z, y))
     v = _oracle_combine(topo, a, _oracle_chain_basis(patch, topo, seed, k))
     if patch.boundary:
@@ -610,17 +640,14 @@ def _oracle_edge_transfer(topo, z, y, a):
     else:
         signs = np.array([(-1.0) ** ((p - k) % patch.N)
                           for p in range(patch.N)])
-    return v, {(tA, y): v.div_at(tA, y), (tB, y): v.div_at(tB, y)}, signs @ a
+    return v, {(tA, y): div_at(topo, v, tA, y),
+               (tB, y): div_at(topo, v, tB, y)}, signs @ a
 
 
 def _assert_same_field(got, want, rtol=1e-12):
-    """Equal coefficients to rtol relative to the largest one; a triangle
-    missing from one support counts as zero there."""
-    scale = max(want.max_coeff(), got.max_coeff())
-    for t in got.support | want.support:
-        g = got.coeffs.get(t, np.zeros((2, len(poly.MONO3))))
-        w = want.coeffs.get(t, np.zeros((2, len(poly.MONO3))))
-        assert np.abs(g - w).max() <= rtol * scale, t
+    """Equal dense coefficients to rtol relative to the largest one."""
+    scale = max(np.abs(want).max(), np.abs(got).max())
+    assert np.abs(got - want).max() <= rtol * scale
 
 
 def _assert_same_values(got, want, rtol=1e-12):
@@ -651,42 +678,35 @@ def _target(rng, patch, singular):
 @pytest.mark.parametrize("source,name", ORACLE_MESHES,
                          ids=[n for _, n in ORACLE_MESHES])
 def test_table_views_equal_the_oracle_fields(source, name):
-    """w, kappa, chi and the uncorrected xi are gathered bit for bit; the
-    sums of correctors agree to roundoff."""
+    """The w, kappa and chi rows and the uncorrected xi of every patch's
+    table are the oracle fields bit for bit; the sums of correctors agree
+    to roundoff."""
     topo = build_topology(_oracle_mesh(source, name))
     _, _, dcoefficients = classify_mesh(topo)
     for patch in topo.patches:
+        table = edge_table(patch, topo)
         for k in range(patch.n_interior_edges):
             y = patch.spokes[patch.edge_spoke(k)]
-            for got, want in ((w_field(topo, patch.z, y),
-                               _oracle_w(topo, patch.z, y)),
-                              (basis_w(patch, topo, k),
-                               _oracle_patch_w(patch, topo, k))):
-                assert got.coeffs.keys() == want.coeffs.keys()
-                for t in want.coeffs:
-                    assert np.array_equal(got.coeffs[t], want.coeffs[t])
-            kappa = kappa_field(topo, patch.z, y).coeffs
-            want = _oracle_kappa(topo, patch.z, y)
-            assert kappa.keys() == want.keys()
-            for t in want:
-                assert np.array_equal(kappa[t], want[t])
+            assert np.array_equal(on_patch(topo, patch, table.w[k]),
+                                  _oracle_w(topo, patch.z, y))
+            assert np.array_equal(on_patch(topo, patch, table.kappa[k]),
+                                  _oracle_kappa(topo, patch.z, y))
         if patch.boundary:
+            assert table.chi is None
             continue
         for k in range(patch.N):
-            got, want = basis_chi(patch, topo, k), _oracle_chi(patch, topo, k)
-            assert got.coeffs.keys() == want.coeffs.keys()
-            for t in want.coeffs:
-                assert np.array_equal(got.coeffs[t], want.coeffs[t])
-        _assert_same_field(basis_chi_sum(patch, topo),
+            assert np.array_equal(on_patch(topo, patch, table.chi[k]),
+                                  _oracle_chi(patch, topo, k))
+        _assert_same_field(on_patch(topo, patch, table.chi.sum(axis=0)),
                            _oracle_chi_sum(patch, topo))
         dco = dcoefficients[patch.z]
         if dco is None:
             continue
         for i in (1, 2):
-            (tilde, xi), (want_tilde, want_xi) = (
-                basis_xi(patch, topo, i, dco), _oracle_xi(patch, topo, i, dco))
-            for t in want_tilde.coeffs:
-                assert np.array_equal(tilde.coeffs[t], want_tilde.coeffs[t])
+            tilde, xi = (on_patch(topo, patch, x)
+                         for x in fields._xi(table, i, dco))
+            want_tilde, want_xi = _oracle_xi(patch, topo, i, dco)
+            assert np.array_equal(tilde, want_tilde)
             _assert_same_field(xi, want_xi)
 
 
@@ -705,13 +725,15 @@ def test_interpolants_equal_the_oracle(source, name):
         patch = topo.patches[r.vertex]
         a = _target(rng, patch, r.singular)
         if r.boundary and not r.singular:
-            result = boundary_interpolant(patch, a, topo, r)
-            want, side = _oracle_boundary(patch, a, topo)
-            _assert_same_field(result.field, want)
-            _assert_same_values(result.side_effects, side)
+            block, side = boundary_interpolant(patch, a, topo, r)
+            want, want_side = _oracle_boundary(patch, a, topo)
+            _assert_same_field(_field(block), want)
+            _assert_same_values(as_dict(side), want_side)
         elif r.boundary:
-            _assert_same_field(boundary_interpolant(patch, a, topo, r).field,
+            block, side = boundary_interpolant(patch, a, topo, r)
+            _assert_same_field(_field(block),
                                _oracle_local(patch, a, topo, SINGULAR))
+            assert not len(side.field)
         elif r.status == EVEN:
             dco = dcoefficients[r.vertex]
             for i in range(3):
@@ -719,22 +741,22 @@ def test_interpolants_equal_the_oracle(source, name):
                     continue
                 forced = dataclasses.replace(r, even_index=i)
                 _assert_same_field(
-                    local_interpolant(patch, a, topo, forced, dco),
+                    _field(local_interpolant(patch, a, topo, forced, dco)),
                     _oracle_local(patch, a, topo, EVEN, i, dco))
         elif r.local_interpolating:
-            _assert_same_field(local_interpolant(patch, a, topo, r),
+            _assert_same_field(_field(local_interpolant(patch, a, topo, r)),
                                _oracle_local(patch, a, topo, r.status))
         if r.boundary:
             continue
         k = r.vertex % patch.N
         y = patch.spokes[k]
         try:
-            field, info = edge_transfer(topo, r.vertex, y, a, TOL)
+            block, info = edge_transfer(topo, r.vertex, y, a, TOL)
         except UnacceptableEdgeError:
             continue
         want, spill, s_a = _oracle_edge_transfer(topo, r.vertex, y, a)
-        _assert_same_field(field, want)
-        _assert_same_values(info.spill, spill)
+        _assert_same_field(_field(block), want)
+        _assert_same_values(as_dict(info.spill), spill)
         assert info.s_a == pytest.approx(s_a, rel=1e-12, abs=1e-12)
         transfers += 1
     assert transfers
@@ -758,8 +780,7 @@ def _oracle_path(topo, path, a):
     acc, _, _ = _oracle_edge_transfer(topo, path[0], path[1], a)
     for z, ynext in zip(path[1:-1], path[2:]):
         patch = topo.patches[z]
-        residual = np.array([acc.div_at(t, z) if t in acc.support else 0.0
-                             for t in patch.tris])
+        residual = np.array([div_at(topo, acc, t, z) for t in patch.tris])
         acc = acc + _oracle_edge_transfer(topo, z, ynext, -residual)[0]
     return acc
 
@@ -769,10 +790,7 @@ PATH_MESHES = [("golden", "type1-3"), ("golden", "perturbed-3-s1")] \
     + ORACLE_MESHES[4::4]
 
 
-@pytest.mark.parametrize("source,name", PATH_MESHES,
-                         ids=[n for _, n in PATH_MESHES])
-def test_path_interpolant_equals_the_oracle(source, name, rng):
-    topo = build_topology(_oracle_mesh(source, name))
+def _two_hop_paths(topo):
     weights = edge_weights(topo)
     interior = [z for z in range(topo.V) if not topo.boundary_vertex[z]]
 
@@ -781,17 +799,28 @@ def test_path_interpolant_equals_the_oracle(source, name, rng):
                      if y not in avoid and not topo.boundary_vertex[y]
                      and abs(weights[(topo.edge_index[(min(z, y), max(z, y))],
                                       z)]) > 0.1), None)
-    paths = 0
     for z in interior:
         y = step(z, {z})
         w = step(y, {z, y}) if y is not None else None
-        if w is None:
-            continue
-        path = [z, y, w]
-        a = rng.standard_normal(topo.patches[z].N)
+        if w is not None:
+            yield [z, y, w]
+
+
+@pytest.mark.parametrize("source,name", PATH_MESHES,
+                         ids=[n for _, n in PATH_MESHES])
+def test_path_interpolant_equals_the_oracle(source, name, rng):
+    topo = build_topology(_oracle_mesh(source, name))
+    paths = 0
+    for path in _two_hop_paths(topo):
+        a = rng.standard_normal(topo.patches[path[0]].N)
         result = path_interpolant(topo, path, a, TOL)
         want = _oracle_path(topo, path, a)
-        _assert_same_field(result.field, want)
+        _assert_same_field(_field(result.field), want)
+        end = path[-1]
+        _assert_same_values(as_dict(result.end_spill), {
+            (t, end): div_at(topo, want, t, end)
+            for t in topo.patches[end].tris
+            if div_at(topo, want, t, end) != 0.0})
         paths += 1
     assert paths, "no interior path with acceptable weights"
 
@@ -837,7 +866,7 @@ def _block_targets(rng, patch, singular, samples):
 
 
 def test_block_interpolants_equal_the_row_by_row_calls():
-    """A target block (S, N) gives, row for row, the field and side
+    """A target block (S, N) gives, field for field, the rows and side
     effects of the single-target call to 1e-15 of their largest entry."""
     branches = set()
     for name, make in CI_MESHES.items():
@@ -849,16 +878,17 @@ def test_block_interpolants_equal_the_row_by_row_calls():
             patch = topo.patches[args[0].vertex]
             a = _block_targets(rng, patch, args[0].singular, 3)
             block = interpolant(patch, a, topo, *args)
-            assert isinstance(block, list) and len(block) == len(a)
-            for row, got in zip(a, block):
+            if patch.boundary:
+                block, side = block
+            assert isinstance(block, FieldBlock) and block.F == len(a)
+            for s, row in enumerate(a):
                 want = interpolant(patch, row, topo, *args)
                 if patch.boundary:
-                    _assert_same_values(got.side_effects, want.side_effects,
+                    want, want_side = want
+                    _assert_same_values(as_dict(side, s), as_dict(want_side),
                                         rtol=1e-15)
-                    got, want = got.field, want.field
-                assert isinstance(want, PatchField)
-                assert got.coeffs.keys() == want.coeffs.keys()
-                _assert_same_field(got, want, rtol=1e-15)
+                assert np.array_equal(block.tri[block.field == s], want.tri)
+                _assert_same_field(dense(block)[s], _field(want), rtol=1e-15)
             branches.add(branch)
     assert branches == {SINGULAR, ODD, "even 0", "even 1", "even 2",
                         "boundary", "boundary singular"}
@@ -875,7 +905,76 @@ def test_block_interpolant_checks_every_row():
         local_interpolant(patch, a, topo, r)
     with pytest.raises(FieldError, match=f"expected {patch.N} target values"):
         local_interpolant(patch, a[:, 1:], topo, r)
-    assert local_interpolant(patch, a[:0], topo, r) == []
+    assert local_interpolant(patch, a[:0], topo, r).F == 0
+
+
+def _assert_block(block):
+    """The FieldBlock invariants: rows sorted by (field, tri), one per
+    pair, none all zero, every field index in range, arrays read-only."""
+    key = block.field * block.topology.T + block.tri
+    assert len(block.field) == len(block.tri) == len(block.coeffs)
+    assert np.all(np.diff(key) > 0)
+    assert block.coeffs.any(axis=(1, 2)).all()
+    assert np.all((0 <= block.field) & (block.field < block.F))
+    assert np.all((0 <= block.tri) & (block.tri < block.topology.T))
+    for a in (block.field, block.tri, block.coeffs):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0
+
+
+@pytest.mark.parametrize("name", sorted(CI_MESHES))
+def test_interpolant_blocks_are_sorted_nonzero_and_read_only(name):
+    topo = build_topology(CI_MESHES[name]())
+    reports, _, dcoefficients = classify_mesh(topo)
+    rng = np.random.default_rng(sum(map(ord, name)))
+    blocks = []
+    for _, interpolant, args in _interpolant_cases(topo, reports,
+                                                   dcoefficients):
+        patch = topo.patches[args[0].vertex]
+        for a in (_block_targets(rng, patch, args[0].singular, 3),
+                  _target(rng, patch, args[0].singular)):
+            block = interpolant(patch, a, topo, *args)
+            blocks.append(block[0] if patch.boundary else block)
+    for r in reports:
+        if r.boundary:
+            continue
+        patch = topo.patches[r.vertex]
+        for y in patch.spokes:
+            try:
+                blocks.append(edge_transfer(
+                    topo, r.vertex, y, rng.standard_normal((2, patch.N)),
+                    TOL)[0])
+            except UnacceptableEdgeError:
+                continue
+    for path in _two_hop_paths(topo):
+        blocks.append(path_interpolant(
+            topo, path, rng.standard_normal(topo.patches[path[0]].N),
+            TOL).field)
+    cover = build_tree_cover(topo, reports, TOL)
+    if cover.complete:
+        blocks.append(tree_interpolant(
+            topo, cover, admissible_target(topo, reports, rng), reports,
+            dcoefficients, TOL))
+    stacked, _ = stack_fields(topo, [(b, values()) for b in blocks])
+    assert stacked.F == sum(b.F for b in blocks)
+    for block in blocks + [stacked]:
+        _assert_block(block)
+
+
+def test_field_block_drops_zero_rows():
+    topo = build_topology(crossed(1))
+    c = np.random.default_rng(5).standard_normal((3, topo.T, 2,
+                                                  len(poly.MONO3)))
+    c[0, 1] = c[1] = c[2, 0] = 0.0
+    block = field_block(topo, c)
+    _assert_block(block)
+    assert block.F == 3
+    assert block.field.tolist() == [0, 0, 0, 2, 2, 2]
+    assert block.tri.tolist() == [0, 2, 3, 1, 2, 3]
+    assert np.array_equal(dense(block), c)
+    one = field_block(topo, c[2])
+    assert one.F == 1 and np.array_equal(dense(one)[0], c[2])
 
 
 def _field_cases(topo, reports, dcoefficients, rng):
@@ -883,7 +982,7 @@ def _field_cases(topo, reports, dcoefficients, rng):
     corrupted copies: a continuity jump, a boundary trace, a moved
     target, a triangle mean, an expected value outside the support and
     an empty field with and without expectations."""
-    fields, divs = [], []
+    blocks, divs = [], []
     for _, interpolant, args in _interpolant_cases(topo, reports,
                                                    dcoefficients):
         patch = topo.patches[args[0].vertex]
@@ -891,39 +990,33 @@ def _field_cases(topo, reports, dcoefficients, rng):
         got = interpolant(patch, a, topo, *args)
         expected = {(t, patch.z): v for t, v in zip(patch.tris, a.tolist())}
         if patch.boundary:
-            expected.update(got.side_effects)
-            got = got.field
-        fields.append(got)
+            got, side = got
+            expected.update(as_dict(side))
+        blocks.append(got)
         divs.append(expected)
     # a field, a support triangle t and a triangle s outside the support
     # that share the edge {a, b}
-    f, d, t, s, a, b = next(
-        (f, d, t, s, a, b) for f, d in zip(fields, divs)
-        for t in sorted(f.support)
-        for a, b in zip(topo.mesh.triangles[t].tolist(),
-                        np.roll(topo.mesh.triangles[t], -1).tolist())
-        for s in edge_tris(topo, topo.edge_index[(min(a, b), max(a, b))])
-        if s not in f.support)
-    z = next(v for v in range(topo.V) if not topo.boundary_vertex[v])
-    chi = 1e-6 * basis_chi(topo.patches[z], topo, 0)
+    f, d = next((f, d) for f, d in zip(blocks, divs) if len(f.tri))
+    t, s, a, b = _edge_off_support(topo, f)
+    chi = _chi(topo)
     with_chi = dict(d)
-    for key, val in chi.vertex_divergences(skip_zero=False).items():
+    for key, val in corner_divergences(topo, chi).items():
         with_chi[key] = with_chi.get(key, 0.0) + val
     moved = dict(d)
     moved[next(iter(moved))] += 1e-6
-    outside = next(u for u in range(topo.T) if u not in f.support)
+    outside = next(u for u in range(topo.T) if u not in f.tri)
     beyond = dict(d)
     beyond[(outside, int(topo.mesh.triangles[outside][0]))] = 1.0
-    empty = PatchField(topo)
-    corrupted = [(f + _edge_bump(topo, s, a, b), d),
-                 (f + _edge_bump(topo, t, a, b), d),
-                 (f, moved), (f + chi, with_chi), (f, beyond),
+    empty = _zero(topo)
+    corrupted = [(_add(f, _edge_bump(topo, s, a, b)), d),
+                 (_add(f, _edge_bump(topo, t, a, b)), d),
+                 (f, moved), (_add(f, chi), with_chi), (f, beyond),
                  (empty, {}), (empty, {(outside, int(
                      topo.mesh.triangles[outside][1])): 0.5})]
     for g, e in corrupted:
-        fields.insert(len(fields) // 2, g)
+        blocks.insert(len(blocks) // 2, g)
         divs.insert(len(divs) // 2, e)
-    return fields, divs
+    return blocks, divs
 
 
 @pytest.mark.parametrize("name", sorted(CI_MESHES))
@@ -931,50 +1024,74 @@ def test_stacked_verify_field_equals_the_per_field_calls(name):
     topo = build_topology(CI_MESHES[name]())
     reports, _, dcoefficients = classify_mesh(topo)
     rng = np.random.default_rng(sum(map(ord, name)))
-    fields, divs = _field_cases(topo, reports, dcoefficients, rng)
-    # the first verified field with a support misses its first triangle
-    j = next(i for i, f in enumerate(fields) if f.support)
-    supports = [f.support | {0} for f in fields]
-    supports[j] = set(sorted(fields[j].support)[1:])
-    for support in (None, supports):
-        stacked = verify_field(fields, vertex_divs=divs, mean_zero=True,
-                               support=support)
-        want, failing = [], []
-        for i, (f, d) in enumerate(zip(fields, divs)):
-            single = verify_field(f, vertex_divs=d, mean_zero=True,
-                                  support=None if support is None
-                                  else support[i])
-            want += [(c.name, c.ok, c.deviation, c.detail, i)
-                     for c in single.checks]
-            if not single.ok:
-                failing.append(i)
-        assert [(c.name, c.ok, c.deviation, c.detail, c.field)
-                for c in stacked.checks] == want
-        assert stacked.failed_fields() == failing
-        # six of the seven corrupted fields fail (an empty field expected
-        # to be zero passes), and field j by its support
-        assert len(failing) == 6 + (support is not None)
+    blocks, divs = _field_cases(topo, reports, dcoefficients, rng)
+    stacked = verify_field(*stack_fields(
+        topo, [(b, values(d)) for b, d in zip(blocks, divs)]))
+    want, failing = [], []
+    for i, (b, d) in enumerate(zip(blocks, divs)):
+        single = verify_field(b, values(d))
+        want += [(c.name, c.ok, c.deviation, c.detail, i)
+                 for c in single.checks]
+        if not single.ok:
+            failing.append(i)
+    assert [(c.name, c.ok, c.deviation, c.detail, c.field)
+            for c in stacked.checks] == want
+    assert stacked.failed_fields() == failing
+    # six of the seven corrupted fields fail (an empty field expected to
+    # be zero passes)
+    assert len(failing) == 6
     checks = {c.name for c in stacked.checks if not c.ok}
     assert checks == {"continuity", "zero_boundary_trace",
-                      "vertex_divergences", "zero_triangle_means",
-                      "support"}
+                      "vertex_divergences", "zero_triangle_means"}
+
+
+@pytest.mark.parametrize("name", sorted(CI_MESHES))
+def test_chunked_verify_field_equals_one_pass(monkeypatch, name):
+    """Walking the block in ranges of VERIFY_FIELDS fields gives the
+    FieldCheck list of one pass over every field."""
+    topo = build_topology(CI_MESHES[name]())
+    reports, _, dcoefficients = classify_mesh(topo)
+    rng = np.random.default_rng(sum(map(ord, name)))
+    blocks, divs = _field_cases(topo, reports, dcoefficients, rng)
+    block, expected = stack_fields(
+        topo, [(b, values(d)) for b, d in zip(blocks, divs)])
+    passes = []
+    original = fields._verify_range
+
+    def counted(*args):
+        passes.append(args[2])
+        return original(*args)
+
+    monkeypatch.setattr(fields, "_verify_range", counted)
+    monkeypatch.setattr(fields, "VERIFY_FIELDS", block.F)
+    whole = verify_field(block, expected).checks
+    assert passes == [block.F]
+    for size in (1, 3, 7):
+        passes.clear()
+        monkeypatch.setattr(fields, "VERIFY_FIELDS", size)
+        assert verify_field(block, expected).checks == whole
+        assert passes == [size] * (block.F // size) + (
+            [block.F % size] if block.F % size else [])
+    assert any(not c.ok for c in whole)
 
 
 def test_single_field_report_names_its_field_zero():
     topo = build_topology(perturbed_grid(4, seed=3))
-    report = verify_field(PatchField(topo), vertex_divs={(0, 99): 1.0})
+    empty = _zero(topo)
+    report = verify_field(empty, values({(0, 99): 1.0}))
     assert [(c.name, c.ok, c.field) for c in report.checks] == [
         ("continuity", True, 0), ("zero_boundary_trace", True, 0),
         ("vertex_divergences", False, 0), ("zero_triangle_means", True, 0)]
     assert report.checks[2].detail == \
         "expected values outside support: [(0, 99)]"
     assert report.failed_fields() == [0]
-    assert verify_field([]).checks == []
-    with pytest.raises(FieldError, match="one entry per field"):
-        verify_field([PatchField(topo)], vertex_divs=[])
+    assert verify_field(_zero(topo, F=0)).checks == []
+    with pytest.raises(FieldError, match="outside 0 .. 0"):
+        verify_field(empty, values({}, {(0, 1): 1.0}))
     other = build_topology(perturbed_grid(4, seed=3))
     with pytest.raises(FieldError, match="different topologies"):
-        verify_field([PatchField(topo), PatchField(other)])
+        stack_fields(topo, [(empty, values()),
+                            (_zero(other), values())])
 
 
 @pytest.mark.parametrize("kind", ["local", "boundary"])
@@ -992,11 +1109,13 @@ def test_suite_reports_one_corrupted_sample(monkeypatch, kind):
 
     def corrupting(patch, targets, *args):
         out = original(patch, targets, *args)
-        if patch.z == victim:
-            field = out[1].field if kind == "boundary" else out[1]
-            t = min(field.coeffs)
-            field.coeffs[t][0, 3] += 0.37
-        return out
+        if patch.z != victim:
+            return out
+        block = out[0] if kind == "boundary" else out
+        c = dense(block)
+        c[1, block.tri[block.field == 1][0], 0, 3] += 0.37    # lowest triangle
+        bad = field_block(block.topology, c)
+        return (bad, out[1]) if kind == "boundary" else bad
 
     monkeypatch.setattr(cli, name, corrupting)
     lines, ok = cli.run_field_suites(mesh, TOL, 2, 7)
@@ -1009,7 +1128,7 @@ def test_suite_reports_one_corrupted_sample(monkeypatch, kind):
 
 def test_suite_fields_isolate_a_failing_row():
     """A block whose construction raises is retried row by row: only the
-    offending target counts as failed."""
+    offending target is left out."""
     topo = build_topology(crossed(2))
     reports, _, dcoefficients = classify_mesh(topo)
     r = next(r for r in reports if r.singular and not r.boundary)
@@ -1017,7 +1136,8 @@ def test_suite_fields_isolate_a_failing_row():
     a = _block_targets(np.random.default_rng(4), patch, True, 3)
     a[1, 0] += 1.0
     built = cli._suite_fields(patch, a, topo, r, dcoefficients[r.vertex])
-    assert [b is None for b in built] == [False, True, False]
-    field, divs = built[2]
-    assert verify_field(field, vertex_divs=divs).ok
-    assert divs == {(t, patch.z): v for t, v in zip(patch.tris, a[2].tolist())}
+    assert [block.F for block, _ in built] == [1, 1]
+    block, expected = built[1]
+    assert verify_field(block, expected).ok
+    assert as_dict(expected) == {(t, patch.z): v
+                                 for t, v in zip(patch.tris, a[2].tolist())}

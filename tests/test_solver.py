@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import edge_tris, rigid_motion
-from svstokes import poly, solver
+from conftest import dense, edge_tris, rigid_motion, values
+from svstokes import fields, poly, solver
 from svstokes.classify import Tolerances, classify_mesh, classify_vertex
-from svstokes.fields import PatchField, local_interpolant, w_field
+from svstokes.fields import field_block, local_interpolant, stack_fields
 from svstokes.mesh import (Triangulation, build_topology, crossed,
                            perturbed_grid, type1_diagonal)
 from svstokes.solver import (P2_BASIS, P2_NODES, P3_BASIS, P3_NODES,
@@ -30,11 +30,13 @@ TOL = Tolerances()
 # field's divergence by quadrature, and nodal P2 values back from moments
 # by one mass-matrix solve per triangle.
 
-def _divergence_moments(topology, field):
-    """Moment vector (pressure-DOF layout) of a field's divergence."""
+def _divergence_moments(topology, block):
+    """Moment vector (pressure-DOF layout) of the divergence of a block's
+    one field."""
     out = np.zeros(6 * topology.T)
-    for t in field.support:
-        vals = poly.eval2(field.div_coeffs(t), solver._QP)
+    for t, c in zip(block.tri.tolist(), block.coeffs):
+        vals = poly.eval2(fields._div_coeffs(topology.hat_grads[t], c),
+                          solver._QP)
         out[6 * t:6 * t + 6] = topology.area[t] * (
             solver._P2_AT_QP * vals) @ solver._QW
     return out
@@ -175,6 +177,7 @@ def _oracle_local_nodes(topo):
 
 
 def _oracle_assembly(topo, field):
+    """B, A and the nodal vector u of the dense field (T, 2, 10)."""
     local, n = _oracle_local_nodes(topo)
     B = np.zeros((6 * topo.T, 2 * n))
     A = {semi: np.zeros((2 * n, 2 * n)) for semi in (False, True)}
@@ -184,7 +187,7 @@ def _oracle_assembly(topo, field):
         div_qa = np.einsum("sc,qsa->qca", g, solver._PD)
         semi = np.einsum("sc,tc,stab->ab", g, g, solver._GG) * area
         K = {True: semi, False: semi + area * solver._MM3}
-        vals = field.eval(t, np.array(P3_NODES))
+        vals = poly.eval3(field[t], np.array(P3_NODES))
         idx = [(a, node) for a, node in enumerate(local[t]) if node is not None]
         for a, na in idx:
             for c in (0, 1):
@@ -203,15 +206,44 @@ def test_assembly_matches_the_per_triangle_oracle(name):
     # A discontinuous field on every other triangle: shared nodes take the
     # value of the last triangle that writes them, zeros off the support.
     rng = np.random.default_rng(3)
-    field = PatchField(topo, {t: rng.standard_normal((2, 10))
-                              for t in range(0, topo.T, 2)})
+    field = np.zeros((topo.T, 2, 10))
+    field[::2] = rng.standard_normal((len(field[::2]), 2, 10))
     B, A, u = _oracle_assembly(topo, field)
     assert np.array_equal(assemble_divergence(topo, nodes), B)
     for semi in (False, True):
         # both velocity components share the scalar Gram matrix
         A_s = assemble_norms(topo, nodes, semi)[0]
         assert np.array_equal(np.kron(A_s, np.eye(2)), A[semi])
-    assert np.array_equal(velocity_coefficients(topo, nodes, field), u)
+    block = field_block(topo, field)
+    assert np.array_equal(velocity_coefficients(topo, nodes, block),
+                          u[:, None])
+
+
+@pytest.mark.parametrize("name", sorted(NODE_MESHES))
+def test_velocity_coefficients_give_one_column_per_field(name):
+    """A block of F fields gives F columns, each that of a one-field call
+    and of the per-triangle oracle."""
+    topo = build_topology(NODE_MESHES[name]())
+    nodes = number_dofs(topo)
+    rng = np.random.default_rng(4)
+    singles = []
+    for _ in range(4):
+        field = np.zeros((topo.T, 2, 10))
+        some = rng.random(topo.T) < 0.4
+        field[some] = rng.standard_normal((some.sum(), 2, 10))
+        singles.append(field_block(topo, field))
+    empty = field_block(topo, np.zeros((topo.T, 2, 10)))
+    singles.insert(2, empty)
+    block, _ = stack_fields(topo, [(b, values()) for b in singles])
+    columns = velocity_coefficients(topo, nodes, block)
+    assert columns.shape == (2 * (nodes.max() + 1), len(singles))
+    for j, single in enumerate(singles):
+        one = velocity_coefficients(topo, nodes, single)
+        assert one.shape == (len(columns), 1)
+        assert np.array_equal(columns[:, j], one[:, 0])
+        assert np.array_equal(one[:, 0],
+                              _oracle_assembly(topo, dense(single)[0])[2])
+    assert not columns[:, 2].any()
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +283,7 @@ def test_injection_oracle_field_to_matrix():
         patch = enumerate_patch(topo, r.vertex)
         f = local_interpolant(patch, rng.standard_normal(patch.N), topo,
                               *classify_vertex(patch, topo))
-        u = velocity_coefficients(topo, nodes, f)
+        u = velocity_coefficients(topo, nodes, f)[:, 0]
         expect = _divergence_moments(topo, f)
         assert np.abs(B @ u - expect).max() < 1e-10 * max(
             np.abs(expect).max(), 1.0)

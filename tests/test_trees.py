@@ -4,7 +4,7 @@ vertex-divergence interpolant."""
 import numpy as np
 import pytest
 
-from conftest import admissible_target
+from conftest import admissible_target, dense, div_at, div_mean, support
 from svstokes.classify import Tolerances, classify_mesh
 from svstokes.fields import FieldError
 from svstokes.mesh import (MeshError, build_topology, crossed,
@@ -188,14 +188,16 @@ def test_type1_has_no_cover():
 # the global interpolant
 
 def _check_roundtrip(topo, cover, p, reports, dcoefficients):
-    f = tree_interpolant(topo, cover, p, reports, dcoefficients, TOL)
+    block = tree_interpolant(topo, cover, p, reports, dcoefficients, TOL)
+    assert block.F == 1
+    f = dense(block)[0]
     scale = max(np.abs(p).max(), 1.0)
     for t in range(topo.T):
         for slot, v in enumerate(topo.mesh.triangles[t]):
-            got = f.div_at(t, int(v)) if t in f.support else 0.0
+            got = div_at(topo, f, t, int(v))
             assert got == pytest.approx(p[t, slot], abs=1e-9 * scale)
-        if t in f.support:
-            assert abs(f.div_mean(t)) < 1e-9 * scale
+        if t in support(f):
+            assert abs(div_mean(topo, f, t)) < 1e-9 * scale
 
 
 @pytest.mark.parametrize("mesh", [crossed(2), perturbed_grid(3, seed=2)],
