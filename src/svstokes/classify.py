@@ -4,7 +4,10 @@ Every vertex decision quantity lives here: the straight-line detector
 Theta(z), the alternating functional at singular vertices, the patch
 coefficients b_ji / c_ji / d_ji, the determinants D_0, D_1, D_2
 certifying even-valence interior vertices, and the resulting per-vertex
-classification.  The edge weights M_e^z are ``trees.edge_weights``.
+classification.  The edge weights M_e^z = cot phi_1 + cot phi_2, the
+cotangents of the two angles at z beside the edge e, are sums of two
+entries of the corner table ``topology.cot``; ``trees.edge_weights``
+lists them per (edge, endpoint).
 """
 
 from __future__ import annotations
@@ -80,8 +83,6 @@ class DCoefficients:
     d: np.ndarray      # (N, 2) vertex divergence pattern of the directional
                        # correctors, columns i=1,2
     D: np.ndarray      # (3,) alternating sums: [D_0, D_1, D_2]
-    D0_simple: float   # D_0 via the consecutive-cotangent simplification
-    D_closed: np.ndarray  # (2,) D_1, D_2 via the closed-form anchor identity
     h_z: float
 
     def decision(self, i: int) -> float:
@@ -98,7 +99,7 @@ def compute_dcoefficients(patch: VertexPatch, topology: MeshTopology) -> DCoeffi
     n = patch.N
     y = mesh.vertices[np.array(patch.spokes)]        # y_{j+1} = y[j]
     elen = patch.edge_len                            # |e_{j+1}| = elen[j]
-    cot = np.cos(patch.theta) / np.sin(patch.theta)  # cot theta_{j+1} = cot[j]
+    cot = topology.cot[patch.tris, patch.slots]      # cot theta_{j+1} = cot[j]
     areas = topology.area[list(patch.tris)]           # |T_{j+1}| = areas[j]
 
     b = np.empty((n, 2))
@@ -128,20 +129,7 @@ def compute_dcoefficients(patch: VertexPatch, topology: MeshTopology) -> DCoeffi
     D[0] = np.sum(signs * d0)
     D[1] = np.sum(signs * d[:, 0])
     D[2] = np.sum(signs * d[:, 1])
-
-    tsum = cot + np.roll(cot, -1)           # cot theta_j + cot theta_{j+1}
-    D0_simple = float(np.sum(signs * (tsum / elen ** 2)))
-
-    inv_area = 1.0 / areas
-    asum = inv_area + np.roll(inv_area, -1)
-    D_closed = np.empty(2)
-    for i in (0, 1):
-        yperp = y @ _E_PERP[i]
-        D_closed[i] = (np.sum(signs * (4.0 * tsum / elen ** 2 - asum) * yperp)
-                       - 4.0 * D[0] * yperp[-1])
-
-    return DCoefficients(b=b, c=c, d0=d0, d=d, D=D, D0_simple=D0_simple,
-                         D_closed=D_closed, h_z=patch.h_z)
+    return DCoefficients(b=b, c=c, d0=d0, d=d, D=D, h_z=patch.h_z)
 
 
 @dataclass(frozen=True)

@@ -459,9 +459,6 @@ def _side_effects(topology, patch, coeffs):
 class TransferInfo:
     z: int
     y: int
-    order: tuple          # patch triangle order at z (targets are indexed by it)
-    edge_pos: int         # position in `order` of the first edge triangle
-    M_z: float            # edge weight at z
     s_a: float            # chain-signed alternating sum of the targets,
                           # one per row of a target block
     spill: VertexValues   # the divergences left at y
@@ -479,8 +476,9 @@ def edge_transfer(topology: MeshTopology, z: int, y: int, target,
     patch = topology.patches[z]
     a = _targets(patch, target, "targets")
     k = _edge_slot(patch, y)
-    thA, thB = patch.theta[k], patch.theta[(k + 1) % patch.N]
-    cotA, cotB = 1.0 / np.tan(thA), 1.0 / np.tan(thB)
+    pos = (k + _PAIR) % patch.N                      # the two edge triangles
+    pair = np.asarray(patch.tris)[pos]
+    cotA, cotB = topology.cot[pair, np.asarray(patch.slots)[pos]]
     M = cotA + cotB
     if abs(M) <= tol.accept:
         raise UnacceptableEdgeError(
@@ -493,23 +491,19 @@ def edge_transfer(topology: MeshTopology, z: int, y: int, target,
 
     coeffs, signs = _contract(table, a, seed, k)
     rows = coeffs.reshape(-1, patch.N, 2, len(poly.MONO3))
-    pos = (k + _PAIR) % patch.N                      # the two edge triangles
-    pair = np.asarray(patch.tris)[pos]
     slot_y = (topology.mesh.triangles[pair] == y).argmax(axis=1)
     div = _div_coeffs(topology.hat_grads[pair], rows[:, pos])    # (S, 2, 6)
     at_y = div[:, _PAIR, poly.VERTEX2[slot_y]]                   # (S, 2)
     S = len(rows)
     spill = VertexValues(np.repeat(np.arange(S), 2), np.tile(pair, S),
                          np.full(2 * S, y), at_y.ravel())
-    info = TransferInfo(z=z, y=y, order=patch.tris, edge_pos=k,
-                        M_z=M, s_a=a @ signs, spill=spill)
+    info = TransferInfo(z=z, y=y, s_a=a @ signs, spill=spill)
     return _patch_block(topology, patch, coeffs), info
 
 
 @dataclass
 class PathResult:
     field: FieldBlock
-    infos: list              # per-hop TransferInfo
     end_spill: VertexValues  # the divergences left at the end vertex
 
 
@@ -529,11 +523,10 @@ def path_interpolant(topology: MeshTopology, vertices, target,
     if np.ndim(target) != 1:
         raise FieldError("a path transfers one target vector")
     acc = np.zeros((topology.T, 2, len(poly.MONO3)))
-    infos, a = [], target
+    a = target
     for z, ynext in zip(verts[:-1], verts[1:]):
-        block, info = edge_transfer(topology, z, ynext, a, tol)
+        block, _ = edge_transfer(topology, z, ynext, a, tol)
         acc[block.tri] += block.coeffs
-        infos.append(info)
         # what the next hop removes; at the end vertex, the spill
         vals = center_divergences(topology, acc, topology.patches[ynext])
         a = -vals
@@ -542,8 +535,7 @@ def path_interpolant(topology: MeshTopology, vertices, target,
     end_spill = VertexValues(np.zeros(len(hit), dtype=np.int64),
                              np.asarray(end.tris)[hit],
                              np.full(len(hit), end.z), vals[hit])
-    return PathResult(field=field_block(topology, acc),
-                      infos=infos, end_spill=end_spill)
+    return PathResult(field=field_block(topology, acc), end_spill=end_spill)
 
 
 # ---------------------------------------------------------------------------

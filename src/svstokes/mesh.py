@@ -7,6 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .geometry import triangle_geometry
 from .poly import hat_gradients, signed_area
 
 DEGENERACY_RATIO = 1e-14
@@ -257,6 +258,8 @@ class MeshTopology:
     area: np.ndarray             # (T,) triangle areas
     hat_grads: np.ndarray        # (T, 3, 2) barycentric gradients, row s
                                  # for the triangle's vertex slot s
+    angle: np.ndarray            # (T, 3) interior angle at vertex slot s
+    cot: np.ndarray              # (T, 3) its cotangent
     patches: tuple               # (V,) VertexPatch of each vertex
 
     @property
@@ -287,9 +290,9 @@ class MeshTopology:
 def build_topology(mesh: Triangulation) -> MeshTopology:
     """Read the edges, the edge of each triangle side (``tri_edges``) and
     the half-edge twins from the mesh's side table, and derive from it the
-    boundary flags and each vertex's triangles, the triangle areas and hat
-    gradients (one batched computation) and the vertex patches (one
-    ``enumerate_patch`` per vertex).
+    boundary flags and each vertex's triangles, the triangle areas, hat
+    gradients and corner angles and cotangents (one batched computation
+    each) and the vertex patches (one ``enumerate_patch`` per vertex).
 
     Raises MeshError when a vertex has no triangles or a non-manifold
     (pinched) patch.
@@ -308,7 +311,8 @@ def build_topology(mesh: Triangulation) -> MeshTopology:
     pts = mesh.vertices[mesh.triangles]
     area = np.abs(signed_area(pts[:, 0], pts[:, 1], pts[:, 2]))
     hat_grads = hat_gradients(pts[:, 0], pts[:, 1], pts[:, 2])
-    for a in (area, hat_grads):
+    angle, cot = triangle_geometry(pts[:, 0], pts[:, 1], pts[:, 2])
+    for a in (area, hat_grads, angle, cot):
         a.setflags(write=False)
     topo = MeshTopology(
         mesh=mesh,
@@ -322,6 +326,8 @@ def build_topology(mesh: Triangulation) -> MeshTopology:
         euler_ok=(mesh.num_triangles - len(edges) + mesh.num_vertices == 1),
         area=area,
         hat_grads=hat_grads,
+        angle=angle,
+        cot=cot,
         patches=(),
     )
     patches = tuple(enumerate_patch(topo, z) for z in range(mesh.num_vertices))
@@ -351,9 +357,7 @@ class VertexPatch:
     edge_len: np.ndarray    # |z - spoke| per spoke
     tangents: np.ndarray    # unit vectors z -> spoke, per spoke
     normals: np.ndarray     # per interior edge slot, unit normal out of tris[k]
-    opp_normals: np.ndarray  # (N, 2) m_j: outward unit normal of far edge of tris[j]
-    opp_dist: np.ndarray     # (N,) h_j: distance from z to the far edge of tris[j]
-    h_z: float               # patch diameter
+    h_z: float              # patch diameter
 
     @property
     def N(self):
@@ -439,23 +443,8 @@ def enumerate_patch(topology: MeshTopology, z: int) -> VertexPatch:
     edge_len = np.hypot(vecs[:, 0], vecs[:, 1])
     tangents = vecs / edge_len[:, None]
 
-    # the angle at z of each fan triangle, the outward unit normal of its
-    # far edge and the distance from z to that edge, all triangles at once
-    va = mesh.vertices[a_idx] - center
-    vb = mesh.vertices[b_idx] - center
-    # Stacked 1 x 2 by 2 x 1 products take the BLAS dot of a 1-D
-    # ``va @ vb`` (which a kernel may fuse into a multiply-add), so each
-    # angle is bit for bit that of its triangle computed alone.
-    dots = (va[:, None, :] @ vb[:, :, None])[:, 0, 0]
-    theta = np.arctan2(va[:, 0] * vb[:, 1] - va[:, 1] * vb[:, 0],
-                       dots) % (2 * np.pi)
-    f = mesh.vertices[b_idx] - mesh.vertices[a_idx]
-    m = f[:, ::-1] * np.array([1.0, -1.0])                 # (f1, -f0)
-    # m must point away from z
-    m[(m * va).sum(axis=1) < 0] *= -1.0
-    opp_normals = m / np.hypot(m[:, 0], m[:, 1])[:, None]
-    opp_dist = (np.abs(f[:, 0] * va[:, 1] - f[:, 1] * va[:, 0])
-                / np.hypot(f[:, 0], f[:, 1]))
+    # the angle at z of each fan triangle, from the corner table
+    theta = topology.angle[fan, slot][order]
 
     # for a CCW fan, the normal out of tris[k] is the CCW rotation of the
     # spoke tangent of interior edge k (it points towards tris[k+1])
@@ -467,14 +456,13 @@ def enumerate_patch(topology: MeshTopology, z: int) -> VertexPatch:
     diff = allpts[:, None, :] - allpts[None, :, :]
     h_z = float(np.hypot(diff[..., 0], diff[..., 1]).max())
 
-    for a in (theta, edge_len, tangents, normals, opp_normals, opp_dist):
+    for a in (theta, edge_len, tangents, normals):
         a.setflags(write=False)
     return VertexPatch(
         z=z, center=center, tris=tuple(fan[order].tolist()),
         slots=tuple(slot[order].tolist()), spokes=tuple(spokes),
         boundary=boundary, theta=theta, edge_len=edge_len,
-        tangents=tangents, normals=normals, opp_normals=opp_normals,
-        opp_dist=opp_dist, h_z=h_z,
+        tangents=tangents, normals=normals, h_z=h_z,
     )
 
 

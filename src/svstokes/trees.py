@@ -13,24 +13,30 @@ from .classify import Tolerances
 from .fields import (FieldBlock, FieldError, boundary_interpolant,
                      center_divergences, field_block, local_interpolant,
                      path_interpolant)
-from .geometry import triangle_geometry
 from .mesh import MeshError, MeshTopology
+
+
+def _side_ends(topology: MeshTopology, side):
+    """The vertices at the two ends of the sides with flat indices
+    ``side`` (3 t + s): column 0 at vertex slot s, column 1 at s + 1, and
+    the edge weights there: at each end, the sum of the cotangents of the
+    angles at that vertex in the side's triangle and in its twin's."""
+    t, s = np.divmod(side, 3)
+    u, k = np.divmod(topology.twin.ravel()[side], 3)
+    # the twin runs back: its slot k + 1 is slot s of t, its slot k is s + 1
+    ends = topology.mesh.triangles[t[:, None], (s[:, None] + [0, 1]) % 3]
+    cot = topology.cot
+    weight = np.stack([cot[t, s] + cot[u, (k + 1) % 3],
+                       cot[t, (s + 1) % 3] + cot[u, k]], axis=1)
+    return ends, weight
 
 
 def edge_weights(topology: MeshTopology):
     """Map (interior edge index, endpoint vertex) -> cot-sum weight."""
-    mesh = topology.mesh
-    cots = np.empty((topology.T, 3))
-    for t in range(topology.T):
-        cots[t] = triangle_geometry(*mesh.vertices[mesh.triangles[t]]).cotangents
-    # side s of t runs from slot s to slot s + 1, its twin runs back; each
-    # interior edge once, by its side in the lower triangle
-    tris, nxt = mesh.triangles, [1, 2, 0]
+    # each interior edge once, by its side in the lower triangle
     twin = topology.twin.ravel()
     side = np.flatnonzero(twin > np.arange(len(twin)))
-    ends = np.stack([tris.ravel(), tris[:, nxt].ravel()], axis=1)[side]
-    at_ends = np.stack([cots.ravel(), cots[:, nxt].ravel()], axis=1)
-    weight = at_ends[side] + at_ends[twin[side], ::-1]
+    ends, weight = _side_ends(topology, side)
     edge = np.repeat(topology.tri_edges.ravel()[side], 2)
     return dict(zip(zip(edge.tolist(), ends.ravel().tolist()),
                     weight.ravel().tolist()))
@@ -58,16 +64,15 @@ def path_stats(topology: MeshTopology, vertices,
         raise MeshError("a path needs at least two vertices")
     if len(set(verts)) != len(verts):
         raise MeshError("path vertices must be distinct")
-    weights = edge_weights(topology)
-    edges, M_fwd, M_bwd = [], [], []
+    edges = []
     for a, b in zip(verts[:-1], verts[1:]):
         e = topology.edge_index.get((min(a, b), max(a, b)))
         if e is None or topology.boundary_edge[e]:
             raise MeshError(f"({a}, {b}) is not an interior mesh edge")
         edges.append(e)
-        M_fwd.append(weights[(e, a)])
-        M_bwd.append(weights[(e, b)])
-    M_fwd, M_bwd = np.array(M_fwd), np.array(M_bwd)
+    ends, weight = _side_ends(topology, topology.mesh.sides.first[edges])
+    forward = (ends[:, 0] == verts[:-1])[:, None]
+    M_fwd, M_bwd = np.where(forward, weight, weight[:, ::-1]).T
     acceptable = bool(np.all(np.abs(M_fwd) > tol.accept))
     L = len(edges)
     rho_tilde = np.ones(L)        # entry j: product over the first j edges
@@ -196,7 +201,7 @@ def build_tree_cover(topology: MeshTopology, reports,
         push_frontier(r, i)
     while heap:
         rho_c, _, _, c, u, e, ti = heapq.heappop(heap)
-        if c in assignment or u not in trees[ti].vertices:
+        if c in assignment:
             continue
         trees[ti].parents[c] = (u, e)
         trees[ti].rho_of[c] = rho_c

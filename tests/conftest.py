@@ -1,6 +1,6 @@
 """Shared test helpers: random shape-regular patches, admissible
-pressure targets, the golden and benchmark meshes, and dense views of
-field blocks."""
+pressure targets, the golden and benchmark meshes, corner angles of an
+edge pair, dual determinant formulas and dense views of field blocks."""
 
 import importlib.util
 import pathlib
@@ -57,6 +57,43 @@ def edge_tris(topo, e):
     side = int(np.flatnonzero(topo.tri_edges.ravel() == e)[0])
     twin = int(topo.twin.ravel()[side])
     return tuple(sorted({side // 3} | ({twin // 3} if twin >= 0 else set())))
+
+
+def edge_pair_angles(topo, e, z):
+    """Angles of the two triangles sharing interior edge e = {z, y}, read
+    from ``topo.angle``: (phi_1, phi_2, theta_1, theta_2), where phi_i is
+    the angle at z in triangle T_i and theta_i the angle at y, and
+    (T_1, T_2) follow the counter-clockwise patch order at z."""
+    a, b = topo.edges[e].tolist()
+    y = b if a == z else a
+    patch = topo.patches[z]
+    k = next(k for k in range(patch.n_interior_edges)
+             if patch.spokes[patch.edge_spoke(k)] == y)
+    pair = patch.edge_tri_pair(k)
+    rows = [topo.mesh.triangles[t].tolist() for t in pair]
+    phi = [topo.angle[t, row.index(z)] for t, row in zip(pair, rows)]
+    theta = [topo.angle[t, row.index(y)] for t, row in zip(pair, rows)]
+    return phi[0], phi[1], theta[0], theta[1]
+
+
+def dual_determinants(patch, topo, D0):
+    """The dual formulas of an even interior patch's determinants: D_0 by
+    the consecutive-cotangent simplification, and (D_1, D_2) by the
+    closed-form anchor identity, which reads D_0 (``D0``)."""
+    y = topo.mesh.vertices[list(patch.spokes)]       # y_{j+1} = y[j]
+    elen2 = patch.edge_len ** 2
+    cot = topo.cot[patch.tris, patch.slots]
+    inv_area = 1.0 / topo.area[list(patch.tris)]
+    signs = np.array([(-1.0) ** (j + 1) for j in range(patch.N)])
+    tsum = cot + np.roll(cot, -1)           # cot theta_j + cot theta_{j+1}
+    asum = inv_area + np.roll(inv_area, -1)
+    D0_simple = float(np.sum(signs * (tsum / elen2)))
+    # y . e_i^perp for the directions i = 1, 2: e_1^perp = (0, 1),
+    # e_2^perp = (-1, 0)
+    D_closed = [float(np.sum(signs * (4.0 * tsum / elen2 - asum) * yperp)
+                      - 4.0 * D0 * yperp[-1])
+                for yperp in (y[:, 1], -y[:, 0])]
+    return D0_simple, D_closed
 
 
 def dense(block):

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from conftest import (admissible_target, dense, div_at, div_integral,
-                      div_mean, edge_tris, on_patch, random_interior_patch,
+                      div_mean, dual_determinants, edge_pair_angles,
+                      edge_tris, on_patch, random_interior_patch,
                       rigid_motion, scalar_edge_integral,
                       scalar_gradient_at_vertex, support, values)
 from svstokes import fields, poly, solver
@@ -21,7 +22,6 @@ from svstokes.classify import (EVEN, ODD, SINGULAR, Tolerances,
                                compute_dcoefficients, is_singular)
 from svstokes.fields import (edge_table, local_interpolant, path_interpolant,
                              verify_field)
-from svstokes.geometry import edge_pair_geometry
 from svstokes.mesh import (Triangulation, build_topology, crossed,
                            enumerate_patch, ngon_patch, perturbed_grid,
                            three_lines, type1_diagonal)
@@ -171,7 +171,8 @@ def test_A3_determinant_regressions():
             expect = 4.0 / min(patch.edge_len) ** 2
             assert abs(abs(dco.D[0]) - expect) < 1e-10 * expect
             # cross-check through the dual formula
-            assert abs(abs(dco.D0_simple) - expect) < 1e-10 * expect
+            D0_simple, _ = dual_determinants(patch, topo, dco.D[0])
+            assert abs(abs(D0_simple) - expect) < 1e-10 * expect
     _report(3, "determinant regressions incl. |D_0| = 4/L^2 on crossings")
 
 
@@ -185,9 +186,10 @@ def test_A4_dual_formula_agreement():
         mesh, topo, patch = random_interior_patch(rng, N=N)
         dco = compute_dcoefficients(patch, topo)
         scale = max(1.0, float(np.abs(dco.D).max()))
-        assert abs(dco.D[0] - dco.D0_simple) < 1e-10 * scale
-        assert abs(dco.D[1] - dco.D_closed[0]) < 1e-10 * scale
-        assert abs(dco.D[2] - dco.D_closed[1]) < 1e-10 * scale
+        D0_simple, D_closed = dual_determinants(patch, topo, dco.D[0])
+        assert abs(dco.D[0] - D0_simple) < 1e-10 * scale
+        assert abs(dco.D[1] - D_closed[0]) < 1e-10 * scale
+        assert abs(dco.D[2] - D_closed[1]) < 1e-10 * scale
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"dual-formula suite took {elapsed:.1f}s"
     _report(4, f"dual formulas on 1000 random patches in {elapsed:.2f}s")
@@ -301,7 +303,7 @@ def test_A7_tree_machinery():
         stats = path_stats(topo, path, TOL)
         assert stats.acceptable
         amplification = abs(stats.rho_tilde[-1])
-        _, _, th1, th2 = edge_pair_geometry(topo, stats.edges[-1], path[-2])
+        _, _, th1, th2 = edge_pair_angles(topo, stats.edges[-1], path[-2])
         M_last = abs(stats.M_fwd[-1])
         predicted = sorted(amplification * abs(np.cos(t) / np.sin(t)) / M_last
                            for t in (th1, th2))

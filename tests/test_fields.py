@@ -9,8 +9,8 @@ import pytest
 
 from conftest import (GOLDEN_MESHES, admissible_target, as_dict, bench_mesh,
                       bench_pool, corner_divergences, dense, div_at,
-                      div_integral, div_mean, edge_tris, on_patch,
-                      random_interior_patch, scalar_edge_integral,
+                      div_integral, div_mean, edge_pair_angles, edge_tris,
+                      on_patch, random_interior_patch, scalar_edge_integral,
                       scalar_gradient_at_vertex, support, values)
 from svstokes import cli, fields, poly
 from svstokes.classify import (BOUNDARY, EVEN, ODD, SINGULAR, Tolerances,
@@ -266,6 +266,23 @@ def test_edge_transfer_rejects_zero_weight_edge():
         edge_transfer(topo, center, y, [1.0, 0.0, 0.0, 0.0], TOL)
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN_MESHES))
+def test_edge_transfer_weight_is_the_edge_weight(name):
+    """The weight edge_transfer tests against ``tol.accept`` is
+    ``edge_weights[(e, z)]`` bit for bit: it refuses the edge at an
+    acceptance bound of exactly that weight's magnitude and takes it at
+    the next double below."""
+    topo = build_topology(GOLDEN_MESHES[name]())
+    for (e, z), w in edge_weights(topo).items():
+        y = int(sum(topo.edges[e])) - z
+        target = np.ones(topo.patches[z].N)
+        with pytest.raises(UnacceptableEdgeError):
+            edge_transfer(topo, z, y, target, Tolerances(accept=abs(w)))
+        if w != 0.0:
+            edge_transfer(topo, z, y, target,
+                          Tolerances(accept=np.nextafter(abs(w), 0.0)))
+
+
 def _three_hop_path(topo):
     """An interior 4-vertex path with acceptable traversal weights whose
     intermediate vertices have even valence (so the alternating-sum
@@ -314,9 +331,7 @@ def test_path_interpolant_three_hops(rng):
     stats = path_stats(topo, path, TOL)
     assert stats.acceptable
     amplification = abs(stats.rho_tilde[-1])      # over the first L-1 edges
-    from svstokes.geometry import edge_pair_geometry
-    e_last = stats.edges[-1]
-    phi1, phi2, th1, th2 = edge_pair_geometry(topo, e_last, path[-2])
+    _, _, th1, th2 = edge_pair_angles(topo, stats.edges[-1], path[-2])
     M_last = abs(stats.M_fwd[-1])
     predicted = sorted(amplification * abs(np.cos(th) / np.sin(th)) / M_last
                        for th in (th1, th2))

@@ -494,22 +494,12 @@ def _loop_enumerate_patch(topology, z):
 
     n = len(order)
     theta = np.empty(n)
-    opp_normals = np.empty((n, 2))
-    opp_dist = np.empty(n)
     for j, t in enumerate(order):
         a, b = inout[t]
         va = mesh.vertices[a] - center
         vb = mesh.vertices[b] - center
         theta[j] = np.arctan2(va[0] * vb[1] - va[1] * vb[0],
                               va @ vb) % (2 * np.pi)
-        f = mesh.vertices[b] - mesh.vertices[a]
-        m = np.array([f[1], -f[0]])
-        # m must point away from z
-        if m @ (mesh.vertices[a] - center) < 0:
-            m = -m
-        opp_normals[j] = m / np.hypot(*m)
-        fa = center - mesh.vertices[a]
-        opp_dist[j] = abs(f[0] * fa[1] - f[1] * fa[0]) / np.hypot(*f)
 
     n_int = n if not boundary else n - 1
     normals = np.empty((n_int, 2))
@@ -524,14 +514,13 @@ def _loop_enumerate_patch(topology, z):
     diff = allpts[:, None, :] - allpts[None, :, :]
     h_z = float(np.hypot(diff[..., 0], diff[..., 1]).max())
 
-    for a in (theta, edge_len, tangents, normals, opp_normals, opp_dist):
+    for a in (theta, edge_len, tangents, normals):
         a.setflags(write=False)
     return VertexPatch(
         z=z, center=center, tris=tuple(order),
         slots=tuple(slot_of[t] for t in order), spokes=tuple(spokes),
         boundary=boundary, theta=theta, edge_len=edge_len,
-        tangents=tangents, normals=normals, opp_normals=opp_normals,
-        opp_dist=opp_dist, h_z=h_z,
+        tangents=tangents, normals=normals, h_z=h_z,
     )
 
 
@@ -558,3 +547,40 @@ def test_enumerate_patch_equals_its_per_triangle_loop(source, name):
                 assert got == ref, (z, f.name)
                 assert [type(x) for x in np.atleast_1d(got)] == \
                     [type(x) for x in np.atleast_1d(ref)], (z, f.name)
+
+
+def _loop_corners(mesh):
+    """The corner angles and cotangents, one triangle at a time."""
+    angle = np.empty((mesh.num_triangles, 3))
+    cot = np.empty((mesh.num_triangles, 3))
+    for t, tri in enumerate(mesh.triangles):
+        pts = mesh.vertices[tri]
+        for s in range(3):
+            u = pts[(s + 1) % 3] - pts[s]
+            v = pts[(s + 2) % 3] - pts[s]
+            angle[t, s] = np.arctan2(abs(u[0] * v[1] - u[1] * v[0]), u @ v)
+        cot[t] = np.cos(angle[t]) / np.sin(angle[t])
+    return angle, cot
+
+
+@pytest.mark.parametrize("source,name", PATCH_MESHES,
+                         ids=[n for _, n in PATCH_MESHES])
+def test_corner_table_equals_its_per_triangle_loop(source, name):
+    """The corner angles and cotangents are read-only and bit-identical
+    to one-triangle-at-a-time numpy on every golden and benchmark mesh;
+    each cotangent is -2 |T| grad(lambda_i) . grad(lambda_j) of the hat
+    gradients at the other two corners, to roundoff."""
+    mesh = GOLDEN_MESHES[name]() if source == "golden" else bench_mesh(name)
+    topo = build_topology(mesh)
+    angle, cot = _loop_corners(mesh)
+    for got, want in ((topo.angle, angle), (topo.cot, cot)):
+        assert got.dtype == want.dtype and got.shape == (topo.T, 3)
+        assert not got.flags.writeable
+        assert np.array_equal(got, want)
+    g = topo.hat_grads
+    others = [[1, 2], [2, 0], [0, 1]]
+    dots = np.einsum("tsd,tsd->ts", g[:, [i for i, _ in others]],
+                     g[:, [j for _, j in others]])
+    by_grads = -2.0 * topo.area[:, None] * dots
+    scale = np.abs(topo.cot).max(axis=1, keepdims=True)
+    assert np.all(np.abs(topo.cot - by_grads) <= 1e-12 * scale)

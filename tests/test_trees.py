@@ -4,7 +4,8 @@ vertex-divergence interpolant."""
 import numpy as np
 import pytest
 
-from conftest import admissible_target, dense, div_at, div_mean, support
+from conftest import (GOLDEN_MESHES, admissible_target, dense, div_at,
+                      div_mean, support)
 from svstokes.classify import Tolerances, classify_mesh
 from svstokes.fields import FieldError
 from svstokes.mesh import (MeshError, build_topology, crossed,
@@ -67,6 +68,34 @@ def test_path_stats_against_manual_products():
         assert stats.rho[j] == pytest.approx(rt / near, rel=1e-12)
         rt *= far / near
     assert stats.rho_P == pytest.approx(np.abs(stats.rho).max())
+
+
+def _loop_edge_weights(topo):
+    """(interior edge, endpoint) -> the sum of the cotangents at the
+    endpoint in the edge's two triangles, one triangle side at a time."""
+    cots = {}
+    for t, tri in enumerate(topo.mesh.triangles.tolist()):
+        for s in range(3):
+            e = int(topo.tri_edges[t, s])
+            if topo.boundary_edge[e]:
+                continue
+            for slot in (s, (s + 1) % 3):
+                cots.setdefault((e, tri[slot]), []).append(topo.cot[t, slot])
+    return {key: float(a + b) for key, (a, b) in cots.items()}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MESHES))
+def test_edge_weights_and_path_stats_read_the_corner_table(name):
+    """edge_weights and the weights path_stats reads for each hop, in
+    both directions, equal the corner-table cotangent sums bit for bit."""
+    topo = build_topology(GOLDEN_MESHES[name]())
+    weights = edge_weights(topo)
+    assert weights == _loop_edge_weights(topo)
+    for (e, a), w in weights.items():
+        b = int(sum(topo.edges[e])) - a
+        stats = path_stats(topo, [a, b], TOL)
+        assert stats.edges == (e,)
+        assert stats.M_fwd[0] == w and stats.M_bwd[0] == weights[(e, b)]
 
 
 def test_path_stats_rejects_bad_paths():
