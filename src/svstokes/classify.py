@@ -6,8 +6,8 @@ coefficients b_ji / c_ji / d_ji, the determinants D_0, D_1, D_2
 certifying even-valence interior vertices, and the resulting per-vertex
 classification.  The edge weights M_e^z = cot phi_1 + cot phi_2, the
 cotangents of the two angles at z beside the edge e, are sums of two
-entries of the corner table ``topology.cot``; ``trees.edge_weights``
-lists them per (edge, endpoint).
+entries of the corner table ``topology.cot``; ``trees.build_tree_cover``
+and ``trees.path_stats`` read them at both ends of each interior edge.
 """
 
 from __future__ import annotations
@@ -34,11 +34,6 @@ class Tolerances:
     decision: float = 1e-8    # |D_i| h_z^s threshold for the even-N test
     accept: float = 1e-8      # |M_e^z| threshold for edge acceptability
     rank: float = 1e-9        # singular-value threshold (relative)
-
-
-def perp(v):
-    """Rotate a 2-vector by 90 degrees counter-clockwise."""
-    return np.array([-v[1], v[0]])
 
 
 def theta(patch: VertexPatch) -> float:

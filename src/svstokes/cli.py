@@ -22,7 +22,7 @@ from .fields import (FieldError, VertexValues, boundary_interpolant,
                      local_interpolant, stack_fields, verify_field)
 from .mesh import (MeshError, MeshFormatError, PRESETS, Triangulation,
                    build_topology, dump_mesh, generate, load_mesh)
-from .trees import build_tree_cover, check_hypotheses, tree_stats
+from .trees import build_tree_cover, check_hypotheses
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -125,6 +125,7 @@ def analyze_mesh(mesh: Triangulation, tol: Tolerances,
     reports, summary, _ = classify_mesh(topology, tol)
     cover = build_tree_cover(topology, reports, tol)
     verdict, narrative = check_hypotheses(topology, reports, cover)
+    stats = vars(cover.stats)
 
     report = {
         "mesh": {
@@ -142,12 +143,10 @@ def analyze_mesh(mesh: Triangulation, tol: Tolerances,
             "complete": cover.complete,
             "rho_bar": cover.rho_bar,
             "upsilon_bar": cover.upsilon_bar,
-            "uncovered": sorted(cover.uncovered),
-            "trees": [
-                {"root": t.root, "vertices": sorted(t.vertices),
-                 **tree_stats(t)}
-                for t in cover.trees
-            ],
+            "uncovered": cover.uncovered,
+            # one entry per tree: its root and its TreeStats fields
+            "trees": [dict(zip(["root", *stats], row))
+                      for row in zip(cover.roots, *stats.values())],
         },
         "divergence": {"skipped": True},
         "spline": {"skipped": True},
@@ -216,16 +215,12 @@ def render_svg(mesh: Triangulation, report: dict, modes,
                                for x, y in (xy(pts[v]) for v in tri))
             lines.append(f'<polygon points="{corners}" fill="{hue}" '
                          f'fill-opacity="{opacity:.3f}" stroke="none"/>')
-    drawn = set()
-    for tri in mesh.triangles:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (min(a, b), max(a, b))
-            if key in drawn:
-                continue
-            drawn.add(key)
-            (x1, y1), (x2, y2) = xy(pts[a]), xy(pts[b])
-            lines.append(f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" '
-                         f'y2="{y2:.2f}" stroke="#333" stroke-width="1"/>')
+    # each edge once, in the order of its first side and oriented as it
+    t, s = np.divmod(np.sort(mesh.sides.first), 3)
+    for a, b in mesh.triangles[t[:, None], (s[:, None] + [0, 1]) % 3]:
+        (x1, y1), (x2, y2) = xy(pts[a]), xy(pts[b])
+        lines.append(f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" '
+                     f'y2="{y2:.2f}" stroke="#333" stroke-width="1"/>')
     for r in report["vertices"]["reports"]:
         x, y = xy(pts[r["vertex"]])
         color = CLASS_COLORS.get(r["status"], "#000")

@@ -246,7 +246,6 @@ class MeshTopology:
 
     mesh: Triangulation
     edges: np.ndarray            # (E, 2) sorted vertex pairs
-    edge_index: dict             # (a, b) sorted pair -> edge index
     tri_edges: np.ndarray        # (T, 3) edge index of each triangle side,
                                  # side s joining vertex slots s and s + 1
     twin: np.ndarray             # (T, 3) side 3 u + k of the neighbour u
@@ -282,10 +281,6 @@ class MeshTopology:
     def V0(self):
         return int(np.count_nonzero(~self.boundary_vertex))
 
-    def counts(self):
-        return {"T": self.T, "E": self.E, "E0": self.E0,
-                "V": self.V, "V0": self.V0}
-
 
 def build_topology(mesh: Triangulation) -> MeshTopology:
     """Read the edges, the edge of each triangle side (``tri_edges``) and
@@ -317,7 +312,6 @@ def build_topology(mesh: Triangulation) -> MeshTopology:
     topo = MeshTopology(
         mesh=mesh,
         edges=edges,
-        edge_index=dict(zip(map(tuple, edges.tolist()), range(len(edges)))),
         tri_edges=sides.tri_edges,
         twin=sides.twin,
         vertex_tris=vertex_tris,
@@ -373,12 +367,6 @@ class VertexPatch:
 
     def edge_tri_pair(self, k):
         return self.tris[k], self.tris[(k + 1) % self.N]
-
-    def tri_spokes(self, j):
-        """Spoke slots of the two center edges of tris[j] (CCW incoming, outgoing)."""
-        if self.boundary:
-            return j, j + 1
-        return (j - 1) % self.N, j
 
 
 def enumerate_patch(topology: MeshTopology, z: int) -> VertexPatch:

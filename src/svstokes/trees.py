@@ -5,14 +5,15 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import poly
 from .classify import Tolerances
 from .fields import (FieldBlock, FieldError, boundary_interpolant,
-                     center_divergences, field_block, local_interpolant,
-                     path_interpolant)
+                     center_divergences, edge_transfer, field_block,
+                     local_interpolant)
 from .mesh import MeshError, MeshTopology
 
 
@@ -29,17 +30,6 @@ def _side_ends(topology: MeshTopology, side):
     weight = np.stack([cot[t, s] + cot[u, (k + 1) % 3],
                        cot[t, (s + 1) % 3] + cot[u, k]], axis=1)
     return ends, weight
-
-
-def edge_weights(topology: MeshTopology):
-    """Map (interior edge index, endpoint vertex) -> cot-sum weight."""
-    # each interior edge once, by its side in the lower triangle
-    twin = topology.twin.ravel()
-    side = np.flatnonzero(twin > np.arange(len(twin)))
-    ends, weight = _side_ends(topology, side)
-    edge = np.repeat(topology.tri_edges.ravel()[side], 2)
-    return dict(zip(zip(edge.tolist(), ends.ravel().tolist()),
-                    weight.ravel().tolist()))
 
 
 @dataclass(frozen=True)
@@ -64,12 +54,20 @@ def path_stats(topology: MeshTopology, vertices,
         raise MeshError("a path needs at least two vertices")
     if len(set(verts)) != len(verts):
         raise MeshError("path vertices must be distinct")
-    edges = []
-    for a, b in zip(verts[:-1], verts[1:]):
-        e = topology.edge_index.get((min(a, b), max(a, b)))
-        if e is None or topology.boundary_edge[e]:
-            raise MeshError(f"({a}, {b}) is not an interior mesh edge")
-        edges.append(e)
+    # the edges are sorted pairs in lexicographic order, so their keys
+    # a V + b ascend
+    V = topology.V
+    keys = topology.edges @ [V, 1]
+    a, b = np.array(verts[:-1]), np.array(verts[1:])
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    hop = lo * V + hi
+    edges = np.minimum(np.searchsorted(keys, hop), len(keys) - 1)
+    bad = ((lo < 0) | (hi >= V) | (keys[edges] != hop)
+           | topology.boundary_edge[edges])
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise MeshError(f"({a[j]}, {b[j]}) is not an interior mesh edge")
+    edges = edges.tolist()
     ends, weight = _side_ends(topology, topology.mesh.sides.first[edges])
     forward = (ends[:, 0] == verts[:-1])[:, None]
     M_fwd, M_bwd = np.where(forward, weight, weight[:, ::-1]).T
@@ -84,77 +82,85 @@ def path_stats(topology: MeshTopology, vertices,
                 acceptable=acceptable)
 
 
-@dataclass
-class Tree:
-    root: int
-    parents: dict                 # vertex -> (parent vertex, edge index)
-    rho_of: dict                  # vertex -> rho of its root path (root: 0)
-
-    @property
-    def vertices(self):
-        return set(self.parents) | {self.root}
-
-    def path_to_root(self, z):
-        out = [z]
-        while out[-1] != self.root:
-            out.append(self.parents[out[-1]][0])
-        return out
-
-    def depth_of(self, z):
-        return len(self.path_to_root(z)) - 1
-
-    @property
-    def depth(self):
-        return max((self.depth_of(z) for z in self.parents), default=0)
-
-    @property
-    def rho(self) -> float:
-        """Max transfer amplification; 1 for a singleton tree."""
-        return max(max(self.rho_of.values(), default=0.0), 1.0)
-
-    @property
-    def upsilon(self) -> float:
-        children = {}
-        for v, (p, _) in self.parents.items():
-            children.setdefault(p, []).append(v)
-        ndesc = {}
-
-        def count(v):
-            total = 0
-            for c in children.get(v, []):
-                total += 1 + count(c)
-            ndesc[v] = total
-            return total
-
-        count(self.root)
-        best = 0.0
-        for z in self.vertices:
-            s = 0.0
-            v = z
-            while v != self.root:
-                v = self.parents[v][0]
-                s += ndesc[v]
-            best = max(best, s)
-        return float(np.sqrt(best))
+@dataclass(frozen=True)
+class TreeStats:
+    """Per-tree statistics of a cover, entry i for tree i; the fields are
+    the per-tree entries of the ``analyze`` report."""
+    rho: np.ndarray       # (R,) max transfer factor; 1 for a singleton tree
+    upsilon: np.ndarray   # (R,) sqrt of the max, over the tree's vertices,
+                          # of the descendant counts summed over the
+                          # vertex's strict ancestors
+    depth: np.ndarray     # (R,) max vertex depth
+    size: np.ndarray      # (R,) number of vertices
+    level_sizes: list     # per tree, {depth: number of vertices}
+    vertices: list        # per tree, its vertices in ascending order
 
 
-@dataclass
+@dataclass(frozen=True)
 class TreeCover:
-    trees: list
-    assignment: dict              # vertex -> tree index
-    uncovered: set
+    """Disjoint transfer trees as read-only arrays: per vertex (V,), the
+    tree, the parent, the interior edge to the parent, the transfer factor
+    of the root path and the depth; per tree (R,), the root; and the
+    covered vertices in the order they joined, roots first."""
+    roots: np.ndarray        # (R,) root vertex of each tree
+    tree: np.ndarray         # (V,) tree index, -1 when uncovered
+    parent: np.ndarray       # (V,) parent vertex, -1 at roots and uncovered
+    parent_edge: np.ndarray  # (V,) edge to the parent, -1 likewise
+    rho: np.ndarray          # (V,) transfer factor; 0 at roots and uncovered
+    depth: np.ndarray        # (V,) edges to the root, -1 when uncovered
+    order: np.ndarray        # covered vertices in join order
 
     @property
     def complete(self):
-        return not self.uncovered
+        return bool((self.tree >= 0).all())
 
     @property
-    def rho_bar(self):
-        return max((t.rho for t in self.trees), default=0.0)
+    def uncovered(self):
+        return np.flatnonzero(self.tree < 0)
+
+    @cached_property
+    def stats(self) -> TreeStats:
+        R = len(self.roots)
+        order = self.order
+        tree = self.tree[order]
+        rho = np.ones(R)
+        np.maximum.at(rho, tree, self.rho[order])
+        depth = np.zeros(R, dtype=np.int64)
+        np.maximum.at(depth, tree, self.depth[order])
+        size = np.bincount(tree, minlength=R)
+        # a child joins after its parent: descendant counts accumulate in
+        # reverse join order, ancestor sums in join order
+        parent = self.parent.tolist()
+        grown = order[R:].tolist()
+        ndesc = [0] * len(parent)
+        for v in reversed(grown):
+            ndesc[parent[v]] += 1 + ndesc[v]
+        above = [0] * len(parent)
+        for v in grown:
+            above[v] = above[parent[v]] + ndesc[parent[v]]
+        best = np.zeros(R, dtype=np.int64)
+        np.maximum.at(best, tree, np.asarray(above)[order])
+        # vertices by tree, ascending within each; levels by (tree, depth)
+        covered = np.flatnonzero(self.tree >= 0)
+        covered = covered[np.argsort(self.tree[covered], kind="stable")]
+        vertices = np.split(covered, np.cumsum(size))[:-1]
+        levels = int(depth.max(initial=0)) + 1
+        key, count = np.unique(self.tree[covered] * levels
+                               + self.depth[covered], return_counts=True)
+        level_sizes = [{} for _ in range(R)]
+        for k, n in zip(key.tolist(), count.tolist()):
+            level_sizes[k // levels][k % levels] = n
+        return TreeStats(rho=rho, upsilon=np.sqrt(best), depth=depth,
+                         size=size, level_sizes=level_sizes,
+                         vertices=[v.tolist() for v in vertices])
 
     @property
-    def upsilon_bar(self):
-        return max((t.upsilon for t in self.trees), default=0.0)
+    def rho_bar(self) -> float:
+        return float(self.stats.rho.max(initial=0.0))
+
+    @property
+    def upsilon_bar(self) -> float:
+        return float(self.stats.upsilon.max(initial=0.0))
 
 
 def build_tree_cover(topology: MeshTopology, reports,
@@ -168,63 +174,63 @@ def build_tree_cover(topology: MeshTopology, reports,
     reported as uncovered.  Expansion checks the edge weight at the new
     vertex, since that is the endpoint the transfer starts from.
     """
-    weights = edge_weights(topology)
-    neighbors = {}
+    V = topology.V
     interior = np.flatnonzero(~topology.boundary_edge)
-    for e, (a, b) in zip(interior.tolist(), topology.edges[interior].tolist()):
-        neighbors.setdefault(a, []).append((b, e))
-        neighbors.setdefault(b, []).append((a, e))
+    ends, weight = _side_ends(topology, topology.mesh.sides.first[interior])
+    # each interior edge from both ends, from its tail to its head, kept
+    # when acceptable at the head; grouped by tail, in edge order
+    tail, head = ends.ravel(), ends[:, ::-1].ravel()
+    M_tail, M_head = weight.ravel(), weight[:, ::-1].ravel()
+    edge = np.repeat(interior, 2)
+    keep = np.flatnonzero(np.abs(M_head) > tol.accept)
+    keep = keep[np.lexsort((edge[keep], tail[keep]))]
+    start = np.searchsorted(tail[keep], np.arange(V + 1)).tolist()
+    nbr, edge = head[keep].tolist(), edge[keep].tolist()
+    inv = (1.0 / np.abs(M_head[keep])).tolist()
+    ratio = np.abs(M_tail[keep] / M_head[keep]).tolist()
 
     roots = [r.vertex for r in reports if r.local_interpolating]
-    trees = [Tree(root=r, parents={}, rho_of={r: 0.0}) for r in roots]
-    assignment = {r: i for i, r in enumerate(roots)}
-
+    tree, parent, parent_edge = [-1] * V, [-1] * V, [-1] * V
+    rho, depth = [0.0] * V, [-1] * V
+    for i, r in enumerate(roots):
+        tree[r], depth[r] = i, 0
+    order = list(roots)
     heap = []
     counter = 0
 
-    def push_frontier(u, tree_idx):
-        root = trees[tree_idx].root
-        for (c, e) in neighbors.get(u, []):
-            if c in assignment:
+    def push_frontier(u, ti):
+        nonlocal counter
+        root, rho_u = roots[ti], rho[u]
+        for j in range(start[u], start[u + 1]):
+            if tree[nbr[j]] >= 0:
                 continue
-            Mc = weights[(e, c)]
-            if abs(Mc) <= tol.accept:
-                continue
-            Mu = weights[(e, u)]
-            rho_u = trees[tree_idx].rho_of[u]
-            rho_c = max(1.0 / abs(Mc), abs(Mu / Mc) * rho_u)
-            nonlocal counter
             counter += 1
-            heapq.heappush(heap, (rho_c, root, counter, c, u, e, tree_idx))
+            heapq.heappush(heap, (max(inv[j], ratio[j] * rho_u), root,
+                                  counter, nbr[j], u, edge[j], ti))
 
     for i, r in enumerate(roots):
         push_frontier(r, i)
     while heap:
         rho_c, _, _, c, u, e, ti = heapq.heappop(heap)
-        if c in assignment:
+        if tree[c] >= 0:
             continue
-        trees[ti].parents[c] = (u, e)
-        trees[ti].rho_of[c] = rho_c
-        assignment[c] = ti
+        tree[c], parent[c], parent_edge[c] = ti, u, e
+        rho[c], depth[c] = rho_c, depth[u] + 1
+        order.append(c)
         push_frontier(c, ti)
 
-    uncovered = set(range(topology.V)) - set(assignment)
-    return TreeCover(trees=trees, assignment=assignment, uncovered=uncovered)
-
-
-def tree_stats(tree: Tree):
-    sizes = {}
-    for z in tree.vertices:
-        d = tree.depth_of(z)
-        sizes[d] = sizes.get(d, 0) + 1
-    return {"rho": tree.rho, "upsilon": tree.upsilon,
-            "depth": tree.depth, "level_sizes": sizes,
-            "size": len(tree.vertices)}
+    cover = TreeCover(roots=np.array(roots, dtype=np.int64),
+                      tree=np.array(tree), parent=np.array(parent),
+                      parent_edge=np.array(parent_edge), rho=np.array(rho),
+                      depth=np.array(depth),
+                      order=np.array(order, dtype=np.int64))
+    for a in vars(cover).values():
+        a.setflags(write=False)
+    return cover
 
 
 VERDICT_THM_ALL_LOCAL = "all-interior-local"      # every interior vertex in L_h
 VERDICT_COVER = "complete-disjoint-cover"          # full tree cover exists
-VERDICT_REACHABLE = "reachable-only"               # paths exist, no cover built
 VERDICT_NONE = "none"
 
 
@@ -237,14 +243,9 @@ def check_hypotheses(topology: MeshTopology, reports, cover: TreeCover):
                                        "suffices")
     if cover.complete:
         return VERDICT_COVER, (
-            f"{len(cover.trees)} disjoint transfer trees cover all vertices "
+            f"{len(cover.roots)} disjoint transfer trees cover all vertices "
             f"(rho_bar={cover.rho_bar:.3g}, upsilon_bar={cover.upsilon_bar:.3g})")
-    # Reachability without disjointness: greedy growth already explores every
-    # acceptable edge, so an uncovered vertex has no acceptable path either.
-    reachable = set(cover.assignment)
-    if len(reachable) == topology.V:
-        return VERDICT_REACHABLE, "all vertices reachable but cover incomplete"
-    missing = sorted(cover.uncovered)
+    missing = cover.uncovered.tolist()
     return VERDICT_NONE, (
         f"{len(missing)} vertices have no acceptable route to any local "
         f"interpolating vertex (e.g. {missing[:8]})")
@@ -258,9 +259,9 @@ def tree_interpolant(topology: MeshTopology, cover: TreeCover, p, reports,
     ``p`` is a (T, 3) array of per-triangle vertex values (slot-aligned
     with the triangle's vertex list), and ``reports`` and
     ``dcoefficients`` the vertex reports and d-coefficients of
-    ``classify_mesh``.  Boundary vertices are matched first; interior
-    residuals are then transferred along the cover's trees to their roots
-    and resolved there.  The field is accumulated densely, (T, 2, 10), and
+    ``classify_mesh``.  Boundary vertices are matched first; the residuals
+    are then sent up the cover's trees one edge transfer at a time and
+    resolved at the roots.  The field is accumulated densely, (T, 2, 10), and
     returned as a block of one field.
     """
     if not cover.complete:
@@ -293,18 +294,16 @@ def tree_interpolant(topology: MeshTopology, cover: TreeCover, p, reports,
                 f"boundary pass left residual {np.abs(a).max():.3e} at vertex "
                 f"{z} (pollution cycle between boundary vertices)")
 
-    # interior transfers, tree by tree
-    for tree in cover.trees:
-        for z in sorted(tree.parents):
-            a = residual(topology.patches[z])
-            if np.abs(a).max() <= 1e-13 * pscale:
-                continue
-            add(path_interpolant(topology, tree.path_to_root(z), a,
-                                 tol).field)
-        r = tree.root
-        patch = topology.patches[r]
+    # up the trees: each vertex's residual, with the spills of its
+    # children, goes one hop to its parent; deepest first, then the roots
+    for z in np.argsort(-cover.depth, kind="stable").tolist():
+        patch = topology.patches[z]
         a = residual(patch)
-        if np.abs(a).max() > 1e-13 * pscale:
-            add(local_interpolant(patch, a, topology, reports[r],
-                                  dcoefficients[r]))
+        if np.abs(a).max() <= 1e-13 * pscale:
+            continue
+        if cover.parent[z] >= 0:
+            add(edge_transfer(topology, z, int(cover.parent[z]), a, tol)[0])
+        else:
+            add(local_interpolant(patch, a, topology, reports[z],
+                                  dcoefficients[z]))
     return field_block(topology, acc)

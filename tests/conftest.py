@@ -1,6 +1,7 @@
 """Shared test helpers: random shape-regular patches, admissible
-pressure targets, the golden and benchmark meshes, corner angles of an
-edge pair, dual determinant formulas and dense views of field blocks."""
+pressure targets, the golden and benchmark meshes, edge lookups and
+edge weights, corner angles of an edge pair, dual determinant formulas
+and dense views of field blocks."""
 
 import importlib.util
 import pathlib
@@ -14,6 +15,7 @@ from svstokes.fields import VertexValues
 from svstokes.mesh import (Triangulation, build_topology, crossed, load_mesh,
                            ngon_patch, perturbed_grid, three_lines,
                            type1_diagonal)
+from svstokes.trees import _side_ends
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -49,6 +51,23 @@ def bench_mesh(key):
     """A benchmark mesh, read back from the file text the benchmark
     writes."""
     return load_mesh(BENCH_MESHES.mesh_text(*BENCH_MESHES.build(key)))
+
+
+def edge_index(topo):
+    """{(a, b): edge index} of the mesh edges, keyed by sorted vertex
+    pairs."""
+    return dict(zip(map(tuple, topo.edges.tolist()), range(topo.E)))
+
+
+def edge_weights(topo):
+    """{(interior edge index, endpoint vertex): cot-sum weight}, each
+    interior edge read once, through its side in the lower triangle."""
+    twin = topo.twin.ravel()
+    side = np.flatnonzero(twin > np.arange(len(twin)))
+    ends, weight = _side_ends(topo, side)
+    edge = np.repeat(topo.tri_edges.ravel()[side], 2)
+    return dict(zip(zip(edge.tolist(), ends.ravel().tolist()),
+                    weight.ravel().tolist()))
 
 
 def edge_tris(topo, e):

@@ -6,21 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dual_determinants, random_interior_patch, rigid_motion
+from conftest import (dual_determinants, edge_index, edge_weights,
+                      random_interior_patch, rigid_motion)
 from svstokes.classify import (BOUNDARY, EVEN, NOT_LI, ODD, SINGULAR,
                                Tolerances, alternating_functional,
                                classify_mesh, classify_vertex,
-                               compute_dcoefficients, is_singular, perp,
+                               compute_dcoefficients, is_singular,
                                theta)
 from svstokes.mesh import (Triangulation, build_topology, crossed,
                            enumerate_patch, ngon_patch, perturbed_grid,
                            three_lines, type1_diagonal)
-from svstokes.trees import edge_weights
-
-
-def test_perp_rotates_ccw():
-    assert np.allclose(perp((1.0, 0.0)), (0.0, 1.0))
-    assert np.allclose(perp((0.0, 1.0)), (-1.0, 0.0))
 
 
 def test_crossed_center_is_singular():
@@ -238,7 +233,7 @@ def test_edge_weight_zero_on_supplementary_angles():
     mesh = Triangulation([[0, 0], [1, 0], [0, 1], [-1, 0]],
                          [[0, 1, 2], [0, 2, 3]])
     topo = build_topology(mesh)
-    e = topo.edge_index[(0, 2)]
+    e = edge_index(topo)[(0, 2)]
     weights = edge_weights(topo)
     assert weights[(e, 0)] == pytest.approx(0.0, abs=1e-14)
     # at the far endpoint the flanking angles are both 45 degrees

@@ -4,9 +4,10 @@ determinism, and the SVG rendering."""
 import importlib
 import json
 
+import numpy as np
 import pytest
 
-from conftest import PINCHED, bench_mesh, bench_pool
+from conftest import GOLDEN_MESHES, PINCHED, bench_mesh, bench_pool
 from svstokes import classify, cli, fields, mesh
 from svstokes.classify import Tolerances
 from svstokes.cli import (EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, analyze_mesh,
@@ -135,6 +136,68 @@ def test_analyze_svg_is_pure_presentation(tmp_path):
     assert out1.read_text() == out2.read_text()
     text = svg.read_text()
     assert text.startswith("<svg") and "circle" in text
+
+
+def _set_loop_render_svg(mesh, report, modes, width=640):
+    """The rendering that drew each edge the first time a triangle side
+    reached it, found by a set of sorted vertex pairs: the oracle of
+    ``render_svg``."""
+    pts = mesh.vertices
+    lo = pts.min(axis=0)
+    hi = pts.max(axis=0)
+    span = max(float((hi - lo).max()), 1e-30)
+    pad = 0.06 * span
+    scale = width / (span + 2 * pad)
+
+    def xy(p):
+        return ((p[0] - lo[0] + pad) * scale,
+                (span + 2 * pad - (p[1] - lo[1] + pad)) * scale)
+
+    lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+             f'height="{width}" viewBox="0 0 {width} {width}">']
+    if modes:
+        mode = modes[0]
+        mscale = max(float(np.abs(mode).max()), 1e-30)
+        for t, tri in enumerate(mesh.triangles):
+            vals = mode[6 * t:6 * t + 3]
+            mean = float(vals.mean())
+            hue = "#d94141" if mean >= 0 else "#4169d9"
+            opacity = min(abs(mean) / mscale, 1.0) * 0.6
+            corners = " ".join(f"{x:.2f},{y:.2f}"
+                               for x, y in (xy(pts[v]) for v in tri))
+            lines.append(f'<polygon points="{corners}" fill="{hue}" '
+                         f'fill-opacity="{opacity:.3f}" stroke="none"/>')
+    drawn = set()
+    for tri in mesh.triangles:
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            key = (min(a, b), max(a, b))
+            if key in drawn:
+                continue
+            drawn.add(key)
+            (x1, y1), (x2, y2) = xy(pts[a]), xy(pts[b])
+            lines.append(f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" '
+                         f'y2="{y2:.2f}" stroke="#333" stroke-width="1"/>')
+    for r in report["vertices"]["reports"]:
+        x, y = xy(pts[r["vertex"]])
+        color = cli.CLASS_COLORS.get(r["status"], "#000")
+        lines.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4" '
+                     f'fill="{color}"><title>v{r["vertex"]}: '
+                     f'{r["status"]}</title></circle>')
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MESHES))
+def test_svg_edges_from_the_side_table_match_the_set_loop(name):
+    """render_svg draws the edges from ``mesh.sides``: the same bytes as
+    the set loop, the spurious-mode fills of type1-3 and three-lines-2
+    included."""
+    mesh = GOLDEN_MESHES[name]()
+    report, modes = analyze_mesh(mesh, Tolerances())
+    assert bool(modes) == (name in ("type1-3", "three-lines-2"))
+    svg = cli.render_svg(mesh, report, modes)
+    assert svg == _set_loop_render_svg(mesh, report, modes)
+    assert svg.count("<line") == len(mesh.sides.edges)
 
 
 @pytest.mark.parametrize("command", ["analyze", "verify-fields", "infsup",

@@ -9,8 +9,8 @@ import pytest
 
 from conftest import (GOLDEN_MESHES, admissible_target, as_dict, bench_mesh,
                       bench_pool, corner_divergences, dense, div_at,
-                      div_integral, div_mean, edge_pair_angles, edge_tris,
-                      on_patch, random_interior_patch, scalar_edge_integral,
+                      div_integral, div_mean, edge_index, edge_pair_angles,
+                      edge_tris, edge_weights, on_patch, random_interior_patch, scalar_edge_integral,
                       scalar_gradient_at_vertex, support, values)
 from svstokes import cli, fields, poly
 from svstokes.classify import (BOUNDARY, EVEN, ODD, SINGULAR, Tolerances,
@@ -23,8 +23,7 @@ from svstokes.fields import (FieldBlock, FieldError, UnacceptableEdgeError,
                              stack_fields, verify_field)
 from svstokes.mesh import (build_topology, crossed, enumerate_patch,
                            perturbed_grid, three_lines, type1_diagonal)
-from svstokes.trees import (build_tree_cover, edge_weights, path_stats,
-                            tree_interpolant)
+from svstokes.trees import build_tree_cover, path_stats, tree_interpolant
 
 TOL = Tolerances()
 
@@ -60,7 +59,7 @@ def test_w_field_properties(rng):
         y = int(patch.spokes[patch.edge_spoke(k)])
         row = edge_table(patch, topo).w[k]
         w = on_patch(topo, patch, row)
-        t1, t2 = edge_tris(topo, topo.edge_index[(0, y)])
+        t1, t2 = edge_tris(topo, edge_index(topo)[(0, y)])
         assert support(w) == {t1, t2}
         for t in (t1, t2):
             assert div_at(topo, w, t, 0) == pytest.approx(1.0, rel=1e-12)
@@ -114,7 +113,7 @@ def test_kappa_field_properties(rng):
         k = int(rng.integers(patch.n_interior_edges))
         y = int(patch.spokes[patch.edge_spoke(k)])
         kap = on_patch(topo, patch, edge_table(patch, topo).kappa[k])
-        e = topo.edge_index[(0, y)]
+        e = edge_index(topo)[(0, y)]
         for t in edge_tris(topo, e):
             # zero mean along the shared edge
             assert scalar_edge_integral(topo, t, kap[t], 0, y) == \
@@ -288,20 +287,21 @@ def _three_hop_path(topo):
     intermediate vertices have even valence (so the alternating-sum
     amplification telescopes with a consistent sign)."""
     weights = edge_weights(topo)
+    index = edge_index(topo)
     interior = [v for v in range(topo.V) if not topo.boundary_vertex[v]]
     even = {v for v in interior if enumerate_patch(topo, v).N % 2 == 0}
     iset = set(interior)
     for a in interior:
         for b in even:
-            e1 = topo.edge_index.get((min(a, b), max(a, b)))
+            e1 = index.get((min(a, b), max(a, b)))
             if e1 is None or topo.boundary_edge[e1]:
                 continue
             for c in even - {a, b}:
-                e2 = topo.edge_index.get((min(b, c), max(b, c)))
+                e2 = index.get((min(b, c), max(b, c)))
                 if e2 is None or topo.boundary_edge[e2]:
                     continue
                 for d in iset - {a, b, c}:
-                    e3 = topo.edge_index.get((min(c, d), max(c, d)))
+                    e3 = index.get((min(c, d), max(c, d)))
                     if e3 is None or topo.boundary_edge[e3]:
                         continue
                     path = [a, b, c, d]
@@ -412,7 +412,7 @@ def _edge_off_support(topo, block):
         (t, s, a, b) for t in sorted(inside)
         for a, b in zip(topo.mesh.triangles[t].tolist(),
                         np.roll(topo.mesh.triangles[t], -1).tolist())
-        for s in edge_tris(topo, topo.edge_index[(min(a, b), max(a, b))])
+        for s in edge_tris(topo, edge_index(topo)[(min(a, b), max(a, b))])
         if s not in inside)
 
 
@@ -497,7 +497,7 @@ def _oracle_monomial(expo):
 def _oracle_edge(topo, z, y, profile):
     """Dense (T, 10): profile(slot of z, slot of y) on the two triangles of
     the interior edge {z, y}, zero elsewhere."""
-    e = topo.edge_index[(min(z, y), max(z, y))]
+    e = edge_index(topo)[(min(z, y), max(z, y))]
     out = np.zeros((topo.T, len(poly.MONO3)))
     for t in edge_tris(topo, e):
         tri = topo.mesh.triangles[t].tolist()
@@ -807,12 +807,13 @@ PATH_MESHES = [("golden", "type1-3"), ("golden", "perturbed-3-s1")] \
 
 def _two_hop_paths(topo):
     weights = edge_weights(topo)
+    index = edge_index(topo)
     interior = [z for z in range(topo.V) if not topo.boundary_vertex[z]]
 
     def step(z, avoid):
         return next((y for y in topo.patches[z].spokes
                      if y not in avoid and not topo.boundary_vertex[y]
-                     and abs(weights[(topo.edge_index[(min(z, y), max(z, y))],
+                     and abs(weights[(index[(min(z, y), max(z, y))],
                                       z)]) > 0.1), None)
     for z in interior:
         y = step(z, {z})

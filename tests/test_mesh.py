@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (GOLDEN_MESHES, PINCHED, bench_mesh, bench_pool)
+from conftest import (GOLDEN_MESHES, PINCHED, bench_mesh, bench_pool,
+                      edge_index)
 from svstokes import poly
 from svstokes.mesh import (MeshError, MeshFormatError, Triangulation,
                            VertexPatch, build_topology, crossed, dump_mesh,
@@ -241,6 +242,9 @@ def _assert_topology_matches_dict_pass(mesh):
         got_tris[e] |= {s // 3} | ({u // 3} if u >= 0 else set())
     assert [tuple(sorted(ts)) for ts in got_tris] == list(
         want.pop("edge_tris"))
+    # the topology keeps no edge dict either: the edges' sorted order is
+    # the index
+    assert edge_index(topo) == want.pop("edge_index")
     for name, ref in want.items():
         got = getattr(topo, name)
         if isinstance(ref, np.ndarray):
@@ -392,9 +396,8 @@ def test_interior_patch_is_ccw_and_closed():
             t = patch.tris[k]
             assert v in tris[t]
             # triangle k is bounded by the incoming and outgoing spokes
-            s_in, s_out = patch.tri_spokes(k)
-            assert patch.spokes[s_in] in tris[t]
-            assert patch.spokes[s_out] in tris[t]
+            assert patch.spokes[(k - 1) % patch.N] in tris[t]
+            assert patch.spokes[k] in tris[t]
 
 
 def test_boundary_patch_has_extra_spoke():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import dense, edge_tris, rigid_motion, values
+from conftest import dense, edge_index, edge_tris, rigid_motion, values
 from svstokes import fields, poly, solver
 from svstokes.classify import Tolerances, classify_mesh, classify_vertex
 from svstokes.fields import field_block, local_interpolant, stack_fields
@@ -153,6 +153,7 @@ def test_node_array_invariants(name):
 # each triangle's local matrices one entry at a time.
 
 def _oracle_local_nodes(topo):
+    index = edge_index(topo)
     vertex_node, edge_node, n = {}, {}, 0
     for v in range(topo.V):
         if not topo.boundary_vertex[v]:
@@ -168,7 +169,7 @@ def _oracle_local_nodes(topo):
         out = [vertex_node.get(int(v)) for v in tri]
         for (i, j) in solver.P3_EDGE_SLOTS:
             a, b = int(tri[i]), int(tri[j])
-            e = topo.edge_index[(min(a, b), max(a, b))]
+            e = index[(min(a, b), max(a, b))]
             for near in (a, b):
                 out.append(edge_node.get((e, 0 if near == min(a, b) else 1)))
         out.append(n + t)
