@@ -367,27 +367,12 @@ def cmd_infsup(args) -> int:
 
 
 def cmd_spline_dim(args) -> int:
-    mesh = _load(args.mesh)
-    tol = _tolerances(args)
-    topology = build_topology(mesh)
-    reports, summary, _ = classify_mesh(topology, tol)
-    cert = solver.certify(topology, reports)
-    rank = solver.divergence_rank(cert, topology, summary["sigma"], tol)
-    dims = solver.strang_dimensions(topology, summary["sigma"],
-                                    summary["sigma_i"], summary["sigma_b"],
-                                    rank.K)
-    nullity = solver.nullity_crosscheck(rank, topology, summary["sigma"])
-    out = {
-        "spline": dataclasses.asdict(dims),
-        "K": rank.K,
-        "rank": rank.rank,
-        "nullity_crosscheck": nullity,
-        "sigma": summary["sigma"],
-        "sigma_i": summary["sigma_i"],
-        "sigma_b": summary["sigma_b"],
-        "meta": {"version": __version__,
-                 "tolerances": dataclasses.asdict(tol)},
-    }
+    report, _ = analyze_mesh(_load(args.mesh), _tolerances(args))
+    div, summary = report["divergence"], report["vertices"]["summary"]
+    spline = {k: v for k, v in report["spline"].items() if k != "skipped"}
+    out = {"spline": spline, "meta": report["meta"],
+           **{k: div[k] for k in ("K", "rank", "nullity_crosscheck")},
+           **{k: summary[k] for k in ("sigma", "sigma_i", "sigma_b")}}
     _write_out(to_json(out), args.out)
     return EXIT_OK
 

@@ -58,7 +58,7 @@ class Triangulation:
         bad = np.stack([
             (key[:, 0] == key[:, 1]) | (key[:, 1] == key[:, 2]),
             first[inverse.reshape(-1)] != np.arange(len(t)),
-            np.abs(area) < DEGENERACY_RATIO * diam * diam,
+            np.abs(area) <= DEGENERACY_RATIO * diam * diam,
         ], axis=1)
         if bad.any():
             i = int(np.argmax(bad.any(axis=1)))
@@ -242,7 +242,7 @@ def dump_mesh(mesh: Triangulation) -> str:
 @dataclass(frozen=True)
 class MeshTopology:
     """Derived connectivity of a Triangulation, its per-triangle geometry
-    table and its per-vertex patch table (computed once; read-only)."""
+    table and its per-vertex fan table (computed once; read-only)."""
 
     mesh: Triangulation
     edges: np.ndarray            # (E, 2) sorted vertex pairs
@@ -250,7 +250,6 @@ class MeshTopology:
                                  # side s joining vertex slots s and s + 1
     twin: np.ndarray             # (T, 3) side 3 u + k of the neighbour u
                                  # across each side, -1 on the boundary
-    vertex_tris: tuple           # per vertex, tuple of incident triangles
     boundary_edge: np.ndarray    # (E,) bool
     boundary_vertex: np.ndarray  # (V,) bool
     euler_ok: bool
@@ -259,7 +258,8 @@ class MeshTopology:
                                  # for the triangle's vertex slot s
     angle: np.ndarray            # (T, 3) interior angle at vertex slot s
     cot: np.ndarray              # (T, 3) its cotangent
-    patches: tuple               # (V,) VertexPatch of each vertex
+    fans: FanTable | None        # the vertex fans, one CSR table
+    patches: tuple               # (V,) VertexPatch of each vertex, a slice
 
     @property
     def T(self):
@@ -285,9 +285,9 @@ class MeshTopology:
 def build_topology(mesh: Triangulation) -> MeshTopology:
     """Read the edges, the edge of each triangle side (``tri_edges``) and
     the half-edge twins from the mesh's side table, and derive from it the
-    boundary flags and each vertex's triangles, the triangle areas, hat
-    gradients and corner angles and cotangents (one batched computation
-    each) and the vertex patches (one ``enumerate_patch`` per vertex).
+    boundary flags, the triangle areas, hat gradients and corner angles
+    and cotangents (one batched computation each) and the vertex fans (one
+    ``enumerate_patch`` call), with each vertex's patch a slice of them.
 
     Raises MeshError when a vertex has no triangles or a non-manifold
     (pinched) patch.
@@ -297,12 +297,6 @@ def build_topology(mesh: Triangulation) -> MeshTopology:
     boundary_edge = sides.count == 1
     boundary_vertex = np.zeros(mesh.num_vertices, dtype=bool)
     boundary_vertex[edges[boundary_edge]] = True
-    # each vertex's triangles in ascending order, by one stable sort of slots
-    flat = mesh.triangles.ravel()
-    by_vertex = (np.argsort(flat, kind="stable") // 3).tolist()
-    ends = np.cumsum(np.bincount(flat, minlength=mesh.num_vertices)).tolist()
-    vertex_tris = tuple(tuple(by_vertex[lo:hi])
-                        for lo, hi in zip([0] + ends[:-1], ends))
     pts = mesh.vertices[mesh.triangles]
     area = np.abs(signed_area(pts[:, 0], pts[:, 1], pts[:, 2]))
     hat_grads = hat_gradients(pts[:, 0], pts[:, 1], pts[:, 2])
@@ -310,22 +304,13 @@ def build_topology(mesh: Triangulation) -> MeshTopology:
     for a in (area, hat_grads, angle, cot):
         a.setflags(write=False)
     topo = MeshTopology(
-        mesh=mesh,
-        edges=edges,
-        tri_edges=sides.tri_edges,
-        twin=sides.twin,
-        vertex_tris=vertex_tris,
-        boundary_edge=boundary_edge,
-        boundary_vertex=boundary_vertex,
+        mesh=mesh, edges=edges, tri_edges=sides.tri_edges, twin=sides.twin,
+        boundary_edge=boundary_edge, boundary_vertex=boundary_vertex,
         euler_ok=(mesh.num_triangles - len(edges) + mesh.num_vertices == 1),
-        area=area,
-        hat_grads=hat_grads,
-        angle=angle,
-        cot=cot,
-        patches=(),
-    )
-    patches = tuple(enumerate_patch(topo, z) for z in range(mesh.num_vertices))
-    return replace(topo, patches=patches)
+        area=area, hat_grads=hat_grads, angle=angle, cot=cot, fans=None,
+        patches=())
+    fans = enumerate_patch(topo)
+    return replace(topo, fans=fans, patches=fans.patches(mesh))
 
 
 @dataclass(frozen=True)
@@ -369,89 +354,118 @@ class VertexPatch:
         return self.tris[k], self.tris[(k + 1) % self.N]
 
 
-def enumerate_patch(topology: MeshTopology, z: int) -> VertexPatch:
-    """Order the triangles incident to z counter-clockwise.
+@dataclass(frozen=True)
+class FanTable:
+    """Every vertex's counter-clockwise triangle fan, as CSR rows.  Fan z
+    holds the corners ``offset[z] .. offset[z + 1]`` and the spokes
+    ``spoke_offset[z] .. spoke_offset[z + 1]``: one spoke per corner, plus
+    the first one on a boundary fan.  All arrays are read-only."""
 
-    For an interior vertex the fan starts at the incident triangle with the
-    smallest global index; for a boundary vertex it starts at the triangle
-    carrying the clockwise-most boundary edge, so that the fan sweeps
-    counter-clockwise and ends on the other boundary edge.
+    offset: np.ndarray        # (V + 1,) corner offsets
+    center: np.ndarray        # (3T,) the vertex whose fan holds each corner
+    position: np.ndarray      # (3T,) the place of each corner in its fan
+    tri: np.ndarray           # (3T,) triangle of each fan corner
+    slot: np.ndarray          # (3T,) slot of the center in it
+    theta: np.ndarray         # (3T,) angle at the center
+    boundary: np.ndarray      # (V,) bool, the fan is open
+    spoke_offset: np.ndarray  # (V + 1,) spoke offsets
+    spoke: np.ndarray         # (S,) far endpoint of each spoke
+    edge_len: np.ndarray      # (S,) |z - spoke|
+    tangent: np.ndarray       # (S, 2) unit vector z -> spoke
+    normal: np.ndarray        # (S, 2) its counter-clockwise rotation
+    h_z: np.ndarray           # (V,) patch diameter
 
-    ``build_topology`` calls this once per vertex and stores the result in
-    ``topology.patches``; everything else reads the table.
-    """
+    def patches(self, mesh: Triangulation) -> tuple:
+        """The VertexPatch of each vertex, as slices of the table.  On an
+        interior fan the normal of interior edge k is that of spoke k; on
+        a boundary fan that of spoke k + 1."""
+        tri, slot, spoke = self.tri.tolist(), self.slot.tolist(), list(self.spoke)
+        rows = zip(self.offset.tolist(), self.offset[1:].tolist(),
+                   self.spoke_offset.tolist(), self.spoke_offset[1:].tolist(),
+                   self.boundary.tolist(), self.h_z.tolist())
+        return tuple(
+            VertexPatch(z=z, center=mesh.vertices[z], tris=tuple(tri[a:b]),
+                        slots=tuple(slot[a:b]), spokes=tuple(spoke[c:d]),
+                        boundary=bd, theta=self.theta[a:b],
+                        edge_len=self.edge_len[c:d], tangents=self.tangent[c:d],
+                        normals=self.normal[c + bd:d - bd], h_z=h)
+            for z, (a, b, c, d, bd, h) in enumerate(rows))
+
+
+def enumerate_patch(topology: MeshTopology) -> FanTable:
+    """Order every vertex's triangles counter-clockwise, all fans at once
+    (``build_topology`` makes this one call).  The corner of z after corner
+    ``3 t + s`` is ``twin[t, (s + 2) % 3]``, across the side ending at z.
+    An interior fan starts at its triangle with the smallest index, a
+    boundary fan at the corner whose side ``s`` has no twin, so that it
+    ends on the other boundary edge.  Every fan takes its k-th step at
+    once.  Raises MeshError for the first vertex with no triangles or a
+    non-manifold patch."""
     mesh = topology.mesh
-    incident = topology.vertex_tris[z]
-    if not incident:
-        raise MeshError(f"vertex {z} has no incident triangles")
-    # Per triangle, the CCW (incoming, outgoing) far endpoints of the two
-    # center edges: for CCW triangle (z, a, b), the angle at z sweeps a -> b.
-    fan = np.asarray(incident)
-    corners = mesh.triangles[fan]
-    slot = np.argmax(corners == z, axis=1)
-    rows = np.arange(len(fan))
-    incoming = corners[rows, (slot + 1) % 3]
-    outgoing = corners[rows, (slot + 2) % 3]
-    by_incoming = {}
-    for i, a in enumerate(incoming.tolist()):
-        if a in by_incoming:
-            raise MeshError(f"non-manifold patch at vertex {z}")
-        by_incoming[a] = i
-
-    outgoing_list = outgoing.tolist()
-    outgoing_set = set(outgoing_list)
-    starts = [i for i, a in enumerate(incoming.tolist())
-              if a not in outgoing_set]
-    if not starts:
-        boundary = False
-        start = int(np.argmin(fan))
-    elif len(starts) == 1:
-        boundary = True
-        start = starts[0]
-    else:
-        raise MeshError(f"non-manifold (pinched) patch at vertex {z}")
-
-    order = [start]
-    while True:
-        nxt = by_incoming.get(outgoing_list[order[-1]])
-        if nxt is None or nxt == start:
-            break
-        if nxt in order:
-            raise MeshError(f"non-manifold patch at vertex {z}")
-        order.append(nxt)
-    if len(order) != len(fan):
-        raise MeshError(f"non-manifold (pinched) patch at vertex {z}")
-
-    center = mesh.vertices[z]
-    a_idx, b_idx = incoming[order], outgoing[order]
-    spokes = np.concatenate([a_idx[:1], b_idx]) if boundary else b_idx
-
-    pts = mesh.vertices[spokes]
-    vecs = pts - center
+    V, tris = mesh.num_vertices, mesh.triangles
+    vertex, end = tris.ravel(), np.roll(tris, -1, axis=1).ravel()  # per side
+    twin, n = topology.twin.ravel(), len(vertex)
+    deg = np.bincount(vertex, minlength=V)
+    offset = np.concatenate([[0], np.cumsum(deg)])
+    # a twin running the same way joins two overlapping triangles
+    same = np.flatnonzero((twin >= 0) & (vertex[twin] == vertex))
+    overlap = np.bincount(np.concatenate([vertex[same], end[same]]),
+                          minlength=V) > 0
+    opened = np.flatnonzero(twin < 0)           # side s leaves the fan open
+    n_open = np.bincount(vertex[opened], minlength=V)
+    start = np.full(V, n)
+    np.minimum.at(start, vertex, np.arange(n))
+    start[vertex[opened]] = opened
+    nxt = topology.twin[:, [2, 0, 1]].ravel()
+    order, broken = np.empty(n, dtype=np.int64), np.zeros(V, dtype=bool)
+    z = np.flatnonzero(deg)
+    cur = start[z]
+    for k in range(int(deg.max(initial=0))):
+        order[offset[z] + k] = cur
+        cur = nxt[cur]
+        # a fan that opens or closes before its last corner is one of two
+        more = deg[z] > k + 1
+        early = more & ((cur < 0) | (cur == start[z]))
+        broken[z[early]] = True
+        z, cur = z[more & ~early], cur[more & ~early]
+    error = np.select([deg == 0, overlap, (n_open > 1) | broken], [1, 2, 3])
+    if error.any():
+        z = int(np.argmax(error > 0))
+        raise MeshError(("vertex {} has no incident triangles",
+                         "non-manifold patch at vertex {}",
+                         "non-manifold (pinched) patch at vertex {}")
+                        [error[z] - 1].format(z))
+    boundary = n_open > 0
+    center = np.repeat(np.arange(V), deg)
+    tri, slot = np.divmod(order, 3)
+    spoke_offset = offset + np.concatenate([[0], np.cumsum(boundary)])
+    spoke = np.empty(spoke_offset[-1], dtype=np.int64)
+    # each corner's spoke is the one after it; a boundary fan also has the
+    # one before its first corner
+    spoke[np.arange(n) + np.cumsum(boundary)[center]] = tris[tri, (slot + 2) % 3]
+    first = offset[:-1][boundary]
+    spoke[spoke_offset[:-1][boundary]] = tris[tri[first], (slot[first] + 1) % 3]
+    size = np.diff(spoke_offset)
+    vecs = mesh.vertices[spoke] - mesh.vertices[np.repeat(np.arange(V), size)]
     edge_len = np.hypot(vecs[:, 0], vecs[:, 1])
-    tangents = vecs / edge_len[:, None]
-
-    # the angle at z of each fan triangle, from the corner table
-    theta = topology.angle[fan, slot][order]
-
-    # for a CCW fan, the normal out of tris[k] is the CCW rotation of the
-    # spoke tangent of interior edge k (it points towards tris[k+1])
-    n_int = len(order) - int(boundary)
-    edge_tangents = tangents[int(boundary):int(boundary) + n_int]
-    normals = edge_tangents[:, ::-1] * np.array([-1.0, 1.0])
-
-    allpts = np.vstack([pts, center[None, :]])
-    diff = allpts[:, None, :] - allpts[None, :, :]
-    h_z = float(np.hypot(diff[..., 0], diff[..., 1]).max())
-
-    for a in (theta, edge_len, tangents, normals):
-        a.setflags(write=False)
-    return VertexPatch(
-        z=z, center=center, tris=tuple(fan[order].tolist()),
-        slots=tuple(slot[order].tolist()), spokes=tuple(spokes),
-        boundary=boundary, theta=theta, edge_len=edge_len,
-        tangents=tangents, normals=normals, h_z=h_z,
-    )
+    tangent = vecs / edge_len[:, None]
+    # the patch diameter over the spokes and z, one block per fan size
+    h_z = np.empty(V)
+    for m in np.unique(size):
+        zs = np.flatnonzero(size == m)
+        pts = mesh.vertices[np.column_stack(
+            [spoke[spoke_offset[zs, None] + np.arange(m)], zs])]
+        diff = pts[:, :, None] - pts[:, None, :]
+        h_z[zs] = np.hypot(diff[..., 0], diff[..., 1]).max(axis=(1, 2))
+    table = FanTable(
+        offset=offset, center=center, position=np.arange(n) - offset[center],
+        tri=tri, slot=slot, theta=topology.angle.ravel()[order],
+        boundary=boundary, spoke_offset=spoke_offset, spoke=spoke,
+        edge_len=edge_len, tangent=tangent,
+        normal=tangent[:, ::-1] * np.array([-1.0, 1.0]), h_z=h_z)
+    for arr in vars(table).values():
+        arr.setflags(write=False)
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -164,16 +164,17 @@ def pressure_constraints(topology: MeshTopology, reports) -> np.ndarray:
     one alternating-sum condition per singular vertex.  Each row has unit
     2-norm, so the rank decision on them does not depend on the length
     scale (the mean row scales with area, the alternating rows do not)."""
-    rows = [(topology.area[:, None] * _IV2).ravel()]
-    for r in reports:
-        if not r.singular:
-            continue
-        patch = topology.patches[r.vertex]
-        row = np.zeros(6 * topology.T)
-        for j, (t, slot) in enumerate(zip(patch.tris, patch.slots)):
-            row[6 * t + slot] = (-1.0) ** j
-        rows.append(row)
-    C = np.vstack(rows)
+    fans = topology.fans
+    singular = [r.vertex for r in reports if r.singular]
+    C = np.zeros((1 + len(singular), 6 * topology.T))
+    C[0] = (topology.area[:, None] * _IV2).ravel()
+    # row i + 1 alternates over the fan of the i-th singular vertex
+    row = np.zeros(topology.V, dtype=np.int64)
+    row[singular] = np.arange(1, len(singular) + 1)
+    row = row[fans.center]
+    on = row > 0
+    C[row[on], 6 * fans.tri[on] + fans.slot[on]] = \
+        np.where(fans.position[on] % 2, -1.0, 1.0)
     return C / np.linalg.norm(C, axis=1, keepdims=True)
 
 
@@ -432,18 +433,17 @@ def checkerboard_signature(topology: MeshTopology, mode,
     scale = float(np.abs(mode).max())
     if scale == 0.0:
         return False
-    for patch in topology.patches:
-        if patch.boundary:
-            continue
-        vals = mode[6 * np.array(patch.tris) + patch.slots]
-        local = np.abs(vals).max()
-        if local < 1e-8 * scale:
-            continue
-        signs = {np.sign(v) * (-1.0) ** j for j, v in enumerate(vals)
-                 if abs(v) >= rel_tol * local}
-        if len(signs) > 1:
-            return False
-    return True
+    fans = topology.fans
+    vals = mode[6 * fans.tri + fans.slot]
+    size, lo = np.abs(vals), fans.offset[:-1]
+    local = np.maximum.reduceat(size, lo)
+    # the signs of the values at or above rel_tol of their fan's largest,
+    # times the alternating sign: more than one of them breaks the pattern
+    sign = np.sign(vals) * np.where(fans.position % 2, -1.0, 1.0)
+    keep = size >= rel_tol * local[fans.center]
+    mixed = (np.maximum.reduceat(np.where(keep, sign, -np.inf), lo)
+             > np.minimum.reduceat(np.where(keep, sign, np.inf), lo))
+    return not (mixed & ~fans.boundary & (local >= 1e-8 * scale)).any()
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Shared test helpers: random shape-regular patches, admissible
-pressure targets, the golden and benchmark meshes, edge lookups and
-edge weights, corner angles of an edge pair, dual determinant formulas
-and dense views of field blocks."""
+pressure targets, the golden and benchmark meshes, the type-1 grids with
+crossed squares, edge lookups and edge weights, corner angles of an edge
+pair, dual determinant formulas and dense views of field blocks."""
 
 import importlib.util
 import pathlib
@@ -25,6 +25,34 @@ GOLDEN_MESHES = {
     "type1-3": lambda: type1_diagonal(3),
     "three-lines-2": lambda: three_lines(2),
     "perturbed-3-s1": lambda: perturbed_grid(3, seed=1),
+}
+
+
+def type1_with_crossed(n, squares):
+    """The n x n type-1 grid with the listed unit squares (i, j) split by
+    both diagonals instead: the crossed centers are singular, hence local
+    interpolating, and the NotLI vertices of the type-1 part reach them
+    only along trees several edges deep."""
+    def idx(i, j):
+        return i * (n + 1) + j
+    verts = [(float(i), float(j)) for i in range(n + 1) for j in range(n + 1)]
+    tris = []
+    for i in range(n):
+        for j in range(n):
+            a, b, d, e = idx(i, j), idx(i + 1, j), idx(i + 1, j + 1), idx(i, j + 1)
+            if (i, j) in squares:
+                verts.append((i + 0.5, j + 0.5))
+                c = len(verts) - 1
+                tris += [(a, b, c), (b, d, c), (d, e, c), (e, a, c)]
+            else:
+                tris += [(a, b, d), (a, d, e)]
+    return Triangulation(np.array(verts), np.array(tris))
+
+
+MIXED = {
+    "mixed-3": (3, [(0, 2)]),
+    "mixed-6": (6, [(0, 1), (1, 0), (1, 1), (1, 3), (2, 4), (3, 3), (3, 5),
+                    (4, 4)]),
 }
 
 

@@ -23,8 +23,8 @@ from svstokes.classify import (EVEN, ODD, SINGULAR, Tolerances,
 from svstokes.fields import (edge_table, local_interpolant, path_interpolant,
                              verify_field)
 from svstokes.mesh import (Triangulation, build_topology, crossed,
-                           enumerate_patch, ngon_patch, perturbed_grid,
-                           three_lines, type1_diagonal)
+                           ngon_patch, perturbed_grid, three_lines,
+                           type1_diagonal)
 from svstokes.trees import (build_tree_cover, check_hypotheses, path_stats,
                             tree_interpolant)
 
@@ -122,7 +122,7 @@ def test_A2_local_interpolant_suite():
     # singular, valence 4
     topo = build_topology(crossed(1))
     center = [v for v in range(topo.V) if not topo.boundary_vertex[v]][0]
-    patch = enumerate_patch(topo, center)
+    patch = topo.patches[center]
     assert classify_vertex(patch, topo)[0].status == SINGULAR
     for _ in range(50):
         raw = rng.standard_normal(4)
@@ -139,7 +139,7 @@ def test_A2_local_interpolant_suite():
     reports, _, _ = classify_mesh(topo)
     even = [r.vertex for r in reports if r.status == EVEN]
     assert even
-    patch = enumerate_patch(topo, even[0])
+    patch = topo.patches[even[0]]
     for _ in range(50):
         run(patch, topo, rng.standard_normal(8))
     _report(2, "local interpolants, 50 random targets per vertex class")
@@ -153,7 +153,7 @@ def test_A3_determinant_regressions():
         for v in range(topo.V):
             if topo.boundary_vertex[v]:
                 continue
-            patch = enumerate_patch(topo, v)
+            patch = topo.patches[v]
             if is_singular(patch):
                 continue
             dco = compute_dcoefficients(patch, topo)
@@ -164,7 +164,7 @@ def test_A3_determinant_regressions():
         for v in range(topo.V):
             if topo.boundary_vertex[v]:
                 continue
-            patch = enumerate_patch(topo, v)
+            patch = topo.patches[v]
             if patch.N != 8:
                 continue
             dco = compute_dcoefficients(patch, topo)
@@ -263,7 +263,7 @@ def test_A7_tree_machinery():
     weights = edge_weights(topo)
     index = edge_index(topo)
     interior = [v for v in range(topo.V) if not topo.boundary_vertex[v]]
-    valence = {v: enumerate_patch(topo, v).N for v in interior}
+    valence = {v: topo.patches[v].N for v in interior}
 
     def find_paths(limit):
         # the alternating functional the spill product telescopes through
@@ -297,7 +297,7 @@ def test_A7_tree_machinery():
     paths = find_paths(5)
     assert paths
     for path in paths:
-        patch = enumerate_patch(topo, path[0])
+        patch = topo.patches[path[0]]
         target = np.zeros(patch.N)
         target[int(rng.integers(patch.N))] = 1.0    # |alternating sum| = 1
         result = path_interpolant(topo, path, target, TOL)
@@ -384,8 +384,8 @@ def test_A8_invariance_under_similarity():
             for v in range(topo0.V):
                 if topo0.boundary_vertex[v]:
                     continue
-                p0 = enumerate_patch(topo0, v)
-                p1 = enumerate_patch(topo1, v)
+                p0 = topo0.patches[v]
+                p1 = topo1.patches[v]
                 if is_singular(p0):
                     continue
                 d0 = compute_dcoefficients(p0, topo0)

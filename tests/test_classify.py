@@ -14,17 +14,16 @@ from svstokes.classify import (BOUNDARY, EVEN, NOT_LI, ODD, SINGULAR,
                                compute_dcoefficients, is_singular,
                                theta)
 from svstokes.mesh import (Triangulation, build_topology, crossed,
-                           enumerate_patch, ngon_patch, perturbed_grid,
-                           three_lines, type1_diagonal)
+                           ngon_patch, perturbed_grid, three_lines,
+                           type1_diagonal)
 
 
 def test_crossed_center_is_singular():
     topo = build_topology(crossed(1))
-    patch = enumerate_patch(topo, topo.V - 1 if topo.boundary_vertex[0]
-                            else 0)
+    patch = topo.patches[topo.V - 1 if topo.boundary_vertex[0] else 0]
     centers = [v for v in range(topo.V) if not topo.boundary_vertex[v]]
     assert len(centers) == 1
-    patch = enumerate_patch(topo, centers[0])
+    patch = topo.patches[centers[0]]
     assert patch.N == 4
     assert theta(patch) == pytest.approx(0.0, abs=1e-14)
     assert is_singular(patch)
@@ -33,7 +32,7 @@ def test_crossed_center_is_singular():
 def test_regular_ngon_center_not_singular_except_four():
     for N in (3, 4, 5, 6, 8):
         topo = build_topology(ngon_patch(N))
-        patch = enumerate_patch(topo, 0)
+        patch = topo.patches[0]
         # consecutive angle pairs sum to 4 pi / N; singular iff that is pi
         expect = abs(np.sin(4 * np.pi / N))
         assert theta(patch) == pytest.approx(expect, abs=1e-12)
@@ -43,7 +42,7 @@ def test_regular_ngon_center_not_singular_except_four():
 def test_single_triangle_boundary_corner_is_singular_by_convention():
     mesh = Triangulation([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
     topo = build_topology(mesh)
-    patch = enumerate_patch(topo, 0)
+    patch = topo.patches[0]
     assert patch.boundary and patch.N == 1
     assert theta(patch) == 0.0
     assert is_singular(patch)
@@ -62,7 +61,7 @@ def test_straight_boundary_vertex_is_singular():
 def test_alternating_functional_signs():
     topo = build_topology(crossed(1))
     center = [v for v in range(topo.V) if not topo.boundary_vertex[v]][0]
-    patch = enumerate_patch(topo, center)
+    patch = topo.patches[center]
     assert alternating_functional(patch, [1.0, 1.0, 1.0, 1.0]) == 0.0
     assert alternating_functional(patch, [1.0, -1.0, 1.0, -1.0]) == 4.0
     with pytest.raises(ValueError):
@@ -102,7 +101,7 @@ def test_crossed_eight_valent_d0_value():
         for v in range(topo.V):
             if topo.boundary_vertex[v]:
                 continue
-            patch = enumerate_patch(topo, v)
+            patch = topo.patches[v]
             if patch.N != 8:
                 continue
             found = True
@@ -120,7 +119,7 @@ def test_degenerate_families_have_zero_decisions(mesh):
     for v in range(topo.V):
         if topo.boundary_vertex[v]:
             continue
-        patch = enumerate_patch(topo, v)
+        patch = topo.patches[v]
         if is_singular(patch):
             continue
         dco = compute_dcoefficients(patch, topo)
@@ -163,7 +162,7 @@ def test_classification_invariant_under_similarity(seed, angle, scale):
     moved = rigid_motion(mesh, angle=angle, shift=(3.7, -1.2), scale=scale)
     topo2 = build_topology(moved)
     r1, d1 = classify_vertex(patch, topo)
-    r2, d2 = classify_vertex(enumerate_patch(topo2, 0), topo2)
+    r2, d2 = classify_vertex(topo2.patches[0], topo2)
     assert r1.status == r2.status
     assert r1.singular == r2.singular
     if patch.N % 2 == 0 and not r1.singular:
@@ -185,7 +184,7 @@ def test_decision_values_invariant_under_scaling(seed, scale):
     moved = rigid_motion(mesh, shift=(-2.0, 0.5), scale=scale)
     topo2 = build_topology(moved)
     d1 = compute_dcoefficients(patch, topo)
-    d2 = compute_dcoefficients(enumerate_patch(topo2, 0), topo2)
+    d2 = compute_dcoefficients(topo2.patches[0], topo2)
     for i in range(3):
         assert d2.decision(i) == pytest.approx(d1.decision(i), rel=1e-8,
                                                abs=1e-12)

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, JSON schema, exit codes,
 determinism, and the SVG rendering."""
 
+import dataclasses
 import importlib
 import json
 
@@ -8,12 +9,12 @@ import numpy as np
 import pytest
 
 from conftest import GOLDEN_MESHES, PINCHED, bench_mesh, bench_pool
-from svstokes import classify, cli, fields, mesh
-from svstokes.classify import Tolerances
+from svstokes import __version__, classify, cli, fields, mesh, solver
+from svstokes.classify import Tolerances, classify_mesh
 from svstokes.cli import (EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, analyze_mesh,
                           main, run_field_suites, to_json)
 from svstokes.mesh import (build_topology, crossed, dump_mesh, load_mesh,
-                           perturbed_grid, type1_diagonal)
+                           ngon_patch, perturbed_grid, type1_diagonal)
 
 
 def _gen(tmp_path, preset, *extra):
@@ -209,6 +210,30 @@ def test_pinched_vertex_is_input_error(tmp_path, capsys, command):
     assert "non-manifold (pinched) patch at vertex 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "verify-fields", "infsup",
+                                     "spline-dim"])
+@pytest.mark.parametrize("case", ["L1e-200", "L1e-300", "coincident"])
+def test_area_underflow_is_input_error(tmp_path, capsys, command, case):
+    """Meshes whose triangle areas round to zero exit 2 from every
+    command, naming the first degenerate triangle."""
+    bad = tmp_path / f"{case}.mesh"
+    if case == "coincident":
+        bad.write_text("vertices 3\n1 1\n1 1\n1 1\ntriangles 1\n0 1 2\n")
+    else:
+        # crossed-3 scaled by 1e-200 or 1e-300 (``gen`` rejects it too)
+        unit = crossed(3)
+        lines = [f"vertices {unit.num_vertices}"]
+        lines += [f"{x * float(case[1:])!r} {y * float(case[1:])!r}"
+                  for x, y in unit.vertices.tolist()]
+        bad.write_text("\n".join(lines) + "\n"
+                       + dump_mesh(unit).split("\n", unit.num_vertices + 1)[-1])
+        assert main(["gen", "crossed", "--n", "3", "--L", case[1:], "--out",
+                     str(tmp_path / "gen.mesh")]) == EXIT_INPUT
+    capsys.readouterr()
+    assert main([command, "--mesh", str(bad)]) == EXIT_INPUT
+    assert "triangle 0 is degenerate" in capsys.readouterr().err
+
+
 def _count_calls(monkeypatch, module, name):
     """Count the calls of ``module.name`` through every svstokes module
     that binds it; returns the list that collects one entry per call."""
@@ -240,7 +265,7 @@ def test_each_vertex_patched_and_classified_once(monkeypatch, run, make):
     patched = _count_calls(monkeypatch, mesh, "enumerate_patch")
     classified = _count_calls(monkeypatch, classify, "classify_vertex")
     run(m)
-    assert len(patched) == m.num_vertices
+    assert len(patched) == 1
     assert len(classified) == m.num_vertices
 
 
@@ -379,6 +404,40 @@ def test_spline_dim_command(tmp_path):
     assert report["spline"]["dim_s4"] == 31
     assert report["spline"]["identity_ok"] is True
     assert report["nullity_crosscheck"]["ok"] is True
+
+
+def _composed_spline_dim(m, tol):
+    """The spline-dim report composed stage by stage, topology -> classify
+    -> certify -> rank -> dimensions: the oracle of the command that reads
+    the analyze report."""
+    topology = build_topology(m)
+    reports, summary, _ = classify_mesh(topology, tol)
+    cert = solver.certify(topology, reports)
+    rank = solver.divergence_rank(cert, topology, summary["sigma"], tol)
+    dims = solver.strang_dimensions(topology, summary["sigma"],
+                                    summary["sigma_i"], summary["sigma_b"],
+                                    rank.K)
+    return to_json({
+        "spline": dataclasses.asdict(dims), "K": rank.K, "rank": rank.rank,
+        "nullity_crosscheck": solver.nullity_crosscheck(rank, topology,
+                                                        summary["sigma"]),
+        **{k: summary[k] for k in ("sigma", "sigma_i", "sigma_b")},
+        "meta": {"version": __version__,
+                 "tolerances": dataclasses.asdict(tol)}})
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MESHES) + ["ngon-5"])
+def test_spline_dim_reads_the_analyze_report(tmp_path, monkeypatch, name):
+    """spline-dim makes one analyze_mesh call and writes the bytes of the
+    stage-by-stage composition."""
+    m = ngon_patch(5) if name == "ngon-5" else GOLDEN_MESHES[name]()
+    path, out = tmp_path / "m.mesh", tmp_path / "dims.json"
+    path.write_text(dump_mesh(m))
+    calls = _count_calls(monkeypatch, cli, "analyze_mesh")
+    assert main(["spline-dim", "--mesh", str(path), "--out", str(out)]) \
+        == EXIT_OK
+    assert len(calls) == 1
+    assert out.read_text() == _composed_spline_dim(m, Tolerances())
 
 
 def test_analyze_stable_and_deficient_meta(tmp_path):

@@ -21,8 +21,8 @@ from svstokes.fields import (FieldBlock, FieldError, UnacceptableEdgeError,
                              edge_table, edge_transfer, field_block,
                              local_interpolant, path_interpolant,
                              stack_fields, verify_field)
-from svstokes.mesh import (build_topology, crossed, enumerate_patch,
-                           perturbed_grid, three_lines, type1_diagonal)
+from svstokes.mesh import (build_topology, crossed, perturbed_grid,
+                           three_lines, type1_diagonal)
 from svstokes.trees import build_tree_cover, path_stats, tree_interpolant
 
 TOL = Tolerances()
@@ -141,7 +141,7 @@ def _check_local(patch, topo, target, rng):
 def test_singular_interpolant_crossed_center(rng):
     topo = build_topology(crossed(1))
     center = [v for v in range(topo.V) if not topo.boundary_vertex[v]][0]
-    patch = enumerate_patch(topo, center)
+    patch = topo.patches[center]
     assert classify_vertex(patch, topo)[0].status == SINGULAR
     for _ in range(20):
         raw = rng.standard_normal(patch.N)
@@ -153,7 +153,7 @@ def test_singular_interpolant_crossed_center(rng):
 def test_singular_interpolant_rejects_inadmissible_target(rng):
     topo = build_topology(crossed(1))
     center = [v for v in range(topo.V) if not topo.boundary_vertex[v]][0]
-    patch = enumerate_patch(topo, center)
+    patch = topo.patches[center]
     with pytest.raises(FieldError):
         local_interpolant(patch, [1.0, 0.0, 0.0, 0.0], topo,
                           *classify_vertex(patch, topo, TOL))
@@ -173,7 +173,7 @@ def test_even_interpolant_crossed_eight_valent(rng):
     eights = [r.vertex for r in reports if r.status == EVEN]
     assert eights
     for v in eights:
-        patch = enumerate_patch(topo, v)
+        patch = topo.patches[v]
         for _ in range(5):
             _check_local(patch, topo, rng.standard_normal(patch.N), rng)
 
@@ -215,7 +215,7 @@ def test_boundary_interpolant_perturbed_grids(seed, rng):
     for r in reports:
         if not r.boundary:
             continue
-        patch = enumerate_patch(topo, r.vertex)
+        patch = topo.patches[r.vertex]
         target = rng.standard_normal(patch.N)
         if r.singular:
             if patch.N == 1:
@@ -241,7 +241,7 @@ def test_edge_transfer_matches_targets_and_spill(rng):
     reports, _, _ = classify_mesh(topo)
     interior = [r.vertex for r in reports if not r.boundary]
     for z in interior:
-        patch = enumerate_patch(topo, z)
+        patch = topo.patches[z]
         neighbors = [int(y) for y in patch.spokes
                      if not topo.boundary_vertex[int(y)]]
         if not neighbors:
@@ -258,7 +258,7 @@ def test_edge_transfer_matches_targets_and_spill(rng):
 def test_edge_transfer_rejects_zero_weight_edge():
     topo = build_topology(crossed(1))
     center = [v for v in range(topo.V) if not topo.boundary_vertex[v]][0]
-    patch = enumerate_patch(topo, center)
+    patch = topo.patches[center]
     y = int(patch.spokes[0])
     # the flanking angles at the crossed center are both right angles
     with pytest.raises(UnacceptableEdgeError):
@@ -289,7 +289,7 @@ def _three_hop_path(topo):
     weights = edge_weights(topo)
     index = edge_index(topo)
     interior = [v for v in range(topo.V) if not topo.boundary_vertex[v]]
-    even = {v for v in interior if enumerate_patch(topo, v).N % 2 == 0}
+    even = {v for v in interior if topo.patches[v].N % 2 == 0}
     iset = set(interior)
     for a in interior:
         for b in even:
@@ -317,7 +317,7 @@ def test_path_interpolant_three_hops(rng):
     path = _three_hop_path(topo)
     assert path is not None
     z = path[0]
-    patch = enumerate_patch(topo, z)
+    patch = topo.patches[z]
     # delta target: the chain-signed alternating sum has magnitude one,
     # so the end-spill magnitude is an independent closed-form product
     target = np.zeros(patch.N)
@@ -345,7 +345,7 @@ def test_path_interpolant_rejects_repeated_vertices():
     topo = build_topology(perturbed_grid(3, seed=1))
     interior = [v for v in range(topo.V) if not topo.boundary_vertex[v]]
     z = interior[0]
-    patch = enumerate_patch(topo, z)
+    patch = topo.patches[z]
     with pytest.raises(Exception):
         path_interpolant(topo, [z, z], np.ones(patch.N), TOL)
 
@@ -375,7 +375,7 @@ def _valid_field(kind, rng):
                  and r.local_interpolating)
     else:
         r = next(r for r in reports if r.boundary and not r.singular)
-    patch = enumerate_patch(topo, r.vertex)
+    patch = topo.patches[r.vertex]
     target = rng.standard_normal(patch.N)
     divs = {(t, patch.z): target[j] for j, t in enumerate(patch.tris)}
     if kind == "local":

@@ -2,14 +2,15 @@
 the preset generators."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (GOLDEN_MESHES, PINCHED, bench_mesh, bench_pool,
-                      edge_index)
+from conftest import (GOLDEN_MESHES, MIXED, PINCHED, bench_mesh, bench_pool,
+                      edge_index, type1_with_crossed)
 from svstokes import poly
 from svstokes.mesh import (MeshError, MeshFormatError, Triangulation,
                            VertexPatch, build_topology, crossed, dump_mesh,
@@ -59,6 +60,23 @@ def test_repeated_vertex_in_triangle_rejected():
 def test_degenerate_triangle_rejected():
     with pytest.raises(MeshError):
         load_mesh("vertices 3\n0 0\n1 1\n2 2\ntriangles 1\n0 1 2\n")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: crossed(3, L=1e-200), lambda: crossed(3, L=1e-300),
+    lambda: Triangulation(np.full((3, 2), 0.5), [[0, 1, 2]])],
+    ids=["crossed-3-L1e-200", "crossed-3-L1e-300", "coincident"])
+def test_area_underflowing_to_zero_is_degenerate(make):
+    """Areas and squared diameters that round to zero compare equal: the
+    triangle is degenerate, not a crash in the hat gradients."""
+    with pytest.raises(MeshError, match="^triangle 0 is degenerate$"):
+        make()
+
+
+@pytest.mark.parametrize("L", [1e-150, 1e-160])
+def test_tiny_but_representable_mesh_accepted(L):
+    topo = build_topology(crossed(3, L=L))
+    assert topo.T == 36 and np.all(topo.area > 0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -245,6 +263,11 @@ def _assert_topology_matches_dict_pass(mesh):
     # the topology keeps no edge dict either: the edges' sorted order is
     # the index
     assert edge_index(topo) == want.pop("edge_index")
+    # nor per-vertex triangle tuples: each vertex's fan holds its triangles
+    fans = topo.fans
+    assert [tuple(sorted(fans.tri[a:b].tolist())) for a, b in
+            zip(fans.offset[:-1], fans.offset[1:])] == \
+        list(want.pop("vertex_tris"))
     for name, ref in want.items():
         got = getattr(topo, name)
         if isinstance(ref, np.ndarray):
@@ -306,18 +329,27 @@ def test_geometry_table_matches_the_per_triangle_formulas(make):
     lambda: perturbed_grid(3, seed=1)],
     ids=["crossed-2", "type1-3", "three-lines-2", "perturbed-3-s1"])
 def test_patch_table_matches_enumerate_patch(make):
+    """The patches are read-only slices of the fan table, which a second
+    ``enumerate_patch`` call rebuilds bit for bit."""
     topo = build_topology(make())
+    fans = topo.fans
     assert len(topo.patches) == topo.V
+    again = enumerate_patch(topo)
+    for name, arr in vars(fans).items():
+        assert not arr.flags.writeable, name
+        assert arr.dtype == getattr(again, name).dtype, name
+        assert arr.tobytes() == getattr(again, name).tobytes(), name
     for z, patch in enumerate(topo.patches):
-        fresh = enumerate_patch(topo, z)
-        for f in dataclasses.fields(VertexPatch):
-            a, b = getattr(patch, f.name), getattr(fresh, f.name)
-            if isinstance(a, np.ndarray):
-                assert a.shape == b.shape and a.tobytes() == b.tobytes(), \
-                    (z, f.name)
-                assert not a.flags.writeable, (z, f.name)
-            else:
-                assert a == b, (z, f.name)
+        for a, base in ((patch.theta, fans.theta),
+                        (patch.edge_len, fans.edge_len),
+                        (patch.tangents, fans.tangent),
+                        (patch.normals, fans.normal)):
+            assert a.base is base and not a.flags.writeable, z
+        lo, hi = fans.offset[z], fans.offset[z + 1]
+        assert patch.tris == tuple(fans.tri[lo:hi].tolist())
+        assert fans.center[lo:hi].tolist() == [z] * patch.N
+        assert fans.position[lo:hi].tolist() == list(range(patch.N))
+        assert patch.boundary == fans.boundary[z] == topo.boundary_vertex[z]
         assert patch.z == z and len(patch.slots) == patch.N
         for t, s in zip(patch.tris, patch.slots):
             assert topo.mesh.triangles[t][s] == z
@@ -361,7 +393,7 @@ def test_three_lines_counts():
     # every interior vertex is a regular hexagon center
     for v in range(topo.V):
         if not topo.boundary_vertex[v]:
-            patch = enumerate_patch(topo, v)
+            patch = topo.patches[v]
             assert patch.N == 6
             assert np.allclose(patch.theta, np.pi / 3.0)
 
@@ -370,7 +402,7 @@ def test_ngon_patch_structure():
     topo = build_topology(ngon_patch(6))
     assert topo.T == 6
     assert topo.V0 == 1
-    patch = enumerate_patch(topo, 0)
+    patch = topo.patches[0]
     assert not patch.boundary
     assert patch.N == 6
     assert np.isclose(sum(patch.theta), 2 * np.pi)
@@ -388,7 +420,7 @@ def test_interior_patch_is_ccw_and_closed():
     for v in range(topo.V):
         if topo.boundary_vertex[v]:
             continue
-        patch = enumerate_patch(topo, v)
+        patch = topo.patches[v]
         assert len(patch.spokes) == patch.N
         assert np.isclose(sum(patch.theta), 2 * np.pi)
         tris = topo.mesh.triangles
@@ -405,7 +437,7 @@ def test_boundary_patch_has_extra_spoke():
     for v in range(topo.V):
         if not topo.boundary_vertex[v]:
             continue
-        patch = enumerate_patch(topo, v)
+        patch = topo.patches[v]
         assert patch.boundary
         assert len(patch.spokes) == patch.N + 1
         assert sum(patch.theta) < 2 * np.pi - 1e-9
@@ -425,9 +457,9 @@ def test_perturbed_grid_always_valid(seed, n):
     assert topo.euler_ok
     assert topo.V - topo.E + topo.T == 1
     # each triangle contributes 3 vertex incidences
-    assert sum(len(topo.vertex_tris[v]) for v in range(topo.V)) == 3 * topo.T
+    assert topo.fans.offset[-1] == 3 * topo.T
     for v in range(topo.V):
-        patch = enumerate_patch(topo, v)
+        patch = topo.patches[v]
         total = sum(patch.theta)
         assert total <= 2 * np.pi + 1e-9
 
@@ -439,12 +471,22 @@ def test_triangulation_arrays_read_only():
 
 
 # ---------------------------------------------------------------------------
-# enumerate_patch against its per-triangle loop
+# The fan table against a per-vertex walk over the triangles of each fan
 
-def _loop_enumerate_patch(topology, z):
-    """enumerate_patch as a loop over the fan triangles, one at a time."""
+def _incident(mesh):
+    """Each vertex's triangles in ascending order, one triangle at a time."""
+    incident = [[] for _ in range(mesh.num_vertices)]
+    for t, tri in enumerate(mesh.triangles.tolist()):
+        for v in tri:
+            incident[v].append(t)
+    return incident
+
+
+def _loop_enumerate_patch(topology, z, incident):
+    """The patch of z by a dict walk over its fan triangles ``incident[z]``,
+    one at a time."""
     mesh = topology.mesh
-    incident = topology.vertex_tris[z]
+    incident = incident[z]
     if not incident:
         raise MeshError(f"vertex {z} has no incident triangles")
     # Per triangle, the CCW (incoming, outgoing) far endpoints of the two
@@ -532,24 +574,111 @@ PATCH_MESHES = ([("golden", name) for name in sorted(GOLDEN_MESHES)]
                    bench_pool("certify-dense") + bench_pool("verify-fields")])
 
 
-@pytest.mark.parametrize("source,name", PATCH_MESHES,
-                         ids=[n for _, n in PATCH_MESHES])
-def test_enumerate_patch_equals_its_per_triangle_loop(source, name):
-    """The fan arrays are bit-identical to one-triangle-at-a-time numpy on
-    every golden and benchmark mesh, the angles included."""
-    mesh = GOLDEN_MESHES[name]() if source == "golden" else bench_mesh(name)
-    topo = build_topology(mesh)
+def _fan_mesh(source, name):
+    if source == "golden":
+        return GOLDEN_MESHES[name]()
+    if source == "mixed":
+        return type1_with_crossed(*MIXED[name])
+    return crossed(32) if name == "crossed-32" else bench_mesh(name)
+
+
+def _assert_fans_match_the_walk(topo):
+    incident = _incident(topo.mesh)
     for z, patch in enumerate(topo.patches):
-        want = _loop_enumerate_patch(topo, z)
+        want = _loop_enumerate_patch(topo, z, incident)
         for f in dataclasses.fields(VertexPatch):
             got, ref = getattr(patch, f.name), getattr(want, f.name)
             if isinstance(ref, np.ndarray):
                 assert got.dtype == ref.dtype and got.shape == ref.shape
-                assert np.array_equal(got, ref), (z, f.name)
+                assert got.tobytes() == ref.tobytes(), (z, f.name)
             else:
                 assert got == ref, (z, f.name)
                 assert [type(x) for x in np.atleast_1d(got)] == \
                     [type(x) for x in np.atleast_1d(ref)], (z, f.name)
+
+
+FAN_MESHES = (PATCH_MESHES + [("mixed", name) for name in sorted(MIXED)]
+              + [("large", "crossed-32")])
+
+
+@pytest.mark.parametrize("source,name", FAN_MESHES,
+                         ids=[n for _, n in FAN_MESHES])
+def test_enumerate_patch_equals_its_per_triangle_loop(source, name):
+    """Every field of every patch is bit-identical to the per-vertex dict
+    walk, on every golden and benchmark mesh, crossed-32 and the type-1
+    grids with crossed squares (NotLI vertices, multi-hop covers)."""
+    _assert_fans_match_the_walk(build_topology(_fan_mesh(source, name)))
+
+
+def _first_rejection(mesh):
+    """The message of the first vertex the walk rejects, or None.  The
+    walk reads nothing but the mesh before it rejects a vertex."""
+    incident = _incident(mesh)
+    for z in range(mesh.num_vertices):
+        try:
+            _loop_enumerate_patch(SimpleNamespace(mesh=mesh), z, incident)
+        except MeshError as exc:
+            return str(exc)
+    return None
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 9),
+       amplitude=st.sampled_from([0.0, 0.15, 0.3, 0.45]))
+def test_perturbed_fans_equal_the_per_triangle_loop(seed, n, amplitude):
+    """At amplitude 0.45 some jittered vertices fold triangles over their
+    neighbours: then both reject the same vertex with the same message."""
+    mesh = perturbed_grid(n, seed=seed, amplitude=amplitude)
+    message = _first_rejection(mesh)
+    if message is None:
+        _assert_fans_match_the_walk(build_topology(mesh))
+    else:
+        with pytest.raises(MeshError) as info:
+            build_topology(mesh)
+        assert str(info.value) == message
+
+
+def _two_closed_fans():
+    """Vertex 0 at the center of two closed fans, an inner square and an
+    outer one turned by 45 degrees, joined by a ring of triangles."""
+    ring = np.arange(4) * np.pi / 2
+    verts = np.vstack([[0.0, 0.0],
+                       np.column_stack([np.cos(ring), np.sin(ring)]),
+                       2 * np.column_stack([np.cos(ring + np.pi / 4),
+                                            np.sin(ring + np.pi / 4)])])
+    tris = []
+    for k in range(4):
+        a, a1, b, b1 = 1 + k, 1 + (k + 1) % 4, 5 + k, 5 + (k + 1) % 4
+        tris += [(0, a, a1), (0, b, b1), (a, b, a1), (b, b1, a1)]
+    return verts, np.array(tris)
+
+
+def _error_meshes():
+    pinched = load_mesh(PINCHED)
+    yield "no-triangles", (np.array([[0, 0], [1, 0], [5, 5], [0, 1]], float),
+                           np.array([[0, 1, 3]]))
+    yield "pinched", (pinched.vertices, pinched.triangles)
+    yield "two-closed-fans", _two_closed_fans()
+
+
+@pytest.mark.parametrize("name", ["no-triangles", "pinched",
+                                  "two-closed-fans"])
+@pytest.mark.parametrize("relabel", range(4))
+def test_fan_errors_name_the_first_offender(name, relabel):
+    """A vertex with no triangles, a pinched boundary vertex and a vertex
+    with two closed fans: under any vertex and triangle order the message
+    is the per-vertex walk's for the first vertex it rejects."""
+    verts, tris = dict(_error_meshes())[name]
+    rng = np.random.default_rng(relabel)
+    perm = rng.permutation(len(verts)) if relabel else np.arange(len(verts))
+    tris = np.argsort(perm)[tris]
+    if relabel:
+        tris = tris[rng.permutation(len(tris))]
+    mesh = Triangulation(verts[perm], tris)
+    with pytest.raises(MeshError) as info:
+        build_topology(mesh)
+    message = _first_rejection(mesh)
+    assert message is not None and str(info.value) == message
 
 
 def _loop_corners(mesh):

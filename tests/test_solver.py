@@ -280,8 +280,7 @@ def test_injection_oracle_field_to_matrix():
     rng = np.random.default_rng(8)
     interior = [r for r in reports if not r.boundary]
     for r in interior[:3]:
-        from svstokes.mesh import enumerate_patch
-        patch = enumerate_patch(topo, r.vertex)
+        patch = topo.patches[r.vertex]
         f = local_interpolant(patch, rng.standard_normal(patch.N), topo,
                               *classify_vertex(patch, topo))
         u = velocity_coefficients(topo, nodes, f)[:, 0]
@@ -346,6 +345,91 @@ def test_checkerboard_rejects_constant_mode():
     topo = build_topology(type1_diagonal(3))
     assert not checkerboard_signature(topo, np.ones(6 * topo.T))
     assert not checkerboard_signature(topo, np.zeros(6 * topo.T))
+
+
+def _loop_pressure_constraints(topology, reports):
+    """The constraint rows with one Python loop over each singular fan:
+    the oracle of the scatter over the fan table."""
+    rows = [(topology.area[:, None] * solver._IV2).ravel()]
+    for r in reports:
+        if not r.singular:
+            continue
+        patch = topology.patches[r.vertex]
+        row = np.zeros(6 * topology.T)
+        for j, (t, slot) in enumerate(zip(patch.tris, patch.slots)):
+            row[6 * t + slot] = (-1.0) ** j
+        rows.append(row)
+    C = np.vstack(rows)
+    return C / np.linalg.norm(C, axis=1, keepdims=True)
+
+
+def _loop_checkerboard_signature(topology, mode, rel_tol=0.1):
+    """The checkerboard test with one loop over the patches and a set of
+    signs per patch: the oracle of the segment reduction."""
+    scale = float(np.abs(mode).max())
+    if scale == 0.0:
+        return False
+    for patch in topology.patches:
+        if patch.boundary:
+            continue
+        vals = mode[6 * np.array(patch.tris) + patch.slots]
+        local = np.abs(vals).max()
+        if local < 1e-8 * scale:
+            continue
+        signs = {np.sign(v) * (-1.0) ** j for j, v in enumerate(vals)
+                 if abs(v) >= rel_tol * local}
+        if len(signs) > 1:
+            return False
+    return True
+
+
+FAN_MESHES = {"crossed-2": lambda: crossed(2),
+              "type1-3": lambda: type1_diagonal(3),
+              "perturbed-5-s3": lambda: perturbed_grid(5, seed=3),
+              "two-triangles": lambda: _two_triangle_square()}
+
+
+@pytest.mark.parametrize("name", sorted(FAN_MESHES))
+def test_constraint_rows_equal_the_per_fan_loop(name):
+    """Bit for bit, in the report order given, whatever it is."""
+    topo = build_topology(FAN_MESHES[name]())
+    reports, summary, _ = classify_mesh(topo)
+    for order in (reports, reports[::-1]):
+        C = pressure_constraints(topo, order)
+        assert C.shape == (1 + summary["sigma"], 6 * topo.T)
+        assert C.tobytes() == _loop_pressure_constraints(topo, order).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(FAN_MESHES))
+def test_checkerboard_signature_equals_the_per_fan_loop(name, rng):
+    """On random modes, on modes that alternate around every fan, with one
+    value flipped, with fans below the 1e-8 floor, and at several
+    relative tolerances."""
+    topo = build_topology(FAN_MESHES[name]())
+    fans = topo.fans
+    corner = 6 * fans.tri + fans.slot
+    alternating = np.where(fans.position % 2, -1.0, 1.0)
+    seen = set()
+    for _ in range(8):
+        modes = [rng.standard_normal(6 * topo.T)]
+        mode = rng.standard_normal(6 * topo.T)
+        mode[corner] = alternating * np.abs(mode[corner])
+        modes.append(mode)
+        flipped = mode.copy()
+        flipped[corner[rng.integers(len(corner))]] *= -1.0
+        modes.append(flipped)
+        # every third fan below the floor, and not alternating
+        quiet = mode.copy()
+        low = corner[fans.center % 3 == 0]
+        quiet[low] = 1e-10 * rng.standard_normal(len(low))
+        modes.append(quiet)
+        for m in modes:
+            for rel_tol in (0.0, 0.1, 0.5, 2.0):
+                got = checkerboard_signature(topo, m, rel_tol)
+                assert got is _loop_checkerboard_signature(topo, m, rel_tol)
+                seen.add(got)
+    # without an interior fan every nonzero mode passes
+    assert seen == ({True, False} if topo.V0 else {True})
 
 
 def test_seminorm_infsup_is_scale_invariant():

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (GOLDEN_MESHES, admissible_target, dense, div_at,
-                      div_mean, edge_index, edge_weights, support)
+from conftest import (GOLDEN_MESHES, MIXED, admissible_target, dense, div_at,
+                      div_mean, edge_index, edge_weights, support,
+                      type1_with_crossed)
 from svstokes import trees
 from svstokes.classify import NOT_LI, Tolerances, classify_mesh
 from svstokes.fields import (FieldError, boundary_interpolant,
@@ -581,34 +582,6 @@ def test_tree_interpolant_sends_each_residual_one_hop(rng, monkeypatch):
     assert (u, r) in calls and (w, u) in calls
 
 
-def _type1_with_crossed(n, squares):
-    """The n x n type-1 grid with the listed unit squares (i, j) split by
-    both diagonals instead: the crossed centers are singular, hence local
-    interpolating, and the NotLI vertices of the type-1 part reach them
-    only along trees several edges deep."""
-    def idx(i, j):
-        return i * (n + 1) + j
-    verts = [(float(i), float(j)) for i in range(n + 1) for j in range(n + 1)]
-    tris = []
-    for i in range(n):
-        for j in range(n):
-            a, b, d, e = idx(i, j), idx(i + 1, j), idx(i + 1, j + 1), idx(i, j + 1)
-            if (i, j) in squares:
-                verts.append((i + 0.5, j + 0.5))
-                c = len(verts) - 1
-                tris += [(a, b, c), (b, d, c), (d, e, c), (e, a, c)]
-            else:
-                tris += [(a, b, d), (a, d, e)]
-    return Triangulation(np.array(verts), np.array(tris))
-
-
-MIXED = {
-    "mixed-3": (3, [(0, 2)]),
-    "mixed-6": (6, [(0, 1), (1, 0), (1, 1), (1, 3), (2, 4), (3, 3), (3, 5),
-                    (4, 4)]),
-}
-
-
 @pytest.mark.parametrize("name", sorted(MIXED))
 def test_tree_interpolant_on_multihop_greedy_covers(name, rng, monkeypatch):
     """On a greedy cover whose NotLI vertices sit three or more edges from
@@ -617,7 +590,7 @@ def test_tree_interpolant_on_multihop_greedy_covers(name, rng, monkeypatch):
     and it equals the path oracle's to roundoff (not bit for bit: a
     residual that crosses a vertex now reaches it as a spill, and is sent
     on together with that vertex's own)."""
-    topo = build_topology(_type1_with_crossed(*MIXED[name]))
+    topo = build_topology(type1_with_crossed(*MIXED[name]))
     cover = assert_cover_matches_oracle(topo)
     reports, _, dcoefficients = classify_mesh(topo)
     assert any(r.status == NOT_LI for r in reports)
