@@ -160,7 +160,7 @@ def analyze_mesh(mesh: Triangulation, tol: Tolerances,
 
     cert = solver.certify(topology, reports)
     rank = solver.divergence_rank(cert, topology, summary["sigma"], tol)
-    beta, _ = solver.infsup_constant(cert)
+    beta, _ = solver.infsup_constant(cert, tol, rank)
     modes = solver.spurious_modes(cert, rank)
     dims = solver.strang_dimensions(topology, summary["sigma"],
                                     summary["sigma_i"], summary["sigma_b"],
@@ -352,7 +352,7 @@ def cmd_infsup(args) -> int:
     topology = build_topology(mesh)
     reports, _, _ = classify_mesh(topology, tol)
     cert = solver.certify(topology, reports, seminorm=args.seminorm)
-    beta, eigenvalues = solver.infsup_constant(cert)
+    beta, eigenvalues = solver.infsup_constant(cert, tol)
     out = {
         "beta": beta,
         "smallest_eigenvalues": eigenvalues[:8],

@@ -93,6 +93,18 @@ class Triangulation:
         if len(shared):
             (a, b), n = sides.edges[shared[0]], sides.count[shared[0]]
             raise MeshError(f"edge ({a}, {b}) shared by {n} triangles")
+        # Every triangle is counter-clockwise, so the two sides of an edge
+        # run the same way only when both triangles lie on the same side
+        # of it: they overlap.
+        first = sides.first[order[count == 2]]
+        other = sides.twin.ravel()[first]
+        start = self.triangles.ravel()
+        same = np.flatnonzero(start[first] == start[other])
+        if len(same):
+            t, u = first[same[0]] // 3, other[same[0]] // 3
+            a, b = sides.edges[order[count == 2][same[0]]]
+            raise MeshError(
+                f"triangles {t} and {u} overlap across edge ({a}, {b})")
         # T-junction check: no vertex may lie strictly inside a boundary edge
         # (projection parameter s in (0, 1), cross product at roundoff).
         boundary = order[count == 1]
@@ -400,17 +412,14 @@ def enumerate_patch(topology: MeshTopology) -> FanTable:
     boundary fan at the corner whose side ``s`` has no twin, so that it
     ends on the other boundary edge.  Every fan takes its k-th step at
     once.  Raises MeshError for the first vertex with no triangles or a
-    non-manifold patch."""
+    pinched patch (``Triangulation`` has already rejected overlapping
+    triangles)."""
     mesh = topology.mesh
     V, tris = mesh.num_vertices, mesh.triangles
-    vertex, end = tris.ravel(), np.roll(tris, -1, axis=1).ravel()  # per side
+    vertex = tris.ravel()                  # the start of each side
     twin, n = topology.twin.ravel(), len(vertex)
     deg = np.bincount(vertex, minlength=V)
     offset = np.concatenate([[0], np.cumsum(deg)])
-    # a twin running the same way joins two overlapping triangles
-    same = np.flatnonzero((twin >= 0) & (vertex[twin] == vertex))
-    overlap = np.bincount(np.concatenate([vertex[same], end[same]]),
-                          minlength=V) > 0
     opened = np.flatnonzero(twin < 0)           # side s leaves the fan open
     n_open = np.bincount(vertex[opened], minlength=V)
     start = np.full(V, n)
@@ -428,11 +437,10 @@ def enumerate_patch(topology: MeshTopology) -> FanTable:
         early = more & ((cur < 0) | (cur == start[z]))
         broken[z[early]] = True
         z, cur = z[more & ~early], cur[more & ~early]
-    error = np.select([deg == 0, overlap, (n_open > 1) | broken], [1, 2, 3])
+    error = np.select([deg == 0, (n_open > 1) | broken], [1, 2])
     if error.any():
         z = int(np.argmax(error > 0))
         raise MeshError(("vertex {} has no incident triangles",
-                         "non-manifold patch at vertex {}",
                          "non-manifold (pinched) patch at vertex {}")
                         [error[z] - 1].format(z))
     boundary = n_open > 0

@@ -224,17 +224,26 @@ def constrained_basis(C: np.ndarray, L_M_inv: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# the certificate: one values-only SVD gives K and beta; the spurious modes
-# come from the same triangular factor
+# the certificate: one triangular factor R gives K, beta and the spurious
+# modes; its largest singular value comes from the top eigenvalue of R^T R,
+# the bottom of its spectrum from inverse Lanczos on R^T R
 
 # Relative size of the constraints applied to the divergences, C M^-1 B,
 # above which the constrained space does not contain the range of B.
 RANGE_RTOL = 1e6 * np.finfo(float).eps
 
+# Inverse Lanczos: the most steps one run may take; the Ritz residual,
+# relative to its Ritz value, below which a Ritz pair counts as converged;
+# and the fraction of the largest Ritz value below which a Ritz value is
+# not lifted in the same round, since it carries the largest one's roundoff.
+LANCZOS_STEPS = 300
+LANCZOS_RTOL = 1e-12
+LANCZOS_RANGE = 1e-8
+
 
 @dataclass(frozen=True)
 class Certificate:
-    """Spectrum of the weighted divergence pairing
+    """Triangular factor of the weighted divergence pairing
 
         W = Q_2^T L_M^-1 B L_A^-T,   A = L_A L_A^T,   M = L_M L_M^T,
 
@@ -247,13 +256,12 @@ class Certificate:
     With W^T = Q_X R (Q_X has orthonormal columns), ``factor`` is R: W
     has the singular values of R, and its left null vectors are the null
     vectors of R, which ``spurious_modes`` maps back through the
-    reflectors and L_M^-T.  A spectrum alone (no factor) certifies K and
-    beta but no modes.
+    reflectors and L_M^-T.  A factor alone (no reflectors) certifies K
+    and beta but no modes.
     """
 
-    singular_values: np.ndarray     # descending, min(p, n) of them
+    factor: np.ndarray              # R, (min(p, n), p), upper
     shape: tuple                    # (p, n): constrained pressures, velocities
-    factor: np.ndarray | None = None        # R, (min(p, n), p), upper
     reflectors: np.ndarray | None = None    # QR of Z, (6T, 1 + sigma)
     tau: np.ndarray | None = None           # its scalars, (1 + sigma,)
     mass_factor_inv: np.ndarray | None = None   # L_M^-1, (T, 6, 6)
@@ -264,7 +272,7 @@ def _check_range_inclusion(G: np.ndarray, k: int):
     """Every divergence, as a pressure M^-1 B, satisfies the k constraint
     rows.  With G = Q^T L_M^-1 B, C M^-1 B is R_Z^T G[:k] for the
     invertible triangular factor R_Z of Z, so it vanishes exactly when the
-    first k rows of G do.  The SVD only sees the remaining rows, so a
+    first k rows of G do.  The factor R only sees the remaining rows, so a
     range outside the constrained space would go unnoticed there."""
     dev = float(np.linalg.norm(G[:k]))
     scale = float(np.linalg.norm(G))
@@ -277,8 +285,8 @@ def _check_range_inclusion(G: np.ndarray, k: int):
 def certify(topology: MeshTopology, reports,
             seminorm: bool = False) -> Certificate:
     """Assemble the pairing and its norms, check that the constrained
-    pressures contain every divergence, and take the singular values of
-    the square factor of W; every command builds this same certificate."""
+    pressures contain every divergence, and factor W; every command
+    builds this same certificate."""
     nodes = number_dofs(topology)
     B = assemble_divergence(topology, nodes)
     A_s, blocks = assemble_norms(topology, nodes, seminorm=seminorm)
@@ -319,10 +327,113 @@ def certify(topology: MeshTopology, reports,
     _, R = scipy.linalg.qr(X.reshape(n, p, order="F"), mode="raw",
                            overwrite_a=True, check_finite=False)
     del X, _
-    s = scipy.linalg.svd(R, compute_uv=False, check_finite=False)
-    return Certificate(singular_values=s, shape=(p, n), factor=R,
-                       reflectors=reflectors, tau=tau,
-                       mass_factor_inv=L_M_inv, divergence=B)
+    return Certificate(factor=R, shape=(p, n), reflectors=reflectors,
+                       tau=tau, mass_factor_inv=L_M_inv, divergence=B)
+
+
+def _square_factor(cert: Certificate) -> np.ndarray:
+    """R zero-padded to p x p when there are fewer velocities than
+    constrained pressures (R itself otherwise)."""
+    p = cert.shape[0]
+    if cert.factor.shape[0] == p:
+        return cert.factor
+    R = np.zeros((p, p))
+    R[:cert.factor.shape[0]] = cert.factor
+    return R
+
+
+def _floored(R: np.ndarray) -> np.ndarray:
+    """The square R with its diagonal entries below eps * p * max|r_ii|
+    raised to that floor, for solving with it (a copy only if one is):
+    exact zero pivots occur, and the floor perturbs R only at roundoff
+    level."""
+    diag = np.diagonal(R)
+    floor = np.finfo(float).eps * len(R) * np.abs(diag).max(initial=0.0)
+    low = np.flatnonzero(np.abs(diag) < floor)
+    if len(low):
+        R = R.copy()
+        R[low, low] = np.copysign(floor, diag[low])
+    return R
+
+
+def _top_singular_value(R: np.ndarray) -> float:
+    """Largest singular value of R, from the top eigenvalue of R^T R: one
+    ``dsyrk`` into one p x p array, and one eigenvalue of it.  Squaring
+    loses no accuracy at the top of the spectrum."""
+    p = R.shape[1]
+    if not R.size:
+        return 0.0
+    values = dict(lower=False, eigvals_only=True, overwrite_a=True,
+                  check_finite=False)
+    try:
+        top = scipy.linalg.eigh(scipy.linalg.blas.dsyrk(1.0, R.T),
+                                subset_by_index=[p - 1, p - 1], **values)[0]
+    except scipy.linalg.LinAlgError:
+        # The MRRR driver fails on large clusters of equal eigenvalues, such
+        # as the exact ones at the top of a seminorm spectrum; QR does not.
+        top = scipy.linalg.eigh(scipy.linalg.blas.dsyrk(1.0, R.T),
+                                driver="ev", **values)[-1]
+    return float(np.sqrt(max(top, 0.0)))
+
+
+def _inverse_gram(F: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """(F^T F)^-1 X for the square upper triangular F: two triangular
+    solves."""
+    X = scipy.linalg.solve_triangular(F, X, trans="T", check_finite=False)
+    return scipy.linalg.solve_triangular(F, X, check_finite=False)
+
+
+def _inverse_lanczos(F: np.ndarray, thr: float):
+    """(s_min, Y): the smallest singular value of the square triangular F
+    and, as the columns of Y, the Ritz vectors of the singular values at or
+    below thr whose Ritz values lie within LANCZOS_RANGE of the largest.
+
+    Lanczos with full reorthogonalization on (F^T F)^-1 from a fixed-seed
+    start.  It stops once the largest Ritz value and every one in Y have a
+    Ritz residual within LANCZOS_RTOL of themselves; after LANCZOS_STEPS
+    steps without that it raises RankIndeterminateError."""
+    p = len(F)
+    steps = min(p, LANCZOS_STEPS)
+    basis = np.empty((steps, p))
+    alpha, beta = [], []
+    q = np.random.default_rng(0).standard_normal(p)
+    q /= np.linalg.norm(q)
+    for k in range(steps):
+        basis[k] = q
+        w = _inverse_gram(F, q)
+        alpha.append(float(q @ w))
+        done = basis[:k + 1]
+        for _ in range(2):
+            w -= done.T @ (done @ w)
+        beta.append(float(np.linalg.norm(w)))
+        theta, S = scipy.linalg.eigh_tridiagonal(alpha, beta[:-1])
+        # the small Ritz values carry roundoff of the largest, down to 0
+        s = 1.0 / np.sqrt(np.maximum(theta, np.finfo(float).tiny))
+        converged = beta[-1] * np.abs(S[-1]) <= LANCZOS_RTOL * theta
+        lift = (s <= thr) & (theta >= LANCZOS_RANGE * theta[-1])
+        # (an invariant subspace, beta 0, has every residual 0)
+        if converged[-1] and converged[lift].all():
+            return float(s[-1]), done.T @ S[:, lift]
+        q = w / beta[-1]
+    raise RankIndeterminateError(
+        f"inverse Lanczos did not converge in {steps} steps")
+
+
+def _lift(R: np.ndarray, rows: np.ndarray):
+    """Replace the upper triangular R, in place, by the triangular factor
+    of [R; rows], one Givens rotation per pivot and row: R^T R gains
+    rows^T rows."""
+    p = len(R)
+    flat = R.reshape(-1)
+    drot = scipy.linalg.blas.drot
+    for w in rows:
+        w = np.array(w)                 # contiguous: drot rotates it in place
+        for j in range(p):
+            r = np.hypot(R[j, j], w[j])
+            if w[j] == 0.0 or r == 0.0:
+                continue
+            drot(flat, w, R[j, j] / r, w[j] / r, n=p - j, offx=j * p + j,
+                 offy=j, overwrite_x=1, overwrite_y=1)
 
 
 @dataclass(frozen=True)
@@ -331,35 +442,67 @@ class RankResult:
     nullity: int
     K: int
     expected_dim: int       # 6T - 1 - sigma
-    gap: float              # smallest accepted / largest rejected s.v.,
-                            # the latter floored at eps * max(shape) * smax
-    singular_values: np.ndarray
+    gap: float              # beta / the largest |R v| of the lifted v,
+                            # floored at eps * max(shape) * smax
+    beta: float             # smallest accepted singular value
+    smax: float             # largest singular value
 
 
 def divergence_rank(cert: Certificate, topology: MeshTopology, sigma: int,
                     tol: Tolerances = Tolerances()) -> RankResult:
-    """Rank of the pairing and the deficiency K, with the gap test: the
-    accepted singular values must clear the rejected ones by 10x."""
-    sv = cert.singular_values
-    smax = sv[0] if len(sv) else 0.0
+    """Rank of the pairing, the deficiency K and beta, with the gap test:
+    the accepted singular values must clear the rejected ones by 10x.
+
+    A singular value is accepted above tol.rank * smax.  Inverse Lanczos
+    finds the smallest singular value of the square factor; while it is
+    at or below that threshold, every converged Ritz vector v there is
+    lifted: R is replaced by the factor of [R; smax v^T], which moves v to
+    the top of the spectrum and leaves the rest in place.  The number of
+    lifted vectors is p - rank, and beta is the smallest singular value of
+    the lifted factor."""
+    p = cert.shape[0]
+    smax = _top_singular_value(cert.factor)
     thr = tol.rank * smax
-    accepted = sv[sv > thr]
-    rejected = sv[sv <= thr]
-    gap = float("inf")
+    R, beta = _square_factor(cert), 0.0
     # A rejected value below roundoff level is noise whose size depends on
     # the LAPACK kernel; the gap measures against the roundoff floor then,
     # and also when nothing is rejected.
-    floor = np.finfo(float).eps * max(cert.shape) * smax
-    largest_rejected = max(rejected[0], floor) if len(rejected) else floor
+    largest_rejected = np.finfo(float).eps * max(cert.shape) * smax
+    lifted = 0 if smax > 0.0 else p
+    while lifted < p:
+        F = _floored(R)
+        beta, Y = _inverse_lanczos(F, thr)
+        if not Y.shape[1]:
+            break
+        # One step of block inverse iteration damps the Ritz vectors'
+        # error along each larger singular value s_j by (s / s_j)^2; the
+        # singular values of R (unfloored) on that block then decide what
+        # is lifted.
+        V = np.linalg.qr(_inverse_gram(F, Y))[0]
+        del F
+        RV = R @ V
+        mu, Z = np.linalg.eigh(RV.T @ RV)
+        s = np.sqrt(np.maximum(mu, 0.0))
+        if s[0] > thr:
+            raise RankIndeterminateError(
+                f"inverse Lanczos put singular value {beta:.3e} at or below "
+                f"the threshold {thr:.3e}, its block puts none there")
+        largest_rejected = max(largest_rejected, float(s[s <= thr][-1]))
+        V = V @ Z[:, s <= thr]
+        if R is cert.factor:
+            R = R.copy()
+        _lift(R, smax * V.T)
+        lifted += V.shape[1]
+    if lifted == p:                 # nothing accepted
+        beta = 0.0
+    gap = float("inf")
     if largest_rejected > 0.0:
-        gap = (float(accepted[-1] / largest_rejected) if len(accepted)
-               else 0.0)
+        gap = float(beta / largest_rejected)
         if gap < 10.0:
             raise RankIndeterminateError(
-                f"singular values {accepted[-1]:.3e} / "
-                f"{largest_rejected:.3e} straddle the threshold {thr:.3e} "
-                f"with gap {gap:.2f} < 10")
-    rank = int(len(accepted))
+                f"singular values {beta:.3e} / {largest_rejected:.3e} "
+                f"straddle the threshold {thr:.3e} with gap {gap:.2f} < 10")
+    rank = p - lifted
     expected = 6 * topology.T - 1 - sigma
     K = expected - rank
     if K < 0:
@@ -367,21 +510,25 @@ def divergence_rank(cert: Certificate, topology: MeshTopology, sigma: int,
             f"rank {rank} exceeds the constrained pressure dimension "
             f"{expected}; range inclusion violated")
     return RankResult(rank=rank, nullity=cert.shape[1] - rank, K=K,
-                      expected_dim=expected, gap=gap, singular_values=sv)
+                      expected_dim=expected, gap=gap, beta=beta, smax=smax)
 
 
-def infsup_constant(cert: Certificate, zero_tol: float = 1e-10):
-    """(beta, eigenvalues): the eigenvalues of the pressure Schur complement
-    on the constrained space in the mass inner product, ascending, those
-    below zero_tol times the largest reported as exactly 0; beta is the
-    square root of the smallest nonzero one."""
-    s = cert.singular_values
+def infsup_constant(cert: Certificate, tol: Tolerances = Tolerances(),
+                    rank: RankResult | None = None):
+    """(beta, eigenvalues): beta is the smallest singular value that the
+    rank accepts (above tol.rank times the largest).  Given the
+    ``divergence_rank`` of the same certificate, beta is read from it and
+    no eigenvalue is listed (None).  Otherwise one values-only SVD of the
+    factor lists the eigenvalues of the pressure Schur complement on the
+    constrained space in the mass inner product, ascending, with those of
+    the singular values at or below the threshold reported as exactly 0."""
+    if rank is not None:
+        return rank.beta, None
+    s = scipy.linalg.svd(cert.factor, compute_uv=False, check_finite=False)
+    accepted = s > tol.rank * (s[0] if len(s) else 0.0)
     eig = np.zeros(cert.shape[0])
-    eig[len(eig) - len(s):] = s[::-1] ** 2
-    scale = eig[-1] if len(eig) and eig[-1] > 0 else 1.0
-    eig[eig <= zero_tol * scale] = 0.0
-    nonzero = s[s ** 2 > zero_tol * scale]
-    beta = float(nonzero[-1]) if len(nonzero) else 0.0
+    eig[len(eig) - len(s):] = np.where(accepted, s, 0.0)[::-1] ** 2
+    beta = float(s[accepted][-1]) if accepted.any() else 0.0
     return beta, eig
 
 
@@ -400,19 +547,12 @@ def spurious_modes(cert: Certificate, rank: RankResult):
     K = p - rank.rank
     if not K:
         return []
-    R = np.zeros((p, p))
-    R[:cert.factor.shape[0]] = cert.factor
-    diag = np.diagonal(R)
-    floor = np.finfo(float).eps * p * np.abs(diag).max()
-    low = np.flatnonzero(np.abs(diag) < floor)
-    R[low, low] = np.copysign(floor, diag[low])
+    R = _floored(_square_factor(cert))
     V = np.random.default_rng(0).standard_normal((p, K))
     # Each step shrinks the other directions by (s_null / s_K+1)^2,
     # roundoff over beta squared, so the second step only polishes.
     for _ in range(2):
-        V = scipy.linalg.solve_triangular(R, V, trans="T", check_finite=False)
-        V = scipy.linalg.solve_triangular(R, V, check_finite=False)
-        V, _ = np.linalg.qr(V)
+        V, _ = np.linalg.qr(_inverse_gram(R, V))
     U = np.zeros((cert.reflectors.shape[0], K))
     U[-p:] = V
     Q = _block_apply(cert.mass_factor_inv.transpose(0, 2, 1),

@@ -1,12 +1,17 @@
-"""The weighted-SVD certificate: agreement with an independent computation
-(singular values of the raw divergence matrix, generalized eigenproblem of
-the pressure Schur complement), the properties of the spurious modes, the
-single factorization behind an analysis, the checks that guard it, and
-invariance under similarity over the double range."""
+"""The certificate: agreement with an independent computation (singular
+values of the raw divergence matrix, generalized eigenproblem of the
+pressure Schur complement), the properties of the spurious modes, the
+single factorization behind an analysis, the checks that guard it,
+invariance under similarity over the double range, and K and beta from
+the lifted inverse Lanczos against the full SVD and an inertia count."""
 
 import dataclasses
+import json
+import subprocess
+import sys
 from collections import Counter
 from functools import cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,10 +19,12 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import GOLDEN_MESHES, rigid_motion
+from conftest import (GOLDEN_MESHES, MIXED, bench_mesh, bench_pool,
+                      rigid_motion, type1_with_crossed)
 from svstokes import cli, solver
 from svstokes.classify import Tolerances, classify_mesh
-from svstokes.mesh import build_topology, crossed, perturbed_grid, type1_diagonal
+from svstokes.mesh import (Triangulation, build_topology, crossed, dump_mesh,
+                           perturbed_grid, type1_diagonal)
 
 TOL = Tolerances()
 
@@ -84,7 +91,7 @@ def test_certificate_agrees_with_the_raw_rank_and_schur_eigenproblem(
     assert (rr.rank, rr.K) == (rank, K)
     assert beta == pytest.approx(beta_ref, rel=1e-9)
     # the nonzero singular values lie in [beta, sqrt(2)]
-    assert cert.singular_values[0] <= np.sqrt(2.0) * (1 + 1e-12)
+    assert rr.smax <= np.sqrt(2.0) * (1 + 1e-12)
     assert np.sum(eig == 0.0) == rr.K
     assert np.sqrt(eig[rr.K]) == pytest.approx(beta, rel=1e-12)
 
@@ -163,25 +170,27 @@ def test_modes_of_a_factor_with_exact_zero_pivots():
     reflectors, tau = solver.constrained_basis(C, L_M_inv)
     Q = scipy.linalg.qr(np.linalg.solve(L, C.T))[0]
     cert = solver.Certificate(
-        singular_values=scipy.linalg.svdvals(R), shape=(p, p), factor=R,
-        reflectors=reflectors, tau=tau, mass_factor_inv=L_M_inv,
-        divergence=L @ Q[:, k:] @ R.T)
+        factor=R, shape=(p, p), reflectors=reflectors, tau=tau,
+        mass_factor_inv=L_M_inv, divergence=L @ Q[:, k:] @ R.T)
+    s = scipy.linalg.svdvals(R)
     rr = solver.RankResult(rank=p - 3, nullity=3, K=3, expected_dim=p,
-                           gap=np.inf, singular_values=cert.singular_values)
+                           gap=np.inf, beta=float(s[-4]), smax=float(s[0]))
     modes = np.column_stack(solver.spurious_modes(cert, rr))
     assert np.abs(modes.T @ L @ L.T @ modes - np.eye(3)).max() < 1e-12
     assert np.abs(C @ modes).max() < 1e-12 * np.abs(modes).max()
     _assert_same_span(modes, np.linalg.solve(L.T, Q[:, k:] @ null))
 
 
-def test_analyze_takes_one_values_only_svd_and_no_null_space(monkeypatch):
+def test_analyze_takes_no_svd_and_one_gram_eigenvalue(monkeypatch,
+                                                      tmp_path):
     calls = Counter()
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            if name == "svd" and not kwargs.get("compute_uv", True):
-                calls["svd values only"] += 1
+            if name == "eigh" and kwargs.get("eigvals_only") and \
+                    kwargs.get("subset_by_index") is not None:
+                calls["eigh one eigenvalue"] += 1
             return fn(*args, **kwargs)
         return wrapper
 
@@ -193,10 +202,22 @@ def test_analyze_takes_one_values_only_svd_and_no_null_space(monkeypatch):
         calls.clear()
         report, modes = cli.analyze_mesh(mesh, TOL)
         assert report["divergence"]["K"] == len(modes) == K
-        assert calls["null_space"] == calls["svdvals"] == 0
-        assert calls["svd"] == calls["svd values only"] == 1
-        assert calls["eigh"] == calls["eigvalsh"] == calls["solve"] == 0
+        assert calls["null_space"] == calls["svdvals"] == calls["svd"] == 0
+        assert calls["eigh"] == calls["eigh one eigenvalue"] == 1
+        assert calls["eigvalsh"] == calls["solve"] == 0
         assert calls["lstsq"] == calls["pinv"] == 0
+    calls.clear()
+    path = tmp_path / "type1-3.mesh"
+    path.write_text(dump_mesh(type1_diagonal(3)))
+    out = tmp_path / "spline.json"
+    assert cli.main(["spline-dim", "--mesh", str(path), "--out", str(out)]) == 0
+    assert calls["svd"] == calls["svdvals"] == 0 and calls["eigh"] == 1
+
+
+def test_cli_does_not_import_arpack():
+    code = ("import sys, svstokes.cli; "
+            "sys.exit('scipy.sparse.linalg' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 def test_velocity_gram_not_spd_is_a_solver_error(monkeypatch):
@@ -276,6 +297,7 @@ def _base_invariants(name):
        angle=st.floats(0.0, 2 * np.pi),
        exponent=st.floats(-8.0, 8.0))
 @example(name="crossed-2", angle=0.0, exponent=-7.0)
+@example(name="crossed-2", angle=6.283185307179585, exponent=0.0)
 @example(name="perturbed-3-s13", angle=0.0, exponent=np.log10(3e7))
 @example(name="crossed-2", angle=1.0, exponent=-8.0)
 @example(name="perturbed-3-s13", angle=2.0, exponent=8.0)
@@ -286,3 +308,261 @@ def test_certificate_invariant_under_rotation_and_scaling(name, angle,
     sigma0, classes0, K0, beta0 = _base_invariants(name)
     assert (sigma, classes, K) == (sigma0, classes0, K0)
     assert beta == pytest.approx(beta0, rel=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# K and beta from the bottom of the spectrum, against the full SVD and the
+# inertia of [[-tau I, R], [R^T, -tau I]]
+
+def _square(R):
+    p = R.shape[1]
+    out = np.zeros((p, p))
+    out[:len(R)] = R
+    return out
+
+
+def _svd_oracle(cert, tol=TOL):
+    """(K, beta, gap) from every singular value of the factor: K counts
+    those at or below tol.rank * s_max (the padding zeros included), beta
+    is the smallest above, gap the old rule over both."""
+    s = scipy.linalg.svdvals(cert.factor)
+    thr = tol.rank * s[0]
+    accepted, rejected = s[s > thr], s[s <= thr]
+    floor = np.finfo(float).eps * max(cert.shape) * s[0]
+    largest = max(rejected[0], floor) if len(rejected) else floor
+    K = len(rejected) + cert.shape[0] - len(s)
+    return K, float(accepted[-1]), float(accepted[-1] / largest)
+
+
+def _negative_eigenvalues(d):
+    """Negative eigenvalues of the block-diagonal D of an LDL^T
+    factorization (1 x 1 and 2 x 2 blocks)."""
+    off, n, i, count = np.diagonal(d, -1), len(d), 0, 0
+    while i < n:
+        if i + 1 < n and off[i] != 0.0:
+            count += int(np.sum(np.linalg.eigvalsh(d[i:i + 2, i:i + 2]) < 0))
+            i += 2
+        else:
+            count += int(d[i, i] < 0)
+            i += 1
+    return count
+
+
+def _inertia_K(cert, tol=TOL):
+    """#{s < tau} for tau = tol.rank * s_max: the symmetric matrix
+    [[-tau I, R], [R^T, -tau I]] of the square factor has the eigenvalues
+    -tau -+ s, so p + #{s < tau} of them are negative (Sylvester)."""
+    R = _square(cert.factor)
+    p = len(R)
+    tau = tol.rank * scipy.linalg.svdvals(R)[0]
+    H = np.block([[-tau * np.eye(p), R], [R.T, -tau * np.eye(p)]])
+    _, d, _ = scipy.linalg.ldl(H)
+    return _negative_eigenvalues(d) - p
+
+
+def _oracle_case(name):
+    if name in GOLDEN_MESHES:
+        return GOLDEN_MESHES[name]()
+    if name in MIXED:
+        return type1_with_crossed(*MIXED[name])
+    return {"crossed-8": lambda: crossed(8),
+            "type1-1": lambda: type1_diagonal(1)}.get(
+                name, lambda: bench_mesh(name))()
+
+
+ORACLE_MESHES = (sorted(GOLDEN_MESHES) + bench_pool("certify-dense")
+                 + ["crossed-8"] + sorted(MIXED) + ["type1-1"])
+
+
+@pytest.mark.parametrize("name", ORACLE_MESHES)
+def test_lifted_lanczos_agrees_with_the_svd_and_the_inertia(name):
+    """The same K as the full SVD and as the inertia oracle, beta within
+    1e-12 of the SVD's, and the same gap; type1-1 has fewer velocities
+    than constrained pressures (p > n)."""
+    topo, reports, summary = _classified(_oracle_case(name))
+    cert = solver.certify(topo, reports)
+    rr = solver.divergence_rank(cert, topo, summary["sigma"], TOL)
+    K, beta, gap = _svd_oracle(cert)
+    assert rr.K == rr.expected_dim - rr.rank == K == _inertia_K(cert)
+    assert rr.beta == pytest.approx(beta, rel=1e-12)
+    assert rr.gap == pytest.approx(gap, rel=1e-12)
+    assert solver.infsup_constant(cert, TOL, rr) == (rr.beta, None)
+    assert solver.infsup_constant(cert, TOL)[0] == beta
+    if name == "type1-1":
+        assert cert.shape[0] > cert.shape[1]
+
+
+def _factor_with_spectrum(s, seed=0):
+    """An upper triangular factor with the singular values s: the R of
+    the QR of U diag(s) V^T for random orthogonal U and V."""
+    rng = np.random.default_rng(seed)
+    U = scipy.linalg.qr(rng.standard_normal((len(s), len(s))))[0]
+    V = scipy.linalg.qr(rng.standard_normal((len(s), len(s))))[0]
+    return scipy.linalg.qr((U * s) @ V.T, mode="r")[0]
+
+
+# divergence_rank reads only T from the topology: p = 6T - 1 - sigma
+P_SYNTH = 23
+TOPO_SYNTH = SimpleNamespace(T=4)
+
+
+def test_top_singular_value_survives_an_mrrr_failure(monkeypatch):
+    """The MRRR driver failed on the seminorm factor of crossed-2 turned
+    by 2 pi, whose spectrum is topped by a cluster of exact ones; the QR
+    driver takes over there, and wherever MRRR fails."""
+    topo, reports, _ = _classified(rigid_motion(crossed(2),
+                                                angle=6.283185307179585))
+    R = solver.certify(topo, reports, seminorm=True).factor
+    assert solver._top_singular_value(R) == pytest.approx(
+        scipy.linalg.svdvals(R)[0], rel=1e-14)
+    eigh = scipy.linalg.eigh
+
+    def mrrr_fails(*args, **kwargs):
+        if kwargs.get("subset_by_index") is not None:
+            raise scipy.linalg.LinAlgError("Internal Error.")
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", mrrr_fails)
+    topo, reports, _ = _classified(crossed(2))
+    R = solver.certify(topo, reports).factor
+    assert solver._top_singular_value(R) == pytest.approx(
+        scipy.linalg.svdvals(R)[0], rel=1e-14)
+
+
+def _synthetic(s, seed=0):
+    R = _factor_with_spectrum(np.asarray(s, dtype=float), seed)
+    return solver.Certificate(factor=R, shape=R.shape)
+
+
+def _spread(low, high, k, seed=1):
+    return np.sort(np.random.default_rng(seed).uniform(low, high, k))[::-1]
+
+
+def _count_lanczos_runs(monkeypatch):
+    runs = []
+    lanczos = solver._inverse_lanczos
+
+    def counted(F, thr):
+        s_min, Y = lanczos(F, thr)
+        runs.append(Y.shape[1])
+        return s_min, Y
+
+    monkeypatch.setattr(solver, "_inverse_lanczos", counted)
+    return runs
+
+
+@pytest.mark.parametrize("zeros,gap_rel,lifting_runs", [
+    ([0.0, 0.0, 0.0], 1e-12, 1),
+    ([0.0, 3e-17, 1e-15], 1e-12, 1),
+    # 1e-10 lies 1e12 below the Ritz values of the other two: a second
+    # round lifts it.  Any method knows it only to eps * s_max absolute,
+    # so the gap agrees to about 1e-6.
+    ([1e-16, 1e-12, 1e-10], 1e-5, 2)])
+def test_three_null_directions_are_lifted_and_repeated(monkeypatch, zeros,
+                                                       gap_rel, lifting_runs):
+    runs = _count_lanczos_runs(monkeypatch)
+    cert = _synthetic(np.concatenate([_spread(0.3, 1.4, P_SYNTH - 3), zeros]))
+    rr = solver.divergence_rank(cert, TOPO_SYNTH, 0, TOL)
+    K, beta, gap = _svd_oracle(cert)
+    assert rr.K == K == _inertia_K(cert) == 3 and rr.rank == P_SYNTH - 3
+    assert rr.beta == pytest.approx(beta, rel=1e-12)
+    assert rr.gap == pytest.approx(gap, rel=gap_rel)
+    # one run per round of lifts, and a last run that lifts nothing
+    assert sum(runs) == 3 and runs[-1] == 0
+    assert len(runs) == lifting_runs + 1
+
+
+def test_exact_zero_pivots_give_the_known_deficiency():
+    """The factor of ``test_modes_of_a_factor_with_exact_zero_pivots``,
+    three pivots exactly zero: K = 3 without a spectrum."""
+    rng = np.random.default_rng(7)
+    p = P_SYNTH
+    R = np.triu(rng.standard_normal((p, p)))
+    R[np.diag_indices(p)] = rng.uniform(1.0, 2.0, p)
+    for j in (2, 7, 12):
+        R[:j, j] = R[:j, :j] @ rng.standard_normal(j)
+        R[j, j] = 0.0
+    cert = solver.Certificate(factor=R, shape=(p, p))
+    rr = solver.divergence_rank(cert, TOPO_SYNTH, 0, TOL)
+    K, beta, _ = _svd_oracle(cert)
+    assert rr.K == K == _inertia_K(cert) == 3
+    assert rr.beta == pytest.approx(beta, rel=1e-12)
+
+
+def test_straddling_spectrum_is_indeterminate():
+    # 2e-9 accepted and 9e-10 rejected: ratio 2.2 across the threshold
+    cert = _synthetic(np.concatenate([_spread(0.3, 1.0, P_SYNTH - 2),
+                                      [2e-9, 9e-10]]))
+    with pytest.raises(solver.RankIndeterminateError, match="straddle"):
+        solver.divergence_rank(cert, TOPO_SYNTH, 0, TOL)
+
+
+@pytest.mark.parametrize("small", [1e-8, 6e-7, 1e-6, 9e-6])
+def test_beta_is_the_smallest_accepted_value_in_the_old_band(small):
+    """A singular value between tol.rank (1e-9) and 1e-5 times s_max is
+    accepted by the rank, so it is beta, in analyze and in infsup."""
+    s = np.concatenate([_spread(0.3, 1.0, P_SYNTH - 1), [small]])
+    cert = _synthetic(s)
+    rr = solver.divergence_rank(cert, TOPO_SYNTH, 0, TOL)
+    assert rr.K == 0 and rr.rank == P_SYNTH
+    assert rr.beta == pytest.approx(small, rel=1e-9)
+    beta, eig = solver.infsup_constant(cert, TOL)
+    assert beta == pytest.approx(small, rel=1e-9)
+    assert eig[0] == pytest.approx(small ** 2, rel=1e-9) and eig.min() > 0
+
+
+def _crossed_2_shifted(dx):
+    """crossed-2 with the centre vertex of square (0, 0) moved by dx in
+    x: it stops being singular, and its patch gives one small but nonzero
+    singular value."""
+    mesh = crossed(2)
+    v = mesh.vertices.copy()
+    v[np.argmin(np.hypot(v[:, 0] - 0.5, v[:, 1] - 0.5)), 0] += dx
+    return Triangulation(v, mesh.triangles)
+
+
+@pytest.mark.parametrize("dx", [1e-5, 1e-6, 1e-8])
+def test_shifted_crossed_centre_reports_its_small_beta(tmp_path, dx):
+    path = tmp_path / "shifted.mesh"
+    path.write_text(dump_mesh(_crossed_2_shifted(dx)))
+    topo, reports, summary = _classified(_crossed_2_shifted(dx))
+    cert = solver.certify(topo, reports)
+    K, beta, _ = _svd_oracle(cert)
+    assert K == 0 and beta < 1e-4
+    for command in ("analyze", "infsup"):
+        out = tmp_path / f"{command}.json"
+        assert cli.main([command, "--mesh", str(path), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        got = report["divergence"] if command == "analyze" else report
+        assert got["beta"] == pytest.approx(beta, rel=1e-9)
+        if command == "analyze":
+            assert (got["K"], got["rank"]) == (0, 92)
+        else:
+            assert got["smallest_eigenvalues"][0] > 0.0
+
+
+def test_straddle_is_exit_3(tmp_path, monkeypatch, capsys):
+    cert = _synthetic(np.concatenate([_spread(0.3, 1.0, P_SYNTH - 2),
+                                      [2e-9, 9e-10]]))
+    monkeypatch.setattr(solver, "certify", lambda *args, **kwargs: cert)
+    path = tmp_path / "mesh"
+    path.write_text(dump_mesh(crossed(1)))
+    out = tmp_path / "report.json"
+    assert cli.main(["analyze", "--mesh", str(path), "--out", str(out)]) == 3
+    assert "straddle" in capsys.readouterr().err and not out.exists()
+
+
+@pytest.mark.parametrize("steps", [1, 2, 5])
+def test_lanczos_step_cap_is_exit_3_never_K_0(tmp_path, monkeypatch, capsys,
+                                               steps):
+    monkeypatch.setattr(solver, "LANCZOS_STEPS", steps)
+    path = tmp_path / "mesh"
+    path.write_text(dump_mesh(crossed(2)))
+    out = tmp_path / "report.json"
+    assert cli.main(["analyze", "--mesh", str(path), "--out", str(out)]) == 3
+    assert "did not converge" in capsys.readouterr().err
+    assert not out.exists()
+    topo, reports, summary = _classified(crossed(2))
+    with pytest.raises(solver.RankIndeterminateError):
+        solver.divergence_rank(solver.certify(topo, reports), topo,
+                               summary["sigma"], TOL)

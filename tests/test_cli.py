@@ -212,6 +212,17 @@ def test_pinched_vertex_is_input_error(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", ["analyze", "verify-fields", "infsup",
                                      "spline-dim"])
+def test_overlapping_triangles_are_input_error(tmp_path, capsys, command):
+    bad = tmp_path / "overlap.mesh"
+    bad.write_text("vertices 4\n0 0\n1 0\n0 1\n0.3 0.3\n"
+                   "triangles 2\n0 1 2\n0 1 3\n")
+    assert main([command, "--mesh", str(bad)]) == EXIT_INPUT
+    assert "triangles 0 and 1 overlap across edge (0, 1)" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify-fields", "infsup",
+                                     "spline-dim"])
 @pytest.mark.parametrize("case", ["L1e-200", "L1e-300", "coincident"])
 def test_area_underflow_is_input_error(tmp_path, capsys, command, case):
     """Meshes whose triangle areas round to zero exit 2 from every

@@ -2,6 +2,7 @@
 the preset generators."""
 
 import dataclasses
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -627,8 +628,16 @@ def _first_rejection(mesh):
        amplitude=st.sampled_from([0.0, 0.15, 0.3, 0.45]))
 def test_perturbed_fans_equal_the_per_triangle_loop(seed, n, amplitude):
     """At amplitude 0.45 some jittered vertices fold triangles over their
-    neighbours: then both reject the same vertex with the same message."""
-    mesh = perturbed_grid(n, seed=seed, amplitude=amplitude)
+    neighbours: the generator rejects those meshes, which overlap.  On any
+    other mesh a rejection names the walk's vertex with its message."""
+    try:
+        mesh = perturbed_grid(n, seed=seed, amplitude=amplitude)
+    except MeshError as exc:
+        assert amplitude > 0.3
+        assert re.fullmatch(rf"amplitude {amplitude} produced an invalid "
+                            r"mesh: triangles \d+ and \d+ overlap across "
+                            r"edge \(\d+, \d+\)", str(exc))
+        return
     message = _first_rejection(mesh)
     if message is None:
         _assert_fans_match_the_walk(build_topology(mesh))
@@ -638,19 +647,66 @@ def test_perturbed_fans_equal_the_per_triangle_loop(seed, n, amplitude):
         assert str(info.value) == message
 
 
-def _two_closed_fans():
-    """Vertex 0 at the center of two closed fans, an inner square and an
-    outer one turned by 45 degrees, joined by a ring of triangles."""
-    ring = np.arange(4) * np.pi / 2
-    verts = np.vstack([[0.0, 0.0],
-                       np.column_stack([np.cos(ring), np.sin(ring)]),
-                       2 * np.column_stack([np.cos(ring + np.pi / 4),
-                                            np.sin(ring + np.pi / 4)])])
+# Two triangles on the same side of their shared edge (0, 1): vertex 3
+# lies inside triangle 0.
+OVERLAP = np.array([[0, 0], [1, 0], [0, 1], [0.3, 0.3]]), np.array(
+    [[0, 1, 2], [0, 1, 3]])
+
+
+@pytest.mark.parametrize("relabel", range(4))
+def test_triangulation_rejects_overlapping_triangles(relabel):
+    """The sides of a shared edge run the same way only when both
+    triangles lie on the same side of it; ``Triangulation`` rejects that,
+    under any vertex and triangle order and either orientation."""
+    verts, tris = OVERLAP
+    rng = np.random.default_rng(relabel)
+    perm = rng.permutation(len(verts)) if relabel else np.arange(len(verts))
+    tris = np.argsort(perm)[tris]
+    if relabel:
+        tris = tris[rng.permutation(len(tris))][:, ::-1]
+    a, b = sorted(np.argsort(perm)[[0, 1]])
+    with pytest.raises(MeshError, match=rf"triangles [01] and [01] overlap "
+                                        rf"across edge \({a}, {b}\)"):
+        Triangulation(verts[perm], tris)
+
+
+def test_folded_perturbed_grid_is_a_generator_error():
+    # the walk at the parent rejected vertex 13 ("non-manifold patch")
+    with pytest.raises(MeshError, match=r"amplitude 0.45 produced an invalid "
+                                        r"mesh: triangles 13 and 23 overlap "
+                                        r"across edge \(13, 14\)"):
+        perturbed_grid(5, seed=0, amplitude=0.45)
+
+
+def _two_closed_fans(M=6):
+    """Vertex 1 at the center of two closed fans that share no edge: two
+    sheets of a double cover of the disk of radius 3, branched at its
+    center (vertex 0, one fan of angle 4 pi).  Rings of radius 1, 2 and 3
+    have 2M points each, at the angles 2 pi k / M for k < 2M, so points k
+    and k + M lie on top of each other; vertex 1 is both points of the
+    middle ring at angle 0.  Every edge has its two triangles on opposite
+    sides, so no two triangles overlap across an edge, though whole
+    sheets overlap."""
+    angle = 2 * np.pi * (np.arange(2 * M) % M) / M      # copies bit-equal
+    ring = np.column_stack([np.cos(angle), np.sin(angle)])
+    verts = [[0.0, 0.0], [2.0, 0.0]]
+    index = np.empty((3, 2 * M), dtype=np.int64)
+    for r in range(3):
+        for k in range(2 * M):
+            if r == 1 and k % M == 0:
+                index[r, k] = 1
+                continue
+            index[r, k] = len(verts)
+            verts.append((r + 1) * ring[k])
     tris = []
-    for k in range(4):
-        a, a1, b, b1 = 1 + k, 1 + (k + 1) % 4, 5 + k, 5 + (k + 1) % 4
-        tris += [(0, a, a1), (0, b, b1), (a, b, a1), (b, b1, a1)]
-    return verts, np.array(tris)
+    for k in range(2 * M):
+        k1 = (k + 1) % (2 * M)
+        tris.append((0, index[0, k], index[0, k1]))
+        for r in range(2):
+            a, b = index[r, k], index[r, k1]
+            c, d = index[r + 1, k], index[r + 1, k1]
+            tris += [(a, c, d), (a, d, b)]
+    return np.array(verts), np.array(tris)
 
 
 def _error_meshes():

@@ -76,8 +76,10 @@ def _rank(mesh):
 
 
 def _spectrum(B):
-    """A certificate holding only the singular values of a synthetic B."""
-    return Certificate(singular_values=scipy.linalg.svdvals(B), shape=B.shape)
+    """A certificate whose factor, the R of the QR of B^T, has the
+    singular values of a synthetic B."""
+    return Certificate(factor=scipy.linalg.qr(B.T, mode="r")[0],
+                       shape=B.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +485,7 @@ def test_rank_exceeding_constrained_dimension_raises():
 def test_nullity_crosscheck_mismatch_raises():
     topo = build_topology(_two_triangle_square())
     bogus = RankResult(rank=5, nullity=99, K=0, expected_dim=5, gap=1e6,
-                       singular_values=np.array([1.0]))
+                       beta=1.0, smax=1.0)
     with pytest.raises(SolverError):
         nullity_crosscheck(bogus, topo, sigma=0)
 
