@@ -7,7 +7,7 @@ certifying even-valence interior vertices, and the resulting per-vertex
 classification.  The edge weights M_e^z = cot phi_1 + cot phi_2, the
 cotangents of the two angles at z beside the edge e, are sums of two
 entries of the corner table ``topology.cot``; ``trees.build_tree_cover``
-and ``trees.path_stats`` read them at both ends of each interior edge.
+reads them at both ends of each interior edge.
 """
 
 from __future__ import annotations

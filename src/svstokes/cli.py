@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
 import numpy as np
 
-from . import __version__, solver
+from . import __version__, poly, solver
 from .classify import Tolerances, classify_mesh
-from .fields import (FieldError, VertexValues, boundary_interpolant,
-                     local_interpolant, stack_fields, verify_field)
+from .fields import (FieldBlock, FieldError, VertexValues,
+                     boundary_interpolant, local_interpolant, verify_field)
 from .mesh import (MeshError, MeshFormatError, PRESETS, Triangulation,
                    build_topology, dump_mesh, generate, load_mesh)
 from .trees import build_tree_cover, check_hypotheses
@@ -234,29 +235,53 @@ def render_svg(mesh: Triangulation, report: dict, modes,
 # ---------------------------------------------------------------------------
 # field verification suites
 
-def _suite_fields(patch, targets, topology, report, dco):
-    """(FieldBlock, expected VertexValues) pairs of the rows of a target
-    block (S, N) that construct: when the block raises FieldError its rows
-    are retried one by one, and those that raise again are left out."""
+def _suite_fields(topology, group, targets, dcoefficients):
+    """Yield (vertices, FieldBlock, expected VertexValues) for the fields
+    of a group of verified vertices that share (boundary, status, N), with
+    their targets (G, S, N): field f of a block is the field of a target at
+    vertex ``vertices[f]``.  The group is one interpolant call; when it
+    raises FieldError, each vertex is retried alone, then each of its rows,
+    and the rows that raise again are left out."""
+    patches = [topology.patches[r.vertex] for r in group]
     try:
-        if report.boundary:
-            block, side = boundary_interpolant(patch, targets, topology,
-                                               report)
+        if group[0].boundary:
+            block, side = boundary_interpolant(patches, targets, topology,
+                                               group)
         else:
-            block = local_interpolant(patch, targets, topology, report, dco)
+            block = local_interpolant(patches, targets, topology, group,
+                                      [dcoefficients[r.vertex] for r in group])
             side = None
     except FieldError:
-        if len(targets) == 1:
-            return []
-        return [part for row in targets
-                for part in _suite_fields(patch, row[None], topology, report,
-                                          dco)]
-    field, j = np.divmod(np.arange(targets.size), patch.N)
-    expected = VertexValues(field, np.asarray(patch.tris)[j],
-                            np.full(targets.size, patch.z), targets.ravel())
+        G, S = targets.shape[:2]
+        if G > 1:
+            parts = [([r], targets[g:g + 1]) for g, r in enumerate(group)]
+        elif S > 1:
+            parts = [(group, targets[:, s:s + 1]) for s in range(S)]
+        else:
+            return
+        for sub, part in parts:
+            yield from _suite_fields(topology, sub, part, dcoefficients)
+        return
+    G, S, N = targets.shape
+    vertex = np.array([r.vertex for r in group])
+    tris = np.array([p.tris for p in patches])
+    expected = VertexValues(np.arange(targets.size) // N,
+                            np.broadcast_to(tris[:, None], targets.shape)
+                            .ravel(), np.repeat(vertex, S * N),
+                            targets.ravel())
     if side is not None:
         expected = VertexValues(*map(np.concatenate, zip(expected, side)))
-    return [(block, expected)]
+    yield np.repeat(vertex, S), block, expected
+
+
+# Fields per interpolant call of the suites: the vertices of a patch
+# shape are interpolated in calls of at most this many fields, whose edge
+# tables and contractions take memory in proportion.  Every benchmark mesh
+# (at most 20 vertices of one shape, 40 fields at two samples) takes one
+# call per shape.  At crossed(32) with two samples (shapes of up to 1024
+# vertices) the peak RSS is 74.6 MiB at 64, 76.2 at 128, 80.5 at 256 and
+# 128 MiB with one call per shape, at the same speed.
+SUITE_FIELDS = 64
 
 
 def run_field_suites(mesh: Triangulation, tol: Tolerances, samples: int,
@@ -264,41 +289,68 @@ def run_field_suites(mesh: Triangulation, tol: Tolerances, samples: int,
     """Random-target interpolation property suite; deterministic per seed.
 
     Each vertex's targets are drawn as one (samples, N) block, the same
-    stream as one draw per sample, and interpolated by one call; one
-    ``verify_field`` call checks the fields of every vertex."""
+    stream as one draw per sample.  The verified vertices that share a
+    patch shape and class, (boundary, status, N), are interpolated
+    together, in calls of at most SUITE_FIELDS fields, whose fields go
+    straight into the suite's arrays, and one ``verify_field`` call checks
+    the fields of every vertex."""
     if samples < 1:
         raise _InputError(f"--samples must be at least 1, got {samples}")
     topology = build_topology(mesh)
     reports, _, dcoefficients = classify_mesh(topology, tol)
     rng = np.random.default_rng(seed)
     verified = []                  # reports of the verified vertices
-    built = []                     # fields built for each verified vertex
-    parts = []                     # their (FieldBlock, VertexValues) pairs
+    targets = {}                   # their target blocks by vertex
+    groups = {}                    # their reports by patch shape and class
     for r in reports:
         patch = topology.patches[r.vertex]
-        targets = rng.standard_normal((samples, patch.N))
+        a = rng.standard_normal((samples, patch.N))
         if r.singular and patch.N > 1:
             signs = (-1.0) ** np.arange(patch.N)
-            targets -= signs * (targets @ signs)[:, None] / patch.N
+            a -= signs * (a @ signs)[:, None] / patch.N
         elif r.singular:
-            targets[:] = 0.0
+            a[:] = 0.0
         if not (r.boundary or r.local_interpolating):
             continue
-        got = _suite_fields(patch, targets, topology, r,
-                            dcoefficients[r.vertex])
-        parts += got
-        built.append(sum(block.F for block, _ in got))
         verified.append(r)
-    block, expected = stack_fields(topology, parts)
-    parts.clear()                  # the stacked copy replaces them
-    failed = verify_field(block, expected).failed_fields()
-    owner = np.repeat(np.arange(len(verified)), built)
-    n_fail = samples - np.array(built, dtype=np.int64)     # not constructed
-    np.add.at(n_fail, owner[failed], 1)
+        targets[r.vertex] = a
+        groups.setdefault((r.boundary, r.status, patch.N), []).append(r)
+
+    # A field has at most N rows, and leaves at most 2 N side effects.
+    rows = samples * sum(r.valence for r in verified)
+    sides = 2 * samples * sum(r.valence for r in verified
+                              if r.boundary and not r.singular)
+    block = (np.empty(rows, dtype=np.int64), np.empty(rows, dtype=np.int64),
+             np.empty((rows, 2, len(poly.MONO3))))
+    expected = VertexValues(*(np.empty(rows + sides, dtype=np.int64)
+                              for _ in range(3)), np.empty(rows + sides))
+    owner = np.empty(samples * len(verified), dtype=np.int64)
+    F = R = E = 0                  # fields, rows and expected values so far
+    step = max(SUITE_FIELDS // samples, 1)
+    chunks = [group[lo:lo + step] for group in groups.values()
+              for lo in range(0, len(group), step)]
+    for chunk in chunks:
+        for vertices, part, values in _suite_fields(
+                topology, chunk, np.stack([targets[r.vertex] for r in chunk]),
+                dcoefficients):
+            owner[F:F + part.F] = vertices
+            for out, a in zip(block, (part.field + F, part.tri, part.coeffs)):
+                out[R:R + len(a)] = a
+            for out, a in zip(expected, (values.field + F, *values[1:])):
+                out[E:E + len(a)] = a
+            F, R, E = F + part.F, R + len(part.field), E + len(values.field)
+    suite = FieldBlock(topology, F, *(a[:R] for a in block))
+    for a in (suite.field, suite.tri, suite.coeffs):
+        a.setflags(write=False)
+    failed = owner[verify_field(suite, VertexValues(
+        *(a[:E] for a in expected))).failed_fields()]
+    n_fail = (samples - np.bincount(owner[:F], minlength=topology.V)
+              + np.bincount(failed, minlength=topology.V))
+    n_fail = n_fail[np.array([r.vertex for r in verified], dtype=np.int64)]
     lines = [f"vertex {r.vertex:4d} [{r.status}]: "
              f"{'pass' if not n else f'FAIL ({n}/{samples})'}"
              for r, n in zip(verified, n_fail.tolist())]
-    return lines, not any(n_fail)
+    return lines, not n_fail.any()
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +432,10 @@ def cmd_spline_dim(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` keeps
+    no state between calls (each gets a fresh namespace)."""
     parser = argparse.ArgumentParser(
         prog="svstokes",
         description="Divergence-stability toolkit for cubic Lagrange "

@@ -4,8 +4,10 @@ All constructions live on small vertex patches: the per-patch table of
 edge fields, normal correctors and zero-edge-mean scalars, the local
 interpolants (singular / odd / even vertex cases), the boundary
 interpolant, and the edge/path transfer machinery that moves
-vertex-divergence targets along acceptable mesh edges.  Each returns its
-fields as one FieldBlock of support rows, which verify_field checks.
+vertex-divergence targets along acceptable mesh edges.  The table and
+the interpolants take a group of patches of one shape at once.  Each
+construction returns its fields as one FieldBlock of support rows, which
+verify_field checks.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import poly
-from .classify import SINGULAR, DCoefficients, Tolerances, VertexReport
+from .classify import SINGULAR, Tolerances
 from .mesh import MeshTopology, VertexPatch
 
 
@@ -73,14 +75,15 @@ class FieldBlock:
 
 
 def _rows_block(topology, tris, coeffs):
-    """FieldBlock of coefficients (N, 2, 10) over the ascending triangles
-    ``tris``, one field, or of the F fields of (F, N, 2, 10) ones."""
-    rows = coeffs.reshape((-1,) + coeffs.shape[-3:])
-    F, N = rows.shape[:2]
-    rows = rows.reshape(F * N, 2, len(poly.MONO3))
+    """FieldBlock of coefficients (..., N, 2, 10), one field per leading
+    index in C order, over the triangles ``tris`` broadcast to (..., N),
+    ascending along N."""
+    rows = coeffs.reshape(-1, 2, len(poly.MONO3))
+    N = coeffs.shape[-3]
     keep = np.flatnonzero(rows.any(axis=(1, 2)))
-    return FieldBlock(topology, F, _frozen(keep // N),
-                      _frozen(np.asarray(tris)[keep % N]), _frozen(rows[keep]))
+    tri = np.broadcast_to(tris, coeffs.shape[:-2]).reshape(-1)[keep]
+    return FieldBlock(topology, prod(coeffs.shape[:-3]), _frozen(keep // N),
+                      _frozen(tri), _frozen(rows[keep]))
 
 
 def field_block(topology: MeshTopology, coeffs) -> FieldBlock:
@@ -104,36 +107,68 @@ _NO_VALUES = VertexValues(*(_frozen(np.zeros(0, dtype=np.int64))
                             for _ in range(3)), _frozen(np.zeros(0)))
 
 
-def stack_fields(topology: MeshTopology, parts):
-    """One (FieldBlock, VertexValues) pair of a sequence of them on
-    ``topology``, the fields of each part numbered after those of the
-    parts before it."""
-    parts = list(parts)
-    if any(block.topology is not topology for block, _ in parts):
-        raise FieldError("fields live on different topologies")
-    blocks, values = [b for b, _ in parts], [v for _, v in parts]
-    offset = np.cumsum([0] + [b.F for b in blocks])
-    none = (np.zeros(0, dtype=np.int64),)
-
-    def numbered(groups):
-        return (np.concatenate(none + tuple(g.field for g in groups))
-                + np.repeat(offset[:-1], [len(g.field) for g in groups]))
-
-    block = FieldBlock(
-        topology, int(offset[-1]), _frozen(numbered(blocks)),
-        _frozen(np.concatenate(none + tuple(b.tri for b in blocks))),
-        _frozen(np.concatenate([np.zeros((0, 2, len(poly.MONO3)))]
-                               + [b.coeffs for b in blocks])))
-    return block, VertexValues(numbered(values), *(
-        np.concatenate(none + tuple(v[i] for v in values)) for i in (1, 2, 3)))
-
-
 def center_divergences(topology: MeshTopology, coeffs, patch: VertexPatch):
     """Divergence at the patch center on each of ``patch.tris`` of the
     field with dense coefficients ``coeffs`` (T, 2, 10)."""
     tris = np.asarray(patch.tris)
     div = _div_coeffs(topology.hat_grads[tris], coeffs[tris])
     return div[np.arange(patch.N), poly.VERTEX2[np.asarray(patch.slots)]]
+
+
+# ---------------------------------------------------------------------------
+# Patch groups
+#
+# Every construction takes a group of G vertex patches of one shape (the
+# same valence N, all interior or all on the boundary) and builds their
+# fields in one array program with a leading G axis.  One patch is a group
+# of one.
+
+
+def _patch_group(patches) -> tuple:
+    """A group of patches as a tuple; one VertexPatch is a group of one."""
+    group = (patches,) if isinstance(patches, VertexPatch) else tuple(patches)
+    if len({(p.N, p.boundary) for p in group}) != 1:
+        raise FieldError("a patch group needs patches of one shape "
+                         "(valence, boundary)")
+    return group
+
+
+def _targets(patch: VertexPatch, target, what: str):
+    """A target vector (N,) or block (S, N) as floats."""
+    a = np.asarray(target, dtype=float)
+    if a.ndim not in (1, 2) or a.shape[-1] != patch.N:
+        raise FieldError(f"expected {patch.N} {what}, got "
+                         f"{a.shape[-1] if a.ndim else a.size}")
+    return a
+
+
+def _group(patches, target, reports, what, dcos=None):
+    """(patches, reports, d-coefficients, targets (G, S, N)) of an
+    interpolant call.  A group takes sequences of G patches, reports and
+    d-coefficients and a target array (G, S, N); one patch, with its
+    report, its d-coefficients and a target vector (N,) or block (S, N),
+    is a group of one."""
+    if isinstance(patches, VertexPatch):
+        a = _targets(patches, target, what)
+        patches, reports, dcos = (patches,), (reports,), (dcos,)
+        a = a.reshape((1,) * (3 - a.ndim) + a.shape)
+    else:
+        patches, reports = _patch_group(patches), tuple(reports)
+        dcos = (None,) * len(patches) if dcos is None else tuple(dcos)
+        a = np.asarray(target, dtype=float)
+        if a.ndim != 3 or a.shape[::2] != (len(patches), patches[0].N):
+            raise FieldError(f"expected {what} of shape ({len(patches)}, S, "
+                             f"{patches[0].N}), got {a.shape}")
+    if len(reports) != len(patches) or len(dcos) != len(patches):
+        raise FieldError("a patch group needs one report and one set of "
+                         "d-coefficients per patch")
+    for patch, report in zip(patches, reports):
+        if report.vertex != patch.z:
+            raise FieldError(f"report of vertex {report.vertex} given for "
+                             f"the patch of vertex {patch.z}")
+    if len({r.status for r in reports}) > 1:
+        raise FieldError("a patch group needs vertices of one class")
+    return patches, reports, dcos, a
 
 
 # ---------------------------------------------------------------------------
@@ -167,46 +202,59 @@ _SPOKE_SLOT = np.array([2, 1])    # the spoke's slot after z's in each
 
 @dataclass(frozen=True)
 class EdgeTable:
-    """The interior-edge fields of one vertex patch, over ``patch.tris``.
+    """The interior-edge fields of a group of G vertex patches of one
+    shape, each over its ``patch.tris``.
 
-    Row k belongs to interior edge k, shared by tris[k] and tris[k+1]
-    (cyclically on an interior patch), and is zero off those two
-    triangles: ``w[k]`` is its edge field (unit vertex divergence at z),
-    ``chi[k]`` its normal corrector (interior patches only, else None) and
-    ``kappa[k]`` its zero-edge-mean scalar.  ``l_z2[j]`` is l_z^2 on
-    tris[j], the profile of the directional correctors.
+    ``corner[g, j]`` and ``spoke[g]`` index the fan table
+    (``topology.fans``) at triangle j and at the spokes of patch g.  Row
+    [g, k] belongs to interior edge k of patch g, shared by tris[k] and
+    tris[k+1] (cyclically on an interior patch), and is zero off those two
+    triangles: ``w[g, k]`` is its edge field (unit vertex divergence at
+    z), ``chi[g, k]`` its normal corrector (interior patches only, else
+    None) and ``kappa[g, k]`` its zero-edge-mean scalar.  ``l_z2[g, j]``
+    is l_z^2 on tris[j], the profile of the directional correctors.
     """
 
-    patch: VertexPatch
-    w: np.ndarray               # (n_int, N, 2, 10)
-    chi: np.ndarray | None      # (N, N, 2, 10)
-    kappa: np.ndarray           # (n_int, N, 10)
-    l_z2: np.ndarray            # (N, 10)
+    patches: tuple
+    corner: np.ndarray          # (G, N)
+    spoke: np.ndarray           # (G, N + boundary)
+    w: np.ndarray               # (G, n_int, N, 2, 10)
+    chi: np.ndarray | None      # (G, N, N, 2, 10)
+    kappa: np.ndarray           # (G, n_int, N, 10)
+    l_z2: np.ndarray            # (G, N, 10)
 
 
-def edge_table(patch: VertexPatch, topology: MeshTopology) -> EdgeTable:
-    """Gather every edge field of the patch from _SQUARE and _KAPPA by the
-    slot of z and the slot of the spoke in each edge triangle."""
-    n, m = patch.N, patch.n_interior_edges
-    slots = np.asarray(patch.slots)
+def edge_table(patches, topology: MeshTopology) -> EdgeTable:
+    """Gather every edge field of a group of patches of one shape (or of
+    one patch, a group of one) from _SQUARE and _KAPPA by the slot of z
+    and the slot of the spoke in each edge triangle."""
+    patches = _patch_group(patches)
+    fans = topology.fans
+    n, m, bd = patches[0].N, patches[0].n_interior_edges, int(
+        patches[0].boundary)
+    z = np.array([p.z for p in patches])
+    corner = fans.offset[z][:, None] + np.arange(n)
+    spoke = fans.spoke_offset[z][:, None] + np.arange(n + bd)
+    slots = fans.slot[corner]
     k = np.arange(m)
     pos = (k[:, None] + _PAIR) % n                    # (m, 2) edge triangles
-    sz = slots[pos]
+    sz = slots[:, pos]
     # the edge's spoke is the outgoing one of tris[k], the incoming one of
     # tris[k+1]: slots z + 2 and z + 1 of a counter-clockwise triangle
     sy = (sz + _SPOKE_SLOT) % 3
-    eta = np.zeros((m, n, len(poly.MONO3)))          # l_z^2 l_y
-    kappa = np.zeros((m, n, len(poly.MONO3)))
-    eta[k[:, None], pos] = _SQUARE[sz, sy]
-    kappa[k[:, None], pos] = _KAPPA[sz, sy]
-    vec = topology.mesh.vertices[_edge_spokes(patch)] - patch.center  # y - z
-    w = vec[:, None, :, None] * eta[:, :, None, :]
+    eta = np.zeros((len(z), m, n, len(poly.MONO3)))   # l_z^2 l_y
+    kappa = np.zeros_like(eta)
+    eta[:, k[:, None], pos] = _SQUARE[sz, sy]
+    kappa[:, k[:, None], pos] = _KAPPA[sz, sy]
+    vertices = topology.mesh.vertices
+    vec = vertices[fans.spoke[spoke[:, bd:bd + m]]] - vertices[z][:, None]
+    w = vec[:, :, None, :, None] * eta[:, :, :, None, :]
     chi = None
-    if not patch.boundary:
-        normal = (12.0 / patch.edge_len)[:, None] * patch.normals
-        chi = normal[:, None, :, None] * eta[:, :, None, :]
-    return EdgeTable(patch=patch, w=w, chi=chi, kappa=kappa,
-                     l_z2=_L_Z2[slots])
+    if not bd:
+        normal = (12.0 / fans.edge_len[spoke])[..., None] * fans.normal[spoke]
+        chi = normal[:, :, None, :, None] * eta[:, :, :, None, :]
+    return EdgeTable(patches=patches, corner=corner, spoke=spoke, w=w,
+                     chi=chi, kappa=kappa, l_z2=_L_Z2[slots])
 
 
 def _edge_spokes(patch: VertexPatch) -> np.ndarray:
@@ -215,12 +263,22 @@ def _edge_spokes(patch: VertexPatch) -> np.ndarray:
                                     + int(patch.boundary)]
 
 
-def _patch_block(topology, patch, coeffs):
-    """FieldBlock of (N, 2, 10) coefficients over patch.tris, or of the S
-    fields of (S, N, 2, 10) ones."""
-    order = np.argsort(patch.tris)
-    return _rows_block(topology, np.asarray(patch.tris)[order],
-                       coeffs[..., order, :, :])
+def _sorted_rows(topology, table, coeffs):
+    """The triangles (G, N) of each patch of the group in ascending order,
+    and the coefficients (G, S, N, 2, 10) over patch.tris in that order."""
+    tris = topology.fans.tri[table.corner]
+    order = np.argsort(tris, axis=1)
+    g = np.arange(len(tris))[:, None]
+    return (tris[g, order],
+            coeffs[g[..., None], np.arange(coeffs.shape[1])[:, None],
+                   order[:, None]])
+
+
+def _patch_block(topology, table, coeffs):
+    """FieldBlock of the group's (G, S, N, 2, 10) coefficients over
+    patch.tris: field g S + s is the field of target s of patch g."""
+    tris, rows = _sorted_rows(topology, table, coeffs)
+    return _rows_block(topology, tris[:, None], rows)
 
 
 def _edge_slot(patch: VertexPatch, y: int) -> int:
@@ -232,14 +290,22 @@ def _edge_slot(patch: VertexPatch, y: int) -> int:
     return int(k[0])
 
 
-def _xi(table: EdgeTable, i: int, dco: DCoefficients):
-    """(uncorrected, mean-zero corrected) directional corrector of
-    direction i in {1, 2}, each (N, 2, 10)."""
-    n, n_mono = table.l_z2.shape
-    tilde = np.zeros((n, 2, n_mono))
-    tilde[:, i - 1] = table.l_z2
+def _xi(table: EdgeTable, i, c):
+    """(uncorrected, mean-zero corrected) corrector of direction i[g] in
+    {0, 1, 2} of each patch of an interior group, each (G, N, 2, 10),
+    from the patches' c-coefficients (G, N, 2).  Directions 1 and 2 are the
+    directional correctors; direction 0 is the sum of the normal
+    correctors, whose uncorrected part is zero."""
+    i = np.asarray(i)
+    G, n, n_mono = table.l_z2.shape
+    tilde = np.zeros((G, n, 2, n_mono))
+    g = np.flatnonzero(i > 0)
+    tilde[g, :, i[g] - 1] = table.l_z2[g]
     # c_{N,i} = 0: the last corrector drops out
-    return tilde, tilde - _combine(dco.c[:-1, i - 1], table.chi[:-1])
+    weights = c[np.arange(G), :, np.maximum(i - 1, 0)]
+    weights[:, -1] = 0.0
+    weights[i == 0] = -1.0
+    return tilde, tilde - _combine(weights, table.chi)
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +320,18 @@ def _xi(table: EdgeTable, i: int, dco: DCoefficients):
 
 
 def _combine(c, rows):
-    """sum_q c[..., q] rows[q] for one weight vector or a block of them.
+    """sum_q c[g, ..., q] rows[g, q] for each member g of a group: weights
+    (G, ..., Q) and rows (G, Q, ...), where a leading axis of 1 stands for
+    the whole group.
 
-    The terms are added in q order, so a row of a block gets the very bits
-    of its own call (a BLAS product would sum a block and a vector in
-    different orders)."""
+    The terms are added in q order, so a member of a group and a block
+    row get the very bits of their own call (a BLAS product would sum
+    groups and blocks of different sizes in different orders)."""
     c = np.asarray(c)
-    terms = c[..., :, None] * rows.reshape(len(rows), prod(rows.shape[1:]))
-    return terms.sum(axis=-2).reshape(c.shape[:-1] + rows.shape[1:])
+    flat = rows.reshape(rows.shape[:2] + (prod(rows.shape[2:]),))
+    flat = flat.reshape(flat.shape[:1] + (1,) * (c.ndim - 2) + flat.shape[1:])
+    terms = c[..., None] * flat
+    return terms.sum(axis=-2).reshape(terms.shape[:-2] + rows.shape[2:])
 
 
 @lru_cache(maxsize=None)
@@ -272,183 +342,185 @@ def _signed_prefix(n):
 
 
 @lru_cache(maxsize=None)
-def _chain(n: int, boundary: bool, seed_pos: int):
+def _chains(n: int, boundary: bool):
     """(S, sign): the chain basis of a patch of n triangles seeded at
-    tris[seed_pos] is v_p = sum_q S[p, q] w_q + sign[p] seed.
+    tris[s] is v_p = sum_q S[s, p, q] w_q + sign[s, p] seed, for every
+    seed position s.
 
     On an interior patch the chain runs once round the cycle; on a
     boundary patch it runs forward and backward from the seed, so the
     sign of the pollution a seed leaves elsewhere alternates with the
     distance from the seed.
     """
+    s = np.arange(n)[:, None, None]
     p, q = np.arange(n)[:, None], np.arange(n - int(boundary))
     if boundary:
-        forward = (seed_pos <= q) & (q < p)
-        backward = (p <= q) & (q < seed_pos)
+        forward = (s <= q) & (q < p)
+        backward = (p <= q) & (q < s)
         steps = np.where(forward, p - 1 - q, q - p)
         on_chain = forward | backward
-        dist = np.abs(np.arange(n) - seed_pos)
+        dist = np.abs(p - s)
     else:
-        rp, rq = (p - seed_pos) % n, (q - seed_pos) % n
+        rp, rq = (p - s) % n, (q - s) % n
         steps = rp - 1 - rq
         on_chain = rq < rp
-        dist = rp[:, 0]
+        dist = rp
     return (_frozen(np.where(on_chain, (-1.0) ** steps, 0.0)),
-            _frozen((-1.0) ** dist))
+            _frozen((-1.0) ** dist[..., 0]))
 
 
-def _contract(table: EdgeTable, a, seed, seed_pos):
-    """Coefficients (N, 2, 10) of sum_p a_p v_p for the chain basis of
-    ``seed`` at ``seed_pos``, and the chain signs; a block of targets
-    (S, N) gives (S, N, 2, 10)."""
-    patch = table.patch
-    S, sign = _chain(patch.N, patch.boundary, seed_pos)
+def _contract(table, a, seed, seed_pos):
+    """Coefficients (G, S, N, 2, 10) of sum_p a[g, s, p] v_p for the chain
+    basis of each patch's seed (G, N, 2, 10) at tris[seed_pos[g]], and the
+    chain signs (G, N)."""
+    patch = table.patches[0]
+    S, sign = _chains(patch.N, patch.boundary)
+    seed_pos = np.broadcast_to(seed_pos, len(table.patches))
+    S, sign = S[seed_pos], sign[seed_pos]
     return (_combine(_combine(a, S), table.w)
-            + _combine(a, sign)[..., None, None, None] * seed), sign
+            + _combine(a, sign)[..., None, None, None] * seed[:, None]), sign
 
 
 # ---------------------------------------------------------------------------
 # Local interpolants
 
 
-def _check_report(patch: VertexPatch, report: VertexReport):
-    if report.vertex != patch.z:
-        raise FieldError(f"report of vertex {report.vertex} given for the "
-                         f"patch of vertex {patch.z}")
-
-
-def _even_seed(table: EdgeTable, i: int, dco: DCoefficients):
-    """Determinant-normalized corrector seed of an even interior vertex
-    for direction index i in {0, 1, 2}."""
-    if i == 0:
-        xi = table.chi.sum(axis=0)
-        dvals, det = 12.0 * dco.d0, 12.0 * dco.D[0]
-    else:
-        xi = _xi(table, i, dco)[1]
-        dvals, det = dco.d[:, i - 1], dco.D[i]
+def _even_seed(table: EdgeTable, reports, dcos):
+    """Determinant-normalized corrector seeds (G, N, 2, 10) of a group of
+    even interior vertices, each for its direction index in {0, 1, 2}."""
+    i = np.array([r.even_index for r in reports])
+    xi = _xi(table, i, np.stack([d.c for d in dcos]))[1]
+    dvals = np.stack([12.0 * d.d0 if k == 0 else d.d[:, k - 1]
+                      for d, k in zip(dcos, i.tolist())])
+    det = np.array([12.0 * d.D[0] if k == 0 else d.D[k]
+                    for d, k in zip(dcos, i.tolist())])
     # telescoping weights s_0 = 0, s_j = d_j - s_{j-1}; the weight of
     # triangle j multiplies the edge field of the edge joining triangles
     # j and j+1 (cyclic slot j)
-    s = dvals[1:] @ _signed_prefix(len(dvals) - 1)
-    return (-1.0 / det) * (xi - _combine(s, table.w[1:]))
+    n = dvals.shape[1]
+    s = _combine(dvals[:, None, 1:], _signed_prefix(n - 1)[None])[:, 0]
+    return (-1.0 / det)[:, None, None, None] * (
+        xi - _combine(s, table.w[:, 1:]))
 
 
-def _targets(patch: VertexPatch, target, what: str):
-    """A target vector (N,) or block (S, N) as floats."""
-    a = np.asarray(target, dtype=float)
-    if a.ndim not in (1, 2) or a.shape[-1] != patch.N:
-        raise FieldError(f"expected {patch.N} {what}, got "
-                         f"{a.shape[-1] if a.ndim else a.size}")
-    return a
+def local_interpolant(patches, target, topology: MeshTopology, reports,
+                      dcos=None) -> FieldBlock:
+    """Patch fields matching per-triangle vertex-divergence targets at the
+    patch centers, with zero triangle means and no pollution elsewhere.
 
+    Dispatches on the vertex class in the reports (from
+    ``classify_mesh``): telescoping over edge fields at a singular vertex,
+    the alternating-sum seed for odd valence, and the
+    determinant-normalized corrector seed for certified even valence,
+    which reads the vertex's d-coefficients (the ``classify_mesh`` ones).
 
-def local_interpolant(patch: VertexPatch, target, topology: MeshTopology,
-                      report: VertexReport,
-                      dco: DCoefficients | None = None) -> FieldBlock:
-    """Patch field matching per-triangle vertex-divergence targets at the
-    patch center, with zero triangle means and no pollution elsewhere.
-
-    Dispatches on the vertex class in ``report`` (from ``classify_mesh``):
-    telescoping over edge fields at a singular vertex, the alternating-sum
-    seed for odd valence, and the determinant-normalized corrector seed
-    for certified even valence, which reads the vertex's d-coefficients
-    ``dco`` (the ``classify_mesh`` ones).
-
-    ``target`` is one target vector (N,), giving a block of one field, or
-    a block (S, N) of them, giving the S fields of one edge table and one
-    contraction.
+    ``patches`` is a group of G patches of one shape and one class, with
+    their ``reports``, their d-coefficients ``dcos`` and targets
+    (G, S, N); field g S + s of the block matches target s of patch g.
+    One patch, with its report, its d-coefficients and one target vector
+    (N,) or a block (S, N) of them, is a group of one.  The group shares
+    one edge table and one contraction, and each field has the very bits
+    of a call on its patch and target alone.
     """
-    _check_report(patch, report)
-    a = _targets(patch, target, "target values")
+    patches, reports, dcos, a = _group(patches, target, reports,
+                                       "target values", dcos)
+    report = reports[0]
     if not report.local_interpolating:
-        raise FieldError(
-            f"vertex {patch.z} is not local interpolating ({report.status})")
-    table = edge_table(patch, topology)
+        raise FieldError(f"vertex {report.vertex} is not local "
+                         f"interpolating ({report.status})")
+    n = patches[0].N
+    table = edge_table(patches, topology)
 
     if report.status == SINGULAR:
-        for row in a.reshape(-1, patch.N):
-            alt = sum((-1.0) ** j * row[j] for j in range(patch.N))
-            scale = max(np.abs(row).max(), 1e-30)
-            if abs(alt) > 1e-9 * scale:
-                raise FieldError(
-                    "target violates the alternating-sum constraint at a "
-                    f"singular vertex (residual {alt:.3e})")
+        alt = (a * (-1.0) ** np.arange(n)).sum(axis=-1)
+        scale = np.maximum(np.abs(a).max(axis=-1), 1e-30)
+        bad = np.abs(alt) > 1e-9 * scale
+        if bad.any():
+            raise FieldError(
+                "target violates the alternating-sum constraint at a "
+                f"singular vertex (residual {alt[bad][0]:.3e})")
         # weights b_j = a_j - b_{j-1} on the edges 0 .. N-2
-        b = _combine(a, _signed_prefix(patch.N)[:, :-1])
-        return _patch_block(topology, patch,
-                            _combine(b, table.w[:patch.N - 1]))
+        b = _combine(a, _signed_prefix(n)[None, :, :-1])
+        return _patch_block(topology, table,
+                            _combine(b, table.w[:, :n - 1]))
 
-    if patch.N % 2 == 1:
-        seed = _combine(0.5 * _chain(patch.N, False, 0)[1], table.w)
+    if n % 2 == 1:
+        seed = _combine(0.5 * _chains(n, False)[1][:1], table.w)
     else:
-        if dco is None:
-            raise FieldError(f"vertex {patch.z} is {report.status}: its "
+        missing = [r.vertex for r, d in zip(reports, dcos) if d is None]
+        if missing:
+            raise FieldError(f"vertex {missing[0]} is {report.status}: its "
                              "d-coefficients from classify_mesh are needed")
-        seed = _even_seed(table, report.even_index, dco)
-    return _patch_block(topology, patch, _contract(table, a, seed, 0)[0])
+        seed = _even_seed(table, reports, dcos)
+    return _patch_block(topology, table, _contract(table, a, seed, 0)[0])
 
 
-def boundary_interpolant(patch: VertexPatch, p_values, topology: MeshTopology,
-                         report: VertexReport):
-    """Match vertex-divergence targets at a boundary vertex.
+def boundary_interpolant(patches, p_values, topology: MeshTopology, reports):
+    """Match vertex-divergence targets at boundary vertices.
 
-    Singular boundary vertices (by ``report``, from ``classify_mesh``)
+    Singular boundary vertices (by their reports, from ``classify_mesh``)
     route through local_interpolant (no side effects).  Otherwise the seed
     uses the zero-edge-mean scalar on the straightest interior edge, which
     pollutes that edge's far endpoint.
 
-    ``p_values`` is one target vector (N,) or a block (S, N) of them.
-    Returns the FieldBlock of their fields and, as VertexValues, the
-    residual divergences they leave at interior vertices.
+    ``patches`` is a group of G boundary patches of one shape and one
+    class, with their ``reports`` and targets (G, S, N), or one patch with
+    its report and one target vector (N,) or a block (S, N) of them (a
+    group of one), as for local_interpolant.  Returns the FieldBlock of
+    their fields and, as VertexValues, the residual divergences they leave
+    at interior vertices.
     """
-    _check_report(patch, report)
-    if not patch.boundary:
+    patches, reports, _, a = _group(patches, p_values, reports, "values")
+    if not patches[0].boundary:
         raise FieldError("patch center is not a boundary vertex")
-    a = _targets(patch, p_values, "values")
-    if report.singular:
-        return local_interpolant(patch, a, topology, report), _NO_VALUES
-    if patch.N < 2:
+    if reports[0].singular:
+        return local_interpolant(patches, a, topology, reports), _NO_VALUES
+    if patches[0].N < 2:
         raise FieldError("non-singular boundary patch needs >= 2 triangles")
 
-    sums = patch.theta[:-1] + patch.theta[1:]
+    table = edge_table(patches, topology)
+    fans = topology.fans
+    theta = fans.theta[table.corner]
+    sums = theta[:, :-1] + theta[:, 1:]
     sines = np.abs(np.sin(sums))
     # The seed pollutes the far endpoint of its interior edge.  Prefer a
     # pair whose far endpoint is an interior vertex (the pollution is then
     # absorbed by the interior interpolation passes); fall back to the
     # overall straightest pair otherwise.
-    interior_far = ~topology.boundary_vertex[np.asarray(patch.spokes[1:-1])]
+    interior_far = ~topology.boundary_vertex[fans.spoke[table.spoke[:, 1:-1]]]
     usable = interior_far & (sines > 1e-8)
-    if usable.any():
-        masked = np.where(usable, sines, -1.0)
-        s = int(np.argmax(masked))               # seed pair: tris[s], tris[s+1]
-    else:
-        s = int(np.argmax(sines))
-    sin_pair = np.sin(sums[s])
-    coef = 2.0 * patch.edge_len[s + 1] * np.sin(patch.theta[s]) / sin_pair
-    tvec = patch.tangents[s + 2]
-    table = edge_table(patch, topology)
-    seed = (coef * tvec)[:, None] * table.kappa[s][:, None, :]
+    # seed pair: tris[s], tris[s+1]
+    s = np.where(usable.any(axis=1),
+                 np.argmax(np.where(usable, sines, -1.0), axis=1),
+                 np.argmax(sines, axis=1))
+    g = np.arange(len(patches))
+    coef = (2.0 * fans.edge_len[table.spoke[g, s + 1]] * np.sin(theta[g, s])
+            / np.sin(sums[g, s]))
+    tvec = fans.tangent[table.spoke[g, s + 2]]
+    seed = (coef[:, None] * tvec)[:, None, :, None] \
+        * table.kappa[g, s][:, :, None, :]
 
-    coeffs = _contract(table, a, seed, s)[0].reshape(-1, patch.N, 2,
-                                                     len(poly.MONO3))
-    return (_patch_block(topology, patch, coeffs),
-            _side_effects(topology, patch, coeffs))
+    coeffs = _contract(table, a, seed, s)[0]
+    return (_patch_block(topology, table, coeffs),
+            _side_effects(topology, table, coeffs))
 
 
-def _side_effects(topology, patch, coeffs):
-    """The non-negligible vertex divergences away from the patch center of
-    the fields of (S, N, 2, 10) patch coefficients, in (field, triangle,
-    slot) order."""
-    order = np.argsort(patch.tris)
-    tris = np.asarray(patch.tris)[order]
-    verts = topology.mesh.triangles[tris]                        # (N, 3)
-    vals = _div_coeffs(topology.hat_grads[tris],
-                       coeffs[:, order])[..., poly.VERTEX2]      # (S, N, 3)
-    tol = 1e-12 * np.maximum(np.abs(coeffs).max(axis=(1, 2, 3),
+def _side_effects(topology, table, coeffs):
+    """The non-negligible vertex divergences away from the patch centers
+    of the fields of the group's (G, S, N, 2, 10) coefficients, in
+    (field, triangle, slot) order."""
+    tris, rows = _sorted_rows(topology, table, coeffs)
+    verts = topology.mesh.triangles[tris]                        # (G, N, 3)
+    vals = _div_coeffs(topology.hat_grads[tris][:, None],
+                       rows)[..., poly.VERTEX2]                  # (G, S, N, 3)
+    tol = 1e-12 * np.maximum(np.abs(coeffs).max(axis=(2, 3, 4),
                                                 initial=0.0), 1e-30)
-    keep = ~(np.abs(vals) <= tol[:, None, None]) & (verts != patch.z)
-    field, j, slot = np.nonzero(keep)
-    return VertexValues(field, tris[j], verts[j, slot], vals[keep])
+    z = np.array([p.z for p in table.patches])
+    keep = ~(np.abs(vals) <= tol[..., None, None]) \
+        & (verts != z[:, None, None])[:, None]
+    g, s, j, slot = np.nonzero(keep)
+    return VertexValues(g * coeffs.shape[1] + s, tris[g, j],
+                        verts[g, j, slot], vals[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -486,19 +558,21 @@ def edge_transfer(topology: MeshTopology, z: int, y: int, target,
 
     elen = patch.edge_len[patch.edge_spoke(k)]
     table = edge_table(patch, topology)
-    r = (2.0 * elen * patch.normals[k])[:, None] * table.kappa[k][:, None, :]
-    seed = (1.0 / M) * (r + cotB * table.w[k])
+    r = (2.0 * elen * patch.normals[k])[:, None] \
+        * table.kappa[0, k][:, None, :]
+    seed = (1.0 / M) * (r + cotB * table.w[0, k])
 
-    coeffs, signs = _contract(table, a, seed, k)
-    rows = coeffs.reshape(-1, patch.N, 2, len(poly.MONO3))
+    coeffs, signs = _contract(table, a.reshape((1,) * (3 - a.ndim) + a.shape),
+                              seed[None], k)
+    rows = coeffs[0]
     slot_y = (topology.mesh.triangles[pair] == y).argmax(axis=1)
     div = _div_coeffs(topology.hat_grads[pair], rows[:, pos])    # (S, 2, 6)
     at_y = div[:, _PAIR, poly.VERTEX2[slot_y]]                   # (S, 2)
     S = len(rows)
     spill = VertexValues(np.repeat(np.arange(S), 2), np.tile(pair, S),
                          np.full(2 * S, y), at_y.ravel())
-    info = TransferInfo(z=z, y=y, s_a=a @ signs, spill=spill)
-    return _patch_block(topology, patch, coeffs), info
+    info = TransferInfo(z=z, y=y, s_a=a @ signs[0], spill=spill)
+    return _patch_block(topology, table, coeffs), info
 
 
 @dataclass
@@ -551,20 +625,39 @@ class FieldCheck:
     field: int = 0          # index of the checked field in its block
 
 
+# The checks of every field, in the order of FieldReport.checks.
+CHECKS = ("continuity", "zero_boundary_trace", "vertex_divergences",
+          "zero_triangle_means")
+
+
 @dataclass
 class FieldReport:
-    checks: list
+    """The checks of F fields: ``passed[f, c]`` and ``deviation[f, c]`` of
+    check CHECKS[c] on field f, and the detail of each failing check that
+    names its offender, keyed (f, check name)."""
+
+    passed: np.ndarray      # (F, 4) bool
+    deviation: np.ndarray   # (F, 4)
+    details: dict
+
+    @property
+    def checks(self):
+        """One FieldCheck per field and check, field by field."""
+        return [FieldCheck(name, ok, d, self.details.get((f, name), ""), f)
+                for f, (oks, devs) in enumerate(zip(self.passed.tolist(),
+                                                    self.deviation.tolist()))
+                for name, ok, d in zip(CHECKS, oks, devs)]
 
     @property
     def ok(self):
-        return all(c.ok for c in self.checks)
+        return bool(self.passed.all())
 
     def failed(self):
         return [c for c in self.checks if not c.ok]
 
     def failed_fields(self):
         """Indices of the fields with a failing check, ascending."""
-        return sorted({c.field for c in self.checks if not c.ok})
+        return np.flatnonzero(~self.passed.all(axis=1)).tolist()
 
 
 _TRACE_S = np.array([0.2, 0.4, 0.6, 0.8])
@@ -620,21 +713,27 @@ def verify_field(block: FieldBlock,
     e_field, e_tri, e_vertex = (np.asarray(a, dtype=np.int64)[order] for a in
                                 (e_field, expected.tri, expected.vertex))
     e_value = np.asarray(expected.value, dtype=float)[order]
-    checks = []
+    passed, deviation, details = [np.zeros((0, len(CHECKS)), bool)], [
+        np.zeros((0, len(CHECKS)))], {}
     for lo in range(0, block.F, VERIFY_FIELDS):
         hi = min(lo + VERIFY_FIELDS, block.F)
         r = slice(*np.searchsorted(block.field, [lo, hi]))
         e = slice(*np.searchsorted(e_field, [lo, hi]))
-        checks += _verify_range(
+        ok, dev, found = _verify_range(
             block.topology, lo, hi - lo, block.field[r] - lo, block.tri[r],
             block.coeffs[r], VertexValues(e_field[e] - lo, e_tri[e],
                                           e_vertex[e], e_value[e]))
-    return FieldReport(checks)
+        passed.append(ok)
+        deviation.append(dev)
+        details.update(found)
+    return FieldReport(np.concatenate(passed), np.concatenate(deviation),
+                       details)
 
 
 def _verify_range(topo, first, F, owner, ts, coeffs, expected):
-    """The checks of the F fields first .. first + F - 1, whose rows are
-    numbered from 0 in ``owner`` and ``expected.field``."""
+    """(passed, deviation, details), as in FieldReport, of the checks of
+    the F fields first .. first + F - 1, whose rows are numbered from 0 in
+    ``owner`` and ``expected.field``."""
     T = topo.T
     tris = topo.mesh.triangles
     key = owner * T + ts
@@ -699,7 +798,7 @@ def _verify_range(topo, first, F, owner, ts, coeffs, expected):
         if missing[i]:
             keys = sorted(zip(e_tri[outside & mine].tolist(),
                               e_vertex[outside & mine].tolist()))
-            details[i, "vertex_divergences"] = (
+            details[first + i, "vertex_divergences"] = (
                 f"expected values outside support: {keys}")
             continue
         # the first largest deviation: support pairs in (triangle, slot)
@@ -717,16 +816,12 @@ def _verify_range(topo, first, F, owner, ts, coeffs, expected):
             else:
                 k = rest[j - 3 * len(rows)]
                 worst_key = (int(e_tri[k]), int(e_vertex[k]))
-        details[i, "vertex_divergences"] = f"worst at {worst_key}"
+        details[first + i, "vertex_divergences"] = f"worst at {worst_key}"
 
-    columns = [
-        ("continuity", worst_cont <= RTOL * cscale, worst_cont),
-        ("zero_boundary_trace", worst_trace <= RTOL * cscale, worst_trace),
-        ("vertex_divergences", ok_div, worst_div),
-        ("zero_triangle_means", worst_mean <= dtol, worst_mean)]
-    names = [name for name, _, _ in columns]
-    oks = np.stack([ok for _, ok, _ in columns], axis=1).tolist()
-    devs = np.stack([d for _, _, d in columns], axis=1).tolist()
-    return [FieldCheck(name, ok, d, details.get((i, name), ""), first + i)
-            for i, (ok_row, dev_row) in enumerate(zip(oks, devs))
-            for name, ok, d in zip(names, ok_row, dev_row)]
+    # columns in CHECKS order
+    passed = np.stack([worst_cont <= RTOL * cscale,
+                       worst_trace <= RTOL * cscale, ok_div,
+                       worst_mean <= dtol], axis=1)
+    deviation = np.stack([worst_cont, worst_trace, worst_div, worst_mean],
+                         axis=1)
+    return passed, deviation, details

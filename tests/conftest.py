@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from svstokes import fields, poly
-from svstokes.fields import VertexValues
+from svstokes.fields import FieldBlock, VertexValues
 from svstokes.mesh import (Triangulation, build_topology, crossed, load_mesh,
                            ngon_patch, perturbed_grid, three_lines,
                            type1_diagonal)
@@ -212,6 +212,30 @@ def values(*divs):
     cols = list(zip(*rows)) or [()] * 4
     return VertexValues(*(np.array(c, dtype=d) for c, d in
                           zip(cols, [np.int64] * 3 + [float])))
+
+
+def stack_fields(topology, parts):
+    """One (FieldBlock, VertexValues) pair of a sequence of them on
+    ``topology``, the fields of each part numbered after those of the
+    parts before it."""
+    parts = list(parts)
+    blocks, vals = [b for b, _ in parts], [v for _, v in parts]
+    offset = np.cumsum([0] + [b.F for b in blocks])
+    none = (np.zeros(0, dtype=np.int64),)
+
+    def numbered(groups):
+        return (np.concatenate(none + tuple(g.field for g in groups))
+                + np.repeat(offset[:-1], [len(g.field) for g in groups]))
+
+    block = FieldBlock(
+        topology, int(offset[-1]), numbered(blocks),
+        np.concatenate(none + tuple(b.tri for b in blocks)),
+        np.concatenate([np.zeros((0, 2, len(poly.MONO3)))]
+                       + [b.coeffs for b in blocks]))
+    for a in (block.field, block.tri, block.coeffs):
+        a.setflags(write=False)
+    return block, VertexValues(numbered(vals), *(
+        np.concatenate(none + tuple(v[i] for v in vals)) for i in (1, 2, 3)))
 
 
 def as_dict(vals, field=0):

@@ -55,7 +55,7 @@ def test_A1_field_lemma_suite():
         table = edge_table(patch, topo)
         k = int(rng.integers(patch.N))
         y = int(patch.spokes[k])
-        f = on_patch(topo, patch, table.w[k])
+        f = on_patch(topo, patch, table.w[0, k])
         e = edge_index(topo)[(0, y)]
         t1, t2 = edge_tris(topo, e)
         assert support(f) == {t1, t2}
@@ -66,11 +66,11 @@ def test_A1_field_lemma_suite():
         # normal correctors: unit +/- divergence integrals and the summed
         # vertex-divergence identity against the patch coefficients
         for j in range(patch.N):
-            chi = on_patch(topo, patch, table.chi[j])
+            chi = on_patch(topo, patch, table.chi[0, j])
             ints = sorted(div_integral(topo, chi, t)
                           for t in patch.edge_tri_pair(j))
             assert abs(ints[0] + 1.0) < RTOL and abs(ints[1] - 1.0) < RTOL
-        total = on_patch(topo, patch, table.chi.sum(axis=0))
+        total = on_patch(topo, patch, table.chi[0].sum(axis=0))
         scale = max(np.abs(dco.d0).max(), 1.0)
         for j, t in enumerate(patch.tris):
             assert abs(div_at(topo, total, t, 0) - 12.0 * dco.d0[j]) \
@@ -78,8 +78,8 @@ def test_A1_field_lemma_suite():
         # directional correctors: raw divergence values/integrals and the
         # mean-zero corrected divergence values
         for i in (1, 2):
-            xi_tilde, xi = (on_patch(topo, patch, x)
-                            for x in fields._xi(table, i, dco))
+            xi_tilde, xi = (on_patch(topo, patch, x[0])
+                            for x in fields._xi(table, [i], dco.c[None]))
             bs = max(np.abs(dco.b[:, i - 1]).max(), 1.0)
             ds = max(np.abs(dco.d[:, i - 1]).max(), 1.0)
             for j, t in enumerate(patch.tris):
@@ -93,7 +93,7 @@ def test_A1_field_lemma_suite():
                     < 10 * RTOL * ds
                 assert abs(div_mean(topo, xi, t)) < 10 * RTOL * ds
         # zero-edge-mean scalar: edge mean and the two gradient identities
-        kap = on_patch(topo, patch, table.kappa[k])
+        kap = on_patch(topo, patch, table.kappa[0, k])
         for t in (t1, t2):
             assert abs(scalar_edge_integral(topo, t, kap[t], 0, y)) < RTOL
             g = poly.hat_gradients(*topo.mesh.vertices[topo.mesh.triangles[t]])

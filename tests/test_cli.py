@@ -305,14 +305,24 @@ def test_dcoefficients_computed_once_per_even_interior_vertex(
 @pytest.mark.parametrize("key", bench_pool("verify-fields"))
 def test_field_suite_builds_one_table_per_vertex_and_verifies_once(
         monkeypatch, key):
-    """Each verified vertex builds its edge table once for all its
-    samples, and one verify_field call checks every field of the mesh."""
+    """Each verified vertex builds its edge table rows once for all its
+    samples, in one edge_table call per patch shape and class (boundary,
+    status, N), and one verify_field call checks every field of the
+    mesh."""
+    m = bench_mesh(key)
+    topo = build_topology(m)
     tables = _count_calls(monkeypatch, fields, "edge_table")
     verified = _count_calls(monkeypatch, fields, "verify_field")
-    lines, ok = run_field_suites(bench_mesh(key), Tolerances(), 2, 7)
+    lines, ok = run_field_suites(m, Tolerances(), 2, 7)
     assert ok
-    assert sorted(args[0].z for args in tables) == [
-        int(line.split()[1]) for line in lines]
+    vertices = [int(line.split()[1]) for line in lines]
+    assert sorted(p.z for args in tables for p in args[0]) == vertices
+    shapes = [{(p.boundary, p.N) for p in args[0]} for args in tables]
+    assert all(len(shape) == 1 for shape in shapes)
+    statuses = [line.split("[")[1].split("]")[0] for line in lines]
+    assert len(tables) == len({
+        (topo.patches[z].boundary, status, topo.patches[z].N)
+        for z, status in zip(vertices, statuses)})
     assert len(verified) == 1
 
 
@@ -330,6 +340,21 @@ def test_field_suite_batches_give_the_same_report(monkeypatch):
     assert [args[2] for args in passes] == [7] * 15 + [3]
 
 
+@pytest.mark.parametrize("size", [1, 7])
+def test_field_suite_splits_large_groups(monkeypatch, size):
+    """A patch shape of more than cli.SUITE_FIELDS fields is interpolated
+    in calls of at most that many (at least one vertex); the split does
+    not change the report."""
+    m = bench_mesh("perturbed-5-p0")
+    want = run_field_suites(m, Tolerances(), 3, 11)
+    monkeypatch.setattr(cli, "SUITE_FIELDS", size)
+    tables = _count_calls(monkeypatch, fields, "edge_table")
+    assert run_field_suites(m, Tolerances(), 3, 11) == want
+    sizes = [len(args[0]) for args in tables]
+    assert sum(sizes) == len(want[0])
+    assert max(sizes) == max(size // 3, 1)
+
+
 @pytest.mark.parametrize("samples", [0, -3])
 def test_field_suite_rejects_samples_below_one(tmp_path, capsys, samples):
     """No field would be built or checked: an input error, not a pass."""
@@ -342,6 +367,44 @@ def test_field_suite_rejects_samples_below_one(tmp_path, capsys, samples):
     assert f"--samples must be at least 1, got {samples}" in \
         capsys.readouterr().err
     assert not out.exists()
+
+
+def test_main_calls_share_one_parser_and_leak_no_state(tmp_path, capsys):
+    """The parser is built once per process.  Calls across subcommands and
+    flags, in either order, give the outputs and exit codes of calls that
+    each build a parser of their own: no parsed value carries over to the
+    next call."""
+    m = str(_gen(tmp_path, "crossed", "--n", "2"))
+    runs = [
+        ["analyze", "--mesh", m, "--skip-solver", "--tol-singular", "1e-6"],
+        ["analyze", "--mesh", m],
+        ["infsup", "--mesh", m, "--seminorm"],
+        ["infsup", "--mesh", m],
+        ["verify-fields", "--mesh", m, "--samples", "0"],
+        ["verify-fields", "--mesh", m],
+        ["verify-fields", "--mesh", m, "--samples", "3", "--seed", "4"],
+        ["verify-fields", "--mesh", m, "--samples", "-3"],
+        ["spline-dim", "--mesh", m],
+        ["analyze", "--mesh", str(tmp_path / "missing.mesh")],
+        ["gen", "type1", "--n", "2"],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    alone = []
+    for argv in runs:
+        cli.build_parser.cache_clear()
+        alone.append(run(argv))
+    assert [code for code, _, _ in alone] == [EXIT_OK] * 4 + [
+        EXIT_INPUT, EXIT_OK, EXIT_OK, EXIT_INPUT, EXIT_OK, EXIT_INPUT,
+        EXIT_OK]
+    cli.build_parser.cache_clear()
+    assert [run(argv) for argv in runs] == alone
+    assert [run(argv) for argv in runs[::-1]] == alone[::-1]
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def test_verify_fields_deterministic_and_passing(tmp_path):

@@ -7,11 +7,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import (GOLDEN_MESHES, admissible_target, as_dict, bench_mesh,
-                      bench_pool, corner_divergences, dense, div_at,
-                      div_integral, div_mean, edge_index, edge_pair_angles,
-                      edge_tris, edge_weights, on_patch, random_interior_patch, scalar_edge_integral,
-                      scalar_gradient_at_vertex, support, values)
+from conftest import (GOLDEN_MESHES, MIXED, admissible_target, as_dict,
+                      bench_mesh, bench_pool, corner_divergences, dense,
+                      div_at, div_integral, div_mean, edge_index,
+                      edge_pair_angles, edge_tris, edge_weights, on_patch,
+                      random_interior_patch, scalar_edge_integral,
+                      scalar_gradient_at_vertex, stack_fields, support,
+                      type1_with_crossed, values)
 from svstokes import cli, fields, poly
 from svstokes.classify import (BOUNDARY, EVEN, ODD, SINGULAR, Tolerances,
                                classify_mesh, classify_vertex,
@@ -20,7 +22,7 @@ from svstokes.fields import (FieldBlock, FieldError, UnacceptableEdgeError,
                              boundary_interpolant, center_divergences,
                              edge_table, edge_transfer, field_block,
                              local_interpolant, path_interpolant,
-                             stack_fields, verify_field)
+                             verify_field)
 from svstokes.mesh import (build_topology, crossed, perturbed_grid,
                            three_lines, type1_diagonal)
 from svstokes.trees import build_tree_cover, path_stats, tree_interpolant
@@ -57,7 +59,7 @@ def test_w_field_properties(rng):
         mesh, topo, patch = random_interior_patch(rng)
         k = int(rng.integers(patch.n_interior_edges))
         y = int(patch.spokes[patch.edge_spoke(k)])
-        row = edge_table(patch, topo).w[k]
+        row = edge_table(patch, topo).w[0, k]
         w = on_patch(topo, patch, row)
         t1, t2 = edge_tris(topo, edge_index(topo)[(0, y)])
         assert support(w) == {t1, t2}
@@ -76,13 +78,13 @@ def test_chi_fields_and_their_sum(rng):
         dco = compute_dcoefficients(patch, topo)
         table = edge_table(patch, topo)
         for k in range(patch.N):
-            chi = on_patch(topo, patch, table.chi[k])
+            chi = on_patch(topo, patch, table.chi[0, k])
             t1, t2 = patch.edge_tri_pair(k)
             assert support(chi) == {t1, t2}
             ints = sorted(div_integral(topo, chi, t) for t in (t1, t2))
             assert ints[0] == pytest.approx(-1.0, rel=1e-10)
             assert ints[1] == pytest.approx(1.0, rel=1e-10)
-        total = on_patch(topo, patch, table.chi.sum(axis=0))
+        total = on_patch(topo, patch, table.chi[0].sum(axis=0))
         for j, t in enumerate(patch.tris):
             assert div_at(topo, total, t, 0) == pytest.approx(
                 12.0 * dco.d0[j], rel=1e-10, abs=1e-10)
@@ -94,8 +96,8 @@ def test_xi_fields(rng):
         dco = compute_dcoefficients(patch, topo)
         table = edge_table(patch, topo)
         for i in (1, 2):
-            xi_tilde, xi = (on_patch(topo, patch, x)
-                            for x in fields._xi(table, i, dco))
+            xi_tilde, xi = (on_patch(topo, patch, x[0])
+                            for x in fields._xi(table, [i], dco.c[None]))
             for j, t in enumerate(patch.tris):
                 area = _tri_area(topo, t)
                 assert div_at(topo, xi_tilde, t, 0) == pytest.approx(
@@ -112,7 +114,7 @@ def test_kappa_field_properties(rng):
         mesh, topo, patch = random_interior_patch(rng)
         k = int(rng.integers(patch.n_interior_edges))
         y = int(patch.spokes[patch.edge_spoke(k)])
-        kap = on_patch(topo, patch, edge_table(patch, topo).kappa[k])
+        kap = on_patch(topo, patch, edge_table(patch, topo).kappa[0, k])
         e = edge_index(topo)[(0, y)]
         for t in edge_tris(topo, e):
             # zero mean along the shared edge
@@ -422,7 +424,7 @@ def _chi(topo, scale=1e-6):
     zero trace on the boundary of its support, and carries means."""
     z = next(v for v in range(topo.V) if not topo.boundary_vertex[v])
     patch = topo.patches[z]
-    return scale * on_patch(topo, patch, edge_table(patch, topo).chi[0])
+    return scale * on_patch(topo, patch, edge_table(patch, topo).chi[0, 0])
 
 
 @pytest.mark.parametrize("kind", ["local", "boundary"])
@@ -702,24 +704,24 @@ def test_table_views_equal_the_oracle_fields(source, name):
         table = edge_table(patch, topo)
         for k in range(patch.n_interior_edges):
             y = patch.spokes[patch.edge_spoke(k)]
-            assert np.array_equal(on_patch(topo, patch, table.w[k]),
+            assert np.array_equal(on_patch(topo, patch, table.w[0, k]),
                                   _oracle_w(topo, patch.z, y))
-            assert np.array_equal(on_patch(topo, patch, table.kappa[k]),
+            assert np.array_equal(on_patch(topo, patch, table.kappa[0, k]),
                                   _oracle_kappa(topo, patch.z, y))
         if patch.boundary:
             assert table.chi is None
             continue
         for k in range(patch.N):
-            assert np.array_equal(on_patch(topo, patch, table.chi[k]),
+            assert np.array_equal(on_patch(topo, patch, table.chi[0, k]),
                                   _oracle_chi(patch, topo, k))
-        _assert_same_field(on_patch(topo, patch, table.chi.sum(axis=0)),
+        _assert_same_field(on_patch(topo, patch, table.chi[0].sum(axis=0)),
                            _oracle_chi_sum(patch, topo))
         dco = dcoefficients[patch.z]
         if dco is None:
             continue
         for i in (1, 2):
-            tilde, xi = (on_patch(topo, patch, x)
-                         for x in fields._xi(table, i, dco))
+            tilde, xi = (on_patch(topo, patch, x[0])
+                         for x in fields._xi(table, [i], dco.c[None]))
             want_tilde, want_xi = _oracle_xi(patch, topo, i, dco)
             assert np.array_equal(tilde, want_tilde)
             _assert_same_field(xi, want_xi)
@@ -908,6 +910,84 @@ def test_block_interpolants_equal_the_row_by_row_calls():
             branches.add(branch)
     assert branches == {SINGULAR, ODD, "even 0", "even 1", "even 2",
                         "boundary", "boundary singular"}
+
+
+# The meshes of the grouped-call tests: together they reach every
+# interpolant branch with groups of several vertices.
+GROUP_MESHES = {**GOLDEN_MESHES, **{k: CI_MESHES[k] for k in (
+    "crossed-3", "type1-4", "three-lines-4", "perturbed-5-s3")},
+    "mixed-6": lambda: type1_with_crossed(*MIXED["mixed-6"])}
+
+
+def test_grouped_interpolants_equal_the_one_patch_calls():
+    """A group of patches of one shape and class gives, vertex for vertex,
+    the field, tri and coeffs rows and the side effects of the one-patch
+    call, bit for bit; the even vertices enter once per certified
+    direction index, so an even group mixes the three."""
+    branches, largest = set(), {}
+    for name, make in GROUP_MESHES.items():
+        topo = build_topology(make())
+        reports, _, dcoefficients = classify_mesh(topo)
+        rng = np.random.default_rng(sum(map(ord, name)))
+        groups = {}
+        for case in _interpolant_cases(topo, reports, dcoefficients):
+            r = case[2][0]
+            groups.setdefault((r.boundary, r.status, r.valence), []).append(
+                case)
+        for (boundary, _, _), cases in groups.items():
+            interpolant = cases[0][1]
+            patches = [topo.patches[args[0].vertex] for _, _, args in cases]
+            a = np.stack([_block_targets(rng, p, args[0].singular, 3)
+                          for p, (_, _, args) in zip(patches, cases)])
+            S = a.shape[1]
+            got = interpolant(patches, a, topo,
+                              *map(list, zip(*(args for _, _, args in cases))))
+            block, side = got if boundary else (got, None)
+            assert block.F == len(cases) * S
+            for g, (branch, _, args) in enumerate(cases):
+                want = interpolant(patches[g], a[g], topo, *args)
+                want, want_side = want if boundary else (want, None)
+                mine = block.field // S == g
+                assert np.array_equal(block.field[mine] - g * S, want.field)
+                assert np.array_equal(block.tri[mine], want.tri)
+                assert np.array_equal(block.coeffs[mine], want.coeffs)
+                if boundary:
+                    mine = side.field // S == g
+                    assert np.array_equal(side.field[mine] - g * S,
+                                          want_side.field)
+                    for got_a, want_a in zip(side[1:], want_side[1:]):
+                        assert np.array_equal(got_a[mine], want_a)
+                branches.add(branch)
+                largest[branch] = max(largest.get(branch, 0), len(cases))
+    assert branches == {SINGULAR, ODD, "even 0", "even 1", "even 2",
+                        "boundary", "boundary singular"}
+    assert min(largest.values()) > 1
+
+
+def test_grouped_interpolants_reject_mixed_groups():
+    topo = build_topology(perturbed_grid(5, seed=3))
+    reports, _, dcoefficients = classify_mesh(topo)
+    odd = [r for r in reports if r.status == ODD]
+    assert len({r.valence for r in odd}) > 1
+    three = [r for r in odd if r.valence == odd[0].valence][:2]
+    patches = [topo.patches[r.vertex] for r in three]
+    a = np.zeros((2, 1, patches[0].N))
+    assert local_interpolant(patches, a, topo, three).F == 2
+    other = next(r for r in odd if r.valence != odd[0].valence)
+    with pytest.raises(FieldError, match="one shape"):
+        local_interpolant(patches[:1] + [topo.patches[other.vertex]], a,
+                          topo, [three[0], other])
+    with pytest.raises(FieldError, match="report of vertex"):
+        local_interpolant(patches, a, topo, three[::-1])
+    with pytest.raises(FieldError, match=r"shape \(2, S, "):
+        local_interpolant(patches, a[0], topo, three)
+    boundary, twin = next((r, s) for r in reports for s in reports
+                          if r.boundary and s.boundary and r.singular
+                          and not s.singular and r.valence == s.valence)
+    with pytest.raises(FieldError, match="one class"):
+        boundary_interpolant(
+            [topo.patches[boundary.vertex], topo.patches[twin.vertex]],
+            np.zeros((2, 1, boundary.valence)), topo, [boundary, twin])
 
 
 def test_block_interpolant_checks_every_row():
@@ -1104,10 +1184,6 @@ def test_single_field_report_names_its_field_zero():
     assert verify_field(_zero(topo, F=0)).checks == []
     with pytest.raises(FieldError, match="outside 0 .. 0"):
         verify_field(empty, values({}, {(0, 1): 1.0}))
-    other = build_topology(perturbed_grid(4, seed=3))
-    with pytest.raises(FieldError, match="different topologies"):
-        stack_fields(topo, [(empty, values()),
-                            (_zero(other), values())])
 
 
 @pytest.mark.parametrize("kind", ["local", "boundary"])
@@ -1123,13 +1199,15 @@ def test_suite_reports_one_corrupted_sample(monkeypatch, kind):
     name = f"{kind}_interpolant"
     original = getattr(cli, name)
 
-    def corrupting(patch, targets, *args):
-        out = original(patch, targets, *args)
-        if patch.z != victim:
+    def corrupting(patches, targets, *args):
+        out = original(patches, targets, *args)
+        group = [p.z for p in patches]
+        if victim not in group:
             return out
         block = out[0] if kind == "boundary" else out
+        f = group.index(victim) * targets.shape[1] + 1    # its second sample
         c = dense(block)
-        c[1, block.tri[block.field == 1][0], 0, 3] += 0.37    # lowest triangle
+        c[f, block.tri[block.field == f][0], 0, 3] += 0.37    # lowest triangle
         bad = field_block(block.topology, c)
         return (bad, out[1]) if kind == "boundary" else bad
 
@@ -1151,9 +1229,48 @@ def test_suite_fields_isolate_a_failing_row():
     patch = topo.patches[r.vertex]
     a = _block_targets(np.random.default_rng(4), patch, True, 3)
     a[1, 0] += 1.0
-    built = cli._suite_fields(patch, a, topo, r, dcoefficients[r.vertex])
-    assert [block.F for block, _ in built] == [1, 1]
-    block, expected = built[1]
+    built = list(cli._suite_fields(topo, [r], a[None], dcoefficients))
+    assert [(vertices.tolist(), block.F) for vertices, block, _ in built] \
+        == [([r.vertex], 1), ([r.vertex], 1)]
+    _, block, expected = built[1]
     assert verify_field(block, expected).ok
     assert as_dict(expected) == {(t, patch.z): v
                                  for t, v in zip(patch.tris, a[2].tolist())}
+
+
+def test_suite_group_with_a_violating_row_fails_that_vertex_only(
+        monkeypatch):
+    """One row of one vertex of a singular group breaks the alternating-sum
+    condition: the group call raises, each vertex is retried alone and the
+    offending vertex row by row, so that vertex reports FAIL (1/2) and
+    every other vertex passes."""
+    mesh = crossed(3)
+    topo = build_topology(mesh)
+    reports, _, _ = classify_mesh(topo)
+    group = [r.vertex for r in reports if r.status == SINGULAR
+             and not r.boundary]
+    victim = group[1]
+    original = cli.local_interpolant
+    calls, bad = [], []
+
+    def violating(patches, targets, *args):
+        targets = np.array(targets)
+        calls.append(targets.shape)
+        for g, p in enumerate(patches):
+            if p.z == victim:
+                if not bad:
+                    bad.append(targets[g, -1].copy())
+                targets[g, (targets[g] == bad[0]).all(axis=1), 0] += 1.0
+        return original(patches, targets, *args)
+
+    monkeypatch.setattr(cli, "local_interpolant", violating)
+    lines, ok = cli.run_field_suites(mesh, TOL, 2, 7)
+    assert not ok
+    assert [ln for ln in lines if "FAIL" in ln] == [
+        f"vertex {victim:4d} [{SINGULAR}]: FAIL (1/2)"]
+    assert sum(f"vertex {z:4d} [{SINGULAR}]: pass" in lines
+               for z in group) == len(group) - 1
+    # the group, then each of its vertices, the victim with its two rows
+    singular = [shape for shape in calls if shape[-1] == 4]
+    assert singular == [(len(group), 2, 4)] + [(1, 2, 4)] * 2 \
+        + [(1, 1, 4)] * 2 + [(1, 2, 4)] * (len(group) - 2)

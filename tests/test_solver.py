@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import dense, edge_index, edge_tris, rigid_motion, values
+from conftest import (dense, edge_index, edge_tris, rigid_motion, stack_fields,
+                      values)
 from svstokes import fields, poly, solver
 from svstokes.classify import Tolerances, classify_mesh, classify_vertex
-from svstokes.fields import field_block, local_interpolant, stack_fields
+from svstokes.fields import field_block, local_interpolant
 from svstokes.mesh import (Triangulation, build_topology, crossed,
                            perturbed_grid, type1_diagonal)
 from svstokes.solver import (P2_BASIS, P2_NODES, P3_BASIS, P3_NODES,
