@@ -18,8 +18,9 @@ import numpy as np
 
 from .mesh import MeshError, MeshTopology, VertexPatch
 
-# (x, y)^perp = (-y, x): rotation by 90 degrees counter-clockwise.
-_E_PERP = (np.array([0.0, 1.0]), np.array([-1.0, 0.0]))
+# With (x, y)^perp = (-y, x), -(v . e_i^perp) is -v_y for i = 1 and v_x
+# for i = 2: the swapped columns of v times _TURN.
+_TURN = np.array([-1.0, 1.0])
 
 SINGULAR = "SingularLI"
 ODD = "OddLI"
@@ -92,38 +93,39 @@ def compute_dcoefficients(patch: VertexPatch, topology: MeshTopology) -> DCoeffi
         raise MeshError("coefficients are defined for interior vertices only")
     mesh = topology.mesh
     n = patch.N
+    # Index j - 1 is cyclic: x[prev][j] = x[j - 1], and x[-1] at j = 0.
+    prev = np.arange(-1, n - 1)
     y = mesh.vertices[np.array(patch.spokes)]        # y_{j+1} = y[j]
-    elen = patch.edge_len                            # |e_{j+1}| = elen[j]
+    # |e_{j+1}|^2 = elen2[j] by libm pow, as the scalar ``elen[j] ** 2``
+    # of the formula rounds it; the product elen * elen differs from it
+    # in the last bit about once in a thousand, and the NotLI decision
+    # values are roundoff.
+    elen2 = np.float_power(patch.edge_len, 2)
     cot = topology.cot[patch.tris, patch.slots]      # cot theta_{j+1} = cot[j]
-    areas = topology.area[list(patch.tris)]           # |T_{j+1}| = areas[j]
+    areas = topology.area[list(patch.tris)]          # |T_{j+1}| = areas[j]
 
-    b = np.empty((n, 2))
-    for j in range(n):
-        dy = y[j] - y[j - 1]   # y_{j+1} - y_j with cyclic wrap at j=0
-        for i in (0, 1):
-            b[j, i] = -(dy @ _E_PERP[i]) / 3.0
+    # Elementwise operations only, no BLAS dot: every entry rounds as the
+    # scalar formula for it does.
+    dy = y - y[prev]                                 # y_{j+1} - y_j
+    b = dy[:, ::-1] * _TURN / 3.0                    # -(dy . e_i^perp) / 3
     c = np.cumsum(b, axis=0)
 
-    d0 = np.array([cot[j] * (1.0 / elen[j] ** 2 - 1.0 / elen[j - 1] ** 2)
-                   for j in range(n)])
-    d = np.empty((n, 2))
-    for j in range(n):
-        for i in (0, 1):
-            d[j, i] = (3.0 * b[j, i] / areas[j]
-                       - 12.0 * cot[j] * (c[j, i] / elen[j] ** 2
-                                          - c[j - 1, i] / elen[j - 1] ** 2))
+    inv = 1.0 / elen2
+    d0 = cot * (inv - inv[prev])
+    ce = c / elen2[:, None]
+    d = (3.0 * b / areas[:, None]
+         - 12.0 * cot[:, None] * (ce - ce[prev]))
     # c_{0,i} = c_{N,i} = 0 by the zero-sum property; the cyclic c[j-1] at
     # j=0 picks up c[N-1], which equals the b sum and is zero analytically,
     # so no special-casing is needed beyond verifying the invariant in tests.
 
     # Alternating sums by np.sum, not a BLAS dot: BLAS rounding depends on
     # the kernel, and the decisions of D_i that cancel analytically (NotLI
-    # values, ties between equal |D_i|) must not.
-    signs = np.array([(-1.0) ** (j + 1) for j in range(n)])
-    D = np.empty(3)
-    D[0] = np.sum(signs * d0)
-    D[1] = np.sum(signs * d[:, 0])
-    D[2] = np.sum(signs * d[:, 1])
+    # values, ties between equal |D_i|) must not.  One 1-D sum per D_i: a
+    # 2-D reduction may add in another order.
+    signs = np.where(np.arange(n) % 2 == 1, 1.0, -1.0)    # (-1)^(j+1)
+    D = np.array([np.sum(signs * d0), np.sum(signs * d[:, 0]),
+                  np.sum(signs * d[:, 1])])
     return DCoefficients(b=b, c=c, d0=d0, d=d, D=D, h_z=patch.h_z)
 
 

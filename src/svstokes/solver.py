@@ -225,7 +225,7 @@ def constrained_basis(C: np.ndarray, L_M_inv: np.ndarray):
 
 # ---------------------------------------------------------------------------
 # the certificate: one triangular factor R gives K, beta and the spurious
-# modes; its largest singular value comes from the top eigenvalue of R^T R,
+# modes; the scale of its spectrum comes from a short Krylov space of R^T R,
 # the bottom of its spectrum from inverse Lanczos on R^T R
 
 # Relative size of the constraints applied to the divergences, C M^-1 B,
@@ -240,6 +240,12 @@ LANCZOS_STEPS = 300
 LANCZOS_RTOL = 1e-12
 LANCZOS_RANGE = 1e-8
 
+# The rank scale: the dimension of the Krylov space of R^T R it is read
+# from, and the bound on its top Ritz value, 1 up to roundoff, that every
+# singular value of W obeys (||div v|| <= |v|_1 <= ||v||_H1 on H^1_0).
+SCALE_STEPS = 10
+SCALE_BOUND = 1.0 + 1e-12
+
 
 @dataclass(frozen=True)
 class Certificate:
@@ -252,7 +258,9 @@ class Certificate:
     pressures in M-weighted coordinates.  The squared singular values of
     W are the eigenvalues of the pressure Schur complement in the mass
     inner product: the number of zero singular values is K, the smallest
-    nonzero one is beta, and the nonzero ones lie in [beta, sqrt(2)].
+    nonzero one is beta, and the nonzero ones lie in [beta, 1]: for a
+    velocity v in H^1_0, ||div v||^2 + ||rot v||^2 = |v|_1^2, which is at
+    most the squared norm of v in the seminorm and in the full H1 norm.
     With W^T = Q_X R (Q_X has orthonormal columns), ``factor`` is R: W
     has the singular values of R, and its left null vectors are the null
     vectors of R, which ``spurious_modes`` maps back through the
@@ -356,24 +364,44 @@ def _floored(R: np.ndarray) -> np.ndarray:
     return R
 
 
-def _top_singular_value(R: np.ndarray) -> float:
-    """Largest singular value of R, from the top eigenvalue of R^T R: one
-    ``dsyrk`` into one p x p array, and one eigenvalue of it.  Squaring
-    loses no accuracy at the top of the spectrum."""
+def _rank_scale(R: np.ndarray) -> float:
+    """A lower bound on the largest singular value of R, within a few
+    tenths of a percent of it on the certificates: the square root of the
+    top Ritz value of R^T R on a Krylov space of at most SCALE_STEPS
+    dimensions, from a fixed-seed start.
+
+    The basis is built with full reorthogonalization, two passes a step,
+    and must stay orthonormal to working precision for the Rayleigh-Ritz
+    value to be a lower bound.  So the space stops growing at breakdown,
+    when the new residual is at roundoff level, eps * p times the largest
+    Rayleigh quotient so far (the top Ritz value is at least that): the
+    space is then invariant, and its top Ritz value an eigenvalue.  The
+    Ritz values come from one eigenvalue problem, that of the k x k Gram
+    matrix (R Q^T)^T (R Q^T) of the basis rows Q."""
     p = R.shape[1]
     if not R.size:
         return 0.0
-    values = dict(lower=False, eigvals_only=True, overwrite_a=True,
-                  check_finite=False)
-    try:
-        top = scipy.linalg.eigh(scipy.linalg.blas.dsyrk(1.0, R.T),
-                                subset_by_index=[p - 1, p - 1], **values)[0]
-    except scipy.linalg.LinAlgError:
-        # The MRRR driver fails on large clusters of equal eigenvalues, such
-        # as the exact ones at the top of a seminorm spectrum; QR does not.
-        top = scipy.linalg.eigh(scipy.linalg.blas.dsyrk(1.0, R.T),
-                                driver="ev", **values)[-1]
-    return float(np.sqrt(max(top, 0.0)))
+    steps = min(p, SCALE_STEPS)
+    basis = np.empty((steps, p))
+    images = np.empty((steps, R.shape[0]))     # R q for each basis row q
+    q = np.random.default_rng(0).standard_normal(p)
+    q /= np.linalg.norm(q)
+    top = 0.0
+    for k in range(steps):
+        basis[k], images[k] = q, R @ q
+        w = images[k] @ R
+        top = max(top, float(q @ w))
+        done = basis[:k + 1]
+        for _ in range(2):
+            w -= done.T @ (done @ w)
+        residual = float(np.linalg.norm(w))
+        if residual <= np.finfo(float).eps * p * top:
+            break
+        q = w / residual
+    images = images[:k + 1]
+    theta = scipy.linalg.eigh(images @ images.T, eigvals_only=True,
+                              overwrite_a=True, check_finite=False)[-1]
+    return float(np.sqrt(max(theta, 0.0)))
 
 
 def _inverse_gram(F: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -443,9 +471,9 @@ class RankResult:
     K: int
     expected_dim: int       # 6T - 1 - sigma
     gap: float              # beta / the largest |R v| of the lifted v,
-                            # floored at eps * max(shape) * smax
+                            # floored at eps * max(shape) * scale
     beta: float             # smallest accepted singular value
-    smax: float             # largest singular value
+    scale: float            # lower bound on the largest singular value
 
 
 def divergence_rank(cert: Certificate, topology: MeshTopology, sigma: int,
@@ -453,22 +481,30 @@ def divergence_rank(cert: Certificate, topology: MeshTopology, sigma: int,
     """Rank of the pairing, the deficiency K and beta, with the gap test:
     the accepted singular values must clear the rejected ones by 10x.
 
-    A singular value is accepted above tol.rank * smax.  Inverse Lanczos
-    finds the smallest singular value of the square factor; while it is
-    at or below that threshold, every converged Ritz vector v there is
-    lifted: R is replaced by the factor of [R; smax v^T], which moves v to
-    the top of the spectrum and leaves the rest in place.  The number of
-    lifted vectors is p - rank, and beta is the smallest singular value of
-    the lifted factor."""
+    A singular value is accepted above tol.rank * scale, with the scale
+    of ``_rank_scale``: a relative threshold needs the largest singular
+    value only to a few digits.  A scale above 1 (beyond roundoff) breaks
+    the bound every singular value of the pairing obeys, so the pairing or
+    its norms are wrong: SolverError.  Inverse Lanczos finds the smallest
+    singular value of the square factor; while it is at or below the
+    threshold, every converged Ritz vector v there is lifted: R is
+    replaced by the factor of [R; scale v^T], which moves v to the top of
+    the spectrum and leaves the rest in place.  The number of lifted
+    vectors is p - rank, and beta is the smallest singular value of the
+    lifted factor."""
     p = cert.shape[0]
-    smax = _top_singular_value(cert.factor)
-    thr = tol.rank * smax
+    scale = _rank_scale(cert.factor)
+    if scale * scale > SCALE_BOUND:
+        raise SolverError(
+            f"singular value {scale:.17g} of the weighted pairing exceeds "
+            f"the bound 1; the pairing or its norms are wrong")
+    thr = tol.rank * scale
     R, beta = _square_factor(cert), 0.0
     # A rejected value below roundoff level is noise whose size depends on
     # the LAPACK kernel; the gap measures against the roundoff floor then,
     # and also when nothing is rejected.
-    largest_rejected = np.finfo(float).eps * max(cert.shape) * smax
-    lifted = 0 if smax > 0.0 else p
+    largest_rejected = np.finfo(float).eps * max(cert.shape) * scale
+    lifted = 0 if scale > 0.0 else p
     while lifted < p:
         F = _floored(R)
         beta, Y = _inverse_lanczos(F, thr)
@@ -491,7 +527,7 @@ def divergence_rank(cert: Certificate, topology: MeshTopology, sigma: int,
         V = V @ Z[:, s <= thr]
         if R is cert.factor:
             R = R.copy()
-        _lift(R, smax * V.T)
+        _lift(R, scale * V.T)
         lifted += V.shape[1]
     if lifted == p:                 # nothing accepted
         beta = 0.0
@@ -510,7 +546,7 @@ def divergence_rank(cert: Certificate, topology: MeshTopology, sigma: int,
             f"rank {rank} exceeds the constrained pressure dimension "
             f"{expected}; range inclusion violated")
     return RankResult(rank=rank, nullity=cert.shape[1] - rank, K=K,
-                      expected_dim=expected, gap=gap, beta=beta, smax=smax)
+                      expected_dim=expected, gap=gap, beta=beta, scale=scale)
 
 
 def infsup_constant(cert: Certificate, tol: Tolerances = Tolerances(),

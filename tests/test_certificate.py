@@ -90,8 +90,8 @@ def test_certificate_agrees_with_the_raw_rank_and_schur_eigenproblem(
     rank, K, beta_ref = _oracle(topo, reports, summary["sigma"], seminorm)
     assert (rr.rank, rr.K) == (rank, K)
     assert beta == pytest.approx(beta_ref, rel=1e-9)
-    # the nonzero singular values lie in [beta, sqrt(2)]
-    assert rr.smax <= np.sqrt(2.0) * (1 + 1e-12)
+    # the nonzero singular values lie in [beta, 1]
+    assert eig[-1] <= 1.0 + 1e-12
     assert np.sum(eig == 0.0) == rr.K
     assert np.sqrt(eig[rr.K]) == pytest.approx(beta, rel=1e-12)
 
@@ -174,7 +174,7 @@ def test_modes_of_a_factor_with_exact_zero_pivots():
         mass_factor_inv=L_M_inv, divergence=L @ Q[:, k:] @ R.T)
     s = scipy.linalg.svdvals(R)
     rr = solver.RankResult(rank=p - 3, nullity=3, K=3, expected_dim=p,
-                           gap=np.inf, beta=float(s[-4]), smax=float(s[0]))
+                           gap=np.inf, beta=float(s[-4]), scale=float(s[0]))
     modes = np.column_stack(solver.spurious_modes(cert, rr))
     assert np.abs(modes.T @ L @ L.T @ modes - np.eye(3)).max() < 1e-12
     assert np.abs(C @ modes).max() < 1e-12 * np.abs(modes).max()
@@ -183,14 +183,16 @@ def test_modes_of_a_factor_with_exact_zero_pivots():
 
 def test_analyze_takes_no_svd_and_one_gram_eigenvalue(monkeypatch,
                                                       tmp_path):
+    """The one dense eigenvalue problem of analyze is the Ritz matrix of
+    the rank scale, at most SCALE_STEPS x SCALE_STEPS."""
     calls = Counter()
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
             if name == "eigh" and kwargs.get("eigvals_only") and \
-                    kwargs.get("subset_by_index") is not None:
-                calls["eigh one eigenvalue"] += 1
+                    len(args[0]) <= solver.SCALE_STEPS:
+                calls["eigh of a Ritz matrix"] += 1
             return fn(*args, **kwargs)
         return wrapper
 
@@ -203,7 +205,7 @@ def test_analyze_takes_no_svd_and_one_gram_eigenvalue(monkeypatch,
         report, modes = cli.analyze_mesh(mesh, TOL)
         assert report["divergence"]["K"] == len(modes) == K
         assert calls["null_space"] == calls["svdvals"] == calls["svd"] == 0
-        assert calls["eigh"] == calls["eigh one eigenvalue"] == 1
+        assert calls["eigh"] == calls["eigh of a Ritz matrix"] == 1
         assert calls["eigvalsh"] == calls["solve"] == 0
         assert calls["lstsq"] == calls["pinv"] == 0
     calls.clear()
@@ -321,14 +323,16 @@ def _square(R):
     return out
 
 
-def _svd_oracle(cert, tol=TOL):
+def _svd_oracle(cert, scale=None, tol=TOL):
     """(K, beta, gap) from every singular value of the factor: K counts
     those at or below tol.rank * s_max (the padding zeros included), beta
-    is the smallest above, gap the old rule over both."""
+    is the smallest above, gap the old rule over both, its roundoff floor
+    taken at the given rank scale (at s_max when none is given)."""
     s = scipy.linalg.svdvals(cert.factor)
     thr = tol.rank * s[0]
     accepted, rejected = s[s > thr], s[s <= thr]
-    floor = np.finfo(float).eps * max(cert.shape) * s[0]
+    floor = np.finfo(float).eps * max(cert.shape) * (
+        s[0] if scale is None else scale)
     largest = max(rejected[0], floor) if len(rejected) else floor
     K = len(rejected) + cert.shape[0] - len(s)
     return K, float(accepted[-1]), float(accepted[-1] / largest)
@@ -382,7 +386,7 @@ def test_lifted_lanczos_agrees_with_the_svd_and_the_inertia(name):
     topo, reports, summary = _classified(_oracle_case(name))
     cert = solver.certify(topo, reports)
     rr = solver.divergence_rank(cert, topo, summary["sigma"], TOL)
-    K, beta, gap = _svd_oracle(cert)
+    K, beta, gap = _svd_oracle(cert, rr.scale)
     assert rr.K == rr.expected_dim - rr.rank == K == _inertia_K(cert)
     assert rr.beta == pytest.approx(beta, rel=1e-12)
     assert rr.gap == pytest.approx(gap, rel=1e-12)
@@ -390,6 +394,119 @@ def test_lifted_lanczos_agrees_with_the_svd_and_the_inertia(name):
     assert solver.infsup_constant(cert, TOL)[0] == beta
     if name == "type1-1":
         assert cert.shape[0] > cert.shape[1]
+    assert rr.scale == solver._rank_scale(cert.factor)
+    s_max = scipy.linalg.svdvals(cert.factor)[0]
+    for c in (1.0, 1e-50, 1e50):
+        _assert_scale_bounds(c * cert.factor, c * s_max)
+
+
+# ---------------------------------------------------------------------------
+# the rank scale: a Krylov lower bound on s_max, and the bound 1 on it
+
+def _assert_scale_bounds(R, s_max):
+    """The rank scale of R lies below s_max, by at most 1 %."""
+    scale = solver._rank_scale(R)
+    assert s_max * (1 - 1e-2) <= scale <= s_max * (1 + 1e-14), (scale, s_max)
+
+
+@pytest.mark.parametrize("key,length", [("crossed-6", 1e-7),
+                                        ("perturbed-8-p0", 3e7)])
+def test_rank_scale_on_the_scaled_bench_copies(key, length):
+    """The two scaled certify-dense items: in the full H1 norm s_max
+    moves with the length scale, and the rank scale follows it."""
+    topo, reports, summary = _classified(rigid_motion(bench_mesh(key),
+                                                      scale=length))
+    cert = solver.certify(topo, reports)
+    rr = solver.divergence_rank(cert, topo, summary["sigma"], TOL)
+    assert rr.K == 0
+    _assert_scale_bounds(cert.factor, scipy.linalg.svdvals(cert.factor)[0])
+
+
+def _ritz_sizes(monkeypatch):
+    """The orders of the matrices scipy.linalg.eigh is called on."""
+    sizes = []
+    eigh = scipy.linalg.eigh
+
+    def recorded(a, *args, **kwargs):
+        sizes.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", recorded)
+    return sizes
+
+
+@pytest.mark.parametrize("distinct", [1, 2, 4, solver.SCALE_STEPS])
+def test_rank_scale_is_exact_with_few_distinct_singular_values(monkeypatch,
+                                                               distinct):
+    """With d <= SCALE_STEPS distinct singular values the Krylov space is
+    invariant after d steps: the space stops growing there (breakdown)
+    and its top Ritz value is s_max^2."""
+    sizes = _ritz_sizes(monkeypatch)
+    values = np.linspace(0.9, 0.2, distinct)
+    R = _factor_with_spectrum(np.repeat(values, 40 // distinct + 1)[:40])
+    assert solver._rank_scale(R) == pytest.approx(0.9, rel=1e-14)
+    assert sizes == [distinct]
+
+
+def test_rank_scale_of_small_and_zero_factors(monkeypatch):
+    """p < SCALE_STEPS: the space is the whole space and the scale is
+    s_max.  An all-zero factor has scale 0, and every pressure is
+    rejected; an empty one has scale 0 and no eigenvalue problem."""
+    sizes = _ritz_sizes(monkeypatch)
+    p = solver.SCALE_STEPS - 3
+    s = _spread(0.1, 0.8, p)
+    assert solver._rank_scale(_factor_with_spectrum(s)) == pytest.approx(
+        s[0], rel=1e-14)
+    assert solver._rank_scale(_factor_with_spectrum(np.ones(1))) == 1.0
+    assert solver._rank_scale(np.zeros((P_SYNTH, P_SYNTH))) == 0.0
+    assert sizes == [p, 1, 1]
+    assert solver._rank_scale(np.zeros((0, 5))) == 0.0
+    assert len(sizes) == 3
+    cert = solver.Certificate(factor=np.zeros((P_SYNTH, P_SYNTH)),
+                              shape=(P_SYNTH, P_SYNTH))
+    rr = solver.divergence_rank(cert, TOPO_SYNTH, 0, TOL)
+    assert (rr.rank, rr.K, rr.beta, rr.scale) == (0, P_SYNTH, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("top,raises", [(1.0, False), (1.0 + 1e-13, False),
+                                        (1.0 + 1e-9, True), (1.4, True)])
+def test_a_singular_value_above_one_is_a_solver_error(top, raises):
+    """|v|_1 <= ||v||_H1 bounds every singular value of W by 1.  Two
+    distinct singular values make the scale exact, so a top above 1 is
+    seen."""
+    cert = _synthetic(np.concatenate([[top], np.full(P_SYNTH - 1, 0.5)]))
+    if not raises:
+        assert solver.divergence_rank(cert, TOPO_SYNTH, 0, TOL).K == 0
+        return
+    with pytest.raises(solver.SolverError, match="exceeds the bound 1"):
+        solver.divergence_rank(cert, TOPO_SYNTH, 0, TOL)
+
+
+def test_a_singular_value_above_one_is_exit_4(tmp_path, monkeypatch, capsys):
+    cert = _synthetic(np.concatenate([[1.0 + 1e-9],
+                                      np.full(P_SYNTH - 1, 0.5)]))
+    monkeypatch.setattr(solver, "certify", lambda *args, **kwargs: cert)
+    path = tmp_path / "mesh"
+    path.write_text(dump_mesh(crossed(1)))
+    out = tmp_path / "report.json"
+    assert cli.main(["analyze", "--mesh", str(path), "--out", str(out)]) == 4
+    assert "exceeds the bound 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("angle", [0.0, 6.283185307179585])
+def test_seminorm_cluster_of_ones_passes_the_bound(angle):
+    """In the seminorm the gradients of the C1 quartic splines attain the
+    bound: crossed-2 has a cluster of singular values 1 at the top, also
+    turned by 2 pi, and the rank scale stays within roundoff of 1."""
+    topo, reports, summary = _classified(rigid_motion(crossed(2),
+                                                      angle=angle))
+    cert = solver.certify(topo, reports, seminorm=True)
+    s = scipy.linalg.svdvals(cert.factor)
+    assert np.sum(np.abs(s - 1.0) < 1e-14) > 1
+    rr = solver.divergence_rank(cert, topo, summary["sigma"], TOL)
+    assert rr.scale ** 2 <= solver.SCALE_BOUND
+    _assert_scale_bounds(cert.factor, s[0])
 
 
 def _factor_with_spectrum(s, seed=0):
@@ -404,29 +521,6 @@ def _factor_with_spectrum(s, seed=0):
 # divergence_rank reads only T from the topology: p = 6T - 1 - sigma
 P_SYNTH = 23
 TOPO_SYNTH = SimpleNamespace(T=4)
-
-
-def test_top_singular_value_survives_an_mrrr_failure(monkeypatch):
-    """The MRRR driver failed on the seminorm factor of crossed-2 turned
-    by 2 pi, whose spectrum is topped by a cluster of exact ones; the QR
-    driver takes over there, and wherever MRRR fails."""
-    topo, reports, _ = _classified(rigid_motion(crossed(2),
-                                                angle=6.283185307179585))
-    R = solver.certify(topo, reports, seminorm=True).factor
-    assert solver._top_singular_value(R) == pytest.approx(
-        scipy.linalg.svdvals(R)[0], rel=1e-14)
-    eigh = scipy.linalg.eigh
-
-    def mrrr_fails(*args, **kwargs):
-        if kwargs.get("subset_by_index") is not None:
-            raise scipy.linalg.LinAlgError("Internal Error.")
-        return eigh(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "eigh", mrrr_fails)
-    topo, reports, _ = _classified(crossed(2))
-    R = solver.certify(topo, reports).factor
-    assert solver._top_singular_value(R) == pytest.approx(
-        scipy.linalg.svdvals(R)[0], rel=1e-14)
 
 
 def _synthetic(s, seed=0):
@@ -461,9 +555,9 @@ def _count_lanczos_runs(monkeypatch):
 def test_three_null_directions_are_lifted_and_repeated(monkeypatch, zeros,
                                                        gap_rel, lifting_runs):
     runs = _count_lanczos_runs(monkeypatch)
-    cert = _synthetic(np.concatenate([_spread(0.3, 1.4, P_SYNTH - 3), zeros]))
+    cert = _synthetic(np.concatenate([_spread(0.3, 1.0, P_SYNTH - 3), zeros]))
     rr = solver.divergence_rank(cert, TOPO_SYNTH, 0, TOL)
-    K, beta, gap = _svd_oracle(cert)
+    K, beta, gap = _svd_oracle(cert, rr.scale)
     assert rr.K == K == _inertia_K(cert) == 3 and rr.rank == P_SYNTH - 3
     assert rr.beta == pytest.approx(beta, rel=1e-12)
     assert rr.gap == pytest.approx(gap, rel=gap_rel)
@@ -474,7 +568,9 @@ def test_three_null_directions_are_lifted_and_repeated(monkeypatch, zeros,
 
 def test_exact_zero_pivots_give_the_known_deficiency():
     """The factor of ``test_modes_of_a_factor_with_exact_zero_pivots``,
-    three pivots exactly zero: K = 3 without a spectrum."""
+    three pivots exactly zero: K = 3 without a spectrum.  It is scaled by
+    a power of two, exactly, to singular values at most 1, as those of a
+    certificate are."""
     rng = np.random.default_rng(7)
     p = P_SYNTH
     R = np.triu(rng.standard_normal((p, p)))
@@ -482,6 +578,7 @@ def test_exact_zero_pivots_give_the_known_deficiency():
     for j in (2, 7, 12):
         R[:j, j] = R[:j, :j] @ rng.standard_normal(j)
         R[j, j] = 0.0
+    R *= 2.0 ** -np.ceil(np.log2(scipy.linalg.svdvals(R)[0]))
     cert = solver.Certificate(factor=R, shape=(p, p))
     rr = solver.divergence_rank(cert, TOPO_SYNTH, 0, TOL)
     K, beta, _ = _svd_oracle(cert)

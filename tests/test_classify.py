@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (dual_determinants, edge_index, edge_weights,
+from conftest import (GOLDEN_MESHES, bench_mesh, bench_pool,
+                      dual_determinants, edge_index, edge_weights,
                       random_interior_patch, rigid_motion)
 from svstokes.classify import (BOUNDARY, EVEN, NOT_LI, ODD, SINGULAR,
                                Tolerances, alternating_functional,
@@ -224,6 +225,56 @@ def test_dcoefficients_agree_with_determinant_areas(n, seed):
         assert np.allclose(dco.D[1:], signs @ d, rtol=1e-12, atol=0.0)
         checked += 1
     assert checked
+
+
+def _dcoefficients_loop(patch, topo):
+    """(b, c, d0, d, D) by the per-triangle loop ``compute_dcoefficients``
+    ran before it took array operations: scalar formulas per slot j, the
+    cyclic j - 1 by negative indexing, the squared lengths as scalar
+    ``elen[j] ** 2``."""
+    n = patch.N
+    y = topo.mesh.vertices[np.array(patch.spokes)]
+    elen = patch.edge_len
+    cot = topo.cot[patch.tris, patch.slots]
+    areas = topo.area[list(patch.tris)]
+    perp = (np.array([0.0, 1.0]), np.array([-1.0, 0.0]))
+    b = np.empty((n, 2))
+    for j in range(n):
+        dy = y[j] - y[j - 1]
+        for i in (0, 1):
+            b[j, i] = -(dy @ perp[i]) / 3.0
+    c = np.cumsum(b, axis=0)
+    d0 = np.array([cot[j] * (1.0 / elen[j] ** 2 - 1.0 / elen[j - 1] ** 2)
+                   for j in range(n)])
+    d = np.empty((n, 2))
+    for j in range(n):
+        for i in (0, 1):
+            d[j, i] = (3.0 * b[j, i] / areas[j]
+                       - 12.0 * cot[j] * (c[j, i] / elen[j] ** 2
+                                          - c[j - 1, i] / elen[j - 1] ** 2))
+    signs = np.array([(-1.0) ** (j + 1) for j in range(n)])
+    D = np.array([np.sum(signs * d0), np.sum(signs * d[:, 0]),
+                  np.sum(signs * d[:, 1])])
+    return b, c, d0, d, D
+
+
+DCOEFF_MESHES = (sorted(GOLDEN_MESHES) + bench_pool("certify-dense")
+                 + bench_pool("verify-fields"))
+
+
+@pytest.mark.parametrize("name", DCOEFF_MESHES)
+def test_dcoefficients_equal_the_per_triangle_loop(name):
+    """The array program gives every coefficient bit for bit as the loop
+    did, at each interior vertex of the golden and bench meshes."""
+    mesh = GOLDEN_MESHES[name]() if name in GOLDEN_MESHES else bench_mesh(name)
+    topo = build_topology(mesh)
+    interior = [patch for patch in topo.patches if not patch.boundary]
+    assert interior
+    for patch in interior:
+        dco = compute_dcoefficients(patch, topo)
+        got = (dco.b, dco.c, dco.d0, dco.d, dco.D)
+        for g, want in zip(got, _dcoefficients_loop(patch, topo)):
+            assert np.array_equal(g, want), (patch.z, g, want)
 
 
 def test_edge_weight_zero_on_supplementary_angles():

@@ -486,7 +486,7 @@ def test_rank_exceeding_constrained_dimension_raises():
 def test_nullity_crosscheck_mismatch_raises():
     topo = build_topology(_two_triangle_square())
     bogus = RankResult(rank=5, nullity=99, K=0, expected_dim=5, gap=1e6,
-                       beta=1.0, smax=1.0)
+                       beta=1.0, scale=1.0)
     with pytest.raises(SolverError):
         nullity_crosscheck(bogus, topo, sigma=0)
 
