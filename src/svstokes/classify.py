@@ -1,7 +1,7 @@
 """Vertex-level scalar criteria and the vertex taxonomy.
 
-Every vertex decision quantity lives here: the straight-line detector
-Theta(z), the alternating functional at singular vertices, the patch
+Every vertex decision quantity lives here, read off the fan table
+``topology.fans``: the straight-line detector Theta(z), the patch
 coefficients b_ji / c_ji / d_ji, the determinants D_0, D_1, D_2
 certifying even-valence interior vertices, and the resulting per-vertex
 classification.  The edge weights M_e^z = cot phi_1 + cot phi_2, the
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import MeshError, MeshTopology, VertexPatch
+from .mesh import FanTable, MeshError, MeshTopology
 
 # With (x, y)^perp = (-y, x), -(v . e_i^perp) is -v_y for i = 1 and v_x
 # for i = 2: the swapped columns of v times _TURN.
@@ -37,35 +37,24 @@ class Tolerances:
     rank: float = 1e-9        # singular-value threshold (relative)
 
 
-def theta(patch: VertexPatch) -> float:
-    """Max |sin| of sums of consecutive angles at the patch center.
+def theta(fans: FanTable) -> np.ndarray:
+    """Theta(z) of every vertex, (V,): the max |sin| of the sums of
+    consecutive angles at z.
 
-    Consecutive pairs wrap around for interior vertices; for a boundary
-    vertex only the N-1 adjacent pairs count, so a single-triangle patch
-    gets the vacuous value 0 (treated as singular).
+    Consecutive pairs wrap around on an interior fan; on a boundary fan
+    only the N-1 adjacent pairs count, so a single-triangle fan gets the
+    vacuous value 0 (treated as singular).
     """
-    ang = patch.theta
-    n = len(ang)
-    if patch.boundary:
-        pairs = [ang[j] + ang[j + 1] for j in range(n - 1)]
-    else:
-        pairs = [ang[j] + ang[(j + 1) % n] for j in range(n)]
-    if not pairs:
-        return 0.0
-    return float(max(abs(np.sin(s)) for s in pairs))
-
-
-def is_singular(patch: VertexPatch, tol: float = Tolerances.singular) -> bool:
-    return theta(patch) <= tol
-
-
-def alternating_functional(patch: VertexPatch, q_values) -> float:
-    """Alternating sum of per-triangle values at the center vertex."""
-    q = np.asarray(q_values, dtype=float)
-    if len(q) != patch.N:
-        raise ValueError(f"expected {patch.N} values, got {len(q)}")
-    signs = np.array([(-1.0) ** j for j in range(patch.N)])
-    return float(np.sum(signs * q))
+    # each corner's successor in its fan: the next corner, or on an
+    # interior fan the first one after the last
+    last = fans.position == fans.degree[fans.center] - 1
+    nxt = np.arange(len(fans.tri)) + 1
+    nxt[last] = fans.offset[fans.center[last]]
+    paired = ~(last & fans.boundary[fans.center])
+    out = np.zeros(len(fans.degree))
+    np.maximum.at(out, fans.center[paired], np.abs(np.sin(
+        fans.theta[paired] + fans.theta[nxt[paired]])))
+    return out
 
 
 @dataclass(frozen=True)
@@ -87,22 +76,25 @@ class DCoefficients:
         return abs(self.D[i]) * self.h_z ** s
 
 
-def compute_dcoefficients(patch: VertexPatch, topology: MeshTopology) -> DCoefficients:
-    """All b/c/d coefficients and determinants for an interior patch."""
-    if patch.boundary:
+def compute_dcoefficients(topology: MeshTopology, z: int) -> DCoefficients:
+    """All b/c/d coefficients and determinants of the interior vertex z,
+    over the slices of its fan."""
+    fans = topology.fans
+    if fans.boundary[z]:
         raise MeshError("coefficients are defined for interior vertices only")
-    mesh = topology.mesh
-    n = patch.N
+    corners, spokes = fans.corners(z), fans.spokes(z)
+    tris = fans.tri[corners]
+    n = len(tris)
     # Index j - 1 is cyclic: x[prev][j] = x[j - 1], and x[-1] at j = 0.
     prev = np.arange(-1, n - 1)
-    y = mesh.vertices[np.array(patch.spokes)]        # y_{j+1} = y[j]
+    y = topology.mesh.vertices[fans.spoke[spokes]]  # y_{j+1} = y[j]
     # |e_{j+1}|^2 = elen2[j] by libm pow, as the scalar ``elen[j] ** 2``
     # of the formula rounds it; the product elen * elen differs from it
     # in the last bit about once in a thousand, and the NotLI decision
     # values are roundoff.
-    elen2 = np.float_power(patch.edge_len, 2)
-    cot = topology.cot[patch.tris, patch.slots]      # cot theta_{j+1} = cot[j]
-    areas = topology.area[list(patch.tris)]          # |T_{j+1}| = areas[j]
+    elen2 = np.float_power(fans.edge_len[spokes], 2)
+    cot = topology.cot[tris, fans.slot[corners]]    # cot theta_{j+1} = cot[j]
+    areas = topology.area[tris]                     # |T_{j+1}| = areas[j]
 
     # Elementwise operations only, no BLAS dot: every entry rounds as the
     # scalar formula for it does.
@@ -126,7 +118,7 @@ def compute_dcoefficients(patch: VertexPatch, topology: MeshTopology) -> DCoeffi
     signs = np.where(np.arange(n) % 2 == 1, 1.0, -1.0)    # (-1)^(j+1)
     D = np.array([np.sum(signs * d0), np.sum(signs * d[:, 0]),
                   np.sum(signs * d[:, 1])])
-    return DCoefficients(b=b, c=c, d0=d0, d=d, D=D, h_z=patch.h_z)
+    return DCoefficients(b=b, c=c, d0=d0, d=d, D=D, h_z=float(fans.h_z[z]))
 
 
 @dataclass(frozen=True)
@@ -146,21 +138,23 @@ class VertexReport:
         return self.status in (SINGULAR, ODD, EVEN)
 
 
-def classify_vertex(patch: VertexPatch, topology: MeshTopology,
+def classify_vertex(topology: MeshTopology, z: int, th: float,
                     tol: Tolerances = Tolerances()):
-    """The vertex's report and, for an even-valence interior vertex that
-    is not singular, the d-coefficients its decision was taken on (None
-    otherwise): the even local interpolant is built from the same ones."""
-    th = theta(patch)
-    base = dict(vertex=patch.z, valence=patch.N, boundary=patch.boundary,
-                theta_value=th, singular=th <= tol.singular)
+    """The report of vertex z, whose Theta(z) is ``th``, and, for an
+    even-valence interior vertex that is not singular, the d-coefficients
+    its decision was taken on (None otherwise): the even local
+    interpolant is built from the same ones."""
+    fans = topology.fans
+    n, boundary = int(fans.degree[z]), bool(fans.boundary[z])
+    base = dict(vertex=z, valence=n, boundary=boundary, theta_value=th,
+                singular=th <= tol.singular)
     if th <= tol.singular:
         return VertexReport(status=SINGULAR, conditioning=1.0, **base), None
-    if patch.boundary:
+    if boundary:
         return VertexReport(status=BOUNDARY, **base), None
-    if patch.N % 2 == 1:
+    if n % 2 == 1:
         return VertexReport(status=ODD, conditioning=1.0, **base), None
-    coeffs = compute_dcoefficients(patch, topology)
+    coeffs = compute_dcoefficients(topology, z)
     decisions = [coeffs.decision(i) for i in range(3)]
     best = int(np.argmax(decisions))
     if decisions[best] > tol.decision:
@@ -177,8 +171,9 @@ def classify_mesh(topology: MeshTopology, tol: Tolerances = Tolerances()):
     The one place a vertex class is decided: later stages read
     ``reports[z]``, and the even interpolant at z reads
     ``dcoefficients[z]`` (None where ``classify_vertex`` computed none)."""
-    reports, dcoefficients = zip(*(classify_vertex(patch, topology, tol)
-                                   for patch in topology.patches))
+    reports, dcoefficients = zip(*(
+        classify_vertex(topology, z, th, tol)
+        for z, th in enumerate(theta(topology.fans).tolist())))
     reports = list(reports)
     counts = {}
     for r in reports:

@@ -69,8 +69,17 @@ def _load(path: str) -> Triangulation:
 
 
 def _tolerances(args) -> Tolerances:
-    return Tolerances(singular=args.tol_singular, rank=args.tol_rank,
-                      accept=args.tol_accept)
+    """The --tol-* flags, each finite and > 0.  Theta(z) and every
+    singular value of W are at most 1, so --tol-singular and --tol-rank
+    must also lie below 1."""
+    tol = Tolerances(singular=args.tol_singular, rank=args.tol_rank,
+                     accept=args.tol_accept)
+    for name, cap in (("singular", 1.0), ("rank", 1.0), ("accept", np.inf)):
+        value = getattr(tol, name)
+        if not 0.0 < value < cap:       # a NaN fails every comparison
+            bound = "in (0, 1)" if cap == 1.0 else "finite and > 0"
+            raise _InputError(f"--tol-{name} must be {bound}, got {value}")
+    return tol
 
 
 def _write_out(text: str, out_path: str | None):
@@ -242,13 +251,11 @@ def _suite_fields(topology, group, targets, dcoefficients):
     vertex ``vertices[f]``.  The group is one interpolant call; when it
     raises FieldError, each vertex is retried alone, then each of its rows,
     and the rows that raise again are left out."""
-    patches = [topology.patches[r.vertex] for r in group]
     try:
         if group[0].boundary:
-            block, side = boundary_interpolant(patches, targets, topology,
-                                               group)
+            block, side = boundary_interpolant(group, targets, topology)
         else:
-            block = local_interpolant(patches, targets, topology, group,
+            block = local_interpolant(group, targets, topology,
                                       [dcoefficients[r.vertex] for r in group])
             side = None
     except FieldError:
@@ -264,7 +271,8 @@ def _suite_fields(topology, group, targets, dcoefficients):
         return
     G, S, N = targets.shape
     vertex = np.array([r.vertex for r in group])
-    tris = np.array([p.tris for p in patches])
+    fans = topology.fans
+    tris = fans.tri[fans.offset[vertex][:, None] + np.arange(N)]
     expected = VertexValues(np.arange(targets.size) // N,
                             np.broadcast_to(tris[:, None], targets.shape)
                             .ravel(), np.repeat(vertex, S * N),
@@ -303,18 +311,18 @@ def run_field_suites(mesh: Triangulation, tol: Tolerances, samples: int,
     targets = {}                   # their target blocks by vertex
     groups = {}                    # their reports by patch shape and class
     for r in reports:
-        patch = topology.patches[r.vertex]
-        a = rng.standard_normal((samples, patch.N))
-        if r.singular and patch.N > 1:
-            signs = (-1.0) ** np.arange(patch.N)
-            a -= signs * (a @ signs)[:, None] / patch.N
+        N = r.valence
+        a = rng.standard_normal((samples, N))
+        if r.singular and N > 1:
+            signs = (-1.0) ** np.arange(N)
+            a -= signs * (a @ signs)[:, None] / N
         elif r.singular:
             a[:] = 0.0
         if not (r.boundary or r.local_interpolating):
             continue
         verified.append(r)
         targets[r.vertex] = a
-        groups.setdefault((r.boundary, r.status, patch.N), []).append(r)
+        groups.setdefault((r.boundary, r.status, N), []).append(r)
 
     # A field has at most N rows, and leaves at most 2 N side effects.
     rows = samples * sum(r.valence for r in verified)

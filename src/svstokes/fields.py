@@ -5,7 +5,9 @@ edge fields, normal correctors and zero-edge-mean scalars, the local
 interpolants (singular / odd / even vertex cases), the boundary
 interpolant, and the edge/path transfer machinery that moves
 vertex-divergence targets along acceptable mesh edges.  The table and
-the interpolants take a group of patches of one shape at once.  Each
+the interpolants take a group of vertices of one shape at once, the
+interpolants by their vertex reports, and read the vertex fans off the
+fan table ``topology.fans``.  Each
 construction returns its fields as one FieldBlock of support rows, which
 verify_field checks.
 """
@@ -20,8 +22,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import poly
-from .classify import SINGULAR, Tolerances
-from .mesh import MeshTopology, VertexPatch
+from .classify import SINGULAR, Tolerances, VertexReport
+from .mesh import MeshTopology
 
 
 class FieldError(ValueError):
@@ -107,68 +109,58 @@ _NO_VALUES = VertexValues(*(_frozen(np.zeros(0, dtype=np.int64))
                             for _ in range(3)), _frozen(np.zeros(0)))
 
 
-def center_divergences(topology: MeshTopology, coeffs, patch: VertexPatch):
-    """Divergence at the patch center on each of ``patch.tris`` of the
-    field with dense coefficients ``coeffs`` (T, 2, 10)."""
-    tris = np.asarray(patch.tris)
+def center_divergences(topology: MeshTopology, coeffs, z: int):
+    """Divergence at vertex z on each triangle of its fan, in fan order, of
+    the field with dense coefficients ``coeffs`` (T, 2, 10)."""
+    fans = topology.fans
+    corners = fans.corners(z)
+    tris = fans.tri[corners]
     div = _div_coeffs(topology.hat_grads[tris], coeffs[tris])
-    return div[np.arange(patch.N), poly.VERTEX2[np.asarray(patch.slots)]]
+    return div[np.arange(len(tris)), poly.VERTEX2[fans.slot[corners]]]
 
 
 # ---------------------------------------------------------------------------
-# Patch groups
+# Vertex groups
 #
-# Every construction takes a group of G vertex patches of one shape (the
+# Every construction takes a group of G vertices of one patch shape (the
 # same valence N, all interior or all on the boundary) and builds their
-# fields in one array program with a leading G axis.  One patch is a group
-# of one.
+# fields in one array program with a leading G axis.  One vertex is a
+# group of one.
 
 
-def _patch_group(patches) -> tuple:
-    """A group of patches as a tuple; one VertexPatch is a group of one."""
-    group = (patches,) if isinstance(patches, VertexPatch) else tuple(patches)
-    if len({(p.N, p.boundary) for p in group}) != 1:
+def _group(topology, reports, target, what, dcos=None):
+    """(vertex ids (G,), reports, d-coefficients, targets (G, S, N)) of an
+    interpolant call.  A group takes sequences of G vertex reports and
+    d-coefficients and a target array (G, S, N); one report, with its
+    d-coefficients and a target vector (N,) or block (S, N), is a group of
+    one.  The shape of a vertex is read off the fan table."""
+    one = isinstance(reports, VertexReport)
+    if one:
+        reports, dcos = (reports,), (dcos,)
+    reports = tuple(reports)
+    dcos = (None,) * len(reports) if dcos is None else tuple(dcos)
+    fans = topology.fans
+    z = np.array([r.vertex for r in reports], dtype=np.int64)
+    if len(set(zip(fans.degree[z].tolist(),
+                   fans.boundary[z].tolist()))) != 1:
         raise FieldError("a patch group needs patches of one shape "
                          "(valence, boundary)")
-    return group
-
-
-def _targets(patch: VertexPatch, target, what: str):
-    """A target vector (N,) or block (S, N) as floats."""
+    n = int(fans.degree[z[0]])
     a = np.asarray(target, dtype=float)
-    if a.ndim not in (1, 2) or a.shape[-1] != patch.N:
-        raise FieldError(f"expected {patch.N} {what}, got "
-                         f"{a.shape[-1] if a.ndim else a.size}")
-    return a
-
-
-def _group(patches, target, reports, what, dcos=None):
-    """(patches, reports, d-coefficients, targets (G, S, N)) of an
-    interpolant call.  A group takes sequences of G patches, reports and
-    d-coefficients and a target array (G, S, N); one patch, with its
-    report, its d-coefficients and a target vector (N,) or block (S, N),
-    is a group of one."""
-    if isinstance(patches, VertexPatch):
-        a = _targets(patches, target, what)
-        patches, reports, dcos = (patches,), (reports,), (dcos,)
+    if one:
+        if a.ndim not in (1, 2) or a.shape[-1] != n:
+            raise FieldError(f"expected {n} {what}, got "
+                             f"{a.shape[-1] if a.ndim else a.size}")
         a = a.reshape((1,) * (3 - a.ndim) + a.shape)
-    else:
-        patches, reports = _patch_group(patches), tuple(reports)
-        dcos = (None,) * len(patches) if dcos is None else tuple(dcos)
-        a = np.asarray(target, dtype=float)
-        if a.ndim != 3 or a.shape[::2] != (len(patches), patches[0].N):
-            raise FieldError(f"expected {what} of shape ({len(patches)}, S, "
-                             f"{patches[0].N}), got {a.shape}")
-    if len(reports) != len(patches) or len(dcos) != len(patches):
-        raise FieldError("a patch group needs one report and one set of "
-                         "d-coefficients per patch")
-    for patch, report in zip(patches, reports):
-        if report.vertex != patch.z:
-            raise FieldError(f"report of vertex {report.vertex} given for "
-                             f"the patch of vertex {patch.z}")
+    elif a.ndim != 3 or a.shape[::2] != (len(z), n):
+        raise FieldError(f"expected {what} of shape ({len(z)}, S, {n}), "
+                         f"got {a.shape}")
+    if len(dcos) != len(reports):
+        raise FieldError("a patch group needs one set of d-coefficients "
+                         "per report")
     if len({r.status for r in reports}) > 1:
         raise FieldError("a patch group needs vertices of one class")
-    return patches, reports, dcos, a
+    return z, reports, dcos, a
 
 
 # ---------------------------------------------------------------------------
@@ -202,20 +194,20 @@ _SPOKE_SLOT = np.array([2, 1])    # the spoke's slot after z's in each
 
 @dataclass(frozen=True)
 class EdgeTable:
-    """The interior-edge fields of a group of G vertex patches of one
-    shape, each over its ``patch.tris``.
+    """The interior-edge fields of a group of G vertices ``z`` of one
+    patch shape, each over the triangles tris[j] of its fan.
 
     ``corner[g, j]`` and ``spoke[g]`` index the fan table
-    (``topology.fans``) at triangle j and at the spokes of patch g.  Row
-    [g, k] belongs to interior edge k of patch g, shared by tris[k] and
-    tris[k+1] (cyclically on an interior patch), and is zero off those two
+    (``topology.fans``) at triangle j and at the spokes of vertex z[g].
+    Row [g, k] belongs to interior edge k of z[g], shared by tris[k] and
+    tris[k+1] (cyclically on an interior fan), and is zero off those two
     triangles: ``w[g, k]`` is its edge field (unit vertex divergence at
-    z), ``chi[g, k]`` its normal corrector (interior patches only, else
+    z), ``chi[g, k]`` its normal corrector (interior fans only, else
     None) and ``kappa[g, k]`` its zero-edge-mean scalar.  ``l_z2[g, j]``
     is l_z^2 on tris[j], the profile of the directional correctors.
     """
 
-    patches: tuple
+    z: np.ndarray               # (G,)
     corner: np.ndarray          # (G, N)
     spoke: np.ndarray           # (G, N + boundary)
     w: np.ndarray               # (G, n_int, N, 2, 10)
@@ -224,15 +216,14 @@ class EdgeTable:
     l_z2: np.ndarray            # (G, N, 10)
 
 
-def edge_table(patches, topology: MeshTopology) -> EdgeTable:
-    """Gather every edge field of a group of patches of one shape (or of
-    one patch, a group of one) from _SQUARE and _KAPPA by the slot of z
-    and the slot of the spoke in each edge triangle."""
-    patches = _patch_group(patches)
+def edge_table(z, topology: MeshTopology) -> EdgeTable:
+    """Gather every edge field of a group of vertices of one patch shape,
+    the ids ``z`` (or one id, a group of one), from _SQUARE and _KAPPA by
+    the slot of z and the slot of the spoke in each edge triangle."""
     fans = topology.fans
-    n, m, bd = patches[0].N, patches[0].n_interior_edges, int(
-        patches[0].boundary)
-    z = np.array([p.z for p in patches])
+    z = np.atleast_1d(np.asarray(z, dtype=np.int64))
+    n, bd = int(fans.degree[z[0]]), int(fans.boundary[z[0]])
+    m = n - bd                                        # interior edges
     corner = fans.offset[z][:, None] + np.arange(n)
     spoke = fans.spoke_offset[z][:, None] + np.arange(n + bd)
     slots = fans.slot[corner]
@@ -247,25 +238,19 @@ def edge_table(patches, topology: MeshTopology) -> EdgeTable:
     eta[:, k[:, None], pos] = _SQUARE[sz, sy]
     kappa[:, k[:, None], pos] = _KAPPA[sz, sy]
     vertices = topology.mesh.vertices
-    vec = vertices[fans.spoke[spoke[:, bd:bd + m]]] - vertices[z][:, None]
+    vec = vertices[fans.spoke[spoke[:, bd:n]]] - vertices[z][:, None]
     w = vec[:, :, None, :, None] * eta[:, :, :, None, :]
     chi = None
     if not bd:
         normal = (12.0 / fans.edge_len[spoke])[..., None] * fans.normal[spoke]
         chi = normal[:, :, None, :, None] * eta[:, :, :, None, :]
-    return EdgeTable(patches=patches, corner=corner, spoke=spoke, w=w,
+    return EdgeTable(z=z, corner=corner, spoke=spoke, w=w,
                      chi=chi, kappa=kappa, l_z2=_L_Z2[slots])
 
 
-def _edge_spokes(patch: VertexPatch) -> np.ndarray:
-    """The far endpoint of each interior edge of the patch."""
-    return np.asarray(patch.spokes)[np.arange(patch.n_interior_edges)
-                                    + int(patch.boundary)]
-
-
 def _sorted_rows(topology, table, coeffs):
-    """The triangles (G, N) of each patch of the group in ascending order,
-    and the coefficients (G, S, N, 2, 10) over patch.tris in that order."""
+    """The fan triangles (G, N) of each vertex of the group in ascending
+    order, and the coefficients (G, S, N, 2, 10) over them in that order."""
     tris = topology.fans.tri[table.corner]
     order = np.argsort(tris, axis=1)
     g = np.arange(len(tris))[:, None]
@@ -275,25 +260,16 @@ def _sorted_rows(topology, table, coeffs):
 
 
 def _patch_block(topology, table, coeffs):
-    """FieldBlock of the group's (G, S, N, 2, 10) coefficients over
-    patch.tris: field g S + s is the field of target s of patch g."""
+    """FieldBlock of the group's (G, S, N, 2, 10) coefficients over the
+    fan triangles: field g S + s is the field of target s of vertex g."""
     tris, rows = _sorted_rows(topology, table, coeffs)
     return _rows_block(topology, tris[:, None], rows)
 
 
-def _edge_slot(patch: VertexPatch, y: int) -> int:
-    """Interior edge slot of the edge {z, y} of the patch."""
-    k = np.flatnonzero(_edge_spokes(patch) == y)
-    if not len(k):
-        raise FieldError(f"{{{patch.z}, {y}}} is not an interior edge at "
-                         f"{patch.z}")
-    return int(k[0])
-
-
 def _xi(table: EdgeTable, i, c):
     """(uncorrected, mean-zero corrected) corrector of direction i[g] in
-    {0, 1, 2} of each patch of an interior group, each (G, N, 2, 10),
-    from the patches' c-coefficients (G, N, 2).  Directions 1 and 2 are the
+    {0, 1, 2} of each vertex of an interior group, each (G, N, 2, 10),
+    from the vertices' c-coefficients (G, N, 2).  Directions 1 and 2 are the
     directional correctors; direction 0 is the sum of the normal
     correctors, whose uncorrected part is zero."""
     i = np.asarray(i)
@@ -371,11 +347,11 @@ def _chains(n: int, boundary: bool):
 
 def _contract(table, a, seed, seed_pos):
     """Coefficients (G, S, N, 2, 10) of sum_p a[g, s, p] v_p for the chain
-    basis of each patch's seed (G, N, 2, 10) at tris[seed_pos[g]], and the
-    chain signs (G, N)."""
-    patch = table.patches[0]
-    S, sign = _chains(patch.N, patch.boundary)
-    seed_pos = np.broadcast_to(seed_pos, len(table.patches))
+    basis of each vertex's seed (G, N, 2, 10) at tris[seed_pos[g]], and
+    the chain signs (G, N)."""
+    G, n = table.corner.shape
+    S, sign = _chains(n, table.spoke.shape[1] > n)
+    seed_pos = np.broadcast_to(seed_pos, G)
     S, sign = S[seed_pos], sign[seed_pos]
     return (_combine(_combine(a, S), table.w)
             + _combine(a, sign)[..., None, None, None] * seed[:, None]), sign
@@ -403,7 +379,7 @@ def _even_seed(table: EdgeTable, reports, dcos):
         xi - _combine(s, table.w[:, 1:]))
 
 
-def local_interpolant(patches, target, topology: MeshTopology, reports,
+def local_interpolant(reports, target, topology: MeshTopology,
                       dcos=None) -> FieldBlock:
     """Patch fields matching per-triangle vertex-divergence targets at the
     patch centers, with zero triangle means and no pollution elsewhere.
@@ -414,22 +390,22 @@ def local_interpolant(patches, target, topology: MeshTopology, reports,
     determinant-normalized corrector seed for certified even valence,
     which reads the vertex's d-coefficients (the ``classify_mesh`` ones).
 
-    ``patches`` is a group of G patches of one shape and one class, with
-    their ``reports``, their d-coefficients ``dcos`` and targets
-    (G, S, N); field g S + s of the block matches target s of patch g.
-    One patch, with its report, its d-coefficients and one target vector
-    (N,) or a block (S, N) of them, is a group of one.  The group shares
-    one edge table and one contraction, and each field has the very bits
-    of a call on its patch and target alone.
+    ``reports`` is a group of the G reports of vertices of one patch
+    shape and one class, with their d-coefficients ``dcos`` and targets
+    (G, S, N); field g S + s of the block matches target s of vertex g.
+    One report, with its d-coefficients and one target vector (N,) or a
+    block (S, N) of them, is a group of one.  The group shares one edge
+    table and one contraction, and each field has the very bits of a call
+    on its vertex and target alone.
     """
-    patches, reports, dcos, a = _group(patches, target, reports,
-                                       "target values", dcos)
+    z, reports, dcos, a = _group(topology, reports, target, "target values",
+                                 dcos)
     report = reports[0]
     if not report.local_interpolating:
         raise FieldError(f"vertex {report.vertex} is not local "
                          f"interpolating ({report.status})")
-    n = patches[0].N
-    table = edge_table(patches, topology)
+    n = a.shape[-1]
+    table = edge_table(z, topology)
 
     if report.status == SINGULAR:
         alt = (a * (-1.0) ** np.arange(n)).sum(axis=-1)
@@ -455,7 +431,7 @@ def local_interpolant(patches, target, topology: MeshTopology, reports,
     return _patch_block(topology, table, _contract(table, a, seed, 0)[0])
 
 
-def boundary_interpolant(patches, p_values, topology: MeshTopology, reports):
+def boundary_interpolant(reports, p_values, topology: MeshTopology):
     """Match vertex-divergence targets at boundary vertices.
 
     Singular boundary vertices (by their reports, from ``classify_mesh``)
@@ -463,23 +439,23 @@ def boundary_interpolant(patches, p_values, topology: MeshTopology, reports):
     uses the zero-edge-mean scalar on the straightest interior edge, which
     pollutes that edge's far endpoint.
 
-    ``patches`` is a group of G boundary patches of one shape and one
-    class, with their ``reports`` and targets (G, S, N), or one patch with
-    its report and one target vector (N,) or a block (S, N) of them (a
-    group of one), as for local_interpolant.  Returns the FieldBlock of
-    their fields and, as VertexValues, the residual divergences they leave
-    at interior vertices.
+    ``reports`` is a group of the G reports of boundary vertices of one
+    patch shape and one class, with targets (G, S, N), or one report with
+    one target vector (N,) or a block (S, N) of them (a group of one), as
+    for local_interpolant.  Returns the FieldBlock of their fields and, as
+    VertexValues, the residual divergences they leave at interior
+    vertices.
     """
-    patches, reports, _, a = _group(patches, p_values, reports, "values")
-    if not patches[0].boundary:
+    z, reports, _, a = _group(topology, reports, p_values, "values")
+    fans = topology.fans
+    if not fans.boundary[z[0]]:
         raise FieldError("patch center is not a boundary vertex")
     if reports[0].singular:
-        return local_interpolant(patches, a, topology, reports), _NO_VALUES
-    if patches[0].N < 2:
+        return local_interpolant(reports, a, topology), _NO_VALUES
+    if a.shape[-1] < 2:
         raise FieldError("non-singular boundary patch needs >= 2 triangles")
 
-    table = edge_table(patches, topology)
-    fans = topology.fans
+    table = edge_table(z, topology)
     theta = fans.theta[table.corner]
     sums = theta[:, :-1] + theta[:, 1:]
     sines = np.abs(np.sin(sums))
@@ -493,7 +469,7 @@ def boundary_interpolant(patches, p_values, topology: MeshTopology, reports):
     s = np.where(usable.any(axis=1),
                  np.argmax(np.where(usable, sines, -1.0), axis=1),
                  np.argmax(sines, axis=1))
-    g = np.arange(len(patches))
+    g = np.arange(len(z))
     coef = (2.0 * fans.edge_len[table.spoke[g, s + 1]] * np.sin(theta[g, s])
             / np.sin(sums[g, s]))
     tvec = fans.tangent[table.spoke[g, s + 2]]
@@ -515,9 +491,8 @@ def _side_effects(topology, table, coeffs):
                        rows)[..., poly.VERTEX2]                  # (G, S, N, 3)
     tol = 1e-12 * np.maximum(np.abs(coeffs).max(axis=(2, 3, 4),
                                                 initial=0.0), 1e-30)
-    z = np.array([p.z for p in table.patches])
     keep = ~(np.abs(vals) <= tol[..., None, None]) \
-        & (verts != z[:, None, None])[:, None]
+        & (verts != table.z[:, None, None])[:, None]
     g, s, j, slot = np.nonzero(keep)
     return VertexValues(g * coeffs.shape[1] + s, tris[g, j],
                         verts[g, j, slot], vals[keep])
@@ -541,24 +516,32 @@ def edge_transfer(topology: MeshTopology, z: int, y: int, target,
     """Match targets at z while polluting only the far endpoint y.
 
     ``target`` is one target vector (N,), or a block (S, N) of them,
-    indexed by the patch triangle order at z (``topology.patches[z].tris``).
-    Returns (FieldBlock, TransferInfo); the spill at y scales with the
-    chain-signed alternating sum of the targets divided by the edge weight.
+    indexed by the triangle order of the fan of z.  Returns (FieldBlock,
+    TransferInfo); the spill at y scales with the chain-signed alternating
+    sum of the targets divided by the edge weight.
     """
-    patch = topology.patches[z]
-    a = _targets(patch, target, "targets")
-    k = _edge_slot(patch, y)
-    pos = (k + _PAIR) % patch.N                      # the two edge triangles
-    pair = np.asarray(patch.tris)[pos]
-    cotA, cotB = topology.cot[pair, np.asarray(patch.slots)[pos]]
+    fans = topology.fans
+    n, bd = int(fans.degree[z]), int(fans.boundary[z])
+    a = np.asarray(target, dtype=float)
+    if a.ndim not in (1, 2) or a.shape[-1] != n:
+        raise FieldError(f"expected {n} targets, got "
+                         f"{a.shape[-1] if a.ndim else a.size}")
+    table = edge_table(z, topology)
+    # interior edge k of z ends at the spoke after corner k
+    k = np.flatnonzero(fans.spoke[table.spoke[0, bd:n]] == y)
+    if not len(k):
+        raise FieldError(f"{{{z}, {y}}} is not an interior edge at {z}")
+    k = int(k[0])
+    pos = (k + _PAIR) % n                            # the two edge triangles
+    pair = fans.tri[table.corner[0, pos]]
+    cotA, cotB = topology.cot[pair, fans.slot[table.corner[0, pos]]]
     M = cotA + cotB
     if abs(M) <= tol.accept:
         raise UnacceptableEdgeError(
             f"edge ({z}, {y}) has weight {M:.3e} below tolerance")
 
-    elen = patch.edge_len[patch.edge_spoke(k)]
-    table = edge_table(patch, topology)
-    r = (2.0 * elen * patch.normals[k])[:, None] \
+    spoke = table.spoke[0, k + bd]
+    r = (2.0 * fans.edge_len[spoke] * fans.normal[spoke])[:, None] \
         * table.kappa[0, k][:, None, :]
     seed = (1.0 / M) * (r + cotB * table.w[0, k])
 
@@ -602,13 +585,13 @@ def path_interpolant(topology: MeshTopology, vertices, target,
         block, _ = edge_transfer(topology, z, ynext, a, tol)
         acc[block.tri] += block.coeffs
         # what the next hop removes; at the end vertex, the spill
-        vals = center_divergences(topology, acc, topology.patches[ynext])
+        vals = center_divergences(topology, acc, ynext)
         a = -vals
-    end = topology.patches[verts[-1]]
+    end = verts[-1]
     hit = np.flatnonzero(vals != 0.0)
-    end_spill = VertexValues(np.zeros(len(hit), dtype=np.int64),
-                             np.asarray(end.tris)[hit],
-                             np.full(len(hit), end.z), vals[hit])
+    tris = topology.fans.tri[topology.fans.corners(end)]
+    end_spill = VertexValues(np.zeros(len(hit), dtype=np.int64), tris[hit],
+                             np.full(len(hit), end), vals[hit])
     return PathResult(field=field_block(topology, acc), end_spill=end_spill)
 
 

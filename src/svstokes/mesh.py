@@ -1,9 +1,9 @@
-"""Triangulation data model, file I/O, connectivity, vertex patches, generators."""
+"""Triangulation data model, file I/O, connectivity, vertex fans, generators."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -270,8 +270,7 @@ class MeshTopology:
                                  # for the triangle's vertex slot s
     angle: np.ndarray            # (T, 3) interior angle at vertex slot s
     cot: np.ndarray              # (T, 3) its cotangent
-    fans: FanTable | None        # the vertex fans, one CSR table
-    patches: tuple               # (V,) VertexPatch of each vertex, a slice
+    fans: FanTable               # the vertex fans, one CSR table
 
     @property
     def T(self):
@@ -299,7 +298,7 @@ def build_topology(mesh: Triangulation) -> MeshTopology:
     the half-edge twins from the mesh's side table, and derive from it the
     boundary flags, the triangle areas, hat gradients and corner angles
     and cotangents (one batched computation each) and the vertex fans (one
-    ``enumerate_patch`` call), with each vertex's patch a slice of them.
+    ``enumerate_patch`` call).
 
     Raises MeshError when a vertex has no triangles or a non-manifold
     (pinched) patch.
@@ -315,55 +314,12 @@ def build_topology(mesh: Triangulation) -> MeshTopology:
     angle, cot = triangle_geometry(pts[:, 0], pts[:, 1], pts[:, 2])
     for a in (area, hat_grads, angle, cot):
         a.setflags(write=False)
-    topo = MeshTopology(
+    return MeshTopology(
         mesh=mesh, edges=edges, tri_edges=sides.tri_edges, twin=sides.twin,
         boundary_edge=boundary_edge, boundary_vertex=boundary_vertex,
         euler_ok=(mesh.num_triangles - len(edges) + mesh.num_vertices == 1),
-        area=area, hat_grads=hat_grads, angle=angle, cot=cot, fans=None,
-        patches=())
-    fans = enumerate_patch(topo)
-    return replace(topo, fans=fans, patches=fans.patches(mesh))
-
-
-@dataclass(frozen=True)
-class VertexPatch:
-    """Ordered triangle fan around a vertex.
-
-    Triangles are ordered counter-clockwise; ``tris[j]`` and ``tris[j+1]``
-    are edge-adjacent.  For an interior vertex the order is cyclic and
-    ``spokes[k]`` is the far endpoint of the edge shared by ``tris[k]`` and
-    ``tris[(k+1) % N]``.  For a boundary vertex ``spokes`` has N+1 entries
-    ``s_0 .. s_N``; triangle ``tris[j]`` has the two center edges
-    ``{z, s_j}`` and ``{z, s_j+1}``, and ``s_0``, ``s_N`` lie on the
-    domain boundary.
-    """
-
-    z: int
-    center: np.ndarray
-    tris: tuple
-    slots: tuple            # slot of z in each of tris
-    spokes: tuple
-    boundary: bool
-    theta: np.ndarray       # (N,) angle of each triangle at z
-    edge_len: np.ndarray    # |z - spoke| per spoke
-    tangents: np.ndarray    # unit vectors z -> spoke, per spoke
-    normals: np.ndarray     # per interior edge slot, unit normal out of tris[k]
-    h_z: float              # patch diameter
-
-    @property
-    def N(self):
-        return len(self.tris)
-
-    @property
-    def n_interior_edges(self):
-        return self.N if not self.boundary else self.N - 1
-
-    def edge_spoke(self, k):
-        """Spoke slot of interior edge k (edge shared by tris[k], tris[k+1])."""
-        return k if not self.boundary else k + 1
-
-    def edge_tri_pair(self, k):
-        return self.tris[k], self.tris[(k + 1) % self.N]
+        area=area, hat_grads=hat_grads, angle=angle, cot=cot,
+        fans=enumerate_patch(mesh, angle))
 
 
 @dataclass(frozen=True)
@@ -371,9 +327,15 @@ class FanTable:
     """Every vertex's counter-clockwise triangle fan, as CSR rows.  Fan z
     holds the corners ``offset[z] .. offset[z + 1]`` and the spokes
     ``spoke_offset[z] .. spoke_offset[z + 1]``: one spoke per corner, plus
-    the first one on a boundary fan.  All arrays are read-only."""
+    the first one on a boundary fan.  Consecutive corners of a fan share
+    an interior edge of z, the far end of the spoke between them; on an
+    interior fan the last corner shares one with the first.  The spoke
+    after corner j is spoke j of an interior fan, spoke j + 1 of a
+    boundary fan, whose spokes 0 and N lie on the domain boundary.  All
+    arrays are read-only."""
 
     offset: np.ndarray        # (V + 1,) corner offsets
+    degree: np.ndarray        # (V,) corners of each fan, its valence N
     center: np.ndarray        # (3T,) the vertex whose fan holds each corner
     position: np.ndarray      # (3T,) the place of each corner in its fan
     tri: np.ndarray           # (3T,) triangle of each fan corner
@@ -387,26 +349,19 @@ class FanTable:
     normal: np.ndarray        # (S, 2) its counter-clockwise rotation
     h_z: np.ndarray           # (V,) patch diameter
 
-    def patches(self, mesh: Triangulation) -> tuple:
-        """The VertexPatch of each vertex, as slices of the table.  On an
-        interior fan the normal of interior edge k is that of spoke k; on
-        a boundary fan that of spoke k + 1."""
-        tri, slot, spoke = self.tri.tolist(), self.slot.tolist(), list(self.spoke)
-        rows = zip(self.offset.tolist(), self.offset[1:].tolist(),
-                   self.spoke_offset.tolist(), self.spoke_offset[1:].tolist(),
-                   self.boundary.tolist(), self.h_z.tolist())
-        return tuple(
-            VertexPatch(z=z, center=mesh.vertices[z], tris=tuple(tri[a:b]),
-                        slots=tuple(slot[a:b]), spokes=tuple(spoke[c:d]),
-                        boundary=bd, theta=self.theta[a:b],
-                        edge_len=self.edge_len[c:d], tangents=self.tangent[c:d],
-                        normals=self.normal[c + bd:d - bd], h_z=h)
-            for z, (a, b, c, d, bd, h) in enumerate(rows))
+    def corners(self, z: int) -> slice:
+        """The corners of fan z, in fan order."""
+        return slice(self.offset[z], self.offset[z + 1])
+
+    def spokes(self, z: int) -> slice:
+        """The spokes of fan z, in fan order."""
+        return slice(self.spoke_offset[z], self.spoke_offset[z + 1])
 
 
-def enumerate_patch(topology: MeshTopology) -> FanTable:
-    """Order every vertex's triangles counter-clockwise, all fans at once
-    (``build_topology`` makes this one call).  The corner of z after corner
+def enumerate_patch(mesh: Triangulation, angle) -> FanTable:
+    """Order every vertex's triangles counter-clockwise, all fans at once,
+    with the corner angles ``angle`` (T, 3) (``build_topology`` makes this
+    one call).  The corner of z after corner
     ``3 t + s`` is ``twin[t, (s + 2) % 3]``, across the side ending at z.
     An interior fan starts at its triangle with the smallest index, a
     boundary fan at the corner whose side ``s`` has no twin, so that it
@@ -414,10 +369,9 @@ def enumerate_patch(topology: MeshTopology) -> FanTable:
     once.  Raises MeshError for the first vertex with no triangles or a
     pinched patch (``Triangulation`` has already rejected overlapping
     triangles)."""
-    mesh = topology.mesh
     V, tris = mesh.num_vertices, mesh.triangles
     vertex = tris.ravel()                  # the start of each side
-    twin, n = topology.twin.ravel(), len(vertex)
+    twin, n = mesh.sides.twin.ravel(), len(vertex)
     deg = np.bincount(vertex, minlength=V)
     offset = np.concatenate([[0], np.cumsum(deg)])
     opened = np.flatnonzero(twin < 0)           # side s leaves the fan open
@@ -425,7 +379,7 @@ def enumerate_patch(topology: MeshTopology) -> FanTable:
     start = np.full(V, n)
     np.minimum.at(start, vertex, np.arange(n))
     start[vertex[opened]] = opened
-    nxt = topology.twin[:, [2, 0, 1]].ravel()
+    nxt = mesh.sides.twin[:, [2, 0, 1]].ravel()
     order, broken = np.empty(n, dtype=np.int64), np.zeros(V, dtype=bool)
     z = np.flatnonzero(deg)
     cur = start[z]
@@ -466,8 +420,9 @@ def enumerate_patch(topology: MeshTopology) -> FanTable:
         diff = pts[:, :, None] - pts[:, None, :]
         h_z[zs] = np.hypot(diff[..., 0], diff[..., 1]).max(axis=(1, 2))
     table = FanTable(
-        offset=offset, center=center, position=np.arange(n) - offset[center],
-        tri=tri, slot=slot, theta=topology.angle.ravel()[order],
+        offset=offset, degree=deg, center=center,
+        position=np.arange(n) - offset[center], tri=tri, slot=slot,
+        theta=angle.ravel()[order],
         boundary=boundary, spoke_offset=spoke_offset, spoke=spoke,
         edge_len=edge_len, tangent=tangent,
         normal=tangent[:, ::-1] * np.array([-1.0, 1.0]), h_z=h_z)

@@ -271,10 +271,12 @@ def tree_interpolant(topology: MeshTopology, cover: TreeCover, p, reports,
         raise FieldError(f"expected ({topology.T}, 3) vertex values")
     pscale = max(float(np.abs(p).max()), 1e-30)
     acc = np.zeros((topology.T, 2, len(poly.MONO3)))
+    fans = topology.fans
 
-    def residual(patch):
-        return (p[patch.tris, patch.slots]
-                - center_divergences(topology, acc, patch))
+    def residual(z):
+        corners = fans.corners(z)
+        return (p[fans.tri[corners], fans.slot[corners]]
+                - center_divergences(topology, acc, z))
 
     def add(block):
         acc[block.tri] += block.coeffs
@@ -282,13 +284,12 @@ def tree_interpolant(topology: MeshTopology, cover: TreeCover, p, reports,
     # boundary pass
     boundary = [z for z in range(topology.V) if topology.boundary_vertex[z]]
     for z in boundary:
-        patch = topology.patches[z]
-        a = residual(patch)
+        a = residual(z)
         if np.abs(a).max() <= 1e-13 * pscale:
             continue
-        add(boundary_interpolant(patch, a, topology, reports[z])[0])
+        add(boundary_interpolant(reports[z], a, topology)[0])
     for z in boundary:
-        a = residual(topology.patches[z])
+        a = residual(z)
         if np.abs(a).max() > 1e-9 * pscale:
             raise FieldError(
                 f"boundary pass left residual {np.abs(a).max():.3e} at vertex "
@@ -297,13 +298,11 @@ def tree_interpolant(topology: MeshTopology, cover: TreeCover, p, reports,
     # up the trees: each vertex's residual, with the spills of its
     # children, goes one hop to its parent; deepest first, then the roots
     for z in np.argsort(-cover.depth, kind="stable").tolist():
-        patch = topology.patches[z]
-        a = residual(patch)
+        a = residual(z)
         if np.abs(a).max() <= 1e-13 * pscale:
             continue
         if cover.parent[z] >= 0:
             add(edge_transfer(topology, z, int(cover.parent[z]), a, tol)[0])
         else:
-            add(local_interpolant(patch, a, topology, reports[z],
-                                  dcoefficients[z]))
+            add(local_interpolant(reports[z], a, topology, dcoefficients[z]))
     return field_block(topology, acc)

@@ -1,11 +1,12 @@
-"""Shared test helpers: random shape-regular patches, admissible
-pressure targets, the golden and benchmark meshes, the type-1 grids with
+"""Shared test helpers: the fan of a vertex by name, random
+shape-regular patches, admissible pressure targets, the golden and benchmark meshes, the type-1 grids with
 crossed squares, edge lookups and edge weights, corner angles of an edge
 pair, dual determinant formulas and dense views of field blocks."""
 
 import importlib.util
 import pathlib
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -81,6 +82,24 @@ def bench_mesh(key):
     return load_mesh(BENCH_MESHES.mesh_text(*BENCH_MESHES.build(key)))
 
 
+def fan(topo, z):
+    """The fan of vertex z as named slices of the fan table: the
+    triangles ``tris`` of its corners, the slots ``slots`` of z in them and
+    the angles ``theta`` at z; its ``spokes`` with their lengths
+    ``edge_len``, unit tangents ``tangents`` and the tangents' rotations
+    ``normals``; and its valence ``N``, ``boundary`` flag and diameter
+    ``h_z``.  Interior edge k of the fan, shared by tris[k] and
+    tris[k + 1], ends at spoke k + boundary."""
+    fans = topo.fans
+    c, s = fans.corners(z), fans.spokes(z)
+    return SimpleNamespace(
+        z=z, N=int(fans.degree[z]), boundary=bool(fans.boundary[z]),
+        tris=fans.tri[c], slots=fans.slot[c], theta=fans.theta[c],
+        spokes=fans.spoke[s], edge_len=fans.edge_len[s],
+        tangents=fans.tangent[s], normals=fans.normal[s],
+        h_z=float(fans.h_z[z]))
+
+
 def edge_index(topo):
     """{(a, b): edge index} of the mesh edges, keyed by sorted vertex
     pairs."""
@@ -113,10 +132,10 @@ def edge_pair_angles(topo, e, z):
     (T_1, T_2) follow the counter-clockwise patch order at z."""
     a, b = topo.edges[e].tolist()
     y = b if a == z else a
-    patch = topo.patches[z]
-    k = next(k for k in range(patch.n_interior_edges)
-             if patch.spokes[patch.edge_spoke(k)] == y)
-    pair = patch.edge_tri_pair(k)
+    patch = fan(topo, z)
+    k = next(k for k in range(patch.N - patch.boundary)
+             if patch.spokes[k + patch.boundary] == y)
+    pair = patch.tris[k], patch.tris[(k + 1) % patch.N]
     rows = [topo.mesh.triangles[t].tolist() for t in pair]
     phi = [topo.angle[t, row.index(z)] for t, row in zip(pair, rows)]
     theta = [topo.angle[t, row.index(y)] for t, row in zip(pair, rows)]
@@ -261,7 +280,7 @@ def random_interior_patch(rng, N=None):
     scale = rng.uniform(0.7, 1.3, size=N)
     mesh = ngon_patch(N, radius=1.0, length_scale=scale, angle_shift=shift)
     topo = build_topology(mesh)
-    return mesh, topo, topo.patches[0]
+    return mesh, topo, fan(topo, 0)
 
 
 def rigid_motion(mesh, angle=0.0, shift=(0.0, 0.0), scale=1.0):
@@ -279,7 +298,7 @@ def admissible_target(topology, reports, rng):
     for r in reports:
         if not r.singular:
             continue
-        patch = topology.patches[r.vertex]
+        patch = fan(topology, r.vertex)
         slots = list(zip(patch.tris, patch.slots))
         if patch.N == 1:
             t, s = slots[0]

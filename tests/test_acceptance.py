@@ -13,13 +13,14 @@ import pytest
 
 from conftest import (admissible_target, dense, div_at, div_integral,
                       div_mean, dual_determinants, edge_index,
-                      edge_pair_angles, edge_tris, edge_weights, on_patch, random_interior_patch,
+                      edge_pair_angles, edge_tris, edge_weights, fan,
+                      on_patch, random_interior_patch,
                       rigid_motion, scalar_edge_integral,
                       scalar_gradient_at_vertex, support, values)
 from svstokes import fields, poly, solver
 from svstokes.classify import (EVEN, ODD, SINGULAR, Tolerances,
                                classify_mesh, classify_vertex,
-                               compute_dcoefficients, is_singular)
+                               compute_dcoefficients, theta)
 from svstokes.fields import (edge_table, local_interpolant, path_interpolant,
                              verify_field)
 from svstokes.mesh import (Triangulation, build_topology, crossed,
@@ -49,10 +50,10 @@ def test_A1_field_lemma_suite():
     start = time.perf_counter()
     for trial in range(100):
         mesh, topo, patch = random_interior_patch(rng)
-        dco = compute_dcoefficients(patch, topo)
+        dco = compute_dcoefficients(topo, patch.z)
         # edge fields: support, unit divergence at the center, zero at the
         # far endpoint, zero triangle means
-        table = edge_table(patch, topo)
+        table = edge_table(patch.z, topo)
         k = int(rng.integers(patch.N))
         y = int(patch.spokes[k])
         f = on_patch(topo, patch, table.w[0, k])
@@ -67,8 +68,8 @@ def test_A1_field_lemma_suite():
         # vertex-divergence identity against the patch coefficients
         for j in range(patch.N):
             chi = on_patch(topo, patch, table.chi[0, j])
-            ints = sorted(div_integral(topo, chi, t)
-                          for t in patch.edge_tri_pair(j))
+            pair = patch.tris[j], patch.tris[(j + 1) % patch.N]
+            ints = sorted(div_integral(topo, chi, t) for t in pair)
             assert abs(ints[0] + 1.0) < RTOL and abs(ints[1] - 1.0) < RTOL
         total = on_patch(topo, patch, table.chi[0].sum(axis=0))
         scale = max(np.abs(dco.d0).max(), 1.0)
@@ -112,8 +113,9 @@ def test_A2_local_interpolant_suite():
     rng = np.random.default_rng(202)
 
     def run(patch, topo, target):
-        f = local_interpolant(patch, target, topo,
-                              *classify_vertex(patch, topo, TOL))
+        report, dco = classify_vertex(topo, patch.z,
+                                      theta(topo.fans)[patch.z], TOL)
+        f = local_interpolant(report, target, topo, dco)
         assert set(f.tri.tolist()) <= set(patch.tris)
         divs = {(t, patch.z): target[j] for j, t in enumerate(patch.tris)}
         rep = verify_field(f, values(divs))
@@ -122,8 +124,9 @@ def test_A2_local_interpolant_suite():
     # singular, valence 4
     topo = build_topology(crossed(1))
     center = [v for v in range(topo.V) if not topo.boundary_vertex[v]][0]
-    patch = topo.patches[center]
-    assert classify_vertex(patch, topo)[0].status == SINGULAR
+    patch = fan(topo, center)
+    assert classify_vertex(topo, center, theta(topo.fans)[center])[0].status \
+        == SINGULAR
     for _ in range(50):
         raw = rng.standard_normal(4)
         signs = np.array([1.0, -1.0, 1.0, -1.0])
@@ -131,7 +134,7 @@ def test_A2_local_interpolant_suite():
     # odd valences
     for N in (3, 5, 7):
         mesh, topo, patch = random_interior_patch(rng, N=N)
-        assert classify_vertex(patch, topo)[0].status == ODD
+        assert classify_vertex(topo, 0, theta(topo.fans)[0])[0].status == ODD
         for _ in range(50):
             run(patch, topo, rng.standard_normal(N))
     # even: the 8-valent grid crossings of the crossed mesh
@@ -139,7 +142,7 @@ def test_A2_local_interpolant_suite():
     reports, _, _ = classify_mesh(topo)
     even = [r.vertex for r in reports if r.status == EVEN]
     assert even
-    patch = topo.patches[even[0]]
+    patch = fan(topo, even[0])
     for _ in range(50):
         run(patch, topo, rng.standard_normal(8))
     _report(2, "local interpolants, 50 random targets per vertex class")
@@ -150,13 +153,13 @@ def test_A3_determinant_regressions():
     gives |D_0| = 4 / L_min^2."""
     for mesh in (ngon_patch(6), three_lines(3), type1_diagonal(3)):
         topo = build_topology(mesh)
+        reports = classify_mesh(topo)[0]
         for v in range(topo.V):
             if topo.boundary_vertex[v]:
                 continue
-            patch = topo.patches[v]
-            if is_singular(patch):
+            if reports[v].singular:
                 continue
-            dco = compute_dcoefficients(patch, topo)
+            dco = compute_dcoefficients(topo, v)
             for i in range(3):
                 assert dco.decision(i) < 1e-10
     for L in (1.0, 0.5, 2.0):
@@ -164,10 +167,10 @@ def test_A3_determinant_regressions():
         for v in range(topo.V):
             if topo.boundary_vertex[v]:
                 continue
-            patch = topo.patches[v]
+            patch = fan(topo, v)
             if patch.N != 8:
                 continue
-            dco = compute_dcoefficients(patch, topo)
+            dco = compute_dcoefficients(topo, v)
             expect = 4.0 / min(patch.edge_len) ** 2
             assert abs(abs(dco.D[0]) - expect) < 1e-10 * expect
             # cross-check through the dual formula
@@ -184,7 +187,7 @@ def test_A4_dual_formula_agreement():
     for trial in range(1000):
         N = int(rng.choice([4, 6, 8]))
         mesh, topo, patch = random_interior_patch(rng, N=N)
-        dco = compute_dcoefficients(patch, topo)
+        dco = compute_dcoefficients(topo, patch.z)
         scale = max(1.0, float(np.abs(dco.D).max()))
         D0_simple, D_closed = dual_determinants(patch, topo, dco.D[0])
         assert abs(dco.D[0] - D0_simple) < 1e-10 * scale
@@ -263,7 +266,7 @@ def test_A7_tree_machinery():
     weights = edge_weights(topo)
     index = edge_index(topo)
     interior = [v for v in range(topo.V) if not topo.boundary_vertex[v]]
-    valence = {v: topo.patches[v].N for v in interior}
+    valence = {v: int(topo.fans.degree[v]) for v in interior}
 
     def find_paths(limit):
         # the alternating functional the spill product telescopes through
@@ -297,7 +300,7 @@ def test_A7_tree_machinery():
     paths = find_paths(5)
     assert paths
     for path in paths:
-        patch = topo.patches[path[0]]
+        patch = fan(topo, path[0])
         target = np.zeros(patch.N)
         target[int(rng.integers(patch.N))] = 1.0    # |alternating sum| = 1
         result = path_interpolant(topo, path, target, TOL)
@@ -384,12 +387,10 @@ def test_A8_invariance_under_similarity():
             for v in range(topo0.V):
                 if topo0.boundary_vertex[v]:
                     continue
-                p0 = topo0.patches[v]
-                p1 = topo1.patches[v]
-                if is_singular(p0):
+                if reports0[v].singular:
                     continue
-                d0 = compute_dcoefficients(p0, topo0)
-                d1 = compute_dcoefficients(p1, topo1)
+                d0 = compute_dcoefficients(topo0, v)
+                d1 = compute_dcoefficients(topo1, v)
                 for i in range(3):
                     assert abs(d1.decision(i) - d0.decision(i)) \
                         < 1e-8 * max(d0.decision(i), 1e-12)

@@ -7,13 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (GOLDEN_MESHES, bench_mesh, bench_pool,
-                      dual_determinants, edge_index, edge_weights,
+                      dual_determinants, edge_index, edge_weights, fan,
                       random_interior_patch, rigid_motion)
 from svstokes.classify import (BOUNDARY, EVEN, NOT_LI, ODD, SINGULAR,
-                               Tolerances, alternating_functional,
-                               classify_mesh, classify_vertex,
-                               compute_dcoefficients, is_singular,
-                               theta)
+                               Tolerances, classify_mesh, classify_vertex,
+                               compute_dcoefficients, theta)
 from svstokes.mesh import (Triangulation, build_topology, crossed,
                            ngon_patch, perturbed_grid, three_lines,
                            type1_diagonal)
@@ -21,32 +19,30 @@ from svstokes.mesh import (Triangulation, build_topology, crossed,
 
 def test_crossed_center_is_singular():
     topo = build_topology(crossed(1))
-    patch = topo.patches[topo.V - 1 if topo.boundary_vertex[0] else 0]
     centers = [v for v in range(topo.V) if not topo.boundary_vertex[v]]
     assert len(centers) == 1
-    patch = topo.patches[centers[0]]
+    patch = fan(topo, centers[0])
     assert patch.N == 4
-    assert theta(patch) == pytest.approx(0.0, abs=1e-14)
-    assert is_singular(patch)
+    assert theta(topo.fans)[patch.z] == pytest.approx(0.0, abs=1e-14)
+    assert classify_mesh(topo)[0][patch.z].singular
 
 
 def test_regular_ngon_center_not_singular_except_four():
     for N in (3, 4, 5, 6, 8):
         topo = build_topology(ngon_patch(N))
-        patch = topo.patches[0]
         # consecutive angle pairs sum to 4 pi / N; singular iff that is pi
         expect = abs(np.sin(4 * np.pi / N))
-        assert theta(patch) == pytest.approx(expect, abs=1e-12)
-        assert is_singular(patch) == (N == 4)
+        assert theta(topo.fans)[0] == pytest.approx(expect, abs=1e-12)
+        assert classify_mesh(topo)[0][0].singular == (N == 4)
 
 
 def test_single_triangle_boundary_corner_is_singular_by_convention():
     mesh = Triangulation([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
     topo = build_topology(mesh)
-    patch = topo.patches[0]
+    patch = fan(topo, 0)
     assert patch.boundary and patch.N == 1
-    assert theta(patch) == 0.0
-    assert is_singular(patch)
+    assert theta(topo.fans)[0] == 0.0
+    assert classify_mesh(topo)[0][0].singular
 
 
 def test_straight_boundary_vertex_is_singular():
@@ -59,22 +55,12 @@ def test_straight_boundary_vertex_is_singular():
     assert summary["sigma_b"] >= 2
 
 
-def test_alternating_functional_signs():
-    topo = build_topology(crossed(1))
-    center = [v for v in range(topo.V) if not topo.boundary_vertex[v]][0]
-    patch = topo.patches[center]
-    assert alternating_functional(patch, [1.0, 1.0, 1.0, 1.0]) == 0.0
-    assert alternating_functional(patch, [1.0, -1.0, 1.0, -1.0]) == 4.0
-    with pytest.raises(ValueError):
-        alternating_functional(patch, [1.0])
-
-
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 100_000))
 def test_coefficient_invariants(seed):
     rng = np.random.default_rng(seed)
     mesh, topo, patch = random_interior_patch(rng)
-    dco = compute_dcoefficients(patch, topo)
+    dco = compute_dcoefficients(topo, patch.z)
     # per-direction coefficients sum to zero around the patch
     assert np.allclose(dco.b.sum(axis=0), 0.0, atol=1e-12)
     # prefix sums close up
@@ -87,7 +73,7 @@ def test_dual_formula_agreement_even_valence(seed, N):
     # the alternating-sum identities telescope only for even valence
     rng = np.random.default_rng(seed)
     mesh, topo, patch = random_interior_patch(rng, N=N)
-    dco = compute_dcoefficients(patch, topo)
+    dco = compute_dcoefficients(topo, patch.z)
     scale = max(1.0, float(np.abs(dco.D).max()))
     D0_simple, D_closed = dual_determinants(patch, topo, dco.D[0])
     assert dco.D[0] == pytest.approx(D0_simple, abs=1e-10 * scale)
@@ -102,11 +88,11 @@ def test_crossed_eight_valent_d0_value():
         for v in range(topo.V):
             if topo.boundary_vertex[v]:
                 continue
-            patch = topo.patches[v]
+            patch = fan(topo, v)
             if patch.N != 8:
                 continue
             found = True
-            dco = compute_dcoefficients(patch, topo)
+            dco = compute_dcoefficients(topo, v)
             Lmin = min(patch.edge_len)
             assert abs(dco.D[0]) == pytest.approx(4.0 / Lmin ** 2, rel=1e-10)
         assert found
@@ -117,13 +103,13 @@ def test_crossed_eight_valent_d0_value():
                          ids=["hexagon", "three_lines", "type1"])
 def test_degenerate_families_have_zero_decisions(mesh):
     topo = build_topology(mesh)
+    reports = classify_mesh(topo)[0]
     for v in range(topo.V):
         if topo.boundary_vertex[v]:
             continue
-        patch = topo.patches[v]
-        if is_singular(patch):
+        if reports[v].singular:
             continue
-        dco = compute_dcoefficients(patch, topo)
+        dco = compute_dcoefficients(topo, v)
         for i in range(3):
             assert dco.decision(i) < 1e-10
 
@@ -162,8 +148,8 @@ def test_classification_invariant_under_similarity(seed, angle, scale):
     mesh, topo, patch = random_interior_patch(rng)
     moved = rigid_motion(mesh, angle=angle, shift=(3.7, -1.2), scale=scale)
     topo2 = build_topology(moved)
-    r1, d1 = classify_vertex(patch, topo)
-    r2, d2 = classify_vertex(topo2.patches[0], topo2)
+    r1, d1 = classify_vertex(topo, 0, theta(topo.fans)[0])
+    r2, d2 = classify_vertex(topo2, 0, theta(topo2.fans)[0])
     assert r1.status == r2.status
     assert r1.singular == r2.singular
     if patch.N % 2 == 0 and not r1.singular:
@@ -184,8 +170,8 @@ def test_decision_values_invariant_under_scaling(seed, scale):
         np.random.default_rng(seed + 1).choice([4, 6, 8])))
     moved = rigid_motion(mesh, shift=(-2.0, 0.5), scale=scale)
     topo2 = build_topology(moved)
-    d1 = compute_dcoefficients(patch, topo)
-    d2 = compute_dcoefficients(topo2.patches[0], topo2)
+    d1 = compute_dcoefficients(topo, 0)
+    d2 = compute_dcoefficients(topo2, 0)
     for i in range(3):
         assert d2.decision(i) == pytest.approx(d1.decision(i), rel=1e-8,
                                                abs=1e-12)
@@ -208,10 +194,11 @@ def test_dcoefficients_agree_with_determinant_areas(n, seed):
     differently in the last bits)."""
     topo = build_topology(perturbed_grid(n, seed=seed, amplitude=0.3))
     checked = 0
-    for patch in topo.patches:
+    for z in range(topo.V):
+        patch = fan(topo, z)
         if patch.boundary:
             continue
-        dco = compute_dcoefficients(patch, topo)
+        dco = compute_dcoefficients(topo, z)
         areas = _det_areas(topo.mesh, patch.tris)
         assert np.allclose(topo.area[list(patch.tris)], areas,
                            rtol=1e-15, atol=0.0)
@@ -268,13 +255,42 @@ def test_dcoefficients_equal_the_per_triangle_loop(name):
     did, at each interior vertex of the golden and bench meshes."""
     mesh = GOLDEN_MESHES[name]() if name in GOLDEN_MESHES else bench_mesh(name)
     topo = build_topology(mesh)
-    interior = [patch for patch in topo.patches if not patch.boundary]
+    interior = np.flatnonzero(~topo.fans.boundary).tolist()
     assert interior
-    for patch in interior:
-        dco = compute_dcoefficients(patch, topo)
+    for z in interior:
+        dco = compute_dcoefficients(topo, z)
         got = (dco.b, dco.c, dco.d0, dco.d, dco.D)
-        for g, want in zip(got, _dcoefficients_loop(patch, topo)):
-            assert np.array_equal(g, want), (patch.z, g, want)
+        for g, want in zip(got, _dcoefficients_loop(fan(topo, z), topo)):
+            assert np.array_equal(g, want), (z, g, want)
+
+
+def _theta_loop(patch):
+    """Theta(z) by the per-vertex loop ``theta`` ran before it took one
+    array program over the fan table: a Python max over the |sin| of the
+    consecutive angle sums of one fan, cyclic on an interior fan."""
+    ang = patch.theta
+    n = len(ang)
+    if patch.boundary:
+        pairs = [ang[j] + ang[j + 1] for j in range(n - 1)]
+    else:
+        pairs = [ang[j] + ang[(j + 1) % n] for j in range(n)]
+    if not pairs:
+        return 0.0
+    return float(max(abs(np.sin(s)) for s in pairs))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-7, 3e7])
+@pytest.mark.parametrize("name", DCOEFF_MESHES)
+def test_theta_equals_the_per_vertex_loop(name, scale):
+    """Theta(z) of the fan table equals the per-vertex loop bit for bit
+    at every vertex of the golden and bench meshes, and of their copies
+    at the length scales 1e-7 and 3e7."""
+    mesh = GOLDEN_MESHES[name]() if name in GOLDEN_MESHES else bench_mesh(name)
+    topo = build_topology(Triangulation(mesh.vertices * scale, mesh.triangles))
+    want = np.array([_theta_loop(fan(topo, z)) for z in range(topo.V)])
+    got = theta(topo.fans)
+    assert got.shape == (topo.V,)
+    assert np.array_equal(got, want)
 
 
 def test_edge_weight_zero_on_supplementary_angles():

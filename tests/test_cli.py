@@ -293,13 +293,14 @@ def test_dcoefficients_computed_once_per_even_interior_vertex(
     """Classification computes the d-coefficients of each non-singular
     even-valence interior vertex once; the even interpolants read those."""
     m = make()
-    even = sorted(p.z for p in build_topology(m).patches
-                  if not p.boundary and p.N % 2 == 0
-                  and classify.theta(p) > Tolerances().singular)
+    fans = build_topology(m).fans
+    th = classify.theta(fans)
+    even = [z for z in range(len(th)) if not fans.boundary[z]
+            and fans.degree[z] % 2 == 0 and th[z] > Tolerances().singular]
     computed = _count_calls(monkeypatch, classify, "compute_dcoefficients")
     run(m)
     assert even
-    assert sorted(args[0].z for args in computed) == even
+    assert sorted(args[1] for args in computed) == even
 
 
 @pytest.mark.parametrize("key", bench_pool("verify-fields"))
@@ -316,12 +317,14 @@ def test_field_suite_builds_one_table_per_vertex_and_verifies_once(
     lines, ok = run_field_suites(m, Tolerances(), 2, 7)
     assert ok
     vertices = [int(line.split()[1]) for line in lines]
-    assert sorted(p.z for args in tables for p in args[0]) == vertices
-    shapes = [{(p.boundary, p.N) for p in args[0]} for args in tables]
+    fans = topo.fans
+    assert sorted(z for args in tables for z in args[0].tolist()) == vertices
+    shapes = [{(fans.boundary[z], fans.degree[z]) for z in args[0].tolist()}
+              for args in tables]
     assert all(len(shape) == 1 for shape in shapes)
     statuses = [line.split("[")[1].split("]")[0] for line in lines]
     assert len(tables) == len({
-        (topo.patches[z].boundary, status, topo.patches[z].N)
+        (fans.boundary[z], status, fans.degree[z])
         for z, status in zip(vertices, statuses)})
     assert len(verified) == 1
 
@@ -367,6 +370,41 @@ def test_field_suite_rejects_samples_below_one(tmp_path, capsys, samples):
     assert f"--samples must be at least 1, got {samples}" in \
         capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify-fields", "infsup",
+                                     "spline-dim"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("flag", ["--tol-singular", "--tol-rank",
+                                  "--tol-accept"])
+def test_tolerance_flags_reject_bad_values(tmp_path, capsys, flag, value,
+                                           command):
+    """A tolerance that is not finite and > 0 would decide nothing (a NaN
+    compares false, a zero or negative bound accepts everything): an
+    input error from every analysis command, naming its flag."""
+    mesh_path = tmp_path / "type1-3.mesh"
+    mesh_path.write_text(dump_mesh(type1_diagonal(3)))
+    out = tmp_path / "out"
+    assert main([command, "--mesh", str(mesh_path), flag, value,
+                 "--out", str(out)]) == EXIT_INPUT
+    assert f"error: {flag} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["1", "1.5"])
+@pytest.mark.parametrize("flag", ["--tol-singular", "--tol-rank"])
+def test_singular_and_rank_tolerances_lie_below_one(tmp_path, capsys, flag,
+                                                    value):
+    """Theta(z) and every singular value of W are at most 1, so a
+    threshold of 1 or more marks every vertex singular or every value
+    zero; an edge weight is unbounded, so --tol-accept is not capped."""
+    mesh_path = _gen(tmp_path, "crossed", "--n", "2")
+    assert main(["analyze", "--mesh", str(mesh_path), flag, value]) \
+        == EXIT_INPUT
+    assert f"error: {flag} must be in (0, 1), got {float(value)}" in \
+        capsys.readouterr().err
+    assert main(["analyze", "--mesh", str(mesh_path), "--skip-solver",
+                 "--tol-accept", value]) == EXIT_OK
 
 
 def test_main_calls_share_one_parser_and_leak_no_state(tmp_path, capsys):
@@ -453,6 +491,26 @@ def test_infsup_reports_the_deficiency_as_exact_zeros(tmp_path):
     assert eig == sorted(eig)
     assert report["beta"] == pytest.approx(eig[1] ** 0.5, rel=1e-9)
     assert report["beta"] == pytest.approx(0.09099515790841745, rel=1e-8)
+
+
+@pytest.mark.parametrize("n,want", [
+    (2, [0.1693674879, 0.1740513361, 0.1761727867, 0.1761727867,
+         0.1821457778, 0.1843959526, 0.1843959526, 0.1875669729]),
+    (4, [0.1677080169, 0.1677080169, 0.1700160417, 0.1753543979,
+         0.1753562758, 0.1778097256, 0.1778097256, 0.17783584])])
+def test_infsup_lists_repeated_eigenvalues(tmp_path, n, want):
+    """The values-only SVD behind ``infsup`` lists an eigenvalue as often
+    as it repeats: crossed-2 has two double ones, and the smallest one of
+    crossed-4, beta squared, is double.  A single-vector Krylov method
+    finds each distinct eigenvalue once in exact arithmetic and would
+    drop the repeats."""
+    mesh_path = _gen(tmp_path, "crossed", "--n", str(n))
+    out = tmp_path / "infsup.json"
+    assert main(["infsup", "--mesh", str(mesh_path),
+                 "--out", str(out)]) == EXIT_OK
+    report = json.loads(out.read_text())
+    assert report["smallest_eigenvalues"] == want
+    assert report["beta"] == pytest.approx(want[0] ** 0.5, rel=1e-9)
 
 
 def test_infsup_seminorm_flag(tmp_path):

@@ -10,14 +10,15 @@ import pytest
 from conftest import (GOLDEN_MESHES, MIXED, admissible_target, as_dict,
                       bench_mesh, bench_pool, corner_divergences, dense,
                       div_at, div_integral, div_mean, edge_index,
-                      edge_pair_angles, edge_tris, edge_weights, on_patch,
+                      edge_pair_angles, edge_tris, edge_weights, fan,
+                      on_patch,
                       random_interior_patch, scalar_edge_integral,
                       scalar_gradient_at_vertex, stack_fields, support,
                       type1_with_crossed, values)
 from svstokes import cli, fields, poly
 from svstokes.classify import (BOUNDARY, EVEN, ODD, SINGULAR, Tolerances,
                                classify_mesh, classify_vertex,
-                               compute_dcoefficients)
+                               compute_dcoefficients, theta)
 from svstokes.fields import (FieldBlock, FieldError, UnacceptableEdgeError,
                              boundary_interpolant, center_divergences,
                              edge_table, edge_transfer, field_block,
@@ -28,6 +29,11 @@ from svstokes.mesh import (build_topology, crossed, perturbed_grid,
 from svstokes.trees import build_tree_cover, path_stats, tree_interpolant
 
 TOL = Tolerances()
+
+
+def _classify(topo, z):
+    """The report and d-coefficients of vertex z, from classify_vertex."""
+    return classify_vertex(topo, z, theta(topo.fans)[z], TOL)
 
 
 def _tri_area(topo, t):
@@ -57,9 +63,9 @@ def _add(block, c):
 def test_w_field_properties(rng):
     for _ in range(10):
         mesh, topo, patch = random_interior_patch(rng)
-        k = int(rng.integers(patch.n_interior_edges))
-        y = int(patch.spokes[patch.edge_spoke(k)])
-        row = edge_table(patch, topo).w[0, k]
+        k = int(rng.integers(patch.N - patch.boundary))
+        y = int(patch.spokes[k + patch.boundary])
+        row = edge_table(patch.z, topo).w[0, k]
         w = on_patch(topo, patch, row)
         t1, t2 = edge_tris(topo, edge_index(topo)[(0, y)])
         assert support(w) == {t1, t2}
@@ -75,11 +81,11 @@ def test_w_field_properties(rng):
 def test_chi_fields_and_their_sum(rng):
     for _ in range(10):
         mesh, topo, patch = random_interior_patch(rng)
-        dco = compute_dcoefficients(patch, topo)
-        table = edge_table(patch, topo)
+        dco = compute_dcoefficients(topo, patch.z)
+        table = edge_table(patch.z, topo)
         for k in range(patch.N):
             chi = on_patch(topo, patch, table.chi[0, k])
-            t1, t2 = patch.edge_tri_pair(k)
+            t1, t2 = patch.tris[k], patch.tris[(k + 1) % patch.N]
             assert support(chi) == {t1, t2}
             ints = sorted(div_integral(topo, chi, t) for t in (t1, t2))
             assert ints[0] == pytest.approx(-1.0, rel=1e-10)
@@ -93,8 +99,8 @@ def test_chi_fields_and_their_sum(rng):
 def test_xi_fields(rng):
     for _ in range(10):
         mesh, topo, patch = random_interior_patch(rng)
-        dco = compute_dcoefficients(patch, topo)
-        table = edge_table(patch, topo)
+        dco = compute_dcoefficients(topo, patch.z)
+        table = edge_table(patch.z, topo)
         for i in (1, 2):
             xi_tilde, xi = (on_patch(topo, patch, x[0])
                             for x in fields._xi(table, [i], dco.c[None]))
@@ -112,9 +118,9 @@ def test_xi_fields(rng):
 def test_kappa_field_properties(rng):
     for _ in range(10):
         mesh, topo, patch = random_interior_patch(rng)
-        k = int(rng.integers(patch.n_interior_edges))
-        y = int(patch.spokes[patch.edge_spoke(k)])
-        kap = on_patch(topo, patch, edge_table(patch, topo).kappa[0, k])
+        k = int(rng.integers(patch.N - patch.boundary))
+        y = int(patch.spokes[k + patch.boundary])
+        kap = on_patch(topo, patch, edge_table(patch.z, topo).kappa[0, k])
         e = edge_index(topo)[(0, y)]
         for t in edge_tris(topo, e):
             # zero mean along the shared edge
@@ -132,8 +138,8 @@ def test_kappa_field_properties(rng):
 # local interpolants
 
 def _check_local(patch, topo, target, rng):
-    block = local_interpolant(patch, target, topo,
-                              *classify_vertex(patch, topo, TOL))
+    report, dco = _classify(topo, patch.z)
+    block = local_interpolant(report, target, topo, dco)
     assert set(block.tri.tolist()) <= set(patch.tris)
     divs = {(t, patch.z): target[j] for j, t in enumerate(patch.tris)}
     report = verify_field(block, values(divs))
@@ -143,8 +149,8 @@ def _check_local(patch, topo, target, rng):
 def test_singular_interpolant_crossed_center(rng):
     topo = build_topology(crossed(1))
     center = [v for v in range(topo.V) if not topo.boundary_vertex[v]][0]
-    patch = topo.patches[center]
-    assert classify_vertex(patch, topo)[0].status == SINGULAR
+    patch = fan(topo, center)
+    assert _classify(topo, center)[0].status == SINGULAR
     for _ in range(20):
         raw = rng.standard_normal(patch.N)
         signs = np.array([(-1.0) ** j for j in range(patch.N)])
@@ -155,17 +161,16 @@ def test_singular_interpolant_crossed_center(rng):
 def test_singular_interpolant_rejects_inadmissible_target(rng):
     topo = build_topology(crossed(1))
     center = [v for v in range(topo.V) if not topo.boundary_vertex[v]][0]
-    patch = topo.patches[center]
+    report, dco = _classify(topo, center)
     with pytest.raises(FieldError):
-        local_interpolant(patch, [1.0, 0.0, 0.0, 0.0], topo,
-                          *classify_vertex(patch, topo, TOL))
+        local_interpolant(report, [1.0, 0.0, 0.0, 0.0], topo, dco)
 
 
 @pytest.mark.parametrize("N", [3, 5, 7])
 def test_odd_interpolant(N, rng):
     for _ in range(8):
         mesh, topo, patch = random_interior_patch(rng, N=N)
-        assert classify_vertex(patch, topo)[0].status == ODD
+        assert _classify(topo, 0)[0].status == ODD
         _check_local(patch, topo, rng.standard_normal(N), rng)
 
 
@@ -175,7 +180,7 @@ def test_even_interpolant_crossed_eight_valent(rng):
     eights = [r.vertex for r in reports if r.status == EVEN]
     assert eights
     for v in eights:
-        patch = topo.patches[v]
+        patch = fan(topo, v)
         for _ in range(5):
             _check_local(patch, topo, rng.standard_normal(patch.N), rng)
 
@@ -185,26 +190,11 @@ def test_even_interpolant_random_patches(rng):
     while done < 8:
         mesh, topo, patch = random_interior_patch(
             rng, N=int(rng.choice([4, 6, 8])))
-        r, _ = classify_vertex(patch, topo)
+        r, _ = _classify(topo, 0)
         if r.status != EVEN:
             continue
         _check_local(patch, topo, rng.standard_normal(patch.N), rng)
         done += 1
-
-
-def test_interpolants_reject_another_vertex_report():
-    topo = build_topology(perturbed_grid(3, seed=1))
-    reports, _, _ = classify_mesh(topo)
-    inner = next(r.vertex for r in reports if r.local_interpolating
-                 and not r.boundary)
-    outer = next(r.vertex for r in reports if r.boundary)
-    for z, other in ((inner, outer), (outer, inner)):
-        patch = topo.patches[z]
-        target = np.zeros(patch.N)
-        interpolant = boundary_interpolant if patch.boundary \
-            else local_interpolant
-        with pytest.raises(FieldError, match="report of vertex"):
-            interpolant(patch, target, topo, reports[other])
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +207,7 @@ def test_boundary_interpolant_perturbed_grids(seed, rng):
     for r in reports:
         if not r.boundary:
             continue
-        patch = topo.patches[r.vertex]
+        patch = fan(topo, r.vertex)
         target = rng.standard_normal(patch.N)
         if r.singular:
             if patch.N == 1:
@@ -225,7 +215,7 @@ def test_boundary_interpolant_perturbed_grids(seed, rng):
             else:
                 signs = np.array([(-1.0) ** j for j in range(patch.N)])
                 target -= signs * (signs @ target) / patch.N
-        block, side = boundary_interpolant(patch, target, topo, r)
+        block, side = boundary_interpolant(r, target, topo)
         divs = {(t, patch.z): target[j] for j, t in enumerate(patch.tris)}
         divs.update(as_dict(side))
         report = verify_field(block, values(divs))
@@ -243,7 +233,7 @@ def test_edge_transfer_matches_targets_and_spill(rng):
     reports, _, _ = classify_mesh(topo)
     interior = [r.vertex for r in reports if not r.boundary]
     for z in interior:
-        patch = topo.patches[z]
+        patch = fan(topo, z)
         neighbors = [int(y) for y in patch.spokes
                      if not topo.boundary_vertex[int(y)]]
         if not neighbors:
@@ -260,7 +250,7 @@ def test_edge_transfer_matches_targets_and_spill(rng):
 def test_edge_transfer_rejects_zero_weight_edge():
     topo = build_topology(crossed(1))
     center = [v for v in range(topo.V) if not topo.boundary_vertex[v]][0]
-    patch = topo.patches[center]
+    patch = fan(topo, center)
     y = int(patch.spokes[0])
     # the flanking angles at the crossed center are both right angles
     with pytest.raises(UnacceptableEdgeError):
@@ -276,7 +266,7 @@ def test_edge_transfer_weight_is_the_edge_weight(name):
     topo = build_topology(GOLDEN_MESHES[name]())
     for (e, z), w in edge_weights(topo).items():
         y = int(sum(topo.edges[e])) - z
-        target = np.ones(topo.patches[z].N)
+        target = np.ones(topo.fans.degree[z])
         with pytest.raises(UnacceptableEdgeError):
             edge_transfer(topo, z, y, target, Tolerances(accept=abs(w)))
         if w != 0.0:
@@ -291,7 +281,7 @@ def _three_hop_path(topo):
     weights = edge_weights(topo)
     index = edge_index(topo)
     interior = [v for v in range(topo.V) if not topo.boundary_vertex[v]]
-    even = {v for v in interior if topo.patches[v].N % 2 == 0}
+    even = {v for v in interior if topo.fans.degree[v] % 2 == 0}
     iset = set(interior)
     for a in interior:
         for b in even:
@@ -319,7 +309,7 @@ def test_path_interpolant_three_hops(rng):
     path = _three_hop_path(topo)
     assert path is not None
     z = path[0]
-    patch = topo.patches[z]
+    patch = fan(topo, z)
     # delta target: the chain-signed alternating sum has magnitude one,
     # so the end-spill magnitude is an independent closed-form product
     target = np.zeros(patch.N)
@@ -347,7 +337,7 @@ def test_path_interpolant_rejects_repeated_vertices():
     topo = build_topology(perturbed_grid(3, seed=1))
     interior = [v for v in range(topo.V) if not topo.boundary_vertex[v]]
     z = interior[0]
-    patch = topo.patches[z]
+    patch = fan(topo, z)
     with pytest.raises(Exception):
         path_interpolant(topo, [z, z], np.ones(patch.N), TOL)
 
@@ -357,8 +347,8 @@ def test_path_interpolant_rejects_repeated_vertices():
 
 def test_verify_field_catches_corruption(rng):
     mesh, topo, patch = random_interior_patch(rng, N=5)
-    block = local_interpolant(patch, rng.standard_normal(5), topo,
-                              *classify_vertex(patch, topo, TOL))
+    report, dco = _classify(topo, patch.z)
+    block = local_interpolant(report, rng.standard_normal(5), topo, dco)
     c = _field(block)
     c[block.tri[0], 0, 3] += 0.37      # break continuity / divergences
     divs = {(tt, 0): 0.0 for tt in patch.tris}
@@ -377,14 +367,13 @@ def _valid_field(kind, rng):
                  and r.local_interpolating)
     else:
         r = next(r for r in reports if r.boundary and not r.singular)
-    patch = topo.patches[r.vertex]
+    patch = fan(topo, r.vertex)
     target = rng.standard_normal(patch.N)
     divs = {(t, patch.z): target[j] for j, t in enumerate(patch.tris)}
     if kind == "local":
-        block = local_interpolant(patch, target, topo, r,
-                                  dcoefficients[r.vertex])
+        block = local_interpolant(r, target, topo, dcoefficients[r.vertex])
     else:
-        block, side = boundary_interpolant(patch, target, topo, r)
+        block, side = boundary_interpolant(r, target, topo)
         divs.update(as_dict(side))
     report = verify_field(block, values(divs))
     assert report.ok, report.failed()
@@ -423,8 +412,8 @@ def _chi(topo, scale=1e-6):
     moves divergence integral between two triangles, is continuous, has
     zero trace on the boundary of its support, and carries means."""
     z = next(v for v in range(topo.V) if not topo.boundary_vertex[v])
-    patch = topo.patches[z]
-    return scale * on_patch(topo, patch, edge_table(patch, topo).chi[0, 0])
+    patch = fan(topo, z)
+    return scale * on_patch(topo, patch, edge_table(z, topo).chi[0, 0])
 
 
 @pytest.mark.parametrize("kind", ["local", "boundary"])
@@ -482,9 +471,9 @@ def test_divergence_kernels_match_their_definitions(rng):
             lam[slot] = 1.0
             assert div_at(topo, c, t, v) == poly.eval2(dc, lam)
     # the gathered center divergences are those of each triangle
-    for patch in topo.patches:
-        want = [div_at(topo, c, t, patch.z) for t in patch.tris]
-        assert np.allclose(center_divergences(topo, c, patch), want,
+    for z in range(topo.V):
+        want = [div_at(topo, c, t, z) for t in fan(topo, z).tris]
+        assert np.allclose(center_divergences(topo, c, z), want,
                            rtol=1e-14, atol=1e-14 * np.abs(want).max())
 
 
@@ -534,7 +523,7 @@ def _oracle_kappa(topo, z, y):
 
 
 def _oracle_patch_w(patch, topo, k):
-    return _oracle_w(topo, patch.z, patch.spokes[patch.edge_spoke(k)])
+    return _oracle_w(topo, patch.z, patch.spokes[k + patch.boundary])
 
 
 def _oracle_chi(patch, topo, k):
@@ -641,14 +630,14 @@ def _oracle_boundary(patch, a, topo):
 
 def _oracle_edge_transfer(topo, z, y, a):
     """(field, spill, chain-signed sum of a) of the transfer over {z, y}."""
-    patch = topo.patches[z]
-    k = next(k for k in range(patch.n_interior_edges)
-             if patch.spokes[patch.edge_spoke(k)] == y)
-    tA, tB = patch.edge_tri_pair(k)
+    patch = fan(topo, z)
+    bd = patch.boundary
+    k = next(k for k in range(patch.N - bd) if patch.spokes[k + bd] == y)
+    tA, tB = patch.tris[k], patch.tris[(k + 1) % patch.N]
     cotA = 1.0 / np.tan(patch.theta[k])
     cotB = 1.0 / np.tan(patch.theta[(k + 1) % patch.N])
     M = cotA + cotB
-    n1 = 2.0 * patch.edge_len[patch.edge_spoke(k)] * patch.normals[k]
+    n1 = 2.0 * patch.edge_len[k + bd] * patch.normals[k + bd]
     r = _oracle_vector(n1, _oracle_kappa(topo, z, y))
     seed = (1.0 / M) * (r + cotB * _oracle_w(topo, z, y))
     v = _oracle_combine(topo, a, _oracle_chain_basis(patch, topo, seed, k))
@@ -700,10 +689,11 @@ def test_table_views_equal_the_oracle_fields(source, name):
     to roundoff."""
     topo = build_topology(_oracle_mesh(source, name))
     _, _, dcoefficients = classify_mesh(topo)
-    for patch in topo.patches:
-        table = edge_table(patch, topo)
-        for k in range(patch.n_interior_edges):
-            y = patch.spokes[patch.edge_spoke(k)]
+    for z in range(topo.V):
+        patch = fan(topo, z)
+        table = edge_table(z, topo)
+        for k in range(patch.N - patch.boundary):
+            y = patch.spokes[k + patch.boundary]
             assert np.array_equal(on_patch(topo, patch, table.w[0, k]),
                                   _oracle_w(topo, patch.z, y))
             assert np.array_equal(on_patch(topo, patch, table.kappa[0, k]),
@@ -739,15 +729,15 @@ def test_interpolants_equal_the_oracle(source, name):
     rng = np.random.default_rng(sum(map(ord, name)))
     transfers = 0
     for r in reports:
-        patch = topo.patches[r.vertex]
+        patch = fan(topo, r.vertex)
         a = _target(rng, patch, r.singular)
         if r.boundary and not r.singular:
-            block, side = boundary_interpolant(patch, a, topo, r)
+            block, side = boundary_interpolant(r, a, topo)
             want, want_side = _oracle_boundary(patch, a, topo)
             _assert_same_field(_field(block), want)
             _assert_same_values(as_dict(side), want_side)
         elif r.boundary:
-            block, side = boundary_interpolant(patch, a, topo, r)
+            block, side = boundary_interpolant(r, a, topo)
             _assert_same_field(_field(block),
                                _oracle_local(patch, a, topo, SINGULAR))
             assert not len(side.field)
@@ -758,10 +748,10 @@ def test_interpolants_equal_the_oracle(source, name):
                     continue
                 forced = dataclasses.replace(r, even_index=i)
                 _assert_same_field(
-                    _field(local_interpolant(patch, a, topo, forced, dco)),
+                    _field(local_interpolant(forced, a, topo, dco)),
                     _oracle_local(patch, a, topo, EVEN, i, dco))
         elif r.local_interpolating:
-            _assert_same_field(_field(local_interpolant(patch, a, topo, r)),
+            _assert_same_field(_field(local_interpolant(r, a, topo)),
                                _oracle_local(patch, a, topo, r.status))
         if r.boundary:
             continue
@@ -796,7 +786,7 @@ def test_oracle_meshes_cover_every_interpolant_branch():
 def _oracle_path(topo, path, a):
     acc, _, _ = _oracle_edge_transfer(topo, path[0], path[1], a)
     for z, ynext in zip(path[1:-1], path[2:]):
-        patch = topo.patches[z]
+        patch = fan(topo, z)
         residual = np.array([div_at(topo, acc, t, z) for t in patch.tris])
         acc = acc + _oracle_edge_transfer(topo, z, ynext, -residual)[0]
     return acc
@@ -813,7 +803,7 @@ def _two_hop_paths(topo):
     interior = [z for z in range(topo.V) if not topo.boundary_vertex[z]]
 
     def step(z, avoid):
-        return next((y for y in topo.patches[z].spokes
+        return next((y for y in fan(topo, z).spokes
                      if y not in avoid and not topo.boundary_vertex[y]
                      and abs(weights[(index[(min(z, y), max(z, y))],
                                       z)]) > 0.1), None)
@@ -830,14 +820,14 @@ def test_path_interpolant_equals_the_oracle(source, name, rng):
     topo = build_topology(_oracle_mesh(source, name))
     paths = 0
     for path in _two_hop_paths(topo):
-        a = rng.standard_normal(topo.patches[path[0]].N)
+        a = rng.standard_normal(topo.fans.degree[path[0]])
         result = path_interpolant(topo, path, a, TOL)
         want = _oracle_path(topo, path, a)
         _assert_same_field(_field(result.field), want)
         end = path[-1]
         _assert_same_values(as_dict(result.end_spill), {
             (t, end): div_at(topo, want, t, end)
-            for t in topo.patches[end].tris
+            for t in fan(topo, end).tris
             if div_at(topo, want, t, end) != 0.0})
         paths += 1
     assert paths, "no interior path with acceptable weights"
@@ -893,14 +883,14 @@ def test_block_interpolants_equal_the_row_by_row_calls():
         rng = np.random.default_rng(sum(map(ord, name)))
         for branch, interpolant, args in _interpolant_cases(topo, reports,
                                                             dcoefficients):
-            patch = topo.patches[args[0].vertex]
+            patch = fan(topo, args[0].vertex)
             a = _block_targets(rng, patch, args[0].singular, 3)
-            block = interpolant(patch, a, topo, *args)
+            block = interpolant(args[0], a, topo, *args[1:])
             if patch.boundary:
                 block, side = block
             assert isinstance(block, FieldBlock) and block.F == len(a)
             for s, row in enumerate(a):
-                want = interpolant(patch, row, topo, *args)
+                want = interpolant(args[0], row, topo, *args[1:])
                 if patch.boundary:
                     want, want_side = want
                     _assert_same_values(as_dict(side, s), as_dict(want_side),
@@ -936,16 +926,16 @@ def test_grouped_interpolants_equal_the_one_patch_calls():
                 case)
         for (boundary, _, _), cases in groups.items():
             interpolant = cases[0][1]
-            patches = [topo.patches[args[0].vertex] for _, _, args in cases]
+            patches = [fan(topo, args[0].vertex) for _, _, args in cases]
             a = np.stack([_block_targets(rng, p, args[0].singular, 3)
                           for p, (_, _, args) in zip(patches, cases)])
             S = a.shape[1]
-            got = interpolant(patches, a, topo,
-                              *map(list, zip(*(args for _, _, args in cases))))
+            group, *rest = map(list, zip(*(args for _, _, args in cases)))
+            got = interpolant(group, a, topo, *rest)
             block, side = got if boundary else (got, None)
             assert block.F == len(cases) * S
             for g, (branch, _, args) in enumerate(cases):
-                want = interpolant(patches[g], a[g], topo, *args)
+                want = interpolant(args[0], a[g], topo, *args[1:])
                 want, want_side = want if boundary else (want, None)
                 mine = block.field // S == g
                 assert np.array_equal(block.field[mine] - g * S, want.field)
@@ -970,38 +960,33 @@ def test_grouped_interpolants_reject_mixed_groups():
     odd = [r for r in reports if r.status == ODD]
     assert len({r.valence for r in odd}) > 1
     three = [r for r in odd if r.valence == odd[0].valence][:2]
-    patches = [topo.patches[r.vertex] for r in three]
-    a = np.zeros((2, 1, patches[0].N))
-    assert local_interpolant(patches, a, topo, three).F == 2
+    a = np.zeros((2, 1, three[0].valence))
+    assert local_interpolant(three, a, topo).F == 2
     other = next(r for r in odd if r.valence != odd[0].valence)
     with pytest.raises(FieldError, match="one shape"):
-        local_interpolant(patches[:1] + [topo.patches[other.vertex]], a,
-                          topo, [three[0], other])
-    with pytest.raises(FieldError, match="report of vertex"):
-        local_interpolant(patches, a, topo, three[::-1])
+        local_interpolant([three[0], other], a, topo)
     with pytest.raises(FieldError, match=r"shape \(2, S, "):
-        local_interpolant(patches, a[0], topo, three)
+        local_interpolant(three, a[0], topo)
     boundary, twin = next((r, s) for r in reports for s in reports
                           if r.boundary and s.boundary and r.singular
                           and not s.singular and r.valence == s.valence)
     with pytest.raises(FieldError, match="one class"):
-        boundary_interpolant(
-            [topo.patches[boundary.vertex], topo.patches[twin.vertex]],
-            np.zeros((2, 1, boundary.valence)), topo, [boundary, twin])
+        boundary_interpolant([boundary, twin],
+                             np.zeros((2, 1, boundary.valence)), topo)
 
 
 def test_block_interpolant_checks_every_row():
     topo = build_topology(crossed(2))
     reports, _, _ = classify_mesh(topo)
     r = next(r for r in reports if r.singular and not r.boundary)
-    patch = topo.patches[r.vertex]
+    patch = fan(topo, r.vertex)
     a = _block_targets(np.random.default_rng(3), patch, True, 3)
     a[2, 0] += 1.0
     with pytest.raises(FieldError, match="alternating-sum"):
-        local_interpolant(patch, a, topo, r)
+        local_interpolant(r, a, topo)
     with pytest.raises(FieldError, match=f"expected {patch.N} target values"):
-        local_interpolant(patch, a[:, 1:], topo, r)
-    assert local_interpolant(patch, a[:0], topo, r).F == 0
+        local_interpolant(r, a[:, 1:], topo)
+    assert local_interpolant(r, a[:0], topo).F == 0
 
 
 def _assert_block(block):
@@ -1027,15 +1012,15 @@ def test_interpolant_blocks_are_sorted_nonzero_and_read_only(name):
     blocks = []
     for _, interpolant, args in _interpolant_cases(topo, reports,
                                                    dcoefficients):
-        patch = topo.patches[args[0].vertex]
+        patch = fan(topo, args[0].vertex)
         for a in (_block_targets(rng, patch, args[0].singular, 3),
                   _target(rng, patch, args[0].singular)):
-            block = interpolant(patch, a, topo, *args)
+            block = interpolant(args[0], a, topo, *args[1:])
             blocks.append(block[0] if patch.boundary else block)
     for r in reports:
         if r.boundary:
             continue
-        patch = topo.patches[r.vertex]
+        patch = fan(topo, r.vertex)
         for y in patch.spokes:
             try:
                 blocks.append(edge_transfer(
@@ -1045,7 +1030,7 @@ def test_interpolant_blocks_are_sorted_nonzero_and_read_only(name):
                 continue
     for path in _two_hop_paths(topo):
         blocks.append(path_interpolant(
-            topo, path, rng.standard_normal(topo.patches[path[0]].N),
+            topo, path, rng.standard_normal(topo.fans.degree[path[0]]),
             TOL).field)
     cover = build_tree_cover(topo, reports, TOL)
     if cover.complete:
@@ -1081,9 +1066,9 @@ def _field_cases(topo, reports, dcoefficients, rng):
     blocks, divs = [], []
     for _, interpolant, args in _interpolant_cases(topo, reports,
                                                    dcoefficients):
-        patch = topo.patches[args[0].vertex]
+        patch = fan(topo, args[0].vertex)
         a = _block_targets(rng, patch, args[0].singular, 1)[0]
-        got = interpolant(patch, a, topo, *args)
+        got = interpolant(args[0], a, topo, *args[1:])
         expected = {(t, patch.z): v for t, v in zip(patch.tris, a.tolist())}
         if patch.boundary:
             got, side = got
@@ -1199,9 +1184,9 @@ def test_suite_reports_one_corrupted_sample(monkeypatch, kind):
     name = f"{kind}_interpolant"
     original = getattr(cli, name)
 
-    def corrupting(patches, targets, *args):
-        out = original(patches, targets, *args)
-        group = [p.z for p in patches]
+    def corrupting(group, targets, *args):
+        out = original(group, targets, *args)
+        group = [r.vertex for r in group]
         if victim not in group:
             return out
         block = out[0] if kind == "boundary" else out
@@ -1226,7 +1211,7 @@ def test_suite_fields_isolate_a_failing_row():
     topo = build_topology(crossed(2))
     reports, _, dcoefficients = classify_mesh(topo)
     r = next(r for r in reports if r.singular and not r.boundary)
-    patch = topo.patches[r.vertex]
+    patch = fan(topo, r.vertex)
     a = _block_targets(np.random.default_rng(4), patch, True, 3)
     a[1, 0] += 1.0
     built = list(cli._suite_fields(topo, [r], a[None], dcoefficients))
@@ -1253,15 +1238,15 @@ def test_suite_group_with_a_violating_row_fails_that_vertex_only(
     original = cli.local_interpolant
     calls, bad = [], []
 
-    def violating(patches, targets, *args):
+    def violating(group, targets, *args):
         targets = np.array(targets)
         calls.append(targets.shape)
-        for g, p in enumerate(patches):
-            if p.z == victim:
+        for g, r in enumerate(group):
+            if r.vertex == victim:
                 if not bad:
                     bad.append(targets[g, -1].copy())
                 targets[g, (targets[g] == bad[0]).all(axis=1), 0] += 1.0
-        return original(patches, targets, *args)
+        return original(group, targets, *args)
 
     monkeypatch.setattr(cli, "local_interpolant", violating)
     lines, ok = cli.run_field_suites(mesh, TOL, 2, 7)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import edge_pair_angles, edge_tris
+from conftest import edge_pair_angles, edge_tris, fan
 from svstokes import poly
 from svstokes.geometry import triangle_geometry
 from svstokes.mesh import build_topology, crossed, perturbed_grid
@@ -114,12 +114,12 @@ def test_edge_pair_geometry_matches_patch_angles(mesh):
             continue
         for z in topo.edges[e].tolist():
             phi1, phi2, th1, th2 = edge_pair_angles(topo, e, z)
-            patch = topo.patches[z]
+            patch = fan(topo, z)
             y = int(topo.edges[e][0]) if int(topo.edges[e][0]) != z \
                 else int(topo.edges[e][1])
             # phi_1, phi_2 are the consecutive patch angles at z flanking
             # the spoke toward y
-            pos = patch.spokes.index(y)
+            pos = patch.spokes.tolist().index(y)
             if patch.boundary:
                 pair = (patch.theta[pos - 1], patch.theta[pos])
             else:

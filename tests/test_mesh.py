@@ -1,7 +1,6 @@
 """Mesh format, validation, topology derivation, patch enumeration, and
 the preset generators."""
 
-import dataclasses
 import re
 from types import SimpleNamespace
 
@@ -11,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (GOLDEN_MESHES, MIXED, PINCHED, bench_mesh, bench_pool,
-                      edge_index, type1_with_crossed)
+                      edge_index, fan, type1_with_crossed)
 from svstokes import poly
 from svstokes.mesh import (MeshError, MeshFormatError, Triangulation,
-                           VertexPatch, build_topology, crossed, dump_mesh,
+                           build_topology, crossed, dump_mesh,
                            enumerate_patch, generate, load_mesh, ngon_patch,
                            perturbed_grid, three_lines, type1_diagonal)
 
@@ -330,24 +329,25 @@ def test_geometry_table_matches_the_per_triangle_formulas(make):
     lambda: perturbed_grid(3, seed=1)],
     ids=["crossed-2", "type1-3", "three-lines-2", "perturbed-3-s1"])
 def test_patch_table_matches_enumerate_patch(make):
-    """The patches are read-only slices of the fan table, which a second
-    ``enumerate_patch`` call rebuilds bit for bit."""
+    """The fan table is read-only, its slices at a vertex id are views of
+    it, and a second ``enumerate_patch`` call rebuilds it bit for bit."""
     topo = build_topology(make())
     fans = topo.fans
-    assert len(topo.patches) == topo.V
-    again = enumerate_patch(topo)
+    assert len(fans.degree) == len(fans.boundary) == len(fans.h_z) == topo.V
+    again = enumerate_patch(topo.mesh, topo.angle)
     for name, arr in vars(fans).items():
         assert not arr.flags.writeable, name
         assert arr.dtype == getattr(again, name).dtype, name
         assert arr.tobytes() == getattr(again, name).tobytes(), name
-    for z, patch in enumerate(topo.patches):
+    for z in range(topo.V):
+        patch = fan(topo, z)
         for a, base in ((patch.theta, fans.theta),
                         (patch.edge_len, fans.edge_len),
                         (patch.tangents, fans.tangent),
                         (patch.normals, fans.normal)):
             assert a.base is base and not a.flags.writeable, z
         lo, hi = fans.offset[z], fans.offset[z + 1]
-        assert patch.tris == tuple(fans.tri[lo:hi].tolist())
+        assert patch.tris.tolist() == fans.tri[lo:hi].tolist()
         assert fans.center[lo:hi].tolist() == [z] * patch.N
         assert fans.position[lo:hi].tolist() == list(range(patch.N))
         assert patch.boundary == fans.boundary[z] == topo.boundary_vertex[z]
@@ -355,7 +355,8 @@ def test_patch_table_matches_enumerate_patch(make):
         for t, s in zip(patch.tris, patch.slots):
             assert topo.mesh.triangles[t][s] == z
         # the patch diameter equals the pairwise loop over its points
-        pts = list(topo.mesh.vertices[list(patch.spokes)]) + [patch.center]
+        pts = (list(topo.mesh.vertices[list(patch.spokes)])
+               + [topo.mesh.vertices[z]])
         assert patch.h_z == max(float(np.hypot(*(p - q)))
                                 for i, p in enumerate(pts)
                                 for q in pts[i + 1:])
@@ -394,7 +395,7 @@ def test_three_lines_counts():
     # every interior vertex is a regular hexagon center
     for v in range(topo.V):
         if not topo.boundary_vertex[v]:
-            patch = topo.patches[v]
+            patch = fan(topo, v)
             assert patch.N == 6
             assert np.allclose(patch.theta, np.pi / 3.0)
 
@@ -403,7 +404,7 @@ def test_ngon_patch_structure():
     topo = build_topology(ngon_patch(6))
     assert topo.T == 6
     assert topo.V0 == 1
-    patch = topo.patches[0]
+    patch = fan(topo, 0)
     assert not patch.boundary
     assert patch.N == 6
     assert np.isclose(sum(patch.theta), 2 * np.pi)
@@ -421,7 +422,7 @@ def test_interior_patch_is_ccw_and_closed():
     for v in range(topo.V):
         if topo.boundary_vertex[v]:
             continue
-        patch = topo.patches[v]
+        patch = fan(topo, v)
         assert len(patch.spokes) == patch.N
         assert np.isclose(sum(patch.theta), 2 * np.pi)
         tris = topo.mesh.triangles
@@ -438,7 +439,7 @@ def test_boundary_patch_has_extra_spoke():
     for v in range(topo.V):
         if not topo.boundary_vertex[v]:
             continue
-        patch = topo.patches[v]
+        patch = fan(topo, v)
         assert patch.boundary
         assert len(patch.spokes) == patch.N + 1
         assert sum(patch.theta) < 2 * np.pi - 1e-9
@@ -460,7 +461,7 @@ def test_perturbed_grid_always_valid(seed, n):
     # each triangle contributes 3 vertex incidences
     assert topo.fans.offset[-1] == 3 * topo.T
     for v in range(topo.V):
-        patch = topo.patches[v]
+        patch = fan(topo, v)
         total = sum(patch.theta)
         assert total <= 2 * np.pi + 1e-9
 
@@ -484,8 +485,9 @@ def _incident(mesh):
 
 
 def _loop_enumerate_patch(topology, z, incident):
-    """The patch of z by a dict walk over its fan triangles ``incident[z]``,
-    one at a time."""
+    """The fan of z by a dict walk over its triangles ``incident[z]``, one
+    at a time: the slices of the fan table at z, the center and the
+    normals of the interior edges, by name."""
     mesh = topology.mesh
     incident = incident[z]
     if not incident:
@@ -562,9 +564,9 @@ def _loop_enumerate_patch(topology, z, incident):
 
     for a in (theta, edge_len, tangents, normals):
         a.setflags(write=False)
-    return VertexPatch(
-        z=z, center=center, tris=tuple(order),
-        slots=tuple(slot_of[t] for t in order), spokes=tuple(spokes),
+    return SimpleNamespace(
+        z=z, N=n, center=center, tris=np.array(order),
+        slots=np.array([slot_of[t] for t in order]), spokes=np.array(spokes),
         boundary=boundary, theta=theta, edge_len=edge_len,
         tangents=tangents, normals=normals, h_z=h_z,
     )
@@ -585,17 +587,20 @@ def _fan_mesh(source, name):
 
 def _assert_fans_match_the_walk(topo):
     incident = _incident(topo.mesh)
-    for z, patch in enumerate(topo.patches):
+    for z in range(topo.V):
         want = _loop_enumerate_patch(topo, z, incident)
-        for f in dataclasses.fields(VertexPatch):
-            got, ref = getattr(patch, f.name), getattr(want, f.name)
+        patch = fan(topo, z)
+        bd = int(patch.boundary)
+        patch.center = topo.mesh.vertices[z]
+        patch.normals = patch.normals[bd:len(patch.spokes) - bd]
+        for name, ref in vars(want).items():
+            got = getattr(patch, name)
             if isinstance(ref, np.ndarray):
                 assert got.dtype == ref.dtype and got.shape == ref.shape
-                assert got.tobytes() == ref.tobytes(), (z, f.name)
+                assert got.tobytes() == ref.tobytes(), (z, name)
             else:
-                assert got == ref, (z, f.name)
-                assert [type(x) for x in np.atleast_1d(got)] == \
-                    [type(x) for x in np.atleast_1d(ref)], (z, f.name)
+                assert got == ref, (z, name)
+                assert type(got) is type(ref), (z, name)
 
 
 FAN_MESHES = (PATCH_MESHES + [("mixed", name) for name in sorted(MIXED)]

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import (dense, edge_index, edge_tris, rigid_motion, stack_fields,
-                      values)
+from conftest import (dense, edge_index, edge_tris, fan, rigid_motion,
+                      stack_fields, values)
 from svstokes import fields, poly, solver
-from svstokes.classify import Tolerances, classify_mesh, classify_vertex
+from svstokes.classify import Tolerances, classify_mesh
 from svstokes.fields import field_block, local_interpolant
 from svstokes.mesh import (Triangulation, build_topology, crossed,
                            perturbed_grid, type1_diagonal)
@@ -147,7 +147,8 @@ def test_node_array_invariants(name):
             pairs.append(nodes[t, 3 + 2 * side:5 + 2 * side])
         assert np.array_equal(pairs[0], pairs[1][::-1])
     # a vertex node is the same in every incident triangle
-    for patch in topo.patches:
+    for z in range(topo.V):
+        patch = fan(topo, z)
         assert len(set(nodes[patch.tris, patch.slots].tolist())) == 1
 
 
@@ -280,12 +281,12 @@ def test_injection_oracle_field_to_matrix():
     # sampling a locally constructed field into the DOF vector and applying
     # B must reproduce the field's divergence moments exactly
     topo, reports, summary, nodes, B = _setup(perturbed_grid(3, seed=4))
+    dcoefficients = classify_mesh(topo)[2]
     rng = np.random.default_rng(8)
     interior = [r for r in reports if not r.boundary]
     for r in interior[:3]:
-        patch = topo.patches[r.vertex]
-        f = local_interpolant(patch, rng.standard_normal(patch.N), topo,
-                              *classify_vertex(patch, topo))
+        f = local_interpolant(r, rng.standard_normal(r.valence), topo,
+                              dcoefficients[r.vertex])
         u = velocity_coefficients(topo, nodes, f)[:, 0]
         expect = _divergence_moments(topo, f)
         assert np.abs(B @ u - expect).max() < 1e-10 * max(
@@ -357,7 +358,7 @@ def _loop_pressure_constraints(topology, reports):
     for r in reports:
         if not r.singular:
             continue
-        patch = topology.patches[r.vertex]
+        patch = fan(topology, r.vertex)
         row = np.zeros(6 * topology.T)
         for j, (t, slot) in enumerate(zip(patch.tris, patch.slots)):
             row[6 * t + slot] = (-1.0) ** j
@@ -372,7 +373,8 @@ def _loop_checkerboard_signature(topology, mode, rel_tol=0.1):
     scale = float(np.abs(mode).max())
     if scale == 0.0:
         return False
-    for patch in topology.patches:
+    for z in range(topology.V):
+        patch = fan(topology, z)
         if patch.boundary:
             continue
         vals = mode[6 * np.array(patch.tris) + patch.slots]

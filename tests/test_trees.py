@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (GOLDEN_MESHES, MIXED, admissible_target, dense, div_at,
-                      div_mean, edge_index, edge_weights, support,
+                      div_mean, edge_index, edge_weights, fan, support,
                       type1_with_crossed)
 from svstokes import trees
 from svstokes.classify import NOT_LI, Tolerances, classify_mesh
@@ -614,27 +614,26 @@ def _path_tree_interpolant(topo, dcover, p, reports, dcoefficients):
     pscale = max(float(np.abs(p).max()), 1e-30)
     acc = np.zeros((topo.T, 2, 10))
 
-    def residual(patch):
-        return p[patch.tris, patch.slots] - center_divergences(topo, acc,
-                                                               patch)
+    def residual(z):
+        patch = fan(topo, z)
+        return p[patch.tris, patch.slots] - center_divergences(topo, acc, z)
 
     def add(block):
         acc[block.tri] += block.coeffs
 
     for z in np.flatnonzero(topo.boundary_vertex).tolist():
-        a = residual(topo.patches[z])
+        a = residual(z)
         if np.abs(a).max() > 1e-13 * pscale:
-            add(boundary_interpolant(topo.patches[z], a, topo, reports[z])[0])
+            add(boundary_interpolant(reports[z], a, topo)[0])
     for tree in dcover.trees:
         for z in sorted(tree.parents):
-            a = residual(topo.patches[z])
+            a = residual(z)
             if np.abs(a).max() > 1e-13 * pscale:
                 add(path_interpolant(topo, tree.path_to_root(z), a,
                                      TOL).field)
-        a = residual(topo.patches[tree.root])
+        a = residual(tree.root)
         if np.abs(a).max() > 1e-13 * pscale:
-            add(local_interpolant(topo.patches[tree.root], a, topo,
-                                  reports[tree.root],
+            add(local_interpolant(reports[tree.root], a, topo,
                                   dcoefficients[tree.root]))
     return acc
 
