@@ -132,7 +132,7 @@ def analyze_mesh(mesh: Triangulation, tol: Tolerances,
     """Full classify -> trees -> solver pipeline: the JSON-ready report
     and the spurious modes (raw pressure coefficient vectors)."""
     topology = build_topology(mesh)
-    reports, summary, _ = classify_mesh(topology, tol)
+    reports, summary = classify_mesh(topology, tol)
     cover = build_tree_cover(topology, reports, tol)
     verdict, narrative = check_hypotheses(topology, reports, cover)
     stats = vars(cover.stats)
@@ -244,7 +244,7 @@ def render_svg(mesh: Triangulation, report: dict, modes,
 # ---------------------------------------------------------------------------
 # field verification suites
 
-def _suite_fields(topology, group, targets, dcoefficients):
+def _suite_fields(topology, group, targets):
     """Yield (vertices, FieldBlock, expected VertexValues) for the fields
     of a group of verified vertices that share (boundary, status, N), with
     their targets (G, S, N): field f of a block is the field of a target at
@@ -255,8 +255,7 @@ def _suite_fields(topology, group, targets, dcoefficients):
         if group[0].boundary:
             block, side = boundary_interpolant(group, targets, topology)
         else:
-            block = local_interpolant(group, targets, topology,
-                                      [dcoefficients[r.vertex] for r in group])
+            block = local_interpolant(group, targets, topology)
             side = None
     except FieldError:
         G, S = targets.shape[:2]
@@ -267,7 +266,7 @@ def _suite_fields(topology, group, targets, dcoefficients):
         else:
             return
         for sub, part in parts:
-            yield from _suite_fields(topology, sub, part, dcoefficients)
+            yield from _suite_fields(topology, sub, part)
         return
     G, S, N = targets.shape
     vertex = np.array([r.vertex for r in group])
@@ -305,7 +304,7 @@ def run_field_suites(mesh: Triangulation, tol: Tolerances, samples: int,
     if samples < 1:
         raise _InputError(f"--samples must be at least 1, got {samples}")
     topology = build_topology(mesh)
-    reports, _, dcoefficients = classify_mesh(topology, tol)
+    reports, _ = classify_mesh(topology, tol)
     rng = np.random.default_rng(seed)
     verified = []                  # reports of the verified vertices
     targets = {}                   # their target blocks by vertex
@@ -339,8 +338,7 @@ def run_field_suites(mesh: Triangulation, tol: Tolerances, samples: int,
               for lo in range(0, len(group), step)]
     for chunk in chunks:
         for vertices, part, values in _suite_fields(
-                topology, chunk, np.stack([targets[r.vertex] for r in chunk]),
-                dcoefficients):
+                topology, chunk, np.stack([targets[r.vertex] for r in chunk])):
             owner[F:F + part.F] = vertices
             for out, a in zip(block, (part.field + F, part.tri, part.coeffs)):
                 out[R:R + len(a)] = a
@@ -410,7 +408,7 @@ def cmd_infsup(args) -> int:
     mesh = _load(args.mesh)
     tol = _tolerances(args)
     topology = build_topology(mesh)
-    reports, _, _ = classify_mesh(topology, tol)
+    reports, _ = classify_mesh(topology, tol)
     cert = solver.certify(topology, reports, seminorm=args.seminorm)
     beta, eigenvalues = solver.infsup_constant(cert, tol)
     out = {

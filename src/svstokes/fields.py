@@ -6,10 +6,10 @@ interpolants (singular / odd / even vertex cases), the boundary
 interpolant, and the edge/path transfer machinery that moves
 vertex-divergence targets along acceptable mesh edges.  The table and
 the interpolants take a group of vertices of one shape at once, the
-interpolants by their vertex reports, and read the vertex fans off the
-fan table ``topology.fans``.  Each
-construction returns its fields as one FieldBlock of support rows, which
-verify_field checks.
+interpolants by their vertex reports, and read the vertex fans, with the
+d-coefficients of the even seeds, off the fan table ``topology.fans``.
+Each construction returns its fields as one FieldBlock of support rows,
+which verify_field checks.
 """
 
 from __future__ import annotations
@@ -128,17 +128,13 @@ def center_divergences(topology: MeshTopology, coeffs, z: int):
 # group of one.
 
 
-def _group(topology, reports, target, what, dcos=None):
-    """(vertex ids (G,), reports, d-coefficients, targets (G, S, N)) of an
-    interpolant call.  A group takes sequences of G vertex reports and
-    d-coefficients and a target array (G, S, N); one report, with its
-    d-coefficients and a target vector (N,) or block (S, N), is a group of
-    one.  The shape of a vertex is read off the fan table."""
+def _group(topology, reports, target, what):
+    """(vertex ids (G,), reports, targets (G, S, N)) of an interpolant call.
+    A group takes a sequence of G vertex reports and a target array
+    (G, S, N); one report, with a target vector (N,) or block (S, N), is a
+    group of one.  The shape of a vertex is read off the fan table."""
     one = isinstance(reports, VertexReport)
-    if one:
-        reports, dcos = (reports,), (dcos,)
-    reports = tuple(reports)
-    dcos = (None,) * len(reports) if dcos is None else tuple(dcos)
+    reports = (reports,) if one else tuple(reports)
     fans = topology.fans
     z = np.array([r.vertex for r in reports], dtype=np.int64)
     if len(set(zip(fans.degree[z].tolist(),
@@ -155,12 +151,9 @@ def _group(topology, reports, target, what, dcos=None):
     elif a.ndim != 3 or a.shape[::2] != (len(z), n):
         raise FieldError(f"expected {what} of shape ({len(z)}, S, {n}), "
                          f"got {a.shape}")
-    if len(dcos) != len(reports):
-        raise FieldError("a patch group needs one set of d-coefficients "
-                         "per report")
     if len({r.status for r in reports}) > 1:
         raise FieldError("a patch group needs vertices of one class")
-    return z, reports, dcos, a
+    return z, reports, a
 
 
 # ---------------------------------------------------------------------------
@@ -361,15 +354,16 @@ def _contract(table, a, seed, seed_pos):
 # Local interpolants
 
 
-def _even_seed(table: EdgeTable, reports, dcos):
+def _even_seed(table: EdgeTable, reports, fans):
     """Determinant-normalized corrector seeds (G, N, 2, 10) of a group of
-    even interior vertices, each for its direction index in {0, 1, 2}."""
+    even interior vertices, each for its direction index in {0, 1, 2},
+    from the d-coefficients of their fans in the fan table ``fans``."""
     i = np.array([r.even_index for r in reports])
-    xi = _xi(table, i, np.stack([d.c for d in dcos]))[1]
-    dvals = np.stack([12.0 * d.d0 if k == 0 else d.d[:, k - 1]
-                      for d, k in zip(dcos, i.tolist())])
-    det = np.array([12.0 * d.D[0] if k == 0 else d.D[k]
-                    for d, k in zip(dcos, i.tolist())])
+    g = np.arange(len(i))
+    xi = _xi(table, i, fans.c[table.corner])[1]
+    dvals = np.where((i == 0)[:, None], 12.0 * fans.d0[table.corner],
+                     fans.d[table.corner][g, :, np.maximum(i - 1, 0)])
+    det = np.where(i == 0, 12.0 * fans.D[table.z, 0], fans.D[table.z, i])
     # telescoping weights s_0 = 0, s_j = d_j - s_{j-1}; the weight of
     # triangle j multiplies the edge field of the edge joining triangles
     # j and j+1 (cyclic slot j)
@@ -379,8 +373,7 @@ def _even_seed(table: EdgeTable, reports, dcos):
         xi - _combine(s, table.w[:, 1:]))
 
 
-def local_interpolant(reports, target, topology: MeshTopology,
-                      dcos=None) -> FieldBlock:
+def local_interpolant(reports, target, topology: MeshTopology) -> FieldBlock:
     """Patch fields matching per-triangle vertex-divergence targets at the
     patch centers, with zero triangle means and no pollution elsewhere.
 
@@ -388,18 +381,16 @@ def local_interpolant(reports, target, topology: MeshTopology,
     ``classify_mesh``): telescoping over edge fields at a singular vertex,
     the alternating-sum seed for odd valence, and the
     determinant-normalized corrector seed for certified even valence,
-    which reads the vertex's d-coefficients (the ``classify_mesh`` ones).
+    which reads the d-coefficients of the vertex's fan in the fan table.
 
     ``reports`` is a group of the G reports of vertices of one patch
-    shape and one class, with their d-coefficients ``dcos`` and targets
-    (G, S, N); field g S + s of the block matches target s of vertex g.
-    One report, with its d-coefficients and one target vector (N,) or a
-    block (S, N) of them, is a group of one.  The group shares one edge
-    table and one contraction, and each field has the very bits of a call
-    on its vertex and target alone.
+    shape and one class, with targets (G, S, N); field g S + s of the
+    block matches target s of vertex g.  One report, with one target
+    vector (N,) or a block (S, N) of them, is a group of one.  The group
+    shares one edge table and one contraction, and each field has the
+    very bits of a call on its vertex and target alone.
     """
-    z, reports, dcos, a = _group(topology, reports, target, "target values",
-                                 dcos)
+    z, reports, a = _group(topology, reports, target, "target values")
     report = reports[0]
     if not report.local_interpolating:
         raise FieldError(f"vertex {report.vertex} is not local "
@@ -423,11 +414,7 @@ def local_interpolant(reports, target, topology: MeshTopology,
     if n % 2 == 1:
         seed = _combine(0.5 * _chains(n, False)[1][:1], table.w)
     else:
-        missing = [r.vertex for r, d in zip(reports, dcos) if d is None]
-        if missing:
-            raise FieldError(f"vertex {missing[0]} is {report.status}: its "
-                             "d-coefficients from classify_mesh are needed")
-        seed = _even_seed(table, reports, dcos)
+        seed = _even_seed(table, reports, topology.fans)
     return _patch_block(topology, table, _contract(table, a, seed, 0)[0])
 
 
@@ -446,7 +433,7 @@ def boundary_interpolant(reports, p_values, topology: MeshTopology):
     VertexValues, the residual divergences they leave at interior
     vertices.
     """
-    z, reports, _, a = _group(topology, reports, p_values, "values")
+    z, reports, a = _group(topology, reports, p_values, "values")
     fans = topology.fans
     if not fans.boundary[z[0]]:
         raise FieldError("patch center is not a boundary vertex")

@@ -1,4 +1,5 @@
-"""Triangulation data model, file I/O, connectivity, vertex fans, generators."""
+"""Triangulation data model, file I/O, connectivity, vertex fans with the
+patch coefficients and determinants of every interior fan, generators."""
 
 from __future__ import annotations
 
@@ -198,13 +199,25 @@ def load_mesh(text: str) -> Triangulation:
         pos += 1
         return item
 
+    def count(fields, lineno, what, item):
+        """The count of a header line, checked before anything is
+        allocated for it: one line per item must follow."""
+        try:
+            n = int(fields[1])
+        except ValueError:
+            raise MeshFormatError(f"{what} count is not an integer",
+                                  lineno) from None
+        if n < 0:
+            raise MeshFormatError(f"{what} count is negative", lineno)
+        if n > len(tokens) - pos:
+            raise MeshFormatError(
+                f"unexpected end of file, expected {item}", lineno)
+        return n
+
     lineno, fields = take("'vertices N'")
     if len(fields) != 2 or fields[0] != "vertices":
         raise MeshFormatError("expected 'vertices N'", lineno)
-    try:
-        nv = int(fields[1])
-    except ValueError:
-        raise MeshFormatError("vertex count is not an integer", lineno) from None
+    nv = count(fields, lineno, "vertex", "vertex coordinates")
     verts = np.empty((nv, 2))
     for i in range(nv):
         lineno, fields = take("vertex coordinates")
@@ -222,10 +235,7 @@ def load_mesh(text: str) -> Triangulation:
     lineno, fields = take("'triangles M'")
     if len(fields) != 2 or fields[0] != "triangles":
         raise MeshFormatError("expected 'triangles M'", lineno)
-    try:
-        nt = int(fields[1])
-    except ValueError:
-        raise MeshFormatError("triangle count is not an integer", lineno) from None
+    nt = count(fields, lineno, "triangle", "triangle indices")
     tris = np.empty((nt, 3), dtype=np.int64)
     for i in range(nt):
         lineno, fields = take("triangle indices")
@@ -319,7 +329,7 @@ def build_topology(mesh: Triangulation) -> MeshTopology:
         boundary_edge=boundary_edge, boundary_vertex=boundary_vertex,
         euler_ok=(mesh.num_triangles - len(edges) + mesh.num_vertices == 1),
         area=area, hat_grads=hat_grads, angle=angle, cot=cot,
-        fans=enumerate_patch(mesh, angle))
+        fans=enumerate_patch(mesh, angle, cot, area))
 
 
 @dataclass(frozen=True)
@@ -331,7 +341,25 @@ class FanTable:
     an interior edge of z, the far end of the spoke between them; on an
     interior fan the last corner shares one with the first.  The spoke
     after corner j is spoke j of an interior fan, spoke j + 1 of a
-    boundary fan, whose spokes 0 and N lie on the domain boundary.  All
+    boundary fan, whose spokes 0 and N lie on the domain boundary.
+
+    An interior fan also carries the patch coefficients of its vertex z,
+    with y_{j+1} the far end of spoke j, theta_{j+1} the angle of corner j
+    and |T_{j+1}| the area of its triangle, and index j - 1 cyclic:
+
+    - ``b[j]`` = -((y_{j+1} - y_j) . e_i^perp) / 3 for the directions
+      i = 1, 2 (columns), with (x, y)^perp = (-y, x);
+    - ``c[j]``, the prefix sums of ``b`` (``c`` at the last corner is zero
+      analytically);
+    - ``d0[j]`` = cot theta_{j+1} (|e_{j+1}|^-2 - |e_j|^-2), the vertex
+      divergence pattern of the normal correctors;
+    - ``d[j]`` = 3 b_j / |T_{j+1}| - 12 cot theta_{j+1} (c_j / |e_{j+1}|^2
+      - c_{j-1} / |e_j|^2), that of the directional correctors;
+    - ``D[z]`` = [D_0, D_1, D_2], the alternating sums
+      sum_j (-1)^(j+1) of ``d0`` and of the columns of ``d``, which certify
+      an even-valence interior vertex.
+
+    They are NaN on a boundary fan, where no decision reads them.  All
     arrays are read-only."""
 
     offset: np.ndarray        # (V + 1,) corner offsets
@@ -348,6 +376,11 @@ class FanTable:
     tangent: np.ndarray       # (S, 2) unit vector z -> spoke
     normal: np.ndarray        # (S, 2) its counter-clockwise rotation
     h_z: np.ndarray           # (V,) patch diameter
+    b: np.ndarray             # (3T, 2) patch coefficients b_j, columns i = 1, 2
+    c: np.ndarray             # (3T, 2) their prefix sums c_j
+    d0: np.ndarray            # (3T,) normal corrector pattern d_{0,j}
+    d: np.ndarray             # (3T, 2) directional corrector patterns d_j
+    D: np.ndarray             # (V, 3) determinants [D_0, D_1, D_2]
 
     def corners(self, z: int) -> slice:
         """The corners of fan z, in fan order."""
@@ -358,10 +391,12 @@ class FanTable:
         return slice(self.spoke_offset[z], self.spoke_offset[z + 1])
 
 
-def enumerate_patch(mesh: Triangulation, angle) -> FanTable:
+def enumerate_patch(mesh: Triangulation, angle, cot, area) -> FanTable:
     """Order every vertex's triangles counter-clockwise, all fans at once,
-    with the corner angles ``angle`` (T, 3) (``build_topology`` makes this
-    one call).  The corner of z after corner
+    with the corner angles ``angle`` (T, 3), and derive the patch
+    coefficients of every interior fan from the corner cotangents ``cot``
+    (T, 3) and the triangle areas ``area`` (T,) (``build_topology`` makes
+    this one call).  The corner of z after corner
     ``3 t + s`` is ``twin[t, (s + 2) % 3]``, across the side ending at z.
     An interior fan starts at its triangle with the smallest index, a
     boundary fan at the corner whose side ``s`` has no twin, so that it
@@ -419,13 +454,46 @@ def enumerate_patch(mesh: Triangulation, angle) -> FanTable:
             [spoke[spoke_offset[zs, None] + np.arange(m)], zs])]
         diff = pts[:, :, None] - pts[:, None, :]
         h_z[zs] = np.hypot(diff[..., 0], diff[..., 1]).max(axis=(1, 2))
+    b, c, d = (np.full((n, 2), np.nan) for _ in range(3))
+    d0, D = np.full(n, np.nan), np.full((V, 3), np.nan)
+    corner_cot, corner_area = cot.ravel()[order], area[tri]
+    # One block per interior valence m, each fan a row: its cumsum and its
+    # alternating sums run over one contiguous row, so every entry has the
+    # bits of the fan's formula on its own.  Elementwise operations only,
+    # no BLAS dot, whose rounding depends on the kernel: the NotLI decision
+    # values are roundoff, and ties between equal |D_i| must not move.
+    for m in np.unique(deg[~boundary]):
+        zs = np.flatnonzero(~boundary & (deg == m))
+        k = offset[zs, None] + np.arange(m)             # corner j of each fan
+        s = spoke_offset[zs, None] + np.arange(m)       # the spoke after it
+        prev = np.arange(-1, m - 1)                     # j - 1, cyclic
+        y = mesh.vertices[spoke[s]]                     # y_{j+1}
+        # |e_{j+1}|^2 by libm pow, as the scalar ``edge_len ** 2`` of the
+        # formula rounds it; the product edge_len * edge_len differs from
+        # it in the last bit about once in a thousand
+        elen2 = np.float_power(edge_len[s], 2)
+        dy = y - y[:, prev]
+        # -(dy . e_i^perp) is -dy_y for i = 1 and dy_x for i = 2
+        bk = dy[..., ::-1] * np.array([-1.0, 1.0]) / 3.0
+        ck = np.cumsum(bk, axis=1)
+        inv = 1.0 / elen2
+        d0k = corner_cot[k] * (inv - inv[:, prev])
+        ce = ck / elen2[..., None]
+        dk = (3.0 * bk / corner_area[k][..., None]
+              - 12.0 * corner_cot[k][..., None] * (ce - ce[:, prev]))
+        signs = np.where(np.arange(m) % 2 == 1, 1.0, -1.0)   # (-1)^(j+1)
+        D[zs] = np.stack([np.sum(signs * d0k, axis=1),
+                          np.sum(signs * dk[..., 0], axis=1),
+                          np.sum(signs * dk[..., 1], axis=1)], axis=1)
+        b[k], c[k], d0[k], d[k] = bk, ck, d0k, dk
     table = FanTable(
         offset=offset, degree=deg, center=center,
         position=np.arange(n) - offset[center], tri=tri, slot=slot,
         theta=angle.ravel()[order],
         boundary=boundary, spoke_offset=spoke_offset, spoke=spoke,
         edge_len=edge_len, tangent=tangent,
-        normal=tangent[:, ::-1] * np.array([-1.0, 1.0]), h_z=h_z)
+        normal=tangent[:, ::-1] * np.array([-1.0, 1.0]), h_z=h_z,
+        b=b, c=c, d0=d0, d=d, D=D)
     for arr in vars(table).values():
         arr.setflags(write=False)
     return table

@@ -252,14 +252,13 @@ def check_hypotheses(topology: MeshTopology, reports, cover: TreeCover):
 
 
 def tree_interpolant(topology: MeshTopology, cover: TreeCover, p, reports,
-                     dcoefficients, tol: Tolerances = Tolerances()) -> FieldBlock:
+                     tol: Tolerances = Tolerances()) -> FieldBlock:
     """Global field whose divergence matches p at every vertex of every
     triangle, with zero divergence mean on every triangle.
 
     ``p`` is a (T, 3) array of per-triangle vertex values (slot-aligned
-    with the triangle's vertex list), and ``reports`` and
-    ``dcoefficients`` the vertex reports and d-coefficients of
-    ``classify_mesh``.  Boundary vertices are matched first; the residuals
+    with the triangle's vertex list), and ``reports`` the vertex reports
+    of ``classify_mesh``.  Boundary vertices are matched first; the residuals
     are then sent up the cover's trees one edge transfer at a time and
     resolved at the roots.  The field is accumulated densely, (T, 2, 10), and
     returned as a block of one field.
@@ -304,5 +303,5 @@ def tree_interpolant(topology: MeshTopology, cover: TreeCover, p, reports,
         if cover.parent[z] >= 0:
             add(edge_transfer(topology, z, int(cover.parent[z]), a, tol)[0])
         else:
-            add(local_interpolant(reports[z], a, topology, dcoefficients[z]))
+            add(local_interpolant(reports[z], a, topology))
     return field_block(topology, acc)

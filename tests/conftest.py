@@ -1,4 +1,5 @@
-"""Shared test helpers: the fan of a vertex by name, random
+"""Shared test helpers: the fan of a vertex by name, the per-vertex
+oracles of the d-coefficients and of the vertex classification, random
 shape-regular patches, admissible pressure targets, the golden and benchmark meshes, the type-1 grids with
 crossed squares, edge lookups and edge weights, corner angles of an edge
 pair, dual determinant formulas and dense views of field blocks."""
@@ -12,6 +13,8 @@ import numpy as np
 import pytest
 
 from svstokes import fields, poly
+from svstokes.classify import (BOUNDARY, EVEN, NOT_LI, ODD, SINGULAR,
+                               Tolerances, VertexReport)
 from svstokes.fields import FieldBlock, VertexValues
 from svstokes.mesh import (Triangulation, build_topology, crossed, load_mesh,
                            ngon_patch, perturbed_grid, three_lines,
@@ -84,20 +87,84 @@ def bench_mesh(key):
 
 def fan(topo, z):
     """The fan of vertex z as named slices of the fan table: the
-    triangles ``tris`` of its corners, the slots ``slots`` of z in them and
-    the angles ``theta`` at z; its ``spokes`` with their lengths
-    ``edge_len``, unit tangents ``tangents`` and the tangents' rotations
-    ``normals``; and its valence ``N``, ``boundary`` flag and diameter
-    ``h_z``.  Interior edge k of the fan, shared by tris[k] and
-    tris[k + 1], ends at spoke k + boundary."""
+    triangles ``tris`` of its corners, the slots ``slots`` of z in them,
+    the angles ``theta`` at z and the d-coefficients ``b``, ``c``, ``d0``
+    and ``d``; its ``spokes`` with their lengths ``edge_len``, unit
+    tangents ``tangents`` and the tangents' rotations ``normals``; and its
+    valence ``N``, ``boundary`` flag, diameter ``h_z`` and determinants
+    ``D``.  Interior edge k of the fan, shared by tris[k] and tris[k + 1],
+    ends at spoke k + boundary."""
     fans = topo.fans
     c, s = fans.corners(z), fans.spokes(z)
     return SimpleNamespace(
         z=z, N=int(fans.degree[z]), boundary=bool(fans.boundary[z]),
         tris=fans.tri[c], slots=fans.slot[c], theta=fans.theta[c],
+        b=fans.b[c], c=fans.c[c], d0=fans.d0[c], d=fans.d[c], D=fans.D[z],
         spokes=fans.spoke[s], edge_len=fans.edge_len[s],
         tangents=fans.tangent[s], normals=fans.normal[s],
         h_z=float(fans.h_z[z]))
+
+
+def decision(coeffs, i):
+    """The decision quantity |D_i| h_z^s (s = 2 for i = 0, else 1) of the
+    d-coefficients of an interior fan: a ``fan`` or the oracle's."""
+    s = 2 if i == 0 else 1
+    return abs(coeffs.D[i]) * coeffs.h_z ** s
+
+
+def compute_dcoefficients(topology, z):
+    """The per-vertex oracle of the fan table's d-coefficient columns: b,
+    c, d0, d and D of the interior vertex z, one array program over the
+    slices of its fan, with its diameter h_z."""
+    fans = topology.fans
+    assert not fans.boundary[z], "interior vertices only"
+    corners, spokes = fans.corners(z), fans.spokes(z)
+    tris = fans.tri[corners]
+    n = len(tris)
+    prev = np.arange(-1, n - 1)                     # x[prev][j] = x[j - 1]
+    y = topology.mesh.vertices[fans.spoke[spokes]]  # y_{j+1} = y[j]
+    elen2 = np.float_power(fans.edge_len[spokes], 2)
+    cot = topology.cot[tris, fans.slot[corners]]    # cot theta_{j+1} = cot[j]
+    areas = topology.area[tris]                     # |T_{j+1}| = areas[j]
+    dy = y - y[prev]                                # y_{j+1} - y_j
+    b = dy[:, ::-1] * np.array([-1.0, 1.0]) / 3.0   # -(dy . e_i^perp) / 3
+    c = np.cumsum(b, axis=0)
+    inv = 1.0 / elen2
+    d0 = cot * (inv - inv[prev])
+    ce = c / elen2[:, None]
+    d = 3.0 * b / areas[:, None] - 12.0 * cot[:, None] * (ce - ce[prev])
+    signs = np.where(np.arange(n) % 2 == 1, 1.0, -1.0)    # (-1)^(j+1)
+    D = np.array([np.sum(signs * d0), np.sum(signs * d[:, 0]),
+                  np.sum(signs * d[:, 1])])
+    return SimpleNamespace(b=b, c=c, d0=d0, d=d, D=D,
+                           h_z=float(fans.h_z[z]))
+
+
+def classify_vertex(topology, z, th, tol=Tolerances()):
+    """The per-vertex oracle of ``classify_mesh``: the report of vertex z,
+    whose Theta(z) is ``th``, and, for an even-valence interior vertex
+    that is not singular, the oracle d-coefficients its decision was
+    taken on (None otherwise)."""
+    fans = topology.fans
+    n, boundary = int(fans.degree[z]), bool(fans.boundary[z])
+    base = dict(vertex=z, valence=n, boundary=boundary, theta_value=th,
+                singular=th <= tol.singular)
+    if th <= tol.singular:
+        return VertexReport(status=SINGULAR, conditioning=1.0, **base), None
+    if boundary:
+        return VertexReport(status=BOUNDARY, **base), None
+    if n % 2 == 1:
+        return VertexReport(status=ODD, conditioning=1.0, **base), None
+    coeffs = compute_dcoefficients(topology, z)
+    decisions = [decision(coeffs, i) for i in range(3)]
+    best = int(np.argmax(decisions))
+    if decisions[best] > tol.decision:
+        return VertexReport(status=EVEN, even_index=best,
+                            decision_value=decisions[best],
+                            conditioning=1.0 + 1.0 / decisions[best],
+                            **base), coeffs
+    return VertexReport(status=NOT_LI, decision_value=decisions[best],
+                        **base), coeffs
 
 
 def edge_index(topo):

@@ -11,16 +11,14 @@ from math import factorial
 import numpy as np
 import pytest
 
-from conftest import (admissible_target, dense, div_at, div_integral,
-                      div_mean, dual_determinants, edge_index,
+from conftest import (admissible_target, decision, dense, div_at,
+                      div_integral, div_mean, dual_determinants, edge_index,
                       edge_pair_angles, edge_tris, edge_weights, fan,
                       on_patch, random_interior_patch,
                       rigid_motion, scalar_edge_integral,
                       scalar_gradient_at_vertex, support, values)
 from svstokes import fields, poly, solver
-from svstokes.classify import (EVEN, ODD, SINGULAR, Tolerances,
-                               classify_mesh, classify_vertex,
-                               compute_dcoefficients, theta)
+from svstokes.classify import EVEN, ODD, SINGULAR, Tolerances, classify_mesh
 from svstokes.fields import (edge_table, local_interpolant, path_interpolant,
                              verify_field)
 from svstokes.mesh import (Triangulation, build_topology, crossed,
@@ -50,7 +48,6 @@ def test_A1_field_lemma_suite():
     start = time.perf_counter()
     for trial in range(100):
         mesh, topo, patch = random_interior_patch(rng)
-        dco = compute_dcoefficients(topo, patch.z)
         # edge fields: support, unit divergence at the center, zero at the
         # far endpoint, zero triangle means
         table = edge_table(patch.z, topo)
@@ -72,25 +69,25 @@ def test_A1_field_lemma_suite():
             ints = sorted(div_integral(topo, chi, t) for t in pair)
             assert abs(ints[0] + 1.0) < RTOL and abs(ints[1] - 1.0) < RTOL
         total = on_patch(topo, patch, table.chi[0].sum(axis=0))
-        scale = max(np.abs(dco.d0).max(), 1.0)
+        scale = max(np.abs(patch.d0).max(), 1.0)
         for j, t in enumerate(patch.tris):
-            assert abs(div_at(topo, total, t, 0) - 12.0 * dco.d0[j]) \
+            assert abs(div_at(topo, total, t, 0) - 12.0 * patch.d0[j]) \
                 < RTOL * 12 * scale
         # directional correctors: raw divergence values/integrals and the
         # mean-zero corrected divergence values
         for i in (1, 2):
             xi_tilde, xi = (on_patch(topo, patch, x[0])
-                            for x in fields._xi(table, [i], dco.c[None]))
-            bs = max(np.abs(dco.b[:, i - 1]).max(), 1.0)
-            ds = max(np.abs(dco.d[:, i - 1]).max(), 1.0)
+                            for x in fields._xi(table, [i], patch.c[None]))
+            bs = max(np.abs(patch.b[:, i - 1]).max(), 1.0)
+            ds = max(np.abs(patch.d[:, i - 1]).max(), 1.0)
             for j, t in enumerate(patch.tris):
                 area = _tri_area(topo, t)
                 assert abs(div_at(topo, xi_tilde, t, 0)
-                           - 3.0 * dco.b[j, i - 1] / area) \
+                           - 3.0 * patch.b[j, i - 1] / area) \
                     < RTOL * 3 * bs / area
                 assert abs(div_integral(topo, xi_tilde, t)
-                           - dco.b[j, i - 1]) < RTOL * bs
-                assert abs(div_at(topo, xi, t, 0) - dco.d[j, i - 1]) \
+                           - patch.b[j, i - 1]) < RTOL * bs
+                assert abs(div_at(topo, xi, t, 0) - patch.d[j, i - 1]) \
                     < 10 * RTOL * ds
                 assert abs(div_mean(topo, xi, t)) < 10 * RTOL * ds
         # zero-edge-mean scalar: edge mean and the two gradient identities
@@ -113,9 +110,8 @@ def test_A2_local_interpolant_suite():
     rng = np.random.default_rng(202)
 
     def run(patch, topo, target):
-        report, dco = classify_vertex(topo, patch.z,
-                                      theta(topo.fans)[patch.z], TOL)
-        f = local_interpolant(report, target, topo, dco)
+        report = classify_mesh(topo, TOL)[0][patch.z]
+        f = local_interpolant(report, target, topo)
         assert set(f.tri.tolist()) <= set(patch.tris)
         divs = {(t, patch.z): target[j] for j, t in enumerate(patch.tris)}
         rep = verify_field(f, values(divs))
@@ -125,8 +121,7 @@ def test_A2_local_interpolant_suite():
     topo = build_topology(crossed(1))
     center = [v for v in range(topo.V) if not topo.boundary_vertex[v]][0]
     patch = fan(topo, center)
-    assert classify_vertex(topo, center, theta(topo.fans)[center])[0].status \
-        == SINGULAR
+    assert classify_mesh(topo)[0][center].status == SINGULAR
     for _ in range(50):
         raw = rng.standard_normal(4)
         signs = np.array([1.0, -1.0, 1.0, -1.0])
@@ -134,12 +129,12 @@ def test_A2_local_interpolant_suite():
     # odd valences
     for N in (3, 5, 7):
         mesh, topo, patch = random_interior_patch(rng, N=N)
-        assert classify_vertex(topo, 0, theta(topo.fans)[0])[0].status == ODD
+        assert classify_mesh(topo)[0][0].status == ODD
         for _ in range(50):
             run(patch, topo, rng.standard_normal(N))
     # even: the 8-valent grid crossings of the crossed mesh
     topo = build_topology(crossed(2))
-    reports, _, _ = classify_mesh(topo)
+    reports, _ = classify_mesh(topo)
     even = [r.vertex for r in reports if r.status == EVEN]
     assert even
     patch = fan(topo, even[0])
@@ -159,9 +154,9 @@ def test_A3_determinant_regressions():
                 continue
             if reports[v].singular:
                 continue
-            dco = compute_dcoefficients(topo, v)
+            patch = fan(topo, v)
             for i in range(3):
-                assert dco.decision(i) < 1e-10
+                assert decision(patch, i) < 1e-10
     for L in (1.0, 0.5, 2.0):
         topo = build_topology(crossed(2, L=L))
         for v in range(topo.V):
@@ -170,11 +165,10 @@ def test_A3_determinant_regressions():
             patch = fan(topo, v)
             if patch.N != 8:
                 continue
-            dco = compute_dcoefficients(topo, v)
             expect = 4.0 / min(patch.edge_len) ** 2
-            assert abs(abs(dco.D[0]) - expect) < 1e-10 * expect
+            assert abs(abs(patch.D[0]) - expect) < 1e-10 * expect
             # cross-check through the dual formula
-            D0_simple, _ = dual_determinants(patch, topo, dco.D[0])
+            D0_simple, _ = dual_determinants(patch, topo, patch.D[0])
             assert abs(abs(D0_simple) - expect) < 1e-10 * expect
     _report(3, "determinant regressions incl. |D_0| = 4/L^2 on crossings")
 
@@ -187,12 +181,11 @@ def test_A4_dual_formula_agreement():
     for trial in range(1000):
         N = int(rng.choice([4, 6, 8]))
         mesh, topo, patch = random_interior_patch(rng, N=N)
-        dco = compute_dcoefficients(topo, patch.z)
-        scale = max(1.0, float(np.abs(dco.D).max()))
-        D0_simple, D_closed = dual_determinants(patch, topo, dco.D[0])
-        assert abs(dco.D[0] - D0_simple) < 1e-10 * scale
-        assert abs(dco.D[1] - D_closed[0]) < 1e-10 * scale
-        assert abs(dco.D[2] - D_closed[1]) < 1e-10 * scale
+        scale = max(1.0, float(np.abs(patch.D).max()))
+        D0_simple, D_closed = dual_determinants(patch, topo, patch.D[0])
+        assert abs(patch.D[0] - D0_simple) < 1e-10 * scale
+        assert abs(patch.D[1] - D_closed[0]) < 1e-10 * scale
+        assert abs(patch.D[2] - D_closed[1]) < 1e-10 * scale
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"dual-formula suite took {elapsed:.1f}s"
     _report(4, f"dual formulas on 1000 random patches in {elapsed:.2f}s")
@@ -204,7 +197,7 @@ def test_A5_ontoness_oracle():
     for n in (1, 2, 3):
         start = time.perf_counter()
         topo = build_topology(crossed(n))
-        reports, summary, _ = classify_mesh(topo)
+        reports, summary = classify_mesh(topo)
         nodes = solver.number_dofs(topo)
         assert 2 * (nodes.max() + 1) <= 3000
         cert = solver.certify(topo, reports)
@@ -217,7 +210,7 @@ def test_A5_ontoness_oracle():
     for n in (2, 3):
         start = time.perf_counter()
         topo = build_topology(type1_diagonal(n))
-        reports, summary, _ = classify_mesh(topo)
+        reports, summary = classify_mesh(topo)
         cert = solver.certify(topo, reports)
         rr = solver.divergence_rank(cert, topo, summary["sigma"], TOL)
         assert rr.K >= 1
@@ -238,7 +231,7 @@ def test_A6_dimension_identities():
               Triangulation([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])]
     for mesh in meshes:
         topo = build_topology(mesh)
-        reports, summary, _ = classify_mesh(topo)
+        reports, summary = classify_mesh(topo)
         cert = solver.certify(topo, reports)
         rr = solver.divergence_rank(cert, topo, summary["sigma"], TOL)
         solver.nullity_crosscheck(rr, topo, summary["sigma"])   # hard assert
@@ -249,7 +242,7 @@ def test_A6_dimension_identities():
             assert sd.identity_ok is True
     # the 2-triangle clamp case
     topo = build_topology(meshes[-2])
-    reports, summary, _ = classify_mesh(topo)
+    reports, summary = classify_mesh(topo)
     cert = solver.certify(topo, reports)
     rr = solver.divergence_rank(cert, topo, summary["sigma"], TOL)
     sd = solver.strang_dimensions(topo, summary["sigma"], summary["sigma_i"],
@@ -319,12 +312,11 @@ def test_A7_tree_machinery():
     # global round-trip and the cover => K = 0 consistency
     for mesh in (crossed(2), perturbed_grid(3, seed=2)):
         topo = build_topology(mesh)
-        reports, summary, dcoefficients = classify_mesh(topo)
+        reports, summary = classify_mesh(topo)
         cover = build_tree_cover(topo, reports, TOL)
         assert cover.complete
         p = admissible_target(topo, reports, rng)
-        f = dense(tree_interpolant(topo, cover, p, reports, dcoefficients,
-                                   TOL))[0]
+        f = dense(tree_interpolant(topo, cover, p, reports, TOL))[0]
         scale = max(np.abs(p).max(), 1.0)
         for t in range(topo.T):
             for slot, v in enumerate(topo.mesh.triangles[t]):
@@ -342,7 +334,7 @@ def test_A8_invariance_under_similarity():
     under rigid motions; dimensionless quantities also under scaling."""
     base = perturbed_grid(3, seed=13)
     topo0 = build_topology(base)
-    reports0, summary0, _ = classify_mesh(topo0)
+    reports0, summary0 = classify_mesh(topo0)
     cover0 = build_tree_cover(topo0, reports0, TOL)
     cert0 = solver.certify(topo0, reports0)
     rr0 = solver.divergence_rank(cert0, topo0, summary0["sigma"], TOL)
@@ -356,7 +348,7 @@ def test_A8_invariance_under_similarity():
     for name, motion in cases:
         rigid = motion["scale"] == 1.0
         topo1 = build_topology(rigid_motion(base, **motion))
-        reports1, summary1, _ = classify_mesh(topo1)
+        reports1, summary1 = classify_mesh(topo1)
         for r0, r1 in zip(reports0, reports1):
             assert r0.status == r1.status and r0.singular == r1.singular
         assert summary1["sigma"] == summary0["sigma"]
@@ -389,9 +381,8 @@ def test_A8_invariance_under_similarity():
                     continue
                 if reports0[v].singular:
                     continue
-                d0 = compute_dcoefficients(topo0, v)
-                d1 = compute_dcoefficients(topo1, v)
+                d0, d1 = fan(topo0, v), fan(topo1, v)
                 for i in range(3):
-                    assert abs(d1.decision(i) - d0.decision(i)) \
-                        < 1e-8 * max(d0.decision(i), 1e-12)
+                    assert abs(decision(d1, i) - decision(d0, i)) \
+                        < 1e-8 * max(decision(d0, i), 1e-12)
     _report(8, "similarity invariance of classification, trees, K, beta")

@@ -31,7 +31,7 @@ TOL = Tolerances()
 
 def _classified(mesh):
     topo = build_topology(mesh)
-    reports, summary, _ = classify_mesh(topo, TOL)
+    reports, summary = classify_mesh(topo, TOL)
     return topo, reports, summary
 
 

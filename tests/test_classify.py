@@ -1,17 +1,20 @@
 """Vertex taxonomy: the straight-line detector, patch coefficients, the
 three determinants with their dual formulas, and classification."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (GOLDEN_MESHES, bench_mesh, bench_pool,
+from conftest import (GOLDEN_MESHES, MIXED, bench_mesh, bench_pool,
+                      classify_vertex, compute_dcoefficients, decision,
                       dual_determinants, edge_index, edge_weights, fan,
-                      random_interior_patch, rigid_motion)
+                      random_interior_patch, rigid_motion,
+                      type1_with_crossed)
 from svstokes.classify import (BOUNDARY, EVEN, NOT_LI, ODD, SINGULAR,
-                               Tolerances, classify_mesh, classify_vertex,
-                               compute_dcoefficients, theta)
+                               Tolerances, classify_mesh, theta)
 from svstokes.mesh import (Triangulation, build_topology, crossed,
                            ngon_patch, perturbed_grid, three_lines,
                            type1_diagonal)
@@ -48,7 +51,7 @@ def test_single_triangle_boundary_corner_is_singular_by_convention():
 def test_straight_boundary_vertex_is_singular():
     # boundary vertex with two collinear incident boundary edges
     topo = build_topology(type1_diagonal(2))
-    reports, summary, _ = classify_mesh(topo)
+    reports, summary = classify_mesh(topo)
     # mid-edge boundary vertices of the square grid lie on straight lines;
     # with the diagonal entering, only those where consecutive angles sum
     # to pi are singular.  At least the two corners cut by diagonals:
@@ -60,11 +63,10 @@ def test_straight_boundary_vertex_is_singular():
 def test_coefficient_invariants(seed):
     rng = np.random.default_rng(seed)
     mesh, topo, patch = random_interior_patch(rng)
-    dco = compute_dcoefficients(topo, patch.z)
     # per-direction coefficients sum to zero around the patch
-    assert np.allclose(dco.b.sum(axis=0), 0.0, atol=1e-12)
+    assert np.allclose(patch.b.sum(axis=0), 0.0, atol=1e-12)
     # prefix sums close up
-    assert np.allclose(dco.c[-1], 0.0, atol=1e-12)
+    assert np.allclose(patch.c[-1], 0.0, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -73,12 +75,11 @@ def test_dual_formula_agreement_even_valence(seed, N):
     # the alternating-sum identities telescope only for even valence
     rng = np.random.default_rng(seed)
     mesh, topo, patch = random_interior_patch(rng, N=N)
-    dco = compute_dcoefficients(topo, patch.z)
-    scale = max(1.0, float(np.abs(dco.D).max()))
-    D0_simple, D_closed = dual_determinants(patch, topo, dco.D[0])
-    assert dco.D[0] == pytest.approx(D0_simple, abs=1e-10 * scale)
-    assert dco.D[1] == pytest.approx(D_closed[0], abs=1e-10 * scale)
-    assert dco.D[2] == pytest.approx(D_closed[1], abs=1e-10 * scale)
+    scale = max(1.0, float(np.abs(patch.D).max()))
+    D0_simple, D_closed = dual_determinants(patch, topo, patch.D[0])
+    assert patch.D[0] == pytest.approx(D0_simple, abs=1e-10 * scale)
+    assert patch.D[1] == pytest.approx(D_closed[0], abs=1e-10 * scale)
+    assert patch.D[2] == pytest.approx(D_closed[1], abs=1e-10 * scale)
 
 
 def test_crossed_eight_valent_d0_value():
@@ -92,9 +93,8 @@ def test_crossed_eight_valent_d0_value():
             if patch.N != 8:
                 continue
             found = True
-            dco = compute_dcoefficients(topo, v)
             Lmin = min(patch.edge_len)
-            assert abs(dco.D[0]) == pytest.approx(4.0 / Lmin ** 2, rel=1e-10)
+            assert abs(patch.D[0]) == pytest.approx(4.0 / Lmin ** 2, rel=1e-10)
         assert found
 
 
@@ -109,14 +109,14 @@ def test_degenerate_families_have_zero_decisions(mesh):
             continue
         if reports[v].singular:
             continue
-        dco = compute_dcoefficients(topo, v)
+        patch = fan(topo, v)
         for i in range(3):
-            assert dco.decision(i) < 1e-10
+            assert decision(patch, i) < 1e-10
 
 
 def test_classification_statuses():
     topo = build_topology(crossed(2))
-    reports, summary, _ = classify_mesh(topo)
+    reports, summary = classify_mesh(topo)
     by_status = {}
     for r in reports:
         by_status.setdefault(r.status, []).append(r)
@@ -127,7 +127,7 @@ def test_classification_statuses():
     assert summary["n_local_interpolating"] >= 5
 
     topo = build_topology(type1_diagonal(3))
-    reports, summary, _ = classify_mesh(topo)
+    reports, summary = classify_mesh(topo)
     interior = [r for r in reports if not r.boundary]
     assert interior and all(r.status == NOT_LI for r in interior)
 
@@ -148,17 +148,18 @@ def test_classification_invariant_under_similarity(seed, angle, scale):
     mesh, topo, patch = random_interior_patch(rng)
     moved = rigid_motion(mesh, angle=angle, shift=(3.7, -1.2), scale=scale)
     topo2 = build_topology(moved)
-    r1, d1 = classify_vertex(topo, 0, theta(topo.fans)[0])
-    r2, d2 = classify_vertex(topo2, 0, theta(topo2.fans)[0])
+    r1 = classify_mesh(topo)[0][0]
+    r2 = classify_mesh(topo2)[0][0]
+    d1, d2 = patch, fan(topo2, 0)
     assert r1.status == r2.status
     assert r1.singular == r2.singular
     if patch.N % 2 == 0 and not r1.singular:
         # D_0 h^2 is invariant under the whole similarity group; D_1, D_2
         # rotate as a vector, so only their norm (times h) is preserved
-        assert d2.decision(0) == pytest.approx(d1.decision(0), rel=1e-8,
-                                               abs=1e-12)
-        n1 = np.hypot(d1.decision(1), d1.decision(2))
-        n2 = np.hypot(d2.decision(1), d2.decision(2))
+        assert decision(d2, 0) == pytest.approx(decision(d1, 0), rel=1e-8,
+                                                abs=1e-12)
+        n1 = np.hypot(decision(d1, 1), decision(d1, 2))
+        n2 = np.hypot(decision(d2, 1), decision(d2, 2))
         assert n2 == pytest.approx(n1, rel=1e-8, abs=1e-12)
 
 
@@ -170,16 +171,15 @@ def test_decision_values_invariant_under_scaling(seed, scale):
         np.random.default_rng(seed + 1).choice([4, 6, 8])))
     moved = rigid_motion(mesh, shift=(-2.0, 0.5), scale=scale)
     topo2 = build_topology(moved)
-    d1 = compute_dcoefficients(topo, 0)
-    d2 = compute_dcoefficients(topo2, 0)
+    d1, d2 = patch, fan(topo2, 0)
     for i in range(3):
-        assert d2.decision(i) == pytest.approx(d1.decision(i), rel=1e-8,
-                                               abs=1e-12)
+        assert decision(d2, i) == pytest.approx(decision(d1, i), rel=1e-8,
+                                                abs=1e-12)
 
 
 def _det_areas(mesh, tris):
     """Patch triangle areas by a per-triangle determinant of the edge
-    vectors, the formula ``compute_dcoefficients`` used before it read
+    vectors, the formula the d-coefficients used before they read
     ``topology.area``."""
     v = mesh.vertices
     return np.array([abs(np.linalg.det(np.column_stack(
@@ -198,25 +198,25 @@ def test_dcoefficients_agree_with_determinant_areas(n, seed):
         patch = fan(topo, z)
         if patch.boundary:
             continue
-        dco = compute_dcoefficients(topo, z)
         areas = _det_areas(topo.mesh, patch.tris)
         assert np.allclose(topo.area[list(patch.tris)], areas,
                            rtol=1e-15, atol=0.0)
         cot = np.cos(patch.theta) / np.sin(patch.theta)
         elen2 = patch.edge_len ** 2
-        d = (3.0 * dco.b / areas[:, None]
-             - 12.0 * cot[:, None] * (dco.c / elen2[:, None]
-                                      - np.roll(dco.c, 1, axis=0)
+        d = (3.0 * patch.b / areas[:, None]
+             - 12.0 * cot[:, None] * (patch.c / elen2[:, None]
+                                      - np.roll(patch.c, 1, axis=0)
                                       / np.roll(elen2, 1)[:, None]))
         signs = np.array([(-1.0) ** (j + 1) for j in range(patch.N)])
-        assert np.allclose(dco.D[1:], signs @ d, rtol=1e-12, atol=0.0)
+        assert np.allclose(patch.D[1:], signs @ d, rtol=1e-12, atol=0.0)
         checked += 1
     assert checked
 
 
 def _dcoefficients_loop(patch, topo):
-    """(b, c, d0, d, D) by the per-triangle loop ``compute_dcoefficients``
-    ran before it took array operations: scalar formulas per slot j, the
+    """(b, c, d0, d, D) by the per-triangle loop the per-vertex
+    d-coefficients ran before they took array operations: scalar formulas
+    per slot j, the
     cyclic j - 1 by negative indexing, the squared lengths as scalar
     ``elen[j] ** 2``."""
     n = patch.N
@@ -248,20 +248,74 @@ def _dcoefficients_loop(patch, topo):
 DCOEFF_MESHES = (sorted(GOLDEN_MESHES) + bench_pool("certify-dense")
                  + bench_pool("verify-fields"))
 
+# Fans of valence 9 and more, where np.sum adds pairwise instead of in
+# order and no bench mesh reaches: regular ngons (the even ones NotLI,
+# with roundoff decision values) and ngons with seeded spoke angle shifts
+# of up to 0.3 of the regular gap, and the type-1 grids with crossed
+# squares.
+HIGH_VALENCE = ([f"ngon-{N}" for N in range(9, 35)]
+                + [f"ngon-{N}-shifted" for N in range(9, 35)] + sorted(MIXED))
 
-@pytest.mark.parametrize("name", DCOEFF_MESHES)
+
+def _dcoeff_mesh(name):
+    if name in GOLDEN_MESHES:
+        return GOLDEN_MESHES[name]()
+    if name in MIXED:
+        return type1_with_crossed(*MIXED[name])
+    if name.startswith("ngon-"):
+        N = int(name.split("-")[1])
+        shift = None
+        if name.endswith("-shifted"):
+            shift = np.random.default_rng(N).uniform(-0.3, 0.3, N) \
+                * (2 * np.pi / N)
+        return ngon_patch(N, angle_shift=shift)
+    return bench_mesh(name)
+
+
+@pytest.mark.parametrize("name", DCOEFF_MESHES + HIGH_VALENCE)
 def test_dcoefficients_equal_the_per_triangle_loop(name):
-    """The array program gives every coefficient bit for bit as the loop
-    did, at each interior vertex of the golden and bench meshes."""
-    mesh = GOLDEN_MESHES[name]() if name in GOLDEN_MESHES else bench_mesh(name)
-    topo = build_topology(mesh)
-    interior = np.flatnonzero(~topo.fans.boundary).tolist()
+    """The fan table's d-coefficient columns, and the per-vertex oracle,
+    give every coefficient bit for bit as the loop did, at each interior
+    vertex of the golden and bench meshes and of the high-valence fans;
+    the boundary fans hold NaN."""
+    topo = build_topology(_dcoeff_mesh(name))
+    fans = topo.fans
+    interior = np.flatnonzero(~fans.boundary).tolist()
     assert interior
     for z in interior:
+        patch = fan(topo, z)
         dco = compute_dcoefficients(topo, z)
-        got = (dco.b, dco.c, dco.d0, dco.d, dco.D)
-        for g, want in zip(got, _dcoefficients_loop(fan(topo, z), topo)):
-            assert np.array_equal(g, want), (z, g, want)
+        for want, *got in zip(
+                _dcoefficients_loop(patch, topo),
+                (patch.b, patch.c, patch.d0, patch.d, patch.D),
+                (dco.b, dco.c, dco.d0, dco.d, dco.D)):
+            for g in got:
+                assert np.array_equal(g, want), (z, g, want)
+    for column in (fans.b, fans.c, fans.d0, fans.d):
+        assert np.isnan(column[fans.boundary[fans.center]]).all()
+    assert np.isnan(fans.D[fans.boundary]).all()
+
+
+def _same_bits(a, b):
+    """Equal values of one kind, floats to the bit."""
+    if isinstance(a, float):
+        return isinstance(b, float) and float(a).hex() == float(b).hex()
+    return type(a) is type(b) and a == b
+
+
+@pytest.mark.parametrize("name", DCOEFF_MESHES + HIGH_VALENCE)
+def test_reports_equal_the_per_vertex_oracle(name):
+    """Every field of every vertex report, the decision value and the
+    conditioning included, equals the per-vertex ``classify_vertex``
+    oracle bit for bit."""
+    topo = build_topology(_dcoeff_mesh(name))
+    th = theta(topo.fans).tolist()
+    reports, _ = classify_mesh(topo)
+    assert len(reports) == topo.V
+    for z, r in enumerate(reports):
+        want = dataclasses.asdict(classify_vertex(topo, z, th[z])[0])
+        for key, value in dataclasses.asdict(r).items():
+            assert _same_bits(value, want[key]), (z, key, value, want[key])
 
 
 def _theta_loop(patch):

@@ -81,6 +81,23 @@ def test_analyze_malformed_mesh_is_input_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("text,message", [
+    ("vertices -1\n", "line 1: vertex count is negative"),
+    ("vertices 3\n0 0\n1 0\n0 1\ntriangles -2\n",
+     "line 5: triangle count is negative"),
+    ("vertices 99999999999999\n0 0\n",
+     "line 1: unexpected end of file, expected vertex coordinates")],
+    ids=["negative-vertices", "negative-triangles", "huge-vertices"])
+def test_analyze_bad_header_count_is_input_error(tmp_path, capsys, text,
+                                                 message):
+    """A header count that is negative, or larger than the lines left, is
+    rejected before anything is allocated for it."""
+    bad = tmp_path / "count.mesh"
+    bad.write_text(text)
+    assert main(["analyze", "--mesh", str(bad)]) == EXIT_INPUT
+    assert message in capsys.readouterr().err
+
+
 def test_analyze_degenerate_mesh_is_input_error(tmp_path, capsys):
     bad = tmp_path / "deg.mesh"
     bad.write_text("vertices 3\n0 0\n1 0\n2 0\ntriangles 1\n0 1 2\n")
@@ -269,38 +286,18 @@ def _count_calls(monkeypatch, module, name):
     ids=["analyze", "verify-fields"])
 @pytest.mark.parametrize("make", [
     lambda: type1_diagonal(3), lambda: crossed(2),
-    lambda: perturbed_grid(5, seed=3)],
-    ids=["type1-3", "crossed-2", "perturbed-5-s3"])
+    lambda: perturbed_grid(5, seed=3), lambda: bench_mesh("perturbed-5-p0")],
+    ids=["type1-3", "crossed-2", "perturbed-5-s3", "perturbed-5-p0"])
 def test_each_vertex_patched_and_classified_once(monkeypatch, run, make):
+    """One run builds the fan table, d-coefficients included, in one
+    ``enumerate_patch`` call and decides every vertex class in one
+    ``classify_mesh`` call; the interpolants read both."""
     m = make()
     patched = _count_calls(monkeypatch, mesh, "enumerate_patch")
-    classified = _count_calls(monkeypatch, classify, "classify_vertex")
+    classified = _count_calls(monkeypatch, classify, "classify_mesh")
     run(m)
     assert len(patched) == 1
-    assert len(classified) == m.num_vertices
-
-
-@pytest.mark.parametrize("run", [
-    lambda m: analyze_mesh(m, Tolerances()),
-    lambda m: run_field_suites(m, Tolerances(), 2, 7)],
-    ids=["analyze", "verify-fields"])
-@pytest.mark.parametrize("make", [
-    lambda: crossed(2), lambda: perturbed_grid(5, seed=3),
-    lambda: bench_mesh("perturbed-5-p0")],
-    ids=["crossed-2", "perturbed-5-s3", "perturbed-5-p0"])
-def test_dcoefficients_computed_once_per_even_interior_vertex(
-        monkeypatch, run, make):
-    """Classification computes the d-coefficients of each non-singular
-    even-valence interior vertex once; the even interpolants read those."""
-    m = make()
-    fans = build_topology(m).fans
-    th = classify.theta(fans)
-    even = [z for z in range(len(th)) if not fans.boundary[z]
-            and fans.degree[z] % 2 == 0 and th[z] > Tolerances().singular]
-    computed = _count_calls(monkeypatch, classify, "compute_dcoefficients")
-    run(m)
-    assert even
-    assert sorted(args[1] for args in computed) == even
+    assert len(classified) == 1
 
 
 @pytest.mark.parametrize("key", bench_pool("verify-fields"))
@@ -543,7 +540,7 @@ def _composed_spline_dim(m, tol):
     -> certify -> rank -> dimensions: the oracle of the command that reads
     the analyze report."""
     topology = build_topology(m)
-    reports, summary, _ = classify_mesh(topology, tol)
+    reports, summary = classify_mesh(topology, tol)
     cert = solver.certify(topology, reports)
     rank = solver.divergence_rank(cert, topology, summary["sigma"], tol)
     dims = solver.strang_dimensions(topology, summary["sigma"],

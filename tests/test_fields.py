@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import (GOLDEN_MESHES, MIXED, admissible_target, as_dict,
-                      bench_mesh, bench_pool, corner_divergences, dense,
+                      bench_mesh, bench_pool, corner_divergences, decision,
+                      dense,
                       div_at, div_integral, div_mean, edge_index,
                       edge_pair_angles, edge_tris, edge_weights, fan,
                       on_patch,
@@ -17,8 +18,7 @@ from conftest import (GOLDEN_MESHES, MIXED, admissible_target, as_dict,
                       type1_with_crossed, values)
 from svstokes import cli, fields, poly
 from svstokes.classify import (BOUNDARY, EVEN, ODD, SINGULAR, Tolerances,
-                               classify_mesh, classify_vertex,
-                               compute_dcoefficients, theta)
+                               classify_mesh)
 from svstokes.fields import (FieldBlock, FieldError, UnacceptableEdgeError,
                              boundary_interpolant, center_divergences,
                              edge_table, edge_transfer, field_block,
@@ -32,8 +32,8 @@ TOL = Tolerances()
 
 
 def _classify(topo, z):
-    """The report and d-coefficients of vertex z, from classify_vertex."""
-    return classify_vertex(topo, z, theta(topo.fans)[z], TOL)
+    """The report of vertex z, from classify_mesh."""
+    return classify_mesh(topo, TOL)[0][z]
 
 
 def _tri_area(topo, t):
@@ -81,7 +81,6 @@ def test_w_field_properties(rng):
 def test_chi_fields_and_their_sum(rng):
     for _ in range(10):
         mesh, topo, patch = random_interior_patch(rng)
-        dco = compute_dcoefficients(topo, patch.z)
         table = edge_table(patch.z, topo)
         for k in range(patch.N):
             chi = on_patch(topo, patch, table.chi[0, k])
@@ -93,25 +92,24 @@ def test_chi_fields_and_their_sum(rng):
         total = on_patch(topo, patch, table.chi[0].sum(axis=0))
         for j, t in enumerate(patch.tris):
             assert div_at(topo, total, t, 0) == pytest.approx(
-                12.0 * dco.d0[j], rel=1e-10, abs=1e-10)
+                12.0 * patch.d0[j], rel=1e-10, abs=1e-10)
 
 
 def test_xi_fields(rng):
     for _ in range(10):
         mesh, topo, patch = random_interior_patch(rng)
-        dco = compute_dcoefficients(topo, patch.z)
         table = edge_table(patch.z, topo)
         for i in (1, 2):
             xi_tilde, xi = (on_patch(topo, patch, x[0])
-                            for x in fields._xi(table, [i], dco.c[None]))
+                            for x in fields._xi(table, [i], patch.c[None]))
             for j, t in enumerate(patch.tris):
                 area = _tri_area(topo, t)
                 assert div_at(topo, xi_tilde, t, 0) == pytest.approx(
-                    3.0 * dco.b[j, i - 1] / area, rel=1e-10, abs=1e-12)
+                    3.0 * patch.b[j, i - 1] / area, rel=1e-10, abs=1e-12)
                 assert div_integral(topo, xi_tilde, t) == pytest.approx(
-                    dco.b[j, i - 1], rel=1e-10, abs=1e-12)
+                    patch.b[j, i - 1], rel=1e-10, abs=1e-12)
                 assert div_at(topo, xi, t, 0) == pytest.approx(
-                    dco.d[j, i - 1], rel=1e-9, abs=1e-9)
+                    patch.d[j, i - 1], rel=1e-9, abs=1e-9)
                 assert div_mean(topo, xi, t) == pytest.approx(0.0, abs=1e-11)
 
 
@@ -138,8 +136,7 @@ def test_kappa_field_properties(rng):
 # local interpolants
 
 def _check_local(patch, topo, target, rng):
-    report, dco = _classify(topo, patch.z)
-    block = local_interpolant(report, target, topo, dco)
+    block = local_interpolant(_classify(topo, patch.z), target, topo)
     assert set(block.tri.tolist()) <= set(patch.tris)
     divs = {(t, patch.z): target[j] for j, t in enumerate(patch.tris)}
     report = verify_field(block, values(divs))
@@ -150,7 +147,7 @@ def test_singular_interpolant_crossed_center(rng):
     topo = build_topology(crossed(1))
     center = [v for v in range(topo.V) if not topo.boundary_vertex[v]][0]
     patch = fan(topo, center)
-    assert _classify(topo, center)[0].status == SINGULAR
+    assert _classify(topo, center).status == SINGULAR
     for _ in range(20):
         raw = rng.standard_normal(patch.N)
         signs = np.array([(-1.0) ** j for j in range(patch.N)])
@@ -161,22 +158,22 @@ def test_singular_interpolant_crossed_center(rng):
 def test_singular_interpolant_rejects_inadmissible_target(rng):
     topo = build_topology(crossed(1))
     center = [v for v in range(topo.V) if not topo.boundary_vertex[v]][0]
-    report, dco = _classify(topo, center)
+    report = _classify(topo, center)
     with pytest.raises(FieldError):
-        local_interpolant(report, [1.0, 0.0, 0.0, 0.0], topo, dco)
+        local_interpolant(report, [1.0, 0.0, 0.0, 0.0], topo)
 
 
 @pytest.mark.parametrize("N", [3, 5, 7])
 def test_odd_interpolant(N, rng):
     for _ in range(8):
         mesh, topo, patch = random_interior_patch(rng, N=N)
-        assert _classify(topo, 0)[0].status == ODD
+        assert _classify(topo, 0).status == ODD
         _check_local(patch, topo, rng.standard_normal(N), rng)
 
 
 def test_even_interpolant_crossed_eight_valent(rng):
     topo = build_topology(crossed(2))
-    reports, _, _ = classify_mesh(topo)
+    reports, _ = classify_mesh(topo)
     eights = [r.vertex for r in reports if r.status == EVEN]
     assert eights
     for v in eights:
@@ -190,8 +187,7 @@ def test_even_interpolant_random_patches(rng):
     while done < 8:
         mesh, topo, patch = random_interior_patch(
             rng, N=int(rng.choice([4, 6, 8])))
-        r, _ = _classify(topo, 0)
-        if r.status != EVEN:
+        if _classify(topo, 0).status != EVEN:
             continue
         _check_local(patch, topo, rng.standard_normal(patch.N), rng)
         done += 1
@@ -203,7 +199,7 @@ def test_even_interpolant_random_patches(rng):
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_boundary_interpolant_perturbed_grids(seed, rng):
     topo = build_topology(perturbed_grid(3, seed=seed))
-    reports, _, _ = classify_mesh(topo)
+    reports, _ = classify_mesh(topo)
     for r in reports:
         if not r.boundary:
             continue
@@ -230,7 +226,7 @@ def test_boundary_interpolant_perturbed_grids(seed, rng):
 
 def test_edge_transfer_matches_targets_and_spill(rng):
     topo = build_topology(perturbed_grid(3, seed=7))
-    reports, _, _ = classify_mesh(topo)
+    reports, _ = classify_mesh(topo)
     interior = [r.vertex for r in reports if not r.boundary]
     for z in interior:
         patch = fan(topo, z)
@@ -347,8 +343,8 @@ def test_path_interpolant_rejects_repeated_vertices():
 
 def test_verify_field_catches_corruption(rng):
     mesh, topo, patch = random_interior_patch(rng, N=5)
-    report, dco = _classify(topo, patch.z)
-    block = local_interpolant(report, rng.standard_normal(5), topo, dco)
+    block = local_interpolant(_classify(topo, patch.z),
+                              rng.standard_normal(5), topo)
     c = _field(block)
     c[block.tri[0], 0, 3] += 0.37      # break continuity / divergences
     divs = {(tt, 0): 0.0 for tt in patch.tris}
@@ -361,7 +357,7 @@ def _valid_field(kind, rng):
     divergences it must have: a local interpolant at a non-singular
     interior vertex, or a boundary interpolant with its side effects."""
     topo = build_topology(perturbed_grid(4, seed=3))
-    reports, _, dcoefficients = classify_mesh(topo)
+    reports, _ = classify_mesh(topo)
     if kind == "local":
         r = next(r for r in reports if not r.boundary and not r.singular
                  and r.local_interpolating)
@@ -371,7 +367,7 @@ def _valid_field(kind, rng):
     target = rng.standard_normal(patch.N)
     divs = {(t, patch.z): target[j] for j, t in enumerate(patch.tris)}
     if kind == "local":
-        block = local_interpolant(r, target, topo, dcoefficients[r.vertex])
+        block = local_interpolant(r, target, topo)
     else:
         block, side = boundary_interpolant(r, target, topo)
         divs.update(as_dict(side))
@@ -539,7 +535,7 @@ def _oracle_chi_sum(patch, topo):
     return out
 
 
-def _oracle_xi(patch, topo, i, dco):
+def _oracle_xi(patch, topo, i):
     direction = np.eye(2)[i - 1]
     xi_tilde = np.zeros((topo.T, 2, len(poly.MONO3)))
     for t in patch.tris:
@@ -548,7 +544,7 @@ def _oracle_xi(patch, topo, i, dco):
         xi_tilde[t] = np.outer(direction, _oracle_monomial(expo))
     xi = xi_tilde
     for k in range(patch.N - 1):
-        xi = xi - dco.c[k, i - 1] * _oracle_chi(patch, topo, k)
+        xi = xi - patch.c[k, i - 1] * _oracle_chi(patch, topo, k)
     return xi_tilde, xi
 
 
@@ -577,7 +573,7 @@ def _oracle_combine(topo, a, basis):
     return v
 
 
-def _oracle_local(patch, a, topo, status, i=None, dco=None):
+def _oracle_local(patch, a, topo, status, i=None):
     if status == SINGULAR:
         v, b = np.zeros((topo.T, 2, len(poly.MONO3))), 0.0
         for j in range(patch.N - 1):
@@ -592,10 +588,10 @@ def _oracle_local(patch, a, topo, status, i=None, dco=None):
     else:
         if i == 0:
             xi = _oracle_chi_sum(patch, topo)
-            dvals, det = 12.0 * dco.d0, 12.0 * dco.D[0]
+            dvals, det = 12.0 * patch.d0, 12.0 * patch.D[0]
         else:
-            xi = _oracle_xi(patch, topo, i, dco)[1]
-            dvals, det = dco.d[:, i - 1], dco.D[i]
+            xi = _oracle_xi(patch, topo, i)[1]
+            dvals, det = patch.d[:, i - 1], patch.D[i]
         s = np.zeros(patch.N)
         for j in range(1, patch.N):
             s[j] = dvals[j] - s[j - 1]
@@ -688,7 +684,6 @@ def test_table_views_equal_the_oracle_fields(source, name):
     table are the oracle fields bit for bit; the sums of correctors agree
     to roundoff."""
     topo = build_topology(_oracle_mesh(source, name))
-    _, _, dcoefficients = classify_mesh(topo)
     for z in range(topo.V):
         patch = fan(topo, z)
         table = edge_table(z, topo)
@@ -706,13 +701,10 @@ def test_table_views_equal_the_oracle_fields(source, name):
                                   _oracle_chi(patch, topo, k))
         _assert_same_field(on_patch(topo, patch, table.chi[0].sum(axis=0)),
                            _oracle_chi_sum(patch, topo))
-        dco = dcoefficients[patch.z]
-        if dco is None:
-            continue
         for i in (1, 2):
             tilde, xi = (on_patch(topo, patch, x[0])
-                         for x in fields._xi(table, [i], dco.c[None]))
-            want_tilde, want_xi = _oracle_xi(patch, topo, i, dco)
+                         for x in fields._xi(table, [i], patch.c[None]))
+            want_tilde, want_xi = _oracle_xi(patch, topo, i)
             assert np.array_equal(tilde, want_tilde)
             _assert_same_field(xi, want_xi)
 
@@ -725,7 +717,7 @@ def test_interpolants_equal_the_oracle(source, name):
     determinant is certified, and an edge transfer on every interior
     vertex, all to 1e-12 of the largest coefficient."""
     topo = build_topology(_oracle_mesh(source, name))
-    reports, _, dcoefficients = classify_mesh(topo)
+    reports, _ = classify_mesh(topo)
     rng = np.random.default_rng(sum(map(ord, name)))
     transfers = 0
     for r in reports:
@@ -742,14 +734,13 @@ def test_interpolants_equal_the_oracle(source, name):
                                _oracle_local(patch, a, topo, SINGULAR))
             assert not len(side.field)
         elif r.status == EVEN:
-            dco = dcoefficients[r.vertex]
             for i in range(3):
-                if dco.decision(i) <= TOL.decision:
+                if decision(patch, i) <= TOL.decision:
                     continue
                 forced = dataclasses.replace(r, even_index=i)
                 _assert_same_field(
-                    _field(local_interpolant(forced, a, topo, dco)),
-                    _oracle_local(patch, a, topo, EVEN, i, dco))
+                    _field(local_interpolant(forced, a, topo)),
+                    _oracle_local(patch, a, topo, EVEN, i))
         elif r.local_interpolating:
             _assert_same_field(_field(local_interpolant(r, a, topo)),
                                _oracle_local(patch, a, topo, r.status))
@@ -773,12 +764,12 @@ def test_oracle_meshes_cover_every_interpolant_branch():
     kinds = set()
     for source, name in ORACLE_MESHES:
         topo = build_topology(_oracle_mesh(source, name))
-        reports, _, dcoefficients = classify_mesh(topo)
+        reports, _ = classify_mesh(topo)
         for r in reports:
             kinds.add((r.status, r.boundary))
             if r.status == EVEN:
                 kinds |= {f"even {i}" for i in range(3) if
-                          dcoefficients[r.vertex].decision(i) > TOL.decision}
+                          decision(fan(topo, r.vertex), i) > TOL.decision}
     assert kinds >= {(SINGULAR, False), (ODD, False), (SINGULAR, True),
                      (BOUNDARY, True), "even 0", "even 1", "even 2"}
 
@@ -847,22 +838,21 @@ CI_MESHES = {
 }
 
 
-def _interpolant_cases(topo, reports, dcoefficients):
-    """(branch, interpolant, report and d-coefficient arguments) of every
-    interpolating and boundary vertex, the even ones once per certified
-    direction index."""
+def _interpolant_cases(topo, reports):
+    """(branch, interpolant, report) of every interpolating and boundary
+    vertex, the even ones once per certified direction index."""
     for r in reports:
         if r.boundary:
             branch = "boundary singular" if r.singular else "boundary"
-            yield branch, boundary_interpolant, (r,)
+            yield branch, boundary_interpolant, r
         elif r.status == EVEN:
-            dco = dcoefficients[r.vertex]
+            patch = fan(topo, r.vertex)
             for i in range(3):
-                if dco.decision(i) > TOL.decision:
+                if decision(patch, i) > TOL.decision:
                     yield (f"even {i}", local_interpolant,
-                           (dataclasses.replace(r, even_index=i), dco))
+                           dataclasses.replace(r, even_index=i))
         elif r.local_interpolating:
-            yield r.status, local_interpolant, (r, None)
+            yield r.status, local_interpolant, r
 
 
 def _block_targets(rng, patch, singular, samples):
@@ -879,18 +869,17 @@ def test_block_interpolants_equal_the_row_by_row_calls():
     branches = set()
     for name, make in CI_MESHES.items():
         topo = build_topology(make())
-        reports, _, dcoefficients = classify_mesh(topo)
+        reports, _ = classify_mesh(topo)
         rng = np.random.default_rng(sum(map(ord, name)))
-        for branch, interpolant, args in _interpolant_cases(topo, reports,
-                                                            dcoefficients):
-            patch = fan(topo, args[0].vertex)
-            a = _block_targets(rng, patch, args[0].singular, 3)
-            block = interpolant(args[0], a, topo, *args[1:])
+        for branch, interpolant, r in _interpolant_cases(topo, reports):
+            patch = fan(topo, r.vertex)
+            a = _block_targets(rng, patch, r.singular, 3)
+            block = interpolant(r, a, topo)
             if patch.boundary:
                 block, side = block
             assert isinstance(block, FieldBlock) and block.F == len(a)
             for s, row in enumerate(a):
-                want = interpolant(args[0], row, topo, *args[1:])
+                want = interpolant(r, row, topo)
                 if patch.boundary:
                     want, want_side = want
                     _assert_same_values(as_dict(side, s), as_dict(want_side),
@@ -917,25 +906,24 @@ def test_grouped_interpolants_equal_the_one_patch_calls():
     branches, largest = set(), {}
     for name, make in GROUP_MESHES.items():
         topo = build_topology(make())
-        reports, _, dcoefficients = classify_mesh(topo)
+        reports, _ = classify_mesh(topo)
         rng = np.random.default_rng(sum(map(ord, name)))
         groups = {}
-        for case in _interpolant_cases(topo, reports, dcoefficients):
-            r = case[2][0]
+        for case in _interpolant_cases(topo, reports):
+            r = case[2]
             groups.setdefault((r.boundary, r.status, r.valence), []).append(
                 case)
         for (boundary, _, _), cases in groups.items():
             interpolant = cases[0][1]
-            patches = [fan(topo, args[0].vertex) for _, _, args in cases]
-            a = np.stack([_block_targets(rng, p, args[0].singular, 3)
-                          for p, (_, _, args) in zip(patches, cases)])
+            group = [r for _, _, r in cases]
+            a = np.stack([_block_targets(rng, fan(topo, r.vertex),
+                                         r.singular, 3) for r in group])
             S = a.shape[1]
-            group, *rest = map(list, zip(*(args for _, _, args in cases)))
-            got = interpolant(group, a, topo, *rest)
+            got = interpolant(group, a, topo)
             block, side = got if boundary else (got, None)
             assert block.F == len(cases) * S
-            for g, (branch, _, args) in enumerate(cases):
-                want = interpolant(args[0], a[g], topo, *args[1:])
+            for g, (branch, _, r) in enumerate(cases):
+                want = interpolant(r, a[g], topo)
                 want, want_side = want if boundary else (want, None)
                 mine = block.field // S == g
                 assert np.array_equal(block.field[mine] - g * S, want.field)
@@ -956,7 +944,7 @@ def test_grouped_interpolants_equal_the_one_patch_calls():
 
 def test_grouped_interpolants_reject_mixed_groups():
     topo = build_topology(perturbed_grid(5, seed=3))
-    reports, _, dcoefficients = classify_mesh(topo)
+    reports, _ = classify_mesh(topo)
     odd = [r for r in reports if r.status == ODD]
     assert len({r.valence for r in odd}) > 1
     three = [r for r in odd if r.valence == odd[0].valence][:2]
@@ -977,7 +965,7 @@ def test_grouped_interpolants_reject_mixed_groups():
 
 def test_block_interpolant_checks_every_row():
     topo = build_topology(crossed(2))
-    reports, _, _ = classify_mesh(topo)
+    reports, _ = classify_mesh(topo)
     r = next(r for r in reports if r.singular and not r.boundary)
     patch = fan(topo, r.vertex)
     a = _block_targets(np.random.default_rng(3), patch, True, 3)
@@ -1007,15 +995,14 @@ def _assert_block(block):
 @pytest.mark.parametrize("name", sorted(CI_MESHES))
 def test_interpolant_blocks_are_sorted_nonzero_and_read_only(name):
     topo = build_topology(CI_MESHES[name]())
-    reports, _, dcoefficients = classify_mesh(topo)
+    reports, _ = classify_mesh(topo)
     rng = np.random.default_rng(sum(map(ord, name)))
     blocks = []
-    for _, interpolant, args in _interpolant_cases(topo, reports,
-                                                   dcoefficients):
-        patch = fan(topo, args[0].vertex)
-        for a in (_block_targets(rng, patch, args[0].singular, 3),
-                  _target(rng, patch, args[0].singular)):
-            block = interpolant(args[0], a, topo, *args[1:])
+    for _, interpolant, r in _interpolant_cases(topo, reports):
+        patch = fan(topo, r.vertex)
+        for a in (_block_targets(rng, patch, r.singular, 3),
+                  _target(rng, patch, r.singular)):
+            block = interpolant(r, a, topo)
             blocks.append(block[0] if patch.boundary else block)
     for r in reports:
         if r.boundary:
@@ -1036,7 +1023,7 @@ def test_interpolant_blocks_are_sorted_nonzero_and_read_only(name):
     if cover.complete:
         blocks.append(tree_interpolant(
             topo, cover, admissible_target(topo, reports, rng), reports,
-            dcoefficients, TOL))
+            TOL))
     stacked, _ = stack_fields(topo, [(b, values()) for b in blocks])
     assert stacked.F == sum(b.F for b in blocks)
     for block in blocks + [stacked]:
@@ -1058,17 +1045,16 @@ def test_field_block_drops_zero_rows():
     assert one.F == 1 and np.array_equal(dense(one)[0], c[2])
 
 
-def _field_cases(topo, reports, dcoefficients, rng):
+def _field_cases(topo, reports, rng):
     """Verified interpolants with their expected vertex divergences, and
     corrupted copies: a continuity jump, a boundary trace, a moved
     target, a triangle mean, an expected value outside the support and
     an empty field with and without expectations."""
     blocks, divs = [], []
-    for _, interpolant, args in _interpolant_cases(topo, reports,
-                                                   dcoefficients):
-        patch = fan(topo, args[0].vertex)
-        a = _block_targets(rng, patch, args[0].singular, 1)[0]
-        got = interpolant(args[0], a, topo, *args[1:])
+    for _, interpolant, r in _interpolant_cases(topo, reports):
+        patch = fan(topo, r.vertex)
+        a = _block_targets(rng, patch, r.singular, 1)[0]
+        got = interpolant(r, a, topo)
         expected = {(t, patch.z): v for t, v in zip(patch.tris, a.tolist())}
         if patch.boundary:
             got, side = got
@@ -1103,9 +1089,9 @@ def _field_cases(topo, reports, dcoefficients, rng):
 @pytest.mark.parametrize("name", sorted(CI_MESHES))
 def test_stacked_verify_field_equals_the_per_field_calls(name):
     topo = build_topology(CI_MESHES[name]())
-    reports, _, dcoefficients = classify_mesh(topo)
+    reports, _ = classify_mesh(topo)
     rng = np.random.default_rng(sum(map(ord, name)))
-    blocks, divs = _field_cases(topo, reports, dcoefficients, rng)
+    blocks, divs = _field_cases(topo, reports, rng)
     stacked = verify_field(*stack_fields(
         topo, [(b, values(d)) for b, d in zip(blocks, divs)]))
     want, failing = [], []
@@ -1131,9 +1117,9 @@ def test_chunked_verify_field_equals_one_pass(monkeypatch, name):
     """Walking the block in ranges of VERIFY_FIELDS fields gives the
     FieldCheck list of one pass over every field."""
     topo = build_topology(CI_MESHES[name]())
-    reports, _, dcoefficients = classify_mesh(topo)
+    reports, _ = classify_mesh(topo)
     rng = np.random.default_rng(sum(map(ord, name)))
-    blocks, divs = _field_cases(topo, reports, dcoefficients, rng)
+    blocks, divs = _field_cases(topo, reports, rng)
     block, expected = stack_fields(
         topo, [(b, values(d)) for b, d in zip(blocks, divs)])
     passes = []
@@ -1177,7 +1163,7 @@ def test_suite_reports_one_corrupted_sample(monkeypatch, kind):
     other vertex."""
     mesh = perturbed_grid(5, seed=3)
     topo = build_topology(mesh)
-    reports, _, _ = classify_mesh(topo)
+    reports, _ = classify_mesh(topo)
     victim = next(r.vertex for r in reports if not r.singular and (
         r.boundary if kind == "boundary"
         else r.local_interpolating and not r.boundary))
@@ -1209,12 +1195,12 @@ def test_suite_fields_isolate_a_failing_row():
     """A block whose construction raises is retried row by row: only the
     offending target is left out."""
     topo = build_topology(crossed(2))
-    reports, _, dcoefficients = classify_mesh(topo)
+    reports, _ = classify_mesh(topo)
     r = next(r for r in reports if r.singular and not r.boundary)
     patch = fan(topo, r.vertex)
     a = _block_targets(np.random.default_rng(4), patch, True, 3)
     a[1, 0] += 1.0
-    built = list(cli._suite_fields(topo, [r], a[None], dcoefficients))
+    built = list(cli._suite_fields(topo, [r], a[None]))
     assert [(vertices.tolist(), block.F) for vertices, block, _ in built] \
         == [([r.vertex], 1), ([r.vertex], 1)]
     _, block, expected = built[1]
@@ -1231,7 +1217,7 @@ def test_suite_group_with_a_violating_row_fails_that_vertex_only(
     every other vertex passes."""
     mesh = crossed(3)
     topo = build_topology(mesh)
-    reports, _, _ = classify_mesh(topo)
+    reports, _ = classify_mesh(topo)
     group = [r.vertex for r in reports if r.status == SINGULAR
              and not r.boundary]
     victim = group[1]

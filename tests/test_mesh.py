@@ -47,6 +47,26 @@ def test_load_rejects_malformed_input(text, what):
         load_mesh(text)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("vertices -1\n", "line 1: vertex count is negative"),
+    ("# c\nvertices 3\n0 0\n1 0\n0 1\ntriangles -2\n",
+     "line 6: triangle count is negative"),
+    ("vertices 99999999999999\n0 0\n",
+     "line 1: unexpected end of file, expected vertex coordinates"),
+    ("vertices 3\n0 0\n1 0\n# 0 1\n\n",
+     "line 1: unexpected end of file, expected vertex coordinates"),
+    ("vertices 3\n0 0\n1 0\n0 1\ntriangles 99999999999999\n0 1 2\n",
+     "line 5: unexpected end of file, expected triangle indices"),
+], ids=["negative-vertices", "negative-triangles", "huge-vertices",
+        "comment-not-counted", "huge-triangles"])
+def test_load_rejects_bad_counts_before_allocating(text, message):
+    """A header count that is negative, or larger than the non-comment
+    lines left, names its line; a huge one allocates nothing."""
+    with pytest.raises(MeshFormatError) as exc:
+        load_mesh(text)
+    assert str(exc.value) == message
+
+
 def test_duplicate_triangle_rejected():
     with pytest.raises(MeshError):
         load_mesh("vertices 3\n0 0\n1 0\n0 1\ntriangles 2\n0 1 2\n1 2 0\n")
@@ -334,18 +354,24 @@ def test_patch_table_matches_enumerate_patch(make):
     topo = build_topology(make())
     fans = topo.fans
     assert len(fans.degree) == len(fans.boundary) == len(fans.h_z) == topo.V
-    again = enumerate_patch(topo.mesh, topo.angle)
+    again = enumerate_patch(topo.mesh, topo.angle, topo.cot, topo.area)
     for name, arr in vars(fans).items():
         assert not arr.flags.writeable, name
         assert arr.dtype == getattr(again, name).dtype, name
         assert arr.tobytes() == getattr(again, name).tobytes(), name
     for z in range(topo.V):
         patch = fan(topo, z)
+        coeffs = ((patch.b, fans.b), (patch.c, fans.c), (patch.d0, fans.d0),
+                  (patch.d, fans.d), (patch.D, fans.D))
         for a, base in ((patch.theta, fans.theta),
                         (patch.edge_len, fans.edge_len),
                         (patch.tangents, fans.tangent),
-                        (patch.normals, fans.normal)):
+                        (patch.normals, fans.normal)) + coeffs:
             assert a.base is base and not a.flags.writeable, z
+        # the d-coefficients: NaN on a boundary fan, finite elsewhere
+        for a, _ in coeffs:
+            assert (np.isnan(a).all() if patch.boundary
+                    else np.isfinite(a).all()), z
         lo, hi = fans.offset[z], fans.offset[z + 1]
         assert patch.tris.tolist() == fans.tri[lo:hi].tolist()
         assert fans.center[lo:hi].tolist() == [z] * patch.N

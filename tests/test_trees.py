@@ -277,7 +277,7 @@ def array_cover(dcover, V):
 
 
 def assert_cover_matches_oracle(topo, tol=TOL):
-    reports, _, _ = classify_mesh(topo, tol)
+    reports, _ = classify_mesh(topo, tol)
     cover = build_tree_cover(topo, reports, tol)
     oracle = dict_cover(topo, reports, tol)
     assert all(not a.flags.writeable for a in vars(cover).values()
@@ -396,7 +396,7 @@ def test_forest_stats_per_tree():
 
 def test_cover_on_crossed_grid():
     topo = build_topology(crossed(2))
-    reports, _, _ = classify_mesh(topo)
+    reports, _ = classify_mesh(topo)
     cover = build_tree_cover(topo, reports, TOL)
     assert cover.complete
     assert cover.rho_bar >= 1.0
@@ -410,7 +410,7 @@ def test_cover_on_crossed_grid():
 
 def test_cover_respects_rho_recurrence():
     topo = build_topology(perturbed_grid(4, seed=9))
-    reports, _, _ = classify_mesh(topo)
+    reports, _ = classify_mesh(topo)
     cover = build_tree_cover(topo, reports, TOL)
     assert cover.complete
     weights = edge_weights(topo)
@@ -428,7 +428,7 @@ def test_cover_trees_are_disjoint():
     tree across the interior edge that joins them, one level up, and every
     root heads its own tree."""
     topo = build_topology(perturbed_grid(4, seed=9))
-    reports, _, _ = classify_mesh(topo)
+    reports, _ = classify_mesh(topo)
     cover = build_tree_cover(topo, reports, TOL)
     child = np.flatnonzero(cover.parent >= 0)
     up = cover.parent[child]
@@ -444,7 +444,7 @@ def test_cover_trees_are_disjoint():
 
 def test_type1_has_no_cover():
     topo = build_topology(type1_diagonal(3))
-    reports, _, dcoefficients = classify_mesh(topo)
+    reports, _ = classify_mesh(topo)
     cover = build_tree_cover(topo, reports, TOL)
     assert not cover.complete
     interior = {r.vertex for r in reports if not r.boundary}
@@ -452,15 +452,14 @@ def test_type1_has_no_cover():
     verdict, note = check_hypotheses(topo, reports, cover)
     assert verdict == VERDICT_NONE
     with pytest.raises(FieldError):
-        tree_interpolant(topo, cover, np.zeros((topo.T, 3)), reports,
-                         dcoefficients, TOL)
+        tree_interpolant(topo, cover, np.zeros((topo.T, 3)), reports, TOL)
 
 
 # ---------------------------------------------------------------------------
 # the global interpolant
 
-def _check_roundtrip(topo, cover, p, reports, dcoefficients):
-    block = tree_interpolant(topo, cover, p, reports, dcoefficients, TOL)
+def _check_roundtrip(topo, cover, p, reports):
+    block = tree_interpolant(topo, cover, p, reports, TOL)
     assert block.F == 1
     f = dense(block)[0]
     scale = max(np.abs(p).max(), 1.0)
@@ -476,11 +475,11 @@ def _check_roundtrip(topo, cover, p, reports, dcoefficients):
                          ids=["crossed", "perturbed"])
 def test_tree_interpolant_roundtrip(mesh, rng):
     topo = build_topology(mesh)
-    reports, _, dcoefficients = classify_mesh(topo)
+    reports, _ = classify_mesh(topo)
     cover = build_tree_cover(topo, reports, TOL)
     assert cover.complete
     _check_roundtrip(topo, cover, admissible_target(topo, reports, rng),
-                     reports, dcoefficients)
+                     reports)
 
 
 def _forced_multihop_cover(topo, reports):
@@ -535,10 +534,10 @@ def _forced_multihop_cover(topo, reports):
 def test_tree_interpolant_with_forced_multihop(rng):
     """The interpolant round-trips on a cover with a two-hop chain."""
     topo = build_topology(perturbed_grid(3, seed=2))
-    reports, _, dcoefficients = classify_mesh(topo)
+    reports, _ = classify_mesh(topo)
     cover, _ = _forced_multihop_cover(topo, reports)
     _check_roundtrip(topo, cover, admissible_target(topo, reports, rng),
-                     reports, dcoefficients)
+                     reports)
 
 
 def _count_transfers(monkeypatch):
@@ -572,11 +571,11 @@ def test_tree_interpolant_sends_each_residual_one_hop(rng, monkeypatch):
     """The chain's middle vertex forwards its own residual together with
     the spill of its child in a single transfer."""
     topo = build_topology(perturbed_grid(3, seed=2))
-    reports, _, dcoefficients = classify_mesh(topo)
+    reports, _ = classify_mesh(topo)
     cover, (r, u, w) = _forced_multihop_cover(topo, reports)
     calls = _count_transfers(monkeypatch)
     _check_roundtrip(topo, cover, admissible_target(topo, reports, rng),
-                     reports, dcoefficients)
+                     reports)
     sent = _assert_one_hop_each(topo, cover, calls)
     assert sent.index(w) < sent.index(u)
     assert (u, r) in calls and (w, u) in calls
@@ -592,22 +591,20 @@ def test_tree_interpolant_on_multihop_greedy_covers(name, rng, monkeypatch):
     on together with that vertex's own)."""
     topo = build_topology(type1_with_crossed(*MIXED[name]))
     cover = assert_cover_matches_oracle(topo)
-    reports, _, dcoefficients = classify_mesh(topo)
+    reports, _ = classify_mesh(topo)
     assert any(r.status == NOT_LI for r in reports)
     verdict, _ = check_hypotheses(topo, reports, cover)
     assert verdict == VERDICT_COVER and cover.depth.max() >= 3
     p = admissible_target(topo, reports, rng)
     calls = _count_transfers(monkeypatch)
-    _check_roundtrip(topo, cover, p, reports, dcoefficients)
+    _check_roundtrip(topo, cover, p, reports)
     _assert_one_hop_each(topo, cover, calls)
-    got = dense(tree_interpolant(topo, cover, p, reports, dcoefficients,
-                                 TOL))[0]
-    want = _path_tree_interpolant(topo, dict_cover(topo, reports), p,
-                                  reports, dcoefficients)
+    got = dense(tree_interpolant(topo, cover, p, reports, TOL))[0]
+    want = _path_tree_interpolant(topo, dict_cover(topo, reports), p, reports)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def _path_tree_interpolant(topo, dcover, p, reports, dcoefficients):
+def _path_tree_interpolant(topo, dcover, p, reports):
     """The interpolant that sent each residual along its whole root path
     with ``path_interpolant``, tree by tree: the oracle of the one-hop
     ``tree_interpolant``."""
@@ -633,8 +630,7 @@ def _path_tree_interpolant(topo, dcover, p, reports, dcoefficients):
                                      TOL).field)
         a = residual(tree.root)
         if np.abs(a).max() > 1e-13 * pscale:
-            add(local_interpolant(reports[tree.root], a, topo,
-                                  dcoefficients[tree.root]))
+            add(local_interpolant(reports[tree.root], a, topo))
     return acc
 
 
@@ -648,12 +644,10 @@ def test_tree_interpolant_equals_the_path_interpolant_oracle(mesh, rng):
     """On the greedy covers the one-hop interpolant gives the path
     oracle's coefficients bit for bit."""
     topo = build_topology(mesh())
-    reports, _, dcoefficients = classify_mesh(topo)
+    reports, _ = classify_mesh(topo)
     cover = build_tree_cover(topo, reports, TOL)
     assert cover.complete
     p = admissible_target(topo, reports, rng)
-    got = dense(tree_interpolant(topo, cover, p, reports, dcoefficients,
-                                 TOL))[0]
-    want = _path_tree_interpolant(topo, dict_cover(topo, reports), p,
-                                  reports, dcoefficients)
+    got = dense(tree_interpolant(topo, cover, p, reports, TOL))[0]
+    want = _path_tree_interpolant(topo, dict_cover(topo, reports), p, reports)
     assert np.array_equal(got, want)
