@@ -8,7 +8,8 @@ import json
 import numpy as np
 import pytest
 
-from conftest import GOLDEN_MESHES, PINCHED, bench_mesh, bench_pool
+from conftest import (GOLDEN_MESHES, PINCHED, bench_mesh, bench_pool,
+                      compute_dcoefficients, decision)
 from svstokes import __version__, classify, cli, fields, mesh, solver
 from svstokes.classify import Tolerances, classify_mesh
 from svstokes.cli import (EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, analyze_mesh,
@@ -298,6 +299,41 @@ def test_each_vertex_patched_and_classified_once(monkeypatch, run, make):
     run(m)
     assert len(patched) == 1
     assert len(classified) == 1
+
+
+@pytest.mark.parametrize("run", [
+    lambda m: analyze_mesh(m, Tolerances()),
+    lambda m: run_field_suites(m, Tolerances(), 2, 7)],
+    ids=["analyze", "verify-fields"])
+@pytest.mark.parametrize("make", [
+    lambda: crossed(2), lambda: perturbed_grid(5, seed=3),
+    lambda: bench_mesh("perturbed-5-p0")],
+    ids=["crossed-2", "perturbed-5-s3", "perturbed-5-p0"])
+def test_dcoefficients_computed_once_per_even_interior_vertex(
+        monkeypatch, run, make):
+    """A run computes the d-coefficients of each non-singular even-valence
+    interior vertex once, as fan-table columns in its one
+    ``enumerate_patch`` call, bit for bit those of the per-vertex oracle,
+    and the vertex's report decides on them."""
+    m = make()
+    topo = build_topology(m)
+    fans = topo.fans
+    th = classify.theta(fans)
+    even = [z for z in range(len(th)) if not fans.boundary[z]
+            and fans.degree[z] % 2 == 0 and th[z] > Tolerances().singular]
+    reports, _ = classify_mesh(topo, Tolerances())
+    patched = _count_calls(monkeypatch, mesh, "enumerate_patch")
+    run(m)
+    assert even
+    assert len(patched) == 1
+    for z in even:
+        dco = compute_dcoefficients(topo, z)
+        c = fans.corners(z)
+        assert np.array_equal(fans.d0[c], dco.d0), z
+        assert np.array_equal(fans.d[c], dco.d), z
+        assert np.array_equal(fans.D[z], dco.D), z
+        assert reports[z].decision_value == max(
+            decision(dco, i) for i in range(3)), z
 
 
 @pytest.mark.parametrize("key", bench_pool("verify-fields"))
