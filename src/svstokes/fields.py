@@ -3,13 +3,16 @@
 All constructions live on small vertex patches: the per-patch table of
 edge fields, normal correctors and zero-edge-mean scalars, the local
 interpolants (singular / odd / even vertex cases), the boundary
-interpolant, and the edge/path transfer machinery that moves
-vertex-divergence targets along acceptable mesh edges.  The table and
+interpolant, and the edge transfer that moves vertex-divergence targets
+across one acceptable mesh edge (``trees.tree_interpolant`` composes
+them along the trees of a cover).  The table and
 the interpolants take a group of vertices of one shape at once, the
 interpolants by their vertex reports, and read the vertex fans, with the
 d-coefficients of the even seeds, off the fan table ``topology.fans``.
 Each construction returns its fields as one FieldBlock of support rows,
-which verify_field checks.
+which verify_field checks; the boundary interpolant and the edge transfer
+also return, as VertexValues, the divergences they leave away from the
+patch center.
 """
 
 from __future__ import annotations
@@ -340,14 +343,13 @@ def _chains(n: int, boundary: bool):
 
 def _contract(table, a, seed, seed_pos):
     """Coefficients (G, S, N, 2, 10) of sum_p a[g, s, p] v_p for the chain
-    basis of each vertex's seed (G, N, 2, 10) at tris[seed_pos[g]], and
-    the chain signs (G, N)."""
+    basis of each vertex's seed (G, N, 2, 10) at tris[seed_pos[g]]."""
     G, n = table.corner.shape
     S, sign = _chains(n, table.spoke.shape[1] > n)
     seed_pos = np.broadcast_to(seed_pos, G)
     S, sign = S[seed_pos], sign[seed_pos]
     return (_combine(_combine(a, S), table.w)
-            + _combine(a, sign)[..., None, None, None] * seed[:, None]), sign
+            + _combine(a, sign)[..., None, None, None] * seed[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +417,7 @@ def local_interpolant(reports, target, topology: MeshTopology) -> FieldBlock:
         seed = _combine(0.5 * _chains(n, False)[1][:1], table.w)
     else:
         seed = _even_seed(table, reports, topology.fans)
-    return _patch_block(topology, table, _contract(table, a, seed, 0)[0])
+    return _patch_block(topology, table, _contract(table, a, seed, 0))
 
 
 def boundary_interpolant(reports, p_values, topology: MeshTopology):
@@ -463,7 +465,7 @@ def boundary_interpolant(reports, p_values, topology: MeshTopology):
     seed = (coef[:, None] * tvec)[:, None, :, None] \
         * table.kappa[g, s][:, :, None, :]
 
-    coeffs = _contract(table, a, seed, s)[0]
+    coeffs = _contract(table, a, seed, s)
     return (_patch_block(topology, table, coeffs),
             _side_effects(topology, table, coeffs))
 
@@ -486,16 +488,7 @@ def _side_effects(topology, table, coeffs):
 
 
 # ---------------------------------------------------------------------------
-# Edge and path transfer
-
-
-@dataclass
-class TransferInfo:
-    z: int
-    y: int
-    s_a: float            # chain-signed alternating sum of the targets,
-                          # one per row of a target block
-    spill: VertexValues   # the divergences left at y
+# Edge transfer
 
 
 def edge_transfer(topology: MeshTopology, z: int, y: int, target,
@@ -503,9 +496,10 @@ def edge_transfer(topology: MeshTopology, z: int, y: int, target,
     """Match targets at z while polluting only the far endpoint y.
 
     ``target`` is one target vector (N,), or a block (S, N) of them,
-    indexed by the triangle order of the fan of z.  Returns (FieldBlock,
-    TransferInfo); the spill at y scales with the chain-signed alternating
-    sum of the targets divided by the edge weight.
+    indexed by the triangle order of the fan of z.  Returns the FieldBlock
+    of the fields and, as VertexValues, the divergences they spill at y,
+    as ``boundary_interpolant`` does; the spill scales with the
+    chain-signed alternating sum of the targets divided by the edge weight.
     """
     fans = topology.fans
     n, bd = int(fans.degree[z]), int(fans.boundary[z])
@@ -519,9 +513,8 @@ def edge_transfer(topology: MeshTopology, z: int, y: int, target,
     if not len(k):
         raise FieldError(f"{{{z}, {y}}} is not an interior edge at {z}")
     k = int(k[0])
-    pos = (k + _PAIR) % n                            # the two edge triangles
-    pair = fans.tri[table.corner[0, pos]]
-    cotA, cotB = topology.cot[pair, fans.slot[table.corner[0, pos]]]
+    corners = table.corner[0, (k + _PAIR) % n]      # in the edge triangles
+    cotA, cotB = topology.cot[fans.tri[corners], fans.slot[corners]]
     M = cotA + cotB
     if abs(M) <= tol.accept:
         raise UnacceptableEdgeError(
@@ -532,54 +525,10 @@ def edge_transfer(topology: MeshTopology, z: int, y: int, target,
         * table.kappa[0, k][:, None, :]
     seed = (1.0 / M) * (r + cotB * table.w[0, k])
 
-    coeffs, signs = _contract(table, a.reshape((1,) * (3 - a.ndim) + a.shape),
-                              seed[None], k)
-    rows = coeffs[0]
-    slot_y = (topology.mesh.triangles[pair] == y).argmax(axis=1)
-    div = _div_coeffs(topology.hat_grads[pair], rows[:, pos])    # (S, 2, 6)
-    at_y = div[:, _PAIR, poly.VERTEX2[slot_y]]                   # (S, 2)
-    S = len(rows)
-    spill = VertexValues(np.repeat(np.arange(S), 2), np.tile(pair, S),
-                         np.full(2 * S, y), at_y.ravel())
-    info = TransferInfo(z=z, y=y, s_a=a @ signs[0], spill=spill)
-    return _patch_block(topology, table, coeffs), info
-
-
-@dataclass
-class PathResult:
-    field: FieldBlock
-    end_spill: VertexValues  # the divergences left at the end vertex
-
-
-def path_interpolant(topology: MeshTopology, vertices, target,
-                     tol: Tolerances = Tolerances()) -> PathResult:
-    """Transfer vertex-divergence targets from the path start to its end.
-
-    Matches the targets (N,) at vertices[0], leaves zero vertex divergence
-    at every intermediate vertex, and pollutes only the two triangles at
-    the far end.  Every traversed edge must have weight above tolerance.
-    """
-    verts = [int(v) for v in vertices]
-    if len(verts) < 2:
-        raise FieldError("a path needs at least two vertices")
-    if len(set(verts)) != len(verts):
-        raise FieldError("path vertices must be distinct")
-    if np.ndim(target) != 1:
-        raise FieldError("a path transfers one target vector")
-    acc = np.zeros((topology.T, 2, len(poly.MONO3)))
-    a = target
-    for z, ynext in zip(verts[:-1], verts[1:]):
-        block, _ = edge_transfer(topology, z, ynext, a, tol)
-        acc[block.tri] += block.coeffs
-        # what the next hop removes; at the end vertex, the spill
-        vals = center_divergences(topology, acc, ynext)
-        a = -vals
-    end = verts[-1]
-    hit = np.flatnonzero(vals != 0.0)
-    tris = topology.fans.tri[topology.fans.corners(end)]
-    end_spill = VertexValues(np.zeros(len(hit), dtype=np.int64), tris[hit],
-                             np.full(len(hit), end), vals[hit])
-    return PathResult(field=field_block(topology, acc), end_spill=end_spill)
+    coeffs = _contract(table, a.reshape((1,) * (3 - a.ndim) + a.shape),
+                       seed[None], k)
+    return (_patch_block(topology, table, coeffs),
+            _side_effects(topology, table, coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,8 @@ class Triangulation:
             raise MeshError("vertices must be an (V, 2) array")
         if t.ndim != 2 or t.shape[1] != 3:
             raise MeshError("triangles must be a (T, 3) array")
+        if not len(t):
+            raise MeshError("mesh has no triangles")
         if t.size and (t.min() < 0 or t.max() >= len(v)):
             raise MeshError("triangle vertex index out of range")
         if not np.isfinite(v).all():

@@ -263,9 +263,9 @@ class Certificate:
     most the squared norm of v in the seminorm and in the full H1 norm.
     With W^T = Q_X R (Q_X has orthonormal columns), ``factor`` is R: W
     has the singular values of R, and its left null vectors are the null
-    vectors of R, which ``spurious_modes`` maps back through the
-    reflectors and L_M^-T.  A factor alone (no reflectors) certifies K
-    and beta but no modes.
+    vectors of R: ``divergence_rank`` finds them, and ``spurious_modes``
+    maps them back through the reflectors and L_M^-T.  A factor alone (no
+    reflectors) certifies K and beta but no modes.
     """
 
     factor: np.ndarray              # R, (min(p, n), p), upper
@@ -337,17 +337,6 @@ def certify(topology: MeshTopology, reports,
     del X, _
     return Certificate(factor=R, shape=(p, n), reflectors=reflectors,
                        tau=tau, mass_factor_inv=L_M_inv, divergence=B)
-
-
-def _square_factor(cert: Certificate) -> np.ndarray:
-    """R zero-padded to p x p when there are fewer velocities than
-    constrained pressures (R itself otherwise)."""
-    p = cert.shape[0]
-    if cert.factor.shape[0] == p:
-        return cert.factor
-    R = np.zeros((p, p))
-    R[:cert.factor.shape[0]] = cert.factor
-    return R
 
 
 def _floored(R: np.ndarray) -> np.ndarray:
@@ -474,6 +463,8 @@ class RankResult:
                             # floored at eps * max(shape) * scale
     beta: float             # smallest accepted singular value
     scale: float            # lower bound on the largest singular value
+    null_basis: np.ndarray  # (p, p - rank) orthonormal basis of the lifted
+                            # directions: the null vectors of R
 
 
 def divergence_rank(cert: Certificate, topology: MeshTopology, sigma: int,
@@ -490,8 +481,10 @@ def divergence_rank(cert: Certificate, topology: MeshTopology, sigma: int,
     threshold, every converged Ritz vector v there is lifted: R is
     replaced by the factor of [R; scale v^T], which moves v to the top of
     the spectrum and leaves the rest in place.  The number of lifted
-    vectors is p - rank, and beta is the smallest singular value of the
-    lifted factor."""
+    vectors is p - rank, their orthonormal basis ``null_basis`` (the
+    identity at scale 0), and beta is the smallest singular value of the
+    lifted factor.  A wide R (fewer velocities than constrained pressures)
+    is zero-padded to square first."""
     p = cert.shape[0]
     scale = _rank_scale(cert.factor)
     if scale * scale > SCALE_BOUND:
@@ -499,12 +492,15 @@ def divergence_rank(cert: Certificate, topology: MeshTopology, sigma: int,
             f"singular value {scale:.17g} of the weighted pairing exceeds "
             f"the bound 1; the pairing or its norms are wrong")
     thr = tol.rank * scale
-    R, beta = _square_factor(cert), 0.0
+    R, beta = cert.factor, 0.0
+    if len(R) < p:      # fewer velocities than constrained pressures
+        R = np.vstack([R, np.zeros((p - len(R), p))])
     # A rejected value below roundoff level is noise whose size depends on
     # the LAPACK kernel; the gap measures against the roundoff floor then,
     # and also when nothing is rejected.
     largest_rejected = np.finfo(float).eps * max(cert.shape) * scale
     lifted = 0 if scale > 0.0 else p
+    rounds = [np.zeros((p, 0))]        # the directions lifted in each round
     while lifted < p:
         F = _floored(R)
         beta, Y = _inverse_lanczos(F, thr)
@@ -528,9 +524,11 @@ def divergence_rank(cert: Certificate, topology: MeshTopology, sigma: int,
         if R is cert.factor:
             R = R.copy()
         _lift(R, scale * V.T)
+        rounds.append(V)
         lifted += V.shape[1]
     if lifted == p:                 # nothing accepted
         beta = 0.0
+    null_basis = np.linalg.qr(np.hstack(rounds))[0] if scale else np.eye(p)
     gap = float("inf")
     if largest_rejected > 0.0:
         gap = float(beta / largest_rejected)
@@ -546,7 +544,8 @@ def divergence_rank(cert: Certificate, topology: MeshTopology, sigma: int,
             f"rank {rank} exceeds the constrained pressure dimension "
             f"{expected}; range inclusion violated")
     return RankResult(rank=rank, nullity=cert.shape[1] - rank, K=K,
-                      expected_dim=expected, gap=gap, beta=beta, scale=scale)
+                      expected_dim=expected, gap=gap, beta=beta, scale=scale,
+                      null_basis=null_basis)
 
 
 def infsup_constant(cert: Certificate, tol: Tolerances = Tolerances(),
@@ -572,25 +571,14 @@ def spurious_modes(cert: Certificate, rank: RankResult):
     """M-orthonormal basis of the constrained pressures with zero pairing
     against every velocity, returned as raw coefficient vectors.
 
-    The null vectors of the square factor R come from block inverse
-    iteration on R^T R from a fixed-seed start.  R is zero-padded to
-    square when there are fewer velocities than constrained pressures,
-    and its diagonal entries below eps * p * max|r_ii| are raised to that
-    floor: exact zero pivots occur, and the floor perturbs R only at
-    roundoff level.  The vectors are mapped back through the reflectors
-    and L_M^-T, and accepted only if they pair with no velocity."""
-    p = cert.shape[0]
-    K = p - rank.rank
-    if not K:
+    They are the null vectors of the factor R that ``divergence_rank``
+    lifted, ``rank.null_basis``, mapped back through the reflectors and
+    L_M^-T, and accepted only if they pair with no velocity."""
+    V = rank.null_basis
+    if not V.shape[1]:
         return []
-    R = _floored(_square_factor(cert))
-    V = np.random.default_rng(0).standard_normal((p, K))
-    # Each step shrinks the other directions by (s_null / s_K+1)^2,
-    # roundoff over beta squared, so the second step only polishes.
-    for _ in range(2):
-        V, _ = np.linalg.qr(_inverse_gram(R, V))
-    U = np.zeros((cert.reflectors.shape[0], K))
-    U[-p:] = V
+    U = np.zeros((cert.reflectors.shape[0], V.shape[1]))
+    U[-len(V):] = V
     Q = _block_apply(cert.mass_factor_inv.transpose(0, 2, 1),
                      _apply_q(cert.reflectors, cert.tau, U, "N"))
     B = cert.divergence
@@ -670,28 +658,3 @@ def nullity_crosscheck(result: RankResult, topology: MeshTopology,
             f"nullity(B) = {result.nullity} but the dimension formula "
             f"gives {expect}")
     return report
-
-
-# ---------------------------------------------------------------------------
-# helpers for cross-module oracles and export
-
-def velocity_coefficients(topology: MeshTopology, nodes: np.ndarray,
-                          block) -> np.ndarray:
-    """Nodal coefficients (velocity DOFs, F) of the piecewise-cubic fields
-    of a ``FieldBlock`` that vanish on the boundary (values sampled at the
-    interior Lagrange nodes), one column per field.  A node shared by
-    several triangles takes its value from the highest-numbered one;
-    triangles outside a field's support give zeros."""
-    n = _n_nodes(nodes)
-    flat = nodes.ravel()
-    interior = np.flatnonzero(flat >= 0)
-    last = np.full(n, -1, dtype=np.int64)
-    np.maximum.at(last, flat[interior], interior)
-    owns = np.zeros(flat.shape, dtype=bool)         # the node's last slot
-    owns[last] = True
-    row, j = np.nonzero(owns.reshape(nodes.shape)[block.tri])
-    at_nodes = poly.eval3(block.coeffs.reshape(-1, 10),
-                          np.array(P3_NODES)).reshape(10, -1, 2)   # (10, R, 2)
-    out = np.zeros((n, 2, block.F))
-    out[nodes[block.tri[row], j], :, block.field[row]] = at_nodes[j, row]
-    return out.reshape(2 * n, block.F)

@@ -1,5 +1,8 @@
-"""Acceptable paths, transfer trees, disjoint covers, and the global
-vertex-divergence interpolant built from them."""
+"""Transfer trees, disjoint covers, and the global vertex-divergence
+interpolant built from them: once the boundary vertices are matched,
+each vertex's residual crosses one acceptable edge to its parent by
+``fields.edge_transfer``, and the roots resolve what arrives by their
+local interpolants."""
 
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ from .classify import Tolerances
 from .fields import (FieldBlock, FieldError, boundary_interpolant,
                      center_divergences, edge_transfer, field_block,
                      local_interpolant)
-from .mesh import MeshError, MeshTopology
+from .mesh import MeshTopology
 
 
 def _side_ends(topology: MeshTopology, side):
@@ -30,56 +33,6 @@ def _side_ends(topology: MeshTopology, side):
     weight = np.stack([cot[t, s] + cot[u, (k + 1) % 3],
                        cot[t, (s + 1) % 3] + cot[u, k]], axis=1)
     return ends, weight
-
-
-@dataclass(frozen=True)
-class Path:
-    vertices: tuple
-    edges: tuple          # interior edge indices
-    M_fwd: np.ndarray     # weight of edge i at its near endpoint y_{i-1}
-    M_bwd: np.ndarray     # weight of edge i at its far endpoint y_i
-    rho_tilde: np.ndarray  # amplification prefix, entry j for vertex y_j
-    rho: np.ndarray        # per-vertex transfer factor, entry j for y_{j+1}
-    acceptable: bool
-
-    @property
-    def rho_P(self) -> float:
-        return float(np.abs(self.rho).max())
-
-
-def path_stats(topology: MeshTopology, vertices,
-               tol: Tolerances = Tolerances()) -> Path:
-    verts = [int(v) for v in vertices]
-    if len(verts) < 2:
-        raise MeshError("a path needs at least two vertices")
-    if len(set(verts)) != len(verts):
-        raise MeshError("path vertices must be distinct")
-    # the edges are sorted pairs in lexicographic order, so their keys
-    # a V + b ascend
-    V = topology.V
-    keys = topology.edges @ [V, 1]
-    a, b = np.array(verts[:-1]), np.array(verts[1:])
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    hop = lo * V + hi
-    edges = np.minimum(np.searchsorted(keys, hop), len(keys) - 1)
-    bad = ((lo < 0) | (hi >= V) | (keys[edges] != hop)
-           | topology.boundary_edge[edges])
-    if bad.any():
-        j = int(np.argmax(bad))
-        raise MeshError(f"({a[j]}, {b[j]}) is not an interior mesh edge")
-    edges = edges.tolist()
-    ends, weight = _side_ends(topology, topology.mesh.sides.first[edges])
-    forward = (ends[:, 0] == verts[:-1])[:, None]
-    M_fwd, M_bwd = np.where(forward, weight, weight[:, ::-1]).T
-    acceptable = bool(np.all(np.abs(M_fwd) > tol.accept))
-    L = len(edges)
-    rho_tilde = np.ones(L)        # entry j: product over the first j edges
-    for j in range(1, L):
-        rho_tilde[j] = rho_tilde[j - 1] * M_bwd[j - 1] / M_fwd[j - 1]
-    rho = rho_tilde / M_fwd
-    return Path(vertices=tuple(verts), edges=tuple(edges), M_fwd=M_fwd,
-                M_bwd=M_bwd, rho_tilde=rho_tilde, rho=rho,
-                acceptable=acceptable)
 
 
 @dataclass(frozen=True)

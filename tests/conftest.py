@@ -1,8 +1,10 @@
 """Shared test helpers: the fan of a vertex by name, the per-vertex
 oracles of the d-coefficients and of the vertex classification, random
-shape-regular patches, admissible pressure targets, the golden and benchmark meshes, the type-1 grids with
-crossed squares, edge lookups and edge weights, corner angles of an edge
-pair, dual determinant formulas and dense views of field blocks."""
+shape-regular patches, admissible pressure targets, the golden and
+benchmark meshes, the type-1 grids with crossed squares, edge lookups and
+edge weights, corner angles of an edge pair, dual determinant formulas,
+dense views of field blocks, and the oracles of transfers composed along a
+path (the path lemma) and of field blocks as velocity DOF vectors."""
 
 import importlib.util
 import pathlib
@@ -12,10 +14,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from svstokes import fields, poly
+from svstokes import fields, poly, solver
 from svstokes.classify import (BOUNDARY, EVEN, NOT_LI, ODD, SINGULAR,
                                Tolerances, VertexReport)
-from svstokes.fields import FieldBlock, VertexValues
+from svstokes.fields import (FieldBlock, VertexValues, center_divergences,
+                             edge_transfer, field_block)
 from svstokes.mesh import (Triangulation, build_topology, crossed, load_mesh,
                            ngon_patch, perturbed_grid, three_lines,
                            type1_diagonal)
@@ -381,3 +384,84 @@ def admissible_target(topology, reports, rng):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)
+
+
+# ---------------------------------------------------------------------------
+# the path lemma: transfers composed hop by hop along a path of vertices
+
+
+def path_stats(topology, vertices, tol=Tolerances()):
+    """The oracle of a transfer path's statistics, one hop at a time: per
+    hop i from y_i to y_{i+1}, its edge, its weights ``M_fwd`` at y_i and
+    ``M_bwd`` at y_{i+1} (each the sum of the cotangents at that end in
+    the edge's two triangles, read from ``topology.cot``), the
+    amplification prefix ``rho_tilde`` (the product of M_bwd / M_fwd over
+    the earlier hops), the transfer factors ``rho = rho_tilde / M_fwd``
+    and their largest modulus ``rho_P``, and whether every M_fwd clears
+    ``tol.accept``."""
+    verts = [int(v) for v in vertices]
+    index = edge_index(topology)
+    edges, M_fwd, M_bwd = [], [], []
+    for a, b in zip(verts[:-1], verts[1:]):
+        e = index[min(a, b), max(a, b)]
+        at = [sum(topology.cot[t, topology.mesh.triangles[t].tolist().index(v)]
+                  for t in edge_tris(topology, e)) for v in (a, b)]
+        edges.append(e)
+        M_fwd.append(at[0])
+        M_bwd.append(at[1])
+    M_fwd, M_bwd = np.array(M_fwd), np.array(M_bwd)
+    rho_tilde = np.ones(len(edges))
+    for j in range(1, len(edges)):
+        rho_tilde[j] = rho_tilde[j - 1] * M_bwd[j - 1] / M_fwd[j - 1]
+    rho = rho_tilde / M_fwd
+    return SimpleNamespace(
+        vertices=tuple(verts), edges=tuple(edges), M_fwd=M_fwd, M_bwd=M_bwd,
+        rho_tilde=rho_tilde, rho=rho, rho_P=float(np.abs(rho).max()),
+        acceptable=bool(np.all(np.abs(M_fwd) > tol.accept)))
+
+
+def path_interpolant(topology, vertices, target, tol=Tolerances()):
+    """The oracle of a target vector (N,) at vertices[0] transferred along
+    the path: one ``edge_transfer`` per hop, each removing the vertex
+    divergences the fields so far leave at its start.  The field (one
+    FieldBlock) matches the targets at the start, leaves zero vertex
+    divergence at every intermediate vertex, and its ``end_spill``
+    (VertexValues) is what it leaves at the end vertex."""
+    verts = [int(v) for v in vertices]
+    acc = np.zeros((topology.T, 2, len(poly.MONO3)))
+    a = target
+    for z, ynext in zip(verts[:-1], verts[1:]):
+        block, _ = edge_transfer(topology, z, ynext, a, tol)
+        acc[block.tri] += block.coeffs
+        # what the next hop removes; at the end vertex, the spill
+        vals = center_divergences(topology, acc, ynext)
+        a = -vals
+    end = verts[-1]
+    hit = np.flatnonzero(vals != 0.0)
+    tris = topology.fans.tri[topology.fans.corners(end)]
+    end_spill = VertexValues(np.zeros(len(hit), dtype=np.int64), tris[hit],
+                             np.full(len(hit), end), vals[hit])
+    return SimpleNamespace(field=field_block(topology, acc),
+                           end_spill=end_spill)
+
+
+def velocity_coefficients(topology, nodes, block):
+    """Nodal coefficients (velocity DOFs, F) of the piecewise-cubic fields
+    of a ``FieldBlock`` that vanish on the boundary (values sampled at the
+    interior Lagrange nodes of ``solver.number_dofs``), one column per
+    field.  A node shared by several triangles takes its value from the
+    highest-numbered one; triangles outside a field's support give
+    zeros."""
+    n = int(nodes.max(initial=-1)) + 1
+    flat = nodes.ravel()
+    interior = np.flatnonzero(flat >= 0)
+    last = np.full(n, -1, dtype=np.int64)
+    np.maximum.at(last, flat[interior], interior)
+    owns = np.zeros(flat.shape, dtype=bool)         # the node's last slot
+    owns[last] = True
+    row, j = np.nonzero(owns.reshape(nodes.shape)[block.tri])
+    at_nodes = poly.eval3(block.coeffs.reshape(-1, 10),
+                          np.array(solver.P3_NODES)).reshape(10, -1, 2)
+    out = np.zeros((n, 2, block.F))
+    out[nodes[block.tri[row], j], :, block.field[row]] = at_nodes[j, row]
+    return out.reshape(2 * n, block.F)

@@ -14,18 +14,17 @@ import pytest
 from conftest import (admissible_target, decision, dense, div_at,
                       div_integral, div_mean, dual_determinants, edge_index,
                       edge_pair_angles, edge_tris, edge_weights, fan,
-                      on_patch, random_interior_patch,
+                      on_patch, path_interpolant, path_stats,
+                      random_interior_patch,
                       rigid_motion, scalar_edge_integral,
                       scalar_gradient_at_vertex, support, values)
 from svstokes import fields, poly, solver
 from svstokes.classify import EVEN, ODD, SINGULAR, Tolerances, classify_mesh
-from svstokes.fields import (edge_table, local_interpolant, path_interpolant,
-                             verify_field)
+from svstokes.fields import edge_table, local_interpolant, verify_field
 from svstokes.mesh import (Triangulation, build_topology, crossed,
                            ngon_patch, perturbed_grid, three_lines,
                            type1_diagonal)
-from svstokes.trees import (build_tree_cover, check_hypotheses, path_stats,
-                            tree_interpolant)
+from svstokes.trees import build_tree_cover, check_hypotheses, tree_interpolant
 
 TOL = Tolerances()
 RTOL = 1e-9

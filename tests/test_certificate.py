@@ -127,6 +127,7 @@ def test_modes_span_the_null_space_of_the_schur_pencil(name):
     null_pivot = np.argmin(np.abs(np.diag(R)))
     R[null_pivot, null_pivot] = 0.0
     zeroed = dataclasses.replace(cert, factor=R)
+    rr = solver.divergence_rank(zeroed, topo, summary["sigma"], TOL)
     _assert_same_span(np.column_stack(solver.spurious_modes(zeroed, rr)),
                       oracle)
 
@@ -148,7 +149,9 @@ def test_modes_of_a_factor_with_exact_zero_pivots():
     """A synthetic certificate with T = 3, two constraint rows, A = I and
     B chosen so that W = R^T.  R is upper triangular with pivots 2, 7 and
     12 exactly zero and those columns combinations of the earlier ones,
-    so its null space is known exactly."""
+    so its null space is known exactly.  It is scaled by a power of two,
+    exactly, to singular values at most 1, as those of a certificate are,
+    and its modes come from the directions the rank lifts."""
     rng = np.random.default_rng(7)
     T, k = 3, 2
     p = 6 * T - k
@@ -161,6 +164,7 @@ def test_modes_of_a_factor_with_exact_zero_pivots():
         R[j, j] = 0.0
         null.append(np.concatenate([c, [-1.0], np.zeros(p - j - 1)]))
     null = np.column_stack(null)
+    R *= 2.0 ** -np.ceil(np.log2(scipy.linalg.svdvals(R)[0]))
     assert np.abs(R @ null).max() < 1e-12
     F = rng.standard_normal((T, 6, 6))
     L_M = np.linalg.cholesky(F @ F.transpose(0, 2, 1) + np.eye(6))
@@ -172,13 +176,41 @@ def test_modes_of_a_factor_with_exact_zero_pivots():
     cert = solver.Certificate(
         factor=R, shape=(p, p), reflectors=reflectors, tau=tau,
         mass_factor_inv=L_M_inv, divergence=L @ Q[:, k:] @ R.T)
-    s = scipy.linalg.svdvals(R)
-    rr = solver.RankResult(rank=p - 3, nullity=3, K=3, expected_dim=p,
-                           gap=np.inf, beta=float(s[-4]), scale=float(s[0]))
+    # divergence_rank reads only T: p = 6T - 1 - sigma with sigma = 1
+    rr = solver.divergence_rank(cert, SimpleNamespace(T=T), 1, TOL)
+    assert (rr.rank, rr.K) == (p - 3, 3)
     modes = np.column_stack(solver.spurious_modes(cert, rr))
     assert np.abs(modes.T @ L @ L.T @ modes - np.eye(3)).max() < 1e-12
     assert np.abs(C @ modes).max() < 1e-12 * np.abs(modes).max()
     _assert_same_span(modes, np.linalg.solve(L.T, Q[:, k:] @ null))
+
+
+@pytest.mark.parametrize("name", ["type1-3", "three-lines-2"])
+def test_modes_take_no_solve_and_no_qr_of_their_own(monkeypatch, name):
+    """The modes are the rank's lifted directions mapped back: given the
+    rank, spurious_modes makes no triangular solve and no QR
+    factorization of its own."""
+    topo, reports, summary = _classified(GOLDEN_MESHES[name]())
+    cert = solver.certify(topo, reports)
+    rr = solver.divergence_rank(cert, topo, summary["sigma"], TOL)
+    calls = Counter()
+
+    def counted(label, fn):
+        def wrapper(*args, **kwargs):
+            calls[label] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, fname in ((scipy.linalg, "solve_triangular"),
+                          (scipy.linalg, "qr"), (np.linalg, "qr"),
+                          (np.linalg, "solve"), (scipy.linalg, "solve")):
+        monkeypatch.setattr(module, fname,
+                            counted(f"{module.__name__}.{fname}",
+                                    getattr(module, fname)))
+    modes = solver.spurious_modes(cert, rr)
+    assert not calls, calls
+    assert len(modes) == rr.K >= 1
+    assert rr.null_basis.shape == (cert.shape[0], rr.K)
 
 
 def test_analyze_takes_no_svd_and_one_gram_eigenvalue(monkeypatch,

@@ -99,6 +99,24 @@ def test_analyze_bad_header_count_is_input_error(tmp_path, capsys, text,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["vertices 0\ntriangles 0\n",
+                                  "vertices 3\n0 0\n1 0\n0 1\ntriangles 0\n"],
+                         ids=["empty", "no-triangles"])
+@pytest.mark.parametrize("command", ["analyze", "verify-fields", "infsup",
+                                     "spline-dim"])
+def test_mesh_without_triangles_is_input_error(tmp_path, capsys, text,
+                                               command):
+    """A mesh with no triangles is rejected when it is read: no report,
+    no vacuous field-suite pass, no traceback."""
+    bad = tmp_path / "empty.mesh"
+    bad.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--mesh", str(bad), "--out", str(out)]) == \
+        EXIT_INPUT
+    assert "mesh has no triangles" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_degenerate_mesh_is_input_error(tmp_path, capsys):
     bad = tmp_path / "deg.mesh"
     bad.write_text("vertices 3\n0 0\n1 0\n2 0\ntriangles 1\n0 1 2\n")

@@ -9,10 +9,9 @@ import pytest
 
 from conftest import (GOLDEN_MESHES, MIXED, admissible_target, as_dict,
                       bench_mesh, bench_pool, corner_divergences, decision,
-                      dense,
-                      div_at, div_integral, div_mean, edge_index,
+                      dense, div_at, div_integral, div_mean, edge_index,
                       edge_pair_angles, edge_tris, edge_weights, fan,
-                      on_patch,
+                      on_patch, path_interpolant, path_stats,
                       random_interior_patch, scalar_edge_integral,
                       scalar_gradient_at_vertex, stack_fields, support,
                       type1_with_crossed, values)
@@ -22,11 +21,10 @@ from svstokes.classify import (BOUNDARY, EVEN, ODD, SINGULAR, Tolerances,
 from svstokes.fields import (FieldBlock, FieldError, UnacceptableEdgeError,
                              boundary_interpolant, center_divergences,
                              edge_table, edge_transfer, field_block,
-                             local_interpolant, path_interpolant,
-                             verify_field)
+                             local_interpolant, verify_field)
 from svstokes.mesh import (build_topology, crossed, perturbed_grid,
                            three_lines, type1_diagonal)
-from svstokes.trees import build_tree_cover, path_stats, tree_interpolant
+from svstokes.trees import build_tree_cover, tree_interpolant
 
 TOL = Tolerances()
 
@@ -236,9 +234,10 @@ def test_edge_transfer_matches_targets_and_spill(rng):
             continue
         y = neighbors[0]
         target = rng.standard_normal(patch.N)
-        block, info = edge_transfer(topo, z, y, target, TOL)
+        block, spill = edge_transfer(topo, z, y, target, TOL)
+        assert set(spill.vertex.tolist()) == {y}
         divs = {(t, z): target[j] for j, t in enumerate(patch.tris)}
-        divs.update(as_dict(info.spill))
+        divs.update(as_dict(spill))
         report = verify_field(block, values(divs))
         assert report.ok, (z, y, report.failed())
 
@@ -327,15 +326,6 @@ def test_path_interpolant_three_hops(rng):
     assert len(got) == 2
     for p, g in zip(predicted, got):
         assert g == pytest.approx(p, rel=1e-9, abs=1e-12)
-
-
-def test_path_interpolant_rejects_repeated_vertices():
-    topo = build_topology(perturbed_grid(3, seed=1))
-    interior = [v for v in range(topo.V) if not topo.boundary_vertex[v]]
-    z = interior[0]
-    patch = fan(topo, z)
-    with pytest.raises(Exception):
-        path_interpolant(topo, [z, z], np.ones(patch.N), TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -618,14 +608,21 @@ def _oracle_boundary(patch, a, topo):
     seed = _oracle_vector(coef * patch.tangents[s + 2],
                           _oracle_kappa(topo, patch.z, y))
     v = _oracle_combine(topo, a, _oracle_chain_basis(patch, topo, seed, s))
+    return v, _oracle_side(topo, patch.z, v)
+
+
+def _oracle_side(topo, z, v):
+    """The vertex divergences of the dense field v away from z that are
+    not negligible, at most 1e-12 of its largest coefficient."""
     tol = 1e-12 * max(np.abs(v).max(), 1e-30)
-    side = {key: val for key, val in corner_divergences(topo, v).items()
-            if key[1] != patch.z and not abs(val) <= tol}
-    return v, side
+    return {key: val for key, val in corner_divergences(topo, v).items()
+            if key[1] != z and not abs(val) <= tol}
 
 
 def _oracle_edge_transfer(topo, z, y, a):
-    """(field, spill, chain-signed sum of a) of the transfer over {z, y}."""
+    """(field, spill) of the transfer over {z, y}: the spill, the
+    non-negligible divergences away from z, lies at y on the edge's two
+    triangles."""
     patch = fan(topo, z)
     bd = patch.boundary
     k = next(k for k in range(patch.N - bd) if patch.spokes[k + bd] == y)
@@ -637,13 +634,9 @@ def _oracle_edge_transfer(topo, z, y, a):
     r = _oracle_vector(n1, _oracle_kappa(topo, z, y))
     seed = (1.0 / M) * (r + cotB * _oracle_w(topo, z, y))
     v = _oracle_combine(topo, a, _oracle_chain_basis(patch, topo, seed, k))
-    if patch.boundary:
-        signs = np.array([(-1.0) ** abs(p - k) for p in range(patch.N)])
-    else:
-        signs = np.array([(-1.0) ** ((p - k) % patch.N)
-                          for p in range(patch.N)])
-    return v, {(tA, y): div_at(topo, v, tA, y),
-               (tB, y): div_at(topo, v, tB, y)}, signs @ a
+    spill = _oracle_side(topo, z, v)
+    assert set(spill) <= {(tA, y), (tB, y)}
+    return v, spill
 
 
 def _assert_same_field(got, want, rtol=1e-12):
@@ -749,13 +742,12 @@ def test_interpolants_equal_the_oracle(source, name):
         k = r.vertex % patch.N
         y = patch.spokes[k]
         try:
-            block, info = edge_transfer(topo, r.vertex, y, a, TOL)
+            block, spill = edge_transfer(topo, r.vertex, y, a, TOL)
         except UnacceptableEdgeError:
             continue
-        want, spill, s_a = _oracle_edge_transfer(topo, r.vertex, y, a)
+        want, want_spill = _oracle_edge_transfer(topo, r.vertex, y, a)
         _assert_same_field(_field(block), want)
-        _assert_same_values(as_dict(info.spill), spill)
-        assert info.s_a == pytest.approx(s_a, rel=1e-12, abs=1e-12)
+        _assert_same_values(as_dict(spill), want_spill)
         transfers += 1
     assert transfers
 
@@ -775,7 +767,7 @@ def test_oracle_meshes_cover_every_interpolant_branch():
 
 
 def _oracle_path(topo, path, a):
-    acc, _, _ = _oracle_edge_transfer(topo, path[0], path[1], a)
+    acc, _ = _oracle_edge_transfer(topo, path[0], path[1], a)
     for z, ynext in zip(path[1:-1], path[2:]):
         patch = fan(topo, z)
         residual = np.array([div_at(topo, acc, t, z) for t in patch.tris])

@@ -67,6 +67,12 @@ def test_load_rejects_bad_counts_before_allocating(text, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("vertices", [np.zeros((0, 2)), np.eye(2)])
+def test_mesh_without_triangles_rejected(vertices):
+    with pytest.raises(MeshError, match="no triangles"):
+        Triangulation(vertices, np.zeros((0, 3), dtype=np.int64))
+
+
 def test_duplicate_triangle_rejected():
     with pytest.raises(MeshError):
         load_mesh("vertices 3\n0 0\n1 0\n0 1\ntriangles 2\n0 1 2\n1 2 0\n")

@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 
 from conftest import (dense, edge_index, edge_tris, fan, rigid_motion,
-                      stack_fields, values)
+                      stack_fields, values, velocity_coefficients)
 from svstokes import fields, poly, solver
 from svstokes.classify import Tolerances, classify_mesh
 from svstokes.fields import field_block, local_interpolant
@@ -21,8 +21,7 @@ from svstokes.solver import (P2_BASIS, P2_NODES, P3_BASIS, P3_NODES,
                              certify, checkerboard_signature,
                              divergence_rank, infsup_constant, number_dofs,
                              nullity_crosscheck, pressure_constraints,
-                             spurious_modes, strang_dimensions,
-                             velocity_coefficients)
+                             spurious_modes, strang_dimensions)
 
 TOL = Tolerances()
 
@@ -486,7 +485,7 @@ def test_rank_exceeding_constrained_dimension_raises():
 def test_nullity_crosscheck_mismatch_raises():
     topo = build_topology(_two_triangle_square())
     bogus = RankResult(rank=5, nullity=99, K=0, expected_dim=5, gap=1e6,
-                       beta=1.0, scale=1.0)
+                       beta=1.0, scale=1.0, null_basis=np.zeros((5, 0)))
     with pytest.raises(SolverError):
         nullity_crosscheck(bogus, topo, sigma=0)
 

@@ -10,18 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (GOLDEN_MESHES, MIXED, admissible_target, dense, div_at,
-                      div_mean, edge_index, edge_weights, fan, support,
+                      div_mean, edge_index, edge_weights, fan,
+                      path_interpolant, path_stats, support,
                       type1_with_crossed)
 from svstokes import trees
 from svstokes.classify import NOT_LI, Tolerances, classify_mesh
 from svstokes.fields import (FieldError, boundary_interpolant,
-                             center_divergences, local_interpolant,
-                             path_interpolant)
-from svstokes.mesh import (MeshError, Triangulation, build_topology, crossed,
+                             center_divergences, local_interpolant)
+from svstokes.mesh import (Triangulation, build_topology, crossed,
                            perturbed_grid, type1_diagonal)
 from svstokes.trees import (VERDICT_COVER, VERDICT_NONE,
                             VERDICT_THM_ALL_LOCAL, TreeCover,
-                            build_tree_cover, check_hypotheses, path_stats,
+                            build_tree_cover, check_hypotheses,
                             tree_interpolant)
 
 TOL = Tolerances()
@@ -96,8 +96,9 @@ def _loop_edge_weights(topo):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_MESHES))
 def test_edge_weights_and_path_stats_read_the_corner_table(name):
-    """edge_weights and the weights path_stats reads for each hop, in
-    both directions, equal the corner-table cotangent sums bit for bit."""
+    """edge_weights (read through ``trees._side_ends``) and the weights
+    of the path_stats oracle for each hop, in both directions, equal the
+    corner-table cotangent sums bit for bit."""
     topo = build_topology(GOLDEN_MESHES[name]())
     weights = edge_weights(topo)
     assert weights == _loop_edge_weights(topo)
@@ -106,24 +107,6 @@ def test_edge_weights_and_path_stats_read_the_corner_table(name):
         stats = path_stats(topo, [a, b], TOL)
         assert stats.edges == (e,)
         assert stats.M_fwd[0] == w and stats.M_bwd[0] == weights[(e, b)]
-
-
-def test_path_stats_rejects_bad_paths():
-    topo = build_topology(perturbed_grid(3, seed=1))
-    with pytest.raises(MeshError):
-        path_stats(topo, [0], TOL)
-    with pytest.raises(MeshError):
-        path_stats(topo, [0, 0], TOL)
-    with pytest.raises(MeshError):
-        path_stats(topo, [0, topo.V - 1], TOL)  # not an edge
-    # a vertex past the end whose pair key a V + b is that of an interior
-    # edge (a + 1, b - V)
-    e = int(np.flatnonzero(~topo.boundary_edge & (topo.edges[:, 0] > 0))[0])
-    a, b = topo.edges[e].tolist()
-    with pytest.raises(MeshError, match=rf"\({a - 1}, {b + topo.V}\) is not"):
-        path_stats(topo, [a - 1, b + topo.V], TOL)
-    with pytest.raises(MeshError, match="is not an interior mesh edge"):
-        path_stats(topo, [-1, 0], TOL)
 
 
 def test_path_not_acceptable_through_zero_weight():
