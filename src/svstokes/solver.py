@@ -122,40 +122,29 @@ def _n_nodes(nodes: np.ndarray) -> int:
 # ---------------------------------------------------------------------------
 # assembly
 
-def assemble_divergence(topology: MeshTopology, nodes: np.ndarray) -> np.ndarray:
-    """B[q-dof, v-dof] = integral of (pressure basis q) * div(velocity
-    basis v); pressure DOF of triangle t, local node q is 6t + q.  Each
-    entry comes from exactly one triangle."""
-    T = topology.T
-    n = _n_nodes(nodes)
-    div = (topology.area[:, None, None, None]                   # (T, 6, 2, 10)
-           * np.einsum("tsc,qsa->tqca", topology.hat_grads, _PD))
-    B = np.zeros((6 * T, 2 * n))
-    t, a = np.nonzero(nodes >= 0)
-    B.reshape(T, 6, n, 2)[t, :, nodes[t, a], :] = div[t, :, :, a]
-    return B
+def assemble_divergence(topology: MeshTopology) -> np.ndarray:
+    """Per-triangle blocks of the divergence pairing, shape (T, 6, 2, 10):
+    entry [t, q, c, a] is the integral over triangle t of pressure basis q
+    times the derivative along x_c of cubic basis a.  In the global
+    pairing B[6t + q, 2 g + c], g = nodes[t, a] (see ``number_dofs``),
+    each entry comes from exactly one triangle; B is never formed."""
+    return (topology.area[:, None, None, None]
+            * np.einsum("tsc,qsa->tqca", topology.hat_grads, _PD))
 
 
-def assemble_norms(topology: MeshTopology, nodes: np.ndarray,
-                   seminorm: bool = False):
-    """(A_s, M): the scalar H1 Gram matrix of the cubic nodes (seminorm
-    only if requested) and the pressure mass matrix, which is block
-    diagonal: M[t] is the 6x6 block of triangle t, shape (T, 6, 6).  Both
-    velocity components share every block, so the velocity Gram matrix is
-    A = A_s (x) I_2 in the DOF order 2g + c; it is never formed."""
+def assemble_norms(topology: MeshTopology, seminorm: bool = False):
+    """(K, M): the per-triangle scalar H1 Gram blocks of the cubic nodes
+    (seminorm only if requested), shape (T, 10, 10), and the blocks of the
+    pressure mass matrix, which is block diagonal, shape (T, 6, 6).  Both
+    velocity components share every Gram block, so the velocity Gram
+    matrix is A = A_s (x) I_2 in the DOF order 2g + c, with A_s the sum of
+    the K blocks at the global nodes; neither is formed."""
     area = topology.area
     g = topology.hat_grads
     K = np.einsum("tsc,tuc,suab->tab", g, g, _GG) * area[:, None, None]
     if not seminorm:
         K = K + area[:, None, None] * _MM3                  # (T, 10, 10)
-    n = _n_nodes(nodes)
-    interior = nodes >= 0
-    t, a, b = np.nonzero(interior[:, :, None] & interior[:, None, :])
-    A_s = np.zeros((n, n))
-    # np.add.at adds in index order, which is triangle order here: every
-    # entry sums its contributions triangle by triangle.
-    np.add.at(A_s, (nodes[t, a], nodes[t, b]), K[t, a, b])
-    return A_s, area[:, None, None] * _MM2
+    return K, area[:, None, None] * _MM2
 
 
 def pressure_constraints(topology: MeshTopology, reports) -> np.ndarray:
@@ -178,36 +167,70 @@ def pressure_constraints(topology: MeshTopology, reports) -> np.ndarray:
     return C / np.linalg.norm(C, axis=1, keepdims=True)
 
 
-def _block_apply(F: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """F X for a block-diagonal F stored as its (T, 6, 6) blocks; X has
-    6T rows."""
-    T, k = F.shape[0], X.shape[1]
-    return np.matmul(F, X.reshape(T, 6, k)).reshape(6 * T, k)
-
-
 def _apply_q(reflectors: np.ndarray, tau: np.ndarray, X: np.ndarray,
-             trans: str) -> np.ndarray:
-    """Q X (trans "N") or Q^T X (trans "T"), with Q the full orthogonal
-    factor of a Householder QR held as (reflectors, tau); X may be
-    overwritten."""
+             trans: str, side: str = "L") -> np.ndarray:
+    """Q X (trans "N") or Q^T X (trans "T"), or X Q and X Q^T on side "R",
+    with Q the full orthogonal factor of a Householder QR held as
+    (reflectors, tau); X may be overwritten."""
+    if not (tau.size and X.size):
+        return X
     lapack = scipy.linalg.lapack
-    work = lapack.dormqr("L", trans, reflectors, tau, X, -1)[1]
-    out, _, info = lapack.dormqr("L", trans, reflectors, tau, X,
+    reflectors = reflectors[:, :len(tau)]
+    # (the workspace query leaves X alone, and must not copy it either)
+    work = lapack.dormqr(side, trans, reflectors, tau, X, -1,
+                         overwrite_c=1)[1]
+    out, _, info = lapack.dormqr(side, trans, reflectors, tau, X,
                                  int(work[0]), overwrite_c=1)
     if info != 0:
         raise SolverError(f"dormqr failed with info {info}")
     return out
 
 
-def constrained_basis(C: np.ndarray, L_M_inv: np.ndarray):
-    """Householder QR ``(reflectors, tau)`` of Z = L_M^-1 C^T, where C
-    holds the constraint rows (see ``pressure_constraints``) and L_M_inv
-    the (T, 6, 6) inverses of the Cholesky factors of the mass blocks,
-    M = L_M L_M^T.  In the M-weighted coordinates u = L_M^T q the
-    constrained pressures are the u orthogonal to Z, so the trailing
-    6T - len(C) columns of the orthogonal factor Q are an orthonormal
-    basis of them; Q is never formed."""
-    Z = _block_apply(L_M_inv, C.T)
+# Relative size of the constraints applied to the divergences, C M^-1 B,
+# above which the constrained space does not contain the range of B.
+RANGE_RTOL = 1e6 * np.finfo(float).eps
+
+
+def _check_range_inclusion(part: np.ndarray, whole: np.ndarray):
+    """Every divergence, as a pressure M^-1 B, satisfies the constraint
+    rows: ``part``, the coordinates that carry C M^-1 B (see ``certify``),
+    vanishes to RANGE_RTOL relative to ``whole``.  The factor R never sees
+    them, so a range outside the constrained space would go unnoticed
+    there."""
+    dev = float(np.linalg.norm(part))
+    scale = float(np.linalg.norm(whole))
+    if dev > RANGE_RTOL * scale:
+        raise SolverError(
+            f"divergences violate the pressure constraints at {dev:.3e} "
+            f"relative to {scale:.3e}; range inclusion violated")
+
+
+def _bubble_rotation(L_M_inv: np.ndarray, bubble: np.ndarray):
+    """(F, R_b): F = O^T L_M^-1, shape (T, 6, 6), where O_t is the
+    orthogonal factor of the complete QR of triangle t's weighted bubble
+    divergences, L_M^-1 bubble_t = O_t [R_t; 0], and R_b holds the 2 x 2
+    triangles R_t, shape (T, 2, 2).  In the coordinates F q of a pressure
+    q, the bubble divergences live on the first 2 of each triangle's 6."""
+    O, R = np.linalg.qr(np.matmul(L_M_inv, bubble), mode="complete")
+    return np.matmul(O.transpose(0, 2, 1), L_M_inv), R[:, :2]
+
+
+def constrained_basis(C: np.ndarray, F: np.ndarray):
+    """Householder QR ``(reflectors, tau)`` of the complement rows of
+    Z = F C^T, where C holds the constraint rows (see
+    ``pressure_constraints``) and F the (T, 6, 6) blocks of
+    ``_bubble_rotation``.  Every bubble divergence satisfies every
+    constraint row (it has mean zero and vanishes at the vertices), so Z
+    vanishes on the 2T bubble coordinates, the first 2 of each triangle's
+    6; SolverError if it does not.  The constrained pressures are then the
+    bubble coordinates plus the complement coordinates u, 4 a triangle in
+    triangle order, orthogonal to Z: the trailing 4T - len(C) columns of
+    the orthogonal factor Q of Z's complement rows are an orthonormal
+    basis of those u; Q is never formed."""
+    T, k = F.shape[0], C.shape[0]
+    Z = np.matmul(F, C.T.reshape(T, 6, k))
+    _check_range_inclusion(Z[:, :2], Z)
+    Z = Z[:, 2:].reshape(4 * T, k)
     lengths = np.linalg.norm(Z, axis=0)
     (reflectors, tau), R = scipy.linalg.qr(Z, mode="raw", overwrite_a=True,
                                            check_finite=False)
@@ -215,10 +238,10 @@ def constrained_basis(C: np.ndarray, L_M_inv: np.ndarray):
     # roundoff size relative to its own column.
     independent = int(np.sum(np.abs(np.diag(R))
                              > max(Z.shape) * np.finfo(float).eps * lengths))
-    if independent != C.shape[0]:
+    if independent != k:
         raise SolverError(
             f"constrained pressure dimension {C.shape[1] - independent} != "
-            f"6T - 1 - sigma = {C.shape[1] - C.shape[0]}; constraint rows "
+            f"6T - 1 - sigma = {C.shape[1] - k}; constraint rows "
             f"are linearly dependent")
     return reflectors, tau
 
@@ -227,10 +250,6 @@ def constrained_basis(C: np.ndarray, L_M_inv: np.ndarray):
 # the certificate: one triangular factor R gives K, beta and the spurious
 # modes; the scale of its spectrum comes from a short Krylov space of R^T R,
 # the bottom of its spectrum from inverse Lanczos on R^T R
-
-# Relative size of the constraints applied to the divergences, C M^-1 B,
-# above which the constrained space does not contain the range of B.
-RANGE_RTOL = 1e6 * np.finfo(float).eps
 
 # Inverse Lanczos: the most steps one run may take; the Ritz residual,
 # relative to its Ritz value, below which a Ritz pair counts as converged;
@@ -251,53 +270,81 @@ SCALE_BOUND = 1.0 + 1e-12
 class Certificate:
     """Triangular factor of the weighted divergence pairing
 
-        W = Q_2^T L_M^-1 B L_A^-T,   A = L_A L_A^T,   M = L_M L_M^T,
+        W = Q_2^T F B L_A^-T,   A = L_A L_A^T,   F = O^T L_M^-1,
 
-    with Q_2 the trailing columns of the orthogonal factor of
-    ``constrained_basis``: an orthonormal basis of the constrained
-    pressures in M-weighted coordinates.  The squared singular values of
-    W are the eigenvalues of the pressure Schur complement in the mass
-    inner product: the number of zero singular values is K, the smallest
-    nonzero one is beta, and the nonzero ones lie in [beta, 1]: for a
-    velocity v in H^1_0, ||div v||^2 + ||rot v||^2 = |v|_1^2, which is at
-    most the squared norm of v in the seminorm and in the full H1 norm.
-    With W^T = Q_X R (Q_X has orthonormal columns), ``factor`` is R: W
-    has the singular values of R, and its left null vectors are the null
-    vectors of R: ``divergence_rank`` finds them, and ``spurious_modes``
-    maps them back through the reflectors and L_M^-T.  A factor alone (no
-    reflectors) certifies K and beta but no modes.
+    with M = L_M L_M^T, O the per-triangle rotations of
+    ``_bubble_rotation`` and Q_2 the orthonormal basis of the constrained
+    pressures of ``constrained_basis``: the trailing columns of the
+    orthogonal factor of Z on the complement coordinates, then the 2T
+    bubble coordinates.  The squared
+    singular values of W are the eigenvalues of the pressure Schur
+    complement in the mass inner product: the number of zero singular
+    values is K, the smallest nonzero one is beta, and the nonzero ones
+    lie in [beta, 1]: for a velocity v in H^1_0, ||div v||^2 + ||rot v||^2
+    = |v|_1^2, which is at most the squared norm of v in the seminorm and
+    in the full H1 norm.  With W^T = Q_X R (Q_X has orthonormal columns),
+    ``factor`` is R: W has the singular values of R, and its left null
+    vectors are the null vectors of R: ``divergence_rank`` finds them, and
+    ``spurious_modes`` maps them back through the reflectors and F^T and
+    checks their pairing on the per-triangle divergence blocks.  A factor
+    alone (no reflectors) certifies K and beta but no modes.
     """
 
     factor: np.ndarray              # R, (min(p, n), p), upper
     shape: tuple                    # (p, n): constrained pressures, velocities
-    reflectors: np.ndarray | None = None    # QR of Z, (6T, 1 + sigma)
+    reflectors: np.ndarray | None = None    # QR of Z's complement rows,
+                                            # (4T, 1 + sigma)
     tau: np.ndarray | None = None           # its scalars, (1 + sigma,)
-    mass_factor_inv: np.ndarray | None = None   # L_M^-1, (T, 6, 6)
-    divergence: np.ndarray | None = None    # B, (6T, n)
+    pressure_map: np.ndarray | None = None  # F = O^T L_M^-1, (T, 6, 6)
+    divergence: np.ndarray | None = None    # B by triangle, (T, 6, 2, 10)
+    nodes: np.ndarray | None = None         # ``number_dofs``, (T, 10)
 
 
-def _check_range_inclusion(G: np.ndarray, k: int):
-    """Every divergence, as a pressure M^-1 B, satisfies the k constraint
-    rows.  With G = Q^T L_M^-1 B, C M^-1 B is R_Z^T G[:k] for the
-    invertible triangular factor R_Z of Z, so it vanishes exactly when the
-    first k rows of G do.  The factor R only sees the remaining rows, so a
-    range outside the constrained space would go unnoticed there."""
-    dev = float(np.linalg.norm(G[:k]))
-    scale = float(np.linalg.norm(G))
-    if dev > RANGE_RTOL * scale:
-        raise SolverError(
-            f"divergences violate the pressure constraints at {dev:.3e} "
-            f"relative to {scale:.3e}; range inclusion violated")
+def _condense(div: np.ndarray, K: np.ndarray):
+    """(div_r, bubble, K_r): the divergence and Gram blocks with local
+    node 9, the cubic bubble b_T, eliminated triangle by triangle.
+
+    The bubble of triangle t couples only to the other nodes of t.  With
+    the bubbles ordered first, A = L_A L_A^T has L_A^-1 = [[D^-1/2, 0],
+    [-L_S^-1 A_rb D^-1, L_S^-1]], where D = diag(K_99) and S = L_S L_S^T =
+    A_rr - A_rb D^-1 A_br is the sum of the blocks K_r = K_rr - K_r9 K_9r
+    / K_99.  So B L_A^-T has the columns div_r L_S^-T, with div_r =
+    div_rr - div_r9 K_9r / K_99 on the other nodes, and the bubble columns
+    div_9 / sqrt(K_99)."""
+    k99 = K[:, 9, 9]
+    if not np.all(k99 > 0.0):
+        raise SolverError("velocity Gram matrix is not SPD: a cubic bubble "
+                          "has a Gram entry <= 0")
+    w = K[:, 9, :9] / k99[:, None]                       # K_9r / K_99
+    K_r = K[:, :9, :9] - K[:, :9, 9, None] * w[:, None, :]
+    div_r = div[..., :9] - div[..., 9, None] * w[:, None, None, :]
+    return div_r, div[..., 9] / np.sqrt(k99)[:, None, None], K_r
 
 
 def certify(topology: MeshTopology, reports,
             seminorm: bool = False) -> Certificate:
     """Assemble the pairing and its norms, check that the constrained
     pressures contain every divergence, and factor W; every command
-    builds this same certificate."""
+    builds this same certificate.
+
+    The bubbles are condensed out (``_condense``), so the Cholesky factor
+    L_S and the solve with it cover only the m = V0 + 2 E0 other nodes.
+    In the coordinates of ``_bubble_rotation`` the bubble columns of W are
+    the 2 x 2 triangles R_t on the bubble coordinates, and the constraints
+    act on the 4T complement coordinates alone.  With the rows of X = W^T
+    ordered as the other velocities, then the bubble ones, and its columns
+    as the constrained complement coordinates (p - 2T), then the bubble
+    ones (2T),
+
+        X = [[X_rc, X_rb], [0, blockdiag(R_t^T)]],
+
+    and R = [[R_11, R_12], [0, R_22]] comes from the QR of X_rc, Q^T X_rb
+    = [R_12; Y] and the QR of [Y; blockdiag(R_t^T)]."""
     nodes = number_dofs(topology)
-    B = assemble_divergence(topology, nodes)
-    A_s, blocks = assemble_norms(topology, nodes, seminorm=seminorm)
+    T = topology.T
+    div = assemble_divergence(topology)
+    K, blocks = assemble_norms(topology, seminorm=seminorm)
+    div_r, bubble, K_r = _condense(div, K)
     C = pressure_constraints(topology, reports)
     try:
         # 6 x 6 triangular blocks: inverting them once makes every
@@ -305,38 +352,71 @@ def certify(topology: MeshTopology, reports,
         L_M_inv = np.linalg.inv(np.linalg.cholesky(blocks))
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"pressure mass matrix is not SPD: {exc}") from exc
-    reflectors, tau = constrained_basis(C, L_M_inv)
+    F, R_b = _bubble_rotation(L_M_inv, bubble)
+    reflectors, tau = constrained_basis(C, F)
     k = C.shape[0]
-    G = _apply_q(reflectors, tau, _block_apply(L_M_inv, B), "T")
-    _check_range_inclusion(G, k)
-    p, n = G.shape[0] - k, G.shape[1]
+    p, m = 6 * T - k, _n_nodes(nodes) - T
+    inner = nodes[:, :9]                # the other nodes are 0 .. m - 1
+    interior = inner >= 0
+    t, a, b = np.nonzero(interior[:, :, None] & interior[:, None, :])
+    S = np.zeros((m, m))
+    # np.add.at adds in index order, which is triangle order here: every
+    # entry sums its contributions triangle by triangle.
+    np.add.at(S, (inner[t, a], inner[t, b]), K_r[t, a, b])
+    t, a = np.nonzero(interior)
+    g = inner[t, a]
+    # G = F div_r, scattered: rows 4t .. 4t + 3 are triangle t's complement
+    # coordinates, rows 4T + 2t, 4T + 2t + 1 its bubble ones; each row is
+    # (component, node), so the rows are the right-hand sides of L_S.
+    G = np.zeros((6 * T, 2, m))
+    P = np.matmul(F, div_r.reshape(T, 6, 18)).reshape(T, 6, 2, 9)
+    G[:4 * T].reshape(T, 4, 2, m)[t, :, :, g] = P[t, 2:, :, a]
+    G[4 * T:].reshape(T, 2, 2, m)[t, :, :, g] = P[t, :2, :, a]
+    del P, div_r
+    # Q^T G on the complement rows, as G^T Q on the transposed view: its
+    # first k rows carry C M^-1 B (times the invertible factor of Z).
+    applied = _apply_q(reflectors, tau, G[:4 * T].reshape(4 * T, 2 * m).T,
+                       "N", "R")
+    if not np.shares_memory(applied, G):
+        G[:4 * T] = applied.T.reshape(4 * T, 2, m)
+    del applied
+    _check_range_inclusion(G[:k], G)
     try:
-        # A_s is symmetric and only one triangle is read, so its transpose
+        # S is symmetric and only one triangle is read, so its transpose
         # is the column-major operand LAPACK factors in place.
-        L_s = scipy.linalg.cholesky(A_s.T, lower=True, overwrite_a=True,
+        L_S = scipy.linalg.cholesky(S.T, lower=True, overwrite_a=True,
                                     check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise SolverError(f"velocity Gram matrix is not SPD: {exc}") from exc
-    del A_s
-    # W = G[k:] L_A^-T with L_A = L_s (x) I_2.  With X = W^T = Q_X R (Q_X
-    # has orthonormal columns), W = R^T Q_X^T has the singular values of
-    # R.  The rows of X for component c are L_s^-1 G[k:, c::2]^T: one
-    # solve with 2p right-hand sides, column 2j + c for row j of G[k:] and
-    # component c.  Column-major, that result is the stacked (n, p) matrix
-    # [x-rows; y-rows], a row permutation of X: its QR has the same R up
-    # to row signs.  The right-hand side is the one copy of G[k:].
-    m = n // 2
-    rhs = np.ascontiguousarray(G[k:].reshape(p, m, 2).transpose(0, 2, 1))
-    del G
-    X = scipy.linalg.solve_triangular(L_s, rhs.reshape(2 * p, m).T,
+    del S
+    # One solve with 2p right-hand sides, column 2j + c for row j of G[k:]
+    # and component c.  Column-major, that result is the stacked (2m, p)
+    # matrix [x-rows; y-rows] of X's other velocities: a row permutation,
+    # which leaves R unchanged up to row signs.
+    X = scipy.linalg.solve_triangular(L_S, G[k:].reshape(2 * p, m).T,
                                       lower=True, overwrite_b=True,
                                       check_finite=False)
-    del L_s, rhs
-    _, R = scipy.linalg.qr(X.reshape(n, p, order="F"), mode="raw",
-                           overwrite_a=True, check_finite=False)
-    del X, _
-    return Certificate(factor=R, shape=(p, n), reflectors=reflectors,
-                       tau=tau, mass_factor_inv=L_M_inv, divergence=B)
+    del L_S, G
+    X = X.reshape(2 * m, p, order="F")
+    pc = p - 2 * T
+    (reflectors_x, tau_x), R_11 = scipy.linalg.qr(
+        X[:, :pc], mode="raw", overwrite_a=True, check_finite=False)
+    rest = _apply_q(reflectors_x, tau_x, X[:, pc:], "T")
+    top = len(R_11)
+    D = np.zeros((T, 2, T, 2))
+    D[np.arange(T), :, np.arange(T), :] = R_b.transpose(0, 2, 1)
+    Y = np.vstack([rest[top:], D.reshape(2 * T, 2 * T)])
+    R_12 = rest[:top].copy()
+    del X, reflectors_x, rest     # the largest array; R takes its place
+    R = np.zeros((top + 2 * T, p))
+    R[:top, :pc] = R_11
+    R[:top, pc:] = R_12
+    del R_11, R_12
+    R[top:, pc:] = scipy.linalg.qr(Y, mode="r", overwrite_a=True,
+                                   check_finite=False)[0][:2 * T]
+    return Certificate(factor=R, shape=(p, 2 * (m + T)),
+                       reflectors=reflectors, tau=tau, pressure_map=F,
+                       divergence=div, nodes=nodes)
 
 
 def _floored(R: np.ndarray) -> np.ndarray:
@@ -572,21 +652,30 @@ def spurious_modes(cert: Certificate, rank: RankResult):
     against every velocity, returned as raw coefficient vectors.
 
     They are the null vectors of the factor R that ``divergence_rank``
-    lifted, ``rank.null_basis``, mapped back through the reflectors and
-    L_M^-T, and accepted only if they pair with no velocity."""
+    lifted, ``rank.null_basis``, mapped back through the reflectors (their
+    complement coordinates) and F^T, and accepted only if they pair with
+    no velocity: B^T q sums the per-triangle blocks at the global nodes."""
     V = rank.null_basis
     if not V.shape[1]:
         return []
-    U = np.zeros((cert.reflectors.shape[0], V.shape[1]))
-    U[-len(V):] = V
-    Q = _block_apply(cert.mass_factor_inv.transpose(0, 2, 1),
-                     _apply_q(cert.reflectors, cert.tau, U, "N"))
-    B = cert.divergence
-    scale = float(np.abs(Q.T @ B).max())
-    bscale = max(float(np.abs(B).max()), 1.0)
+    F, nodes = cert.pressure_map, cert.nodes
+    T, K = len(F), V.shape[1]
+    pc = len(V) - 2 * T
+    U = np.zeros((4 * T, K))
+    U[4 * T - pc:] = V[:pc]
+    U = _apply_q(cert.reflectors, cert.tau, U, "N")
+    u = np.concatenate([V[pc:].reshape(T, 2, K), U.reshape(T, 4, K)], axis=1)
+    Q = np.matmul(F.transpose(0, 2, 1), u)                  # (T, 6, K)
+    t, a = np.nonzero(nodes >= 0)
+    div = cert.divergence[t, :, :, a]                       # (., 6, 2)
+    pairing = np.zeros((_n_nodes(nodes), K, 2))
+    np.add.at(pairing, nodes[t, a], np.einsum("iqk,iqc->ikc", Q[t], div))
+    scale = float(np.abs(pairing).max())
+    bscale = max(float(np.abs(div).max()), 1.0)
     if scale > 1e-8 * bscale:
         raise SolverError(f"extracted modes pair with velocities at {scale:.3e}")
-    return [Q[:, k] for k in range(Q.shape[1])]
+    Q = Q.reshape(6 * T, K)
+    return [Q[:, k] for k in range(K)]
 
 
 def checkerboard_signature(topology: MeshTopology, mode,

@@ -3,8 +3,9 @@ oracles of the d-coefficients and of the vertex classification, random
 shape-regular patches, admissible pressure targets, the golden and
 benchmark meshes, the type-1 grids with crossed squares, edge lookups and
 edge weights, corner angles of an edge pair, dual determinant formulas,
-dense views of field blocks, and the oracles of transfers composed along a
-path (the path lemma) and of field blocks as velocity DOF vectors."""
+dense views of field blocks, the oracles of transfers composed along a
+path (the path lemma) and of field blocks as velocity DOF vectors, and the
+full assembly of the divergence pairing and its norms, uncondensed."""
 
 import importlib.util
 import pathlib
@@ -13,6 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from svstokes import fields, poly, solver
 from svstokes.classify import (BOUNDARY, EVEN, NOT_LI, ODD, SINGULAR,
@@ -465,3 +467,55 @@ def velocity_coefficients(topology, nodes, block):
     out = np.zeros((n, 2, block.F))
     out[nodes[block.tri[row], j], :, block.field[row]] = at_nodes[j, row]
     return out.reshape(2 * n, block.F)
+
+
+# ---------------------------------------------------------------------------
+# the full assembly: the pairing and its norms with every node, the cubic
+# bubbles included, as dense matrices
+
+
+def dense_divergence(topology, nodes):
+    """The full-assembly oracle of the divergence pairing: B[q-dof, v-dof]
+    = integral of (pressure basis q) * div(velocity basis v), shape
+    (6T, 2n), with pressure DOF 6t + q and velocity DOF 2g + c of node g
+    of ``solver.number_dofs``, each entry from exactly one triangle's
+    block of ``solver.assemble_divergence``."""
+    T = topology.T
+    n = int(nodes.max(initial=-1)) + 1
+    div = solver.assemble_divergence(topology)
+    B = np.zeros((6 * T, 2 * n))
+    t, a = np.nonzero(nodes >= 0)
+    B.reshape(T, 6, n, 2)[t, :, nodes[t, a], :] = div[t, :, :, a]
+    return B
+
+
+def dense_norms(topology, nodes, seminorm=False):
+    """(A_s, M): the full-assembly oracle of the scalar H1 Gram matrix of
+    the cubic nodes (seminorm only if requested), the blocks of
+    ``solver.assemble_norms`` summed at the global nodes triangle by
+    triangle, and the (T, 6, 6) pressure mass blocks.  The velocity Gram
+    matrix is A = A_s (x) I_2 in the DOF order 2g + c."""
+    K, M = solver.assemble_norms(topology, seminorm=seminorm)
+    n = int(nodes.max(initial=-1)) + 1
+    interior = nodes >= 0
+    t, a, b = np.nonzero(interior[:, :, None] & interior[:, None, :])
+    A_s = np.zeros((n, n))
+    np.add.at(A_s, (nodes[t, a], nodes[t, b]), K[t, a, b])
+    return A_s, M
+
+
+def uncondensed_pairing(topology, reports, seminorm=False):
+    """The weighted pairing W = N^T L_M^-1 B L_A^-T of the certificate from
+    the full assembly, no node condensed and no coordinate rotated: N is
+    an orthonormal basis of the u with Z^T u = 0, Z = L_M^-1 C^T.  Its
+    singular values are those of ``solver.certify``'s factor."""
+    nodes = solver.number_dofs(topology)
+    B = dense_divergence(topology, nodes)
+    A_s, blocks = dense_norms(topology, nodes, seminorm)
+    L_M = scipy.linalg.block_diag(*np.linalg.cholesky(blocks))
+    C = solver.pressure_constraints(topology, reports)
+    N = scipy.linalg.null_space(
+        scipy.linalg.solve_triangular(L_M, C.T, lower=True).T)
+    W = N.T @ scipy.linalg.solve_triangular(L_M, B, lower=True)
+    L_A = np.linalg.cholesky(np.kron(A_s, np.eye(2)))
+    return scipy.linalg.solve_triangular(L_A, W.T, lower=True).T

@@ -20,11 +20,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (GOLDEN_MESHES, MIXED, bench_mesh, bench_pool,
-                      rigid_motion, type1_with_crossed)
+                      dense_divergence, dense_norms, rigid_motion,
+                      type1_with_crossed, uncondensed_pairing)
 from svstokes import cli, solver
 from svstokes.classify import Tolerances, classify_mesh
 from svstokes.mesh import (Triangulation, build_topology, crossed, dump_mesh,
-                           perturbed_grid, type1_diagonal)
+                           ngon_patch, perturbed_grid, type1_diagonal)
 
 TOL = Tolerances()
 
@@ -40,8 +41,8 @@ def _schur_pencil(topo, reports, seminorm=False):
     pencil (S, G) of the pressure Schur complement on N in the mass inner
     product: S = N^T B A^-1 B^T N, G = N^T M N."""
     nodes = solver.number_dofs(topo)
-    B = solver.assemble_divergence(topo, nodes)
-    A_s, blocks = solver.assemble_norms(topo, nodes, seminorm=seminorm)
+    B = dense_divergence(topo, nodes)
+    A_s, blocks = dense_norms(topo, nodes, seminorm=seminorm)
     A = np.kron(A_s, np.eye(2))
     M = scipy.linalg.block_diag(*blocks)
     N = scipy.linalg.null_space(solver.pressure_constraints(topo, reports))
@@ -96,6 +97,63 @@ def test_certificate_agrees_with_the_raw_rank_and_schur_eigenproblem(
     assert np.sqrt(eig[rr.K]) == pytest.approx(beta, rel=1e-12)
 
 
+CONDENSED_MESHES = {
+    **GOLDEN_MESHES,
+    "ngon-5": lambda: ngon_patch(5),
+    "one-triangle": lambda: Triangulation([[0.0, 0.0], [1.0, 0.0],
+                                           [0.0, 1.0]], [[0, 1, 2]]),
+    "perturbed-8-p3": lambda: bench_mesh("perturbed-8-p3"),
+}
+
+
+@pytest.mark.parametrize("seminorm", [False, True])
+@pytest.mark.parametrize("name", sorted(CONDENSED_MESHES))
+def test_condensed_factor_has_the_singular_values_of_the_full_pairing(
+        name, seminorm):
+    """The factor of the condensed, rotated pairing has the singular values
+    of W assembled in full, to 1e-12 s_max, and the modes pair with no
+    velocity under the full B.  On one triangle the bubble is the only
+    velocity node, and no other node remains."""
+    topo, reports, summary = _classified(CONDENSED_MESHES[name]())
+    cert = solver.certify(topo, reports, seminorm=seminorm)
+    W = uncondensed_pairing(topo, reports, seminorm)
+    assert cert.shape == W.shape
+    assert cert.factor.shape == (min(W.shape), W.shape[0])
+    s = scipy.linalg.svdvals(W)
+    assert np.abs(scipy.linalg.svdvals(cert.factor) - s).max() <= 1e-12 * s[0]
+    if name == "one-triangle":
+        assert W.shape == (2, 2) and topo.V0 == topo.E0 == 0
+    rr = solver.divergence_rank(cert, topo, summary["sigma"], TOL)
+    modes = solver.spurious_modes(cert, rr)
+    assert len(modes) == rr.K
+    if rr.K:
+        B = dense_divergence(topo, solver.number_dofs(topo))
+        assert np.abs(np.column_stack(modes).T @ B).max() < \
+            1e-12 * np.abs(B).max()
+
+
+def test_a_constraint_row_that_a_bubble_violates_is_a_solver_error(
+        monkeypatch):
+    """A weight on an edge midpoint: the divergence of a cubic bubble is
+    nonzero there, so the bubble coordinates of Z do not vanish."""
+    constraints = solver.pressure_constraints
+
+    def midpoint_added(*args, **kwargs):
+        C = constraints(*args, **kwargs)
+        t = np.flatnonzero(C[-1])[0] // 6
+        C[-1, 6 * t + 3] = 0.5
+        return C / np.linalg.norm(C, axis=1, keepdims=True)
+
+    monkeypatch.setattr(solver, "pressure_constraints", midpoint_added)
+    topo, reports, _ = _classified(crossed(2))
+    with pytest.raises(solver.SolverError, match="range inclusion"):
+        solver.certify(topo, reports)
+    # the check on the bubble coordinates alone sees it
+    with pytest.raises(solver.SolverError, match="range inclusion"):
+        solver.constrained_basis(midpoint_added(topo, reports),
+                                 _pressure_map(topo)[0])
+
+
 @pytest.mark.parametrize("name", ["type1-3", "three-lines-2"])
 def test_modes_are_mass_orthonormal_and_pair_with_no_velocity(name):
     topo, reports, summary = _classified(GOLDEN_MESHES[name]())
@@ -104,8 +162,8 @@ def test_modes_are_mass_orthonormal_and_pair_with_no_velocity(name):
     Q = np.column_stack(solver.spurious_modes(cert, rr))
     assert Q.shape == (6 * topo.T, rr.K) and rr.K >= 1
     nodes = solver.number_dofs(topo)
-    B = solver.assemble_divergence(topo, nodes)
-    _, blocks = solver.assemble_norms(topo, nodes)
+    B = dense_divergence(topo, nodes)
+    _, blocks = dense_norms(topo, nodes)
     M = scipy.linalg.block_diag(*blocks)
     assert np.abs(Q.T @ M @ Q - np.eye(rr.K)).max() < 1e-10
     assert np.abs(Q.T @ B).max() < 1e-12 * np.abs(B).max()
@@ -147,14 +205,17 @@ def test_modes_with_fewer_velocities_than_constrained_pressures():
 
 def test_modes_of_a_factor_with_exact_zero_pivots():
     """A synthetic certificate with T = 3, two constraint rows, A = I and
-    B chosen so that W = R^T.  R is upper triangular with pivots 2, 7 and
-    12 exactly zero and those columns combinations of the earlier ones,
-    so its null space is known exactly.  It is scaled by a power of two,
-    exactly, to singular values at most 1, as those of a certificate are,
-    and its modes come from the directions the rank lifts."""
+    F = L_M^-1 (no rotation), and a pairing B chosen so that W = R^T.  R
+    is upper triangular with pivots 2, 7 and 12 exactly zero and those
+    columns combinations of the earlier ones, so its null space is known
+    exactly.  It is scaled by a power of two, exactly, to singular values
+    at most 1, as those of a certificate are, and its modes come from the
+    directions the rank lifts.  Its columns are the 4T - 2 complement
+    coordinates, then the 2T bubble ones, and each triangle's block of B
+    touches all p / 2 velocity nodes."""
     rng = np.random.default_rng(7)
     T, k = 3, 2
-    p = 6 * T - k
+    p, pc = 6 * T - k, 4 * T - k
     R = np.triu(rng.standard_normal((p, p)))
     R[np.diag_indices(p)] = rng.uniform(1.0, 2.0, p)
     null = []
@@ -170,19 +231,36 @@ def test_modes_of_a_factor_with_exact_zero_pivots():
     L_M = np.linalg.cholesky(F @ F.transpose(0, 2, 1) + np.eye(6))
     L_M_inv = np.linalg.inv(L_M)
     L = scipy.linalg.block_diag(*L_M)
-    C = rng.standard_normal((k, 6 * T))
+    # constraint rows whose Z = L_M^-1 C^T vanishes on the bubble ones
+    Z = np.zeros((T, 6, k))
+    Z[:, 2:] = rng.standard_normal((T, 4, k))
+    C = (L @ Z.reshape(6 * T, k)).T
     reflectors, tau = solver.constrained_basis(C, L_M_inv)
-    Q = scipy.linalg.qr(np.linalg.solve(L, C.T))[0]
+    Q = scipy.linalg.qr(Z[:, 2:].reshape(4 * T, k))[0]
+
+    def weighted(V):
+        """The M-weighted coordinates of the columns of V."""
+        u = np.zeros((T, 6, V.shape[1]))
+        u[:, :2] = V[pc:].reshape(T, 2, -1)
+        u[:, 2:] = (Q[:, k:] @ V[:pc]).reshape(T, 4, -1)
+        return u.reshape(6 * T, -1)
+
+    B = L @ weighted(R.T)
+    nodes = np.full((T, 10), -1)
+    nodes[:, :p // 2] = np.arange(p // 2)
+    div = np.zeros((T, 6, 2, 10))
+    div[..., :p // 2] = B.reshape(T, 6, p // 2, 2).transpose(0, 1, 3, 2)
     cert = solver.Certificate(
         factor=R, shape=(p, p), reflectors=reflectors, tau=tau,
-        mass_factor_inv=L_M_inv, divergence=L @ Q[:, k:] @ R.T)
+        pressure_map=L_M_inv, divergence=div, nodes=nodes)
     # divergence_rank reads only T: p = 6T - 1 - sigma with sigma = 1
     rr = solver.divergence_rank(cert, SimpleNamespace(T=T), 1, TOL)
     assert (rr.rank, rr.K) == (p - 3, 3)
     modes = np.column_stack(solver.spurious_modes(cert, rr))
     assert np.abs(modes.T @ L @ L.T @ modes - np.eye(3)).max() < 1e-12
     assert np.abs(C @ modes).max() < 1e-12 * np.abs(modes).max()
-    _assert_same_span(modes, np.linalg.solve(L.T, Q[:, k:] @ null))
+    assert np.abs(modes.T @ B).max() < 1e-12 * np.abs(B).max()
+    _assert_same_span(modes, np.linalg.solve(L.T, weighted(null)))
 
 
 @pytest.mark.parametrize("name", ["type1-3", "three-lines-2"])
@@ -282,26 +360,37 @@ def test_divergence_outside_the_constrained_space_is_a_solver_error(
         solver.certify(topo, reports)
 
 
+def _pressure_map(topo, seminorm=False):
+    """F = O^T L_M^-1 of ``solver.certify``, (T, 6, 6)."""
+    K, blocks = solver.assemble_norms(topo, seminorm)
+    _, bubble, _ = solver._condense(solver.assemble_divergence(topo), K)
+    L_M_inv = np.linalg.inv(np.linalg.cholesky(blocks))
+    return solver._bubble_rotation(L_M_inv, bubble)[0], blocks
+
+
 def test_constrained_basis_rejects_dependent_rows():
     topo, reports, _ = _classified(crossed(2))
     C = solver.pressure_constraints(topo, reports)
     assert np.allclose(np.linalg.norm(C, axis=1), 1.0, rtol=1e-14)
-    _, blocks = solver.assemble_norms(topo, solver.number_dofs(topo))
-    L_M = np.linalg.cholesky(blocks)
-    L_M_inv = np.linalg.inv(L_M)
-    reflectors, tau = solver.constrained_basis(C, L_M_inv)
+    F, blocks = _pressure_map(topo)
+    reflectors, tau = solver.constrained_basis(C, F)
     k, m = C.shape
-    assert reflectors.shape == (m, k) and tau.shape == (k,)
-    # the trailing m - k columns of Q, mapped through L_M^-T, are an
-    # M-orthonormal basis of the pressures that C annihilates
+    T = topo.T
+    assert reflectors.shape == (4 * T, k) and tau.shape == (k,)
+    # the bubble coordinates and the trailing 4T - k columns of Q on the
+    # complement ones, mapped through F^T, are an M-orthonormal basis of
+    # the pressures that C annihilates
     Q = scipy.linalg.lapack.dorgqr(
-        np.hstack([reflectors, np.zeros((m, m - k))]), tau)[0]
-    L = scipy.linalg.block_diag(*L_M)
-    basis = np.linalg.solve(L.T, Q[:, k:])
+        np.hstack([reflectors, np.zeros((4 * T, 4 * T - k))]), tau)[0]
+    u = np.zeros((T, 6, m - k))
+    u[:, :2, :2 * T] = np.eye(2 * T).reshape(T, 2, 2 * T)
+    u[:, 2:, 2 * T:] = Q[:, k:].reshape(T, 4, -1)
+    basis = np.matmul(F.transpose(0, 2, 1), u).reshape(m, m - k)
+    M = scipy.linalg.block_diag(*blocks)
     assert np.abs(C @ basis).max() < 1e-12 * np.abs(basis).max()
-    assert np.abs(basis.T @ L @ L.T @ basis - np.eye(m - k)).max() < 1e-12
+    assert np.abs(basis.T @ M @ basis - np.eye(m - k)).max() < 1e-12
     with pytest.raises(solver.SolverError, match="linearly dependent"):
-        solver.constrained_basis(np.vstack([C, C[-1]]), L_M_inv)
+        solver.constrained_basis(np.vstack([C, C[-1]]), F)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import (dense, edge_index, edge_tris, fan, rigid_motion,
-                      stack_fields, values, velocity_coefficients)
+from conftest import (dense, dense_divergence, dense_norms, edge_index,
+                      edge_tris, fan, rigid_motion, stack_fields, values,
+                      velocity_coefficients)
 from svstokes import fields, poly, solver
 from svstokes.classify import Tolerances, classify_mesh
 from svstokes.fields import field_block, local_interpolant
@@ -17,8 +18,7 @@ from svstokes.mesh import (Triangulation, build_topology, crossed,
                            perturbed_grid, type1_diagonal)
 from svstokes.solver import (P2_BASIS, P2_NODES, P3_BASIS, P3_NODES,
                              Certificate, RankIndeterminateError, RankResult,
-                             SolverError, assemble_divergence, assemble_norms,
-                             certify, checkerboard_signature,
+                             SolverError, certify, checkerboard_signature,
                              divergence_rank, infsup_constant, number_dofs,
                              nullity_crosscheck, pressure_constraints,
                              spurious_modes, strang_dimensions)
@@ -60,7 +60,7 @@ def _setup(mesh):
     topo = build_topology(mesh)
     reports, summary = classify_mesh(topo)
     nodes = number_dofs(topo)
-    B = assemble_divergence(topo, nodes)
+    B = dense_divergence(topo, nodes)
     return topo, reports, summary, nodes, B
 
 
@@ -213,10 +213,10 @@ def test_assembly_matches_the_per_triangle_oracle(name):
     field = np.zeros((topo.T, 2, 10))
     field[::2] = rng.standard_normal((len(field[::2]), 2, 10))
     B, A, u = _oracle_assembly(topo, field)
-    assert np.array_equal(assemble_divergence(topo, nodes), B)
+    assert np.array_equal(dense_divergence(topo, nodes), B)
     for semi in (False, True):
         # both velocity components share the scalar Gram matrix
-        A_s = assemble_norms(topo, nodes, semi)[0]
+        A_s = dense_norms(topo, nodes, semi)[0]
         assert np.array_equal(np.kron(A_s, np.eye(2)), A[semi])
     block = field_block(topo, field)
     assert np.array_equal(velocity_coefficients(topo, nodes, block),
@@ -293,10 +293,10 @@ def test_injection_oracle_field_to_matrix():
 def test_norm_matrices_scaling_laws():
     base = perturbed_grid(2, seed=6)
     topo0 = build_topology(base)
-    A0s, M0 = assemble_norms(topo0, number_dofs(topo0), seminorm=True)
+    A0s, M0 = dense_norms(topo0, number_dofs(topo0), seminorm=True)
     for lam in (0.5, 2.0):
         topo1 = build_topology(rigid_motion(base, scale=lam))
-        A1s, M1 = assemble_norms(topo1, number_dofs(topo1), seminorm=True)
+        A1s, M1 = dense_norms(topo1, number_dofs(topo1), seminorm=True)
         # H1 seminorm Gram is scale invariant in 2D; mass scales with area
         assert np.allclose(A1s, A0s, atol=1e-10 * np.abs(A0s).max())
         assert np.allclose(M1, lam ** 2 * M0, atol=1e-12 * np.abs(M0).max())
