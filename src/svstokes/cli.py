@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -23,7 +24,8 @@ from .fields import (FieldBlock, FieldError, VertexValues,
                      boundary_interpolant, local_interpolant, verify_field)
 from .mesh import (MeshError, MeshFormatError, PRESETS, Triangulation,
                    build_topology, dump_mesh, generate, load_mesh)
-from .trees import build_tree_cover, check_hypotheses
+from .trees import (VERDICT_COVER, VERDICT_THM_ALL_LOCAL, build_tree_cover,
+                    check_hypotheses)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -83,13 +85,35 @@ def _tolerances(args) -> Tolerances:
 
 
 def _write_out(text: str, out_path: str | None):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+    """Write text to out_path, or to stdout (newline-terminated) without
+    one.  A write that fails (a missing directory, a full device, a
+    closed pipe) is an _InputError."""
+    try:
+        if out_path:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text if text.endswith("\n") else text + "\n")
+            sys.stdout.flush()
+    except OSError as exc:
+        if not out_path:
+            _discard_stdout()
+        raise _InputError(f"cannot write {out_path or 'stdout'}: "
+                          f"{exc.strerror or exc}") from exc
+
+
+def _discard_stdout():
+    """Point the file descriptor of stdout at the null device: Python
+    flushes stdout again at exit, and on a closed pipe that flush would
+    fail too (a warning and exit 120).  A stdout without a descriptor (a
+    test's capture) is left alone."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 # Every float in a JSON output is rounded to this many significant digits.
@@ -170,6 +194,7 @@ def analyze_mesh(mesh: Triangulation, tol: Tolerances,
 
     cert = solver.certify(topology, reports)
     rank = solver.divergence_rank(cert, topology, summary["sigma"], tol)
+    _check_verdict(verdict, reports, rank)
     beta, _ = solver.infsup_constant(cert, tol, rank)
     modes = solver.spurious_modes(cert, rank)
     dims = solver.strang_dimensions(topology, summary["sigma"],
@@ -194,6 +219,26 @@ def analyze_mesh(mesh: Triangulation, tol: Tolerances,
     }
     report["spline"] = {"skipped": False, **dataclasses.asdict(dims)}
     return report, modes
+
+
+def _check_verdict(verdict: str, reports, rank: solver.RankResult):
+    """The paper's theorem: a mesh whose interior vertices are all local
+    interpolating, or covered by disjoint transfer trees, has K = 0.  A
+    K > 0 under either verdict means that one fact, whether some vertex is
+    singular, was decided on two scales: Theta(z) above tol.singular, and
+    the singular value it gives below tol.rank times the rank scale.
+    That is indeterminate (RankIndeterminateError), never a report."""
+    if rank.K == 0 or verdict not in (VERDICT_THM_ALL_LOCAL, VERDICT_COVER):
+        return
+    candidates = [r for r in reports if not (r.boundary or r.singular)]
+    nearest = (min(candidates, key=lambda r: r.theta_value)
+               if candidates else None)
+    where = (f"non-singular interior vertex {nearest.vertex} has the "
+             f"smallest Theta(z) = {nearest.theta_value:.3e}"
+             if nearest else "no interior vertex is non-singular")
+    raise solver.RankIndeterminateError(
+        f"verdict {verdict} implies K = 0, but the rank rejects a singular "
+        f"value {rank.beta / rank.gap:.3e} (K = {rank.K}); {where}")
 
 
 def render_svg(mesh: Triangulation, report: dict, modes,
@@ -388,10 +433,10 @@ def cmd_analyze(args) -> int:
     mesh = _load(args.mesh)
     tol = _tolerances(args)
     report, modes = analyze_mesh(mesh, tol, skip_solver=args.skip_solver)
-    if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(render_svg(mesh, report, modes))
+    # the report first: a bad --svg path must not lose it
     _write_out(to_json(report), args.out)
+    if args.svg:
+        _write_out(render_svg(mesh, report, modes), args.svg)
     return EXIT_OK
 
 

@@ -298,6 +298,7 @@ class Certificate:
     pressure_map: np.ndarray | None = None  # F = O^T L_M^-1, (T, 6, 6)
     divergence: np.ndarray | None = None    # B by triangle, (T, 6, 2, 10)
     nodes: np.ndarray | None = None         # ``number_dofs``, (T, 10)
+    start: np.ndarray | None = None         # the rank scale's start, (p,)
 
 
 def _condense(div: np.ndarray, K: np.ndarray):
@@ -414,9 +415,16 @@ def certify(topology: MeshTopology, reports,
     del R_11, R_12
     R[top:, pc:] = scipy.linalg.qr(Y, mode="r", overwrite_a=True,
                                    check_finite=False)[0][:2 * T]
+    # The rank scale's Krylov start: a fixed-seed raw pressure x in the
+    # constrained coordinates.  A fixed vector of those coordinates would
+    # move with their basis, which roundoff can change discretely (the
+    # sign of a Householder reflector whose leading entry is near zero).
+    y = np.matmul(F, np.random.default_rng(0).standard_normal((T, 6, 1)))
+    c = _apply_q(reflectors, tau, y[:, 2:].reshape(4 * T, 1), "T")
+    start = np.concatenate([c[k:, 0], y[:, :2].ravel()])
     return Certificate(factor=R, shape=(p, 2 * (m + T)),
                        reflectors=reflectors, tau=tau, pressure_map=F,
-                       divergence=div, nodes=nodes)
+                       divergence=div, nodes=nodes, start=start)
 
 
 def _floored(R: np.ndarray) -> np.ndarray:
@@ -433,11 +441,12 @@ def _floored(R: np.ndarray) -> np.ndarray:
     return R
 
 
-def _rank_scale(R: np.ndarray) -> float:
+def _rank_scale(R: np.ndarray, start: np.ndarray | None = None) -> float:
     """A lower bound on the largest singular value of R, within a few
     tenths of a percent of it on the certificates: the square root of the
     top Ritz value of R^T R on a Krylov space of at most SCALE_STEPS
-    dimensions, from a fixed-seed start.
+    dimensions, from ``start`` (a certificate's ``start``), or else from
+    a fixed-seed one.
 
     The basis is built with full reorthogonalization, two passes a step,
     and must stay orthonormal to working precision for the Rayleigh-Ritz
@@ -453,7 +462,8 @@ def _rank_scale(R: np.ndarray) -> float:
     steps = min(p, SCALE_STEPS)
     basis = np.empty((steps, p))
     images = np.empty((steps, R.shape[0]))     # R q for each basis row q
-    q = np.random.default_rng(0).standard_normal(p)
+    q = (np.random.default_rng(0).standard_normal(p) if start is None
+         else np.array(start, dtype=float))
     q /= np.linalg.norm(q)
     top = 0.0
     for k in range(steps):
@@ -566,7 +576,7 @@ def divergence_rank(cert: Certificate, topology: MeshTopology, sigma: int,
     lifted factor.  A wide R (fewer velocities than constrained pressures)
     is zero-padded to square first."""
     p = cert.shape[0]
-    scale = _rank_scale(cert.factor)
+    scale = _rank_scale(cert.factor, cert.start)
     if scale * scale > SCALE_BOUND:
         raise SolverError(
             f"singular value {scale:.17g} of the weighted pairing exceeds "

@@ -515,18 +515,20 @@ def test_lifted_lanczos_agrees_with_the_svd_and_the_inertia(name):
     assert solver.infsup_constant(cert, TOL)[0] == beta
     if name == "type1-1":
         assert cert.shape[0] > cert.shape[1]
-    assert rr.scale == solver._rank_scale(cert.factor)
+    assert rr.scale == solver._rank_scale(cert.factor, cert.start)
     s_max = scipy.linalg.svdvals(cert.factor)[0]
     for c in (1.0, 1e-50, 1e50):
+        _assert_scale_bounds(c * cert.factor, c * s_max, cert.start)
         _assert_scale_bounds(c * cert.factor, c * s_max)
 
 
 # ---------------------------------------------------------------------------
 # the rank scale: a Krylov lower bound on s_max, and the bound 1 on it
 
-def _assert_scale_bounds(R, s_max):
-    """The rank scale of R lies below s_max, by at most 1 %."""
-    scale = solver._rank_scale(R)
+def _assert_scale_bounds(R, s_max, start=None):
+    """The rank scale of R, from the given Krylov start or the default
+    one, lies below s_max, by at most 1 %."""
+    scale = solver._rank_scale(R, start)
     assert s_max * (1 - 1e-2) <= scale <= s_max * (1 + 1e-14), (scale, s_max)
 
 
@@ -540,7 +542,8 @@ def test_rank_scale_on_the_scaled_bench_copies(key, length):
     cert = solver.certify(topo, reports)
     rr = solver.divergence_rank(cert, topo, summary["sigma"], TOL)
     assert rr.K == 0
-    _assert_scale_bounds(cert.factor, scipy.linalg.svdvals(cert.factor)[0])
+    _assert_scale_bounds(cert.factor, scipy.linalg.svdvals(cert.factor)[0],
+                         cert.start)
 
 
 def _ritz_sizes(monkeypatch):
@@ -627,7 +630,7 @@ def test_seminorm_cluster_of_ones_passes_the_bound(angle):
     assert np.sum(np.abs(s - 1.0) < 1e-14) > 1
     rr = solver.divergence_rank(cert, topo, summary["sigma"], TOL)
     assert rr.scale ** 2 <= solver.SCALE_BOUND
-    _assert_scale_bounds(cert.factor, s[0])
+    _assert_scale_bounds(cert.factor, s[0], cert.start)
 
 
 def _factor_with_spectrum(s, seed=0):
@@ -729,11 +732,11 @@ def test_beta_is_the_smallest_accepted_value_in_the_old_band(small):
     assert eig[0] == pytest.approx(small ** 2, rel=1e-9) and eig.min() > 0
 
 
-def _crossed_2_shifted(dx):
-    """crossed-2 with the centre vertex of square (0, 0) moved by dx in
-    x: it stops being singular, and its patch gives one small but nonzero
-    singular value."""
-    mesh = crossed(2)
+def _crossed_shifted(dx, n=2):
+    """crossed-n with the centre vertex of square (0, 0) moved by dx in
+    x: it stops being singular (Theta(z) = 2 dx), and its patch gives one
+    small but nonzero singular value."""
+    mesh = crossed(n)
     v = mesh.vertices.copy()
     v[np.argmin(np.hypot(v[:, 0] - 0.5, v[:, 1] - 0.5)), 0] += dx
     return Triangulation(v, mesh.triangles)
@@ -742,8 +745,8 @@ def _crossed_2_shifted(dx):
 @pytest.mark.parametrize("dx", [1e-5, 1e-6, 1e-8])
 def test_shifted_crossed_centre_reports_its_small_beta(tmp_path, dx):
     path = tmp_path / "shifted.mesh"
-    path.write_text(dump_mesh(_crossed_2_shifted(dx)))
-    topo, reports, summary = _classified(_crossed_2_shifted(dx))
+    path.write_text(dump_mesh(_crossed_shifted(dx)))
+    topo, reports, summary = _classified(_crossed_shifted(dx))
     cert = solver.certify(topo, reports)
     K, beta, _ = _svd_oracle(cert)
     assert K == 0 and beta < 1e-4
@@ -757,6 +760,42 @@ def test_shifted_crossed_centre_reports_its_small_beta(tmp_path, dx):
             assert (got["K"], got["rank"]) == (0, 92)
         else:
             assert got["smallest_eigenvalues"][0] > 0.0
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("dx", [10.0 ** -e for e in range(12, 0, -1)]
+                         + [2e-10, 3e-10])
+def test_shifted_crossed_centre_is_consistent_or_exit_3(tmp_path, capsys, n,
+                                                        dx):
+    """Theta(z) between tol.singular and about tol.rank / 0.3 makes the
+    centre not singular, yet rejects the singular value its patch gives:
+    that is exit 3, naming the vertex, never a stable verdict with
+    K > 0.  Elsewhere the report's K agrees with its verdict."""
+    path = tmp_path / "shifted.mesh"
+    path.write_text(dump_mesh(_crossed_shifted(dx, n)))
+    out = tmp_path / "report.json"
+    code = cli.main(["analyze", "--mesh", str(path), "--out", str(out)])
+    if code == 3:
+        err = capsys.readouterr().err
+        assert "implies K = 0" in err and "smallest Theta(z)" in err, err
+        assert not out.exists()
+        return
+    assert code == 0
+    report = json.loads(out.read_text())
+    if report["trees"]["verdict"] != "none":
+        assert report["divergence"]["K"] == 0
+    assert dx not in (2e-10, 3e-10, 1e-9)       # the band seen on both
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MESHES) + sorted(MIXED)
+                         + bench_pool("certify-dense")
+                         + bench_pool("verify-fields"))
+def test_a_stable_verdict_has_K_0(name):
+    """The main theorem: every interior vertex local interpolating, or a
+    complete disjoint tree cover, gives K = 0."""
+    report, _ = cli.analyze_mesh(_oracle_case(name), TOL)
+    if report["trees"]["verdict"] != "none":
+        assert report["divergence"]["K"] == 0
 
 
 def test_straddle_is_exit_3(tmp_path, monkeypatch, capsys):

@@ -4,6 +4,9 @@ determinism, and the SVG rendering."""
 import dataclasses
 import importlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +19,14 @@ from svstokes.cli import (EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, analyze_mesh,
                           main, run_field_suites, to_json)
 from svstokes.mesh import (build_topology, crossed, dump_mesh, load_mesh,
                            ngon_patch, perturbed_grid, type1_diagonal)
+
+
+def _child_env(**extra):
+    """The environment of a fresh interpreter that imports this svstokes."""
+    import svstokes
+    src = os.path.dirname(os.path.dirname(os.path.abspath(svstokes.__file__)))
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
 def _gen(tmp_path, preset, *extra):
@@ -154,6 +165,30 @@ def test_analyze_scaled_mesh_keeps_the_unscaled_integers(tmp_path, preset,
         reports[0]["vertices"]["summary"]
 
 
+@pytest.mark.parametrize("kernel", ["Haswell", "SkylakeX", "Sandybridge",
+                                    "Prescott"])
+def test_golden_reports_across_blas_kernels(tmp_path, kernel):
+    """The golden bytes do not depend on the OpenBLAS kernel, which
+    OPENBLAS_CORETYPE picks when numpy loads (a fresh interpreter runs the
+    four reports).  Where the BLAS is not a DYNAMIC_ARCH OpenBLAS the
+    variable is ignored and this repeats the golden test."""
+    import pathlib
+    root = pathlib.Path(__file__).resolve().parent.parent
+    for name in GOLDEN:
+        _gen(tmp_path, GOLDEN[name][0], *GOLDEN[name][1]).rename(
+            tmp_path / f"{name}.mesh")
+    code = ("import sys; from svstokes.cli import main; sys.exit(max("
+            "main(['analyze', '--mesh', f'{n}.mesh', '--out', n]) "
+            "for n in sys.argv[1:]))")
+    done = subprocess.run([sys.executable, "-c", code, *GOLDEN],
+                          cwd=tmp_path, env=_child_env(OPENBLAS_CORETYPE=kernel),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == EXIT_OK, done.stderr
+    for name in GOLDEN:
+        assert (tmp_path / name).read_bytes() == \
+            (root / "docs" / "golden" / name).read_bytes(), name
+
+
 def test_analyze_svg_draws_the_spurious_mode(tmp_path):
     mesh_path = _gen(tmp_path, "type1", "--n", "2")
     svg = tmp_path / "overlay.svg"
@@ -173,6 +208,50 @@ def test_analyze_svg_is_pure_presentation(tmp_path):
     assert out1.read_text() == out2.read_text()
     text = svg.read_text()
     assert text.startswith("<svg") and "circle" in text
+
+
+def test_out_in_a_missing_directory_is_exit_2(tmp_path, capsys):
+    mesh_path = _gen(tmp_path, "crossed", "--n", "1")
+    out = tmp_path / "missing" / "report.json"
+    assert main(["analyze", "--mesh", str(mesh_path),
+                 "--out", str(out)]) == EXIT_INPUT
+    assert f"cannot write {out}" in capsys.readouterr().err
+
+
+def test_svg_in_a_missing_directory_is_exit_2_and_keeps_the_report(
+        tmp_path, capsys):
+    mesh_path = _gen(tmp_path, "crossed", "--n", "1")
+    out, plain = tmp_path / "report.json", tmp_path / "plain.json"
+    svg = tmp_path / "missing" / "overlay.svg"
+    assert main(["analyze", "--mesh", str(mesh_path), "--out", str(out),
+                 "--svg", str(svg)]) == EXIT_INPUT
+    assert f"cannot write {svg}" in capsys.readouterr().err
+    assert main(["analyze", "--mesh", str(mesh_path),
+                 "--out", str(plain)]) == EXIT_OK
+    assert out.read_text() == plain.read_text()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_out_on_a_full_device_is_exit_2(tmp_path, capsys):
+    mesh_path = _gen(tmp_path, "crossed", "--n", "1")
+    assert main(["analyze", "--mesh", str(mesh_path),
+                 "--out", "/dev/full"]) == EXIT_INPUT
+    assert "cannot write /dev/full" in capsys.readouterr().err
+
+
+def test_closed_stdout_is_exit_2(tmp_path):
+    """As in ``analyze ... | head -c 10``: the reader is gone before the
+    report is written.  The exit flush of stdout must not fail again."""
+    mesh_path = _gen(tmp_path, "crossed", "--n", "2")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "svstokes.cli", "analyze", "--mesh",
+         str(mesh_path)], env=_child_env(), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == EXIT_INPUT, err
+    assert err == "error: cannot write stdout: Broken pipe\n"
 
 
 def _set_loop_render_svg(mesh, report, modes, width=640):
@@ -690,21 +769,14 @@ def test_golden_field_suites(tmp_path, name):
 def test_golden_reports_across_blas_threads(tmp_path, name, threads):
     """The golden bytes do not depend on the BLAS thread count.  The count
     is read when numpy loads, so each run is a fresh interpreter."""
-    import os
     import pathlib
-    import subprocess
-    import sys
 
-    import svstokes
     root = pathlib.Path(__file__).resolve().parent.parent
-    src = str(pathlib.Path(svstokes.__file__).resolve().parent.parent)
     preset, extra = GOLDEN[name]
     mesh_path = _gen(tmp_path, preset, *extra)
     out = tmp_path / "report.json"
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-               OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
-               PYTHONPATH=os.pathsep.join(
-                   p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env = _child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                     MKL_NUM_THREADS=threads)
     done = subprocess.run(
         [sys.executable, "-m", "svstokes.cli", "analyze",
          "--mesh", str(mesh_path), "--out", str(out)],
