@@ -230,9 +230,8 @@ def _check_verdict(verdict: str, reports, rank: solver.RankResult):
     That is indeterminate (RankIndeterminateError), never a report."""
     if rank.K == 0 or verdict not in (VERDICT_THM_ALL_LOCAL, VERDICT_COVER):
         return
-    candidates = [r for r in reports if not (r.boundary or r.singular)]
-    nearest = (min(candidates, key=lambda r: r.theta_value)
-               if candidates else None)
+    nearest = min((r for r in reports if not (r.boundary or r.singular)),
+                  key=lambda r: r.theta_value, default=None)
     where = (f"non-singular interior vertex {nearest.vertex} has the "
              f"smallest Theta(z) = {nearest.theta_value:.3e}"
              if nearest else "no interior vertex is non-singular")

@@ -404,9 +404,8 @@ def certify(topology: MeshTopology, reports,
         X[:, :pc], mode="raw", overwrite_a=True, check_finite=False)
     rest = _apply_q(reflectors_x, tau_x, X[:, pc:], "T")
     top = len(R_11)
-    D = np.zeros((T, 2, T, 2))
-    D[np.arange(T), :, np.arange(T), :] = R_b.transpose(0, 2, 1)
-    Y = np.vstack([rest[top:], D.reshape(2 * T, 2 * T)])
+    Y = np.vstack([rest[top:],
+                   scipy.linalg.block_diag(*R_b.transpose(0, 2, 1))])
     R_12 = rest[:top].copy()
     del X, reflectors_x, rest     # the largest array; R takes its place
     R = np.zeros((top + 2 * T, p))
