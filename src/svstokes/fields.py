@@ -49,9 +49,11 @@ _DIV = poly.DIFF.transpose(1, 0, 2).reshape(len(poly.MONO2), -1)    # (6, 30)
 def _div_coeffs(grads, coeffs):
     """Degree-2 divergence coefficients, shape (..., 6), of vector cubics
     with coefficients (..., 2, 10) on triangles with hat gradients
-    (..., 3, 2)."""
+    (..., 3, 2).  Both products are stacked, one per triangle, so each
+    triangle's bits do not depend on how many are computed with it."""
     gc = grads @ coeffs                                  # (..., 3, 10)
-    return gc.reshape(gc.shape[:-2] + _DIV.shape[1:]) @ _DIV.T
+    gc = gc.reshape(gc.shape[:-2] + (_DIV.shape[1], 1))
+    return (_DIV @ gc)[..., 0]
 
 
 def _frozen(a):
@@ -688,7 +690,9 @@ def _verify_range(topo, first, F, owner, ts, coeffs, expected):
     worst_cont = per_field(np.where(inside, jump, 0.0).max(axis=1))
     worst_trace = per_field(np.where(inside, 0.0, np.abs(fwd).max(
         axis=(2, 3))).max(axis=1))
-    worst_mean = per_field(np.abs(divs @ poly.INT2_UNIT))
+    # one dot product per row, as in _div_coeffs
+    means = np.matmul(divs[:, None], poly.INT2_UNIT)[:, 0]
+    worst_mean = per_field(np.abs(means))
 
     # expected vertex divergences: those on a support (triangle, vertex)
     # pair are compared with it; the others lie outside the support, where

@@ -69,8 +69,13 @@ def _eval_table(monos, lam: np.ndarray) -> np.ndarray:
 
 def eval3(coeffs: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Evaluate a degree-3 coefficient vector at barycentric points; k
-    stacked vectors, shape (k, 10), give values of shape (..., k)."""
-    return _eval_table(MONO3, lam) @ np.asarray(coeffs).T
+    stacked vectors, shape (k, 10), give values of shape (..., k), each
+    from a matrix-vector product of its own: its bits do not depend on k."""
+    table = _eval_table(MONO3, lam)
+    coeffs = np.asarray(coeffs, dtype=float)
+    values = np.matmul(table.reshape(-1, len(MONO3)), coeffs[..., None])
+    return np.moveaxis(values[..., 0], -1, 0).reshape(
+        table.shape[:-1] + coeffs.shape[:-1])
 
 
 def eval2(coeffs: np.ndarray, lam: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ import scipy.linalg
 
 from . import poly
 from .classify import Tolerances
-from .mesh import MeshError, MeshTopology
+from .mesh import MeshTopology
 
 
 class SolverError(Exception):
@@ -292,13 +292,13 @@ class Certificate:
 
     factor: np.ndarray              # R, (min(p, n), p), upper
     shape: tuple                    # (p, n): constrained pressures, velocities
+    start: np.ndarray               # the rank scale's Krylov start, (p,)
     reflectors: np.ndarray | None = None    # QR of Z's complement rows,
                                             # (4T, 1 + sigma)
     tau: np.ndarray | None = None           # its scalars, (1 + sigma,)
     pressure_map: np.ndarray | None = None  # F = O^T L_M^-1, (T, 6, 6)
     divergence: np.ndarray | None = None    # B by triangle, (T, 6, 2, 10)
     nodes: np.ndarray | None = None         # ``number_dofs``, (T, 10)
-    start: np.ndarray | None = None         # the rank scale's start, (p,)
 
 
 def _condense(div: np.ndarray, K: np.ndarray):
@@ -421,9 +421,9 @@ def certify(topology: MeshTopology, reports,
     y = np.matmul(F, np.random.default_rng(0).standard_normal((T, 6, 1)))
     c = _apply_q(reflectors, tau, y[:, 2:].reshape(4 * T, 1), "T")
     start = np.concatenate([c[k:, 0], y[:, :2].ravel()])
-    return Certificate(factor=R, shape=(p, 2 * (m + T)),
+    return Certificate(factor=R, shape=(p, 2 * (m + T)), start=start,
                        reflectors=reflectors, tau=tau, pressure_map=F,
-                       divergence=div, nodes=nodes, start=start)
+                       divergence=div, nodes=nodes)
 
 
 def _floored(R: np.ndarray) -> np.ndarray:
@@ -440,12 +440,11 @@ def _floored(R: np.ndarray) -> np.ndarray:
     return R
 
 
-def _rank_scale(R: np.ndarray, start: np.ndarray | None = None) -> float:
+def _rank_scale(R: np.ndarray, start: np.ndarray) -> float:
     """A lower bound on the largest singular value of R, within a few
     tenths of a percent of it on the certificates: the square root of the
     top Ritz value of R^T R on a Krylov space of at most SCALE_STEPS
-    dimensions, from ``start`` (a certificate's ``start``), or else from
-    a fixed-seed one.
+    dimensions, from ``start`` (a certificate's ``start``).
 
     The basis is built with full reorthogonalization, two passes a step,
     and must stay orthonormal to working precision for the Rayleigh-Ritz
@@ -461,8 +460,7 @@ def _rank_scale(R: np.ndarray, start: np.ndarray | None = None) -> float:
     steps = min(p, SCALE_STEPS)
     basis = np.empty((steps, p))
     images = np.empty((steps, R.shape[0]))     # R q for each basis row q
-    q = (np.random.default_rng(0).standard_normal(p) if start is None
-         else np.array(start, dtype=float))
+    q = np.array(start, dtype=float)
     q /= np.linalg.norm(q)
     top = 0.0
     for k in range(steps):
@@ -546,8 +544,7 @@ def _lift(R: np.ndarray, rows: np.ndarray):
 class RankResult:
     rank: int
     nullity: int
-    K: int
-    expected_dim: int       # 6T - 1 - sigma
+    K: int                  # the lifted directions: p - rank
     gap: float              # beta / the largest |R v| of the lifted v,
                             # floored at eps * max(shape) * scale
     beta: float             # smallest accepted singular value
@@ -556,31 +553,40 @@ class RankResult:
                             # directions: the null vectors of R
 
 
-def divergence_rank(cert: Certificate, topology: MeshTopology, sigma: int,
-                    tol: Tolerances = Tolerances()) -> RankResult:
-    """Rank of the pairing, the deficiency K and beta, with the gap test:
-    the accepted singular values must clear the rejected ones by 10x.
-
-    A singular value is accepted above tol.rank * scale, with the scale
-    of ``_rank_scale``: a relative threshold needs the largest singular
-    value only to a few digits.  A scale above 1 (beyond roundoff) breaks
-    the bound every singular value of the pairing obeys, so the pairing or
-    its norms are wrong: SolverError.  Inverse Lanczos finds the smallest
-    singular value of the square factor; while it is at or below the
-    threshold, every converged Ritz vector v there is lifted: R is
-    replaced by the factor of [R; scale v^T], which moves v to the top of
-    the spectrum and leaves the rest in place.  The number of lifted
-    vectors is p - rank, their orthonormal basis ``null_basis`` (the
-    identity at scale 0), and beta is the smallest singular value of the
-    lifted factor.  A wide R (fewer velocities than constrained pressures)
-    is zero-padded to square first."""
-    p = cert.shape[0]
+def _threshold(cert: Certificate, tol: Tolerances):
+    """(scale, thr): the ``_rank_scale`` of the certificate and the
+    threshold tol.rank * scale above which ``divergence_rank`` and
+    ``infsup_constant`` both accept a singular value; a relative
+    threshold needs the largest singular value only to a few digits.  A
+    scale above 1 (beyond roundoff) breaks the bound every singular value
+    of the pairing obeys, so the pairing or its norms are wrong:
+    SolverError."""
     scale = _rank_scale(cert.factor, cert.start)
     if scale * scale > SCALE_BOUND:
         raise SolverError(
             f"singular value {scale:.17g} of the weighted pairing exceeds "
             f"the bound 1; the pairing or its norms are wrong")
-    thr = tol.rank * scale
+    return scale, tol.rank * scale
+
+
+def divergence_rank(cert: Certificate,
+                    tol: Tolerances = Tolerances()) -> RankResult:
+    """Rank of the pairing, the deficiency K and beta, with the gap test:
+    the accepted singular values must clear the rejected ones by 10x.
+
+    A singular value is accepted above the threshold of ``_threshold``.
+    Inverse Lanczos finds the smallest singular value of the square
+    factor; while it is at or below the threshold, every converged Ritz
+    vector v there is lifted: R is replaced by the factor of [R; scale
+    v^T], which moves v to the top of the spectrum and leaves the rest in
+    place.  The number of lifted vectors is K = p - rank, with p =
+    cert.shape[0] the constrained pressure dimension 6T - 1 - sigma;
+    their orthonormal basis is ``null_basis`` (the identity at scale 0),
+    and beta is the smallest singular value of the lifted factor.  A wide
+    R (fewer velocities than constrained pressures) is zero-padded to
+    square first."""
+    p = cert.shape[0]
+    scale, thr = _threshold(cert, tol)
     R, beta = cert.factor, 0.0
     if len(R) < p:      # fewer velocities than constrained pressures
         R = np.vstack([R, np.zeros((p - len(R), p))])
@@ -626,21 +632,14 @@ def divergence_rank(cert: Certificate, topology: MeshTopology, sigma: int,
                 f"singular values {beta:.3e} / {largest_rejected:.3e} "
                 f"straddle the threshold {thr:.3e} with gap {gap:.2f} < 10")
     rank = p - lifted
-    expected = 6 * topology.T - 1 - sigma
-    K = expected - rank
-    if K < 0:
-        raise SolverError(
-            f"rank {rank} exceeds the constrained pressure dimension "
-            f"{expected}; range inclusion violated")
-    return RankResult(rank=rank, nullity=cert.shape[1] - rank, K=K,
-                      expected_dim=expected, gap=gap, beta=beta, scale=scale,
-                      null_basis=null_basis)
+    return RankResult(rank=rank, nullity=cert.shape[1] - rank, K=lifted,
+                      gap=gap, beta=beta, scale=scale, null_basis=null_basis)
 
 
 def infsup_constant(cert: Certificate, tol: Tolerances = Tolerances(),
                     rank: RankResult | None = None):
     """(beta, eigenvalues): beta is the smallest singular value that the
-    rank accepts (above tol.rank times the largest).  Given the
+    rank accepts, above the threshold of ``_threshold``.  Given the
     ``divergence_rank`` of the same certificate, beta is read from it and
     no eigenvalue is listed (None).  Otherwise one values-only SVD of the
     factor lists the eigenvalues of the pressure Schur complement on the
@@ -648,8 +647,9 @@ def infsup_constant(cert: Certificate, tol: Tolerances = Tolerances(),
     the singular values at or below the threshold reported as exactly 0."""
     if rank is not None:
         return rank.beta, None
+    thr = _threshold(cert, tol)[1]
     s = scipy.linalg.svd(cert.factor, compute_uv=False, check_finite=False)
-    accepted = s > tol.rank * (s[0] if len(s) else 0.0)
+    accepted = s > thr
     eig = np.zeros(cert.shape[0])
     eig[len(eig) - len(s):] = np.where(accepted, s, 0.0)[::-1] ** 2
     beta = float(s[accepted][-1]) if accepted.any() else 0.0
@@ -723,9 +723,9 @@ class SplineDims:
 
 def strang_dimensions(topology: MeshTopology, sigma: int, sigma_i: int,
                       sigma_b: int, K: int) -> SplineDims:
+    """The spline dimensions of a mesh of a disk (``analyze_mesh`` checks
+    Euler's relation before it certifies) and deficiency K."""
     E, E0, V, V0 = topology.E, topology.E0, topology.V, topology.V0
-    if not topology.euler_ok:
-        raise MeshError("mesh is not simply connected (Euler check failed)")
     raw = 2 * E0 - E + 3 * V0 + sigma + K
     strang = E + 4 * V - V0 + sigma_i
     hyp = (E0 + 3 * V0 + sigma) >= (E - E0)
@@ -742,17 +742,3 @@ def strang_dimensions(topology: MeshTopology, sigma: int, sigma_i: int,
                       strang_dimension=strang, hypothesis_ok=hyp,
                       identity_ok=identity, caveat=caveat)
 
-
-def nullity_crosscheck(result: RankResult, topology: MeshTopology,
-                       sigma: int) -> dict:
-    """Integer identity between the divergence-free velocity dimension
-    and the combinatorial formula; mismatch is a hard failure."""
-    expect = max(0, 2 * topology.E0 - topology.E + 3 * topology.V0
-                 + sigma + result.K)
-    report = {"nullity": result.nullity, "expected": expect,
-              "ok": result.nullity == expect}
-    if not report["ok"]:
-        raise SolverError(
-            f"nullity(B) = {result.nullity} but the dimension formula "
-            f"gives {expect}")
-    return report

@@ -4,8 +4,9 @@ shape-regular patches, admissible pressure targets, the golden and
 benchmark meshes, the type-1 grids with crossed squares, edge lookups and
 edge weights, corner angles of an edge pair, dual determinant formulas,
 dense views of field blocks, the oracles of transfers composed along a
-path (the path lemma) and of field blocks as velocity DOF vectors, and the
-full assembly of the divergence pairing and its norms, uncondensed."""
+path (the path lemma) and of field blocks as velocity DOF vectors, the
+full assembly of the divergence pairing and its norms, uncondensed, and
+the Krylov start of a synthetic certificate."""
 
 import importlib.util
 import pathlib
@@ -519,3 +520,9 @@ def uncondensed_pairing(topology, reports, seminorm=False):
     W = N.T @ scipy.linalg.solve_triangular(L_M, B, lower=True)
     L_A = np.linalg.cholesky(np.kron(A_s, np.eye(2)))
     return scipy.linalg.solve_triangular(L_A, W.T, lower=True).T
+
+
+def krylov_start(p):
+    """The rank scale's Krylov start of a synthetic certificate with p
+    constrained pressures: a fixed-seed normal vector."""
+    return np.random.default_rng(0).standard_normal(p)

@@ -11,7 +11,6 @@ import subprocess
 import sys
 from collections import Counter
 from functools import cache
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,8 +19,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (GOLDEN_MESHES, MIXED, bench_mesh, bench_pool,
-                      dense_divergence, dense_norms, rigid_motion,
-                      type1_with_crossed, uncondensed_pairing)
+                      dense_divergence, dense_norms, krylov_start,
+                      rigid_motion, type1_with_crossed, uncondensed_pairing)
 from svstokes import cli, solver
 from svstokes.classify import Tolerances, classify_mesh
 from svstokes.mesh import (Triangulation, build_topology, crossed, dump_mesh,
@@ -86,7 +85,7 @@ def test_certificate_agrees_with_the_raw_rank_and_schur_eigenproblem(
         name, seminorm):
     topo, reports, summary = _classified(GOLDEN_MESHES[name]())
     cert = solver.certify(topo, reports, seminorm=seminorm)
-    rr = solver.divergence_rank(cert, topo, summary["sigma"], TOL)
+    rr = solver.divergence_rank(cert, TOL)
     beta, eig = solver.infsup_constant(cert)
     rank, K, beta_ref = _oracle(topo, reports, summary["sigma"], seminorm)
     assert (rr.rank, rr.K) == (rank, K)
@@ -123,7 +122,7 @@ def test_condensed_factor_has_the_singular_values_of_the_full_pairing(
     assert np.abs(scipy.linalg.svdvals(cert.factor) - s).max() <= 1e-12 * s[0]
     if name == "one-triangle":
         assert W.shape == (2, 2) and topo.V0 == topo.E0 == 0
-    rr = solver.divergence_rank(cert, topo, summary["sigma"], TOL)
+    rr = solver.divergence_rank(cert, TOL)
     modes = solver.spurious_modes(cert, rr)
     assert len(modes) == rr.K
     if rr.K:
@@ -158,7 +157,7 @@ def test_a_constraint_row_that_a_bubble_violates_is_a_solver_error(
 def test_modes_are_mass_orthonormal_and_pair_with_no_velocity(name):
     topo, reports, summary = _classified(GOLDEN_MESHES[name]())
     cert = solver.certify(topo, reports)
-    rr = solver.divergence_rank(cert, topo, summary["sigma"], TOL)
+    rr = solver.divergence_rank(cert, TOL)
     Q = np.column_stack(solver.spurious_modes(cert, rr))
     assert Q.shape == (6 * topo.T, rr.K) and rr.K >= 1
     nodes = solver.number_dofs(topo)
@@ -175,7 +174,7 @@ def test_modes_are_mass_orthonormal_and_pair_with_no_velocity(name):
 def test_modes_span_the_null_space_of_the_schur_pencil(name):
     topo, reports, summary = _classified(GOLDEN_MESHES[name]())
     cert = solver.certify(topo, reports)
-    rr = solver.divergence_rank(cert, topo, summary["sigma"], TOL)
+    rr = solver.divergence_rank(cert, TOL)
     modes = np.column_stack(solver.spurious_modes(cert, rr))
     oracle = _oracle_modes(topo, reports, rr.K)
     _assert_same_span(modes, oracle)
@@ -185,7 +184,7 @@ def test_modes_span_the_null_space_of_the_schur_pencil(name):
     null_pivot = np.argmin(np.abs(np.diag(R)))
     R[null_pivot, null_pivot] = 0.0
     zeroed = dataclasses.replace(cert, factor=R)
-    rr = solver.divergence_rank(zeroed, topo, summary["sigma"], TOL)
+    rr = solver.divergence_rank(zeroed, TOL)
     _assert_same_span(np.column_stack(solver.spurious_modes(zeroed, rr)),
                       oracle)
 
@@ -197,7 +196,7 @@ def test_modes_with_fewer_velocities_than_constrained_pressures():
     cert = solver.certify(topo, reports)
     p, n = cert.shape
     assert n < p and cert.factor.shape == (n, p)
-    rr = solver.divergence_rank(cert, topo, summary["sigma"], TOL)
+    rr = solver.divergence_rank(cert, TOL)
     modes = np.column_stack(solver.spurious_modes(cert, rr))
     assert modes.shape[1] == rr.K == p - rr.rank == 1
     _assert_same_span(modes, _oracle_modes(topo, reports, rr.K))
@@ -251,10 +250,9 @@ def test_modes_of_a_factor_with_exact_zero_pivots():
     div = np.zeros((T, 6, 2, 10))
     div[..., :p // 2] = B.reshape(T, 6, p // 2, 2).transpose(0, 1, 3, 2)
     cert = solver.Certificate(
-        factor=R, shape=(p, p), reflectors=reflectors, tau=tau,
-        pressure_map=L_M_inv, divergence=div, nodes=nodes)
-    # divergence_rank reads only T: p = 6T - 1 - sigma with sigma = 1
-    rr = solver.divergence_rank(cert, SimpleNamespace(T=T), 1, TOL)
+        factor=R, shape=(p, p), start=krylov_start(p), reflectors=reflectors,
+        tau=tau, pressure_map=L_M_inv, divergence=div, nodes=nodes)
+    rr = solver.divergence_rank(cert, TOL)
     assert (rr.rank, rr.K) == (p - 3, 3)
     modes = np.column_stack(solver.spurious_modes(cert, rr))
     assert np.abs(modes.T @ L @ L.T @ modes - np.eye(3)).max() < 1e-12
@@ -270,7 +268,7 @@ def test_modes_take_no_solve_and_no_qr_of_their_own(monkeypatch, name):
     factorization of its own."""
     topo, reports, summary = _classified(GOLDEN_MESHES[name]())
     cert = solver.certify(topo, reports)
-    rr = solver.divergence_rank(cert, topo, summary["sigma"], TOL)
+    rr = solver.divergence_rank(cert, TOL)
     calls = Counter()
 
     def counted(label, fn):
@@ -404,7 +402,7 @@ def _invariants(mesh):
     """sigma, the vertex classes, K and the seminorm beta of a mesh."""
     topo, reports, summary = _classified(mesh)
     cert = solver.certify(topo, reports, seminorm=True)
-    rr = solver.divergence_rank(cert, topo, summary["sigma"], TOL)
+    rr = solver.divergence_rank(cert, TOL)
     beta, _ = solver.infsup_constant(cert)
     return (summary["sigma"], [(r.status, r.singular) for r in reports],
             rr.K, beta)
@@ -506,9 +504,9 @@ def test_lifted_lanczos_agrees_with_the_svd_and_the_inertia(name):
     than constrained pressures (p > n)."""
     topo, reports, summary = _classified(_oracle_case(name))
     cert = solver.certify(topo, reports)
-    rr = solver.divergence_rank(cert, topo, summary["sigma"], TOL)
+    rr = solver.divergence_rank(cert, TOL)
     K, beta, gap = _svd_oracle(cert, rr.scale)
-    assert rr.K == rr.expected_dim - rr.rank == K == _inertia_K(cert)
+    assert rr.K == cert.shape[0] - rr.rank == K == _inertia_K(cert)
     assert rr.beta == pytest.approx(beta, rel=1e-12)
     assert rr.gap == pytest.approx(gap, rel=1e-12)
     assert solver.infsup_constant(cert, TOL, rr) == (rr.beta, None)
@@ -519,15 +517,16 @@ def test_lifted_lanczos_agrees_with_the_svd_and_the_inertia(name):
     s_max = scipy.linalg.svdvals(cert.factor)[0]
     for c in (1.0, 1e-50, 1e50):
         _assert_scale_bounds(c * cert.factor, c * s_max, cert.start)
-        _assert_scale_bounds(c * cert.factor, c * s_max)
+        _assert_scale_bounds(c * cert.factor, c * s_max,
+                             krylov_start(cert.shape[0]))
 
 
 # ---------------------------------------------------------------------------
 # the rank scale: a Krylov lower bound on s_max, and the bound 1 on it
 
-def _assert_scale_bounds(R, s_max, start=None):
-    """The rank scale of R, from the given Krylov start or the default
-    one, lies below s_max, by at most 1 %."""
+def _assert_scale_bounds(R, s_max, start):
+    """The rank scale of R, from the given Krylov start, lies below
+    s_max, by at most 1 %."""
     scale = solver._rank_scale(R, start)
     assert s_max * (1 - 1e-2) <= scale <= s_max * (1 + 1e-14), (scale, s_max)
 
@@ -540,7 +539,7 @@ def test_rank_scale_on_the_scaled_bench_copies(key, length):
     topo, reports, summary = _classified(rigid_motion(bench_mesh(key),
                                                       scale=length))
     cert = solver.certify(topo, reports)
-    rr = solver.divergence_rank(cert, topo, summary["sigma"], TOL)
+    rr = solver.divergence_rank(cert, TOL)
     assert rr.K == 0
     _assert_scale_bounds(cert.factor, scipy.linalg.svdvals(cert.factor)[0],
                          cert.start)
@@ -568,7 +567,8 @@ def test_rank_scale_is_exact_with_few_distinct_singular_values(monkeypatch,
     sizes = _ritz_sizes(monkeypatch)
     values = np.linspace(0.9, 0.2, distinct)
     R = _factor_with_spectrum(np.repeat(values, 40 // distinct + 1)[:40])
-    assert solver._rank_scale(R) == pytest.approx(0.9, rel=1e-14)
+    assert solver._rank_scale(R, krylov_start(len(R))) == pytest.approx(
+        0.9, rel=1e-14)
     assert sizes == [distinct]
 
 
@@ -579,16 +579,17 @@ def test_rank_scale_of_small_and_zero_factors(monkeypatch):
     sizes = _ritz_sizes(monkeypatch)
     p = solver.SCALE_STEPS - 3
     s = _spread(0.1, 0.8, p)
-    assert solver._rank_scale(_factor_with_spectrum(s)) == pytest.approx(
-        s[0], rel=1e-14)
-    assert solver._rank_scale(_factor_with_spectrum(np.ones(1))) == 1.0
-    assert solver._rank_scale(np.zeros((P_SYNTH, P_SYNTH))) == 0.0
+    assert solver._rank_scale(_factor_with_spectrum(s),
+                              krylov_start(p)) == pytest.approx(s[0],
+                                                                rel=1e-14)
+    assert solver._rank_scale(_factor_with_spectrum(np.ones(1)),
+                              krylov_start(1)) == 1.0
+    zero = _synthetic_of(np.zeros((P_SYNTH, P_SYNTH)))
+    assert solver._rank_scale(zero.factor, zero.start) == 0.0
     assert sizes == [p, 1, 1]
-    assert solver._rank_scale(np.zeros((0, 5))) == 0.0
+    assert solver._rank_scale(np.zeros((0, 5)), krylov_start(5)) == 0.0
     assert len(sizes) == 3
-    cert = solver.Certificate(factor=np.zeros((P_SYNTH, P_SYNTH)),
-                              shape=(P_SYNTH, P_SYNTH))
-    rr = solver.divergence_rank(cert, TOPO_SYNTH, 0, TOL)
+    rr = solver.divergence_rank(zero, TOL)
     assert (rr.rank, rr.K, rr.beta, rr.scale) == (0, P_SYNTH, 0.0, 0.0)
 
 
@@ -600,10 +601,10 @@ def test_a_singular_value_above_one_is_a_solver_error(top, raises):
     seen."""
     cert = _synthetic(np.concatenate([[top], np.full(P_SYNTH - 1, 0.5)]))
     if not raises:
-        assert solver.divergence_rank(cert, TOPO_SYNTH, 0, TOL).K == 0
+        assert solver.divergence_rank(cert, TOL).K == 0
         return
     with pytest.raises(solver.SolverError, match="exceeds the bound 1"):
-        solver.divergence_rank(cert, TOPO_SYNTH, 0, TOL)
+        solver.divergence_rank(cert, TOL)
 
 
 def test_a_singular_value_above_one_is_exit_4(tmp_path, monkeypatch, capsys):
@@ -628,7 +629,7 @@ def test_seminorm_cluster_of_ones_passes_the_bound(angle):
     cert = solver.certify(topo, reports, seminorm=True)
     s = scipy.linalg.svdvals(cert.factor)
     assert np.sum(np.abs(s - 1.0) < 1e-14) > 1
-    rr = solver.divergence_rank(cert, topo, summary["sigma"], TOL)
+    rr = solver.divergence_rank(cert, TOL)
     assert rr.scale ** 2 <= solver.SCALE_BOUND
     _assert_scale_bounds(cert.factor, s[0], cert.start)
 
@@ -642,14 +643,19 @@ def _factor_with_spectrum(s, seed=0):
     return scipy.linalg.qr((U * s) @ V.T, mode="r")[0]
 
 
-# divergence_rank reads only T from the topology: p = 6T - 1 - sigma
+# the constrained pressures of a synthetic certificate: 6T - 1 at T = 4
 P_SYNTH = 23
-TOPO_SYNTH = SimpleNamespace(T=4)
+
+
+def _synthetic_of(R):
+    """The certificate of a square factor R alone (no modes)."""
+    return solver.Certificate(factor=R, shape=R.shape,
+                              start=krylov_start(len(R)))
 
 
 def _synthetic(s, seed=0):
-    R = _factor_with_spectrum(np.asarray(s, dtype=float), seed)
-    return solver.Certificate(factor=R, shape=R.shape)
+    return _synthetic_of(_factor_with_spectrum(np.asarray(s, dtype=float),
+                                               seed))
 
 
 def _spread(low, high, k, seed=1):
@@ -680,7 +686,7 @@ def test_three_null_directions_are_lifted_and_repeated(monkeypatch, zeros,
                                                        gap_rel, lifting_runs):
     runs = _count_lanczos_runs(monkeypatch)
     cert = _synthetic(np.concatenate([_spread(0.3, 1.0, P_SYNTH - 3), zeros]))
-    rr = solver.divergence_rank(cert, TOPO_SYNTH, 0, TOL)
+    rr = solver.divergence_rank(cert, TOL)
     K, beta, gap = _svd_oracle(cert, rr.scale)
     assert rr.K == K == _inertia_K(cert) == 3 and rr.rank == P_SYNTH - 3
     assert rr.beta == pytest.approx(beta, rel=1e-12)
@@ -703,8 +709,8 @@ def test_exact_zero_pivots_give_the_known_deficiency():
         R[:j, j] = R[:j, :j] @ rng.standard_normal(j)
         R[j, j] = 0.0
     R *= 2.0 ** -np.ceil(np.log2(scipy.linalg.svdvals(R)[0]))
-    cert = solver.Certificate(factor=R, shape=(p, p))
-    rr = solver.divergence_rank(cert, TOPO_SYNTH, 0, TOL)
+    cert = _synthetic_of(R)
+    rr = solver.divergence_rank(cert, TOL)
     K, beta, _ = _svd_oracle(cert)
     assert rr.K == K == _inertia_K(cert) == 3
     assert rr.beta == pytest.approx(beta, rel=1e-12)
@@ -715,7 +721,7 @@ def test_straddling_spectrum_is_indeterminate():
     cert = _synthetic(np.concatenate([_spread(0.3, 1.0, P_SYNTH - 2),
                                       [2e-9, 9e-10]]))
     with pytest.raises(solver.RankIndeterminateError, match="straddle"):
-        solver.divergence_rank(cert, TOPO_SYNTH, 0, TOL)
+        solver.divergence_rank(cert, TOL)
 
 
 @pytest.mark.parametrize("small", [1e-8, 6e-7, 1e-6, 9e-6])
@@ -724,12 +730,31 @@ def test_beta_is_the_smallest_accepted_value_in_the_old_band(small):
     accepted by the rank, so it is beta, in analyze and in infsup."""
     s = np.concatenate([_spread(0.3, 1.0, P_SYNTH - 1), [small]])
     cert = _synthetic(s)
-    rr = solver.divergence_rank(cert, TOPO_SYNTH, 0, TOL)
+    rr = solver.divergence_rank(cert, TOL)
     assert rr.K == 0 and rr.rank == P_SYNTH
     assert rr.beta == pytest.approx(small, rel=1e-9)
     beta, eig = solver.infsup_constant(cert, TOL)
     assert beta == pytest.approx(small, rel=1e-9)
     assert eig[0] == pytest.approx(small ** 2, rel=1e-9) and eig.min() > 0
+
+
+def test_analyze_and_infsup_accept_at_one_threshold():
+    """A singular value between tol.rank * scale and tol.rank * s_max: the
+    rank scale of 40 spread singular values lies 0.3 % below s_max, and
+    the small one 0.15 % below tol.rank * s_max.  The rank accepts it,
+    and so does infsup: both make it beta."""
+    top = _spread(0.3, 1.0, 39)
+    small = TOL.rank * top[0] * (1 - 1.5e-3)
+    cert = _synthetic(np.concatenate([top, [small]]))
+    s = scipy.linalg.svdvals(cert.factor)
+    scale = solver._rank_scale(cert.factor, cert.start)
+    assert TOL.rank * scale < s[-1] < TOL.rank * s[0]
+    rr = solver.divergence_rank(cert, TOL)
+    assert (rr.rank, rr.K) == (40, 0)
+    beta, eig = solver.infsup_constant(cert, TOL)
+    assert beta == s[-1]
+    assert rr.beta == pytest.approx(beta, rel=1e-12)
+    assert eig.min() > 0.0
 
 
 def _crossed_shifted(dx, n=2):
@@ -787,15 +812,34 @@ def test_shifted_crossed_centre_is_consistent_or_exit_3(tmp_path, capsys, n,
     assert dx not in (2e-10, 3e-10, 1e-9)       # the band seen on both
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_MESHES) + sorted(MIXED)
-                         + bench_pool("certify-dense")
-                         + bench_pool("verify-fields"))
+REPORT_MESHES = (sorted(GOLDEN_MESHES) + sorted(MIXED)
+                 + bench_pool("certify-dense") + bench_pool("verify-fields"))
+
+
+@cache
+def _report(name):
+    return cli.analyze_mesh(_oracle_case(name), TOL)[0]
+
+
+@pytest.mark.parametrize("name", REPORT_MESHES)
 def test_a_stable_verdict_has_K_0(name):
     """The main theorem: every interior vertex local interpolating, or a
     complete disjoint tree cover, gives K = 0."""
-    report, _ = cli.analyze_mesh(_oracle_case(name), TOL)
+    report = _report(name)
     if report["trees"]["verdict"] != "none":
         assert report["divergence"]["K"] == 0
+
+
+@pytest.mark.parametrize("name", REPORT_MESHES)
+def test_nullity_is_the_spline_dimension(name):
+    """The DOF identity: n = 2 (V0 + 2 E0 + T) velocities, and the
+    divergence-free ones, n - rank of them, number dim S4 = max(0, 2 E0 -
+    E + 3 V0 + sigma + K)."""
+    report = _report(name)
+    mesh, div = report["mesh"], report["divergence"]
+    assert div["velocity_dofs"] == 2 * (mesh["V0"] + 2 * mesh["E0"]
+                                        + mesh["T"])
+    assert div["nullity"] == report["spline"]["dim_s4"]
 
 
 def test_straddle_is_exit_3(tmp_path, monkeypatch, capsys):
@@ -821,5 +865,4 @@ def test_lanczos_step_cap_is_exit_3_never_K_0(tmp_path, monkeypatch, capsys,
     assert not out.exists()
     topo, reports, summary = _classified(crossed(2))
     with pytest.raises(solver.RankIndeterminateError):
-        solver.divergence_rank(solver.certify(topo, reports), topo,
-                               summary["sigma"], TOL)
+        solver.divergence_rank(solver.certify(topo, reports), TOL)

@@ -17,8 +17,9 @@ from svstokes import __version__, classify, cli, fields, mesh, solver
 from svstokes.classify import Tolerances, classify_mesh
 from svstokes.cli import (EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, analyze_mesh,
                           main, run_field_suites, to_json)
-from svstokes.mesh import (build_topology, crossed, dump_mesh, load_mesh,
-                           ngon_patch, perturbed_grid, type1_diagonal)
+from svstokes.mesh import (Triangulation, build_topology, crossed, dump_mesh,
+                           load_mesh, ngon_patch, perturbed_grid,
+                           type1_diagonal)
 
 
 def _child_env(**extra):
@@ -665,7 +666,8 @@ def test_spline_dim_command(tmp_path):
     assert report["K"] == 0
     assert report["spline"]["dim_s4"] == 31
     assert report["spline"]["identity_ok"] is True
-    assert report["nullity_crosscheck"]["ok"] is True
+    assert sorted(report) == ["K", "meta", "rank", "sigma", "sigma_b",
+                              "sigma_i", "spline"]
 
 
 def _composed_spline_dim(m, tol):
@@ -675,14 +677,12 @@ def _composed_spline_dim(m, tol):
     topology = build_topology(m)
     reports, summary = classify_mesh(topology, tol)
     cert = solver.certify(topology, reports)
-    rank = solver.divergence_rank(cert, topology, summary["sigma"], tol)
+    rank = solver.divergence_rank(cert, tol)
     dims = solver.strang_dimensions(topology, summary["sigma"],
                                     summary["sigma_i"], summary["sigma_b"],
                                     rank.K)
     return to_json({
         "spline": dataclasses.asdict(dims), "K": rank.K, "rank": rank.rank,
-        "nullity_crosscheck": solver.nullity_crosscheck(rank, topology,
-                                                        summary["sigma"]),
         **{k: summary[k] for k in ("sigma", "sigma_i", "sigma_b")},
         "meta": {"version": __version__,
                  "tolerances": dataclasses.asdict(tol)}})
@@ -700,6 +700,42 @@ def test_spline_dim_reads_the_analyze_report(tmp_path, monkeypatch, name):
         == EXIT_OK
     assert len(calls) == 1
     assert out.read_text() == _composed_spline_dim(m, Tolerances())
+
+
+def _annulus():
+    """crossed-3 with its centre square removed: a mesh of an annulus,
+    T = 32, whose hole leaves the centre vertex unused."""
+    m = crossed(3)
+    tris = m.triangles[np.abs(m.vertices[m.triangles].mean(axis=1)
+                              - 1.5).max(axis=1) > 0.5]
+    used = np.unique(tris)
+    new = np.zeros(len(m.vertices), dtype=np.int64)
+    new[used] = np.arange(len(used))
+    return Triangulation(m.vertices[used], new[tris])
+
+
+@pytest.mark.parametrize("command", ["analyze", "spline-dim"])
+def test_a_mesh_with_a_hole_is_exit_2_before_the_certificate(
+        tmp_path, monkeypatch, capsys, command):
+    """Euler's relation is checked before the dense solve: the annulus
+    exits 2 without a call of solver.certify and writes nothing."""
+    path, out = tmp_path / "annulus.mesh", tmp_path / "out.json"
+    path.write_text(dump_mesh(_annulus()))
+    calls = _count_calls(monkeypatch, solver, "certify")
+    assert main([command, "--mesh", str(path), "--out", str(out)]) \
+        == EXIT_INPUT
+    assert "mesh is not simply connected" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
+def test_skip_solver_reports_a_hole(tmp_path):
+    path, out = tmp_path / "annulus.mesh", tmp_path / "out.json"
+    path.write_text(dump_mesh(_annulus()))
+    assert main(["analyze", "--mesh", str(path), "--skip-solver",
+                 "--out", str(out)]) == EXIT_OK
+    report = json.loads(out.read_text())
+    assert report["mesh"]["T"] == 32 and report["mesh"]["euler_ok"] is False
+    assert report["divergence"] == {"skipped": True}
 
 
 def test_analyze_stable_and_deficient_meta(tmp_path):
