@@ -7,9 +7,9 @@ even-valence interior vertices, which ``mesh.enumerate_patch`` stores
 in the table with the patch coefficients b_ji / c_ji / d_ji they sum.
 ``classify_mesh`` decides every vertex in one array program.  The edge
 weights M_e^z = cot phi_1 + cot phi_2, the cotangents of the two angles
-at z beside the edge e, are sums of two entries of the corner table
-``topology.cot``; ``trees.build_tree_cover`` reads them at both ends of
-each interior edge.
+at z beside the edge e, are the fan table's column ``weight``;
+``trees.build_tree_cover`` reads them at both ends of each interior
+edge.
 """
 
 from __future__ import annotations
@@ -38,21 +38,15 @@ class Tolerances:
 
 def theta(fans: FanTable) -> np.ndarray:
     """Theta(z) of every vertex, (V,): the max |sin| of the sums of
-    consecutive angles at z.
+    consecutive angles at z, ``fans.pair_sin``.
 
     Consecutive pairs wrap around on an interior fan; on a boundary fan
-    only the N-1 adjacent pairs count, so a single-triangle fan gets the
-    vacuous value 0 (treated as singular).
+    only the N-1 adjacent pairs count (``pair_sin`` is NaN at its last
+    corner), so a single-triangle fan gets the vacuous value 0 (treated as
+    singular).
     """
-    # each corner's successor in its fan: the next corner, or on an
-    # interior fan the first one after the last
-    last = fans.position == fans.degree[fans.center] - 1
-    nxt = np.arange(len(fans.tri)) + 1
-    nxt[last] = fans.offset[fans.center[last]]
-    paired = ~(last & fans.boundary[fans.center])
     out = np.zeros(len(fans.degree))
-    np.maximum.at(out, fans.center[paired], np.abs(np.sin(
-        fans.theta[paired] + fans.theta[nxt[paired]])))
+    np.fmax.at(out, fans.center, np.abs(fans.pair_sin))
     return out
 
 

@@ -349,6 +349,8 @@ def run_field_suites(mesh: Triangulation, tol: Tolerances, samples: int,
     the fields of every vertex."""
     if samples < 1:
         raise _InputError(f"--samples must be at least 1, got {samples}")
+    if seed < 0:
+        raise _InputError(f"--seed must be a non-negative integer, got {seed}")
     topology = build_topology(mesh)
     reports, _ = classify_mesh(topology, tol)
     rng = np.random.default_rng(seed)

@@ -195,19 +195,19 @@ class EdgeTable:
     """The interior-edge fields of a group of G vertices ``z`` of one
     patch shape, each over the triangles tris[j] of its fan.
 
-    ``corner[g, j]`` and ``spoke[g]`` index the fan table
-    (``topology.fans``) at triangle j and at the spokes of vertex z[g].
-    Row [g, k] belongs to interior edge k of z[g], shared by tris[k] and
-    tris[k+1] (cyclically on an interior fan), and is zero off those two
-    triangles: ``w[g, k]`` is its edge field (unit vertex divergence at
-    z), ``chi[g, k]`` its normal corrector (interior fans only, else
-    None) and ``kappa[g, k]`` its zero-edge-mean scalar.  ``l_z2[g, j]``
-    is l_z^2 on tris[j], the profile of the directional correctors.
+    ``corner[g, j]`` indexes the fan table (``topology.fans``) at
+    triangle j of vertex z[g] and at the spoke after it.  Row [g, k]
+    belongs to interior edge k of z[g], the spoke after corner k, shared
+    by tris[k] and tris[k+1] (cyclically on an interior fan), and is zero
+    off those two triangles: ``w[g, k]`` is its edge field (unit vertex
+    divergence at z), ``chi[g, k]`` its normal corrector (interior fans
+    only, else None) and ``kappa[g, k]`` its zero-edge-mean scalar.
+    ``l_z2[g, j]`` is l_z^2 on tris[j], the profile of the directional
+    correctors.
     """
 
     z: np.ndarray               # (G,)
     corner: np.ndarray          # (G, N)
-    spoke: np.ndarray           # (G, N + boundary)
     w: np.ndarray               # (G, n_int, N, 2, 10)
     chi: np.ndarray | None      # (G, N, N, 2, 10)
     kappa: np.ndarray           # (G, n_int, N, 10)
@@ -223,7 +223,6 @@ def edge_table(z, topology: MeshTopology) -> EdgeTable:
     n, bd = int(fans.degree[z[0]]), int(fans.boundary[z[0]])
     m = n - bd                                        # interior edges
     corner = fans.offset[z][:, None] + np.arange(n)
-    spoke = fans.spoke_offset[z][:, None] + np.arange(n + bd)
     slots = fans.slot[corner]
     k = np.arange(m)
     pos = (k[:, None] + _PAIR) % n                    # (m, 2) edge triangles
@@ -235,14 +234,12 @@ def edge_table(z, topology: MeshTopology) -> EdgeTable:
     kappa = np.zeros_like(eta)
     eta[:, k[:, None], pos] = _SQUARE[sz, sy]
     kappa[:, k[:, None], pos] = _KAPPA[sz, sy]
-    vertices = topology.mesh.vertices
-    vec = vertices[fans.spoke[spoke[:, bd:n]]] - vertices[z][:, None]
-    w = vec[:, :, None, :, None] * eta[:, :, :, None, :]
+    w = fans.vec[corner[:, :m], None, :, None] * eta[:, :, :, None, :]
     chi = None
     if not bd:
-        normal = (12.0 / fans.edge_len[spoke])[..., None] * fans.normal[spoke]
+        normal = (12.0 / fans.edge_len[corner])[..., None] * fans.normal[corner]
         chi = normal[:, :, None, :, None] * eta[:, :, :, None, :]
-    return EdgeTable(z=z, corner=corner, spoke=spoke, w=w,
+    return EdgeTable(z=z, corner=corner, w=w,
                      chi=chi, kappa=kappa, l_z2=_L_Z2[slots])
 
 
@@ -347,7 +344,7 @@ def _contract(table, a, seed, seed_pos):
     """Coefficients (G, S, N, 2, 10) of sum_p a[g, s, p] v_p for the chain
     basis of each vertex's seed (G, N, 2, 10) at tris[seed_pos[g]]."""
     G, n = table.corner.shape
-    S, sign = _chains(n, table.spoke.shape[1] > n)
+    S, sign = _chains(n, table.w.shape[1] < n)
     seed_pos = np.broadcast_to(seed_pos, G)
     S, sign = S[seed_pos], sign[seed_pos]
     return (_combine(_combine(a, S), table.w)
@@ -447,46 +444,44 @@ def boundary_interpolant(reports, p_values, topology: MeshTopology):
         raise FieldError("non-singular boundary patch needs >= 2 triangles")
 
     table = edge_table(z, topology)
-    theta = fans.theta[table.corner]
-    sums = theta[:, :-1] + theta[:, 1:]
-    sines = np.abs(np.sin(sums))
+    pairs = table.corner[:, :-1]                  # the interior edges' spokes
+    sines = np.abs(fans.pair_sin[pairs])
     # The seed pollutes the far endpoint of its interior edge.  Prefer a
     # pair whose far endpoint is an interior vertex (the pollution is then
     # absorbed by the interior interpolation passes); fall back to the
     # overall straightest pair otherwise.
-    interior_far = ~topology.boundary_vertex[fans.spoke[table.spoke[:, 1:-1]]]
+    interior_far = ~topology.boundary_vertex[fans.far[pairs]]
     usable = interior_far & (sines > 1e-8)
     # seed pair: tris[s], tris[s+1]
     s = np.where(usable.any(axis=1),
                  np.argmax(np.where(usable, sines, -1.0), axis=1),
                  np.argmax(sines, axis=1))
     g = np.arange(len(z))
-    coef = (2.0 * fans.edge_len[table.spoke[g, s + 1]] * np.sin(theta[g, s])
-            / np.sin(sums[g, s]))
-    tvec = fans.tangent[table.spoke[g, s + 2]]
-    seed = (coef[:, None] * tvec)[:, None, :, None] \
+    here, there = table.corner[g, s], table.corner[g, s + 1]
+    coef = (2.0 * fans.edge_len[here] * np.sin(fans.theta[here])
+            / fans.pair_sin[here])
+    seed = (coef[:, None] * fans.tangent[there])[:, None, :, None] \
         * table.kappa[g, s][:, :, None, :]
-
-    coeffs = _contract(table, a, seed, s)
-    return (_patch_block(topology, table, coeffs),
-            _side_effects(topology, table, coeffs))
+    return _spilling_block(topology, table, _contract(table, a, seed, s))
 
 
-def _side_effects(topology, table, coeffs):
-    """The non-negligible vertex divergences away from the patch centers
-    of the fields of the group's (G, S, N, 2, 10) coefficients, in
+def _spilling_block(topology, table, coeffs):
+    """The FieldBlock of the group's (G, S, N, 2, 10) coefficients, as
+    ``_patch_block`` gives it, and, as VertexValues, the non-negligible
+    vertex divergences of its fields away from the patch centers, in
     (field, triangle, slot) order."""
     tris, rows = _sorted_rows(topology, table, coeffs)
     verts = topology.mesh.triangles[tris]                        # (G, N, 3)
     vals = _div_coeffs(topology.hat_grads[tris][:, None],
                        rows)[..., poly.VERTEX2]                  # (G, S, N, 3)
-    tol = 1e-12 * np.maximum(np.abs(coeffs).max(axis=(2, 3, 4),
-                                                initial=0.0), 1e-30)
+    tol = 1e-12 * np.maximum(np.abs(rows).max(axis=(2, 3, 4),
+                                              initial=0.0), 1e-30)
     keep = ~(np.abs(vals) <= tol[..., None, None]) \
         & (verts != table.z[:, None, None])[:, None]
     g, s, j, slot = np.nonzero(keep)
-    return VertexValues(g * coeffs.shape[1] + s, tris[g, j],
-                        verts[g, j, slot], vals[keep])
+    return (_rows_block(topology, tris[:, None], rows),
+            VertexValues(g * rows.shape[1] + s, tris[g, j],
+                         verts[g, j, slot], vals[keep]))
 
 
 # ---------------------------------------------------------------------------
@@ -510,27 +505,25 @@ def edge_transfer(topology: MeshTopology, z: int, y: int, target,
         raise FieldError(f"expected {n} targets, got "
                          f"{a.shape[-1] if a.ndim else a.size}")
     table = edge_table(z, topology)
-    # interior edge k of z ends at the spoke after corner k
-    k = np.flatnonzero(fans.spoke[table.spoke[0, bd:n]] == y)
+    # interior edge k of z is the spoke after corner k; on a boundary fan
+    # the spoke after the last corner is a boundary edge
+    k = np.flatnonzero(fans.far[table.corner[0, :n - bd]] == y)
     if not len(k):
         raise FieldError(f"{{{z}, {y}}} is not an interior edge at {z}")
     k = int(k[0])
-    corners = table.corner[0, (k + _PAIR) % n]      # in the edge triangles
-    cotA, cotB = topology.cot[fans.tri[corners], fans.slot[corners]]
-    M = cotA + cotB
+    here, there = table.corner[0, (k + _PAIR) % n]  # in the edge triangles
+    M = fans.weight[here]
     if abs(M) <= tol.accept:
         raise UnacceptableEdgeError(
             f"edge ({z}, {y}) has weight {M:.3e} below tolerance")
 
-    spoke = table.spoke[0, k + bd]
-    r = (2.0 * fans.edge_len[spoke] * fans.normal[spoke])[:, None] \
+    r = (2.0 * fans.edge_len[here] * fans.normal[here])[:, None] \
         * table.kappa[0, k][:, None, :]
+    cotB = topology.cot[fans.tri[there], fans.slot[there]]
     seed = (1.0 / M) * (r + cotB * table.w[0, k])
-
-    coeffs = _contract(table, a.reshape((1,) * (3 - a.ndim) + a.shape),
-                       seed[None], k)
-    return (_patch_block(topology, table, coeffs),
-            _side_effects(topology, table, coeffs))
+    return _spilling_block(
+        topology, table, _contract(
+            table, a.reshape((1,) * (3 - a.ndim) + a.shape), seed[None], k))
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ class Triangulation:
     vertices : (V, 2) array of vertex coordinates.
     triangles : (T, 3) array of vertex indices.  Triangles listed clockwise
         are silently reoriented to counter-clockwise.  ``sides`` holds
-        the side table of the reoriented triangles.
+        the side table of the reoriented triangles, ``area`` their areas.
     """
 
     def __init__(self, vertices, triangles):
@@ -57,24 +57,25 @@ class Triangulation:
         _, first, inverse = np.unique(key, axis=0, return_index=True,
                                       return_inverse=True)
         area = signed_area(*v[t].transpose(1, 0, 2))
+        flip, area = area < 0, np.abs(area)
         # per triangle, the three checks in the order they are reported
         bad = np.stack([
             (key[:, 0] == key[:, 1]) | (key[:, 1] == key[:, 2]),
             first[inverse.reshape(-1)] != np.arange(len(t)),
-            np.abs(area) <= DEGENERACY_RATIO * diam * diam,
+            area <= DEGENERACY_RATIO * diam * diam,
         ], axis=1)
         if bad.any():
             i = int(np.argmax(bad.any(axis=1)))
             raise MeshError(("triangle {} has repeated vertices",
                              "duplicate triangle {}", "triangle {} is degenerate")
                             [int(np.argmax(bad[i]))].format(i))
-        flip = area < 0
         if flip.any():
             t[flip] = t[flip][:, [0, 2, 1]]
         self.vertices = v
         self.triangles = t
-        self.vertices.setflags(write=False)
-        self.triangles.setflags(write=False)
+        self.area = area
+        for arr in (v, t, area):
+            arr.setflags(write=False)
         self.sides = side_table(t, len(v))
         self._validate_conformity()
 
@@ -308,9 +309,9 @@ class MeshTopology:
 def build_topology(mesh: Triangulation) -> MeshTopology:
     """Read the edges, the edge of each triangle side (``tri_edges``) and
     the half-edge twins from the mesh's side table, and derive from it the
-    boundary flags, the triangle areas, hat gradients and corner angles
-    and cotangents (one batched computation each) and the vertex fans (one
-    ``enumerate_patch`` call).
+    boundary flags, the hat gradients and corner angles and cotangents (one
+    batched computation each) and the vertex fans (one ``enumerate_patch``
+    call); the triangle areas are the mesh's own.
 
     Raises MeshError when a vertex has no triangles or a non-manifold
     (pinched) patch.
@@ -321,33 +322,32 @@ def build_topology(mesh: Triangulation) -> MeshTopology:
     boundary_vertex = np.zeros(mesh.num_vertices, dtype=bool)
     boundary_vertex[edges[boundary_edge]] = True
     pts = mesh.vertices[mesh.triangles]
-    area = np.abs(signed_area(pts[:, 0], pts[:, 1], pts[:, 2]))
     hat_grads = hat_gradients(pts[:, 0], pts[:, 1], pts[:, 2])
     angle, cot = triangle_geometry(pts[:, 0], pts[:, 1], pts[:, 2])
-    for a in (area, hat_grads, angle, cot):
+    for a in (hat_grads, angle, cot):
         a.setflags(write=False)
     return MeshTopology(
         mesh=mesh, edges=edges, tri_edges=sides.tri_edges, twin=sides.twin,
         boundary_edge=boundary_edge, boundary_vertex=boundary_vertex,
         euler_ok=(mesh.num_triangles - len(edges) + mesh.num_vertices == 1),
-        area=area, hat_grads=hat_grads, angle=angle, cot=cot,
-        fans=enumerate_patch(mesh, angle, cot, area))
+        area=mesh.area, hat_grads=hat_grads, angle=angle, cot=cot,
+        fans=enumerate_patch(mesh, angle, cot))
 
 
 @dataclass(frozen=True)
 class FanTable:
-    """Every vertex's counter-clockwise triangle fan, as CSR rows.  Fan z
-    holds the corners ``offset[z] .. offset[z + 1]`` and the spokes
-    ``spoke_offset[z] .. spoke_offset[z + 1]``: one spoke per corner, plus
-    the first one on a boundary fan.  Consecutive corners of a fan share
-    an interior edge of z, the far end of the spoke between them; on an
-    interior fan the last corner shares one with the first.  The spoke
-    after corner j is spoke j of an interior fan, spoke j + 1 of a
-    boundary fan, whose spokes 0 and N lie on the domain boundary.
+    """Every vertex's counter-clockwise triangle fan, as CSR rows of
+    corners: fan z holds the corners ``offset[z] .. offset[z + 1]``.  Each
+    corner also indexes the spoke after it, the edge of z shared with the
+    next corner; on an interior fan the last corner shares one with the
+    first, on a boundary fan the spoke after the last corner lies on the
+    domain boundary and there is no next corner (the first one's other
+    spoke, the other boundary edge, is the near end of its triangle).
 
     An interior fan also carries the patch coefficients of its vertex z,
-    with y_{j+1} the far end of spoke j, theta_{j+1} the angle of corner j
-    and |T_{j+1}| the area of its triangle, and index j - 1 cyclic:
+    with y_{j+1} the far end of the spoke after corner j, theta_{j+1} the
+    angle of corner j and |T_{j+1}| the area of its triangle, and index
+    j - 1 cyclic:
 
     - ``b[j]`` = -((y_{j+1} - y_j) . e_i^perp) / 3 for the directions
       i = 1, 2 (columns), with (x, y)^perp = (-y, x);
@@ -361,8 +361,9 @@ class FanTable:
       sum_j (-1)^(j+1) of ``d0`` and of the columns of ``d``, which certify
       an even-valence interior vertex.
 
-    They are NaN on a boundary fan, where no decision reads them.  All
-    arrays are read-only."""
+    They are NaN on a boundary fan, where no decision reads them, as are
+    ``pair_sin`` and ``weight`` at its last corner.  All arrays are
+    read-only."""
 
     offset: np.ndarray        # (V + 1,) corner offsets
     degree: np.ndarray        # (V,) corners of each fan, its valence N
@@ -372,11 +373,13 @@ class FanTable:
     slot: np.ndarray          # (3T,) slot of the center in it
     theta: np.ndarray         # (3T,) angle at the center
     boundary: np.ndarray      # (V,) bool, the fan is open
-    spoke_offset: np.ndarray  # (V + 1,) spoke offsets
-    spoke: np.ndarray         # (S,) far endpoint of each spoke
-    edge_len: np.ndarray      # (S,) |z - spoke|
-    tangent: np.ndarray       # (S, 2) unit vector z -> spoke
-    normal: np.ndarray        # (S, 2) its counter-clockwise rotation
+    far: np.ndarray           # (3T,) far end of the spoke after each corner
+    vec: np.ndarray           # (3T, 2) that spoke, far - center
+    edge_len: np.ndarray      # (3T,) its length
+    tangent: np.ndarray       # (3T, 2) its unit vector
+    normal: np.ndarray        # (3T, 2) the tangent's counter-clockwise rotation
+    pair_sin: np.ndarray      # (3T,) sin(theta_j + theta_next) at the spoke
+    weight: np.ndarray        # (3T,) edge weight M_e^z = cot_j + cot_next
     h_z: np.ndarray           # (V,) patch diameter
     b: np.ndarray             # (3T, 2) patch coefficients b_j, columns i = 1, 2
     c: np.ndarray             # (3T, 2) their prefix sums c_j
@@ -388,17 +391,14 @@ class FanTable:
         """The corners of fan z, in fan order."""
         return slice(self.offset[z], self.offset[z + 1])
 
-    def spokes(self, z: int) -> slice:
-        """The spokes of fan z, in fan order."""
-        return slice(self.spoke_offset[z], self.spoke_offset[z + 1])
 
-
-def enumerate_patch(mesh: Triangulation, angle, cot, area) -> FanTable:
+def enumerate_patch(mesh: Triangulation, angle, cot) -> FanTable:
     """Order every vertex's triangles counter-clockwise, all fans at once,
-    with the corner angles ``angle`` (T, 3), and derive the patch
+    with the corner angles ``angle`` (T, 3), and derive the spoke after
+    every corner, with its angle-pair sine and edge weight, and the patch
     coefficients of every interior fan from the corner cotangents ``cot``
-    (T, 3) and the triangle areas ``area`` (T,) (``build_topology`` makes
-    this one call).  The corner of z after corner
+    (T, 3) and the mesh's triangle areas (``build_topology`` makes this one
+    call).  The corner of z after corner
     ``3 t + s`` is ``twin[t, (s + 2) % 3]``, across the side ending at z.
     An interior fan starts at its triangle with the smallest index, a
     boundary fan at the corner whose side ``s`` has no twin, so that it
@@ -436,29 +436,34 @@ def enumerate_patch(mesh: Triangulation, angle, cot, area) -> FanTable:
                         [error[z] - 1].format(z))
     boundary = n_open > 0
     center = np.repeat(np.arange(V), deg)
+    position = np.arange(n) - offset[center]
     tri, slot = np.divmod(order, 3)
-    spoke_offset = offset + np.concatenate([[0], np.cumsum(boundary)])
-    spoke = np.empty(spoke_offset[-1], dtype=np.int64)
-    # each corner's spoke is the one after it; a boundary fan also has the
-    # one before its first corner
-    spoke[np.arange(n) + np.cumsum(boundary)[center]] = tris[tri, (slot + 2) % 3]
-    first = offset[:-1][boundary]
-    spoke[spoke_offset[:-1][boundary]] = tris[tri[first], (slot[first] + 1) % 3]
-    size = np.diff(spoke_offset)
-    vecs = mesh.vertices[spoke] - mesh.vertices[np.repeat(np.arange(V), size)]
-    edge_len = np.hypot(vecs[:, 0], vecs[:, 1])
-    tangent = vecs / edge_len[:, None]
-    # the patch diameter over the spokes and z, one block per fan size
+    far = tris[tri, (slot + 2) % 3]
+    vec = mesh.vertices[far] - mesh.vertices[center]
+    edge_len = np.hypot(vec[:, 0], vec[:, 1])
+    tangent = vec / edge_len[:, None]
+    theta, corner_cot = angle.ravel()[order], cot.ravel()[order]
+    # the next corner, cyclic; the last corner of a boundary fan has none
+    last = position == deg[center] - 1
+    succ = np.where(last, offset[center], np.arange(n) + 1)
+    open_end = last & boundary[center]
+    pair_sin = np.where(open_end, np.nan, np.sin(theta + theta[succ]))
+    weight = np.where(open_end, np.nan, corner_cot + corner_cot[succ])
+    # the patch diameter over z, the near end of its first corner and the
+    # far ends of all corners, one block per valence (an interior fan's
+    # near end is its last far end again)
     h_z = np.empty(V)
-    for m in np.unique(size):
-        zs = np.flatnonzero(size == m)
+    for m in np.unique(deg):
+        zs = np.flatnonzero(deg == m)
+        k = offset[zs]
         pts = mesh.vertices[np.column_stack(
-            [spoke[spoke_offset[zs, None] + np.arange(m)], zs])]
+            [tris[tri[k], (slot[k] + 1) % 3],
+             far[k[:, None] + np.arange(m)], zs])]
         diff = pts[:, :, None] - pts[:, None, :]
         h_z[zs] = np.hypot(diff[..., 0], diff[..., 1]).max(axis=(1, 2))
     b, c, d = (np.full((n, 2), np.nan) for _ in range(3))
     d0, D = np.full(n, np.nan), np.full((V, 3), np.nan)
-    corner_cot, corner_area = cot.ravel()[order], area[tri]
+    corner_area = mesh.area[tri]
     # One block per interior valence m, each fan a row: its cumsum and its
     # alternating sums run over one contiguous row, so every entry has the
     # bits of the fan's formula on its own.  Elementwise operations only,
@@ -467,13 +472,12 @@ def enumerate_patch(mesh: Triangulation, angle, cot, area) -> FanTable:
     for m in np.unique(deg[~boundary]):
         zs = np.flatnonzero(~boundary & (deg == m))
         k = offset[zs, None] + np.arange(m)             # corner j of each fan
-        s = spoke_offset[zs, None] + np.arange(m)       # the spoke after it
         prev = np.arange(-1, m - 1)                     # j - 1, cyclic
-        y = mesh.vertices[spoke[s]]                     # y_{j+1}
+        y = mesh.vertices[far[k]]                       # y_{j+1}
         # |e_{j+1}|^2 by libm pow, as the scalar ``edge_len ** 2`` of the
         # formula rounds it; the product edge_len * edge_len differs from
         # it in the last bit about once in a thousand
-        elen2 = np.float_power(edge_len[s], 2)
+        elen2 = np.float_power(edge_len[k], 2)
         dy = y - y[:, prev]
         # -(dy . e_i^perp) is -dy_y for i = 1 and dy_x for i = 2
         bk = dy[..., ::-1] * np.array([-1.0, 1.0]) / 3.0
@@ -489,13 +493,11 @@ def enumerate_patch(mesh: Triangulation, angle, cot, area) -> FanTable:
                           np.sum(signs * dk[..., 1], axis=1)], axis=1)
         b[k], c[k], d0[k], d[k] = bk, ck, d0k, dk
     table = FanTable(
-        offset=offset, degree=deg, center=center,
-        position=np.arange(n) - offset[center], tri=tri, slot=slot,
-        theta=angle.ravel()[order],
-        boundary=boundary, spoke_offset=spoke_offset, spoke=spoke,
+        offset=offset, degree=deg, center=center, position=position,
+        tri=tri, slot=slot, theta=theta, boundary=boundary, far=far, vec=vec,
         edge_len=edge_len, tangent=tangent,
-        normal=tangent[:, ::-1] * np.array([-1.0, 1.0]), h_z=h_z,
-        b=b, c=c, d0=d0, d=d, D=D)
+        normal=tangent[:, ::-1] * np.array([-1.0, 1.0]), pair_sin=pair_sin,
+        weight=weight, h_z=h_z, b=b, c=c, d0=d0, d=d, D=D)
     for arr in vars(table).values():
         arr.setflags(write=False)
     return table

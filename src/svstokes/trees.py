@@ -20,21 +20,6 @@ from .fields import (FieldBlock, FieldError, boundary_interpolant,
 from .mesh import MeshTopology
 
 
-def _side_ends(topology: MeshTopology, side):
-    """The vertices at the two ends of the sides with flat indices
-    ``side`` (3 t + s): column 0 at vertex slot s, column 1 at s + 1, and
-    the edge weights there: at each end, the sum of the cotangents of the
-    angles at that vertex in the side's triangle and in its twin's."""
-    t, s = np.divmod(side, 3)
-    u, k = np.divmod(topology.twin.ravel()[side], 3)
-    # the twin runs back: its slot k + 1 is slot s of t, its slot k is s + 1
-    ends = topology.mesh.triangles[t[:, None], (s[:, None] + [0, 1]) % 3]
-    cot = topology.cot
-    weight = np.stack([cot[t, s] + cot[u, (k + 1) % 3],
-                       cot[t, (s + 1) % 3] + cot[u, k]], axis=1)
-    return ends, weight
-
-
 @dataclass(frozen=True)
 class TreeStats:
     """Per-tree statistics of a cover, entry i for tree i; the fields are
@@ -127,14 +112,18 @@ def build_tree_cover(topology: MeshTopology, reports,
     reported as uncovered.  Expansion checks the edge weight at the new
     vertex, since that is the endpoint the transfer starts from.
     """
-    V = topology.V
-    interior = np.flatnonzero(~topology.boundary_edge)
-    ends, weight = _side_ends(topology, topology.mesh.sides.first[interior])
-    # each interior edge from both ends, from its tail to its head, kept
-    # when acceptable at the head; grouped by tail, in edge order
-    tail, head = ends.ravel(), ends[:, ::-1].ravel()
-    M_tail, M_head = weight.ravel(), weight[:, ::-1].ravel()
-    edge = np.repeat(interior, 2)
+    V, fans = topology.V, topology.fans
+    # the spoke after each fan corner runs from its tail, the center, to
+    # its head, the far end; ordered by edge, the two spokes of an
+    # interior edge are neighbours, and each one's head weight is the
+    # other's tail weight.  Kept when acceptable at the head; grouped by
+    # tail, in edge order.
+    edge = topology.tri_edges[fans.tri, (fans.slot + 2) % 3]
+    spoke = np.flatnonzero(~topology.boundary_edge[edge])
+    spoke = spoke[np.lexsort((fans.center[spoke], edge[spoke]))]
+    tail, head, edge = fans.center[spoke], fans.far[spoke], edge[spoke]
+    M_tail = fans.weight[spoke]
+    M_head = M_tail.reshape(-1, 2)[:, ::-1].ravel()
     keep = np.flatnonzero(np.abs(M_head) > tol.accept)
     keep = keep[np.lexsort((edge[keep], tail[keep]))]
     start = np.searchsorted(tail[keep], np.arange(V + 1)).tolist()

@@ -1,5 +1,6 @@
 """Shared test helpers: the fan of a vertex by name, the per-vertex
-oracles of the d-coefficients and of the vertex classification, random
+oracles of the fan table's spoke columns, of the d-coefficients and of the
+vertex classification, the named meshes of the high-valence fans, random
 shape-regular patches, admissible pressure targets, the golden and
 benchmark meshes, the type-1 grids with crossed squares, edge lookups and
 edge weights, corner angles of an edge pair, dual determinant formulas,
@@ -25,7 +26,6 @@ from svstokes.fields import (FieldBlock, VertexValues, center_divergences,
 from svstokes.mesh import (Triangulation, build_topology, crossed, load_mesh,
                            ngon_patch, perturbed_grid, three_lines,
                            type1_diagonal)
-from svstokes.trees import _side_ends
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -91,24 +91,94 @@ def bench_mesh(key):
     return load_mesh(BENCH_MESHES.mesh_text(*BENCH_MESHES.build(key)))
 
 
+# Fans of valence 9 and more, where np.sum adds pairwise instead of in
+# order and no bench mesh reaches: regular ngons (the even ones NotLI,
+# with roundoff decision values) and ngons with seeded spoke angle shifts
+# of up to 0.3 of the regular gap, and the type-1 grids with crossed
+# squares.
+HIGH_VALENCE = ([f"ngon-{N}" for N in range(9, 35)]
+                + [f"ngon-{N}-shifted" for N in range(9, 35)] + sorted(MIXED))
+
+
+def named_mesh(name):
+    """A golden, mixed, high-valence or benchmark mesh by its name."""
+    if name in GOLDEN_MESHES:
+        return GOLDEN_MESHES[name]()
+    if name in MIXED:
+        return type1_with_crossed(*MIXED[name])
+    if name.startswith("ngon-"):
+        N = int(name.split("-")[1])
+        shift = None
+        if name.endswith("-shifted"):
+            shift = np.random.default_rng(N).uniform(-0.3, 0.3, N) \
+                * (2 * np.pi / N)
+        return ngon_patch(N, angle_shift=shift)
+    return bench_mesh(name)
+
+
 def fan(topo, z):
     """The fan of vertex z as named slices of the fan table: the
     triangles ``tris`` of its corners, the slots ``slots`` of z in them,
     the angles ``theta`` at z and the d-coefficients ``b``, ``c``, ``d0``
-    and ``d``; its ``spokes`` with their lengths ``edge_len``, unit
-    tangents ``tangents`` and the tangents' rotations ``normals``; and its
-    valence ``N``, ``boundary`` flag, diameter ``h_z`` and determinants
-    ``D``.  Interior edge k of the fan, shared by tris[k] and tris[k + 1],
-    ends at spoke k + boundary."""
+    and ``d``; the spoke after each corner, with its far end ``far``, its
+    vector ``vec``, length ``edge_len``, unit tangent ``tangents`` and the
+    tangent's rotation ``normals``, and ``pair_sin`` and the edge weight
+    ``weight`` there; and its valence ``N``, ``boundary`` flag, diameter
+    ``h_z`` and determinants ``D``.  ``spokes`` lists the neighbours of z
+    in fan order: the far ends, after the near end of the first corner on
+    a boundary fan.  Interior edge k of the fan, shared by tris[k] and
+    tris[k + 1], is the spoke after corner k and ends at spoke
+    k + boundary."""
     fans = topo.fans
-    c, s = fans.corners(z), fans.spokes(z)
+    c = fans.corners(z)
+    boundary = bool(fans.boundary[z])
+    near = topo.mesh.triangles[fans.tri[c.start], (fans.slot[c.start] + 1) % 3]
     return SimpleNamespace(
-        z=z, N=int(fans.degree[z]), boundary=bool(fans.boundary[z]),
+        z=z, N=int(fans.degree[z]), boundary=boundary,
         tris=fans.tri[c], slots=fans.slot[c], theta=fans.theta[c],
         b=fans.b[c], c=fans.c[c], d0=fans.d0[c], d=fans.d[c], D=fans.D[z],
-        spokes=fans.spoke[s], edge_len=fans.edge_len[s],
-        tangents=fans.tangent[s], normals=fans.normal[s],
-        h_z=float(fans.h_z[z]))
+        far=fans.far[c], vec=fans.vec[c], edge_len=fans.edge_len[c],
+        tangents=fans.tangent[c], normals=fans.normal[c],
+        pair_sin=fans.pair_sin[c], weight=fans.weight[c],
+        spokes=np.concatenate([[near], fans.far[c]]) if boundary
+        else fans.far[c], h_z=float(fans.h_z[z]))
+
+
+def fan_columns(topology, z):
+    """The per-vertex oracle of the fan table's spoke columns at vertex z,
+    one corner at a time in fan order: the far end ``far`` of the spoke
+    after corner j (slot + 2 of its counter-clockwise triangle), the spoke
+    ``vec``, its length ``edge_len``, unit ``tangent`` and the tangent's
+    counter-clockwise rotation ``normal``; and, with the next corner
+    cyclic, ``pair_sin`` = sin(theta_j + theta_next) from ``topology.angle``
+    and ``weight`` = cot_j + cot_next from ``topology.cot``, both NaN at
+    the last corner of a boundary fan."""
+    fans = topology.fans
+    c = fans.corners(z)
+    tris, slots = fans.tri[c].tolist(), fans.slot[c].tolist()
+    n, boundary = len(tris), bool(fans.boundary[z])
+    cols = {name: [] for name in ("far", "vec", "edge_len", "tangent",
+                                  "normal", "pair_sin", "weight")}
+    for j, (t, s) in enumerate(zip(tris, slots)):
+        far = int(topology.mesh.triangles[t, (s + 2) % 3])
+        vec = topology.mesh.vertices[far] - topology.mesh.vertices[z]
+        length = np.hypot(vec[0], vec[1])
+        tangent = vec / length
+        cols["far"].append(far)
+        cols["vec"].append(vec)
+        cols["edge_len"].append(length)
+        cols["tangent"].append(tangent)
+        cols["normal"].append(np.array([-tangent[1], tangent[0]]))
+        if boundary and j == n - 1:
+            cols["pair_sin"].append(np.nan)
+            cols["weight"].append(np.nan)
+        else:
+            u, r = tris[(j + 1) % n], slots[(j + 1) % n]
+            cols["pair_sin"].append(np.sin(topology.angle[t, s]
+                                           + topology.angle[u, r]))
+            cols["weight"].append(topology.cot[t, s] + topology.cot[u, r])
+    return SimpleNamespace(**{name: np.array(col, dtype=(
+        np.int64 if name == "far" else float)) for name, col in cols.items()})
 
 
 def decision(coeffs, i):
@@ -124,12 +194,12 @@ def compute_dcoefficients(topology, z):
     slices of its fan, with its diameter h_z."""
     fans = topology.fans
     assert not fans.boundary[z], "interior vertices only"
-    corners, spokes = fans.corners(z), fans.spokes(z)
+    corners = fans.corners(z)
     tris = fans.tri[corners]
     n = len(tris)
     prev = np.arange(-1, n - 1)                     # x[prev][j] = x[j - 1]
-    y = topology.mesh.vertices[fans.spoke[spokes]]  # y_{j+1} = y[j]
-    elen2 = np.float_power(fans.edge_len[spokes], 2)
+    y = topology.mesh.vertices[fans.far[corners]]   # y_{j+1} = y[j]
+    elen2 = np.float_power(fans.edge_len[corners], 2)
     cot = topology.cot[tris, fans.slot[corners]]    # cot theta_{j+1} = cot[j]
     areas = topology.area[tris]                     # |T_{j+1}| = areas[j]
     dy = y - y[prev]                                # y_{j+1} - y_j
@@ -181,10 +251,17 @@ def edge_index(topo):
 
 def edge_weights(topo):
     """{(interior edge index, endpoint vertex): cot-sum weight}, each
-    interior edge read once, through its side in the lower triangle."""
+    interior edge read once, through its side in the lower triangle: at
+    each end, the sum of the cotangents of the angles at that vertex in the
+    side's triangle and in its twin's, read from ``topo.cot``."""
     twin = topo.twin.ravel()
     side = np.flatnonzero(twin > np.arange(len(twin)))
-    ends, weight = _side_ends(topo, side)
+    t, s = np.divmod(side, 3)
+    u, k = np.divmod(twin[side], 3)
+    # the twin runs back: its slot k + 1 is slot s of t, its slot k is s + 1
+    ends = topo.mesh.triangles[t[:, None], (s[:, None] + [0, 1]) % 3]
+    weight = np.stack([topo.cot[t, s] + topo.cot[u, (k + 1) % 3],
+                       topo.cot[t, (s + 1) % 3] + topo.cot[u, k]], axis=1)
     edge = np.repeat(topo.tri_edges.ravel()[side], 2)
     return dict(zip(zip(edge.tolist(), ends.ravel().tolist()),
                     weight.ravel().tolist()))

@@ -787,17 +787,43 @@ def test_shifted_crossed_centre_reports_its_small_beta(tmp_path, dx):
             assert got["smallest_eigenvalues"][0] > 0.0
 
 
-@pytest.mark.parametrize("n", [2, 4])
+def _perturbed_shifted(dx):
+    """perturbed-5 (seed 0) with its interior vertex 21, of valence 4,
+    moved to the crossing of the lines through its opposite neighbours,
+    where it is singular, and then by dx in x."""
+    mesh = perturbed_grid(5, seed=0)
+    fans = build_topology(mesh).fans
+    a, b, c, d = mesh.vertices[fans.far[fans.corners(21)]]
+
+    def cross(u, w):
+        return u[0] * w[1] - u[1] * w[0]
+
+    v = mesh.vertices.copy()
+    v[21] = a + cross(b - a, d - b) / cross(c - a, d - b) * (c - a)
+    v[21, 0] += dx
+    return Triangulation(v, mesh.triangles)
+
+
+# The shifted meshes by name (crossed-n by n), and the shifts at which
+# each one gives exit 3: its band.  The perturbed vertex is NotLI at 1e-10
+# and 2e-10 (K = 1 under the verdict none), SingularLI up to 1e-11.
+SHIFTED_BANDS = {2: (2e-10, 3e-10, 1e-9), 4: (2e-10, 3e-10, 1e-9),
+                 "perturbed-5-s0": (3e-10, 1e-9)}
+
+
+@pytest.mark.parametrize("mesh", list(SHIFTED_BANDS))
 @pytest.mark.parametrize("dx", [10.0 ** -e for e in range(12, 0, -1)]
                          + [2e-10, 3e-10])
-def test_shifted_crossed_centre_is_consistent_or_exit_3(tmp_path, capsys, n,
-                                                        dx):
+def test_shifted_crossed_centre_is_consistent_or_exit_3(tmp_path, capsys,
+                                                        mesh, dx):
     """Theta(z) between tol.singular and about tol.rank / 0.3 makes the
-    centre not singular, yet rejects the singular value its patch gives:
-    that is exit 3, naming the vertex, never a stable verdict with
+    shifted vertex not singular, yet rejects the singular value its patch
+    gives: that is exit 3, naming the vertex, never a stable verdict with
     K > 0.  Elsewhere the report's K agrees with its verdict."""
+    shifted = (_perturbed_shifted(dx) if mesh == "perturbed-5-s0"
+               else _crossed_shifted(dx, mesh))
     path = tmp_path / "shifted.mesh"
-    path.write_text(dump_mesh(_crossed_shifted(dx, n)))
+    path.write_text(dump_mesh(shifted))
     out = tmp_path / "report.json"
     code = cli.main(["analyze", "--mesh", str(path), "--out", str(out)])
     if code == 3:
@@ -809,7 +835,7 @@ def test_shifted_crossed_centre_is_consistent_or_exit_3(tmp_path, capsys, n,
     report = json.loads(out.read_text())
     if report["trees"]["verdict"] != "none":
         assert report["divergence"]["K"] == 0
-    assert dx not in (2e-10, 3e-10, 1e-9)       # the band seen on both
+    assert dx not in SHIFTED_BANDS[mesh]
 
 
 REPORT_MESHES = (sorted(GOLDEN_MESHES) + sorted(MIXED)

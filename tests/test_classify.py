@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (GOLDEN_MESHES, MIXED, bench_mesh, bench_pool,
+from conftest import (GOLDEN_MESHES, HIGH_VALENCE, bench_mesh, bench_pool,
                       classify_vertex, compute_dcoefficients, decision,
                       dual_determinants, edge_index, edge_weights, fan,
-                      random_interior_patch, rigid_motion,
-                      type1_with_crossed)
+                      named_mesh, random_interior_patch, rigid_motion)
 from svstokes.classify import (BOUNDARY, EVEN, NOT_LI, ODD, SINGULAR,
                                Tolerances, classify_mesh, theta)
 from svstokes.mesh import (Triangulation, build_topology, crossed,
@@ -248,37 +247,13 @@ def _dcoefficients_loop(patch, topo):
 DCOEFF_MESHES = (sorted(GOLDEN_MESHES) + bench_pool("certify-dense")
                  + bench_pool("verify-fields"))
 
-# Fans of valence 9 and more, where np.sum adds pairwise instead of in
-# order and no bench mesh reaches: regular ngons (the even ones NotLI,
-# with roundoff decision values) and ngons with seeded spoke angle shifts
-# of up to 0.3 of the regular gap, and the type-1 grids with crossed
-# squares.
-HIGH_VALENCE = ([f"ngon-{N}" for N in range(9, 35)]
-                + [f"ngon-{N}-shifted" for N in range(9, 35)] + sorted(MIXED))
-
-
-def _dcoeff_mesh(name):
-    if name in GOLDEN_MESHES:
-        return GOLDEN_MESHES[name]()
-    if name in MIXED:
-        return type1_with_crossed(*MIXED[name])
-    if name.startswith("ngon-"):
-        N = int(name.split("-")[1])
-        shift = None
-        if name.endswith("-shifted"):
-            shift = np.random.default_rng(N).uniform(-0.3, 0.3, N) \
-                * (2 * np.pi / N)
-        return ngon_patch(N, angle_shift=shift)
-    return bench_mesh(name)
-
-
 @pytest.mark.parametrize("name", DCOEFF_MESHES + HIGH_VALENCE)
 def test_dcoefficients_equal_the_per_triangle_loop(name):
     """The fan table's d-coefficient columns, and the per-vertex oracle,
     give every coefficient bit for bit as the loop did, at each interior
     vertex of the golden and bench meshes and of the high-valence fans;
     the boundary fans hold NaN."""
-    topo = build_topology(_dcoeff_mesh(name))
+    topo = build_topology(named_mesh(name))
     fans = topo.fans
     interior = np.flatnonzero(~fans.boundary).tolist()
     assert interior
@@ -308,7 +283,7 @@ def test_reports_equal_the_per_vertex_oracle(name):
     """Every field of every vertex report, the decision value and the
     conditioning included, equals the per-vertex ``classify_vertex``
     oracle bit for bit."""
-    topo = build_topology(_dcoeff_mesh(name))
+    topo = build_topology(named_mesh(name))
     th = theta(topo.fans).tolist()
     reports, _ = classify_mesh(topo)
     assert len(reports) == topo.V

@@ -489,17 +489,23 @@ def test_field_suite_splits_large_groups(monkeypatch, size):
     assert max(sizes) == max(size // 3, 1)
 
 
-@pytest.mark.parametrize("samples", [0, -3])
-def test_field_suite_rejects_samples_below_one(tmp_path, capsys, samples):
-    """No field would be built or checked: an input error, not a pass."""
-    with pytest.raises(cli._InputError, match="at least 1"):
-        run_field_suites(crossed(2), Tolerances(), samples, 11)
+@pytest.mark.parametrize("samples,seed", [(0, 11), (-3, 11), (2, -1)],
+                         ids=["0", "-3", "seed-1"])
+def test_field_suite_rejects_samples_below_one(tmp_path, capsys, samples,
+                                               seed):
+    """No field would be built or checked: an input error, not a pass.
+    A negative seed draws no targets either (numpy's generator refuses
+    it): an input error too, naming ``--seed``."""
+    message = (f"--samples must be at least 1, got {samples}" if samples < 1
+               else f"--seed must be a non-negative integer, got {seed}")
+    with pytest.raises(cli._InputError, match=message):
+        run_field_suites(crossed(2), Tolerances(), samples, seed)
     mesh_path = _gen(tmp_path, "crossed", "--n", "3")
     out = tmp_path / "fields.txt"
     assert main(["verify-fields", "--mesh", str(mesh_path), "--samples",
-                 str(samples), "--out", str(out)]) == EXIT_INPUT
-    assert f"--samples must be at least 1, got {samples}" in \
-        capsys.readouterr().err
+                 str(samples), "--seed", str(seed), "--out", str(out)]) \
+        == EXIT_INPUT
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

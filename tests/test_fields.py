@@ -603,9 +603,9 @@ def _oracle_boundary(patch, a, topo):
     s = int(np.argmax(np.where(usable, sines, -1.0) if usable.any()
                       else sines))
     y = patch.spokes[s + 1]
-    coef = (2.0 * patch.edge_len[s + 1] * np.sin(patch.theta[s])
+    coef = (2.0 * patch.edge_len[s] * np.sin(patch.theta[s])
             / np.sin(sums[s]))
-    seed = _oracle_vector(coef * patch.tangents[s + 2],
+    seed = _oracle_vector(coef * patch.tangents[s + 1],
                           _oracle_kappa(topo, patch.z, y))
     v = _oracle_combine(topo, a, _oracle_chain_basis(patch, topo, seed, s))
     return v, _oracle_side(topo, patch.z, v)
@@ -630,7 +630,7 @@ def _oracle_edge_transfer(topo, z, y, a):
     cotA = 1.0 / np.tan(patch.theta[k])
     cotB = 1.0 / np.tan(patch.theta[(k + 1) % patch.N])
     M = cotA + cotB
-    n1 = 2.0 * patch.edge_len[k + bd] * patch.normals[k + bd]
+    n1 = 2.0 * patch.edge_len[k] * patch.normals[k]
     r = _oracle_vector(n1, _oracle_kappa(topo, z, y))
     seed = (1.0 / M) * (r + cotB * _oracle_w(topo, z, y))
     v = _oracle_combine(topo, a, _oracle_chain_basis(patch, topo, seed, k))

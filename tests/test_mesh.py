@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (GOLDEN_MESHES, MIXED, PINCHED, bench_mesh, bench_pool,
-                      edge_index, fan, type1_with_crossed)
+from conftest import (GOLDEN_MESHES, HIGH_VALENCE, MIXED, PINCHED,
+                      bench_mesh, bench_pool, edge_index, fan, fan_columns,
+                      named_mesh, type1_with_crossed)
 from svstokes import poly
 from svstokes.mesh import (MeshError, MeshFormatError, Triangulation,
                            build_topology, crossed, dump_mesh,
@@ -331,12 +332,24 @@ def test_perturbed_topology_matches_dict_pass(seed, n):
     _assert_topology_matches_dict_pass(perturbed_grid(n, seed=seed))
 
 
+def _mixed_orientation(mesh):
+    """The mesh with every other triangle listed clockwise."""
+    tris = mesh.triangles.copy()
+    tris[::2] = tris[::2, ::-1]
+    return Triangulation(mesh.vertices, tris)
+
+
 @pytest.mark.parametrize("make", [
     lambda: crossed(2), lambda: type1_diagonal(3), lambda: three_lines(2),
-    lambda: perturbed_grid(3, seed=1), lambda: perturbed_grid(6, seed=11)],
+    lambda: perturbed_grid(3, seed=1), lambda: perturbed_grid(6, seed=11),
+    lambda: _mixed_orientation(perturbed_grid(6, seed=11))],
     ids=["crossed-2", "type1-3", "three-lines-2", "perturbed-3-s1",
-         "perturbed-6-s11"])
+         "perturbed-6-s11", "perturbed-6-s11-mixed-orientation"])
 def test_geometry_table_matches_the_per_triangle_formulas(make):
+    """Each triangle's hat gradients and area are what a per-triangle call
+    gives on the reoriented triangle, bit for bit: the areas that
+    ``Triangulation`` keeps from its validation, taken before it
+    reorients the clockwise triangles, included."""
     mesh = make()
     topo = build_topology(mesh)
     assert topo.area.shape == (topo.T,)
@@ -350,30 +363,44 @@ def test_geometry_table_matches_the_per_triangle_formulas(make):
             np.float64(abs(poly.signed_area(*p))).tobytes()
 
 
-@pytest.mark.parametrize("make", [
-    lambda: crossed(2), lambda: type1_diagonal(3), lambda: three_lines(2),
-    lambda: perturbed_grid(3, seed=1)],
-    ids=["crossed-2", "type1-3", "three-lines-2", "perturbed-3-s1"])
-def test_patch_table_matches_enumerate_patch(make):
+# The golden meshes, the high-valence fans and the type-1 grids with
+# crossed squares, at the length scales 1, 1e-7 and 3e7.
+PATCH_TABLE_MESHES = [(name, scale) for scale in (1.0, 1e-7, 3e7)
+                      for name in sorted(GOLDEN_MESHES) + HIGH_VALENCE]
+
+
+@pytest.mark.parametrize("name,scale", PATCH_TABLE_MESHES, ids=[
+    name if scale == 1.0 else f"{name}-x{scale:g}"
+    for name, scale in PATCH_TABLE_MESHES])
+def test_patch_table_matches_enumerate_patch(name, scale):
     """The fan table is read-only, its slices at a vertex id are views of
-    it, and a second ``enumerate_patch`` call rebuilds it bit for bit."""
-    topo = build_topology(make())
+    it, a second ``enumerate_patch`` call rebuilds it bit for bit, and its
+    spoke columns equal the per-vertex oracle ``fan_columns`` bit for
+    bit."""
+    mesh = named_mesh(name)
+    topo = build_topology(Triangulation(mesh.vertices * scale, mesh.triangles))
     fans = topo.fans
     assert len(fans.degree) == len(fans.boundary) == len(fans.h_z) == topo.V
-    again = enumerate_patch(topo.mesh, topo.angle, topo.cot, topo.area)
-    for name, arr in vars(fans).items():
-        assert not arr.flags.writeable, name
-        assert arr.dtype == getattr(again, name).dtype, name
-        assert arr.tobytes() == getattr(again, name).tobytes(), name
+    again = enumerate_patch(topo.mesh, topo.angle, topo.cot)
+    for column, arr in vars(fans).items():
+        assert not arr.flags.writeable, column
+        assert arr.dtype == getattr(again, column).dtype, column
+        assert arr.tobytes() == getattr(again, column).tobytes(), column
     for z in range(topo.V):
         patch = fan(topo, z)
         coeffs = ((patch.b, fans.b), (patch.c, fans.c), (patch.d0, fans.d0),
                   (patch.d, fans.d), (patch.D, fans.D))
-        for a, base in ((patch.theta, fans.theta),
-                        (patch.edge_len, fans.edge_len),
-                        (patch.tangents, fans.tangent),
-                        (patch.normals, fans.normal)) + coeffs:
+        spokes = ((patch.far, fans.far), (patch.vec, fans.vec),
+                  (patch.edge_len, fans.edge_len),
+                  (patch.tangents, fans.tangent),
+                  (patch.normals, fans.normal),
+                  (patch.pair_sin, fans.pair_sin), (patch.weight, fans.weight))
+        for a, base in ((patch.theta, fans.theta),) + spokes + coeffs:
             assert a.base is base and not a.flags.writeable, z
+        want = fan_columns(topo, z)
+        for (a, base), ref in zip(spokes, vars(want).values()):
+            assert a.dtype == ref.dtype and a.shape == ref.shape, z
+            assert a.tobytes() == ref.tobytes(), (z, a, ref)
         # the d-coefficients: NaN on a boundary fan, finite elsewhere
         for a, _ in coeffs:
             assert (np.isnan(a).all() if patch.boundary
@@ -624,7 +651,11 @@ def _assert_fans_match_the_walk(topo):
         patch = fan(topo, z)
         bd = int(patch.boundary)
         patch.center = topo.mesh.vertices[z]
-        patch.normals = patch.normals[bd:len(patch.spokes) - bd]
+        # the table's spoke columns run over the corners, the spoke after
+        # each; the walk's over the spokes, the first one on a boundary fan
+        # before the first corner, and its normals over the interior edges
+        patch.normals = patch.normals[:patch.N - bd]
+        want.edge_len, want.tangents = want.edge_len[bd:], want.tangents[bd:]
         for name, ref in vars(want).items():
             got = getattr(patch, name)
             if isinstance(ref, np.ndarray):

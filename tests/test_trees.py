@@ -96,7 +96,7 @@ def _loop_edge_weights(topo):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_MESHES))
 def test_edge_weights_and_path_stats_read_the_corner_table(name):
-    """edge_weights (read through ``trees._side_ends``) and the weights
+    """edge_weights (read per side from ``topo.cot``) and the weights
     of the path_stats oracle for each hop, in both directions, equal the
     corner-table cotangent sums bit for bit."""
     topo = build_topology(GOLDEN_MESHES[name]())
