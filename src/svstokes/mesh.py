@@ -40,7 +40,7 @@ class Triangulation:
     """
 
     def __init__(self, vertices, triangles):
-        v = np.asarray(vertices, dtype=float)
+        v = np.array(vertices, dtype=float)
         t = np.array(triangles, dtype=np.int64)
         if v.ndim != 2 or v.shape[1] != 2:
             raise MeshError("vertices must be an (V, 2) array")

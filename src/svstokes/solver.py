@@ -265,6 +265,11 @@ LANCZOS_RANGE = 1e-8
 SCALE_STEPS = 10
 SCALE_BOUND = 1.0 + 1e-12
 
+# The block size of the compact-WY QR in ``certify`` (LAPACK caps it at
+# the smaller side of X_rc): of 32, 48 and 64, 64 was the fastest on X_rc
+# of 802 x 503 and 1700 x 1000 with one OpenBLAS thread.
+QR_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class Certificate:
@@ -340,7 +345,13 @@ def certify(topology: MeshTopology, reports,
         X = [[X_rc, X_rb], [0, blockdiag(R_t^T)]],
 
     and R = [[R_11, R_12], [0, R_22]] comes from the QR of X_rc, Q^T X_rb
-    = [R_12; Y] and the QR of [Y; blockdiag(R_t^T)]."""
+    = [R_12; Y] and the QR of [Y; blockdiag(R_t^T)].
+
+    Every dense kernel runs at BLAS-3 rate and in place: L_S is inverted
+    in its own storage (dtrtri) and applied as one triangular product
+    (dtrmm), X_rc is factored by the compact-WY QR (dgeqrt) and its Q^T
+    applied to X_rb by dgemqrt, and blockdiag(R_t^T) is scattered into Y.
+    S sums its blocks with np.bincount, in triangle order."""
     nodes = number_dofs(topology)
     T = topology.T
     div = assemble_divergence(topology)
@@ -360,10 +371,10 @@ def certify(topology: MeshTopology, reports,
     inner = nodes[:, :9]                # the other nodes are 0 .. m - 1
     interior = inner >= 0
     t, a, b = np.nonzero(interior[:, :, None] & interior[:, None, :])
-    S = np.zeros((m, m))
-    # np.add.at adds in index order, which is triangle order here: every
+    # np.bincount adds in input order, which is triangle order here: every
     # entry sums its contributions triangle by triangle.
-    np.add.at(S, (inner[t, a], inner[t, b]), K_r[t, a, b])
+    S = np.bincount(inner[t, a] * m + inner[t, b], weights=K_r[t, a, b],
+                    minlength=m * m).reshape(m, m)
     t, a = np.nonzero(interior)
     g = inner[t, a]
     # G = F div_r, scattered: rows 4t .. 4t + 3 are triangle t's complement
@@ -382,6 +393,7 @@ def certify(topology: MeshTopology, reports,
         G[:4 * T] = applied.T.reshape(4 * T, 2, m)
     del applied
     _check_range_inclusion(G[:k], G)
+    lapack = scipy.linalg.lapack
     try:
         # S is symmetric and only one triangle is read, so its transpose
         # is the column-major operand LAPACK factors in place.
@@ -390,30 +402,51 @@ def certify(topology: MeshTopology, reports,
     except scipy.linalg.LinAlgError as exc:
         raise SolverError(f"velocity Gram matrix is not SPD: {exc}") from exc
     del S
-    # One solve with 2p right-hand sides, column 2j + c for row j of G[k:]
-    # and component c.  Column-major, that result is the stacked (2m, p)
-    # matrix [x-rows; y-rows] of X's other velocities: a row permutation,
-    # which leaves R unchanged up to row signs.
-    X = scipy.linalg.solve_triangular(L_S, G[k:].reshape(2 * p, m).T,
-                                      lower=True, overwrite_b=True,
-                                      check_finite=False)
+    # L_S^-1 in place of L_S, then one product with 2p right-hand sides,
+    # column 2j + c for row j of G[k:] and component c, in place: a
+    # triangular product runs at several times the rate of a triangular
+    # solve.  Column-major, that result is the stacked (2m, p) matrix
+    # [x-rows; y-rows] of X's other velocities: a row permutation, which
+    # leaves R unchanged up to row signs.
+    X = G[k:].reshape(2 * p, m).T
+    if m:                         # (LAPACK rejects an empty triangle)
+        L_S, info = lapack.dtrtri(L_S, lower=1, overwrite_c=1)
+        if info != 0:
+            raise SolverError(f"dtrtri failed with info {info}")
+        X = scipy.linalg.blas.dtrmm(1.0, L_S, X, lower=1, overwrite_b=1)
     del L_S, G
     X = X.reshape(2 * m, p, order="F")
+    # The compact-WY QR of X_rc = X[:, :pc] and Q^T X_rb on the bubble
+    # columns X[:, pc:], both in place: the first top rows of Q^T X_rb are
+    # R_12, the rest Y's first rows.  A wide X_rc (2m < pc) has 2m
+    # reflectors, none when m = 0.
     pc = p - 2 * T
-    (reflectors_x, tau_x), R_11 = scipy.linalg.qr(
-        X[:, :pc], mode="raw", overwrite_a=True, check_finite=False)
-    rest = _apply_q(reflectors_x, tau_x, X[:, pc:], "T")
-    top = len(R_11)
-    Y = np.vstack([rest[top:],
-                   scipy.linalg.block_diag(*R_b.transpose(0, 2, 1))])
-    R_12 = rest[:top].copy()
-    del X, reflectors_x, rest     # the largest array; R takes its place
+    top = min(2 * m, pc)
+    if top:
+        t_x, info = lapack.dgeqrt(min(QR_BLOCK, top), X[:, :pc],
+                                  overwrite_a=1)[1:]
+        if info == 0:
+            info = lapack.dgemqrt(X[:, :top], t_x, X[:, pc:], side="L",
+                                  trans="T", overwrite_c=1)[1]
+        if info != 0:
+            raise SolverError(f"compact-WY QR failed with info {info}")
+    # Y = [X[top:, pc:]; blockdiag(R_t^T)], column-major for its QR in
+    # place; R_22 is its triangle.  Each copy out of X is made before R
+    # exists, so the largest array, X, never lives beside R.
+    Y = np.zeros((2 * m - top + 2 * T, 2 * T), order="F")
+    Y[:2 * m - top] = X[top:, pc:]
+    t2 = 2 * np.arange(T)[:, None, None]
+    Y[2 * m - top + t2 + np.arange(2)[:, None], t2 + np.arange(2)] = \
+        R_b.transpose(0, 2, 1)
+    R_22 = scipy.linalg.qr(Y, mode="raw", overwrite_a=True,
+                           check_finite=False)[1]
+    del Y
+    R_1 = np.triu(X[:top])              # [R_11, R_12]
+    del X
     R = np.zeros((top + 2 * T, p))
-    R[:top, :pc] = R_11
-    R[:top, pc:] = R_12
-    del R_11, R_12
-    R[top:, pc:] = scipy.linalg.qr(Y, mode="r", overwrite_a=True,
-                                   check_finite=False)[0][:2 * T]
+    R[:top] = R_1
+    R[top:, pc:] = R_22
+    del R_1, R_22
     # The rank scale's Krylov start: a fixed-seed raw pressure x in the
     # constrained coordinates.  A fixed vector of those coordinates would
     # move with their basis, which roundoff can change discretely (the
@@ -453,19 +486,27 @@ def _rank_scale(R: np.ndarray, start: np.ndarray) -> float:
     Rayleigh quotient so far (the top Ritz value is at least that): the
     space is then invariant, and its top Ritz value an eigenvalue.  The
     Ritz values come from one eigenvalue problem, that of the k x k Gram
-    matrix (R Q^T)^T (R Q^T) of the basis rows Q."""
+    matrix (R Q^T)^T (R Q^T) of the basis rows Q.
+
+    A square R is upper triangular, so R q and R^T w are triangular
+    products (dtrmv) on R^T, an F-contiguous lower view that they read in
+    place; a wide R takes dense products."""
     p = R.shape[1]
     if not R.size:
         return 0.0
     steps = min(p, SCALE_STEPS)
     basis = np.empty((steps, p))
     images = np.empty((steps, R.shape[0]))     # R q for each basis row q
+    # (given the C-ordered R itself, dtrmv would copy it on every call)
+    square = len(R) == p
+    dtrmv = scipy.linalg.blas.dtrmv
     q = np.array(start, dtype=float)
     q /= np.linalg.norm(q)
     top = 0.0
     for k in range(steps):
-        basis[k], images[k] = q, R @ q
-        w = images[k] @ R
+        basis[k] = q
+        images[k] = dtrmv(R.T, q, lower=1, trans=1) if square else R @ q
+        w = dtrmv(R.T, images[k], lower=1) if square else images[k] @ R
         top = max(top, float(q @ w))
         done = basis[:k + 1]
         for _ in range(2):

@@ -102,6 +102,10 @@ CONDENSED_MESHES = {
     "one-triangle": lambda: Triangulation([[0.0, 0.0], [1.0, 0.0],
                                            [0.0, 1.0]], [[0, 1, 2]]),
     "perturbed-8-p3": lambda: bench_mesh("perturbed-8-p3"),
+    # two triangles: fewer other velocities than constrained complement
+    # coordinates (2m < p - 2T), so the QR of X_rc is wide
+    "two-triangle-square": lambda: type1_diagonal(1),
+    "crossed-1": lambda: crossed(1),
 }
 
 
@@ -112,7 +116,8 @@ def test_condensed_factor_has_the_singular_values_of_the_full_pairing(
     """The factor of the condensed, rotated pairing has the singular values
     of W assembled in full, to 1e-12 s_max, and the modes pair with no
     velocity under the full B.  On one triangle the bubble is the only
-    velocity node, and no other node remains."""
+    velocity node, and no other node remains; on the two-triangle square
+    X_rc is wide."""
     topo, reports, summary = _classified(CONDENSED_MESHES[name]())
     cert = solver.certify(topo, reports, seminorm=seminorm)
     W = uncondensed_pairing(topo, reports, seminorm)
@@ -122,6 +127,9 @@ def test_condensed_factor_has_the_singular_values_of_the_full_pairing(
     assert np.abs(scipy.linalg.svdvals(cert.factor) - s).max() <= 1e-12 * s[0]
     if name == "one-triangle":
         assert W.shape == (2, 2) and topo.V0 == topo.E0 == 0
+    if name == "two-triangle-square":
+        m = topo.V0 + 2 * topo.E0
+        assert 2 * m < cert.shape[0] - 2 * topo.T
     rr = solver.divergence_rank(cert, TOL)
     modes = solver.spurious_modes(cert, rr)
     assert len(modes) == rr.K
@@ -261,14 +269,9 @@ def test_modes_of_a_factor_with_exact_zero_pivots():
     _assert_same_span(modes, np.linalg.solve(L.T, weighted(null)))
 
 
-@pytest.mark.parametrize("name", ["type1-3", "three-lines-2"])
-def test_modes_take_no_solve_and_no_qr_of_their_own(monkeypatch, name):
-    """The modes are the rank's lifted directions mapped back: given the
-    rank, spurious_modes makes no triangular solve and no QR
-    factorization of its own."""
-    topo, reports, summary = _classified(GOLDEN_MESHES[name]())
-    cert = solver.certify(topo, reports)
-    rr = solver.divergence_rank(cert, TOL)
+def _counted_calls(monkeypatch, targets):
+    """A Counter of the calls of each (module, name) in targets, by
+    "module.name"."""
     calls = Counter()
 
     def counted(label, fn):
@@ -277,16 +280,48 @@ def test_modes_take_no_solve_and_no_qr_of_their_own(monkeypatch, name):
             return fn(*args, **kwargs)
         return wrapper
 
-    for module, fname in ((scipy.linalg, "solve_triangular"),
-                          (scipy.linalg, "qr"), (np.linalg, "qr"),
-                          (np.linalg, "solve"), (scipy.linalg, "solve")):
+    for module, fname in targets:
         monkeypatch.setattr(module, fname,
                             counted(f"{module.__name__}.{fname}",
                                     getattr(module, fname)))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["type1-3", "three-lines-2"])
+def test_modes_take_no_solve_and_no_qr_of_their_own(monkeypatch, name):
+    """The modes are the rank's lifted directions mapped back: given the
+    rank, spurious_modes makes no triangular solve and no QR
+    factorization of its own."""
+    topo, reports, summary = _classified(GOLDEN_MESHES[name]())
+    cert = solver.certify(topo, reports)
+    rr = solver.divergence_rank(cert, TOL)
+    calls = _counted_calls(monkeypatch, (
+        (scipy.linalg, "solve_triangular"), (scipy.linalg, "qr"),
+        (np.linalg, "qr"), (np.linalg, "solve"), (scipy.linalg, "solve")))
     modes = solver.spurious_modes(cert, rr)
     assert not calls, calls
     assert len(modes) == rr.K >= 1
     assert rr.null_basis.shape == (cert.shape[0], rr.K)
+
+
+@pytest.mark.parametrize("name", ["type1-3", "perturbed-3-s1"])
+def test_certify_takes_no_triangular_solve_and_no_block_diag(monkeypatch,
+                                                              name):
+    """certify applies L_S^-1 as a triangular product after inverting L_S
+    in place, factors X_rc by the compact-WY QR, and scatters the bubble
+    blocks itself: no triangular solve, no block_diag, and scipy's QR only
+    for Z and Y."""
+    topo, reports, summary = _classified(GOLDEN_MESHES[name]())
+    lapack, blas = scipy.linalg.lapack, scipy.linalg.blas
+    calls = _counted_calls(monkeypatch, (
+        (scipy.linalg, "solve_triangular"), (scipy.linalg, "block_diag"),
+        (scipy.linalg, "qr"), (lapack, "dtrtri"), (lapack, "dgeqrt"),
+        (lapack, "dgemqrt"), (blas, "dtrmm")))
+    solver.certify(topo, reports)
+    assert calls == {"scipy.linalg.qr": 2, "scipy.linalg.lapack.dtrtri": 1,
+                     "scipy.linalg.lapack.dgeqrt": 1,
+                     "scipy.linalg.lapack.dgemqrt": 1,
+                     "scipy.linalg.blas.dtrmm": 1}, calls
 
 
 def test_analyze_takes_no_svd_and_one_gram_eigenvalue(monkeypatch,
@@ -543,6 +578,49 @@ def test_rank_scale_on_the_scaled_bench_copies(key, length):
     assert rr.K == 0
     _assert_scale_bounds(cert.factor, scipy.linalg.svdvals(cert.factor)[0],
                          cert.start)
+
+
+def _dense_products(monkeypatch):
+    """scipy.linalg.blas.dtrmv replaced by the dense product it stands
+    for, counting its calls."""
+    calls = []
+
+    def dense(a, x, lower=0, trans=0):
+        calls.append(a.shape)
+        return a.T @ x if trans else a @ x
+
+    monkeypatch.setattr(scipy.linalg.blas, "dtrmv", dense)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MESHES))
+def test_rank_scale_by_triangular_products_is_the_dense_one(monkeypatch,
+                                                            name):
+    """The square factor's products R q and R^T w run as triangular
+    products on R^T; with dense products in their place the rank scale
+    agrees to 1e-13."""
+    topo, reports, summary = _classified(GOLDEN_MESHES[name]())
+    cert = solver.certify(topo, reports)
+    assert cert.factor.shape == (cert.shape[0],) * 2
+    scale = solver._rank_scale(cert.factor, cert.start)
+    calls = _dense_products(monkeypatch)
+    dense = solver._rank_scale(cert.factor, cert.start)
+    assert calls and scale == pytest.approx(dense, rel=1e-13, abs=0.0)
+
+
+def test_rank_scale_of_a_wide_factor_takes_dense_products(monkeypatch):
+    """A wide factor (fewer velocities than constrained pressures) has no
+    triangular R^T; its rank scale is that of the factor zero-padded to
+    square, to 1e-13."""
+    rng = np.random.default_rng(3)
+    R = np.triu(rng.standard_normal((P_SYNTH - 5, P_SYNTH)))
+    start = krylov_start(P_SYNTH)
+    padded = solver._rank_scale(np.vstack([R, np.zeros((5, P_SYNTH))]),
+                                start)
+    calls = _dense_products(monkeypatch)
+    assert solver._rank_scale(R, start) == pytest.approx(padded, rel=1e-13,
+                                                          abs=0.0)
+    assert not calls
 
 
 def _ritz_sizes(monkeypatch):

@@ -128,9 +128,13 @@ def test_mirrored_mesh_reoriented_without_touching_the_input():
     mesh = crossed(2)
     mirrored = Triangulation(mesh.vertices * [-1.0, 1.0], mesh.triangles)
     assert np.array_equal(mirrored.triangles, mesh.triangles[:, [0, 2, 1]])
+    # the caller's own float64 and int64 arrays stay writeable and unchanged
+    verts = mesh.vertices * [-1.0, 1.0]
     tris = np.array(mesh.triangles)
-    Triangulation(mesh.vertices, tris)
-    assert tris.flags.writeable
+    Triangulation(verts, tris)
+    assert verts.flags.writeable and tris.flags.writeable
+    assert np.array_equal(verts, mesh.vertices * [-1.0, 1.0])
+    assert np.array_equal(tris, mesh.triangles)
 
 
 def test_nonmanifold_edge_rejected():
