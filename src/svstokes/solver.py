@@ -167,23 +167,33 @@ def pressure_constraints(topology: MeshTopology, reports) -> np.ndarray:
     return C / np.linalg.norm(C, axis=1, keepdims=True)
 
 
-def _apply_q(reflectors: np.ndarray, tau: np.ndarray, X: np.ndarray,
+# The block size of every compact-WY QR in ``certify``, capped at the
+# smaller side: of 32, 48 and 64, 64 was the fastest on X_rc of 802 x 503
+# and 1700 x 1000 with one OpenBLAS thread, and within 5 % of 32 on Y.
+QR_BLOCK = 64
+
+
+def _apply_q(reflectors: np.ndarray, t: np.ndarray, X: np.ndarray,
              trans: str, side: str = "L") -> np.ndarray:
     """Q X (trans "N") or Q^T X (trans "T"), or X Q and X Q^T on side "R",
-    with Q the full orthogonal factor of a Householder QR held as
-    (reflectors, tau); X may be overwritten."""
-    if not (tau.size and X.size):
-        return X
-    lapack = scipy.linalg.lapack
-    reflectors = reflectors[:, :len(tau)]
-    # (the workspace query leaves X alone, and must not copy it either)
-    work = lapack.dormqr(side, trans, reflectors, tau, X, -1,
-                         overwrite_c=1)[1]
-    out, _, info = lapack.dormqr(side, trans, reflectors, tau, X,
-                                 int(work[0]), overwrite_c=1)
+    with Q the full orthogonal factor of a compact-WY Householder QR held
+    as (reflectors, t) (``_compact_wy``); in place when X is F-contiguous."""
+    out, info = scipy.linalg.lapack.dgemqrt(reflectors, t, X, side=side,
+                                            trans=trans, overwrite_c=1)
     if info != 0:
-        raise SolverError(f"dormqr failed with info {info}")
+        raise SolverError(f"dgemqrt failed with info {info}")
     return out
+
+
+def _compact_wy(a: np.ndarray):
+    """(a, t): the compact-WY Householder QR of a (LAPACK dgeqrt), in
+    place when a is F-contiguous: R on and above the diagonal of a, the
+    reflectors below it, and t their block reflector factor."""
+    a, t, info = scipy.linalg.lapack.dgeqrt(min(QR_BLOCK, *a.shape), a,
+                                            overwrite_a=1)
+    if info != 0:
+        raise SolverError(f"dgeqrt failed with info {info}")
+    return a, t
 
 
 # Relative size of the constraints applied to the divergences, C M^-1 B,
@@ -216,9 +226,9 @@ def _bubble_rotation(L_M_inv: np.ndarray, bubble: np.ndarray):
 
 
 def constrained_basis(C: np.ndarray, F: np.ndarray):
-    """Householder QR ``(reflectors, tau)`` of the complement rows of
-    Z = F C^T, where C holds the constraint rows (see
-    ``pressure_constraints``) and F the (T, 6, 6) blocks of
+    """The compact-WY Householder QR ``(reflectors, t)`` of the complement
+    rows of Z = F C^T (``_compact_wy``), where C holds the constraint rows
+    (see ``pressure_constraints``) and F the (T, 6, 6) blocks of
     ``_bubble_rotation``.  Every bubble divergence satisfies every
     constraint row (it has mean zero and vanishes at the vertices), so Z
     vanishes on the 2T bubble coordinates, the first 2 of each triangle's
@@ -232,18 +242,17 @@ def constrained_basis(C: np.ndarray, F: np.ndarray):
     _check_range_inclusion(Z[:, :2], Z)
     Z = Z[:, 2:].reshape(4 * T, k)
     lengths = np.linalg.norm(Z, axis=0)
-    (reflectors, tau), R = scipy.linalg.qr(Z, mode="raw", overwrite_a=True,
-                                           check_finite=False)
+    reflectors, t = _compact_wy(Z)
     # A row in the span of the others leaves a diagonal entry of R at
     # roundoff size relative to its own column.
-    independent = int(np.sum(np.abs(np.diag(R))
+    independent = int(np.sum(np.abs(np.diag(reflectors))
                              > max(Z.shape) * np.finfo(float).eps * lengths))
     if independent != k:
         raise SolverError(
             f"constrained pressure dimension {C.shape[1] - independent} != "
             f"6T - 1 - sigma = {C.shape[1] - k}; constraint rows "
             f"are linearly dependent")
-    return reflectors, tau
+    return reflectors, t
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +273,6 @@ LANCZOS_RANGE = 1e-8
 # singular value of W obeys (||div v|| <= |v|_1 <= ||v||_H1 on H^1_0).
 SCALE_STEPS = 10
 SCALE_BOUND = 1.0 + 1e-12
-
-# The block size of the compact-WY QR in ``certify`` (LAPACK caps it at
-# the smaller side of X_rc): of 32, 48 and 64, 64 was the fastest on X_rc
-# of 802 x 503 and 1700 x 1000 with one OpenBLAS thread.
-QR_BLOCK = 64
-
 
 @dataclass(frozen=True)
 class Certificate:
@@ -300,7 +303,7 @@ class Certificate:
     start: np.ndarray               # the rank scale's Krylov start, (p,)
     reflectors: np.ndarray | None = None    # QR of Z's complement rows,
                                             # (4T, 1 + sigma)
-    tau: np.ndarray | None = None           # its scalars, (1 + sigma,)
+    tau: np.ndarray | None = None           # its T factor, (nb, 1 + sigma)
     pressure_map: np.ndarray | None = None  # F = O^T L_M^-1, (T, 6, 6)
     divergence: np.ndarray | None = None    # B by triangle, (T, 6, 2, 10)
     nodes: np.ndarray | None = None         # ``number_dofs``, (T, 10)
@@ -349,9 +352,10 @@ def certify(topology: MeshTopology, reports,
 
     Every dense kernel runs at BLAS-3 rate and in place: L_S is inverted
     in its own storage (dtrtri) and applied as one triangular product
-    (dtrmm), X_rc is factored by the compact-WY QR (dgeqrt) and its Q^T
-    applied to X_rb by dgemqrt, and blockdiag(R_t^T) is scattered into Y.
-    S sums its blocks with np.bincount, in triangle order."""
+    (dtrmm); every Householder QR, of Z, X_rc and Y, is compact-WY
+    (dgeqrt), and each Q or Q^T is applied by dgemqrt; blockdiag(R_t^T) is
+    scattered into Y.  S sums its blocks with np.bincount, in triangle
+    order."""
     nodes = number_dofs(topology)
     T = topology.T
     div = assemble_divergence(topology)
@@ -423,13 +427,7 @@ def certify(topology: MeshTopology, reports,
     pc = p - 2 * T
     top = min(2 * m, pc)
     if top:
-        t_x, info = lapack.dgeqrt(min(QR_BLOCK, top), X[:, :pc],
-                                  overwrite_a=1)[1:]
-        if info == 0:
-            info = lapack.dgemqrt(X[:, :top], t_x, X[:, pc:], side="L",
-                                  trans="T", overwrite_c=1)[1]
-        if info != 0:
-            raise SolverError(f"compact-WY QR failed with info {info}")
+        _apply_q(X[:, :top], _compact_wy(X[:, :pc])[1], X[:, pc:], "T")
     # Y = [X[top:, pc:]; blockdiag(R_t^T)], column-major for its QR in
     # place; R_22 is its triangle.  Each copy out of X is made before R
     # exists, so the largest array, X, never lives beside R.
@@ -438,8 +436,7 @@ def certify(topology: MeshTopology, reports,
     t2 = 2 * np.arange(T)[:, None, None]
     Y[2 * m - top + t2 + np.arange(2)[:, None], t2 + np.arange(2)] = \
         R_b.transpose(0, 2, 1)
-    R_22 = scipy.linalg.qr(Y, mode="raw", overwrite_a=True,
-                           check_finite=False)[1]
+    R_22 = np.triu(_compact_wy(Y)[0][:2 * T])
     del Y
     R_1 = np.triu(X[:top])              # [R_11, R_12]
     del X
@@ -521,64 +518,65 @@ def _rank_scale(R: np.ndarray, start: np.ndarray) -> float:
     return float(np.sqrt(max(theta, 0.0)))
 
 
-def _inverse_gram(F: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """(F^T F)^-1 X for the square upper triangular F: two triangular
-    solves."""
-    X = scipy.linalg.solve_triangular(F, X, trans="T", check_finite=False)
-    return scipy.linalg.solve_triangular(F, X, check_finite=False)
-
-
 def _inverse_lanczos(F: np.ndarray, thr: float):
     """(s_min, Y): the smallest singular value of the square triangular F
     and, as the columns of Y, the Ritz vectors of the singular values at or
     below thr whose Ritz values lie within LANCZOS_RANGE of the largest.
 
     Lanczos with full reorthogonalization on (F^T F)^-1 from a fixed-seed
-    start.  It stops once the largest Ritz value and every one in Y have a
-    Ritz residual within LANCZOS_RTOL of themselves; after LANCZOS_STEPS
-    steps without that it raises RankIndeterminateError."""
+    start, two dtrsv a step on F or F^T, whichever is F-contiguous.  Once
+    the top Ritz pair has converged, it stops if the largest Ritz value
+    and every one in Y have a Ritz residual within LANCZOS_RTOL of
+    themselves; after LANCZOS_STEPS steps without that it raises
+    RankIndeterminateError."""
     p = len(F)
     steps = min(p, LANCZOS_STEPS)
     basis = np.empty((steps, p))
     alpha, beta = [], []
+    lower = not F.flags.f_contiguous
+    A = F.T if lower else F             # F = A, or F = A^T
+    dtrsv = scipy.linalg.blas.dtrsv
     q = np.random.default_rng(0).standard_normal(p)
     q /= np.linalg.norm(q)
     for k in range(steps):
         basis[k] = q
-        w = _inverse_gram(F, q)
+        w = dtrsv(A, dtrsv(A, q, lower=lower, trans=not lower),
+                  lower=lower, trans=lower, overwrite_x=1)
         alpha.append(float(q @ w))
         done = basis[:k + 1]
         for _ in range(2):
             w -= done.T @ (done @ w)
         beta.append(float(np.linalg.norm(w)))
-        theta, S = scipy.linalg.eigh_tridiagonal(alpha, beta[:-1])
-        # the small Ritz values carry roundoff of the largest, down to 0
-        s = 1.0 / np.sqrt(np.maximum(theta, np.finfo(float).tiny))
-        converged = beta[-1] * np.abs(S[-1]) <= LANCZOS_RTOL * theta
-        lift = (s <= thr) & (theta >= LANCZOS_RANGE * theta[-1])
+        top, z = scipy.linalg.eigh_tridiagonal(alpha, beta[:-1], select="i",
+                                               select_range=(k, k))
         # (an invariant subspace, beta 0, has every residual 0)
-        if converged[-1] and converged[lift].all():
-            return float(s[-1]), done.T @ S[:, lift]
+        if beta[-1] * abs(z[-1, 0]) <= LANCZOS_RTOL * top[0]:
+            theta, S = scipy.linalg.eigh_tridiagonal(alpha, beta[:-1])
+            # the small Ritz values carry roundoff of the largest, down to 0
+            s = 1.0 / np.sqrt(np.maximum(theta, np.finfo(float).tiny))
+            converged = beta[-1] * np.abs(S[-1]) <= LANCZOS_RTOL * theta
+            lift = (s <= thr) & (theta >= LANCZOS_RANGE * theta[-1])
+            if converged[-1] and converged[lift].all():
+                return float(s[-1]), done.T @ S[:, lift]
         q = w / beta[-1]
     raise RankIndeterminateError(
         f"inverse Lanczos did not converge in {steps} steps")
 
 
-def _lift(R: np.ndarray, rows: np.ndarray):
-    """Replace the upper triangular R, in place, by the triangular factor
-    of [R; rows], one Givens rotation per pivot and row: R^T R gains
-    rows^T rows."""
-    p = len(R)
-    flat = R.reshape(-1)
-    drot = scipy.linalg.blas.drot
-    for w in rows:
-        w = np.array(w)                 # contiguous: drot rotates it in place
-        for j in range(p):
-            r = np.hypot(R[j, j], w[j])
-            if w[j] == 0.0 or r == 0.0:
-                continue
-            drot(flat, w, R[j, j] / r, w[j] / r, n=p - j, offx=j * p + j,
-                 offy=j, overwrite_x=1, overwrite_y=1)
+# The lift's dtpqrt block size: of 1, 4, 8, 16, 32 and 64, 16 was the
+# fastest for one row at p = 765 with one OpenBLAS thread.
+LIFT_BLOCK = 16
+
+
+def _lift(R: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The triangular factor of [R; rows] for the upper triangular R, by
+    one triangular-pentagonal QR (LAPACK dtpqrt), in R's place when R is
+    F-ordered: R^T R gains rows^T rows."""
+    R, _, _, info = scipy.linalg.lapack.dtpqrt(
+        0, min(LIFT_BLOCK, len(R)), R, rows, overwrite_a=1, overwrite_b=1)
+    if info != 0:
+        raise SolverError(f"dtpqrt failed with info {info}")
+    return R
 
 
 @dataclass(frozen=True)
@@ -646,7 +644,9 @@ def divergence_rank(cert: Certificate,
         # error along each larger singular value s_j by (s / s_j)^2; the
         # singular values of R (unfloored) on that block then decide what
         # is lifted.
-        V = np.linalg.qr(_inverse_gram(F, Y))[0]
+        V = scipy.linalg.solve_triangular(F, Y, trans="T", check_finite=False)
+        V = scipy.linalg.solve_triangular(F, V, check_finite=False)
+        V = np.linalg.qr(V)[0]
         del F
         RV = R @ V
         mu, Z = np.linalg.eigh(RV.T @ RV)
@@ -658,8 +658,8 @@ def divergence_rank(cert: Certificate,
         largest_rejected = max(largest_rejected, float(s[s <= thr][-1]))
         V = V @ Z[:, s <= thr]
         if R is cert.factor:
-            R = R.copy()
-        _lift(R, scale * V.T)
+            R = R.copy(order="F")
+        R = _lift(R, scale * V.T)
         rounds.append(V)
         lifted += V.shape[1]
     if lifted == p:                 # nothing accepted

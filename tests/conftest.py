@@ -6,8 +6,9 @@ benchmark meshes, the type-1 grids with crossed squares, edge lookups and
 edge weights, corner angles of an edge pair, dual determinant formulas,
 dense views of field blocks, the oracles of transfers composed along a
 path (the path lemma) and of field blocks as velocity DOF vectors, the
-full assembly of the divergence pairing and its norms, uncondensed, and
-the Krylov start of a synthetic certificate."""
+full assembly of the divergence pairing and its norms, uncondensed, the
+Krylov start of a synthetic certificate, and the oracles of the rank's
+inverse Lanczos and lift (triangular solves and Givens rotations)."""
 
 import importlib.util
 import pathlib
@@ -603,3 +604,65 @@ def krylov_start(p):
     """The rank scale's Krylov start of a synthetic certificate with p
     constrained pressures: a fixed-seed normal vector."""
     return np.random.default_rng(0).standard_normal(p)
+
+
+# ---------------------------------------------------------------------------
+# the rank's inverse Lanczos and lift as first written: two solve_triangular
+# calls and the whole tridiagonal eigenproblem every step, and one Givens
+# rotation per pivot and row
+
+
+def _inverse_gram(F, X):
+    """(F^T F)^-1 X for the square upper triangular F: two triangular
+    solves."""
+    X = scipy.linalg.solve_triangular(F, X, trans="T", check_finite=False)
+    return scipy.linalg.solve_triangular(F, X, check_finite=False)
+
+
+def inverse_lanczos_oracle(F, thr):
+    """(s_min, Y, steps): ``solver._inverse_lanczos`` with the whole
+    tridiagonal eigenproblem solved on every step, and the number of steps
+    it took."""
+    p = len(F)
+    steps = min(p, solver.LANCZOS_STEPS)
+    basis = np.empty((steps, p))
+    alpha, beta = [], []
+    q = np.random.default_rng(0).standard_normal(p)
+    q /= np.linalg.norm(q)
+    for k in range(steps):
+        basis[k] = q
+        w = _inverse_gram(F, q)
+        alpha.append(float(q @ w))
+        done = basis[:k + 1]
+        for _ in range(2):
+            w -= done.T @ (done @ w)
+        beta.append(float(np.linalg.norm(w)))
+        theta, S = scipy.linalg.eigh_tridiagonal(alpha, beta[:-1])
+        s = 1.0 / np.sqrt(np.maximum(theta, np.finfo(float).tiny))
+        converged = beta[-1] * np.abs(S[-1]) <= solver.LANCZOS_RTOL * theta
+        lift = (s <= thr) & (theta >= solver.LANCZOS_RANGE * theta[-1])
+        if converged[-1] and converged[lift].all():
+            return float(s[-1]), done.T @ S[:, lift], k + 1
+        q = w / beta[-1]
+    raise solver.RankIndeterminateError(
+        f"inverse Lanczos did not converge in {steps} steps")
+
+
+def givens_lift(R, rows):
+    """``solver._lift`` by one Givens rotation per pivot and row: R, upper
+    triangular in either memory order, is replaced in place by the
+    triangular factor of [R; rows], and returned."""
+    p = len(R)
+    C = np.ascontiguousarray(R)
+    flat = C.reshape(-1)
+    drot = scipy.linalg.blas.drot
+    for w in rows:
+        w = np.array(w)                 # contiguous: drot rotates it in place
+        for j in range(p):
+            r = np.hypot(C[j, j], w[j])
+            if w[j] == 0.0 or r == 0.0:
+                continue
+            drot(flat, w, C[j, j] / r, w[j] / r, n=p - j, offx=j * p + j,
+                 offy=j, overwrite_x=1, overwrite_y=1)
+    R[...] = C
+    return R

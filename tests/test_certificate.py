@@ -19,8 +19,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (GOLDEN_MESHES, MIXED, bench_mesh, bench_pool,
-                      dense_divergence, dense_norms, krylov_start,
-                      rigid_motion, type1_with_crossed, uncondensed_pairing)
+                      dense_divergence, dense_norms, givens_lift,
+                      inverse_lanczos_oracle, krylov_start, rigid_motion,
+                      type1_with_crossed, uncondensed_pairing)
 from svstokes import cli, solver
 from svstokes.classify import Tolerances, classify_mesh
 from svstokes.mesh import (Triangulation, build_topology, crossed, dump_mesh,
@@ -308,19 +309,21 @@ def test_modes_take_no_solve_and_no_qr_of_their_own(monkeypatch, name):
 def test_certify_takes_no_triangular_solve_and_no_block_diag(monkeypatch,
                                                               name):
     """certify applies L_S^-1 as a triangular product after inverting L_S
-    in place, factors X_rc by the compact-WY QR, and scatters the bubble
-    blocks itself: no triangular solve, no block_diag, and scipy's QR only
-    for Z and Y."""
+    in place, factors Z, X_rc and Y by the compact-WY QR and applies each
+    Q or Q^T by dgemqrt (on G, X_rb and the Krylov start), and scatters
+    the bubble blocks itself: no triangular solve, no block_diag, no
+    dormqr and no scipy QR."""
     topo, reports, summary = _classified(GOLDEN_MESHES[name]())
     lapack, blas = scipy.linalg.lapack, scipy.linalg.blas
     calls = _counted_calls(monkeypatch, (
         (scipy.linalg, "solve_triangular"), (scipy.linalg, "block_diag"),
-        (scipy.linalg, "qr"), (lapack, "dtrtri"), (lapack, "dgeqrt"),
-        (lapack, "dgemqrt"), (blas, "dtrmm")))
+        (scipy.linalg, "qr"), (lapack, "dormqr"), (lapack, "dgeqrf"),
+        (lapack, "dtrtri"), (lapack, "dgeqrt"), (lapack, "dgemqrt"),
+        (blas, "dtrmm")))
     solver.certify(topo, reports)
-    assert calls == {"scipy.linalg.qr": 2, "scipy.linalg.lapack.dtrtri": 1,
-                     "scipy.linalg.lapack.dgeqrt": 1,
-                     "scipy.linalg.lapack.dgemqrt": 1,
+    assert calls == {"scipy.linalg.lapack.dtrtri": 1,
+                     "scipy.linalg.lapack.dgeqrt": 3,
+                     "scipy.linalg.lapack.dgemqrt": 3,
                      "scipy.linalg.blas.dtrmm": 1}, calls
 
 
@@ -406,15 +409,15 @@ def test_constrained_basis_rejects_dependent_rows():
     C = solver.pressure_constraints(topo, reports)
     assert np.allclose(np.linalg.norm(C, axis=1), 1.0, rtol=1e-14)
     F, blocks = _pressure_map(topo)
-    reflectors, tau = solver.constrained_basis(C, F)
+    reflectors, t = solver.constrained_basis(C, F)
     k, m = C.shape
     T = topo.T
-    assert reflectors.shape == (4 * T, k) and tau.shape == (k,)
+    assert reflectors.shape == (4 * T, k) and t.shape == (k, k)
     # the bubble coordinates and the trailing 4T - k columns of Q on the
     # complement ones, mapped through F^T, are an M-orthonormal basis of
-    # the pressures that C annihilates
-    Q = scipy.linalg.lapack.dorgqr(
-        np.hstack([reflectors, np.zeros((4 * T, 4 * T - k))]), tau)[0]
+    # the pressures that C annihilates; Q is the compact-WY pair applied
+    # to the identity
+    Q = scipy.linalg.lapack.dgemqrt(reflectors, t, np.eye(4 * T))[0]
     u = np.zeros((T, 6, m - k))
     u[:, :2, :2 * T] = np.eye(2 * T).reshape(T, 2, 2 * T)
     u[:, 2:, 2 * T:] = Q[:, k:].reshape(T, 4, -1)
@@ -554,6 +557,123 @@ def test_lifted_lanczos_agrees_with_the_svd_and_the_inertia(name):
         _assert_scale_bounds(c * cert.factor, c * s_max, cert.start)
         _assert_scale_bounds(c * cert.factor, c * s_max,
                              krylov_start(cert.shape[0]))
+
+
+# ---------------------------------------------------------------------------
+# the kernels of the rank: two dtrsv a Lanczos step, the whole tridiagonal
+# eigenproblem only once the top Ritz pair has converged, and the lift by
+# one dtpqrt, against the oracles of the triangular solves, the whole
+# eigenproblem every step and the Givens lift
+
+def _calls_per_lanczos_run(monkeypatch):
+    """(calls, runs): a Counter of the dtrsv, solve_triangular and drot
+    calls and of the eigh_tridiagonal ones, "top" with one index selected
+    and "full" otherwise, and per run of solver._inverse_lanczos the
+    Counter of those made inside it."""
+    calls = _counted_calls(monkeypatch, (
+        (scipy.linalg.blas, "dtrsv"), (scipy.linalg, "solve_triangular"),
+        (scipy.linalg.blas, "drot")))
+    eigh_tridiagonal = scipy.linalg.eigh_tridiagonal
+
+    def split(d, e, *args, select="a", **kwargs):
+        calls["eigh_tridiagonal " + ("full" if select == "a" else "top")] += 1
+        return eigh_tridiagonal(d, e, *args, select=select, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", split)
+    runs = []
+    lanczos = solver._inverse_lanczos
+
+    def recorded(F, thr):
+        before = calls.copy()
+        out = lanczos(F, thr)
+        runs.append(calls - before)
+        return out
+
+    monkeypatch.setattr(solver, "_inverse_lanczos", recorded)
+    return calls, runs
+
+
+@pytest.mark.parametrize("name", ["type1-3", "perturbed-3-s1"])
+def test_divergence_rank_takes_no_givens_and_no_solve_in_lanczos(monkeypatch,
+                                                                 name):
+    """Each Lanczos step is two dtrsv on the factor and one top Ritz pair,
+    each run solves the whole tridiagonal eigenproblem once, and each
+    round of lifts is one dtpqrt: no drot, and no solve_triangular inside
+    a Lanczos run."""
+    topo, reports, summary = _classified(GOLDEN_MESHES[name]())
+    cert = solver.certify(topo, reports)
+    calls, runs = _calls_per_lanczos_run(monkeypatch)
+    lifts = _counted_calls(monkeypatch, ((scipy.linalg.lapack, "dtpqrt"),))
+    rr = solver.divergence_rank(cert, TOL)
+    assert not calls["scipy.linalg.blas.drot"]
+    assert len(runs) == 1 + lifts["scipy.linalg.lapack.dtpqrt"]
+    assert len(runs) == 1 + (rr.K > 0)
+    for run in runs:
+        steps = run["eigh_tridiagonal top"]
+        assert steps > 0 and run["scipy.linalg.blas.dtrsv"] == 2 * steps
+        assert run["eigh_tridiagonal full"] == 1
+        assert not run["scipy.linalg.solve_triangular"]
+
+
+LANCZOS_ORACLE_MESHES = (sorted(GOLDEN_MESHES) + bench_pool("certify-dense")
+                         + ["crossed-6-x1e-7", "type1-1"])
+
+
+@pytest.mark.parametrize("name", LANCZOS_ORACLE_MESHES)
+def test_lanczos_and_lift_agree_with_their_oracles(monkeypatch, name):
+    """The same Lanczos steps, run by run, the same rank and beta to 1e-13
+    as with the oracles of ``inverse_lanczos_oracle`` and ``givens_lift``.
+    crossed-6 at L = 1e-7 is the certify-dense item of the most steps; on
+    type1-1 the padded factor is lifted."""
+    mesh = (crossed(6, 1e-7) if name == "crossed-6-x1e-7"
+            else _oracle_case(name))
+    topo, reports, summary = _classified(mesh)
+    cert = solver.certify(topo, reports)
+    with monkeypatch.context() as patch:
+        runs = _calls_per_lanczos_run(patch)[1]
+        rr = solver.divergence_rank(cert, TOL)
+    oracle_steps = []
+
+    def oracle(F, thr):
+        s_min, Y, steps = inverse_lanczos_oracle(F, thr)
+        oracle_steps.append(steps)
+        return s_min, Y
+
+    monkeypatch.setattr(solver, "_inverse_lanczos", oracle)
+    monkeypatch.setattr(solver, "_lift", givens_lift)
+    ref = solver.divergence_rank(cert, TOL)
+    assert [run["eigh_tridiagonal top"] for run in runs] == oracle_steps
+    assert (rr.rank, rr.K) == (ref.rank, ref.K)
+    assert rr.beta == pytest.approx(ref.beta, rel=1e-13, abs=0.0)
+    if name == "crossed-6-x1e-7":
+        assert oracle_steps == [95]
+    if name == "type1-1":
+        assert len(cert.factor) < cert.shape[0] and rr.K == 1
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("name", ["type1-3", "three-lines-2", "type1-1"])
+def test_lift_by_dtpqrt_matches_the_givens_oracle(name, rows):
+    """The dtpqrt lift and the Givens oracle both give R^T R + w^T w to
+    1e-13, on square factors and on the zero-padded factor of the
+    two-triangle square (type1-1).  An F-ordered factor is lifted in its
+    own storage; LAPACK lifts a C-ordered one, as the padded factor first
+    is, in a copy, and the lift returns that copy."""
+    topo, reports, summary = _classified(_oracle_case(name))
+    cert = solver.certify(topo, reports)
+    p = cert.shape[0]
+    assert (len(cert.factor) < p) == (name == "type1-1")
+    R = np.zeros((p, p))
+    R[:len(cert.factor)] = cert.factor
+    w = np.random.default_rng(5).standard_normal((rows, p))
+    want = R.T @ R + w.T @ w
+    in_place = R.copy(order="F")
+    assert solver._lift(in_place, w.copy()) is in_place
+    copied = solver._lift(R.copy(), w.copy())
+    oracle = givens_lift(R.copy(), w)
+    for got in (in_place, copied, oracle):
+        assert not np.tril(got, -1).any()
+        assert np.abs(got.T @ got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 # ---------------------------------------------------------------------------
