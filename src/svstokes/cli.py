@@ -415,15 +415,13 @@ def cmd_gen(args) -> int:
     if preset is None:
         raise _InputError(f"unknown preset {args.preset!r}; choose from "
                           f"{sorted(PRESET_ALIASES)}")
-    params = {}
-    if args.n is not None:
-        params["n" if preset != "ngon_patch" else "N"] = args.n
-    if args.N is not None:
-        params["N"] = args.N
+    # each flag under its own name: one the preset does not take is a
+    # generator error
+    params = {name: value for name, value in
+              (("n", args.n), ("N", args.N), ("seed", args.seed))
+              if value is not None}
     if args.L is not None:
         params["L" if preset != "ngon_patch" else "radius"] = args.L
-    if args.seed is not None and preset == "perturbed_grid":
-        params["seed"] = args.seed
     try:
         mesh = generate(preset, **params)
     except (MeshError, TypeError, ValueError) as exc:

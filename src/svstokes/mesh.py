@@ -361,7 +361,8 @@ class FanTable:
       sum_j (-1)^(j+1) of ``d0`` and of the columns of ``d``, which certify
       an even-valence interior vertex.
 
-    They are NaN on a boundary fan, where no decision reads them, as are
+    ``h_z[z]`` is the diameter of the interior patch of z.  They are all
+    NaN on a boundary fan, where no decision reads them, as are
     ``pair_sin`` and ``weight`` at its last corner.  All arrays are
     read-only."""
 
@@ -380,7 +381,7 @@ class FanTable:
     normal: np.ndarray        # (3T, 2) the tangent's counter-clockwise rotation
     pair_sin: np.ndarray      # (3T,) sin(theta_j + theta_next) at the spoke
     weight: np.ndarray        # (3T,) edge weight M_e^z = cot_j + cot_next
-    h_z: np.ndarray           # (V,) patch diameter
+    h_z: np.ndarray           # (V,) patch diameter of an interior fan
     b: np.ndarray             # (3T, 2) patch coefficients b_j, columns i = 1, 2
     c: np.ndarray             # (3T, 2) their prefix sums c_j
     d0: np.ndarray            # (3T,) normal corrector pattern d_{0,j}
@@ -449,20 +450,8 @@ def enumerate_patch(mesh: Triangulation, angle, cot) -> FanTable:
     open_end = last & boundary[center]
     pair_sin = np.where(open_end, np.nan, np.sin(theta + theta[succ]))
     weight = np.where(open_end, np.nan, corner_cot + corner_cot[succ])
-    # the patch diameter over z, the near end of its first corner and the
-    # far ends of all corners, one block per valence (an interior fan's
-    # near end is its last far end again)
-    h_z = np.empty(V)
-    for m in np.unique(deg):
-        zs = np.flatnonzero(deg == m)
-        k = offset[zs]
-        pts = mesh.vertices[np.column_stack(
-            [tris[tri[k], (slot[k] + 1) % 3],
-             far[k[:, None] + np.arange(m)], zs])]
-        diff = pts[:, :, None] - pts[:, None, :]
-        h_z[zs] = np.hypot(diff[..., 0], diff[..., 1]).max(axis=(1, 2))
     b, c, d = (np.full((n, 2), np.nan) for _ in range(3))
-    d0, D = np.full(n, np.nan), np.full((V, 3), np.nan)
+    d0, D, h_z = np.full(n, np.nan), np.full((V, 3), np.nan), np.full(V, np.nan)
     corner_area = mesh.area[tri]
     # One block per interior valence m, each fan a row: its cumsum and its
     # alternating sums run over one contiguous row, so every entry has the
@@ -474,6 +463,11 @@ def enumerate_patch(mesh: Triangulation, angle, cot) -> FanTable:
         k = offset[zs, None] + np.arange(m)             # corner j of each fan
         prev = np.arange(-1, m - 1)                     # j - 1, cyclic
         y = mesh.vertices[far[k]]                       # y_{j+1}
+        # the patch diameter over z and the far ends, which include every
+        # near end
+        pts = np.concatenate([y, mesh.vertices[zs, None]], axis=1)
+        diff = pts[:, :, None] - pts[:, None, :]
+        h_z[zs] = np.hypot(diff[..., 0], diff[..., 1]).max(axis=(1, 2))
         # |e_{j+1}|^2 by libm pow, as the scalar ``edge_len ** 2`` of the
         # formula rounds it; the product edge_len * edge_len differs from
         # it in the last bit about once in a thousand

@@ -105,51 +105,23 @@ DIFF.setflags(write=False)
 VERTEX2 = np.array([_IDX2[(2, 0, 0)], _IDX2[(0, 2, 0)], _IDX2[(0, 0, 2)]])
 VERTEX2.setflags(write=False)
 
-# Exact integral of each degree-3 monomial over a triangle, per unit area:
-# int_T l0^a l1^b l2^c dx = 2|T| a! b! c! / (a+b+c+2)!
-INT3_UNIT = np.array(
-    [2.0 * factorial(a) * factorial(b) * factorial(c) / factorial(a + b + c + 2)
-     for a, b, c in MONO3]
-)
-INT2_UNIT = np.array(
-    [2.0 * factorial(a) * factorial(b) * factorial(c) / factorial(a + b + c + 2)
-     for a, b, c in MONO2]
-)
+def unit_integrals(exponents) -> tuple[np.ndarray, float]:
+    """The exact integrals over a triangle, per unit area, of barycentric
+    monomials l0^a l1^b l2^c of one degree d, 2 a! b! c! / (d + 2)!: the
+    integer numerators a! b! c!, shape (...) for exponents of shape
+    (..., 3), and their common denominator (d + 2)! / 2.  Both are exact
+    in floating point, so sums of products with the numerators can be
+    exact and the one rounding is the division."""
+    e = np.asarray(exponents)
+    d = np.unique(e.sum(axis=-1))
+    if len(d) != 1:
+        raise ValueError(f"monomials of degrees {d.tolist()}, not one")
+    fact = np.array([factorial(k) for k in range(d[0] + 1)], dtype=float)
+    return fact[e].prod(axis=-1), factorial(d[0] + 2) / 2
 
 
-def _dunavant6() -> tuple[np.ndarray, np.ndarray]:
-    pts, wts = [], []
-
-    def orbit3(a, w):
-        b = 0.5 * (1.0 - a)
-        for p in ((a, b, b), (b, a, b), (b, b, a)):
-            pts.append(p)
-            wts.append(w)
-
-    def orbit6(a, b, w):
-        c = 1.0 - a - b
-        for p in ((a, b, c), (a, c, b), (b, a, c),
-                  (b, c, a), (c, a, b), (c, b, a)):
-            pts.append(p)
-            wts.append(w)
-
-    orbit3(0.501426509658179, 0.116786275726379)
-    orbit3(0.873821971016996, 0.050844906370207)
-    orbit6(0.053145049844816, 0.310352451033785, 0.082851075618374)
-    w = np.array(wts)
-    return np.array(pts), w / w.sum()
-
-
-# Symmetric triangle rule, exact for polynomials up to degree 6.
-TRI_QP, TRI_QW = _dunavant6()
-
-# 5-point Gauss-Legendre on [0, 1], exact up to degree 9.
-_g = np.array([-0.906179845938664, -0.538469310105683, 0.0,
-               0.538469310105683, 0.906179845938664])
-_gw = np.array([0.236926885056189, 0.478628670499366, 0.568888888888889,
-                0.478628670499366, 0.236926885056189])
-EDGE_QP = 0.5 * (_g + 1.0)
-EDGE_QW = 0.5 * _gw
+INT2_UNIT = np.divide(*unit_integrals(MONO2))
+INT2_UNIT.setflags(write=False)
 
 
 def hat_gradients(p0, p1, p2) -> np.ndarray:

@@ -32,12 +32,14 @@ class RankIndeterminateError(SolverError):
 
 def _lagrange_basis(monos, nodes):
     """Coefficient vectors (rows) of the Lagrange basis for the given
-    barycentric monomial table and node set."""
+    barycentric monomial table and node set, exactly: every coefficient
+    of the cubic and the quadratic basis is a multiple of 1/2."""
     table = np.stack([
         [l0 ** a * l1 ** b * l2 ** c for a, b, c in monos]
         for (l0, l1, l2) in nodes
     ])
-    return np.linalg.inv(table)  # column j = coeffs of basis fn j; transpose below
+    # column j = coeffs of basis fn j; transpose below
+    return np.round(2.0 * np.linalg.inv(table)) / 2.0
 
 
 # Cubic scalar nodes: 3 vertices, 2 per edge, 1 center.  Edge nodes are
@@ -64,19 +66,20 @@ P2_NODES = (
 P3_BASIS = _lagrange_basis(poly.MONO3, P3_NODES).T   # (10 nodes, 10 coeffs)
 P2_BASIS = _lagrange_basis(poly.MONO2, P2_NODES).T   # (6 nodes, 6 coeffs)
 
-# Quadrature tables on the reference triangle.
-_QP, _QW = poly.TRI_QP, poly.TRI_QW
-_P3_AT_QP = np.stack([poly.eval3(c, _QP) for c in P3_BASIS])        # (10, nq)
-_P2_AT_QP = np.stack([poly.eval2(c, _QP) for c in P2_BASIS])        # (6, nq)
-_DP3_AT_QP = np.stack([[poly.eval2(poly.DIFF[s] @ c, _QP)
-                        for c in P3_BASIS] for s in range(3)])      # (3, 10, nq)
-
 # Reference tensors: everything except the per-triangle hat gradients.
-_PD = np.einsum("qn,san,n->qsa", _P2_AT_QP, _DP3_AT_QP, _QW)        # (6, 3, 10)
-_GG = np.einsum("san,tbn,n->stab", _DP3_AT_QP, _DP3_AT_QP, _QW)     # (3,3,10,10)
-_MM3 = np.einsum("an,bn,n->ab", _P3_AT_QP, _P3_AT_QP, _QW)          # (10, 10)
-_MM2 = np.einsum("an,bn,n->ab", _P2_AT_QP, _P2_AT_QP, _QW)          # (6, 6)
-_IV2 = _P2_AT_QP @ _QW                                              # (6,)
+# Each contracts the basis coefficients, multiples of 1/2, with the integer
+# numerators of the monomial (pair) integrals: exact in any order and under
+# any BLAS kernel, so each entry is the exact integral rounded once.
+_MONO2, _MONO3 = np.array(poly.MONO2), np.array(poly.MONO3)
+_N2, _D2 = poly.unit_integrals(_MONO2)                              # (6,)
+_N22, _D4 = poly.unit_integrals(_MONO2[:, None] + _MONO2)           # (6, 6)
+_N33, _D6 = poly.unit_integrals(_MONO3[:, None] + _MONO3)           # (10, 10)
+_DP3 = poly.DIFF @ P3_BASIS.T                                       # (3, 6, 10)
+_PD = np.einsum("qi,ij,sja->qsa", P2_BASIS, _N22, _DP3) / _D4       # (6, 3, 10)
+_GG = np.einsum("sia,ij,tjb->stab", _DP3, _N22, _DP3) / _D4         # (3,3,10,10)
+_MM3 = P3_BASIS @ _N33 @ P3_BASIS.T / _D6                           # (10, 10)
+_MM2 = P2_BASIS @ _N22 @ P2_BASIS.T / _D4                           # (6, 6)
+_IV2 = P2_BASIS @ _N2 / _D2                                         # (6,)
 
 
 # ---------------------------------------------------------------------------

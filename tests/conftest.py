@@ -7,8 +7,9 @@ edge weights, corner angles of an edge pair, dual determinant formulas,
 dense views of field blocks, the oracles of transfers composed along a
 path (the path lemma) and of field blocks as velocity DOF vectors, the
 full assembly of the divergence pairing and its norms, uncondensed, the
-Krylov start of a synthetic certificate, and the oracles of the rank's
-inverse Lanczos and lift (triangular solves and Givens rotations)."""
+Krylov start of a synthetic certificate, the oracles of the rank's
+inverse Lanczos and lift (triangular solves and Givens rotations), and
+Gauss quadrature on a triangle and along an edge."""
 
 import importlib.util
 import pathlib
@@ -359,15 +360,29 @@ def corner_divergences(topo, c):
             for v in topo.mesh.triangles[t]}
 
 
+def triangle_rule(n=5):
+    """A collapsed Gauss-Legendre rule on a triangle: n^2 barycentric
+    points and weights per unit area (summing to 1), exact for degree
+    <= 2n - 2.  The unit square maps by (u, v) -> (u, (1 - u) v), whose
+    Jacobian 1 - u adds one degree in u."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    u, v = np.meshgrid(x, x, indexing="ij")
+    l1, l2 = u.ravel(), ((1.0 - u) * v).ravel()
+    lam = np.column_stack([1.0 - l1 - l2, l1, l2])
+    return lam, 2.0 * (np.outer(w, w) * (1.0 - u)).ravel()
+
+
 def scalar_edge_integral(topo, t, c, va, vb):
     """Integral of the scalar cubic c (10,) on triangle t along its edge
-    from va to vb."""
+    from va to vb, by 2-point Gauss-Legendre (exact to degree 3)."""
     tri = topo.mesh.triangles[t].tolist()
-    lam = np.zeros((len(poly.EDGE_QP), 3))
-    lam[:, tri.index(va)] = 1.0 - poly.EDGE_QP
-    lam[:, tri.index(vb)] = poly.EDGE_QP
+    x, w = np.polynomial.legendre.leggauss(2)
+    lam = np.zeros((len(x), 3))
+    lam[:, tri.index(va)] = 0.5 * (1.0 - x)
+    lam[:, tri.index(vb)] = 0.5 * (1.0 + x)
     length = float(np.hypot(*(topo.mesh.vertices[vb] - topo.mesh.vertices[va])))
-    return length * float(poly.EDGE_QW @ poly.eval3(c, lam))
+    return 0.5 * length * float(w @ poly.eval3(c, lam))
 
 
 def scalar_gradient_at_vertex(topo, t, c, v):

@@ -646,7 +646,11 @@ def test_lanczos_and_lift_agree_with_their_oracles(monkeypatch, name):
     assert (rr.rank, rr.K) == (ref.rank, ref.K)
     assert rr.beta == pytest.approx(ref.beta, rel=1e-13, abs=0.0)
     if name == "crossed-6-x1e-7":
-        assert oracle_steps == [95]
+        # its three smallest singular values lie within 3e-4, and the
+        # rounding of certify's OpenBLAS kernel decides the last step: 95
+        # under SkylakeX, Cooperlake, Zen, Haswell and Sandybridge, 94
+        # under Prescott, Nehalem, Atom and Core2
+        assert oracle_steps in ([94], [95])
     if name == "type1-1":
         assert len(cert.factor) < cert.shape[0] and rr.K == 1
 

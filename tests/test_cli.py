@@ -55,6 +55,21 @@ def test_gen_hyphenated_aliases(tmp_path):
     assert load_mesh(b.read_text()).triangles.shape[0] == 8
 
 
+@pytest.mark.parametrize("args,name", [
+    (["ngon", "--n", "3", "--N", "4"], "'n'"),
+    (["crossed", "--n", "2", "--seed", "3"], "'seed'"),
+    (["crossed", "--n", "2", "--N", "4"], "'N'"),
+], ids=["ngon-n", "crossed-seed", "crossed-N"])
+def test_gen_flag_the_preset_does_not_take_is_input_error(tmp_path, capsys,
+                                                          args, name):
+    """Each flag reaches the generator under its own name: ``--n`` is not
+    the valence of ``ngon``, and ``crossed`` takes no seed."""
+    out = tmp_path / "x.mesh"
+    assert main(["gen", *args, "--out", str(out)]) == EXIT_INPUT
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_schema_and_exit_zero_on_deficient_mesh(tmp_path):
     # K >= 1 is a finding, not a failure: exit code stays 0
     mesh_path = tmp_path / "t1.mesh"

@@ -417,12 +417,16 @@ def test_patch_table_matches_enumerate_patch(name, scale):
         assert patch.z == z and len(patch.slots) == patch.N
         for t, s in zip(patch.tris, patch.slots):
             assert topo.mesh.triangles[t][s] == z
-        # the patch diameter equals the pairwise loop over its points
-        pts = (list(topo.mesh.vertices[list(patch.spokes)])
-               + [topo.mesh.vertices[z]])
-        assert patch.h_z == max(float(np.hypot(*(p - q)))
-                                for i, p in enumerate(pts)
-                                for q in pts[i + 1:])
+        # the patch diameter: NaN on a boundary fan, elsewhere the
+        # pairwise loop over its points
+        if patch.boundary:
+            assert np.isnan(patch.h_z), z
+        else:
+            pts = (list(topo.mesh.vertices[list(patch.spokes)])
+                   + [topo.mesh.vertices[z]])
+            assert patch.h_z == max(float(np.hypot(*(p - q)))
+                                    for i, p in enumerate(pts)
+                                    for q in pts[i + 1:]), z
 
 
 def test_pinched_vertex_rejected_by_build_topology():
@@ -621,9 +625,11 @@ def _loop_enumerate_patch(topology, z, incident):
         # of the spoke tangent (it points towards tris[k+1])
         normals[k] = np.array([-tvec[1], tvec[0]])
 
+    # the patch diameter of an interior fan; NaN on a boundary fan
     allpts = np.vstack([pts, center[None, :]])
     diff = allpts[:, None, :] - allpts[None, :, :]
-    h_z = float(np.hypot(diff[..., 0], diff[..., 1]).max())
+    h_z = (np.nan if boundary
+           else float(np.hypot(diff[..., 0], diff[..., 1]).max()))
 
     for a in (theta, edge_len, tangents, normals):
         a.setflags(write=False)
@@ -666,7 +672,7 @@ def _assert_fans_match_the_walk(topo):
                 assert got.dtype == ref.dtype and got.shape == ref.shape
                 assert got.tobytes() == ref.tobytes(), (z, name)
             else:
-                assert got == ref, (z, name)
+                assert got == ref or np.isnan(got) and np.isnan(ref), (z, name)
                 assert type(got) is type(ref), (z, name)
 
 

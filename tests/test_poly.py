@@ -1,11 +1,13 @@
-"""Polynomial layer: exactness of the monomial integral tables, the
-quadrature rules, the differentiation matrices, and hat gradients."""
+"""Polynomial layer: exactness of the monomial integrals, the
+differentiation matrices, and hat gradients."""
 
+from fractions import Fraction
 from math import factorial
 
 import numpy as np
 import pytest
 
+from conftest import triangle_rule
 from svstokes import poly
 
 
@@ -15,40 +17,44 @@ def exact_monomial_integral(a, b, c):
     return 2.0 * factorial(a) * factorial(b) * factorial(c) / factorial(d + 2)
 
 
-def test_int3_table_matches_factorial_formula():
-    for i, (a, b, c) in enumerate(poly.MONO3):
-        assert poly.INT3_UNIT[i] == pytest.approx(
-            exact_monomial_integral(a, b, c), rel=1e-15)
+def _exponents(degree):
+    return [(a, b, degree - a - b) for a in range(degree + 1)
+            for b in range(degree - a + 1)]
+
+
+def test_unit_integrals_match_factorial_formula():
+    """The monomials of each degree <= 6, one at a time and stacked: the
+    numerators a! b! c! over the denominator (a + b + c + 2)! / 2, whose
+    quotient is the correctly rounded exact integral per unit area."""
+    for d in range(7):
+        expo = _exponents(d)
+        num, den = poly.unit_integrals(np.array(expo)[:, None])
+        assert num.shape == (len(expo), 1)
+        assert den == factorial(d + 2) // 2
+        for (a, b, c), n in zip(expo, num[:, 0]):
+            assert n == factorial(a) * factorial(b) * factorial(c)
+            assert poly.unit_integrals((a, b, c)) == (n, den)
+            assert n / den == float(Fraction(int(n), int(den))), (a, b, c)
+
+
+def test_unit_integrals_reject_mixed_degrees():
+    with pytest.raises(ValueError, match="one"):
+        poly.unit_integrals([(1, 0, 0), (1, 1, 0)])
+
+
+def test_unit_integrals_match_a_quadrature_oracle():
+    lam, w = triangle_rule()
+    for d in range(9):
+        for a, b, c in _exponents(d):
+            got = float(w @ (lam[:, 0] ** a * lam[:, 1] ** b * lam[:, 2] ** c))
+            assert np.divide(*poly.unit_integrals((a, b, c))) == pytest.approx(
+                got, rel=1e-13), (a, b, c)
 
 
 def test_int2_table_matches_factorial_formula():
     for i, (a, b, c) in enumerate(poly.MONO2):
         assert poly.INT2_UNIT[i] == pytest.approx(
             exact_monomial_integral(a, b, c), rel=1e-15)
-
-
-def test_triangle_quadrature_exact_to_degree_six():
-    for d in range(7):
-        for a in range(d + 1):
-            for b in range(d - a + 1):
-                c = d - a - b
-                got = float((poly.TRI_QP[:, 0] ** a * poly.TRI_QP[:, 1] ** b
-                             * poly.TRI_QP[:, 2] ** c * poly.TRI_QW).sum())
-                assert got == pytest.approx(
-                    exact_monomial_integral(a, b, c), abs=1e-14)
-
-
-def test_triangle_quadrature_points_valid():
-    assert np.all(poly.TRI_QP >= 0.0)
-    assert np.allclose(poly.TRI_QP.sum(axis=1), 1.0)
-    assert np.all(poly.TRI_QW > 0.0)
-    assert poly.TRI_QW.sum() == pytest.approx(1.0, abs=1e-15)
-
-
-def test_edge_quadrature_exact_to_degree_nine():
-    for k in range(10):
-        got = float((poly.EDGE_QP ** k * poly.EDGE_QW).sum())
-        assert got == pytest.approx(1.0 / (k + 1), rel=1e-13)
 
 
 def test_bary_poly_matches_raw_product():

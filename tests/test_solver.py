@@ -2,6 +2,7 @@
 spurious modes, and the integer dimension identities."""
 
 import itertools
+from fractions import Fraction
 from math import factorial
 
 import numpy as np
@@ -10,7 +11,8 @@ import scipy.linalg
 
 from conftest import (dense, dense_divergence, dense_norms, edge_index,
                       edge_tris, fan, krylov_start, rigid_motion,
-                      stack_fields, values, velocity_coefficients)
+                      stack_fields, triangle_rule, values,
+                      velocity_coefficients)
 from svstokes import fields, poly, solver
 from svstokes.classify import Tolerances, classify_mesh
 from svstokes.fields import field_block, local_interpolant
@@ -27,18 +29,20 @@ TOL = Tolerances()
 
 
 # Per-triangle oracles of the pressure-moment layout: the moments of a
-# field's divergence by quadrature, and nodal P2 values back from moments
-# by one mass-matrix solve per triangle.
+# field's divergence by a quadrature rule of the tests' own, and nodal P2
+# values back from moments by one mass-matrix solve per triangle.
+
+_LAM, _W = triangle_rule()
+_P2_AT_LAM = np.stack([poly.eval2(c, _LAM) for c in P2_BASIS])
+
 
 def _divergence_moments(topology, block):
     """Moment vector (pressure-DOF layout) of the divergence of a block's
     one field."""
     out = np.zeros(6 * topology.T)
     for t, c in zip(block.tri.tolist(), block.coeffs):
-        vals = poly.eval2(fields._div_coeffs(topology.hat_grads[t], c),
-                          solver._QP)
-        out[6 * t:6 * t + 6] = topology.area[t] * (
-            solver._P2_AT_QP * vals) @ solver._QW
+        vals = poly.eval2(fields._div_coeffs(topology.hat_grads[t], c), _LAM)
+        out[6 * t:6 * t + 6] = topology.area[t] * (_P2_AT_LAM * vals) @ _W
     return out
 
 
@@ -104,6 +108,64 @@ def test_p2_mass_matrix_against_factorial_formula():
                               / factorial(a + b + c + 2))
     expect = P2_BASIS @ prod_int @ P2_BASIS.T
     assert np.allclose(solver._MM2, expect, atol=1e-14)
+
+
+def _exact_lagrange_basis(monos, nodes):
+    """Rows: the monomial coefficients of each Lagrange basis function of
+    the nodes, by Gauss-Jordan elimination in rational arithmetic."""
+    nodes = [[Fraction(x).limit_denominator(6) for x in lam] for lam in nodes]
+    n = len(monos)
+    rows = [[l0 ** a * l1 ** b * l2 ** c for a, b, c in monos]
+            + [Fraction(int(i == j)) for j in range(n)]
+            for i, (l0, l1, l2) in enumerate(nodes)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(n):
+            if r != col:
+                rows[r] = [x - rows[r][col] * y
+                           for x, y in zip(rows[r], rows[col])]
+    return np.array([row[n:] for row in rows], dtype=object).T
+
+
+def test_reference_tensors_match_exact_rational_integrals():
+    """The Lagrange bases are exact, and every entry of each reference
+    tensor is the correctly rounded value of the same contraction in
+    rational arithmetic: exact nodes, basis and monomial integrals
+    2 a! b! c! / (a + b + c + 2)!."""
+    def integrals(left, right):
+        return np.array([[Fraction(2 * factorial(a) * factorial(b) * factorial(c),
+                                   factorial(a + b + c + 2))
+                          for a, b, c in np.add(m, right).tolist()]
+                         for m in left], dtype=object)
+
+    p3 = _exact_lagrange_basis(poly.MONO3, P3_NODES)
+    p2 = _exact_lagrange_basis(poly.MONO2, P2_NODES)
+    assert np.array_equal(P3_BASIS, p3.astype(float))
+    assert np.array_equal(P2_BASIS, p2.astype(float))
+    int22 = integrals(poly.MONO2, poly.MONO2)
+    dp3 = [poly.DIFF[s].astype(int).astype(object) @ p3.T for s in range(3)]
+    exact = {
+        "_PD": np.stack([p2 @ int22 @ d for d in dp3], axis=1),
+        "_GG": np.array([[d.T @ int22 @ e for e in dp3] for d in dp3]),
+        "_MM3": p3 @ integrals(poly.MONO3, poly.MONO3) @ p3.T,
+        "_MM2": p2 @ int22 @ p2.T,
+        "_IV2": p2 @ integrals(poly.MONO2, [(0, 0, 0)])[:, 0],
+    }
+    for name, want in exact.items():
+        got = getattr(solver, name)
+        assert got.shape == want.shape, name
+        assert np.array_equal(got, want.astype(float)), name
+
+
+@pytest.mark.parametrize("mesh", [crossed(4), type1_diagonal(8)],
+                         ids=["crossed-4", "type1-8"])
+def test_divergence_blocks_are_integral_in_units_of_1_1920(mesh):
+    """On these grids every divergence-block entry is an exact multiple of
+    1/1920, so the reference tensor's rounding is all that moves it."""
+    x = 1920.0 * solver.assemble_divergence(build_topology(mesh))
+    assert np.abs(x - np.round(x)).max() <= 1e-12
 
 
 def test_dof_counts():
