@@ -171,7 +171,8 @@ def analyze_mesh(mesh: Triangulation, tol: Tolerances,
         },
         "vertices": {
             "summary": summary,
-            "reports": [dataclasses.asdict(r) for r in reports],
+            # (their fields are plain scalars: no deep copy needed)
+            "reports": [dict(vars(r)) for r in reports],
         },
         "trees": {
             "verdict": verdict,

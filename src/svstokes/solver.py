@@ -206,10 +206,10 @@ RANGE_RTOL = 1e6 * np.finfo(float).eps
 
 def _check_range_inclusion(part: np.ndarray, whole: np.ndarray):
     """Every divergence, as a pressure M^-1 B, satisfies the constraint
-    rows: ``part``, the coordinates that carry C M^-1 B (see ``certify``),
-    vanishes to RANGE_RTOL relative to ``whole``.  The factor R never sees
-    them, so a range outside the constrained space would go unnoticed
-    there."""
+    rows: ``part``, the coordinates that carry C M^-1 B (in ``certify``
+    times L_A^-T on the velocity side), vanishes to RANGE_RTOL relative
+    to ``whole``.  The factor R never sees them, so a range outside the
+    constrained space would go unnoticed there."""
     dev = float(np.linalg.norm(part))
     scale = float(np.linalg.norm(whole))
     if dev > RANGE_RTOL * scale:
@@ -340,7 +340,7 @@ def certify(topology: MeshTopology, reports,
     builds this same certificate.
 
     The bubbles are condensed out (``_condense``), so the Cholesky factor
-    L_S and the solve with it cover only the m = V0 + 2 E0 other nodes.
+    L_S and its inverse cover only the m = V0 + 2 E0 other nodes.
     In the coordinates of ``_bubble_rotation`` the bubble columns of W are
     the 2 x 2 triangles R_t on the bubble coordinates, and the constraints
     act on the 4T complement coordinates alone.  With the rows of X = W^T
@@ -354,11 +354,12 @@ def certify(topology: MeshTopology, reports,
     = [R_12; Y] and the QR of [Y; blockdiag(R_t^T)].
 
     Every dense kernel runs at BLAS-3 rate and in place: L_S is inverted
-    in its own storage (dtrtri) and applied as one triangular product
-    (dtrmm); every Householder QR, of Z, X_rc and Y, is compact-WY
-    (dgeqrt), and each Q or Q^T is applied by dgemqrt; blockdiag(R_t^T) is
-    scattered into Y.  S sums its blocks with np.bincount, in triangle
-    order."""
+    in its own storage (dtrtri), and each triangle's 12 rows of F div_r
+    meet only the rows of L_S^-T at its 9 nodes, so the rows of F div_r
+    L_S^-T are two batched products with those rows, gathered; every
+    Householder QR, of Z, X_rc and Y, is compact-WY (dgeqrt), and each Q
+    or Q^T is applied by dgemqrt; blockdiag(R_t^T) is scattered into Y.
+    S sums its blocks with np.bincount, in triangle order."""
     nodes = number_dofs(topology)
     T = topology.T
     div = assemble_divergence(topology)
@@ -382,25 +383,6 @@ def certify(topology: MeshTopology, reports,
     # entry sums its contributions triangle by triangle.
     S = np.bincount(inner[t, a] * m + inner[t, b], weights=K_r[t, a, b],
                     minlength=m * m).reshape(m, m)
-    t, a = np.nonzero(interior)
-    g = inner[t, a]
-    # G = F div_r, scattered: rows 4t .. 4t + 3 are triangle t's complement
-    # coordinates, rows 4T + 2t, 4T + 2t + 1 its bubble ones; each row is
-    # (component, node), so the rows are the right-hand sides of L_S.
-    G = np.zeros((6 * T, 2, m))
-    P = np.matmul(F, div_r.reshape(T, 6, 18)).reshape(T, 6, 2, 9)
-    G[:4 * T].reshape(T, 4, 2, m)[t, :, :, g] = P[t, 2:, :, a]
-    G[4 * T:].reshape(T, 2, 2, m)[t, :, :, g] = P[t, :2, :, a]
-    del P, div_r
-    # Q^T G on the complement rows, as G^T Q on the transposed view: its
-    # first k rows carry C M^-1 B (times the invertible factor of Z).
-    applied = _apply_q(reflectors, tau, G[:4 * T].reshape(4 * T, 2 * m).T,
-                       "N", "R")
-    if not np.shares_memory(applied, G):
-        G[:4 * T] = applied.T.reshape(4 * T, 2, m)
-    del applied
-    _check_range_inclusion(G[:k], G)
-    lapack = scipy.linalg.lapack
     try:
         # S is symmetric and only one triangle is read, so its transpose
         # is the column-major operand LAPACK factors in place.
@@ -409,20 +391,45 @@ def certify(topology: MeshTopology, reports,
     except scipy.linalg.LinAlgError as exc:
         raise SolverError(f"velocity Gram matrix is not SPD: {exc}") from exc
     del S
-    # L_S^-1 in place of L_S, then one product with 2p right-hand sides,
-    # column 2j + c for row j of G[k:] and component c, in place: a
-    # triangular product runs at several times the rate of a triangular
-    # solve.  Column-major, that result is the stacked (2m, p) matrix
-    # [x-rows; y-rows] of X's other velocities: a row permutation, which
-    # leaves R unchanged up to row signs.
-    X = G[k:].reshape(2 * p, m).T
+    # P = F div_r, zero at the boundary nodes: triangle t's pressure
+    # coordinates against (component, local node).
+    div_r = div_r * interior[:, None, None, :]
+    P = np.matmul(F, div_r.reshape(T, 6, 18)).reshape(T, 6, 2, 9)
+    del div_r
+    # The rows of L_S^-T at each triangle's 9 nodes, the columns of L_S^-1
+    # (inverted in its own storage, column-major), gathered before G
+    # exists; a boundary node reads node 0, which P weights by 0.
     if m:                         # (LAPACK rejects an empty triangle)
-        L_S, info = lapack.dtrtri(L_S, lower=1, overwrite_c=1)
+        L_S, info = scipy.linalg.lapack.dtrtri(L_S, lower=1, overwrite_c=1)
         if info != 0:
             raise SolverError(f"dtrtri failed with info {info}")
-        X = scipy.linalg.blas.dtrmm(1.0, L_S, X, lower=1, overwrite_b=1)
-    del L_S, G
-    X = X.reshape(2 * m, p, order="F")
+        H = L_S.T[np.where(interior, inner, 0)]                 # (T, 9, m)
+    else:
+        H = np.empty((T, 9, 0))
+    del L_S
+    # G = F div_r L_S^-T, triangle by triangle: each pressure row meets
+    # only its triangle's 9 rows of L_S^-T.  Rows 4t .. 4t + 3 are
+    # triangle t's complement coordinates, rows 4T + 2t, 4T + 2t + 1 its
+    # bubble ones; each row is (component, node).
+    G = np.empty((6 * T, 2, m))
+    np.matmul(P[:, 2:].reshape(T, 8, 9), H, out=G[:4 * T].reshape(T, 8, m))
+    np.matmul(P[:, :2].reshape(T, 4, 9), H, out=G[4 * T:].reshape(T, 4, m))
+    del P, H
+    # Q^T G on the complement rows, as G^T Q on the transposed view: its
+    # first k rows carry C M^-1 B L_A^-T (times the invertible factor of
+    # Z); Q acts on the pressures and L_S^-T on the velocities, so the
+    # order of the two does not matter.
+    applied = _apply_q(reflectors, tau, G[:4 * T].reshape(4 * T, 2 * m).T,
+                       "N", "R")
+    if not np.shares_memory(applied, G):
+        G[:4 * T] = applied.T.reshape(4 * T, 2, m)
+    del applied
+    _check_range_inclusion(G[:k], G)
+    # Column-major, the rows G[k:] are the stacked (2m, p) matrix [x-rows;
+    # y-rows] of X's other velocities: a row permutation, which leaves R
+    # unchanged up to row signs.
+    X = G[k:].reshape(2 * p, m).T.reshape(2 * m, p, order="F")
+    del G
     # The compact-WY QR of X_rc = X[:, :pc] and Q^T X_rb on the bubble
     # columns X[:, pc:], both in place: the first top rows of Q^T X_rb are
     # R_12, the rest Y's first rows.  A wide X_rc (2m < pc) has 2m
@@ -521,6 +528,31 @@ def _rank_scale(R: np.ndarray, start: np.ndarray) -> float:
     return float(np.sqrt(max(theta, 0.0)))
 
 
+def _tridiagonal_eigh(d: np.ndarray, e: np.ndarray, top: bool = False):
+    """(theta, S): the eigenvalues, ascending, and the eigenvectors (the
+    columns of S) of the symmetric tridiagonal matrix with diagonal d and
+    off-diagonal e, or only its largest pair if top.  These are the LAPACK
+    drivers that scipy.linalg.eigh_tridiagonal picks, dstebz + dstein for
+    one pair and dstevd for all, called without its argument checks, which
+    cost more than the solve at Lanczos sizes; the 1 x 1 case needs no
+    LAPACK, as there."""
+    n = len(d)
+    if n == 1:
+        return d.copy(), np.ones((1, 1))
+    lapack = scipy.linalg.lapack
+    if top:
+        m, theta, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, n,
+                                                       n, 0.0, "B")
+        theta = theta[:m]
+        if info == 0:
+            S, info = lapack.dstein(d, e, theta, iblock, isplit)
+    else:
+        theta, S, info = lapack.dstevd(d, e)
+    if info != 0:
+        raise SolverError(f"tridiagonal eigensolver failed with info {info}")
+    return theta, S
+
+
 def _inverse_lanczos(F: np.ndarray, thr: float):
     """(s_min, Y): the smallest singular value of the square triangular F
     and, as the columns of Y, the Ritz vectors of the singular values at or
@@ -530,12 +562,12 @@ def _inverse_lanczos(F: np.ndarray, thr: float):
     start, two dtrsv a step on F or F^T, whichever is F-contiguous.  Once
     the top Ritz pair has converged, it stops if the largest Ritz value
     and every one in Y have a Ritz residual within LANCZOS_RTOL of
-    themselves; after LANCZOS_STEPS steps without that it raises
-    RankIndeterminateError."""
+    themselves; after LANCZOS_STEPS steps without that, or at a step that
+    overflows, it raises RankIndeterminateError."""
     p = len(F)
     steps = min(p, LANCZOS_STEPS)
     basis = np.empty((steps, p))
-    alpha, beta = [], []
+    alpha, beta = np.empty(steps), np.empty(steps)
     lower = not F.flags.f_contiguous
     A = F.T if lower else F             # F = A, or F = A^T
     dtrsv = scipy.linalg.blas.dtrsv
@@ -545,23 +577,27 @@ def _inverse_lanczos(F: np.ndarray, thr: float):
         basis[k] = q
         w = dtrsv(A, dtrsv(A, q, lower=lower, trans=not lower),
                   lower=lower, trans=lower, overwrite_x=1)
-        alpha.append(float(q @ w))
+        alpha[k] = q @ w
         done = basis[:k + 1]
         for _ in range(2):
             w -= done.T @ (done @ w)
-        beta.append(float(np.linalg.norm(w)))
-        top, z = scipy.linalg.eigh_tridiagonal(alpha, beta[:-1], select="i",
-                                               select_range=(k, k))
+        beta[k] = np.linalg.norm(w)
+        if not (np.isfinite(alpha[k]) and np.isfinite(beta[k])):
+            raise RankIndeterminateError(
+                f"inverse Lanczos overflowed at step {k + 1}: the factor is "
+                f"too ill-conditioned to decide the rank")
+        d, e = alpha[:k + 1], beta[:k]
+        top, z = _tridiagonal_eigh(d, e, top=True)
         # (an invariant subspace, beta 0, has every residual 0)
-        if beta[-1] * abs(z[-1, 0]) <= LANCZOS_RTOL * top[0]:
-            theta, S = scipy.linalg.eigh_tridiagonal(alpha, beta[:-1])
+        if beta[k] * abs(z[-1, 0]) <= LANCZOS_RTOL * top[0]:
+            theta, S = _tridiagonal_eigh(d, e)
             # the small Ritz values carry roundoff of the largest, down to 0
             s = 1.0 / np.sqrt(np.maximum(theta, np.finfo(float).tiny))
-            converged = beta[-1] * np.abs(S[-1]) <= LANCZOS_RTOL * theta
+            converged = beta[k] * np.abs(S[-1]) <= LANCZOS_RTOL * theta
             lift = (s <= thr) & (theta >= LANCZOS_RANGE * theta[-1])
             if converged[-1] and converged[lift].all():
                 return float(s[-1]), done.T @ S[:, lift]
-        q = w / beta[-1]
+        q = w / beta[k]
     raise RankIndeterminateError(
         f"inverse Lanczos did not converge in {steps} steps")
 
@@ -580,6 +616,25 @@ def _lift(R: np.ndarray, rows: np.ndarray) -> np.ndarray:
     if info != 0:
         raise SolverError(f"dtpqrt failed with info {info}")
     return R
+
+
+def _square(R: np.ndarray, p: int) -> np.ndarray:
+    """The wide upper trapezoidal R, fewer rows than its p columns, padded
+    with zero rows to a p x p upper triangular matrix that has R's rows in
+    order and p - len(R) zero pivots.  The trailing rows that vanish left
+    of their place at the bottom, R_22 of ``certify``'s factor on the 2T
+    bubble columns, stay at the bottom; the zero rows go right above them,
+    on the columns that no row starts on.  Below R_22 they would push
+    each of its rows off its pivot."""
+    n = len(R)
+    shift = p - n
+    ahead = (R != 0) & (np.arange(p) < shift + np.arange(n)[:, None])
+    starts = np.flatnonzero(ahead.any(axis=1))     # rows that cannot shift
+    top = starts[-1] + 1 if len(starts) else 0
+    square = np.zeros((p, p))
+    square[:top] = R[:top]
+    square[top + shift:] = R[top:]
+    return square
 
 
 @dataclass(frozen=True)
@@ -626,12 +681,12 @@ def divergence_rank(cert: Certificate,
     their orthonormal basis is ``null_basis`` (the identity at scale 0),
     and beta is the smallest singular value of the lifted factor.  A wide
     R (fewer velocities than constrained pressures) is zero-padded to
-    square first."""
+    square first (``_square``)."""
     p = cert.shape[0]
     scale, thr = _threshold(cert, tol)
     R, beta = cert.factor, 0.0
     if len(R) < p:      # fewer velocities than constrained pressures
-        R = np.vstack([R, np.zeros((p - len(R), p))])
+        R = _square(R, p)
     # A rejected value below roundoff level is noise whose size depends on
     # the LAPACK kernel; the gap measures against the roundoff floor then,
     # and also when nothing is rejected.

@@ -308,23 +308,74 @@ def test_modes_take_no_solve_and_no_qr_of_their_own(monkeypatch, name):
 @pytest.mark.parametrize("name", ["type1-3", "perturbed-3-s1"])
 def test_certify_takes_no_triangular_solve_and_no_block_diag(monkeypatch,
                                                               name):
-    """certify applies L_S^-1 as a triangular product after inverting L_S
-    in place, factors Z, X_rc and Y by the compact-WY QR and applies each
-    Q or Q^T by dgemqrt (on G, X_rb and the Krylov start), and scatters
-    the bubble blocks itself: no triangular solve, no block_diag, no
-    dormqr and no scipy QR."""
+    """certify inverts L_S in place and forms the pairing rows triangle by
+    triangle with the gathered rows of L_S^-T, factors Z, X_rc and Y by
+    the compact-WY QR and applies each Q or Q^T by dgemqrt (on G, X_rb and
+    the Krylov start), and scatters the bubble blocks itself: no
+    triangular solve or product, no block_diag, no dormqr and no scipy
+    QR."""
     topo, reports, summary = _classified(GOLDEN_MESHES[name]())
     lapack, blas = scipy.linalg.lapack, scipy.linalg.blas
     calls = _counted_calls(monkeypatch, (
         (scipy.linalg, "solve_triangular"), (scipy.linalg, "block_diag"),
         (scipy.linalg, "qr"), (lapack, "dormqr"), (lapack, "dgeqrf"),
         (lapack, "dtrtri"), (lapack, "dgeqrt"), (lapack, "dgemqrt"),
-        (blas, "dtrmm")))
+        (blas, "dtrmm"), (blas, "dtrsm")))
     solver.certify(topo, reports)
     assert calls == {"scipy.linalg.lapack.dtrtri": 1,
                      "scipy.linalg.lapack.dgeqrt": 3,
-                     "scipy.linalg.lapack.dgemqrt": 3,
-                     "scipy.linalg.blas.dtrmm": 1}, calls
+                     "scipy.linalg.lapack.dgemqrt": 3}, calls
+
+
+def _pairing_rows(monkeypatch, topo, reports):
+    """The rows F div_r L_S^-T of ``solver.certify``, (6T, 2, m), after
+    the constraint reflectors, as its range-inclusion check sees them."""
+    seen = []
+    check = solver._check_range_inclusion
+
+    def recorded(part, whole):
+        seen.append(whole.copy())
+        return check(part, whole)
+
+    monkeypatch.setattr(solver, "_check_range_inclusion", recorded)
+    solver.certify(topo, reports)
+    return seen[-1]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MESHES)
+                         + ["one-triangle", "two-triangle-square"])
+def test_pairing_rows_are_the_dense_product_with_the_inverse_factor(
+        monkeypatch, name):
+    """certify's pairing rows, formed triangle by triangle from the
+    gathered rows of L_S^-T, are those of the full assembly with the
+    bubbles condensed, times L_S^-T of its dense Schur complement S: to
+    1e-13 of the largest.  On one triangle no other node remains (m =
+    0); on the two-triangle square X_rc is wide."""
+    topo, reports, summary = _classified(CONDENSED_MESHES[name]())
+    got = _pairing_rows(monkeypatch, topo, reports)
+    nodes = solver.number_dofs(topo)
+    T, n = topo.T, int(nodes.max()) + 1
+    m = n - T                           # the bubbles are the last T nodes
+    B = dense_divergence(topo, nodes).reshape(6 * T, n, 2)
+    A_s, _ = dense_norms(topo, nodes)
+    A_br = A_s[m:, :m] / np.diag(A_s)[m:, None]          # D^-1 A_br
+    div_r = B[:, :m] - np.einsum("qbc,bg->qgc", B[:, m:], A_br)
+    S = A_s[:m, :m] - A_s[:m, m:] @ A_br
+    F = _pressure_map(topo)[0]
+    P = np.matmul(F, div_r.transpose(0, 2, 1).reshape(T, 6, 2 * m))
+    C = solver.pressure_constraints(topo, reports)
+    reflectors, t = solver.constrained_basis(C, F)
+    rows = np.concatenate([
+        solver._apply_q(reflectors, t, P[:, 2:].reshape(4 * T, 2 * m), "T"),
+        P[:, :2].reshape(2 * T, 2 * m)]).reshape(6 * T * 2, m)
+    assert got.shape == (6 * T, 2, m)
+    if m:
+        L_S = np.linalg.cholesky(S)
+        want = scipy.linalg.solve_triangular(L_S, rows.T, lower=True).T
+        err = np.abs(got.reshape(-1, m) - want).max()
+        assert err <= 1e-13 * np.abs(want).max()
+    else:
+        assert name == "one-triangle"
 
 
 def test_analyze_takes_no_svd_and_one_gram_eigenvalue(monkeypatch,
@@ -566,20 +617,22 @@ def test_lifted_lanczos_agrees_with_the_svd_and_the_inertia(name):
 # eigenproblem every step and the Givens lift
 
 def _calls_per_lanczos_run(monkeypatch):
-    """(calls, runs): a Counter of the dtrsv, solve_triangular and drot
-    calls and of the eigh_tridiagonal ones, "top" with one index selected
-    and "full" otherwise, and per run of solver._inverse_lanczos the
+    """(calls, runs): a Counter of the dtrsv, solve_triangular, drot,
+    eigh_tridiagonal, dstebz and dstevd calls and of the tridiagonal
+    eigenproblems of solver._tridiagonal_eigh, "top" for the largest pair
+    alone and "full" otherwise, and per run of solver._inverse_lanczos the
     Counter of those made inside it."""
     calls = _counted_calls(monkeypatch, (
         (scipy.linalg.blas, "dtrsv"), (scipy.linalg, "solve_triangular"),
-        (scipy.linalg.blas, "drot")))
-    eigh_tridiagonal = scipy.linalg.eigh_tridiagonal
+        (scipy.linalg.blas, "drot"), (scipy.linalg, "eigh_tridiagonal"),
+        (scipy.linalg.lapack, "dstebz"), (scipy.linalg.lapack, "dstevd")))
+    tridiagonal_eigh = solver._tridiagonal_eigh
 
-    def split(d, e, *args, select="a", **kwargs):
-        calls["eigh_tridiagonal " + ("full" if select == "a" else "top")] += 1
-        return eigh_tridiagonal(d, e, *args, select=select, **kwargs)
+    def split(d, e, top=False):
+        calls["tridiagonal " + ("top" if top else "full")] += 1
+        return tridiagonal_eigh(d, e, top)
 
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", split)
+    monkeypatch.setattr(solver, "_tridiagonal_eigh", split)
     runs = []
     lanczos = solver._inverse_lanczos
 
@@ -597,9 +650,10 @@ def _calls_per_lanczos_run(monkeypatch):
 def test_divergence_rank_takes_no_givens_and_no_solve_in_lanczos(monkeypatch,
                                                                  name):
     """Each Lanczos step is two dtrsv on the factor and one top Ritz pair,
-    each run solves the whole tridiagonal eigenproblem once, and each
-    round of lifts is one dtpqrt: no drot, and no solve_triangular inside
-    a Lanczos run."""
+    by LAPACK's dstebz from the second step on, each run solves the whole
+    tridiagonal eigenproblem once, by dstevd, and each round of lifts is
+    one dtpqrt: no drot, no eigh_tridiagonal, and no solve_triangular
+    inside a Lanczos run."""
     topo, reports, summary = _classified(GOLDEN_MESHES[name]())
     cert = solver.certify(topo, reports)
     calls, runs = _calls_per_lanczos_run(monkeypatch)
@@ -609,9 +663,12 @@ def test_divergence_rank_takes_no_givens_and_no_solve_in_lanczos(monkeypatch,
     assert len(runs) == 1 + lifts["scipy.linalg.lapack.dtpqrt"]
     assert len(runs) == 1 + (rr.K > 0)
     for run in runs:
-        steps = run["eigh_tridiagonal top"]
+        steps = run["tridiagonal top"]
         assert steps > 0 and run["scipy.linalg.blas.dtrsv"] == 2 * steps
-        assert run["eigh_tridiagonal full"] == 1
+        assert run["tridiagonal full"] == 1
+        assert run["scipy.linalg.lapack.dstebz"] == steps - 1
+        assert run["scipy.linalg.lapack.dstevd"] == 1
+        assert not run["scipy.linalg.eigh_tridiagonal"]
         assert not run["scipy.linalg.solve_triangular"]
 
 
@@ -642,7 +699,7 @@ def test_lanczos_and_lift_agree_with_their_oracles(monkeypatch, name):
     monkeypatch.setattr(solver, "_inverse_lanczos", oracle)
     monkeypatch.setattr(solver, "_lift", givens_lift)
     ref = solver.divergence_rank(cert, TOL)
-    assert [run["eigh_tridiagonal top"] for run in runs] == oracle_steps
+    assert [run["tridiagonal top"] for run in runs] == oracle_steps
     assert (rr.rank, rr.K) == (ref.rank, ref.K)
     assert rr.beta == pytest.approx(ref.beta, rel=1e-13, abs=0.0)
     if name == "crossed-6-x1e-7":
@@ -653,6 +710,68 @@ def test_lanczos_and_lift_agree_with_their_oracles(monkeypatch, name):
         assert oracle_steps in ([94], [95])
     if name == "type1-1":
         assert len(cert.factor) < cert.shape[0] and rr.K == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 40])
+def test_tridiagonal_eigenpairs_are_those_of_eigh_tridiagonal(n):
+    """The direct dstebz + dstein and dstevd calls give scipy's
+    eigh_tridiagonal results bit for bit, the largest pair alone and the
+    whole problem, and the 1 x 1 case takes no LAPACK call."""
+    rng = np.random.default_rng(n)
+    d, e = rng.uniform(0.5, 2.0, n), rng.uniform(0.0, 0.5, n - 1)
+    top = solver._tridiagonal_eigh(d, e, top=True)
+    want = scipy.linalg.eigh_tridiagonal(d, e, select="i",
+                                         select_range=(n - 1, n - 1))
+    full = solver._tridiagonal_eigh(d, e)
+    for got, ref in ((top, want), (full, scipy.linalg.eigh_tridiagonal(d, e))):
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, 1e-200])
+def test_a_non_finite_lanczos_step_is_indeterminate(entry):
+    """A factor whose Lanczos step is NaN, infinite or overflows (a pivot
+    of 1e-200 squares below the smallest double) decides no rank."""
+    F = np.eye(8)
+    if entry == 1e-200:
+        F[3, 3] = entry
+    else:
+        F[2, 5] = entry
+    with pytest.raises(solver.RankIndeterminateError, match="overflowed"):
+        solver._inverse_lanczos(F, 1e-8)
+
+
+def test_a_wide_factor_is_padded_at_its_pivotless_columns():
+    """The two-triangle square has 2m = 4 other velocities against pc = 5
+    constrained complement coordinates, so R has rows on columns 0 .. 3
+    and on the 2T = 4 bubble columns 5 .. 8: padded to square, it has
+    R's rows, in order, and exactly p - len(R) = 1 zero pivot, at column
+    4.
+    A wide factor of a plain QR is padded at the bottom."""
+    topo, reports, summary = _classified(type1_diagonal(1))
+    R = solver.certify(topo, reports).factor
+    p = R.shape[1]
+    square = solver._square(R, p)
+    assert not np.tril(square, -1).any()
+    assert np.flatnonzero(np.diag(square) == 0.0).tolist() == [4]
+    assert np.array_equal(np.delete(square, 4, axis=0), R)   # R's rows
+    plain = scipy.linalg.qr(np.random.default_rng(3).standard_normal((4, 9)),
+                            mode="r")[0]
+    assert np.array_equal(solver._square(plain, 9),
+                          np.vstack([plain, np.zeros((5, 9))]))
+
+
+@pytest.mark.parametrize("e", range(-8, 9))
+def test_two_triangle_square_is_exit_3_at_every_length_scale(tmp_path,
+                                                             capsys, e):
+    """The two-triangle square, whose factor is wide, has K = 1 against
+    its verdict at every length scale 1e-8 .. 1e8: exit 3, never a
+    traceback.  With the zero rows padded below the bubble rows, the
+    inverse Lanczos vectors overflowed from L = 3e4 on."""
+    path, out = tmp_path / "mesh", tmp_path / "report.json"
+    assert cli.main(["gen", "type1", "--n", "1", "--L", f"1e{e}",
+                     "--out", str(path)]) == 0
+    assert cli.main(["analyze", "--mesh", str(path), "--out", str(out)]) == 3
+    assert "(K = 1)" in capsys.readouterr().err and not out.exists()
 
 
 @pytest.mark.parametrize("rows", [1, 3])
@@ -667,8 +786,7 @@ def test_lift_by_dtpqrt_matches_the_givens_oracle(name, rows):
     cert = solver.certify(topo, reports)
     p = cert.shape[0]
     assert (len(cert.factor) < p) == (name == "type1-1")
-    R = np.zeros((p, p))
-    R[:len(cert.factor)] = cert.factor
+    R = solver._square(cert.factor, p)
     w = np.random.default_rng(5).standard_normal((rows, p))
     want = R.T @ R + w.T @ w
     in_place = R.copy(order="F")
