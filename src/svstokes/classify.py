@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import FanTable, MeshTopology
+from .mesh import FanTable, MeshError, MeshTopology
 
 SINGULAR = "SingularLI"
 ODD = "OddLI"
@@ -72,7 +72,12 @@ def classify_mesh(topology: MeshTopology, tol: Tolerances = Tolerances()):
     vertex class is decided, in one array program over Theta(z), the
     determinants ``fans.D`` and the patch diameters ``fans.h_z``: later
     stages read ``reports[z]``, and the even interpolant at z reads the
-    d-coefficients of its fan off the fan table."""
+    d-coefficients of its fan off the fan table.
+
+    Raises MeshError for the first interior, non-singular, even-valence
+    vertex whose |D_i| h_z^s is not finite: at a length scale near the
+    ends of the double range the squared edge lengths over- or underflow,
+    and such a value decides nothing."""
     fans = topology.fans
     th = theta(fans)
     singular = th <= tol.singular
@@ -82,6 +87,13 @@ def classify_mesh(topology: MeshTopology, tol: Tolerances = Tolerances()):
                                                 [2.0, 1.0, 1.0])
     best = np.argmax(decisions, axis=1)
     value = decisions[np.arange(len(best)), best]
+    even = ~singular & ~fans.boundary & (fans.degree % 2 == 0)
+    undecided = even & ~np.isfinite(value)
+    if undecided.any():
+        z = int(np.argmax(undecided))
+        raise MeshError(f"vertex {z}: the even-valence decision |D_i| h_z^s "
+                        f"is {value[z]}, not finite; the mesh's length "
+                        f"scale is out of range")
     status = np.select(
         [singular, fans.boundary, fans.degree % 2 == 1,
          value > tol.decision], [SINGULAR, BOUNDARY, ODD, EVEN], NOT_LI)

@@ -202,9 +202,8 @@ def analyze_mesh(mesh: Triangulation, tol: Tolerances,
     _check_verdict(verdict, reports, rank)
     beta, _ = solver.infsup_constant(cert, tol, rank)
     modes = solver.spurious_modes(cert, rank)
-    dims = solver.strang_dimensions(topology, summary["sigma"],
-                                    summary["sigma_i"], summary["sigma_b"],
-                                    rank.K)
+    dims = solver.strang_dimensions(topology, summary["sigma_i"],
+                                    summary["sigma_b"], rank.K)
     report["divergence"] = {
         "skipped": False,
         "velocity_dofs": cert.shape[1],

@@ -301,7 +301,7 @@ class Certificate:
     alone (no reflectors) certifies K and beta but no modes.
     """
 
-    factor: np.ndarray              # R, (min(p, n), p), upper
+    factor: np.ndarray              # R, (p, p), upper, column-major
     shape: tuple                    # (p, n): constrained pressures, velocities
     start: np.ndarray               # the rank scale's Krylov start, (p,)
     reflectors: np.ndarray | None = None    # QR of Z's complement rows,
@@ -351,7 +351,9 @@ def certify(topology: MeshTopology, reports,
         X = [[X_rc, X_rb], [0, blockdiag(R_t^T)]],
 
     and R = [[R_11, R_12], [0, R_22]] comes from the QR of X_rc, Q^T X_rb
-    = [R_12; Y] and the QR of [Y; blockdiag(R_t^T)].
+    = [R_12; Y] and the QR of [Y; blockdiag(R_t^T)].  R is p x p and
+    column-major, the one format every reader takes: a wide X_rc (2m <
+    p - 2T) leaves zero rows at its pivotless columns, above R_22.
 
     Every dense kernel runs at BLAS-3 rate and in place: L_S is inverted
     in its own storage (dtrtri), and each triangle's 12 rows of F div_r
@@ -450,9 +452,9 @@ def certify(topology: MeshTopology, reports,
     del Y
     R_1 = np.triu(X[:top])              # [R_11, R_12]
     del X
-    R = np.zeros((top + 2 * T, p))
+    R = np.zeros((p, p), order="F")
     R[:top] = R_1
-    R[top:, pc:] = R_22
+    R[pc:, pc:] = R_22
     del R_1, R_22
     # The rank scale's Krylov start: a fixed-seed raw pressure x in the
     # constrained coordinates.  A fixed vector of those coordinates would
@@ -467,15 +469,15 @@ def certify(topology: MeshTopology, reports,
 
 
 def _floored(R: np.ndarray) -> np.ndarray:
-    """The square R with its diagonal entries below eps * p * max|r_ii|
-    raised to that floor, for solving with it (a copy only if one is):
+    """R with its diagonal entries below eps * p * max|r_ii| raised to
+    that floor, for solving with it (a column-major copy only if one is):
     exact zero pivots occur, and the floor perturbs R only at roundoff
     level."""
     diag = np.diagonal(R)
     floor = np.finfo(float).eps * len(R) * np.abs(diag).max(initial=0.0)
     low = np.flatnonzero(np.abs(diag) < floor)
     if len(low):
-        R = R.copy()
+        R = R.copy(order="F")
         R[low, low] = np.copysign(floor, diag[low])
     return R
 
@@ -495,25 +497,22 @@ def _rank_scale(R: np.ndarray, start: np.ndarray) -> float:
     Ritz values come from one eigenvalue problem, that of the k x k Gram
     matrix (R Q^T)^T (R Q^T) of the basis rows Q.
 
-    A square R is upper triangular, so R q and R^T w are triangular
-    products (dtrmv) on R^T, an F-contiguous lower view that they read in
-    place; a wide R takes dense products."""
-    p = R.shape[1]
-    if not R.size:
+    R q and R^T w are triangular products (dtrmv) on the column-major R
+    of ``certify``, read in place."""
+    p = len(R)
+    if not p:
         return 0.0
     steps = min(p, SCALE_STEPS)
     basis = np.empty((steps, p))
-    images = np.empty((steps, R.shape[0]))     # R q for each basis row q
-    # (given the C-ordered R itself, dtrmv would copy it on every call)
-    square = len(R) == p
+    images = np.empty((steps, p))       # R q for each basis row q
     dtrmv = scipy.linalg.blas.dtrmv
     q = np.array(start, dtype=float)
     q /= np.linalg.norm(q)
     top = 0.0
     for k in range(steps):
         basis[k] = q
-        images[k] = dtrmv(R.T, q, lower=1, trans=1) if square else R @ q
-        w = dtrmv(R.T, images[k], lower=1) if square else images[k] @ R
+        images[k] = dtrmv(R, q)
+        w = dtrmv(R, images[k], trans=1)
         top = max(top, float(q @ w))
         done = basis[:k + 1]
         for _ in range(2):
@@ -554,12 +553,12 @@ def _tridiagonal_eigh(d: np.ndarray, e: np.ndarray, top: bool = False):
 
 
 def _inverse_lanczos(F: np.ndarray, thr: float):
-    """(s_min, Y): the smallest singular value of the square triangular F
+    """(s_min, Y): the smallest singular value of the upper triangular F
     and, as the columns of Y, the Ritz vectors of the singular values at or
     below thr whose Ritz values lie within LANCZOS_RANGE of the largest.
 
     Lanczos with full reorthogonalization on (F^T F)^-1 from a fixed-seed
-    start, two dtrsv a step on F or F^T, whichever is F-contiguous.  Once
+    start, two dtrsv a step on the column-major F, read in place.  Once
     the top Ritz pair has converged, it stops if the largest Ritz value
     and every one in Y have a Ritz residual within LANCZOS_RTOL of
     themselves; after LANCZOS_STEPS steps without that, or at a step that
@@ -568,15 +567,12 @@ def _inverse_lanczos(F: np.ndarray, thr: float):
     steps = min(p, LANCZOS_STEPS)
     basis = np.empty((steps, p))
     alpha, beta = np.empty(steps), np.empty(steps)
-    lower = not F.flags.f_contiguous
-    A = F.T if lower else F             # F = A, or F = A^T
     dtrsv = scipy.linalg.blas.dtrsv
     q = np.random.default_rng(0).standard_normal(p)
     q /= np.linalg.norm(q)
     for k in range(steps):
         basis[k] = q
-        w = dtrsv(A, dtrsv(A, q, lower=lower, trans=not lower),
-                  lower=lower, trans=lower, overwrite_x=1)
+        w = dtrsv(F, dtrsv(F, q, trans=1), overwrite_x=1)
         alpha[k] = q @ w
         done = basis[:k + 1]
         for _ in range(2):
@@ -608,33 +604,14 @@ LIFT_BLOCK = 16
 
 
 def _lift(R: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The triangular factor of [R; rows] for the upper triangular R, by
-    one triangular-pentagonal QR (LAPACK dtpqrt), in R's place when R is
-    F-ordered: R^T R gains rows^T rows."""
+    """The triangular factor of [R; rows] for the upper triangular,
+    column-major R, by one triangular-pentagonal QR (LAPACK dtpqrt), in
+    R's place: R^T R gains rows^T rows."""
     R, _, _, info = scipy.linalg.lapack.dtpqrt(
         0, min(LIFT_BLOCK, len(R)), R, rows, overwrite_a=1, overwrite_b=1)
     if info != 0:
         raise SolverError(f"dtpqrt failed with info {info}")
     return R
-
-
-def _square(R: np.ndarray, p: int) -> np.ndarray:
-    """The wide upper trapezoidal R, fewer rows than its p columns, padded
-    with zero rows to a p x p upper triangular matrix that has R's rows in
-    order and p - len(R) zero pivots.  The trailing rows that vanish left
-    of their place at the bottom, R_22 of ``certify``'s factor on the 2T
-    bubble columns, stay at the bottom; the zero rows go right above them,
-    on the columns that no row starts on.  Below R_22 they would push
-    each of its rows off its pivot."""
-    n = len(R)
-    shift = p - n
-    ahead = (R != 0) & (np.arange(p) < shift + np.arange(n)[:, None])
-    starts = np.flatnonzero(ahead.any(axis=1))     # rows that cannot shift
-    top = starts[-1] + 1 if len(starts) else 0
-    square = np.zeros((p, p))
-    square[:top] = R[:top]
-    square[top + shift:] = R[top:]
-    return square
 
 
 @dataclass(frozen=True)
@@ -679,14 +656,11 @@ def divergence_rank(cert: Certificate,
     place.  The number of lifted vectors is K = p - rank, with p =
     cert.shape[0] the constrained pressure dimension 6T - 1 - sigma;
     their orthonormal basis is ``null_basis`` (the identity at scale 0),
-    and beta is the smallest singular value of the lifted factor.  A wide
-    R (fewer velocities than constrained pressures) is zero-padded to
-    square first (``_square``)."""
+    and beta is the smallest singular value of the lifted factor.  Every
+    factor read here is p x p and column-major, and is read in place."""
     p = cert.shape[0]
     scale, thr = _threshold(cert, tol)
     R, beta = cert.factor, 0.0
-    if len(R) < p:      # fewer velocities than constrained pressures
-        R = _square(R, p)
     # A rejected value below roundoff level is noise whose size depends on
     # the LAPACK kernel; the gap measures against the roundoff floor then,
     # and also when nothing is rejected.
@@ -749,8 +723,7 @@ def infsup_constant(cert: Certificate, tol: Tolerances = Tolerances(),
     thr = _threshold(cert, tol)[1]
     s = scipy.linalg.svd(cert.factor, compute_uv=False, check_finite=False)
     accepted = s > thr
-    eig = np.zeros(cert.shape[0])
-    eig[len(eig) - len(s):] = np.where(accepted, s, 0.0)[::-1] ** 2
+    eig = np.where(accepted, s, 0.0)[::-1] ** 2
     beta = float(s[accepted][-1]) if accepted.any() else 0.0
     return beta, eig
 
@@ -820,11 +793,12 @@ class SplineDims:
     caveat: str | None
 
 
-def strang_dimensions(topology: MeshTopology, sigma: int, sigma_i: int,
-                      sigma_b: int, K: int) -> SplineDims:
+def strang_dimensions(topology: MeshTopology, sigma_i: int, sigma_b: int,
+                      K: int) -> SplineDims:
     """The spline dimensions of a mesh of a disk (``analyze_mesh`` checks
     Euler's relation before it certifies) and deficiency K."""
     E, E0, V, V0 = topology.E, topology.E0, topology.V, topology.V0
+    sigma = sigma_i + sigma_b
     raw = 2 * E0 - E + 3 * V0 + sigma + K
     strang = E + 4 * V - V0 + sigma_i
     hyp = (E0 + 3 * V0 + sigma) >= (E - E0)

@@ -233,9 +233,8 @@ def test_A6_dimension_identities():
         reports, summary = classify_mesh(topo)
         cert = solver.certify(topo, reports)
         rr = solver.divergence_rank(cert, TOL)
-        sd = solver.strang_dimensions(topo, summary["sigma"],
-                                      summary["sigma_i"], summary["sigma_b"],
-                                      rr.K)
+        sd = solver.strang_dimensions(topo, summary["sigma_i"],
+                                      summary["sigma_b"], rr.K)
         assert cert.shape[1] == 2 * (topo.V0 + 2 * topo.E0 + topo.T)
         assert rr.nullity == sd.dim_s4
         if rr.K == 0 and sd.hypothesis_ok:
@@ -245,7 +244,7 @@ def test_A6_dimension_identities():
     reports, summary = classify_mesh(topo)
     cert = solver.certify(topo, reports)
     rr = solver.divergence_rank(cert, TOL)
-    sd = solver.strang_dimensions(topo, summary["sigma"], summary["sigma_i"],
+    sd = solver.strang_dimensions(topo, summary["sigma_i"],
                                   summary["sigma_b"], rr.K)
     assert sd.dim_s4 == 0
     _report(6, "nullity and spline-dimension identities integer-exact on "

@@ -118,13 +118,14 @@ def test_condensed_factor_has_the_singular_values_of_the_full_pairing(
     of W assembled in full, to 1e-12 s_max, and the modes pair with no
     velocity under the full B.  On one triangle the bubble is the only
     velocity node, and no other node remains; on the two-triangle square
-    X_rc is wide."""
+    X_rc is wide, and the factor is still p x p."""
     topo, reports, summary = _classified(CONDENSED_MESHES[name]())
     cert = solver.certify(topo, reports, seminorm=seminorm)
     W = uncondensed_pairing(topo, reports, seminorm)
     assert cert.shape == W.shape
-    assert cert.factor.shape == (min(W.shape), W.shape[0])
-    s = scipy.linalg.svdvals(W)
+    assert cert.factor.shape == (W.shape[0], W.shape[0])
+    s = np.zeros(W.shape[0])            # and p - n zeros when p > n
+    s[:min(W.shape)] = scipy.linalg.svdvals(W)
     assert np.abs(scipy.linalg.svdvals(cert.factor) - s).max() <= 1e-12 * s[0]
     if name == "one-triangle":
         assert W.shape == (2, 2) and topo.V0 == topo.E0 == 0
@@ -200,11 +201,11 @@ def test_modes_span_the_null_space_of_the_schur_pencil(name):
 
 def test_modes_with_fewer_velocities_than_constrained_pressures():
     # two triangles: 8 velocity DOFs against 9 constrained pressures, so
-    # the factor R is wide and is zero-padded to square for the modes
+    # the p x p factor R has a zero row at its pivotless column
     topo, reports, summary = _classified(type1_diagonal(1))
     cert = solver.certify(topo, reports)
     p, n = cert.shape
-    assert n < p and cert.factor.shape == (n, p)
+    assert n < p and cert.factor.shape == (p, p)
     rr = solver.divergence_rank(cert, TOL)
     modes = np.column_stack(solver.spurious_modes(cert, rr))
     assert modes.shape[1] == rr.K == p - rr.rank == 1
@@ -524,26 +525,18 @@ def test_certificate_invariant_under_rotation_and_scaling(name, angle,
 # K and beta from the bottom of the spectrum, against the full SVD and the
 # inertia of [[-tau I, R], [R^T, -tau I]]
 
-def _square(R):
-    p = R.shape[1]
-    out = np.zeros((p, p))
-    out[:len(R)] = R
-    return out
-
-
 def _svd_oracle(cert, scale=None, tol=TOL):
     """(K, beta, gap) from every singular value of the factor: K counts
-    those at or below tol.rank * s_max (the padding zeros included), beta
-    is the smallest above, gap the old rule over both, its roundoff floor
-    taken at the given rank scale (at s_max when none is given)."""
+    those at or below tol.rank * s_max, beta is the smallest above, gap
+    the old rule over both, its roundoff floor taken at the given rank
+    scale (at s_max when none is given)."""
     s = scipy.linalg.svdvals(cert.factor)
     thr = tol.rank * s[0]
     accepted, rejected = s[s > thr], s[s <= thr]
     floor = np.finfo(float).eps * max(cert.shape) * (
         s[0] if scale is None else scale)
     largest = max(rejected[0], floor) if len(rejected) else floor
-    K = len(rejected) + cert.shape[0] - len(s)
-    return K, float(accepted[-1]), float(accepted[-1] / largest)
+    return len(rejected), float(accepted[-1]), float(accepted[-1] / largest)
 
 
 def _negative_eigenvalues(d):
@@ -562,9 +555,9 @@ def _negative_eigenvalues(d):
 
 def _inertia_K(cert, tol=TOL):
     """#{s < tau} for tau = tol.rank * s_max: the symmetric matrix
-    [[-tau I, R], [R^T, -tau I]] of the square factor has the eigenvalues
-    -tau -+ s, so p + #{s < tau} of them are negative (Sylvester)."""
-    R = _square(cert.factor)
+    [[-tau I, R], [R^T, -tau I]] of the factor has the eigenvalues -tau
+    -+ s, so p + #{s < tau} of them are negative (Sylvester)."""
+    R = cert.factor
     p = len(R)
     tau = tol.rank * scipy.linalg.svdvals(R)[0]
     H = np.block([[-tau * np.eye(p), R], [R.T, -tau * np.eye(p)]])
@@ -590,9 +583,12 @@ ORACLE_MESHES = (sorted(GOLDEN_MESHES) + bench_pool("certify-dense")
 def test_lifted_lanczos_agrees_with_the_svd_and_the_inertia(name):
     """The same K as the full SVD and as the inertia oracle, beta within
     1e-12 of the SVD's, and the same gap; type1-1 has fewer velocities
-    than constrained pressures (p > n)."""
+    than constrained pressures (p > n).  On every mesh certify's factor
+    is p x p and column-major."""
     topo, reports, summary = _classified(_oracle_case(name))
     cert = solver.certify(topo, reports)
+    assert cert.factor.shape == (cert.shape[0],) * 2
+    assert cert.factor.flags.f_contiguous
     rr = solver.divergence_rank(cert, TOL)
     K, beta, gap = _svd_oracle(cert, rr.scale)
     assert rr.K == cert.shape[0] - rr.rank == K == _inertia_K(cert)
@@ -646,6 +642,19 @@ def _calls_per_lanczos_run(monkeypatch):
     return calls, runs
 
 
+def _blas2_operands(monkeypatch):
+    """The matrix operand of every scipy.linalg.blas dtrsv and dtrmv call,
+    as a list per name."""
+    operands = {"dtrsv": [], "dtrmv": []}
+    for fname, seen in operands.items():
+        def recorded(a, *args, _fn=getattr(scipy.linalg.blas, fname),
+                     _seen=seen, **kwargs):
+            _seen.append(a)
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(scipy.linalg.blas, fname, recorded)
+    return operands
+
+
 @pytest.mark.parametrize("name", ["type1-3", "perturbed-3-s1"])
 def test_divergence_rank_takes_no_givens_and_no_solve_in_lanczos(monkeypatch,
                                                                  name):
@@ -653,12 +662,18 @@ def test_divergence_rank_takes_no_givens_and_no_solve_in_lanczos(monkeypatch,
     by LAPACK's dstebz from the second step on, each run solves the whole
     tridiagonal eigenproblem once, by dstevd, and each round of lifts is
     one dtpqrt: no drot, no eigh_tridiagonal, and no solve_triangular
-    inside a Lanczos run."""
+    inside a Lanczos run.  Every factor that dtrsv and dtrmv read is
+    column-major, so BLAS reads it in place: on type1-3 the floored copy
+    of certify's factor and the lifted factor, on perturbed-3-s1 (K = 0)
+    certify's factor itself."""
     topo, reports, summary = _classified(GOLDEN_MESHES[name]())
     cert = solver.certify(topo, reports)
     calls, runs = _calls_per_lanczos_run(monkeypatch)
     lifts = _counted_calls(monkeypatch, ((scipy.linalg.lapack, "dtpqrt"),))
+    operands = _blas2_operands(monkeypatch)
     rr = solver.divergence_rank(cert, TOL)
+    for fname, seen in operands.items():
+        assert seen and all(a.flags.f_contiguous for a in seen), fname
     assert not calls["scipy.linalg.blas.drot"]
     assert len(runs) == 1 + lifts["scipy.linalg.lapack.dtpqrt"]
     assert len(runs) == 1 + (rr.K > 0)
@@ -681,7 +696,7 @@ def test_lanczos_and_lift_agree_with_their_oracles(monkeypatch, name):
     """The same Lanczos steps, run by run, the same rank and beta to 1e-13
     as with the oracles of ``inverse_lanczos_oracle`` and ``givens_lift``.
     crossed-6 at L = 1e-7 is the certify-dense item of the most steps; on
-    type1-1 the padded factor is lifted."""
+    type1-1 the factor with a zero row is lifted."""
     mesh = (crossed(6, 1e-7) if name == "crossed-6-x1e-7"
             else _oracle_case(name))
     topo, reports, summary = _classified(mesh)
@@ -709,7 +724,8 @@ def test_lanczos_and_lift_agree_with_their_oracles(monkeypatch, name):
         # under Prescott, Nehalem, Atom and Core2
         assert oracle_steps in ([94], [95])
     if name == "type1-1":
-        assert len(cert.factor) < cert.shape[0] and rr.K == 1
+        assert cert.shape[1] < cert.shape[0] == len(cert.factor)
+        assert rr.K == 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 40])
@@ -742,28 +758,22 @@ def test_a_non_finite_lanczos_step_is_indeterminate(entry):
 
 def test_a_wide_factor_is_padded_at_its_pivotless_columns():
     """The two-triangle square has 2m = 4 other velocities against pc = 5
-    constrained complement coordinates, so R has rows on columns 0 .. 3
-    and on the 2T = 4 bubble columns 5 .. 8: padded to square, it has
-    R's rows, in order, and exactly p - len(R) = 1 zero pivot, at column
-    4.
-    A wide factor of a plain QR is padded at the bottom."""
+    constrained complement coordinates, so certify's R has rows on columns
+    0 .. 3 and on the 2T = 4 bubble columns 5 .. 8: it is 9 x 9, upper
+    triangular and column-major, with one zero row, the only zero pivot,
+    at column 4."""
     topo, reports, summary = _classified(type1_diagonal(1))
     R = solver.certify(topo, reports).factor
-    p = R.shape[1]
-    square = solver._square(R, p)
-    assert not np.tril(square, -1).any()
-    assert np.flatnonzero(np.diag(square) == 0.0).tolist() == [4]
-    assert np.array_equal(np.delete(square, 4, axis=0), R)   # R's rows
-    plain = scipy.linalg.qr(np.random.default_rng(3).standard_normal((4, 9)),
-                            mode="r")[0]
-    assert np.array_equal(solver._square(plain, 9),
-                          np.vstack([plain, np.zeros((5, 9))]))
+    assert R.shape == (9, 9) and R.flags.f_contiguous
+    assert not np.tril(R, -1).any()
+    assert np.flatnonzero(np.diag(R) == 0.0).tolist() == [4]
+    assert not R[4].any()
 
 
 @pytest.mark.parametrize("e", range(-8, 9))
 def test_two_triangle_square_is_exit_3_at_every_length_scale(tmp_path,
                                                              capsys, e):
-    """The two-triangle square, whose factor is wide, has K = 1 against
+    """The two-triangle square, whose X_rc is wide, has K = 1 against
     its verdict at every length scale 1e-8 .. 1e8: exit 3, never a
     traceback.  With the zero rows padded below the bubble rows, the
     inverse Lanczos vectors overflowed from L = 3e4 on."""
@@ -778,15 +788,15 @@ def test_two_triangle_square_is_exit_3_at_every_length_scale(tmp_path,
 @pytest.mark.parametrize("name", ["type1-3", "three-lines-2", "type1-1"])
 def test_lift_by_dtpqrt_matches_the_givens_oracle(name, rows):
     """The dtpqrt lift and the Givens oracle both give R^T R + w^T w to
-    1e-13, on square factors and on the zero-padded factor of the
-    two-triangle square (type1-1).  An F-ordered factor is lifted in its
-    own storage; LAPACK lifts a C-ordered one, as the padded factor first
-    is, in a copy, and the lift returns that copy."""
+    1e-13, on certify's factors, the one with a zero row of the
+    two-triangle square (type1-1) among them.  An F-ordered factor is
+    lifted in its own storage; LAPACK lifts a C-ordered one in a copy, and
+    the lift returns that copy."""
     topo, reports, summary = _classified(_oracle_case(name))
     cert = solver.certify(topo, reports)
-    p = cert.shape[0]
-    assert (len(cert.factor) < p) == (name == "type1-1")
-    R = solver._square(cert.factor, p)
+    p, n = cert.shape
+    assert (n < p) == (name == "type1-1")
+    R = cert.factor
     w = np.random.default_rng(5).standard_normal((rows, p))
     want = R.T @ R + w.T @ w
     in_place = R.copy(order="F")
@@ -838,9 +848,9 @@ def _dense_products(monkeypatch):
 @pytest.mark.parametrize("name", sorted(GOLDEN_MESHES))
 def test_rank_scale_by_triangular_products_is_the_dense_one(monkeypatch,
                                                             name):
-    """The square factor's products R q and R^T w run as triangular
-    products on R^T; with dense products in their place the rank scale
-    agrees to 1e-13."""
+    """The factor's products R q and R^T w run as triangular products on
+    R; with dense products in their place the rank scale agrees to
+    1e-13."""
     topo, reports, summary = _classified(GOLDEN_MESHES[name]())
     cert = solver.certify(topo, reports)
     assert cert.factor.shape == (cert.shape[0],) * 2
@@ -848,21 +858,6 @@ def test_rank_scale_by_triangular_products_is_the_dense_one(monkeypatch,
     calls = _dense_products(monkeypatch)
     dense = solver._rank_scale(cert.factor, cert.start)
     assert calls and scale == pytest.approx(dense, rel=1e-13, abs=0.0)
-
-
-def test_rank_scale_of_a_wide_factor_takes_dense_products(monkeypatch):
-    """A wide factor (fewer velocities than constrained pressures) has no
-    triangular R^T; its rank scale is that of the factor zero-padded to
-    square, to 1e-13."""
-    rng = np.random.default_rng(3)
-    R = np.triu(rng.standard_normal((P_SYNTH - 5, P_SYNTH)))
-    start = krylov_start(P_SYNTH)
-    padded = solver._rank_scale(np.vstack([R, np.zeros((5, P_SYNTH))]),
-                                start)
-    calls = _dense_products(monkeypatch)
-    assert solver._rank_scale(R, start) == pytest.approx(padded, rel=1e-13,
-                                                          abs=0.0)
-    assert not calls
 
 
 def _ritz_sizes(monkeypatch):

@@ -376,6 +376,39 @@ def test_area_underflow_is_input_error(tmp_path, capsys, command, case):
     assert "triangle 0 is degenerate" in capsys.readouterr().err
 
 
+# (the squared edge lengths over- or underflow with RuntimeWarnings)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("L", ["1e-160", "1e-155", "1e155", "1e160"])
+def test_a_non_finite_vertex_decision_is_input_error(tmp_path, capsys, L):
+    """crossed-3 at a length scale whose squared edge lengths over- or
+    underflow: gen writes it, and every command exits 2, naming the first
+    even-valence grid crossing, whose decision |D_i| h_z^s is NaN.  It
+    read NotLI with a NaN decision value before."""
+    path = _gen(tmp_path, "crossed", "--n", "3", "--L", L)
+    out = tmp_path / "out"
+    for command in (["analyze", "--skip-solver"], ["analyze"],
+                    ["verify-fields"], ["infsup"], ["spline-dim"]):
+        capsys.readouterr()
+        assert main([*command, "--mesh", str(path), "--out", str(out)]) == \
+            EXIT_INPUT, command
+        assert "vertex 5: the even-valence decision |D_i| h_z^s is nan" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("L", ["1e-150", "1e150"])
+def test_crossed_3_near_the_ends_of_the_range_is_even(tmp_path, L):
+    """At 1e-150 and 1e150 every decision of crossed-3 is finite, and its
+    four grid crossings are EvenLI."""
+    path = _gen(tmp_path, "crossed", "--n", "3", "--L", L)
+    out = tmp_path / "report.json"
+    assert main(["analyze", "--skip-solver", "--mesh", str(path),
+                 "--out", str(out)]) == EXIT_OK
+    counts = json.loads(out.read_text())["vertices"]["summary"]["counts"]
+    assert counts == {"BoundaryNonSingular": 12, "EvenLI": 4,
+                      "SingularLI": 9}
+
+
 def _count_calls(monkeypatch, module, name):
     """Count the calls of ``module.name`` through every svstokes module
     that binds it; returns the list that collects one entry per call."""
@@ -699,9 +732,8 @@ def _composed_spline_dim(m, tol):
     reports, summary = classify_mesh(topology, tol)
     cert = solver.certify(topology, reports)
     rank = solver.divergence_rank(cert, tol)
-    dims = solver.strang_dimensions(topology, summary["sigma"],
-                                    summary["sigma_i"], summary["sigma_b"],
-                                    rank.K)
+    dims = solver.strang_dimensions(topology, summary["sigma_i"],
+                                    summary["sigma_b"], rank.K)
     return to_json({
         "spline": dataclasses.asdict(dims), "K": rank.K, "rank": rank.rank,
         **{k: summary[k] for k in ("sigma", "sigma_i", "sigma_b")},

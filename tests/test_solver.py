@@ -80,11 +80,14 @@ def _rank(mesh):
 
 
 def _spectrum(B):
-    """A certificate whose factor, the R of the QR of B^T, has the
-    singular values of a synthetic B: p = B.shape[0] constrained
-    pressures against n = B.shape[1] velocities."""
-    return Certificate(factor=scipy.linalg.qr(B.T, mode="r")[0],
-                       shape=B.shape, start=krylov_start(B.shape[0]))
+    """A certificate whose factor, the R of the QR of B^T stacked on zero
+    rows up to p x p, has the singular values of a synthetic B: p =
+    B.shape[0] constrained pressures against n = B.shape[1] velocities."""
+    R = scipy.linalg.qr(B.T, mode="r")[0]
+    factor = np.zeros((len(B), len(B)), order="F")
+    factor[:len(R)] = R
+    return Certificate(factor=factor, shape=B.shape,
+                       start=krylov_start(B.shape[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +399,7 @@ def test_type1_grid_is_deficient_with_checkerboard():
 def test_two_triangle_square_is_deficient():
     topo, summary, rr = _rank(_two_triangle_square())
     assert rr.K == 1
-    sd = strang_dimensions(topo, summary["sigma"], summary["sigma_i"],
-                           summary["sigma_b"], rr.K)
+    sd = strang_dimensions(topo, summary["sigma_i"], summary["sigma_b"], rr.K)
     assert sd.dim_s4 == 0 and sd.dim_s4_raw == 0
     assert not sd.hypothesis_ok
     assert sd.caveat is not None
@@ -539,7 +541,7 @@ def test_gap_measures_against_the_roundoff_floor():
 def test_strang_identity_on_stable_meshes():
     for mesh in (crossed(1), crossed(2), perturbed_grid(3, seed=1)):
         topo, summary, rr = _rank(mesh)
-        sd = strang_dimensions(topo, summary["sigma"], summary["sigma_i"],
+        sd = strang_dimensions(topo, summary["sigma_i"],
                                summary["sigma_b"], rr.K)
         if rr.K == 0:
             assert sd.identity_ok is True
@@ -547,8 +549,7 @@ def test_strang_identity_on_stable_meshes():
 
 def test_crossed_two_spline_dimensions():
     topo, summary, rr = _rank(crossed(2))
-    sd = strang_dimensions(topo, summary["sigma"], summary["sigma_i"],
-                           summary["sigma_b"], rr.K)
+    sd = strang_dimensions(topo, summary["sigma_i"], summary["sigma_b"], rr.K)
     assert sd.dim_s4 == 31
     assert sd.strang_dimension == 79
     assert sd.hypothesis_ok and sd.identity_ok
