@@ -52,11 +52,17 @@ class Triangulation:
             raise MeshError("triangle vertex index out of range")
         if not np.isfinite(v).all():
             raise MeshError("vertex coordinates must be finite")
-        diam = float(np.hypot(*np.ptp(v, axis=0))) if len(v) > 1 else 0.0
         key = np.sort(t, axis=1)
         _, first, inverse = np.unique(key, axis=0, return_index=True,
                                       return_inverse=True)
-        area = signed_area(*v[t].transpose(1, 0, 2))
+        # Beyond about 1e154 the squares overflow: the degeneracy test and
+        # every later stage would read inf, so the scale itself is the error.
+        with np.errstate(over="ignore", invalid="ignore"):
+            diam = float(np.hypot(*np.ptp(v, axis=0))) if len(v) > 1 else 0.0
+            area = signed_area(*v[t].transpose(1, 0, 2))
+        if not (math.isfinite(diam * diam) and np.isfinite(area).all()):
+            raise MeshError(f"length scale {diam:.3g} is out of range: the "
+                            f"squared diameter or a triangle area overflows")
         flip, area = area < 0, np.abs(area)
         # per triangle, the three checks in the order they are reported
         bad = np.stack([
@@ -452,40 +458,47 @@ def enumerate_patch(mesh: Triangulation, angle, cot) -> FanTable:
     weight = np.where(open_end, np.nan, corner_cot + corner_cot[succ])
     b, c, d = (np.full((n, 2), np.nan) for _ in range(3))
     d0, D, h_z = np.full(n, np.nan), np.full((V, 3), np.nan), np.full(V, np.nan)
-    corner_area = mesh.area[tri]
+    # The elementwise parts run once over every interior corner k, with
+    # prev[k] the corner before it in its fan, cyclic.  Elementwise
+    # operations only, no BLAS dot, whose rounding depends on the kernel:
+    # the NotLI decision values are roundoff, and ties between equal |D_i|
+    # must not move.
+    k = np.flatnonzero(~boundary[center])
+    prev = np.empty(n, dtype=np.int64)
+    prev[succ] = np.arange(n)                   # succ is a permutation
+    prev = prev[k]
+    y = mesh.vertices[far]                              # y_{j+1}
+    # |e_{j+1}|^2 by libm pow, as the scalar ``edge_len ** 2`` of the
+    # formula rounds it; the product edge_len * edge_len differs from it in
+    # the last bit about once in a thousand
+    elen2 = np.float_power(edge_len, 2)
+    # -(dy . e_i^perp) is -dy_y for i = 1 and dy_x for i = 2
+    b[k] = (y[k] - y[prev])[:, ::-1] * np.array([-1.0, 1.0]) / 3.0
+    inv = 1.0 / elen2
+    d0[k] = corner_cot[k] * (inv[k] - inv[prev])
     # One block per interior valence m, each fan a row: its cumsum and its
     # alternating sums run over one contiguous row, so every entry has the
-    # bits of the fan's formula on its own.  Elementwise operations only,
-    # no BLAS dot, whose rounding depends on the kernel: the NotLI decision
-    # values are roundoff, and ties between equal |D_i| must not move.
+    # bits of the fan's formula on its own.
+    blocks = []
     for m in np.unique(deg[~boundary]):
         zs = np.flatnonzero(~boundary & (deg == m))
-        k = offset[zs, None] + np.arange(m)             # corner j of each fan
-        prev = np.arange(-1, m - 1)                     # j - 1, cyclic
-        y = mesh.vertices[far[k]]                       # y_{j+1}
+        km = offset[zs, None] + np.arange(m)            # corner j of each fan
         # the patch diameter over z and the far ends, which include every
         # near end
-        pts = np.concatenate([y, mesh.vertices[zs, None]], axis=1)
+        pts = np.concatenate([y[km], mesh.vertices[zs, None]], axis=1)
         diff = pts[:, :, None] - pts[:, None, :]
         h_z[zs] = np.hypot(diff[..., 0], diff[..., 1]).max(axis=(1, 2))
-        # |e_{j+1}|^2 by libm pow, as the scalar ``edge_len ** 2`` of the
-        # formula rounds it; the product edge_len * edge_len differs from
-        # it in the last bit about once in a thousand
-        elen2 = np.float_power(edge_len[k], 2)
-        dy = y - y[:, prev]
-        # -(dy . e_i^perp) is -dy_y for i = 1 and dy_x for i = 2
-        bk = dy[..., ::-1] * np.array([-1.0, 1.0]) / 3.0
-        ck = np.cumsum(bk, axis=1)
-        inv = 1.0 / elen2
-        d0k = corner_cot[k] * (inv - inv[:, prev])
-        ce = ck / elen2[..., None]
-        dk = (3.0 * bk / corner_area[k][..., None]
-              - 12.0 * corner_cot[k][..., None] * (ce - ce[:, prev]))
-        signs = np.where(np.arange(m) % 2 == 1, 1.0, -1.0)   # (-1)^(j+1)
-        D[zs] = np.stack([np.sum(signs * d0k, axis=1),
-                          np.sum(signs * dk[..., 0], axis=1),
-                          np.sum(signs * dk[..., 1], axis=1)], axis=1)
-        b[k], c[k], d0[k], d[k] = bk, ck, d0k, dk
+        c[km] = np.cumsum(b[km], axis=1)
+        blocks.append((zs, km))
+    ce = c / elen2[:, None]
+    d[k] = (3.0 * b[k] / mesh.area[tri[k]][:, None]
+            - 12.0 * corner_cot[k][:, None] * (ce[k] - ce[prev]))
+    coeffs = np.stack([d0, d[:, 0], d[:, 1]])            # (3, 3T)
+    for zs, km in blocks:
+        # (-1)^(j+1); np.take lays the rows out contiguously, as the sums
+        # need
+        signs = np.where(np.arange(km.shape[1]) % 2 == 1, 1.0, -1.0)
+        D[zs] = np.sum(signs * np.take(coeffs, km, axis=1), axis=2).T
     table = FanTable(
         offset=offset, degree=deg, center=center, position=position,
         tri=tri, slot=slot, theta=theta, boundary=boundary, far=far, vec=vec,

@@ -170,33 +170,85 @@ def pressure_constraints(topology: MeshTopology, reports) -> np.ndarray:
     return C / np.linalg.norm(C, axis=1, keepdims=True)
 
 
-# The block size of every compact-WY QR in ``certify``, capped at the
-# smaller side: of 32, 48 and 64, 64 was the fastest on X_rc of 802 x 503
-# and 1700 x 1000 with one OpenBLAS thread, and within 5 % of 32 on Y.
-QR_BLOCK = 64
+# The columns of one panel of the staircase QR in ``certify``, whole
+# triangles of 6: of 24, 36, 48, 60, 72 and 96, 48 was the fastest at
+# T = 128 and 144 with one OpenBLAS thread (182-204 Mflop there).
+STAIRCASE_PANEL = 48
 
 
-def _apply_q(reflectors: np.ndarray, t: np.ndarray, X: np.ndarray,
-             trans: str, side: str = "L") -> np.ndarray:
-    """Q X (trans "N") or Q^T X (trans "T"), or X Q and X Q^T on side "R",
-    with Q the full orthogonal factor of a compact-WY Householder QR held
-    as (reflectors, t) (``_compact_wy``); in place when X is F-contiguous."""
-    out, info = scipy.linalg.lapack.dgemqrt(reflectors, t, X, side=side,
-                                            trans=trans, overwrite_c=1)
-    if info != 0:
-        raise SolverError(f"dgemqrt failed with info {info}")
-    return out
+def _staircase_qr(P: np.ndarray, L_inv: np.ndarray, label: np.ndarray,
+                  R_b: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """R, 6T x 6T, upper triangular and column-major: the triangular
+    factor of X = [L_inv P^T; blockdiag(R_t^T)].  Column 6t + q of X
+    holds, on the x and y rows of the nodes, the rows (q, x) and (q, y) of
+    triangle t's pairing P[t] (T, 12, 9) with the columns of L_inv, the
+    inverse Cholesky factor of S, at its 9 node labels ``label[t]`` (a
+    boundary node may read any label, as P weights it by 0), and on the
+    bubble rows R_b[t]^T (T, 2, 2) on its columns 6t, 6t + 1.
 
-
-def _compact_wy(a: np.ndarray):
-    """(a, t): the compact-WY Householder QR of a (LAPACK dgeqrt), in
-    place when a is F-contiguous: R on and above the diagonal of a, the
-    reflectors below it, and t their block reflector factor."""
-    a, t, info = scipy.linalg.lapack.dgeqrt(min(QR_BLOCK, *a.shape), a,
-                                            overwrite_a=1)
-    if info != 0:
-        raise SolverError(f"dgeqrt failed with info {info}")
-    return a, t
+    The node in place l of the level order has label m - 1 - l, so L_inv
+    is upper triangular in level order, and column 6t + q is zero beyond
+    the place of its last node, last[t], which ascends with t: X is a
+    row-sorted staircase (George & Heath, Linear Algebra Appl. 34, 1980),
+    and is never formed.  Each panel of STAIRCASE_PANEL columns gathers
+    only the rows it can touch into one column-major window over its
+    columns and all later ones: the rows the earlier panels left
+    unconsumed, the x and y rows of the nodes its last triangle newly
+    reaches, each a product of P with the gathered rows of L_inv^T, and
+    its triangles' bubble rows.  dgeqrt factors the panel, dgemqrt
+    applies its Q^T to the rest of the window in place, the first rows of
+    the window are rows of R and the others carry over to the next panel.
+    A window with fewer rows than panel columns leaves zero rows in R at
+    the pivotless columns; no later row reaches them."""
+    T, m = len(P), len(L_inv)
+    p = 6 * T
+    panels = [(c0, min(c0 + STAIRCASE_PANEL, p))
+              for c0 in range(0, p, STAIRCASE_PANEL)]
+    # The rows of each window and the places of the nodes it adds, counted
+    # first, so that two buffers of the largest window serve every panel:
+    # a window never overlaps the carried rows it is filled from.
+    rows, nodes, carry, reached = [], [], 0, 0
+    for c0, c1 in panels:
+        top = max(int(last[c1 // 6 - 1]) + 1, reached)
+        nodes.append((reached, top))
+        rows.append(carry + 2 * (top - reached) + (c1 - c0) // 3)
+        carry, reached = rows[-1] - min(rows[-1], c1 - c0), top
+    size = max(r * (p - c0) for r, (c0, _) in zip(rows, panels))
+    buffers = (np.empty(size), np.empty(size))
+    R = np.zeros((p, p), order="F")
+    pair = 2 * np.arange(STAIRCASE_PANEL // 6)[:, None, None]
+    held = np.empty((0, p))
+    for i, ((c0, c1), r, (reached, top)) in enumerate(zip(panels, rows,
+                                                          nodes)):
+        nb, width, n, h = c1 - c0, p - c0, top - reached, len(held)
+        W = buffers[i % 2][:r * width].reshape((r, width), order="F")
+        W[:h] = held
+        if n:
+            # places reached .. top - 1 are labels m - top .. m - reached
+            # - 1; the order of the rows in a window does not matter
+            block = np.matmul(P[c0 // 6:], L_inv.T[label[c0 // 6:],
+                                                   m - top:m - reached])
+            # P's rows are (q, component), so each column's x and y rows
+            # are one contiguous run of 2n
+            W[h:h + 2 * n] = block.reshape(width, 2 * n).T
+        bubble = W[h + 2 * n:]
+        bubble[...] = 0.0
+        t = pair[:nb // 6]
+        bubble[t + np.arange(2)[:, None], 3 * t + np.arange(2)] = \
+            R_b[c0 // 6:c1 // 6].transpose(0, 2, 1)
+        # the compact-WY QR of the panel in place, one block, and its Q^T
+        # on the rest of the window
+        k = min(r, nb)
+        _, tau, info = scipy.linalg.lapack.dgeqrt(k, W[:, :nb], overwrite_a=1)
+        if not info and nb < width:
+            info = scipy.linalg.lapack.dgemqrt(W[:, :k], tau, W[:, nb:],
+                                               trans="T", overwrite_c=1)[1]
+        if info:
+            raise SolverError(f"staircase QR failed with info {info}")
+        R[c0:c0 + k, c0:c1] = np.triu(W[:k, :nb])
+        R[c0:c0 + k, c1:] = W[:k, nb:]
+        held = W[k:, nb:]
+    return R
 
 
 # Relative size of the constraints applied to the divergences, C M^-1 B,
@@ -207,9 +259,10 @@ RANGE_RTOL = 1e6 * np.finfo(float).eps
 def _check_range_inclusion(part: np.ndarray, whole: np.ndarray):
     """Every divergence, as a pressure M^-1 B, satisfies the constraint
     rows: ``part``, the coordinates that carry C M^-1 B (in ``certify``
-    times L_A^-T on the velocity side), vanishes to RANGE_RTOL relative
-    to ``whole``.  The factor R never sees them, so a range outside the
-    constrained space would go unnoticed there."""
+    the factor R times the constraint directions, which ``divergence_rank``
+    lifts out of the spectrum), vanishes to RANGE_RTOL relative to
+    ``whole``.  The constrained spectrum never sees those coordinates, so
+    a range outside the constrained space would go unnoticed there."""
     dev = float(np.linalg.norm(part))
     scale = float(np.linalg.norm(whole))
     if dev > RANGE_RTOL * scale:
@@ -228,34 +281,77 @@ def _bubble_rotation(L_M_inv: np.ndarray, bubble: np.ndarray):
     return np.matmul(O.transpose(0, 2, 1), L_M_inv), R[:, :2]
 
 
-def constrained_basis(C: np.ndarray, F: np.ndarray):
-    """The compact-WY Householder QR ``(reflectors, t)`` of the complement
-    rows of Z = F C^T (``_compact_wy``), where C holds the constraint rows
-    (see ``pressure_constraints``) and F the (T, 6, 6) blocks of
-    ``_bubble_rotation``.  Every bubble divergence satisfies every
-    constraint row (it has mean zero and vanishes at the vertices), so Z
-    vanishes on the 2T bubble coordinates, the first 2 of each triangle's
-    6; SolverError if it does not.  The constrained pressures are then the
-    bubble coordinates plus the complement coordinates u, 4 a triangle in
-    triangle order, orthogonal to Z: the trailing 4T - len(C) columns of
-    the orthogonal factor Q of Z's complement rows are an orthonormal
-    basis of those u; Q is never formed."""
+def constrained_basis(C: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Q_z, (6T, k): orthonormal columns spanning Z = F C^T, where C holds
+    the k constraint rows (see ``pressure_constraints``) and F the (T, 6,
+    6) blocks of ``_bubble_rotation``, both in the same triangle order.
+    The constrained pressures are the coordinates F q orthogonal to Q_z.
+    Every bubble divergence satisfies every constraint row (it has mean
+    zero and vanishes at the vertices), so Z vanishes on the 2T bubble
+    coordinates, the first 2 of each triangle's 6, and so does Q_z;
+    SolverError if Z does not.  Q_z comes from the thin Householder QR of
+    Z's other rows, whose diagonal shows a dependent row; SolverError if
+    one is."""
     T, k = F.shape[0], C.shape[0]
     Z = np.matmul(F, C.T.reshape(T, 6, k))
     _check_range_inclusion(Z[:, :2], Z)
     Z = Z[:, 2:].reshape(4 * T, k)
     lengths = np.linalg.norm(Z, axis=0)
-    reflectors, t = _compact_wy(Z)
+    Q, R = np.linalg.qr(Z)
     # A row in the span of the others leaves a diagonal entry of R at
     # roundoff size relative to its own column.
-    independent = int(np.sum(np.abs(np.diag(reflectors))
+    independent = int(np.sum(np.abs(np.diag(R))
                              > max(Z.shape) * np.finfo(float).eps * lengths))
     if independent != k:
         raise SolverError(
             f"constrained pressure dimension {C.shape[1] - independent} != "
             f"6T - 1 - sigma = {C.shape[1] - k}; constraint rows "
             f"are linearly dependent")
-    return reflectors, t
+    Q_z = np.zeros((T, 6, k))
+    Q_z[:, 2:] = Q.reshape(T, 4, k)
+    return Q_z.reshape(6 * T, k)
+
+
+def _level_positions(inner: np.ndarray, m: int) -> np.ndarray:
+    """The place of each of the m velocity nodes in level order: by the
+    breadth-first level of the node graph (two nodes are adjacent when a
+    triangle holds both) from a pseudo-peripheral node, then by number.
+    ``inner`` holds each triangle's nodes, -1 at the boundary ones.  The
+    root is found as George and Liu do (Computer Solution of Large Sparse
+    Positive Definite Systems, 1981), from the node in the fewest
+    triangles: a node of the last level in the fewest triangles becomes
+    the root while its eccentricity grows.  Topology alone decides it: no
+    coordinate is read."""
+    if not m:
+        return np.zeros(0, dtype=np.int64)
+    node = np.where(inner >= 0, inner, m)       # m: the boundary sentinel
+    count = np.bincount(node.ravel(), minlength=m + 1)[:m]
+
+    def levels(root):
+        level = np.full(m + 1, -1)
+        level[m], level[root], depth = m, 0, 0
+        while True:
+            reached = node[(level[node] == depth).any(axis=1)].ravel()
+            reached = reached[level[reached] < 0]
+            if not reached.size:
+                return level[:m], depth
+            depth += 1
+            level[reached] = depth
+
+    level, depth = levels(int(np.argmin(count)))
+    while True:
+        far = np.flatnonzero(level == depth)
+        root = int(far[np.argmin(count[far])])
+        other, other_depth = levels(root)
+        if other_depth <= depth:
+            break
+        level, depth = other, other_depth
+    # (a node graph in pieces, which no conforming mesh gives: the nodes
+    # no level reached go last)
+    level[level < 0] = depth + 1
+    position = np.empty(m, dtype=np.int64)
+    position[np.argsort(level, kind="stable")] = np.arange(m)
+    return position
 
 
 # ---------------------------------------------------------------------------
@@ -279,35 +375,41 @@ SCALE_BOUND = 1.0 + 1e-12
 
 @dataclass(frozen=True)
 class Certificate:
-    """Triangular factor of the weighted divergence pairing
+    """Triangular factor of the weighted divergence pairing on the raw
+    pressures
 
-        W = Q_2^T F B L_A^-T,   A = L_A L_A^T,   F = O^T L_M^-1,
+        W = F B L_A^-T,   A = L_A L_A^T,   F = O^T L_M^-1,
 
-    with M = L_M L_M^T, O the per-triangle rotations of
-    ``_bubble_rotation`` and Q_2 the orthonormal basis of the constrained
-    pressures of ``constrained_basis``: the trailing columns of the
-    orthogonal factor of Z on the complement coordinates, then the 2T
-    bubble coordinates.  The squared
-    singular values of W are the eigenvalues of the pressure Schur
-    complement in the mass inner product: the number of zero singular
-    values is K, the smallest nonzero one is beta, and the nonzero ones
-    lie in [beta, 1]: for a velocity v in H^1_0, ||div v||^2 + ||rot v||^2
-    = |v|_1^2, which is at most the squared norm of v in the seminorm and
-    in the full H1 norm.  With W^T = Q_X R (Q_X has orthonormal columns),
-    ``factor`` is R: W has the singular values of R, and its left null
-    vectors are the null vectors of R: ``divergence_rank`` finds them, and
-    ``spurious_modes`` maps them back through the reflectors and F^T and
-    checks their pairing on the per-triangle divergence blocks.  A factor
-    alone (no reflectors) certifies K and beta but no modes.
+    with M = L_M L_M^T and O the per-triangle rotations of
+    ``_bubble_rotation``, its 6T rows (6 a triangle, bubble coordinates
+    first) in the triangle order ``order``.  With W^T = Q_X R (Q_X has
+    orthonormal columns), ``factor`` is R, 6T x 6T.  The constrained
+    pressures are the coordinates orthogonal to the k = 1 + sigma
+    ``constraints`` Q_z of ``constrained_basis``; every divergence
+    satisfies the constraints, so R Q_z = 0 to roundoff, and R has the
+    singular values of W on the constrained pressures plus k zeros.  The
+    squared singular values of W there are the eigenvalues of the pressure
+    Schur complement in the mass inner product: the number of zero
+    singular values is K, the smallest nonzero one is beta, and the
+    nonzero ones lie in [beta, 1]: for a velocity v in H^1_0, ||div v||^2
+    + ||rot v||^2 = |v|_1^2, which is at most the squared norm of v in the
+    seminorm and in the full H1 norm.  ``divergence_rank`` lifts Q_z out
+    of the spectrum first; the null vectors of R that remain are the left
+    null vectors of W, and ``spurious_modes`` maps them back through
+    ``order`` and F^T and checks their pairing on the per-triangle
+    divergence blocks.  A factor alone (no constraints) is the factor of
+    the constrained pairing itself, p x p: it certifies K and beta but no
+    modes.
     """
 
-    factor: np.ndarray              # R, (p, p), upper, column-major
+    factor: np.ndarray              # R, (6T, 6T), upper, column-major
     shape: tuple                    # (p, n): constrained pressures, velocities
-    start: np.ndarray               # the rank scale's Krylov start, (p,)
-    reflectors: np.ndarray | None = None    # QR of Z's complement rows,
-                                            # (4T, 1 + sigma)
-    tau: np.ndarray | None = None           # its T factor, (nb, 1 + sigma)
-    pressure_map: np.ndarray | None = None  # F = O^T L_M^-1, (T, 6, 6)
+    start: np.ndarray               # the rank scale's Krylov start, (6T,),
+                                    # orthogonal to the constraints
+    constraints: np.ndarray | None = None   # Q_z, (6T, 1 + sigma)
+    order: np.ndarray | None = None         # the triangle of each 6 columns
+    pressure_map: np.ndarray | None = None  # F = O^T L_M^-1, (T, 6, 6), in
+                                            # the column order
     divergence: np.ndarray | None = None    # B by triangle, (T, 6, 2, 10)
     nodes: np.ndarray | None = None         # ``number_dofs``, (T, 10)
 
@@ -335,33 +437,31 @@ def _condense(div: np.ndarray, K: np.ndarray):
 
 def certify(topology: MeshTopology, reports,
             seminorm: bool = False) -> Certificate:
-    """Assemble the pairing and its norms, check that the constrained
-    pressures contain every divergence, and factor W; every command
-    builds this same certificate.
+    """Assemble the pairing and its norms, factor W on the raw pressures,
+    and check that the constrained pressures contain every divergence;
+    every command builds this same certificate.
 
     The bubbles are condensed out (``_condense``), so the Cholesky factor
-    L_S and its inverse cover only the m = V0 + 2 E0 other nodes.
-    In the coordinates of ``_bubble_rotation`` the bubble columns of W are
-    the 2 x 2 triangles R_t on the bubble coordinates, and the constraints
-    act on the 4T complement coordinates alone.  With the rows of X = W^T
-    ordered as the other velocities, then the bubble ones, and its columns
-    as the constrained complement coordinates (p - 2T), then the bubble
-    ones (2T),
+    L_S and its inverse cover only the m = V0 + 2 E0 other nodes.  In the
+    coordinates of ``_bubble_rotation`` the bubble columns of W are the
+    2 x 2 triangles R_t on the bubble coordinates, so X = W^T is the rows
+    L_S^-1 (F div_r)^T of the other velocities over blockdiag(R_t^T).
 
-        X = [[X_rc, X_rb], [0, blockdiag(R_t^T)]],
+    The nodes are put in level order (``_level_positions``) and S is
+    factored in the reverse of it, so L_S^-1 is upper triangular in level
+    order and each triangle's 6 columns of X are zero beyond the place of
+    its last node.  With the triangles sorted by that place, X is a
+    staircase, and ``_staircase_qr`` factors it window by window, at a
+    cost that grows like the window height times p^2, not like p^3.  No
+    constraint rotation mixes the columns: R factors the raw pairing, and
+    the constraint directions are its exact null vectors, which the range
+    check confirms and ``divergence_rank`` lifts.
 
-    and R = [[R_11, R_12], [0, R_22]] comes from the QR of X_rc, Q^T X_rb
-    = [R_12; Y] and the QR of [Y; blockdiag(R_t^T)].  R is p x p and
-    column-major, the one format every reader takes: a wide X_rc (2m <
-    p - 2T) leaves zero rows at its pivotless columns, above R_22.
-
-    Every dense kernel runs at BLAS-3 rate and in place: L_S is inverted
-    in its own storage (dtrtri), and each triangle's 12 rows of F div_r
-    meet only the rows of L_S^-T at its 9 nodes, so the rows of F div_r
-    L_S^-T are two batched products with those rows, gathered; every
-    Householder QR, of Z, X_rc and Y, is compact-WY (dgeqrt), and each Q
-    or Q^T is applied by dgemqrt; blockdiag(R_t^T) is scattered into Y.
-    S sums its blocks with np.bincount, in triangle order."""
+    L_S is inverted in its own storage (dtrtri), and each triangle's 12
+    rows of F div_r meet only the rows of L_S^-T at its 9 nodes, so the
+    rows of F div_r L_S^-T are one batched product with those rows,
+    gathered in level order.  S sums its blocks with np.bincount, in
+    triangle order."""
     nodes = number_dofs(topology)
     T = topology.T
     div = assemble_divergence(topology)
@@ -375,15 +475,18 @@ def certify(topology: MeshTopology, reports,
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"pressure mass matrix is not SPD: {exc}") from exc
     F, R_b = _bubble_rotation(L_M_inv, bubble)
-    reflectors, tau = constrained_basis(C, F)
     k = C.shape[0]
     p, m = 6 * T - k, _n_nodes(nodes) - T
     inner = nodes[:, :9]                # the other nodes are 0 .. m - 1
     interior = inner >= 0
+    # each node's place in level order (the boundary nodes, -1, read the
+    # appended -1); S is factored in the reverse order: labels m - 1 - place
+    place = np.append(_level_positions(inner, m), -1)[inner]
+    label = m - 1 - place
     t, a, b = np.nonzero(interior[:, :, None] & interior[:, None, :])
     # np.bincount adds in input order, which is triangle order here: every
     # entry sums its contributions triangle by triangle.
-    S = np.bincount(inner[t, a] * m + inner[t, b], weights=K_r[t, a, b],
+    S = np.bincount(label[t, a] * m + label[t, b], weights=K_r[t, a, b],
                     minlength=m * m).reshape(m, m)
     try:
         # S is symmetric and only one triangle is read, so its transpose
@@ -393,93 +496,53 @@ def certify(topology: MeshTopology, reports,
     except scipy.linalg.LinAlgError as exc:
         raise SolverError(f"velocity Gram matrix is not SPD: {exc}") from exc
     del S
+    # The triangles by the place of their last node, -1 when they have
+    # none: the column order of X and R.
+    last = place.max(axis=1)
+    order = np.argsort(last, kind="stable")
+    F, R_b, last = F[order], R_b[order], last[order]
+    Q_z = constrained_basis(
+        C.reshape(k, T, 6)[:, order].reshape(k, 6 * T), F)
     # P = F div_r, zero at the boundary nodes: triangle t's pressure
     # coordinates against (component, local node).
-    div_r = div_r * interior[:, None, None, :]
-    P = np.matmul(F, div_r.reshape(T, 6, 18)).reshape(T, 6, 2, 9)
+    div_r = (div_r * interior[:, None, None, :])[order]
+    P = np.matmul(F, div_r.reshape(T, 6, 18)).reshape(T, 12, 9)
     del div_r
-    # The rows of L_S^-T at each triangle's 9 nodes, the columns of L_S^-1
-    # (inverted in its own storage, column-major), gathered before G
-    # exists; a boundary node reads node 0, which P weights by 0.
+    # L_S is inverted in its own storage (column-major); a boundary node
+    # reads label 0, which P weights by 0.
     if m:                         # (LAPACK rejects an empty triangle)
         L_S, info = scipy.linalg.lapack.dtrtri(L_S, lower=1, overwrite_c=1)
         if info != 0:
             raise SolverError(f"dtrtri failed with info {info}")
-        H = L_S.T[np.where(interior, inner, 0)]                 # (T, 9, m)
-    else:
-        H = np.empty((T, 9, 0))
-    del L_S
-    # G = F div_r L_S^-T, triangle by triangle: each pressure row meets
-    # only its triangle's 9 rows of L_S^-T.  Rows 4t .. 4t + 3 are
-    # triangle t's complement coordinates, rows 4T + 2t, 4T + 2t + 1 its
-    # bubble ones; each row is (component, node).
-    G = np.empty((6 * T, 2, m))
-    np.matmul(P[:, 2:].reshape(T, 8, 9), H, out=G[:4 * T].reshape(T, 8, m))
-    np.matmul(P[:, :2].reshape(T, 4, 9), H, out=G[4 * T:].reshape(T, 4, m))
-    del P, H
-    # Q^T G on the complement rows, as G^T Q on the transposed view: its
-    # first k rows carry C M^-1 B L_A^-T (times the invertible factor of
-    # Z); Q acts on the pressures and L_S^-T on the velocities, so the
-    # order of the two does not matter.
-    applied = _apply_q(reflectors, tau, G[:4 * T].reshape(4 * T, 2 * m).T,
-                       "N", "R")
-    if not np.shares_memory(applied, G):
-        G[:4 * T] = applied.T.reshape(4 * T, 2, m)
-    del applied
-    _check_range_inclusion(G[:k], G)
-    # Column-major, the rows G[k:] are the stacked (2m, p) matrix [x-rows;
-    # y-rows] of X's other velocities: a row permutation, which leaves R
-    # unchanged up to row signs.
-    X = G[k:].reshape(2 * p, m).T.reshape(2 * m, p, order="F")
-    del G
-    # The compact-WY QR of X_rc = X[:, :pc] and Q^T X_rb on the bubble
-    # columns X[:, pc:], both in place: the first top rows of Q^T X_rb are
-    # R_12, the rest Y's first rows.  A wide X_rc (2m < pc) has 2m
-    # reflectors, none when m = 0.
-    pc = p - 2 * T
-    top = min(2 * m, pc)
-    if top:
-        _apply_q(X[:, :top], _compact_wy(X[:, :pc])[1], X[:, pc:], "T")
-    # Y = [X[top:, pc:]; blockdiag(R_t^T)], column-major for its QR in
-    # place; R_22 is its triangle.  Each copy out of X is made before R
-    # exists, so the largest array, X, never lives beside R.
-    Y = np.zeros((2 * m - top + 2 * T, 2 * T), order="F")
-    Y[:2 * m - top] = X[top:, pc:]
-    t2 = 2 * np.arange(T)[:, None, None]
-    Y[2 * m - top + t2 + np.arange(2)[:, None], t2 + np.arange(2)] = \
-        R_b.transpose(0, 2, 1)
-    R_22 = np.triu(_compact_wy(Y)[0][:2 * T])
-    del Y
-    R_1 = np.triu(X[:top])              # [R_11, R_12]
-    del X
-    R = np.zeros((p, p), order="F")
-    R[:top] = R_1
-    R[pc:, pc:] = R_22
-    del R_1, R_22
+    R = _staircase_qr(P, L_S, np.where(interior, label, 0)[order], R_b, last)
+    del P, L_S
+    # R Q_z is (C M^-1 B L_A^-T)^T up to an orthogonal factor on the left
+    # and an invertible one on the right: the constraint directions must
+    # be null vectors of R.
+    _check_range_inclusion(scipy.linalg.blas.dtrmm(1.0, R, Q_z), R)
     # The rank scale's Krylov start: a fixed-seed raw pressure x in the
-    # constrained coordinates.  A fixed vector of those coordinates would
-    # move with their basis, which roundoff can change discretely (the
-    # sign of a Householder reflector whose leading entry is near zero).
-    y = np.matmul(F, np.random.default_rng(0).standard_normal((T, 6, 1)))
-    c = _apply_q(reflectors, tau, y[:, 2:].reshape(4 * T, 1), "T")
-    start = np.concatenate([c[k:, 0], y[:, :2].ravel()])
+    # coordinates F x, less its constraint directions.  A fixed vector of
+    # those coordinates would not be the same pressure on a reordered
+    # mesh.
+    y = np.random.default_rng(0).standard_normal((T, 6, 1))[order]
+    y = np.matmul(F, y).reshape(6 * T)
+    start = y - Q_z @ (Q_z.T @ y)
     return Certificate(factor=R, shape=(p, 2 * (m + T)), start=start,
-                       reflectors=reflectors, tau=tau, pressure_map=F,
+                       constraints=Q_z, order=order, pressure_map=F,
                        divergence=div, nodes=nodes)
 
 
-def _floored(R: np.ndarray) -> np.ndarray:
-    """R with its diagonal entries below eps * p * max|r_ii| raised to
-    that floor, for solving with it (a column-major copy only if one is):
-    exact zero pivots occur, and the floor perturbs R only at roundoff
-    level."""
+def _floor_pivots(R: np.ndarray):
+    """(low, pivots): the diagonal entries of R below eps * p * max|r_ii|,
+    raised in place to that floor for solving with R, and their values
+    before, which the caller puts back: exact zero pivots occur, and the
+    floor perturbs R only at roundoff level."""
     diag = np.diagonal(R)
     floor = np.finfo(float).eps * len(R) * np.abs(diag).max(initial=0.0)
     low = np.flatnonzero(np.abs(diag) < floor)
-    if len(low):
-        R = R.copy(order="F")
-        R[low, low] = np.copysign(floor, diag[low])
-    return R
+    pivots = diag[low]
+    R[low, low] = np.copysign(floor, pivots)
+    return low, pivots
 
 
 def _rank_scale(R: np.ndarray, start: np.ndarray) -> float:
@@ -623,8 +686,9 @@ class RankResult:
                             # floored at eps * max(shape) * scale
     beta: float             # smallest accepted singular value
     scale: float            # lower bound on the largest singular value
-    null_basis: np.ndarray  # (p, p - rank) orthonormal basis of the lifted
-                            # directions: the null vectors of R
+    null_basis: np.ndarray  # (6T, p - rank) orthonormal basis of the lifted
+                            # directions: the null vectors of R orthogonal
+                            # to the constraints
 
 
 def _threshold(cert: Certificate, tol: Tolerances):
@@ -643,43 +707,55 @@ def _threshold(cert: Certificate, tol: Tolerances):
     return scale, tol.rank * scale
 
 
-def divergence_rank(cert: Certificate,
-                    tol: Tolerances = Tolerances()) -> RankResult:
+def divergence_rank(cert: Certificate, tol: Tolerances = Tolerances(),
+                    overwrite_factor: bool = False) -> RankResult:
     """Rank of the pairing, the deficiency K and beta, with the gap test:
     the accepted singular values must clear the rejected ones by 10x.
 
     A singular value is accepted above the threshold of ``_threshold``.
-    Inverse Lanczos finds the smallest singular value of the square
+    The constraint directions Q_z, null vectors of R, are lifted first: R
+    is replaced by the factor of [R; scale Q_z^T], which moves them to the
+    top of the spectrum and leaves the rest in place; they are not counted.
+    Then inverse Lanczos finds the smallest singular value of the square
     factor; while it is at or below the threshold, every converged Ritz
-    vector v there is lifted: R is replaced by the factor of [R; scale
-    v^T], which moves v to the top of the spectrum and leaves the rest in
-    place.  The number of lifted vectors is K = p - rank, with p =
-    cert.shape[0] the constrained pressure dimension 6T - 1 - sigma;
-    their orthonormal basis is ``null_basis`` (the identity at scale 0),
-    and beta is the smallest singular value of the lifted factor.  Every
-    factor read here is p x p and column-major, and is read in place."""
+    vector v there is lifted the same way.  The number of those is K = p -
+    rank, with p = cert.shape[0] the constrained pressure dimension 6T - 1
+    - sigma; their orthonormal basis is ``null_basis`` (every constrained
+    direction at scale 0), and beta is the smallest singular value of the
+    lifted factor.  Every factor read here is square and column-major, and
+    is read in place.  The factor is lifted and floored in a copy, or with
+    overwrite_factor in its own storage, which then no longer holds
+    certify's factor: ``analyze_mesh`` reads it no more and saves the
+    copy, the largest array of the rank."""
     p = cert.shape[0]
     scale, thr = _threshold(cert, tol)
-    R, beta = cert.factor, 0.0
+    R = cert.factor if overwrite_factor else cert.factor.copy(order="F")
+    beta = 0.0
     # A rejected value below roundoff level is noise whose size depends on
     # the LAPACK kernel; the gap measures against the roundoff floor then,
     # and also when nothing is rejected.
     largest_rejected = np.finfo(float).eps * max(cert.shape) * scale
     lifted = 0 if scale > 0.0 else p
-    rounds = [np.zeros((p, 0))]        # the directions lifted in each round
+    Q_z = (np.zeros((len(R), 0)) if cert.constraints is None
+           else cert.constraints)
+    if lifted < p and Q_z.shape[1]:
+        R = _lift(R, scale * Q_z.T)
+    rounds = [np.zeros((len(R), 0))]   # the directions lifted in each round
     while lifted < p:
-        F = _floored(R)
-        beta, Y = _inverse_lanczos(F, thr)
+        low, pivots = _floor_pivots(R)
+        beta, Y = _inverse_lanczos(R, thr)
+        if Y.shape[1]:
+            # One step of block inverse iteration damps the Ritz vectors'
+            # error along each larger singular value s_j by (s / s_j)^2;
+            # the singular values of R (unfloored) on that block then
+            # decide what is lifted.
+            V = scipy.linalg.solve_triangular(R, Y, trans="T",
+                                              check_finite=False)
+            V = scipy.linalg.solve_triangular(R, V, check_finite=False)
+            V = np.linalg.qr(V)[0]
+        R[low, low] = pivots
         if not Y.shape[1]:
             break
-        # One step of block inverse iteration damps the Ritz vectors'
-        # error along each larger singular value s_j by (s / s_j)^2; the
-        # singular values of R (unfloored) on that block then decide what
-        # is lifted.
-        V = scipy.linalg.solve_triangular(F, Y, trans="T", check_finite=False)
-        V = scipy.linalg.solve_triangular(F, V, check_finite=False)
-        V = np.linalg.qr(V)[0]
-        del F
         RV = R @ V
         mu, Z = np.linalg.eigh(RV.T @ RV)
         s = np.sqrt(np.maximum(mu, 0.0))
@@ -689,14 +765,15 @@ def divergence_rank(cert: Certificate,
                 f"the threshold {thr:.3e}, its block puts none there")
         largest_rejected = max(largest_rejected, float(s[s <= thr][-1]))
         V = V @ Z[:, s <= thr]
-        if R is cert.factor:
-            R = R.copy(order="F")
         R = _lift(R, scale * V.T)
         rounds.append(V)
         lifted += V.shape[1]
     if lifted == p:                 # nothing accepted
         beta = 0.0
-    null_basis = np.linalg.qr(np.hstack(rounds))[0] if scale else np.eye(p)
+    if scale:
+        null_basis = np.linalg.qr(np.hstack(rounds))[0]
+    else:
+        null_basis = np.linalg.qr(Q_z, mode="complete")[0][:, Q_z.shape[1]:]
     gap = float("inf")
     if largest_rejected > 0.0:
         gap = float(beta / largest_rejected)
@@ -715,13 +792,16 @@ def infsup_constant(cert: Certificate, tol: Tolerances = Tolerances(),
     rank accepts, above the threshold of ``_threshold``.  Given the
     ``divergence_rank`` of the same certificate, beta is read from it and
     no eigenvalue is listed (None).  Otherwise one values-only SVD of the
-    factor lists the eigenvalues of the pressure Schur complement on the
-    constrained space in the mass inner product, ascending, with those of
-    the singular values at or below the threshold reported as exactly 0."""
+    factor, less its k smallest values, those of the constraint
+    directions, lists the eigenvalues of the pressure Schur complement on
+    the constrained space in the mass inner product, ascending, with those
+    of the singular values at or below the threshold reported as exactly
+    0."""
     if rank is not None:
         return rank.beta, None
     thr = _threshold(cert, tol)[1]
     s = scipy.linalg.svd(cert.factor, compute_uv=False, check_finite=False)
+    s = s[:cert.shape[0]]
     accepted = s > thr
     eig = np.where(accepted, s, 0.0)[::-1] ** 2
     beta = float(s[accepted][-1]) if accepted.any() else 0.0
@@ -733,20 +813,16 @@ def spurious_modes(cert: Certificate, rank: RankResult):
     against every velocity, returned as raw coefficient vectors.
 
     They are the null vectors of the factor R that ``divergence_rank``
-    lifted, ``rank.null_basis``, mapped back through the reflectors (their
-    complement coordinates) and F^T, and accepted only if they pair with
-    no velocity: B^T q sums the per-triangle blocks at the global nodes."""
+    lifted, ``rank.null_basis``, mapped back through F^T to each
+    triangle's place in the mesh, and accepted only if they pair with no
+    velocity: B^T q sums the per-triangle blocks at the global nodes."""
     V = rank.null_basis
     if not V.shape[1]:
         return []
     F, nodes = cert.pressure_map, cert.nodes
     T, K = len(F), V.shape[1]
-    pc = len(V) - 2 * T
-    U = np.zeros((4 * T, K))
-    U[4 * T - pc:] = V[:pc]
-    U = _apply_q(cert.reflectors, cert.tau, U, "N")
-    u = np.concatenate([V[pc:].reshape(T, 2, K), U.reshape(T, 4, K)], axis=1)
-    Q = np.matmul(F.transpose(0, 2, 1), u)                  # (T, 6, K)
+    Q = np.empty((T, 6, K))
+    Q[cert.order] = np.matmul(F.transpose(0, 2, 1), V.reshape(T, 6, K))
     t, a = np.nonzero(nodes >= 0)
     div = cert.divergence[t, :, :, a]                       # (., 6, 2)
     pairing = np.zeros((_n_nodes(nodes), K, 2))

@@ -103,8 +103,8 @@ CONDENSED_MESHES = {
     "one-triangle": lambda: Triangulation([[0.0, 0.0], [1.0, 0.0],
                                            [0.0, 1.0]], [[0, 1, 2]]),
     "perturbed-8-p3": lambda: bench_mesh("perturbed-8-p3"),
-    # two triangles: fewer other velocities than constrained complement
-    # coordinates (2m < p - 2T), so the QR of X_rc is wide
+    # two triangles: fewer velocities than raw pressures (n < 6T), so
+    # the one panel of the staircase QR is wide
     "two-triangle-square": lambda: type1_diagonal(1),
     "crossed-1": lambda: crossed(1),
 }
@@ -114,24 +114,21 @@ CONDENSED_MESHES = {
 @pytest.mark.parametrize("name", sorted(CONDENSED_MESHES))
 def test_condensed_factor_has_the_singular_values_of_the_full_pairing(
         name, seminorm):
-    """The factor of the condensed, rotated pairing has the singular values
-    of W assembled in full, to 1e-12 s_max, and the modes pair with no
+    """The factor of the condensed pairing on the raw pressures has the
+    singular values of W assembled in full, to 1e-12 s_max, plus one at
+    roundoff level per constraint row, and the modes pair with no
     velocity under the full B.  On one triangle the bubble is the only
     velocity node, and no other node remains; on the two-triangle square
-    X_rc is wide, and the factor is still p x p."""
+    the one panel is wide, and the factor is still 6T x 6T."""
     topo, reports, summary = _classified(CONDENSED_MESHES[name]())
     cert = solver.certify(topo, reports, seminorm=seminorm)
     W = uncondensed_pairing(topo, reports, seminorm)
     assert cert.shape == W.shape
-    assert cert.factor.shape == (W.shape[0], W.shape[0])
-    s = np.zeros(W.shape[0])            # and p - n zeros when p > n
-    s[:min(W.shape)] = scipy.linalg.svdvals(W)
-    assert np.abs(scipy.linalg.svdvals(cert.factor) - s).max() <= 1e-12 * s[0]
+    _assert_raw_spectrum(cert, W)
     if name == "one-triangle":
         assert W.shape == (2, 2) and topo.V0 == topo.E0 == 0
     if name == "two-triangle-square":
-        m = topo.V0 + 2 * topo.E0
-        assert 2 * m < cert.shape[0] - 2 * topo.T
+        assert cert.shape[1] < 6 * topo.T
     rr = solver.divergence_rank(cert, TOL)
     modes = solver.spurious_modes(cert, rr)
     assert len(modes) == rr.K
@@ -139,6 +136,39 @@ def test_condensed_factor_has_the_singular_values_of_the_full_pairing(
         B = dense_divergence(topo, solver.number_dofs(topo))
         assert np.abs(np.column_stack(modes).T @ B).max() < \
             1e-12 * np.abs(B).max()
+
+
+def _assert_raw_spectrum(cert, W):
+    """certify's factor is 6T x 6T, and its singular values are those of
+    the full-assembly pairing W on the constrained pressures (p - n zeros
+    among them when p > n), to 1e-12 s_max, then exactly k = 6T - p more,
+    those of the constraint directions, below 1e-14 s_max."""
+    p = W.shape[0]
+    k = cert.constraints.shape[1]
+    assert cert.factor.shape == (p + k, p + k)
+    s = np.zeros(p)
+    s[:min(W.shape)] = scipy.linalg.svdvals(W)
+    got = scipy.linalg.svdvals(cert.factor)
+    assert np.abs(got[:p] - s).max() <= 1e-12 * s[0]
+    assert got[p:].max() <= 1e-14 * s[0]
+
+
+RAW_SPECTRUM_MESHES = (sorted(GOLDEN_MESHES) + bench_pool("certify-dense")
+                       + bench_pool("verify-fields")
+                       + ["type1-1", "one-triangle", "ngon-5"])
+
+
+@pytest.mark.parametrize("name", RAW_SPECTRUM_MESHES)
+def test_raw_factor_is_the_oracle_spectrum_plus_k_roundoff_values(name):
+    """The raw factor against the full-assembly oracle on the goldens, both
+    bench pools, the two-triangle square (type1-1), one triangle and the
+    5-gon: the constrained spectrum and k values at roundoff level."""
+    mesh = (CONDENSED_MESHES[name]() if name in CONDENSED_MESHES
+            else _oracle_case(name))
+    topo, reports, summary = _classified(mesh)
+    cert = solver.certify(topo, reports)
+    assert cert.constraints.shape[1] == 1 + summary["sigma"]
+    _assert_raw_spectrum(cert, uncondensed_pairing(topo, reports))
 
 
 def test_a_constraint_row_that_a_bubble_violates_is_a_solver_error(
@@ -201,11 +231,11 @@ def test_modes_span_the_null_space_of_the_schur_pencil(name):
 
 def test_modes_with_fewer_velocities_than_constrained_pressures():
     # two triangles: 8 velocity DOFs against 9 constrained pressures, so
-    # the p x p factor R has a zero row at its pivotless column
+    # the 6T x 6T factor R has zero rows at its pivotless columns
     topo, reports, summary = _classified(type1_diagonal(1))
     cert = solver.certify(topo, reports)
     p, n = cert.shape
-    assert n < p and cert.factor.shape == (p, p)
+    assert n < p and cert.factor.shape == (6 * topo.T, 6 * topo.T)
     rr = solver.divergence_rank(cert, TOL)
     modes = np.column_stack(solver.spurious_modes(cert, rr))
     assert modes.shape[1] == rr.K == p - rr.rank == 1
@@ -215,60 +245,59 @@ def test_modes_with_fewer_velocities_than_constrained_pressures():
 def test_modes_of_a_factor_with_exact_zero_pivots():
     """A synthetic certificate with T = 3, two constraint rows, A = I and
     F = L_M^-1 (no rotation), and a pairing B chosen so that W = R^T.  R
-    is upper triangular with pivots 2, 7 and 12 exactly zero and those
-    columns combinations of the earlier ones, so its null space is known
-    exactly.  It is scaled by a power of two, exactly, to singular values
-    at most 1, as those of a certificate are, and its modes come from the
-    directions the rank lifts.  Its columns are the 4T - 2 complement
-    coordinates, then the 2T bubble ones, and each triangle's block of B
-    touches all p / 2 velocity nodes."""
+    is upper triangular with pivots 3, 5, 10, 15 and 17 exactly zero and
+    those columns combinations of the earlier ones, so its null space is
+    known exactly: the null vectors at 5 and 17 vanish on the bubble
+    coordinates (the first 2 of each triangle's 6) and span the
+    constraint directions Z = L_M^-1 C^T, and the other three, less their
+    part along Z, are the modes.  It is scaled by a power of two,
+    exactly, to singular values at most 1, as those of a certificate are,
+    and its modes come from the directions the rank lifts.  Each
+    triangle's block of B touches all 3T velocity nodes."""
     rng = np.random.default_rng(7)
     T, k = 3, 2
-    p, pc = 6 * T - k, 4 * T - k
-    R = np.triu(rng.standard_normal((p, p)))
-    R[np.diag_indices(p)] = rng.uniform(1.0, 2.0, p)
-    null = []
-    for j in (2, 7, 12):
+    n = 6 * T
+    p = n - k
+    bubble = np.arange(n) % 6 < 2
+    R = np.triu(rng.standard_normal((n, n)))
+    R[np.diag_indices(n)] = rng.uniform(1.0, 2.0, n)
+    null = {}
+    for j in (3, 5, 10, 15, 17):
         c = rng.standard_normal(j)
+        if j in (5, 17):
+            c[bubble[:j]] = 0.0
         R[:j, j] = R[:j, :j] @ c
         R[j, j] = 0.0
-        null.append(np.concatenate([c, [-1.0], np.zeros(p - j - 1)]))
-    null = np.column_stack(null)
+        null[j] = np.concatenate([c, [-1.0], np.zeros(n - j - 1)])
     R *= 2.0 ** -np.ceil(np.log2(scipy.linalg.svdvals(R)[0]))
-    assert np.abs(R @ null).max() < 1e-12
+    R = np.asfortranarray(R)
+    assert np.abs(R @ np.column_stack(list(null.values()))).max() < 1e-12
     F = rng.standard_normal((T, 6, 6))
     L_M = np.linalg.cholesky(F @ F.transpose(0, 2, 1) + np.eye(6))
     L_M_inv = np.linalg.inv(L_M)
     L = scipy.linalg.block_diag(*L_M)
-    # constraint rows whose Z = L_M^-1 C^T vanishes on the bubble ones
-    Z = np.zeros((T, 6, k))
-    Z[:, 2:] = rng.standard_normal((T, 4, k))
-    C = (L @ Z.reshape(6 * T, k)).T
-    reflectors, tau = solver.constrained_basis(C, L_M_inv)
-    Q = scipy.linalg.qr(Z[:, 2:].reshape(4 * T, k))[0]
-
-    def weighted(V):
-        """The M-weighted coordinates of the columns of V."""
-        u = np.zeros((T, 6, V.shape[1]))
-        u[:, :2] = V[pc:].reshape(T, 2, -1)
-        u[:, 2:] = (Q[:, k:] @ V[:pc]).reshape(T, 4, -1)
-        return u.reshape(6 * T, -1)
-
-    B = L @ weighted(R.T)
+    Z = np.column_stack([null[5], null[17]])
+    C = (L @ Z).T
+    Q_z = solver.constrained_basis(C, L_M_inv)
+    _assert_same_span(Q_z, Z)
+    B = L @ R.T
     nodes = np.full((T, 10), -1)
-    nodes[:, :p // 2] = np.arange(p // 2)
+    nodes[:, :n // 2] = np.arange(n // 2)
     div = np.zeros((T, 6, 2, 10))
-    div[..., :p // 2] = B.reshape(T, 6, p // 2, 2).transpose(0, 1, 3, 2)
+    div[..., :n // 2] = B.reshape(T, 6, n // 2, 2).transpose(0, 1, 3, 2)
+    start = krylov_start(n)
     cert = solver.Certificate(
-        factor=R, shape=(p, p), start=krylov_start(p), reflectors=reflectors,
-        tau=tau, pressure_map=L_M_inv, divergence=div, nodes=nodes)
+        factor=R, shape=(p, n), start=start - Q_z @ (Q_z.T @ start),
+        constraints=Q_z, order=np.arange(T), pressure_map=L_M_inv,
+        divergence=div, nodes=nodes)
     rr = solver.divergence_rank(cert, TOL)
     assert (rr.rank, rr.K) == (p - 3, 3)
     modes = np.column_stack(solver.spurious_modes(cert, rr))
     assert np.abs(modes.T @ L @ L.T @ modes - np.eye(3)).max() < 1e-12
     assert np.abs(C @ modes).max() < 1e-12 * np.abs(modes).max()
     assert np.abs(modes.T @ B).max() < 1e-12 * np.abs(B).max()
-    _assert_same_span(modes, np.linalg.solve(L.T, weighted(null)))
+    U = np.column_stack([null[j] for j in (3, 10, 15)])
+    _assert_same_span(modes, np.linalg.solve(L.T, U - Q_z @ (Q_z.T @ U)))
 
 
 def _counted_calls(monkeypatch, targets):
@@ -303,18 +332,18 @@ def test_modes_take_no_solve_and_no_qr_of_their_own(monkeypatch, name):
     modes = solver.spurious_modes(cert, rr)
     assert not calls, calls
     assert len(modes) == rr.K >= 1
-    assert rr.null_basis.shape == (cert.shape[0], rr.K)
+    assert rr.null_basis.shape == (6 * topo.T, rr.K)
 
 
 @pytest.mark.parametrize("name", ["type1-3", "perturbed-3-s1"])
 def test_certify_takes_no_triangular_solve_and_no_block_diag(monkeypatch,
                                                               name):
     """certify inverts L_S in place and forms the pairing rows triangle by
-    triangle with the gathered rows of L_S^-T, factors Z, X_rc and Y by
-    the compact-WY QR and applies each Q or Q^T by dgemqrt (on G, X_rb and
-    the Krylov start), and scatters the bubble blocks itself: no
-    triangular solve or product, no block_diag, no dormqr and no scipy
-    QR."""
+    triangle with the gathered rows of L_S^-T, factors each panel of the
+    staircase by the compact-WY QR and applies its Q^T to the later
+    columns by dgemqrt, and scatters the bubble blocks itself; its one
+    triangular product is R Q_z, for the range check: no triangular solve,
+    no block_diag, no dormqr and no scipy QR."""
     topo, reports, summary = _classified(GOLDEN_MESHES[name]())
     lapack, blas = scipy.linalg.lapack, scipy.linalg.blas
     calls = _counted_calls(monkeypatch, (
@@ -323,24 +352,32 @@ def test_certify_takes_no_triangular_solve_and_no_block_diag(monkeypatch,
         (lapack, "dtrtri"), (lapack, "dgeqrt"), (lapack, "dgemqrt"),
         (blas, "dtrmm"), (blas, "dtrsm")))
     solver.certify(topo, reports)
+    panels = -(-6 * topo.T // solver.STAIRCASE_PANEL)
+    assert panels == 3
     assert calls == {"scipy.linalg.lapack.dtrtri": 1,
-                     "scipy.linalg.lapack.dgeqrt": 3,
-                     "scipy.linalg.lapack.dgemqrt": 3}, calls
+                     "scipy.linalg.lapack.dgeqrt": panels,
+                     "scipy.linalg.lapack.dgemqrt": panels - 1,
+                     "scipy.linalg.blas.dtrmm": 1}, calls
 
 
-def _pairing_rows(monkeypatch, topo, reports):
-    """The rows F div_r L_S^-T of ``solver.certify``, (6T, 2, m), after
-    the constraint reflectors, as its range-inclusion check sees them."""
+def _staircase(monkeypatch, topo, reports):
+    """(cert, G, last): ``solver.certify``'s certificate, and the rows F
+    div_r L_S^-T (T, 6, 2, m) that its staircase QR reads, formed in full,
+    with the triangles in the column order and the nodes in level order,
+    and the place of each triangle's last node in level order."""
     seen = []
-    check = solver._check_range_inclusion
+    staircase_qr = solver._staircase_qr
 
-    def recorded(part, whole):
-        seen.append(whole.copy())
-        return check(part, whole)
+    def recorded(P, L_inv, label, R_b, last):
+        # level l is the node label m - 1 - l (m = 0: no node, no label)
+        G = np.matmul(P, L_inv.T[label][..., ::-1] if len(L_inv)
+                      else np.empty((len(P), 9, 0)))
+        seen.append((G.reshape(len(P), 6, 2, -1), last.copy()))
+        return staircase_qr(P, L_inv, label, R_b, last)
 
-    monkeypatch.setattr(solver, "_check_range_inclusion", recorded)
-    solver.certify(topo, reports)
-    return seen[-1]
+    monkeypatch.setattr(solver, "_staircase_qr", recorded)
+    cert = solver.certify(topo, reports)
+    return (cert, *seen[-1])
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_MESHES)
@@ -349,11 +386,12 @@ def test_pairing_rows_are_the_dense_product_with_the_inverse_factor(
         monkeypatch, name):
     """certify's pairing rows, formed triangle by triangle from the
     gathered rows of L_S^-T, are those of the full assembly with the
-    bubbles condensed, times L_S^-T of its dense Schur complement S: to
-    1e-13 of the largest.  On one triangle no other node remains (m =
-    0); on the two-triangle square X_rc is wide."""
+    bubbles condensed, times L_S^-T of its dense Schur complement S
+    factored in the reverse level order: to 1e-13 of the largest.  On one
+    triangle no other node remains (m = 0); on the two-triangle square
+    the one panel is wide."""
     topo, reports, summary = _classified(CONDENSED_MESHES[name]())
-    got = _pairing_rows(monkeypatch, topo, reports)
+    cert, got, _ = _staircase(monkeypatch, topo, reports)
     nodes = solver.number_dofs(topo)
     T, n = topo.T, int(nodes.max()) + 1
     m = n - T                           # the bubbles are the last T nodes
@@ -364,19 +402,60 @@ def test_pairing_rows_are_the_dense_product_with_the_inverse_factor(
     S = A_s[:m, :m] - A_s[:m, m:] @ A_br
     F = _pressure_map(topo)[0]
     P = np.matmul(F, div_r.transpose(0, 2, 1).reshape(T, 6, 2 * m))
-    C = solver.pressure_constraints(topo, reports)
-    reflectors, t = solver.constrained_basis(C, F)
-    rows = np.concatenate([
-        solver._apply_q(reflectors, t, P[:, 2:].reshape(4 * T, 2 * m), "T"),
-        P[:, :2].reshape(2 * T, 2 * m)]).reshape(6 * T * 2, m)
-    assert got.shape == (6 * T, 2, m)
+    rows = P.reshape(6 * T * 2, m)
+    assert got.shape == (T, 6, 2, m)
     if m:
-        L_S = np.linalg.cholesky(S)
-        want = scipy.linalg.solve_triangular(L_S, rows.T, lower=True).T
-        err = np.abs(got.reshape(-1, m) - want).max()
+        # the nodes in the reverse level order, as S is factored
+        reverse = np.argsort(solver._level_positions(nodes[:, :9], m))[::-1]
+        L_S = np.linalg.cholesky(S[np.ix_(reverse, reverse)])
+        want = scipy.linalg.solve_triangular(L_S, rows[:, reverse].T,
+                                             lower=True).T[:, ::-1]
+        want = want.reshape(T, 6, 2, m)[cert.order]
+        err = np.abs(got - want).max()
         assert err <= 1e-13 * np.abs(want).max()
     else:
         assert name == "one-triangle"
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MESHES)
+                         + ["one-triangle", "two-triangle-square", "ngon-5",
+                            "perturbed-8-p3"])
+def test_pairing_rows_are_an_exact_staircase(monkeypatch, name):
+    """Triangle t's rows are nonzero only up to the place of its last
+    node in level order, last[t], which ascends in the column order: every entry beyond
+    it is exactly 0, as L_S^-1 is exactly 0 above its diagonal in the
+    reverse level order, and the QR never reads it."""
+    topo, reports, summary = _classified(CONDENSED_MESHES[name]())
+    cert, G, last = _staircase(monkeypatch, topo, reports)
+    nodes = solver.number_dofs(topo)[cert.order, :9]
+    m = G.shape[-1]
+    position = np.append(solver._level_positions(nodes, m), -1)
+    assert np.array_equal(last, position[nodes].max(axis=1))
+    assert np.all(np.diff(last) >= 0)
+    beyond = np.arange(m) > last[:, None]               # (T, m)
+    assert not G.transpose(0, 3, 1, 2)[beyond].any()
+
+
+@pytest.mark.parametrize("angle,scale", [(1.0, 1e-7), (2.5, 3e7)])
+def test_level_order_is_a_function_of_topology_alone(monkeypatch, angle,
+                                                     scale):
+    """A rotated and scaled copy of a mesh gets the same level order, the
+    same last places and the same triangle order: no coordinate decides
+    them."""
+    orders = []
+    for mesh in (perturbed_grid(5, seed=3),
+                 rigid_motion(perturbed_grid(5, seed=3), angle=angle,
+                              scale=scale)):
+        topo, reports, summary = _classified(mesh)
+        cert, _, last = _staircase(monkeypatch, topo, reports)
+        nodes = solver.number_dofs(topo)
+        m = int(nodes.max()) + 1 - topo.T
+        orders.append((solver._level_positions(nodes[:, :9], m), last,
+                       cert.order))
+    for a, b in zip(*orders):
+        assert np.array_equal(a, b)
+    position = orders[0][0]
+    assert sorted(position) == list(range(len(position)))
 
 
 def test_analyze_takes_no_svd_and_one_gram_eigenvalue(monkeypatch,
@@ -461,18 +540,18 @@ def test_constrained_basis_rejects_dependent_rows():
     C = solver.pressure_constraints(topo, reports)
     assert np.allclose(np.linalg.norm(C, axis=1), 1.0, rtol=1e-14)
     F, blocks = _pressure_map(topo)
-    reflectors, t = solver.constrained_basis(C, F)
+    Q_z = solver.constrained_basis(C, F)
     k, m = C.shape
     T = topo.T
-    assert reflectors.shape == (4 * T, k) and t.shape == (k, k)
-    # the bubble coordinates and the trailing 4T - k columns of Q on the
-    # complement ones, mapped through F^T, are an M-orthonormal basis of
-    # the pressures that C annihilates; Q is the compact-WY pair applied
-    # to the identity
-    Q = scipy.linalg.lapack.dgemqrt(reflectors, t, np.eye(4 * T))[0]
-    u = np.zeros((T, 6, m - k))
-    u[:, :2, :2 * T] = np.eye(2 * T).reshape(T, 2, 2 * T)
-    u[:, 2:, 2 * T:] = Q[:, k:].reshape(T, 4, -1)
+    # orthonormal columns spanning F C^T, zero on the bubble coordinates
+    assert Q_z.shape == (m, k)
+    assert np.abs(Q_z.T @ Q_z - np.eye(k)).max() < 1e-14
+    assert not Q_z.reshape(T, 6, k)[:, :2].any()
+    Z = np.matmul(F, C.T.reshape(T, 6, k)).reshape(m, k)
+    _assert_same_span(Q_z, Z)
+    # the coordinates orthogonal to Q_z, mapped through F^T, are an
+    # M-orthonormal basis of the pressures that C annihilates
+    u = scipy.linalg.null_space(Q_z.T).reshape(T, 6, m - k)
     basis = np.matmul(F.transpose(0, 2, 1), u).reshape(m, m - k)
     M = scipy.linalg.block_diag(*blocks)
     assert np.abs(C @ basis).max() < 1e-12 * np.abs(basis).max()
@@ -526,11 +605,12 @@ def test_certificate_invariant_under_rotation_and_scaling(name, angle,
 # inertia of [[-tau I, R], [R^T, -tau I]]
 
 def _svd_oracle(cert, scale=None, tol=TOL):
-    """(K, beta, gap) from every singular value of the factor: K counts
-    those at or below tol.rank * s_max, beta is the smallest above, gap
-    the old rule over both, its roundoff floor taken at the given rank
-    scale (at s_max when none is given)."""
-    s = scipy.linalg.svdvals(cert.factor)
+    """(K, beta, gap) from every singular value of the factor but the k
+    smallest, those of the constraint directions: K counts those at or
+    below tol.rank * s_max, beta is the smallest above, gap the old rule
+    over both, its roundoff floor taken at the given rank scale (at s_max
+    when none is given)."""
+    s = scipy.linalg.svdvals(cert.factor)[:cert.shape[0]]
     thr = tol.rank * s[0]
     accepted, rejected = s[s > thr], s[s <= thr]
     floor = np.finfo(float).eps * max(cert.shape) * (
@@ -554,15 +634,16 @@ def _negative_eigenvalues(d):
 
 
 def _inertia_K(cert, tol=TOL):
-    """#{s < tau} for tau = tol.rank * s_max: the symmetric matrix
-    [[-tau I, R], [R^T, -tau I]] of the factor has the eigenvalues -tau
-    -+ s, so p + #{s < tau} of them are negative (Sylvester)."""
+    """#{s < tau} for tau = tol.rank * s_max, less the k values of the
+    constraint directions: the symmetric matrix [[-tau I, R], [R^T, -tau
+    I]] of the 6T x 6T factor has the eigenvalues -tau -+ s, so 6T + #{s <
+    tau} of them are negative (Sylvester)."""
     R = cert.factor
     p = len(R)
     tau = tol.rank * scipy.linalg.svdvals(R)[0]
     H = np.block([[-tau * np.eye(p), R], [R.T, -tau * np.eye(p)]])
     _, d, _ = scipy.linalg.ldl(H)
-    return _negative_eigenvalues(d) - p
+    return _negative_eigenvalues(d) - p - (p - cert.shape[0])
 
 
 def _oracle_case(name):
@@ -584,10 +665,10 @@ def test_lifted_lanczos_agrees_with_the_svd_and_the_inertia(name):
     """The same K as the full SVD and as the inertia oracle, beta within
     1e-12 of the SVD's, and the same gap; type1-1 has fewer velocities
     than constrained pressures (p > n).  On every mesh certify's factor
-    is p x p and column-major."""
+    is 6T x 6T and column-major."""
     topo, reports, summary = _classified(_oracle_case(name))
     cert = solver.certify(topo, reports)
-    assert cert.factor.shape == (cert.shape[0],) * 2
+    assert cert.factor.shape == (6 * topo.T,) * 2
     assert cert.factor.flags.f_contiguous
     rr = solver.divergence_rank(cert, TOL)
     K, beta, gap = _svd_oracle(cert, rr.scale)
@@ -603,7 +684,25 @@ def test_lifted_lanczos_agrees_with_the_svd_and_the_inertia(name):
     for c in (1.0, 1e-50, 1e50):
         _assert_scale_bounds(c * cert.factor, c * s_max, cert.start)
         _assert_scale_bounds(c * cert.factor, c * s_max,
-                             krylov_start(cert.shape[0]))
+                             krylov_start(len(cert.factor)))
+
+
+@pytest.mark.parametrize("name", ["type1-3", "perturbed-3-s1"])
+def test_rank_overwrites_the_factor_only_when_asked(name):
+    """divergence_rank lifts a copy of certify's factor and leaves the
+    factor as it was, unless overwrite_factor lets it lift the factor in
+    its own storage, as analyze does: the rank, K, beta, gap and null
+    basis are the same bits either way."""
+    topo, reports, summary = _classified(GOLDEN_MESHES[name]())
+    cert = solver.certify(topo, reports)
+    raw = cert.factor.copy()
+    rr = solver.divergence_rank(cert, TOL)
+    assert np.array_equal(cert.factor, raw)
+    again = solver.divergence_rank(cert, TOL, overwrite_factor=True)
+    assert not np.array_equal(cert.factor, raw)
+    for field in ("rank", "nullity", "K", "gap", "beta", "scale"):
+        assert getattr(again, field) == getattr(rr, field), field
+    assert np.array_equal(again.null_basis, rr.null_basis)
 
 
 # ---------------------------------------------------------------------------
@@ -661,11 +760,12 @@ def test_divergence_rank_takes_no_givens_and_no_solve_in_lanczos(monkeypatch,
     """Each Lanczos step is two dtrsv on the factor and one top Ritz pair,
     by LAPACK's dstebz from the second step on, each run solves the whole
     tridiagonal eigenproblem once, by dstevd, and each round of lifts is
-    one dtpqrt: no drot, no eigh_tridiagonal, and no solve_triangular
-    inside a Lanczos run.  Every factor that dtrsv and dtrmv read is
-    column-major, so BLAS reads it in place: on type1-3 the floored copy
-    of certify's factor and the lifted factor, on perturbed-3-s1 (K = 0)
-    certify's factor itself."""
+    one dtpqrt, the constraint directions' round 0 among them: no drot,
+    no eigh_tridiagonal, and no solve_triangular inside a Lanczos run.
+    Every factor that dtrsv and dtrmv read is column-major, so BLAS reads
+    it in place: certify's factor (the rank scale), on type1-3 the
+    floored copy of the lifted factor and the factor lifted again, on
+    perturbed-3-s1 (K = 0) the lifted factor."""
     topo, reports, summary = _classified(GOLDEN_MESHES[name]())
     cert = solver.certify(topo, reports)
     calls, runs = _calls_per_lanczos_run(monkeypatch)
@@ -675,7 +775,7 @@ def test_divergence_rank_takes_no_givens_and_no_solve_in_lanczos(monkeypatch,
     for fname, seen in operands.items():
         assert seen and all(a.flags.f_contiguous for a in seen), fname
     assert not calls["scipy.linalg.blas.drot"]
-    assert len(runs) == 1 + lifts["scipy.linalg.lapack.dtpqrt"]
+    assert len(runs) == lifts["scipy.linalg.lapack.dtpqrt"]
     assert len(runs) == 1 + (rr.K > 0)
     for run in runs:
         steps = run["tridiagonal top"]
@@ -719,12 +819,13 @@ def test_lanczos_and_lift_agree_with_their_oracles(monkeypatch, name):
     assert rr.beta == pytest.approx(ref.beta, rel=1e-13, abs=0.0)
     if name == "crossed-6-x1e-7":
         # its three smallest singular values lie within 3e-4, and the
-        # rounding of certify's OpenBLAS kernel decides the last step: 95
-        # under SkylakeX, Cooperlake, Zen, Haswell and Sandybridge, 94
-        # under Prescott, Nehalem, Atom and Core2
+        # rounding of certify's OpenBLAS kernel can decide the last step:
+        # on the staircase factor it is 94 under SkylakeX, Cooperlake,
+        # Zen, Haswell, Sandybridge, Prescott, Nehalem, Atom and Core2
+        # (on the rotated factor before it, 95 under the first five)
         assert oracle_steps in ([94], [95])
     if name == "type1-1":
-        assert cert.shape[1] < cert.shape[0] == len(cert.factor)
+        assert cert.shape[1] < cert.shape[0] < len(cert.factor)
         assert rr.K == 1
 
 
@@ -757,17 +858,16 @@ def test_a_non_finite_lanczos_step_is_indeterminate(entry):
 
 
 def test_a_wide_factor_is_padded_at_its_pivotless_columns():
-    """The two-triangle square has 2m = 4 other velocities against pc = 5
-    constrained complement coordinates, so certify's R has rows on columns
-    0 .. 3 and on the 2T = 4 bubble columns 5 .. 8: it is 9 x 9, upper
-    triangular and column-major, with one zero row, the only zero pivot,
-    at column 4."""
+    """The two-triangle square has n = 8 velocities against 6T = 12 raw
+    pressures, all in one panel of the staircase QR, so certify's R has
+    rows 0 .. 7: it is 12 x 12, upper triangular and column-major, with
+    zero rows, the only zero pivots, at columns 8 .. 11."""
     topo, reports, summary = _classified(type1_diagonal(1))
     R = solver.certify(topo, reports).factor
-    assert R.shape == (9, 9) and R.flags.f_contiguous
+    assert R.shape == (12, 12) and R.flags.f_contiguous
     assert not np.tril(R, -1).any()
-    assert np.flatnonzero(np.diag(R) == 0.0).tolist() == [4]
-    assert not R[4].any()
+    assert np.flatnonzero(np.diag(R) == 0.0).tolist() == [8, 9, 10, 11]
+    assert not R[8:].any()
 
 
 @pytest.mark.parametrize("e", range(-8, 9))
@@ -797,7 +897,7 @@ def test_lift_by_dtpqrt_matches_the_givens_oracle(name, rows):
     p, n = cert.shape
     assert (n < p) == (name == "type1-1")
     R = cert.factor
-    w = np.random.default_rng(5).standard_normal((rows, p))
+    w = np.random.default_rng(5).standard_normal((rows, len(R)))
     want = R.T @ R + w.T @ w
     in_place = R.copy(order="F")
     assert solver._lift(in_place, w.copy()) is in_place
@@ -853,7 +953,7 @@ def test_rank_scale_by_triangular_products_is_the_dense_one(monkeypatch,
     1e-13."""
     topo, reports, summary = _classified(GOLDEN_MESHES[name]())
     cert = solver.certify(topo, reports)
-    assert cert.factor.shape == (cert.shape[0],) * 2
+    assert cert.factor.shape == (6 * topo.T,) * 2
     scale = solver._rank_scale(cert.factor, cert.start)
     calls = _dense_products(monkeypatch)
     dense = solver._rank_scale(cert.factor, cert.start)

@@ -381,18 +381,37 @@ def test_area_underflow_is_input_error(tmp_path, capsys, command, case):
 @pytest.mark.parametrize("L", ["1e-160", "1e-155", "1e155", "1e160"])
 def test_a_non_finite_vertex_decision_is_input_error(tmp_path, capsys, L):
     """crossed-3 at a length scale whose squared edge lengths over- or
-    underflow: gen writes it, and every command exits 2, naming the first
-    even-valence grid crossing, whose decision |D_i| h_z^s is NaN.  It
-    read NotLI with a NaN decision value before."""
-    path = _gen(tmp_path, "crossed", "--n", "3", "--L", L)
+    underflow exits 2 from every command.  Where they underflow, gen
+    writes it, and every command names the first even-valence grid
+    crossing, whose decision |D_i| h_z^s is NaN; it read NotLI with a NaN
+    decision value before.  Where the squared diameter overflows, gen and
+    every command reject the mesh at load, naming its length scale; that
+    decision was NaN too before."""
+    if float(L) < 1.0:
+        path = _gen(tmp_path, "crossed", "--n", "3", "--L", L)
+        message = "vertex 5: the even-valence decision |D_i| h_z^s is nan"
+    else:
+        # crossed-3 scaled by L, written out (``gen`` rejects it too): its
+        # diameter is 3 sqrt(2) L
+        unit = crossed(3)
+        lines = [f"vertices {unit.num_vertices}"]
+        lines += [f"{x * float(L)!r} {y * float(L)!r}"
+                  for x, y in unit.vertices.tolist()]
+        path = tmp_path / "crossed.mesh"
+        path.write_text("\n".join(lines) + "\n"
+                        + dump_mesh(unit).split("\n", unit.num_vertices + 1)[-1])
+        message = (f"length scale 4.24e+{L[2:]} is out of range: the squared "
+                   f"diameter or a triangle area overflows")
+        assert main(["gen", "crossed", "--n", "3", "--L", L, "--out",
+                     str(tmp_path / "gen.mesh")]) == EXIT_INPUT
+        assert message in capsys.readouterr().err
     out = tmp_path / "out"
     for command in (["analyze", "--skip-solver"], ["analyze"],
                     ["verify-fields"], ["infsup"], ["spline-dim"]):
         capsys.readouterr()
         assert main([*command, "--mesh", str(path), "--out", str(out)]) == \
             EXIT_INPUT, command
-        assert "vertex 5: the even-valence decision |D_i| h_z^s is nan" in \
-            capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
 

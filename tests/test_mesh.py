@@ -235,6 +235,22 @@ MESSAGE_CASES = {
 }
 
 
+def test_an_overflowing_length_scale_is_named_before_conformity():
+    """The three-triangle T-junction at L = 1e155: its squared diameter
+    overflows, and the mesh is rejected for its length scale before the
+    conformity checks, whose T-junction test overflows too and let it
+    through to "not edge-connected"."""
+    vertices = np.array(_T_JOINT, dtype=float)
+    triangles = np.array([(0, 1, 2), (0, 4, 3), (4, 1, 3)])
+    with pytest.raises(MeshError, match="hanging vertex 4"):
+        Triangulation(vertices, triangles)
+    with pytest.raises(MeshError) as info:
+        Triangulation(vertices * 1e155, triangles)
+    assert str(info.value) == ("length scale 4.47e+155 is out of range: the "
+                               "squared diameter or a triangle area "
+                               "overflows")
+
+
 @pytest.mark.parametrize("name", sorted(MESSAGE_CASES))
 def test_validation_message_names_the_first_offender(name):
     vertices, triangles, message = MESSAGE_CASES[name]
