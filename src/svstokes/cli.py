@@ -198,7 +198,7 @@ def analyze_mesh(mesh: Triangulation, tol: Tolerances,
         raise MeshError("mesh is not simply connected (Euler check failed)")
 
     cert = solver.certify(topology, reports)
-    rank = solver.divergence_rank(cert, tol, overwrite_factor=True)
+    rank = solver.divergence_rank(cert, tol)
     _check_verdict(verdict, reports, rank)
     beta, _ = solver.infsup_constant(cert, tol, rank)
     modes = solver.spurious_modes(cert, rank)

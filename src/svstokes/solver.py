@@ -346,9 +346,6 @@ def _level_positions(inner: np.ndarray, m: int) -> np.ndarray:
         if other_depth <= depth:
             break
         level, depth = other, other_depth
-    # (a node graph in pieces, which no conforming mesh gives: the nodes
-    # no level reached go last)
-    level[level < 0] = depth + 1
     position = np.empty(m, dtype=np.int64)
     position[np.argsort(level, kind="stable")] = np.arange(m)
     return position
@@ -394,10 +391,11 @@ class Certificate:
     nonzero ones lie in [beta, 1]: for a velocity v in H^1_0, ||div v||^2
     + ||rot v||^2 = |v|_1^2, which is at most the squared norm of v in the
     seminorm and in the full H1 norm.  ``divergence_rank`` lifts Q_z out
-    of the spectrum first; the null vectors of R that remain are the left
-    null vectors of W, and ``spurious_modes`` maps them back through
-    ``order`` and F^T and checks their pairing on the per-triangle
-    divergence blocks.  A factor alone (no constraints) is the factor of
+    of the spectrum first, in the factor's own storage (the rank consumes
+    the factor); the null vectors of R that remain are the left null
+    vectors of W, and ``spurious_modes`` maps them back through ``order``
+    and F^T and checks their pairing on the per-triangle divergence
+    blocks.  A factor alone (no constraints) is the factor of
     the constrained pairing itself, p x p: it certifies K and beta but no
     modes.
     """
@@ -698,7 +696,11 @@ def _threshold(cert: Certificate, tol: Tolerances):
     threshold needs the largest singular value only to a few digits.  A
     scale above 1 (beyond roundoff) breaks the bound every singular value
     of the pairing obeys, so the pairing or its norms are wrong:
-    SolverError."""
+    SolverError, and so is a factor that an earlier ``divergence_rank``
+    consumed."""
+    if not cert.factor.flags.writeable:
+        raise SolverError("the certificate's factor is read-only: an earlier "
+                          "divergence_rank lifted it; certify again")
     scale = _rank_scale(cert.factor, cert.start)
     if scale * scale > SCALE_BOUND:
         raise SolverError(
@@ -707,8 +709,8 @@ def _threshold(cert: Certificate, tol: Tolerances):
     return scale, tol.rank * scale
 
 
-def divergence_rank(cert: Certificate, tol: Tolerances = Tolerances(),
-                    overwrite_factor: bool = False) -> RankResult:
+def divergence_rank(cert: Certificate,
+                    tol: Tolerances = Tolerances()) -> RankResult:
     """Rank of the pairing, the deficiency K and beta, with the gap test:
     the accepted singular values must clear the rejected ones by 10x.
 
@@ -722,14 +724,17 @@ def divergence_rank(cert: Certificate, tol: Tolerances = Tolerances(),
     rank, with p = cert.shape[0] the constrained pressure dimension 6T - 1
     - sigma; their orthonormal basis is ``null_basis`` (every constrained
     direction at scale 0), and beta is the smallest singular value of the
-    lifted factor.  Every factor read here is square and column-major, and
-    is read in place.  The factor is lifted and floored in a copy, or with
-    overwrite_factor in its own storage, which then no longer holds
-    certify's factor: ``analyze_mesh`` reads it no more and saves the
-    copy, the largest array of the rank."""
+    lifted factor.  Every factor read here is square and column-major.
+
+    The rank consumes the factor: it is lifted and floored in its own
+    storage, the largest array of an analysis, and left read-only, so that
+    a second rank of the certificate, or ``infsup_constant`` without this
+    rank, is a SolverError instead of a reading of the lifted factor."""
     p = cert.shape[0]
     scale, thr = _threshold(cert, tol)
-    R = cert.factor if overwrite_factor else cert.factor.copy(order="F")
+    # a writeable view lifts the factor, which is read-only from here on
+    R = cert.factor.view()
+    cert.factor.flags.writeable = False
     beta = 0.0
     # A rejected value below roundoff level is noise whose size depends on
     # the LAPACK kernel; the gap measures against the roundoff floor then,

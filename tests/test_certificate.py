@@ -86,8 +86,8 @@ def test_certificate_agrees_with_the_raw_rank_and_schur_eigenproblem(
         name, seminorm):
     topo, reports, summary = _classified(GOLDEN_MESHES[name]())
     cert = solver.certify(topo, reports, seminorm=seminorm)
-    rr = solver.divergence_rank(cert, TOL)
     beta, eig = solver.infsup_constant(cert)
+    rr = solver.divergence_rank(cert, TOL)
     rank, K, beta_ref = _oracle(topo, reports, summary["sigma"], seminorm)
     assert (rr.rank, rr.K) == (rank, K)
     assert beta == pytest.approx(beta_ref, rel=1e-9)
@@ -214,13 +214,14 @@ def test_modes_are_mass_orthonormal_and_pair_with_no_velocity(name):
 def test_modes_span_the_null_space_of_the_schur_pencil(name):
     topo, reports, summary = _classified(GOLDEN_MESHES[name]())
     cert = solver.certify(topo, reports)
+    # (the rank consumes the factor: the zeroed one is a copy)
+    R = cert.factor.copy(order="F")
     rr = solver.divergence_rank(cert, TOL)
     modes = np.column_stack(solver.spurious_modes(cert, rr))
     oracle = _oracle_modes(topo, reports, rr.K)
     _assert_same_span(modes, oracle)
     # Roundoff leaves the null pivot of R near 1e-14 here; another LAPACK
     # kernel can leave it at exactly zero, and the modes must not change.
-    R = cert.factor.copy()
     null_pivot = np.argmin(np.abs(np.diag(R)))
     R[null_pivot, null_pivot] = 0.0
     zeroed = dataclasses.replace(cert, factor=R)
@@ -361,40 +362,47 @@ def test_certify_takes_no_triangular_solve_and_no_block_diag(monkeypatch,
 
 
 def _staircase(monkeypatch, topo, reports):
-    """(cert, G, last): ``solver.certify``'s certificate, and the rows F
-    div_r L_S^-T (T, 6, 2, m) that its staircase QR reads, formed in full,
-    with the triangles in the column order and the nodes in level order,
-    and the place of each triangle's last node in level order."""
-    seen = []
+    """(cert, windows, last, R_b): ``solver.certify``'s certificate; each
+    panel's window as the staircase QR filled it, before the panel is
+    factored, with the columns c0 its panel starts at, (c0, rows x (6T -
+    c0)); the place of each triangle's last node in level order, in the
+    column order; and the bubble blocks R_t the QR was given."""
+    lapack = scipy.linalg.lapack
+    dgeqrt, dgemqrt = lapack.dgeqrt, lapack.dgemqrt
     staircase_qr = solver._staircase_qr
+    seen, windows = [], []
 
-    def recorded(P, L_inv, label, R_b, last):
-        # level l is the node label m - 1 - l (m = 0: no node, no label)
-        G = np.matmul(P, L_inv.T[label][..., ::-1] if len(L_inv)
-                      else np.empty((len(P), 9, 0)))
-        seen.append((G.reshape(len(P), 6, 2, -1), last.copy()))
+    def recorded_qr(P, L_inv, label, R_b, last):
+        seen.append((last.copy(), R_b.copy()))
         return staircase_qr(P, L_inv, label, R_b, last)
 
-    monkeypatch.setattr(solver, "_staircase_qr", recorded)
+    def recorded_geqrt(nb, A, **kwargs):
+        windows.append([A.copy()])
+        return dgeqrt(nb, A, **kwargs)
+
+    def recorded_gemqrt(V, tau, C, **kwargs):
+        windows[-1].append(C.copy())
+        return dgemqrt(V, tau, C, **kwargs)
+
+    monkeypatch.setattr(solver, "_staircase_qr", recorded_qr)
+    monkeypatch.setattr(lapack, "dgeqrt", recorded_geqrt)
+    monkeypatch.setattr(lapack, "dgemqrt", recorded_gemqrt)
     cert = solver.certify(topo, reports)
-    return (cert, *seen[-1])
+    p = len(cert.factor)
+    windows = [np.hstack(w) for w in windows]
+    return (cert, [(p - w.shape[1], w) for w in windows], *seen[-1])
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_MESHES)
-                         + ["one-triangle", "two-triangle-square"])
-def test_pairing_rows_are_the_dense_product_with_the_inverse_factor(
-        monkeypatch, name):
-    """certify's pairing rows, formed triangle by triangle from the
-    gathered rows of L_S^-T, are those of the full assembly with the
-    bubbles condensed, times L_S^-T of its dense Schur complement S
-    factored in the reverse level order: to 1e-13 of the largest.  On one
-    triangle no other node remains (m = 0); on the two-triangle square
-    the one panel is wide."""
-    topo, reports, summary = _classified(CONDENSED_MESHES[name]())
-    cert, got, _ = _staircase(monkeypatch, topo, reports)
+def _dense_pairing_rows(topo, cert):
+    """The rows F div_r L_S^-T of the full assembly, the bubbles
+    condensed and S factored densely in the reverse level order, as (T, 6,
+    2, m): the triangles in cert's column order, the nodes in level
+    order."""
     nodes = solver.number_dofs(topo)
     T, n = topo.T, int(nodes.max()) + 1
     m = n - T                           # the bubbles are the last T nodes
+    if not m:
+        return np.zeros((T, 6, 2, 0))
     B = dense_divergence(topo, nodes).reshape(6 * T, n, 2)
     A_s, _ = dense_norms(topo, nodes)
     A_br = A_s[m:, :m] / np.diag(A_s)[m:, None]          # D^-1 A_br
@@ -403,30 +411,82 @@ def test_pairing_rows_are_the_dense_product_with_the_inverse_factor(
     F = _pressure_map(topo)[0]
     P = np.matmul(F, div_r.transpose(0, 2, 1).reshape(T, 6, 2 * m))
     rows = P.reshape(6 * T * 2, m)
-    assert got.shape == (T, 6, 2, m)
-    if m:
-        # the nodes in the reverse level order, as S is factored
-        reverse = np.argsort(solver._level_positions(nodes[:, :9], m))[::-1]
-        L_S = np.linalg.cholesky(S[np.ix_(reverse, reverse)])
-        want = scipy.linalg.solve_triangular(L_S, rows[:, reverse].T,
-                                             lower=True).T[:, ::-1]
-        want = want.reshape(T, 6, 2, m)[cert.order]
-        err = np.abs(got - want).max()
-        assert err <= 1e-13 * np.abs(want).max()
-    else:
-        assert name == "one-triangle"
+    # the nodes in the reverse level order, as S is factored
+    reverse = np.argsort(solver._level_positions(nodes[:, :9], m))[::-1]
+    L_S = np.linalg.cholesky(S[np.ix_(reverse, reverse)])
+    G = scipy.linalg.solve_triangular(L_S, rows[:, reverse].T,
+                                      lower=True).T[:, ::-1]
+    return G.reshape(T, 6, 2, m)[cert.order]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MESHES)
+                         + ["one-triangle", "two-triangle-square"])
+def test_pairing_rows_are_the_dense_product_with_the_inverse_factor(
+        monkeypatch, name):
+    """Each window of the staircase QR, as certify fills it, holds: the
+    rows of X = [L_S^-1 (F div_r)^T; blockdiag(R_t^T)] at the x and y
+    rows of the places its panel newly reaches, up to the last node of
+    its last triangle, equal to 1e-13 to the full assembly's rows times
+    L_S^-T of its dense Schur complement (in any order); its triangles'
+    bubble rows, exactly; and, with the carried rows, the Gram matrix of
+    every row gathered so far on its columns, less that of the rows of R
+    written before it.  No panel has a nonzero row beyond its window.  On
+    one triangle no other node remains (m = 0); on the two-triangle
+    square the one panel is wide."""
+    topo, reports, summary = _classified(CONDENSED_MESHES[name]())
+    cert, windows, last, R_b = _staircase(monkeypatch, topo, reports)
+    T, R = topo.T, cert.factor
+    G = _dense_pairing_rows(topo, cert)
+    m = G.shape[-1]
+    # X's node rows (place, component) and bubble rows (triangle, j): the
+    # bubble row 2t + j holds R_t^T on the columns 6t, 6t + 1
+    nodes = G.transpose(3, 2, 0, 1).reshape(2 * m, 6 * T)
+    bubbles = np.zeros((2 * T, 6 * T))
+    t = np.arange(T)[:, None, None]
+    bubbles[2 * t + np.arange(2)[:, None], 6 * t + np.arange(2)] = \
+        R_b.transpose(0, 2, 1)
+    size = np.abs(G).max(initial=0.0)
+    assert [c0 for c0, _ in windows] == list(
+        range(0, 6 * T, solver.STAIRCASE_PANEL))
+    reached = 0
+    for c0, W in windows:
+        c1 = min(c0 + solver.STAIRCASE_PANEL, 6 * T)
+        top = int(last[c1 // 6 - 1]) + 1
+        n, nb = top - reached, c1 - c0
+        assert not nodes[2 * top:, c0:c1].any()
+        h = len(W) - 2 * n - nb // 3
+        assert h >= 0
+        new, want = W[h:h + 2 * n], nodes[2 * reached:2 * top, c0:]
+        if n:
+            # every new row is one of the dense rows, and every dense row
+            # one of the new rows
+            dist = np.abs(new[:, None] - want[None]).max(axis=2)
+            assert dist.min(axis=1).max() <= 1e-13 * size
+            assert dist.min(axis=0).max() <= 1e-13 * size
+        assert np.array_equal(W[h + 2 * n:],
+                              bubbles[2 * (c0 // 6):2 * (c1 // 6), c0:])
+        gathered = np.vstack([nodes[:2 * top, c0:],
+                              bubbles[:2 * (c1 // 6), c0:]])
+        gram = gathered.T @ gathered
+        got = W.T @ W + R[:c0, c0:].T @ R[:c0, c0:]
+        assert np.abs(got - gram).max() <= 1e-12 * np.abs(gram).max()
+        reached = top
+    assert reached == m
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_MESHES)
                          + ["one-triangle", "two-triangle-square", "ngon-5",
                             "perturbed-8-p3"])
 def test_pairing_rows_are_an_exact_staircase(monkeypatch, name):
-    """Triangle t's rows are nonzero only up to the place of its last
-    node in level order, last[t], which ascends in the column order: every entry beyond
-    it is exactly 0, as L_S^-1 is exactly 0 above its diagonal in the
-    reverse level order, and the QR never reads it."""
+    """Triangle t's rows of the full assembly, times L_S^-T of the Schur
+    complement factored in the reverse level order, are nonzero only up
+    to the place of its last node in level order, last[t], which ascends
+    in certify's column order: every entry beyond it is exactly 0, as
+    L_S^-1 is exactly 0 above its diagonal in the reverse level order,
+    and the QR never reads it."""
     topo, reports, summary = _classified(CONDENSED_MESHES[name]())
-    cert, G, last = _staircase(monkeypatch, topo, reports)
+    cert, _, last, _ = _staircase(monkeypatch, topo, reports)
+    G = _dense_pairing_rows(topo, cert)
     nodes = solver.number_dofs(topo)[cert.order, :9]
     m = G.shape[-1]
     position = np.append(solver._level_positions(nodes, m), -1)
@@ -447,7 +507,7 @@ def test_level_order_is_a_function_of_topology_alone(monkeypatch, angle,
                  rigid_motion(perturbed_grid(5, seed=3), angle=angle,
                               scale=scale)):
         topo, reports, summary = _classified(mesh)
-        cert, _, last = _staircase(monkeypatch, topo, reports)
+        cert, _, last, _ = _staircase(monkeypatch, topo, reports)
         nodes = solver.number_dofs(topo)
         m = int(nodes.max()) + 1 - topo.T
         orders.append((solver._level_positions(nodes[:, :9], m), last,
@@ -571,8 +631,8 @@ def _invariants(mesh):
     """sigma, the vertex classes, K and the seminorm beta of a mesh."""
     topo, reports, summary = _classified(mesh)
     cert = solver.certify(topo, reports, seminorm=True)
-    rr = solver.divergence_rank(cert, TOL)
     beta, _ = solver.infsup_constant(cert)
+    rr = solver.divergence_rank(cert, TOL)
     return (summary["sigma"], [(r.status, r.singular) for r in reports],
             rr.K, beta)
 
@@ -670,39 +730,49 @@ def test_lifted_lanczos_agrees_with_the_svd_and_the_inertia(name):
     cert = solver.certify(topo, reports)
     assert cert.factor.shape == (6 * topo.T,) * 2
     assert cert.factor.flags.f_contiguous
-    rr = solver.divergence_rank(cert, TOL)
-    K, beta, gap = _svd_oracle(cert, rr.scale)
-    assert rr.K == cert.shape[0] - rr.rank == K == _inertia_K(cert)
-    assert rr.beta == pytest.approx(beta, rel=1e-12)
-    assert rr.gap == pytest.approx(gap, rel=1e-12)
-    assert solver.infsup_constant(cert, TOL, rr) == (rr.beta, None)
-    assert solver.infsup_constant(cert, TOL)[0] == beta
-    if name == "type1-1":
-        assert cert.shape[0] > cert.shape[1]
-    assert rr.scale == solver._rank_scale(cert.factor, cert.start)
+    # the oracles read the factor before the rank consumes it
+    scale = solver._rank_scale(cert.factor, cert.start)
+    K, beta, gap = _svd_oracle(cert, scale)
+    inertia_K = _inertia_K(cert)
+    svd_beta = solver.infsup_constant(cert, TOL)[0]
     s_max = scipy.linalg.svdvals(cert.factor)[0]
     for c in (1.0, 1e-50, 1e50):
         _assert_scale_bounds(c * cert.factor, c * s_max, cert.start)
         _assert_scale_bounds(c * cert.factor, c * s_max,
                              krylov_start(len(cert.factor)))
+    rr = solver.divergence_rank(cert, TOL)
+    assert rr.K == cert.shape[0] - rr.rank == K == inertia_K
+    assert rr.beta == pytest.approx(beta, rel=1e-12)
+    assert rr.gap == pytest.approx(gap, rel=1e-12)
+    assert solver.infsup_constant(cert, TOL, rr) == (rr.beta, None)
+    assert svd_beta == beta
+    if name == "type1-1":
+        assert cert.shape[0] > cert.shape[1]
+    assert rr.scale == scale
 
 
 @pytest.mark.parametrize("name", ["type1-3", "perturbed-3-s1"])
-def test_rank_overwrites_the_factor_only_when_asked(name):
-    """divergence_rank lifts a copy of certify's factor and leaves the
-    factor as it was, unless overwrite_factor lets it lift the factor in
-    its own storage, as analyze does: the rank, K, beta, gap and null
-    basis are the same bits either way."""
+def test_rank_consumes_the_factor(name):
+    """divergence_rank lifts certify's factor in its own storage and
+    leaves it read-only: a second rank of the certificate, and infsup
+    without this rank, are SolverErrors, and the rank of a copy of the
+    factor gives the same rank, K, beta, gap and null basis bits."""
     topo, reports, summary = _classified(GOLDEN_MESHES[name]())
     cert = solver.certify(topo, reports)
-    raw = cert.factor.copy()
+    raw = cert.factor.copy(order="F")
+    copy = dataclasses.replace(cert, factor=cert.factor.copy(order="F"))
     rr = solver.divergence_rank(cert, TOL)
-    assert np.array_equal(cert.factor, raw)
-    again = solver.divergence_rank(cert, TOL, overwrite_factor=True)
+    assert not cert.factor.flags.writeable
     assert not np.array_equal(cert.factor, raw)
+    for again in (lambda: solver.divergence_rank(cert, TOL),
+                  lambda: solver.infsup_constant(cert, TOL)):
+        with pytest.raises(solver.SolverError, match="read-only"):
+            again()
+    assert solver.infsup_constant(cert, TOL, rr) == (rr.beta, None)
+    other = solver.divergence_rank(copy, TOL)
     for field in ("rank", "nullity", "K", "gap", "beta", "scale"):
-        assert getattr(again, field) == getattr(rr, field), field
-    assert np.array_equal(again.null_basis, rr.null_basis)
+        assert getattr(other, field) == getattr(rr, field), field
+    assert np.array_equal(other.null_basis, rr.null_basis)
 
 
 # ---------------------------------------------------------------------------
@@ -801,6 +871,8 @@ def test_lanczos_and_lift_agree_with_their_oracles(monkeypatch, name):
             else _oracle_case(name))
     topo, reports, summary = _classified(mesh)
     cert = solver.certify(topo, reports)
+    # the rank consumes the factor: the oracles lift a copy of it
+    copy = dataclasses.replace(cert, factor=cert.factor.copy(order="F"))
     with monkeypatch.context() as patch:
         runs = _calls_per_lanczos_run(patch)[1]
         rr = solver.divergence_rank(cert, TOL)
@@ -813,7 +885,7 @@ def test_lanczos_and_lift_agree_with_their_oracles(monkeypatch, name):
 
     monkeypatch.setattr(solver, "_inverse_lanczos", oracle)
     monkeypatch.setattr(solver, "_lift", givens_lift)
-    ref = solver.divergence_rank(cert, TOL)
+    ref = solver.divergence_rank(copy, TOL)
     assert [run["tridiagonal top"] for run in runs] == oracle_steps
     assert (rr.rank, rr.K) == (ref.rank, ref.K)
     assert rr.beta == pytest.approx(ref.beta, rel=1e-13, abs=0.0)
@@ -926,10 +998,10 @@ def test_rank_scale_on_the_scaled_bench_copies(key, length):
     topo, reports, summary = _classified(rigid_motion(bench_mesh(key),
                                                       scale=length))
     cert = solver.certify(topo, reports)
-    rr = solver.divergence_rank(cert, TOL)
-    assert rr.K == 0
     _assert_scale_bounds(cert.factor, scipy.linalg.svdvals(cert.factor)[0],
                          cert.start)
+    rr = solver.divergence_rank(cert, TOL)
+    assert rr.K == 0
 
 
 def _dense_products(monkeypatch):
@@ -1044,9 +1116,9 @@ def test_seminorm_cluster_of_ones_passes_the_bound(angle):
     cert = solver.certify(topo, reports, seminorm=True)
     s = scipy.linalg.svdvals(cert.factor)
     assert np.sum(np.abs(s - 1.0) < 1e-14) > 1
+    _assert_scale_bounds(cert.factor, s[0], cert.start)
     rr = solver.divergence_rank(cert, TOL)
     assert rr.scale ** 2 <= solver.SCALE_BOUND
-    _assert_scale_bounds(cert.factor, s[0], cert.start)
 
 
 def _factor_with_spectrum(s, seed=0):
@@ -1101,9 +1173,11 @@ def test_three_null_directions_are_lifted_and_repeated(monkeypatch, zeros,
                                                        gap_rel, lifting_runs):
     runs = _count_lanczos_runs(monkeypatch)
     cert = _synthetic(np.concatenate([_spread(0.3, 1.0, P_SYNTH - 3), zeros]))
+    K, beta, gap = _svd_oracle(cert, solver._rank_scale(cert.factor,
+                                                        cert.start))
+    inertia_K = _inertia_K(cert)
     rr = solver.divergence_rank(cert, TOL)
-    K, beta, gap = _svd_oracle(cert, rr.scale)
-    assert rr.K == K == _inertia_K(cert) == 3 and rr.rank == P_SYNTH - 3
+    assert rr.K == K == inertia_K == 3 and rr.rank == P_SYNTH - 3
     assert rr.beta == pytest.approx(beta, rel=1e-12)
     assert rr.gap == pytest.approx(gap, rel=gap_rel)
     # one run per round of lifts, and a last run that lifts nothing
@@ -1125,9 +1199,10 @@ def test_exact_zero_pivots_give_the_known_deficiency():
         R[j, j] = 0.0
     R *= 2.0 ** -np.ceil(np.log2(scipy.linalg.svdvals(R)[0]))
     cert = _synthetic_of(R)
-    rr = solver.divergence_rank(cert, TOL)
     K, beta, _ = _svd_oracle(cert)
-    assert rr.K == K == _inertia_K(cert) == 3
+    inertia_K = _inertia_K(cert)
+    rr = solver.divergence_rank(cert, TOL)
+    assert rr.K == K == inertia_K == 3
     assert rr.beta == pytest.approx(beta, rel=1e-12)
 
 
@@ -1145,10 +1220,10 @@ def test_beta_is_the_smallest_accepted_value_in_the_old_band(small):
     accepted by the rank, so it is beta, in analyze and in infsup."""
     s = np.concatenate([_spread(0.3, 1.0, P_SYNTH - 1), [small]])
     cert = _synthetic(s)
+    beta, eig = solver.infsup_constant(cert, TOL)
     rr = solver.divergence_rank(cert, TOL)
     assert rr.K == 0 and rr.rank == P_SYNTH
     assert rr.beta == pytest.approx(small, rel=1e-9)
-    beta, eig = solver.infsup_constant(cert, TOL)
     assert beta == pytest.approx(small, rel=1e-9)
     assert eig[0] == pytest.approx(small ** 2, rel=1e-9) and eig.min() > 0
 
@@ -1164,9 +1239,9 @@ def test_analyze_and_infsup_accept_at_one_threshold():
     s = scipy.linalg.svdvals(cert.factor)
     scale = solver._rank_scale(cert.factor, cert.start)
     assert TOL.rank * scale < s[-1] < TOL.rank * s[0]
+    beta, eig = solver.infsup_constant(cert, TOL)
     rr = solver.divergence_rank(cert, TOL)
     assert (rr.rank, rr.K) == (40, 0)
-    beta, eig = solver.infsup_constant(cert, TOL)
     assert beta == s[-1]
     assert rr.beta == pytest.approx(beta, rel=1e-12)
     assert eig.min() > 0.0
