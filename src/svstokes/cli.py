@@ -32,19 +32,6 @@ EXIT_INPUT = 2
 EXIT_INDETERMINATE = 3
 EXIT_INTERNAL = 4
 
-# CLI-friendly aliases for the generator presets.
-PRESET_ALIASES = {
-    "crossed": "crossed",
-    "type1": "type1_diagonal",
-    "type1_diagonal": "type1_diagonal",
-    "three_lines": "three_lines",
-    "three-lines": "three_lines",
-    "ngon": "ngon_patch",
-    "ngon_patch": "ngon_patch",
-    "perturbed_grid": "perturbed_grid",
-    "perturbed-grid": "perturbed_grid",
-}
-
 # Fixed SVG palette: vertex classes by fill color, spurious-mode triangle
 # signs by hue (positive red, negative blue).
 CLASS_COLORS = {
@@ -411,19 +398,13 @@ def run_field_suites(mesh: Triangulation, tol: Tolerances, samples: int,
 # subcommands
 
 def cmd_gen(args) -> int:
-    preset = PRESET_ALIASES.get(args.preset)
-    if preset is None:
-        raise _InputError(f"unknown preset {args.preset!r}; choose from "
-                          f"{sorted(PRESET_ALIASES)}")
     # each flag under its own name: one the preset does not take is a
     # generator error
     params = {name: value for name, value in
-              (("n", args.n), ("N", args.N), ("seed", args.seed))
-              if value is not None}
-    if args.L is not None:
-        params["L" if preset != "ngon_patch" else "radius"] = args.L
+              (("n", args.n), ("N", args.N), ("L", args.L),
+               ("seed", args.seed)) if value is not None}
     try:
-        mesh = generate(preset, **params)
+        mesh = generate(args.preset, **params)
     except (MeshError, TypeError, ValueError) as exc:
         raise _InputError(f"generator error: {exc}") from exc
     _write_out(dump_mesh(mesh), args.out)
@@ -496,9 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"svstokes {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, mesh_required=True):
-        if mesh_required:
-            p.add_argument("--mesh", required=True, help="mesh file path")
+    def common(p):
+        p.add_argument("--mesh", required=True, help="mesh file path")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--tol-singular", type=float,
                        default=Tolerances.singular,
@@ -509,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="edge-weight acceptability threshold")
 
     g = sub.add_parser("gen", help="generate a preset mesh")
-    g.add_argument("preset", help=f"one of {sorted(PRESET_ALIASES)}")
+    g.add_argument("preset", help=f"one of {sorted(PRESETS)}")
     g.add_argument("--n", type=int, help="grid subdivisions")
     g.add_argument("--N", type=int, help="polygon valence (ngon)")
     g.add_argument("--L", type=float, help="length scale")

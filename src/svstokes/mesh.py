@@ -55,14 +55,18 @@ class Triangulation:
         key = np.sort(t, axis=1)
         _, first, inverse = np.unique(key, axis=0, return_index=True,
                                       return_inverse=True)
-        # Beyond about 1e154 the squares overflow: the degeneracy test and
-        # every later stage would read inf, so the scale itself is the error.
+        # Beyond about 1e154 the squares overflow, and below about 1e-162
+        # the squared diameter rounds to 0: the degeneracy test and every
+        # later stage would read inf or 0, so the scale itself is the error.
         with np.errstate(over="ignore", invalid="ignore"):
             diam = float(np.hypot(*np.ptp(v, axis=0))) if len(v) > 1 else 0.0
             area = signed_area(*v[t].transpose(1, 0, 2))
         if not (math.isfinite(diam * diam) and np.isfinite(area).all()):
             raise MeshError(f"length scale {diam:.3g} is out of range: the "
                             f"squared diameter or a triangle area overflows")
+        if diam * diam == 0 < diam:
+            raise MeshError(f"length scale {diam:.3g} is out of range: the "
+                            f"squared diameter underflows")
         flip, area = area < 0, np.abs(area)
         # per triangle, the three checks in the order they are reported
         bad = np.stack([
@@ -514,61 +518,71 @@ def enumerate_patch(mesh: Triangulation, angle, cot) -> FanTable:
 # Generators
 
 
-def _squares(n):
-    """The n x n squares of the lattice whose point (i, j) has the index
-    i (n + 1) + j: each as (i, j, its corners counter-clockwise from (i, j))."""
-    for i in range(n):
-        for j in range(n):
-            v00 = i * (n + 1) + j
-            yield i, j, (v00, v00 + n + 1, v00 + n + 2, v00 + 1)
+# The split codes of a lattice square: its diagonal from the upper-left
+# corner (i, j + 1), from the lower-left corner (i, j), or both; and their
+# triangles over its corners 0-3, counter-clockwise from (i, j), and centre 4.
+UPPER, LOWER, CROSS = 0, 1, 2
+_SPLITS = [np.array(t) for t in (
+    ((0, 1, 3), (1, 2, 3)), ((0, 1, 2), (0, 2, 3)),
+    ((0, 1, 4), (1, 2, 4), (2, 3, 4), (3, 0, 4)))]
+
+
+@np.errstate(invalid="ignore")   # an infinite L: Triangulation names it
+def _lattice(preset, n, L, split=None, e2=(0.0, 1.0), seed=None,
+             amplitude=0.0):
+    """The points and triangles of the n x n squares of the lattice spanned
+    by (L, 0) and L e2: point (i, j) at index i (n + 1) + j, square (i, j)
+    cut by its code in ``split`` (one for all, or one per square in order),
+    the centre of each CROSS square after the lattice points, in order.
+    With a seed, the interior points are jittered by up to ``amplitude`` L
+    per coordinate and every square draws UPPER or LOWER, from one stream."""
+    if n < 1 or L <= 0:
+        raise MeshError(f"{preset} requires n >= 1 and L > 0")
+    if not 0 <= amplitude < 0.5:
+        raise MeshError("amplitude must lie in [0, 0.5)")
+    if seed is not None:
+        rng = np.random.default_rng(seed)
+        jitter = rng.uniform(-amplitude, amplitude, ((n - 1) ** 2, 2)) * L
+        split = rng.integers(2, size=n * n)
+    codes = np.broadcast_to(split, n * n)
+    i, j = np.divmod(np.arange((n + 1) ** 2), n + 1)
+    v00, cross = np.flatnonzero((i < n) & (j < n)), codes == CROSS
+    x, y = (np.concatenate([k, k[v00[cross]] + 0.5]) for k in (i, j))
+    points = np.stack([x * L + y * (e2[0] * L), y * (e2[1] * L)], axis=1)
+    if seed is not None:
+        points[np.flatnonzero((0 < i) & (i < n) & (0 < j) & (j < n))] += jitter
+    corners = np.stack([v00, v00 + n + 1, v00 + n + 2, v00 + 1,
+                        len(i) + np.cumsum(cross) - 1], axis=1)
+    return points, np.concatenate([c[_SPLITS[k]]
+                                   for c, k in zip(corners, codes)])
 
 
 def crossed(n: int, L: float = 1.0) -> Triangulation:
     """n x n squares of side L, each split by both diagonals (4 triangles)."""
-    if n < 1 or L <= 0:
-        raise MeshError("crossed requires n >= 1 and L > 0")
-    verts = [(i * L, j * L) for i in range(n + 1) for j in range(n + 1)]
-    verts += [((i + 0.5) * L, (j + 0.5) * L) for i in range(n) for j in range(n)]
-    tris = []
-    for i, j, (v00, v10, v11, v01) in _squares(n):
-        c = (n + 1) ** 2 + i * n + j
-        tris += [(v00, v10, c), (v10, v11, c), (v11, v01, c), (v01, v00, c)]
-    return Triangulation(np.array(verts), np.array(tris))
+    return Triangulation(*_lattice("crossed", n, L, CROSS))
 
 
 def type1_diagonal(n: int, L: float = 1.0) -> Triangulation:
     """n x n squares of side L, each split by the lower-left diagonal."""
-    if n < 1 or L <= 0:
-        raise MeshError("type1_diagonal requires n >= 1 and L > 0")
-    verts = [(i * L, j * L) for i in range(n + 1) for j in range(n + 1)]
-    tris = []
-    for _, _, (v00, v10, v11, v01) in _squares(n):
-        tris += [(v00, v10, v11), (v00, v11, v01)]
-    return Triangulation(np.array(verts), np.array(tris))
+    return Triangulation(*_lattice("type1_diagonal", n, L, LOWER))
 
 
 def three_lines(n: int, L: float = 1.0) -> Triangulation:
     """Equilateral mesh of a rhombus; every interior vertex is a regular
     hexagon center."""
-    if n < 1 or L <= 0:
-        raise MeshError("three_lines requires n >= 1 and L > 0")
-    e1 = np.array([1.0, 0.0]) * L
-    e2 = np.array([0.5, np.sqrt(3) / 2]) * L
-    verts = [i * e1 + j * e2 for i in range(n + 1) for j in range(n + 1)]
-    tris = []
-    for _, _, (a, b, d, c) in _squares(n):
-        tris += [(a, b, c), (b, d, c)]
-    return Triangulation(np.array(verts), np.array(tris))
+    return Triangulation(*_lattice("three_lines", n, L, UPPER,
+                                   e2=(0.5, np.sqrt(3) / 2)))
 
 
-def ngon_patch(N: int, radius: float = 1.0, length_scale=None,
+def ngon_patch(N: int, L: float = 1.0, length_scale=None,
                angle_shift=None) -> Triangulation:
-    """Single interior vertex of valence N at the origin.
+    """Single interior vertex of valence N at the origin, with spokes of
+    length L.
 
     ``length_scale`` and ``angle_shift`` optionally perturb each spoke
     (sequences of length N); angles must remain strictly increasing.
     """
-    if N < 3 or radius <= 0:
+    if N < 3 or L <= 0:
         raise MeshError("ngon_patch requires N >= 3 and radius > 0")
     length_scale = np.ones(N) if length_scale is None else np.asarray(length_scale, float)
     angle_shift = np.zeros(N) if angle_shift is None else np.asarray(angle_shift, float)
@@ -578,7 +592,7 @@ def ngon_patch(N: int, radius: float = 1.0, length_scale=None,
     gaps = np.diff(np.concatenate([ang, [ang[0] + 2 * np.pi]]))
     if np.any(gaps <= 0) or np.any(gaps >= np.pi):
         raise MeshError("spoke angles must be increasing with gaps < pi")
-    r = radius * length_scale
+    r = L * length_scale
     if np.any(r <= 0):
         raise MeshError("spoke lengths must be positive")
     verts = [(0.0, 0.0)] + [(r[k] * np.cos(ang[k]), r[k] * np.sin(ang[k]))
@@ -589,39 +603,27 @@ def ngon_patch(N: int, radius: float = 1.0, length_scale=None,
 
 def perturbed_grid(n: int, seed: int = 0, amplitude: float = 0.15,
                    L: float = 1.0) -> Triangulation:
-    """Square grid with random diagonal directions and jittered interior
-    vertices; produces a mix of vertex valences (4..8)."""
-    if n < 1 or L <= 0:
-        raise MeshError("perturbed_grid requires n >= 1 and L > 0")
-    if not 0 <= amplitude < 0.5:
-        raise MeshError("amplitude must lie in [0, 0.5)")
-    rng = np.random.default_rng(seed)
-    verts = []
-    for i in range(n + 1):
-        for j in range(n + 1):
-            x, y = i * L, j * L
-            if 0 < i < n and 0 < j < n:
-                x += rng.uniform(-amplitude, amplitude) * L
-                y += rng.uniform(-amplitude, amplitude) * L
-            verts.append((x, y))
-    tris = []
-    for _, _, (v00, v10, v11, v01) in _squares(n):
-        if rng.integers(2):
-            tris += [(v00, v10, v11), (v00, v11, v01)]
-        else:
-            tris += [(v00, v10, v01), (v10, v11, v01)]
+    """Square grid with random diagonals and interior vertices jittered by
+    at most ``amplitude L`` per coordinate; valences 4..8.  Below an
+    amplitude of 0.25 no triangle folds: a vertex moves at most
+    ``amplitude L sqrt(2)`` toward the hypotenuse of its right triangle,
+    the hypotenuse as much toward it, and they lie ``L / sqrt(2)`` apart.
+    Above it, a draw that folds is rejected."""
+    points, tris = _lattice("perturbed_grid", n, L, seed=seed,
+                            amplitude=amplitude)
     try:
-        return Triangulation(np.array(verts), np.array(tris))
+        return Triangulation(points, tris)
     except MeshError as exc:
         raise MeshError(f"amplitude {amplitude} produced an invalid mesh: {exc}")
 
 
+# every spelling of every preset that ``svstokes gen`` accepts
 PRESETS = {
-    "ngon_patch": ngon_patch,
-    "three_lines": three_lines,
     "crossed": crossed,
-    "type1_diagonal": type1_diagonal,
-    "perturbed_grid": perturbed_grid,
+    "type1": type1_diagonal, "type1_diagonal": type1_diagonal,
+    "three_lines": three_lines, "three-lines": three_lines,
+    "ngon": ngon_patch, "ngon_patch": ngon_patch,
+    "perturbed_grid": perturbed_grid, "perturbed-grid": perturbed_grid,
 }
 
 

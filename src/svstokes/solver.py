@@ -159,7 +159,10 @@ def pressure_constraints(topology: MeshTopology, reports) -> np.ndarray:
     fans = topology.fans
     singular = [r.vertex for r in reports if r.singular]
     C = np.zeros((1 + len(singular), 6 * topology.T))
-    C[0] = (topology.area[:, None] * _IV2).ravel()
+    # the areas scaled exactly by a power of two, so that the squares of
+    # the norm below neither under- nor overflow
+    area = np.ldexp(topology.area, -np.frexp(topology.area.max())[1])
+    C[0] = (area[:, None] * _IV2).ravel()
     # row i + 1 alternates over the fan of the i-th singular vertex
     row = np.zeros(topology.V, dtype=np.int64)
     row[singular] = np.arange(1, len(singular) + 1)

@@ -25,9 +25,9 @@ from svstokes.classify import (BOUNDARY, EVEN, NOT_LI, ODD, SINGULAR,
                                Tolerances, VertexReport)
 from svstokes.fields import (FieldBlock, VertexValues, center_divergences,
                              edge_transfer, field_block)
-from svstokes.mesh import (Triangulation, build_topology, crossed, load_mesh,
-                           ngon_patch, perturbed_grid, three_lines,
-                           type1_diagonal)
+from svstokes.mesh import (CROSS, LOWER, Triangulation, _lattice,
+                           build_topology, crossed, load_mesh, ngon_patch,
+                           perturbed_grid, three_lines, type1_diagonal)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -45,20 +45,9 @@ def type1_with_crossed(n, squares):
     both diagonals instead: the crossed centers are singular, hence local
     interpolating, and the NotLI vertices of the type-1 part reach them
     only along trees several edges deep."""
-    def idx(i, j):
-        return i * (n + 1) + j
-    verts = [(float(i), float(j)) for i in range(n + 1) for j in range(n + 1)]
-    tris = []
-    for i in range(n):
-        for j in range(n):
-            a, b, d, e = idx(i, j), idx(i + 1, j), idx(i + 1, j + 1), idx(i, j + 1)
-            if (i, j) in squares:
-                verts.append((i + 0.5, j + 0.5))
-                c = len(verts) - 1
-                tris += [(a, b, c), (b, d, c), (d, e, c), (e, a, c)]
-            else:
-                tris += [(a, b, d), (a, d, e)]
-    return Triangulation(np.array(verts), np.array(tris))
+    codes = np.full(n * n, LOWER)
+    codes[[i * n + j for i, j in squares]] = CROSS
+    return Triangulation(*_lattice("type1_with_crossed", n, 1.0, codes))
 
 
 MIXED = {
@@ -444,7 +433,7 @@ def random_interior_patch(rng, N=None):
     amp = 0.9 * min(0.3 * base, 0.5 * (np.pi - base))
     shift = rng.uniform(-amp, amp, size=N)
     scale = rng.uniform(0.7, 1.3, size=N)
-    mesh = ngon_patch(N, radius=1.0, length_scale=scale, angle_shift=shift)
+    mesh = ngon_patch(N, length_scale=scale, angle_shift=shift)
     topo = build_topology(mesh)
     return mesh, topo, fan(topo, 0)
 

@@ -36,6 +36,17 @@ def _gen(tmp_path, preset, *extra):
     return path
 
 
+def _write_scaled(path, unit, scale):
+    """The mesh file of ``unit`` with every coordinate multiplied by
+    ``scale``, which ``gen --L`` may round differently or reject."""
+    lines = [f"vertices {unit.num_vertices}"]
+    lines += [f"{x * scale!r} {y * scale!r}"
+              for x, y in unit.vertices.tolist()]
+    path.write_text("\n".join(lines) + "\n"
+                    + dump_mesh(unit).split("\n", unit.num_vertices + 1)[-1])
+    return path
+
+
 def test_gen_crossed_counts(tmp_path):
     path = _gen(tmp_path, "crossed", "--n", "2")
     mesh = load_mesh(path.read_text())
@@ -49,10 +60,22 @@ def test_gen_unknown_preset_is_input_error(tmp_path, capsys):
 
 
 def test_gen_hyphenated_aliases(tmp_path):
+    """``mesh.PRESETS`` is the one table of the spellings ``gen`` accepts,
+    and ``--L`` reaches every preset as ``L``, the ngon's spokes
+    included."""
     a = _gen(tmp_path, "perturbed-grid", "--n", "2", "--seed", "3")
     b = _gen(tmp_path, "type1", "--n", "2")
     assert load_mesh(a.read_text()).triangles.shape[0] == 8
     assert load_mesh(b.read_text()).triangles.shape[0] == 8
+    assert sorted(mesh.PRESETS) == [
+        "crossed", "ngon", "ngon_patch", "perturbed-grid", "perturbed_grid",
+        "three-lines", "three_lines", "type1", "type1_diagonal"]
+    for preset in mesh.PRESETS:
+        size = {"N": 5} if preset.startswith("ngon") else {"n": 2}
+        (flag, value), = size.items()
+        path = _gen(tmp_path, preset, f"--{flag}", str(value), "--L", "2.5")
+        assert path.read_text() == dump_mesh(
+            mesh.generate(preset, L=2.5, **size))
 
 
 @pytest.mark.parametrize("args,name", [
@@ -357,23 +380,53 @@ def test_overlapping_triangles_are_input_error(tmp_path, capsys, command):
 @pytest.mark.parametrize("case", ["L1e-200", "L1e-300", "coincident"])
 def test_area_underflow_is_input_error(tmp_path, capsys, command, case):
     """Meshes whose triangle areas round to zero exit 2 from every
-    command, naming the first degenerate triangle."""
+    command.  Coincident vertices name the first degenerate triangle;
+    crossed-3 scaled by 1e-200 or 1e-300 is not degenerate, and names its
+    length scale, whose square underflows."""
     bad = tmp_path / f"{case}.mesh"
     if case == "coincident":
         bad.write_text("vertices 3\n1 1\n1 1\n1 1\ntriangles 1\n0 1 2\n")
+        message = "triangle 0 is degenerate"
     else:
         # crossed-3 scaled by 1e-200 or 1e-300 (``gen`` rejects it too)
-        unit = crossed(3)
-        lines = [f"vertices {unit.num_vertices}"]
-        lines += [f"{x * float(case[1:])!r} {y * float(case[1:])!r}"
-                  for x, y in unit.vertices.tolist()]
-        bad.write_text("\n".join(lines) + "\n"
-                       + dump_mesh(unit).split("\n", unit.num_vertices + 1)[-1])
+        _write_scaled(bad, crossed(3), float(case[1:]))
+        message = (f"length scale 4.24e{case[3:]} is out of range: the "
+                   f"squared diameter underflows")
         assert main(["gen", "crossed", "--n", "3", "--L", case[1:], "--out",
                      str(tmp_path / "gen.mesh")]) == EXIT_INPUT
-    capsys.readouterr()
+        assert message in capsys.readouterr().err
     assert main([command, "--mesh", str(bad)]) == EXIT_INPUT
-    assert "triangle 0 is degenerate" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+
+
+# (inverse Lanczos overflows at the large scales, with RuntimeWarnings)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", ["crossed-3", "type1-3", "perturbed-3-s1"])
+def test_analyze_across_length_scales(tmp_path, name):
+    """The mesh scaled by 10^e keeps the unit mesh's K, rank and nullity
+    (exit 0) for e = -150 ... 60: the mean pressure constraint row is
+    built from the areas scaled exactly by a power of two, so its norm
+    neither under- nor overflows (exit 4 from e = -90 down and e = 80 up
+    before).  At e = 80, 100 and 150 inverse Lanczos overflows in the
+    full-H1 norm: exit 3, never exit 4."""
+    unit = {"crossed-3": lambda: crossed(3),
+            "type1-3": lambda: type1_diagonal(3),
+            "perturbed-3-s1": lambda: perturbed_grid(3, seed=1)}[name]()
+    path, out = tmp_path / "scaled.mesh", tmp_path / "report.json"
+
+    def analyze(scale):
+        _write_scaled(path, unit, scale)
+        code = main(["analyze", "--mesh", str(path), "--out", str(out)])
+        div = json.loads(out.read_text())["divergence"] if code == EXIT_OK \
+            else {}
+        return code, [div.get(k) for k in ("K", "rank", "nullity")]
+
+    want = analyze(1.0)
+    assert want[0] == EXIT_OK
+    for e in range(-150, 61, 10):
+        assert analyze(10.0 ** e) == want, e
+    for e in (80, 100, 150):
+        assert analyze(10.0 ** e)[0] != EXIT_INTERNAL, e
 
 
 # (the squared edge lengths over- or underflow with RuntimeWarnings)
@@ -393,13 +446,7 @@ def test_a_non_finite_vertex_decision_is_input_error(tmp_path, capsys, L):
     else:
         # crossed-3 scaled by L, written out (``gen`` rejects it too): its
         # diameter is 3 sqrt(2) L
-        unit = crossed(3)
-        lines = [f"vertices {unit.num_vertices}"]
-        lines += [f"{x * float(L)!r} {y * float(L)!r}"
-                  for x, y in unit.vertices.tolist()]
-        path = tmp_path / "crossed.mesh"
-        path.write_text("\n".join(lines) + "\n"
-                        + dump_mesh(unit).split("\n", unit.num_vertices + 1)[-1])
+        path = _write_scaled(tmp_path / "crossed.mesh", crossed(3), float(L))
         message = (f"length scale 4.24e+{L[2:]} is out of range: the squared "
                    f"diameter or a triangle area overflows")
         assert main(["gen", "crossed", "--n", "3", "--L", L, "--out",

@@ -1,12 +1,13 @@
 """Mesh format, validation, topology derivation, patch enumeration, and
 the preset generators."""
 
+import hashlib
 import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (GOLDEN_MESHES, HIGH_VALENCE, MIXED, PINCHED,
@@ -89,14 +90,20 @@ def test_degenerate_triangle_rejected():
         load_mesh("vertices 3\n0 0\n1 1\n2 2\ntriangles 1\n0 1 2\n")
 
 
-@pytest.mark.parametrize("make", [
-    lambda: crossed(3, L=1e-200), lambda: crossed(3, L=1e-300),
-    lambda: Triangulation(np.full((3, 2), 0.5), [[0, 1, 2]])],
+@pytest.mark.parametrize("make,message", [
+    (lambda: crossed(3, L=1e-200), "length scale 4.24e-200 is out of range: "
+                                   "the squared diameter underflows"),
+    (lambda: crossed(3, L=1e-300), "length scale 4.24e-300 is out of range: "
+                                   "the squared diameter underflows"),
+    (lambda: Triangulation(np.full((3, 2), 0.5), [[0, 1, 2]]),
+     "triangle 0 is degenerate")],
     ids=["crossed-3-L1e-200", "crossed-3-L1e-300", "coincident"])
-def test_area_underflowing_to_zero_is_degenerate(make):
-    """Areas and squared diameters that round to zero compare equal: the
-    triangle is degenerate, not a crash in the hat gradients."""
-    with pytest.raises(MeshError, match="^triangle 0 is degenerate$"):
+def test_area_underflowing_to_zero_is_degenerate(make, message):
+    """Areas that round to zero are rejected, not a crash in the hat
+    gradients.  Where the squared diameter of a mesh of positive diameter
+    rounds to zero too, its length scale is out of range; it is not
+    degenerate.  Coincident vertices are."""
+    with pytest.raises(MeshError, match=f"^{re.escape(message)}$"):
         make()
 
 
@@ -535,6 +542,57 @@ def test_generate_presets_and_errors():
         generate("no_such_preset")
 
 
+def _dump_or_error(make, *args, **kwargs):
+    try:
+        return dump_mesh(make(*args, **kwargs))
+    except MeshError as exc:
+        return f"{exc}\n"
+
+
+LENGTHS = (1.0, 0.3, 2.5, 1e-7, 3e7)
+
+# The sha256 of each family's mesh texts (or rejection messages), joined in
+# order, as the per-preset loops wrote them before the one lattice builder.
+GENERATED = {
+    "crossed": (
+        "558c9fe563910ff39bfc4236e067d8cbc4bc924e3f7adfe169b71a9196b2d571",
+        lambda: [_dump_or_error(crossed, n, L)
+                 for n in (1, 2, 3, 7, 12) for L in LENGTHS]),
+    "type1_diagonal": (
+        "94d57f9a50d9d56b8663ae5eda24a2be0de3e7356789587ed81dc863e36ec21f",
+        lambda: [_dump_or_error(type1_diagonal, n, L)
+                 for n in (1, 2, 3, 7, 12) for L in LENGTHS]),
+    "three_lines": (
+        "54264a012fd4e892ac08a96bcd9e83e90eff075188114355f9c79cf7599856bb",
+        lambda: [_dump_or_error(three_lines, n, L)
+                 for n in (1, 2, 3, 7, 12) for L in LENGTHS]),
+    # 12 of the 96 draws fold and are rejected
+    "perturbed_grid": (
+        "cde186d154541b3c0c71b6c2893290f428078919daeefad4fb215a49e6ca6817",
+        lambda: [_dump_or_error(perturbed_grid, n, seed=seed, amplitude=a,
+                                L=L)
+                 for n in (1, 3, 7, 10) for seed in (0, 35, 59)
+                 for a in (0.0, 0.15, 0.3, 0.45) for L in (1.0, 3e7)]),
+    "ngon_patch": (
+        "b6e37ddbb8d0e4c18e1c7aa706e7f7777cc88f0ce83a15b02dfc091f2e99a0b3",
+        lambda: [_dump_or_error(ngon_patch, N, L)
+                 for N in range(3, 13) for L in (1.0, 2.5)]),
+    "mixed": (
+        "ab070a196728eed4de7e804d67658c6c244ed1bdb7fd4e4ec277358c86ea6f47",
+        lambda: [dump_mesh(type1_with_crossed(*MIXED[name]))
+                 for name in sorted(MIXED)]),
+}
+
+
+@pytest.mark.parametrize("family", sorted(GENERATED))
+def test_generators_write_the_pinned_meshes(family):
+    """Every lattice preset, the ngons and the type-1 grids with crossed
+    squares write the same files, bit for bit, as before they shared one
+    lattice builder."""
+    digest, meshes = GENERATED[family]
+    assert hashlib.sha256("".join(meshes()).encode()).hexdigest() == digest
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10_000), n=st.integers(2, 4))
 def test_perturbed_grid_always_valid(seed, n):
@@ -719,15 +777,18 @@ def _first_rejection(mesh):
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10_000), n=st.integers(1, 9),
-       amplitude=st.sampled_from([0.0, 0.15, 0.3, 0.45]))
+       amplitude=st.sampled_from([0.0, 0.15, 0.249, 0.3, 0.45]))
+@example(seed=35, n=7, amplitude=0.3)
 def test_perturbed_fans_equal_the_per_triangle_loop(seed, n, amplitude):
-    """At amplitude 0.45 some jittered vertices fold triangles over their
-    neighbours: the generator rejects those meshes, which overlap.  On any
+    """Above amplitude 0.25 some jittered vertices can fold triangles over
+    their neighbours: the generator rejects those meshes, which overlap
+    (at 0.3, seed 35 and n = 7 does: triangles 4 and 18 overlap across
+    edge (10, 11)).  Below it none can fold (``perturbed_grid``).  On any
     other mesh a rejection names the walk's vertex with its message."""
     try:
         mesh = perturbed_grid(n, seed=seed, amplitude=amplitude)
     except MeshError as exc:
-        assert amplitude > 0.3
+        assert amplitude > 0.25
         assert re.fullmatch(rf"amplitude {amplitude} produced an invalid "
                             r"mesh: triangles \d+ and \d+ overlap across "
                             r"edge \(\d+, \d+\)", str(exc))
@@ -770,6 +831,11 @@ def test_folded_perturbed_grid_is_a_generator_error():
                                         r"mesh: triangles 13 and 23 overlap "
                                         r"across edge \(13, 14\)"):
         perturbed_grid(5, seed=0, amplitude=0.45)
+    # a fold at 0.3, above the fold-free amplitude 0.25
+    with pytest.raises(MeshError, match=r"amplitude 0.3 produced an invalid "
+                                        r"mesh: triangles 4 and 18 overlap "
+                                        r"across edge \(10, 11\)"):
+        perturbed_grid(7, seed=35, amplitude=0.3)
 
 
 def _two_closed_fans(M=6):
