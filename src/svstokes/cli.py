@@ -51,7 +51,7 @@ def _load(path: str) -> Triangulation:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return load_mesh(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
     except (MeshFormatError, MeshError) as exc:
         raise _InputError(f"{path}: {exc}") from exc

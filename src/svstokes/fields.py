@@ -431,8 +431,8 @@ def boundary_interpolant(reports, p_values, topology: MeshTopology):
     patch shape and one class, with targets (G, S, N), or one report with
     one target vector (N,) or a block (S, N) of them (a group of one), as
     for local_interpolant.  Returns the FieldBlock of their fields and, as
-    VertexValues, the residual divergences they leave at interior
-    vertices.
+    VertexValues, the divergences they spill at the far endpoint of their
+    seed edge.
     """
     z, reports, a = _group(topology, reports, p_values, "values")
     fans = topology.fans
@@ -462,14 +462,17 @@ def boundary_interpolant(reports, p_values, topology: MeshTopology):
             / fans.pair_sin[here])
     seed = (coef[:, None] * fans.tangent[there])[:, None, :, None] \
         * table.kappa[g, s][:, :, None, :]
-    return _spilling_block(topology, table, _contract(table, a, seed, s))
+    return _spilling_block(topology, table, _contract(table, a, seed, s),
+                           fans.far[here])
 
 
-def _spilling_block(topology, table, coeffs):
+def _spilling_block(topology, table, coeffs, far):
     """The FieldBlock of the group's (G, S, N, 2, 10) coefficients, as
     ``_patch_block`` gives it, and, as VertexValues, the non-negligible
-    vertex divergences of its fields away from the patch centers, in
-    (field, triangle, slot) order."""
+    vertex divergences of its fields at the far end of each seed edge,
+    ``far`` (G,), in (field, triangle, slot) order.  Only those are
+    declared: ``verify_field`` requires zero divergence at every other
+    vertex away from the patch centers."""
     tris, rows = _sorted_rows(topology, table, coeffs)
     verts = topology.mesh.triangles[tris]                        # (G, N, 3)
     vals = _div_coeffs(topology.hat_grads[tris][:, None],
@@ -477,7 +480,7 @@ def _spilling_block(topology, table, coeffs):
     tol = 1e-12 * np.maximum(np.abs(rows).max(axis=(2, 3, 4),
                                               initial=0.0), 1e-30)
     keep = ~(np.abs(vals) <= tol[..., None, None]) \
-        & (verts != table.z[:, None, None])[:, None]
+        & (verts == np.asarray(far)[:, None, None])[:, None]
     g, s, j, slot = np.nonzero(keep)
     return (_rows_block(topology, tris[:, None], rows),
             VertexValues(g * rows.shape[1] + s, tris[g, j],
@@ -523,7 +526,8 @@ def edge_transfer(topology: MeshTopology, z: int, y: int, target,
     seed = (1.0 / M) * (r + cotB * table.w[0, k])
     return _spilling_block(
         topology, table, _contract(
-            table, a.reshape((1,) * (3 - a.ndim) + a.shape), seed[None], k))
+            table, a.reshape((1,) * (3 - a.ndim) + a.shape), seed[None], k),
+        [y])
 
 
 # ---------------------------------------------------------------------------

@@ -255,12 +255,15 @@ def load_mesh(text: str) -> Triangulation:
         if len(fields) != 3:
             raise MeshFormatError("expected 'i j k'", lineno)
         try:
-            tris[i] = [int(f) for f in fields]
+            index = [int(f) for f in fields]
         except ValueError:
             raise MeshFormatError("bad vertex index", lineno) from None
-        if tris[i].min() < 0 or tris[i].max() >= nv:
+        # checked as Python integers, before an oversized one overflows
+        # the int64 row
+        if min(index) < 0 or max(index) >= nv:
             raise MeshFormatError(
                 f"vertex index out of range in triangle {i}", lineno)
+        tris[i] = index
     if pos != len(tokens):
         raise MeshFormatError("trailing content", tokens[pos][0])
     return Triangulation(verts, tris)

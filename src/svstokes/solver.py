@@ -80,6 +80,10 @@ _GG = np.einsum("sia,ij,tjb->stab", _DP3, _N22, _DP3) / _D4         # (3,3,10,10
 _MM3 = P3_BASIS @ _N33 @ P3_BASIS.T / _D6                           # (10, 10)
 _MM2 = P2_BASIS @ _N22 @ P2_BASIS.T / _D4                           # (6, 6)
 _IV2 = P2_BASIS @ _N2 / _D2                                         # (6,)
+# The pressure mass block of triangle t is |T_t| _MM2, so F_t = _MM2_L_INV
+# / sqrt(|T_t|) has F_t^T F_t |T_t| _MM2 = I: the inverse Cholesky factor
+# of _MM2, once, serves every triangle.
+_MM2_L_INV = np.linalg.inv(np.linalg.cholesky(_MM2))                # (6, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -136,18 +140,18 @@ def assemble_divergence(topology: MeshTopology) -> np.ndarray:
 
 
 def assemble_norms(topology: MeshTopology, seminorm: bool = False):
-    """(K, M): the per-triangle scalar H1 Gram blocks of the cubic nodes
-    (seminorm only if requested), shape (T, 10, 10), and the blocks of the
-    pressure mass matrix, which is block diagonal, shape (T, 6, 6).  Both
-    velocity components share every Gram block, so the velocity Gram
-    matrix is A = A_s (x) I_2 in the DOF order 2g + c, with A_s the sum of
-    the K blocks at the global nodes; neither is formed."""
+    """K: the per-triangle scalar H1 Gram blocks of the cubic nodes
+    (seminorm only if requested), shape (T, 10, 10).  Both velocity
+    components share every block, so the velocity Gram matrix is A = A_s
+    (x) I_2 in the DOF order 2g + c, with A_s the sum of the K blocks at
+    the global nodes; it is never formed.  The pressure mass matrix needs
+    no assembly: its block on triangle t is |T_t| _MM2."""
     area = topology.area
     g = topology.hat_grads
     K = np.einsum("tsc,tuc,suab->tab", g, g, _GG) * area[:, None, None]
     if not seminorm:
         K = K + area[:, None, None] * _MM3                  # (T, 10, 10)
-    return K, area[:, None, None] * _MM2
+    return K
 
 
 def pressure_constraints(topology: MeshTopology, reports) -> np.ndarray:
@@ -180,14 +184,15 @@ STAIRCASE_PANEL = 48
 
 
 def _staircase_qr(P: np.ndarray, L_inv: np.ndarray, label: np.ndarray,
-                  R_b: np.ndarray, last: np.ndarray) -> np.ndarray:
+                  bubble: np.ndarray, last: np.ndarray) -> np.ndarray:
     """R, 6T x 6T, upper triangular and column-major: the triangular
-    factor of X = [L_inv P^T; blockdiag(R_t^T)].  Column 6t + q of X
+    factor of X = [L_inv P^T; blockdiag(bubble_t)].  Column 6t + q of X
     holds, on the x and y rows of the nodes, the rows (q, x) and (q, y) of
     triangle t's pairing P[t] (T, 12, 9) with the columns of L_inv, the
     inverse Cholesky factor of S, at its 9 node labels ``label[t]`` (a
     boundary node may read any label, as P weights it by 0), and on the
-    bubble rows R_b[t]^T (T, 2, 2) on its columns 6t, 6t + 1.
+    two bubble rows of triangle t the column q of bubble[t] (T, 2, 6): a
+    2 x 6 block on the triangle's own 6 columns.
 
     The node in place l of the level order has label m - 1 - l, so L_inv
     is upper triangular in level order, and column 6t + q is zero beyond
@@ -234,11 +239,11 @@ def _staircase_qr(P: np.ndarray, L_inv: np.ndarray, label: np.ndarray,
             # P's rows are (q, component), so each column's x and y rows
             # are one contiguous run of 2n
             W[h:h + 2 * n] = block.reshape(width, 2 * n).T
-        bubble = W[h + 2 * n:]
-        bubble[...] = 0.0
+        bubble_rows = W[h + 2 * n:]
+        bubble_rows[...] = 0.0
         t = pair[:nb // 6]
-        bubble[t + np.arange(2)[:, None], 3 * t + np.arange(2)] = \
-            R_b[c0 // 6:c1 // 6].transpose(0, 2, 1)
+        bubble_rows[t + np.arange(2)[:, None], 3 * t + np.arange(6)] = \
+            bubble[c0 // 6:c1 // 6]
         # the compact-WY QR of the panel in place, one block, and its Q^T
         # on the rest of the window
         k = min(r, nb)
@@ -259,48 +264,17 @@ def _staircase_qr(P: np.ndarray, L_inv: np.ndarray, label: np.ndarray,
 RANGE_RTOL = 1e6 * np.finfo(float).eps
 
 
-def _check_range_inclusion(part: np.ndarray, whole: np.ndarray):
-    """Every divergence, as a pressure M^-1 B, satisfies the constraint
-    rows: ``part``, the coordinates that carry C M^-1 B (in ``certify``
-    the factor R times the constraint directions, which ``divergence_rank``
-    lifts out of the spectrum), vanishes to RANGE_RTOL relative to
-    ``whole``.  The constrained spectrum never sees those coordinates, so
-    a range outside the constrained space would go unnoticed there."""
-    dev = float(np.linalg.norm(part))
-    scale = float(np.linalg.norm(whole))
-    if dev > RANGE_RTOL * scale:
-        raise SolverError(
-            f"divergences violate the pressure constraints at {dev:.3e} "
-            f"relative to {scale:.3e}; range inclusion violated")
-
-
-def _bubble_rotation(L_M_inv: np.ndarray, bubble: np.ndarray):
-    """(F, R_b): F = O^T L_M^-1, shape (T, 6, 6), where O_t is the
-    orthogonal factor of the complete QR of triangle t's weighted bubble
-    divergences, L_M^-1 bubble_t = O_t [R_t; 0], and R_b holds the 2 x 2
-    triangles R_t, shape (T, 2, 2).  In the coordinates F q of a pressure
-    q, the bubble divergences live on the first 2 of each triangle's 6."""
-    O, R = np.linalg.qr(np.matmul(L_M_inv, bubble), mode="complete")
-    return np.matmul(O.transpose(0, 2, 1), L_M_inv), R[:, :2]
-
-
 def constrained_basis(C: np.ndarray, F: np.ndarray) -> np.ndarray:
     """Q_z, (6T, k): orthonormal columns spanning Z = F C^T, where C holds
     the k constraint rows (see ``pressure_constraints``) and F the (T, 6,
-    6) blocks of ``_bubble_rotation``, both in the same triangle order.
-    The constrained pressures are the coordinates F q orthogonal to Q_z.
-    Every bubble divergence satisfies every constraint row (it has mean
-    zero and vanishes at the vertices), so Z vanishes on the 2T bubble
-    coordinates, the first 2 of each triangle's 6, and so does Q_z;
-    SolverError if Z does not.  Q_z comes from the thin Householder QR of
-    Z's other rows, whose diagonal shows a dependent row; SolverError if
-    one is."""
+    6) pressure coordinates of ``certify``, both in the same triangle
+    order.  The constrained pressures are the coordinates F q orthogonal
+    to Q_z.  Q_z comes from the thin Householder QR of Z, whose diagonal
+    shows a dependent row; SolverError if one is."""
     T, k = F.shape[0], C.shape[0]
-    Z = np.matmul(F, C.T.reshape(T, 6, k))
-    _check_range_inclusion(Z[:, :2], Z)
-    Z = Z[:, 2:].reshape(4 * T, k)
+    Z = np.matmul(F, C.T.reshape(T, 6, k)).reshape(6 * T, k)
     lengths = np.linalg.norm(Z, axis=0)
-    Q, R = np.linalg.qr(Z)
+    Q_z, R = np.linalg.qr(Z)
     # A row in the span of the others leaves a diagonal entry of R at
     # roundoff size relative to its own column.
     independent = int(np.sum(np.abs(np.diag(R))
@@ -310,9 +284,7 @@ def constrained_basis(C: np.ndarray, F: np.ndarray) -> np.ndarray:
             f"constrained pressure dimension {C.shape[1] - independent} != "
             f"6T - 1 - sigma = {C.shape[1] - k}; constraint rows "
             f"are linearly dependent")
-    Q_z = np.zeros((T, 6, k))
-    Q_z[:, 2:] = Q.reshape(T, 4, k)
-    return Q_z.reshape(6 * T, k)
+    return Q_z
 
 
 def _level_positions(inner: np.ndarray, m: int) -> np.ndarray:
@@ -378,11 +350,11 @@ class Certificate:
     """Triangular factor of the weighted divergence pairing on the raw
     pressures
 
-        W = F B L_A^-T,   A = L_A L_A^T,   F = O^T L_M^-1,
+        W = F B L_A^-T,   A = L_A L_A^T,   F_t = L^-1 / sqrt(|T_t|),
 
-    with M = L_M L_M^T and O the per-triangle rotations of
-    ``_bubble_rotation``, its 6T rows (6 a triangle, bubble coordinates
-    first) in the triangle order ``order``.  With W^T = Q_X R (Q_X has
+    with _MM2 = L L^T the reference pressure mass block, so that F^T F is
+    the inverse of the pressure mass matrix M, its 6T rows (6 a triangle)
+    in the triangle order ``order``.  With W^T = Q_X R (Q_X has
     orthonormal columns), ``factor`` is R, 6T x 6T.  The constrained
     pressures are the coordinates orthogonal to the k = 1 + sigma
     ``constraints`` Q_z of ``constrained_basis``; every divergence
@@ -409,8 +381,8 @@ class Certificate:
                                     # orthogonal to the constraints
     constraints: np.ndarray | None = None   # Q_z, (6T, 1 + sigma)
     order: np.ndarray | None = None         # the triangle of each 6 columns
-    pressure_map: np.ndarray | None = None  # F = O^T L_M^-1, (T, 6, 6), in
-                                            # the column order
+    pressure_map: np.ndarray | None = None  # F, (T, 6, 6), in the column
+                                            # order
     divergence: np.ndarray | None = None    # B by triangle, (T, 6, 2, 10)
     nodes: np.ndarray | None = None         # ``number_dofs``, (T, 10)
 
@@ -443,10 +415,13 @@ def certify(topology: MeshTopology, reports,
     every command builds this same certificate.
 
     The bubbles are condensed out (``_condense``), so the Cholesky factor
-    L_S and its inverse cover only the m = V0 + 2 E0 other nodes.  In the
-    coordinates of ``_bubble_rotation`` the bubble columns of W are the
-    2 x 2 triangles R_t on the bubble coordinates, so X = W^T is the rows
-    L_S^-1 (F div_r)^T of the other velocities over blockdiag(R_t^T).
+    L_S and its inverse cover only the m = V0 + 2 E0 other nodes, and X =
+    W^T is the rows L_S^-1 (F div_r)^T of the other velocities over the
+    rows (F_t b_t)^T of the bubbles, b_t triangle t's condensed bubble
+    divergences: a 2 x 6 block on the triangle's own 6 columns.  The
+    pressure coordinates F_t are one constant factor over the square root
+    of the area, as every mass block is the reference block times the
+    area.
 
     The nodes are put in level order (``_level_positions``) and S is
     factored in the reverse of it, so L_S^-1 is upper triangular in level
@@ -455,8 +430,10 @@ def certify(topology: MeshTopology, reports,
     staircase, and ``_staircase_qr`` factors it window by window, at a
     cost that grows like the window height times p^2, not like p^3.  No
     constraint rotation mixes the columns: R factors the raw pairing, and
-    the constraint directions are its exact null vectors, which the range
-    check confirms and ``divergence_rank`` lifts.
+    the constraint directions are its exact null vectors, which the one
+    range-inclusion check confirms (every divergence has mean zero and
+    alternates to zero at the singular vertices) and ``divergence_rank``
+    lifts.
 
     L_S is inverted in its own storage (dtrtri), and each triangle's 12
     rows of F div_r meet only the rows of L_S^-T at its 9 nodes, so the
@@ -466,16 +443,10 @@ def certify(topology: MeshTopology, reports,
     nodes = number_dofs(topology)
     T = topology.T
     div = assemble_divergence(topology)
-    K, blocks = assemble_norms(topology, seminorm=seminorm)
-    div_r, bubble, K_r = _condense(div, K)
+    div_r, bubble, K_r = _condense(div, assemble_norms(topology,
+                                                       seminorm=seminorm))
     C = pressure_constraints(topology, reports)
-    try:
-        # 6 x 6 triangular blocks: inverting them once makes every
-        # application of L_M^-1 or L_M^-T one batched product.
-        L_M_inv = np.linalg.inv(np.linalg.cholesky(blocks))
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"pressure mass matrix is not SPD: {exc}") from exc
-    F, R_b = _bubble_rotation(L_M_inv, bubble)
+    F = _MM2_L_INV / np.sqrt(topology.area)[:, None, None]
     k = C.shape[0]
     p, m = 6 * T - k, _n_nodes(nodes) - T
     inner = nodes[:, :9]                # the other nodes are 0 .. m - 1
@@ -501,7 +472,7 @@ def certify(topology: MeshTopology, reports,
     # none: the column order of X and R.
     last = place.max(axis=1)
     order = np.argsort(last, kind="stable")
-    F, R_b, last = F[order], R_b[order], last[order]
+    F, bubble, last = F[order], bubble[order], last[order]
     Q_z = constrained_basis(
         C.reshape(k, T, 6)[:, order].reshape(k, 6 * T), F)
     # P = F div_r, zero at the boundary nodes: triangle t's pressure
@@ -515,12 +486,20 @@ def certify(topology: MeshTopology, reports,
         L_S, info = scipy.linalg.lapack.dtrtri(L_S, lower=1, overwrite_c=1)
         if info != 0:
             raise SolverError(f"dtrtri failed with info {info}")
-    R = _staircase_qr(P, L_S, np.where(interior, label, 0)[order], R_b, last)
+    R = _staircase_qr(P, L_S, np.where(interior, label, 0)[order],
+                      np.matmul(F, bubble).transpose(0, 2, 1), last)
     del P, L_S
     # R Q_z is (C M^-1 B L_A^-T)^T up to an orthogonal factor on the left
     # and an invertible one on the right: the constraint directions must
-    # be null vectors of R.
-    _check_range_inclusion(scipy.linalg.blas.dtrmm(1.0, R, Q_z), R)
+    # be null vectors of R, to RANGE_RTOL relative to R.  The constrained
+    # spectrum never sees them, so a range outside the constrained space
+    # would go unnoticed there.
+    dev = float(np.linalg.norm(scipy.linalg.blas.dtrmm(1.0, R, Q_z)))
+    size = float(np.linalg.norm(R))
+    if dev > RANGE_RTOL * size:
+        raise SolverError(
+            f"divergences violate the pressure constraints at {dev:.3e} "
+            f"relative to {size:.3e}; range inclusion violated")
     # The rank scale's Krylov start: a fixed-seed raw pressure x in the
     # coordinates F x, less its constraint directions.  A fixed vector of
     # those coordinates would not be the same pressure on a reordered

@@ -578,7 +578,8 @@ def dense_norms(topology, nodes, seminorm=False):
     ``solver.assemble_norms`` summed at the global nodes triangle by
     triangle, and the (T, 6, 6) pressure mass blocks.  The velocity Gram
     matrix is A = A_s (x) I_2 in the DOF order 2g + c."""
-    K, M = solver.assemble_norms(topology, seminorm=seminorm)
+    K = solver.assemble_norms(topology, seminorm=seminorm)
+    M = topology.area[:, None, None] * solver._MM2
     n = int(nodes.max(initial=-1)) + 1
     interior = nodes >= 0
     t, a, b = np.nonzero(interior[:, :, None] & interior[:, None, :])

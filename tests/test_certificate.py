@@ -174,7 +174,7 @@ def test_raw_factor_is_the_oracle_spectrum_plus_k_roundoff_values(name):
 def test_a_constraint_row_that_a_bubble_violates_is_a_solver_error(
         monkeypatch):
     """A weight on an edge midpoint: the divergence of a cubic bubble is
-    nonzero there, so the bubble coordinates of Z do not vanish."""
+    nonzero there, so the range check R Q_z = 0 fails."""
     constraints = solver.pressure_constraints
 
     def midpoint_added(*args, **kwargs):
@@ -187,10 +187,6 @@ def test_a_constraint_row_that_a_bubble_violates_is_a_solver_error(
     topo, reports, _ = _classified(crossed(2))
     with pytest.raises(solver.SolverError, match="range inclusion"):
         solver.certify(topo, reports)
-    # the check on the bubble coordinates alone sees it
-    with pytest.raises(solver.SolverError, match="range inclusion"):
-        solver.constrained_basis(midpoint_added(topo, reports),
-                                 _pressure_map(topo)[0])
 
 
 @pytest.mark.parametrize("name", ["type1-3", "three-lines-2"])
@@ -245,12 +241,11 @@ def test_modes_with_fewer_velocities_than_constrained_pressures():
 
 def test_modes_of_a_factor_with_exact_zero_pivots():
     """A synthetic certificate with T = 3, two constraint rows, A = I and
-    F = L_M^-1 (no rotation), and a pairing B chosen so that W = R^T.  R
-    is upper triangular with pivots 3, 5, 10, 15 and 17 exactly zero and
-    those columns combinations of the earlier ones, so its null space is
-    known exactly: the null vectors at 5 and 17 vanish on the bubble
-    coordinates (the first 2 of each triangle's 6) and span the
-    constraint directions Z = L_M^-1 C^T, and the other three, less their
+    F = L_M^-1, and a pairing B chosen so that W = R^T.  R is upper
+    triangular with pivots 3, 5, 10, 15 and 17 exactly zero and those
+    columns combinations of the earlier ones, so its null space is known
+    exactly: the null vectors at 5 and 17 span the constraint directions
+    Z = L_M^-1 C^T, and the other three, less their
     part along Z, are the modes.  It is scaled by a power of two,
     exactly, to singular values at most 1, as those of a certificate are,
     and its modes come from the directions the rank lifts.  Each
@@ -259,14 +254,11 @@ def test_modes_of_a_factor_with_exact_zero_pivots():
     T, k = 3, 2
     n = 6 * T
     p = n - k
-    bubble = np.arange(n) % 6 < 2
     R = np.triu(rng.standard_normal((n, n)))
     R[np.diag_indices(n)] = rng.uniform(1.0, 2.0, n)
     null = {}
     for j in (3, 5, 10, 15, 17):
         c = rng.standard_normal(j)
-        if j in (5, 17):
-            c[bubble[:j]] = 0.0
         R[:j, j] = R[:j, :j] @ c
         R[j, j] = 0.0
         null[j] = np.concatenate([c, [-1.0], np.zeros(n - j - 1)])
@@ -362,19 +354,19 @@ def test_certify_takes_no_triangular_solve_and_no_block_diag(monkeypatch,
 
 
 def _staircase(monkeypatch, topo, reports):
-    """(cert, windows, last, R_b): ``solver.certify``'s certificate; each
-    panel's window as the staircase QR filled it, before the panel is
+    """(cert, windows, last, bubble): ``solver.certify``'s certificate;
+    each panel's window as the staircase QR filled it, before the panel is
     factored, with the columns c0 its panel starts at, (c0, rows x (6T -
     c0)); the place of each triangle's last node in level order, in the
-    column order; and the bubble blocks R_t the QR was given."""
+    column order; and the 2 x 6 bubble blocks the QR was given."""
     lapack = scipy.linalg.lapack
     dgeqrt, dgemqrt = lapack.dgeqrt, lapack.dgemqrt
     staircase_qr = solver._staircase_qr
     seen, windows = [], []
 
-    def recorded_qr(P, L_inv, label, R_b, last):
-        seen.append((last.copy(), R_b.copy()))
-        return staircase_qr(P, L_inv, label, R_b, last)
+    def recorded_qr(P, L_inv, label, bubble, last):
+        seen.append((last.copy(), bubble.copy()))
+        return staircase_qr(P, L_inv, label, bubble, last)
 
     def recorded_geqrt(nb, A, **kwargs):
         windows.append([A.copy()])
@@ -408,7 +400,7 @@ def _dense_pairing_rows(topo, cert):
     A_br = A_s[m:, :m] / np.diag(A_s)[m:, None]          # D^-1 A_br
     div_r = B[:, :m] - np.einsum("qbc,bg->qgc", B[:, m:], A_br)
     S = A_s[:m, :m] - A_s[:m, m:] @ A_br
-    F = _pressure_map(topo)[0]
+    F = _pressure_map(topo)
     P = np.matmul(F, div_r.transpose(0, 2, 1).reshape(T, 6, 2 * m))
     rows = P.reshape(6 * T * 2, m)
     # the nodes in the reverse level order, as S is factored
@@ -424,7 +416,7 @@ def _dense_pairing_rows(topo, cert):
 def test_pairing_rows_are_the_dense_product_with_the_inverse_factor(
         monkeypatch, name):
     """Each window of the staircase QR, as certify fills it, holds: the
-    rows of X = [L_S^-1 (F div_r)^T; blockdiag(R_t^T)] at the x and y
+    rows of X = [L_S^-1 (F div_r)^T; blockdiag(bubble_t)] at the x and y
     rows of the places its panel newly reaches, up to the last node of
     its last triangle, equal to 1e-13 to the full assembly's rows times
     L_S^-T of its dense Schur complement (in any order); its triangles'
@@ -434,17 +426,22 @@ def test_pairing_rows_are_the_dense_product_with_the_inverse_factor(
     one triangle no other node remains (m = 0); on the two-triangle
     square the one panel is wide."""
     topo, reports, summary = _classified(CONDENSED_MESHES[name]())
-    cert, windows, last, R_b = _staircase(monkeypatch, topo, reports)
+    cert, windows, last, bubble = _staircase(monkeypatch, topo, reports)
     T, R = topo.T, cert.factor
     G = _dense_pairing_rows(topo, cert)
     m = G.shape[-1]
     # X's node rows (place, component) and bubble rows (triangle, j): the
-    # bubble row 2t + j holds R_t^T on the columns 6t, 6t + 1
+    # bubble row 2t + j holds row j of bubble[t] on the columns 6t .. 6t + 5,
+    # (F_t b_t)^T for the condensed bubble divergences b_t
     nodes = G.transpose(3, 2, 0, 1).reshape(2 * m, 6 * T)
     bubbles = np.zeros((2 * T, 6 * T))
     t = np.arange(T)[:, None, None]
-    bubbles[2 * t + np.arange(2)[:, None], 6 * t + np.arange(2)] = \
-        R_b.transpose(0, 2, 1)
+    bubbles[2 * t + np.arange(2)[:, None], 6 * t + np.arange(6)] = bubble
+    K = solver.assemble_norms(topo)
+    b = solver._condense(solver.assemble_divergence(topo), K)[1]
+    F = _pressure_map(topo)
+    want = np.matmul(F, b)[cert.order].transpose(0, 2, 1)
+    assert np.abs(bubble - want).max() <= 1e-13 * np.abs(want).max()
     size = np.abs(G).max(initial=0.0)
     assert [c0 for c0, _ in windows] == list(
         range(0, 6 * T, solver.STAIRCASE_PANEL))
@@ -563,8 +560,7 @@ def test_velocity_gram_not_spd_is_a_solver_error(monkeypatch):
     assemble = solver.assemble_norms
 
     def negated(*args, **kwargs):
-        A, M = assemble(*args, **kwargs)
-        return -A, M
+        return -assemble(*args, **kwargs)
 
     monkeypatch.setattr(solver, "assemble_norms", negated)
     topo, reports, _ = _classified(crossed(1))
@@ -587,33 +583,52 @@ def test_divergence_outside_the_constrained_space_is_a_solver_error(
         solver.certify(topo, reports)
 
 
-def _pressure_map(topo, seminorm=False):
-    """F = O^T L_M^-1 of ``solver.certify``, (T, 6, 6)."""
-    K, blocks = solver.assemble_norms(topo, seminorm)
-    _, bubble, _ = solver._condense(solver.assemble_divergence(topo), K)
-    L_M_inv = np.linalg.inv(np.linalg.cholesky(blocks))
-    return solver._bubble_rotation(L_M_inv, bubble)[0], blocks
+def _pressure_map(topo):
+    """F_t = L_t^-1 for the Cholesky factor L_t of each triangle's mass
+    block |T_t| _MM2, (T, 6, 6), in mesh order: F^T F = M^-1."""
+    blocks = topo.area[:, None, None] * solver._MM2
+    return np.linalg.inv(np.linalg.cholesky(blocks))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MESHES)
+                         + ["crossed-6-x1e-7", "crossed-6-x3e7"])
+def test_pressure_map_inverts_each_mass_block(name):
+    """certify's pressure coordinates, one constant factor over the
+    square root of the area, have F_t^T F_t M_t = I on every triangle to
+    1e-13, also on crossed-6 scaled by 1e-7 and by 3e7, and equal the
+    inverse Cholesky factor of each mass block to 1e-13."""
+    if name in GOLDEN_MESHES:
+        mesh = GOLDEN_MESHES[name]()
+    else:
+        mesh = rigid_motion(crossed(6), scale=float(name.split("-x")[1]))
+    topo, reports, summary = _classified(mesh)
+    cert = solver.certify(topo, reports)
+    F = cert.pressure_map
+    M = topo.area[cert.order, None, None] * solver._MM2
+    eye = np.matmul(np.matmul(F.transpose(0, 2, 1), F), M)
+    assert np.abs(eye - np.eye(6)).max() <= 1e-13
+    want = _pressure_map(topo)[cert.order]
+    assert np.abs(F - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_constrained_basis_rejects_dependent_rows():
     topo, reports, _ = _classified(crossed(2))
     C = solver.pressure_constraints(topo, reports)
     assert np.allclose(np.linalg.norm(C, axis=1), 1.0, rtol=1e-14)
-    F, blocks = _pressure_map(topo)
+    F = _pressure_map(topo)
     Q_z = solver.constrained_basis(C, F)
     k, m = C.shape
     T = topo.T
-    # orthonormal columns spanning F C^T, zero on the bubble coordinates
+    # orthonormal columns spanning F C^T
     assert Q_z.shape == (m, k)
     assert np.abs(Q_z.T @ Q_z - np.eye(k)).max() < 1e-14
-    assert not Q_z.reshape(T, 6, k)[:, :2].any()
     Z = np.matmul(F, C.T.reshape(T, 6, k)).reshape(m, k)
     _assert_same_span(Q_z, Z)
     # the coordinates orthogonal to Q_z, mapped through F^T, are an
     # M-orthonormal basis of the pressures that C annihilates
     u = scipy.linalg.null_space(Q_z.T).reshape(T, 6, m - k)
     basis = np.matmul(F.transpose(0, 2, 1), u).reshape(m, m - k)
-    M = scipy.linalg.block_diag(*blocks)
+    M = scipy.linalg.block_diag(*(topo.area[:, None, None] * solver._MM2))
     assert np.abs(C @ basis).max() < 1e-12 * np.abs(basis).max()
     assert np.abs(basis.T @ M @ basis - np.eye(m - k)).max() < 1e-12
     with pytest.raises(solver.SolverError, match="linearly dependent"):

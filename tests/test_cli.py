@@ -167,6 +167,28 @@ def test_mesh_without_triangles_is_input_error(tmp_path, capsys, text,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("data,message", [
+    (b"\xff\xfe", "cannot read {path}: 'utf-8' codec can't decode byte 0xff"),
+    (b"vertices 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 99999999999999999999999\n",
+     "{path}: line 6: vertex index out of range in triangle 0")],
+    ids=["not-utf-8", "index-beyond-int64"])
+@pytest.mark.parametrize("command", ["analyze", "verify-fields", "infsup",
+                                     "spline-dim"])
+def test_unreadable_mesh_bytes_are_input_error(tmp_path, capsys, data,
+                                               message, command):
+    """A mesh file that is not UTF-8, or names a vertex index beyond
+    int64, is exit 2 in every mesh command, with its message and no
+    traceback."""
+    bad = tmp_path / "bad.mesh"
+    bad.write_bytes(data)
+    out = tmp_path / "out"
+    assert main([command, "--mesh", str(bad), "--out", str(out)]) == \
+        EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message.format(path=bad)), err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_analyze_degenerate_mesh_is_input_error(tmp_path, capsys):
     bad = tmp_path / "deg.mesh"
     bad.write_text("vertices 3\n0 0\n1 0\n2 0\ntriangles 1\n0 1 2\n")

@@ -1183,6 +1183,50 @@ def test_suite_reports_one_corrupted_sample(monkeypatch, kind):
     assert all(ln.endswith("pass") for ln in lines if ln not in failed)
 
 
+def test_suite_fails_a_boundary_seed_that_pollutes_a_second_vertex(
+        monkeypatch):
+    """A boundary field that also leaves a divergence at a second vertex y
+    fails its vertex as FAIL (2/2) and no other vertex: only the far end
+    of the seed edge may take one.  The pollution, 0.37 times the edge
+    field of y along its spoke to the victim, is continuous, has zero
+    trace and zero triangle means, and a divergence at y alone, so only
+    the vertex check sees it."""
+    mesh = perturbed_grid(5, seed=3)
+    topo = build_topology(mesh)
+    reports, _ = classify_mesh(topo)
+    fans = topo.fans
+    # a boundary vertex with two interior neighbours: one is the far end
+    # of its seed edge, where its fields spill, and the other is y
+    victim = next(r for r in reports if r.boundary and not r.singular
+                  and (~topo.boundary_vertex[fan(topo, r.vertex).far]).sum()
+                  >= 2)
+    _, side = boundary_interpolant(victim, np.arange(1.0, victim.valence + 1),
+                                   topo)
+    assert len(set(side.vertex.tolist())) == 1
+    y = next(int(v) for v in fan(topo, victim.vertex).far
+             if not topo.boundary_vertex[v] and v not in side.vertex)
+    table = edge_table(y, topo)
+    k = np.flatnonzero(fans.far[table.corner[0]] == victim.vertex)[0]
+    pollution = dict(zip(fans.tri[table.corner[0]].tolist(),
+                         0.37 * table.w[0, k]))
+    spilling_block = fields._spilling_block
+
+    def polluting(topology, table, coeffs, *args):
+        coeffs = coeffs.copy()
+        for g in np.flatnonzero(table.z == victim.vertex):
+            for j, t in enumerate(fans.tri[table.corner[g]].tolist()):
+                coeffs[g, :, j] += pollution.get(t, 0.0)
+        return spilling_block(topology, table, coeffs, *args)
+
+    monkeypatch.setattr(fields, "_spilling_block", polluting)
+    lines, ok = cli.run_field_suites(mesh, TOL, 2, 7)
+    assert not ok
+    failed = [ln for ln in lines if "FAIL" in ln]
+    assert failed == [f"vertex {victim.vertex:4d} [{victim.status}]: "
+                      "FAIL (2/2)"]
+    assert all(ln.endswith("pass") for ln in lines if ln not in failed)
+
+
 def test_suite_fields_isolate_a_failing_row():
     """A block whose construction raises is retried row by row: only the
     offending target is left out."""

@@ -69,6 +69,16 @@ def test_load_rejects_bad_counts_before_allocating(text, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("index", ["99999999999999999999999",
+                                   "-99999999999999999999999"])
+def test_load_rejects_an_index_beyond_int64(index):
+    """A vertex index beyond the int64 range, positive or negative, is out
+    of range like any other, on its line."""
+    with pytest.raises(MeshFormatError) as exc:
+        load_mesh(f"vertices 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 {index}\n")
+    assert str(exc.value) == "line 6: vertex index out of range in triangle 0"
+
+
 @pytest.mark.parametrize("vertices", [np.zeros((0, 2)), np.eye(2)])
 def test_mesh_without_triangles_rejected(vertices):
     with pytest.raises(MeshError, match="no triangles"):
