@@ -281,15 +281,13 @@ def _suite_fields(topology, group, targets):
     """Yield (vertices, FieldBlock, expected VertexValues) for the fields
     of a group of verified vertices that share (boundary, status, N), with
     their targets (G, S, N): field f of a block is the field of a target at
-    vertex ``vertices[f]``.  The group is one interpolant call; when it
-    raises FieldError, each vertex is retried alone, then each of its rows,
-    and the rows that raise again are left out."""
+    vertex ``vertices[f]``, and the expected values are the targets at the
+    centers and the spills of the fields.  The group is one interpolant
+    call; when it raises FieldError, each vertex is retried alone, then
+    each of its rows, and the rows that raise again are left out."""
     try:
-        if group[0].boundary:
-            block, side = boundary_interpolant(group, targets, topology)
-        else:
-            block = local_interpolant(group, targets, topology)
-            side = None
+        block, side = (boundary_interpolant if group[0].boundary
+                       else local_interpolant)(group, targets, topology)
     except FieldError:
         G, S = targets.shape[:2]
         if G > 1:
@@ -305,13 +303,11 @@ def _suite_fields(topology, group, targets):
     vertex = np.array([r.vertex for r in group])
     fans = topology.fans
     tris = fans.tri[fans.offset[vertex][:, None] + np.arange(N)]
-    expected = VertexValues(np.arange(targets.size) // N,
-                            np.broadcast_to(tris[:, None], targets.shape)
-                            .ravel(), np.repeat(vertex, S * N),
-                            targets.ravel())
-    if side is not None:
-        expected = VertexValues(*map(np.concatenate, zip(expected, side)))
-    yield np.repeat(vertex, S), block, expected
+    center = (np.arange(targets.size) // N,
+              np.broadcast_to(tris[:, None], targets.shape).ravel(),
+              np.repeat(vertex, S * N), targets.ravel())
+    yield np.repeat(vertex, S), block, VertexValues(
+        *map(np.concatenate, zip(center, side)))
 
 
 # Fields per interpolant call of the suites: the vertices of a patch

@@ -5,18 +5,18 @@ edge fields, normal correctors and zero-edge-mean scalars, the local
 interpolants (singular / odd / even vertex cases), the boundary
 interpolant, and the edge transfer that moves vertex-divergence targets
 across one acceptable mesh edge (``trees.tree_interpolant`` composes
-them along the trees of a cover).  The table and
-the interpolants take a group of vertices of one shape at once, the
-interpolants by their vertex reports, and read the vertex fans, with the
+them along the trees of a cover).  The table takes the ids of a group of
+vertices of one patch shape, every construction their reports, of one
+class, with targets (G, S, N), and all read the vertex fans, with the
 d-coefficients of the even seeds, off the fan table ``topology.fans``.
-Each construction returns its fields as one FieldBlock of support rows,
-which verify_field checks; the boundary interpolant and the edge transfer
-also return, as VertexValues, the divergences they leave away from the
-patch center.
+Every construction returns one FieldBlock of support rows, which
+verify_field checks, and, as VertexValues, the divergences its fields
+leave away from the patch centers (none for a local interpolant).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import poly
-from .classify import SINGULAR, Tolerances, VertexReport
+from .classify import SINGULAR, Tolerances
 from .mesh import MeshTopology
 
 
@@ -128,37 +128,29 @@ def center_divergences(topology: MeshTopology, coeffs, z: int):
 # Vertex groups
 #
 # Every construction takes a group of G vertices of one patch shape (the
-# same valence N, all interior or all on the boundary) and builds their
-# fields in one array program with a leading G axis.  One vertex is a
-# group of one.
+# same valence N, all interior or all on the boundary) and one class, and
+# builds their fields in one array program with a leading G axis.
 
 
 def _group(topology, reports, target, what):
-    """(vertex ids (G,), reports, targets (G, S, N)) of an interpolant call.
-    A group takes a sequence of G vertex reports and a target array
-    (G, S, N); one report, with a target vector (N,) or block (S, N), is a
-    group of one.  The shape of a vertex is read off the fan table."""
-    one = isinstance(reports, VertexReport)
-    reports = (reports,) if one else tuple(reports)
-    fans = topology.fans
-    z = np.array([r.vertex for r in reports], dtype=np.int64)
-    if len(set(zip(fans.degree[z].tolist(),
-                   fans.boundary[z].tolist()))) != 1:
-        raise FieldError("a patch group needs patches of one shape "
-                         "(valence, boundary)")
-    n = int(fans.degree[z[0]])
+    """(edge table, reports, targets (G, S, N)) of a construction's call
+    on a sequence of G vertex reports of one patch shape and class, with a
+    target array (G, S, N).  The shape of a vertex is read off the fan
+    table by ``edge_table``."""
     a = np.asarray(target, dtype=float)
-    if one:
-        if a.ndim not in (1, 2) or a.shape[-1] != n:
-            raise FieldError(f"expected {n} {what}, got "
-                             f"{a.shape[-1] if a.ndim else a.size}")
-        a = a.reshape((1,) * (3 - a.ndim) + a.shape)
-    elif a.ndim != 3 or a.shape[::2] != (len(z), n):
-        raise FieldError(f"expected {what} of shape ({len(z)}, S, {n}), "
-                         f"got {a.shape}")
+    if (not isinstance(reports, Sequence) or a.ndim != 3
+            or len(a) != len(reports)):
+        raise FieldError(f"expected a sequence of G reports and {what} of "
+                         f"shape (G, S, N), got {a.shape}")
+    table = edge_table(np.array([r.vertex for r in reports], dtype=np.int64),
+                       topology)
+    n = table.corner.shape[1]
+    if a.shape[2] != n:
+        raise FieldError(f"expected {what} of shape (G, S, N) = "
+                         f"({len(a)}, S, {n}), got {a.shape}")
     if len({r.status for r in reports}) > 1:
         raise FieldError("a patch group needs vertices of one class")
-    return z, reports, a
+    return table, reports, a
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +208,16 @@ class EdgeTable:
 
 def edge_table(z, topology: MeshTopology) -> EdgeTable:
     """Gather every edge field of a group of vertices of one patch shape,
-    the ids ``z`` (or one id, a group of one), from _SQUARE and _KAPPA by
-    the slot of z and the slot of the spoke in each edge triangle."""
+    the ids ``z`` (G,), from _SQUARE and _KAPPA by the slot of z and the
+    slot of the spoke in each edge triangle."""
     fans = topology.fans
-    z = np.atleast_1d(np.asarray(z, dtype=np.int64))
+    z = np.asarray(z, dtype=np.int64)
+    if not len(z):
+        raise FieldError("a patch group needs at least one vertex")
     n, bd = int(fans.degree[z[0]]), int(fans.boundary[z[0]])
+    if (fans.degree[z] != n).any() or (fans.boundary[z] != bd).any():
+        raise FieldError("a patch group needs patches of one shape "
+                         "(valence, boundary)")
     m = n - bd                                        # interior edges
     corner = fans.offset[z][:, None] + np.arange(n)
     slots = fans.slot[corner]
@@ -374,7 +371,7 @@ def _even_seed(table: EdgeTable, reports, fans):
         xi - _combine(s, table.w[:, 1:]))
 
 
-def local_interpolant(reports, target, topology: MeshTopology) -> FieldBlock:
+def local_interpolant(reports, target, topology: MeshTopology):
     """Patch fields matching per-triangle vertex-divergence targets at the
     patch centers, with zero triangle means and no pollution elsewhere.
 
@@ -386,18 +383,22 @@ def local_interpolant(reports, target, topology: MeshTopology) -> FieldBlock:
 
     ``reports`` is a group of the G reports of vertices of one patch
     shape and one class, with targets (G, S, N); field g S + s of the
-    block matches target s of vertex g.  One report, with one target
-    vector (N,) or a block (S, N) of them, is a group of one.  The group
-    shares one edge table and one contraction, and each field has the
-    very bits of a call on its vertex and target alone.
+    block matches target s of vertex g.  The group shares one edge table
+    and one contraction, and each field has the very bits of a group of
+    one with its target alone.  Returns the FieldBlock and, as
+    VertexValues, its divergences away from the centers: none.
     """
-    z, reports, a = _group(topology, reports, target, "target values")
+    return _local_block(topology, *_group(topology, reports, target,
+                                          "target values")), _NO_VALUES
+
+
+def _local_block(topology, table, reports, a):
+    """The FieldBlock of local_interpolant, from its ``_group``."""
     report = reports[0]
     if not report.local_interpolating:
         raise FieldError(f"vertex {report.vertex} is not local "
                          f"interpolating ({report.status})")
     n = a.shape[-1]
-    table = edge_table(z, topology)
 
     if report.status == SINGULAR:
         alt = (a * (-1.0) ** np.arange(n)).sum(axis=-1)
@@ -423,27 +424,25 @@ def boundary_interpolant(reports, p_values, topology: MeshTopology):
     """Match vertex-divergence targets at boundary vertices.
 
     Singular boundary vertices (by their reports, from ``classify_mesh``)
-    route through local_interpolant (no side effects).  Otherwise the seed
-    uses the zero-edge-mean scalar on the straightest interior edge, which
-    pollutes that edge's far endpoint.
+    take the fields of local_interpolant (no side effects).  Otherwise the
+    seed uses the zero-edge-mean scalar on the straightest interior edge,
+    which pollutes that edge's far endpoint.
 
     ``reports`` is a group of the G reports of boundary vertices of one
-    patch shape and one class, with targets (G, S, N), or one report with
-    one target vector (N,) or a block (S, N) of them (a group of one), as
-    for local_interpolant.  Returns the FieldBlock of their fields and, as
+    patch shape and one class, with targets (G, S, N), as for
+    local_interpolant.  Returns the FieldBlock of their fields and, as
     VertexValues, the divergences they spill at the far endpoint of their
     seed edge.
     """
-    z, reports, a = _group(topology, reports, p_values, "values")
+    table, reports, a = _group(topology, reports, p_values, "values")
     fans = topology.fans
-    if not fans.boundary[z[0]]:
+    if not fans.boundary[table.z[0]]:
         raise FieldError("patch center is not a boundary vertex")
     if reports[0].singular:
-        return local_interpolant(reports, a, topology), _NO_VALUES
+        return _local_block(topology, table, reports, a), _NO_VALUES
     if a.shape[-1] < 2:
         raise FieldError("non-singular boundary patch needs >= 2 triangles")
 
-    table = edge_table(z, topology)
     pairs = table.corner[:, :-1]                  # the interior edges' spokes
     sines = np.abs(fans.pair_sin[pairs])
     # The seed pollutes the far endpoint of its interior edge.  Prefer a
@@ -456,7 +455,7 @@ def boundary_interpolant(reports, p_values, topology: MeshTopology):
     s = np.where(usable.any(axis=1),
                  np.argmax(np.where(usable, sines, -1.0), axis=1),
                  np.argmax(sines, axis=1))
-    g = np.arange(len(z))
+    g = np.arange(len(s))
     here, there = table.corner[g, s], table.corner[g, s + 1]
     coef = (2.0 * fans.edge_len[here] * np.sin(fans.theta[here])
             / fans.pair_sin[here])
@@ -491,43 +490,46 @@ def _spilling_block(topology, table, coeffs, far):
 # Edge transfer
 
 
-def edge_transfer(topology: MeshTopology, z: int, y: int, target,
+def edge_transfer(reports, y, target, topology: MeshTopology,
                   tol: Tolerances = Tolerances()):
-    """Match targets at z while polluting only the far endpoint y.
+    """Match targets at the vertices z of a group while polluting only the
+    far end y[g] of one interior edge {z[g], y[g]} of each, ``y`` (G,).
 
-    ``target`` is one target vector (N,), or a block (S, N) of them,
-    indexed by the triangle order of the fan of z.  Returns the FieldBlock
+    ``reports`` is a group of the G reports of vertices of one patch
+    shape and one class, with targets (G, S, N) indexed by the triangle
+    order of each fan, as for local_interpolant.  Returns the FieldBlock
     of the fields and, as VertexValues, the divergences they spill at y,
     as ``boundary_interpolant`` does; the spill scales with the
     chain-signed alternating sum of the targets divided by the edge weight.
     """
-    fans = topology.fans
-    n, bd = int(fans.degree[z]), int(fans.boundary[z])
-    a = np.asarray(target, dtype=float)
-    if a.ndim not in (1, 2) or a.shape[-1] != n:
-        raise FieldError(f"expected {n} targets, got "
-                         f"{a.shape[-1] if a.ndim else a.size}")
-    table = edge_table(z, topology)
+    table, _, a = _group(topology, reports, target, "targets")
+    fans, z, y = topology.fans, table.z, np.asarray(y, dtype=np.int64)
+    g, n = np.arange(len(z)), a.shape[-1]
+    if y.shape != z.shape:
+        raise FieldError(f"expected far ends y of shape ({len(z)},), got "
+                         f"{y.shape}")
     # interior edge k of z is the spoke after corner k; on a boundary fan
     # the spoke after the last corner is a boundary edge
-    k = np.flatnonzero(fans.far[table.corner[0, :n - bd]] == y)
-    if not len(k):
-        raise FieldError(f"{{{z}, {y}}} is not an interior edge at {z}")
-    k = int(k[0])
-    here, there = table.corner[0, (k + _PAIR) % n]  # in the edge triangles
+    hit = fans.far[table.corner[:, :table.w.shape[1]]] == y[:, None]
+    if not hit.any(axis=1).all():
+        i = int(np.argmin(hit.any(axis=1)))
+        raise FieldError(f"{{{z[i]}, {y[i]}}} is not an interior edge at "
+                         f"{z[i]}")
+    k = hit.argmax(axis=1)
+    # the corners of each edge's triangles
+    here, there = table.corner[g[:, None], (k[:, None] + _PAIR) % n].T
     M = fans.weight[here]
-    if abs(M) <= tol.accept:
+    if (np.abs(M) <= tol.accept).any():
+        i = int(np.argmax(np.abs(M) <= tol.accept))
         raise UnacceptableEdgeError(
-            f"edge ({z}, {y}) has weight {M:.3e} below tolerance")
+            f"edge ({z[i]}, {y[i]}) has weight {M[i]:.3e} below tolerance")
 
-    r = (2.0 * fans.edge_len[here] * fans.normal[here])[:, None] \
-        * table.kappa[0, k][:, None, :]
+    r = (2.0 * fans.edge_len[here][:, None] * fans.normal[here])[
+        :, None, :, None] * table.kappa[g, k][:, :, None, :]
     cotB = topology.cot[fans.tri[there], fans.slot[there]]
-    seed = (1.0 / M) * (r + cotB * table.w[0, k])
-    return _spilling_block(
-        topology, table, _contract(
-            table, a.reshape((1,) * (3 - a.ndim) + a.shape), seed[None], k),
-        [y])
+    seed = (1.0 / M)[:, None, None, None] * (
+        r + cotB[:, None, None, None] * table.w[g, k])
+    return _spilling_block(topology, table, _contract(table, a, seed, k), y)
 
 
 # ---------------------------------------------------------------------------

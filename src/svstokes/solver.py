@@ -370,16 +370,14 @@ class Certificate:
     the factor); the null vectors of R that remain are the left null
     vectors of W, and ``spurious_modes`` maps them back through ``order``
     and F^T and checks their pairing on the per-triangle divergence
-    blocks.  A factor alone (no constraints) is the factor of
-    the constrained pairing itself, p x p: it certifies K and beta but no
-    modes.
+    blocks.
     """
 
     factor: np.ndarray              # R, (6T, 6T), upper, column-major
     shape: tuple                    # (p, n): constrained pressures, velocities
     start: np.ndarray               # the rank scale's Krylov start, (6T,),
                                     # orthogonal to the constraints
-    constraints: np.ndarray | None = None   # Q_z, (6T, 1 + sigma)
+    constraints: np.ndarray         # Q_z, (6T, 1 + sigma)
     order: np.ndarray | None = None         # the triangle of each 6 columns
     pressure_map: np.ndarray | None = None  # F, (T, 6, 6), in the column
                                             # order
@@ -723,8 +721,7 @@ def divergence_rank(cert: Certificate,
     # and also when nothing is rejected.
     largest_rejected = np.finfo(float).eps * max(cert.shape) * scale
     lifted = 0 if scale > 0.0 else p
-    Q_z = (np.zeros((len(R), 0)) if cert.constraints is None
-           else cert.constraints)
+    Q_z = cert.constraints
     if lifted < p and Q_z.shape[1]:
         R = _lift(R, scale * Q_z.T)
     rounds = [np.zeros((len(R), 0))]   # the directions lifted in each round

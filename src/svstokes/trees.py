@@ -219,7 +219,8 @@ def tree_interpolant(topology: MeshTopology, cover: TreeCover, p, reports,
         return (p[fans.tri[corners], fans.slot[corners]]
                 - center_divergences(topology, acc, z))
 
-    def add(block):
+    def add(block, _):
+        # the spills need no bookkeeping: each residual reads them off acc
         acc[block.tri] += block.coeffs
 
     # boundary pass
@@ -228,7 +229,7 @@ def tree_interpolant(topology: MeshTopology, cover: TreeCover, p, reports,
         a = residual(z)
         if np.abs(a).max() <= 1e-13 * pscale:
             continue
-        add(boundary_interpolant(reports[z], a, topology)[0])
+        add(*boundary_interpolant([reports[z]], a[None, None], topology))
     for z in boundary:
         a = residual(z)
         if np.abs(a).max() > 1e-9 * pscale:
@@ -243,7 +244,8 @@ def tree_interpolant(topology: MeshTopology, cover: TreeCover, p, reports,
         if np.abs(a).max() <= 1e-13 * pscale:
             continue
         if cover.parent[z] >= 0:
-            add(edge_transfer(topology, z, int(cover.parent[z]), a, tol)[0])
+            add(*edge_transfer([reports[z]], cover.parent[z:z + 1],
+                               a[None, None], topology, tol))
         else:
-            add(local_interpolant(reports[z], a, topology))
+            add(*local_interpolant([reports[z]], a[None, None], topology))
     return field_block(topology, acc)

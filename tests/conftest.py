@@ -22,7 +22,7 @@ import scipy.linalg
 
 from svstokes import fields, poly, solver
 from svstokes.classify import (BOUNDARY, EVEN, NOT_LI, ODD, SINGULAR,
-                               Tolerances, VertexReport)
+                               Tolerances, VertexReport, classify_mesh)
 from svstokes.fields import (FieldBlock, VertexValues, center_divergences,
                              edge_transfer, field_block)
 from svstokes.mesh import (CROSS, LOWER, Triangulation, _lattice,
@@ -513,10 +513,12 @@ def path_interpolant(topology, vertices, target, tol=Tolerances()):
     divergence at every intermediate vertex, and its ``end_spill``
     (VertexValues) is what it leaves at the end vertex."""
     verts = [int(v) for v in vertices]
+    reports, _ = classify_mesh(topology, tol)
     acc = np.zeros((topology.T, 2, len(poly.MONO3)))
-    a = target
+    a = np.asarray(target, dtype=float)
     for z, ynext in zip(verts[:-1], verts[1:]):
-        block, _ = edge_transfer(topology, z, ynext, a, tol)
+        block, _ = edge_transfer([reports[z]], [ynext], a[None, None],
+                                 topology, tol)
         acc[block.tri] += block.coeffs
         # what the next hop removes; at the end vertex, the spill
         vals = center_divergences(topology, acc, ynext)

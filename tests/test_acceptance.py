@@ -49,7 +49,7 @@ def test_A1_field_lemma_suite():
         mesh, topo, patch = random_interior_patch(rng)
         # edge fields: support, unit divergence at the center, zero at the
         # far endpoint, zero triangle means
-        table = edge_table(patch.z, topo)
+        table = edge_table([patch.z], topo)
         k = int(rng.integers(patch.N))
         y = int(patch.spokes[k])
         f = on_patch(topo, patch, table.w[0, k])
@@ -110,7 +110,7 @@ def test_A2_local_interpolant_suite():
 
     def run(patch, topo, target):
         report = classify_mesh(topo, TOL)[0][patch.z]
-        f = local_interpolant(report, target, topo)
+        f, _ = local_interpolant([report], target[None, None], topo)
         assert set(f.tri.tolist()) <= set(patch.tris)
         divs = {(t, patch.z): target[j] for j, t in enumerate(patch.tris)}
         rep = verify_field(f, values(divs))

@@ -1152,7 +1152,8 @@ P_SYNTH = 23
 def _synthetic_of(R):
     """The certificate of a square factor R alone (no modes)."""
     return solver.Certificate(factor=R, shape=R.shape,
-                              start=krylov_start(len(R)))
+                              start=krylov_start(len(R)),
+                              constraints=np.zeros((len(R), 0)))
 
 
 def _synthetic(s, seed=0):

@@ -63,7 +63,7 @@ def test_w_field_properties(rng):
         mesh, topo, patch = random_interior_patch(rng)
         k = int(rng.integers(patch.N - patch.boundary))
         y = int(patch.spokes[k + patch.boundary])
-        row = edge_table(patch.z, topo).w[0, k]
+        row = edge_table([patch.z], topo).w[0, k]
         w = on_patch(topo, patch, row)
         t1, t2 = edge_tris(topo, edge_index(topo)[(0, y)])
         assert support(w) == {t1, t2}
@@ -79,7 +79,7 @@ def test_w_field_properties(rng):
 def test_chi_fields_and_their_sum(rng):
     for _ in range(10):
         mesh, topo, patch = random_interior_patch(rng)
-        table = edge_table(patch.z, topo)
+        table = edge_table([patch.z], topo)
         for k in range(patch.N):
             chi = on_patch(topo, patch, table.chi[0, k])
             t1, t2 = patch.tris[k], patch.tris[(k + 1) % patch.N]
@@ -96,7 +96,7 @@ def test_chi_fields_and_their_sum(rng):
 def test_xi_fields(rng):
     for _ in range(10):
         mesh, topo, patch = random_interior_patch(rng)
-        table = edge_table(patch.z, topo)
+        table = edge_table([patch.z], topo)
         for i in (1, 2):
             xi_tilde, xi = (on_patch(topo, patch, x[0])
                             for x in fields._xi(table, [i], patch.c[None]))
@@ -116,7 +116,7 @@ def test_kappa_field_properties(rng):
         mesh, topo, patch = random_interior_patch(rng)
         k = int(rng.integers(patch.N - patch.boundary))
         y = int(patch.spokes[k + patch.boundary])
-        kap = on_patch(topo, patch, edge_table(patch.z, topo).kappa[0, k])
+        kap = on_patch(topo, patch, edge_table([patch.z], topo).kappa[0, k])
         e = edge_index(topo)[(0, y)]
         for t in edge_tris(topo, e):
             # zero mean along the shared edge
@@ -134,7 +134,8 @@ def test_kappa_field_properties(rng):
 # local interpolants
 
 def _check_local(patch, topo, target, rng):
-    block = local_interpolant(_classify(topo, patch.z), target, topo)
+    block, _ = local_interpolant([_classify(topo, patch.z)],
+                                 target[None, None], topo)
     assert set(block.tri.tolist()) <= set(patch.tris)
     divs = {(t, patch.z): target[j] for j, t in enumerate(patch.tris)}
     report = verify_field(block, values(divs))
@@ -158,7 +159,7 @@ def test_singular_interpolant_rejects_inadmissible_target(rng):
     center = [v for v in range(topo.V) if not topo.boundary_vertex[v]][0]
     report = _classify(topo, center)
     with pytest.raises(FieldError):
-        local_interpolant(report, [1.0, 0.0, 0.0, 0.0], topo)
+        local_interpolant([report], [[[1.0, 0.0, 0.0, 0.0]]], topo)
 
 
 @pytest.mark.parametrize("N", [3, 5, 7])
@@ -209,7 +210,7 @@ def test_boundary_interpolant_perturbed_grids(seed, rng):
             else:
                 signs = np.array([(-1.0) ** j for j in range(patch.N)])
                 target -= signs * (signs @ target) / patch.N
-        block, side = boundary_interpolant(r, target, topo)
+        block, side = boundary_interpolant([r], target[None, None], topo)
         divs = {(t, patch.z): target[j] for j, t in enumerate(patch.tris)}
         divs.update(as_dict(side))
         report = verify_field(block, values(divs))
@@ -234,7 +235,8 @@ def test_edge_transfer_matches_targets_and_spill(rng):
             continue
         y = neighbors[0]
         target = rng.standard_normal(patch.N)
-        block, spill = edge_transfer(topo, z, y, target, TOL)
+        block, spill = edge_transfer([reports[z]], [y], target[None, None],
+                                     topo, TOL)
         assert set(spill.vertex.tolist()) == {y}
         divs = {(t, z): target[j] for j, t in enumerate(patch.tris)}
         divs.update(as_dict(spill))
@@ -249,7 +251,8 @@ def test_edge_transfer_rejects_zero_weight_edge():
     y = int(patch.spokes[0])
     # the flanking angles at the crossed center are both right angles
     with pytest.raises(UnacceptableEdgeError):
-        edge_transfer(topo, center, y, [1.0, 0.0, 0.0, 0.0], TOL)
+        edge_transfer([_classify(topo, center)], [y],
+                      [[[1.0, 0.0, 0.0, 0.0]]], topo, TOL)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_MESHES))
@@ -259,13 +262,15 @@ def test_edge_transfer_weight_is_the_edge_weight(name):
     acceptance bound of exactly that weight's magnitude and takes it at
     the next double below."""
     topo = build_topology(GOLDEN_MESHES[name]())
+    reports, _ = classify_mesh(topo)
     for (e, z), w in edge_weights(topo).items():
         y = int(sum(topo.edges[e])) - z
-        target = np.ones(topo.fans.degree[z])
+        target = np.ones((1, 1, topo.fans.degree[z]))
         with pytest.raises(UnacceptableEdgeError):
-            edge_transfer(topo, z, y, target, Tolerances(accept=abs(w)))
+            edge_transfer([reports[z]], [y], target, topo,
+                          Tolerances(accept=abs(w)))
         if w != 0.0:
-            edge_transfer(topo, z, y, target,
+            edge_transfer([reports[z]], [y], target, topo,
                           Tolerances(accept=np.nextafter(abs(w), 0.0)))
 
 
@@ -333,8 +338,8 @@ def test_path_interpolant_three_hops(rng):
 
 def test_verify_field_catches_corruption(rng):
     mesh, topo, patch = random_interior_patch(rng, N=5)
-    block = local_interpolant(_classify(topo, patch.z),
-                              rng.standard_normal(5), topo)
+    block, _ = local_interpolant([_classify(topo, patch.z)],
+                                 rng.standard_normal((1, 1, 5)), topo)
     c = _field(block)
     c[block.tri[0], 0, 3] += 0.37      # break continuity / divergences
     divs = {(tt, 0): 0.0 for tt in patch.tris}
@@ -356,11 +361,9 @@ def _valid_field(kind, rng):
     patch = fan(topo, r.vertex)
     target = rng.standard_normal(patch.N)
     divs = {(t, patch.z): target[j] for j, t in enumerate(patch.tris)}
-    if kind == "local":
-        block = local_interpolant(r, target, topo)
-    else:
-        block, side = boundary_interpolant(r, target, topo)
-        divs.update(as_dict(side))
+    interpolant = local_interpolant if kind == "local" else boundary_interpolant
+    block, side = interpolant([r], target[None, None], topo)
+    divs.update(as_dict(side))
     report = verify_field(block, values(divs))
     assert report.ok, report.failed()
     return block, divs
@@ -399,7 +402,7 @@ def _chi(topo, scale=1e-6):
     zero trace on the boundary of its support, and carries means."""
     z = next(v for v in range(topo.V) if not topo.boundary_vertex[v])
     patch = fan(topo, z)
-    return scale * on_patch(topo, patch, edge_table(z, topo).chi[0, 0])
+    return scale * on_patch(topo, patch, edge_table([z], topo).chi[0, 0])
 
 
 @pytest.mark.parametrize("kind", ["local", "boundary"])
@@ -679,7 +682,7 @@ def test_table_views_equal_the_oracle_fields(source, name):
     topo = build_topology(_oracle_mesh(source, name))
     for z in range(topo.V):
         patch = fan(topo, z)
-        table = edge_table(z, topo)
+        table = edge_table([z], topo)
         for k in range(patch.N - patch.boundary):
             y = patch.spokes[k + patch.boundary]
             assert np.array_equal(on_patch(topo, patch, table.w[0, k]),
@@ -717,12 +720,12 @@ def test_interpolants_equal_the_oracle(source, name):
         patch = fan(topo, r.vertex)
         a = _target(rng, patch, r.singular)
         if r.boundary and not r.singular:
-            block, side = boundary_interpolant(r, a, topo)
+            block, side = boundary_interpolant([r], a[None, None], topo)
             want, want_side = _oracle_boundary(patch, a, topo)
             _assert_same_field(_field(block), want)
             _assert_same_values(as_dict(side), want_side)
         elif r.boundary:
-            block, side = boundary_interpolant(r, a, topo)
+            block, side = boundary_interpolant([r], a[None, None], topo)
             _assert_same_field(_field(block),
                                _oracle_local(patch, a, topo, SINGULAR))
             assert not len(side.field)
@@ -731,18 +734,19 @@ def test_interpolants_equal_the_oracle(source, name):
                 if decision(patch, i) <= TOL.decision:
                     continue
                 forced = dataclasses.replace(r, even_index=i)
-                _assert_same_field(
-                    _field(local_interpolant(forced, a, topo)),
-                    _oracle_local(patch, a, topo, EVEN, i))
+                block, _ = local_interpolant([forced], a[None, None], topo)
+                _assert_same_field(_field(block),
+                                   _oracle_local(patch, a, topo, EVEN, i))
         elif r.local_interpolating:
-            _assert_same_field(_field(local_interpolant(r, a, topo)),
+            block, _ = local_interpolant([r], a[None, None], topo)
+            _assert_same_field(_field(block),
                                _oracle_local(patch, a, topo, r.status))
         if r.boundary:
             continue
         k = r.vertex % patch.N
         y = patch.spokes[k]
         try:
-            block, spill = edge_transfer(topo, r.vertex, y, a, TOL)
+            block, spill = edge_transfer([r], [y], a[None, None], topo, TOL)
         except UnacceptableEdgeError:
             continue
         want, want_spill = _oracle_edge_transfer(topo, r.vertex, y, a)
@@ -866,16 +870,12 @@ def test_block_interpolants_equal_the_row_by_row_calls():
         for branch, interpolant, r in _interpolant_cases(topo, reports):
             patch = fan(topo, r.vertex)
             a = _block_targets(rng, patch, r.singular, 3)
-            block = interpolant(r, a, topo)
-            if patch.boundary:
-                block, side = block
+            block, side = interpolant([r], a[None], topo)
             assert isinstance(block, FieldBlock) and block.F == len(a)
             for s, row in enumerate(a):
-                want = interpolant(r, row, topo)
-                if patch.boundary:
-                    want, want_side = want
-                    _assert_same_values(as_dict(side, s), as_dict(want_side),
-                                        rtol=1e-15)
+                want, want_side = interpolant([r], row[None, None], topo)
+                _assert_same_values(as_dict(side, s), as_dict(want_side),
+                                    rtol=1e-15)
                 assert np.array_equal(block.tri[block.field == s], want.tri)
                 _assert_same_field(dense(block)[s], _field(want), rtol=1e-15)
             branches.add(branch)
@@ -888,6 +888,20 @@ def test_block_interpolants_equal_the_row_by_row_calls():
 GROUP_MESHES = {**GOLDEN_MESHES, **{k: CI_MESHES[k] for k in (
     "crossed-3", "type1-4", "three-lines-4", "perturbed-5-s3")},
     "mixed-6": lambda: type1_with_crossed(*MIXED["mixed-6"])}
+
+
+def _assert_same_rows(block, side, g, S, want, want_side):
+    """Member g of a grouped call with S targets a vertex has the field,
+    tri and coeffs rows and the side effects of its group-of-one call, bit
+    for bit."""
+    mine = block.field // S == g
+    assert np.array_equal(block.field[mine] - g * S, want.field)
+    assert np.array_equal(block.tri[mine], want.tri)
+    assert np.array_equal(block.coeffs[mine], want.coeffs)
+    mine = side.field // S == g
+    assert np.array_equal(side.field[mine] - g * S, want_side.field)
+    for got_a, want_a in zip(side[1:], want_side[1:]):
+        assert np.array_equal(got_a[mine], want_a)
 
 
 def test_grouped_interpolants_equal_the_one_patch_calls():
@@ -905,33 +919,74 @@ def test_grouped_interpolants_equal_the_one_patch_calls():
             r = case[2]
             groups.setdefault((r.boundary, r.status, r.valence), []).append(
                 case)
-        for (boundary, _, _), cases in groups.items():
+        for cases in groups.values():
             interpolant = cases[0][1]
             group = [r for _, _, r in cases]
             a = np.stack([_block_targets(rng, fan(topo, r.vertex),
                                          r.singular, 3) for r in group])
             S = a.shape[1]
-            got = interpolant(group, a, topo)
-            block, side = got if boundary else (got, None)
+            block, side = interpolant(group, a, topo)
             assert block.F == len(cases) * S
             for g, (branch, _, r) in enumerate(cases):
-                want = interpolant(r, a[g], topo)
-                want, want_side = want if boundary else (want, None)
-                mine = block.field // S == g
-                assert np.array_equal(block.field[mine] - g * S, want.field)
-                assert np.array_equal(block.tri[mine], want.tri)
-                assert np.array_equal(block.coeffs[mine], want.coeffs)
-                if boundary:
-                    mine = side.field // S == g
-                    assert np.array_equal(side.field[mine] - g * S,
-                                          want_side.field)
-                    for got_a, want_a in zip(side[1:], want_side[1:]):
-                        assert np.array_equal(got_a[mine], want_a)
+                want, want_side = interpolant([r], a[g:g + 1], topo)
+                _assert_same_rows(block, side, g, S, want, want_side)
                 branches.add(branch)
                 largest[branch] = max(largest.get(branch, 0), len(cases))
     assert branches == {SINGULAR, ODD, "even 0", "even 1", "even 2",
                         "boundary", "boundary singular"}
     assert min(largest.values()) > 1
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MESHES) + sorted(MIXED))
+def test_grouped_edge_transfer_equals_the_one_vertex_calls(name):
+    """A group of vertices of one patch shape and class, each sent over an
+    acceptable interior edge of its own, gives, vertex for vertex, the
+    rows and the spills of its group-of-one transfer bit for bit."""
+    make = GOLDEN_MESHES.get(name) or (
+        lambda: type1_with_crossed(*MIXED[name]))
+    topo = build_topology(make())
+    reports, _ = classify_mesh(topo)
+    fans = topo.fans
+    rng = np.random.default_rng(sum(map(ord, name)))
+    groups = {}
+    for r in reports:
+        corners = np.arange(fans.offset[r.vertex],
+                            fans.offset[r.vertex + 1] - r.boundary)
+        far = fans.far[corners[np.abs(fans.weight[corners]) > TOL.accept]]
+        if len(far):
+            groups.setdefault((r.boundary, r.status, r.valence), []).append(
+                (r, far[r.vertex % len(far)]))
+    largest, spills = 0, 0
+    for cases in groups.values():
+        group, y = zip(*cases)
+        a = rng.standard_normal((len(cases), 2, group[0].valence))
+        block, spill = edge_transfer(list(group), y, a, topo, TOL)
+        assert block.F == 2 * len(cases)
+        for g, r in enumerate(group):
+            want, want_spill = edge_transfer([r], y[g:g + 1], a[g:g + 1],
+                                             topo, TOL)
+            _assert_same_rows(block, spill, g, 2, want, want_spill)
+        largest, spills = max(largest, len(cases)), spills + len(spill.field)
+    assert largest > 1 and spills
+
+
+# The three constructions as calls on (reports, targets, topology); the
+# transfers go to vertex 0, which the group checks never reach.
+CONSTRUCTIONS = {
+    "local": local_interpolant,
+    "boundary": boundary_interpolant,
+    "transfer": lambda reports, target, topo: edge_transfer(
+        reports, np.zeros(len(target), dtype=np.int64), target, topo),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+def test_an_empty_group_is_a_field_error(name):
+    topo = build_topology(crossed(1))
+    with pytest.raises(FieldError, match="at least one vertex"):
+        CONSTRUCTIONS[name]([], np.zeros((0, 1, 4)), topo)
+    with pytest.raises(FieldError, match="at least one vertex"):
+        edge_table([], topo)
 
 
 def test_grouped_interpolants_reject_mixed_groups():
@@ -941,12 +996,20 @@ def test_grouped_interpolants_reject_mixed_groups():
     assert len({r.valence for r in odd}) > 1
     three = [r for r in odd if r.valence == odd[0].valence][:2]
     a = np.zeros((2, 1, three[0].valence))
-    assert local_interpolant(three, a, topo).F == 2
+    assert local_interpolant(three, a, topo)[0].F == 2
     other = next(r for r in odd if r.valence != odd[0].valence)
     with pytest.raises(FieldError, match="one shape"):
         local_interpolant([three[0], other], a, topo)
-    with pytest.raises(FieldError, match=r"shape \(2, S, "):
-        local_interpolant(three, a[0], topo)
+    with pytest.raises(FieldError, match=r"\(G, S, N\) = \(2, S, "):
+        local_interpolant(three, a[..., 1:], topo)
+    # a bare report, a 1-D and a 2-D target are not a group
+    for construct in CONSTRUCTIONS.values():
+        for group, target in ((three[0], a[:1]), (three[:1], a[0, 0]),
+                              (three[:1], a[0])):
+            with pytest.raises(FieldError, match=r"shape \(G, S, N\)"):
+                construct(group, target, topo)
+    with pytest.raises(FieldError, match=r"far ends y of shape \(2,\)"):
+        edge_transfer(three, [three[0].vertex], a, topo)
     boundary, twin = next((r, s) for r in reports for s in reports
                           if r.boundary and s.boundary and r.singular
                           and not s.singular and r.valence == s.valence)
@@ -963,10 +1026,10 @@ def test_block_interpolant_checks_every_row():
     a = _block_targets(np.random.default_rng(3), patch, True, 3)
     a[2, 0] += 1.0
     with pytest.raises(FieldError, match="alternating-sum"):
-        local_interpolant(r, a, topo)
-    with pytest.raises(FieldError, match=f"expected {patch.N} target values"):
-        local_interpolant(r, a[:, 1:], topo)
-    assert local_interpolant(r, a[:0], topo).F == 0
+        local_interpolant([r], a[None], topo)
+    with pytest.raises(FieldError, match=rf"= \(1, S, {patch.N}\)"):
+        local_interpolant([r], a[None, :, 1:], topo)
+    assert local_interpolant([r], a[None, :0], topo)[0].F == 0
 
 
 def _assert_block(block):
@@ -993,9 +1056,8 @@ def test_interpolant_blocks_are_sorted_nonzero_and_read_only(name):
     for _, interpolant, r in _interpolant_cases(topo, reports):
         patch = fan(topo, r.vertex)
         for a in (_block_targets(rng, patch, r.singular, 3),
-                  _target(rng, patch, r.singular)):
-            block = interpolant(r, a, topo)
-            blocks.append(block[0] if patch.boundary else block)
+                  _target(rng, patch, r.singular)[None]):
+            blocks.append(interpolant([r], a[None], topo)[0])
     for r in reports:
         if r.boundary:
             continue
@@ -1003,7 +1065,7 @@ def test_interpolant_blocks_are_sorted_nonzero_and_read_only(name):
         for y in patch.spokes:
             try:
                 blocks.append(edge_transfer(
-                    topo, r.vertex, y, rng.standard_normal((2, patch.N)),
+                    [r], [y], rng.standard_normal((1, 2, patch.N)), topo,
                     TOL)[0])
             except UnacceptableEdgeError:
                 continue
@@ -1046,11 +1108,9 @@ def _field_cases(topo, reports, rng):
     for _, interpolant, r in _interpolant_cases(topo, reports):
         patch = fan(topo, r.vertex)
         a = _block_targets(rng, patch, r.singular, 1)[0]
-        got = interpolant(r, a, topo)
+        got, side = interpolant([r], a[None, None], topo)
         expected = {(t, patch.z): v for t, v in zip(patch.tris, a.tolist())}
-        if patch.boundary:
-            got, side = got
-            expected.update(as_dict(side))
+        expected.update(as_dict(side))
         blocks.append(got)
         divs.append(expected)
     # a field, a support triangle t and a triangle s outside the support
@@ -1163,16 +1223,14 @@ def test_suite_reports_one_corrupted_sample(monkeypatch, kind):
     original = getattr(cli, name)
 
     def corrupting(group, targets, *args):
-        out = original(group, targets, *args)
+        block, side = original(group, targets, *args)
         group = [r.vertex for r in group]
         if victim not in group:
-            return out
-        block = out[0] if kind == "boundary" else out
+            return block, side
         f = group.index(victim) * targets.shape[1] + 1    # its second sample
         c = dense(block)
         c[f, block.tri[block.field == f][0], 0, 3] += 0.37    # lowest triangle
-        bad = field_block(block.topology, c)
-        return (bad, out[1]) if kind == "boundary" else bad
+        return field_block(block.topology, c), side
 
     monkeypatch.setattr(cli, name, corrupting)
     lines, ok = cli.run_field_suites(mesh, TOL, 2, 7)
@@ -1200,12 +1258,12 @@ def test_suite_fails_a_boundary_seed_that_pollutes_a_second_vertex(
     victim = next(r for r in reports if r.boundary and not r.singular
                   and (~topo.boundary_vertex[fan(topo, r.vertex).far]).sum()
                   >= 2)
-    _, side = boundary_interpolant(victim, np.arange(1.0, victim.valence + 1),
-                                   topo)
+    _, side = boundary_interpolant(
+        [victim], np.arange(1.0, victim.valence + 1)[None, None], topo)
     assert len(set(side.vertex.tolist())) == 1
     y = next(int(v) for v in fan(topo, victim.vertex).far
              if not topo.boundary_vertex[v] and v not in side.vertex)
-    table = edge_table(y, topo)
+    table = edge_table([y], topo)
     k = np.flatnonzero(fans.far[table.corner[0]] == victim.vertex)[0]
     pollution = dict(zip(fans.tri[table.corner[0]].tolist(),
                          0.37 * table.w[0, k]))

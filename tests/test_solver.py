@@ -87,7 +87,8 @@ def _spectrum(B):
     factor = np.zeros((len(B), len(B)), order="F")
     factor[:len(R)] = R
     return Certificate(factor=factor, shape=B.shape,
-                       start=krylov_start(B.shape[0]))
+                       start=krylov_start(B.shape[0]),
+                       constraints=np.zeros((len(B), 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +350,8 @@ def test_injection_oracle_field_to_matrix():
     rng = np.random.default_rng(8)
     interior = [r for r in reports if not r.boundary]
     for r in interior[:3]:
-        f = local_interpolant(r, rng.standard_normal(r.valence), topo)
+        f, _ = local_interpolant(
+            [r], rng.standard_normal((1, 1, r.valence)), topo)
         u = velocity_coefficients(topo, nodes, f)[:, 0]
         expect = _divergence_moments(topo, f)
         assert np.abs(B @ u - expect).max() < 1e-10 * max(

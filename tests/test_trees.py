@@ -529,9 +529,9 @@ def _count_transfers(monkeypatch):
     calls = []
     transfer = trees.edge_transfer
 
-    def counted(topology, z, y, target, tol):
-        calls.append((z, y))
-        return transfer(topology, z, y, target, tol)
+    def counted(reports, y, target, topology, tol):
+        calls.extend((r.vertex, int(v)) for r, v in zip(reports, y))
+        return transfer(reports, y, target, topology, tol)
 
     monkeypatch.setattr(trees, "edge_transfer", counted)
     return calls
@@ -604,7 +604,7 @@ def _path_tree_interpolant(topo, dcover, p, reports):
     for z in np.flatnonzero(topo.boundary_vertex).tolist():
         a = residual(z)
         if np.abs(a).max() > 1e-13 * pscale:
-            add(boundary_interpolant(reports[z], a, topo)[0])
+            add(boundary_interpolant([reports[z]], a[None, None], topo)[0])
     for tree in dcover.trees:
         for z in sorted(tree.parents):
             a = residual(z)
@@ -613,7 +613,8 @@ def _path_tree_interpolant(topo, dcover, p, reports):
                                      TOL).field)
         a = residual(tree.root)
         if np.abs(a).max() > 1e-13 * pscale:
-            add(local_interpolant(reports[tree.root], a, topo))
+            add(local_interpolant([reports[tree.root]], a[None, None],
+                                  topo)[0])
     return acc
 
 
