@@ -12,9 +12,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -110,29 +110,91 @@ def _discard_stdout():
 FLOAT_DIGITS = 10
 
 
-def _rounded(obj):
-    """obj as plain JSON values, each float rounded to FLOAT_DIGITS
-    significant digits (json.dumps writes floats itself, never through
-    a ``default=`` hook, so the rounding has to happen beforehand)."""
-    if isinstance(obj, dict):
-        return {k: _rounded(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_rounded(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _rounded(obj.tolist())
-    if isinstance(obj, (bool, str)) or obj is None:
-        return obj
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(f"{obj:.{FLOAT_DIGITS}g}")
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+def _float_text(x: float) -> str:
+    """A float as json writes it: its repr, or NaN, Infinity, -Infinity."""
+    if x != x:
+        return "NaN"
+    if x == np.inf:
+        return "Infinity"
+    if x == -np.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(key) -> str:
+    """A dict key as json writes it: a string, or the text of a float, a
+    bool, None or an int, unrounded, in quotes."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, float):
+        text = _float_text(key)
+    elif key is None:
+        text = "null"
+    elif isinstance(key, bool):
+        text = "true" if key else "false"
+    elif isinstance(key, int):
+        text = int.__repr__(key)
+    else:
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {type(key).__name__}")
+    return f'"{text}"'
+
+
+def _write(obj, indent: str, out: list):
+    """Append the JSON text of obj to out, its nested lines indented by
+    ``indent`` (a newline and two spaces a level): dicts with their keys
+    sorted, tuples and arrays as lists, numpy scalars as Python ones and
+    each float rounded to FLOAT_DIGITS significant digits as it is
+    written; TypeError on any other value.  The scalars, most of a
+    report, are tested first."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(int.__repr__(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_float_text(float(f"{obj:.{FLOAT_DIGITS}g}")))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        opening = "{" + inner
+        for key, value in sorted(obj.items()):
+            out.append(opening)
+            out.append(_key_text(key))
+            out.append(": ")
+            _write(value, inner, out)
+            opening = "," + inner
+        out.append(indent + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        opening = "[" + inner
+        for value in obj:
+            out.append(opening)
+            _write(value, inner, out)
+            opening = "," + inner
+        out.append(indent + "]")
+    elif isinstance(obj, np.ndarray):
+        _write(obj.tolist(), indent, out)
+    else:
+        raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 def to_json(obj) -> str:
-    """The one serialization of every JSON output: sorted keys, two-space
-    indent, floats to FLOAT_DIGITS significant digits."""
-    return json.dumps(_rounded(obj), indent=2, sort_keys=True)
+    """The one serialization of every JSON output, in one pass: sorted
+    keys, two-space indent, floats to FLOAT_DIGITS significant digits;
+    the text of json.dumps(indent=2, sort_keys=True) on obj with its
+    floats rounded beforehand."""
+    out = []
+    _write(obj, "\n", out)
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +286,13 @@ def _check_verdict(verdict: str, reports, rank: solver.RankResult):
     where = (f"non-singular interior vertex {nearest.vertex} has the "
              f"smallest Theta(z) = {nearest.theta_value:.3e}"
              if nearest else "no interior vertex is non-singular")
+    rejected = (f"a singular value {rank.rejected:.3e}"
+                if rank.rejected > rank.floor else
+                f"singular values at or below the roundoff floor "
+                f"{rank.floor:.3e}")
     raise solver.RankIndeterminateError(
-        f"verdict {verdict} implies K = 0, but the rank rejects a singular "
-        f"value {rank.beta / rank.gap:.3e} (K = {rank.K}); {where}")
+        f"verdict {verdict} implies K = 0, but the rank rejects {rejected} "
+        f"(K = {rank.K}); {where}")
 
 
 def render_svg(mesh: Triangulation, report: dict, modes,

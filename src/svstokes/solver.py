@@ -145,10 +145,21 @@ def assemble_norms(topology: MeshTopology, seminorm: bool = False):
     components share every block, so the velocity Gram matrix is A = A_s
     (x) I_2 in the DOF order 2g + c, with A_s the sum of the K blocks at
     the global nodes; it is never formed.  The pressure mass matrix needs
-    no assembly: its block on triangle t is |T_t| _MM2."""
+    no assembly: its block on triangle t is |T_t| _MM2.
+
+    The Gram matrix g g^T of each triangle's hat gradients g meets _GG in
+    a sum of 9 terms in a fixed order, elementwise: a triangle's block has
+    the same bits on any mesh that holds it and under any BLAS kernel,
+    whose contraction would add in an order of its own."""
     area = topology.area
     g = topology.hat_grads
-    K = np.einsum("tsc,tuc,suab->tab", g, g, _GG) * area[:, None, None]
+    gg = (g[:, :, None, 0] * g[:, None, :, 0]
+          + g[:, :, None, 1] * g[:, None, :, 1])                # (T, 3, 3)
+    K = np.zeros((len(area), 10, 10))
+    for s in range(3):
+        for u in range(3):
+            K += gg[:, s, u, None, None] * _GG[s, u]
+    K *= area[:, None, None]
     if not seminorm:
         K = K + area[:, None, None] * _MM3                  # (T, 10, 10)
     return K
@@ -184,15 +195,17 @@ STAIRCASE_PANEL = 48
 
 
 def _staircase_qr(P: np.ndarray, L_inv: np.ndarray, label: np.ndarray,
-                  bubble: np.ndarray, last: np.ndarray) -> np.ndarray:
-    """R, 6T x 6T, upper triangular and column-major: the triangular
-    factor of X = [L_inv P^T; blockdiag(bubble_t)].  Column 6t + q of X
-    holds, on the x and y rows of the nodes, the rows (q, x) and (q, y) of
-    triangle t's pairing P[t] (T, 12, 9) with the columns of L_inv, the
-    inverse Cholesky factor of S, at its 9 node labels ``label[t]`` (a
-    boundary node may read any label, as P weights it by 0), and on the
-    two bubble rows of triangle t the column q of bubble[t] (T, 2, 6): a
-    2 x 6 block on the triangle's own 6 columns.
+                  bubble: np.ndarray, last: np.ndarray, Q_z: np.ndarray):
+    """(R, dev, size): R, 6T x 6T, upper triangular and column-major, is
+    the triangular factor of X = [L_inv P^T; blockdiag(bubble_t)], and dev
+    = ||R Q_z|| and size = ||R|| are Frobenius norms, Q_z (6T, k) in the
+    column order of X.  Column 6t + q of X holds, on the x and y rows of
+    the nodes, the rows (q, x) and (q, y) of triangle t's pairing P[t]
+    (T, 12, 9) with the columns of L_inv, the inverse Cholesky factor of
+    S, at its 9 node labels ``label[t]`` (a boundary node may read any
+    label, as P weights it by 0), and on the two bubble rows of triangle t
+    the column q of bubble[t] (T, 2, 6): a 2 x 6 block on the triangle's
+    own 6 columns.
 
     The node in place l of the level order has label m - 1 - l, so L_inv
     is upper triangular in level order, and column 6t + q is zero beyond
@@ -207,7 +220,11 @@ def _staircase_qr(P: np.ndarray, L_inv: np.ndarray, label: np.ndarray,
     applies its Q^T to the rest of the window in place, the first rows of
     the window are rows of R and the others carry over to the next panel.
     A window with fewer rows than panel columns leaves zero rows in R at
-    the pivotless columns; no later row reaches them."""
+    the pivotless columns; no later row reaches them.
+
+    Each slab of rows of R meets Q_z as it is written, while it is in
+    cache, and size is ||X||, summed over the rows as they are gathered
+    (R^T R = X^T X)."""
     T, m = len(P), len(L_inv)
     p = 6 * T
     panels = [(c0, min(c0 + STAIRCASE_PANEL, p))
@@ -226,6 +243,7 @@ def _staircase_qr(P: np.ndarray, L_inv: np.ndarray, label: np.ndarray,
     R = np.zeros((p, p), order="F")
     pair = 2 * np.arange(STAIRCASE_PANEL // 6)[:, None, None]
     held = np.empty((0, p))
+    dev2, size2 = 0.0, float(np.vdot(bubble, bubble))
     for i, ((c0, c1), r, (reached, top)) in enumerate(zip(panels, rows,
                                                           nodes)):
         nb, width, n, h = c1 - c0, p - c0, top - reached, len(held)
@@ -236,6 +254,7 @@ def _staircase_qr(P: np.ndarray, L_inv: np.ndarray, label: np.ndarray,
             # - 1; the order of the rows in a window does not matter
             block = np.matmul(P[c0 // 6:], L_inv.T[label[c0 // 6:],
                                                    m - top:m - reached])
+            size2 += float(np.vdot(block, block))
             # P's rows are (q, component), so each column's x and y rows
             # are one contiguous run of 2n
             W[h:h + 2 * n] = block.reshape(width, 2 * n).T
@@ -255,8 +274,10 @@ def _staircase_qr(P: np.ndarray, L_inv: np.ndarray, label: np.ndarray,
             raise SolverError(f"staircase QR failed with info {info}")
         R[c0:c0 + k, c0:c1] = np.triu(W[:k, :nb])
         R[c0:c0 + k, c1:] = W[:k, nb:]
+        slab = R[c0:c0 + k, c0:] @ Q_z[c0:]
+        dev2 += float(np.vdot(slab, slab))
         held = W[k:, nb:]
-    return R
+    return R, np.sqrt(dev2), np.sqrt(size2)
 
 
 # Relative size of the constraints applied to the divergences, C M^-1 B,
@@ -429,9 +450,9 @@ def certify(topology: MeshTopology, reports,
     cost that grows like the window height times p^2, not like p^3.  No
     constraint rotation mixes the columns: R factors the raw pairing, and
     the constraint directions are its exact null vectors, which the one
-    range-inclusion check confirms (every divergence has mean zero and
-    alternates to zero at the singular vertices) and ``divergence_rank``
-    lifts.
+    range-inclusion check, ||R Q_z|| summed panel by panel in the
+    staircase, confirms (every divergence has mean zero and alternates to
+    zero at the singular vertices) and ``divergence_rank`` lifts.
 
     L_S is inverted in its own storage (dtrtri), and each triangle's 12
     rows of F div_r meet only the rows of L_S^-T at its 9 nodes, so the
@@ -484,16 +505,15 @@ def certify(topology: MeshTopology, reports,
         L_S, info = scipy.linalg.lapack.dtrtri(L_S, lower=1, overwrite_c=1)
         if info != 0:
             raise SolverError(f"dtrtri failed with info {info}")
-    R = _staircase_qr(P, L_S, np.where(interior, label, 0)[order],
-                      np.matmul(F, bubble).transpose(0, 2, 1), last)
-    del P, L_S
     # R Q_z is (C M^-1 B L_A^-T)^T up to an orthogonal factor on the left
     # and an invertible one on the right: the constraint directions must
     # be null vectors of R, to RANGE_RTOL relative to R.  The constrained
     # spectrum never sees them, so a range outside the constrained space
     # would go unnoticed there.
-    dev = float(np.linalg.norm(scipy.linalg.blas.dtrmm(1.0, R, Q_z)))
-    size = float(np.linalg.norm(R))
+    R, dev, size = _staircase_qr(P, L_S, np.where(interior, label, 0)[order],
+                                 np.matmul(F, bubble).transpose(0, 2, 1),
+                                 last, Q_z)
+    del P, L_S
     if dev > RANGE_RTOL * size:
         raise SolverError(
             f"divergences violate the pressure constraints at {dev:.3e} "
@@ -660,8 +680,10 @@ class RankResult:
     rank: int
     nullity: int
     K: int                  # the lifted directions: p - rank
-    gap: float              # beta / the largest |R v| of the lifted v,
-                            # floored at eps * max(shape) * scale
+    gap: float              # beta / rejected
+    rejected: float         # the largest |R v| of the lifted v, floored
+                            # at floor
+    floor: float            # eps * max(shape) * scale: the roundoff floor
     beta: float             # smallest accepted singular value
     scale: float            # lower bound on the largest singular value
     null_basis: np.ndarray  # (6T, p - rank) orthonormal basis of the lifted
@@ -719,7 +741,8 @@ def divergence_rank(cert: Certificate,
     # A rejected value below roundoff level is noise whose size depends on
     # the LAPACK kernel; the gap measures against the roundoff floor then,
     # and also when nothing is rejected.
-    largest_rejected = np.finfo(float).eps * max(cert.shape) * scale
+    floor = np.finfo(float).eps * max(cert.shape) * scale
+    largest_rejected = floor
     lifted = 0 if scale > 0.0 else p
     Q_z = cert.constraints
     if lifted < p and Q_z.shape[1]:
@@ -767,7 +790,8 @@ def divergence_rank(cert: Certificate,
                 f"straddle the threshold {thr:.3e} with gap {gap:.2f} < 10")
     rank = p - lifted
     return RankResult(rank=rank, nullity=cert.shape[1] - rank, K=lifted,
-                      gap=gap, beta=beta, scale=scale, null_basis=null_basis)
+                      gap=gap, rejected=largest_rejected, floor=floor,
+                      beta=beta, scale=scale, null_basis=null_basis)
 
 
 def infsup_constant(cert: Certificate, tol: Tolerances = Tolerances(),

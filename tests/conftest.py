@@ -7,11 +7,13 @@ edge weights, corner angles of an edge pair, dual determinant formulas,
 dense views of field blocks, the oracles of transfers composed along a
 path (the path lemma) and of field blocks as velocity DOF vectors, the
 full assembly of the divergence pairing and its norms, uncondensed, the
-Krylov start of a synthetic certificate, the oracles of the rank's
+einsum oracle of the Gram blocks, the json oracle of the report writer,
+the Krylov start of a synthetic certificate, the oracles of the rank's
 inverse Lanczos and lift (triangular solves and Givens rotations), and
 Gauss quadrature on a triangle and along an edge."""
 
 import importlib.util
+import json
 import pathlib
 import sys
 from types import SimpleNamespace
@@ -20,7 +22,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from svstokes import fields, poly, solver
+from svstokes import cli, fields, poly, solver
 from svstokes.classify import (BOUNDARY, EVEN, NOT_LI, ODD, SINGULAR,
                                Tolerances, VertexReport, classify_mesh)
 from svstokes.fields import (FieldBlock, VertexValues, center_divergences,
@@ -574,6 +576,17 @@ def dense_divergence(topology, nodes):
     return B
 
 
+def gram_blocks_oracle(topology, seminorm=False):
+    """``solver.assemble_norms`` as first written: the hat-gradient Gram
+    g g^T contracted with _GG by one three-operand einsum, whose order of
+    summation is numpy's own."""
+    area, g = topology.area, topology.hat_grads
+    K = np.einsum("tsc,tuc,suab->tab", g, g, solver._GG) * area[:, None, None]
+    if not seminorm:
+        K = K + area[:, None, None] * solver._MM3
+    return K
+
+
 def dense_norms(topology, nodes, seminorm=False):
     """(A_s, M): the full-assembly oracle of the scalar H1 Gram matrix of
     the cubic nodes (seminorm only if requested), the blocks of
@@ -605,6 +618,31 @@ def uncondensed_pairing(topology, reports, seminorm=False):
     W = N.T @ scipy.linalg.solve_triangular(L_M, B, lower=True)
     L_A = np.linalg.cholesky(np.kron(A_s, np.eye(2)))
     return scipy.linalg.solve_triangular(L_A, W.T, lower=True).T
+
+
+def _rounded(obj):
+    """obj as plain JSON values, each float rounded to cli.FLOAT_DIGITS
+    significant digits (json.dumps writes floats itself, never through
+    a ``default=`` hook, so the rounding has to happen beforehand)."""
+    if isinstance(obj, dict):
+        return {k: _rounded(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_rounded(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return _rounded(obj.tolist())
+    if isinstance(obj, (bool, str)) or obj is None:
+        return obj
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(f"{obj:.{cli.FLOAT_DIGITS}g}")
+    raise TypeError(f"not JSON serializable: {type(obj)}")
+
+
+def to_json_oracle(obj):
+    """``cli.to_json`` as first written: the floats rounded in a copy of
+    obj, then json's indented encoder with sorted keys."""
+    return json.dumps(_rounded(obj), indent=2, sort_keys=True)
 
 
 def krylov_start(p):

@@ -334,9 +334,10 @@ def test_certify_takes_no_triangular_solve_and_no_block_diag(monkeypatch,
     """certify inverts L_S in place and forms the pairing rows triangle by
     triangle with the gathered rows of L_S^-T, factors each panel of the
     staircase by the compact-WY QR and applies its Q^T to the later
-    columns by dgemqrt, and scatters the bubble blocks itself; its one
-    triangular product is R Q_z, for the range check: no triangular solve,
-    no block_diag, no dormqr and no scipy QR."""
+    columns by dgemqrt, and scatters the bubble blocks itself; the range
+    check multiplies each panel's rows of R by Q_z as they are written:
+    no triangular solve or product, no block_diag, no dormqr and no scipy
+    QR."""
     topo, reports, summary = _classified(GOLDEN_MESHES[name]())
     lapack, blas = scipy.linalg.lapack, scipy.linalg.blas
     calls = _counted_calls(monkeypatch, (
@@ -349,8 +350,7 @@ def test_certify_takes_no_triangular_solve_and_no_block_diag(monkeypatch,
     assert panels == 3
     assert calls == {"scipy.linalg.lapack.dtrtri": 1,
                      "scipy.linalg.lapack.dgeqrt": panels,
-                     "scipy.linalg.lapack.dgemqrt": panels - 1,
-                     "scipy.linalg.blas.dtrmm": 1}, calls
+                     "scipy.linalg.lapack.dgemqrt": panels - 1}, calls
 
 
 def _staircase(monkeypatch, topo, reports):
@@ -364,9 +364,9 @@ def _staircase(monkeypatch, topo, reports):
     staircase_qr = solver._staircase_qr
     seen, windows = [], []
 
-    def recorded_qr(P, L_inv, label, bubble, last):
+    def recorded_qr(P, L_inv, label, bubble, last, Q_z):
         seen.append((last.copy(), bubble.copy()))
-        return staircase_qr(P, L_inv, label, bubble, last)
+        return staircase_qr(P, L_inv, label, bubble, last, Q_z)
 
     def recorded_geqrt(nb, A, **kwargs):
         windows.append([A.copy()])
@@ -409,6 +409,27 @@ def _dense_pairing_rows(topo, cert):
     G = scipy.linalg.solve_triangular(L_S, rows[:, reverse].T,
                                       lower=True).T[:, ::-1]
     return G.reshape(T, 6, 2, m)[cert.order]
+
+
+@pytest.mark.parametrize("name", sorted(CONDENSED_MESHES))
+def test_staircase_norms_are_those_of_the_factor(monkeypatch, name):
+    """The norms the staircase QR sums panel by panel, ||R Q|| over the
+    slabs of R's rows and ||R|| as ||X|| over the gathered rows, are the
+    norms of the finished factor to 1e-13, for columns Q that R does not
+    annihilate (certify's Q_z give roundoff only)."""
+    topo, reports, _ = _classified(CONDENSED_MESHES[name]())
+    staircase_qr, seen = solver._staircase_qr, []
+
+    def recorded_qr(*args):
+        seen.append(args[:5])
+        return staircase_qr(*args)
+
+    monkeypatch.setattr(solver, "_staircase_qr", recorded_qr)
+    solver.certify(topo, reports)
+    Q = np.random.default_rng(5).standard_normal((6 * topo.T, 3))
+    R, dev, size = staircase_qr(*seen[0], Q)
+    assert dev == pytest.approx(np.linalg.norm(R @ Q), rel=1e-13)
+    assert size == pytest.approx(np.linalg.norm(R), rel=1e-13)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_MESHES)
@@ -963,12 +984,17 @@ def test_two_triangle_square_is_exit_3_at_every_length_scale(tmp_path,
     """The two-triangle square, whose X_rc is wide, has K = 1 against
     its verdict at every length scale 1e-8 .. 1e8: exit 3, never a
     traceback.  With the zero rows padded below the bubble rows, the
-    inverse Lanczos vectors overflowed from L = 3e4 on."""
+    inverse Lanczos vectors overflowed from L = 3e4 on.  Its rejected
+    singular values are exactly 0, so the message names the roundoff
+    floor, not a singular value of that size."""
     path, out = tmp_path / "mesh", tmp_path / "report.json"
     assert cli.main(["gen", "type1", "--n", "1", "--L", f"1e{e}",
                      "--out", str(path)]) == 0
     assert cli.main(["analyze", "--mesh", str(path), "--out", str(out)]) == 3
-    assert "(K = 1)" in capsys.readouterr().err and not out.exists()
+    err = capsys.readouterr().err
+    assert "(K = 1)" in err and not out.exists()
+    assert "rejects singular values at or below the roundoff floor" in err
+    assert "a singular value" not in err
 
 
 @pytest.mark.parametrize("rows", [1, 3])
@@ -1335,6 +1361,8 @@ def test_shifted_crossed_centre_is_consistent_or_exit_3(tmp_path, capsys,
     if code == 3:
         err = capsys.readouterr().err
         assert "implies K = 0" in err and "smallest Theta(z)" in err, err
+        # the patch's singular value lies well above the roundoff floor
+        assert "rejects a singular value" in err, err
         assert not out.exists()
         return
     assert code == 0

@@ -10,9 +10,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from conftest import (GOLDEN_MESHES, PINCHED, bench_mesh, bench_pool,
-                      compute_dcoefficients, decision)
+from conftest import (BENCH_MESHES, GOLDEN_MESHES, PINCHED, bench_mesh,
+                      bench_pool, compute_dcoefficients, decision,
+                      to_json_oracle)
 from svstokes import __version__, classify, cli, fields, mesh, solver
 from svstokes.classify import Tolerances, classify_mesh
 from svstokes.cli import (EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, analyze_mesh,
@@ -902,6 +906,106 @@ def test_to_json_rounds_floats_only():
         "f": 0.6666666667, "nested": [[32.0, 3]]}
     # both ends of a thread-count spread of beta give the same bytes
     assert to_json(0.090995157908416) == to_json(0.09099515790842176)
+
+
+def _written(monkeypatch, argv):
+    """The objects that one ``main(argv)`` call hands to ``cli.to_json``,
+    and its exit code."""
+    seen, write = [], cli.to_json
+
+    def recorded(obj):
+        seen.append(obj)
+        return write(obj)
+
+    monkeypatch.setattr(cli, "to_json", recorded)
+    return main(argv), seen
+
+
+@pytest.mark.parametrize("command", ["analyze", "infsup", "spline-dim"])
+@pytest.mark.parametrize("name", sorted(GOLDEN_MESHES))
+def test_to_json_writes_the_json_oracle_text(tmp_path, monkeypatch, name,
+                                             command):
+    """Every JSON output of the golden meshes is, byte for byte, the text of
+    json.dumps(indent=2, sort_keys=True) on its rounded object."""
+    path, out = tmp_path / "m.mesh", tmp_path / "out.json"
+    path.write_text(dump_mesh(GOLDEN_MESHES[name]()))
+    code, seen = _written(monkeypatch, [command, "--mesh", str(path),
+                                        "--out", str(out)])
+    assert code == EXIT_OK and len(seen) == 1
+    assert out.read_text() == to_json(seen[0]) == to_json_oracle(seen[0])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-7, 3e7])
+@pytest.mark.parametrize("key", bench_pool("certify-dense"))
+def test_to_json_is_the_json_oracle_on_the_certify_dense_reports(key, scale):
+    """The analyze report of every certify-dense pool mesh, unscaled and
+    at the two scales of its similarity copies, is written as the json
+    oracle writes it."""
+    verts, tris = BENCH_MESHES.build(key)
+    report, _ = analyze_mesh(load_mesh(BENCH_MESHES.mesh_text(verts, tris,
+                                                              scale)),
+                             Tolerances())
+    assert to_json(report) == to_json_oracle(report)
+
+
+_NUMBERS = st.one_of(
+    st.integers(), st.floats(), st.sampled_from([-0.0, 1e16, 1.5e16]),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32))
+_SCALARS = st.one_of(st.none(), st.booleans(), st.text(), _NUMBERS,
+                     st.sampled_from(["é", "Θ(z)", "\u2603 \"q\"\n", "😀"]))
+_KEYS = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(),
+                  st.none())
+_ARRAYS = hnp.arrays(st.sampled_from([np.float64, np.int64, np.bool_]),
+                     hnp.array_shapes(min_dims=0, max_dims=2, max_side=3))
+# values neither writer takes, a dict key among them
+_UNSUPPORTED = st.sampled_from([np.bool_(True), 1j, {1}, b"x", object(),
+                                {np.int64(1): 0}, {(1, 2): 0},
+                                {np.float32(0.5): 0}, {"a": 0, 1: 0}])
+
+
+def _json_values(unsupported):
+    leaves = st.one_of(_SCALARS, _ARRAYS, *([_UNSUPPORTED] if unsupported
+                                           else []))
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(), inner, max_size=4),
+        st.dictionaries(st.one_of(st.integers(), st.floats(), st.booleans()),
+                        inner, max_size=4),
+        st.dictionaries(_KEYS, inner, max_size=1)), max_leaves=16)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_json_values(unsupported=False))
+def test_to_json_equals_the_json_oracle(obj):
+    """Nested dicts, lists, tuples and arrays of numpy and Python scalars,
+    with str, int, float, bool and None keys, NaN, infinities, -0.0, 1e16
+    and non-ASCII strings: the one-pass writer gives the oracle's text."""
+    assert to_json(obj) == to_json_oracle(obj)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_values(unsupported=True))
+def test_to_json_raises_where_the_json_oracle_does(obj):
+    """A value or key neither writer takes, anywhere in the object, is a
+    TypeError from both; otherwise both write the same text."""
+    try:
+        want = to_json_oracle(obj)
+    except TypeError:
+        with pytest.raises(TypeError):
+            to_json(obj)
+    else:
+        assert to_json(obj) == want
+
+
+@pytest.mark.parametrize("bad", [np.bool_(True), 1j, {1}, b"x", object(),
+                                 {np.int64(1): 0}, {(1, 2): 0},
+                                 {"a": 0, 1: 0}])
+def test_to_json_rejects_what_json_rejects(bad):
+    for obj in (bad, {"k": [1.5, {"j": (bad,)}]}):
+        for write in (to_json, to_json_oracle):
+            with pytest.raises(TypeError):
+                write(obj)
 
 
 GOLDEN = {

@@ -4,13 +4,15 @@ spurious modes, and the integer dimension identities."""
 import itertools
 from fractions import Fraction
 from math import factorial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import (dense, dense_divergence, dense_norms, edge_index,
-                      edge_tris, fan, krylov_start, rigid_motion,
+from conftest import (GOLDEN_MESHES, bench_mesh, bench_pool, dense,
+                      dense_divergence, dense_norms, edge_index, edge_tris,
+                      fan, gram_blocks_oracle, krylov_start, rigid_motion,
                       stack_fields, triangle_rule, values,
                       velocity_coefficients)
 from svstokes import fields, poly, solver
@@ -256,7 +258,12 @@ def _oracle_assembly(topo, field):
     for t in range(topo.T):
         area, g = topo.area[t], topo.hat_grads[t]
         div_qa = np.einsum("sc,qsa->qca", g, solver._PD)
-        semi = np.einsum("sc,tc,stab->ab", g, g, solver._GG) * area
+        # the 9 terms of g g^T against _GG in solver.assemble_norms' order
+        gg = g[:, None, 0] * g[None, :, 0] + g[:, None, 1] * g[None, :, 1]
+        semi = np.zeros((10, 10))
+        for i, j in itertools.product(range(3), range(3)):
+            semi += gg[i, j] * solver._GG[i, j]
+        semi *= area
         K = {True: semi, False: semi + area * solver._MM3}
         vals = poly.eval3(field[t], np.array(P3_NODES))
         idx = [(a, node) for a, node in enumerate(local[t]) if node is not None]
@@ -288,6 +295,44 @@ def test_assembly_matches_the_per_triangle_oracle(name):
     block = field_block(topo, field)
     assert np.array_equal(velocity_coefficients(topo, nodes, block),
                           u[:, None])
+
+
+GRAM_MESHES = ([("golden", name) for name in sorted(GOLDEN_MESHES)]
+               + [("bench", key) for key in bench_pool("certify-dense")
+                  + bench_pool("verify-fields")])
+
+
+@pytest.mark.parametrize("source,name", GRAM_MESHES)
+def test_gram_blocks_agree_with_the_einsum_oracle(source, name):
+    """The 9-term contraction of assemble_norms sums in another order than
+    numpy's einsum: every entry lies within 8 ulp of the oracle, relative
+    to the largest entry of its triangle's block (an entry that cancels to
+    near 0 carries the roundoff of the block's scale, not its own), in
+    the seminorm and the full H1 norm."""
+    topo = build_topology(GOLDEN_MESHES[name]() if source == "golden"
+                          else bench_mesh(name))
+    for seminorm in (True, False):
+        got = solver.assemble_norms(topo, seminorm=seminorm)
+        want = gram_blocks_oracle(topo, seminorm=seminorm)
+        scale = np.abs(want).max(axis=(1, 2), keepdims=True)
+        assert (np.abs(got - want) <= 8 * np.finfo(float).eps * scale).all()
+
+
+@pytest.mark.parametrize("key", ["perturbed-8-p0", "crossed-6"])
+def test_gram_blocks_of_a_subset_are_the_rows_of_the_whole_mesh(key):
+    """A triangle's Gram block has the same bits whichever triangles are
+    assembled with it: every other triangle, the triangles reversed, and
+    each single one of the first four give the whole mesh's rows bit for
+    bit (a BLAS contraction would block and order its sums by the size of
+    the batch)."""
+    topo = build_topology(bench_mesh(key))
+    whole = solver.assemble_norms(topo)
+    picks = ([np.arange(0, topo.T, 2), np.arange(topo.T)[::-1]]
+             + [np.array([t]) for t in range(4)])
+    for pick in picks:
+        part = SimpleNamespace(area=topo.area[pick],
+                               hat_grads=topo.hat_grads[pick])
+        assert np.array_equal(solver.assemble_norms(part), whole[pick])
 
 
 @pytest.mark.parametrize("name", sorted(NODE_MESHES))
@@ -531,10 +576,13 @@ def test_gap_measures_against_the_roundoff_floor():
         rr = divergence_rank(_spectrum(B), TOL)
         assert (rr.rank, rr.K, rr.nullity) == (2, 10, 6)
         assert rr.gap == pytest.approx(1e-3 / floor, rel=1e-12)
+        assert rr.rejected == rr.floor == pytest.approx(floor, rel=1e-12)
     # above the floor, the rejected value itself sets the gap
     B[2, 2] = 1e-12
-    assert divergence_rank(_spectrum(B), TOL).gap == \
-        pytest.approx(1e9, rel=1e-12)
+    rr = divergence_rank(_spectrum(B), TOL)
+    assert rr.gap == pytest.approx(1e9, rel=1e-12)
+    assert rr.rejected == pytest.approx(1e-12, rel=1e-12)
+    assert rr.rejected > rr.floor
 
 
 # ---------------------------------------------------------------------------
