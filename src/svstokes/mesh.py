@@ -501,11 +501,15 @@ def enumerate_patch(mesh: Triangulation, angle, cot) -> FanTable:
     d[k] = (3.0 * b[k] / mesh.area[tri[k]][:, None]
             - 12.0 * corner_cot[k][:, None] * (ce[k] - ce[prev]))
     coeffs = np.stack([d0, d[:, 0], d[:, 1]])            # (3, 3T)
-    for zs, km in blocks:
-        # (-1)^(j+1); np.take lays the rows out contiguously, as the sums
-        # need
-        signs = np.where(np.arange(km.shape[1]) % 2 == 1, 1.0, -1.0)
-        D[zs] = np.sum(signs * np.take(coeffs, km, axis=1), axis=2).T
+    # Near the ends of the double range a sum can overflow, at a vertex
+    # whose D no decision reads (the even-valence check rejects one that
+    # is read and not finite)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for zs, km in blocks:
+            # (-1)^(j+1); np.take lays the rows out contiguously, as the
+            # sums need
+            signs = np.where(np.arange(km.shape[1]) % 2 == 1, 1.0, -1.0)
+            D[zs] = np.sum(signs * np.take(coeffs, km, axis=1), axis=2).T
     table = FanTable(
         offset=offset, degree=deg, center=center, position=position,
         tri=tri, slot=slot, theta=theta, boundary=boundary, far=far, vec=vec,

@@ -153,13 +153,17 @@ def assemble_norms(topology: MeshTopology, seminorm: bool = False):
     whose contraction would add in an order of its own."""
     area = topology.area
     g = topology.hat_grads
-    gg = (g[:, :, None, 0] * g[:, None, :, 0]
-          + g[:, :, None, 1] * g[:, None, :, 1])                # (T, 3, 3)
     K = np.zeros((len(area), 10, 10))
-    for s in range(3):
-        for u in range(3):
-            K += gg[:, s, u, None, None] * _GG[s, u]
-    K *= area[:, None, None]
+    # Hat gradients near the top of the double range overflow here, to
+    # infinite terms of both signs: the bubble's Gram entry K_99 is then
+    # NaN, which ``_condense`` rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gg = (g[:, :, None, 0] * g[:, None, :, 0]
+              + g[:, :, None, 1] * g[:, None, :, 1])            # (T, 3, 3)
+        for s in range(3):
+            for u in range(3):
+                K += gg[:, s, u, None, None] * _GG[s, u]
+        K *= area[:, None, None]
     if not seminorm:
         K = K + area[:, None, None] * _MM3                  # (T, 10, 10)
     return K
@@ -195,12 +199,14 @@ STAIRCASE_PANEL = 48
 
 
 def _staircase_qr(P: np.ndarray, L_inv: np.ndarray, label: np.ndarray,
-                  bubble: np.ndarray, last: np.ndarray, Q_z: np.ndarray):
+                  bubble: np.ndarray, last: np.ndarray, Q_z: np.ndarray,
+                  lift: np.ndarray):
     """(R, dev, size): R, 6T x 6T, upper triangular and column-major, is
-    the triangular factor of X = [L_inv P^T; blockdiag(bubble_t)], and dev
-    = ||R Q_z|| and size = ||R|| are Frobenius norms, Q_z (6T, k) in the
-    column order of X.  Column 6t + q of X holds, on the x and y rows of
-    the nodes, the rows (q, x) and (q, y) of triangle t's pairing P[t]
+    the triangular factor of [X; lift], with X = [L_inv P^T;
+    blockdiag(bubble_t)] and ``lift`` (k, 6T) rows over every column, and
+    dev = ||X Q_z|| and size = ||X|| are Frobenius norms, Q_z (6T, k) in
+    the column order of X.  Column 6t + q of X holds, on the x and y rows
+    of the nodes, the rows (q, x) and (q, y) of triangle t's pairing P[t]
     (T, 12, 9) with the columns of L_inv, the inverse Cholesky factor of
     S, at its 9 node labels ``label[t]`` (a boundary node may read any
     label, as P weights it by 0), and on the two bubble rows of triangle t
@@ -214,17 +220,17 @@ def _staircase_qr(P: np.ndarray, L_inv: np.ndarray, label: np.ndarray,
     and is never formed.  Each panel of STAIRCASE_PANEL columns gathers
     only the rows it can touch into one column-major window over its
     columns and all later ones: the rows the earlier panels left
-    unconsumed, the x and y rows of the nodes its last triangle newly
-    reaches, each a product of P with the gathered rows of L_inv^T, and
-    its triangles' bubble rows.  dgeqrt factors the panel, dgemqrt
-    applies its Q^T to the rest of the window in place, the first rows of
-    the window are rows of R and the others carry over to the next panel.
-    A window with fewer rows than panel columns leaves zero rows in R at
-    the pivotless columns; no later row reaches them.
+    unconsumed (for the first panel, the lift rows), the x and y rows of
+    the nodes its last triangle newly reaches, each a product of P with
+    the gathered rows of L_inv^T, and its triangles' bubble rows.  dgeqrt
+    factors the panel, dgemqrt applies its Q^T to the rest of the window
+    in place, the first rows of the window are rows of R and the others
+    carry over to the next panel.  A window with fewer rows than panel
+    columns leaves zero rows in R at the pivotless columns; no later row
+    reaches them.
 
-    Each slab of rows of R meets Q_z as it is written, while it is in
-    cache, and size is ||X||, summed over the rows as they are gathered
-    (R^T R = X^T X)."""
+    A gathered row of X is zero left of its panel, so dev and size are
+    summed over the rows as they are gathered, while they are in cache."""
     T, m = len(P), len(L_inv)
     p = 6 * T
     panels = [(c0, min(c0 + STAIRCASE_PANEL, p))
@@ -232,7 +238,7 @@ def _staircase_qr(P: np.ndarray, L_inv: np.ndarray, label: np.ndarray,
     # The rows of each window and the places of the nodes it adds, counted
     # first, so that two buffers of the largest window serve every panel:
     # a window never overlaps the carried rows it is filled from.
-    rows, nodes, carry, reached = [], [], 0, 0
+    rows, nodes, carry, reached = [], [], len(lift), 0
     for c0, c1 in panels:
         top = max(int(last[c1 // 6 - 1]) + 1, reached)
         nodes.append((reached, top))
@@ -242,8 +248,10 @@ def _staircase_qr(P: np.ndarray, L_inv: np.ndarray, label: np.ndarray,
     buffers = (np.empty(size), np.empty(size))
     R = np.zeros((p, p), order="F")
     pair = 2 * np.arange(STAIRCASE_PANEL // 6)[:, None, None]
-    held = np.empty((0, p))
-    dev2, size2 = 0.0, float(np.vdot(bubble, bubble))
+    held = lift
+    bubble_dev = np.matmul(bubble, Q_z.reshape(T, 6, -1))
+    dev2 = float(np.vdot(bubble_dev, bubble_dev))
+    size2 = float(np.vdot(bubble, bubble))
     for i, ((c0, c1), r, (reached, top)) in enumerate(zip(panels, rows,
                                                           nodes)):
         nb, width, n, h = c1 - c0, p - c0, top - reached, len(held)
@@ -258,6 +266,8 @@ def _staircase_qr(P: np.ndarray, L_inv: np.ndarray, label: np.ndarray,
             # P's rows are (q, component), so each column's x and y rows
             # are one contiguous run of 2n
             W[h:h + 2 * n] = block.reshape(width, 2 * n).T
+            block_dev = W[h:h + 2 * n] @ Q_z[c0:]
+            dev2 += float(np.vdot(block_dev, block_dev))
         bubble_rows = W[h + 2 * n:]
         bubble_rows[...] = 0.0
         t = pair[:nb // 6]
@@ -274,10 +284,38 @@ def _staircase_qr(P: np.ndarray, L_inv: np.ndarray, label: np.ndarray,
             raise SolverError(f"staircase QR failed with info {info}")
         R[c0:c0 + k, c0:c1] = np.triu(W[:k, :nb])
         R[c0:c0 + k, c1:] = W[:k, nb:]
-        slab = R[c0:c0 + k, c0:] @ Q_z[c0:]
-        dev2 += float(np.vdot(slab, slab))
         held = W[k:, nb:]
     return R, np.sqrt(dev2), np.sqrt(size2)
+
+
+def _pairing_products(P: np.ndarray, L_inv: np.ndarray, label: np.ndarray,
+                      bubble: np.ndarray):
+    """(product, adjoint): q -> X q and u -> X^T u for the X of
+    ``_staircase_qr`` with the same arguments, X never formed.  X q is
+    L_inv times the pairing P^T q summed at the node labels (x rows, then
+    y rows), over the bubble rows' products; a boundary node's label
+    meets only P's zero weights."""
+    T, m = len(P), len(L_inv)
+    P = P.reshape(T, 6, 18)     # row q; columns (component, local node)
+    flat = label.ravel()
+
+    def product(q):
+        z = np.matmul(q.reshape(T, 1, 6), P).reshape(T, 2, 9)
+        u = np.empty((2, m))
+        for c in range(2):
+            u[c] = np.bincount(flat, weights=z[:, c].ravel(),
+                               minlength=m)[:m]
+        return np.concatenate([(u @ L_inv.T).ravel(),
+                               np.matmul(bubble, q.reshape(T, 6, 1)).ravel()])
+
+    def adjoint(u):
+        w = np.matmul(bubble.transpose(0, 2, 1), u[2 * m:].reshape(T, 2, 1))
+        if m:
+            g = u[:2 * m].reshape(2, m) @ L_inv
+            w += np.matmul(P, g[:, label].transpose(1, 0, 2).reshape(T, 18, 1))
+        return w.ravel()
+
+    return product, adjoint
 
 
 # Relative size of the constraints applied to the divergences, C M^-1 B,
@@ -347,10 +385,41 @@ def _level_positions(inner: np.ndarray, m: int) -> np.ndarray:
     return position
 
 
+# The largest diagonal block that ``_invert_lower`` hands to dtrtri.
+INVERSE_BLOCK = 64
+
+
+def _invert_lower(L: np.ndarray, band: int, lo: int = 0, hi: int = -1):
+    """Replace the lower triangular L[lo:hi, lo:hi] (all of L by default),
+    column-major, zero above its diagonal and zero below its band-th
+    subdiagonal, by its inverse, in place, by recursive 2 x 2 blocks: with
+    L = [[L11, 0], [L21, L22]], the inverse is [[X11, 0], [X21, X22]], X21
+    = -X22 (L21 X11).  Diagonal blocks of at most INVERSE_BLOCK go to
+    dtrtri.  L21 is zero outside its top right band x band corner, so L21
+    X11 reads that corner and as many last rows of X11, and dtrmm applies
+    X22."""
+    hi = len(L) if hi < 0 else hi
+    n = hi - lo
+    if n <= INVERSE_BLOCK:
+        block, info = scipy.linalg.lapack.dtrtri(L[lo:hi, lo:hi], lower=1)
+        if info != 0:
+            raise SolverError(f"dtrtri failed with info {info}")
+        L[lo:hi, lo:hi] = block
+        return
+    mid = lo + n // 2
+    _invert_lower(L, band, lo, mid)
+    _invert_lower(L, band, mid, hi)
+    rows, cols = min(band, hi - mid), min(band, mid - lo)
+    X21 = L[mid:hi, lo:mid]
+    X21[:rows] = L[mid:mid + rows, mid - cols:mid] @ L[mid - cols:mid, lo:mid]
+    X21[...] = scipy.linalg.blas.dtrmm(-1.0, L[mid:hi, mid:hi], X21, lower=1)
+
+
 # ---------------------------------------------------------------------------
 # the certificate: one triangular factor R gives K, beta and the spurious
-# modes; the scale of its spectrum comes from a short Krylov space of R^T R,
-# the bottom of its spectrum from inverse Lanczos on R^T R
+# modes; the scale of its spectrum comes from a short Krylov space of the
+# pairing's Gram matrix, the bottom of its spectrum from inverse Lanczos on
+# R^T R
 
 # Inverse Lanczos: the most steps one run may take; the Ritz residual,
 # relative to its Ritz value, below which a Ritz pair counts as converged;
@@ -360,7 +429,7 @@ LANCZOS_STEPS = 300
 LANCZOS_RTOL = 1e-12
 LANCZOS_RANGE = 1e-8
 
-# The rank scale: the dimension of the Krylov space of R^T R it is read
+# The rank scale: the dimension of the Krylov space of W W^T it is read
 # from, and the bound on its top Ritz value, 1 up to roundoff, that every
 # singular value of W obeys (||div v|| <= |v|_1 <= ||v||_H1 on H^1_0).
 SCALE_STEPS = 10
@@ -375,29 +444,29 @@ class Certificate:
 
     with _MM2 = L L^T the reference pressure mass block, so that F^T F is
     the inverse of the pressure mass matrix M, its 6T rows (6 a triangle)
-    in the triangle order ``order``.  With W^T = Q_X R (Q_X has
-    orthonormal columns), ``factor`` is R, 6T x 6T.  The constrained
-    pressures are the coordinates orthogonal to the k = 1 + sigma
-    ``constraints`` Q_z of ``constrained_basis``; every divergence
-    satisfies the constraints, so R Q_z = 0 to roundoff, and R has the
-    singular values of W on the constrained pressures plus k zeros.  The
-    squared singular values of W there are the eigenvalues of the pressure
-    Schur complement in the mass inner product: the number of zero
-    singular values is K, the smallest nonzero one is beta, and the
-    nonzero ones lie in [beta, 1]: for a velocity v in H^1_0, ||div v||^2
-    + ||rot v||^2 = |v|_1^2, which is at most the squared norm of v in the
-    seminorm and in the full H1 norm.  ``divergence_rank`` lifts Q_z out
-    of the spectrum first, in the factor's own storage (the rank consumes
-    the factor); the null vectors of R that remain are the left null
-    vectors of W, and ``spurious_modes`` maps them back through ``order``
-    and F^T and checks their pairing on the per-triangle divergence
-    blocks.
+    in the triangle order ``order``.  The constrained pressures are the
+    coordinates orthogonal to the k = 1 + sigma ``constraints`` Q_z of
+    ``constrained_basis``; every divergence satisfies the constraints, so
+    W^T Q_z = 0 to roundoff.  ``scale`` is the rank scale, a lower bound
+    on the largest singular value of W within a few tenths of a percent,
+    and ``factor`` is R, 6T x 6T, born lifted: [W^T; 2 scale Q_z^T] = Q_X
+    R (Q_X has orthonormal columns), so R has the singular values of W on
+    the constrained pressures plus k values 2 scale, at the top of its
+    spectrum.  The squared singular values of W there are the eigenvalues
+    of the pressure Schur complement in the mass inner product: the
+    number of zero singular values is K, the smallest nonzero one is beta,
+    and the nonzero ones lie in [beta, 1]: for a velocity v in H^1_0,
+    ||div v||^2 + ||rot v||^2 = |v|_1^2, which is at most the squared norm
+    of v in the seminorm and in the full H1 norm.  The null vectors of R
+    are the left null vectors of W orthogonal to Q_z; ``divergence_rank``
+    lifts them in the factor's own storage (the rank consumes the factor),
+    and ``spurious_modes`` maps them back through ``order`` and F^T and
+    checks their pairing on the per-triangle divergence blocks.
     """
 
     factor: np.ndarray              # R, (6T, 6T), upper, column-major
     shape: tuple                    # (p, n): constrained pressures, velocities
-    start: np.ndarray               # the rank scale's Krylov start, (6T,),
-                                    # orthogonal to the constraints
+    scale: float                    # the rank scale
     constraints: np.ndarray         # Q_z, (6T, 1 + sigma)
     order: np.ndarray | None = None         # the triangle of each 6 columns
     pressure_map: np.ndarray | None = None  # F, (T, 6, 6), in the column
@@ -448,17 +517,23 @@ def certify(topology: MeshTopology, reports,
     its last node.  With the triangles sorted by that place, X is a
     staircase, and ``_staircase_qr`` factors it window by window, at a
     cost that grows like the window height times p^2, not like p^3.  No
-    constraint rotation mixes the columns: R factors the raw pairing, and
-    the constraint directions are its exact null vectors, which the one
-    range-inclusion check, ||R Q_z|| summed panel by panel in the
-    staircase, confirms (every divergence has mean zero and alternates to
-    zero at the singular vertices) and ``divergence_rank`` lifts.
+    constraint rotation mixes the columns: R factors the raw pairing with
+    the rows 2 scale Q_z^T stacked on it, which lift the constraint
+    directions, exact null vectors of X, to the top of the spectrum.  The
+    one range-inclusion check, ||X Q_z|| summed over the rows of X as the
+    staircase gathers them, confirms that they are null vectors (every
+    divergence has mean zero and alternates to zero at the singular
+    vertices).
 
-    L_S is inverted in its own storage (dtrtri), and each triangle's 12
-    rows of F div_r meet only the rows of L_S^-T at its 9 nodes, so the
-    rows of F div_r L_S^-T are one batched product with those rows,
-    gathered in level order.  S sums its blocks with np.bincount, in
-    triangle order."""
+    S sums its blocks with np.bincount, in triangle order, straight into
+    lower band storage of its bandwidth in the reverse level order, and is
+    factored there (dpbtrf).  L_S is inverted in its own column-major
+    storage (``_invert_lower``), and each triangle's 12 rows of F div_r
+    meet only the rows of L_S^-T at its 9 nodes, so the rows of F div_r
+    L_S^-T are one batched product with those rows, gathered in level
+    order.  The rank scale is read from X^T X (``_rank_scale`` on
+    ``_pairing_products``) before the staircase, as its first rows need
+    it."""
     nodes = number_dofs(topology)
     T = topology.T
     div = assemble_divergence(topology)
@@ -474,18 +549,28 @@ def certify(topology: MeshTopology, reports,
     # appended -1); S is factored in the reverse order: labels m - 1 - place
     place = np.append(_level_positions(inner, m), -1)[inner]
     label = m - 1 - place
-    t, a, b = np.nonzero(interior[:, :, None] & interior[:, None, :])
-    # np.bincount adds in input order, which is triangle order here: every
-    # entry sums its contributions triangle by triangle.
-    S = np.bincount(label[t, a] * m + label[t, b], weights=K_r[t, a, b],
-                    minlength=m * m).reshape(m, m)
+    # S[i, j], i >= j, sums the blocks' entries (a, b) at labels (j, i),
+    # and lies at [i - j, j] of the band.  np.bincount adds in input order,
+    # which is triangle order here: every entry sums its contributions
+    # triangle by triangle.
+    t, a, b = np.nonzero(interior[:, :, None] & interior[:, None, :]
+                         & (label[:, None, :] >= label[:, :, None]))
+    below = label[t, b] - label[t, a]
+    band = int(below.max(initial=0))
+    S = np.bincount(label[t, a] * (band + 1) + below, weights=K_r[t, a, b],
+                    minlength=(band + 1) * m).reshape((band + 1, m), order="F")
     try:
-        # S is symmetric and only one triangle is read, so its transpose
-        # is the column-major operand LAPACK factors in place.
-        L_S = scipy.linalg.cholesky(S.T, lower=True, overwrite_a=True,
-                                    check_finite=False)
+        S = scipy.linalg.cholesky_banded(S, overwrite_ab=True, lower=True,
+                                         check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise SolverError(f"velocity Gram matrix is not SPD: {exc}") from exc
+    # L_S in full column-major storage, where its entry (j + d, j) lies d +
+    # j (m + 1) entries from the start.  The band's unused corner, zero,
+    # lands above the diagonal.
+    L_S = np.zeros(m * m + band)
+    np.lib.stride_tricks.as_strided(
+        L_S, (band + 1, m), (L_S.itemsize, L_S.itemsize * (m + 1)))[...] = S
+    L_S = L_S[:m * m].reshape((m, m), order="F")
     del S
     # The triangles by the place of their last node, -1 when they have
     # none: the column order of X and R.
@@ -499,33 +584,32 @@ def certify(topology: MeshTopology, reports,
     div_r = (div_r * interior[:, None, None, :])[order]
     P = np.matmul(F, div_r.reshape(T, 6, 18)).reshape(T, 12, 9)
     del div_r
-    # L_S is inverted in its own storage (column-major); a boundary node
-    # reads label 0, which P weights by 0.
     if m:                         # (LAPACK rejects an empty triangle)
-        L_S, info = scipy.linalg.lapack.dtrtri(L_S, lower=1, overwrite_c=1)
-        if info != 0:
-            raise SolverError(f"dtrtri failed with info {info}")
-    # R Q_z is (C M^-1 B L_A^-T)^T up to an orthogonal factor on the left
-    # and an invertible one on the right: the constraint directions must
-    # be null vectors of R, to RANGE_RTOL relative to R.  The constrained
-    # spectrum never sees them, so a range outside the constrained space
-    # would go unnoticed there.
-    R, dev, size = _staircase_qr(P, L_S, np.where(interior, label, 0)[order],
-                                 np.matmul(F, bubble).transpose(0, 2, 1),
-                                 last, Q_z)
-    del P, L_S
-    if dev > RANGE_RTOL * size:
-        raise SolverError(
-            f"divergences violate the pressure constraints at {dev:.3e} "
-            f"relative to {size:.3e}; range inclusion violated")
+        _invert_lower(L_S, band)
+    # a boundary node reads label 0, which P weights by 0
+    label = np.where(interior, label, 0)[order]
+    bubble = np.matmul(F, bubble).transpose(0, 2, 1)
     # The rank scale's Krylov start: a fixed-seed raw pressure x in the
     # coordinates F x, less its constraint directions.  A fixed vector of
     # those coordinates would not be the same pressure on a reordered
     # mesh.
     y = np.random.default_rng(0).standard_normal((T, 6, 1))[order]
     y = np.matmul(F, y).reshape(6 * T)
-    start = y - Q_z @ (Q_z.T @ y)
-    return Certificate(factor=R, shape=(p, 2 * (m + T)), start=start,
+    scale = _rank_scale(*_pairing_products(P, L_S, label, bubble),
+                        y - Q_z @ (Q_z.T @ y))
+    # X Q_z is (C M^-1 B L_A^-T)^T up to the order of its rows and an
+    # invertible factor on the right: the constraint directions must be
+    # null vectors of X, to RANGE_RTOL relative to X.  The constrained
+    # spectrum never sees them, so a range outside the constrained space
+    # would go unnoticed there.
+    R, dev, size = _staircase_qr(P, L_S, label, bubble, last, Q_z,
+                                 2.0 * scale * Q_z.T)
+    del P, L_S
+    if dev > RANGE_RTOL * size:
+        raise SolverError(
+            f"divergences violate the pressure constraints at {dev:.3e} "
+            f"relative to {size:.3e}; range inclusion violated")
+    return Certificate(factor=R, shape=(p, 2 * (m + T)), scale=scale,
                        constraints=Q_z, order=order, pressure_map=F,
                        divergence=div, nodes=nodes)
 
@@ -543,11 +627,12 @@ def _floor_pivots(R: np.ndarray):
     return low, pivots
 
 
-def _rank_scale(R: np.ndarray, start: np.ndarray) -> float:
-    """A lower bound on the largest singular value of R, within a few
-    tenths of a percent of it on the certificates: the square root of the
-    top Ritz value of R^T R on a Krylov space of at most SCALE_STEPS
-    dimensions, from ``start`` (a certificate's ``start``).
+def _rank_scale(product, adjoint, start: np.ndarray) -> float:
+    """A lower bound on the largest singular value of a matrix X, within a
+    few tenths of a percent of it on the certificates: the square root of
+    the top Ritz value of X^T X on a Krylov space of at most SCALE_STEPS
+    dimensions, from ``start``.  X is given by its products, product(q) =
+    X q and adjoint(u) = X^T u (``_pairing_products`` in ``certify``).
 
     The basis is built with full reorthogonalization, two passes a step,
     and must stay orthonormal to working precision for the Rayleigh-Ritz
@@ -556,24 +641,20 @@ def _rank_scale(R: np.ndarray, start: np.ndarray) -> float:
     Rayleigh quotient so far (the top Ritz value is at least that): the
     space is then invariant, and its top Ritz value an eigenvalue.  The
     Ritz values come from one eigenvalue problem, that of the k x k Gram
-    matrix (R Q^T)^T (R Q^T) of the basis rows Q.
-
-    R q and R^T w are triangular products (dtrmv) on the column-major R
-    of ``certify``, read in place."""
-    p = len(R)
+    matrix (X Q^T)^T (X Q^T) of the basis rows Q."""
+    p = len(start)
     if not p:
         return 0.0
     steps = min(p, SCALE_STEPS)
     basis = np.empty((steps, p))
-    images = np.empty((steps, p))       # R q for each basis row q
-    dtrmv = scipy.linalg.blas.dtrmv
+    images = []                         # X q for each basis row q
     q = np.array(start, dtype=float)
     q /= np.linalg.norm(q)
     top = 0.0
     for k in range(steps):
         basis[k] = q
-        images[k] = dtrmv(R, q)
-        w = dtrmv(R, images[k], trans=1)
+        images.append(product(q))
+        w = adjoint(images[k])
         top = max(top, float(q @ w))
         done = basis[:k + 1]
         for _ in range(2):
@@ -582,7 +663,7 @@ def _rank_scale(R: np.ndarray, start: np.ndarray) -> float:
         if residual <= np.finfo(float).eps * p * top:
             break
         q = w / residual
-    images = images[:k + 1]
+    images = np.array(images)
     theta = scipy.linalg.eigh(images @ images.T, eigvals_only=True,
                               overwrite_a=True, check_finite=False)[-1]
     return float(np.sqrt(max(theta, 0.0)))
@@ -667,7 +748,9 @@ LIFT_BLOCK = 16
 def _lift(R: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The triangular factor of [R; rows] for the upper triangular,
     column-major R, by one triangular-pentagonal QR (LAPACK dtpqrt), in
-    R's place: R^T R gains rows^T rows."""
+    R's place: R^T R gains rows^T rows.  ``divergence_rank`` lifts its
+    rounds 1 and later by it; the constraint directions' round 0 is part
+    of ``certify``'s staircase."""
     R, _, _, info = scipy.linalg.lapack.dtpqrt(
         0, min(LIFT_BLOCK, len(R)), R, rows, overwrite_a=1, overwrite_b=1)
     if info != 0:
@@ -692,7 +775,7 @@ class RankResult:
 
 
 def _threshold(cert: Certificate, tol: Tolerances):
-    """(scale, thr): the ``_rank_scale`` of the certificate and the
+    """(scale, thr): the rank scale of the certificate and the
     threshold tol.rank * scale above which ``divergence_rank`` and
     ``infsup_constant`` both accept a singular value; a relative
     threshold needs the largest singular value only to a few digits.  A
@@ -703,7 +786,7 @@ def _threshold(cert: Certificate, tol: Tolerances):
     if not cert.factor.flags.writeable:
         raise SolverError("the certificate's factor is read-only: an earlier "
                           "divergence_rank lifted it; certify again")
-    scale = _rank_scale(cert.factor, cert.start)
+    scale = cert.scale
     if scale * scale > SCALE_BOUND:
         raise SolverError(
             f"singular value {scale:.17g} of the weighted pairing exceeds "
@@ -717,16 +800,17 @@ def divergence_rank(cert: Certificate,
     the accepted singular values must clear the rejected ones by 10x.
 
     A singular value is accepted above the threshold of ``_threshold``.
-    The constraint directions Q_z, null vectors of R, are lifted first: R
-    is replaced by the factor of [R; scale Q_z^T], which moves them to the
-    top of the spectrum and leaves the rest in place; they are not counted.
-    Then inverse Lanczos finds the smallest singular value of the square
-    factor; while it is at or below the threshold, every converged Ritz
-    vector v there is lifted the same way.  The number of those is K = p -
-    rank, with p = cert.shape[0] the constrained pressure dimension 6T - 1
-    - sigma; their orthonormal basis is ``null_basis`` (every constrained
-    direction at scale 0), and beta is the smallest singular value of the
-    lifted factor.  Every factor read here is square and column-major.
+    The certificate's factor is born with the constraint directions Q_z
+    lifted to the top of its spectrum; they are not counted.  Inverse
+    Lanczos finds the smallest singular value of the square factor; while
+    it is at or below the threshold, every converged Ritz vector v there
+    is lifted: R is replaced by the factor of [R; scale v^T], which moves
+    v to the top of the spectrum and leaves the rest in place.  The
+    number of those is K = p - rank, with p = cert.shape[0] the
+    constrained pressure dimension 6T - 1 - sigma; their orthonormal basis
+    is ``null_basis`` (every constrained direction at scale 0), and beta
+    is the smallest singular value of the lifted factor.  Every factor
+    read here is square and column-major.
 
     The rank consumes the factor: it is lifted and floored in its own
     storage, the largest array of an analysis, and left read-only, so that
@@ -745,8 +829,6 @@ def divergence_rank(cert: Certificate,
     largest_rejected = floor
     lifted = 0 if scale > 0.0 else p
     Q_z = cert.constraints
-    if lifted < p and Q_z.shape[1]:
-        R = _lift(R, scale * Q_z.T)
     rounds = [np.zeros((len(R), 0))]   # the directions lifted in each round
     while lifted < p:
         low, pivots = _floor_pivots(R)
@@ -800,7 +882,7 @@ def infsup_constant(cert: Certificate, tol: Tolerances = Tolerances(),
     rank accepts, above the threshold of ``_threshold``.  Given the
     ``divergence_rank`` of the same certificate, beta is read from it and
     no eigenvalue is listed (None).  Otherwise one values-only SVD of the
-    factor, less its k smallest values, those of the constraint
+    factor, less its k largest values, 2 scale, those of the constraint
     directions, lists the eigenvalues of the pressure Schur complement on
     the constrained space in the mass inner product, ascending, with those
     of the singular values at or below the threshold reported as exactly
@@ -809,7 +891,7 @@ def infsup_constant(cert: Certificate, tol: Tolerances = Tolerances(),
         return rank.beta, None
     thr = _threshold(cert, tol)[1]
     s = scipy.linalg.svd(cert.factor, compute_uv=False, check_finite=False)
-    s = s[:cert.shape[0]]
+    s = s[len(s) - cert.shape[0]:]
     accepted = s > thr
     eig = np.where(accepted, s, 0.0)[::-1] ** 2
     beta = float(s[accepted][-1]) if accepted.any() else 0.0

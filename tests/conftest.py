@@ -8,7 +8,8 @@ dense views of field blocks, the oracles of transfers composed along a
 path (the path lemma) and of field blocks as velocity DOF vectors, the
 full assembly of the divergence pairing and its norms, uncondensed, the
 einsum oracle of the Gram blocks, the json oracle of the report writer,
-the Krylov start of a synthetic certificate, the oracles of the rank's
+the Krylov start and the certificate of a synthetic factor, the
+factor products of the rank scale, the oracles of the rank's
 inverse Lanczos and lift (triangular solves and Givens rotations), and
 Gauss quadrature on a triangle and along an edge."""
 
@@ -603,21 +604,33 @@ def dense_norms(topology, nodes, seminorm=False):
     return A_s, M
 
 
-def uncondensed_pairing(topology, reports, seminorm=False):
-    """The weighted pairing W = N^T L_M^-1 B L_A^-T of the certificate from
-    the full assembly, no node condensed and no coordinate rotated: N is
-    an orthonormal basis of the u with Z^T u = 0, Z = L_M^-1 C^T.  Its
-    singular values are those of ``solver.certify``'s factor."""
+def raw_pairing(topology, seminorm=False):
+    """(W, L_M): the weighted pairing W = L_M^-1 B L_A^-T on the raw
+    pressures from the full assembly, no node condensed, its rows in mesh
+    triangle order, and the block diagonal Cholesky factor L_M of the
+    pressure mass matrix.  W W^T = X^T X for the X that
+    ``solver.certify`` factors (its columns in the certificate's
+    ``order``)."""
     nodes = solver.number_dofs(topology)
     B = dense_divergence(topology, nodes)
     A_s, blocks = dense_norms(topology, nodes, seminorm)
     L_M = scipy.linalg.block_diag(*np.linalg.cholesky(blocks))
+    L_A = np.linalg.cholesky(np.kron(A_s, np.eye(2)))
+    W = scipy.linalg.solve_triangular(L_M, B, lower=True)
+    return scipy.linalg.solve_triangular(L_A, W.T, lower=True).T, L_M
+
+
+def uncondensed_pairing(topology, reports, seminorm=False):
+    """The weighted pairing W = N^T L_M^-1 B L_A^-T of the certificate from
+    the full assembly, no node condensed and no coordinate rotated: N is
+    an orthonormal basis of the u with Z^T u = 0, Z = L_M^-1 C^T.  Its
+    singular values are those of ``solver.certify``'s factor, less the
+    lifted constraint directions."""
+    W, L_M = raw_pairing(topology, seminorm)
     C = solver.pressure_constraints(topology, reports)
     N = scipy.linalg.null_space(
         scipy.linalg.solve_triangular(L_M, C.T, lower=True).T)
-    W = N.T @ scipy.linalg.solve_triangular(L_M, B, lower=True)
-    L_A = np.linalg.cholesky(np.kron(A_s, np.eye(2)))
-    return scipy.linalg.solve_triangular(L_A, W.T, lower=True).T
+    return N.T @ W
 
 
 def _rounded(obj):
@@ -649,6 +662,25 @@ def krylov_start(p):
     """The rank scale's Krylov start of a synthetic certificate with p
     constrained pressures: a fixed-seed normal vector."""
     return np.random.default_rng(0).standard_normal(p)
+
+
+def factor_products(R):
+    """(product, adjoint) of the upper triangular R for
+    ``solver._rank_scale``: q -> R q and w -> R^T w, triangular products
+    (dtrmv) on R."""
+    dtrmv = scipy.linalg.blas.dtrmv
+    return (lambda q: dtrmv(R, q)), (lambda w: dtrmv(R, w, trans=1))
+
+
+def synthetic_certificate(R, shape=None):
+    """The certificate of a square upper triangular factor R with no
+    constraint rows, so none to lift, its shape R.shape unless given and
+    its rank scale from ``krylov_start``."""
+    p = len(R)
+    return solver.Certificate(
+        factor=R, shape=R.shape if shape is None else shape,
+        scale=solver._rank_scale(*factor_products(R), krylov_start(p)),
+        constraints=np.zeros((p, 0)))
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (GOLDEN_MESHES, MIXED, bench_mesh, bench_pool,
-                      dense_divergence, dense_norms, givens_lift,
-                      inverse_lanczos_oracle, krylov_start, rigid_motion,
+                      dense_divergence, dense_norms, factor_products,
+                      givens_lift, inverse_lanczos_oracle, krylov_start,
+                      raw_pairing, rigid_motion, synthetic_certificate,
                       type1_with_crossed, uncondensed_pairing)
 from svstokes import cli, solver
 from svstokes.classify import Tolerances, classify_mesh
@@ -116,7 +117,7 @@ def test_condensed_factor_has_the_singular_values_of_the_full_pairing(
         name, seminorm):
     """The factor of the condensed pairing on the raw pressures has the
     singular values of W assembled in full, to 1e-12 s_max, plus one at
-    roundoff level per constraint row, and the modes pair with no
+    twice the rank scale per constraint row, and the modes pair with no
     velocity under the full B.  On one triangle the bubble is the only
     velocity node, and no other node remains; on the two-triangle square
     the one panel is wide, and the factor is still 6T x 6T."""
@@ -139,18 +140,19 @@ def test_condensed_factor_has_the_singular_values_of_the_full_pairing(
 
 
 def _assert_raw_spectrum(cert, W):
-    """certify's factor is 6T x 6T, and its singular values are those of
-    the full-assembly pairing W on the constrained pressures (p - n zeros
-    among them when p > n), to 1e-12 s_max, then exactly k = 6T - p more,
-    those of the constraint directions, below 1e-14 s_max."""
+    """certify's factor is 6T x 6T and born lifted: its singular values
+    are exactly k = 6T - p at the top, those of the constraint directions,
+    within 1e-14 s_max of twice the rank scale, then those of the
+    full-assembly pairing W on the constrained pressures (p - n zeros
+    among them when p > n), to 1e-12 s_max."""
     p = W.shape[0]
     k = cert.constraints.shape[1]
     assert cert.factor.shape == (p + k, p + k)
     s = np.zeros(p)
     s[:min(W.shape)] = scipy.linalg.svdvals(W)
     got = scipy.linalg.svdvals(cert.factor)
-    assert np.abs(got[:p] - s).max() <= 1e-12 * s[0]
-    assert got[p:].max() <= 1e-14 * s[0]
+    assert np.abs(got[k:] - s).max() <= 1e-12 * s[0]
+    assert np.abs(got[:k] - 2.0 * cert.scale).max() <= 1e-14 * s[0]
 
 
 RAW_SPECTRUM_MESHES = (sorted(GOLDEN_MESHES) + bench_pool("certify-dense")
@@ -162,7 +164,8 @@ RAW_SPECTRUM_MESHES = (sorted(GOLDEN_MESHES) + bench_pool("certify-dense")
 def test_raw_factor_is_the_oracle_spectrum_plus_k_roundoff_values(name):
     """The raw factor against the full-assembly oracle on the goldens, both
     bench pools, the two-triangle square (type1-1), one triangle and the
-    5-gon: the constrained spectrum and k values at roundoff level."""
+    5-gon: the constrained spectrum and k values at twice the rank
+    scale."""
     mesh = (CONDENSED_MESHES[name]() if name in CONDENSED_MESHES
             else _oracle_case(name))
     topo, reports, summary = _classified(mesh)
@@ -174,7 +177,7 @@ def test_raw_factor_is_the_oracle_spectrum_plus_k_roundoff_values(name):
 def test_a_constraint_row_that_a_bubble_violates_is_a_solver_error(
         monkeypatch):
     """A weight on an edge midpoint: the divergence of a cubic bubble is
-    nonzero there, so the range check R Q_z = 0 fails."""
+    nonzero there, so the range check X Q_z = 0 fails."""
     constraints = solver.pressure_constraints
 
     def midpoint_added(*args, **kwargs):
@@ -248,8 +251,9 @@ def test_modes_of_a_factor_with_exact_zero_pivots():
     Z = L_M^-1 C^T, and the other three, less their
     part along Z, are the modes.  It is scaled by a power of two,
     exactly, to singular values at most 1, as those of a certificate are,
-    and its modes come from the directions the rank lifts.  Each
-    triangle's block of B touches all 3T velocity nodes."""
+    born lifted as certify's factor is, the constraint directions at
+    twice its rank scale, and its modes come from the directions the rank
+    lifts.  Each triangle's block of B touches all 3T velocity nodes."""
     rng = np.random.default_rng(7)
     T, k = 3, 2
     n = 6 * T
@@ -279,10 +283,12 @@ def test_modes_of_a_factor_with_exact_zero_pivots():
     div = np.zeros((T, 6, 2, 10))
     div[..., :n // 2] = B.reshape(T, 6, n // 2, 2).transpose(0, 1, 3, 2)
     start = krylov_start(n)
+    scale = solver._rank_scale(*factor_products(R),
+                               start - Q_z @ (Q_z.T @ start))
     cert = solver.Certificate(
-        factor=R, shape=(p, n), start=start - Q_z @ (Q_z.T @ start),
-        constraints=Q_z, order=np.arange(T), pressure_map=L_M_inv,
-        divergence=div, nodes=nodes)
+        factor=givens_lift(R.copy(order="F"), 2.0 * scale * Q_z.T),
+        shape=(p, n), scale=scale, constraints=Q_z, order=np.arange(T),
+        pressure_map=L_M_inv, divergence=div, nodes=nodes)
     rr = solver.divergence_rank(cert, TOL)
     assert (rr.rank, rr.K) == (p - 3, 3)
     modes = np.column_stack(solver.spurious_modes(cert, rr))
@@ -335,9 +341,9 @@ def test_certify_takes_no_triangular_solve_and_no_block_diag(monkeypatch,
     triangle with the gathered rows of L_S^-T, factors each panel of the
     staircase by the compact-WY QR and applies its Q^T to the later
     columns by dgemqrt, and scatters the bubble blocks itself; the range
-    check multiplies each panel's rows of R by Q_z as they are written:
-    no triangular solve or product, no block_diag, no dormqr and no scipy
-    QR."""
+    check multiplies the rows of X by Q_z as they are gathered: no
+    triangular solve or product, no block_diag, no dormqr and no scipy
+    QR.  (L_S of these meshes is one dtrtri block.)"""
     topo, reports, summary = _classified(GOLDEN_MESHES[name]())
     lapack, blas = scipy.linalg.lapack, scipy.linalg.blas
     calls = _counted_calls(monkeypatch, (
@@ -354,19 +360,20 @@ def test_certify_takes_no_triangular_solve_and_no_block_diag(monkeypatch,
 
 
 def _staircase(monkeypatch, topo, reports):
-    """(cert, windows, last, bubble): ``solver.certify``'s certificate;
-    each panel's window as the staircase QR filled it, before the panel is
-    factored, with the columns c0 its panel starts at, (c0, rows x (6T -
-    c0)); the place of each triangle's last node in level order, in the
-    column order; and the 2 x 6 bubble blocks the QR was given."""
+    """(cert, windows, last, bubble, lift): ``solver.certify``'s
+    certificate; each panel's window as the staircase QR filled it, before
+    the panel is factored, with the columns c0 its panel starts at, (c0,
+    rows x (6T - c0)); the place of each triangle's last node in level
+    order, in the column order; and the 2 x 6 bubble blocks and the lift
+    rows the QR was given."""
     lapack = scipy.linalg.lapack
     dgeqrt, dgemqrt = lapack.dgeqrt, lapack.dgemqrt
     staircase_qr = solver._staircase_qr
     seen, windows = [], []
 
-    def recorded_qr(P, L_inv, label, bubble, last, Q_z):
-        seen.append((last.copy(), bubble.copy()))
-        return staircase_qr(P, L_inv, label, bubble, last, Q_z)
+    def recorded_qr(P, L_inv, label, bubble, last, Q_z, lift):
+        seen.append((last.copy(), bubble.copy(), lift.copy()))
+        return staircase_qr(P, L_inv, label, bubble, last, Q_z, lift)
 
     def recorded_geqrt(nb, A, **kwargs):
         windows.append([A.copy()])
@@ -413,23 +420,32 @@ def _dense_pairing_rows(topo, cert):
 
 @pytest.mark.parametrize("name", sorted(CONDENSED_MESHES))
 def test_staircase_norms_are_those_of_the_factor(monkeypatch, name):
-    """The norms the staircase QR sums panel by panel, ||R Q|| over the
-    slabs of R's rows and ||R|| as ||X|| over the gathered rows, are the
-    norms of the finished factor to 1e-13, for columns Q that R does not
-    annihilate (certify's Q_z give roundoff only)."""
+    """The norms the staircase QR sums over the rows of X as it gathers
+    them, ||X Q|| and ||X||, are those of the full assembly's pairing,
+    ||W^T Q|| and ||W|| (X^T X = W W^T), to 1e-13, for columns Q that X
+    does not annihilate (certify's Q_z give roundoff only); with the lift
+    rows they are the norms of the finished factor, R^T R = X^T X +
+    lift^T lift, to 1e-13."""
     topo, reports, _ = _classified(CONDENSED_MESHES[name]())
     staircase_qr, seen = solver._staircase_qr, []
 
     def recorded_qr(*args):
-        seen.append(args[:5])
+        seen.append(args)
         return staircase_qr(*args)
 
     monkeypatch.setattr(solver, "_staircase_qr", recorded_qr)
-    solver.certify(topo, reports)
-    Q = np.random.default_rng(5).standard_normal((6 * topo.T, 3))
-    R, dev, size = staircase_qr(*seen[0], Q)
-    assert dev == pytest.approx(np.linalg.norm(R @ Q), rel=1e-13)
-    assert size == pytest.approx(np.linalg.norm(R), rel=1e-13)
+    cert = solver.certify(topo, reports)
+    T = topo.T
+    Q = np.random.default_rng(5).standard_normal((6 * T, 3))
+    *args, _, lift = seen[0]
+    R, dev, size = staircase_qr(*args, Q, lift)
+    W = raw_pairing(topo)[0].reshape(T, 6, -1)[cert.order].reshape(6 * T, -1)
+    assert dev == pytest.approx(np.linalg.norm(W.T @ Q), rel=1e-13)
+    assert size == pytest.approx(np.linalg.norm(W), rel=1e-13)
+    assert np.hypot(dev, np.linalg.norm(lift @ Q)) == pytest.approx(
+        np.linalg.norm(R @ Q), rel=1e-13)
+    assert np.hypot(size, np.linalg.norm(lift)) == pytest.approx(
+        np.linalg.norm(R), rel=1e-13)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_MESHES)
@@ -441,13 +457,15 @@ def test_pairing_rows_are_the_dense_product_with_the_inverse_factor(
     rows of the places its panel newly reaches, up to the last node of
     its last triangle, equal to 1e-13 to the full assembly's rows times
     L_S^-T of its dense Schur complement (in any order); its triangles'
-    bubble rows, exactly; and, with the carried rows, the Gram matrix of
-    every row gathered so far on its columns, less that of the rows of R
-    written before it.  No panel has a nonzero row beyond its window.  On
-    one triangle no other node remains (m = 0); on the two-triangle
-    square the one panel is wide."""
+    bubble rows, exactly; in the first window, the lift rows 2 scale
+    Q_z^T first, exactly; and, with the carried rows, the Gram matrix of
+    every row gathered so far on its columns, the lift rows among them,
+    less that of the rows of R written before it.  No panel has a nonzero
+    row beyond its window.  On one triangle no other node remains (m =
+    0); on the two-triangle square the one panel is wide."""
     topo, reports, summary = _classified(CONDENSED_MESHES[name]())
-    cert, windows, last, bubble = _staircase(monkeypatch, topo, reports)
+    cert, windows, last, bubble, lift = _staircase(monkeypatch, topo,
+                                                   reports)
     T, R = topo.T, cert.factor
     G = _dense_pairing_rows(topo, cert)
     m = G.shape[-1]
@@ -466,6 +484,8 @@ def test_pairing_rows_are_the_dense_product_with_the_inverse_factor(
     size = np.abs(G).max(initial=0.0)
     assert [c0 for c0, _ in windows] == list(
         range(0, 6 * T, solver.STAIRCASE_PANEL))
+    assert np.array_equal(lift, 2.0 * cert.scale * cert.constraints.T)
+    assert np.array_equal(windows[0][1][:len(lift)], lift)
     reached = 0
     for c0, W in windows:
         c1 = min(c0 + solver.STAIRCASE_PANEL, 6 * T)
@@ -483,7 +503,7 @@ def test_pairing_rows_are_the_dense_product_with_the_inverse_factor(
             assert dist.min(axis=0).max() <= 1e-13 * size
         assert np.array_equal(W[h + 2 * n:],
                               bubbles[2 * (c0 // 6):2 * (c1 // 6), c0:])
-        gathered = np.vstack([nodes[:2 * top, c0:],
+        gathered = np.vstack([lift[:, c0:], nodes[:2 * top, c0:],
                               bubbles[:2 * (c1 // 6), c0:]])
         gram = gathered.T @ gathered
         got = W.T @ W + R[:c0, c0:].T @ R[:c0, c0:]
@@ -503,7 +523,7 @@ def test_pairing_rows_are_an_exact_staircase(monkeypatch, name):
     L_S^-1 is exactly 0 above its diagonal in the reverse level order,
     and the QR never reads it."""
     topo, reports, summary = _classified(CONDENSED_MESHES[name]())
-    cert, _, last, _ = _staircase(monkeypatch, topo, reports)
+    cert, _, last, _, _ = _staircase(monkeypatch, topo, reports)
     G = _dense_pairing_rows(topo, cert)
     nodes = solver.number_dofs(topo)[cert.order, :9]
     m = G.shape[-1]
@@ -525,7 +545,7 @@ def test_level_order_is_a_function_of_topology_alone(monkeypatch, angle,
                  rigid_motion(perturbed_grid(5, seed=3), angle=angle,
                               scale=scale)):
         topo, reports, summary = _classified(mesh)
-        cert, _, last, _ = _staircase(monkeypatch, topo, reports)
+        cert, _, last, _, _ = _staircase(monkeypatch, topo, reports)
         nodes = solver.number_dofs(topo)
         m = int(nodes.max()) + 1 - topo.T
         orders.append((solver._level_positions(nodes[:, :9], m), last,
@@ -657,6 +677,196 @@ def test_constrained_basis_rejects_dependent_rows():
 
 
 # ---------------------------------------------------------------------------
+# the factor of S: the band of its level order, its Cholesky factor and the
+# block inverse
+
+def _dense_gram(topo):
+    """S as certify first assembled it: the condensed Gram blocks summed
+    by one np.bincount in triangle order into a dense m x m array, at the
+    labels m - 1 - place of the level order; S[i, j], i <= j, is the
+    triangle it factored."""
+    nodes = solver.number_dofs(topo)
+    m = solver._n_nodes(nodes) - topo.T
+    K_r = solver._condense(solver.assemble_divergence(topo),
+                           solver.assemble_norms(topo))[2]
+    inner = nodes[:, :9]
+    interior = inner >= 0
+    label = m - 1 - np.append(solver._level_positions(inner, m), -1)[inner]
+    t, a, b = np.nonzero(interior[:, :, None] & interior[:, None, :])
+    return np.bincount(label[t, a] * m + label[t, b], weights=K_r[t, a, b],
+                       minlength=m * m).reshape(m, m)
+
+
+def _factor_of_S(monkeypatch, topo, reports):
+    """(band, L_inv, calls): the band of S that certify hands to
+    cholesky_banded, before it is factored, the inverse factor it hands
+    to the staircase QR, and the order of every dtrtri operand, every
+    dtrmm call and every dense Cholesky factorization, by name."""
+    seen, calls = {}, Counter()
+    banded, staircase_qr = scipy.linalg.cholesky_banded, solver._staircase_qr
+    lapack = scipy.linalg.lapack
+
+    def recorded_banded(ab, **kwargs):
+        seen["band"] = ab.copy()
+        return banded(ab, **kwargs)
+
+    def recorded_qr(P, L_inv, *args):
+        seen["L_inv"] = L_inv.copy(order="F")
+        return staircase_qr(P, L_inv, *args)
+
+    def counted(name, fn, order=False):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            if order:
+                calls[f"{name} {len(args[0])}"] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(scipy.linalg, "cholesky_banded", recorded_banded)
+    monkeypatch.setattr(solver, "_staircase_qr", recorded_qr)
+    monkeypatch.setattr(lapack, "dtrtri", counted("dtrtri", lapack.dtrtri,
+                                                  order=True))
+    for module, name in ((lapack, "dpotrf"), (scipy.linalg.blas, "dtrmm"),
+                         (scipy.linalg, "cholesky"), (np.linalg, "cholesky")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    solver.certify(topo, reports)
+    return seen["band"], seen["L_inv"], calls
+
+
+FACTOR_MESHES = (sorted(GOLDEN_MESHES) + bench_pool("certify-dense")
+                 + bench_pool("verify-fields") + sorted(MIXED)
+                 + ["one-triangle", "crossed-3"])
+
+
+def _factor_case(name):
+    if name == "one-triangle":
+        return CONDENSED_MESHES[name]()
+    if name == "crossed-3":
+        return crossed(3)
+    return _oracle_case(name)
+
+
+@pytest.mark.parametrize("name", FACTOR_MESHES)
+def test_band_of_S_is_the_dense_bincount_bit_for_bit(monkeypatch, name):
+    """certify sums S straight into lower band storage of its bandwidth b
+    in the reverse level order: entry [d, j] of the band is S[j, j + d] of
+    the dense np.bincount assembly, bit for bit, the band's unused corner
+    is zero, and no entry of S lies beyond b, while one lies at b.  On
+    one triangle no node but the bubble remains: m = 0."""
+    topo, reports, _ = _classified(_factor_case(name))
+    band, _, _ = _factor_of_S(monkeypatch, topo, reports)
+    S = _dense_gram(topo)
+    m, b = len(S), len(band) - 1
+    assert band.shape == (b + 1, m)
+    for d in range(b + 1):
+        assert np.array_equal(band[d, :m - d], np.diagonal(S, d))
+        assert not band[d, m - d:].any()
+    assert not np.triu(S, b + 1).any() and not np.tril(S, -b - 1).any()
+    assert np.diagonal(S, b).any() or m == 0
+    assert (m == 0) == (name == "one-triangle")
+
+
+@pytest.mark.parametrize("name", FACTOR_MESHES)
+def test_block_inverse_is_the_dense_inverse_factor(monkeypatch, name):
+    """The inverse factor certify hands to the staircase QR is
+    np.linalg.inv(np.linalg.cholesky(S)) of the dense assembly to 1e-13
+    relative, exactly zero above its diagonal, from one band Cholesky
+    factorization and no dense one; dtrtri sees only diagonal blocks of
+    at most INVERSE_BLOCK, and dtrmm joins them where m exceeds it
+    (crossed-3 and the bench meshes; on crossed-3, on crossed-4 and mixed-6
+    the bandwidth is at least m / 2)."""
+    topo, reports, _ = _classified(_factor_case(name))
+    _, L_inv, calls = _factor_of_S(monkeypatch, topo, reports)
+    S = _dense_gram(topo)
+    m = len(S)
+    assert L_inv.shape == (m, m)
+    assert not calls["dpotrf"] and not calls["cholesky"]
+    orders = [int(key.split()[1]) for key in calls if key.startswith("dtrtri ")]
+    assert all(0 < n <= solver.INVERSE_BLOCK for n in orders)
+    assert sum(n * calls[f"dtrtri {n}"] for n in orders) == m
+    assert bool(calls["dtrmm"]) == (m > solver.INVERSE_BLOCK)
+    if not m:
+        return
+    want = np.linalg.inv(np.linalg.cholesky(np.triu(S) + np.triu(S, 1).T))
+    assert np.abs(L_inv - want).max() <= 1e-13 * np.abs(want).max()
+    assert not np.triu(L_inv, 1).any()
+
+
+@pytest.mark.parametrize("m,band", [(1, 0), (5, 4), (64, 63), (64, 5),
+                                    (65, 64), (65, 1), (130, 65),
+                                    (130, 129), (200, 0), (200, 100),
+                                    (401, 151)])
+def test_block_inverse_of_a_banded_factor(monkeypatch, m, band):
+    """_invert_lower on lower triangular factors of bandwidth 0 to m - 1,
+    m up to and past INVERSE_BLOCK and a band of at least m / 2 among
+    them: the inverse np.linalg.inv gives, to 1e-13 relative, in L's own
+    storage, zero above the diagonal, and dtrtri only on diagonal blocks
+    of at most INVERSE_BLOCK."""
+    # off-diagonal rows of 1-norm below 1 over a diagonal of 1 .. 2: the
+    # inverse is well conditioned, as that of a Cholesky factor of S is
+    rng = np.random.default_rng(m + band)
+    L = np.tril(rng.uniform(-1.0, 1.0, (m, m)), -1) / (band + 1)
+    L[np.tril_indices(m, -band - 1)] = 0.0
+    L[np.diag_indices(m)] = rng.uniform(1.0, 2.0, m)
+    X = L.copy(order="F")
+    orders = []
+    dtrtri = scipy.linalg.lapack.dtrtri
+
+    def recorded(c, **kwargs):
+        orders.append(len(c))
+        return dtrtri(c, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dtrtri", recorded)
+    assert solver._invert_lower(X, band) is None
+    want = np.linalg.inv(L)
+    assert np.abs(X - want).max() <= 1e-13 * np.abs(want).max()
+    assert not np.triu(X, 1).any()
+    assert max(orders) <= solver.INVERSE_BLOCK and sum(orders) == m
+
+
+def test_a_sign_flipped_gram_block_is_a_solver_error(monkeypatch):
+    """One triangle's Gram block on its other nodes flipped in sign and
+    scaled up, its bubble entries kept: K_99 > 0, so _condense passes it,
+    and the band Cholesky factorization of S fails: SolverError."""
+    assemble = solver.assemble_norms
+
+    def flipped(*args, **kwargs):
+        K = assemble(*args, **kwargs)
+        K[5, :9, :9] *= -100.0
+        return K
+
+    monkeypatch.setattr(solver, "assemble_norms", flipped)
+    topo, reports, _ = _classified(crossed(2))
+    with pytest.raises(solver.SolverError,
+                       match="not SPD: .*leading minor not positive"):
+        solver.certify(topo, reports)
+
+
+@pytest.mark.parametrize("key", ["perturbed-8-p0", "crossed-6"])
+def test_analyze_takes_no_dense_cholesky_and_no_lift_at_K_0(monkeypatch, key):
+    """A certify-dense item with K = 0 runs no dense Cholesky
+    factorization (dpotrf) of S, dtrtri only on blocks of at most
+    INVERSE_BLOCK, and no dtpqrt: the constraint directions are lifted in
+    the staircase, and nothing else is."""
+    lapack = scipy.linalg.lapack
+    sizes = []
+    dtrtri = lapack.dtrtri
+
+    def recorded(c, **kwargs):
+        sizes.append(len(c))
+        return dtrtri(c, **kwargs)
+
+    calls = _counted_calls(monkeypatch, (
+        (lapack, "dpotrf"), (lapack, "dtpqrt"), (scipy.linalg, "cholesky"),
+        (np.linalg, "cholesky"), (scipy.linalg, "cholesky_banded")))
+    monkeypatch.setattr(lapack, "dtrtri", recorded)
+    report, modes = cli.analyze_mesh(bench_mesh(key), TOL)
+    assert report["divergence"]["K"] == len(modes) == 0
+    assert calls == {"scipy.linalg.cholesky_banded": 1}, calls
+    assert sizes and max(sizes) <= solver.INVERSE_BLOCK
+
+
+# ---------------------------------------------------------------------------
 # invariance under rotation plus scaling over the double range
 
 SIMILARITY_BASES = {"crossed-2": lambda: crossed(2),
@@ -702,11 +912,12 @@ def test_certificate_invariant_under_rotation_and_scaling(name, angle,
 
 def _svd_oracle(cert, scale=None, tol=TOL):
     """(K, beta, gap) from every singular value of the factor but the k
-    smallest, those of the constraint directions: K counts those at or
-    below tol.rank * s_max, beta is the smallest above, gap the old rule
-    over both, its roundoff floor taken at the given rank scale (at s_max
-    when none is given)."""
-    s = scipy.linalg.svdvals(cert.factor)[:cert.shape[0]]
+    largest, those of the lifted constraint directions: K counts those at
+    or below tol.rank * s_max, beta is the smallest above, gap the old
+    rule over both, its roundoff floor taken at the given rank scale (at
+    s_max when none is given)."""
+    s = scipy.linalg.svdvals(cert.factor)
+    s = s[len(s) - cert.shape[0]:]
     thr = tol.rank * s[0]
     accepted, rejected = s[s > thr], s[s <= thr]
     floor = np.finfo(float).eps * max(cert.shape) * (
@@ -730,16 +941,17 @@ def _negative_eigenvalues(d):
 
 
 def _inertia_K(cert, tol=TOL):
-    """#{s < tau} for tau = tol.rank * s_max, less the k values of the
-    constraint directions: the symmetric matrix [[-tau I, R], [R^T, -tau
-    I]] of the 6T x 6T factor has the eigenvalues -tau -+ s, so 6T + #{s <
-    tau} of them are negative (Sylvester)."""
+    """#{s < tau} for tau = tol.rank * s_max, s_max the largest singular
+    value but the k lifted ones of the constraint directions, which lie
+    above tau: the symmetric matrix [[-tau I, R], [R^T, -tau I]] of the 6T
+    x 6T factor has the eigenvalues -tau -+ s, so 6T + #{s < tau} of them
+    are negative (Sylvester)."""
     R = cert.factor
     p = len(R)
-    tau = tol.rank * scipy.linalg.svdvals(R)[0]
+    tau = tol.rank * scipy.linalg.svdvals(R)[p - cert.shape[0]]
     H = np.block([[-tau * np.eye(p), R], [R.T, -tau * np.eye(p)]])
     _, d, _ = scipy.linalg.ldl(H)
-    return _negative_eigenvalues(d) - p - (p - cert.shape[0])
+    return _negative_eigenvalues(d) - p
 
 
 def _oracle_case(name):
@@ -756,26 +968,57 @@ ORACLE_MESHES = (sorted(GOLDEN_MESHES) + bench_pool("certify-dense")
                  + ["crossed-8"] + sorted(MIXED) + ["type1-1"])
 
 
+def _certify_with_start(monkeypatch, topo, reports):
+    """(cert, product, adjoint, start): certify's certificate, the
+    products of X and the Krylov start it read its rank scale from."""
+    rank_scale, seen = solver._rank_scale, []
+
+    def recorded(product, adjoint, start):
+        seen.append((product, adjoint, start.copy()))
+        return rank_scale(product, adjoint, start)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_rank_scale", recorded)
+        cert = solver.certify(topo, reports)
+    return (cert, *seen[-1])
+
+
+def _oracle_factor(topo, cert):
+    """The unlifted oracle factor: the R of the QR of the full assembly's
+    W^T, its columns in cert's order, over zero rows up to 6T x 6T."""
+    T = topo.T
+    W = raw_pairing(topo)[0].reshape(T, 6, -1)[cert.order].reshape(6 * T, -1)
+    R = scipy.linalg.qr(W.T, mode="r")[0][:6 * T]
+    factor = np.zeros((6 * T, 6 * T), order="F")
+    factor[:len(R)] = R
+    return factor
+
+
 @pytest.mark.parametrize("name", ORACLE_MESHES)
-def test_lifted_lanczos_agrees_with_the_svd_and_the_inertia(name):
+def test_lifted_lanczos_agrees_with_the_svd_and_the_inertia(monkeypatch,
+                                                             name):
     """The same K as the full SVD and as the inertia oracle, beta within
     1e-12 of the SVD's, and the same gap; type1-1 has fewer velocities
     than constrained pressures (p > n).  On every mesh certify's factor
-    is 6T x 6T and column-major."""
+    is 6T x 6T and column-major, and its rank scale, read from X^T X, is
+    that of the unlifted oracle factor from the same start to 1e-13."""
     topo, reports, summary = _classified(_oracle_case(name))
-    cert = solver.certify(topo, reports)
+    cert, _, _, start = _certify_with_start(monkeypatch, topo, reports)
     assert cert.factor.shape == (6 * topo.T,) * 2
     assert cert.factor.flags.f_contiguous
     # the oracles read the factor before the rank consumes it
-    scale = solver._rank_scale(cert.factor, cert.start)
-    K, beta, gap = _svd_oracle(cert, scale)
+    R = _oracle_factor(topo, cert)
+    scale = solver._rank_scale(*factor_products(R), start)
+    assert cert.scale == pytest.approx(scale, rel=1e-13, abs=0.0)
+    K, beta, gap = _svd_oracle(cert, cert.scale)
     inertia_K = _inertia_K(cert)
     svd_beta = solver.infsup_constant(cert, TOL)[0]
-    s_max = scipy.linalg.svdvals(cert.factor)[0]
+    s_max = scipy.linalg.svdvals(R)[0]
     for c in (1.0, 1e-50, 1e50):
-        _assert_scale_bounds(c * cert.factor, c * s_max, cert.start)
-        _assert_scale_bounds(c * cert.factor, c * s_max,
-                             krylov_start(len(cert.factor)))
+        for c_start in (start, krylov_start(len(R))):
+            _assert_scale_bounds(
+                solver._rank_scale(*factor_products(c * R), c_start),
+                c * s_max)
     rr = solver.divergence_rank(cert, TOL)
     assert rr.K == cert.shape[0] - rr.rank == K == inertia_K
     assert rr.beta == pytest.approx(beta, rel=1e-12)
@@ -784,22 +1027,24 @@ def test_lifted_lanczos_agrees_with_the_svd_and_the_inertia(name):
     assert svd_beta == beta
     if name == "type1-1":
         assert cert.shape[0] > cert.shape[1]
-    assert rr.scale == scale
+    assert rr.scale == cert.scale
 
 
 @pytest.mark.parametrize("name", ["type1-3", "perturbed-3-s1"])
 def test_rank_consumes_the_factor(name):
-    """divergence_rank lifts certify's factor in its own storage and
-    leaves it read-only: a second rank of the certificate, and infsup
-    without this rank, are SolverErrors, and the rank of a copy of the
-    factor gives the same rank, K, beta, gap and null basis bits."""
+    """divergence_rank lifts certify's factor in its own storage, where
+    K > 0 (type1-3; perturbed-3-s1, K = 0, lifts nothing and keeps every
+    bit), and leaves it read-only: a second rank of the certificate, and
+    infsup without this rank, are SolverErrors, and the rank of a copy of
+    the factor gives the same rank, K, beta, gap and null basis bits."""
     topo, reports, summary = _classified(GOLDEN_MESHES[name]())
     cert = solver.certify(topo, reports)
     raw = cert.factor.copy(order="F")
     copy = dataclasses.replace(cert, factor=cert.factor.copy(order="F"))
     rr = solver.divergence_rank(cert, TOL)
     assert not cert.factor.flags.writeable
-    assert not np.array_equal(cert.factor, raw)
+    assert np.array_equal(cert.factor, raw) == (rr.K == 0)
+    assert rr.K == (name == "type1-3")
     for again in (lambda: solver.divergence_rank(cert, TOL),
                   lambda: solver.infsup_constant(cert, TOL)):
         with pytest.raises(solver.SolverError, match="read-only"):
@@ -866,22 +1111,24 @@ def test_divergence_rank_takes_no_givens_and_no_solve_in_lanczos(monkeypatch,
     """Each Lanczos step is two dtrsv on the factor and one top Ritz pair,
     by LAPACK's dstebz from the second step on, each run solves the whole
     tridiagonal eigenproblem once, by dstevd, and each round of lifts is
-    one dtpqrt, the constraint directions' round 0 among them: no drot,
-    no eigh_tridiagonal, and no solve_triangular inside a Lanczos run.
-    Every factor that dtrsv and dtrmv read is column-major, so BLAS reads
-    it in place: certify's factor (the rank scale), on type1-3 the
-    floored copy of the lifted factor and the factor lifted again, on
-    perturbed-3-s1 (K = 0) the lifted factor."""
+    one dtpqrt, after the first run: the constraint directions' round 0
+    is part of certify's staircase, so K = 0 takes no dtpqrt.  No drot,
+    no eigh_tridiagonal, and no solve_triangular inside a Lanczos run, and
+    no dtrmv: the rank scale is certify's.  Every factor that dtrsv reads
+    is column-major, so BLAS reads it in place: on type1-3 the born-lifted
+    factor and the factor lifted again, on perturbed-3-s1 (K = 0) the
+    born-lifted factor."""
     topo, reports, summary = _classified(GOLDEN_MESHES[name]())
     cert = solver.certify(topo, reports)
     calls, runs = _calls_per_lanczos_run(monkeypatch)
     lifts = _counted_calls(monkeypatch, ((scipy.linalg.lapack, "dtpqrt"),))
     operands = _blas2_operands(monkeypatch)
     rr = solver.divergence_rank(cert, TOL)
-    for fname, seen in operands.items():
-        assert seen and all(a.flags.f_contiguous for a in seen), fname
+    seen = operands["dtrsv"]
+    assert seen and all(a.flags.f_contiguous for a in seen)
+    assert not operands["dtrmv"]
     assert not calls["scipy.linalg.blas.drot"]
-    assert len(runs) == lifts["scipy.linalg.lapack.dtpqrt"]
+    assert len(runs) == 1 + lifts["scipy.linalg.lapack.dtpqrt"]
     assert len(runs) == 1 + (rr.K > 0)
     for run in runs:
         steps = run["tridiagonal top"]
@@ -928,10 +1175,11 @@ def test_lanczos_and_lift_agree_with_their_oracles(monkeypatch, name):
     if name == "crossed-6-x1e-7":
         # its three smallest singular values lie within 3e-4, and the
         # rounding of certify's OpenBLAS kernel can decide the last step:
-        # on the staircase factor it is 94 under SkylakeX, Cooperlake,
-        # Zen, Haswell, Sandybridge, Prescott, Nehalem, Atom and Core2
-        # (on the rotated factor before it, 95 under the first five)
-        assert oracle_steps in ([94], [95])
+        # on the born-lifted staircase factor it is 96 under SkylakeX,
+        # Cooperlake, Zen, Haswell, Sandybridge, Prescott, Nehalem, Atom
+        # and Core2 (94 on the staircase factor lifted by a dtpqrt before
+        # it, 95 on the rotated factor before that under the first five)
+        assert oracle_steps in ([96],)
     if name == "type1-1":
         assert cert.shape[1] < cert.shape[0] < len(cert.factor)
         assert rr.K == 1
@@ -967,15 +1215,18 @@ def test_a_non_finite_lanczos_step_is_indeterminate(entry):
 
 def test_a_wide_factor_is_padded_at_its_pivotless_columns():
     """The two-triangle square has n = 8 velocities against 6T = 12 raw
-    pressures, all in one panel of the staircase QR, so certify's R has
-    rows 0 .. 7: it is 12 x 12, upper triangular and column-major, with
-    zero rows, the only zero pivots, at columns 8 .. 11."""
+    pressures, all in one panel of the staircase QR, and k = 3 lift rows
+    of the constraint directions, so certify's R has rows 0 .. 10: it is
+    12 x 12, upper triangular and column-major, with a zero row, the only
+    zero pivot, at column 11."""
     topo, reports, summary = _classified(type1_diagonal(1))
-    R = solver.certify(topo, reports).factor
+    cert = solver.certify(topo, reports)
+    R = cert.factor
+    assert cert.constraints.shape[1] == 3
     assert R.shape == (12, 12) and R.flags.f_contiguous
     assert not np.tril(R, -1).any()
-    assert np.flatnonzero(np.diag(R) == 0.0).tolist() == [8, 9, 10, 11]
-    assert not R[8:].any()
+    assert np.flatnonzero(np.diag(R) == 0.0).tolist() == [11]
+    assert not R[11:].any()
 
 
 @pytest.mark.parametrize("e", range(-8, 9))
@@ -1024,10 +1275,8 @@ def test_lift_by_dtpqrt_matches_the_givens_oracle(name, rows):
 # ---------------------------------------------------------------------------
 # the rank scale: a Krylov lower bound on s_max, and the bound 1 on it
 
-def _assert_scale_bounds(R, s_max, start):
-    """The rank scale of R, from the given Krylov start, lies below
-    s_max, by at most 1 %."""
-    scale = solver._rank_scale(R, start)
+def _assert_scale_bounds(scale, s_max):
+    """A rank scale lies below s_max, by at most 1 %."""
     assert s_max * (1 - 1e-2) <= scale <= s_max * (1 + 1e-14), (scale, s_max)
 
 
@@ -1039,38 +1288,30 @@ def test_rank_scale_on_the_scaled_bench_copies(key, length):
     topo, reports, summary = _classified(rigid_motion(bench_mesh(key),
                                                       scale=length))
     cert = solver.certify(topo, reports)
-    _assert_scale_bounds(cert.factor, scipy.linalg.svdvals(cert.factor)[0],
-                         cert.start)
+    # the largest singular value but the lifted ones
+    k = cert.constraints.shape[1]
+    _assert_scale_bounds(cert.scale, scipy.linalg.svdvals(cert.factor)[k])
     rr = solver.divergence_rank(cert, TOL)
     assert rr.K == 0
 
 
-def _dense_products(monkeypatch):
-    """scipy.linalg.blas.dtrmv replaced by the dense product it stands
-    for, counting its calls."""
-    calls = []
-
-    def dense(a, x, lower=0, trans=0):
-        calls.append(a.shape)
-        return a.T @ x if trans else a @ x
-
-    monkeypatch.setattr(scipy.linalg.blas, "dtrmv", dense)
-    return calls
-
-
 @pytest.mark.parametrize("name", sorted(GOLDEN_MESHES))
-def test_rank_scale_by_triangular_products_is_the_dense_one(monkeypatch,
-                                                            name):
-    """The factor's products R q and R^T w run as triangular products on
-    R; with dense products in their place the rank scale agrees to
-    1e-13."""
+def test_rank_scale_by_pairing_products_is_the_dense_one(monkeypatch, name):
+    """certify's products X q and X^T u run on P, the bubble blocks and
+    L_S^-1, X never formed, and are each other's transposes; with dense
+    products of X, formed column by column, in their place the rank scale
+    agrees to 1e-13."""
     topo, reports, summary = _classified(GOLDEN_MESHES[name]())
-    cert = solver.certify(topo, reports)
-    assert cert.factor.shape == (6 * topo.T,) * 2
-    scale = solver._rank_scale(cert.factor, cert.start)
-    calls = _dense_products(monkeypatch)
-    dense = solver._rank_scale(cert.factor, cert.start)
-    assert calls and scale == pytest.approx(dense, rel=1e-13, abs=0.0)
+    cert, product, adjoint, start = _certify_with_start(monkeypatch, topo,
+                                                        reports)
+    p = 6 * topo.T
+    assert cert.factor.shape == (p, p)
+    X = np.column_stack([product(e) for e in np.eye(p)])
+    u = np.random.default_rng(5).standard_normal(len(X))
+    assert np.abs(adjoint(u) - X.T @ u).max() <= \
+        1e-13 * np.abs(X).max() * np.abs(u).max()
+    dense = solver._rank_scale(lambda q: X @ q, lambda u: X.T @ u, start)
+    assert cert.scale == pytest.approx(dense, rel=1e-13, abs=0.0)
 
 
 def _ritz_sizes(monkeypatch):
@@ -1095,7 +1336,8 @@ def test_rank_scale_is_exact_with_few_distinct_singular_values(monkeypatch,
     sizes = _ritz_sizes(monkeypatch)
     values = np.linspace(0.9, 0.2, distinct)
     R = _factor_with_spectrum(np.repeat(values, 40 // distinct + 1)[:40])
-    assert solver._rank_scale(R, krylov_start(len(R))) == pytest.approx(
+    assert solver._rank_scale(*factor_products(R),
+                              krylov_start(len(R))) == pytest.approx(
         0.9, rel=1e-14)
     assert sizes == [distinct]
 
@@ -1107,15 +1349,17 @@ def test_rank_scale_of_small_and_zero_factors(monkeypatch):
     sizes = _ritz_sizes(monkeypatch)
     p = solver.SCALE_STEPS - 3
     s = _spread(0.1, 0.8, p)
-    assert solver._rank_scale(_factor_with_spectrum(s),
+    assert solver._rank_scale(*factor_products(_factor_with_spectrum(s)),
                               krylov_start(p)) == pytest.approx(s[0],
                                                                 rel=1e-14)
-    assert solver._rank_scale(_factor_with_spectrum(np.ones(1)),
-                              krylov_start(1)) == 1.0
+    assert solver._rank_scale(
+        *factor_products(_factor_with_spectrum(np.ones(1))),
+        krylov_start(1)) == 1.0
     zero = _synthetic_of(np.zeros((P_SYNTH, P_SYNTH)))
-    assert solver._rank_scale(zero.factor, zero.start) == 0.0
+    assert zero.scale == 0.0
     assert sizes == [p, 1, 1]
-    assert solver._rank_scale(np.zeros((0, 5)), krylov_start(5)) == 0.0
+    assert solver._rank_scale(*factor_products(np.zeros((0, 0))),
+                              krylov_start(0)) == 0.0
     assert len(sizes) == 3
     rr = solver.divergence_rank(zero, TOL)
     assert (rr.rank, rr.K, rr.beta, rr.scale) == (0, P_SYNTH, 0.0, 0.0)
@@ -1155,9 +1399,10 @@ def test_seminorm_cluster_of_ones_passes_the_bound(angle):
     topo, reports, summary = _classified(rigid_motion(crossed(2),
                                                       angle=angle))
     cert = solver.certify(topo, reports, seminorm=True)
-    s = scipy.linalg.svdvals(cert.factor)
+    # every singular value but the lifted ones
+    s = scipy.linalg.svdvals(cert.factor)[cert.constraints.shape[1]:]
     assert np.sum(np.abs(s - 1.0) < 1e-14) > 1
-    _assert_scale_bounds(cert.factor, s[0], cert.start)
+    _assert_scale_bounds(cert.scale, s[0])
     rr = solver.divergence_rank(cert, TOL)
     assert rr.scale ** 2 <= solver.SCALE_BOUND
 
@@ -1177,9 +1422,7 @@ P_SYNTH = 23
 
 def _synthetic_of(R):
     """The certificate of a square factor R alone (no modes)."""
-    return solver.Certificate(factor=R, shape=R.shape,
-                              start=krylov_start(len(R)),
-                              constraints=np.zeros((len(R), 0)))
+    return synthetic_certificate(R)
 
 
 def _synthetic(s, seed=0):
@@ -1215,8 +1458,7 @@ def test_three_null_directions_are_lifted_and_repeated(monkeypatch, zeros,
                                                        gap_rel, lifting_runs):
     runs = _count_lanczos_runs(monkeypatch)
     cert = _synthetic(np.concatenate([_spread(0.3, 1.0, P_SYNTH - 3), zeros]))
-    K, beta, gap = _svd_oracle(cert, solver._rank_scale(cert.factor,
-                                                        cert.start))
+    K, beta, gap = _svd_oracle(cert, cert.scale)
     inertia_K = _inertia_K(cert)
     rr = solver.divergence_rank(cert, TOL)
     assert rr.K == K == inertia_K == 3 and rr.rank == P_SYNTH - 3
@@ -1279,7 +1521,7 @@ def test_analyze_and_infsup_accept_at_one_threshold():
     small = TOL.rank * top[0] * (1 - 1.5e-3)
     cert = _synthetic(np.concatenate([top, [small]]))
     s = scipy.linalg.svdvals(cert.factor)
-    scale = solver._rank_scale(cert.factor, cert.start)
+    scale = cert.scale
     assert TOL.rank * scale < s[-1] < TOL.rank * s[0]
     beta, eig = solver.infsup_constant(cert, TOL)
     rr = solver.divergence_rank(cert, TOL)

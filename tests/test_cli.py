@@ -455,6 +455,31 @@ def test_analyze_across_length_scales(tmp_path, name):
         assert analyze(10.0 ** e)[0] != EXIT_INTERNAL, e
 
 
+# every warning is an error here: the overflows at this length scale are
+# silenced where they arise
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["analyze", "infsup"])
+@pytest.mark.parametrize("preset", [("type1", "--n", "3"),
+                                    ("perturbed-grid", "--n", "3", "--seed",
+                                     "1")])
+def test_gram_overflow_near_the_range_end_is_one_error_line(tmp_path, capsys,
+                                                            preset, command):
+    """type1-3 and perturbed-3-s1 at length scale 1e-154: the hat-gradient
+    Gram products overflow, and so do the D sums of vertices whose D no
+    decision reads.  The bubble's Gram entry K_99 is NaN, so analyze and
+    infsup exit 4 with one line on stderr and no numpy RuntimeWarning
+    (ROADMAP item 8 owns that exit code)."""
+    path = _gen(tmp_path, *preset, "--L", "1e-154")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main([command, "--mesh", str(path), "--out", str(out)]) == \
+        EXIT_INTERNAL
+    assert capsys.readouterr().err.splitlines() == [
+        "internal invariant violation: velocity Gram matrix is not SPD: a "
+        "cubic bubble has a Gram entry <= 0"]
+    assert not out.exists()
+
+
 # (the squared edge lengths over- or underflow with RuntimeWarnings)
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("L", ["1e-160", "1e-155", "1e155", "1e160"])
@@ -801,6 +826,21 @@ def test_infsup_seminorm_flag(tmp_path):
     b2 = json.loads(out2.read_text())
     assert b2["seminorm"] is True
     assert b1["beta"] != b2["beta"]
+
+
+def test_infsup_seminorm_on_one_triangle(tmp_path):
+    """One triangle: its bubble is the only velocity node.  The factor,
+    born lifted, holds the mean pressure direction at the top of its
+    spectrum; infsup drops it and lists the bubble's two seminorm
+    eigenvalues, 0.25 and 0.75, with beta 0.5."""
+    path, out = tmp_path / "one.mesh", tmp_path / "infsup.json"
+    path.write_text(dump_mesh(Triangulation([[0.0, 0.0], [1.0, 0.0],
+                                             [0.0, 1.0]], [[0, 1, 2]])))
+    assert main(["infsup", "--mesh", str(path), "--seminorm",
+                 "--out", str(out)]) == EXIT_OK
+    report = json.loads(out.read_text())
+    assert report["smallest_eigenvalues"] == [0.25, 0.75]
+    assert report["beta"] == 0.5 and report["velocity_dofs"] == 2
 
 
 def test_spline_dim_command(tmp_path):

@@ -12,8 +12,8 @@ import scipy.linalg
 
 from conftest import (GOLDEN_MESHES, bench_mesh, bench_pool, dense,
                       dense_divergence, dense_norms, edge_index, edge_tris,
-                      fan, gram_blocks_oracle, krylov_start, rigid_motion,
-                      stack_fields, triangle_rule, values,
+                      fan, gram_blocks_oracle, rigid_motion, stack_fields,
+                      synthetic_certificate, triangle_rule, values,
                       velocity_coefficients)
 from svstokes import fields, poly, solver
 from svstokes.classify import Tolerances, classify_mesh
@@ -21,7 +21,7 @@ from svstokes.fields import field_block, local_interpolant
 from svstokes.mesh import (Triangulation, build_topology, crossed,
                            perturbed_grid, type1_diagonal)
 from svstokes.solver import (P2_BASIS, P2_NODES, P3_BASIS, P3_NODES,
-                             Certificate, RankIndeterminateError,
+                             RankIndeterminateError,
                              certify, checkerboard_signature,
                              divergence_rank, infsup_constant, number_dofs,
                              pressure_constraints, spurious_modes,
@@ -88,9 +88,7 @@ def _spectrum(B):
     R = scipy.linalg.qr(B.T, mode="r")[0]
     factor = np.zeros((len(B), len(B)), order="F")
     factor[:len(R)] = R
-    return Certificate(factor=factor, shape=B.shape,
-                       start=krylov_start(B.shape[0]),
-                       constraints=np.zeros((len(B), 0)))
+    return synthetic_certificate(factor, B.shape)
 
 
 # ---------------------------------------------------------------------------
