@@ -345,19 +345,24 @@ def render_svg(mesh: Triangulation, report: dict, modes,
 
 def _suite_fields(topology, group, targets):
     """Yield (vertices, FieldBlock, expected VertexValues) for the fields
-    of a group of verified vertices that share (boundary, status, N), with
-    their targets (G, S, N): field f of a block is the field of a target at
-    vertex ``vertices[f]``, and the expected values are the targets at the
-    centers and the spills of the fields.  The group is one interpolant
-    call; when it raises FieldError, each vertex is retried alone, then
-    each of its rows, and the rows that raise again are left out."""
+    of a group of verified vertices that share (boundary, status), with
+    their targets (G, S, N) padded with zeros to the largest valence N:
+    field f of a block is the field of a target at vertex ``vertices[f]``,
+    and the expected values are the targets at the centers and the spills
+    of the fields.  The group is one interpolant call; when it raises
+    FieldError, each vertex is retried alone, then each of its rows, and
+    the rows that raise again are left out."""
+    fans = topology.fans
+    vertex = np.array([r.vertex for r in group])
+    n = fans.degree[vertex]
     try:
         block, side = (boundary_interpolant if group[0].boundary
                        else local_interpolant)(group, targets, topology)
     except FieldError:
         G, S = targets.shape[:2]
         if G > 1:
-            parts = [([r], targets[g:g + 1]) for g, r in enumerate(group)]
+            parts = [([r], targets[g:g + 1, :, :n[g]])
+                     for g, r in enumerate(group)]
         elif S > 1:
             parts = [(group, targets[:, s:s + 1]) for s in range(S)]
         else:
@@ -365,60 +370,85 @@ def _suite_fields(topology, group, targets):
         for sub, part in parts:
             yield from _suite_fields(topology, sub, part)
         return
-    G, S, N = targets.shape
-    vertex = np.array([r.vertex for r in group])
-    fans = topology.fans
-    tris = fans.tri[fans.offset[vertex][:, None] + np.arange(N)]
-    center = (np.arange(targets.size) // N,
-              np.broadcast_to(tris[:, None], targets.shape).ravel(),
-              np.repeat(vertex, S * N), targets.ravel())
+    S = targets.shape[1]
+    # the center values, in (vertex, sample, triangle) order
+    g, s, j = np.nonzero(np.arange(targets.shape[2])
+                         < np.repeat(n[:, None, None], S, axis=1))
+    center = (g * S + s, fans.tri[fans.offset[vertex[g]] + j], vertex[g],
+              targets[g, s, j])
     yield np.repeat(vertex, S), block, VertexValues(
         *map(np.concatenate, zip(center, side)))
 
 
-# Fields per interpolant call of the suites: the vertices of a patch
-# shape are interpolated in calls of at most this many fields, whose edge
-# tables and contractions take memory in proportion.  Every benchmark mesh
-# (at most 20 vertices of one shape, 40 fields at two samples) takes one
-# call per shape.  At crossed(32) with two samples (shapes of up to 1024
-# vertices) the peak RSS is 74.6 MiB at 64, 76.2 at 128, 80.5 at 256 and
-# 128 MiB with one call per shape, at the same speed.
+# Fields per interpolant call of the suites: the vertices of a class are
+# interpolated in calls of at most this many fields, whose edge tables and
+# contractions take memory in proportion.  Every benchmark mesh (at most
+# 20 vertices of one class, 40 fields at two samples) takes one call per
+# class.  At crossed(32) with two samples (classes of up to 1024
+# vertices) the peak RSS is 74.6 MiB at 64, 76.0 at 128, 79.9 at 256 and
+# 124 MiB with one call per class, at the same speed.
 SUITE_FIELDS = 64
+
+
+def _suite_targets(topology, reports, samples, rng):
+    """Every vertex's random targets (samples, N) from one draw of the
+    stream, in one array that holds vertex z's block at samples *
+    fans.offset[z]: the numbers of one draw per vertex and sample, in
+    vertex order.  A singular vertex's block is projected onto the
+    alternating-sum constraint, by one stacked product per valence, whose
+    (samples, N) products keep the bits of a product per vertex."""
+    fans = topology.fans
+    draws = rng.standard_normal(samples * fans.offset[-1])
+    singular = np.array([r.singular for r in reports], dtype=bool)
+    for N in np.unique(fans.degree[singular]).tolist():
+        zs = np.flatnonzero(singular & (fans.degree == N))
+        at = samples * fans.offset[zs][:, None] + np.arange(samples * N)
+        a = draws[at].reshape(len(zs), samples, N)
+        if N > 1:
+            signs = (-1.0) ** np.arange(N)
+            a -= signs * (a @ signs)[..., None] / N
+        else:
+            a[:] = 0.0
+        draws[at] = a.reshape(len(zs), -1)
+    return draws
+
+
+def _padded_targets(topology, draws, vertices, samples):
+    """The targets (G, samples, N) of a group of vertices out of
+    ``_suite_targets``' draws, zero past each vertex's valence up to the
+    largest, N."""
+    fans = topology.fans
+    n = fans.degree[vertices][:, None, None]
+    j = np.arange(n.max())
+    at = (samples * fans.offset[vertices][:, None, None]
+          + n * np.arange(samples)[:, None] + j)
+    return np.where(j < n, draws[np.minimum(at, len(draws) - 1)], 0.0)
 
 
 def run_field_suites(mesh: Triangulation, tol: Tolerances, samples: int,
                      seed: int) -> tuple[list, bool]:
     """Random-target interpolation property suite; deterministic per seed.
 
-    Each vertex's targets are drawn as one (samples, N) block, the same
-    stream as one draw per sample.  The verified vertices that share a
-    patch shape and class, (boundary, status, N), are interpolated
-    together, in calls of at most SUITE_FIELDS fields, whose fields go
-    straight into the suite's arrays, and one ``verify_field`` call checks
-    the fields of every vertex."""
+    Every vertex's targets are drawn in one call, vertex by vertex as
+    (samples, N) blocks: the stream of one draw per vertex and sample.
+    The verified vertices of one class, (boundary, status), are sorted by
+    valence and interpolated together, in calls of at most SUITE_FIELDS
+    fields whose targets are padded to the call's largest valence; the
+    fields go straight into the suite's arrays, and one ``verify_field``
+    call checks the fields of every vertex."""
     if samples < 1:
         raise _InputError(f"--samples must be at least 1, got {samples}")
     if seed < 0:
         raise _InputError(f"--seed must be a non-negative integer, got {seed}")
     topology = build_topology(mesh)
     reports, _ = classify_mesh(topology, tol)
-    rng = np.random.default_rng(seed)
-    verified = []                  # reports of the verified vertices
-    targets = {}                   # their target blocks by vertex
-    groups = {}                    # their reports by patch shape and class
-    for r in reports:
-        N = r.valence
-        a = rng.standard_normal((samples, N))
-        if r.singular and N > 1:
-            signs = (-1.0) ** np.arange(N)
-            a -= signs * (a @ signs)[:, None] / N
-        elif r.singular:
-            a[:] = 0.0
-        if not (r.boundary or r.local_interpolating):
-            continue
-        verified.append(r)
-        targets[r.vertex] = a
-        groups.setdefault((r.boundary, r.status, N), []).append(r)
+    draws = _suite_targets(topology, reports, samples,
+                           np.random.default_rng(seed))
+    # reports of the verified vertices, and by class
+    verified = [r for r in reports if r.boundary or r.local_interpolating]
+    classes = {}
+    for r in verified:
+        classes.setdefault((r.boundary, r.status), []).append(r)
 
     # A field has at most N rows, and leaves at most 2 N side effects.
     rows = samples * sum(r.valence for r in verified)
@@ -431,11 +461,14 @@ def run_field_suites(mesh: Triangulation, tol: Tolerances, samples: int,
     owner = np.empty(samples * len(verified), dtype=np.int64)
     F = R = E = 0                  # fields, rows and expected values so far
     step = max(SUITE_FIELDS // samples, 1)
-    chunks = [group[lo:lo + step] for group in groups.values()
+    chunks = [group[lo:lo + step] for group in
+              (sorted(group, key=lambda r: r.valence)
+               for group in classes.values())
               for lo in range(0, len(group), step)]
     for chunk in chunks:
-        for vertices, part, values in _suite_fields(
-                topology, chunk, np.stack([targets[r.vertex] for r in chunk])):
+        targets = _padded_targets(
+            topology, draws, np.array([r.vertex for r in chunk]), samples)
+        for vertices, part, values in _suite_fields(topology, chunk, targets):
             owner[F:F + part.F] = vertices
             for out, a in zip(block, (part.field + F, part.tri, part.coeffs)):
                 out[R:R + len(a)] = a

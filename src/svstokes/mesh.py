@@ -481,8 +481,12 @@ def enumerate_patch(mesh: Triangulation, angle, cot) -> FanTable:
     elen2 = np.float_power(edge_len, 2)
     # -(dy . e_i^perp) is -dy_y for i = 1 and dy_x for i = 2
     b[k] = (y[k] - y[prev])[:, ::-1] * np.array([-1.0, 1.0]) / 3.0
-    inv = 1.0 / elen2
-    d0[k] = corner_cot[k] * (inv[k] - inv[prev])
+    # Near the bottom of the double range elen2 underflows and its inverse
+    # overflows: d0 is then not finite, and so is the decision that reads
+    # it (classify_mesh rejects the mesh)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        inv = 1.0 / elen2
+        d0[k] = corner_cot[k] * (inv[k] - inv[prev])
     # One block per interior valence m, each fan a row: its cumsum and its
     # alternating sums run over one contiguous row, so every entry has the
     # bits of the fan's formula on its own.

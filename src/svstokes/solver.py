@@ -712,30 +712,34 @@ def _inverse_lanczos(F: np.ndarray, thr: float):
     dtrsv = scipy.linalg.blas.dtrsv
     q = np.random.default_rng(0).standard_normal(p)
     q /= np.linalg.norm(q)
-    for k in range(steps):
-        basis[k] = q
-        w = dtrsv(F, dtrsv(F, q, trans=1), overwrite_x=1)
-        alpha[k] = q @ w
-        done = basis[:k + 1]
-        for _ in range(2):
-            w -= done.T @ (done @ w)
-        beta[k] = np.linalg.norm(w)
-        if not (np.isfinite(alpha[k]) and np.isfinite(beta[k])):
-            raise RankIndeterminateError(
-                f"inverse Lanczos overflowed at step {k + 1}: the factor is "
-                f"too ill-conditioned to decide the rank")
-        d, e = alpha[:k + 1], beta[:k]
-        top, z = _tridiagonal_eigh(d, e, top=True)
-        # (an invariant subspace, beta 0, has every residual 0)
-        if beta[k] * abs(z[-1, 0]) <= LANCZOS_RTOL * top[0]:
-            theta, S = _tridiagonal_eigh(d, e)
-            # the small Ritz values carry roundoff of the largest, down to 0
-            s = 1.0 / np.sqrt(np.maximum(theta, np.finfo(float).tiny))
-            converged = beta[k] * np.abs(S[-1]) <= LANCZOS_RTOL * theta
-            lift = (s <= thr) & (theta >= LANCZOS_RANGE * theta[-1])
-            if converged[-1] and converged[lift].all():
-                return float(s[-1]), done.T @ S[:, lift]
-        q = w / beta[k]
+    # near the top of the double range a step can overflow, which the
+    # finiteness test reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            basis[k] = q
+            w = dtrsv(F, dtrsv(F, q, trans=1), overwrite_x=1)
+            alpha[k] = q @ w
+            done = basis[:k + 1]
+            for _ in range(2):
+                w -= done.T @ (done @ w)
+            beta[k] = np.linalg.norm(w)
+            if not (np.isfinite(alpha[k]) and np.isfinite(beta[k])):
+                raise RankIndeterminateError(
+                    f"inverse Lanczos overflowed at step {k + 1}: the factor "
+                    f"is too ill-conditioned to decide the rank")
+            d, e = alpha[:k + 1], beta[:k]
+            top, z = _tridiagonal_eigh(d, e, top=True)
+            # (an invariant subspace, beta 0, has every residual 0)
+            if beta[k] * abs(z[-1, 0]) <= LANCZOS_RTOL * top[0]:
+                theta, S = _tridiagonal_eigh(d, e)
+                # the small Ritz values carry roundoff of the largest, down
+                # to 0
+                s = 1.0 / np.sqrt(np.maximum(theta, np.finfo(float).tiny))
+                converged = beta[k] * np.abs(S[-1]) <= LANCZOS_RTOL * theta
+                lift = (s <= thr) & (theta >= LANCZOS_RANGE * theta[-1])
+                if converged[-1] and converged[lift].all():
+                    return float(s[-1]), done.T @ S[:, lift]
+            q = w / beta[k]
     raise RankIndeterminateError(
         f"inverse Lanczos did not converge in {steps} steps")
 

@@ -60,6 +60,29 @@ MIXED = {
 }
 
 
+# The sliver family: vertex v of each mesh moved to distance eps from the
+# midpoint of the edge (a, b) of one of its triangles, on v's side, so
+# that the triangle (a, b, v) has height eps.
+SLIVERS = {
+    "crossed-3": (lambda: crossed(3), 18, (2, 6)),
+    "type1-4": (lambda: type1_diagonal(4), 12, (6, 11)),
+    "perturbed-4-s2": (lambda: perturbed_grid(4, seed=2), 12, (7, 11)),
+}
+SLIVER_EPS = [10.0 ** -e for e in range(6, 13)]
+
+
+def sliver_mesh(name, eps):
+    """The mesh ``name`` of SLIVERS with its sliver of height eps."""
+    make, v, (a, b) = SLIVERS[name]
+    mesh = make()
+    pts = mesh.vertices.copy()
+    mid = 0.5 * (pts[a] + pts[b])
+    normal = (pts[b] - pts[a])[::-1] * np.array([-1.0, 1.0])
+    normal /= np.hypot(*normal)
+    pts[v] = mid + eps * np.sign(normal @ (pts[v] - mid)) * normal
+    return Triangulation(pts, mesh.triangles)
+
+
 def _bench_meshes():
     """bench/meshes.py, which generates the benchmark's mesh files."""
     spec = importlib.util.spec_from_file_location(

@@ -425,8 +425,9 @@ def test_area_underflow_is_input_error(tmp_path, capsys, command, case):
     assert message in capsys.readouterr().err
 
 
-# (inverse Lanczos overflows at the large scales, with RuntimeWarnings)
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# every warning is an error here: inverse Lanczos overflows at the large
+# scales, silenced where it arises
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name", ["crossed-3", "type1-3", "perturbed-3-s1"])
 def test_analyze_across_length_scales(tmp_path, name):
     """The mesh scaled by 10^e keeps the unit mesh's K, rank and nullity
@@ -480,8 +481,9 @@ def test_gram_overflow_near_the_range_end_is_one_error_line(tmp_path, capsys,
     assert not out.exists()
 
 
-# (the squared edge lengths over- or underflow with RuntimeWarnings)
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# every warning is an error here: the squared edge lengths over- or
+# underflow, silenced where they arise
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("L", ["1e-160", "1e-155", "1e155", "1e160"])
 def test_a_non_finite_vertex_decision_is_input_error(tmp_path, capsys, L):
     """crossed-3 at a length scale whose squared edge lengths over- or
@@ -603,9 +605,9 @@ def test_dcoefficients_computed_once_per_even_interior_vertex(
 def test_field_suite_builds_one_table_per_vertex_and_verifies_once(
         monkeypatch, key):
     """Each verified vertex builds its edge table rows once for all its
-    samples, in one edge_table call per patch shape and class (boundary,
-    status, N), and one verify_field call checks every field of the
-    mesh."""
+    samples, in one edge_table call per class (boundary, status) with
+    its vertices sorted by valence, and one verify_field call checks every
+    field of the mesh."""
     m = bench_mesh(key)
     topo = build_topology(m)
     tables = _count_calls(monkeypatch, fields, "edge_table")
@@ -615,14 +617,103 @@ def test_field_suite_builds_one_table_per_vertex_and_verifies_once(
     vertices = [int(line.split()[1]) for line in lines]
     fans = topo.fans
     assert sorted(z for args in tables for z in args[0].tolist()) == vertices
-    shapes = [{(fans.boundary[z], fans.degree[z]) for z in args[0].tolist()}
-              for args in tables]
-    assert all(len(shape) == 1 for shape in shapes)
+    for args in tables:
+        assert len({fans.boundary[z] for z in args[0].tolist()}) == 1
+        assert np.all(np.diff(fans.degree[args[0]]) >= 0)
     statuses = [line.split("[")[1].split("]")[0] for line in lines]
     assert len(tables) == len({
-        (fans.boundary[z], status, fans.degree[z])
-        for z, status in zip(vertices, statuses)})
+        (fans.boundary[z], status) for z, status in zip(vertices, statuses)})
     assert len(verified) == 1
+
+
+@pytest.mark.parametrize("key", bench_pool("verify-fields",
+                                           perturbed_only=True)[:8])
+def test_field_suite_makes_one_call_per_class(monkeypatch, key):
+    """A perturbed 5 x 5 benchmark mesh mixes valences 2 to 8 in its
+    classes, yet its suite makes one interpolant call per class: at most
+    five, the singular, odd and even interior vertices and the singular
+    and non-singular boundary ones."""
+    assert key.startswith("perturbed-5-")
+    m = bench_mesh(key)
+    local = _count_calls(monkeypatch, fields, "local_interpolant")
+    boundary = _count_calls(monkeypatch, fields, "boundary_interpolant")
+    lines, ok = run_field_suites(m, Tolerances(), 2, 7)
+    assert ok
+    assert len(local) + len(boundary) <= 5
+    assert any(len({r.valence for r in args[0]}) > 1
+               for args in local + boundary)
+
+
+@pytest.mark.parametrize("key", ["crossed-3", "perturbed-5-p0",
+                                 "perturbed-6-p3"])
+@pytest.mark.parametrize("samples", [1, 3])
+def test_field_suite_targets_are_the_per_vertex_draws(key, samples):
+    """The suite's one draw of targets gives every vertex the numbers of
+    one draw of (samples, N) per vertex, in vertex order, and a singular
+    vertex's projection onto the alternating-sum constraint, bit for
+    bit."""
+    topo = build_topology(bench_mesh(key))
+    reports, _ = classify_mesh(topo, Tolerances())
+    draws = cli._suite_targets(topo, reports, samples,
+                               np.random.default_rng(13))
+    rng = np.random.default_rng(13)
+    for r in reports:
+        N = r.valence
+        a = rng.standard_normal((samples, N))
+        if r.singular and N > 1:
+            signs = (-1.0) ** np.arange(N)
+            a -= signs * (a @ signs)[:, None] / N
+        elif r.singular:
+            a[:] = 0.0
+        got = cli._padded_targets(topo, draws, np.array([r.vertex]),
+                                  samples)
+        assert np.array_equal(got[0], a), r.vertex
+    assert any(r.singular for r in reports)
+    # a group pads each vertex with zeros to its largest valence
+    group = np.array([r.vertex for r in reports])
+    padded = cli._padded_targets(topo, draws, group, samples)
+    for g, r in enumerate(reports):
+        one = cli._padded_targets(topo, draws, group[g:g + 1], samples)
+        assert np.array_equal(padded[g, :, :r.valence], one[0])
+        assert not padded[g, :, r.valence:].any()
+
+
+def test_field_suite_retries_one_row_of_a_mixed_group(monkeypatch):
+    """A class call over vertices of several valences that raises is
+    retried vertex by vertex, each at its own valence, and the offending
+    vertex row by row: that vertex reports FAIL (1/2) and every other one
+    passes."""
+    m = bench_mesh("perturbed-5-p0")
+    topo = build_topology(m)
+    reports, _ = classify_mesh(topo, Tolerances())
+    odd = [r for r in reports if r.status == "OddLI"]
+    assert len({r.valence for r in odd}) > 1
+    victim = min(odd, key=lambda r: r.valence)
+    original = cli.local_interpolant
+    calls, bad = [], []
+
+    def raising(group, targets, *args):
+        calls.append(([r.vertex for r in group], targets.shape))
+        for g, r in enumerate(group):
+            if r.vertex == victim.vertex:
+                if not bad:
+                    bad.append(targets[g, -1, :victim.valence].copy())
+                if (targets[g, :, :victim.valence] == bad[0]).all(
+                        axis=1).any():
+                    raise fields.FieldError("row rejected")
+        return original(group, targets, *args)
+
+    monkeypatch.setattr(cli, "local_interpolant", raising)
+    lines, ok = run_field_suites(m, Tolerances(), 2, 7)
+    assert not ok
+    assert [ln for ln in lines if "FAIL" in ln] == [
+        f"vertex {victim.vertex:4d} [OddLI]: FAIL (1/2)"]
+    group = next(g for g, shape in calls if victim.vertex in g)
+    N = max(r.valence for r in odd)
+    assert calls[[c[0] for c in calls].index(group)][1] == (len(odd), 2, N)
+    # each vertex alone at its own valence, the victim's rows one by one
+    alone = [shape for g, shape in calls if g == [victim.vertex]]
+    assert alone == [(1, 2, victim.valence)] + [(1, 1, victim.valence)] * 2
 
 
 def test_field_suite_batches_give_the_same_report(monkeypatch):
@@ -641,10 +732,12 @@ def test_field_suite_batches_give_the_same_report(monkeypatch):
 
 @pytest.mark.parametrize("size", [1, 7])
 def test_field_suite_splits_large_groups(monkeypatch, size):
-    """A patch shape of more than cli.SUITE_FIELDS fields is interpolated
-    in calls of at most that many (at least one vertex); the split does
-    not change the report."""
+    """A class of more than cli.SUITE_FIELDS fields is interpolated in
+    calls of at most that many (at least one vertex), cut after its sort
+    by valence, so that the calls of a class follow in valence order; the
+    split does not change the report."""
     m = bench_mesh("perturbed-5-p0")
+    degree = build_topology(m).fans.degree
     want = run_field_suites(m, Tolerances(), 3, 11)
     monkeypatch.setattr(cli, "SUITE_FIELDS", size)
     tables = _count_calls(monkeypatch, fields, "edge_table")
@@ -652,6 +745,9 @@ def test_field_suite_splits_large_groups(monkeypatch, size):
     sizes = [len(args[0]) for args in tables]
     assert sum(sizes) == len(want[0])
     assert max(sizes) == max(size // 3, 1)
+    valences = [degree[args[0]].tolist() for args in tables]
+    assert all(v == sorted(v) for v in valences)
+    assert any(len(set(v)) > 1 for v in valences) == (size > 3)
 
 
 @pytest.mark.parametrize("samples,seed", [(0, 11), (-3, 11), (2, -1)],

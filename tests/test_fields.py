@@ -13,7 +13,8 @@ from conftest import (GOLDEN_MESHES, MIXED, admissible_target, as_dict,
                       edge_pair_angles, edge_tris, edge_weights, fan,
                       on_patch, path_interpolant, path_stats,
                       random_interior_patch, scalar_edge_integral,
-                      scalar_gradient_at_vertex, stack_fields, support,
+                      scalar_gradient_at_vertex, SLIVER_EPS, SLIVERS,
+                      sliver_mesh, stack_fields, support,
                       type1_with_crossed, values)
 from svstokes import cli, fields, poly
 from svstokes.classify import (BOUNDARY, EVEN, ODD, SINGULAR, Tolerances,
@@ -22,8 +23,8 @@ from svstokes.fields import (FieldBlock, FieldError, UnacceptableEdgeError,
                              boundary_interpolant, center_divergences,
                              edge_table, edge_transfer, field_block,
                              local_interpolant, verify_field)
-from svstokes.mesh import (build_topology, crossed, perturbed_grid,
-                           three_lines, type1_diagonal)
+from svstokes.mesh import (Triangulation, build_topology, crossed,
+                           perturbed_grid, three_lines, type1_diagonal)
 from svstokes.trees import build_tree_cover, tree_interpolant
 
 TOL = Tolerances()
@@ -990,6 +991,9 @@ def test_an_empty_group_is_a_field_error(name):
 
 
 def test_grouped_interpolants_reject_mixed_groups():
+    """A group may mix valences, its targets padded with zeros to the
+    largest; it may not mix boundary and interior vertices or classes, nor
+    carry a non-zero target past a vertex's valence."""
     topo = build_topology(perturbed_grid(5, seed=3))
     reports, _ = classify_mesh(topo)
     odd = [r for r in reports if r.status == ODD]
@@ -998,10 +1002,20 @@ def test_grouped_interpolants_reject_mixed_groups():
     a = np.zeros((2, 1, three[0].valence))
     assert local_interpolant(three, a, topo)[0].F == 2
     other = next(r for r in odd if r.valence != odd[0].valence)
-    with pytest.raises(FieldError, match="one shape"):
-        local_interpolant([three[0], other], a, topo)
+    N = max(three[0].valence, other.valence)
+    mixed = np.zeros((2, 1, N))
+    assert local_interpolant([three[0], other], mixed, topo)[0].F == 2
+    short = next(g for g, r in enumerate([three[0], other]) if r.valence < N)
+    mixed[short, 0, -1] = 1e-300
+    with pytest.raises(FieldError, match="zero past each vertex's valence"):
+        local_interpolant([three[0], other], mixed, topo)
+    mixed[short, 0, -1] = np.nan
+    with pytest.raises(FieldError, match="zero past each vertex's valence"):
+        local_interpolant([three[0], other], mixed, topo)
     with pytest.raises(FieldError, match=r"\(G, S, N\) = \(2, S, "):
         local_interpolant(three, a[..., 1:], topo)
+    with pytest.raises(FieldError, match=r"\(G, S, N\) = \(2, S, "):
+        local_interpolant(three, np.zeros((2, 1, N + 1)), topo)
     # a bare report, a 1-D and a 2-D target are not a group
     for construct in CONSTRUCTIONS.values():
         for group, target in ((three[0], a[:1]), (three[:1], a[0, 0]),
@@ -1016,6 +1030,143 @@ def test_grouped_interpolants_reject_mixed_groups():
     with pytest.raises(FieldError, match="one class"):
         boundary_interpolant([boundary, twin],
                              np.zeros((2, 1, boundary.valence)), topo)
+    even = next(r for r in reports if r.status == EVEN)
+    with pytest.raises(FieldError, match="one class"):
+        local_interpolant([three[0], even], np.zeros(
+            (2, 1, max(three[0].valence, even.valence))), topo)
+    inner = next(r for r in reports if not r.boundary
+                 and r.valence >= twin.valence)
+    for construct in CONSTRUCTIONS.values():
+        with pytest.raises(FieldError, match="all interior or all on the "
+                                             "boundary"):
+            construct([twin, inner], np.zeros((2, 1, inner.valence)), topo)
+
+
+# Meshes of the mixed-valence tests: the goldens, every verify-fields
+# benchmark mesh, the mixed type-1/crossed grids and a type-1 strip of
+# three squares, whose vertices all lie on the boundary (no seed edge of
+# a boundary vertex ends at an interior vertex).
+PADDED_MESHES = ([("golden", name) for name in sorted(GOLDEN_MESHES)]
+                 + [("bench", key) for key in bench_pool("verify-fields")]
+                 + [("mixed", name) for name in sorted(MIXED)]
+                 + [("strip", "type1-3x1")])
+
+
+def _padded_mesh(source, name):
+    if source == "golden":
+        return GOLDEN_MESHES[name]()
+    if source == "bench":
+        return bench_mesh(name)
+    if source == "strip":
+        verts = [(float(i), float(j)) for i in range(4) for j in range(2)]
+        tris = [t for i in range(3) for t in (
+            (2 * i, 2 * i + 2, 2 * i + 3), (2 * i, 2 * i + 3, 2 * i + 1))]
+        return Triangulation(np.array(verts), np.array(tris))
+    return type1_with_crossed(*MIXED[name])
+
+
+def _padded(rng, topo, group, S, singular):
+    """Random targets (G, S, N) of a group, zero past each valence."""
+    a = np.zeros((len(group), S, max(r.valence for r in group)))
+    for g, r in enumerate(group):
+        a[g, :, :r.valence] = _block_targets(rng, fan(topo, r.vertex),
+                                             singular, S)
+    return a
+
+
+@pytest.mark.parametrize("source,name", PADDED_MESHES,
+                         ids=[name for _, name in PADDED_MESHES])
+def test_mixed_valence_calls_equal_the_one_vertex_calls(source, name):
+    """One call per class, its vertices in vertex order whatever their
+    valence, gives vertex for vertex the field, tri and coeffs rows and
+    the side effects of the vertex's group-of-one call, bit for bit: for
+    local_interpolant and boundary_interpolant on every class, and for
+    edge_transfer on every interior and every boundary vertex sent over
+    an acceptable edge of its own."""
+    topo = build_topology(_padded_mesh(source, name))
+    reports, _ = classify_mesh(topo)
+    fans = topo.fans
+    rng = np.random.default_rng(sum(map(ord, name)))
+    classes, transfers = {}, {}
+    for _, interpolant, r in _interpolant_cases(topo, reports):
+        classes.setdefault((r.boundary, r.status), []).append(
+            (interpolant, r))
+    for r in reports:
+        corners = np.arange(fans.offset[r.vertex],
+                            fans.offset[r.vertex + 1] - r.boundary)
+        far = fans.far[corners[np.abs(fans.weight[corners]) > TOL.accept]]
+        if len(far):
+            transfers.setdefault((r.boundary, r.status), []).append(
+                (r, far[r.vertex % len(far)]))
+    mixed = 0
+    for cases in classes.values():
+        interpolant = cases[0][0]
+        group = [r for _, r in cases]
+        _assert_padded_table(topo, [r.vertex for r in group])
+        a = _padded(rng, topo, group, 2, group[0].singular)
+        block, side = interpolant(group, a, topo)
+        assert block.F == 2 * len(group)
+        for g, r in enumerate(group):
+            want, want_side = interpolant([r], a[g:g + 1, :, :r.valence],
+                                          topo)
+            _assert_same_rows(block, side, g, 2, want, want_side)
+        mixed += len({r.valence for r in group}) > 1
+    for cases in transfers.values():
+        group, y = (list(c) for c in zip(*cases))
+        a = _padded(rng, topo, group, 2, False)
+        block, spill = edge_transfer(group, y, a, topo, TOL)
+        for g, r in enumerate(group):
+            want, want_spill = edge_transfer(
+                [r], y[g:g + 1], a[g:g + 1, :, :r.valence], topo, TOL)
+            _assert_same_rows(block, spill, g, 2, want, want_spill)
+        mixed += len({r.valence for r in group}) > 1
+    if name not in ("crossed-2", "three-lines-2", "three_lines-6"):
+        assert mixed
+
+
+def _assert_padded_table(topo, z):
+    """The edge table of a group holds each vertex's group-of-one table,
+    and zeros past its own edges and triangles."""
+    table = edge_table(z, topo)
+    N = table.corner.shape[1]
+    for g, v in enumerate(z):
+        one = edge_table([v], topo)
+        n, m = one.corner.shape[1], one.w.shape[1]
+        assert table.n[g] == n
+        assert np.array_equal(table.corner[g, :n], one.corner[0])
+        for got, want in ((table.w, one.w), (table.kappa, one.kappa),
+                          (table.chi, one.chi)):
+            if want is None:
+                assert got is None
+                continue
+            assert np.array_equal(got[g, :m, :n], want[0])
+            assert not got[g, m:].any() and not got[g, :, n:].any()
+        assert np.array_equal(table.l_z2[g, :n], one.l_z2[0])
+        assert not table.l_z2[g, n:].any()
+    assert N == max(table.n)
+
+
+def test_combine_adds_in_q_order():
+    """_combine sums its terms one row after another, in q order, whatever
+    the size of a row (a single column included): the same bits as a
+    running sum, so that zero terms past a valence add nothing."""
+    rng = np.random.default_rng(9)
+    for Q in (1, 2, 3, 7, 8, 9, 12, 17):
+        for tail in ((), (1,), (2,), (3, 2)):
+            c = rng.standard_normal((3, 2, Q)) * 10.0 ** rng.integers(
+                -8, 8, (3, 2, Q))
+            rows = rng.standard_normal((3, Q) + tail)
+            got = fields._combine(c, rows)
+            want = c[..., 0].reshape(c.shape[:2] + (1,) * len(tail)) \
+                * rows[:, None, 0]
+            for q in range(1, Q):
+                want = want + c[..., q].reshape(
+                    c.shape[:2] + (1,) * len(tail)) * rows[:, None, q]
+            assert np.array_equal(got, want), (Q, tail)
+            padded = fields._combine(
+                np.concatenate([c, np.zeros((3, 2, 4))], axis=-1),
+                np.concatenate([rows, np.zeros((3, 4) + tail)], axis=1))
+            assert np.array_equal(padded, want), (Q, tail)
 
 
 def test_block_interpolant_checks_every_row():
@@ -1192,6 +1343,57 @@ def test_chunked_verify_field_equals_one_pass(monkeypatch, name):
         assert passes == [size] * (block.F // size) + (
             [block.F % size] if block.F % size else [])
     assert any(not c.ok for c in whole)
+
+
+@pytest.mark.parametrize("eps", SLIVER_EPS)
+@pytest.mark.parametrize("name", sorted(SLIVERS))
+def test_suite_passes_on_a_sliver_and_still_catches_a_bad_field(
+        monkeypatch, name, eps):
+    """A triangle of height eps makes hat gradients of 1/eps, which carry
+    the roundoff of every coefficient of a field into its vertex
+    divergences and triangle means.  The suite passes on the sliver
+    family, yet a field with one coefficient moved by 1e-6, on the sliver
+    or off it, fails (any but that of the bubble l0 l1 l2, whose
+    divergence has no vertex value and zero mean)."""
+    mesh = sliver_mesh(name, eps)
+    _, v, (a, b) = SLIVERS[name]
+    topo = build_topology(mesh)
+    thin = int(np.flatnonzero(np.isin(mesh.triangles, [a, b, v]).all(
+        axis=1))[0])
+    assert topo.area[thin] < eps
+    blocks = []
+    spy = cli.verify_field
+
+    def kept(block, expected):
+        blocks.append((block, expected))
+        return spy(block, expected)
+
+    monkeypatch.setattr(cli, "verify_field", kept)
+    lines, ok = cli.run_field_suites(mesh, TOL, 2, 5)
+    assert ok, [ln for ln in lines if "FAIL" in ln]
+    block, expected = blocks[0]
+    coeffs = block.coeffs.copy()
+    f = block.field[block.tri == thin][0]
+    for t in (thin, block.tri[(block.field == f) & (block.tri != thin)][0]):
+        for c in (0, 3, 9):
+            moved = coeffs.copy()
+            moved[(block.field == f) & (block.tri == t), 0, c] += 1e-6
+            report = verify_field(FieldBlock(topo, block.F, block.field,
+                                             block.tri, moved), expected)
+            assert report.failed_fields() == [f], (t, c)
+
+
+def test_roundoff_reach_is_the_term_sum_at_unit_coefficients():
+    """The verifier's reach of a row, sum_s g_s + 2 g_v at the vertex
+    coefficient of l_v^2 and _MEAN_REACH sum_s g_s in the mean, is the
+    sum of the term magnitudes of the divergence at unit coefficients."""
+    grads = np.abs(np.random.default_rng(8).standard_normal((5, 3, 2)))
+    terms = fields._div_coeffs(grads, np.ones((5, 2, len(poly.MONO3))))
+    g = grads.sum(axis=2)
+    assert np.allclose(terms[:, poly.VERTEX2],
+                       g.sum(axis=1)[:, None] + 2.0 * g, rtol=1e-15)
+    assert np.allclose(np.matmul(terms[:, None], poly.INT2_UNIT)[:, 0],
+                       fields._MEAN_REACH * g.sum(axis=1), rtol=1e-15)
 
 
 def test_single_field_report_names_its_field_zero():

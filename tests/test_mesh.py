@@ -117,8 +117,11 @@ def test_area_underflowing_to_zero_is_degenerate(make, message):
         make()
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("L", [1e-150, 1e-160])
 def test_tiny_but_representable_mesh_accepted(L):
+    """The fan table of a mesh whose squared edge lengths underflow is
+    built without a numpy warning (its d-coefficients are not finite)."""
     topo = build_topology(crossed(3, L=L))
     assert topo.T == 36 and np.all(topo.area > 0)
 
