@@ -18,9 +18,9 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import __version__, poly, solver
+from . import RankIndeterminateError, SolverError, __version__, poly
 from .classify import Tolerances, classify_mesh
-from .fields import (FieldBlock, FieldError, VertexValues,
+from .fields import (FieldBlock, FieldError, FieldRangeError, VertexValues,
                      boundary_interpolant, local_interpolant, verify_field)
 from .mesh import (MeshError, MeshFormatError, PRESETS, Triangulation,
                    build_topology, dump_mesh, generate, load_mesh)
@@ -205,7 +205,7 @@ def analyze_mesh(mesh: Triangulation, tol: Tolerances,
     """Full classify -> trees -> solver pipeline: the JSON-ready report
     and the spurious modes (raw pressure coefficient vectors).  The
     solver needs a disk: a mesh that fails Euler's relation is a
-    MeshError before it starts."""
+    MeshError before the solver is imported."""
     topology = build_topology(mesh)
     reports, summary = classify_mesh(topology, tol)
     cover = build_tree_cover(topology, reports, tol)
@@ -245,11 +245,11 @@ def analyze_mesh(mesh: Triangulation, tol: Tolerances,
         return report, []
     if not topology.euler_ok:
         raise MeshError("mesh is not simply connected (Euler check failed)")
+    from . import solver
 
     cert = solver.certify(topology, reports)
     rank = solver.divergence_rank(cert, tol)
     _check_verdict(verdict, reports, rank)
-    beta, _ = solver.infsup_constant(cert, tol, rank)
     modes = solver.spurious_modes(cert, rank)
     dims = solver.strang_dimensions(topology, summary["sigma_i"],
                                     summary["sigma_b"], rank.K)
@@ -262,7 +262,7 @@ def analyze_mesh(mesh: Triangulation, tol: Tolerances,
         "expected_dim": cert.shape[0],
         "K": rank.K,
         "gap": rank.gap if np.isfinite(rank.gap) else None,
-        "beta": beta,
+        "beta": solver.infsup_constant(rank),
         "spurious_mode_count": len(modes),
         "spurious_checkerboard": [
             bool(solver.checkerboard_signature(topology, m)) for m in modes
@@ -272,7 +272,7 @@ def analyze_mesh(mesh: Triangulation, tol: Tolerances,
     return report, modes
 
 
-def _check_verdict(verdict: str, reports, rank: solver.RankResult):
+def _check_verdict(verdict: str, reports, rank):
     """The paper's theorem: a mesh whose interior vertices are all local
     interpolating, or covered by disjoint transfer trees, has K = 0.  A
     K > 0 under either verdict means that one fact, whether some vertex is
@@ -290,7 +290,7 @@ def _check_verdict(verdict: str, reports, rank: solver.RankResult):
                 if rank.rejected > rank.floor else
                 f"singular values at or below the roundoff floor "
                 f"{rank.floor:.3e}")
-    raise solver.RankIndeterminateError(
+    raise RankIndeterminateError(
         f"verdict {verdict} implies K = 0, but the rank rejects {rejected} "
         f"(K = {rank.K}); {where}")
 
@@ -351,13 +351,15 @@ def _suite_fields(topology, group, targets):
     and the expected values are the targets at the centers and the spills
     of the fields.  The group is one interpolant call; when it raises
     FieldError, each vertex is retried alone, then each of its rows, and
-    the rows that raise again are left out."""
+    the rows that raise again are left out; a FieldRangeError propagates."""
     fans = topology.fans
     vertex = np.array([r.vertex for r in group])
     n = fans.degree[vertex]
     try:
         block, side = (boundary_interpolant if group[0].boundary
                        else local_interpolant)(group, targets, topology)
+    except FieldRangeError:
+        raise
     except FieldError:
         G, S = targets.shape[:2]
         if G > 1:
@@ -527,15 +529,18 @@ def cmd_verify_fields(args) -> int:
 
 
 def cmd_infsup(args) -> int:
+    # analyze's rank in the chosen norm, without the trees and the checks
+    from . import solver
+
     mesh = _load(args.mesh)
     tol = _tolerances(args)
     topology = build_topology(mesh)
     reports, _ = classify_mesh(topology, tol)
     cert = solver.certify(topology, reports, seminorm=args.seminorm)
-    beta, eigenvalues = solver.infsup_constant(cert, tol)
+    rank = solver.divergence_rank(cert, tol)
     out = {
-        "beta": beta,
-        "smallest_eigenvalues": eigenvalues[:8],
+        "beta": solver.infsup_constant(rank),
+        "K": rank.K,
         "constrained_dim": cert.shape[0],
         "velocity_dofs": cert.shape[1],
         "seminorm": bool(args.seminorm),
@@ -631,10 +636,10 @@ def main(argv=None) -> int:
         # mesh defects discovered mid-pipeline are still input problems
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except solver.RankIndeterminateError as exc:
+    except RankIndeterminateError as exc:
         print(f"indeterminate: {exc}", file=sys.stderr)
         return EXIT_INDETERMINATE
-    except (solver.SolverError, FieldError) as exc:
+    except (SolverError, FieldError) as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -34,6 +34,10 @@ class FieldError(ValueError):
     """A field construction's preconditions are not met."""
 
 
+class FieldRangeError(FieldError):
+    """Values overflow the double range; no smaller group avoids it."""
+
+
 class UnacceptableEdgeError(FieldError):
     """Transfer requested across an edge with (near-)zero weight."""
 
@@ -435,15 +439,21 @@ def _contract(table, a, seed, seed_pos):
 def _even_seed(table: EdgeTable, reports, fans):
     """Determinant-normalized corrector seeds (G, N, 2, 10) of a group of
     even interior vertices, each for its direction index in {0, 1, 2},
-    from the d-coefficients of their fans in the fan table ``fans``."""
+    from the d-coefficients of their fans in the fan table ``fans``; an
+    overflow (of 12 D_0 at tiny length scales) is a FieldRangeError."""
     i = np.array([r.even_index for r in reports])
     g = np.arange(len(i))
     xi = _xi(table, i, fans.c[table.corner])[1]
     N = table.corner.shape[1]
-    dvals = np.where((i == 0)[:, None], 12.0 * fans.d0[table.corner],
-                     fans.d[table.corner][g, :, np.maximum(i - 1, 0)])
+    with np.errstate(over="ignore"):
+        dvals = np.where((i == 0)[:, None], 12.0 * fans.d0[table.corner],
+                         fans.d[table.corner][g, :, np.maximum(i - 1, 0)])
+        det = np.where(i == 0, 12.0 * fans.D[table.z, 0], fans.D[table.z, i])
     dvals = np.where(np.arange(N) < table.n[:, None], dvals, 0.0)
-    det = np.where(i == 0, 12.0 * fans.D[table.z, 0], fans.D[table.z, i])
+    finite = np.isfinite(det) & np.isfinite(dvals).all(axis=1)
+    if not finite.all():
+        raise FieldRangeError(f"vertex {reports[np.argmin(finite)].vertex}: "
+                              f"the even seed overflows at this length scale")
     # telescoping weights s_0 = 0, s_j = d_j - s_{j-1}; the weight of
     # triangle j multiplies the edge field of the edge joining triangles
     # j and j+1 (cyclic slot j)

@@ -14,17 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from . import poly
+from . import RankIndeterminateError, SolverError, poly
 from .classify import Tolerances
 from .mesh import MeshTopology
-
-
-class SolverError(Exception):
-    pass
-
-
-class RankIndeterminateError(SolverError):
-    """Singular-value spectrum has no clear gap at the rank threshold."""
 
 
 # ---------------------------------------------------------------------------
@@ -459,9 +451,9 @@ class Certificate:
     ||div v||^2 + ||rot v||^2 = |v|_1^2, which is at most the squared norm
     of v in the seminorm and in the full H1 norm.  The null vectors of R
     are the left null vectors of W orthogonal to Q_z; ``divergence_rank``
-    lifts them in the factor's own storage (the rank consumes the factor),
-    and ``spurious_modes`` maps them back through ``order`` and F^T and
-    checks their pairing on the per-triangle divergence blocks.
+    lifts them in place (it consumes the factor) and reads K and beta for
+    every command; ``spurious_modes`` maps them back through ``order`` and
+    F^T and checks their pairing on the per-triangle divergence blocks.
     """
 
     factor: np.ndarray              # R, (6T, 6T), upper, column-major
@@ -778,32 +770,14 @@ class RankResult:
                             # to the constraints
 
 
-def _threshold(cert: Certificate, tol: Tolerances):
-    """(scale, thr): the rank scale of the certificate and the
-    threshold tol.rank * scale above which ``divergence_rank`` and
-    ``infsup_constant`` both accept a singular value; a relative
-    threshold needs the largest singular value only to a few digits.  A
-    scale above 1 (beyond roundoff) breaks the bound every singular value
-    of the pairing obeys, so the pairing or its norms are wrong:
-    SolverError, and so is a factor that an earlier ``divergence_rank``
-    consumed."""
-    if not cert.factor.flags.writeable:
-        raise SolverError("the certificate's factor is read-only: an earlier "
-                          "divergence_rank lifted it; certify again")
-    scale = cert.scale
-    if scale * scale > SCALE_BOUND:
-        raise SolverError(
-            f"singular value {scale:.17g} of the weighted pairing exceeds "
-            f"the bound 1; the pairing or its norms are wrong")
-    return scale, tol.rank * scale
-
-
 def divergence_rank(cert: Certificate,
                     tol: Tolerances = Tolerances()) -> RankResult:
     """Rank of the pairing, the deficiency K and beta, with the gap test:
     the accepted singular values must clear the rejected ones by 10x.
 
-    A singular value is accepted above the threshold of ``_threshold``.
+    A singular value is accepted above thr = tol.rank * scale, a relative
+    threshold on the certificate's rank scale; a scale above 1 (beyond
+    roundoff) breaks the bound every singular value obeys: SolverError.
     The certificate's factor is born with the constraint directions Q_z
     lifted to the top of its spectrum; they are not counted.  Inverse
     Lanczos finds the smallest singular value of the square factor; while
@@ -813,15 +787,22 @@ def divergence_rank(cert: Certificate,
     number of those is K = p - rank, with p = cert.shape[0] the
     constrained pressure dimension 6T - 1 - sigma; their orthonormal basis
     is ``null_basis`` (every constrained direction at scale 0), and beta
-    is the smallest singular value of the lifted factor.  Every factor
-    read here is square and column-major.
+    is the smallest singular value of the lifted factor (read by
+    ``infsup_constant``).  Every factor here is square and column-major.
 
     The rank consumes the factor: it is lifted and floored in its own
     storage, the largest array of an analysis, and left read-only, so that
-    a second rank of the certificate, or ``infsup_constant`` without this
-    rank, is a SolverError instead of a reading of the lifted factor."""
-    p = cert.shape[0]
-    scale, thr = _threshold(cert, tol)
+    a second rank of the certificate is a SolverError instead of a reading
+    of the lifted factor."""
+    if not cert.factor.flags.writeable:
+        raise SolverError("the certificate's factor is read-only: an earlier "
+                          "divergence_rank lifted it; certify again")
+    p, scale = cert.shape[0], cert.scale
+    if scale * scale > SCALE_BOUND:
+        raise SolverError(
+            f"singular value {scale:.17g} of the weighted pairing exceeds "
+            f"the bound 1; the pairing or its norms are wrong")
+    thr = tol.rank * scale
     # a writeable view lifts the factor, which is read-only from here on
     R = cert.factor.view()
     cert.factor.flags.writeable = False
@@ -880,26 +861,12 @@ def divergence_rank(cert: Certificate,
                       beta=beta, scale=scale, null_basis=null_basis)
 
 
-def infsup_constant(cert: Certificate, tol: Tolerances = Tolerances(),
-                    rank: RankResult | None = None):
-    """(beta, eigenvalues): beta is the smallest singular value that the
-    rank accepts, above the threshold of ``_threshold``.  Given the
-    ``divergence_rank`` of the same certificate, beta is read from it and
-    no eigenvalue is listed (None).  Otherwise one values-only SVD of the
-    factor, less its k largest values, 2 scale, those of the constraint
-    directions, lists the eigenvalues of the pressure Schur complement on
-    the constrained space in the mass inner product, ascending, with those
-    of the singular values at or below the threshold reported as exactly
-    0."""
-    if rank is not None:
-        return rank.beta, None
-    thr = _threshold(cert, tol)[1]
-    s = scipy.linalg.svd(cert.factor, compute_uv=False, check_finite=False)
-    s = s[len(s) - cert.shape[0]:]
-    accepted = s > thr
-    eig = np.where(accepted, s, 0.0)[::-1] ** 2
-    beta = float(s[accepted][-1]) if accepted.any() else 0.0
-    return beta, eig
+def infsup_constant(rank: RankResult) -> float:
+    """The inf-sup constant beta of a ``divergence_rank``: the smallest
+    singular value of the weighted pairing on the constrained pressures
+    that the rank accepts, 0 when it accepts none.  ``analyze`` and
+    ``infsup`` both read beta here."""
+    return rank.beta
 
 
 def spurious_modes(cert: Certificate, rank: RankResult):

@@ -706,6 +706,24 @@ def synthetic_certificate(R, shape=None):
         constraints=np.zeros((p, 0)))
 
 
+def svd_oracle(cert, scale=None, tol=Tolerances()):
+    """(K, beta, gap) of a certificate from one values-only SVD of its
+    factor, the way the program does not: every singular value but the k
+    largest, those of the lifted constraint directions.  K counts those
+    at or below tol.rank * s_max, beta is the smallest above, gap the
+    old rule over both, its roundoff floor taken at the given rank scale
+    (at s_max when none is given).  It reads the factor, so it runs
+    before the rank consumes it."""
+    s = scipy.linalg.svdvals(cert.factor)
+    s = s[len(s) - cert.shape[0]:]
+    thr = tol.rank * s[0]
+    accepted, rejected = s[s > thr], s[s <= thr]
+    floor = np.finfo(float).eps * max(cert.shape) * (
+        s[0] if scale is None else scale)
+    largest = max(rejected[0], floor) if len(rejected) else floor
+    return len(rejected), float(accepted[-1]), float(accepted[-1] / largest)
+
+
 # ---------------------------------------------------------------------------
 # the rank's inverse Lanczos and lift as first written: two solve_triangular
 # calls and the whole tridiagonal eigenproblem every step, and one Givens

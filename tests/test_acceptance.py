@@ -17,7 +17,7 @@ from conftest import (admissible_target, decision, dense, div_at,
                       on_patch, path_interpolant, path_stats,
                       random_interior_patch,
                       rigid_motion, scalar_edge_integral,
-                      scalar_gradient_at_vertex, support, values)
+                      scalar_gradient_at_vertex, support, svd_oracle, values)
 from svstokes import fields, poly, solver
 from svstokes.classify import EVEN, ODD, SINGULAR, Tolerances, classify_mesh
 from svstokes.fields import edge_table, local_interpolant, verify_field
@@ -200,11 +200,13 @@ def test_A5_ontoness_oracle():
         nodes = solver.number_dofs(topo)
         assert 2 * (nodes.max() + 1) <= 3000
         cert = solver.certify(topo, reports)
-        beta, _ = solver.infsup_constant(cert)
+        beta_svd = svd_oracle(cert)[1]
         rr = solver.divergence_rank(cert, TOL)
+        beta = solver.infsup_constant(rr)
         assert rr.K == 0
         assert rr.gap > 10.0
         assert beta > 0.0
+        assert beta == pytest.approx(beta_svd, rel=1e-12)
         assert time.perf_counter() - start < 60.0
     for n in (2, 3):
         start = time.perf_counter()
@@ -328,6 +330,15 @@ def test_A7_tree_machinery():
                "complete cover => K = 0")
 
 
+def _seminorm_beta(topo, reports):
+    """The rank's seminorm beta, which agrees with the SVD's to 1e-8."""
+    cert = solver.certify(topo, reports, seminorm=True)
+    beta_svd = svd_oracle(cert)[1]
+    beta = solver.infsup_constant(solver.divergence_rank(cert, TOL))
+    assert abs(beta - beta_svd) < 1e-8 * beta_svd
+    return beta
+
+
 def test_A8_invariance_under_similarity():
     """Classification, acceptability, rho, Upsilon, K and beta invariant
     under rigid motions; dimensionless quantities also under scaling."""
@@ -336,10 +347,9 @@ def test_A8_invariance_under_similarity():
     reports0, summary0 = classify_mesh(topo0)
     cover0 = build_tree_cover(topo0, reports0, TOL)
     cert0 = solver.certify(topo0, reports0)
-    beta0, _ = solver.infsup_constant(cert0)
     rr0 = solver.divergence_rank(cert0, TOL)
-    beta0s, _ = solver.infsup_constant(
-        solver.certify(topo0, reports0, seminorm=True))
+    beta0 = solver.infsup_constant(rr0)
+    beta0s = _seminorm_beta(topo0, reports0)
 
     cases = [("rotation", dict(angle=0.7, shift=(3.0, -2.0), scale=1.0)),
              ("shrink", dict(angle=0.0, shift=(0.0, 0.0), scale=0.5)),
@@ -362,16 +372,17 @@ def test_A8_invariance_under_similarity():
         for key, w0 in weights0.items():
             assert abs(weights1[key] - w0) < 1e-8 * max(abs(w0), 1.0)
         cert1 = solver.certify(topo1, reports1)
-        beta1, _ = solver.infsup_constant(cert1)
+        beta1_svd = svd_oracle(cert1)[1]
         rr1 = solver.divergence_rank(cert1, TOL)
+        beta1 = solver.infsup_constant(rr1)
         assert rr1.K == rr0.K and rr1.rank == rr0.rank
+        assert abs(beta1 - beta1_svd) < 1e-8 * beta1_svd
         if rigid:
             assert abs(beta1 - beta0) < 1e-8 * beta0
         else:
             # the full-H1 constant is not dimensionless; the seminorm
             # variant is exactly scale invariant
-            beta1s, _ = solver.infsup_constant(
-                solver.certify(topo1, reports1, seminorm=True))
+            beta1s = _seminorm_beta(topo1, reports1)
             assert abs(beta1s - beta0s) < 1e-8 * beta0s
         # dimensionless decision quantities under pure scaling
         if not rigid and motion["angle"] == 0.0:

@@ -21,8 +21,9 @@ from hypothesis import strategies as st
 from conftest import (GOLDEN_MESHES, MIXED, bench_mesh, bench_pool,
                       dense_divergence, dense_norms, factor_products,
                       givens_lift, inverse_lanczos_oracle, krylov_start,
-                      raw_pairing, rigid_motion, synthetic_certificate,
-                      type1_with_crossed, uncondensed_pairing)
+                      raw_pairing, rigid_motion, svd_oracle,
+                      synthetic_certificate, type1_with_crossed,
+                      uncondensed_pairing)
 from svstokes import cli, solver
 from svstokes.classify import Tolerances, classify_mesh
 from svstokes.mesh import (Triangulation, build_topology, crossed, dump_mesh,
@@ -87,15 +88,16 @@ def test_certificate_agrees_with_the_raw_rank_and_schur_eigenproblem(
         name, seminorm):
     topo, reports, summary = _classified(GOLDEN_MESHES[name]())
     cert = solver.certify(topo, reports, seminorm=seminorm)
-    beta, eig = solver.infsup_constant(cert)
+    s_max = scipy.linalg.svdvals(cert.factor)[cert.constraints.shape[1]]
+    K_svd, beta_svd, _ = svd_oracle(cert)
     rr = solver.divergence_rank(cert, TOL)
+    beta = solver.infsup_constant(rr)
     rank, K, beta_ref = _oracle(topo, reports, summary["sigma"], seminorm)
-    assert (rr.rank, rr.K) == (rank, K)
+    assert (rr.rank, rr.K) == (rank, K) and K_svd == K
     assert beta == pytest.approx(beta_ref, rel=1e-9)
     # the nonzero singular values lie in [beta, 1]
-    assert eig[-1] <= 1.0 + 1e-12
-    assert np.sum(eig == 0.0) == rr.K
-    assert np.sqrt(eig[rr.K]) == pytest.approx(beta, rel=1e-12)
+    assert s_max ** 2 <= 1.0 + 1e-12
+    assert beta == pytest.approx(beta_svd, rel=1e-12)
 
 
 CONDENSED_MESHES = {
@@ -874,11 +876,14 @@ SIMILARITY_BASES = {"crossed-2": lambda: crossed(2),
 
 
 def _invariants(mesh):
-    """sigma, the vertex classes, K and the seminorm beta of a mesh."""
+    """sigma, the vertex classes, K and the seminorm beta of a mesh; beta
+    agrees with the SVD's to 1e-8."""
     topo, reports, summary = _classified(mesh)
     cert = solver.certify(topo, reports, seminorm=True)
-    beta, _ = solver.infsup_constant(cert)
+    beta_svd = svd_oracle(cert)[1]
     rr = solver.divergence_rank(cert, TOL)
+    beta = solver.infsup_constant(rr)
+    assert beta == pytest.approx(beta_svd, rel=1e-8)
     return (summary["sigma"], [(r.status, r.singular) for r in reports],
             rr.K, beta)
 
@@ -909,22 +914,6 @@ def test_certificate_invariant_under_rotation_and_scaling(name, angle,
 # ---------------------------------------------------------------------------
 # K and beta from the bottom of the spectrum, against the full SVD and the
 # inertia of [[-tau I, R], [R^T, -tau I]]
-
-def _svd_oracle(cert, scale=None, tol=TOL):
-    """(K, beta, gap) from every singular value of the factor but the k
-    largest, those of the lifted constraint directions: K counts those at
-    or below tol.rank * s_max, beta is the smallest above, gap the old
-    rule over both, its roundoff floor taken at the given rank scale (at
-    s_max when none is given)."""
-    s = scipy.linalg.svdvals(cert.factor)
-    s = s[len(s) - cert.shape[0]:]
-    thr = tol.rank * s[0]
-    accepted, rejected = s[s > thr], s[s <= thr]
-    floor = np.finfo(float).eps * max(cert.shape) * (
-        s[0] if scale is None else scale)
-    largest = max(rejected[0], floor) if len(rejected) else floor
-    return len(rejected), float(accepted[-1]), float(accepted[-1] / largest)
-
 
 def _negative_eigenvalues(d):
     """Negative eigenvalues of the block-diagonal D of an LDL^T
@@ -1010,9 +999,8 @@ def test_lifted_lanczos_agrees_with_the_svd_and_the_inertia(monkeypatch,
     R = _oracle_factor(topo, cert)
     scale = solver._rank_scale(*factor_products(R), start)
     assert cert.scale == pytest.approx(scale, rel=1e-13, abs=0.0)
-    K, beta, gap = _svd_oracle(cert, cert.scale)
+    K, beta, gap = svd_oracle(cert, cert.scale)
     inertia_K = _inertia_K(cert)
-    svd_beta = solver.infsup_constant(cert, TOL)[0]
     s_max = scipy.linalg.svdvals(R)[0]
     for c in (1.0, 1e-50, 1e50):
         for c_start in (start, krylov_start(len(R))):
@@ -1023,8 +1011,7 @@ def test_lifted_lanczos_agrees_with_the_svd_and_the_inertia(monkeypatch,
     assert rr.K == cert.shape[0] - rr.rank == K == inertia_K
     assert rr.beta == pytest.approx(beta, rel=1e-12)
     assert rr.gap == pytest.approx(gap, rel=1e-12)
-    assert solver.infsup_constant(cert, TOL, rr) == (rr.beta, None)
-    assert svd_beta == beta
+    assert solver.infsup_constant(rr) == rr.beta
     if name == "type1-1":
         assert cert.shape[0] > cert.shape[1]
     assert rr.scale == cert.scale
@@ -1034,22 +1021,21 @@ def test_lifted_lanczos_agrees_with_the_svd_and_the_inertia(monkeypatch,
 def test_rank_consumes_the_factor(name):
     """divergence_rank lifts certify's factor in its own storage, where
     K > 0 (type1-3; perturbed-3-s1, K = 0, lifts nothing and keeps every
-    bit), and leaves it read-only: a second rank of the certificate, and
-    infsup without this rank, are SolverErrors, and the rank of a copy of
-    the factor gives the same rank, K, beta, gap and null basis bits."""
+    bit), and leaves it read-only: a second rank of the certificate is a
+    SolverError, and the rank of a copy of the factor gives the same rank,
+    K, beta, gap and null basis bits, and the SVD's beta to 1e-12."""
     topo, reports, summary = _classified(GOLDEN_MESHES[name]())
     cert = solver.certify(topo, reports)
     raw = cert.factor.copy(order="F")
     copy = dataclasses.replace(cert, factor=cert.factor.copy(order="F"))
+    beta_svd = svd_oracle(copy)[1]
     rr = solver.divergence_rank(cert, TOL)
     assert not cert.factor.flags.writeable
     assert np.array_equal(cert.factor, raw) == (rr.K == 0)
     assert rr.K == (name == "type1-3")
-    for again in (lambda: solver.divergence_rank(cert, TOL),
-                  lambda: solver.infsup_constant(cert, TOL)):
-        with pytest.raises(solver.SolverError, match="read-only"):
-            again()
-    assert solver.infsup_constant(cert, TOL, rr) == (rr.beta, None)
+    with pytest.raises(solver.SolverError, match="read-only"):
+        solver.divergence_rank(cert, TOL)
+    assert solver.infsup_constant(rr) == pytest.approx(beta_svd, rel=1e-12)
     other = solver.divergence_rank(copy, TOL)
     for field in ("rank", "nullity", "K", "gap", "beta", "scale"):
         assert getattr(other, field) == getattr(rr, field), field
@@ -1458,7 +1444,7 @@ def test_three_null_directions_are_lifted_and_repeated(monkeypatch, zeros,
                                                        gap_rel, lifting_runs):
     runs = _count_lanczos_runs(monkeypatch)
     cert = _synthetic(np.concatenate([_spread(0.3, 1.0, P_SYNTH - 3), zeros]))
-    K, beta, gap = _svd_oracle(cert, cert.scale)
+    K, beta, gap = svd_oracle(cert, cert.scale)
     inertia_K = _inertia_K(cert)
     rr = solver.divergence_rank(cert, TOL)
     assert rr.K == K == inertia_K == 3 and rr.rank == P_SYNTH - 3
@@ -1483,7 +1469,7 @@ def test_exact_zero_pivots_give_the_known_deficiency():
         R[j, j] = 0.0
     R *= 2.0 ** -np.ceil(np.log2(scipy.linalg.svdvals(R)[0]))
     cert = _synthetic_of(R)
-    K, beta, _ = _svd_oracle(cert)
+    K, beta, _ = svd_oracle(cert)
     inertia_K = _inertia_K(cert)
     rr = solver.divergence_rank(cert, TOL)
     assert rr.K == K == inertia_K == 3
@@ -1504,31 +1490,42 @@ def test_beta_is_the_smallest_accepted_value_in_the_old_band(small):
     accepted by the rank, so it is beta, in analyze and in infsup."""
     s = np.concatenate([_spread(0.3, 1.0, P_SYNTH - 1), [small]])
     cert = _synthetic(s)
-    beta, eig = solver.infsup_constant(cert, TOL)
+    K_svd, beta_svd, _ = svd_oracle(cert)
     rr = solver.divergence_rank(cert, TOL)
-    assert rr.K == 0 and rr.rank == P_SYNTH
-    assert rr.beta == pytest.approx(small, rel=1e-9)
-    assert beta == pytest.approx(small, rel=1e-9)
-    assert eig[0] == pytest.approx(small ** 2, rel=1e-9) and eig.min() > 0
+    assert rr.K == K_svd == 0 and rr.rank == P_SYNTH
+    assert solver.infsup_constant(rr) == pytest.approx(small, rel=1e-9)
+    assert beta_svd == pytest.approx(small, rel=1e-9)
 
 
-def test_analyze_and_infsup_accept_at_one_threshold():
+def test_analyze_and_infsup_accept_at_one_threshold(tmp_path, monkeypatch):
     """A singular value between tol.rank * scale and tol.rank * s_max: the
     rank scale of 40 spread singular values lies 0.3 % below s_max, and
-    the small one 0.15 % below tol.rank * s_max.  The rank accepts it,
-    and so does infsup: both make it beta."""
+    the small one 0.15 % below tol.rank * s_max.  The SVD at tol.rank *
+    s_max rejects it; the rank accepts it, and analyze and infsup, which
+    read the one rank, both make it beta with K = 0."""
     top = _spread(0.3, 1.0, 39)
     small = TOL.rank * top[0] * (1 - 1.5e-3)
     cert = _synthetic(np.concatenate([top, [small]]))
     s = scipy.linalg.svdvals(cert.factor)
-    scale = cert.scale
-    assert TOL.rank * scale < s[-1] < TOL.rank * s[0]
-    beta, eig = solver.infsup_constant(cert, TOL)
-    rr = solver.divergence_rank(cert, TOL)
+    assert TOL.rank * cert.scale < s[-1] < TOL.rank * s[0]
+    assert svd_oracle(cert)[0] == 1
+
+    def fresh(*args, **kwargs):     # each rank consumes a factor of its own
+        return dataclasses.replace(cert, factor=cert.factor.copy(order="F"))
+
+    rr = solver.divergence_rank(fresh(), TOL)
     assert (rr.rank, rr.K) == (40, 0)
-    assert beta == s[-1]
-    assert rr.beta == pytest.approx(beta, rel=1e-12)
-    assert eig.min() > 0.0
+    assert solver.infsup_constant(rr) == pytest.approx(s[-1], rel=1e-12)
+    monkeypatch.setattr(solver, "certify", fresh)
+    path = tmp_path / "mesh"
+    path.write_text(dump_mesh(crossed(1)))
+    for command in ("analyze", "infsup"):
+        out = tmp_path / f"{command}.json"
+        assert cli.main([command, "--mesh", str(path), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        got = report.get("divergence", report)
+        assert got["K"] == 0 and got.get("rank", 40) == 40
+        assert got["beta"] == pytest.approx(s[-1], rel=1e-9)
 
 
 def _crossed_shifted(dx, n=2):
@@ -1547,7 +1544,7 @@ def test_shifted_crossed_centre_reports_its_small_beta(tmp_path, dx):
     path.write_text(dump_mesh(_crossed_shifted(dx)))
     topo, reports, summary = _classified(_crossed_shifted(dx))
     cert = solver.certify(topo, reports)
-    K, beta, _ = _svd_oracle(cert)
+    K, beta, _ = svd_oracle(cert)
     assert K == 0 and beta < 1e-4
     for command in ("analyze", "infsup"):
         out = tmp_path / f"{command}.json"
@@ -1555,10 +1552,9 @@ def test_shifted_crossed_centre_reports_its_small_beta(tmp_path, dx):
         report = json.loads(out.read_text())
         got = report["divergence"] if command == "analyze" else report
         assert got["beta"] == pytest.approx(beta, rel=1e-9)
+        assert got["K"] == 0
         if command == "analyze":
-            assert (got["K"], got["rank"]) == (0, 92)
-        else:
-            assert got["smallest_eigenvalues"][0] > 0.0
+            assert got["rank"] == 92
 
 
 def _perturbed_shifted(dx):

@@ -10,13 +10,14 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import (BENCH_MESHES, GOLDEN_MESHES, PINCHED, bench_mesh,
-                      bench_pool, compute_dcoefficients, decision,
-                      to_json_oracle)
+from conftest import (BENCH_MESHES, GOLDEN_MESHES, MIXED, PINCHED,
+                      bench_mesh, bench_pool, compute_dcoefficients,
+                      decision, named_mesh, to_json_oracle)
 from svstokes import __version__, classify, cli, fields, mesh, solver
 from svstokes.classify import Tolerances, classify_mesh
 from svstokes.cli import (EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, analyze_mesh,
@@ -425,27 +426,37 @@ def test_area_underflow_is_input_error(tmp_path, capsys, command, case):
     assert message in capsys.readouterr().err
 
 
+SCALED_UNITS = {"crossed-3": lambda: crossed(3),
+                "type1-3": lambda: type1_diagonal(3),
+                "perturbed-3-s1": lambda: perturbed_grid(3, seed=1)}
+
+
 # every warning is an error here: inverse Lanczos overflows at the large
 # scales, silenced where it arises
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("name", ["crossed-3", "type1-3", "perturbed-3-s1"])
+@pytest.mark.parametrize("name", sorted(SCALED_UNITS))
 def test_analyze_across_length_scales(tmp_path, name):
     """The mesh scaled by 10^e keeps the unit mesh's K, rank and nullity
     (exit 0) for e = -150 ... 60: the mean pressure constraint row is
     built from the areas scaled exactly by a power of two, so its norm
     neither under- nor overflows (exit 4 from e = -90 down and e = 80 up
     before).  At e = 80, 100 and 150 inverse Lanczos overflows in the
-    full-H1 norm: exit 3, never exit 4."""
-    unit = {"crossed-3": lambda: crossed(3),
-            "type1-3": lambda: type1_diagonal(3),
-            "perturbed-3-s1": lambda: perturbed_grid(3, seed=1)}[name]()
+    full-H1 norm: exit 3, never exit 4.  infsup reads the same rank, so
+    it gives analyze's exit code, K and beta at every e."""
+    unit = SCALED_UNITS[name]()
     path, out = tmp_path / "scaled.mesh", tmp_path / "report.json"
+    infsup_out = tmp_path / "infsup.json"
 
     def analyze(scale):
         _write_scaled(path, unit, scale)
         code = main(["analyze", "--mesh", str(path), "--out", str(out)])
         div = json.loads(out.read_text())["divergence"] if code == EXIT_OK \
             else {}
+        assert main(["infsup", "--mesh", str(path), "--out",
+                     str(infsup_out)]) == code, scale
+        if code == EXIT_OK:
+            report = json.loads(infsup_out.read_text())
+            assert (report["K"], report["beta"]) == (div["K"], div["beta"])
         return code, [div.get(k) for k in ("K", "rank", "nullity")]
 
     want = analyze(1.0)
@@ -456,10 +467,32 @@ def test_analyze_across_length_scales(tmp_path, name):
         assert analyze(10.0 ** e)[0] != EXIT_INTERNAL, e
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(SCALED_UNITS))
+def test_infsup_seminorm_across_length_scales(tmp_path, name):
+    """The seminorm beta does not depend on the length scale: infsup
+    --seminorm on the mesh scaled by 10^e exits 0 with the unit mesh's K
+    and 10-digit beta for e = -150 ... 150."""
+    unit = SCALED_UNITS[name]()
+    path, out = tmp_path / "scaled.mesh", tmp_path / "infsup.json"
+
+    def infsup(scale):
+        _write_scaled(path, unit, scale)
+        code = main(["infsup", "--seminorm", "--mesh", str(path), "--out",
+                     str(out)])
+        report = json.loads(out.read_text()) if code == EXIT_OK else {}
+        return code, report.get("K"), report.get("beta")
+
+    want = infsup(1.0)
+    assert want[0] == EXIT_OK
+    for e in range(-150, 151, 10):
+        assert infsup(10.0 ** e) == want, e
+
+
 # every warning is an error here: the overflows at this length scale are
 # silenced where they arise
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("command", ["analyze", "infsup"])
+@pytest.mark.parametrize("command", ["analyze", "infsup", "verify-fields"])
 @pytest.mark.parametrize("preset", [("type1", "--n", "3"),
                                     ("perturbed-grid", "--n", "3", "--seed",
                                      "1")])
@@ -469,15 +502,26 @@ def test_gram_overflow_near_the_range_end_is_one_error_line(tmp_path, capsys,
     Gram products overflow, and so do the D sums of vertices whose D no
     decision reads.  The bubble's Gram entry K_99 is NaN, so analyze and
     infsup exit 4 with one line on stderr and no numpy RuntimeWarning
-    (ROADMAP item 8 owns that exit code)."""
+    (ROADMAP item 8 owns that exit code).  verify-fields builds no Gram
+    matrix: on perturbed-3-s1 the seed of its even vertex 10 overflows in
+    12 D_0, which is exit 4 with one line too, and type1-3, which has no
+    even vertex, passes."""
     path = _gen(tmp_path, *preset, "--L", "1e-154")
     capsys.readouterr()
     out = tmp_path / "out"
-    assert main([command, "--mesh", str(path), "--out", str(out)]) == \
-        EXIT_INTERNAL
-    assert capsys.readouterr().err.splitlines() == [
-        "internal invariant violation: velocity Gram matrix is not SPD: a "
-        "cubic bubble has a Gram entry <= 0"]
+    code = main([command, "--mesh", str(path), "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    if command != "verify-fields":
+        message = ("velocity Gram matrix is not SPD: a cubic bubble has a "
+                   "Gram entry <= 0")
+    elif preset[0] == "perturbed-grid":
+        message = "vertex 10: the even seed overflows at this length scale"
+    else:
+        assert (code, err) == (EXIT_OK, [])
+        assert out.read_text().endswith("overall: pass\n")
+        return
+    assert code == EXIT_INTERNAL
+    assert err == [f"internal invariant violation: {message}"]
     assert not out.exists()
 
 
@@ -878,16 +922,14 @@ def test_infsup_command(tmp_path):
 
 def test_infsup_reports_the_deficiency_as_exact_zeros(tmp_path):
     # type1-3 has K = 1: one eigenvalue is zero analytically and comes
-    # out as roundoff whose size depends on the BLAS kernel
+    # out as roundoff whose size depends on the BLAS kernel; the rank
+    # lifts its direction and counts it
     mesh_path = _gen(tmp_path, "type1", "--n", "3")
     out = tmp_path / "infsup.json"
     assert main(["infsup", "--mesh", str(mesh_path),
                  "--out", str(out)]) == EXIT_OK
     report = json.loads(out.read_text())
-    eig = report["smallest_eigenvalues"]
-    assert eig[0] == 0.0 and eig[1] > 0.0
-    assert eig == sorted(eig)
-    assert report["beta"] == pytest.approx(eig[1] ** 0.5, rel=1e-9)
+    assert report["K"] == 1
     assert report["beta"] == pytest.approx(0.09099515790841745, rel=1e-8)
 
 
@@ -897,17 +939,18 @@ def test_infsup_reports_the_deficiency_as_exact_zeros(tmp_path):
     (4, [0.1677080169, 0.1677080169, 0.1700160417, 0.1753543979,
          0.1753562758, 0.1778097256, 0.1778097256, 0.17783584])])
 def test_infsup_lists_repeated_eigenvalues(tmp_path, n, want):
-    """The values-only SVD behind ``infsup`` lists an eigenvalue as often
-    as it repeats: crossed-2 has two double ones, and the smallest one of
-    crossed-4, beta squared, is double.  A single-vector Krylov method
-    finds each distinct eigenvalue once in exact arithmetic and would
-    drop the repeats."""
+    """The smallest eigenvalues of the pressure Schur complement as the
+    full SVD lists them, with their repeats: crossed-2 has two double
+    ones, and the smallest one of crossed-4, beta squared, is double.  A
+    single-vector Krylov method finds each distinct eigenvalue once in
+    exact arithmetic; the rank's inverse Lanczos still reads beta, the
+    square root of the first, and K = 0."""
     mesh_path = _gen(tmp_path, "crossed", "--n", str(n))
     out = tmp_path / "infsup.json"
     assert main(["infsup", "--mesh", str(mesh_path),
                  "--out", str(out)]) == EXIT_OK
     report = json.loads(out.read_text())
-    assert report["smallest_eigenvalues"] == want
+    assert report["K"] == 0
     assert report["beta"] == pytest.approx(want[0] ** 0.5, rel=1e-9)
 
 
@@ -927,16 +970,79 @@ def test_infsup_seminorm_flag(tmp_path):
 def test_infsup_seminorm_on_one_triangle(tmp_path):
     """One triangle: its bubble is the only velocity node.  The factor,
     born lifted, holds the mean pressure direction at the top of its
-    spectrum; infsup drops it and lists the bubble's two seminorm
-    eigenvalues, 0.25 and 0.75, with beta 0.5."""
+    spectrum, and the three singular corners cut the pressures to 2
+    constrained ones: the bubble's two seminorm singular values, 0.5 and
+    sqrt(0.75) (eigenvalues 0.25 and 0.75), so beta is 0.5 and K = 0."""
     path, out = tmp_path / "one.mesh", tmp_path / "infsup.json"
     path.write_text(dump_mesh(Triangulation([[0.0, 0.0], [1.0, 0.0],
                                              [0.0, 1.0]], [[0, 1, 2]])))
     assert main(["infsup", "--mesh", str(path), "--seminorm",
                  "--out", str(out)]) == EXIT_OK
     report = json.loads(out.read_text())
-    assert report["smallest_eigenvalues"] == [0.25, 0.75]
+    assert report["K"] == 0 and report["constrained_dim"] == 2
     assert report["beta"] == 0.5 and report["velocity_dofs"] == 2
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-7, 3e7])
+@pytest.mark.parametrize("name", sorted(GOLDEN_MESHES) + sorted(MIXED)
+                         + bench_pool("certify-dense")
+                         + bench_pool("verify-fields"))
+def test_infsup_prints_the_beta_of_analyze(tmp_path, monkeypatch, name,
+                                           scale):
+    """infsup and analyze read beta off the same rank of the same
+    certificate: the same bits, the same K and the same printed digits,
+    at every length scale."""
+    path = _write_scaled(tmp_path / "scaled.mesh", named_mesh(name), scale)
+    read = solver.infsup_constant
+    betas = []
+    monkeypatch.setattr(solver, "infsup_constant",
+                        lambda rank: betas.append(read(rank)) or betas[-1])
+    got = []
+    for command in ("analyze", "infsup"):
+        out = tmp_path / f"{command}.json"
+        assert main([command, "--mesh", str(path), "--out", str(out)]) == \
+            EXIT_OK
+        report = json.loads(out.read_text())
+        got.append({k: report.get("divergence", report)[k]
+                    for k in ("K", "beta")})
+    assert len(betas) == 2 and betas[0].hex() == betas[1].hex()
+    assert got[0] == got[1]
+
+
+def test_infsup_takes_no_svd(tmp_path, monkeypatch):
+    """infsup reads beta off the rank: no full SVD of the factor."""
+    def refused(*args, **kwargs):
+        raise AssertionError("infsup called an SVD")
+
+    for name in ("svd", "svdvals"):
+        monkeypatch.setattr(scipy.linalg, name, refused)
+    monkeypatch.setattr(np.linalg, "svd", refused)
+    path = _gen(tmp_path, "type1", "--n", "3")
+    for flags in ([], ["--seminorm"]):
+        assert main(["infsup", "--mesh", str(path), "--out",
+                     str(tmp_path / "infsup.json"), *flags]) == EXIT_OK
+
+
+def test_commands_without_the_solver_do_not_import_it(tmp_path):
+    """gen, verify-fields and analyze --skip-solver never call the solver,
+    and leave it and scipy.linalg unimported; analyze imports both."""
+    path = _gen(tmp_path, "crossed", "--n", "2")
+    code = ("import sys, svstokes.cli; "
+            "code = svstokes.cli.main(sys.argv[1:]); "
+            "print(code, 'scipy.linalg' in sys.modules, "
+            "'svstokes.solver' in sys.modules)")
+    out = str(tmp_path / "out")
+    for argv, imported in (
+            (["gen", "crossed", "--n", "2", "--out", out], False),
+            (["verify-fields", "--mesh", str(path), "--out", out], False),
+            (["analyze", "--skip-solver", "--mesh", str(path), "--out", out],
+             False),
+            (["analyze", "--mesh", str(path), "--out", out], True)):
+        proc = subprocess.run([sys.executable, "-c", code, *argv],
+                              env=_child_env(), capture_output=True,
+                              text=True, check=True)
+        assert proc.stdout.split() == ["0", str(imported), str(imported)], \
+            argv
 
 
 def test_spline_dim_command(tmp_path):

@@ -13,8 +13,8 @@ import scipy.linalg
 from conftest import (GOLDEN_MESHES, bench_mesh, bench_pool, dense,
                       dense_divergence, dense_norms, edge_index, edge_tris,
                       fan, gram_blocks_oracle, rigid_motion, stack_fields,
-                      synthetic_certificate, triangle_rule, values,
-                      velocity_coefficients)
+                      svd_oracle, synthetic_certificate, triangle_rule,
+                      values, velocity_coefficients)
 from svstokes import fields, poly, solver
 from svstokes.classify import Tolerances, classify_mesh
 from svstokes.fields import field_block, local_interpolant
@@ -420,11 +420,13 @@ def test_crossed_grid_is_stable():
     topo, reports, summary, nodes, B = _setup(crossed(2))
     assert _n_velocity(nodes) == 122
     cert = certify(topo, reports)
-    beta, _ = infsup_constant(cert)
+    beta_svd = svd_oracle(cert)[1]
     rr = divergence_rank(cert, TOL)
+    beta = infsup_constant(rr)
     assert (rr.rank, rr.K) == (91, 0)
     assert rr.gap > 10.0
     assert beta == pytest.approx(0.4115428141731681, rel=1e-8)
+    assert beta == pytest.approx(beta_svd, rel=1e-8)
     assert spurious_modes(cert, rr) == []
 
 
@@ -432,10 +434,12 @@ def test_type1_grid_is_deficient_with_checkerboard():
     topo, reports, summary, nodes, B = _setup(type1_diagonal(3))
     assert _n_velocity(nodes) == 128
     cert = certify(topo, reports)
-    beta, _ = infsup_constant(cert)
+    beta_svd = svd_oracle(cert)[1]
     rr = divergence_rank(cert, TOL)
+    beta = infsup_constant(rr)
     assert (rr.rank, rr.K) == (104, 1)
     assert beta == pytest.approx(0.09099515790841745, rel=1e-8)
+    assert beta == pytest.approx(beta_svd, rel=1e-8)
     modes = spurious_modes(cert, rr)
     assert len(modes) == 1
     assert checkerboard_signature(topo, modes[0])
@@ -548,7 +552,10 @@ def test_seminorm_infsup_is_scale_invariant():
     for lam in (0.5, 1.0, 2.0):
         topo = build_topology(rigid_motion(base, scale=lam))
         reports, summary = classify_mesh(topo)
-        beta, _ = infsup_constant(certify(topo, reports, seminorm=True))
+        cert = certify(topo, reports, seminorm=True)
+        beta_svd = svd_oracle(cert)[1]
+        beta = infsup_constant(divergence_rank(cert, TOL))
+        assert beta == pytest.approx(beta_svd, rel=1e-9)
         betas.append(beta)
     assert betas[0] == pytest.approx(betas[1], rel=1e-9)
     assert betas[2] == pytest.approx(betas[1], rel=1e-9)
