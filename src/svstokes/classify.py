@@ -87,16 +87,18 @@ def classify_mesh(topology: MeshTopology, tol: Tolerances = Tolerances()):
                                                 [2.0, 1.0, 1.0])
     best = np.argmax(decisions, axis=1)
     value = decisions[np.arange(len(best)), best]
-    even = ~singular & ~fans.boundary & (fans.degree % 2 == 0)
+    odd = fans.degree % 2 == 1
+    even = ~singular & ~fans.boundary & ~odd
     undecided = even & ~np.isfinite(value)
     if undecided.any():
         z = int(np.argmax(undecided))
         raise MeshError(f"vertex {z}: the even-valence decision |D_i| h_z^s "
                         f"is {value[z]}, not finite; the mesh's length "
                         f"scale is out of range")
-    status = np.select(
-        [singular, fans.boundary, fans.degree % 2 == 1,
-         value > tol.decision], [SINGULAR, BOUNDARY, ODD, EVEN], NOT_LI)
+    local = singular | ~fans.boundary & (odd | (value > tol.decision))
+    status = np.where(singular, SINGULAR, np.where(
+        fans.boundary, BOUNDARY, np.where(odd, ODD, np.where(
+            local, EVEN, NOT_LI)))).tolist()
     reports = [
         VertexReport(vertex=z, valence=n, boundary=bd, theta_value=t,
                      singular=sg, status=s,
@@ -105,17 +107,16 @@ def classify_mesh(topology: MeshTopology, tol: Tolerances = Tolerances()):
                      conditioning=(1.0 + 1.0 / v if s == EVEN else
                                    1.0 if s in (SINGULAR, ODD) else None))
         for z, (t, sg, s, n, bd, i, v) in enumerate(zip(
-            th.tolist(), singular.tolist(), status.tolist(),
+            th.tolist(), singular.tolist(), status,
             fans.degree.tolist(), fans.boundary.tolist(), best.tolist(),
             value.tolist()))]
     sigma_i = int(np.count_nonzero(singular & ~fans.boundary))
     sigma_b = int(np.count_nonzero(singular & fans.boundary))
     summary = {
-        "counts": dict(Counter(status.tolist())),
+        "counts": dict(Counter(status)),
         "sigma": sigma_i + sigma_b,
         "sigma_i": sigma_i,
         "sigma_b": sigma_b,
-        "n_local_interpolating": int(np.count_nonzero(
-            np.isin(status, [SINGULAR, ODD, EVEN]))),
+        "n_local_interpolating": int(np.count_nonzero(local)),
     }
     return reports, summary

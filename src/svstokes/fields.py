@@ -59,6 +59,13 @@ _DIV_REACH = _DIV.reshape(len(poly.MONO2), 3, -1).sum(axis=2)
 _MEAN_REACH = float((poly.INT2_UNIT @ _DIV_REACH)[0])
 
 
+def _reach(grads):
+    """sum_s g_s and sum_s g_s + 2 g_v (..., 3) of hat gradients (..., 3, 2)"""
+    g = np.abs(grads[..., 0]) + np.abs(grads[..., 1])
+    g_sum = g[..., 0] + g[..., 1] + g[..., 2]
+    return g_sum, g_sum[..., None] + 2.0 * g
+
+
 def _div_coeffs(grads, coeffs):
     """Degree-2 divergence coefficients, shape (..., 6), of vector cubics
     with coefficients (..., 2, 10) on triangles with hat gradients
@@ -570,11 +577,12 @@ def _spilling_block(topology, table, coeffs, far):
     vertex away from the patch centers."""
     tris, rows = _sorted_rows(topology, table, coeffs)
     verts = topology.mesh.triangles[tris]                        # (G, N, 3)
-    vals = _div_coeffs(topology.hat_grads[tris][:, None],
-                       rows)[..., poly.VERTEX2]                  # (G, S, N, 3)
-    tol = 1e-12 * np.maximum(np.abs(rows).max(axis=(2, 3, 4),
-                                              initial=0.0), 1e-30)
-    keep = ~(np.abs(vals) <= tol[..., None, None]) \
+    grads = topology.hat_grads[tris]
+    vals = _div_coeffs(grads[:, None], rows)[..., poly.VERTEX2]  # (G, S, N, 3)
+    # negligible up to 1e-12 times the field's largest coefficient times
+    # the reach of the row's terms, which scale as a divergence does
+    cmax = np.abs(rows).max(axis=(2, 3, 4), initial=0.0)[..., None, None]
+    keep = ~(np.abs(vals) <= 1e-12 * cmax * _reach(grads)[1][:, None]) \
         & (verts == np.asarray(far)[:, None, None])[:, None]
     g, s, j, slot = np.nonzero(keep)
     return (_rows_block(topology, tris[:, None], rows),
@@ -784,8 +792,7 @@ def _verify_range(topo, first, F, owner, ts, coeffs, expected):
     # large, that roundoff outgrows dtol.  cmax times the reach of a row's
     # terms (see _DIV_REACH) bounds them; a vertex divergence or a
     # triangle mean passes within RTOL of the larger of the two.
-    g = np.abs(hat_grads[..., 0]) + np.abs(hat_grads[..., 1])  # (R, 3)
-    g_sum = g[:, 0] + g[:, 1] + g[:, 2]
+    g_sum, v_reach = _reach(hat_grads)
     scale = RTOL * cmax[owner]
 
     # trace continuity / zero boundary trace: the twin side of a support
@@ -823,8 +830,7 @@ def _verify_range(topo, first, F, owner, ts, coeffs, expected):
     np.fmax.at(worst_div, e_owner[left], np.abs(e_val[left]))
     outside = left & (np.abs(e_val) > dtol[e_owner])
     missing = np.bincount(e_owner[outside], minlength=F) > 0
-    vtol = np.maximum(dtol[owner, None],
-                      scale[:, None] * (g_sum[:, None] + 2.0 * g))
+    vtol = np.maximum(dtol[owner, None], scale[:, None] * v_reach)
     off = np.bincount(owner[(dev > vtol).any(axis=1)], minlength=F) > 0
     ok_div = ~off & ~missing
 

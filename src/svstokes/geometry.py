@@ -17,8 +17,8 @@ def triangle_geometry(p0, p1, p2):
     ValueError on a zero-area triangle.
     """
     pts = np.stack([np.asarray(p, dtype=float) for p in (p0, p1, p2)], axis=-2)
-    u = np.roll(pts, -1, axis=-2) - pts
-    v = np.roll(pts, -2, axis=-2) - pts
+    u = pts[..., [1, 2, 0], :] - pts
+    v = pts[..., [2, 0, 1], :] - pts
     cross = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
     if np.any(cross == 0.0):
         raise ValueError("degenerate triangle")

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -52,9 +53,13 @@ class Triangulation:
             raise MeshError("triangle vertex index out of range")
         if not np.isfinite(v).all():
             raise MeshError("vertex coordinates must be finite")
-        key = np.sort(t, axis=1)
-        _, first, inverse = np.unique(key, axis=0, return_index=True,
-                                      return_inverse=True)
+        # per triangle, the three checks in the order they are reported; a
+        # duplicate's sorted key equals the one before it in a stable sort
+        key, bad = np.sort(t, axis=1), np.zeros((len(t), 3), dtype=bool)
+        bad[:, 0] = (key[:, 0] == key[:, 1]) | (key[:, 1] == key[:, 2])
+        order = np.lexsort(key.T[::-1])
+        ranked = key[order]
+        bad[order[1:], 1] = (ranked[1:] == ranked[:-1]).all(axis=1)
         # Beyond about 1e154 the squares overflow, and below about 1e-162
         # the squared diameter rounds to 0: the degeneracy test and every
         # later stage would read inf or 0, so the scale itself is the error.
@@ -68,12 +73,7 @@ class Triangulation:
             raise MeshError(f"length scale {diam:.3g} is out of range: the "
                             f"squared diameter underflows")
         flip, area = area < 0, np.abs(area)
-        # per triangle, the three checks in the order they are reported
-        bad = np.stack([
-            (key[:, 0] == key[:, 1]) | (key[:, 1] == key[:, 2]),
-            first[inverse.reshape(-1)] != np.arange(len(t)),
-            area <= DEGENERACY_RATIO * diam * diam,
-        ], axis=1)
+        bad[:, 2] = area <= DEGENERACY_RATIO * diam * diam
         if bad.any():
             i = int(np.argmax(bad.any(axis=1)))
             raise MeshError(("triangle {} has repeated vertices",
@@ -101,7 +101,7 @@ class Triangulation:
         sides = self.sides
         # Each check names the first offending edge in the order the
         # triangle sides first reach it.
-        order = np.argsort(sides.first)
+        order = sides.first.argsort()
         count = sides.count[order]
         shared = order[count > 2]
         if len(shared):
@@ -113,7 +113,7 @@ class Triangulation:
         first = sides.first[order[count == 2]]
         other = sides.twin.ravel()[first]
         start = self.triangles.ravel()
-        same = np.flatnonzero(start[first] == start[other])
+        same = (start[first] == start[other]).nonzero()[0]
         if len(same):
             t, u = first[same[0]] // 3, other[same[0]] // 3
             a, b = sides.edges[order[count == 2][same[0]]]
@@ -122,7 +122,7 @@ class Triangulation:
         # T-junction check: no vertex may lie strictly inside a boundary edge
         # (projection parameter s in (0, 1), cross product at roundoff).
         boundary = order[count == 1]
-        used = np.unique(self.triangles)
+        used = np.bincount(self.triangles.ravel()).nonzero()[0]
         r_all = self.vertices[used]
         step = max(1, (1 << 18) // max(len(used), 1))  # ~2**18 pairs a block
         for lo in range(0, len(boundary), step):
@@ -144,7 +144,7 @@ class Triangulation:
         # label, until nothing changes; connected iff all labels reach 0.
         label, old = np.arange(self.num_triangles), None
         across = np.where(sides.twin >= 0, sides.twin // 3, label[:, None])
-        while not np.array_equal(label, old):
+        while old is None or (label != old).any():
             old, low = label, np.minimum(label, label[across].min(axis=1))
             label = low[low]
         if label.any():
@@ -167,22 +167,28 @@ class SideTable:
 
 def side_table(triangles, num_vertices) -> SideTable:
     """Derive the edges, the edge of each side, the edge multiplicities and
-    the half-edge twins with one ``np.unique`` over the side keys
-    ``min(a, b) V + max(a, b)``."""
+    the half-edge twins from one stable sort of the side keys
+    ``min(a, b) V + max(a, b)``: a run of equal keys is an edge, its first
+    entry the edge's first side, and a run of two holds two twins."""
     tris = np.asarray(triangles, dtype=np.int64)
-    a, b = tris.ravel(), np.roll(tris, -1, axis=1).ravel()
+    a, b = tris.ravel(), tris[:, [1, 2, 0]].ravel()
     keys = np.minimum(a, b) * num_vertices + np.maximum(a, b)
-    uniq, first, inverse, count = np.unique(
-        keys, return_index=True, return_inverse=True, return_counts=True)
-    # the two sides of an edge: each one is their index sum minus itself
-    side = np.arange(len(keys))
-    pair_sum = np.zeros(len(uniq), dtype=np.int64)
-    np.add.at(pair_sum, inverse, side)
-    twin = np.where(count[inverse] == 2, pair_sum[inverse] - side, -1)
+    order = keys.argsort(kind="stable")
+    ranked = keys[order]
+    # the start of every run and the end of the last
+    new = np.concatenate([[True], ranked[1:] != ranked[:-1], [True]])
+    bounds = new.nonzero()[0]
+    start, count = bounds[:-1], bounds[1:] - bounds[:-1]
+    tri_edges = np.empty_like(order)
+    tri_edges[order] = new[:-1].cumsum() - 1
+    twin = np.full(len(keys), -1)
+    pair = start[count == 2]
+    twin[order[pair]], twin[order[pair + 1]] = order[pair + 1], order[pair]
+    uniq = ranked[start]
     table = SideTable(
         edges=np.stack([uniq // num_vertices, uniq % num_vertices], axis=1),
-        tri_edges=inverse.reshape(tris.shape), count=count, first=first,
-        twin=twin.reshape(tris.shape))
+        tri_edges=tri_edges.reshape(tris.shape), count=count,
+        first=order[start], twin=twin.reshape(tris.shape))
     for arr in vars(table).values():
         arr.setflags(write=False)
     return table
@@ -193,28 +199,27 @@ def load_mesh(text: str) -> Triangulation:
 
     Format: ``vertices N`` followed by N ``x y`` lines, then
     ``triangles M`` followed by M ``i j k`` lines (0-based indices).
-    ``#``-prefixed lines are comments.
+    ``#``-prefixed lines are comments.  An error names the first offending
+    line; the checks of a line run in the order field count, number, value.
     """
-    tokens = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens.append((lineno, line.split()))
-
+    # the number and the fields of every line that is not blank or a comment
+    rows = [(lineno, fields) for lineno, fields
+            in enumerate(map(str.split, text.splitlines()), start=1)
+            if fields and fields[0][0] != "#"]
     pos = 0
 
-    def take(what):
+    def block(header, what, item, width, convert, messages, valid):
+        """The numbers of the n lines after the line ``header``, converted
+        in one pass and checked by ``valid`` as one list (a line's list on
+        failure); the count is checked before anything is allocated."""
         nonlocal pos
-        if pos >= len(tokens):
-            raise MeshFormatError(f"unexpected end of file, expected {what}")
-        item = tokens[pos]
+        if pos == len(rows):
+            raise MeshFormatError(f"unexpected end of file, expected "
+                                  f"'{header}'")
+        lineno, fields = rows[pos]
         pos += 1
-        return item
-
-    def count(fields, lineno, what, item):
-        """The count of a header line, checked before anything is
-        allocated for it: one line per item must follow."""
+        if len(fields) != 2 or fields[0] != header.split()[0]:
+            raise MeshFormatError(f"expected '{header}'", lineno)
         try:
             n = int(fields[1])
         except ValueError:
@@ -222,51 +227,45 @@ def load_mesh(text: str) -> Triangulation:
                                   lineno) from None
         if n < 0:
             raise MeshFormatError(f"{what} count is negative", lineno)
-        if n > len(tokens) - pos:
+        if n > len(rows) - pos:
             raise MeshFormatError(
                 f"unexpected end of file, expected {item}", lineno)
-        return n
-
-    lineno, fields = take("'vertices N'")
-    if len(fields) != 2 or fields[0] != "vertices":
-        raise MeshFormatError("expected 'vertices N'", lineno)
-    nv = count(fields, lineno, "vertex", "vertex coordinates")
-    verts = np.empty((nv, 2))
-    for i in range(nv):
-        lineno, fields = take("vertex coordinates")
-        if len(fields) != 2:
-            raise MeshFormatError("expected 'x y'", lineno)
+        lines, fields = zip(*rows[pos:pos + n]) if n else ((), ())
+        pos += n
+        widths = list(map(len, fields))
+        stop = n if widths.count(width) == n else next(
+            i for i, w in enumerate(widths) if w != width)
+        error, values = messages[0], []
         try:
-            x, y = float(fields[0]), float(fields[1])
+            values.extend(map(convert, chain.from_iterable(fields[:stop])))
         except ValueError:
-            raise MeshFormatError("bad coordinate", lineno) from None
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise MeshFormatError("coordinate is not a finite number",
-                                  lineno)
-        verts[i] = x, y
+            # extend keeps the numbers converted before the bad one
+            stop, error = len(values) // width, messages[1]
+        del values[stop * width:]
+        if not valid(values):
+            i = next(i for i in range(stop)
+                     if not valid(values[i * width:(i + 1) * width]))
+            raise MeshFormatError(messages[2].format(i), lines[i])
+        if stop < n:
+            raise MeshFormatError(error, lines[stop])
+        return values
 
-    lineno, fields = take("'triangles M'")
-    if len(fields) != 2 or fields[0] != "triangles":
-        raise MeshFormatError("expected 'triangles M'", lineno)
-    nt = count(fields, lineno, "triangle", "triangle indices")
-    tris = np.empty((nt, 3), dtype=np.int64)
-    for i in range(nt):
-        lineno, fields = take("triangle indices")
-        if len(fields) != 3:
-            raise MeshFormatError("expected 'i j k'", lineno)
-        try:
-            index = [int(f) for f in fields]
-        except ValueError:
-            raise MeshFormatError("bad vertex index", lineno) from None
-        # checked as Python integers, before an oversized one overflows
-        # the int64 row
-        if min(index) < 0 or max(index) >= nv:
-            raise MeshFormatError(
-                f"vertex index out of range in triangle {i}", lineno)
-        tris[i] = index
-    if pos != len(tokens):
-        raise MeshFormatError("trailing content", tokens[pos][0])
-    return Triangulation(verts, tris)
+    coords = block("vertices N", "vertex", "vertex coordinates", 2, float,
+                   ("expected 'x y'", "bad coordinate",
+                    "coordinate is not a finite number"),
+                   lambda x: all(map(math.isfinite, x)))
+    nv = len(coords) // 2
+    # the indices are compared as Python integers, before an oversized one
+    # overflows int64
+    index = block("triangles M", "triangle", "triangle indices", 3, int,
+                  ("expected 'i j k'", "bad vertex index",
+                   "vertex index out of range in triangle {}"),
+                  lambda i: min(i, default=0) >= 0
+                  and max(i, default=-1) < nv)
+    if pos != len(rows):
+        raise MeshFormatError("trailing content", rows[pos][0])
+    return Triangulation(np.array(coords).reshape(-1, 2),
+                         np.array(index, dtype=np.int64).reshape(-1, 3))
 
 
 def dump_mesh(mesh: Triangulation) -> str:
@@ -322,29 +321,27 @@ class MeshTopology:
 def build_topology(mesh: Triangulation) -> MeshTopology:
     """Read the edges, the edge of each triangle side (``tri_edges``) and
     the half-edge twins from the mesh's side table, and derive from it the
-    boundary flags, the hat gradients and corner angles and cotangents (one
+    boundary edges, the hat gradients and corner angles and cotangents (one
     batched computation each) and the vertex fans (one ``enumerate_patch``
-    call); the triangle areas are the mesh's own.
+    call), whose open fans are the boundary vertices; the triangle areas
+    are the mesh's own.
 
     Raises MeshError when a vertex has no triangles or a non-manifold
     (pinched) patch.
     """
     sides = mesh.sides
     edges = sides.edges
-    boundary_edge = sides.count == 1
-    boundary_vertex = np.zeros(mesh.num_vertices, dtype=bool)
-    boundary_vertex[edges[boundary_edge]] = True
     pts = mesh.vertices[mesh.triangles]
     hat_grads = hat_gradients(pts[:, 0], pts[:, 1], pts[:, 2])
     angle, cot = triangle_geometry(pts[:, 0], pts[:, 1], pts[:, 2])
     for a in (hat_grads, angle, cot):
         a.setflags(write=False)
+    fans = enumerate_patch(mesh, angle, cot)
     return MeshTopology(
         mesh=mesh, edges=edges, tri_edges=sides.tri_edges, twin=sides.twin,
-        boundary_edge=boundary_edge, boundary_vertex=boundary_vertex,
+        boundary_edge=sides.count == 1, boundary_vertex=fans.boundary,
         euler_ok=(mesh.num_triangles - len(edges) + mesh.num_vertices == 1),
-        area=mesh.area, hat_grads=hat_grads, angle=angle, cot=cot,
-        fans=enumerate_patch(mesh, angle, cot))
+        area=mesh.area, hat_grads=hat_grads, angle=angle, cot=cot, fans=fans)
 
 
 @dataclass(frozen=True)
@@ -412,108 +409,122 @@ def enumerate_patch(mesh: Triangulation, angle, cot) -> FanTable:
     every corner, with its angle-pair sine and edge weight, and the patch
     coefficients of every interior fan from the corner cotangents ``cot``
     (T, 3) and the mesh's triangle areas (``build_topology`` makes this one
-    call).  The corner of z after corner
-    ``3 t + s`` is ``twin[t, (s + 2) % 3]``, across the side ending at z.
-    An interior fan starts at its triangle with the smallest index, a
-    boundary fan at the corner whose side ``s`` has no twin, so that it
-    ends on the other boundary edge.  Every fan takes its k-th step at
-    once.  Raises MeshError for the first vertex with no triangles or a
-    pinched patch (``Triangulation`` has already rejected overlapping
-    triangles)."""
+    call).  The corner of z after corner ``3 t + s`` is
+    ``twin[t, (s + 2) % 3]``, across the side ending at z.  An interior
+    fan starts at its triangle with the smallest index, a boundary fan at
+    the corner whose side ``s`` has no twin, so that it ends on the other
+    boundary edge.  Every fan takes its k-th step at once.  Raises
+    MeshError for the first vertex with no triangles or a pinched patch
+    (``Triangulation`` has already rejected overlapping triangles)."""
     V, tris = mesh.num_vertices, mesh.triangles
     vertex = tris.ravel()                  # the start of each side
     twin, n = mesh.sides.twin.ravel(), len(vertex)
+    corner = np.arange(n)
     deg = np.bincount(vertex, minlength=V)
-    offset = np.concatenate([[0], np.cumsum(deg)])
-    opened = np.flatnonzero(twin < 0)           # side s leaves the fan open
-    n_open = np.bincount(vertex[opened], minlength=V)
+    offset = np.concatenate([[0], deg.cumsum()])
+    opened = (twin < 0).nonzero()[0]            # side s leaves the fan open
+    open_at = vertex[opened]
+    n_open = np.bincount(open_at, minlength=V)
     start = np.full(V, n)
-    np.minimum.at(start, vertex, np.arange(n))
-    start[vertex[opened]] = opened
+    np.minimum.at(start, vertex, corner)
+    start[open_at] = opened
     nxt = mesh.sides.twin[:, [2, 0, 1]].ravel()
-    order, broken = np.empty(n, dtype=np.int64), np.zeros(V, dtype=bool)
-    z = np.flatnonzero(deg)
-    cur = start[z]
-    for k in range(int(deg.max(initial=0))):
-        order[offset[z] + k] = cur
-        cur = nxt[cur]
-        # a fan that opens or closes before its last corner is one of two
-        more = deg[z] > k + 1
-        early = more & ((cur < 0) | (cur == start[z]))
-        broken[z[early]] = True
-        z, cur = z[more & ~early], cur[more & ~early]
-    error = np.select([deg == 0, (n_open > 1) | broken], [1, 2])
-    if error.any():
-        z = int(np.argmax(error > 0))
-        raise MeshError(("vertex {} has no incident triangles",
-                         "non-manifold (pinched) patch at vertex {}")
-                        [error[z] - 1].format(z))
+    # every fan's walk, one column, one row a step, to the largest valence
+    z = deg.nonzero()[0]
+    walk = np.empty((int(deg.max(initial=1)), len(z)), dtype=np.int64)
+    walk[0] = start[z]
+    for k in range(1, len(walk)):
+        walk[k] = nxt[walk[k - 1]]
+    inside = np.arange(len(walk))[:, None] < deg[z]
+    # a fan that opens or closes before its last corner is one of two
+    bad = (deg == 0) | (n_open > 1)
+    bad[z] |= (inside[1:] & ((walk[1:] < 0) | (walk[1:] == walk[0]))).any(0)
+    if bad.any():
+        z = int(np.argmax(bad))
+        raise MeshError(("non-manifold (pinched) patch at vertex {}"
+                         if deg[z] else "vertex {} has no incident triangles")
+                        .format(z))
+    order = walk.T[inside.T]
     boundary = n_open > 0
-    center = np.repeat(np.arange(V), deg)
-    position = np.arange(n) - offset[center]
+    center = np.arange(V).repeat(deg)
+    first = offset[center]
+    position = corner - first
     tri, slot = np.divmod(order, 3)
     far = tris[tri, (slot + 2) % 3]
-    vec = mesh.vertices[far] - mesh.vertices[center]
+    y = mesh.vertices[far]                              # y_{j+1}
+    vec = y - mesh.vertices[center]
     edge_len = np.hypot(vec[:, 0], vec[:, 1])
     tangent = vec / edge_len[:, None]
     theta, corner_cot = angle.ravel()[order], cot.ravel()[order]
     # the next corner, cyclic; the last corner of a boundary fan has none
     last = position == deg[center] - 1
-    succ = np.where(last, offset[center], np.arange(n) + 1)
-    open_end = last & boundary[center]
+    succ = np.where(last, first, corner + 1)
+    fan_open = boundary[center]
+    open_end = last & fan_open
     pair_sin = np.where(open_end, np.nan, np.sin(theta + theta[succ]))
     weight = np.where(open_end, np.nan, corner_cot + corner_cot[succ])
-    b, c, d = (np.full((n, 2), np.nan) for _ in range(3))
-    d0, D, h_z = np.full(n, np.nan), np.full((V, 3), np.nan), np.full(V, np.nan)
-    # The elementwise parts run once over every interior corner k, with
-    # prev[k] the corner before it in its fan, cyclic.  Elementwise
+    # The patch coefficients run over every corner, prev the one before it
+    # in its fan (cyclic), and are NaN on a boundary fan.  Elementwise
     # operations only, no BLAS dot, whose rounding depends on the kernel:
     # the NotLI decision values are roundoff, and ties between equal |D_i|
     # must not move.
-    k = np.flatnonzero(~boundary[center])
-    prev = np.empty(n, dtype=np.int64)
-    prev[succ] = np.arange(n)                   # succ is a permutation
-    prev = prev[k]
-    y = mesh.vertices[far]                              # y_{j+1}
+    prev = succ.argsort()                       # succ is a permutation
     # |e_{j+1}|^2 by libm pow, as the scalar ``edge_len ** 2`` of the
     # formula rounds it; the product edge_len * edge_len differs from it in
     # the last bit about once in a thousand
     elen2 = np.float_power(edge_len, 2)
     # -(dy . e_i^perp) is -dy_y for i = 1 and dy_x for i = 2
-    b[k] = (y[k] - y[prev])[:, ::-1] * np.array([-1.0, 1.0]) / 3.0
+    b = (y - y[prev])[:, ::-1] * np.array([-1.0, 1.0]) / 3.0
+    b[fan_open] = np.nan
     # Near the bottom of the double range elen2 underflows and its inverse
     # overflows: d0 is then not finite, and so is the decision that reads
     # it (classify_mesh rejects the mesh)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         inv = 1.0 / elen2
-        d0[k] = corner_cot[k] * (inv[k] - inv[prev])
-    # One block per interior valence m, each fan a row: its cumsum and its
-    # alternating sums run over one contiguous row, so every entry has the
-    # bits of the fan's formula on its own.
-    blocks = []
-    for m in np.unique(deg[~boundary]):
-        zs = np.flatnonzero(~boundary & (deg == m))
-        km = offset[zs, None] + np.arange(m)            # corner j of each fan
-        # the patch diameter over z and the far ends, which include every
-        # near end
-        pts = np.concatenate([y[km], mesh.vertices[zs, None]], axis=1)
-        diff = pts[:, :, None] - pts[:, None, :]
-        h_z[zs] = np.hypot(diff[..., 0], diff[..., 1]).max(axis=(1, 2))
-        c[km] = np.cumsum(b[km], axis=1)
-        blocks.append((zs, km))
+        d0 = corner_cot * (inv - inv[prev])
+    d0[fan_open] = np.nan
+    c = np.full((n, 2), np.nan)
+    D, h_z = np.full((V, 3), np.nan), np.full(V, np.nan)
+    # Each interior fan is a row of its corners, padded to the largest
+    # valence by repeating the last: its prefix sums run along the row.
+    zi = (~boundary).nonzero()[0]
+    deg_i = deg[zi]
+    j = np.arange(deg_i.max(initial=0))
+    valid = j < deg_i[:, None]
+    km = offset[zi, None] + np.minimum(j, deg_i[:, None] - 1)
+    c[~fan_open] = b[km.T].cumsum(axis=0).transpose(1, 0, 2)[valid]
     ce = c / elen2[:, None]
-    d[k] = (3.0 * b[k] / mesh.area[tri[k]][:, None]
-            - 12.0 * corner_cot[k][:, None] * (ce[k] - ce[prev]))
-    coeffs = np.stack([d0, d[:, 0], d[:, 1]])            # (3, 3T)
-    # Near the ends of the double range a sum can overflow, at a vertex
-    # whose D no decision reads (the even-valence check rejects one that
-    # is read and not finite)
+    d = (3.0 * b / mesh.area[tri][:, None]
+         - 12.0 * corner_cot[:, None] * (ce - ce[prev]))
+    coeffs = np.concatenate([d0[None], d.T])            # (3, 3T)
+    # The rows by valence.  h_z, the largest spoke or distance between two
+    # far ends (the near ends among them), is a maximum, which repeats do
+    # not move: blocks of about 2**18 far-end pairs, each padded only to
+    # its own largest valence.
+    by = deg_i.argsort(kind="stable")
+    zi, deg_i, km, valid = zi[by], deg_i[by], km[by], valid[by]
+    step = max(1, (1 << 18) // max(len(j), 1) ** 2)
+    for lo in range(0, len(zi), step):
+        g = slice(lo, lo + step)
+        ends = y[km[g, :deg_i[g][-1]]]
+        gap = ends[:, :, None] - ends[:, None, :]
+        h_z[zi[g]] = np.maximum(np.hypot(gap[..., 0], gap[..., 1]).max(
+            axis=(1, 2)), edge_len[km[g]].max(axis=1))
+    # D sums one block per valence m, the terms times (-1)^(j+1) laid out
+    # contiguously by np.take: numpy sums a contiguous row of 8 or more
+    # terms pairwise, so a padded or strided row would move their bits.
+    # A sum can overflow near the ends of the double range, where no
+    # decision reads D (the even-valence check rejects one that is read).
+    terms = (np.take(coeffs, km[valid], axis=1)
+             * np.where(j % 2 == 1, 1.0, -1.0)[valid.nonzero()[1]])
+    counts = np.bincount(deg_i)
+    sums, lo = [np.empty((3, 0))], 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for zs, km in blocks:
-            # (-1)^(j+1); np.take lays the rows out contiguously, as the
-            # sums need
-            signs = np.where(np.arange(km.shape[1]) % 2 == 1, 1.0, -1.0)
-            D[zs] = np.sum(signs * np.take(coeffs, km, axis=1), axis=2).T
+        for m in counts.nonzero()[0]:
+            hi = lo + counts[m] * m
+            sums.append(terms[:, lo:hi].reshape(3, -1, m).sum(axis=2))
+            lo = hi
+    D[zi] = np.concatenate(sums, axis=1).T
     table = FanTable(
         offset=offset, degree=deg, center=center, position=position,
         tri=tri, slot=slot, theta=theta, boundary=boundary, far=far, vec=vec,

@@ -525,6 +525,89 @@ def test_gram_overflow_near_the_range_end_is_one_error_line(tmp_path, capsys,
     assert not out.exists()
 
 
+# every warning is an error here: the field suites must not overflow
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("preset", [("crossed", "--n", "3"),
+                                    ("type1", "--n", "3"),
+                                    ("perturbed-grid", "--n", "3", "--seed",
+                                     "1")], ids=["crossed-3", "type1-3",
+                                                 "perturbed-3-s1"])
+def test_field_suites_across_length_scales(tmp_path, capsys, preset):
+    """verify-fields passes at every --L 10^e, e = -150 ... 80: exit 0,
+    "overall: pass" and nothing on stderr.  A boundary field's spill is
+    dropped only below 1e-12 times its largest coefficient times the reach
+    of its row's hat gradients, a bound that scales as a divergence does;
+    a bound of 1e-12 times the coefficient alone dropped real spills from
+    10^10 or 10^12 up (exit 4).  No FieldRangeError applies on this grid:
+    the nearest, perturbed-3-s1 at 1e-154, is pinned by
+    test_gram_overflow_near_the_range_end_is_one_error_line."""
+    out = tmp_path / "fields.txt"
+    for e in range(-150, 81, 10):
+        path = _gen(tmp_path, *preset, "--L", f"1e{e}")
+        capsys.readouterr()
+        code = main(["verify-fields", "--mesh", str(path), "--samples", "2",
+                     "--seed", "0", "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (EXIT_OK, ""), e
+        assert out.read_text().endswith("overall: pass\n"), e
+
+
+# the five kinds of malformed line, each as (block, text, message): a
+# vertex line, a triangle line, or a line after the triangle block
+MALFORMED = {
+    "field count": [("vertices", "0 0 0", "expected 'x y'"),
+                    ("triangles", "0 1", "expected 'i j k'")],
+    "bad number": [("vertices", "0 zz", "bad coordinate"),
+                   ("triangles", "0 zz 2", "bad vertex index")],
+    "non-finite coordinate": [("vertices", "nan 0",
+                               "coordinate is not a finite number")],
+    "index out of range": [("triangles", "0 1 99",
+                            "vertex index out of range in triangle 0")],
+    "trailing content": [("after", "0 0", "trailing content")],
+}
+
+
+def _malformed_pairs():
+    """Every placement of two malformed lines of different kinds, the
+    first on an earlier line: in the vertex block, the triangle block or
+    after it, and within one block on its first and last line."""
+    order = ["vertices", "triangles", "after"]
+    for first, second in ((a, b) for a in MALFORMED for b in MALFORMED
+                          if a != b):
+        for one in MALFORMED[first]:
+            for two in MALFORMED[second]:
+                if order.index(one[0]) <= order.index(two[0]) \
+                        and one[0] != "after":
+                    yield pytest.param(one, two, id=f"{first}-{second}-"
+                                       f"{one[0]}-{two[0]}")
+
+
+@pytest.mark.parametrize("one,two", _malformed_pairs())
+def test_parser_names_the_earlier_of_two_malformed_lines(tmp_path, capsys,
+                                                         one, two):
+    """A file with two malformed lines of different kinds is an input
+    error (exit 2) naming the earlier line, with its own message, whatever
+    the kind of the later one."""
+    blocks = {"vertices": ["0 0", "1 0", "1 1", "0 1"],
+              "triangles": ["0 1 2", "0 2 3"], "after": []}
+    # the first malformed line opens its block, the second closes its own
+    blocks[two[0]][-1:] = [two[1]] if two[0] != "after" else ["", two[1]]
+    blocks[one[0]][0] = one[1]
+    lines = (["# two malformed lines", "vertices 4", *blocks["vertices"],
+              "triangles 2", *blocks["triangles"], *blocks["after"]])
+    path = tmp_path / "bad.mesh"
+    path.write_text("\n".join(lines) + "\n")
+    # the first line of the vertex or the triangle block
+    line = 3 if one[0] == "vertices" else 8
+    message = f"line {line}: {one[2]}"
+    with pytest.raises(mesh.MeshFormatError) as exc:
+        load_mesh(path.read_text())
+    assert str(exc.value) == message
+    assert main(["analyze", "--mesh", str(path), "--out",
+                 str(tmp_path / "out")]) == EXIT_INPUT
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # every warning is an error here: the squared edge lengths over- or
 # underflow, silenced where they arise
 @pytest.mark.filterwarnings("error")

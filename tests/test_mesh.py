@@ -79,6 +79,100 @@ def test_load_rejects_an_index_beyond_int64(index):
     assert str(exc.value) == "line 6: vertex index out of range in triangle 0"
 
 
+def _loop_load_mesh(text):
+    """The per-line oracle of ``load_mesh``: one line at a time, each
+    checked as it is read; the vertex and triangle arrays, or the message
+    of the first error."""
+    rows = [(n, line.split()) for n, line in
+            enumerate(text.splitlines(), start=1)
+            if line.strip() and not line.strip().startswith("#")]
+    out = []
+    for header, what, item, width, convert, shape, bad, form in (
+            ("vertices N", "vertex", "vertex coordinates", 2, float,
+             "expected 'x y'", "bad coordinate",
+             "coordinate is not a finite number"),
+            ("triangles M", "triangle", "triangle indices", 3, int,
+             "expected 'i j k'", "bad vertex index",
+             "vertex index out of range in triangle {}")):
+        if not rows:
+            return f"unexpected end of file, expected '{header}'"
+        lineno, fields = rows.pop(0)
+        if len(fields) != 2 or fields[0] != header.split()[0]:
+            return f"line {lineno}: expected '{header}'"
+        try:
+            n = int(fields[1])
+        except ValueError:
+            return f"line {lineno}: {what} count is not an integer"
+        if n < 0:
+            return f"line {lineno}: {what} count is negative"
+        if n > len(rows):
+            return f"line {lineno}: unexpected end of file, expected {item}"
+        block = []
+        for i in range(n):
+            lineno, fields = rows.pop(0)
+            if len(fields) != width:
+                return f"line {lineno}: {shape}"
+            try:
+                values = [convert(f) for f in fields]
+            except ValueError:
+                return f"line {lineno}: {bad}"
+            if (not all(np.isfinite(values)) if width == 2 else
+                    not all(0 <= k < len(out[0]) for k in values)):
+                return f"line {lineno}: {form.format(i)}"
+            block.append(values)
+        out.append(block)
+    if rows:
+        return f"line {rows[0][0]}: trailing content"
+    return (np.array(out[0], dtype=float).reshape(-1, 2),
+            np.array(out[1], dtype=np.int64).reshape(-1, 3))
+
+
+_TOKENS = ["0", "1", "2", "3", "-1", "9", "0.5", "1e3", "1_0", "+2", "zz",
+           "nan", "inf", "-inf", "1e999", "99999999999999999999999", "#",
+           "# c", "vertices", "triangles", "vertices 2", "0 0", "0 1 2", ""]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 3),
+                          st.sampled_from(_TOKENS)), max_size=4))
+@example([(5, 0, "nan"), (9, 1, "9")])
+@example([(3, 1, "1e999"), (4, 3, "0 0")])
+def test_load_mesh_equals_its_per_line_loop(edits):
+    """On a two-triangle file with up to four lines edited (a token
+    replaced, a token added, a line replaced or a line inserted), the
+    block parser gives the per-line loop's mesh or its first message."""
+    lines = TWO_TRI.splitlines()
+    for row, op, token in edits:
+        row = min(row, len(lines) - 1)
+        fields = lines[row].split()
+        if op == 0 and fields:
+            fields[row % len(fields)] = token
+            lines[row] = " ".join(fields)
+        elif op == 1:
+            lines[row] += " " + token
+        elif op == 2:
+            lines[row] = token
+        else:
+            lines.insert(row, token)
+    text = "\n".join(lines) + "\n"
+    want = _loop_load_mesh(text)
+    if isinstance(want, str):
+        with pytest.raises(MeshFormatError) as exc:
+            load_mesh(text)
+        assert str(exc.value) == want
+        return
+    try:
+        mesh = Triangulation(*want)
+    except MeshError as exc:
+        with pytest.raises(MeshError) as again:
+            load_mesh(text)
+        assert str(again.value) == str(exc)
+        return
+    got = load_mesh(text)
+    assert got.vertices.tobytes() == mesh.vertices.tobytes()
+    assert got.triangles.tobytes() == mesh.triangles.tobytes()
+
+
 @pytest.mark.parametrize("vertices", [np.zeros((0, 2)), np.eye(2)])
 def test_mesh_without_triangles_rejected(vertices):
     with pytest.raises(MeshError, match="no triangles"):
