@@ -99,17 +99,20 @@ def classify_mesh(topology: MeshTopology, tol: Tolerances = Tolerances()):
     status = np.where(singular, SINGULAR, np.where(
         fans.boundary, BOUNDARY, np.where(odd, ODD, np.where(
             local, EVEN, NOT_LI)))).tolist()
-    reports = [
-        VertexReport(vertex=z, valence=n, boundary=bd, theta_value=t,
-                     singular=sg, status=s,
-                     even_index=i if s == EVEN else None,
-                     decision_value=v if s in (EVEN, NOT_LI) else None,
-                     conditioning=(1.0 + 1.0 / v if s == EVEN else
-                                   1.0 if s in (SINGULAR, ODD) else None))
-        for z, (t, sg, s, n, bd, i, v) in enumerate(zip(
-            th.tolist(), singular.tolist(), status,
-            fans.degree.tolist(), fans.boundary.tolist(), best.tolist(),
-            value.tolist()))]
+    # Each report's fields go into its instance dict at once: the frozen
+    # __init__ would set them one by one through object.__setattr__.
+    reports = []
+    for z, (t, sg, s, n, bd, i, v) in enumerate(zip(
+            th.tolist(), singular.tolist(), status, fans.degree.tolist(),
+            fans.boundary.tolist(), best.tolist(), value.tolist())):
+        r = object.__new__(VertexReport)
+        r.__dict__.update(
+            vertex=z, valence=n, boundary=bd, theta_value=t, singular=sg,
+            status=s, even_index=i if s == EVEN else None,
+            decision_value=v if s in (EVEN, NOT_LI) else None,
+            conditioning=(1.0 + 1.0 / v if s == EVEN else
+                          1.0 if s in (SINGULAR, ODD) else None))
+        reports.append(r)
     sigma_i = int(np.count_nonzero(singular & ~fans.boundary))
     sigma_b = int(np.count_nonzero(singular & fans.boundary))
     summary = {

@@ -345,8 +345,8 @@ def render_svg(mesh: Triangulation, report: dict, modes,
 
 def _suite_fields(topology, group, targets):
     """Yield (vertices, FieldBlock, expected VertexValues) for the fields
-    of a group of verified vertices that share (boundary, status), with
-    their targets (G, S, N) padded with zeros to the largest valence N:
+    of a group of verified vertices, all interior or all on the boundary,
+    with their targets (G, S, N) padded with zeros to the largest valence N:
     field f of a block is the field of a target at vertex ``vertices[f]``,
     and the expected values are the targets at the centers and the spills
     of the fields.  The group is one interpolant call; when it raises
@@ -382,13 +382,13 @@ def _suite_fields(topology, group, targets):
         *map(np.concatenate, zip(center, side)))
 
 
-# Fields per interpolant call of the suites: the vertices of a class are
-# interpolated in calls of at most this many fields, whose edge tables and
-# contractions take memory in proportion.  Every benchmark mesh (at most
-# 20 vertices of one class, 40 fields at two samples) takes one call per
-# class.  At crossed(32) with two samples (classes of up to 1024
-# vertices) the peak RSS is 74.6 MiB at 64, 76.0 at 128, 79.9 at 256 and
-# 124 MiB with one call per class, at the same speed.
+# Fields per interpolant call of the suites: the vertices of a fan kind
+# are interpolated in calls of at most this many fields, whose edge tables
+# and contractions take memory in proportion.  Every benchmark mesh (at
+# most 25 vertices of one kind, 50 fields at two samples) takes one call
+# per kind.  At crossed(32) with two samples (1985 interior and 128
+# boundary vertices) the peak RSS of the whole run is 53.6 MiB at 64, 128
+# and 256 and 77.9 MiB with one call per kind, at about the same speed.
 SUITE_FIELDS = 64
 
 
@@ -433,11 +433,12 @@ def run_field_suites(mesh: Triangulation, tol: Tolerances, samples: int,
 
     Every vertex's targets are drawn in one call, vertex by vertex as
     (samples, N) blocks: the stream of one draw per vertex and sample.
-    The verified vertices of one class, (boundary, status), are sorted by
-    valence and interpolated together, in calls of at most SUITE_FIELDS
-    fields whose targets are padded to the call's largest valence; the
-    fields go straight into the suite's arrays, and one ``verify_field``
-    call checks the fields of every vertex."""
+    The verified vertices of one fan kind, interior or boundary, whatever
+    their class, are sorted by valence and interpolated together, in
+    calls of at most SUITE_FIELDS fields whose targets are padded to the
+    call's largest valence; the fields go straight into the suite's
+    arrays, and one ``verify_field`` call checks the fields of every
+    vertex."""
     if samples < 1:
         raise _InputError(f"--samples must be at least 1, got {samples}")
     if seed < 0:
@@ -446,11 +447,11 @@ def run_field_suites(mesh: Triangulation, tol: Tolerances, samples: int,
     reports, _ = classify_mesh(topology, tol)
     draws = _suite_targets(topology, reports, samples,
                            np.random.default_rng(seed))
-    # reports of the verified vertices, and by class
+    # reports of the verified vertices, and by fan kind
     verified = [r for r in reports if r.boundary or r.local_interpolating]
-    classes = {}
+    kinds = {}
     for r in verified:
-        classes.setdefault((r.boundary, r.status), []).append(r)
+        kinds.setdefault(r.boundary, []).append(r)
 
     # A field has at most N rows, and leaves at most 2 N side effects.
     rows = samples * sum(r.valence for r in verified)
@@ -465,7 +466,7 @@ def run_field_suites(mesh: Triangulation, tol: Tolerances, samples: int,
     step = max(SUITE_FIELDS // samples, 1)
     chunks = [group[lo:lo + step] for group in
               (sorted(group, key=lambda r: r.valence)
-               for group in classes.values())
+               for group in kinds.values())
               for lo in range(0, len(group), step)]
     for chunk in chunks:
         targets = _padded_targets(

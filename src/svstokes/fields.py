@@ -7,12 +7,18 @@ interpolant, and the edge transfer that moves vertex-divergence targets
 across one acceptable mesh edge (``trees.tree_interpolant`` composes
 them along the trees of a cover).  The table takes the ids of a group of
 vertices, all interior or all on the boundary, every construction their
-reports, of one class, with targets (G, S, N) padded with zeros to the
+reports, of any classes, with targets (G, S, N) padded with zeros to the
 group's largest valence N, and all read the vertex fans, with the
 d-coefficients of the even seeds, off the fan table ``topology.fans``.
-Every construction returns one FieldBlock of support rows, which
-verify_field checks, and, as VertexValues, the divergences its fields
-leave away from the patch centers (none for a local interpolant).
+Every member of a group goes through one chain contraction of the edge
+fields; only its seed differs by class: none at a singular vertex,
+whose telescoping weights are its rows of the chain table, the half
+alternating sum at an odd one, the corrector seed at an even one and
+the zero-edge-mean scalar at the straightest edge at a non-singular
+boundary one.  Every construction returns one FieldBlock of support
+rows, which verify_field checks, and, as VertexValues, the divergences
+its fields leave away from the patch centers (none for a local
+interpolant).
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import poly
-from .classify import ODD, SINGULAR, Tolerances
+from .classify import EVEN, ODD, Tolerances
 from .mesh import FanTable, MeshTopology
 
 
@@ -148,21 +154,21 @@ def center_divergences(topology: MeshTopology, coeffs, z: int):
 # Vertex groups
 #
 # Every construction takes a group of G vertices, all interior or all on
-# the boundary, of one class, and builds their fields in one array
+# the boundary, of any classes, and builds their fields in one array
 # program with a leading G axis.  The vertices may differ in valence: the
 # group's arrays run to its largest valence N, and the places of a vertex
 # past its own valence n are zero (a padding corner repeats its last
 # corner, so every gather stays finite).  Every sum runs across the
-# padded axis in order (``_combine``), so a zero term adds nothing and a
-# vertex's fields have the bits of a group of one.
+# padded axis in order (``_combine``), or adds a triangle's two edges
+# (``_edge_sum``), so a zero term adds nothing and a vertex's fields have
+# the bits of a group of one.
 
 
 def _group(topology, reports, target, what):
     """(edge table, reports, targets (G, S, N)) of a construction's call
-    on a sequence of G vertex reports of one class, with a target array
-    (G, S, N), N the largest valence of the group and zeros past each
-    vertex's own.  The valence of a vertex is read off the fan table by
-    ``edge_table``."""
+    on a sequence of G vertex reports, with a target array (G, S, N), N
+    the largest valence of the group and zeros past each vertex's own.
+    The valence of a vertex is read off the fan table by ``edge_table``."""
     a = np.asarray(target, dtype=float)
     if (not isinstance(reports, Sequence) or a.ndim != 3
             or len(a) != len(reports)):
@@ -177,8 +183,6 @@ def _group(topology, reports, target, what):
     padding = np.arange(n) >= table.n[:, None]                 # (G, N)
     if (padding & (a != 0.0).any(axis=1)).any():
         raise FieldError(f"{what} must be zero past each vertex's valence")
-    if len({r.status for r in reports}) > 1:
-        raise FieldError("a patch group needs vertices of one class")
     return table, reports, a
 
 
@@ -210,7 +214,12 @@ for _table in (_SQUARE, _KAPPA, _L_Z2):
 
 
 _PAIR = np.array([0, 1])          # an edge's triangles: tris[k], tris[k+1]
-_SPOKE_SLOT = np.array([2, 1])    # the spoke's slot after z's in each
+# The spoke of the edge before a triangle is its incoming one, slot z + 1
+# of a counter-clockwise triangle; the spoke of the edge after it is its
+# outgoing one, slot z + 2.
+_SPOKE_SLOT = np.array([1, 2])[:, None, None]
+# The edge before triangle j is edge j - 1, the edge after it edge j.
+_BEFORE_AFTER = np.array([-1, 0])[:, None]
 
 
 @dataclass(frozen=True)
@@ -221,17 +230,25 @@ class EdgeTable:
 
     ``n[g]`` is the valence of z[g], and ``corner[g, j]`` indexes the fan
     table ``fans`` at triangle j of z[g] and at the spoke after it (its
-    last corner again for j >= n[g]).  Row [g, k] belongs to interior
-    edge k of z[g], the spoke after corner k, shared by tris[k] and
-    tris[k+1] (cyclically on an interior fan), and is zero off those two
-    triangles: ``w[g, k]`` is its edge field (unit vertex divergence at
-    z), ``chi[g, k]`` its normal corrector (interior fans only, else None)
-    and ``kappa[g, k]`` its zero-edge-mean scalar.  ``l_z2[g, j]`` is
-    l_z^2 on tris[j], the profile of the directional correctors.  Every
-    row past a vertex's own edges or triangles is zero.  ``chi`` and
-    ``kappa``, which only some constructions read, are gathered on first
-    use, by the slots ``sz`` and ``sy`` of z and of the spoke in each edge
-    triangle, at the flat places ``at`` of the rows.
+    last corner again for j >= n[g]).  Interior edge k of z[g] is the
+    spoke after corner k, shared by tris[k] and tris[k+1] (cyclically on
+    an interior fan), and each of its fields is zero off those two
+    triangles: its edge field (unit vertex divergence at z), its normal
+    corrector (interior fans only) and its zero-edge-mean scalar.  So
+    triangle j holds the fields of two edges, the edge before it, j - 1
+    (n - 1 for triangle 0 of an interior fan), and the edge after it, j:
+    ``w_tri[0, g, j]`` and ``w_tri[1, g, j]`` are their edge fields on
+    tris[j], ``chi_tri`` their normal correctors and ``kappa_tri`` their
+    scalars, zero where the triangle has no such edge (at the ends of a
+    boundary fan, and past the valence).  They are gathered by the
+    corners of the edges' spokes ``spoke`` and the slots ``sz`` and ``sy``
+    of z and of the spoke in the triangle; ``chi_tri`` and ``kappa_tri``,
+    which only some constructions read, on first use.  ``last[g]`` is the
+    edge before triangle 0 (M = N - boundary, past the edges of the group,
+    where there is none).  The dense tables ``w``, ``chi`` (G, M, N, 2,
+    10) and ``kappa`` (G, M, N, 10) hold the fields edge by edge over the
+    whole fan.  ``l_z2[g, j]`` is l_z^2 on tris[j], the profile of the
+    directional correctors.
     """
 
     fans: FanTable
@@ -239,33 +256,64 @@ class EdgeTable:
     n: np.ndarray               # (G,)
     boundary: bool
     corner: np.ndarray          # (G, N)
-    w: np.ndarray               # (G, N - boundary, N, 2, 10)
+    spoke: np.ndarray           # (2, G, N)
+    sz: np.ndarray              # (2, G, N)
+    sy: np.ndarray              # (2, G, N)
+    last: np.ndarray            # (G,)
+    w_tri: np.ndarray           # (2, G, N, 2, 10)
     l_z2: np.ndarray            # (G, N, 10)
-    at: np.ndarray              # (G, N - boundary, 2)
-    sz: np.ndarray              # (G, N - boundary, 2)
-    sy: np.ndarray              # (G, N - boundary, 2)
+
+    @cached_property
+    def chi_tri(self) -> np.ndarray | None:         # (2, G, N, 2, 10)
+        if self.boundary:
+            return None
+        fans, spoke = self.fans, self.spoke
+        normal = (12.0 / fans.edge_len[spoke])[..., None] * fans.normal[spoke]
+        return _outer(normal, _SQUARE[self.sz, self.sy])
+
+    @cached_property
+    def kappa_tri(self) -> np.ndarray:              # (2, G, N, 10)
+        return _KAPPA[self.sz, self.sy]
+
+    def edges(self):
+        """(G, M) bool: the interior edges of each vertex."""
+        M = self.corner.shape[1] - self.boundary
+        return np.arange(M) < (self.n - self.boundary)[:, None]
+
+    def edge_row(self, tri, g, k):
+        """The dense rows (len(g), N, ...) of edge k[i] of member g[i],
+        out of a per-triangle table ``tri`` (``w_tri``, ``chi_tri`` or
+        ``kappa_tri``): nonzero on tris[k] and on the triangle after it."""
+        after = (k + 1) % self.n[g]
+        out = np.zeros((len(g),) + tri.shape[2:])
+        out[np.arange(len(g)), k] = tri[1, g, k]
+        out[np.arange(len(g)), after] = tri[0, g, after]
+        return out
+
+    def _dense(self, tri):
+        edges = self.edges()
+        g, k = np.nonzero(edges)
+        out = np.zeros(edges.shape + tri.shape[2:])
+        out[g, k] = self.edge_row(tri, g, k)
+        return out
+
+    @cached_property
+    def w(self) -> np.ndarray:                      # (G, M, N, 2, 10)
+        return self._dense(self.w_tri)
 
     @cached_property
     def chi(self) -> np.ndarray | None:             # (G, N, N, 2, 10)
-        if self.boundary:
-            return None
-        fans, corner = self.fans, self.corner
-        normal = (12.0 / fans.edge_len[corner])[..., None] * fans.normal[corner]
-        chi = np.zeros_like(self.w)
-        chi.reshape(-1, 2, len(poly.MONO3))[self.at] = \
-            normal[:, :, None, :, None] * _SQUARE[self.sz, self.sy][
-                :, :, :, None, :]
-        return chi
+        return None if self.boundary else self._dense(self.chi_tri)
 
     @cached_property
-    def kappa(self) -> np.ndarray:                  # (G, N - boundary, N, 10)
-        kappa = np.zeros(self.w.shape[:3] + (len(poly.MONO3),))
-        kappa.reshape(-1, len(poly.MONO3))[self.at] = _KAPPA[self.sz, self.sy]
-        return kappa
+    def kappa(self) -> np.ndarray:                  # (G, M, N, 10)
+        return self._dense(self.kappa_tri)
 
-    def edges(self):
-        """(G, N - boundary) bool: the interior edges of each vertex."""
-        return np.arange(self.w.shape[1]) < (self.n - self.boundary)[:, None]
+
+def _outer(vec, mono):
+    """The products (..., 2, 10) of vectors (..., 2) and coefficients
+    (..., 10), one rounding each."""
+    return np.einsum("...c,...m->...cm", vec, mono)
 
 
 def edge_table(z, topology: MeshTopology) -> EdgeTable:
@@ -282,28 +330,23 @@ def edge_table(z, topology: MeshTopology) -> EdgeTable:
                          "on the boundary")
     deg = fans.degree[z]
     N = int(deg.max())
-    M = N - bd                                        # interior edges
-    j = np.arange(N)
-    corner = fans.offset[z][:, None] + np.minimum(j, deg[:, None] - 1)
+    j, n, offset = np.arange(N), deg[:, None], fans.offset[z][:, None]
+    corner = offset + np.minimum(j, n - 1)
     slots = fans.slot[corner]
-    g, k = np.arange(len(z))[:, None, None], np.arange(M)[:, None]
-    pos = (k + _PAIR) % deg[:, None, None]      # (G, M, 2) edge triangles
-    # (flat indices gather and scatter faster than broadcast index arrays)
-    sz = np.where(k < deg[:, None, None] - bd, slots.ravel()[g * N + pos],
-                  _PAD)
-    at = (g * M + k) * N + pos                  # row [g, k], triangle pos
-    # the edge's spoke is the outgoing one of tris[k], the incoming one of
-    # tris[k+1]: slots z + 2 and z + 1 of a counter-clockwise triangle
+    # the edges before and after each triangle, j - 1 and j, where it has
+    # them: edge n - 1 before triangle 0 of an interior fan
+    last = deg - 1 if not bd else np.full(len(z), N - 1)
+    k = (j + _BEFORE_AFTER)[:, None]                          # (2, 1, N)
+    # the edge after the last triangle of a boundary fan is a boundary edge
+    has = (j < n - np.array([0, bd])[:, None, None]) & ((k >= 0) | (not bd))
+    spoke = offset + np.minimum(np.where(k < 0, n - 1, k), n - 1)
+    sz = np.where(has, slots, _PAD)
     sy = (sz + _SPOKE_SLOT) % 3
-    # each row is zero off its edge's two triangles: the products are
-    # made on those and scattered
-    w = np.zeros((len(z), M, N, 2, len(poly.MONO3)))
-    w.reshape(-1, 2, len(poly.MONO3))[at] = \
-        fans.vec[corner[:, :M], None, :, None] * _SQUARE[sz, sy][
-            :, :, :, None, :]                   # l_z^2 l_y times the spoke
-    return EdgeTable(fans=fans, z=z, n=deg, boundary=bd, corner=corner, w=w,
-                     l_z2=_L_Z2[np.where(j < deg[:, None], slots, _PAD)],
-                     at=at, sz=sz, sy=sy)
+    # l_z^2 l_y times the spoke
+    w_tri = _outer(fans.vec[spoke], _SQUARE[sz, sy])
+    return EdgeTable(fans=fans, z=z, n=deg, boundary=bd, corner=corner,
+                     spoke=spoke, sz=sz, sy=sy, last=last, w_tri=w_tri,
+                     l_z2=_L_Z2[np.where(j < n, slots, _PAD)])
 
 
 def _sorted_rows(topology, table, coeffs):
@@ -326,23 +369,48 @@ def _patch_block(topology, table, coeffs):
     return _rows_block(topology, tris[:, None], rows)
 
 
-def _xi(table: EdgeTable, i, c):
-    """(uncorrected, mean-zero corrected) corrector of direction i[g] in
-    {0, 1, 2} of each vertex of an interior group, each (G, N, 2, 10),
-    from the vertices' c-coefficients (G, N, 2).  Directions 1 and 2 are the
-    directional correctors; direction 0 is the sum of the normal
-    correctors, whose uncorrected part is zero."""
-    i = np.asarray(i)
-    G, N, n_mono = table.l_z2.shape
+def _xi(table: EdgeTable, i, c, g=slice(None)):
+    """(uncorrected, mean-zero corrected) corrector of direction i[m] in
+    {0, 1, 2} of each member g[m] of an interior group (all by default),
+    each (G', N, 2, 10), from the members' c-coefficients (G', N, 2).
+    Directions 1 and 2 are the directional correctors; direction 0 is the
+    sum of the normal correctors, whose uncorrected part is zero."""
+    i, n, l_z2 = np.asarray(i), table.n[g], table.l_z2[g]
+    G, N, n_mono = l_z2.shape
     tilde = np.zeros((G, N, 2, n_mono))
-    g = np.flatnonzero(i > 0)
-    tilde[g, :, i[g] - 1] = table.l_z2[g]
+    m = np.flatnonzero(i > 0)
+    tilde[m, :, i[m] - 1] = l_z2[m]
     # c_{n,i} = 0: the last corrector drops out, and so does the padding
     j = np.arange(N)
-    weights = np.where(j < table.n[:, None] - 1,
+    weights = np.where(j < n[:, None] - 1,
                        c[np.arange(G), :, np.maximum(i - 1, 0)], 0.0)
-    weights[i == 0] = np.where(j < table.n[i == 0, None], -1.0, 0.0)
-    return tilde, tilde - _combine(weights, table.chi)
+    weights[i == 0] = np.where(j < n[i == 0, None], -1.0, 0.0)
+    return tilde, tilde - _edge_sum(table, weights, table.chi_tri, g)
+
+
+def _edge_sum(table: EdgeTable, weights, rows, g=slice(None)):
+    """sum_k weights[m, ..., k] times the field of edge k of member g[m]
+    (all by default), over the interior edges k, dense over the member's
+    triangles: (G', ..., N, 2, 10) from weights (G', ..., M) and an edge
+    table's fields on the triangles, ``w_tri`` or ``chi_tri``.
+
+    A field is zero off its edge's two triangles, so each triangle adds
+    the terms of its own two edges (a zero term for a missing one): the
+    bits of the dense sum over every edge in order (``_combine``), whose
+    other terms are zero, as a sum of two terms has the same bits in
+    either order."""
+    before, after = rows[:, g]                            # (G', N, 2, 10)
+    G, N = before.shape[:2]
+    # the weights of the edge after each triangle (a zero past the edges
+    # of a boundary fan), shifted by one for the edge before it
+    w = weights
+    if w.shape[-1] < N:
+        w = np.concatenate([w, np.zeros(w.shape[:-1] + (1,))], axis=-1)
+    w_before = np.concatenate([w[np.arange(G), ..., table.last[g]][..., None],
+                               w[..., :-1]], axis=-1)
+    shape = (G,) + (1,) * (w.ndim - 2) + before.shape[1:]
+    return (w_before[..., None, None] * before.reshape(shape)
+            + w[..., None, None] * after.reshape(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -430,110 +498,124 @@ def _chains(n, s, N, boundary: bool):
     return T[rp[:, :, None], rq[:, None, :]], t[rp]
 
 
-def _contract(table, a, seed, seed_pos):
+def _contract(table, a, seed, seed_pos, singular=None):
     """Coefficients (G, S, N, 2, 10) of sum_p a[g, s, p] v_p for the chain
-    basis of each vertex's seed (G, N, 2, 10) at tris[seed_pos[g]]."""
-    S, sign = _chains(table.n, seed_pos, table.corner.shape[1],
-                      table.boundary)
-    return (_combine(_combine(a, S), table.w)
+    basis of each vertex's seed (G, N, 2, 10) at tris[seed_pos[g]].  The
+    members flagged ``singular`` (G,) take no seed: their weights are the
+    telescoping prefix sums b_j = a_j - b_{j-1} on the edges 0 .. n-2."""
+    N = table.corner.shape[1]
+    S, sign = _chains(table.n, seed_pos, N, table.boundary)
+    if singular is not None and singular.any():
+        S[singular] = _signed_prefix(N)[table.n[singular] - 1][
+            :, :, :S.shape[2]]
+        sign[singular] = 0.0
+    return (_edge_sum(table, _combine(a, S), table.w_tri)
             + _combine(a, sign)[..., None, None, None] * seed[:, None])
 
 
-# ---------------------------------------------------------------------------
-# Local interpolants
-
-
-def _even_seed(table: EdgeTable, reports, fans):
-    """Determinant-normalized corrector seeds (G, N, 2, 10) of a group of
-    even interior vertices, each for its direction index in {0, 1, 2},
-    from the d-coefficients of their fans in the fan table ``fans``; an
-    overflow (of 12 D_0 at tiny length scales) is a FieldRangeError."""
-    i = np.array([r.even_index for r in reports])
-    g = np.arange(len(i))
-    xi = _xi(table, i, fans.c[table.corner])[1]
-    N = table.corner.shape[1]
-    with np.errstate(over="ignore"):
-        dvals = np.where((i == 0)[:, None], 12.0 * fans.d0[table.corner],
-                         fans.d[table.corner][g, :, np.maximum(i - 1, 0)])
-        det = np.where(i == 0, 12.0 * fans.D[table.z, 0], fans.D[table.z, i])
-    dvals = np.where(np.arange(N) < table.n[:, None], dvals, 0.0)
-    finite = np.isfinite(det) & np.isfinite(dvals).all(axis=1)
-    if not finite.all():
-        raise FieldRangeError(f"vertex {reports[np.argmin(finite)].vertex}: "
-                              f"the even seed overflows at this length scale")
-    # telescoping weights s_0 = 0, s_j = d_j - s_{j-1}; the weight of
-    # triangle j multiplies the edge field of the edge joining triangles
-    # j and j+1 (cyclic slot j)
-    s = _combine(dvals[:, None, 1:], _signed_prefix(N - 1)[table.n - 1])[:, 0]
-    return (-1.0 / det)[:, None, None, None] * (
-        xi - _combine(s, table.w[:, 1:]))
-
-
-def local_interpolant(reports, target, topology: MeshTopology):
-    """Patch fields matching per-triangle vertex-divergence targets at the
-    patch centers, with zero triangle means and no pollution elsewhere.
-
-    Dispatches on the vertex class in the reports (from
-    ``classify_mesh``): telescoping over edge fields at a singular vertex,
-    the alternating-sum seed for odd valence, and the
-    determinant-normalized corrector seed for certified even valence,
-    which reads the d-coefficients of the vertex's fan in the fan table.
-
-    ``reports`` is a group of the G reports of vertices of one class, all
-    interior or all on the boundary, with targets (G, S, N): N is the
-    largest valence of the group, and the targets past a vertex's own
-    valence are zero.  Field g S + s of the block matches target s of
-    vertex g.  The group shares one edge table and one contraction, and
-    each field has the very bits of a group of one with its target alone.
-    Returns the FieldBlock and, as VertexValues, its divergences away from
-    the centers: none.
-    """
-    return _local_block(topology, *_group(topology, reports, target,
-                                          "target values")), _NO_VALUES
-
-
-def _local_block(topology, table, reports, a):
-    """The FieldBlock of local_interpolant, from its ``_group``."""
-    report = reports[0]
-    if not report.local_interpolating:
-        raise FieldError(f"vertex {report.vertex} is not local "
-                         f"interpolating ({report.status})")
-    N = a.shape[-1]
-
-    if report.status == SINGULAR:
-        alt = _combine(a, (-1.0) ** np.arange(N)[None])
+def _singular(reports, a):
+    """The singular members (G,) of a group, whose targets (G, S, N) must
+    meet the alternating-sum constraint."""
+    singular = np.array([r.singular for r in reports])
+    if singular.any():
+        a = a[singular]
+        alt = _combine(a, (-1.0) ** np.arange(a.shape[-1])[None])
         scale = np.maximum(np.abs(a).max(axis=-1), 1e-30)
         bad = np.abs(alt) > 1e-9 * scale
         if bad.any():
             raise FieldError(
                 "target violates the alternating-sum constraint at a "
                 f"singular vertex (residual {alt[bad][0]:.3e})")
-        # weights b_j = a_j - b_{j-1} on the edges 0 .. n-2
-        b = _combine(a, _signed_prefix(N)[table.n - 1][:, :, :-1])
-        return _patch_block(topology, table,
-                            _combine(b, table.w[:, :N - 1]))
+    return singular
 
-    if report.status == ODD:
+
+# ---------------------------------------------------------------------------
+# Local interpolants
+
+
+def _even_seed(table: EdgeTable, g, reports, fans):
+    """Determinant-normalized corrector seeds (G', N, 2, 10) of the even
+    interior members g of a group, their reports ``reports``, each for its
+    direction index in {0, 1, 2}, from the d-coefficients of their fans in
+    the fan table ``fans``; an overflow (of 12 D_0 at tiny length scales)
+    is a FieldRangeError."""
+    i = np.array([r.even_index for r in reports])
+    corner, n, m = table.corner[g], table.n[g], np.arange(len(g))
+    xi = _xi(table, i, fans.c[corner], g)[1]
+    N = corner.shape[1]
+    with np.errstate(over="ignore"):
+        dvals = np.where((i == 0)[:, None], 12.0 * fans.d0[corner],
+                         fans.d[corner][m, :, np.maximum(i - 1, 0)])
+        det = np.where(i == 0, 12.0 * fans.D[table.z[g], 0],
+                       fans.D[table.z[g], i])
+    dvals = np.where(np.arange(N) < n[:, None], dvals, 0.0)
+    finite = np.isfinite(det) & np.isfinite(dvals).all(axis=1)
+    if not finite.all():
+        raise FieldRangeError(f"vertex {reports[np.argmin(finite)].vertex}: "
+                              f"the even seed overflows at this length scale")
+    # telescoping weights s_0 = 0, s_j = d_j - s_{j-1}: s_j multiplies
+    # the edge field of edge j, joining triangles j and j+1 (cyclic slot j)
+    s = _combine(dvals[:, None, 1:], _signed_prefix(N - 1)[n - 1])[:, 0]
+    s = np.concatenate([np.zeros((len(g), 1)), s], axis=1)
+    return (-1.0 / det)[:, None, None, None] * (
+        xi - _edge_sum(table, s, table.w_tri, g))
+
+
+def local_interpolant(reports, target, topology: MeshTopology):
+    """Patch fields matching per-triangle vertex-divergence targets at the
+    patch centers, with zero triangle means and no pollution elsewhere.
+
+    Every member of the group goes through one chain contraction of the
+    edge fields; the vertex class in its report (from ``classify_mesh``)
+    picks its seed: none at a singular vertex (telescoping over the edge
+    fields), the alternating-sum seed for odd valence, and the
+    determinant-normalized corrector seed for certified even valence,
+    which reads the d-coefficients of the vertex's fan in the fan table.
+
+    ``reports`` is a group of the G reports of local-interpolating
+    vertices, of any classes, all interior or all on the boundary, with
+    targets (G, S, N): N is the largest valence of the group, and the
+    targets past a vertex's own valence are zero.  Field g S + s of the
+    block matches target s of vertex g.  The group shares one edge table
+    and one contraction, and each field has the very bits of a group of
+    one with its target alone.  Returns the FieldBlock and, as
+    VertexValues, its divergences away from the centers: none.
+    """
+    table, reports, a = _group(topology, reports, target, "target values")
+    for r in reports:
+        if not r.local_interpolating:
+            raise FieldError(f"vertex {r.vertex} is not local interpolating "
+                             f"({r.status})")
+    singular = _singular(reports, a)
+    seed = np.zeros(table.l_z2.shape[:2] + (2, len(poly.MONO3)))
+    odd = np.flatnonzero([r.status == ODD for r in reports])
+    if len(odd):
         # half the alternating sum of the edge fields
-        half = np.where(np.arange(N) < table.n[:, None],
+        N = a.shape[-1]
+        half = np.where(np.arange(N) < table.n[odd, None],
                         0.5 * (-1.0) ** np.arange(N), 0.0)
-        seed = _combine(half, table.w)
-    else:
-        seed = _even_seed(table, reports, topology.fans)
-    return _patch_block(topology, table, _contract(table, a, seed, 0))
+        seed[odd] = _edge_sum(table, half, table.w_tri, odd)
+    even = np.flatnonzero([r.status == EVEN for r in reports])
+    if len(even):
+        seed[even] = _even_seed(table, even, [reports[g] for g in even],
+                                topology.fans)
+    return (_patch_block(topology, table,
+                         _contract(table, a, seed, 0, singular)), _NO_VALUES)
 
 
 def boundary_interpolant(reports, p_values, topology: MeshTopology):
     """Match vertex-divergence targets at boundary vertices.
 
-    Singular boundary vertices (by their reports, from ``classify_mesh``)
-    take the fields of local_interpolant (no side effects).  Otherwise the
-    seed uses the zero-edge-mean scalar on the straightest interior edge,
-    which pollutes that edge's far endpoint.
+    Every member of the group goes through one chain contraction of the
+    edge fields.  A singular boundary vertex (by its report, from
+    ``classify_mesh``) takes no seed: the fields of local_interpolant,
+    with no side effects.  Otherwise the seed uses the zero-edge-mean
+    scalar on the straightest interior edge, which pollutes that edge's
+    far endpoint.
 
-    ``reports`` is a group of the G reports of boundary vertices of one
-    class, with targets (G, S, N) padded to the largest valence N, as for
-    local_interpolant.  Returns the FieldBlock of their fields and, as
+    ``reports`` is a group of the G reports of boundary vertices, singular
+    or not, with targets (G, S, N) padded to the largest valence N, as
+    for local_interpolant.  Returns the FieldBlock of their fields and, as
     VertexValues, the divergences they spill at the far endpoint of their
     seed edge.
     """
@@ -541,31 +623,35 @@ def boundary_interpolant(reports, p_values, topology: MeshTopology):
     fans = topology.fans
     if not table.boundary:
         raise FieldError("patch center is not a boundary vertex")
-    if reports[0].singular:
-        return _local_block(topology, table, reports, a), _NO_VALUES
-    if (table.n < 2).any():
+    singular = _singular(reports, a)
+    ns = np.flatnonzero(~singular)
+    if (table.n[ns] < 2).any():
         raise FieldError("non-singular boundary patch needs >= 2 triangles")
-
-    pairs = table.corner[:, :-1]                  # the interior edges' spokes
-    sines = np.where(table.edges(), np.abs(fans.pair_sin[pairs]), -1.0)
-    # The seed pollutes the far endpoint of its interior edge.  Prefer a
-    # pair whose far endpoint is an interior vertex (the pollution is then
-    # absorbed by the interior interpolation passes); fall back to the
-    # overall straightest pair otherwise.
-    interior_far = ~topology.boundary_vertex[fans.far[pairs]]
-    usable = interior_far & (sines > 1e-8)
-    # seed pair: tris[s], tris[s+1]
-    s = np.where(usable.any(axis=1),
-                 np.argmax(np.where(usable, sines, -1.0), axis=1),
-                 np.argmax(sines, axis=1))
-    g = np.arange(len(s))
-    here, there = table.corner[g, s], table.corner[g, s + 1]
-    coef = (2.0 * fans.edge_len[here] * np.sin(fans.theta[here])
-            / fans.pair_sin[here])
-    seed = (coef[:, None] * fans.tangent[there])[:, None, :, None] \
-        * table.kappa[g, s][:, :, None, :]
-    return _spilling_block(topology, table, _contract(table, a, seed, s),
-                           fans.far[here])
+    s = np.zeros(len(reports), dtype=np.int64)
+    far = np.full(len(reports), -1)
+    seed = np.zeros(table.l_z2.shape[:2] + (2, len(poly.MONO3)))
+    if len(ns):
+        pairs = table.corner[ns, :-1]             # the interior edges' spokes
+        sines = np.where(table.edges()[ns], np.abs(fans.pair_sin[pairs]),
+                         -1.0)
+        # The seed pollutes the far endpoint of its interior edge.  Prefer
+        # a pair whose far endpoint is an interior vertex (the pollution is
+        # then absorbed by the interior interpolation passes); fall back to
+        # the overall straightest pair otherwise.
+        interior_far = ~topology.boundary_vertex[fans.far[pairs]]
+        usable = interior_far & (sines > 1e-8)
+        # seed pair: tris[s], tris[s+1]
+        s[ns] = np.where(usable.any(axis=1),
+                         np.argmax(np.where(usable, sines, -1.0), axis=1),
+                         np.argmax(sines, axis=1))
+        here, there = table.corner[ns, s[ns]], table.corner[ns, s[ns] + 1]
+        coef = (2.0 * fans.edge_len[here] * np.sin(fans.theta[here])
+                / fans.pair_sin[here])
+        seed[ns] = (coef[:, None] * fans.tangent[there])[:, None, :, None] \
+            * table.edge_row(table.kappa_tri, ns, s[ns])[:, :, None, :]
+        far[ns] = fans.far[here]
+    return _spilling_block(topology, table,
+                           _contract(table, a, seed, s, singular), far)
 
 
 def _spilling_block(topology, table, coeffs, far):
@@ -599,7 +685,7 @@ def edge_transfer(reports, y, target, topology: MeshTopology,
     """Match targets at the vertices z of a group while polluting only the
     far end y[g] of one interior edge {z[g], y[g]} of each, ``y`` (G,).
 
-    ``reports`` is a group of the G reports of vertices of one class,
+    ``reports`` is a group of the G reports of vertices of any classes,
     all interior or all on the boundary, with targets (G, S, N) indexed by
     the triangle order of each fan and padded to the largest valence N,
     as for local_interpolant.  Returns the FieldBlock
@@ -615,8 +701,8 @@ def edge_transfer(reports, y, target, topology: MeshTopology,
                          f"{y.shape}")
     # interior edge k of z is the spoke after corner k; on a boundary fan
     # the spoke after the last corner is a boundary edge
-    hit = (fans.far[table.corner[:, :table.w.shape[1]]] == y[:, None]) \
-        & table.edges()
+    edges = table.edges()
+    hit = (fans.far[table.corner[:, :edges.shape[1]]] == y[:, None]) & edges
     if not hit.any(axis=1).all():
         i = int(np.argmin(hit.any(axis=1)))
         raise FieldError(f"{{{z[i]}, {y[i]}}} is not an interior edge at "
@@ -632,10 +718,11 @@ def edge_transfer(reports, y, target, topology: MeshTopology,
             f"edge ({z[i]}, {y[i]}) has weight {M[i]:.3e} below tolerance")
 
     r = (2.0 * fans.edge_len[here][:, None] * fans.normal[here])[
-        :, None, :, None] * table.kappa[g, k][:, :, None, :]
+        :, None, :, None] * table.edge_row(table.kappa_tri, g, k)[
+            :, :, None, :]
     cotB = topology.cot[fans.tri[there], fans.slot[there]]
     seed = (1.0 / M)[:, None, None, None] * (
-        r + cotB[:, None, None, None] * table.w[g, k])
+        r + cotB[:, None, None, None] * table.edge_row(table.w_tri, g, k))
     return _spilling_block(topology, table, _contract(table, a, seed, k), y)
 
 
@@ -757,6 +844,14 @@ def verify_field(block: FieldBlock,
                        details)
 
 
+def _row_max(x, ufunc=np.maximum):
+    """``ufunc``'s reduction (R,) of each row of x (R, ...), over a
+    transposed copy: numpy reduces a short trailing axis one row at a
+    time, a leading one in passes over whole rows."""
+    x = x.reshape(len(x), prod(x.shape[1:]))
+    return ufunc.reduce(np.ascontiguousarray(x.T), axis=0)
+
+
 def _verify_range(topo, first, F, owner, ts, coeffs, expected):
     """(passed, deviation, details), as in FieldReport, of the checks of
     the F fields first .. first + F - 1, whose rows are numbered from 0 in
@@ -779,12 +874,16 @@ def _verify_range(topo, first, F, owner, ts, coeffs, expected):
 
     hat_grads = topo.hat_grads[ts]
     divs = _div_coeffs(hat_grads, coeffs)                       # (R, 6)
-    # traces[i, k, d] is the (4, 2) trace of row i on local edge k, direction d
+    # traces[:, k, d, i] is the trace of row i on local edge k, direction
+    # d: both components at the 4 points, copied once into a contiguous
+    # (8, 3, 2, R), rows last, so that each maximum over the points and
+    # sides of a row is a pass over whole slabs of rows (numpy reduces a
+    # short trailing axis one row at a time)
     values = poly.eval3(coeffs.reshape(-1, len(poly.MONO3)), _TRACE_LAM)
-    traces = values.reshape(values.shape[:-1] + (len(ts), 2))
-    traces = traces.transpose(3, 0, 1, 2, 4)
-    dtol = RTOL * np.maximum(per_field(np.abs(divs).max(axis=1)), 1.0)
-    cmax = per_field(np.abs(coeffs).max(axis=(1, 2)))
+    traces = values.reshape((len(ts), 2) + values.shape[1:]).transpose(
+        1, 4, 2, 3, 0).reshape(2 * len(_TRACE_S), 3, 2, len(ts))
+    dtol = RTOL * np.maximum(per_field(_row_max(np.abs(divs))), 1.0)
+    cmax = per_field(_row_max(np.abs(coeffs)))
     cscale = np.maximum(cmax, 1.0)
     # Every coefficient of a field carries roundoff in proportion to the
     # field's largest, cmax, and a divergence coefficient sums its terms
@@ -797,15 +896,15 @@ def _verify_range(topo, first, F, owner, ts, coeffs, expected):
 
     # trace continuity / zero boundary trace: the twin side of a support
     # side runs the other way, so its reversed trace meets the same points
-    twin = topo.twin[ts]                                         # (R, 3)
-    row, inside = row_of(owner[:, None] * T + twin // 3)
+    twin = topo.twin[ts].T                                       # (3, R)
+    row, inside = row_of(owner * T + twin // 3)
     inside &= twin >= 0
     row = np.where(inside, row, 0)
-    fwd = traces[:, :, 0]                                        # (R, 3, 4, 2)
-    jump = np.abs(fwd - traces[row, twin % 3, 1]).max(axis=(2, 3))
-    worst_cont = per_field(np.where(inside, jump, 0.0).max(axis=1))
-    worst_trace = per_field(np.where(inside, 0.0, np.abs(fwd).max(
-        axis=(2, 3))).max(axis=1))
+    fwd = traces[:, :, 0]                                        # (8, 3, R)
+    jump = np.abs(fwd - traces[:, twin % 3, 1, row])
+    worst_cont = per_field(np.where(inside, jump, 0.0).max(axis=(0, 1)))
+    worst_trace = per_field(np.where(inside, 0.0, np.abs(fwd)).max(
+        axis=(0, 1)))
     # one dot product per row, as in _div_coeffs
     means = np.matmul(divs[:, None], poly.INT2_UNIT)[:, 0]
     worst_mean = per_field(np.abs(means))
@@ -826,7 +925,7 @@ def _verify_range(topo, first, F, owner, ts, coeffs, expected):
     want[e_row[matched], slot[matched].argmax(axis=1)] = e_val[matched]
     dev = np.abs(divs[:, poly.VERTEX2] - want)                   # (R, 3)
     left = ~matched
-    worst_div = per_field(np.fmax.reduce(dev, axis=1), at=np.fmax.at)
+    worst_div = per_field(_row_max(dev, np.fmax), at=np.fmax.at)
     np.fmax.at(worst_div, e_owner[left], np.abs(e_val[left]))
     outside = left & (np.abs(e_val) > dtol[e_owner])
     missing = np.bincount(e_owner[outside], minlength=F) > 0

@@ -68,14 +68,14 @@ def _eval_table(monos, lam: np.ndarray) -> np.ndarray:
 
 
 def eval3(coeffs: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Evaluate a degree-3 coefficient vector at barycentric points; k
-    stacked vectors, shape (k, 10), give values of shape (..., k), each
-    from a matrix-vector product of its own: its bits do not depend on k."""
+    """Evaluate a degree-3 coefficient vector at barycentric points lam
+    (..., 3); k stacked vectors, shape (k, 10), give values of shape
+    (k, ...), rows first, each from a matrix-vector product of its own:
+    its bits do not depend on k."""
     table = _eval_table(MONO3, lam)
     coeffs = np.asarray(coeffs, dtype=float)
     values = np.matmul(table.reshape(-1, len(MONO3)), coeffs[..., None])
-    return np.moveaxis(values[..., 0], -1, 0).reshape(
-        table.shape[:-1] + coeffs.shape[:-1])
+    return values.reshape(coeffs.shape[:-1] + table.shape[:-1])
 
 
 def eval2(coeffs: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -133,10 +133,11 @@ def hat_gradients(p0, p1, p2) -> np.ndarray:
     """
     p0, p1, p2 = (np.asarray(p, dtype=float) for p in (p0, p1, p2))
     jac = np.stack([p1 - p0, p2 - p0], axis=-1)
-    det = np.linalg.det(jac)
-    if np.any(det == 0.0):
-        raise ValueError("degenerate triangle")
-    inv = np.linalg.inv(jac)
+    # one factorization per Jacobian: inv raises on an exactly singular one
+    try:
+        inv = np.linalg.inv(jac)
+    except np.linalg.LinAlgError:
+        raise ValueError("degenerate triangle") from None
     return np.concatenate([-inv.sum(axis=-2, keepdims=True), inv], axis=-2)
 
 

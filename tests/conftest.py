@@ -574,9 +574,9 @@ def velocity_coefficients(topology, nodes, block):
     owns[last] = True
     row, j = np.nonzero(owns.reshape(nodes.shape)[block.tri])
     at_nodes = poly.eval3(block.coeffs.reshape(-1, 10),
-                          np.array(solver.P3_NODES)).reshape(10, -1, 2)
+                          np.array(solver.P3_NODES)).reshape(-1, 2, 10)
     out = np.zeros((n, 2, block.F))
-    out[nodes[block.tri[row], j], :, block.field[row]] = at_nodes[j, row]
+    out[nodes[block.tri[row], j], :, block.field[row]] = at_nodes[row, :, j]
     return out.reshape(2 * n, block.F)
 
 

@@ -13,7 +13,8 @@ from conftest import (GOLDEN_MESHES, HIGH_VALENCE, bench_mesh, bench_pool,
                       dual_determinants, edge_index, edge_weights, fan,
                       named_mesh, random_interior_patch, rigid_motion)
 from svstokes.classify import (BOUNDARY, EVEN, NOT_LI, ODD, SINGULAR,
-                               Tolerances, classify_mesh, theta)
+                               Tolerances, VertexReport, classify_mesh,
+                               theta)
 from svstokes.mesh import (Triangulation, build_topology, crossed,
                            ngon_patch, perturbed_grid, three_lines,
                            type1_diagonal)
@@ -291,6 +292,28 @@ def test_reports_equal_the_per_vertex_oracle(name):
         want = dataclasses.asdict(classify_vertex(topo, z, th[z])[0])
         for key, value in dataclasses.asdict(r).items():
             assert _same_bits(value, want[key]), (z, key, value, want[key])
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MESHES))
+def test_reports_are_frozen_dataclasses(name):
+    """classify_mesh fills each report's instance dict directly, yet every
+    report is the frozen dataclass its __init__ builds: equal to (and
+    hashing as) the report of its own fields, ``replace`` and ``asdict``
+    work on it, and setting or deleting a field is a
+    FrozenInstanceError."""
+    reports, _ = classify_mesh(build_topology(GOLDEN_MESHES[name]()))
+    fields = [f.name for f in dataclasses.fields(VertexReport)]
+    for r in reports:
+        built = VertexReport(**dataclasses.asdict(r))
+        assert r == built and hash(r) == hash(built)
+        assert list(vars(r)) == fields
+        assert dataclasses.replace(r, valence=r.valence + 1) != r
+        assert dataclasses.replace(r) == r
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.status = NOT_LI
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del r.vertex
+    assert {r.status for r in reports} >= {SINGULAR, BOUNDARY}
 
 
 def _theta_loop(patch):

@@ -732,9 +732,9 @@ def test_dcoefficients_computed_once_per_even_interior_vertex(
 def test_field_suite_builds_one_table_per_vertex_and_verifies_once(
         monkeypatch, key):
     """Each verified vertex builds its edge table rows once for all its
-    samples, in one edge_table call per class (boundary, status) with
-    its vertices sorted by valence, and one verify_field call checks every
-    field of the mesh."""
+    samples, in one edge_table call per fan kind (interior or boundary)
+    with its vertices sorted by valence, and one verify_field call checks
+    every field of the mesh."""
     m = bench_mesh(key)
     topo = build_topology(m)
     tables = _count_calls(monkeypatch, fields, "edge_table")
@@ -747,9 +747,7 @@ def test_field_suite_builds_one_table_per_vertex_and_verifies_once(
     for args in tables:
         assert len({fans.boundary[z] for z in args[0].tolist()}) == 1
         assert np.all(np.diff(fans.degree[args[0]]) >= 0)
-    statuses = [line.split("[")[1].split("]")[0] for line in lines]
-    assert len(tables) == len({
-        (fans.boundary[z], status) for z, status in zip(vertices, statuses)})
+    assert len(tables) == len({fans.boundary[z] for z in vertices})
     assert len(verified) == 1
 
 
@@ -757,9 +755,10 @@ def test_field_suite_builds_one_table_per_vertex_and_verifies_once(
                                            perturbed_only=True)[:8])
 def test_field_suite_makes_one_call_per_class(monkeypatch, key):
     """A perturbed 5 x 5 benchmark mesh mixes valences 2 to 8 in its
-    classes, yet its suite makes one interpolant call per class: at most
-    five, the singular, odd and even interior vertices and the singular
-    and non-singular boundary ones."""
+    classes, yet its suite makes at most one interpolant call per class:
+    at most five, the singular, odd and even interior vertices and the
+    singular and non-singular boundary ones (one per fan kind since the
+    classes share their calls)."""
     assert key.startswith("perturbed-5-")
     m = bench_mesh(key)
     local = _count_calls(monkeypatch, fields, "local_interpolant")
@@ -769,6 +768,34 @@ def test_field_suite_makes_one_call_per_class(monkeypatch, key):
     assert len(local) + len(boundary) <= 5
     assert any(len({r.valence for r in args[0]}) > 1
                for args in local + boundary)
+
+
+# Interpolant calls of a benchmark item at two samples: one per fan kind.
+# The interior vertices of type1-6 and three_lines-6 are all NotLI, so
+# only their boundary call is left.
+SUITE_CALLS = {"type1-6": 1, "three_lines-6": 1}
+
+
+@pytest.mark.parametrize("key", bench_pool("verify-fields"))
+def test_field_suite_makes_one_call_per_fan_kind(monkeypatch, key):
+    """Every verified vertex of one fan kind, interior or boundary, goes
+    through one interpolant call whatever its class: two calls on a
+    benchmark item, one on type1-6 and three_lines-6."""
+    m = bench_mesh(key)
+    reports, _ = classify_mesh(build_topology(m), Tolerances())
+    local = _count_calls(monkeypatch, fields, "local_interpolant")
+    boundary = _count_calls(monkeypatch, fields, "boundary_interpolant")
+    lines, ok = run_field_suites(m, Tolerances(), 2, 7)
+    assert ok
+    assert len(local) + len(boundary) == SUITE_CALLS.get(key, 2)
+    for calls, kind in ((local, False), (boundary, True)):
+        want = [r for r in reports
+                if r.boundary == kind and (kind or r.local_interpolating)]
+        assert sorted(r.vertex for args in calls for r in args[0]) \
+            == [r.vertex for r in want]
+        assert len(calls) == (len(want) > 0)
+        for args in calls:
+            assert {r.status for r in args[0]} == {r.status for r in want}
 
 
 @pytest.mark.parametrize("key", ["crossed-3", "perturbed-5-p0",
@@ -806,10 +833,10 @@ def test_field_suite_targets_are_the_per_vertex_draws(key, samples):
 
 
 def test_field_suite_retries_one_row_of_a_mixed_group(monkeypatch):
-    """A class call over vertices of several valences that raises is
-    retried vertex by vertex, each at its own valence, and the offending
-    vertex row by row: that vertex reports FAIL (1/2) and every other one
-    passes."""
+    """An interior call over vertices of several valences and classes
+    that raises is retried vertex by vertex, each at its own valence, and
+    the offending vertex row by row: that vertex reports FAIL (1/2) and
+    every other one passes."""
     m = bench_mesh("perturbed-5-p0")
     topo = build_topology(m)
     reports, _ = classify_mesh(topo, Tolerances())
@@ -835,9 +862,13 @@ def test_field_suite_retries_one_row_of_a_mixed_group(monkeypatch):
     assert not ok
     assert [ln for ln in lines if "FAIL" in ln] == [
         f"vertex {victim.vertex:4d} [OddLI]: FAIL (1/2)"]
+    interior = [r for r in reports if not r.boundary
+                and r.local_interpolating]
+    assert len({r.status for r in interior}) > 1
     group = next(g for g, shape in calls if victim.vertex in g)
-    N = max(r.valence for r in odd)
-    assert calls[[c[0] for c in calls].index(group)][1] == (len(odd), 2, N)
+    N = max(r.valence for r in interior)
+    assert calls[[c[0] for c in calls].index(group)][1] \
+        == (len(interior), 2, N)
     # each vertex alone at its own valence, the victim's rows one by one
     alone = [shape for g, shape in calls if g == [victim.vertex]]
     assert alone == [(1, 2, victim.valence)] + [(1, 1, victim.valence)] * 2

@@ -992,8 +992,8 @@ def test_an_empty_group_is_a_field_error(name):
 
 def test_grouped_interpolants_reject_mixed_groups():
     """A group may mix valences, its targets padded with zeros to the
-    largest; it may not mix boundary and interior vertices or classes, nor
-    carry a non-zero target past a vertex's valence."""
+    largest; it may not mix boundary and interior vertices, nor carry a
+    non-zero target past a vertex's valence."""
     topo = build_topology(perturbed_grid(5, seed=3))
     reports, _ = classify_mesh(topo)
     odd = [r for r in reports if r.status == ODD]
@@ -1024,16 +1024,7 @@ def test_grouped_interpolants_reject_mixed_groups():
                 construct(group, target, topo)
     with pytest.raises(FieldError, match=r"far ends y of shape \(2,\)"):
         edge_transfer(three, [three[0].vertex], a, topo)
-    boundary, twin = next((r, s) for r in reports for s in reports
-                          if r.boundary and s.boundary and r.singular
-                          and not s.singular and r.valence == s.valence)
-    with pytest.raises(FieldError, match="one class"):
-        boundary_interpolant([boundary, twin],
-                             np.zeros((2, 1, boundary.valence)), topo)
-    even = next(r for r in reports if r.status == EVEN)
-    with pytest.raises(FieldError, match="one class"):
-        local_interpolant([three[0], even], np.zeros(
-            (2, 1, max(three[0].valence, even.valence))), topo)
+    twin = next(r for r in reports if r.boundary and not r.singular)
     inner = next(r for r in reports if not r.boundary
                  and r.valence >= twin.valence)
     for construct in CONSTRUCTIONS.values():
@@ -1122,6 +1113,54 @@ def test_mixed_valence_calls_equal_the_one_vertex_calls(source, name):
         mixed += len({r.valence for r in group}) > 1
     if name not in ("crossed-2", "three-lines-2", "three_lines-6"):
         assert mixed
+
+
+@pytest.mark.parametrize("source,name", PADDED_MESHES,
+                         ids=[name for _, name in PADDED_MESHES])
+def test_mixed_class_calls_equal_the_one_vertex_calls(source, name):
+    """One call on every interpolating interior vertex, whatever its class
+    and valence, and one on every boundary vertex, singular or not, give
+    vertex for vertex the field, tri and coeffs rows and the spills of the
+    vertex's group-of-one call, bit for bit."""
+    topo = build_topology(_padded_mesh(source, name))
+    reports, _ = classify_mesh(topo)
+    rng = np.random.default_rng(sum(map(ord, name)) + 1)
+    mixed = 0
+    for interpolant, group in (
+            (local_interpolant, [r for r in reports if not r.boundary
+                                 and r.local_interpolating]),
+            (boundary_interpolant, [r for r in reports if r.boundary])):
+        if not group:
+            continue
+        a = np.zeros((len(group), 2, max(r.valence for r in group)))
+        for g, r in enumerate(group):
+            a[g, :, :r.valence] = _block_targets(
+                rng, fan(topo, r.vertex), r.singular, 2)
+        block, side = interpolant(group, a, topo)
+        assert block.F == 2 * len(group)
+        for g, r in enumerate(group):
+            want, want_side = interpolant([r], a[g:g + 1, :, :r.valence],
+                                          topo)
+            _assert_same_rows(block, side, g, 2, want, want_side)
+        mixed += len({r.status for r in group}) > 1
+    assert mixed
+
+
+def test_a_not_li_vertex_in_an_interior_group_is_named():
+    """A NotLI vertex anywhere in an interior group, first, in the middle
+    or last, is a FieldError that names it."""
+    topo = build_topology(type1_with_crossed(*MIXED["mixed-6"]))
+    reports, _ = classify_mesh(topo)
+    local = [r for r in reports if not r.boundary and r.local_interpolating]
+    assert len({r.status for r in local}) > 1
+    bad = next(r for r in reports if not r.boundary
+               and not r.local_interpolating)
+    for at in (0, len(local) // 2, len(local)):
+        group = local[:at] + [bad] + local[at:]
+        a = np.zeros((len(group), 1, max(r.valence for r in group)))
+        with pytest.raises(FieldError, match=rf"vertex {bad.vertex} is not "
+                                             r"local interpolating \(NotLI\)"):
+            local_interpolant(group, a, topo)
 
 
 def _assert_padded_table(topo, z):
@@ -1507,10 +1546,10 @@ def test_suite_fields_isolate_a_failing_row():
 
 def test_suite_group_with_a_violating_row_fails_that_vertex_only(
         monkeypatch):
-    """One row of one vertex of a singular group breaks the alternating-sum
-    condition: the group call raises, each vertex is retried alone and the
-    offending vertex row by row, so that vertex reports FAIL (1/2) and
-    every other vertex passes."""
+    """One row of one singular vertex of an interior group breaks the
+    alternating-sum condition: the group call raises, each vertex is
+    retried alone and the offending vertex row by row, so that vertex
+    reports FAIL (1/2) and every other vertex passes."""
     mesh = crossed(3)
     topo = build_topology(mesh)
     reports, _ = classify_mesh(topo)
@@ -1525,9 +1564,11 @@ def test_suite_group_with_a_violating_row_fails_that_vertex_only(
         calls.append(targets.shape)
         for g, r in enumerate(group):
             if r.vertex == victim:
+                n = reports[victim].valence
                 if not bad:
-                    bad.append(targets[g, -1].copy())
-                targets[g, (targets[g] == bad[0]).all(axis=1), 0] += 1.0
+                    bad.append(targets[g, -1, :n].copy())
+                targets[g, (targets[g, :, :n] == bad[0]).all(axis=1), 0] \
+                    += 1.0
         return original(group, targets, *args)
 
     monkeypatch.setattr(cli, "local_interpolant", violating)
@@ -1538,6 +1579,13 @@ def test_suite_group_with_a_violating_row_fails_that_vertex_only(
     assert sum(f"vertex {z:4d} [{SINGULAR}]: pass" in lines
                for z in group) == len(group) - 1
     # the group, then each of its vertices, the victim with its two rows
-    singular = [shape for shape in calls if shape[-1] == 4]
-    assert singular == [(len(group), 2, 4)] + [(1, 2, 4)] * 2 \
-        + [(1, 1, 4)] * 2 + [(1, 2, 4)] * (len(group) - 2)
+    # the interior group, its singular vertices of valence 4 first and its
+    # even grid crossings of valence 8 after them, then each of its
+    # vertices, the victim with its two rows
+    interior = [r for r in reports if not r.boundary
+                and r.local_interpolating]
+    assert calls[0] == (len(interior), 2, 8)
+    singular = [shape for shape in calls[1:] if shape[-1] == 4]
+    assert singular == [(1, 2, 4)] * 2 + [(1, 1, 4)] * 2 \
+        + [(1, 2, 4)] * (len(group) - 2)
+    assert len(calls) == 1 + len(interior) + 2

@@ -112,5 +112,18 @@ def test_hat_gradients_reproduce_barycentric_coordinates():
 
 
 def test_hat_gradients_reject_degenerate():
-    with pytest.raises(ValueError):
+    """An exactly collinear triangle, alone or in a stack, is a
+    ValueError; a triangle whose Jacobian determinant underflows to zero
+    (two pivots of 1e-170) is not degenerate and gets its gradients."""
+    with pytest.raises(ValueError, match="degenerate triangle"):
         poly.hat_gradients((0, 0), (1, 1), (2, 2))
+    good = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    bad = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+    with pytest.raises(ValueError, match="degenerate triangle"):
+        poly.hat_gradients(*np.stack([good, bad], axis=1))
+    assert np.linalg.det(1e-170 * (good[1:] - good[0])) == 0.0
+    g = poly.hat_gradients(*(1e-170 * good))
+    np.testing.assert_allclose(g, 1e170 * np.array([[-1.0, -1.0],
+                                                     [1.0, 0.0],
+                                                     [0.0, 1.0]]),
+                               rtol=1e-15)

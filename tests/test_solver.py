@@ -268,7 +268,7 @@ def _oracle_assembly(topo, field):
         for a, na in idx:
             for c in (0, 1):
                 B[6 * t:6 * t + 6, 2 * na + c] += area * div_qa[:, c, a]
-                u[2 * na + c] = vals[a, c]
+                u[2 * na + c] = vals[c, a]
             for b, nb in idx:
                 for c, semi in itertools.product((0, 1), (False, True)):
                     A[semi][2 * na + c, 2 * nb + c] += K[semi][a, b]
