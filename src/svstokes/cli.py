@@ -18,10 +18,10 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import RankIndeterminateError, SolverError, __version__, poly
+from . import RankIndeterminateError, SolverError, __version__, fields
 from .classify import Tolerances, classify_mesh
-from .fields import (FieldBlock, FieldError, FieldRangeError, VertexValues,
-                     boundary_interpolant, local_interpolant, verify_field)
+from .fields import (FieldError, VertexValues, boundary_interpolant,
+                     local_interpolant, stack_blocks, verify_field)
 from .mesh import (MeshError, MeshFormatError, PRESETS, Triangulation,
                    build_topology, dump_mesh, generate, load_mesh)
 from .trees import (VERDICT_COVER, VERDICT_THM_ALL_LOCAL, build_tree_cover,
@@ -344,52 +344,24 @@ def render_svg(mesh: Triangulation, report: dict, modes,
 # field verification suites
 
 def _suite_fields(topology, group, targets):
-    """Yield (vertices, FieldBlock, expected VertexValues) for the fields
-    of a group of verified vertices, all interior or all on the boundary,
-    with their targets (G, S, N) padded with zeros to the largest valence N:
-    field f of a block is the field of a target at vertex ``vertices[f]``,
-    and the expected values are the targets at the centers and the spills
-    of the fields.  The group is one interpolant call; when it raises
-    FieldError, each vertex is retried alone, then each of its rows, and
-    the rows that raise again are left out; a FieldRangeError propagates."""
+    """(FieldBlock, expected VertexValues) of the fields of a group of
+    verified vertices, all interior or all on the boundary, with their
+    targets (G, S, N) padded with zeros to the largest valence N, in one
+    interpolant call: field g S + s of the block matches target s of
+    vertex g, and the expected values are the targets at the centers and
+    the spills of the fields."""
     fans = topology.fans
     vertex = np.array([r.vertex for r in group])
     n = fans.degree[vertex]
-    try:
-        block, side = (boundary_interpolant if group[0].boundary
-                       else local_interpolant)(group, targets, topology)
-    except FieldRangeError:
-        raise
-    except FieldError:
-        G, S = targets.shape[:2]
-        if G > 1:
-            parts = [([r], targets[g:g + 1, :, :n[g]])
-                     for g, r in enumerate(group)]
-        elif S > 1:
-            parts = [(group, targets[:, s:s + 1]) for s in range(S)]
-        else:
-            return
-        for sub, part in parts:
-            yield from _suite_fields(topology, sub, part)
-        return
+    block, side = (boundary_interpolant if group[0].boundary
+                   else local_interpolant)(group, targets, topology)
     S = targets.shape[1]
     # the center values, in (vertex, sample, triangle) order
     g, s, j = np.nonzero(np.arange(targets.shape[2])
                          < np.repeat(n[:, None, None], S, axis=1))
     center = (g * S + s, fans.tri[fans.offset[vertex[g]] + j], vertex[g],
               targets[g, s, j])
-    yield np.repeat(vertex, S), block, VertexValues(
-        *map(np.concatenate, zip(center, side)))
-
-
-# Fields per interpolant call of the suites: the vertices of a fan kind
-# are interpolated in calls of at most this many fields, whose edge tables
-# and contractions take memory in proportion.  Every benchmark mesh (at
-# most 25 vertices of one kind, 50 fields at two samples) takes one call
-# per kind.  At crossed(32) with two samples (1985 interior and 128
-# boundary vertices) the peak RSS of the whole run is 53.6 MiB at 64, 128
-# and 256 and 77.9 MiB with one call per kind, at about the same speed.
-SUITE_FIELDS = 64
+    return block, VertexValues(*map(np.concatenate, zip(center, side)))
 
 
 def _suite_targets(topology, reports, samples, rng):
@@ -435,10 +407,10 @@ def run_field_suites(mesh: Triangulation, tol: Tolerances, samples: int,
     (samples, N) blocks: the stream of one draw per vertex and sample.
     The verified vertices of one fan kind, interior or boundary, whatever
     their class, are sorted by valence and interpolated together, in
-    calls of at most SUITE_FIELDS fields whose targets are padded to the
-    call's largest valence; the fields go straight into the suite's
-    arrays, and one ``verify_field`` call checks the fields of every
-    vertex."""
+    calls of at most fields.VERIFY_FIELDS fields (at least one vertex)
+    whose targets are padded to the call's largest valence; the calls'
+    blocks are stacked into one, and one ``verify_field`` call checks the
+    fields of every vertex.  A FieldError of any call propagates."""
     if samples < 1:
         raise _InputError(f"--samples must be at least 1, got {samples}")
     if seed < 0:
@@ -452,39 +424,20 @@ def run_field_suites(mesh: Triangulation, tol: Tolerances, samples: int,
     kinds = {}
     for r in verified:
         kinds.setdefault(r.boundary, []).append(r)
-
-    # A field has at most N rows, and leaves at most 2 N side effects.
-    rows = samples * sum(r.valence for r in verified)
-    sides = 2 * samples * sum(r.valence for r in verified
-                              if r.boundary and not r.singular)
-    block = (np.empty(rows, dtype=np.int64), np.empty(rows, dtype=np.int64),
-             np.empty((rows, 2, len(poly.MONO3))))
-    expected = VertexValues(*(np.empty(rows + sides, dtype=np.int64)
-                              for _ in range(3)), np.empty(rows + sides))
-    owner = np.empty(samples * len(verified), dtype=np.int64)
-    F = R = E = 0                  # fields, rows and expected values so far
-    step = max(SUITE_FIELDS // samples, 1)
+    step = max(fields.VERIFY_FIELDS // samples, 1)
     chunks = [group[lo:lo + step] for group in
               (sorted(group, key=lambda r: r.valence)
                for group in kinds.values())
               for lo in range(0, len(group), step)]
-    for chunk in chunks:
-        targets = _padded_targets(
-            topology, draws, np.array([r.vertex for r in chunk]), samples)
-        for vertices, part, values in _suite_fields(topology, chunk, targets):
-            owner[F:F + part.F] = vertices
-            for out, a in zip(block, (part.field + F, part.tri, part.coeffs)):
-                out[R:R + len(a)] = a
-            for out, a in zip(expected, (values.field + F, *values[1:])):
-                out[E:E + len(a)] = a
-            F, R, E = F + part.F, R + len(part.field), E + len(values.field)
-    suite = FieldBlock(topology, F, *(a[:R] for a in block))
-    for a in (suite.field, suite.tri, suite.coeffs):
-        a.setflags(write=False)
-    failed = owner[verify_field(suite, VertexValues(
-        *(a[:E] for a in expected))).failed_fields()]
-    n_fail = (samples - np.bincount(owner[:F], minlength=topology.V)
-              + np.bincount(failed, minlength=topology.V))
+    # the parts are dropped once stacked, before the checks
+    suite, expected = stack_blocks(topology, [_suite_fields(
+        topology, chunk, _padded_targets(
+            topology, draws, np.array([r.vertex for r in chunk]), samples))
+        for chunk in chunks])
+    owner = np.repeat(np.array([r.vertex for chunk in chunks for r in chunk],
+                               dtype=np.int64), samples)
+    n_fail = np.bincount(owner[verify_field(suite, expected).failed_fields()],
+                         minlength=topology.V)
     n_fail = n_fail[np.array([r.vertex for r in verified], dtype=np.int64)]
     lines = [f"vertex {r.vertex:4d} [{r.status}]: "
              f"{'pass' if not n else f'FAIL ({n}/{samples})'}"

@@ -16,9 +16,9 @@ whose telescoping weights are its rows of the chain table, the half
 alternating sum at an odd one, the corrector seed at an even one and
 the zero-edge-mean scalar at the straightest edge at a non-singular
 boundary one.  Every construction returns one FieldBlock of support
-rows, which verify_field checks, and, as VertexValues, the divergences
-its fields leave away from the patch centers (none for a local
-interpolant).
+rows and, as VertexValues, the divergences its fields leave away from
+the patch centers (none for a local interpolant); ``stack_blocks``
+joins such pairs into one, which verify_field checks.
 """
 
 from __future__ import annotations
@@ -38,10 +38,6 @@ from .mesh import FanTable, MeshTopology
 
 class FieldError(ValueError):
     """A field construction's preconditions are not met."""
-
-
-class FieldRangeError(FieldError):
-    """Values overflow the double range; no smaller group avoids it."""
 
 
 class UnacceptableEdgeError(FieldError):
@@ -138,6 +134,22 @@ class VertexValues(NamedTuple):
 
 _NO_VALUES = VertexValues(*(_frozen(np.zeros(0, dtype=np.int64))
                             for _ in range(3)), _frozen(np.zeros(0)))
+
+
+def stack_blocks(topology: MeshTopology, parts):
+    """One (FieldBlock, VertexValues) pair of a sequence of them on
+    ``topology``: the fields of each part are numbered after those of the
+    parts before it, and no parts give a block of no fields."""
+    offset = np.cumsum([0] + [b.F for b, _ in parts]).tolist()
+    blocks = [(b.field + o, b.tri, b.coeffs)
+              for (b, _), o in zip(parts, offset)]
+    values = [(v.field + o, *v[1:]) for (_, v), o in zip(parts, offset)]
+    empty = (_NO_VALUES.field, _NO_VALUES.tri,
+             np.zeros((0, 2, len(poly.MONO3))))
+    block = FieldBlock(topology, offset[-1], *(
+        _frozen(np.concatenate(a)) for a in zip(empty, *blocks)))
+    return block, VertexValues(*(np.concatenate(a)
+                                 for a in zip(_NO_VALUES, *values)))
 
 
 def center_divergences(topology: MeshTopology, coeffs, z: int):
@@ -245,8 +257,7 @@ class EdgeTable:
     of z and of the spoke in the triangle; ``chi_tri`` and ``kappa_tri``,
     which only some constructions read, on first use.  ``last[g]`` is the
     edge before triangle 0 (M = N - boundary, past the edges of the group,
-    where there is none).  The dense tables ``w``, ``chi`` (G, M, N, 2,
-    10) and ``kappa`` (G, M, N, 10) hold the fields edge by edge over the
+    where there is none); ``edge_row`` gives one edge's fields over the
     whole fan.  ``l_z2[g, j]`` is l_z^2 on tris[j], the profile of the
     directional correctors.
     """
@@ -289,25 +300,6 @@ class EdgeTable:
         out[np.arange(len(g)), k] = tri[1, g, k]
         out[np.arange(len(g)), after] = tri[0, g, after]
         return out
-
-    def _dense(self, tri):
-        edges = self.edges()
-        g, k = np.nonzero(edges)
-        out = np.zeros(edges.shape + tri.shape[2:])
-        out[g, k] = self.edge_row(tri, g, k)
-        return out
-
-    @cached_property
-    def w(self) -> np.ndarray:                      # (G, M, N, 2, 10)
-        return self._dense(self.w_tri)
-
-    @cached_property
-    def chi(self) -> np.ndarray | None:             # (G, N, N, 2, 10)
-        return None if self.boundary else self._dense(self.chi_tri)
-
-    @cached_property
-    def kappa(self) -> np.ndarray:                  # (G, M, N, 10)
-        return self._dense(self.kappa_tri)
 
 
 def _outer(vec, mono):
@@ -538,7 +530,7 @@ def _even_seed(table: EdgeTable, g, reports, fans):
     interior members g of a group, their reports ``reports``, each for its
     direction index in {0, 1, 2}, from the d-coefficients of their fans in
     the fan table ``fans``; an overflow (of 12 D_0 at tiny length scales)
-    is a FieldRangeError."""
+    is a FieldError."""
     i = np.array([r.even_index for r in reports])
     corner, n, m = table.corner[g], table.n[g], np.arange(len(g))
     xi = _xi(table, i, fans.c[corner], g)[1]
@@ -551,8 +543,8 @@ def _even_seed(table: EdgeTable, g, reports, fans):
     dvals = np.where(np.arange(N) < n[:, None], dvals, 0.0)
     finite = np.isfinite(det) & np.isfinite(dvals).all(axis=1)
     if not finite.all():
-        raise FieldRangeError(f"vertex {reports[np.argmin(finite)].vertex}: "
-                              f"the even seed overflows at this length scale")
+        raise FieldError(f"vertex {reports[np.argmin(finite)].vertex}: "
+                         f"the even seed overflows at this length scale")
     # telescoping weights s_0 = 0, s_j = d_j - s_{j-1}: s_j multiplies
     # the edge field of edge j, joining triangles j and j+1 (cyclic slot j)
     s = _combine(dvals[:, None, 1:], _signed_prefix(N - 1)[n - 1])[:, 0]
@@ -795,11 +787,13 @@ _TRACE_LAM = _trace_lambdas()
 # coefficient or divergence coefficient (at least 1).
 RTOL = 1e-9
 
-# Fields per pass of verify_field.  A pass holds the check arrays of its
-# rows, about 1.4 KB per support triangle: every benchmark mesh (at most
-# 98 fields) takes one pass, and crossed(32) at two samples (4226 fields)
-# 34: one pass over all of them raised that run's peak RSS from 82 to
-# 102 MiB, and passes of 512 left it 0 to 2 MiB above passes of 128.
+# Fields per pass of verify_field, and per interpolant call of the field
+# suites (``cli.run_field_suites``).  A pass holds the check arrays of its
+# rows, about 1.4 KB per support triangle, and a call its edge tables and
+# contractions: every benchmark mesh (at most 98 fields) takes one pass
+# and one call per fan kind, and crossed(32) at two samples (4226 fields)
+# 34 passes: one pass over all of them raised that run's peak RSS from 82
+# to 102 MiB, and passes of 512 left it 0 to 2 MiB above passes of 128.
 VERIFY_FIELDS = 128
 
 

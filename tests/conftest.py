@@ -4,12 +4,12 @@ vertex classification, the named meshes of the high-valence fans, random
 shape-regular patches, admissible pressure targets, the golden and
 benchmark meshes, the type-1 grids with crossed squares, edge lookups and
 edge weights, corner angles of an edge pair, dual determinant formulas,
-dense views of field blocks, the oracles of transfers composed along a
-path (the path lemma) and of field blocks as velocity DOF vectors, the
-full assembly of the divergence pairing and its norms, uncondensed, the
-einsum oracle of the Gram blocks, the json oracle of the report writer,
-the Krylov start and the certificate of a synthetic factor, the
-factor products of the rank scale, the oracles of the rank's
+dense views of field blocks and edge tables, the oracles of transfers
+composed along a path (the path lemma) and of field blocks as velocity
+DOF vectors, the full assembly of the divergence pairing and its norms,
+uncondensed, the einsum oracle of the Gram blocks, the json oracle of
+the report writer, the Krylov start and the certificate of a synthetic
+factor, the factor products of the rank scale, the oracles of the rank's
 inverse Lanczos and lift (triangular solves and Givens rotations), and
 Gauss quadrature on a triangle and along an edge."""
 
@@ -18,6 +18,7 @@ import json
 import pathlib
 import sys
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -26,8 +27,8 @@ import scipy.linalg
 from svstokes import cli, fields, poly, solver
 from svstokes.classify import (BOUNDARY, EVEN, NOT_LI, ODD, SINGULAR,
                                Tolerances, VertexReport, classify_mesh)
-from svstokes.fields import (FieldBlock, VertexValues, center_divergences,
-                             edge_transfer, field_block)
+from svstokes.fields import (VertexValues, center_divergences, edge_transfer,
+                             field_block)
 from svstokes.mesh import (CROSS, LOWER, Triangulation, _lattice,
                            build_topology, crossed, load_mesh, ngon_patch,
                            perturbed_grid, three_lines, type1_diagonal)
@@ -414,28 +415,31 @@ def values(*divs):
                           zip(cols, [np.int64] * 3 + [float])))
 
 
-def stack_fields(topology, parts):
-    """One (FieldBlock, VertexValues) pair of a sequence of them on
-    ``topology``, the fields of each part numbered after those of the
-    parts before it."""
-    parts = list(parts)
-    blocks, vals = [b for b, _ in parts], [v for _, v in parts]
-    offset = np.cumsum([0] + [b.F for b in blocks])
-    none = (np.zeros(0, dtype=np.int64),)
+class DenseEdges(NamedTuple):
+    """An edge table's fields edge by edge over the whole fan: ``w``,
+    ``chi`` (G, M, N, 2, 10), None on a boundary group, and ``kappa``
+    (G, M, N, 10)."""
 
-    def numbered(groups):
-        return (np.concatenate(none + tuple(g.field for g in groups))
-                + np.repeat(offset[:-1], [len(g.field) for g in groups]))
+    w: np.ndarray
+    chi: np.ndarray | None
+    kappa: np.ndarray
 
-    block = FieldBlock(
-        topology, int(offset[-1]), numbered(blocks),
-        np.concatenate(none + tuple(b.tri for b in blocks)),
-        np.concatenate([np.zeros((0, 2, len(poly.MONO3)))]
-                       + [b.coeffs for b in blocks]))
-    for a in (block.field, block.tri, block.coeffs):
-        a.setflags(write=False)
-    return block, VertexValues(numbered(vals), *(
-        np.concatenate(none + tuple(v[i] for v in vals)) for i in (1, 2, 3)))
+
+def dense_edges(table):
+    """The DenseEdges of an EdgeTable, each edge's row out of its
+    per-triangle tables by ``EdgeTable.edge_row``, zero past the edges of
+    each member."""
+    edges = table.edges()
+    g, k = np.nonzero(edges)
+
+    def dense(tri):
+        out = np.zeros(edges.shape + tri.shape[2:])
+        out[g, k] = table.edge_row(tri, g, k)
+        return out
+
+    return DenseEdges(dense(table.w_tri),
+                      None if table.boundary else dense(table.chi_tri),
+                      dense(table.kappa_tri))
 
 
 def as_dict(vals, field=0):

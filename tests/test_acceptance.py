@@ -11,12 +11,12 @@ from math import factorial
 import numpy as np
 import pytest
 
-from conftest import (admissible_target, decision, dense, div_at,
-                      div_integral, div_mean, dual_determinants, edge_index,
-                      edge_pair_angles, edge_tris, edge_weights, fan,
-                      on_patch, path_interpolant, path_stats,
-                      random_interior_patch,
-                      rigid_motion, scalar_edge_integral,
+from conftest import (admissible_target, decision, dense, dense_edges,
+                      div_at, div_integral, div_mean, dual_determinants,
+                      edge_index, edge_pair_angles, edge_tris, edge_weights,
+                      fan, on_patch, path_interpolant, path_stats,
+                      random_interior_patch, rigid_motion,
+                      scalar_edge_integral,
                       scalar_gradient_at_vertex, support, svd_oracle, values)
 from svstokes import fields, poly, solver
 from svstokes.classify import EVEN, ODD, SINGULAR, Tolerances, classify_mesh
@@ -50,9 +50,10 @@ def test_A1_field_lemma_suite():
         # edge fields: support, unit divergence at the center, zero at the
         # far endpoint, zero triangle means
         table = edge_table([patch.z], topo)
+        view = dense_edges(table)
         k = int(rng.integers(patch.N))
         y = int(patch.spokes[k])
-        f = on_patch(topo, patch, table.w[0, k])
+        f = on_patch(topo, patch, view.w[0, k])
         e = edge_index(topo)[(0, y)]
         t1, t2 = edge_tris(topo, e)
         assert support(f) == {t1, t2}
@@ -63,11 +64,11 @@ def test_A1_field_lemma_suite():
         # normal correctors: unit +/- divergence integrals and the summed
         # vertex-divergence identity against the patch coefficients
         for j in range(patch.N):
-            chi = on_patch(topo, patch, table.chi[0, j])
+            chi = on_patch(topo, patch, view.chi[0, j])
             pair = patch.tris[j], patch.tris[(j + 1) % patch.N]
             ints = sorted(div_integral(topo, chi, t) for t in pair)
             assert abs(ints[0] + 1.0) < RTOL and abs(ints[1] - 1.0) < RTOL
-        total = on_patch(topo, patch, table.chi[0].sum(axis=0))
+        total = on_patch(topo, patch, view.chi[0].sum(axis=0))
         scale = max(np.abs(patch.d0).max(), 1.0)
         for j, t in enumerate(patch.tris):
             assert abs(div_at(topo, total, t, 0) - 12.0 * patch.d0[j]) \
@@ -90,7 +91,7 @@ def test_A1_field_lemma_suite():
                     < 10 * RTOL * ds
                 assert abs(div_mean(topo, xi, t)) < 10 * RTOL * ds
         # zero-edge-mean scalar: edge mean and the two gradient identities
-        kap = on_patch(topo, patch, table.kappa[0, k])
+        kap = on_patch(topo, patch, view.kappa[0, k])
         for t in (t1, t2):
             assert abs(scalar_edge_integral(topo, t, kap[t], 0, y)) < RTOL
             g = poly.hat_gradients(*topo.mesh.vertices[topo.mesh.triangles[t]])

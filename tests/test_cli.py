@@ -538,7 +538,7 @@ def test_field_suites_across_length_scales(tmp_path, capsys, preset):
     dropped only below 1e-12 times its largest coefficient times the reach
     of its row's hat gradients, a bound that scales as a divergence does;
     a bound of 1e-12 times the coefficient alone dropped real spills from
-    10^10 or 10^12 up (exit 4).  No FieldRangeError applies on this grid:
+    10^10 or 10^12 up (exit 4).  No even seed overflows on this grid:
     the nearest, perturbed-3-s1 at 1e-154, is pinned by
     test_gram_overflow_near_the_range_end_is_one_error_line."""
     out = tmp_path / "fields.txt"
@@ -832,80 +832,60 @@ def test_field_suite_targets_are_the_per_vertex_draws(key, samples):
         assert not padded[g, :, r.valence:].any()
 
 
-def test_field_suite_retries_one_row_of_a_mixed_group(monkeypatch):
-    """An interior call over vertices of several valences and classes
-    that raises is retried vertex by vertex, each at its own valence, and
-    the offending vertex row by row: that vertex reports FAIL (1/2) and
-    every other one passes."""
-    m = bench_mesh("perturbed-5-p0")
-    topo = build_topology(m)
-    reports, _ = classify_mesh(topo, Tolerances())
-    odd = [r for r in reports if r.status == "OddLI"]
-    assert len({r.valence for r in odd}) > 1
-    victim = min(odd, key=lambda r: r.valence)
-    original = cli.local_interpolant
-    calls, bad = [], []
+def test_field_suite_field_error_is_one_error_line(tmp_path, capsys,
+                                                   monkeypatch):
+    """A FieldError of an interpolant call is not retried on a smaller
+    group: verify-fields makes that one call, exits 4 with one line on
+    stderr and writes no report."""
+    calls = []
 
-    def raising(group, targets, *args):
-        calls.append(([r.vertex for r in group], targets.shape))
-        for g, r in enumerate(group):
-            if r.vertex == victim.vertex:
-                if not bad:
-                    bad.append(targets[g, -1, :victim.valence].copy())
-                if (targets[g, :, :victim.valence] == bad[0]).all(
-                        axis=1).any():
-                    raise fields.FieldError("row rejected")
-        return original(group, targets, *args)
+    def raising(group, targets, topology):
+        calls.append(targets.shape)
+        raise fields.FieldError("row rejected")
 
     monkeypatch.setattr(cli, "local_interpolant", raising)
-    lines, ok = run_field_suites(m, Tolerances(), 2, 7)
-    assert not ok
-    assert [ln for ln in lines if "FAIL" in ln] == [
-        f"vertex {victim.vertex:4d} [OddLI]: FAIL (1/2)"]
-    interior = [r for r in reports if not r.boundary
-                and r.local_interpolating]
-    assert len({r.status for r in interior}) > 1
-    group = next(g for g, shape in calls if victim.vertex in g)
-    N = max(r.valence for r in interior)
-    assert calls[[c[0] for c in calls].index(group)][1] \
-        == (len(interior), 2, N)
-    # each vertex alone at its own valence, the victim's rows one by one
-    alone = [shape for g, shape in calls if g == [victim.vertex]]
-    assert alone == [(1, 2, victim.valence)] + [(1, 1, victim.valence)] * 2
+    path = tmp_path / "perturbed-5-p0.mesh"
+    path.write_text(dump_mesh(bench_mesh("perturbed-5-p0")))
+    out = tmp_path / "fields.txt"
+    assert main(["verify-fields", "--mesh", str(path), "--samples", "2",
+                 "--seed", "7", "--out", str(out)]) == EXIT_INTERNAL
+    assert capsys.readouterr().err.splitlines() == [
+        "internal invariant violation: row rejected"]
+    assert not out.exists()
+    assert len(calls) == 1
 
 
-def test_field_suite_batches_give_the_same_report(monkeypatch):
-    """The one verify_field call walks the suite's fields in passes of
-    fields.VERIFY_FIELDS; the pass size does not change the report."""
+@pytest.mark.parametrize("size", [1, 7, 128])
+def test_field_suite_splits_large_groups(monkeypatch, size):
+    """fields.VERIFY_FIELDS bounds the suite's interpolant calls, at
+    VERIFY_FIELDS // samples vertices (at least one), and the passes of
+    its one verify_field call, at VERIFY_FIELDS fields.  A fan kind is cut
+    after its sort by valence, so that its calls follow in valence order;
+    the bound does not change the report."""
     m = bench_mesh("perturbed-5-p0")
+    topo = build_topology(m)
     want = run_field_suites(m, Tolerances(), 3, 11)
-    monkeypatch.setattr(fields, "VERIFY_FIELDS", 7)
+    monkeypatch.setattr(fields, "VERIFY_FIELDS", size)
+    tables = _count_calls(monkeypatch, fields, "edge_table")
     verified = _count_calls(monkeypatch, fields, "verify_field")
     passes = _count_calls(monkeypatch, fields, "_verify_range")
     assert run_field_suites(m, Tolerances(), 3, 11) == want
-    # 36 vertices of 3 samples: 108 fields in passes of 7
-    assert [args[0].F for args in verified] == [108]
-    assert [args[2] for args in passes] == [7] * 15 + [3]
-
-
-@pytest.mark.parametrize("size", [1, 7])
-def test_field_suite_splits_large_groups(monkeypatch, size):
-    """A class of more than cli.SUITE_FIELDS fields is interpolated in
-    calls of at most that many (at least one vertex), cut after its sort
-    by valence, so that the calls of a class follow in valence order; the
-    split does not change the report."""
-    m = bench_mesh("perturbed-5-p0")
-    degree = build_topology(m).fans.degree
-    want = run_field_suites(m, Tolerances(), 3, 11)
-    monkeypatch.setattr(cli, "SUITE_FIELDS", size)
-    tables = _count_calls(monkeypatch, fields, "edge_table")
-    assert run_field_suites(m, Tolerances(), 3, 11) == want
-    sizes = [len(args[0]) for args in tables]
-    assert sum(sizes) == len(want[0])
-    assert max(sizes) == max(size // 3, 1)
-    valences = [degree[args[0]].tolist() for args in tables]
+    step = max(size // 3, 1)
+    # the fan kinds in the order of their first vertex
+    kinds = {}
+    for r in classify_mesh(topo, Tolerances())[0]:
+        if r.boundary or r.local_interpolating:
+            kinds[r.boundary] = kinds.get(r.boundary, 0) + 1
+    assert [len(args[0]) for args in tables] == [
+        min(step, n - lo) for n in kinds.values()
+        for lo in range(0, n, step)]
+    valences = [topo.fans.degree[args[0]].tolist() for args in tables]
     assert all(v == sorted(v) for v in valences)
     assert any(len(set(v)) > 1 for v in valences) == (size > 3)
+    # 36 vertices of 3 samples: 108 fields in passes of at most size
+    assert [args[0].F for args in verified] == [108]
+    assert [args[2] for args in passes] == [size] * (108 // size) + (
+        [108 % size] if 108 % size else [])
 
 
 @pytest.mark.parametrize("samples,seed", [(0, 11), (-3, 11), (2, -1)],

@@ -9,20 +9,19 @@ import pytest
 
 from conftest import (GOLDEN_MESHES, MIXED, admissible_target, as_dict,
                       bench_mesh, bench_pool, corner_divergences, decision,
-                      dense, div_at, div_integral, div_mean, edge_index,
-                      edge_pair_angles, edge_tris, edge_weights, fan,
-                      on_patch, path_interpolant, path_stats,
+                      dense, dense_edges, div_at, div_integral, div_mean,
+                      edge_index, edge_pair_angles, edge_tris, edge_weights,
+                      fan, on_patch, path_interpolant, path_stats,
                       random_interior_patch, scalar_edge_integral,
                       scalar_gradient_at_vertex, SLIVER_EPS, SLIVERS,
-                      sliver_mesh, stack_fields, support,
-                      type1_with_crossed, values)
+                      sliver_mesh, support, type1_with_crossed, values)
 from svstokes import cli, fields, poly
 from svstokes.classify import (BOUNDARY, EVEN, ODD, SINGULAR, Tolerances,
                                classify_mesh)
 from svstokes.fields import (FieldBlock, FieldError, UnacceptableEdgeError,
                              boundary_interpolant, center_divergences,
                              edge_table, edge_transfer, field_block,
-                             local_interpolant, verify_field)
+                             local_interpolant, stack_blocks, verify_field)
 from svstokes.mesh import (Triangulation, build_topology, crossed,
                            perturbed_grid, three_lines, type1_diagonal)
 from svstokes.trees import build_tree_cover, tree_interpolant
@@ -64,7 +63,7 @@ def test_w_field_properties(rng):
         mesh, topo, patch = random_interior_patch(rng)
         k = int(rng.integers(patch.N - patch.boundary))
         y = int(patch.spokes[k + patch.boundary])
-        row = edge_table([patch.z], topo).w[0, k]
+        row = dense_edges(edge_table([patch.z], topo)).w[0, k]
         w = on_patch(topo, patch, row)
         t1, t2 = edge_tris(topo, edge_index(topo)[(0, y)])
         assert support(w) == {t1, t2}
@@ -80,15 +79,15 @@ def test_w_field_properties(rng):
 def test_chi_fields_and_their_sum(rng):
     for _ in range(10):
         mesh, topo, patch = random_interior_patch(rng)
-        table = edge_table([patch.z], topo)
+        chis = dense_edges(edge_table([patch.z], topo)).chi[0]
         for k in range(patch.N):
-            chi = on_patch(topo, patch, table.chi[0, k])
+            chi = on_patch(topo, patch, chis[k])
             t1, t2 = patch.tris[k], patch.tris[(k + 1) % patch.N]
             assert support(chi) == {t1, t2}
             ints = sorted(div_integral(topo, chi, t) for t in (t1, t2))
             assert ints[0] == pytest.approx(-1.0, rel=1e-10)
             assert ints[1] == pytest.approx(1.0, rel=1e-10)
-        total = on_patch(topo, patch, table.chi[0].sum(axis=0))
+        total = on_patch(topo, patch, chis.sum(axis=0))
         for j, t in enumerate(patch.tris):
             assert div_at(topo, total, t, 0) == pytest.approx(
                 12.0 * patch.d0[j], rel=1e-10, abs=1e-10)
@@ -117,7 +116,8 @@ def test_kappa_field_properties(rng):
         mesh, topo, patch = random_interior_patch(rng)
         k = int(rng.integers(patch.N - patch.boundary))
         y = int(patch.spokes[k + patch.boundary])
-        kap = on_patch(topo, patch, edge_table([patch.z], topo).kappa[0, k])
+        kap = on_patch(topo, patch,
+                       dense_edges(edge_table([patch.z], topo)).kappa[0, k])
         e = edge_index(topo)[(0, y)]
         for t in edge_tris(topo, e):
             # zero mean along the shared edge
@@ -403,7 +403,8 @@ def _chi(topo, scale=1e-6):
     zero trace on the boundary of its support, and carries means."""
     z = next(v for v in range(topo.V) if not topo.boundary_vertex[v])
     patch = fan(topo, z)
-    return scale * on_patch(topo, patch, edge_table([z], topo).chi[0, 0])
+    return scale * on_patch(topo, patch,
+                            dense_edges(edge_table([z], topo)).chi[0, 0])
 
 
 @pytest.mark.parametrize("kind", ["local", "boundary"])
@@ -684,19 +685,20 @@ def test_table_views_equal_the_oracle_fields(source, name):
     for z in range(topo.V):
         patch = fan(topo, z)
         table = edge_table([z], topo)
+        view = dense_edges(table)
         for k in range(patch.N - patch.boundary):
             y = patch.spokes[k + patch.boundary]
-            assert np.array_equal(on_patch(topo, patch, table.w[0, k]),
+            assert np.array_equal(on_patch(topo, patch, view.w[0, k]),
                                   _oracle_w(topo, patch.z, y))
-            assert np.array_equal(on_patch(topo, patch, table.kappa[0, k]),
+            assert np.array_equal(on_patch(topo, patch, view.kappa[0, k]),
                                   _oracle_kappa(topo, patch.z, y))
         if patch.boundary:
-            assert table.chi is None
+            assert view.chi is None
             continue
         for k in range(patch.N):
-            assert np.array_equal(on_patch(topo, patch, table.chi[0, k]),
+            assert np.array_equal(on_patch(topo, patch, view.chi[0, k]),
                                   _oracle_chi(patch, topo, k))
-        _assert_same_field(on_patch(topo, patch, table.chi[0].sum(axis=0)),
+        _assert_same_field(on_patch(topo, patch, view.chi[0].sum(axis=0)),
                            _oracle_chi_sum(patch, topo))
         for i in (1, 2):
             tilde, xi = (on_patch(topo, patch, x[0])
@@ -1167,14 +1169,15 @@ def _assert_padded_table(topo, z):
     """The edge table of a group holds each vertex's group-of-one table,
     and zeros past its own edges and triangles."""
     table = edge_table(z, topo)
+    view = dense_edges(table)
     N = table.corner.shape[1]
     for g, v in enumerate(z):
         one = edge_table([v], topo)
-        n, m = one.corner.shape[1], one.w.shape[1]
+        one_view = dense_edges(one)
+        n, m = one.corner.shape[1], one_view.w.shape[1]
         assert table.n[g] == n
         assert np.array_equal(table.corner[g, :n], one.corner[0])
-        for got, want in ((table.w, one.w), (table.kappa, one.kappa),
-                          (table.chi, one.chi)):
+        for got, want in zip(view, one_view):
             if want is None:
                 assert got is None
                 continue
@@ -1268,10 +1271,22 @@ def test_interpolant_blocks_are_sorted_nonzero_and_read_only(name):
         blocks.append(tree_interpolant(
             topo, cover, admissible_target(topo, reports, rng), reports,
             TOL))
-    stacked, _ = stack_fields(topo, [(b, values()) for b in blocks])
+    stacked, _ = stack_blocks(topo, [(b, values()) for b in blocks])
     assert stacked.F == sum(b.F for b in blocks)
     for block in blocks + [stacked]:
         _assert_block(block)
+
+
+def test_stack_blocks_of_no_parts_is_a_block_of_no_fields():
+    topo = build_topology(crossed(1))
+    block, expected = stack_blocks(topo, [])
+    assert (block.topology, block.F) == (topo, 0)
+    assert [(a.shape, a.dtype) for a in (block.field, block.tri,
+                                          block.coeffs)] \
+        == [((0,), np.int64), ((0,), np.int64), ((0, 2, 10), float)]
+    assert [(a.shape, a.dtype) for a in expected] \
+        == [((0,), np.int64)] * 3 + [((0,), float)]
+    assert verify_field(block, expected).passed.shape == (0, 4)
 
 
 def test_field_block_drops_zero_rows():
@@ -1334,7 +1349,7 @@ def test_stacked_verify_field_equals_the_per_field_calls(name):
     reports, _ = classify_mesh(topo)
     rng = np.random.default_rng(sum(map(ord, name)))
     blocks, divs = _field_cases(topo, reports, rng)
-    stacked = verify_field(*stack_fields(
+    stacked = verify_field(*stack_blocks(
         topo, [(b, values(d)) for b, d in zip(blocks, divs)]))
     want, failing = [], []
     for i, (b, d) in enumerate(zip(blocks, divs)):
@@ -1362,7 +1377,7 @@ def test_chunked_verify_field_equals_one_pass(monkeypatch, name):
     reports, _ = classify_mesh(topo)
     rng = np.random.default_rng(sum(map(ord, name)))
     blocks, divs = _field_cases(topo, reports, rng)
-    block, expected = stack_fields(
+    block, expected = stack_blocks(
         topo, [(b, values(d)) for b, d in zip(blocks, divs)])
     passes = []
     original = fields._verify_range
@@ -1507,7 +1522,7 @@ def test_suite_fails_a_boundary_seed_that_pollutes_a_second_vertex(
     table = edge_table([y], topo)
     k = np.flatnonzero(fans.far[table.corner[0]] == victim.vertex)[0]
     pollution = dict(zip(fans.tri[table.corner[0]].tolist(),
-                         0.37 * table.w[0, k]))
+                         0.37 * dense_edges(table).w[0, k]))
     spilling_block = fields._spilling_block
 
     def polluting(topology, table, coeffs, *args):
@@ -1526,66 +1541,57 @@ def test_suite_fails_a_boundary_seed_that_pollutes_a_second_vertex(
     assert all(ln.endswith("pass") for ln in lines if ln not in failed)
 
 
-def test_suite_fields_isolate_a_failing_row():
-    """A block whose construction raises is retried row by row: only the
-    offending target is left out."""
+def test_suite_raises_on_a_target_off_the_constraint(monkeypatch):
+    """A target that breaks the alternating-sum condition at a singular
+    vertex is a FieldError of its group's one call, not retried on a
+    smaller group: ``_suite_fields`` raises it, and so does the whole
+    suite when one row of one singular vertex of its interior group
+    breaks it."""
     topo = build_topology(crossed(2))
     reports, _ = classify_mesh(topo)
     r = next(r for r in reports if r.singular and not r.boundary)
-    patch = fan(topo, r.vertex)
-    a = _block_targets(np.random.default_rng(4), patch, True, 3)
+    a = _block_targets(np.random.default_rng(4), fan(topo, r.vertex), True, 3)
+    cli._suite_fields(topo, [r], a[None])
     a[1, 0] += 1.0
-    built = list(cli._suite_fields(topo, [r], a[None]))
-    assert [(vertices.tolist(), block.F) for vertices, block, _ in built] \
-        == [([r.vertex], 1), ([r.vertex], 1)]
-    _, block, expected = built[1]
-    assert verify_field(block, expected).ok
-    assert as_dict(expected) == {(t, patch.z): v
-                                 for t, v in zip(patch.tris, a[2].tolist())}
+    with pytest.raises(FieldError, match="alternating-sum"):
+        cli._suite_fields(topo, [r], a[None])
 
-
-def test_suite_group_with_a_violating_row_fails_that_vertex_only(
-        monkeypatch):
-    """One row of one singular vertex of an interior group breaks the
-    alternating-sum condition: the group call raises, each vertex is
-    retried alone and the offending vertex row by row, so that vertex
-    reports FAIL (1/2) and every other vertex passes."""
     mesh = crossed(3)
-    topo = build_topology(mesh)
-    reports, _ = classify_mesh(topo)
-    group = [r.vertex for r in reports if r.status == SINGULAR
-             and not r.boundary]
-    victim = group[1]
+    reports, _ = classify_mesh(build_topology(mesh))
+    victim = [r.vertex for r in reports if r.status == SINGULAR
+              and not r.boundary][1]
     original = cli.local_interpolant
-    calls, bad = [], []
+    calls = []
 
     def violating(group, targets, *args):
         targets = np.array(targets)
         calls.append(targets.shape)
-        for g, r in enumerate(group):
-            if r.vertex == victim:
-                n = reports[victim].valence
-                if not bad:
-                    bad.append(targets[g, -1, :n].copy())
-                targets[g, (targets[g, :, :n] == bad[0]).all(axis=1), 0] \
-                    += 1.0
+        targets[[r.vertex for r in group].index(victim), -1, 0] += 1.0
         return original(group, targets, *args)
 
     monkeypatch.setattr(cli, "local_interpolant", violating)
-    lines, ok = cli.run_field_suites(mesh, TOL, 2, 7)
-    assert not ok
-    assert [ln for ln in lines if "FAIL" in ln] == [
-        f"vertex {victim:4d} [{SINGULAR}]: FAIL (1/2)"]
-    assert sum(f"vertex {z:4d} [{SINGULAR}]: pass" in lines
-               for z in group) == len(group) - 1
-    # the group, then each of its vertices, the victim with its two rows
-    # the interior group, its singular vertices of valence 4 first and its
-    # even grid crossings of valence 8 after them, then each of its
-    # vertices, the victim with its two rows
+    with pytest.raises(FieldError, match="alternating-sum"):
+        cli.run_field_suites(mesh, TOL, 2, 7)
+    # the interior group, its singular vertices of valence 4 and its even
+    # grid crossings of valence 8, in one call
     interior = [r for r in reports if not r.boundary
                 and r.local_interpolating]
-    assert calls[0] == (len(interior), 2, 8)
-    singular = [shape for shape in calls[1:] if shape[-1] == 4]
-    assert singular == [(1, 2, 4)] * 2 + [(1, 1, 4)] * 2 \
-        + [(1, 2, 4)] * (len(group) - 2)
-    assert len(calls) == 1 + len(interior) + 2
+    assert calls == [(len(interior), 2, 8)]
+
+
+@pytest.mark.parametrize("tol", [1e-14, 0.99])
+def test_one_triangle_boundary_fans_are_singular(tol):
+    """Theta(z) of a boundary fan of one triangle is the vacuous 0, so the
+    vertex is SingularLI at every --tol-singular in (0, 1):
+    boundary_interpolant's two triangles of a non-singular vertex hold
+    for every classified one."""
+    found = 0
+    for mesh in [make() for make in GOLDEN_MESHES.values()] \
+            + [type1_diagonal(6)]:
+        topo = build_topology(mesh)
+        reports, _ = classify_mesh(topo, Tolerances(singular=tol))
+        for r in reports:
+            if r.boundary and r.valence == 1:
+                assert (r.theta_value, r.status) == (0.0, SINGULAR)
+                found += 1
+    assert found >= 5

@@ -12,7 +12,7 @@ import scipy.linalg
 
 from conftest import (GOLDEN_MESHES, bench_mesh, bench_pool, dense,
                       dense_divergence, dense_norms, edge_index, edge_tris,
-                      fan, gram_blocks_oracle, rigid_motion, stack_fields,
+                      fan, gram_blocks_oracle, rigid_motion,
                       svd_oracle, synthetic_certificate, triangle_rule,
                       values, velocity_coefficients)
 from svstokes import fields, poly, solver
@@ -348,7 +348,7 @@ def test_velocity_coefficients_give_one_column_per_field(name):
         singles.append(field_block(topo, field))
     empty = field_block(topo, np.zeros((topo.T, 2, 10)))
     singles.insert(2, empty)
-    block, _ = stack_fields(topo, [(b, values()) for b in singles])
+    block, _ = fields.stack_blocks(topo, [(b, values()) for b in singles])
     columns = velocity_coefficients(topo, nodes, block)
     assert columns.shape == (2 * (nodes.max() + 1), len(singles))
     for j, single in enumerate(singles):
