@@ -507,7 +507,8 @@ def _contract(table, a, seed, seed_pos, singular=None):
 
 def _singular(reports, a):
     """The singular members (G,) of a group, whose targets (G, S, N) must
-    meet the alternating-sum constraint."""
+    meet the alternating-sum constraint.  A violation names the first
+    offending vertex and target row."""
     singular = np.array([r.singular for r in reports])
     if singular.any():
         a = a[singular]
@@ -515,9 +516,12 @@ def _singular(reports, a):
         scale = np.maximum(np.abs(a).max(axis=-1), 1e-30)
         bad = np.abs(alt) > 1e-9 * scale
         if bad.any():
+            g, s = np.argwhere(bad)[0]
+            vertex = reports[np.flatnonzero(singular)[g]].vertex
             raise FieldError(
-                "target violates the alternating-sum constraint at a "
-                f"singular vertex (residual {alt[bad][0]:.3e})")
+                f"vertex {vertex}, target {s}: target violates the "
+                "alternating-sum constraint at a singular vertex "
+                f"(residual {alt[g, s]:.3e})")
     return singular
 
 

@@ -855,6 +855,23 @@ def test_field_suite_field_error_is_one_error_line(tmp_path, capsys,
     assert len(calls) == 1
 
 
+def test_field_suite_batches_give_the_same_report(monkeypatch):
+    """The one verify_field call walks the suite's fields in passes of
+    fields.VERIFY_FIELDS, whether a pass ends inside a vertex's fields
+    (10 of 3 samples) or holds the whole suite; the pass size does not
+    change the report."""
+    m = bench_mesh("perturbed-5-p0")
+    want = run_field_suites(m, Tolerances(), 3, 11)
+    # 36 vertices of 3 samples: 108 fields
+    for size, sizes in ((10, [10] * 10 + [8]), (1000, [108])):
+        monkeypatch.setattr(fields, "VERIFY_FIELDS", size)
+        verified = _count_calls(monkeypatch, fields, "verify_field")
+        passes = _count_calls(monkeypatch, fields, "_verify_range")
+        assert run_field_suites(m, Tolerances(), 3, 11) == want
+        assert [args[0].F for args in verified] == [108]
+        assert [args[2] for args in passes] == sizes
+
+
 @pytest.mark.parametrize("size", [1, 7, 128])
 def test_field_suite_splits_large_groups(monkeypatch, size):
     """fields.VERIFY_FIELDS bounds the suite's interpolant calls, at

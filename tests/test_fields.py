@@ -1541,21 +1541,27 @@ def test_suite_fails_a_boundary_seed_that_pollutes_a_second_vertex(
     assert all(ln.endswith("pass") for ln in lines if ln not in failed)
 
 
-def test_suite_raises_on_a_target_off_the_constraint(monkeypatch):
-    """A target that breaks the alternating-sum condition at a singular
-    vertex is a FieldError of its group's one call, not retried on a
-    smaller group: ``_suite_fields`` raises it, and so does the whole
-    suite when one row of one singular vertex of its interior group
-    breaks it."""
+def test_suite_fields_isolate_a_failing_row():
+    """A target row that breaks the alternating-sum condition at a
+    singular vertex is a FieldError of the group's one call, not retried
+    on a smaller group; the error names that vertex and that row."""
     topo = build_topology(crossed(2))
     reports, _ = classify_mesh(topo)
     r = next(r for r in reports if r.singular and not r.boundary)
     a = _block_targets(np.random.default_rng(4), fan(topo, r.vertex), True, 3)
     cli._suite_fields(topo, [r], a[None])
     a[1, 0] += 1.0
-    with pytest.raises(FieldError, match="alternating-sum"):
+    with pytest.raises(FieldError, match=rf"^vertex {r.vertex}, target 1: "
+                       "target violates the alternating-sum"):
         cli._suite_fields(topo, [r], a[None])
 
+
+def test_suite_group_with_a_violating_row_fails_that_vertex_only(
+        monkeypatch):
+    """One row of one singular vertex of an interior group breaks the
+    alternating-sum condition: the suite raises after the group's one
+    call, with a FieldError that names that vertex and row and no other
+    vertex of the group."""
     mesh = crossed(3)
     reports, _ = classify_mesh(build_topology(mesh))
     victim = [r.vertex for r in reports if r.status == SINGULAR
@@ -1570,7 +1576,8 @@ def test_suite_raises_on_a_target_off_the_constraint(monkeypatch):
         return original(group, targets, *args)
 
     monkeypatch.setattr(cli, "local_interpolant", violating)
-    with pytest.raises(FieldError, match="alternating-sum"):
+    with pytest.raises(FieldError, match=rf"^vertex {victim}, target 1: "
+                       "target violates the alternating-sum"):
         cli.run_field_suites(mesh, TOL, 2, 7)
     # the interior group, its singular vertices of valence 4 and its even
     # grid crossings of valence 8, in one call
